@@ -1,8 +1,12 @@
 //! The exact executor: BDAS-style and coordinator–cohort query processing.
 //!
-//! Per-node scans fan out across an [`ExecPool`]'s worker threads — the
+//! Every query — either regime, healthy or faulted cluster — takes one
+//! scan path: the coordinator *opens* each engaged node's scan (the
+//! step that consumes an installed fault plan, and owns retry, backoff,
+//! failover and partial answers), then mask evaluation and the per-node
+//! partial fold fan out across an [`ExecPool`]'s worker threads — the
 //! paper's P1/P4 node parallelism made real on the host, not just in the
-//! cost model. Workers do pure compute (telemetry-silent scans charging
+//! cost model. Workers do pure compute (telemetry-silent, charging
 //! private [`CostMeter`]s); the coordinator then replays each node's
 //! telemetry in node-index order, so answers, [`CostReport`]s, and every
 //! recorded table are bit-identical to sequential execution regardless
@@ -33,10 +37,11 @@ pub struct QueryOutcome {
 /// aggregates (median/quantile) must ship the selected values themselves.
 #[derive(Debug, Clone)]
 enum Partial {
+    /// Shipped as the (count, sum, sum_sq) sufficient-statistics triple;
+    /// the coordinator's merges read only the first two.
     CountSum {
         count: u64,
         sum: f64,
-        sum_sq: f64,
     },
     /// Centered moments for variance: numerically robust under large
     /// means, where the raw `sum_sq` form cancels catastrophically.
@@ -68,9 +73,9 @@ impl Partial {
 /// Bounded retry with exponential simulated backoff for transient scan
 /// faults. Backoff is *simulated* time charged to the node's meter (the
 /// coordinator never sleeps), so retrying has a visible cost in every
-/// [`CostReport`] and the determinism contract holds: retries happen on
-/// the node's own worker, consuming that node's fault-plan operations in
-/// sequence.
+/// [`CostReport`] and the determinism contract holds: a node's retries
+/// happen back to back in its open phase, consuming that node's
+/// fault-plan operations in sequence.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Retries after the initial attempt (0 = fail fast).
@@ -106,10 +111,10 @@ impl RetryPolicy {
     }
 }
 
-/// What one scatter worker brings back from its node: pure data, a
-/// private cost meter, the scan statistics the coordinator needs to
-/// replay the node's telemetry afterwards, and the fault handling the
-/// worker performed (replayed as counters/events in node order).
+/// What the scatter brings back from one node: pure data, a private
+/// cost meter, the scan statistics the coordinator needs to replay the
+/// node's telemetry afterwards, and the fault handling its open phase
+/// performed (replayed as counters/events in node order).
 struct NodeScan {
     /// The node's partial aggregate; `None` when the partition was
     /// unavailable and the executor runs in partial-answer mode.
@@ -126,6 +131,49 @@ struct NodeScan {
     /// (`None` unless a cache is attached and the region is cacheable).
     records: Option<Vec<Record>>,
 }
+
+/// One node's open phase (see [`Executor::scatter_scans`]): what the
+/// fault gate and the retry loop left behind before any block is read.
+#[derive(Clone, Copy)]
+struct Opened<'c> {
+    /// `touch_node` plus any retry backoff.
+    meter: CostMeter,
+    retries: u32,
+    /// The serving copy, whether it is a replica failover, and the
+    /// gate's latency multiplier; `None` when the partition is
+    /// unavailable and the executor runs in partial-answer mode.
+    view: Option<(&'c DataNode, bool, f64)>,
+}
+
+/// What separates the two processing regimes at the scatter level.
+struct Regime {
+    span: &'static str,
+    counter: &'static str,
+    /// `storage.node.scan`'s `kind` tag.
+    scan_kind: &'static str,
+    /// Layer crossings each engaged node pays.
+    layers: u64,
+    /// Whether the coordinator prunes: partition metadata picks the
+    /// nodes (one request message each) and zone maps pick the blocks.
+    /// Otherwise every node reads every block.
+    pruned: bool,
+}
+
+const BDAS: Regime = Regime {
+    span: "query.executor.bdas",
+    counter: "query.executor.bdas_queries",
+    scan_kind: "full",
+    layers: BDAS_LAYERS,
+    pruned: false,
+};
+
+const DIRECT: Regime = Regime {
+    span: "query.executor.direct",
+    counter: "query.executor.direct_queries",
+    scan_kind: "region",
+    layers: DIRECT_LAYERS,
+    pruned: true,
+};
 
 /// Stateless executor over a [`StorageCluster`].
 #[derive(Debug, Clone)]
@@ -146,16 +194,7 @@ impl<'a> Executor<'a> {
     /// cluster instruments the whole exact query path, and shares the
     /// process-wide [`ExecPool`] for real node parallelism.
     pub fn new(cluster: &'a StorageCluster) -> Self {
-        Executor {
-            cluster,
-            cost_model: CostModel::default(),
-            telemetry: cluster.telemetry().clone(),
-            pool: ExecPool::global(),
-            retry: RetryPolicy::default(),
-            partial_answers: false,
-            cache: None,
-            cache_consult: false,
-        }
+        Self::with_cost_model(cluster, CostModel::default())
     }
 
     /// Creates an executor with an explicit cost model.
@@ -310,7 +349,8 @@ impl<'a> Executor<'a> {
 
     /// Re-derives a containment-hit answer from cached per-node
     /// fragments: each fragment's records are re-filtered by the
-    /// (smaller) queried region and folded into a per-node partial, then
+    /// (smaller) queried region, transposed into per-dimension columns,
+    /// and folded through [`KernelAcc`] into a per-node partial, then
     /// merged in node order — the same records, in the same order, a
     /// cold scan would have aggregated, so the answer is bit-identical.
     fn derive_from_fragments(
@@ -327,7 +367,13 @@ impl<'a> Executor<'a> {
                 .iter()
                 .filter(|r| query.region.contains_record(r))
                 .collect();
-            partials.push(make_partial(&query.aggregate, &matched));
+            let dims = matched.first().map_or(0, |r| r.dims());
+            let cols: Vec<Vec<f64>> = (0..dims)
+                .map(|d| matched.iter().map(|r| r.value(d)).collect())
+                .collect();
+            let mut acc = KernelAcc::new(&query.aggregate);
+            acc.push(&cols, &SelectionMask::all(matched.len()));
+            partials.push(acc.finish());
         }
         coord.charge_cpu(partials.len() as u64);
         let answer = merge_partials(&query.aggregate, partials)?;
@@ -392,42 +438,7 @@ impl<'a> Executor<'a> {
         query: &AnalyticalQuery,
         parent: &TraceContext,
     ) -> Result<QueryOutcome> {
-        let _exec_span = self.telemetry.span_child_of(parent, "query.executor.bdas");
-        self.telemetry.incr("query.executor.bdas_queries", 1);
-        query.aggregate.validate(self.cluster.dims(table)?)?;
-        if self.cache_consult {
-            if let Some(hit) = self.cache_lookup(query) {
-                return hit;
-            }
-        }
-        let nodes: Vec<NodeId> = (0..self.cluster.num_nodes()).collect();
-        let (partials, node_meters, unavailable, fragments) = {
-            let scatter = self.telemetry.span("query.executor.scatter");
-            let scans = self.scatter_scans(table, query, &nodes, BDAS_LAYERS, None)?;
-            let out = self.replay_scatter(table, &nodes, "full", &scatter.ctx(), scans);
-            // Nodes run in parallel: the scatter phase lasts as long as
-            // its slowest node under the cost model. The per-node spans
-            // carry the per-node costs; the makespan is a tag so the
-            // tree's sim rollup doesn't double-count.
-            scatter.tag(
-                "sim_makespan_us",
-                out.1
-                    .iter()
-                    .map(|m| m.sequential_us(&self.cost_model))
-                    .fold(0.0, f64::max),
-            );
-            out
-        };
-        let gather = self.telemetry.span("query.executor.gather");
-        let mut coord = CostMeter::new();
-        coord.charge_cpu(partials.len() as u64);
-        let answer = merge_partials(&query.aggregate, partials)?;
-        let mut cost = coord.report_parallel(node_meters.iter(), &self.cost_model);
-        Self::note_availability(&mut cost, nodes.len(), unavailable);
-        gather.record_sim_us(coord.sequential_us(&self.cost_model));
-        drop(gather);
-        self.maybe_admit(query, &answer, fragments, &cost);
-        Ok(QueryOutcome { answer, cost })
+        self.execute(table, query, parent, &BDAS, None)
     }
 
     /// Executes `query` over `table` in the coordinator–cohort regime:
@@ -454,49 +465,58 @@ impl<'a> Executor<'a> {
         query: &AnalyticalQuery,
         parent: &TraceContext,
     ) -> Result<QueryOutcome> {
-        self.execute_direct_with(table, query, parent, |candidates, bbox| {
-            self.scatter_scans(table, query, candidates, DIRECT_LAYERS, Some(bbox))
-        })
+        self.execute(table, query, parent, &DIRECT, None)
     }
 
-    /// The direct regime with a pluggable scan provider: the whole span
-    /// tree, cost assembly, and merge are identical to
-    /// [`Executor::execute_direct_traced`]; only where the per-node
-    /// [`NodeScan`]s come from differs. Batch execution routes a shared
-    /// superset scan through here so each query's outcome and telemetry
-    /// replay stay bit-identical to a standalone execution.
-    fn execute_direct_with(
+    /// One query in either regime: cache probe, scatter, telemetry
+    /// replay, gather/merge, cost assembly, cache admission. `shared`
+    /// substitutes a batch's superset scan for the per-query scatter;
+    /// the span tree, charges and merge are the same either way, so each
+    /// batched query's outcome and telemetry replay stay bit-identical
+    /// to a standalone execution.
+    fn execute(
         &self,
         table: &str,
         query: &AnalyticalQuery,
         parent: &TraceContext,
-        provider: impl FnOnce(&[NodeId], &Rect) -> Result<Vec<NodeScan>>,
+        regime: &Regime,
+        shared: Option<&SharedScan>,
     ) -> Result<QueryOutcome> {
-        let _exec_span = self
-            .telemetry
-            .span_child_of(parent, "query.executor.direct");
-        self.telemetry.incr("query.executor.direct_queries", 1);
+        let _exec_span = self.telemetry.span_child_of(parent, regime.span);
+        self.telemetry.incr(regime.counter, 1);
         query.aggregate.validate(self.cluster.dims(table)?)?;
         if self.cache_consult {
             if let Some(hit) = self.cache_lookup(query) {
                 return hit;
             }
         }
-        let bbox = query.region.bounding_rect();
-        let candidates = self.cluster.nodes_for_region(table, &bbox)?;
+        let bbox = regime.pruned.then(|| query.region.bounding_rect());
+        let nodes: Vec<NodeId> = match &bbox {
+            Some(b) => self.cluster.nodes_for_region(table, b)?,
+            None => (0..self.cluster.num_nodes()).collect(),
+        };
         let mut coord = CostMeter::new();
         let (partials, node_meters, unavailable, fragments) = {
             let scatter = self.telemetry.span("query.executor.scatter");
-            // One request message per engaged node. The fan-out is part
-            // of the scatter phase, so its simulated time lands on the
-            // scatter span (the coordinator still pays it sequentially
-            // in the cost report).
-            for _ in &candidates {
-                coord.charge_lan(64);
+            if regime.pruned {
+                // One request message per engaged node. The fan-out is
+                // part of the scatter phase, so its simulated time lands
+                // on the scatter span (the coordinator still pays it
+                // sequentially in the cost report).
+                for _ in &nodes {
+                    coord.charge_lan(64);
+                }
+                scatter.record_sim_us(coord.sequential_us(&self.cost_model));
             }
-            scatter.record_sim_us(coord.sequential_us(&self.cost_model));
-            let scans = provider(&candidates, &bbox)?;
-            let out = self.replay_scatter(table, &candidates, "region", &scatter.ctx(), scans);
+            let scans = match (shared, &bbox) {
+                (Some(shared), Some(b)) => shared.node_scans(&nodes, b, &query.aggregate),
+                _ => self.scatter_scans(table, query, &nodes, regime.layers, bbox.as_ref())?,
+            };
+            let out = self.replay_scatter(table, &nodes, regime.scan_kind, &scatter.ctx(), scans);
+            // Nodes run in parallel: the scatter phase lasts as long as
+            // its slowest node under the cost model. The per-node spans
+            // carry the per-node costs; the makespan is a tag so the
+            // tree's sim rollup doesn't double-count.
             scatter.tag(
                 "sim_makespan_us",
                 out.1
@@ -514,27 +534,46 @@ impl<'a> Executor<'a> {
         coord.charge_cpu(partials.len() as u64);
         let answer = merge_partials(&query.aggregate, partials)?;
         let mut cost = coord.report_parallel(node_meters.iter(), &self.cost_model);
-        Self::note_availability(&mut cost, candidates.len(), unavailable);
+        Self::note_availability(&mut cost, nodes.len(), unavailable);
         gather.record_sim_us(merge_only.sequential_us(&self.cost_model));
         drop(gather);
         self.maybe_admit(query, &answer, fragments, &cost);
         Ok(QueryOutcome { answer, cost })
     }
 
-    /// Fans the per-node scans of one query out across the pool. Workers
-    /// are telemetry-silent (quiet scans, private meters); results come
-    /// back in node-index order with the first error (in node order)
-    /// propagated. `bbox` selects the access path: `None` scans every
-    /// block (BDAS), `Some` uses zone-map pruned region scans (direct).
+    /// The one scan path, for healthy and faulted clusters alike: open →
+    /// mask → fold. `bbox` selects the access path: `None` reads every
+    /// block (BDAS), `Some` prunes blocks by zone map (direct). Results
+    /// come back in node-index order.
     ///
-    /// Each worker retries transient faults per the executor's
-    /// [`RetryPolicy`], charging exponential simulated backoff to the
-    /// node's meter. Retries stay on the node's own worker, so the
-    /// per-node fault-plan operation sequence — and therefore every
-    /// observable output — is independent of the pool size. In
-    /// partial-answer mode a partition that stays unavailable
-    /// ([`SeaError::Storage`]/[`SeaError::Transient`] after retries)
-    /// yields an `unavailable` scan instead of an error.
+    /// **Open** (coordinator thread, node order): each engaged node's
+    /// scan is opened through [`StorageCluster::open_scan`], which is
+    /// where an installed fault plan is consumed — exactly one gate
+    /// operation per (query, node, attempt). A transient fault is
+    /// retried per the executor's [`RetryPolicy`], charging only the
+    /// simulated backoff to the node's meter; in partial-answer mode a
+    /// partition still out of reach afterwards
+    /// ([`SeaError::Storage`]/[`SeaError::Transient`]) becomes an
+    /// `unavailable` scan that keeps its backoff and retry count, while
+    /// other errors (missing table, bad dims) propagate. Every node is
+    /// opened before the first error in node order is returned, because
+    /// later queries' fault decisions depend on those counters; a
+    /// dimension mismatch is rejected before any gate is consumed.
+    ///
+    /// **Mask** (phase A, pool): work is split into **morsels**
+    /// (contiguous runs of blocks of roughly [`MORSEL_RECORDS`] records)
+    /// so the pool steals within a node, not only across nodes: a 2-node
+    /// cluster saturates an 8-way pool. Each morsel evaluates its
+    /// blocks' selection bitmaps — pure compute, no telemetry.
+    ///
+    /// **Fold** (phase B, pool): each node's stats, charges and
+    /// [`KernelAcc`] partial are assembled from its masks in block
+    /// order, so every observable output is bit-identical for every pool
+    /// size and morsel decomposition. The scan's disk + CPU charges
+    /// accumulate in a local meter that is scaled once by the gate's
+    /// slow-node multiplier (per-field rounding happens once per scan,
+    /// not per block); `touch_node`, backoff and the partial's LAN bytes
+    /// are never scaled, and [`ScanStats`] are unscaled.
     fn scatter_scans(
         &self,
         table: &str,
@@ -547,134 +586,20 @@ impl<'a> Executor<'a> {
         // cache is attached and the region supports the containment
         // algebra (rectangles only).
         let collect = self.cache.is_some() && matches!(query.region, Region::Range(_));
-        if self.cluster.has_fault_plan() {
-            // Injected faults are consumed per scan *operation*, so the
-            // fault-gated row path must stay in charge of retries,
-            // failover, and backoff accounting.
-            return self.scatter_scans_guarded(table, query, nodes, layers, bbox, collect);
-        }
-        self.scatter_scans_columnar(table, query, nodes, layers, bbox, collect)
-    }
-
-    /// The fault-gated scan path: row-at-a-time scans through
-    /// [`StorageCluster::scan_node_stats`] /
-    /// [`StorageCluster::scan_node_region_stats`], whose fault gate
-    /// advances per-node operation counters deterministically.
-    fn scatter_scans_guarded(
-        &self,
-        table: &str,
-        query: &AnalyticalQuery,
-        nodes: &[NodeId],
-        layers: u64,
-        bbox: Option<&Rect>,
-        collect: bool,
-    ) -> Result<Vec<NodeScan>> {
-        self.pool
-            .run(nodes.len(), |i| {
-                let node = nodes[i];
-                let mut meter = CostMeter::new();
-                meter.touch_node(layers);
-                let mut retries = 0u32;
-                loop {
-                    let scanned = match bbox {
-                        None => self.cluster.scan_node_stats(table, node, &mut meter),
-                        Some(b) => self
-                            .cluster
-                            .scan_node_region_stats(table, node, b, &mut meter),
-                    };
-                    match scanned {
-                        Ok((records, stats)) => {
-                            let matched: Vec<Record> = records
-                                .into_iter()
-                                .filter(|r| query.region.contains_record(r))
-                                .collect();
-                            let refs: Vec<&Record> = matched.iter().collect();
-                            let partial = make_partial(&query.aggregate, &refs);
-                            drop(refs);
-                            meter.charge_lan(partial.wire_bytes());
-                            return Ok(NodeScan {
-                                partial: Some(partial),
-                                meter,
-                                stats,
-                                retries,
-                                failover: self.cluster.primary_down(node),
-                                unavailable: false,
-                                records: collect.then_some(matched),
-                            });
-                        }
-                        Err(ref e) if e.is_transient() && retries < self.retry.max_retries => {
-                            meter.charge_backoff(self.retry.backoff_us(retries));
-                            retries += 1;
-                        }
-                        Err(SeaError::Storage(_) | SeaError::Transient(_))
-                            if self.partial_answers =>
-                        {
-                            // The partition is out of reach; degrade
-                            // instead of failing the whole query. Other
-                            // error kinds (missing table, bad dims) are
-                            // caller bugs and still propagate.
-                            return Ok(NodeScan {
-                                partial: None,
-                                meter,
-                                stats: ScanStats::default(),
-                                retries,
-                                failover: false,
-                                unavailable: true,
-                                records: None,
-                            });
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-            })
-            .into_iter()
-            .collect()
-    }
-
-    /// The columnar fast path (no fault plan installed): predicates are
-    /// evaluated as selection bitmaps over each block's dimension
-    /// columns, then the per-node partial is folded serially in record
-    /// order over the selected rows only — the exact float-op sequence
-    /// of the row path, reached through autovectorizable kernels.
-    ///
-    /// Work is split into **morsels** (contiguous runs of blocks of
-    /// roughly [`MORSEL_RECORDS`] records) so the pool steals within a
-    /// node, not only across nodes: a 2-node cluster saturates an 8-way
-    /// pool. Phase A evaluates morsel masks in parallel (pure compute,
-    /// no telemetry); phase B assembles each node's meter, stats, and
-    /// partial from its masks in block order, so every observable output
-    /// is bit-identical for every pool size and morsel decomposition.
-    fn scatter_scans_columnar(
-        &self,
-        table: &str,
-        query: &AnalyticalQuery,
-        nodes: &[NodeId],
-        layers: u64,
-        bbox: Option<&Rect>,
-        collect: bool,
-    ) -> Result<Vec<NodeScan>> {
         if let Some(b) = bbox {
             SeaError::check_dims(self.cluster.dims(table)?, b.dims())?;
         }
-        // Resolve each node's serving copy up front, in node order, so
-        // the first error (in node order) propagates exactly as the
-        // worker-loop path would.
-        let mut views: Vec<Option<(&DataNode, bool)>> = Vec::with_capacity(nodes.len());
-        for &node in nodes {
-            match self.cluster.serving_node(table, node) {
-                Ok(v) => views.push(Some(v)),
-                Err(SeaError::Storage(_) | SeaError::Transient(_)) if self.partial_answers => {
-                    views.push(None);
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        // Every node is opened before the first error propagates.
+        let attempts: Vec<Result<Opened>> = nodes
+            .iter()
+            .map(|&node| self.open_node(table, node, layers))
+            .collect();
+        let opened = attempts.into_iter().collect::<Result<Vec<_>>>()?;
         // Phase A: morsel-parallel mask evaluation.
-        let morsels = plan_morsels(&views);
+        let morsels = plan_morsels(&opened);
         let evals: Vec<Vec<BlockEval>> = self.pool.run(morsels.len(), |mi| {
             let m = &morsels[mi];
-            let (dn, _) = views[m.node_idx].expect("morsels cover live views only");
-            dn.blocks()[m.block_lo..m.block_hi]
+            m.node.blocks()[m.block_lo..m.block_hi]
                 .iter()
                 .map(|b| eval_block(b, query, bbox))
                 .collect()
@@ -685,81 +610,95 @@ impl<'a> Executor<'a> {
         for (m, evs) in morsels.iter().zip(evals) {
             per_node[m.node_idx].extend(evs);
         }
-        // Phase B: per-node assembly — meters, stats, and the serial
-        // record-order kernel fold. Deterministic per node, so it can
+        // Phase B: per-node assembly. Deterministic per node, so it can
         // run on the pool too.
         let scans = self.pool.run(nodes.len(), |i| {
-            let Some((dn, failover)) = views[i] else {
-                let mut meter = CostMeter::new();
-                meter.touch_node(layers);
+            let Opened {
+                mut meter,
+                retries,
+                view,
+            } = opened[i];
+            let Some((dn, failover, slow)) = view else {
                 return NodeScan {
                     partial: None,
                     meter,
                     stats: ScanStats::default(),
-                    retries: 0,
+                    retries,
                     failover: false,
                     unavailable: true,
                     records: None,
                 };
             };
-            let mut meter = CostMeter::new();
-            meter.touch_node(layers);
             let blocks = dn.blocks();
-            let evals = &per_node[i];
+            let mut scan = CostMeter::new();
             let mut stats = ScanStats {
                 blocks_total: blocks.len(),
                 ..ScanStats::default()
             };
             let mut acc = KernelAcc::new(&query.aggregate);
             let mut records = collect.then(Vec::new);
-            if bbox.is_none() {
-                // Full scan: every block is read, one seek-equivalent
-                // charge per block; records_returned counts all rows.
-                for (b, ev) in blocks.iter().zip(evals) {
-                    meter.charge_disk_read(b.bytes());
-                    meter.charge_cpu(b.len() as u64);
-                    stats.blocks_read += 1;
-                    stats.bytes_read += b.bytes();
-                    stats.records_returned += b.len();
-                    acc.push(b.cols(), &ev.refined);
-                    if let Some(out) = &mut records {
-                        ev.refined.for_each_set(|r| out.push(b.record(r)));
-                    }
+            for (b, ev) in blocks.iter().zip(&per_node[i]) {
+                if !ev.read {
+                    // Zone-map pruned: free.
+                    continue;
                 }
-            } else {
-                // Region scan: zone-map pruned blocks are free; read
-                // blocks pay CPU per block and one sequential disk read
-                // covering all of them.
-                for (b, ev) in blocks.iter().zip(evals) {
-                    if !ev.read {
-                        continue;
-                    }
-                    stats.blocks_read += 1;
-                    stats.bytes_read += b.bytes();
-                    stats.records_returned += ev.returned;
-                    meter.charge_cpu(b.len() as u64);
-                    acc.push(b.cols(), &ev.refined);
-                    if let Some(out) = &mut records {
-                        ev.refined.for_each_set(|r| out.push(b.record(r)));
-                    }
+                if bbox.is_none() {
+                    // Full scan: one seek-equivalent charge per block.
+                    scan.charge_disk_read(b.bytes());
                 }
-                if stats.bytes_read > 0 {
-                    meter.charge_disk_read(stats.bytes_read);
+                scan.charge_cpu(b.len() as u64);
+                stats.blocks_read += 1;
+                stats.bytes_read += b.bytes();
+                stats.records_returned += ev.returned;
+                acc.push(b.cols(), &ev.refined);
+                if let Some(out) = &mut records {
+                    ev.refined.for_each_set(|r| out.push(b.record(r)));
                 }
             }
+            if bbox.is_some() && stats.bytes_read > 0 {
+                // Region scan: one sequential disk read covering all
+                // the blocks the zone maps admitted.
+                scan.charge_disk_read(stats.bytes_read);
+            }
+            // The identity at the healthy multiplier 1.0.
+            meter.merge_scaled(&scan, slow);
             let partial = acc.finish();
             meter.charge_lan(partial.wire_bytes());
             NodeScan {
                 partial: Some(partial),
                 meter,
                 stats,
-                retries: 0,
+                retries,
                 failover,
                 unavailable: false,
                 records,
             }
         });
         Ok(scans)
+    }
+
+    /// The open phase for one node (see [`Executor::scatter_scans`]).
+    fn open_node(&self, table: &str, node: NodeId, layers: u64) -> Result<Opened<'a>> {
+        let mut meter = CostMeter::new();
+        meter.touch_node(layers);
+        let mut retries = 0u32;
+        loop {
+            let view = match self.cluster.open_scan(table, node) {
+                Ok(view) => Some(view),
+                Err(ref e) if e.is_transient() && retries < self.retry.max_retries => {
+                    meter.charge_backoff(self.retry.backoff_us(retries));
+                    retries += 1;
+                    continue;
+                }
+                Err(SeaError::Storage(_) | SeaError::Transient(_)) if self.partial_answers => None,
+                Err(e) => return Err(e),
+            };
+            return Ok(Opened {
+                meter,
+                retries,
+                view,
+            });
+        }
     }
 
     /// Stamps a report with the scatter phase's availability outcome:
@@ -851,6 +790,12 @@ impl<'a> Executor<'a> {
     /// order, each exactly what [`Executor::execute_direct`] would have
     /// returned. Per-query node scans run inline on the query's worker
     /// (a nested fan-out would oversubscribe the host).
+    ///
+    /// Under an installed fault plan the queries share per-node operation
+    /// counters, so they run one after another in query order (each with
+    /// the full pool inside the query): which query meets which fault —
+    /// and pays its backoff — is then a function of the batch alone, not
+    /// of thread timing.
     pub fn execute_batch(
         &self,
         table: &str,
@@ -871,42 +816,63 @@ impl<'a> Executor<'a> {
         queries: &[AnalyticalQuery],
         parent: &TraceContext,
     ) -> Vec<Result<QueryOutcome>> {
+        self.run_batch(table, queries, parent, &DIRECT)
+    }
+
+    /// [`Executor::execute_batch`] in the BDAS regime.
+    pub fn execute_batch_bdas(
+        &self,
+        table: &str,
+        queries: &[AnalyticalQuery],
+    ) -> Vec<Result<QueryOutcome>> {
+        self.run_batch(table, queries, &TraceContext::NONE, &BDAS)
+    }
+
+    fn run_batch(
+        &self,
+        table: &str,
+        queries: &[AnalyticalQuery],
+        parent: &TraceContext,
+        regime: &Regime,
+    ) -> Vec<Result<QueryOutcome>> {
         let batch_span = self.telemetry.span_child_of(parent, "query.executor.batch");
         batch_span.tag("queries", queries.len());
         let ctx = batch_span.ctx();
-        // Inner executors run whole queries on worker threads; a shared
-        // cache there would make admission order (and thus eviction
-        // tie-breaks) schedule-dependent, so batches run cache-less.
-        let inner = self
-            .clone()
-            .with_pool(ExecPool::sequential())
-            .without_cache();
-        // All-rectangular batches on a healthy cluster share one superset
-        // scan: the union of the batch's query boxes is gathered once per
-        // node, and every query evaluates its predicate against that
-        // (much smaller) shared subset. Answers, cost reports, and the
-        // telemetry replay are bit-identical to standalone execution —
-        // the provider reproduces the per-query scan's exact charges and
-        // float-op sequence — so this is purely a wall-clock win.
-        if let Some(shared) = self.plan_shared_scan(table, queries) {
-            return self.pool.run(queries.len(), |i| {
-                inner.execute_direct_with(table, &queries[i], &ctx, |candidates, bbox| {
-                    Ok(shared.node_scans(candidates, bbox, &queries[i].aggregate))
-                })
-            });
+        // Batches run cache-less: concurrent admissions would make
+        // admission order (and thus eviction tie-breaks)
+        // schedule-dependent.
+        let inner = self.clone().without_cache();
+        if self.cluster.has_fault_plan() {
+            return queries
+                .iter()
+                .map(|q| inner.execute(table, q, &ctx, regime, None))
+                .collect();
         }
+        // All-rectangular direct batches on a healthy cluster share one
+        // superset scan: the union of the batch's query boxes is gathered
+        // once per node, and every query evaluates its predicate against
+        // that (much smaller) shared subset. Answers, cost reports, and
+        // the telemetry replay are bit-identical to standalone execution
+        // — the shared scan reproduces the per-query scan's exact charges
+        // and float-op sequence — so this is purely a wall-clock win.
+        let shared = if regime.pruned {
+            self.plan_shared_scan(table, queries)
+        } else {
+            None
+        };
+        let inner = inner.with_pool(ExecPool::sequential());
         self.pool.run(queries.len(), |i| {
-            inner.execute_direct_traced(table, &queries[i], &ctx)
+            inner.execute(table, &queries[i], &ctx, regime, shared.as_ref())
         })
     }
 
     /// Builds the batch-shared superset scan, or `None` when the batch
     /// does not qualify (fewer than two queries, any non-rectangular or
-    /// dimension-mismatched region, a fault plan installed, or any
-    /// primary down — those fall back to independent per-query scans so
-    /// fault determinism is untouched).
+    /// dimension-mismatched region, or any primary down — those fall
+    /// back to independent per-query scans). Only called on a cluster
+    /// without a fault plan: a faulted batch opens its scans per query.
     fn plan_shared_scan(&self, table: &str, queries: &[AnalyticalQuery]) -> Option<SharedScan> {
-        if queries.len() < 2 || self.cluster.has_fault_plan() || self.cluster.any_primary_down() {
+        if queries.len() < 2 || self.cluster.any_primary_down() {
             return None;
         }
         let dims = self.cluster.dims(table).ok()?;
@@ -955,26 +921,6 @@ impl<'a> Executor<'a> {
         });
         Some(SharedScan { nodes })
     }
-
-    /// [`Executor::execute_batch`] in the BDAS regime.
-    pub fn execute_batch_bdas(
-        &self,
-        table: &str,
-        queries: &[AnalyticalQuery],
-    ) -> Vec<Result<QueryOutcome>> {
-        let batch_span = self
-            .telemetry
-            .span_child_of(&TraceContext::NONE, "query.executor.batch");
-        batch_span.tag("queries", queries.len());
-        let ctx = batch_span.ctx();
-        let inner = self
-            .clone()
-            .with_pool(ExecPool::sequential())
-            .without_cache();
-        self.pool.run(queries.len(), |i| {
-            inner.execute_bdas_traced(table, &queries[i], &ctx)
-        })
-    }
 }
 
 /// Target morsel size in records: the intra-node work unit the pool
@@ -985,20 +931,21 @@ const MORSEL_RECORDS: usize = 4096;
 
 /// A contiguous run of blocks within one node: the unit of phase-A mask
 /// evaluation.
-struct Morsel {
-    /// Index into the scatter's `views`/`nodes` arrays.
+struct Morsel<'c> {
+    /// Index into the scatter's `opened`/`nodes` arrays.
     node_idx: usize,
+    node: &'c DataNode,
     block_lo: usize,
     block_hi: usize,
 }
 
-/// Splits each live node's block list into morsels of roughly
+/// Splits each opened node's block list into morsels of roughly
 /// [`MORSEL_RECORDS`] records (at least one block each), in node order.
-fn plan_morsels(views: &[Option<(&DataNode, bool)>]) -> Vec<Morsel> {
+fn plan_morsels<'c>(opened: &[Opened<'c>]) -> Vec<Morsel<'c>> {
     let mut out = Vec::new();
-    for (node_idx, v) in views.iter().enumerate() {
-        let Some((dn, _)) = v else { continue };
-        let blocks = dn.blocks();
+    for (node_idx, o) in opened.iter().enumerate() {
+        let Some((node, ..)) = o.view else { continue };
+        let blocks = node.blocks();
         let mut lo = 0;
         while lo < blocks.len() {
             let mut hi = lo;
@@ -1009,6 +956,7 @@ fn plan_morsels(views: &[Option<(&DataNode, bool)>]) -> Vec<Morsel> {
             }
             out.push(Morsel {
                 node_idx,
+                node,
                 block_lo: lo,
                 block_hi: hi,
             });
@@ -1144,10 +1092,10 @@ fn eval_block(b: &Block, query: &AnalyticalQuery, bbox: Option<&Rect>) -> BlockE
     }
 }
 
-/// A running per-node partial folded directly over column slices: the
-/// columnar twin of [`make_partial`], executing the exact same float
-/// operations in the exact same (record) order over the selected rows,
-/// so the resulting [`Partial`] is bit-identical to the row path's.
+/// A running per-node partial folded directly over column slices, in
+/// record order over the selected rows — the crate's only fold, so a
+/// cold scan and a containment re-derivation of the same records
+/// produce bit-identical [`Partial`]s.
 enum KernelAcc {
     Count {
         count: u64,
@@ -1178,8 +1126,9 @@ enum KernelAcc {
         y: usize,
         stats: BivariateStats,
     },
-    /// Future `AggregateKind` variants: finishes to an empty `Values`
-    /// partial, exactly as [`make_partial`]'s fallback arm does.
+    /// Future `AggregateKind` variants (the enum is non-exhaustive):
+    /// finishes to an empty `Values` partial so [`merge_partials`] can
+    /// reject them explicitly.
     Opaque,
 }
 
@@ -1257,14 +1206,8 @@ impl KernelAcc {
 
     fn finish(self) -> Partial {
         match self {
-            KernelAcc::Count { count } => Partial::CountSum {
-                count,
-                sum: 0.0,
-                sum_sq: 0.0,
-            },
-            KernelAcc::SumSq {
-                count, sum, sum_sq, ..
-            } => Partial::CountSum { count, sum, sum_sq },
+            KernelAcc::Count { count } => Partial::CountSum { count, sum: 0.0 },
+            KernelAcc::SumSq { count, sum, .. } => Partial::CountSum { count, sum },
             KernelAcc::Welford {
                 count, mean, m2, ..
             } => Partial::Moments { count, mean, m2 },
@@ -1276,67 +1219,7 @@ impl KernelAcc {
     }
 }
 
-fn make_partial(agg: &AggregateKind, matched: &[&Record]) -> Partial {
-    match *agg {
-        AggregateKind::Count => Partial::CountSum {
-            count: matched.len() as u64,
-            sum: 0.0,
-            sum_sq: 0.0,
-        },
-        AggregateKind::Sum { dim } | AggregateKind::Mean { dim } => {
-            let mut sum = 0.0;
-            let mut sum_sq = 0.0;
-            for r in matched {
-                let v = r.value(dim);
-                sum += v;
-                sum_sq += v * v;
-            }
-            Partial::CountSum {
-                count: matched.len() as u64,
-                sum,
-                sum_sq,
-            }
-        }
-        AggregateKind::Variance { dim } => {
-            // Welford's online update: raw sum-of-squares accumulation
-            // loses the variance to cancellation once |mean| dwarfs the
-            // spread.
-            let mut count = 0u64;
-            let mut mean = 0.0;
-            let mut m2 = 0.0;
-            for r in matched {
-                let v = r.value(dim);
-                count += 1;
-                let delta = v - mean;
-                mean += delta / count as f64;
-                m2 += delta * (v - mean);
-            }
-            Partial::Moments { count, mean, m2 }
-        }
-        AggregateKind::Min { dim } | AggregateKind::Max { dim } => {
-            let mut min = f64::INFINITY;
-            let mut max = f64::NEG_INFINITY;
-            for r in matched {
-                let v = r.value(dim);
-                min = min.min(v);
-                max = max.max(v);
-            }
-            Partial::MinMax { min, max }
-        }
-        AggregateKind::Median { dim } | AggregateKind::Quantile { dim, .. } => {
-            Partial::Values(matched.iter().map(|r| r.value(dim)).collect())
-        }
-        AggregateKind::Correlation { x, y } | AggregateKind::Regression { x, y } => {
-            Partial::Bivariate(BivariateStats::from_records(matched.iter().copied(), x, y))
-        }
-        // `AggregateKind` is non_exhaustive; future variants ship raw
-        // values so `merge_partials` can reject them explicitly.
-        _ => Partial::Values(Vec::new()),
-    }
-}
-
 fn merge_partials(agg: &AggregateKind, partials: Vec<Partial>) -> Result<AnswerValue> {
-    use sea_common::SeaError;
     match *agg {
         AggregateKind::Count => {
             let total: u64 = partials.iter().map(count_of).sum();
@@ -1355,10 +1238,9 @@ fn merge_partials(agg: &AggregateKind, partials: Vec<Partial>) -> Result<AnswerV
             Ok(AnswerValue::Scalar(s / n as f64))
         }
         AggregateKind::Variance { .. } => {
-            // Chan et al.'s pairwise merge of per-node centered moments.
-            // Legacy (count, sum, sum_sq) partials are converted to
-            // moments first; the final clamp guards the residual
-            // rounding that can push a near-zero variance negative.
+            // Chan et al.'s pairwise merge of per-node centered moments;
+            // the final clamp guards the residual rounding that can push
+            // a near-zero variance negative.
             let mut count = 0u64;
             let mut mean = 0.0;
             let mut m2 = 0.0;
@@ -1375,13 +1257,8 @@ fn merge_partials(agg: &AggregateKind, partials: Vec<Partial>) -> Result<AnswerV
                 count += nb;
             };
             for p in &partials {
-                match p {
-                    Partial::Moments { count, mean, m2 } => fold(*count, *mean, *m2),
-                    Partial::CountSum { count, sum, sum_sq } if *count > 0 => {
-                        let mb = sum / *count as f64;
-                        fold(*count, mb, (sum_sq - sum * mb).max(0.0));
-                    }
-                    _ => {}
+                if let Partial::Moments { count, mean, m2 } = p {
+                    fold(*count, *mean, *m2);
                 }
             }
             if count == 0 {
@@ -1457,7 +1334,6 @@ fn sum_of(p: &Partial) -> f64 {
 }
 
 fn merge_quantile(partials: Vec<Partial>, q: f64) -> Result<AnswerValue> {
-    use sea_common::SeaError;
     let mut values: Vec<f64> = partials
         .into_iter()
         .flat_map(|p| match p {

@@ -15,6 +15,16 @@
 //! [`sea_common::CostReport`]. That difference — measured, not asserted —
 //! is the substance of experiments E1, E7 and E9.
 //!
+//! Both regimes, on healthy and faulted clusters alike, share one scan
+//! path: the coordinator opens each engaged node's scan
+//! ([`sea_storage::StorageCluster::open_scan`] — where an injected
+//! fault is consumed, and where the executor's [`RetryPolicy`], replica
+//! failover and [partial answers](Executor::with_partial_answers)
+//! apply), then selection masks are evaluated morsel-parallel over the
+//! node's column blocks and folded into one partial aggregate per node
+//! in record order. Answers, cost reports and replayed telemetry are
+//! bit-identical at every [`ExecPool`] size.
+//!
 //! Either regime can consult a [`sea_cache::SemanticCache`] before
 //! scattering ([`Executor::with_cache`]): exact hits return the stored
 //! answer, containment hits re-derive it from cached per-node record

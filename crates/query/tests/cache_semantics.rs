@@ -57,8 +57,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Warm the cache with a random outer rectangle, then query a random
-    /// rectangle contained in it: the (possible) containment hit must
-    /// reproduce the cold answer exactly, for every aggregate, including
+    /// rectangle contained in it and the ball inscribed in that
+    /// rectangle: the (possible) containment hits must reproduce the
+    /// cold answers exactly, for every aggregate, including
     /// empty-subspace errors.
     #[test]
     fn containment_hits_rederive_the_cold_answer(
@@ -79,6 +80,10 @@ proptest! {
             .collect();
         let outer = Rect::new(lo.to_vec(), outer_hi).unwrap();
         let inner = Rect::new(inner_lo, inner_hi).unwrap();
+        let radius = (0..3)
+            .map(|d| (inner.hi()[d] - inner.lo()[d]) / 2.0)
+            .fold(f64::INFINITY, f64::min);
+        let ball = Ball::new(inner.center(), radius).unwrap();
 
         let cluster = build_cluster(4);
         let cache = open_cache();
@@ -89,10 +94,12 @@ proptest! {
         let warm = AnalyticalQuery::new(Region::Range(outer), aggregate_by_index(agg_idx));
         let _ = exec.execute_direct("t", &warm);
 
-        let q = AnalyticalQuery::new(Region::Range(inner), aggregate_by_index(agg_idx));
-        let warm_answer = answer_key(exec.execute_direct("t", &q));
-        let cold_answer = answer_key(Executor::new(&cluster).execute_direct("t", &q));
-        prop_assert_eq!(warm_answer, cold_answer);
+        for region in [Region::Range(inner), Region::Radius(ball)] {
+            let q = AnalyticalQuery::new(region, aggregate_by_index(agg_idx));
+            let warm_answer = answer_key(exec.execute_direct("t", &q));
+            let cold_answer = answer_key(Executor::new(&cluster).execute_direct("t", &q));
+            prop_assert_eq!(warm_answer, cold_answer);
+        }
     }
 }
 

@@ -2,8 +2,9 @@
 //! bit-identical observables — answers, cost reports (retries, backoff,
 //! availability), recorded telemetry tables — at any [`ExecPool`] thread
 //! count. Fault decisions are keyed on (seed, node, per-node operation
-//! index), and every node is scanned by exactly one worker per query, so
-//! the injected fault sequence is independent of scheduling.
+//! index), and a query opens its nodes' scans in node order on the
+//! coordinator thread (a faulted batch runs its queries in query order),
+//! so the injected fault sequence is independent of scheduling.
 //!
 //! Fault state is stateful (per-node operation counters, crash latches),
 //! so each run builds a fresh cluster with the same plan.
@@ -92,6 +93,76 @@ proptest! {
         let base = run(ExecPool::sequential());
         for threads in THREAD_COUNTS {
             prop_assert_eq!(&run(ExecPool::new(threads)), &base, "{} threads", threads);
+        }
+    }
+}
+
+/// A faulted batch shares per-node operation counters among its
+/// queries, so it runs them in query order: every outcome — including
+/// which query pays a retry's backoff in its [`CostReport`] — is the same
+/// at every pool size, and the same as issuing the queries one by one.
+///
+/// [`CostReport`]: sea_common::CostReport
+#[test]
+fn faulted_batches_are_identical_across_thread_counts() {
+    let queries: Vec<AnalyticalQuery> = (0..6usize)
+        .map(|agg_idx| {
+            AnalyticalQuery::new(
+                Region::Range(Rect::new(vec![10.0, 0.0, 0.0], vec![70.0, 8.0, 60.0]).unwrap()),
+                aggregate_by_index(agg_idx),
+            )
+        })
+        .collect();
+    for seed in 0..8u64 {
+        let armed = || {
+            let mut cluster = build_cluster(true, 4);
+            cluster.set_fault_plan(
+                FaultPlan::new(seed)
+                    .with_transient(0.3, 1)
+                    .with_crash(2, 9)
+                    .with_slow_node(1, 3.0),
+            );
+            cluster
+        };
+        let run = |pool: ExecPool| {
+            let cluster = armed();
+            let exec = Executor::new(&cluster).with_pool(pool);
+            let direct: Vec<String> = exec
+                .execute_batch("t", &queries)
+                .iter()
+                .map(outcome_key)
+                .collect();
+            let bdas: Vec<String> = exec
+                .execute_batch_bdas("t", &queries)
+                .iter()
+                .map(outcome_key)
+                .collect();
+            (direct, bdas)
+        };
+        let one_by_one = {
+            let cluster = armed();
+            let exec = Executor::new(&cluster);
+            let direct: Vec<String> = queries
+                .iter()
+                .map(|q| outcome_key(&exec.execute_direct("t", q)))
+                .collect();
+            let bdas: Vec<String> = queries
+                .iter()
+                .map(|q| outcome_key(&exec.execute_bdas("t", q)))
+                .collect();
+            (direct, bdas)
+        };
+        assert!(
+            one_by_one.0.iter().any(|k| !k.contains("backoff_us: 0 }")),
+            "seed {seed}: the plan injects transients: {:?}",
+            one_by_one.0
+        );
+        for threads in THREAD_COUNTS {
+            assert_eq!(
+                run(ExecPool::new(threads)),
+                one_by_one,
+                "seed {seed}, {threads} threads"
+            );
         }
     }
 }

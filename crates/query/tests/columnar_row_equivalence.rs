@@ -16,8 +16,8 @@ use sea_common::{
     kernels, AggregateKind, AnalyticalQuery, AnswerValue, Ball, BivariateStats, Point, Record,
     Rect, Region,
 };
-use sea_query::{ExecPool, Executor};
-use sea_storage::{Block, Partitioning, StorageCluster};
+use sea_query::{ExecPool, Executor, RetryPolicy};
+use sea_storage::{Block, FaultPlan, Partitioning, StorageCluster};
 
 const DIMS: usize = 2;
 
@@ -43,9 +43,9 @@ fn rect() -> impl Strategy<Value = Rect> {
     })
 }
 
-/// Whether to overwrite dimension 1 with NaN everywhere (the all-NaN
-/// column case).
-fn nan_col() -> impl Strategy<Value = bool> {
+/// A coin flip: whether to overwrite dimension 1 with NaN everywhere
+/// (the all-NaN column case), or whether to install a fault plan.
+fn coin() -> impl Strategy<Value = bool> {
     (0u8..2).prop_map(|b| b == 1)
 }
 
@@ -83,7 +83,7 @@ proptest! {
     /// `contains_record` filter selects, in the same order — for both
     /// rectangular and ball regions.
     #[test]
-    fn region_mask_matches_row_filter(rows in rows(), r in rect(), nan_col in nan_col()) {
+    fn region_mask_matches_row_filter(rows in rows(), r in rect(), nan_col in coin()) {
         let records = records_from(rows, nan_col);
         let block = Block::new(records.clone());
         let ball = Region::Radius(Ball::new(r.center(), 40.0).unwrap());
@@ -102,7 +102,7 @@ proptest! {
     /// float-op sequence bit for bit: sums, Welford moments, min/max,
     /// gathered quantile inputs, and bivariate sufficient statistics.
     #[test]
-    fn columnar_kernels_match_row_folds(rows in rows(), r in rect(), nan_col in nan_col()) {
+    fn columnar_kernels_match_row_folds(rows in rows(), r in rect(), nan_col in coin()) {
         let records = records_from(rows, nan_col);
         let block = Block::new(records.clone());
         let region = Region::Range(r);
@@ -177,16 +177,33 @@ proptest! {
     /// columnar answer must be bit-identical to the row-layout oracle
     /// ([`AnalyticalQuery::answer_exact`]) for every aggregate — with
     /// the one documented exception that the executor clamps a
-    /// rounding-negative variance to zero.
+    /// rounding-negative variance to zero. Healthy and faulted clusters
+    /// share the scan path, so the same must hold under a fault plan
+    /// whose transients (no crash) are all ridden out by retries.
     #[test]
-    fn one_node_executor_matches_row_oracle(rows in rows(), r in rect(), nan_col in nan_col()) {
+    fn one_node_executor_matches_row_oracle(
+        rows in rows(),
+        r in rect(),
+        nan_col in coin(),
+        fault_seed in 0..1_000u64,
+        faulted in coin(),
+    ) {
         let records = records_from(rows, nan_col);
         if records.is_empty() {
             return Ok(());
         }
         let mut cluster = StorageCluster::new(1, 16);
         cluster.load_table("t", records.clone(), Partitioning::Hash).unwrap();
-        let exec = Executor::new(&cluster);
+        if faulted {
+            cluster.set_fault_plan(
+                FaultPlan::new(fault_seed).with_transient(0.3, 2).with_slow_node(0, 2.0),
+            );
+        }
+        // Enough retries that no run of transients outlasts them.
+        let exec = Executor::new(&cluster).with_retry_policy(RetryPolicy {
+            max_retries: 64,
+            backoff_base_us: 1,
+        });
         for agg in all_aggregates() {
             let q = AnalyticalQuery::new(Region::Range(r.clone()), agg);
             let got = exec.execute_direct("t", &q);
@@ -228,7 +245,7 @@ proptest! {
     /// both single-query and batch execution — the morsel decomposition
     /// and the batch's shared superset scan are invisible.
     #[test]
-    fn outcomes_do_not_depend_on_pool_size(rows in rows(), r in rect(), nan_col in nan_col()) {
+    fn outcomes_do_not_depend_on_pool_size(rows in rows(), r in rect(), nan_col in coin()) {
         let records = records_from(rows, nan_col);
         if records.is_empty() {
             return Ok(());

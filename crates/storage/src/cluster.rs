@@ -159,11 +159,11 @@ impl StorageCluster {
         self.faults.as_deref().map(FaultState::plan)
     }
 
-    /// Whether a fault-injection plan is installed. Engines with a
-    /// metadata-level fast path (reading blocks directly via
-    /// [`StorageCluster::serving_node`]) must fall back to the
-    /// fault-gated scan API when this is true, so injected faults keep
-    /// their per-operation determinism contract.
+    /// Whether a fault-injection plan is installed. Engines that read
+    /// blocks directly must then obtain each node's blocks through
+    /// [`StorageCluster::open_scan`] (one gate operation per scan
+    /// attempt) rather than [`StorageCluster::serving_node`], so
+    /// injected faults keep their per-operation determinism contract.
     pub fn has_fault_plan(&self) -> bool {
         self.faults.is_some()
     }
@@ -408,9 +408,7 @@ impl StorageCluster {
         parent: &TraceContext,
         meter: &mut CostMeter,
     ) -> Result<Vec<Record>> {
-        let meta = self.meta(name)?;
-        let slow = self.fault_gate(node)?;
-        let n = self.serving_copy(meta, node)?;
+        let (n, _, slow) = self.open_scan(name, node)?;
         let span = self.telemetry.span_child_of(parent, "storage.node.scan");
         if self.telemetry.is_enabled() {
             span.tag("node", node);
@@ -422,32 +420,37 @@ impl StorageCluster {
         Ok(records)
     }
 
-    /// Telemetry-free full scan of table `name` on node `node`: charges
-    /// `meter` exactly like [`StorageCluster::scan_node`] but emits no
-    /// spans, counters, or events, and additionally returns the
-    /// [`ScanStats`](crate::node::ScanStats). Built for parallel
-    /// executors whose workers must stay telemetry-silent so the
-    /// coordinator can replay each scan deterministically afterwards via
+    /// Opens one scan attempt against partition `node` of table `name`:
+    /// consults the fault layer (one operation of the node's counter —
+    /// this is where an installed [`FaultPlan`] is consumed) and resolves
+    /// the copy that serves the partition right now. Returns that
+    /// [`DataNode`], whether it is a replica failover (primary down),
+    /// and the latency multiplier the scan's disk + CPU charges must be
+    /// scaled by (1.0 unless the plan slows the node). Quiet: no spans,
+    /// counters or events, and nothing is charged — engines running
+    /// their own columnar kernels over [`DataNode::blocks`] charge their
+    /// meters themselves and replay telemetry via
     /// [`StorageCluster::record_scan`].
     ///
     /// # Errors
     ///
-    /// As [`StorageCluster::scan_node`].
-    pub fn scan_node_stats(
-        &self,
-        name: &str,
-        node: NodeId,
-        meter: &mut CostMeter,
-    ) -> Result<(Vec<Record>, crate::node::ScanStats)> {
+    /// [`SeaError::NotFound`] for a missing table,
+    /// [`SeaError::Transient`] for an injected transient fault (worth
+    /// retrying: the next attempt is the node's next operation),
+    /// [`SeaError::Storage`] for an out-of-range node id or an
+    /// unservable partition (node down with no live replica).
+    pub fn open_scan(&self, name: &str, node: NodeId) -> Result<(&DataNode, bool, f64)> {
         let meta = self.meta(name)?;
         let slow = self.fault_gate(node)?;
         let n = self.serving_copy(meta, node)?;
-        Ok(Self::scan_scaled(meter, slow, |m| n.scan_all_stats(m)))
+        Ok((n, self.primary_down(node), slow))
     }
 
-    /// Telemetry-free block-pruned scan (the quiet counterpart of
-    /// [`StorageCluster::scan_node_region`]; see
-    /// [`StorageCluster::scan_node_stats`]).
+    /// Telemetry-free block-pruned scan: charges `meter` exactly like
+    /// [`StorageCluster::scan_node_region`] but emits no spans, counters,
+    /// or events, and additionally returns the
+    /// [`ScanStats`](crate::node::ScanStats), so a caller can replay the
+    /// scan's telemetry afterwards via [`StorageCluster::record_scan`].
     ///
     /// # Errors
     ///
@@ -459,17 +462,15 @@ impl StorageCluster {
         region: &Rect,
         meter: &mut CostMeter,
     ) -> Result<(Vec<Record>, crate::node::ScanStats)> {
-        let meta = self.meta(name)?;
-        SeaError::check_dims(meta.dims, region.dims())?;
-        let slow = self.fault_gate(node)?;
-        let n = self.serving_copy(meta, node)?;
+        SeaError::check_dims(self.dims(name)?, region.dims())?;
+        let (n, _, slow) = self.open_scan(name, node)?;
         Ok(Self::scan_scaled(meter, slow, |m| {
             n.scan_region_stats(region, m)
         }))
     }
 
     /// Replays the telemetry of one already-performed quiet scan
-    /// ([`StorageCluster::scan_node_stats`] /
+    /// ([`StorageCluster::open_scan`] /
     /// [`StorageCluster::scan_node_region_stats`]): opens the same
     /// `storage.node.scan` span under `parent` and emits the same
     /// counters and `storage.node.scanned` event the traced scan paths
@@ -550,11 +551,9 @@ impl StorageCluster {
 
     /// The [`DataNode`] currently serving partition `node` of table
     /// `name`, plus whether that copy is a replica failover (primary
-    /// down). This is quiet, metadata-level access for engines that run
-    /// their own columnar kernels over [`DataNode::blocks`]; it does
-    /// **not** consult the fault gate, so callers must check
-    /// [`StorageCluster::has_fault_plan`] first and use the scan API when
-    /// a plan is installed.
+    /// down). This is quiet, metadata-level access that does **not**
+    /// consult the fault gate: a scan that injected faults must be able
+    /// to reach goes through [`StorageCluster::open_scan`] instead.
     ///
     /// # Errors
     ///
@@ -616,10 +615,8 @@ impl StorageCluster {
         parent: &TraceContext,
         meter: &mut CostMeter,
     ) -> Result<Vec<Record>> {
-        let meta = self.meta(name)?;
-        SeaError::check_dims(meta.dims, region.dims())?;
-        let slow = self.fault_gate(node)?;
-        let n = self.serving_copy(meta, node)?;
+        SeaError::check_dims(self.dims(name)?, region.dims())?;
+        let (n, _, slow) = self.open_scan(name, node)?;
         let span = self.telemetry.span_child_of(parent, "storage.node.scan");
         if self.telemetry.is_enabled() {
             span.tag("node", node);
@@ -918,7 +915,9 @@ mod tests {
         let sink = TelemetrySink::recording();
         c.set_telemetry(sink.clone());
         let mut meter = CostMeter::new();
-        c.scan_node_stats("t", 0, &mut meter).unwrap();
+        let (node, failover, slow) = c.open_scan("t", 0).unwrap();
+        assert!(!node.blocks().is_empty());
+        assert_eq!((failover, slow), (false, 1.0), "healthy primary serves");
         let region = Rect::new(vec![0.0, 0.0], vec![50.0, 1e9]).unwrap();
         c.scan_node_region_stats("t", 1, &region, &mut meter)
             .unwrap();

@@ -7,8 +7,10 @@
 //! per-node operation index)` — never wall clock, never a global RNG —
 //! so two runs of the same workload against the same plan observe the
 //! same faults in the same places, regardless of executor thread count
-//! (each partition's scans happen in sequence on a single worker within
-//! a query, so per-node op indices are schedule-independent).
+//! (the executor opens a query's scans — the step that consumes an
+//! operation, [`StorageCluster::open_scan`](crate::StorageCluster::open_scan)
+//! — on its coordinator thread in node order, retries included, so
+//! per-node op indices are schedule-independent).
 //!
 //! The runtime half, [`FaultState`], holds the per-node operation
 //! counters and crash latches. It lives on the
