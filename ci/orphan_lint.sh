@@ -1,0 +1,77 @@
+#!/usr/bin/env bash
+# Orphan lint: a `pub fn` nothing calls is surface every refactor must
+# keep compiling and every reader must rule out. A public function under
+# crates/*/src whose name occurs in no other file of the code the
+# repository builds — crates/, examples/, tests/, benchmark/src — has no
+# caller and no test outside its own file: delete it, make it private,
+# or list it in ci/orphan_allowlist.txt with the reason it stays.
+#
+# Grep-level on purpose (like ci/determinism_lint.sh): a name counts as
+# used when the identifier appears anywhere in another file, so a common
+# name (`new`, `len`) never trips it and a mention in a doc comment
+# elsewhere is enough to keep one. Run from the repo root:
+#
+#   ci/orphan_lint.sh
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+
+ALLOWLIST=ci/orphan_allowlist.txt
+
+# Allowlist lines: `<path>:<fn name> <one-line reason>`.
+entries() {
+    grep -vE '^\s*(#|$)' "$ALLOWLIST" || true
+}
+
+# Every `<defining file>:<name>` whose name appears in no other file.
+orphans() {
+    find crates examples tests benchmark/src -name '*.rs' -not -path '*/target/*' -print0 |
+        xargs -0 grep -oHE '[A-Za-z_][A-Za-z0-9_]*' |
+        sort -u |
+        awk -F: '
+            { files[$2]++ }
+            $1 ~ /^crates\/[^\/]+\/src\// { src[$1] = 1 }
+            END {
+                for (f in src) {
+                    while ((getline line < f) > 0) {
+                        rest = line
+                        while (match(rest, /pub fn [A-Za-z_][A-Za-z0-9_]*/)) {
+                            name = substr(rest, RSTART + 7, RLENGTH - 7)
+                            if (files[name] == 1) print f ":" name
+                            rest = substr(rest, RSTART + RLENGTH)
+                        }
+                    }
+                    close(f)
+                }
+            }' |
+        sort -u
+}
+
+status=0
+found=$(orphans)
+
+while IFS= read -r orphan; do
+    [ -n "$orphan" ] || continue
+    if ! entries | grep -qE "^${orphan//./\\.}[[:space:]]+[^[:space:]]"; then
+        echo "orphan-lint: pub fn used nowhere outside its file: $orphan" >&2
+        status=1
+    fi
+done <<<"$found"
+
+# A stale or unexplained allowlist entry hides the next orphan.
+while IFS= read -r entry; do
+    [ -n "$entry" ] || continue
+    key=${entry%%[[:space:]]*}
+    if [ "$key" = "$entry" ]; then
+        echo "orphan-lint: allowlist entry gives no reason: $entry" >&2
+        status=1
+    elif ! grep -qxF "$key" <<<"$found"; then
+        echo "orphan-lint: allowlist entry is not an orphan (remove it): $key" >&2
+        status=1
+    fi
+done < <(entries)
+
+if [ "$status" -eq 0 ]; then
+    echo "orphan-lint: every pub fn under crates/*/src is named outside its file or allowlisted"
+fi
+exit "$status"

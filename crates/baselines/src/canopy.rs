@@ -67,11 +67,6 @@ impl<'a> DataCanopy<'a> {
         })
     }
 
-    /// Number of cached chunk statistics.
-    pub fn cached_chunks(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Cache storage in bytes (the E8 metric): grows with every new
     /// (dimension, chunk, attribute) combination queries touch.
     pub fn storage_bytes(&self) -> u64 {
@@ -286,13 +281,13 @@ mod tests {
         canopy
             .query(&slab_query(0.0, 50.0, AggregateKind::Count))
             .unwrap();
-        let chunks_before = canopy.cached_chunks();
+        let chunks_before = canopy.cache.len();
         // Overlapping query: only new boundary chunks are built.
         let out = canopy
             .query(&slab_query(20.0, 70.0, AggregateKind::Count))
             .unwrap();
-        assert!(canopy.cached_chunks() > chunks_before, "two new chunks");
-        assert!(canopy.cached_chunks() <= chunks_before + 2);
+        assert!(canopy.cache.len() > chunks_before, "two new chunks");
+        assert!(canopy.cache.len() <= chunks_before + 2);
         assert!(out.answer.as_scalar().unwrap() > 0.0);
     }
 

@@ -28,8 +28,6 @@ pub struct AqpOutcome {
 #[derive(Debug, Clone)]
 pub struct SamplingAqp {
     sample: StratifiedSample,
-    /// A grid used only to define strata.
-    grid: GridIndex,
     /// Nodes the sample is spread over (for per-query cost accounting).
     sample_nodes: usize,
     build_cost: CostReport,
@@ -51,6 +49,7 @@ impl SamplingAqp {
         per_stratum: usize,
         seed: u64,
     ) -> Result<Self> {
+        // The grid only defines the strata.
         let grid = GridIndex::new(domain, cells_per_dim)?;
         // Offline pass: full BDAS scan of every node.
         let mut node_meters = Vec::new();
@@ -63,9 +62,8 @@ impl SamplingAqp {
             all.extend(records);
             node_meters.push(meter);
         }
-        let grid_ref = &grid;
         let sample = StratifiedSample::build(&all, per_stratum, seed, |r| {
-            grid_ref.cell_of(&r.values).unwrap_or(0) as u64
+            grid.cell_of(&r.values).unwrap_or(0) as u64
         })?;
         let mut coord = CostMeter::new();
         coord.charge_lan(sample.memory_bytes());
@@ -73,7 +71,6 @@ impl SamplingAqp {
         let build_cost = coord.report_parallel(node_meters.iter(), &cost_model);
         Ok(SamplingAqp {
             sample,
-            grid,
             sample_nodes: cluster.num_nodes().min(4),
             build_cost,
             cost_model,
@@ -149,11 +146,6 @@ impl SamplingAqp {
             }
         };
         Ok(AqpOutcome { answer, cost })
-    }
-
-    /// The grid that defines the strata.
-    pub fn strata_grid(&self) -> &GridIndex {
-        &self.grid
     }
 }
 

@@ -123,7 +123,7 @@ impl std::fmt::Display for Regression {
 /// # Errors
 ///
 /// Workload-generation or execution errors.
-pub fn measure_batch_speedup() -> sea_common::Result<f64> {
+fn measure_batch_speedup() -> sea_common::Result<f64> {
     let cluster = uniform_cluster(200_000, 8, 7)?;
     let mut gen = count_workload(5.0, 15.0, 11)?;
     let queries: Vec<_> = (0..48).map(|_| gen.next_query()).collect();

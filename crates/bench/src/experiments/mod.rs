@@ -53,16 +53,6 @@ pub use e22_lang_replay::{e22_statements, run_e22, run_e22_with, run_e22_with_po
 
 use crate::Report;
 
-/// Runs one experiment by id (`"e1"`…`"e22"` or `"a1"`,
-/// case-insensitive) without telemetry.
-///
-/// # Errors
-///
-/// Unknown id or experiment-internal errors.
-pub fn run_by_id(id: &str) -> sea_common::Result<Report> {
-    run_by_id_with(id, &sea_telemetry::TelemetrySink::noop())
-}
-
 /// Runs one experiment by id, feeding telemetry into `sink`. Every
 /// experiment is instrumented: cluster-backed ones propagate `sink` down
 /// to storage-node spans; the purely in-memory ones (E6, E14, E16) emit

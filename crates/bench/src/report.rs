@@ -16,8 +16,7 @@ pub struct Report {
     pub columns: Vec<String>,
     /// Rows of values, one per parameter setting.
     pub rows: Vec<Vec<f64>>,
-    /// Number of rows rejected by [`Report::try_push_row`] for arity
-    /// mismatch. Serialized so a JSON consumer can tell a short table
+    /// Number of rows rejected for arity mismatch. Serialized so a JSON consumer can tell a short table
     /// from a silently truncated one; defaults to zero when absent so
     /// pre-existing report files still parse.
     #[serde(default)]
@@ -45,7 +44,7 @@ impl Report {
     /// left unchanged and [`Report::rows_dropped`] is incremented, so a
     /// caller that swallows the error still leaves an audit trail in the
     /// serialized report.
-    pub fn try_push_row(&mut self, row: Vec<f64>) -> Result<()> {
+    fn try_push_row(&mut self, row: Vec<f64>) -> Result<()> {
         if row.len() != self.columns.len() {
             self.rows_dropped += 1;
             return Err(SeaError::invalid(format!(
@@ -64,8 +63,7 @@ impl Report {
     /// # Panics
     ///
     /// Panics if the row's arity differs from the column count (programmer
-    /// error in an experiment runner); use [`Report::try_push_row`] to
-    /// handle the mismatch instead.
+    /// error in an experiment runner).
     pub fn push_row(&mut self, row: Vec<f64>) {
         if let Err(e) = self.try_push_row(row) {
             panic!("{e}");

@@ -106,7 +106,7 @@ impl SelectionMask {
     /// NaN values never satisfy the predicate, so missing data drops out
     /// of the selection for free. The inner loop is a branchless compare
     /// over a 64-row chunk — the autovectorizable core of a range scan.
-    pub fn retain_range(&mut self, col: &[f64], lo: f64, hi: f64) {
+    fn retain_range(&mut self, col: &[f64], lo: f64, hi: f64) {
         for (w, chunk) in self.words.iter_mut().zip(col.chunks(64)) {
             if *w == 0 {
                 continue;

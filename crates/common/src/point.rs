@@ -48,11 +48,6 @@ impl Point {
         &self.coords
     }
 
-    /// Mutable coordinates.
-    pub fn coords_mut(&mut self) -> &mut [f64] {
-        &mut self.coords
-    }
-
     /// Consumes the point, returning its coordinate vector.
     pub fn into_coords(self) -> Vec<f64> {
         self.coords

@@ -358,7 +358,7 @@ impl Region {
 
 /// Volume of an n-dimensional ball of radius `r`, via the standard
 /// recurrence `V_n = V_{n-2} · 2πr²/n` with `V_0 = 1`, `V_1 = 2r`.
-pub fn n_ball_volume(dims: usize, r: f64) -> f64 {
+fn n_ball_volume(dims: usize, r: f64) -> f64 {
     match dims {
         0 => 1.0,
         1 => 2.0 * r,

@@ -348,202 +348,6 @@ impl AgentPipeline {
             source: AnswerSource::Exact,
         })
     }
-
-    /// Processes a batch of queries, fanning the exact-execution
-    /// fallbacks out across the executor's [`sea_query::ExecPool`] — the
-    /// shape batched analytics workloads actually have, and where the
-    /// pipeline's wall-clock is actually spent (predictions are free).
-    ///
-    /// Semantics relative to a sequential [`AgentPipeline::process`]
-    /// loop: predict-vs-exact decisions are made **sequentially in query
-    /// order against the batch-start model state** (audit cadence
-    /// included), then all fallbacks execute concurrently, then their
-    /// answers train the agent sequentially in query order. Training is
-    /// thus deferred to the batch boundary: a query in this batch never
-    /// sees a model improved by an earlier query of the same batch.
-    /// Every decision, event, and answer is deterministic and
-    /// independent of the pool's thread count.
-    ///
-    /// Each returned entry is exactly aligned with `queries`; failed
-    /// exact executions surface as errors in their slot and do not train
-    /// the agent.
-    pub fn process_batch(
-        &mut self,
-        executor: &Executor<'_>,
-        queries: &[AnalyticalQuery],
-    ) -> Vec<Result<ProcessOutcome>> {
-        let batch_span = self.telemetry.span("core.pipeline.batch");
-        batch_span.tag("queries", queries.len());
-        let ctx = batch_span.ctx();
-
-        // Phase 1 — sequential decisions in query order (deterministic
-        // event stream, same audit cadence as `process`). Cache lookups
-        // happen here, on the coordinator, so hit/miss classification is
-        // independent of the pool's thread count.
-        enum Planned {
-            Predicted(ProcessOutcome),
-            /// Answered by the semantic cache; trains in phase 3.
-            Cached(ProcessOutcome),
-            /// Exact execution pending; carries the (unconfident)
-            /// prediction, if any, so a failed execution can degrade to
-            /// it instead of erroring when the pipeline opts in.
-            Exact(Option<(AnswerValue, f64)>),
-        }
-        let probe = self
-            .cache
-            .as_ref()
-            .map(|cache| executor.clone().with_cache(cache));
-        let mut plan: Vec<Planned> = Vec::with_capacity(queries.len());
-        let mut pending: Vec<usize> = Vec::new();
-        for (i, query) in queries.iter().enumerate() {
-            if let Some(probe) = &probe {
-                if let Some(Ok(outcome)) = probe.cache_lookup(query) {
-                    plan.push(Planned::Cached(ProcessOutcome {
-                        answer: outcome.answer,
-                        cost: outcome.cost,
-                        source: AnswerSource::Cached,
-                    }));
-                    continue;
-                }
-            }
-            let mut fallback_reason = "untrained";
-            let mut fallback_est_error = -1.0;
-            let mut fallback_pred = None;
-            let mut planned = None;
-            if let Ok(pred) = self.agent.predict(query) {
-                let audit_due = self.refresh_every > 0
-                    && self.predictions_since_audit + 1 >= self.refresh_every;
-                if pred.estimated_error <= self.error_threshold && !audit_due {
-                    self.predictions_since_audit += 1;
-                    self.telemetry.event(
-                        "agent.predicted",
-                        &[
-                            ("est_error", pred.estimated_error.into()),
-                            ("threshold", self.error_threshold.into()),
-                            ("quantum", pred.quantum.into()),
-                            ("quantum_training", pred.quantum_training.into()),
-                        ],
-                    );
-                    planned = Some(Planned::Predicted(ProcessOutcome {
-                        answer: pred.answer,
-                        cost: CostReport::zero(),
-                        source: AnswerSource::Predicted {
-                            estimated_error: pred.estimated_error,
-                        },
-                    }));
-                } else {
-                    fallback_reason = if audit_due {
-                        "audit_due"
-                    } else {
-                        "error_above_threshold"
-                    };
-                    fallback_est_error = pred.estimated_error;
-                    fallback_pred = Some((pred.answer, pred.estimated_error));
-                }
-            }
-            plan.push(planned.unwrap_or_else(|| {
-                self.telemetry.event(
-                    "agent.fallback",
-                    &[
-                        ("reason", fallback_reason.into()),
-                        ("est_error", fallback_est_error.into()),
-                        ("threshold", self.error_threshold.into()),
-                    ],
-                );
-                self.predictions_since_audit = 0;
-                pending.push(i);
-                Planned::Exact(fallback_pred)
-            }));
-        }
-
-        // Phase 2 — concurrent exact execution of the fallbacks. Each
-        // query's executor span tree attaches under the batch span from
-        // its worker thread.
-        let mode = self.mode;
-        let table = self.table.clone();
-        // Cache-less workers: concurrent admissions would make the
-        // cache's contents schedule-dependent. Successful answers are
-        // admitted sequentially in phase 3 instead (answer-only — the
-        // fragments stay on the workers).
-        let inner = executor
-            .clone()
-            .with_pool(sea_query::ExecPool::sequential())
-            .without_cache();
-        let exact_outcomes = executor.pool().run(pending.len(), |j| {
-            let query = &queries[pending[j]];
-            match mode {
-                ExecMode::Bdas => inner.execute_bdas_traced(&table, query, &ctx),
-                ExecMode::Direct => inner.execute_direct_traced(&table, query, &ctx),
-            }
-        });
-
-        // Phase 3 — sequential training in query order.
-        let mut exact_iter = exact_outcomes.into_iter();
-        plan.into_iter()
-            .zip(queries)
-            .map(|(planned, query)| match planned {
-                Planned::Predicted(outcome) => Ok(outcome),
-                Planned::Cached(outcome) => {
-                    self.agent.train(query, &outcome.answer)?;
-                    self.telemetry.event(
-                        "agent.cached",
-                        &[(
-                            "training_queries",
-                            self.agent.stats().training_queries.into(),
-                        )],
-                    );
-                    Ok(outcome)
-                }
-                Planned::Exact(pred) => {
-                    let outcome = match exact_iter.next().expect("one result per pending query") {
-                        Ok(outcome) => outcome,
-                        Err(err) => {
-                            if let (true, Some((answer, estimated_error))) =
-                                (self.degraded_fallback, pred)
-                            {
-                                self.telemetry.incr("query.degraded", 1);
-                                self.telemetry.event(
-                                    "agent.degraded",
-                                    &[
-                                        ("est_error", estimated_error.into()),
-                                        ("error", err.to_string().into()),
-                                    ],
-                                );
-                                return Ok(ProcessOutcome {
-                                    answer,
-                                    cost: CostReport::zero(),
-                                    source: AnswerSource::Degraded { estimated_error },
-                                });
-                            }
-                            return Err(err);
-                        }
-                    };
-                    self.agent.train(query, &outcome.answer)?;
-                    self.telemetry.event(
-                        "agent.trained",
-                        &[(
-                            "training_queries",
-                            self.agent.stats().training_queries.into(),
-                        )],
-                    );
-                    if let Some(cache) = &self.cache {
-                        cache.admit(
-                            &query.aggregate,
-                            &query.region,
-                            &outcome.answer,
-                            None,
-                            outcome.cost.wall_us,
-                        );
-                    }
-                    Ok(ProcessOutcome {
-                        answer: outcome.answer,
-                        cost: outcome.cost,
-                        source: AnswerSource::Exact,
-                    })
-                }
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -685,97 +489,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_processing_is_deterministic_across_pool_sizes() {
-        use sea_query::ExecPool;
-        let c = cluster();
-        let queries: Vec<AnalyticalQuery> = (0..60)
-            .map(|i| query(50.0 + (i % 3) as f64, 50.0, 3.0 + (i % 20) as f64 * 0.3))
-            .collect();
-        let run = |threads: usize| {
-            let exec = Executor::new(&c).with_pool(ExecPool::new(threads));
-            let mut pipe =
-                AgentPipeline::new(2, AgentConfig::default(), "t", 0.15, ExecMode::Direct).unwrap();
-            let outcomes = pipe.process_batch(&exec, &queries);
-            (
-                outcomes
-                    .into_iter()
-                    .map(|r| format!("{r:?}"))
-                    .collect::<Vec<_>>(),
-                pipe.agent().stats().training_queries,
-            )
-        };
-        let (base, trained) = run(1);
-        assert!(trained > 0, "fresh pipeline trained on the batch");
-        for threads in [2, 8] {
-            assert_eq!(run(threads), (base.clone(), trained), "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn batch_matches_sequential_processing_between_training_rounds() {
-        // With training deferred to the batch boundary, a batch whose
-        // decisions don't depend on intra-batch learning (here: a warmed
-        // pipeline with audits disabled) must match the sequential loop
-        // outcome for outcome.
-        let c = cluster();
-        let exec = Executor::new(&c);
-        let queries: Vec<AnalyticalQuery> = (0..30)
-            .map(|i| query(50.0, 50.0, 3.0 + (i % 10) as f64 * 0.3))
-            .collect();
-        let warmed = || {
-            let mut pipe =
-                AgentPipeline::new(2, AgentConfig::default(), "t", 0.15, ExecMode::Direct)
-                    .unwrap()
-                    .with_refresh_every(0);
-            for q in &queries {
-                pipe.process(&exec, q).unwrap();
-            }
-            pipe
-        };
-        let mut seq = warmed();
-        let mut batched = warmed();
-        let sequential: Vec<ProcessOutcome> = queries
-            .iter()
-            .map(|q| seq.process(&exec, q).unwrap())
-            .collect();
-        let batch: Vec<ProcessOutcome> = batched
-            .process_batch(&exec, &queries)
-            .into_iter()
-            .map(Result::unwrap)
-            .collect();
-        assert_eq!(batch, sequential);
-        assert!(
-            batch
-                .iter()
-                .any(|o| matches!(o.source, AnswerSource::Predicted { .. })),
-            "warmed pipeline predicts"
-        );
-    }
-
-    #[test]
-    fn batch_errors_stay_in_their_slot_and_skip_training() {
-        let c = cluster();
-        let exec = Executor::new(&c);
-        let mut pipe =
-            AgentPipeline::new(2, AgentConfig::default(), "t", 0.15, ExecMode::Direct).unwrap();
-        // Median over an empty region errors; its neighbours must not.
-        let bad = AnalyticalQuery::new(
-            Region::Range(Rect::centered(&Point::new(vec![5000.0, 5000.0]), &[1.0, 1.0]).unwrap()),
-            AggregateKind::Median { dim: 0 },
-        );
-        let queries = vec![query(50.0, 50.0, 4.0), bad, query(52.0, 50.0, 4.0)];
-        let outcomes = pipe.process_batch(&exec, &queries);
-        assert!(outcomes[0].is_ok());
-        assert!(outcomes[1].is_err());
-        assert!(outcomes[2].is_ok());
-        assert_eq!(
-            pipe.agent().stats().training_queries,
-            2,
-            "the failed query must not train the agent"
-        );
-    }
-
-    #[test]
     fn degraded_fallback_serves_predictions_when_exact_execution_fails() {
         use sea_storage::FaultPlan;
         use sea_telemetry::TelemetrySink;
@@ -827,35 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_degraded_fallback_stays_in_its_slot() {
-        use sea_storage::FaultPlan;
-        let c = cluster();
-        let exec = Executor::new(&c);
-        let mut pipe = AgentPipeline::new(2, AgentConfig::default(), "t", 0.0, ExecMode::Bdas)
-            .unwrap()
-            .with_degraded_fallback(true);
-        for i in 0..40 {
-            pipe.process(&exec, &query(50.0, 50.0, 3.0 + (i % 10) as f64 * 0.3))
-                .unwrap();
-        }
-        let trained = pipe.agent().stats().training_queries;
-        let mut faulted = cluster();
-        faulted.set_fault_plan(FaultPlan::new(7).with_crash(0, 0));
-        let exec2 = Executor::new(&faulted);
-        let queries = vec![query(50.0, 50.0, 4.0), query(52.0, 50.0, 4.0)];
-        let outcomes = pipe.process_batch(&exec2, &queries);
-        for out in &outcomes {
-            let out = out.as_ref().expect("degraded, not failed");
-            assert!(matches!(out.source, AnswerSource::Degraded { .. }));
-        }
-        assert_eq!(
-            pipe.agent().stats().training_queries,
-            trained,
-            "degraded answers never train the agent"
-        );
-    }
-
-    #[test]
     fn cache_hits_serve_and_train_without_reexecution() {
         use sea_cache::{CacheConfig, CacheStats, SemanticCache};
         let c = cluster();
@@ -897,46 +581,6 @@ mod tests {
             ..
         } = cache.stats();
         assert_eq!((hits, containment_hits), (1, 1));
-    }
-
-    #[test]
-    fn batch_consults_and_populates_the_cache_deterministically() {
-        use sea_cache::{CacheConfig, SemanticCache};
-        use sea_query::ExecPool;
-        let c = cluster();
-        let queries: Vec<AnalyticalQuery> = (0..12)
-            .map(|i| query(50.0, 50.0, 3.0 + (i % 4) as f64))
-            .collect();
-        let run = |threads: usize| {
-            let exec = Executor::new(&c).with_pool(ExecPool::new(threads));
-            let cache = Arc::new(SemanticCache::new(CacheConfig {
-                admit_min_cost_us: 0.0,
-                ..CacheConfig::default()
-            }));
-            let mut pipe =
-                AgentPipeline::new(2, AgentConfig::default(), "t", 0.0, ExecMode::Direct)
-                    .unwrap()
-                    .with_cache(Arc::clone(&cache));
-            let first: Vec<String> = pipe
-                .process_batch(&exec, &queries)
-                .into_iter()
-                .map(|r| format!("{r:?}"))
-                .collect();
-            let second: Vec<ProcessOutcome> = pipe
-                .process_batch(&exec, &queries)
-                .into_iter()
-                .map(Result::unwrap)
-                .collect();
-            assert!(
-                second.iter().all(|o| o.source == AnswerSource::Cached),
-                "the repeated batch is answered from the cache"
-            );
-            (first, format!("{second:?}"), cache.stats())
-        };
-        let base = run(1);
-        for threads in [2, 8] {
-            assert_eq!(run(threads), base, "{threads} threads");
-        }
     }
 
     #[test]

@@ -103,11 +103,6 @@ impl<'a> Polystore<'a> {
         })
     }
 
-    /// Number of constituent systems.
-    pub fn num_systems(&self) -> usize {
-        self.systems.len()
-    }
-
     /// Trains every system's resident agent on `n` queries drawn from
     /// `queries` (each executed exactly against that system's own data).
     ///

@@ -1,7 +1,7 @@
 //! The edge/core geo-distributed system.
 
 use sea_cache::{CacheConfig, SemanticCache};
-use sea_common::{AnalyticalQuery, AnswerValue, CostModel, CostReport, Rect, Result, SeaError};
+use sea_common::{AnalyticalQuery, AnswerValue, CostModel, Rect, Result, SeaError};
 use sea_core::agent::{AgentConfig, SeaAgent};
 use sea_query::{Executor, RetryPolicy};
 use sea_storage::StorageCluster;
@@ -216,12 +216,6 @@ impl<'a> GeoSystem<'a> {
         epoch
     }
 
-    /// A specific edge's semantic cache, if caches are enabled (`None`
-    /// for unknown edges too).
-    pub fn edge_cache(&self, edge: usize) -> Option<&SemanticCache> {
-        self.edges.get(edge).and_then(|e| e.cache.as_ref())
-    }
-
     /// The system's telemetry sink (inherited from the cluster).
     pub fn telemetry(&self) -> &TelemetrySink {
         &self.telemetry
@@ -235,23 +229,6 @@ impl<'a> GeoSystem<'a> {
     /// Deployment statistics so far.
     pub fn stats(&self) -> &GeoStats {
         &self.stats
-    }
-
-    /// The master agent's state (for inspection).
-    pub fn master_stats(&self) -> sea_core::agent::AgentStats {
-        self.master.stats()
-    }
-
-    /// A specific edge's agent (for inspection).
-    ///
-    /// # Errors
-    ///
-    /// Unknown edge.
-    pub fn edge_agent(&self, edge: usize) -> Result<&SeaAgent> {
-        self.edges
-            .get(edge)
-            .map(|e| &e.agent)
-            .ok_or_else(|| SeaError::NotFound(format!("edge {edge}")))
     }
 
     /// Submits an analyst query at edge `edge`: edge cache (if enabled),
@@ -702,16 +679,6 @@ impl<'a> GeoSystem<'a> {
     }
 }
 
-/// Convenience: the simulated cost of answering one exact query at the
-/// core, for baseline comparisons.
-pub fn core_exact_cost(
-    cluster: &StorageCluster,
-    table: &str,
-    query: &AnalyticalQuery,
-) -> Result<CostReport> {
-    Ok(Executor::new(cluster).execute_direct(table, query)?.cost)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -878,7 +845,6 @@ mod tests {
         let mut geo = GeoSystem::new(&c, "t", GeoConfig::default()).unwrap();
         assert!(geo.submit(99, &query(50.0, 1.0)).is_err());
         assert!(geo.sync_edge(99).is_err());
-        assert!(geo.edge_agent(0).is_ok());
         assert_eq!(geo.num_edges(), 4);
     }
 
@@ -1020,7 +986,7 @@ mod tests {
         // The workload generator shifts interest regions: pre-drift
         // entries are dropped on every edge.
         assert_eq!(geo.advance_cache_epoch(), 1);
-        assert!(geo.edge_cache(0).unwrap().is_empty());
+        assert!(geo.edges[0].cache.as_ref().unwrap().is_empty());
         let post_drift = geo.submit(0, &q).unwrap();
         assert_eq!(post_drift.source, GeoSource::CoreExact);
         // ... and the re-escalated answer is re-admitted in the new epoch.

@@ -75,11 +75,6 @@ impl GraphCache {
         self.len() == 0
     }
 
-    /// `(exact, subgraph, supergraph, miss)` hit counters.
-    pub fn hit_counts(&self) -> (u64, u64, u64, u64) {
-        (self.hits_exact, self.hits_sub, self.hits_super, self.misses)
-    }
-
     /// Cache memory footprint in bytes.
     pub fn memory_bytes(&self) -> u64 {
         self.entries
@@ -193,7 +188,7 @@ mod tests {
         assert_eq!(a1, a2);
         assert!(s1.verifications > 0);
         assert_eq!(s2.verifications, 0);
-        assert_eq!(cache.hit_counts().0, 1);
+        assert_eq!(cache.hits_exact, 1);
     }
 
     #[test]
@@ -215,7 +210,7 @@ mod tests {
         // Answer correctness vs cold database query.
         let (want, _) = db.query(&big);
         assert_eq!(big_answer, want);
-        assert_eq!(cache.hit_counts().1, 1, "one subgraph hit");
+        assert_eq!(cache.hits_sub, 1, "one subgraph hit");
     }
 
     #[test]

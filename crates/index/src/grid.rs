@@ -103,7 +103,7 @@ impl GridIndex {
     }
 
     /// Total number of cells.
-    pub fn num_cells(&self) -> usize {
+    fn num_cells(&self) -> usize {
         self.ids.len()
     }
 
@@ -204,7 +204,7 @@ impl GridIndex {
     /// # Errors
     ///
     /// Dimension mismatch.
-    pub fn cells_overlapping(&self, region: &Rect) -> Result<Vec<usize>> {
+    fn cells_overlapping(&self, region: &Rect) -> Result<Vec<usize>> {
         SeaError::check_dims(self.dims(), region.dims())?;
         let dims = self.dims();
         let lo_cell: Vec<usize> = (0..dims)
@@ -275,7 +275,7 @@ impl GridIndex {
     /// # Panics
     ///
     /// Panics if `cell >= self.num_cells()`.
-    pub fn cell_rect(&self, cell: usize) -> Rect {
+    fn cell_rect(&self, cell: usize) -> Rect {
         assert!(cell < self.num_cells(), "cell index out of range");
         let dims = self.dims();
         let mut coords = vec![0usize; dims];
@@ -297,15 +297,6 @@ impl GridIndex {
             })
             .collect();
         Rect::new(lo, hi).expect("cell bounds are ordered")
-    }
-
-    /// Statistics of flat cell `cell`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cell >= self.num_cells()`.
-    pub fn cell_stats(&self, cell: usize) -> &CellStats {
-        &self.stats[cell]
     }
 }
 
@@ -364,8 +355,8 @@ mod tests {
         assert!(!g.remove(&r).unwrap(), "second remove is a no-op");
         assert!(g.is_empty());
         let cell = g.cell_of(&[5.5, 5.5]).unwrap();
-        assert_eq!(g.cell_stats(cell).count, 0);
-        assert_eq!(g.cell_stats(cell).sums, vec![0.0, 0.0]);
+        assert_eq!(g.stats[cell].count, 0);
+        assert_eq!(g.stats[cell].sums, vec![0.0, 0.0]);
     }
 
     #[test]

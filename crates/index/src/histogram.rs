@@ -1,105 +1,13 @@
-//! One-dimensional histograms for selectivity estimation.
+//! One-dimensional histogram for selectivity estimation.
 //!
 //! The optimizer (RT3) estimates how many records a selection touches
-//! before choosing an execution strategy; histograms are its cheapest
-//! statistical structure. Both classic variants are provided: equi-width
-//! (fixed bucket boundaries) and equi-depth (fixed bucket population,
-//! better on skewed data).
+//! before choosing an execution strategy; a histogram is its cheapest
+//! statistical structure. It is equi-depth (fixed bucket population),
+//! which stays accurate on skewed data where fixed-width buckets do not.
 
 use serde::{Deserialize, Serialize};
 
 use sea_common::{Result, SeaError};
-
-/// An equi-width histogram over `[lo, hi]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EquiWidthHistogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl EquiWidthHistogram {
-    /// Builds a histogram with `buckets` buckets from values. Values
-    /// outside `[lo, hi]` clamp into the boundary buckets.
-    ///
-    /// # Errors
-    ///
-    /// Invalid bounds or zero buckets.
-    pub fn build(values: &[f64], lo: f64, hi: f64, buckets: usize) -> Result<Self> {
-        if buckets == 0 {
-            return Err(SeaError::invalid("bucket count must be positive"));
-        }
-        if lo.partial_cmp(&hi) != Some(std::cmp::Ordering::Less)
-            || !lo.is_finite()
-            || !hi.is_finite()
-        {
-            return Err(SeaError::invalid("histogram bounds must satisfy lo < hi"));
-        }
-        let mut counts = vec![0u64; buckets];
-        for &v in values {
-            if v.is_nan() {
-                continue;
-            }
-            let frac = (v - lo) / (hi - lo);
-            let b = ((frac * buckets as f64) as isize).clamp(0, buckets as isize - 1) as usize;
-            counts[b] += 1;
-        }
-        let total = counts.iter().sum();
-        Ok(EquiWidthHistogram {
-            lo,
-            hi,
-            counts,
-            total,
-        })
-    }
-
-    /// Total observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Number of buckets.
-    pub fn buckets(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Estimated number of values in `[a, b]`, with intra-bucket linear
-    /// interpolation (uniformity assumption).
-    pub fn estimate_count(&self, a: f64, b: f64) -> f64 {
-        if b < a || self.total == 0 {
-            return 0.0;
-        }
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        let mut est = 0.0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            let b_lo = self.lo + width * i as f64;
-            let b_hi = b_lo + width;
-            let olap_lo = a.max(b_lo);
-            let olap_hi = b.min(b_hi);
-            if olap_hi > olap_lo {
-                est += c as f64 * (olap_hi - olap_lo) / width;
-            }
-        }
-        // Clamped extremes: values below lo sit in bucket 0, etc. If the
-        // query extends beyond the domain, include the boundary buckets'
-        // full clamped mass.
-        if a < self.lo && b >= self.lo {
-            // already counted via bucket 0 overlap proportionally; the
-            // clamped mass approximation accepts this.
-        }
-        est
-    }
-
-    /// Estimated selectivity (fraction of values) of `[a, b]`.
-    pub fn estimate_selectivity(&self, a: f64, b: f64) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            (self.estimate_count(a, b) / self.total as f64).clamp(0.0, 1.0)
-        }
-    }
-}
 
 /// An equi-depth histogram: bucket boundaries chosen so each bucket holds
 /// (approximately) the same number of values.
@@ -197,53 +105,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn equi_width_uniform_data_is_accurate() {
-        let values: Vec<f64> = (0..1000).map(|i| i as f64 / 10.0).collect(); // 0..100
-        let h = EquiWidthHistogram::build(&values, 0.0, 100.0, 20).unwrap();
-        assert_eq!(h.total(), 1000);
-        let est = h.estimate_count(25.0, 75.0);
-        assert!((est - 500.0).abs() < 15.0, "got {est}");
-        let sel = h.estimate_selectivity(0.0, 100.0);
-        assert!((sel - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn equi_width_validates() {
-        assert!(EquiWidthHistogram::build(&[1.0], 0.0, 1.0, 0).is_err());
-        assert!(EquiWidthHistogram::build(&[1.0], 1.0, 0.0, 4).is_err());
-        assert!(
-            EquiWidthHistogram::build(&[], 0.0, 1.0, 4).is_ok(),
-            "empty data ok"
-        );
-    }
-
-    #[test]
-    fn equi_width_empty_range() {
-        let h = EquiWidthHistogram::build(&[1.0, 2.0], 0.0, 10.0, 5).unwrap();
-        assert_eq!(h.estimate_count(5.0, 3.0), 0.0, "inverted range");
-    }
-
-    #[test]
-    fn equi_width_nan_skipped() {
-        let h = EquiWidthHistogram::build(&[1.0, f64::NAN, 2.0], 0.0, 10.0, 5).unwrap();
-        assert_eq!(h.total(), 2);
-    }
-
-    #[test]
     fn equi_depth_handles_skew_better() {
         // 90% of mass at ~0, 10% spread to 1000.
         let mut values: Vec<f64> = (0..900).map(|i| i as f64 / 1000.0).collect();
         values.extend((0..100).map(|i| 10.0 + i as f64 * 9.9));
         let ed = EquiDepthHistogram::build(&values, 10).unwrap();
-        let ew = EquiWidthHistogram::build(&values, 0.0, 1000.0, 10).unwrap();
-        // True count in [0, 0.9): 900.
-        let true_count = 900.0;
-        let ed_err = (ed.estimate_count(0.0, 0.9) - true_count).abs();
-        let ew_err = (ew.estimate_count(0.0, 0.9) - true_count).abs();
-        assert!(
-            ed_err < ew_err,
-            "equi-depth ({ed_err}) should beat equi-width ({ew_err}) on skew"
-        );
+        // True count in [0, 0.9): 900. Ten fixed-width buckets over
+        // [0, 1000] would put nearly all of it in one bucket and miss by
+        // almost the whole 900.
+        let ed_err = (ed.estimate_count(0.0, 0.9) - 900.0).abs();
+        assert!(ed_err < 150.0, "equi-depth error on skew: {ed_err}");
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //!   per-node index behind the coordinator–cohort kNN operator (\[33\]).
 //! * [`RTree`] — STR bulk-loaded R-tree over rectangles; routes queries to
 //!   storage blocks/partitions.
-//! * [`histogram`] — equi-width and equi-depth 1-D histograms; selectivity
+//! * [`EquiDepthHistogram`] — equi-depth 1-D histogram; selectivity
 //!   estimation for the optimizer (RT3).
-//! * [`CountMinSketch`] — frequency sketch for skewed attributes (\[16\]).
 //! * [`sample`] — reservoir and stratified samplers; the substrate of the
 //!   BlinkDB-style AQP baseline (\[17\]).
 //! * [`CrackerIndex`] — adaptive indexing over raw data (database
@@ -30,12 +29,10 @@ pub mod histogram;
 pub mod kdtree;
 pub mod rtree;
 pub mod sample;
-pub mod sketch;
 
 pub use crack::CrackerIndex;
 pub use grid::GridIndex;
-pub use histogram::{EquiDepthHistogram, EquiWidthHistogram};
+pub use histogram::EquiDepthHistogram;
 pub use kdtree::KdTree;
 pub use rtree::RTree;
 pub use sample::{ReservoirSampler, StratifiedSample};
-pub use sketch::CountMinSketch;

@@ -137,7 +137,7 @@ impl<P: Clone> RTree<P> {
     /// # Errors
     ///
     /// Dimension mismatch.
-    pub fn search_counted(&self, query: &Rect) -> Result<(Vec<(Rect, P)>, usize)> {
+    fn search_counted(&self, query: &Rect) -> Result<(Vec<(Rect, P)>, usize)> {
         SeaError::check_dims(self.dims, query.dims())?;
         let mut out = Vec::new();
         let mut visited = 0usize;

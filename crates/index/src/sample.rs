@@ -64,16 +64,6 @@ impl ReservoirSampler {
     pub fn sample(&self) -> &[Record] {
         &self.reservoir
     }
-
-    /// The scale-up factor from sample counts to population counts
-    /// (`seen / sample_len`), 1.0 while the reservoir is not yet full.
-    pub fn scale_factor(&self) -> f64 {
-        if self.reservoir.is_empty() {
-            1.0
-        } else {
-            self.seen as f64 / self.reservoir.len() as f64
-        }
-    }
 }
 
 /// A stratified sample: per-stratum uniform samples with per-stratum
@@ -120,11 +110,6 @@ impl StratifiedSample {
             })
             .collect();
         Ok(StratifiedSample { strata })
-    }
-
-    /// Number of strata.
-    pub fn num_strata(&self) -> usize {
-        self.strata.len()
     }
 
     /// Total sampled records.
@@ -200,7 +185,6 @@ mod tests {
         }
         assert_eq!(s.sample().len(), 100);
         assert_eq!(s.seen(), 10_000);
-        assert!((s.scale_factor() - 100.0).abs() < 1e-9);
     }
 
     #[test]
@@ -227,7 +211,6 @@ mod tests {
             s.offer(r);
         }
         assert_eq!(s.sample().len(), 30);
-        assert!((s.scale_factor() - 1.0).abs() < 1e-9);
         assert!(ReservoirSampler::new(0, 0).is_err());
     }
 
@@ -239,7 +222,7 @@ mod tests {
             .collect();
         records.extend((0..5).map(|i| Record::new(20_000 + i, vec![1.0, i as f64])));
         let s = StratifiedSample::build(&records, 50, 7, |r| r.value(0) as u64).unwrap();
-        assert_eq!(s.num_strata(), 2);
+        assert_eq!(s.strata.len(), 2);
         // The rare stratum is fully retained.
         let rare_count = s.estimate_count(|r| r.value(0) == 1.0);
         assert!((rare_count - 5.0).abs() < 1e-9, "got {rare_count}");

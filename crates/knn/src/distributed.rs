@@ -169,7 +169,7 @@ impl DistributedKnnIndex {
     /// # Errors
     ///
     /// `k == 0`, `max_nodes == 0`, or dimension mismatch.
-    pub fn query_budgeted(
+    fn query_budgeted(
         &self,
         query: &Point,
         k: usize,

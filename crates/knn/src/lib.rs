@@ -13,16 +13,14 @@
 //!   stops as soon as the running k-th distance proves remaining nodes
 //!   irrelevant. Scales with *k*, not data size.
 //!
-//! Variants required by RT2-1 are included: reverse kNN, kNN joins, and
-//! all-pairs kNN, all built on the same cohort primitive.
+//! The kNN join ([`knn_join`], RT2-1) is built on the same cohort
+//! primitive.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aggregate;
 pub mod distributed;
 pub mod variants;
 
-pub use aggregate::{knn_aggregate, KnnAggregateOutcome};
 pub use distributed::{mapreduce_knn, DistributedKnnIndex, KnnOutcome};
-pub use variants::{all_pairs_knn, knn_join, reverse_knn};
+pub use variants::knn_join;

@@ -1,6 +1,6 @@
-//! kNN variants required by RT2-1: kNN join, all-pairs kNN, reverse kNN.
+//! The kNN join (RT2-1).
 //!
-//! All are built on the coordinator–cohort primitive
+//! Built on the coordinator–cohort primitive
 //! ([`DistributedKnnIndex`]); the per-probe queries of a join are
 //! independent, so they are fanned out across worker threads with
 //! `crossbeam` — the coordinator-side parallelism a real deployment would
@@ -8,7 +8,7 @@
 
 use crossbeam::thread;
 
-use sea_common::{CostModel, CostReport, Point, RecordId, Result, SeaError};
+use sea_common::{CostModel, Point, Result, SeaError};
 use sea_index::kdtree::Neighbor;
 
 use crate::distributed::DistributedKnnIndex;
@@ -57,70 +57,6 @@ pub fn knn_join(
     })
     .expect("scope panicked")?;
     Ok(results)
-}
-
-/// All-pairs kNN: the kNN join of a table's own points against the index.
-/// Returns `(probe id, neighbours)` with the probe itself excluded.
-///
-/// # Errors
-///
-/// As [`knn_join`].
-pub fn all_pairs_knn(
-    index: &DistributedKnnIndex,
-    points: &[(RecordId, Point)],
-    k: usize,
-    threads: usize,
-    cost_model: &CostModel,
-) -> Result<Vec<(RecordId, Vec<Neighbor>)>> {
-    let probes: Vec<Point> = points.iter().map(|(_, p)| p.clone()).collect();
-    // Ask for k+1 and strip self-matches.
-    let raw = knn_join(index, &probes, k + 1, threads, cost_model)?;
-    Ok(points
-        .iter()
-        .zip(raw)
-        .map(|((id, _), mut neighbors)| {
-            neighbors.retain(|n| n.id != *id);
-            neighbors.truncate(k);
-            (*id, neighbors)
-        })
-        .collect())
-}
-
-/// Reverse kNN: the ids among `candidates` whose k-nearest set contains
-/// `target` — "who considers the target a near neighbour?".
-///
-/// # Errors
-///
-/// As [`knn_join`].
-pub fn reverse_knn(
-    index: &DistributedKnnIndex,
-    target: RecordId,
-    candidates: &[(RecordId, Point)],
-    k: usize,
-    threads: usize,
-    cost_model: &CostModel,
-) -> Result<(Vec<RecordId>, CostReport)> {
-    let probes: Vec<Point> = candidates.iter().map(|(_, p)| p.clone()).collect();
-    let neighbor_sets = knn_join(index, &probes, k, threads, cost_model)?;
-    let mut out = Vec::new();
-    for ((id, _), neighbors) in candidates.iter().zip(&neighbor_sets) {
-        if neighbors.iter().any(|n| n.id == target) {
-            out.push(*id);
-        }
-    }
-    // Aggregate cost: candidates × one cohort query each (approximation:
-    // re-derived by one representative query scaled by the probe count).
-    let cost = if let Some((_, p)) = candidates.first() {
-        let one = index.query(p, k, cost_model)?.cost;
-        let mut acc = CostReport::zero();
-        for _ in 0..candidates.len() {
-            acc = acc.then(&one);
-        }
-        acc
-    } else {
-        CostReport::zero()
-    };
-    Ok((out, cost))
 }
 
 #[cfg(test)]
@@ -173,35 +109,6 @@ mod tests {
     }
 
     #[test]
-    fn all_pairs_excludes_self() {
-        let (_c, idx, model) = setup();
-        let points: Vec<(RecordId, Point)> = (0..10)
-            .map(|i| (i, Point::new(vec![(i % 50) as f64, (i / 50) as f64])))
-            .collect();
-        let out = all_pairs_knn(&idx, &points, 4, 2, &model).unwrap();
-        for (id, neighbors) in &out {
-            assert_eq!(neighbors.len(), 4);
-            assert!(neighbors.iter().all(|n| n.id != *id), "self excluded");
-        }
-    }
-
-    #[test]
-    fn reverse_knn_finds_witnesses() {
-        let (_c, idx, model) = setup();
-        // Candidates on the lattice next to record 0 at (0, 0).
-        let candidates: Vec<(RecordId, Point)> = vec![
-            (1, Point::new(vec![1.0, 0.0])),
-            (50, Point::new(vec![0.0, 1.0])),
-            (2499, Point::new(vec![49.0, 49.0])),
-        ];
-        let (hits, cost) = reverse_knn(&idx, 0, &candidates, 4, 2, &model).unwrap();
-        assert!(hits.contains(&1), "adjacent point sees record 0");
-        assert!(hits.contains(&50));
-        assert!(!hits.contains(&2499), "far corner does not");
-        assert!(cost.wall_us > 0.0);
-    }
-
-    #[test]
     fn validations() {
         let (_c, idx, model) = setup();
         let probes = vec![Point::new(vec![0.0, 0.0])];
@@ -209,8 +116,5 @@ mod tests {
         assert!(knn_join(&idx, &probes, 5, 0, &model).is_err());
         let bad = vec![Point::new(vec![0.0])];
         assert!(knn_join(&idx, &bad, 5, 2, &model).is_err());
-        let (empty_hits, cost) = reverse_knn(&idx, 0, &[], 3, 2, &model).unwrap();
-        assert!(empty_hits.is_empty());
-        assert_eq!(cost, CostReport::zero());
     }
 }

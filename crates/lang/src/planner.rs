@@ -39,34 +39,21 @@ impl TableSchema {
         }
     }
 
-    /// Infers the schema from the cluster's block catalog: the domain is
-    /// the union of all block zone-map bounds (NaN-tight, so it is the
-    /// actual data bounding box).
+    /// Infers the schema from the cluster: the domain is the table's
+    /// bounding box ([`StorageCluster::table_bounds`] — the union of all
+    /// block zone-map bounds, NaN-tight, so it is the actual data
+    /// bounding box as of this call).
     ///
     /// # Errors
     ///
     /// Missing table, or a table whose blocks expose no bounds.
     pub fn infer(cluster: &StorageCluster, table: &str) -> Result<Self> {
-        let dims = cluster.dims(table)?;
-        let mut lo = vec![f64::INFINITY; dims];
-        let mut hi = vec![f64::NEG_INFINITY; dims];
-        let mut any = false;
-        for (_, _, bounds, _, _) in cluster.block_catalog(table)? {
-            any = true;
-            for d in 0..dims {
-                lo[d] = lo[d].min(bounds.lo()[d]);
-                hi[d] = hi[d].max(bounds.hi()[d]);
-            }
-        }
-        if !any {
-            return Err(SeaError::Empty(format!(
+        let domain = cluster.table_bounds(table)?.ok_or_else(|| {
+            SeaError::Empty(format!(
                 "table {table} has no blocks with bounds to infer a domain from"
-            )));
-        }
-        Ok(TableSchema {
-            dims,
-            domain: Rect::new(lo, hi)?,
-        })
+            ))
+        })?;
+        Ok(TableSchema::new(domain.clone()))
     }
 
     /// Number of attributes.
@@ -194,7 +181,7 @@ pub struct Frontend<'a> {
 
 impl<'a> Frontend<'a> {
     /// Creates a front end over `executor` answering against `table`,
-    /// inferring the schema from the cluster's block catalog.
+    /// inferring the schema from the table's current bounding box.
     ///
     /// # Errors
     ///
@@ -254,15 +241,6 @@ impl<'a> Frontend<'a> {
     /// span), planning errors, and execution errors.
     pub fn run(&mut self, statement: &str) -> Result<StatementOutcome> {
         let plan = parse(statement)?;
-        self.run_plan(plan)
-    }
-
-    /// Executes an already-parsed plan.
-    ///
-    /// # Errors
-    ///
-    /// As [`Frontend::run`], minus parsing.
-    pub fn run_plan(&mut self, plan: LogicalPlan) -> Result<StatementOutcome> {
         let queries = plan.to_queries(&self.schema)?;
         if plan.explain {
             let (results, text) = self.execute_explained(&plan, &queries)?;

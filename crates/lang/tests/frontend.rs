@@ -216,6 +216,37 @@ fn tenant_statements_flow_through_the_service() {
 }
 
 #[test]
+fn tenant_statements_see_the_domain_as_of_submission() {
+    // `submit_statement` lowers against the table's bounding box at the
+    // time of the call: an insert that widens the domain between two
+    // submissions must widen the second statement's unconstrained
+    // dimension too (a stale box would leave the new records out).
+    let mut cluster = cluster();
+    let stmt = "SELECT count() WHERE d0 IN [0.0, 10.0]";
+    let count = |cluster: &StorageCluster| {
+        let mut svc = QueryService::new(Executor::new(cluster), "t");
+        svc.register_tenant("a", TenantConfig::default()).unwrap();
+        let (_, outcomes) = submit_statement(&mut svc, "a", stmt).unwrap();
+        outcomes[0].answer.expect("answered")
+    };
+    // d0 ∈ {0..=10} × d1 ∈ {0..=99}.
+    assert_eq!(count(&cluster), AnswerValue::Scalar(1100.0));
+    cluster
+        .insert(
+            "t",
+            vec![
+                Record::new(20_000, vec![5.0, 250.0]),
+                Record::new(20_001, vec![5.0, -40.0]),
+            ],
+        )
+        .unwrap();
+    assert_eq!(count(&cluster), AnswerValue::Scalar(1102.0));
+    let domain = sea_lang::TableSchema::infer(&cluster, "t").unwrap();
+    assert_eq!(domain.domain().lo(), &[0.0, -40.0][..]);
+    assert_eq!(domain.domain().hi(), &[99.0, 250.0][..]);
+}
+
+#[test]
 fn parse_errors_surface_with_their_rendering() {
     let cluster = cluster();
     let mut front = Frontend::new(Executor::new(&cluster), "t").unwrap();

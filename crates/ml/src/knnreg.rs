@@ -90,7 +90,7 @@ impl KnnRegressor {
     /// Prediction plus the mean distance to the used neighbours — a
     /// confidence signal (far neighbours = extrapolation = less trust).
     /// Returns `None` when no pairs are stored.
-    pub fn predict_with_distance(&self, x: &[f64]) -> Option<(f64, f64)> {
+    fn predict_with_distance(&self, x: &[f64]) -> Option<(f64, f64)> {
         if self.xs.is_empty() {
             return None;
         }

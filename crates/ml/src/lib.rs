@@ -25,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod gbt;
-pub mod knnclass;
 pub mod knnreg;
 pub mod linalg;
 pub mod linreg;
@@ -34,7 +33,6 @@ pub mod quantize;
 pub mod selection;
 
 pub use gbt::{GbtParams, GradientBoostedTrees};
-pub use knnclass::KnnClassifier;
 pub use knnreg::KnnRegressor;
 pub use linreg::{LinearModel, RecursiveLeastSquares};
 pub use piecewise::PiecewiseLinear;

@@ -127,11 +127,6 @@ impl PiecewiseLinear {
         Ok(PiecewiseLinear { segments })
     }
 
-    /// The fitted segments, ascending in domain.
-    pub fn segments(&self) -> &[Segment] {
-        &self.segments
-    }
-
     /// Evaluates the model at `x` (extrapolating with the edge segments).
     pub fn eval(&self, x: f64) -> f64 {
         for s in &self.segments {
@@ -201,7 +196,7 @@ mod tests {
         // total_cmp sorts the NaN to the end; the fit completes and the
         // finite prefix still evaluates.
         let m = PiecewiseLinear::fit(&xs, &ys, 4, 2, 1e-9).unwrap();
-        assert!(!m.segments().is_empty());
+        assert!(!m.segments.is_empty());
         let _ = m.eval(1.5);
     }
 
@@ -210,7 +205,7 @@ mod tests {
         let xs: Vec<f64> = (0..50).map(|i| i as f64).collect();
         let ys: Vec<f64> = xs.iter().map(|x| 2.0 * x + 3.0).collect();
         let m = PiecewiseLinear::fit(&xs, &ys, 5, 3, 1e-6).unwrap();
-        assert_eq!(m.segments().len(), 1, "no split needed");
+        assert_eq!(m.segments.len(), 1, "no split needed");
         assert!((m.eval(25.0) - 53.0).abs() < 1e-9);
     }
 
@@ -223,7 +218,7 @@ mod tests {
             .map(|&x| if x < 50.0 { 0.0 } else { 3.0 * (x - 50.0) })
             .collect();
         let m = PiecewiseLinear::fit(&xs, &ys, 4, 5, 1.0).unwrap();
-        assert!(m.segments().len() >= 2, "hinge detected");
+        assert!(m.segments.len() >= 2, "hinge detected");
         assert!(m.eval(25.0).abs() < 5.0);
         assert!((m.eval(80.0) - 90.0).abs() < 10.0);
         assert!(m.mse(&xs, &ys).unwrap() < 50.0);
@@ -234,7 +229,7 @@ mod tests {
         let xs: Vec<f64> = (0..60).map(|i| i as f64).collect();
         let ys: Vec<f64> = xs.iter().map(|&x| (x / 7.0).sin() * 100.0).collect();
         let m = PiecewiseLinear::fit(&xs, &ys, 3, 4, 0.0).unwrap();
-        assert!(m.segments().len() <= 3);
+        assert!(m.segments.len() <= 3);
     }
 
     #[test]
@@ -242,7 +237,7 @@ mod tests {
         let xs: Vec<f64> = (0..100).map(|i| i as f64).collect();
         let ys: Vec<f64> = xs.iter().map(|&x| x.abs().sqrt() * 10.0).collect();
         let m = PiecewiseLinear::fit(&xs, &ys, 6, 5, 0.1).unwrap();
-        let segs = m.segments();
+        let segs = &m.segments;
         assert_eq!(segs[0].lo, f64::NEG_INFINITY);
         assert_eq!(segs.last().unwrap().hi, f64::INFINITY);
         for w in segs.windows(2) {

@@ -108,7 +108,7 @@ impl LearnedOptimizer {
 
     /// Predicted wall-clock (µs) per strategy, in [`QueryStrategy::ALL`]
     /// order.
-    pub fn predict_costs(&self, query: &AnalyticalQuery) -> Vec<f64> {
+    fn predict_costs(&self, query: &AnalyticalQuery) -> Vec<f64> {
         let features = self.features(query);
         self.cost_models
             .iter()

@@ -280,15 +280,6 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Detaches any semantic cache (used by batch execution's inner
-    /// per-query executors).
-    #[must_use]
-    pub fn without_cache(mut self) -> Self {
-        self.cache = None;
-        self.cache_consult = false;
-        self
-    }
-
     /// The executor's telemetry sink.
     pub fn telemetry(&self) -> &TelemetrySink {
         &self.telemetry
@@ -304,11 +295,6 @@ impl<'a> Executor<'a> {
     /// The executor's cost model.
     pub fn cost_model(&self) -> &CostModel {
         &self.cost_model
-    }
-
-    /// The executor's worker-thread budget.
-    pub fn pool(&self) -> ExecPool {
-        self.pool
     }
 
     /// Consults the attached [`SemanticCache`] for `query` and, on a
@@ -560,20 +546,23 @@ impl<'a> Executor<'a> {
     /// later queries' fault decisions depend on those counters; a
     /// dimension mismatch is rejected before any gate is consumed.
     ///
-    /// **Mask** (phase A, pool): work is split into **morsels**
-    /// (contiguous runs of blocks of roughly [`MORSEL_RECORDS`] records)
-    /// so the pool steals within a node, not only across nodes: a 2-node
-    /// cluster saturates an 8-way pool. Each morsel evaluates its
-    /// blocks' selection bitmaps — pure compute, no telemetry.
+    /// Each opened node then asks the storage layer's scan-cost rule
+    /// ([`DataNode::charge_scan`]) which blocks the scan reads and what
+    /// they cost; the executor neither prunes nor prices blocks itself.
     ///
-    /// **Fold** (phase B, pool): each node's stats, charges and
-    /// [`KernelAcc`] partial are assembled from its masks in block
-    /// order, so every observable output is bit-identical for every pool
-    /// size and morsel decomposition. The scan's disk + CPU charges
-    /// accumulate in a local meter that is scaled once by the gate's
-    /// slow-node multiplier (per-field rounding happens once per scan,
-    /// not per block); `touch_node`, backoff and the partial's LAN bytes
-    /// are never scaled, and [`ScanStats`] are unscaled.
+    /// **Mask** (phase A, pool): the admitted blocks are split into
+    /// **morsels** (contiguous runs of roughly [`MORSEL_RECORDS`]
+    /// records) so the pool steals within a node, not only across nodes:
+    /// a 2-node cluster saturates an 8-way pool. Each morsel evaluates
+    /// its blocks' selection bitmaps — pure compute, no telemetry.
+    ///
+    /// **Fold** (phase B, pool): each node's [`KernelAcc`] partial is
+    /// assembled from its masks in block order, so every observable
+    /// output is bit-identical for every pool size and morsel
+    /// decomposition. The scan's disk + CPU charges are scaled once by
+    /// the gate's slow-node multiplier (per-field rounding happens once
+    /// per scan, not per block); `touch_node`, backoff and the partial's
+    /// LAN bytes are never scaled, and [`ScanStats`] are unscaled.
     fn scatter_scans(
         &self,
         table: &str,
@@ -595,11 +584,27 @@ impl<'a> Executor<'a> {
             .map(|&node| self.open_node(table, node, layers))
             .collect();
         let opened = attempts.into_iter().collect::<Result<Vec<_>>>()?;
+        let plans: Vec<Option<ScanPlan>> = opened
+            .iter()
+            .map(|o| {
+                o.view.map(|(dn, failover, slow)| {
+                    let mut charges = CostMeter::new();
+                    let (blocks, stats) = dn.charge_scan(bbox, &mut charges);
+                    ScanPlan {
+                        blocks,
+                        charges,
+                        stats,
+                        failover,
+                        slow,
+                    }
+                })
+            })
+            .collect();
         // Phase A: morsel-parallel mask evaluation.
-        let morsels = plan_morsels(&opened);
+        let morsels = plan_morsels(&plans);
         let evals: Vec<Vec<BlockEval>> = self.pool.run(morsels.len(), |mi| {
-            let m = &morsels[mi];
-            m.node.blocks()[m.block_lo..m.block_hi]
+            morsels[mi]
+                .blocks
                 .iter()
                 .map(|b| eval_block(b, query, bbox))
                 .collect()
@@ -614,11 +619,9 @@ impl<'a> Executor<'a> {
         // run on the pool too.
         let scans = self.pool.run(nodes.len(), |i| {
             let Opened {
-                mut meter,
-                retries,
-                view,
+                mut meter, retries, ..
             } = opened[i];
-            let Some((dn, failover, slow)) = view else {
+            let Some(plan) = &plans[i] else {
                 return NodeScan {
                     partial: None,
                     meter,
@@ -629,39 +632,18 @@ impl<'a> Executor<'a> {
                     records: None,
                 };
             };
-            let blocks = dn.blocks();
-            let mut scan = CostMeter::new();
-            let mut stats = ScanStats {
-                blocks_total: blocks.len(),
-                ..ScanStats::default()
-            };
+            let mut stats = plan.stats;
             let mut acc = KernelAcc::new(&query.aggregate);
             let mut records = collect.then(Vec::new);
-            for (b, ev) in blocks.iter().zip(&per_node[i]) {
-                if !ev.read {
-                    // Zone-map pruned: free.
-                    continue;
-                }
-                if bbox.is_none() {
-                    // Full scan: one seek-equivalent charge per block.
-                    scan.charge_disk_read(b.bytes());
-                }
-                scan.charge_cpu(b.len() as u64);
-                stats.blocks_read += 1;
-                stats.bytes_read += b.bytes();
+            for (b, ev) in plan.blocks.iter().zip(&per_node[i]) {
                 stats.records_returned += ev.returned;
                 acc.push(b.cols(), &ev.refined);
                 if let Some(out) = &mut records {
                     ev.refined.for_each_set(|r| out.push(b.record(r)));
                 }
             }
-            if bbox.is_some() && stats.bytes_read > 0 {
-                // Region scan: one sequential disk read covering all
-                // the blocks the zone maps admitted.
-                scan.charge_disk_read(stats.bytes_read);
-            }
             // The identity at the healthy multiplier 1.0.
-            meter.merge_scaled(&scan, slow);
+            meter.merge_scaled(&plan.charges, plan.slow);
             let partial = acc.finish();
             meter.charge_lan(partial.wire_bytes());
             NodeScan {
@@ -669,7 +651,7 @@ impl<'a> Executor<'a> {
                 meter,
                 stats,
                 retries,
-                failover,
+                failover: plan.failover,
                 unavailable: false,
                 records,
             }
@@ -801,22 +783,7 @@ impl<'a> Executor<'a> {
         table: &str,
         queries: &[AnalyticalQuery],
     ) -> Vec<Result<QueryOutcome>> {
-        self.execute_batch_traced(table, queries, &TraceContext::NONE)
-    }
-
-    /// [`Executor::execute_batch`] with an explicit trace parent: each
-    /// query's span tree attaches under `parent` even though it is built
-    /// on a worker thread. Note that with a recording sink, span ids and
-    /// event interleavings across queries depend on scheduling — batch
-    /// telemetry is coherent per query but not bit-reproducible across
-    /// runs (single-query execution is).
-    pub fn execute_batch_traced(
-        &self,
-        table: &str,
-        queries: &[AnalyticalQuery],
-        parent: &TraceContext,
-    ) -> Vec<Result<QueryOutcome>> {
-        self.run_batch(table, queries, parent, &DIRECT)
+        self.run_batch(table, queries, &DIRECT)
     }
 
     /// [`Executor::execute_batch`] in the BDAS regime.
@@ -825,23 +792,29 @@ impl<'a> Executor<'a> {
         table: &str,
         queries: &[AnalyticalQuery],
     ) -> Vec<Result<QueryOutcome>> {
-        self.run_batch(table, queries, &TraceContext::NONE, &BDAS)
+        self.run_batch(table, queries, &BDAS)
     }
 
+    /// Each query's span tree attaches under the batch span even though
+    /// it is built on a worker thread; with a recording sink, span ids
+    /// and event interleavings across queries depend on scheduling —
+    /// batch telemetry is coherent per query but not bit-reproducible
+    /// across runs (single-query execution is).
     fn run_batch(
         &self,
         table: &str,
         queries: &[AnalyticalQuery],
-        parent: &TraceContext,
         regime: &Regime,
     ) -> Vec<Result<QueryOutcome>> {
-        let batch_span = self.telemetry.span_child_of(parent, "query.executor.batch");
+        let batch_span = self.telemetry.span("query.executor.batch");
         batch_span.tag("queries", queries.len());
         let ctx = batch_span.ctx();
         // Batches run cache-less: concurrent admissions would make
         // admission order (and thus eviction tie-breaks)
         // schedule-dependent.
-        let inner = self.clone().without_cache();
+        let mut inner = self.clone();
+        inner.cache = None;
+        inner.cache_consult = false;
         if self.cluster.has_fault_plan() {
             return queries
                 .iter()
@@ -871,7 +844,7 @@ impl<'a> Executor<'a> {
     /// dimension-mismatched region, or any primary down — those fall
     /// back to independent per-query scans). Only called on a cluster
     /// without a fault plan: a faulted batch opens its scans per query.
-    fn plan_shared_scan(&self, table: &str, queries: &[AnalyticalQuery]) -> Option<SharedScan> {
+    fn plan_shared_scan(&self, table: &str, queries: &[AnalyticalQuery]) -> Option<SharedScan<'a>> {
         if queries.len() < 2 || self.cluster.any_primary_down() {
             return None;
         }
@@ -899,15 +872,13 @@ impl<'a> Executor<'a> {
             let (dn, _) = self.cluster.serving_node(table, node).ok()?;
             views.push(dn);
         }
-        // One pass per node: catalog every block's zone-map facts and
-        // gather the union-box rows' columns in record order. Each node
-        // is independent, so the pass parallelises freely.
+        // One pass per node: gather the union-box rows' columns in
+        // record order. Each node is independent, so the pass
+        // parallelises freely.
         let nodes = self.pool.run(n_nodes, |n| {
-            let dn = views[n];
-            let mut catalog = Vec::with_capacity(dn.blocks().len());
+            let node = views[n];
             let mut sub: Vec<Vec<f64>> = vec![Vec::new(); dims];
-            for b in dn.blocks() {
-                catalog.push((b.bounds().cloned(), b.len(), b.bytes()));
+            for b in node.blocks() {
                 if b.bounds().is_some_and(|bb| bb.intersects(&union)) {
                     let m = b.bbox_mask(&union);
                     if !m.is_none_set() {
@@ -917,7 +888,7 @@ impl<'a> Executor<'a> {
                     }
                 }
             }
-            SharedNode { catalog, sub }
+            SharedNode { node, sub }
         });
         Some(SharedScan { nodes })
     }
@@ -929,71 +900,75 @@ impl<'a> Executor<'a> {
 /// host's parallelism.
 const MORSEL_RECORDS: usize = 4096;
 
-/// A contiguous run of blocks within one node: the unit of phase-A mask
-/// evaluation.
-struct Morsel<'c> {
-    /// Index into the scatter's `opened`/`nodes` arrays.
-    node_idx: usize,
-    node: &'c DataNode,
-    block_lo: usize,
-    block_hi: usize,
+/// What the storage layer's scan-cost rule ([`DataNode::charge_scan`])
+/// decided for one opened node: the blocks the scan reads, their
+/// unscaled disk + CPU charges, and the scan statistics (rows returned
+/// are filled in by the fold) — plus what the open phase learned about
+/// the serving copy (replica failover, slow-node multiplier).
+struct ScanPlan<'c> {
+    blocks: Vec<&'c Block>,
+    charges: CostMeter,
+    stats: ScanStats,
+    failover: bool,
+    slow: f64,
 }
 
-/// Splits each opened node's block list into morsels of roughly
+/// A contiguous run of one node's admitted blocks: the unit of phase-A
+/// mask evaluation.
+struct Morsel<'p, 'c> {
+    /// Index into the scatter's `opened`/`nodes` arrays.
+    node_idx: usize,
+    blocks: &'p [&'c Block],
+}
+
+/// Splits each planned node's admitted blocks into morsels of roughly
 /// [`MORSEL_RECORDS`] records (at least one block each), in node order.
-fn plan_morsels<'c>(opened: &[Opened<'c>]) -> Vec<Morsel<'c>> {
+fn plan_morsels<'p, 'c>(plans: &'p [Option<ScanPlan<'c>>]) -> Vec<Morsel<'p, 'c>> {
     let mut out = Vec::new();
-    for (node_idx, o) in opened.iter().enumerate() {
-        let Some((node, ..)) = o.view else { continue };
-        let blocks = node.blocks();
-        let mut lo = 0;
-        while lo < blocks.len() {
-            let mut hi = lo;
+    for (node_idx, plan) in plans.iter().enumerate() {
+        let Some(plan) = plan else { continue };
+        let mut rest = plan.blocks.as_slice();
+        while !rest.is_empty() {
+            let mut hi = 0;
             let mut rows = 0;
-            while hi < blocks.len() && rows < MORSEL_RECORDS {
-                rows += blocks[hi].len();
+            while hi < rest.len() && rows < MORSEL_RECORDS {
+                rows += rest[hi].len();
                 hi += 1;
             }
-            out.push(Morsel {
-                node_idx,
-                node,
-                block_lo: lo,
-                block_hi: hi,
-            });
-            lo = hi;
+            let (blocks, tail) = rest.split_at(hi);
+            out.push(Morsel { node_idx, blocks });
+            rest = tail;
         }
     }
     out
 }
 
-/// One node's share of a batch superset scan: the zone-map catalog of
-/// every block (bounds, rows, bytes — enough to replay each query's
-/// per-block charges without touching the data again) and the gathered
-/// sub-columns of the rows inside the union of the batch's query boxes,
-/// in node record order.
-struct SharedNode {
-    catalog: Vec<(Option<Rect>, usize, u64)>,
+/// One node's share of a batch superset scan: the serving copy (whose
+/// zone maps price each query's scan) and the gathered sub-columns of
+/// the rows inside the union of the batch's query boxes, in node record
+/// order.
+struct SharedNode<'c> {
+    node: &'c DataNode,
     sub: Vec<Vec<f64>>,
 }
 
 /// A batch-shared superset scan over the whole cluster (see
 /// [`Executor::plan_shared_scan`]).
-struct SharedScan {
-    nodes: Vec<SharedNode>,
+struct SharedScan<'c> {
+    nodes: Vec<SharedNode<'c>>,
 }
 
-impl SharedScan {
+impl SharedScan<'_> {
     /// Replays one query's per-node scans against the shared subset.
     ///
-    /// Charges are reconstructed from the catalog exactly as the direct
-    /// scan computes them — CPU per admitted block, one sequential disk
-    /// read covering all admitted blocks — and the kernel fold visits
-    /// the query's rows in the same record order the direct scan would,
-    /// so the resulting [`NodeScan`]s are bit-identical to
-    /// [`Executor::scatter_scans`]' on a healthy cluster. (Every row in
-    /// the query box lies in the union box, and its block's bounds
-    /// necessarily intersect the query box, so the shared subset loses
-    /// nothing.)
+    /// Charges and block statistics come from the same
+    /// [`DataNode::charge_scan`] call the direct scan makes, and the
+    /// kernel fold visits the query's rows in the same record order the
+    /// direct scan would, so the resulting [`NodeScan`]s are
+    /// bit-identical to [`Executor::scatter_scans`]' on a healthy
+    /// cluster. (Every row in the query box lies in the union box, and
+    /// its block's bounds necessarily intersect the query box, so the
+    /// shared subset loses nothing.)
     fn node_scans(
         &self,
         candidates: &[NodeId],
@@ -1006,21 +981,7 @@ impl SharedScan {
                 let sn = &self.nodes[node];
                 let mut meter = CostMeter::new();
                 meter.touch_node(DIRECT_LAYERS);
-                let mut stats = ScanStats {
-                    blocks_total: sn.catalog.len(),
-                    ..ScanStats::default()
-                };
-                for (bounds, rows, bytes) in &sn.catalog {
-                    if !bounds.as_ref().is_some_and(|bb| bb.intersects(bbox)) {
-                        continue;
-                    }
-                    stats.blocks_read += 1;
-                    stats.bytes_read += bytes;
-                    meter.charge_cpu(*rows as u64);
-                }
-                if stats.bytes_read > 0 {
-                    meter.charge_disk_read(stats.bytes_read);
-                }
+                let (_, mut stats) = sn.node.charge_scan(Some(bbox), &mut meter);
                 let sub_len = sn.sub.first().map_or(0, Vec::len);
                 let qmask = kernels::range_mask(&sn.sub, sub_len, bbox.lo(), bbox.hi());
                 stats.records_returned = qmask.count();
@@ -1042,37 +1003,27 @@ impl SharedScan {
     }
 }
 
-/// Phase-A output for one block: whether the zone map admits it, how
-/// many rows its bounding-box filter returns, and the selection bitmap
-/// of rows matching the query region (the rows the kernel fold visits).
+/// Phase-A output for one admitted block: how many rows its
+/// bounding-box filter returns, and the selection bitmap of rows
+/// matching the query region (the rows the kernel fold visits).
 #[derive(Clone)]
 struct BlockEval {
-    read: bool,
     returned: usize,
     refined: SelectionMask,
 }
 
-/// Evaluates one block's masks for `query`. `bbox = None` is the
-/// full-scan (BDAS) path: every block is read and `refined` selects the
-/// region's rows among all of them. `bbox = Some` is the zone-map pruned
-/// path: non-intersecting blocks are skipped, and `refined` is the exact
-/// equivalent of bounding-box filtering followed by
-/// `region.contains_record`.
+/// Evaluates one admitted block's masks for `query`. `bbox = None` is
+/// the full-scan (BDAS) path: `refined` selects the region's rows among
+/// all of the block's. `bbox = Some` is the zone-map pruned path:
+/// `refined` is the exact equivalent of bounding-box filtering followed
+/// by `region.contains_record`.
 fn eval_block(b: &Block, query: &AnalyticalQuery, bbox: Option<&Rect>) -> BlockEval {
     let Some(rect) = bbox else {
         return BlockEval {
-            read: true,
             returned: b.len(),
             refined: b.region_mask(&query.region),
         };
     };
-    if !b.bounds().is_some_and(|bounds| bounds.intersects(rect)) {
-        return BlockEval {
-            read: false,
-            returned: 0,
-            refined: SelectionMask::none(0),
-        };
-    }
     let bmask = b.bbox_mask(rect);
     let returned = bmask.count();
     let refined = match &query.region {
@@ -1085,11 +1036,7 @@ fn eval_block(b: &Block, query: &AnalyticalQuery, bbox: Option<&Rect>) -> BlockE
             m
         }
     };
-    BlockEval {
-        read: true,
-        returned,
-        refined,
-    }
+    BlockEval { returned, refined }
 }
 
 /// A running per-node partial folded directly over column slices, in

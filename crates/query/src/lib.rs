@@ -20,9 +20,11 @@
 //! ([`sea_storage::StorageCluster::open_scan`] — where an injected
 //! fault is consumed, and where the executor's [`RetryPolicy`], replica
 //! failover and [partial answers](Executor::with_partial_answers)
-//! apply), then selection masks are evaluated morsel-parallel over the
-//! node's column blocks and folded into one partial aggregate per node
-//! in record order. Answers, cost reports and replayed telemetry are
+//! apply), asks storage's scan-cost rule
+//! ([`sea_storage::DataNode::charge_scan`]) which blocks the scan reads
+//! and what they cost, then evaluates selection masks morsel-parallel
+//! over those column blocks and folds them into one partial aggregate
+//! per node in record order. Answers, cost reports and replayed telemetry are
 //! bit-identical at every [`ExecPool`] size.
 //!
 //! Either regime can consult a [`sea_cache::SemanticCache`] before

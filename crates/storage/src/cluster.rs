@@ -6,10 +6,10 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use sea_common::{CostMeter, Record, Rect, Result, SeaError};
-use sea_telemetry::{TelemetrySink, TraceContext};
+use sea_telemetry::{SpanGuard, TelemetrySink, TraceContext};
 
 use crate::fault::{FaultDecision, FaultPlan, FaultState};
-use crate::node::DataNode;
+use crate::node::{DataNode, ScanStats};
 use crate::partition::{NodeId, Partitioning};
 
 /// One entry of a table's block catalog: `(node, block index, bounds,
@@ -40,6 +40,32 @@ struct TableMeta {
     /// `replicas[i]` is a copy of node `(i − 1) mod n`'s partition, stored
     /// on node `i`.
     replicas: Option<Vec<DataNode>>,
+    /// Bounding box of the table's records: the union of the primaries'
+    /// block zone maps, refolded whenever they change (`None` when no
+    /// block has bounds).
+    bounds: Option<Rect>,
+}
+
+/// Folds the union of every block's zone map, in node then block order.
+fn fold_bounds(dims: usize, nodes: &[DataNode]) -> Option<Rect> {
+    let mut lo = vec![f64::INFINITY; dims];
+    let mut hi = vec![f64::NEG_INFINITY; dims];
+    let mut any = false;
+    for zone in nodes
+        .iter()
+        .flat_map(DataNode::blocks)
+        .filter_map(|b| b.bounds())
+    {
+        any = true;
+        for d in 0..dims {
+            lo[d] = lo[d].min(zone.lo()[d]);
+            hi[d] = hi[d].max(zone.hi()[d]);
+        }
+    }
+    if !any {
+        return None;
+    }
+    Rect::new(lo, hi).ok()
 }
 
 /// A simulated cluster of data-server nodes holding partitioned tables.
@@ -177,7 +203,7 @@ impl StorageCluster {
     /// Whether partition `node`'s primary is currently unable to serve —
     /// manually failed or crashed by the fault plan. A successful scan of
     /// such a partition was served by its replica (a failover).
-    pub fn primary_down(&self, node: NodeId) -> bool {
+    fn primary_down(&self, node: NodeId) -> bool {
         self.down.get(node).copied().unwrap_or(false)
             || self.faults.as_ref().is_some_and(|f| f.crashed(node))
     }
@@ -229,11 +255,6 @@ impl StorageCluster {
         Ok(())
     }
 
-    /// Whether `node` is currently failed.
-    pub fn is_down(&self, node: NodeId) -> bool {
-        self.down.get(node).copied().unwrap_or(false)
-    }
-
     /// Number of data nodes.
     pub fn num_nodes(&self) -> usize {
         self.n_nodes
@@ -242,11 +263,6 @@ impl StorageCluster {
     /// Block size in records.
     pub fn block_size(&self) -> usize {
         self.block_size
-    }
-
-    /// Names of stored tables (unordered).
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(String::as_str).collect()
     }
 
     /// Creates and loads a table, distributing records per `partitioning`.
@@ -292,6 +308,7 @@ impl StorageCluster {
             TableMeta {
                 dims,
                 partitioning,
+                bounds: fold_bounds(dims, &nodes),
                 nodes,
                 replicas,
             },
@@ -347,6 +364,18 @@ impl StorageCluster {
         Ok(self.meta(name)?.dims)
     }
 
+    /// Bounding box of a table's records — the union of the zone maps
+    /// [`StorageCluster::block_catalog`] lists, kept current across
+    /// [`StorageCluster::insert`] and [`StorageCluster::delete_region`].
+    /// `None` for a table with no bounded block left.
+    ///
+    /// # Errors
+    ///
+    /// [`SeaError::NotFound`] when the table does not exist.
+    pub fn table_bounds(&self, name: &str) -> Result<Option<&Rect>> {
+        Ok(self.meta(name)?.bounds.as_ref())
+    }
+
     /// The nodes that may hold records of `name` inside `region` under the
     /// table's partitioning (partition pruning).
     ///
@@ -389,35 +418,38 @@ impl StorageCluster {
         node: NodeId,
         meter: &mut CostMeter,
     ) -> Result<Vec<Record>> {
-        self.scan_node_traced(name, node, &TraceContext::NONE, meter)
+        let trace = Some(&TraceContext::NONE);
+        Ok(self.scan_partition(name, node, None, trace, meter)?.0)
     }
 
-    /// [`StorageCluster::scan_node`] with an explicit trace parent: the
-    /// scan's `storage.node.scan` span attaches under `parent` (the
-    /// caller's per-node span), modelling the executor → storage-node
-    /// hop carrying a trace header. With [`TraceContext::NONE`] this is
-    /// exactly `scan_node`.
-    ///
-    /// # Errors
-    ///
-    /// As [`StorageCluster::scan_node`].
-    pub fn scan_node_traced(
+    /// The one row scan of a partition behind every `scan_node*`: checks
+    /// the box's dimensionality, opens the scan
+    /// ([`StorageCluster::open_scan`]), runs [`DataNode::scan`] with its
+    /// charges scaled by the gate's slow-node multiplier, and — unless
+    /// `trace` is `None` (the quiet form) — wraps it in a
+    /// `storage.node.scan` span under the given parent and records it.
+    fn scan_partition(
         &self,
         name: &str,
         node: NodeId,
-        parent: &TraceContext,
+        bbox: Option<&Rect>,
+        trace: Option<&TraceContext>,
         meter: &mut CostMeter,
-    ) -> Result<Vec<Record>> {
-        let (n, _, slow) = self.open_scan(name, node)?;
-        let span = self.telemetry.span_child_of(parent, "storage.node.scan");
-        if self.telemetry.is_enabled() {
-            span.tag("node", node);
-            span.tag("table", name);
-            span.tag("kind", "full");
+    ) -> Result<(Vec<Record>, ScanStats)> {
+        if let Some(rect) = bbox {
+            SeaError::check_dims(self.dims(name)?, rect.dims())?;
         }
-        let (records, stats) = Self::scan_scaled(meter, slow, |m| n.scan_all_stats(m));
-        self.note_scan(name, node, "full", &stats);
-        Ok(records)
+        let (n, _, slow) = self.open_scan(name, node)?;
+        let kind = if bbox.is_some() { "region" } else { "full" };
+        let _span = trace.map(|parent| self.scan_span(name, node, kind, parent));
+        let mut scan = CostMeter::new();
+        let (records, stats) = n.scan(bbox, &mut scan);
+        // The identity at the healthy multiplier 1.0.
+        meter.merge_scaled(&scan, slow);
+        if trace.is_some() {
+            self.note_scan(name, node, kind, &stats);
+        }
+        Ok((records, stats))
     }
 
     /// Opens one scan attempt against partition `node` of table `name`:
@@ -449,7 +481,7 @@ impl StorageCluster {
     /// Telemetry-free block-pruned scan: charges `meter` exactly like
     /// [`StorageCluster::scan_node_region`] but emits no spans, counters,
     /// or events, and additionally returns the
-    /// [`ScanStats`](crate::node::ScanStats), so a caller can replay the
+    /// [`ScanStats`], so a caller can replay the
     /// scan's telemetry afterwards via [`StorageCluster::record_scan`].
     ///
     /// # Errors
@@ -461,12 +493,8 @@ impl StorageCluster {
         node: NodeId,
         region: &Rect,
         meter: &mut CostMeter,
-    ) -> Result<(Vec<Record>, crate::node::ScanStats)> {
-        SeaError::check_dims(self.dims(name)?, region.dims())?;
-        let (n, _, slow) = self.open_scan(name, node)?;
-        Ok(Self::scan_scaled(meter, slow, |m| {
-            n.scan_region_stats(region, m)
-        }))
+    ) -> Result<(Vec<Record>, ScanStats)> {
+        self.scan_partition(name, node, Some(region), None, meter)
     }
 
     /// Replays the telemetry of one already-performed quiet scan
@@ -483,17 +511,22 @@ impl StorageCluster {
         name: &str,
         node: NodeId,
         kind: &str,
-        stats: &crate::node::ScanStats,
+        stats: &ScanStats,
         parent: &TraceContext,
     ) {
-        if !self.telemetry.is_enabled() {
-            return;
-        }
-        let span = self.telemetry.span_child_of(parent, "storage.node.scan");
-        span.tag("node", node);
-        span.tag("table", name);
-        span.tag("kind", kind);
+        let _span = self.scan_span(name, node, kind, parent);
         self.note_scan(name, node, kind, stats);
+    }
+
+    /// Opens a scan's `storage.node.scan` span under `parent`.
+    fn scan_span(&self, name: &str, node: NodeId, kind: &str, parent: &TraceContext) -> SpanGuard {
+        let span = self.telemetry.span_child_of(parent, "storage.node.scan");
+        if self.telemetry.is_enabled() {
+            span.tag("node", node);
+            span.tag("table", name);
+            span.tag("kind", kind);
+        }
+        span
     }
 
     /// Records one node scan into the telemetry sink (no-op when
@@ -501,7 +534,7 @@ impl StorageCluster {
     /// event carrying the pruning outcome. Simulated time lives on the
     /// executor's scatter span (only it knows the cost model); storage
     /// spans carry wall time.
-    fn note_scan(&self, table: &str, node: NodeId, kind: &str, stats: &crate::node::ScanStats) {
+    fn note_scan(&self, table: &str, node: NodeId, kind: &str, stats: &ScanStats) {
         if !self.telemetry.is_enabled() {
             return;
         }
@@ -566,23 +599,6 @@ impl StorageCluster {
         Ok((n, self.primary_down(node)))
     }
 
-    /// Runs `scan` charging `meter`, scaling the scan's incremental cost
-    /// by `multiplier` (the fault plan's slow-node model: everything the
-    /// scan did takes `multiplier`× longer).
-    fn scan_scaled<T>(
-        meter: &mut CostMeter,
-        multiplier: f64,
-        scan: impl FnOnce(&mut CostMeter) -> T,
-    ) -> T {
-        if multiplier == 1.0 {
-            return scan(meter);
-        }
-        let mut local = CostMeter::new();
-        let out = scan(&mut local);
-        meter.merge_scaled(&local, multiplier);
-        out
-    }
-
     /// Block-pruned scan of table `name` on node `node`, returning only
     /// records inside `region` and charging `meter` only for blocks whose
     /// zone map intersects `region`.
@@ -602,7 +618,9 @@ impl StorageCluster {
     }
 
     /// [`StorageCluster::scan_node_region`] with an explicit trace
-    /// parent (see [`StorageCluster::scan_node_traced`]).
+    /// parent: the scan's `storage.node.scan` span attaches under
+    /// `parent` (the caller's per-node span), modelling the caller →
+    /// storage-node hop carrying a trace header.
     ///
     /// # Errors
     ///
@@ -615,17 +633,9 @@ impl StorageCluster {
         parent: &TraceContext,
         meter: &mut CostMeter,
     ) -> Result<Vec<Record>> {
-        SeaError::check_dims(self.dims(name)?, region.dims())?;
-        let (n, _, slow) = self.open_scan(name, node)?;
-        let span = self.telemetry.span_child_of(parent, "storage.node.scan");
-        if self.telemetry.is_enabled() {
-            span.tag("node", node);
-            span.tag("table", name);
-            span.tag("kind", "region");
-        }
-        let (records, stats) = Self::scan_scaled(meter, slow, |m| n.scan_region_stats(region, m));
-        self.note_scan(name, node, "region", &stats);
-        Ok(records)
+        Ok(self
+            .scan_partition(name, node, Some(region), Some(parent), meter)?
+            .0)
     }
 
     /// Inserts additional records into an existing table (appended as new
@@ -659,6 +669,7 @@ impl StorageCluster {
                 }
             }
         }
+        meta.bounds = fold_bounds(dims, &meta.nodes);
         Ok(())
     }
 
@@ -686,6 +697,7 @@ impl StorageCluster {
                 replica.delete_where(in_region);
             }
         }
+        meta.bounds = fold_bounds(meta.dims, &meta.nodes);
         Ok(removed)
     }
 
@@ -956,11 +968,11 @@ mod replication_tests {
         let mut c = replicated_cluster();
         assert_eq!(total_scanned(&c), 1000);
         c.fail_node(2).unwrap();
-        assert!(c.is_down(2));
+        assert!(c.primary_down(2));
         // Partition 2 is served by the replica on node 3.
         assert_eq!(total_scanned(&c), 1000, "no records lost");
         c.restore_node(2).unwrap();
-        assert!(!c.is_down(2));
+        assert!(!c.primary_down(2));
     }
 
     #[test]
@@ -1074,7 +1086,7 @@ mod replication_tests {
         let mut c = replicated_cluster();
         assert!(c.fail_node(99).is_err());
         assert!(c.restore_node(99).is_err());
-        assert!(!c.is_down(99));
+        assert!(!c.primary_down(99));
         assert_eq!(c.replication(), 2);
         assert_eq!(StorageCluster::new(2, 10).replication(), 1);
     }

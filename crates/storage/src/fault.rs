@@ -131,7 +131,7 @@ impl FaultPlan {
     }
 
     /// The latency multiplier for `node` (1.0 when not listed).
-    pub fn slow_multiplier(&self, node: NodeId) -> f64 {
+    fn slow_multiplier(&self, node: NodeId) -> f64 {
         self.slow_nodes
             .iter()
             .find(|(n, _)| *n == node)

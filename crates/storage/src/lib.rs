@@ -19,6 +19,9 @@
 //!   MapReduce-style job pays on every node it touches.
 //! * **Direct path** ([`DIRECT_LAYERS`] crossing): what a coordinator that
 //!   "accesses directly the storage engine" (RT3-2) pays.
+//!
+//! Which blocks a scan reads on either path, and what reading them
+//! charges, is decided in exactly one place: [`DataNode::charge_scan`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

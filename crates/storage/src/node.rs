@@ -251,73 +251,68 @@ impl DataNode {
         self.blocks.iter().map(Block::bytes).sum()
     }
 
-    /// Reads **every** block, charging `meter` one read *per block*: the
-    /// BDAS full-scan path launches a task per block/split, so each block
-    /// carries a seek-equivalent scheduling overhead (the per-layer tax is
-    /// charged separately by callers via `touch_node`). Returns all
-    /// records, materialized in row order.
-    pub fn scan_all(&self, meter: &mut CostMeter) -> Vec<Record> {
-        self.scan_all_stats(meter).0
-    }
-
-    /// [`DataNode::scan_all`] plus the [`ScanStats`] describing what the
-    /// scan touched (identical cost charges).
-    pub fn scan_all_stats(&self, meter: &mut CostMeter) -> (Vec<Record>, ScanStats) {
-        let mut out = Vec::with_capacity(self.len());
-        let mut bytes_read = 0u64;
-        for b in &self.blocks {
-            meter.charge_disk_read(b.bytes());
-            meter.charge_cpu(b.len() as u64);
-            bytes_read += b.bytes();
-            out.extend(b.to_records());
-        }
-        let stats = ScanStats {
-            blocks_total: self.blocks.len(),
-            blocks_read: self.blocks.len(),
-            bytes_read,
-            records_returned: out.len(),
-        };
-        (out, stats)
-    }
-
-    /// Reads only blocks whose bounds intersect `region`, charging `meter`
-    /// one *sequential* read (single seek) covering the selected blocks —
-    /// the coordinator path reads pruned block ranges in one sweep — and
-    /// returns the records inside `region`'s bounding box. Blocks with no
-    /// bounds (empty) are skipped free.
-    pub fn scan_region(&self, region: &Rect, meter: &mut CostMeter) -> Vec<Record> {
-        self.scan_region_stats(region, meter).0
-    }
-
-    /// [`DataNode::scan_region`] plus the [`ScanStats`] describing how
-    /// many blocks the zone maps pruned (identical cost charges).
-    pub fn scan_region_stats(
+    /// The scan-cost rule — the one place that decides which blocks a
+    /// scan of this node reads and what reading them costs. Every scan
+    /// (the row scan below, the executor's columnar scatter, a batch's
+    /// shared superset scan) calls it instead of charging on its own.
+    ///
+    /// * `bbox = None` (BDAS full scan): **every** block is read, each
+    ///   with its own seek-equivalent disk read — the full-scan path
+    ///   launches a task per block/split.
+    /// * `bbox = Some` (direct path): only blocks whose zone map
+    ///   intersects the box are read — a pruned block is free, a block
+    ///   without bounds (empty) is skipped — in **one** sequential disk
+    ///   read covering their bytes (none when nothing is admitted).
+    ///
+    /// Either way each block read costs CPU per record it holds. Layer
+    /// crossings are the caller's charge (`touch_node`: only it knows
+    /// its access path), as is any slow-node scaling. Returns the
+    /// admitted blocks in block order and the scan's [`ScanStats`] with
+    /// `records_returned` left at zero for the caller's filter to fill.
+    pub fn charge_scan(
         &self,
-        region: &Rect,
+        bbox: Option<&Rect>,
         meter: &mut CostMeter,
-    ) -> (Vec<Record>, ScanStats) {
-        let mut out = Vec::new();
-        let mut read_bytes = 0u64;
-        let mut blocks_read = 0usize;
-        for b in &self.blocks {
-            let Some(bounds) = b.bounds() else { continue };
-            if !bounds.intersects(region) {
-                continue; // zone map consulted, block skipped: free
-            }
-            read_bytes += b.bytes();
-            blocks_read += 1;
-            meter.charge_cpu(b.len() as u64);
-            b.bbox_mask(region).for_each_set(|i| out.push(b.record(i)));
-        }
-        if read_bytes > 0 {
-            meter.charge_disk_read(read_bytes);
-        }
-        let stats = ScanStats {
+    ) -> (Vec<&Block>, ScanStats) {
+        let mut stats = ScanStats {
             blocks_total: self.blocks.len(),
-            blocks_read,
-            bytes_read: read_bytes,
-            records_returned: out.len(),
+            ..ScanStats::default()
         };
+        let mut admitted = Vec::new();
+        for b in &self.blocks {
+            match bbox {
+                None => meter.charge_disk_read(b.bytes()),
+                Some(rect) => {
+                    if !b.bounds().is_some_and(|zone| zone.intersects(rect)) {
+                        continue;
+                    }
+                }
+            }
+            meter.charge_cpu(b.len() as u64);
+            stats.blocks_read += 1;
+            stats.bytes_read += b.bytes();
+            admitted.push(b);
+        }
+        if bbox.is_some() && stats.bytes_read > 0 {
+            meter.charge_disk_read(stats.bytes_read);
+        }
+        (admitted, stats)
+    }
+
+    /// The row scan: reads the blocks [`DataNode::charge_scan`] admits
+    /// (charging `meter` by its rule) and materializes, in row order,
+    /// every record of them (`bbox = None`) or the records inside the
+    /// box (`bbox = Some`).
+    pub fn scan(&self, bbox: Option<&Rect>, meter: &mut CostMeter) -> (Vec<Record>, ScanStats) {
+        let (blocks, mut stats) = self.charge_scan(bbox, meter);
+        let mut out = Vec::new();
+        for b in blocks {
+            match bbox {
+                None => out.extend(b.to_records()),
+                Some(rect) => b.bbox_mask(rect).for_each_set(|i| out.push(b.record(i))),
+            }
+        }
+        stats.records_returned = out.len();
         (out, stats)
     }
 
@@ -404,34 +399,65 @@ mod tests {
         let mut node = DataNode::new();
         node.append(recs(100), 10);
         let mut meter = CostMeter::new();
-        let all = node.scan_all(&mut meter);
-        assert_eq!(all.len(), 100);
-        assert_eq!(meter.disk_seeks, 10);
+        let (blocks, stats) = node.charge_scan(None, &mut meter);
+        assert_eq!(blocks.len(), 10);
+        assert_eq!(meter.disk_seeks, 10, "one seek-equivalent read per block");
         assert_eq!(meter.disk_bytes, node.bytes());
         assert_eq!(meter.records_processed, 100);
+        assert_eq!(
+            stats,
+            ScanStats {
+                blocks_total: 10,
+                blocks_read: 10,
+                bytes_read: node.bytes(),
+                records_returned: 0,
+            }
+        );
     }
 
     #[test]
     fn scan_region_prunes_blocks() {
         let mut node = DataNode::new();
         node.append(recs(100), 10); // block i covers dim0 in [10i, 10i+9]
+        node.blocks.push(Block::new(Vec::new()));
         let mut meter = CostMeter::new();
         let region = Rect::new(vec![15.0, 0.0], vec![24.0, 1e9]).unwrap();
-        let hits = node.scan_region(&region, &mut meter);
-        assert_eq!(hits.len(), 10, "values 15..=24");
+        let (blocks, stats) = node.charge_scan(Some(&region), &mut meter);
+        assert!(
+            std::ptr::eq(blocks[0], &node.blocks[1]) && std::ptr::eq(blocks[1], &node.blocks[2])
+        );
+        assert_eq!((stats.blocks_total, stats.blocks_read), (11, 2));
         assert_eq!(meter.disk_seeks, 1, "one sequential read over 2 blocks");
-        assert!(meter.disk_bytes < node.bytes() / 2);
+        assert_eq!(meter.disk_bytes, stats.bytes_read);
+        assert_eq!(meter.disk_bytes, 2 * node.blocks[0].bytes());
+        assert_eq!(meter.records_processed, 20, "pruned blocks are free");
+
+        // A box that covers every zone map still skips the empty block.
+        let everything = Rect::new(vec![-1e9, -1e9], vec![1e9, 1e9]).unwrap();
+        let (blocks, _) = node.charge_scan(Some(&everything), &mut CostMeter::new());
+        assert_eq!(blocks.len(), 10);
+
+        // Nothing admitted: no bytes, so not even the seek.
+        let far = Rect::new(vec![500.0, 0.0], vec![600.0, 1e9]).unwrap();
+        let mut idle = CostMeter::new();
+        let (blocks, stats) = node.charge_scan(Some(&far), &mut idle);
+        assert!(blocks.is_empty());
+        assert_eq!((stats.blocks_read, stats.bytes_read), (0, 0));
+        assert_eq!(idle, CostMeter::new());
     }
 
     #[test]
     fn scan_region_returns_only_contained_records() {
         let mut node = DataNode::new();
         node.append(recs(20), 20); // one block
-        let mut meter = CostMeter::new();
         let region = Rect::new(vec![5.0, 0.0], vec![7.0, 1e9]).unwrap();
-        let hits = node.scan_region(&region, &mut meter);
+        let (hits, stats) = node.scan(Some(&region), &mut CostMeter::new());
         let ids: Vec<u64> = hits.iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![5, 6, 7]);
+        assert_eq!(stats.records_returned, 3);
+        let (all, stats) = node.scan(None, &mut CostMeter::new());
+        assert_eq!(all, recs(20));
+        assert_eq!(stats.records_returned, 20);
     }
 
     #[test]

@@ -26,6 +26,53 @@ fn arb_partitioning() -> impl Strategy<Value = Partitioning> {
     ]
 }
 
+/// One table mutation after the initial load.
+#[derive(Debug, Clone)]
+enum Mutation {
+    Insert(Vec<(f64, f64)>),
+    /// Deletes the slab `[lo, lo + width]` of dimension 0.
+    Delete(f64, f64),
+}
+
+fn arb_mutations() -> impl Strategy<Value = Vec<Mutation>> {
+    // Signed zeros ride along: the fold must keep whichever zero the
+    // catalog order keeps.
+    let coord = || prop_oneof![-50.0f64..150.0, Just(0.0), Just(-0.0)];
+    prop::collection::vec(
+        prop_oneof![
+            prop::collection::vec((coord(), coord()), 0..40).prop_map(Mutation::Insert),
+            (-50.0f64..150.0, 0.0f64..120.0).prop_map(|(lo, w)| Mutation::Delete(lo, w)),
+        ],
+        0..8,
+    )
+}
+
+/// The table's bounding box as `TableSchema::infer` used to derive it:
+/// the fold of `block_catalog()`'s zone maps, as bit patterns.
+fn catalog_fold(c: &StorageCluster, dims: usize) -> Option<(Vec<u64>, Vec<u64>)> {
+    let catalog = c.block_catalog("t").unwrap();
+    if catalog.is_empty() {
+        return None;
+    }
+    let mut lo = vec![f64::INFINITY; dims];
+    let mut hi = vec![f64::NEG_INFINITY; dims];
+    for (_, _, bounds, _, _) in &catalog {
+        for d in 0..dims {
+            lo[d] = lo[d].min(bounds.lo()[d]);
+            hi[d] = hi[d].max(bounds.hi()[d]);
+        }
+    }
+    let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect();
+    Some((bits(lo), bits(hi)))
+}
+
+fn table_bounds_bits(c: &StorageCluster) -> Option<(Vec<u64>, Vec<u64>)> {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+    c.table_bounds("t")
+        .unwrap()
+        .map(|r| (bits(r.lo()), bits(r.hi())))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -120,6 +167,63 @@ proptest! {
             let mut m = CostMeter::new();
             let inside = c.scan_node_region("t", n, &region, &mut m).unwrap();
             prop_assert!(inside.is_empty());
+        }
+    }
+
+    #[test]
+    fn table_bounds_equal_the_block_catalog_fold(
+        records in arb_records(120),
+        mutations in arb_mutations(),
+        partitioning in arb_partitioning(),
+        block in 1usize..32,
+        replicated in 0usize..2,
+        // Every value of dimension 1 missing: its zone maps, and so the
+        // table's box, fall back to the ±1e300 sentinels.
+        all_nan in 0usize..2,
+    ) {
+        let y = |y: f64| if all_nan == 1 { f64::NAN } else { y };
+        let mut c = if replicated == 1 {
+            StorageCluster::with_replication(3, block)
+        } else {
+            StorageCluster::new(3, block)
+        };
+        let loaded = records
+            .iter()
+            .map(|r| Record::new(r.id, vec![r.value(0), y(r.value(1))]))
+            .collect();
+        c.load_table("t", loaded, partitioning).unwrap();
+        prop_assert_eq!(table_bounds_bits(&c), catalog_fold(&c, 2));
+        if all_nan == 1 {
+            let b = c.table_bounds("t").unwrap().unwrap();
+            prop_assert_eq!((b.lo()[1], b.hi()[1]), (-1e300, 1e300));
+        }
+        let mut next_id = 10_000u64;
+        for m in mutations {
+            match m {
+                Mutation::Insert(points) => {
+                    let batch = points
+                        .into_iter()
+                        .map(|(x, v)| {
+                            next_id += 1;
+                            Record::new(next_id, vec![x, y(v)])
+                        })
+                        .collect();
+                    c.insert("t", batch).unwrap();
+                }
+                Mutation::Delete(lo, w) => {
+                    let slab = Rect::new(vec![lo, -1e300], vec![lo + w, 1e300]).unwrap();
+                    c.delete_region("t", &slab).unwrap();
+                }
+            }
+            prop_assert_eq!(table_bounds_bits(&c), catalog_fold(&c, 2));
+        }
+        // The empty table: no block left, no box. (A NaN never lies
+        // inside a region, so the all-NaN rows cannot be deleted.)
+        if all_nan == 0 {
+            let everything = Rect::new(vec![-1e300; 2], vec![1e300; 2]).unwrap();
+            c.delete_region("t", &everything).unwrap();
+            prop_assert!(c.block_catalog("t").unwrap().is_empty());
+            prop_assert_eq!(c.table_bounds("t").unwrap(), None);
         }
     }
 }

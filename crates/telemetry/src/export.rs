@@ -30,7 +30,7 @@ pub const SIM_PID: u64 = 2;
 
 /// Renders the snapshot's metrics registry (plus span/event-ring
 /// bookkeeping) in the Prometheus text exposition format, version
-/// 0.0.4. Metric names are passed through [`sanitize`] (so internal
+/// 0.0.4. Metric names are sanitized (so internal
 /// dotted names like `query.retries` surface as `query_retries`), and
 /// any label name would go through [`sanitize_label`].
 pub fn prometheus_text(snap: &TelemetrySnapshot) -> String {
@@ -216,7 +216,7 @@ fn meta_event(pid: u64, tid: u64, name: &str, value: &str) -> String {
 /// other character becomes `_`, a leading digit gets an `_` prefix, and
 /// an empty name falls back to a bare `_` rather than emitting a
 /// metric line no scraper would parse.
-pub fn sanitize(name: &str) -> String {
+fn sanitize(name: &str) -> String {
     let mut out: String = name
         .chars()
         .map(|c| {
@@ -233,7 +233,7 @@ pub fn sanitize(name: &str) -> String {
     out
 }
 
-/// [`sanitize`] for label names, which are stricter than metric names:
+/// The sanitizer for label names, which are stricter than metric names:
 /// `[a-zA-Z_][a-zA-Z0-9_]*` — no colon allowed — and names starting
 /// with `__` are reserved for Prometheus internals, so a sanitized
 /// label never grows a double-underscore prefix.

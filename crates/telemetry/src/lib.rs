@@ -290,15 +290,6 @@ impl TelemetrySnapshot {
             .find(|(n, _)| n == name)
             .map_or(0, |(_, c)| *c)
     }
-
-    /// Maximum nesting depth across recorded span trees (a lone root
-    /// has depth 1).
-    pub fn span_depth(&self) -> usize {
-        fn depth(n: &SpanNode) -> usize {
-            1 + n.children.iter().map(depth).max().unwrap_or(0)
-        }
-        self.spans.roots.iter().map(depth).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -330,11 +321,12 @@ mod tests {
             }
         }
         let snap = sink.snapshot().unwrap();
-        assert_eq!(snap.span_depth(), 3);
         let root = &snap.spans.roots[0];
         assert_eq!(root.name, "bench.query");
         assert_eq!(root.sim_us, 10.0);
-        assert_eq!(root.children[0].children[0].name, "storage.node.scan");
+        let leaf = &root.children[0].children[0];
+        assert_eq!(leaf.name, "storage.node.scan");
+        assert!(leaf.children.is_empty(), "three levels deep");
     }
 
     #[test]

@@ -63,7 +63,7 @@ impl SloPolicy {
     /// Is a request with this outcome good under the policy?
     /// `answered = false` (execution failure) is always bad; admission
     /// rejections are policy decisions and should not be fed in at all.
-    pub fn is_good(&self, answered: bool, wall_us: f64, answered_fraction: f64) -> bool {
+    fn is_good(&self, answered: bool, wall_us: f64, answered_fraction: f64) -> bool {
         answered
             && wall_us <= self.latency_objective_us
             && answered_fraction >= self.availability_objective

@@ -60,7 +60,7 @@ impl DriftingWorkload {
     }
 
     /// Hotspot centres effective at step `t`.
-    pub fn hotspots_at(&self, t: u64) -> Vec<Hotspot> {
+    fn hotspots_at(&self, t: u64) -> Vec<Hotspot> {
         self.base_hotspots
             .iter()
             .map(|h| {
