@@ -7,9 +7,11 @@
 # or list it in ci/orphan_allowlist.txt with the reason it stays.
 #
 # Grep-level on purpose (like ci/determinism_lint.sh): a name counts as
-# used when the identifier appears anywhere in another file, so a common
-# name (`new`, `len`) never trips it and a mention in a doc comment
-# elsewhere is enough to keep one. Run from the repo root:
+# used when the identifier appears in the code of another file, so a
+# common name (`new`, `len`) never trips it. Two mentions name a function
+# without calling it and are stripped before identifiers are collected:
+# `//` comments (doc comments included) and `pub use` re-exports. Run
+# from the repo root:
 #
 #   ci/orphan_lint.sh
 set -euo pipefail
@@ -23,10 +25,29 @@ entries() {
     grep -vE '^\s*(#|$)' "$ALLOWLIST" || true
 }
 
+# `<file>:<identifier>` for every identifier in a file's code: comments
+# are cut at `//`, a `pub use` statement is skipped up to its `;`.
+identifiers() {
+    find crates examples tests benchmark/src -name '*.rs' -not -path '*/target/*' -print0 |
+        xargs -0 awk '
+            FNR == 1 { in_use = 0 }
+            {
+                line = $0
+                sub(/\/\/.*/, "", line)
+                if (in_use || line ~ /^[[:space:]]*pub use /) {
+                    in_use = (line !~ /;/)
+                    next
+                }
+                while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
+                    print FILENAME ":" substr(line, RSTART, RLENGTH)
+                    line = substr(line, RSTART + RLENGTH)
+                }
+            }'
+}
+
 # Every `<defining file>:<name>` whose name appears in no other file.
 orphans() {
-    find crates examples tests benchmark/src -name '*.rs' -not -path '*/target/*' -print0 |
-        xargs -0 grep -oHE '[A-Za-z_][A-Za-z0-9_]*' |
+    identifiers |
         sort -u |
         awk -F: '
             { files[$2]++ }
@@ -35,6 +56,7 @@ orphans() {
                 for (f in src) {
                     while ((getline line < f) > 0) {
                         rest = line
+                        sub(/\/\/.*/, "", rest)
                         while (match(rest, /pub fn [A-Za-z_][A-Za-z0-9_]*/)) {
                             name = substr(rest, RSTART + 7, RLENGTH - 7)
                             if (files[name] == 1) print f ":" name

@@ -176,7 +176,7 @@ fn bench_optimizer(c: &mut Criterion) {
         .unwrap();
     let domain = Rect::new(vec![0.0, 0.0], vec![100.0, 400.0]).unwrap();
     let engines = ExecutionEngines::build(&cluster, "t", domain, 100).unwrap();
-    let model = CostModel::default();
+    let exec = Executor::new(&cluster);
     let mut opt = LearnedOptimizer::new(&cluster, "t", 32).unwrap();
     let probe = AnalyticalQuery::new(
         Region::Range(Rect::centered(&Point::new(vec![50.0, 200.0]), &[2.0, 10.0]).unwrap()),
@@ -188,7 +188,7 @@ fn bench_optimizer(c: &mut Criterion) {
             Region::Range(Rect::centered(&Point::new(vec![50.0, 200.0]), &[e, 5.0 * e]).unwrap()),
             AggregateKind::Count,
         );
-        opt.train(&engines, &q, &model).unwrap();
+        opt.train(&engines, &q, &exec).unwrap();
     }
     c.bench_function("e9_learned_choose", |b| {
         b.iter(|| black_box(opt.choose(&probe).unwrap()))
@@ -197,7 +197,7 @@ fn bench_optimizer(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 engines
-                    .execute(QueryStrategy::IndexFetch, &probe, &model)
+                    .execute(QueryStrategy::IndexFetch, &probe, &exec)
                     .unwrap(),
             )
         })
@@ -206,7 +206,7 @@ fn bench_optimizer(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 engines
-                    .execute(QueryStrategy::ScanAggregate, &probe, &model)
+                    .execute(QueryStrategy::ScanAggregate, &probe, &exec)
                     .unwrap(),
             )
         })

@@ -22,18 +22,14 @@ fn query(cx: f64, e: f64) -> AnalyticalQuery {
     )
 }
 
-/// Runs A1. Rows are (variant, tail relative error, exact fraction):
+/// Runs A1, feeding spans and per-variant counters into `sink`. Rows
+/// are (variant, tail relative error, exact fraction):
 ///
 /// * 0 — full agent (audits on, distance penalty on, forgetting on)
 /// * 1 — no audits (`refresh_every = 0`)
 /// * 2 — no distance penalty (`distance_penalty = 0`)
 /// * 3 — no forgetting (`forget = 1.0`) under a drifting answer function
 /// * 4 — coarse quantizer (one giant quantum)
-pub fn run_a1() -> Result<Report> {
-    run_a1_with(&TelemetrySink::noop())
-}
-
-/// Runs A1, feeding spans and per-variant counters into `sink`.
 pub fn run_a1_with(sink: &TelemetrySink) -> Result<Report> {
     let mut report = Report::new(
         "A1",
@@ -146,7 +142,7 @@ mod tests {
 
     #[test]
     fn every_mechanism_earns_its_keep() {
-        let r = run_a1().unwrap();
+        let r = run_a1_with(&TelemetrySink::noop()).unwrap();
         let full = r.value(0, "tail_rel_err").unwrap();
         assert!(full < 0.1, "full agent tracks the jump: {full}");
         // Removing audits must not *improve* the tail error.

@@ -13,11 +13,6 @@ use sea_telemetry::TelemetrySink;
 use crate::experiments::common::{count_workload, observe_query_us, query_span, uniform_cluster};
 use crate::Report;
 
-/// Runs E1 without telemetry.
-pub fn run_e1() -> Result<Report> {
-    run_e1_with(&TelemetrySink::noop())
-}
-
 /// Runs E1. Columns: dataset size, mean per-query simulated µs for the
 /// BDAS path, the direct path, and the trained agent (predictions only),
 /// plus the agent's mean relative error and nodes touched per query.
@@ -123,7 +118,7 @@ mod tests {
 
     #[test]
     fn agent_cost_is_flat_and_tiny_while_bdas_grows() {
-        let r = run_e1().unwrap();
+        let r = run_e1_with(&TelemetrySink::noop()).unwrap();
         let bdas = r.column("bdas_us");
         let agent = r.column("agent_us");
         assert!(bdas.last().unwrap() > &(bdas[0] * 2.0), "BDAS grows with n");

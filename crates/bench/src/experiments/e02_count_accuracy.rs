@@ -13,11 +13,6 @@ use crate::experiments::common::{
 };
 use crate::Report;
 
-/// Runs E2 without telemetry.
-pub fn run_e2() -> Result<Report> {
-    run_e2_with(&TelemetrySink::noop())
-}
-
 /// Runs E2. Columns: training queries, mean relative error over 60
 /// fresh probe queries, quanta formed, model memory bytes.
 pub fn run_e2_with(sink: &TelemetrySink) -> Result<Report> {
@@ -64,7 +59,7 @@ mod tests {
 
     #[test]
     fn error_decreases_with_training() {
-        let r = run_e2().unwrap();
+        let r = run_e2_with(&TelemetrySink::noop()).unwrap();
         let errs = r.column("rel_err");
         let early = errs[..2].iter().cloned().fold(f64::INFINITY, f64::min);
         let late = errs[errs.len() - 2..]

@@ -13,11 +13,6 @@ use crate::experiments::common::{
 };
 use crate::Report;
 
-/// Runs E3 without telemetry.
-pub fn run_e3() -> Result<Report> {
-    run_e3_with(&TelemetrySink::noop())
-}
-
 /// Runs E3. Columns: training size, AVG relative error, regression
 /// relative error (max of slope/intercept component errors).
 pub fn run_e3_with(sink: &TelemetrySink) -> Result<Report> {
@@ -104,7 +99,7 @@ mod tests {
 
     #[test]
     fn both_operators_reach_low_error() {
-        let r = run_e3().unwrap();
+        let r = run_e3_with(&TelemetrySink::noop()).unwrap();
         let avg = r.column("avg_rel_err");
         let reg = r.column("reg_rel_err");
         assert!(avg.last().unwrap() < &0.05, "avg errors {avg:?}");

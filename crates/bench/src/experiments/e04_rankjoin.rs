@@ -14,11 +14,6 @@ use sea_telemetry::TelemetrySink;
 use crate::experiments::common::{observe_query_us, query_span, rankjoin_cluster};
 use crate::Report;
 
-/// Runs E4 without telemetry.
-pub fn run_e4() -> Result<Report> {
-    run_e4_with(&TelemetrySink::noop())
-}
-
 /// Agent-assisted planning phase: before committing to a join strategy,
 /// the system answers COUNT cardinality probes over the left table with
 /// the learned agent (falling back to exact scans while untrained).
@@ -100,7 +95,7 @@ mod tests {
 
     #[test]
     fn factors_grow_with_data_size() {
-        let r = run_e4().unwrap();
+        let r = run_e4_with(&TelemetrySink::noop()).unwrap();
         let time = r.column("time_factor");
         let bytes = r.column("bytes_factor");
         assert!(

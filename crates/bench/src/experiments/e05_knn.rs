@@ -11,11 +11,6 @@ use sea_telemetry::TelemetrySink;
 use crate::experiments::common::{observe_query_us, query_span, uniform_cluster};
 use crate::Report;
 
-/// Runs E5 without telemetry.
-pub fn run_e5() -> Result<Report> {
-    run_e5_with(&TelemetrySink::noop())
-}
-
 /// Runs E5. Columns: records, k, time factor, disk-bytes factor.
 pub fn run_e5_with(sink: &TelemetrySink) -> Result<Report> {
     let mut report = Report::new(
@@ -57,7 +52,7 @@ mod tests {
 
     #[test]
     fn advantage_grows_with_n() {
-        let r = run_e5().unwrap();
+        let r = run_e5_with(&TelemetrySink::noop()).unwrap();
         // Compare k=10 rows across sizes.
         let rows: Vec<(f64, f64)> = r
             .rows

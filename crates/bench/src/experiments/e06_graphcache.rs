@@ -10,11 +10,6 @@ use sea_telemetry::TelemetrySink;
 
 use crate::Report;
 
-/// Runs E6 without telemetry.
-pub fn run_e6() -> Result<Report> {
-    run_e6_with(&TelemetrySink::noop())
-}
-
 /// Runs E6. Columns: distinct patterns in a 200-query workload,
 /// verifications without cache, with cache, and the speedup factor.
 /// `GraphDb` has no simulated cluster underneath, so telemetry here is
@@ -73,7 +68,7 @@ mod tests {
 
     #[test]
     fn high_overlap_gives_tens_of_x() {
-        let r = run_e6().unwrap();
+        let r = run_e6_with(&TelemetrySink::noop()).unwrap();
         let factors = r.column("factor");
         assert!(
             factors[0] > 20.0,

@@ -13,11 +13,6 @@ use sea_telemetry::TelemetrySink;
 use crate::experiments::common::{count_workload, observe_query_us, query_span, uniform_cluster};
 use crate::Report;
 
-/// Runs E7 without telemetry.
-pub fn run_e7() -> Result<Report> {
-    run_e7_with(&TelemetrySink::noop())
-}
-
 /// Runs E7. Columns: records, sustainable qps for BDAS-only, direct-only,
 /// and the trained agent pipeline. Per-query spans, latency histograms,
 /// and agent decision events flow into `sink`.
@@ -99,7 +94,7 @@ mod tests {
 
     #[test]
     fn agent_sustains_far_higher_rates() {
-        let r = run_e7().unwrap();
+        let r = run_e7_with(&TelemetrySink::noop()).unwrap();
         for row in &r.rows {
             let (bdas, agent) = (row[1], row[3]);
             assert!(agent > bdas * 5.0, "agent {agent} vs bdas {bdas}");

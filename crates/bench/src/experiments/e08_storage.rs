@@ -14,11 +14,6 @@ use sea_telemetry::TelemetrySink;
 use crate::experiments::common::{count_workload, observe_query_us, query_span, uniform_cluster};
 use crate::Report;
 
-/// Runs E8 without telemetry.
-pub fn run_e8() -> Result<Report> {
-    run_e8_with(&TelemetrySink::noop())
-}
-
 /// Runs E8. Columns: queries processed, then bytes held by the agent,
 /// the stratified sample, the canopy cache, and the DBL-style layer.
 pub fn run_e8_with(sink: &TelemetrySink) -> Result<Report> {
@@ -84,7 +79,7 @@ mod tests {
 
     #[test]
     fn agent_stays_smallest_and_bounded() {
-        let r = run_e8().unwrap();
+        let r = run_e8_with(&TelemetrySink::noop()).unwrap();
         let last = r.rows.last().unwrap();
         let (agent, sample, dbl) = (last[1], last[2], last[4]);
         assert!(agent < sample, "agent {agent} vs sample {sample}");

@@ -4,8 +4,9 @@
 //! wide ones, the crossover sits at a selectivity between them, and the
 //! trained selector's total cost is close to the per-query oracle.
 
-use sea_common::{AggregateKind, AnalyticalQuery, CostModel, Point, Record, Rect, Region, Result};
+use sea_common::{AggregateKind, AnalyticalQuery, Point, Record, Rect, Region, Result};
 use sea_optimizer::{ExecutionEngines, LearnedOptimizer, QueryStrategy};
+use sea_query::Executor;
 use sea_storage::{Partitioning, StorageCluster};
 use sea_telemetry::TelemetrySink;
 
@@ -38,11 +39,6 @@ fn query(e: f64) -> Result<AnalyticalQuery> {
     ))
 }
 
-/// Runs E9 without telemetry.
-pub fn run_e9() -> Result<Report> {
-    run_e9_with(&TelemetrySink::noop())
-}
-
 /// Runs E9. Columns: query extent, estimated selectivity, scan µs,
 /// index-fetch µs, oracle choice (0 = scan, 1 = index), learned choice.
 pub fn run_e9_with(sink: &TelemetrySink) -> Result<Report> {
@@ -62,21 +58,21 @@ pub fn run_e9_with(sink: &TelemetrySink) -> Result<Report> {
     c.set_telemetry(sink.clone());
     let domain = Rect::new(vec![0.0, 0.0], vec![100.0, 400.0])?;
     let engines = ExecutionEngines::build(&c, "t", domain, 100)?;
-    let model = CostModel::default();
+    let exec = Executor::new(&c);
 
     let train_span = sink.span("bench.e9.optimizer_train");
     let mut opt = LearnedOptimizer::new(&c, "t", 32)?;
     for i in 0..30 {
         let e = 0.3 + i as f64 * 1.6;
-        opt.train(&engines, &query(e)?, &model)?;
+        opt.train(&engines, &query(e)?, &exec)?;
     }
     drop(train_span);
 
     for (qid, &e) in [0.3, 1.0, 3.0, 8.0, 20.0, 45.0].iter().enumerate() {
         let q = query(e)?;
         let span = query_span(sink, qid as u64);
-        let scan = engines.execute(QueryStrategy::ScanAggregate, &q, &model)?;
-        let index = engines.execute(QueryStrategy::IndexFetch, &q, &model)?;
+        let scan = engines.execute(QueryStrategy::ScanAggregate, &q, &exec)?;
+        let index = engines.execute(QueryStrategy::IndexFetch, &q, &exec)?;
         let oracle = if scan.cost.wall_us <= index.cost.wall_us {
             0.0
         } else {
@@ -107,7 +103,7 @@ mod tests {
 
     #[test]
     fn crossover_and_agreement() {
-        let r = run_e9().unwrap();
+        let r = run_e9_with(&TelemetrySink::noop()).unwrap();
         let oracle = r.column("oracle");
         assert!(
             oracle.contains(&0.0) && oracle.contains(&1.0),

@@ -11,11 +11,6 @@ use sea_telemetry::TelemetrySink;
 use crate::experiments::common::{count_workload, uniform_cluster};
 use crate::Report;
 
-/// Runs E10 without telemetry.
-pub fn run_e10() -> Result<Report> {
-    run_e10_with(&TelemetrySink::noop())
-}
-
 /// Runs E10. Columns: error threshold (−1 marks the all-to-core
 /// baseline), fallback rate, WAN kilobytes, mean response ms. The geo
 /// system inherits `sink` through the cluster, so `geo.*` spans,
@@ -78,7 +73,7 @@ mod tests {
 
     #[test]
     fn edges_beat_baseline_and_threshold_trades_off() {
-        let r = run_e10().unwrap();
+        let r = run_e10_with(&TelemetrySink::noop()).unwrap();
         let baseline_wan = r.value(0, "wan_kb").unwrap();
         let lax_wan = r.value(4, "wan_kb").unwrap();
         assert!(lax_wan * 2.0 < baseline_wan, "{lax_wan} vs {baseline_wan}");

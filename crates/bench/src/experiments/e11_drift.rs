@@ -15,11 +15,6 @@ use sea_workload::{DriftKind, DriftingWorkload, QueryGenerator, QuerySpec};
 use crate::experiments::common::{observe_query_us, query_span, uniform_cluster};
 use crate::Report;
 
-/// Runs E11 without telemetry.
-pub fn run_e11() -> Result<Report> {
-    run_e11_with(&TelemetrySink::noop())
-}
-
 /// Runs E11. Columns: stream phase (0 = before jump, 1 = right after
 /// jump, 2 = recovered; 3 = after data update w/ invalidation, 4 = after
 /// data update w/o invalidation), mean relative error in that phase.
@@ -145,7 +140,7 @@ mod tests {
 
     #[test]
     fn drift_recovers_and_invalidation_beats_stale() {
-        let r = run_e11().unwrap();
+        let r = run_e11_with(&TelemetrySink::noop()).unwrap();
         let before = r.value(0, "rel_err").unwrap();
         let recovered = r.value(2, "rel_err").unwrap();
         assert!(

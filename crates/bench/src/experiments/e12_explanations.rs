@@ -13,11 +13,6 @@ use sea_telemetry::TelemetrySink;
 use crate::experiments::common::{observe_query_us, query_span, uniform_cluster};
 use crate::Report;
 
-/// Runs E12 without telemetry.
-pub fn run_e12() -> Result<Report> {
-    run_e12_with(&TelemetrySink::noop())
-}
-
 /// Runs E12. Columns: derived queries evaluated from the explanation,
 /// their mean relative error, and the simulated milliseconds saved by not
 /// issuing them.
@@ -76,7 +71,7 @@ mod tests {
 
     #[test]
     fn explanations_are_accurate_and_save_work() {
-        let r = run_e12().unwrap();
+        let r = run_e12_with(&TelemetrySink::noop()).unwrap();
         for row in &r.rows {
             assert!(row[1] < 0.15, "explanation rel err {row:?}");
             assert!(row[2] > 0.0, "saved time {row:?}");

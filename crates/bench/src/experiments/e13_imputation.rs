@@ -41,11 +41,6 @@ fn probes() -> Vec<Record> {
         .collect()
 }
 
-/// Runs E13 without telemetry.
-pub fn run_e13() -> Result<Report> {
-    run_e13_with(&TelemetrySink::noop())
-}
-
 /// Runs E13. Columns: table size, full-scan vs grid time factor,
 /// candidates factor, and each method's RMSE against ground truth.
 pub fn run_e13_with(sink: &TelemetrySink) -> Result<Report> {
@@ -99,7 +94,7 @@ mod tests {
 
     #[test]
     fn grid_is_faster_and_as_accurate() {
-        let r = run_e13().unwrap();
+        let r = run_e13_with(&TelemetrySink::noop()).unwrap();
         let time = r.column("time_factor");
         assert!(time.last().unwrap() > &time[0], "gap widens: {time:?}");
         assert!(time.last().unwrap() > &3.0, "{time:?}");

@@ -19,11 +19,6 @@ fn noise(i: usize) -> f64 {
     ((i.wrapping_mul(2654435761)) % 1000) as f64 / 1000.0 - 0.5
 }
 
-/// Runs E14 without telemetry.
-pub fn run_e14() -> Result<Report> {
-    run_e14_with(&TelemetrySink::noop())
-}
-
 /// Runs E14. Columns: subspace kind (0 = linear, 1 = step, 2 = smooth
 /// nonlinear), test MSE of the selected family, of always-linear, and the
 /// selected family id (0 linear / 1 knn / 2 boosted). Pure in-memory ML —
@@ -86,7 +81,7 @@ mod tests {
 
     #[test]
     fn selection_adapts_per_subspace() {
-        let r = run_e14().unwrap();
+        let r = run_e14_with(&TelemetrySink::noop()).unwrap();
         // Linear subspace picks linear.
         assert_eq!(r.value(0, "family"), Some(0.0));
         // Non-linear subspaces pick something else.

@@ -37,11 +37,6 @@ fn count_query(e: f64) -> Result<AnalyticalQuery> {
     ))
 }
 
-/// Runs E15 without telemetry.
-pub fn run_e15() -> Result<Report> {
-    run_e15_with(&TelemetrySink::noop())
-}
-
 /// Runs E15. Columns: strategy (0 = migrate data, 1 = exchange results,
 /// 2 = exchange model answers), inter-system kilobytes, total simulated
 /// ms, and the answer's relative error vs exact. All three constituent
@@ -105,7 +100,7 @@ mod tests {
 
     #[test]
     fn data_migration_is_the_worst_and_models_are_cheapest() {
-        let r = run_e15().unwrap();
+        let r = run_e15_with(&TelemetrySink::noop()).unwrap();
         let migrate_kb = r.value(0, "inter_system_kb").unwrap();
         let results_kb = r.value(1, "inter_system_kb").unwrap();
         assert!(

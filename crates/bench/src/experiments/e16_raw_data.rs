@@ -11,11 +11,6 @@ use sea_telemetry::TelemetrySink;
 
 use crate::Report;
 
-/// Runs E16 without telemetry.
-pub fn run_e16() -> Result<Report> {
-    run_e16_with(&TelemetrySink::noop())
-}
-
 /// Runs E16. Columns: query batch (of 10), mean elements touched per
 /// query by the cracker, by a full re-scan baseline, and cracks held.
 /// The cracker is a single in-memory column — no cluster — so telemetry
@@ -75,7 +70,7 @@ mod tests {
 
     #[test]
     fn cracking_amortizes_to_near_zero() {
-        let r = run_e16().unwrap();
+        let r = run_e16_with(&TelemetrySink::noop()).unwrap();
         let first = r.value(0, "cracker_touched").unwrap();
         let last = r.rows.last().unwrap()[1];
         assert!(

@@ -16,11 +16,6 @@ use sea_workload::{QueryGenerator, QuerySpec};
 use crate::experiments::common::{observe_query_us, query_span, uniform_cluster};
 use crate::Report;
 
-/// Runs E17 without telemetry.
-pub fn run_e17() -> Result<Report> {
-    run_e17_with(&TelemetrySink::noop())
-}
-
 /// Runs E17. Columns: bucket's upper estimated-error bound, predictions
 /// in the bucket, mean realized relative error.
 pub fn run_e17_with(sink: &TelemetrySink) -> Result<Report> {
@@ -88,7 +83,7 @@ mod tests {
 
     #[test]
     fn calibration_curve_is_informative() {
-        let r = run_e17().unwrap();
+        let r = run_e17_with(&TelemetrySink::noop()).unwrap();
         // Gather the non-empty buckets in order.
         let rows: Vec<(f64, f64, f64)> = r
             .rows

@@ -83,11 +83,6 @@ fn run_arm(
     Ok((err / n, answered / n, wall / n))
 }
 
-/// Runs E18 without telemetry.
-pub fn run_e18() -> Result<Report> {
-    run_e18_with(&TelemetrySink::noop())
-}
-
 /// Runs E18. One row per injected transient-fault rate (a node crash and
 /// a slow node are always in the plan); columns pair the replicated arm
 /// against the unreplicated partial-answer arm.
@@ -140,7 +135,7 @@ mod tests {
 
     #[test]
     fn replication_buys_exactness_and_faults_cost_time() {
-        let r = run_e18().unwrap();
+        let r = run_e18_with(&TelemetrySink::noop()).unwrap();
         for (i, row) in r.rows.iter().enumerate() {
             let (repl_err, repl_answered) = (row[1], row[2]);
             assert_eq!(repl_answered, 1.0, "row {i}: replication answers fully");

@@ -129,11 +129,6 @@ fn fresh_cache(sink: &TelemetrySink) -> SemanticCache {
     .with_telemetry(sink.clone())
 }
 
-/// Runs E19 without telemetry.
-pub fn run_e19() -> Result<Report> {
-    run_e19_with(&TelemetrySink::noop())
-}
-
 /// Runs E19. One row per workload-overlap level; a fresh cache per
 /// level so hit rates do not bleed across rows.
 pub fn run_e19_with(sink: &TelemetrySink) -> Result<Report> {
@@ -178,7 +173,7 @@ mod tests {
 
     #[test]
     fn hit_rate_climbs_and_cost_crosses_over() {
-        let r = run_e19().unwrap();
+        let r = run_e19_with(&TelemetrySink::noop()).unwrap();
         let rates = r.column("hit_rate");
         for w in rates.windows(2) {
             assert!(w[1] >= w[0], "hit rate grows with overlap: {rates:?}");

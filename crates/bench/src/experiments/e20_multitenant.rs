@@ -151,11 +151,6 @@ fn noisy_uncapped(sink: &TelemetrySink) -> Result<TenantRow> {
     run_solo(sink, "noisy", &stream("noisy")?)
 }
 
-/// Runs E20 without telemetry.
-pub fn run_e20() -> Result<Report> {
-    run_e20_with(&TelemetrySink::noop())
-}
-
 /// Runs E20. One row per tenant (0 = alpha, 1 = bravo, 2 = noisy).
 pub fn run_e20_with(sink: &TelemetrySink) -> Result<Report> {
     let mut report = Report::new(
@@ -217,7 +212,7 @@ mod tests {
 
     #[test]
     fn noisy_is_capped_and_well_behaved_tenants_are_unperturbed() {
-        let r = run_e20().unwrap();
+        let r = run_e20_with(&TelemetrySink::noop()).unwrap();
         // Well-behaved tenants: everything admitted, bill bit-identical
         // to the solo baseline.
         for i in [0, 1] {

@@ -301,11 +301,6 @@ pub fn e21_watch_with(sink: &TelemetrySink) -> Result<String> {
     e21_arms_with_pool(sink, None)?.to_json()
 }
 
-/// Runs E21 without telemetry.
-pub fn run_e21() -> Result<Report> {
-    run_e21_with(&TelemetrySink::noop())
-}
-
 /// Runs E21. One row per injected transient-fault rate.
 pub fn run_e21_with(sink: &TelemetrySink) -> Result<Report> {
     let mut report = Report::new(
@@ -357,7 +352,7 @@ mod tests {
 
     #[test]
     fn slow_node_is_detected_before_the_first_failover() {
-        let r = run_e21().unwrap();
+        let r = run_e21_with(&TelemetrySink::noop()).unwrap();
         assert_eq!(r.rows.len(), RATES.len());
         for (i, row) in r.rows.iter().enumerate() {
             let (detect, failover) = (row[1], row[2]);
@@ -374,7 +369,7 @@ mod tests {
 
     #[test]
     fn slo_burn_tracks_the_fault_rate() {
-        let r = run_e21().unwrap();
+        let r = run_e21_with(&TelemetrySink::noop()).unwrap();
         // Fault-free arm: the gold objective sits above every observed
         // latency, so nothing burns and nothing alerts.
         assert_eq!(r.value(0, "alerts"), Some(0.0));

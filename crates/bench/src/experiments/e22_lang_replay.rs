@@ -110,11 +110,6 @@ fn bits_eq(a: &AnswerValue, b: &AnswerValue) -> bool {
     }
 }
 
-/// Runs E22 without telemetry.
-pub fn run_e22() -> Result<Report> {
-    run_e22_with(&TelemetrySink::noop())
-}
-
 /// Runs E22 on the process-global pool.
 pub fn run_e22_with(sink: &TelemetrySink) -> Result<Report> {
     run_e22_with_pool(sink, None)
@@ -208,7 +203,7 @@ mod tests {
 
     #[test]
     fn every_statement_is_bit_identical() {
-        let r = run_e22().unwrap();
+        let r = run_e22_with(&TelemetrySink::noop()).unwrap();
         assert_eq!(r.rows.len(), e22_statements().len());
         for row in &r.rows {
             assert_eq!(row[4], 1.0, "statement {} diverged from hand-built", row[0]);

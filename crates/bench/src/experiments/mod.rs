@@ -25,31 +25,29 @@ mod e20_multitenant;
 mod e21_watch;
 mod e22_lang_replay;
 
-pub use a01_ablations::{run_a1, run_a1_with};
-pub use e01_dataless::{run_e1, run_e1_with};
-pub use e02_count_accuracy::{run_e2, run_e2_with};
-pub use e03_avg_regression::{run_e3, run_e3_with};
-pub use e04_rankjoin::{run_e4, run_e4_with};
-pub use e05_knn::{run_e5, run_e5_with};
-pub use e06_graphcache::{run_e6, run_e6_with};
-pub use e07_throughput::{run_e7, run_e7_with};
-pub use e08_storage::{run_e8, run_e8_with};
-pub use e09_optimizer::{run_e9, run_e9_with};
-pub use e10_geo::{run_e10, run_e10_with};
-pub use e11_drift::{run_e11, run_e11_with};
-pub use e12_explanations::{run_e12, run_e12_with};
-pub use e13_imputation::{run_e13, run_e13_with};
-pub use e14_model_selection::{run_e14, run_e14_with};
-pub use e15_polystore::{run_e15, run_e15_with};
-pub use e16_raw_data::{run_e16, run_e16_with};
-pub use e17_calibration::{run_e17, run_e17_with};
-pub use e18_faults::{run_e18, run_e18_with};
-pub use e19_semantic_cache::{run_e19, run_e19_with};
-pub use e20_multitenant::{e20_stats_with, run_e20, run_e20_with};
-pub use e21_watch::{
-    e21_arms_with_pool, e21_watch_with, run_e21, run_e21_with, WatchArm, WatchReport,
-};
-pub use e22_lang_replay::{e22_statements, run_e22, run_e22_with, run_e22_with_pool, E22_REPLAY};
+pub use a01_ablations::run_a1_with;
+pub use e01_dataless::run_e1_with;
+pub use e02_count_accuracy::run_e2_with;
+pub use e03_avg_regression::run_e3_with;
+pub use e04_rankjoin::run_e4_with;
+pub use e05_knn::run_e5_with;
+pub use e06_graphcache::run_e6_with;
+pub use e07_throughput::run_e7_with;
+pub use e08_storage::run_e8_with;
+pub use e09_optimizer::run_e9_with;
+pub use e10_geo::run_e10_with;
+pub use e11_drift::run_e11_with;
+pub use e12_explanations::run_e12_with;
+pub use e13_imputation::run_e13_with;
+pub use e14_model_selection::run_e14_with;
+pub use e15_polystore::run_e15_with;
+pub use e16_raw_data::run_e16_with;
+pub use e17_calibration::run_e17_with;
+pub use e18_faults::run_e18_with;
+pub use e19_semantic_cache::run_e19_with;
+pub use e20_multitenant::{e20_stats_with, run_e20_with};
+pub use e21_watch::{e21_arms_with_pool, e21_watch_with, run_e21_with, WatchArm, WatchReport};
+pub use e22_lang_replay::{e22_statements, run_e22_with, run_e22_with_pool, E22_REPLAY};
 
 use crate::Report;
 

@@ -198,7 +198,14 @@ impl AggregateKind {
     }
 }
 
-fn quantile_of(values: impl Iterator<Item = f64>, q: f64) -> Result<AnswerValue> {
+/// The `q`-quantile of `values` (any order), linearly interpolated
+/// between the two nearest ranks — the one quantile rule behind the
+/// in-memory oracle and the distributed executor's merge.
+///
+/// # Errors
+///
+/// [`SeaError::Empty`] when `values` is empty.
+pub fn quantile_of(values: impl Iterator<Item = f64>, q: f64) -> Result<AnswerValue> {
     let mut v: Vec<f64> = values.collect();
     if v.is_empty() {
         return Err(SeaError::Empty("quantile over empty subspace".into()));

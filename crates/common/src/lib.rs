@@ -25,7 +25,7 @@ pub mod query;
 pub mod record;
 pub mod region;
 
-pub use aggregate::{AggregateKind, AnswerValue, BivariateStats};
+pub use aggregate::{quantile_of, AggregateKind, AnswerValue, BivariateStats};
 pub use cost::{CostMeter, CostModel, CostReport};
 pub use error::SeaError;
 pub use kernels::SelectionMask;

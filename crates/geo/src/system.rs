@@ -3,9 +3,12 @@
 use sea_cache::{CacheConfig, SemanticCache};
 use sea_common::{AnalyticalQuery, AnswerValue, CostModel, Rect, Result, SeaError};
 use sea_core::agent::{AgentConfig, SeaAgent};
-use sea_query::{Executor, RetryPolicy};
+use sea_query::{Executor, QueryOutcome, RetryPolicy};
 use sea_storage::StorageCluster;
-use sea_telemetry::TelemetrySink;
+use sea_telemetry::{SpanGuard, TelemetrySink, TraceContext};
+
+/// A model prediction costs ~0.1 ms of edge compute.
+const EDGE_PREDICT_US: f64 = 100.0;
 
 /// Configuration of the geo-distributed deployment.
 #[derive(Debug, Clone)]
@@ -97,6 +100,16 @@ impl GeoStats {
             self.total_response_us / self.queries as f64
         }
     }
+}
+
+/// The core's outcome for one escalated query and what reaching it
+/// cost on the WAN, retries included.
+struct CoreTrip {
+    core: QueryOutcome,
+    retries: u32,
+    wan_bytes: u64,
+    wan_msgs: u64,
+    wan_us: f64,
 }
 
 struct EdgeNode {
@@ -281,6 +294,102 @@ impl<'a> GeoSystem<'a> {
         })
     }
 
+    /// The local attempt: serves `query` from edge `edge`'s model when
+    /// its estimated error is within the threshold, and does all the
+    /// bookkeeping; `span` is the submission's span.
+    fn serve_from_edge_model(
+        &mut self,
+        edge: usize,
+        query: &AnalyticalQuery,
+        span: &SpanGuard,
+    ) -> Option<GeoOutcome> {
+        let pred = self.edges.get(edge)?.agent.predict(query).ok()?;
+        if pred.estimated_error <= self.config.error_threshold {
+            self.stats.queries += 1;
+            self.stats.edge_answered += 1;
+            self.stats.total_response_us += EDGE_PREDICT_US;
+            span.record_sim_us(EDGE_PREDICT_US);
+            if self.telemetry.is_enabled() {
+                span.tag("source", "edge_model");
+                self.telemetry.incr("geo.edge_answered", 1);
+                self.telemetry.event(
+                    "geo.edge_answered",
+                    &[
+                        ("edge", edge.into()),
+                        ("est_error", pred.estimated_error.into()),
+                    ],
+                );
+            }
+            Some(GeoOutcome {
+                answer: pred.answer,
+                response_us: EDGE_PREDICT_US,
+                wan_bytes: 0,
+                source: GeoSource::EdgeModel,
+            })
+        } else {
+            None
+        }
+    }
+
+    /// The one edge→core escalation: a WAN round trip (request +
+    /// response) plus core execution, whose span tree hangs under
+    /// `parent`. A transient core failure is resubmitted under the WAN
+    /// retry policy — the failed attempt still crossed the WAN both
+    /// ways, then the edge backs off. `edge` is the escalating edge, if
+    /// the query came through one.
+    fn escalate_to_core(
+        &self,
+        query: &AnalyticalQuery,
+        parent: &TraceContext,
+        edge: Option<usize>,
+    ) -> Result<CoreTrip> {
+        let query_bytes = 16 * query.region.dims() as u64 + 32;
+        let answer_bytes = 24u64;
+        let round_trip_bytes = query_bytes + answer_bytes;
+        let round_trip_us = 2.0 * self.cost_model.wan_msg_us
+            + round_trip_bytes as f64 * self.cost_model.wan_byte_us;
+        let mut retries = 0u32;
+        let mut retry_us = 0.0;
+        let core = loop {
+            match self
+                .executor
+                .execute_direct_traced(&self.table, query, parent)
+            {
+                Ok(out) => break out,
+                Err(ref e) if e.is_transient() && retries < self.wan_retry.max_retries => {
+                    retry_us += round_trip_us + self.wan_retry.backoff_us(retries) as f64;
+                    retries += 1;
+                    self.telemetry.incr("query.retries", 1);
+                    let mut fields = Vec::with_capacity(2);
+                    fields.extend(edge.map(|e| ("edge", e.into())));
+                    fields.push(("retry", retries.into()));
+                    self.telemetry.event("geo.core_retried", &fields);
+                }
+                Err(e) => return Err(e),
+            }
+        };
+        let wan_trips = 1 + u64::from(retries);
+        Ok(CoreTrip {
+            core,
+            retries,
+            wan_bytes: round_trip_bytes * wan_trips,
+            wan_msgs: 2 * wan_trips,
+            wan_us: round_trip_us + retry_us,
+        })
+    }
+
+    /// Books one core-answered query that took `response_us` end to end.
+    fn record_core_answer(&mut self, trip: &CoreTrip, response_us: f64) {
+        self.stats.queries += 1;
+        self.stats.core_answered += 1;
+        self.stats.wan_bytes += trip.wan_bytes;
+        self.stats.wan_msgs += trip.wan_msgs;
+        self.stats.total_response_us += response_us;
+        self.telemetry.incr("geo.core_answered", 1);
+        self.telemetry.incr("geo.wan_bytes", trip.wan_bytes);
+        self.telemetry.incr("geo.wan_msgs", trip.wan_msgs);
+    }
+
     fn submit_inner(
         &mut self,
         edge: usize,
@@ -301,88 +410,25 @@ impl<'a> GeoSystem<'a> {
                 return Ok(out);
             }
         }
-        let threshold = self.config.error_threshold;
-        let edge_node = self
-            .edges
-            .get_mut(edge)
-            .ok_or_else(|| SeaError::NotFound(format!("edge {edge}")))?;
-
-        // Local attempt: a model prediction costs ~0.1 ms of edge compute.
-        const EDGE_PREDICT_US: f64 = 100.0;
-        if let Ok(pred) = edge_node.agent.predict(query) {
-            if pred.estimated_error <= threshold {
-                self.stats.queries += 1;
-                self.stats.edge_answered += 1;
-                self.stats.total_response_us += EDGE_PREDICT_US;
-                span.record_sim_us(EDGE_PREDICT_US);
-                if self.telemetry.is_enabled() {
-                    span.tag("source", "edge_model");
-                    self.telemetry.incr("geo.edge_answered", 1);
-                    self.telemetry.event(
-                        "geo.edge_answered",
-                        &[
-                            ("edge", edge.into()),
-                            ("est_error", pred.estimated_error.into()),
-                        ],
-                    );
-                }
-                return Ok(GeoOutcome {
-                    answer: pred.answer,
-                    response_us: EDGE_PREDICT_US,
-                    wan_bytes: 0,
-                    source: GeoSource::EdgeModel,
-                });
-            }
+        if let Some(out) = self.serve_from_edge_model(edge, query, &span) {
+            return Ok(out);
         }
 
-        // Escalate: WAN round trip (request + response) plus core execution.
-        // The core executor's span tree hangs under this escalation span,
-        // so the edge → core hop stays one coherent trace.
-        let query_bytes = 16 * query.region.dims() as u64 + 32;
-        let answer_bytes = 24u64;
+        // Escalate. The core executor's span tree hangs under this
+        // escalation span, so the edge → core hop stays one coherent trace.
         let escalate = self
             .telemetry
             .span_child_of(&span.ctx(), "geo.core.escalate");
-        let round_trip_bytes = query_bytes + answer_bytes;
-        let round_trip_us = 2.0 * self.cost_model.wan_msg_us
-            + round_trip_bytes as f64 * self.cost_model.wan_byte_us;
-        let mut retries = 0u32;
-        let mut retry_us = 0.0;
-        let core = loop {
-            match self
-                .executor
-                .execute_direct_traced(&self.table, query, &escalate.ctx())
-            {
-                Ok(out) => break out,
-                Err(ref e) if e.is_transient() && retries < self.wan_retry.max_retries => {
-                    // The failed attempt still crossed the WAN both ways;
-                    // the edge backs off and resubmits.
-                    retry_us += round_trip_us + self.wan_retry.backoff_us(retries) as f64;
-                    retries += 1;
-                    self.telemetry.incr("query.retries", 1);
-                    self.telemetry.event(
-                        "geo.core_retried",
-                        &[("edge", edge.into()), ("retry", retries.into())],
-                    );
-                }
-                Err(e) => return Err(e),
-            }
-        };
-        let wan_trips = 1 + u64::from(retries);
-        let wan_bytes = round_trip_bytes * wan_trips;
-        let wan_us = round_trip_us + retry_us;
-        let response_us = EDGE_PREDICT_US + wan_us + core.cost.wall_us;
-        escalate.record_sim_us(wan_us + core.cost.wall_us);
+        let trip = self.escalate_to_core(query, &escalate.ctx(), Some(edge))?;
+        let core_us = trip.wan_us + trip.core.cost.wall_us;
+        escalate.record_sim_us(core_us);
         if self.telemetry.is_enabled() {
-            escalate.tag("wan_bytes", wan_bytes);
-            escalate.tag("retries", retries);
+            escalate.tag("wan_bytes", trip.wan_bytes);
+            escalate.tag("retries", trip.retries);
             span.tag("source", "core_exact");
-            self.telemetry.incr("geo.core_answered", 1);
-            self.telemetry.incr("geo.wan_bytes", wan_bytes);
-            self.telemetry.incr("geo.wan_msgs", 2 * wan_trips);
             self.telemetry.event(
                 "geo.core_escalated",
-                &[("edge", edge.into()), ("wan_bytes", wan_bytes.into())],
+                &[("edge", edge.into()), ("wan_bytes", trip.wan_bytes.into())],
             );
         }
         drop(escalate);
@@ -392,7 +438,7 @@ impl<'a> GeoSystem<'a> {
             .edges
             .get_mut(edge)
             .ok_or_else(|| SeaError::NotFound(format!("edge {edge}")))?;
-        edge_node.agent.train(query, &core.answer)?;
+        edge_node.agent.train(query, &trip.core.answer)?;
         // Offer the escalated answer to the edge's cache (answer-only —
         // no fragments crossed the WAN). The recompute cost is what a
         // repeat would pay: the WAN round trip plus core execution.
@@ -400,25 +446,22 @@ impl<'a> GeoSystem<'a> {
             cache.admit(
                 &query.aggregate,
                 &query.region,
-                &core.answer,
+                &trip.core.answer,
                 None,
-                wan_us + core.cost.wall_us,
+                core_us,
             );
         }
-        self.master.train(query, &core.answer)?;
+        self.master.train(query, &trip.core.answer)?;
 
-        self.stats.queries += 1;
-        self.stats.core_answered += 1;
-        self.stats.wan_bytes += wan_bytes;
-        self.stats.wan_msgs += 2 * wan_trips;
-        self.stats.total_response_us += response_us;
+        let response_us = EDGE_PREDICT_US + core_us;
+        self.record_core_answer(&trip, response_us);
         // The escalation span carries the WAN + core cost; only the local
         // predict attempt is this span's own share.
         span.record_sim_us(EDGE_PREDICT_US);
         Ok(GeoOutcome {
-            answer: core.answer,
+            answer: trip.core.answer,
             response_us,
-            wan_bytes,
+            wan_bytes: trip.wan_bytes,
             source: GeoSource::CoreExact,
         })
     }
@@ -448,25 +491,9 @@ impl<'a> GeoSystem<'a> {
             }
             return Ok(out);
         }
-        const EDGE_PREDICT_US: f64 = 100.0;
         // 1. Local model.
-        if let Ok(pred) = self.edges[edge].agent.predict(query) {
-            if pred.estimated_error <= threshold {
-                self.stats.queries += 1;
-                self.stats.edge_answered += 1;
-                self.stats.total_response_us += EDGE_PREDICT_US;
-                span.record_sim_us(EDGE_PREDICT_US);
-                if self.telemetry.is_enabled() {
-                    span.tag("source", "edge_model");
-                    self.telemetry.incr("geo.edge_answered", 1);
-                }
-                return Ok(GeoOutcome {
-                    answer: pred.answer,
-                    response_us: EDGE_PREDICT_US,
-                    wan_bytes: 0,
-                    source: GeoSource::EdgeModel,
-                });
-            }
+        if let Some(out) = self.serve_from_edge_model(edge, query, &span) {
+            return Ok(out);
         }
         // 2. Sibling edges, nearest-neighbour style: one query+answer hop
         // per polled sibling; stop at the first confident one.
@@ -541,50 +568,16 @@ impl<'a> GeoSystem<'a> {
     /// Exact-execution errors.
     pub fn submit_all_to_core(&mut self, query: &AnalyticalQuery) -> Result<GeoOutcome> {
         let span = self.telemetry.span("geo.core.submit");
-        let query_bytes = 16 * query.region.dims() as u64 + 32;
-        let answer_bytes = 24u64;
-        let round_trip_bytes = query_bytes + answer_bytes;
-        let round_trip_us = 2.0 * self.cost_model.wan_msg_us
-            + round_trip_bytes as f64 * self.cost_model.wan_byte_us;
-        let mut retries = 0u32;
-        let mut retry_us = 0.0;
-        let core = loop {
-            match self
-                .executor
-                .execute_direct_traced(&self.table, query, &span.ctx())
-            {
-                Ok(out) => break out,
-                Err(ref e) if e.is_transient() && retries < self.wan_retry.max_retries => {
-                    retry_us += round_trip_us + self.wan_retry.backoff_us(retries) as f64;
-                    retries += 1;
-                    self.telemetry.incr("query.retries", 1);
-                    self.telemetry
-                        .event("geo.core_retried", &[("retry", retries.into())]);
-                }
-                Err(e) => return Err(e),
-            }
-        };
-        let wan_trips = 1 + u64::from(retries);
-        let wan_bytes = round_trip_bytes * wan_trips;
-        let wan_us = round_trip_us + retry_us;
-        let response_us = wan_us + core.cost.wall_us;
-        self.stats.queries += 1;
-        self.stats.core_answered += 1;
-        self.stats.wan_bytes += wan_bytes;
-        self.stats.wan_msgs += 2 * wan_trips;
-        self.stats.total_response_us += response_us;
+        let trip = self.escalate_to_core(query, &span.ctx(), None)?;
+        let response_us = trip.wan_us + trip.core.cost.wall_us;
+        self.record_core_answer(&trip, response_us);
         // The executor subtree carries the core cost; the WAN hop is
         // this span's own share.
-        span.record_sim_us(wan_us);
-        if self.telemetry.is_enabled() {
-            self.telemetry.incr("geo.core_answered", 1);
-            self.telemetry.incr("geo.wan_bytes", wan_bytes);
-            self.telemetry.incr("geo.wan_msgs", 2 * wan_trips);
-        }
+        span.record_sim_us(trip.wan_us);
         Ok(GeoOutcome {
-            answer: core.answer,
+            answer: trip.core.answer,
             response_us,
-            wan_bytes,
+            wan_bytes: trip.wan_bytes,
             source: GeoSource::CoreExact,
         })
     }

@@ -10,8 +10,6 @@
 //!   candidate pruning.
 //! * [`KdTree`] — bulk-built k-d tree with range and kNN search; the
 //!   per-node index behind the coordinator–cohort kNN operator (\[33\]).
-//! * [`RTree`] — STR bulk-loaded R-tree over rectangles; routes queries to
-//!   storage blocks/partitions.
 //! * [`EquiDepthHistogram`] — equi-depth 1-D histogram; selectivity
 //!   estimation for the optimizer (RT3).
 //! * [`sample`] — reservoir and stratified samplers; the substrate of the
@@ -27,12 +25,10 @@ pub mod crack;
 pub mod grid;
 pub mod histogram;
 pub mod kdtree;
-pub mod rtree;
 pub mod sample;
 
 pub use crack::CrackerIndex;
 pub use grid::GridIndex;
 pub use histogram::EquiDepthHistogram;
 pub use kdtree::KdTree;
-pub use rtree::RTree;
 pub use sample::{ReservoirSampler, StratifiedSample};

@@ -117,11 +117,6 @@ impl StratifiedSample {
         self.strata.values().map(|(s, _)| s.len()).sum()
     }
 
-    /// Total population represented.
-    pub fn population(&self) -> u64 {
-        self.strata.values().map(|(_, n)| *n).sum()
-    }
-
     /// Memory footprint in bytes (E8 storage metric).
     pub fn memory_bytes(&self) -> u64 {
         self.strata
@@ -234,7 +229,7 @@ mod tests {
             .map(|i| Record::new(i, vec![(i % 10) as f64, i as f64]))
             .collect();
         let s = StratifiedSample::build(&records, 100, 3, |r| r.value(0) as u64).unwrap();
-        assert_eq!(s.population(), 10_000);
+        assert_eq!(s.strata.values().map(|(_, n)| *n).sum::<u64>(), 10_000);
         let est = s.estimate_count(|r| r.value(0) < 3.0);
         assert!(
             (est - 3000.0).abs() < 1e-9,

@@ -9,143 +9,11 @@
 
 use std::fmt::Write as _;
 
-use sea_common::{AnalyticalQuery, Result};
 use sea_optimizer::QueryStrategy;
-use sea_telemetry::{FieldValue, SpanNode, TelemetrySink};
+use sea_telemetry::{FieldValue, SpanNode};
 
 use crate::ast::{LogicalPlan, ModeHint};
-use crate::planner::{AggregateResult, Frontend};
-
-impl Frontend<'_> {
-    /// Executes `queries` one at a time under a recording telemetry
-    /// sink and renders the EXPLAIN report. Single-query traced
-    /// execution keeps span replay bit-identical at any thread count
-    /// (batch telemetry is coherent but schedule-dependent, so EXPLAIN
-    /// never batches).
-    pub(crate) fn execute_explained(
-        &mut self,
-        plan: &LogicalPlan,
-        queries: &[AnalyticalQuery],
-    ) -> Result<(Vec<AggregateResult>, String)> {
-        let sink = TelemetrySink::recording();
-        let rec_exec = self.executor.clone().with_telemetry(sink.clone());
-        let mode = self.effective_mode(plan);
-        let mut results = Vec::with_capacity(queries.len());
-        let mut decisions = Vec::with_capacity(queries.len());
-        for (spec, q) in plan.aggregates.iter().zip(queries) {
-            let (result, decision) = match mode {
-                ModeHint::Exact => {
-                    if let Some(engines) = &self.engines {
-                        let (strategy, est_scan, est_index) = self.choose_strategy(engines, q)?;
-                        let out = match strategy {
-                            // The scan path runs through the recording
-                            // executor — same cluster, same cost model —
-                            // so the trace section shows the real span
-                            // tree for the chosen plan.
-                            QueryStrategy::ScanAggregate => {
-                                rec_exec.execute_direct(&self.table, q)?
-                            }
-                            QueryStrategy::IndexFetch => {
-                                let out =
-                                    engines.execute(strategy, q, self.executor.cost_model())?;
-                                let span = sink.span("lang.index_fetch");
-                                span.tag("candidates_node_parallel", true);
-                                span.record_sim_us(out.cost.wall_us);
-                                out
-                            }
-                        };
-                        (
-                            AggregateResult {
-                                spec: spec.clone(),
-                                answer: out.answer,
-                                cost: out.cost,
-                                source: "exact",
-                                strategy: Some(strategy),
-                            },
-                            Decision {
-                                estimate: Some(match strategy {
-                                    QueryStrategy::ScanAggregate => est_scan,
-                                    QueryStrategy::IndexFetch => est_index,
-                                }),
-                                est_scan: Some(est_scan),
-                                est_index: Some(est_index),
-                            },
-                        )
-                    } else {
-                        let out = rec_exec.execute_direct(&self.table, q)?;
-                        (
-                            AggregateResult {
-                                spec: spec.clone(),
-                                answer: out.answer,
-                                cost: out.cost,
-                                source: "exact",
-                                strategy: None,
-                            },
-                            Decision::none(),
-                        )
-                    }
-                }
-                ModeHint::Predict => {
-                    let r = self
-                        .execute_predict(plan, std::slice::from_ref(q))?
-                        .remove(0);
-                    let span = sink.span("lang.predict");
-                    span.record_sim_us(0.0);
-                    (
-                        AggregateResult {
-                            spec: spec.clone(),
-                            ..r
-                        },
-                        Decision::none(),
-                    )
-                }
-                ModeHint::Auto => {
-                    let pipeline = self.pipeline.as_mut().expect("effective_mode");
-                    let out = pipeline.process(&rec_exec, q)?;
-                    (
-                        AggregateResult {
-                            spec: spec.clone(),
-                            answer: out.answer,
-                            cost: out.cost,
-                            source: out.source.label(),
-                            strategy: None,
-                        },
-                        Decision::none(),
-                    )
-                }
-            };
-            results.push(result);
-            decisions.push(decision);
-        }
-        let snapshot = sink.snapshot().expect("recording sink has a snapshot");
-        let text = render(
-            plan,
-            mode,
-            &self.table,
-            &results,
-            &decisions,
-            &snapshot.spans.roots,
-        );
-        Ok((results, text))
-    }
-}
-
-/// Per-aggregate estimate bookkeeping for the report.
-struct Decision {
-    estimate: Option<f64>,
-    est_scan: Option<f64>,
-    est_index: Option<f64>,
-}
-
-impl Decision {
-    fn none() -> Self {
-        Decision {
-            estimate: None,
-            est_scan: None,
-            est_index: None,
-        }
-    }
-}
+use crate::planner::{AggregateResult, Estimates};
 
 fn strategy_name(s: Option<QueryStrategy>) -> &'static str {
     match s {
@@ -155,12 +23,14 @@ fn strategy_name(s: Option<QueryStrategy>) -> &'static str {
     }
 }
 
-fn render(
+/// Formats the report for a statement the planner's ladder has already
+/// run: `planned` is what it returned, `roots` the span tree recorded
+/// under it.
+pub(crate) fn render(
     plan: &LogicalPlan,
     mode: ModeHint,
     table: &str,
-    results: &[AggregateResult],
-    decisions: &[Decision],
+    planned: &[(AggregateResult, Option<Estimates>)],
     roots: &[SpanNode],
 ) -> String {
     let mut canonical = plan.clone();
@@ -176,22 +46,31 @@ fn render(
         plan.mode.keyword()
     );
     let _ = writeln!(out, "decision");
-    for (r, d) in results.iter().zip(decisions) {
+    for (r, est) in planned {
         let mut line = format!(
             "  {}: path={}({})",
             r.spec,
             r.source,
             strategy_name(r.strategy)
         );
-        if let (Some(s), Some(i)) = (d.est_scan, d.est_index) {
-            let _ = write!(line, " est_scan_us={s:.1} est_index_us={i:.1}");
+        if let Some(e) = est {
+            let _ = write!(
+                line,
+                " est_scan_us={:.1} est_index_us={:.1}",
+                e.scan_us, e.index_us
+            );
         }
         let _ = writeln!(out, "{line}");
     }
     let _ = writeln!(out, "cost");
-    for (r, d) in results.iter().zip(decisions) {
+    for (r, est) in planned {
         let mut line = format!("  {}:", r.spec);
-        if let Some(e) = d.estimate {
+        // The estimate of the path that ran.
+        let estimate = est.zip(r.strategy).map(|(e, s)| match s {
+            QueryStrategy::ScanAggregate => e.scan_us,
+            QueryStrategy::IndexFetch => e.index_us,
+        });
+        if let Some(e) = estimate {
             let _ = write!(line, " estimated_us={e:.1}");
         }
         let _ = write!(

@@ -25,8 +25,10 @@
 //!   [`sea_optimizer::ExecutionEngines`] (scan-vs-index chosen by
 //!   [`sea_optimizer::ExecutionEngines::estimate_cost`]) and an
 //!   [`sea_core::AgentPipeline`] (the predict-vs-exact-vs-cache
-//!   decision). `EXPLAIN` statements additionally render the chosen
-//!   path, estimated-vs-actual simulated cost, and the recorded
+//!   decision). Every statement takes one ladder, run under the front
+//!   end's executor; an `EXPLAIN` statement takes it under a recording
+//!   clone of that executor and additionally renders the chosen path,
+//!   estimated-vs-actual simulated cost, and the recorded
 //!   [`sea_telemetry::SpanNode`] tree.
 //! * [`submit_statement`] — tenant-scoped statements through the
 //!   [`sea_service::QueryService`] front door.

@@ -18,8 +18,10 @@ use sea_optimizer::{ExecutionEngines, QueryStrategy};
 use sea_query::Executor;
 use sea_service::{QueryService, SubmitOutcome};
 use sea_storage::StorageCluster;
+use sea_telemetry::TelemetrySink;
 
-use crate::ast::{LogicalPlan, ModeHint, Selection};
+use crate::ast::{AggSpec, LogicalPlan, ModeHint, Selection};
+use crate::explain::render;
 use crate::parse;
 
 /// What the planner needs to know about a table: its dimensionality and
@@ -133,7 +135,7 @@ impl LogicalPlan {
 #[derive(Debug, Clone, PartialEq)]
 pub struct AggregateResult {
     /// The aggregate as written (canonical form).
-    pub spec: crate::AggSpec,
+    pub spec: AggSpec,
     /// The answer.
     pub answer: AnswerValue,
     /// Simulated resource bill (zero for pure predictions).
@@ -166,17 +168,18 @@ pub struct StatementOutcome {
 ///   [`Executor::execute_batch`] call sharing a superset scan.
 /// * [`Frontend::with_engines`] — attaches
 ///   [`ExecutionEngines`]; exact statements then pick
-///   scan-vs-index per query by modelled cost estimates.
+///   scan-vs-index per query by modelled cost estimates (a chosen scan
+///   runs on this front end's executor).
 /// * [`Frontend::with_pipeline`] — attaches an [`AgentPipeline`];
 ///   `auto` statements route through its predict-vs-exact-vs-cache
 ///   decision, and `predict` statements serve the agent's answer.
 #[derive(Debug)]
 pub struct Frontend<'a> {
-    pub(crate) executor: Executor<'a>,
-    pub(crate) table: String,
-    pub(crate) schema: TableSchema,
-    pub(crate) engines: Option<ExecutionEngines<'a>>,
-    pub(crate) pipeline: Option<AgentPipeline>,
+    executor: Executor<'a>,
+    table: String,
+    schema: TableSchema,
+    engines: Option<ExecutionEngines<'a>>,
+    pipeline: Option<AgentPipeline>,
 }
 
 impl<'a> Frontend<'a> {
@@ -233,7 +236,9 @@ impl<'a> Frontend<'a> {
         self.pipeline.as_ref()
     }
 
-    /// Parses and executes one statement.
+    /// Parses and executes one statement. `EXPLAIN` runs the same
+    /// statement ladder as any other statement, under a recording clone
+    /// of the executor whose span tree the report renders.
     ///
     /// # Errors
     ///
@@ -242,145 +247,138 @@ impl<'a> Frontend<'a> {
     pub fn run(&mut self, statement: &str) -> Result<StatementOutcome> {
         let plan = parse(statement)?;
         let queries = plan.to_queries(&self.schema)?;
-        if plan.explain {
-            let (results, text) = self.execute_explained(&plan, &queries)?;
-            Ok(StatementOutcome {
-                plan,
-                results,
-                explain: Some(text),
-            })
-        } else {
-            let results = self.execute(&plan, &queries)?;
-            Ok(StatementOutcome {
-                plan,
-                results,
-                explain: None,
-            })
-        }
-    }
-
-    /// The mode a plan actually executes under: `auto` without a
-    /// pipeline degrades to exact.
-    pub(crate) fn effective_mode(&self, plan: &LogicalPlan) -> ModeHint {
-        match plan.mode {
+        // `auto` without a pipeline degrades to exact.
+        let mode = match plan.mode {
             ModeHint::Auto if self.pipeline.is_none() => ModeHint::Exact,
             m => m,
-        }
-    }
-
-    fn execute(
-        &mut self,
-        plan: &LogicalPlan,
-        queries: &[AnalyticalQuery],
-    ) -> Result<Vec<AggregateResult>> {
-        match self.effective_mode(plan) {
-            ModeHint::Exact => self.execute_exact(plan, queries),
-            ModeHint::Predict => self.execute_predict(plan, queries),
-            ModeHint::Auto => {
-                let pipeline = self.pipeline.as_mut().expect("checked by effective_mode");
-                let mut results = Vec::with_capacity(queries.len());
-                for (spec, q) in plan.aggregates.iter().zip(queries) {
-                    let out = pipeline.process(&self.executor, q)?;
-                    results.push(AggregateResult {
-                        spec: spec.clone(),
-                        answer: out.answer,
-                        cost: out.cost,
-                        source: out.source.label(),
-                        strategy: None,
-                    });
-                }
-                Ok(results)
-            }
-        }
-    }
-
-    pub(crate) fn execute_exact(
-        &self,
-        plan: &LogicalPlan,
-        queries: &[AnalyticalQuery],
-    ) -> Result<Vec<AggregateResult>> {
-        if let Some(engines) = &self.engines {
-            let mut results = Vec::with_capacity(queries.len());
-            for (spec, q) in plan.aggregates.iter().zip(queries) {
-                let (strategy, _, _) = self.choose_strategy(engines, q)?;
-                let out = engines.execute(strategy, q, self.executor.cost_model())?;
-                results.push(AggregateResult {
-                    spec: spec.clone(),
-                    answer: out.answer,
-                    cost: out.cost,
-                    source: "exact",
-                    strategy: Some(strategy),
-                });
-            }
-            return Ok(results);
-        }
-        let outcomes: Vec<_> = if queries.len() > 1 {
+        };
+        let recording = plan.explain.then(|| {
             self.executor
-                .execute_batch(&self.table, queries)
-                .into_iter()
-                .collect::<Result<_>>()?
-        } else {
-            queries
-                .iter()
-                .map(|q| self.executor.execute_direct(&self.table, q))
-                .collect::<Result<_>>()?
-        };
-        Ok(plan
-            .aggregates
-            .iter()
-            .zip(outcomes)
-            .map(|(spec, out)| AggregateResult {
-                spec: spec.clone(),
-                answer: out.answer,
-                cost: out.cost,
-                source: "exact",
-                strategy: None,
-            })
-            .collect())
+                .clone()
+                .with_telemetry(TelemetrySink::recording())
+        });
+        let planned = execute(
+            recording.as_ref().unwrap_or(&self.executor),
+            &self.table,
+            self.engines.as_ref(),
+            self.pipeline.as_mut(),
+            mode,
+            &plan,
+            &queries,
+        )?;
+        let explain = recording.map(|exec| {
+            let snapshot = exec
+                .telemetry()
+                .snapshot()
+                .expect("recording sink has a snapshot");
+            render(&plan, mode, &self.table, &planned, &snapshot.spans.roots)
+        });
+        Ok(StatementOutcome {
+            plan,
+            results: planned.into_iter().map(|(result, _)| result).collect(),
+            explain,
+        })
     }
+}
 
-    pub(crate) fn execute_predict(
-        &self,
-        plan: &LogicalPlan,
-        queries: &[AnalyticalQuery],
-    ) -> Result<Vec<AggregateResult>> {
-        let Some(pipeline) = &self.pipeline else {
-            return Err(SeaError::invalid(
-                "WITH MODE predict requires an agent pipeline (Frontend::with_pipeline)",
-            ));
-        };
-        plan.aggregates
-            .iter()
-            .zip(queries)
+/// The planner's two access-path estimates (modelled µs) for one
+/// aggregate; present when engines are attached and the mode is exact.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Estimates {
+    pub(crate) scan_us: f64,
+    pub(crate) index_us: f64,
+}
+
+/// The statement ladder — the one place a lowered statement is routed
+/// by mode, access path and batching. Everything that executes runs
+/// under `exec`, so its telemetry sink sees every arm (`lang.*` spans
+/// cover the two arms the executor never enters). Returns each
+/// aggregate's result with the planner's estimates for it.
+///
+/// The only thing `EXPLAIN` changes here is batching: batch telemetry
+/// is coherent but schedule-dependent, so an explained statement runs
+/// its aggregates one at a time and its span tree stays identical at
+/// any thread count.
+fn execute(
+    exec: &Executor<'_>,
+    table: &str,
+    engines: Option<&ExecutionEngines<'_>>,
+    pipeline: Option<&mut AgentPipeline>,
+    mode: ModeHint,
+    plan: &LogicalPlan,
+    queries: &[AnalyticalQuery],
+) -> Result<Vec<(AggregateResult, Option<Estimates>)>> {
+    let result = |spec: &AggSpec, answer, cost, source, strategy| AggregateResult {
+        spec: spec.clone(),
+        answer,
+        cost,
+        source,
+        strategy,
+    };
+    let specs = plan.aggregates.iter().zip(queries);
+    match (mode, pipeline) {
+        (ModeHint::Predict, None) => Err(SeaError::invalid(
+            "WITH MODE predict requires an agent pipeline (Frontend::with_pipeline)",
+        )),
+        (ModeHint::Predict, Some(pipeline)) => specs
             .map(|(spec, q)| {
                 let p = pipeline.agent().predict(q)?;
-                Ok(AggregateResult {
-                    spec: spec.clone(),
-                    answer: p.answer,
-                    cost: CostReport::zero(),
-                    source: "predicted",
-                    strategy: None,
-                })
+                exec.telemetry().span("lang.predict").record_sim_us(0.0);
+                let cost = CostReport::zero();
+                Ok((result(spec, p.answer, cost, "predicted", None), None))
             })
-            .collect()
-    }
-
-    /// Chooses the cheaper access path by modelled estimates (ties go to
-    /// the scan: it is the conservative, bandwidth-bound default).
-    pub(crate) fn choose_strategy(
-        &self,
-        engines: &ExecutionEngines<'_>,
-        query: &AnalyticalQuery,
-    ) -> Result<(QueryStrategy, f64, f64)> {
-        let model = self.executor.cost_model();
-        let scan = engines.estimate_cost(QueryStrategy::ScanAggregate, query, model)?;
-        let index = engines.estimate_cost(QueryStrategy::IndexFetch, query, model)?;
-        let strategy = if index < scan {
-            QueryStrategy::IndexFetch
-        } else {
-            QueryStrategy::ScanAggregate
-        };
-        Ok((strategy, scan, index))
+            .collect(),
+        (ModeHint::Auto, Some(pipeline)) => specs
+            .map(|(spec, q)| {
+                let out = pipeline.process(exec, q)?;
+                let source = out.source.label();
+                Ok((result(spec, out.answer, out.cost, source, None), None))
+            })
+            .collect(),
+        // `run` has already turned a pipeline-less `auto` into exact.
+        (ModeHint::Exact, _) | (ModeHint::Auto, None) => match engines {
+            Some(engines) => specs
+                .map(|(spec, q)| {
+                    // Ties go to the scan: it is the conservative,
+                    // bandwidth-bound default.
+                    let model = exec.cost_model();
+                    let scan_us = engines.estimate_cost(QueryStrategy::ScanAggregate, q, model)?;
+                    let index_us = engines.estimate_cost(QueryStrategy::IndexFetch, q, model)?;
+                    let strategy = if index_us < scan_us {
+                        QueryStrategy::IndexFetch
+                    } else {
+                        QueryStrategy::ScanAggregate
+                    };
+                    let out = engines.execute(strategy, q, exec)?;
+                    if strategy == QueryStrategy::IndexFetch {
+                        let span = exec.telemetry().span("lang.index_fetch");
+                        span.tag("candidates_node_parallel", true);
+                        span.record_sim_us(out.cost.wall_us);
+                    }
+                    Ok((
+                        result(spec, out.answer, out.cost, "exact", Some(strategy)),
+                        Some(Estimates { scan_us, index_us }),
+                    ))
+                })
+                .collect(),
+            None => {
+                let outcomes = if queries.len() > 1 && !plan.explain {
+                    exec.execute_batch(table, queries)
+                } else {
+                    queries
+                        .iter()
+                        .map(|q| exec.execute_direct(table, q))
+                        .collect()
+                };
+                specs
+                    .zip(outcomes)
+                    .map(|((spec, _), out)| {
+                        let out = out?;
+                        Ok((result(spec, out.answer, out.cost, "exact", None), None))
+                    })
+                    .collect()
+            }
+        },
     }
 }
 

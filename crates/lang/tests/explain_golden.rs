@@ -10,7 +10,8 @@
 
 use std::path::PathBuf;
 
-use sea_common::Record;
+use sea_common::{AggregateKind, AnalyticalQuery, Record, Rect, Region};
+use sea_core::{AgentConfig, AgentPipeline, ExecMode};
 use sea_lang::Frontend;
 use sea_query::Executor;
 use sea_storage::{Partitioning, StorageCluster};
@@ -68,17 +69,50 @@ fn explain_with_engines_matches_golden_fixture() {
     check_against_fixture(out.explain.as_deref().unwrap(), "explain_engines.txt");
 }
 
+/// A pipeline whose agent has seen four exact answers, built the same
+/// way every time it is called.
+fn trained_pipeline(cluster: &StorageCluster) -> AgentPipeline {
+    let exec = Executor::new(cluster);
+    let mut pipe =
+        AgentPipeline::new(2, AgentConfig::default(), "t", 0.5, ExecMode::Direct).unwrap();
+    for lo in [10.0, 20.0, 30.0, 40.0] {
+        let q = AnalyticalQuery::new(
+            Region::Range(Rect::new(vec![lo, lo], vec![lo + 20.0, lo + 20.0]).unwrap()),
+            AggregateKind::Count,
+        );
+        let truth = exec.execute_direct("t", &q).unwrap();
+        pipe.agent_mut().train(&q, &truth.answer).unwrap();
+    }
+    pipe
+}
+
+/// `S` and `S EXPLAIN` must agree on everything but the report. Each
+/// runs on a front end of its own: an `auto` run trains the agent.
+fn assert_explain_is_a_view<'c>(build: impl Fn() -> Frontend<'c>, stmt: &str) {
+    let unexplained = build().run(stmt).unwrap();
+    let explained = build().run(&format!("{stmt} EXPLAIN")).unwrap();
+    assert!(unexplained.explain.is_none() && explained.explain.is_some());
+    assert_eq!(
+        unexplained.results, explained.results,
+        "EXPLAIN must not change answer, cost, source or strategy: {stmt}"
+    );
+}
+
 #[test]
 fn explain_answers_match_the_unexplained_statement() {
     let cluster = cluster();
-    let mut front = Frontend::new(Executor::new(&cluster), "t").unwrap();
-    let plain = front
-        .run("SELECT count(), mean(d0) WHERE d0 IN [20.0, 60.0]")
-        .unwrap();
-    let explained = front
-        .run("SELECT count(), mean(d0) WHERE d0 IN [20.0, 60.0] EXPLAIN")
-        .unwrap();
-    for (p, e) in plain.results.iter().zip(&explained.results) {
-        assert_eq!(p.answer, e.answer, "EXPLAIN must not change answers");
-    }
+    let plain = || Frontend::new(Executor::new(&cluster), "t").unwrap();
+    let engines = || plain().with_engines(10).unwrap();
+    let agent = || plain().with_pipeline(trained_pipeline(&cluster));
+    let boxed = "WHERE d0 IN [25.0, 45.0] AND d1 IN [25.0, 45.0]";
+
+    assert_explain_is_a_view(plain, "SELECT count(), mean(d0) WHERE d0 IN [20.0, 60.0]");
+    // Narrow box: the index wins. Whole table: the scan wins.
+    assert_explain_is_a_view(
+        engines,
+        "SELECT count() WHERE d0 IN [4.0, 6.0] AND d1 IN [4.0, 6.0]",
+    );
+    assert_explain_is_a_view(engines, "SELECT count(), sum(d1)");
+    assert_explain_is_a_view(agent, &format!("SELECT count() {boxed} WITH MODE predict"));
+    assert_explain_is_a_view(agent, &format!("SELECT count(), mean(d1) {boxed}"));
 }

@@ -9,6 +9,7 @@ use sea_lang::{parse, submit_statement, Frontend, ModeHint};
 use sea_query::Executor;
 use sea_service::{QueryService, TenantConfig};
 use sea_storage::{Partitioning, StorageCluster};
+use sea_telemetry::TelemetrySink;
 
 /// 2-D grid over [0, 100)²: d0 = i % 100, d1 = i / 100.
 fn cluster() -> StorageCluster {
@@ -123,6 +124,24 @@ fn engines_pick_a_path_and_preserve_answers() {
         wide.results[0].strategy,
         Some(sea_optimizer::QueryStrategy::ScanAggregate)
     );
+}
+
+#[test]
+fn engine_scans_run_on_the_front_ends_executor() {
+    // A scan-chosen statement must show up in the sink the front end's
+    // executor was given, not in a private executor's.
+    let cluster = cluster();
+    let sink = TelemetrySink::recording();
+    let exec = Executor::new(&cluster).with_telemetry(sink.clone());
+    let mut front = Frontend::new(exec, "t").unwrap().with_engines(10).unwrap();
+    let wide = front.run("SELECT count()").unwrap();
+    assert_eq!(
+        wide.results[0].strategy,
+        Some(sea_optimizer::QueryStrategy::ScanAggregate)
+    );
+    let roots = sink.snapshot().unwrap().spans.roots;
+    assert_eq!(roots.len(), 1);
+    assert_eq!(roots[0].name, "query.executor.direct");
 }
 
 #[test]

@@ -2,10 +2,11 @@
 //! past task executions and build optimising modules, which, on-the-fly,
 //! adopt the best execution method."
 
-use sea_common::{AnalyticalQuery, CostModel, Result, SeaError};
+use sea_common::{AnalyticalQuery, Result, SeaError};
 use sea_index::EquiDepthHistogram;
 use sea_ml::linreg::RecursiveLeastSquares;
 use sea_ml::Regressor;
+use sea_query::Executor;
 use sea_storage::StorageCluster;
 
 use crate::strategies::{ExecutionEngines, QueryStrategy};
@@ -95,11 +96,11 @@ impl LearnedOptimizer {
         &mut self,
         engines: &ExecutionEngines<'_>,
         query: &AnalyticalQuery,
-        cost_model: &CostModel,
+        executor: &Executor<'_>,
     ) -> Result<()> {
         let features = self.features(query);
         for (i, s) in QueryStrategy::ALL.iter().enumerate() {
-            let out = engines.execute(*s, query, cost_model)?;
+            let out = engines.execute(*s, query, executor)?;
             self.cost_models[i].update(&features, out.cost.wall_us.max(1.0).ln())?;
         }
         self.trained += 1;
@@ -145,10 +146,10 @@ impl LearnedOptimizer {
         &self,
         engines: &ExecutionEngines<'_>,
         query: &AnalyticalQuery,
-        cost_model: &CostModel,
+        executor: &Executor<'_>,
     ) -> Result<(sea_query::QueryOutcome, QueryStrategy)> {
         let s = self.choose(query)?;
-        Ok((engines.execute(s, query, cost_model)?, s))
+        Ok((engines.execute(s, query, executor)?, s))
     }
 }
 
@@ -213,18 +214,18 @@ mod tests {
     fn learned_choice_matches_oracle_after_training() {
         let c = cluster();
         let eng = engines(&c);
-        let model = CostModel::default();
+        let exec = Executor::new(&c);
         let mut opt = LearnedOptimizer::new(&c, "t", 32).unwrap();
         for i in 0..30 {
             let e = 0.5 + i as f64 * 1.7; // 0.5 .. 49.8
-            opt.train(&eng, &count_query(50.0, e), &model).unwrap();
+            opt.train(&eng, &count_query(50.0, e), &exec).unwrap();
         }
         let mut agree = 0;
         let mut total = 0;
         for e in [0.7, 1.5, 3.0, 6.0, 12.0, 25.0, 45.0] {
             let q = count_query(50.0, e);
             let choice = opt.choose(&q).unwrap();
-            let (oracle, _) = eng.oracle_choice(&q, &model).unwrap();
+            let (oracle, _) = eng.oracle_choice(&q, &exec).unwrap();
             total += 1;
             if choice == oracle {
                 agree += 1;
@@ -237,19 +238,19 @@ mod tests {
     fn learned_regret_is_small() {
         let c = cluster();
         let eng = engines(&c);
-        let model = CostModel::default();
+        let exec = Executor::new(&c);
         let mut opt = LearnedOptimizer::new(&c, "t", 32).unwrap();
         for i in 0..30 {
             let e = 0.5 + i as f64 * 1.7;
-            opt.train(&eng, &count_query(50.0, e), &model).unwrap();
+            opt.train(&eng, &count_query(50.0, e), &exec).unwrap();
         }
         let mut learned_cost = 0.0;
         let mut oracle_cost = 0.0;
         for e in [0.9, 2.5, 7.0, 15.0, 35.0] {
             let q = count_query(50.0, e);
-            let (out, _) = opt.execute(&eng, &q, &model).unwrap();
+            let (out, _) = opt.execute(&eng, &q, &exec).unwrap();
             learned_cost += out.cost.wall_us;
-            let (_, best) = eng.oracle_choice(&q, &model).unwrap();
+            let (_, best) = eng.oracle_choice(&q, &exec).unwrap();
             oracle_cost += best;
         }
         let regret = learned_cost / oracle_cost;
@@ -260,11 +261,11 @@ mod tests {
     fn execute_returns_answer_and_strategy() {
         let c = cluster();
         let eng = engines(&c);
-        let model = CostModel::default();
+        let exec = Executor::new(&c);
         let mut opt = LearnedOptimizer::new(&c, "t", 16).unwrap();
-        opt.train(&eng, &count_query(50.0, 5.0), &model).unwrap();
+        opt.train(&eng, &count_query(50.0, 5.0), &exec).unwrap();
         let q = count_query(50.0, 5.0);
-        let (out, s) = opt.execute(&eng, &q, &model).unwrap();
+        let (out, s) = opt.execute(&eng, &q, &exec).unwrap();
         assert!(QueryStrategy::ALL.contains(&s));
         assert!(out.answer.as_scalar().unwrap() > 0.0);
         assert_eq!(opt.trained(), 1);

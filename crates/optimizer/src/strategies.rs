@@ -16,7 +16,9 @@
 //! crossover moves with table size — exactly the structure a learned
 //! selector (RT3/G6) must capture.
 
-use sea_common::{AnalyticalQuery, CostMeter, CostModel, Record, RecordId, Rect, Result, SeaError};
+use sea_common::{
+    AnalyticalQuery, CostMeter, CostModel, CostReport, Record, RecordId, Rect, Result, SeaError,
+};
 use sea_index::GridIndex;
 use sea_query::{Executor, QueryOutcome};
 use sea_storage::{StorageCluster, DIRECT_LAYERS};
@@ -87,7 +89,10 @@ impl<'a> ExecutionEngines<'a> {
         &self.table
     }
 
-    /// Executes `query` with the chosen strategy.
+    /// Executes `query` with the chosen strategy. The scan runs on the
+    /// caller's `executor` (its telemetry sink, pool, retry policy and
+    /// cache); the index fetch is priced by the same executor's cost
+    /// model.
     ///
     /// # Errors
     ///
@@ -96,14 +101,11 @@ impl<'a> ExecutionEngines<'a> {
         &self,
         strategy: QueryStrategy,
         query: &AnalyticalQuery,
-        cost_model: &CostModel,
+        executor: &Executor<'_>,
     ) -> Result<QueryOutcome> {
         match strategy {
-            QueryStrategy::ScanAggregate => {
-                Executor::with_cost_model(self.cluster, cost_model.clone())
-                    .execute_direct(&self.table, query)
-            }
-            QueryStrategy::IndexFetch => self.index_fetch(query, cost_model),
+            QueryStrategy::ScanAggregate => executor.execute_direct(&self.table, query),
+            QueryStrategy::IndexFetch => self.index_fetch(query, executor.cost_model()),
         }
     }
 
@@ -112,17 +114,20 @@ impl<'a> ExecutionEngines<'a> {
     /// model behind `sea-lang`'s access-path choice and EXPLAIN's
     /// "estimated vs actual" comparison.
     ///
-    /// * [`QueryStrategy::ScanAggregate`] — priced from the block
-    ///   catalog: every block whose zone-map bounds overlap the query's
-    ///   bounding box is charged a sequential read plus per-record CPU,
-    ///   and each engaged node ships a constant-size partial. No
-    ///   per-record filtering happens, so the estimate differs from the
-    ///   measured cost exactly where zone maps are imprecise.
+    /// * [`QueryStrategy::ScanAggregate`] — priced by the executor's own
+    ///   scan-cost rule: every partition's serving copy is asked
+    ///   [`DataNode::charge_scan`](sea_storage::DataNode::charge_scan)
+    ///   for the query's bounding box, and each partition that admits a
+    ///   block ships a constant-size partial. Partitions that admit no
+    ///   block or have no live copy are skipped. The estimate equals the
+    ///   measured cost of a healthy scan whose partials are that size
+    ///   (`count()`); it is off only by a larger partial's wire bytes
+    ///   and by partitions the executor engages that admit nothing.
     /// * [`QueryStrategy::IndexFetch`] — priced from the grid index:
     ///   candidate ids from overlapping cells, one point read each,
-    ///   spread across the cluster — the same arithmetic as the real
-    ///   fetch, which reads records only to aggregate them, so estimate
-    ///   and actual coincide.
+    ///   spread across the cluster — the charges the real fetch makes,
+    ///   which reads records only to aggregate them, so estimate and
+    ///   actual coincide.
     ///
     /// Deterministic: same engines, same query, same number.
     ///
@@ -136,53 +141,60 @@ impl<'a> ExecutionEngines<'a> {
         cost_model: &CostModel,
     ) -> Result<f64> {
         let bbox = query.region.bounding_rect();
-        let mut coord = CostMeter::new();
-        let mut node_meters: Vec<CostMeter> = Vec::new();
         match strategy {
             QueryStrategy::ScanAggregate => {
-                // node -> (blocks overlapping bbox, records in them).
-                let mut per_node: std::collections::BTreeMap<usize, (u64, u64)> =
-                    std::collections::BTreeMap::new();
-                for (node, _, bounds, bytes, len) in self.cluster.block_catalog(&self.table)? {
-                    if bounds.intersects(&bbox) {
-                        let e = per_node.entry(node).or_insert((0, 0));
-                        e.0 += bytes;
-                        e.1 += len as u64;
-                    }
-                }
-                for (bytes, records) in per_node.values() {
-                    coord.charge_lan(64); // request fan-out
+                let mut coord = CostMeter::new();
+                let mut node_meters = Vec::new();
+                for node in 0..self.cluster.num_nodes() {
+                    let serving = match self.cluster.serving_node(&self.table, node) {
+                        Ok((serving, _)) => serving,
+                        Err(SeaError::Storage(_)) => continue,
+                        Err(e) => return Err(e),
+                    };
                     let mut m = CostMeter::new();
+                    if serving.charge_scan(Some(&bbox), &mut m).0.is_empty() {
+                        continue;
+                    }
+                    coord.charge_lan(64); // request fan-out
                     m.touch_node(DIRECT_LAYERS);
-                    m.charge_disk_read(*bytes);
-                    m.charge_cpu(*records);
                     m.charge_lan(24); // constant-size partial
                     node_meters.push(m);
                 }
-                coord.charge_cpu(per_node.len() as u64);
+                coord.charge_cpu(node_meters.len() as u64);
+                Ok(coord
+                    .report_parallel(node_meters.iter(), cost_model)
+                    .wall_us)
             }
             QueryStrategy::IndexFetch => {
                 let candidates = self.grid.candidates(&bbox)?.len();
-                let nodes = self.cluster.num_nodes().max(1);
-                let per_node = candidates.div_ceil(nodes).max(1);
-                let mut remaining = candidates;
-                while remaining > 0 {
-                    let chunk = remaining.min(per_node);
-                    let mut m = CostMeter::new();
-                    m.touch_node(DIRECT_LAYERS);
-                    for _ in 0..chunk {
-                        m.charge_point_read(self.record_bytes);
-                    }
-                    m.charge_lan(chunk as u64 * self.record_bytes);
-                    node_meters.push(m);
-                    remaining -= chunk;
-                }
-                coord.charge_cpu(candidates as u64);
+                Ok(self.point_read_cost(candidates, cost_model).wall_us)
             }
         }
-        Ok(coord
-            .report_parallel(node_meters.iter(), cost_model)
-            .wall_us)
+    }
+
+    /// The bill for fetching `candidates` records through the index: one
+    /// point read each on the data nodes — modelled as spread evenly and
+    /// running in parallel across the cluster — each shipped to the
+    /// coordinator, which pays CPU per candidate.
+    fn point_read_cost(&self, candidates: usize, cost_model: &CostModel) -> CostReport {
+        let nodes = self.cluster.num_nodes().max(1);
+        let per_node = candidates.div_ceil(nodes).max(1);
+        let mut node_meters = Vec::new();
+        let mut remaining = candidates;
+        while remaining > 0 {
+            let chunk = remaining.min(per_node);
+            let mut m = CostMeter::new();
+            m.touch_node(DIRECT_LAYERS);
+            for _ in 0..chunk {
+                m.charge_point_read(self.record_bytes);
+            }
+            m.charge_lan(chunk as u64 * self.record_bytes);
+            node_meters.push(m);
+            remaining -= chunk;
+        }
+        let mut coord = CostMeter::new();
+        coord.charge_cpu(candidates as u64);
+        coord.report_parallel(node_meters.iter(), cost_model)
     }
 
     /// Index-driven execution: candidate ids from overlapping grid cells,
@@ -191,24 +203,6 @@ impl<'a> ExecutionEngines<'a> {
         query.aggregate.validate(self.grid.dims())?;
         let bbox = query.region.bounding_rect();
         let candidates = self.grid.candidates(&bbox)?;
-
-        // All point reads happen on the data nodes; model them as spread
-        // evenly and running in parallel across the cluster.
-        let nodes = self.cluster.num_nodes().max(1);
-        let per_node = candidates.len().div_ceil(nodes);
-        let mut node_meters = Vec::new();
-        for chunk in candidates.chunks(per_node.max(1)) {
-            let mut m = CostMeter::new();
-            m.touch_node(DIRECT_LAYERS);
-            for _ in chunk {
-                m.charge_point_read(self.record_bytes);
-            }
-            m.charge_lan(chunk.len() as u64 * self.record_bytes);
-            node_meters.push(m);
-        }
-
-        let mut coord = CostMeter::new();
-        coord.charge_cpu(candidates.len() as u64);
         let matched: Vec<&Record> = candidates
             .iter()
             .filter_map(|id| self.by_id.get(id))
@@ -217,7 +211,7 @@ impl<'a> ExecutionEngines<'a> {
         let answer = query.aggregate.compute(matched)?;
         Ok(QueryOutcome {
             answer,
-            cost: coord.report_parallel(node_meters.iter(), cost_model),
+            cost: self.point_read_cost(candidates.len(), cost_model),
         })
     }
 
@@ -229,44 +223,17 @@ impl<'a> ExecutionEngines<'a> {
     pub fn oracle_choice(
         &self,
         query: &AnalyticalQuery,
-        cost_model: &CostModel,
+        executor: &Executor<'_>,
     ) -> Result<(QueryStrategy, f64)> {
         let mut best: Option<(QueryStrategy, f64)> = None;
         for s in QueryStrategy::ALL {
-            let out = self.execute(s, query, cost_model)?;
+            let out = self.execute(s, query, executor)?;
             if best.is_none_or(|(_, c)| out.cost.wall_us < c) {
                 best = Some((s, out.cost.wall_us));
             }
         }
         best.ok_or_else(|| SeaError::Empty("no strategies".into()))
     }
-}
-
-/// Convenience free function mirroring [`ExecutionEngines::execute`].
-///
-/// # Errors
-///
-/// As [`ExecutionEngines::execute`].
-pub fn execute_with(
-    engines: &ExecutionEngines<'_>,
-    strategy: QueryStrategy,
-    query: &AnalyticalQuery,
-    cost_model: &CostModel,
-) -> Result<QueryOutcome> {
-    engines.execute(strategy, query, cost_model)
-}
-
-/// Convenience alias for index-fetch execution.
-///
-/// # Errors
-///
-/// As [`ExecutionEngines::execute`].
-pub fn fetch_records(
-    engines: &ExecutionEngines<'_>,
-    query: &AnalyticalQuery,
-    cost_model: &CostModel,
-) -> Result<QueryOutcome> {
-    engines.execute(QueryStrategy::IndexFetch, query, cost_model)
 }
 
 #[cfg(test)]
@@ -308,12 +275,12 @@ mod tests {
     fn strategies_agree_on_answers() {
         let c = cluster();
         let eng = engines(&c);
-        let model = CostModel::default();
+        let exec = Executor::new(&c);
         for q in [count_query(50.0, 2.0), count_query(20.0, 30.0)] {
             let scan = eng
-                .execute(QueryStrategy::ScanAggregate, &q, &model)
+                .execute(QueryStrategy::ScanAggregate, &q, &exec)
                 .unwrap();
-            let fetch = eng.execute(QueryStrategy::IndexFetch, &q, &model).unwrap();
+            let fetch = eng.execute(QueryStrategy::IndexFetch, &q, &exec).unwrap();
             assert_eq!(scan.answer, fetch.answer);
         }
     }
@@ -322,17 +289,17 @@ mod tests {
     fn index_wins_narrow_scan_wins_wide() {
         let c = cluster();
         let eng = engines(&c);
-        let model = CostModel::default();
+        let exec = Executor::new(&c);
         let narrow = count_query(50.0, 0.5);
-        let (best_narrow, _) = eng.oracle_choice(&narrow, &model).unwrap();
+        let (best_narrow, _) = eng.oracle_choice(&narrow, &exec).unwrap();
         assert_eq!(best_narrow, QueryStrategy::IndexFetch);
 
         let wide = count_query(50.0, 50.0); // the whole table
         let scan = eng
-            .execute(QueryStrategy::ScanAggregate, &wide, &model)
+            .execute(QueryStrategy::ScanAggregate, &wide, &exec)
             .unwrap();
         let fetch = eng
-            .execute(QueryStrategy::IndexFetch, &wide, &model)
+            .execute(QueryStrategy::IndexFetch, &wide, &exec)
             .unwrap();
         assert!(
             scan.cost.wall_us < fetch.cost.wall_us,
@@ -346,11 +313,11 @@ mod tests {
     fn crossover_exists_along_the_extent_sweep() {
         let c = cluster();
         let eng = engines(&c);
-        let model = CostModel::default();
+        let exec = Executor::new(&c);
         let mut saw_fetch = false;
         let mut saw_scan = false;
         for e in [0.5, 2.0, 8.0, 20.0, 50.0] {
-            let (best, _) = eng.oracle_choice(&count_query(50.0, e), &model).unwrap();
+            let (best, _) = eng.oracle_choice(&count_query(50.0, e), &exec).unwrap();
             match best {
                 QueryStrategy::IndexFetch => saw_fetch = true,
                 QueryStrategy::ScanAggregate => saw_scan = true,
@@ -392,33 +359,55 @@ mod tests {
     fn index_estimate_matches_measured_cost_and_scan_estimate_is_deterministic() {
         let c = cluster();
         let eng = engines(&c);
-        let model = CostModel::default();
+        let exec = Executor::new(&c);
+        let model = exec.cost_model();
         let q = count_query(50.0, 2.0);
         let est = eng
-            .estimate_cost(QueryStrategy::IndexFetch, &q, &model)
+            .estimate_cost(QueryStrategy::IndexFetch, &q, model)
             .unwrap();
-        let actual = eng.execute(QueryStrategy::IndexFetch, &q, &model).unwrap();
+        let actual = eng.execute(QueryStrategy::IndexFetch, &q, &exec).unwrap();
         assert_eq!(est.to_bits(), actual.cost.wall_us.to_bits());
         let a = eng
-            .estimate_cost(QueryStrategy::ScanAggregate, &q, &model)
+            .estimate_cost(QueryStrategy::ScanAggregate, &q, model)
             .unwrap();
         let b = eng
-            .estimate_cost(QueryStrategy::ScanAggregate, &q, &model)
+            .estimate_cost(QueryStrategy::ScanAggregate, &q, model)
             .unwrap();
         assert_eq!(a.to_bits(), b.to_bits());
         assert!(a > 0.0);
+
+        // The scan estimate is the executor's own scan-cost rule: on a
+        // healthy table, range- or hash-partitioned, it is the measured
+        // cost of a `count()` (constant-size partials) to the bit, as
+        // long as every partition the executor engages admits a block.
+        let mut hashed = StorageCluster::new(4, 512);
+        hashed
+            .load_table("t", c.all_records("t").unwrap(), Partitioning::Hash)
+            .unwrap();
+        for cluster in [&c, &hashed] {
+            let eng = engines(cluster);
+            let exec = Executor::new(cluster);
+            for q in [count_query(50.0, 2.0), count_query(20.0, 30.0)] {
+                let est = eng
+                    .estimate_cost(QueryStrategy::ScanAggregate, &q, exec.cost_model())
+                    .unwrap();
+                let actual = exec.execute_direct("t", &q).unwrap();
+                assert_eq!(est.to_bits(), actual.cost.wall_us.to_bits());
+            }
+        }
     }
 
     #[test]
     fn fetch_errors_propagate() {
         let c = cluster();
         let eng = engines(&c);
-        let model = CostModel::default();
         let empty_mean = AnalyticalQuery::new(
             Region::Range(Rect::new(vec![-10.0, -10.0], vec![-5.0, -5.0]).unwrap()),
             AggregateKind::Mean { dim: 0 },
         );
-        assert!(fetch_records(&eng, &empty_mean, &model).is_err());
+        assert!(eng
+            .execute(QueryStrategy::IndexFetch, &empty_mean, &Executor::new(&c))
+            .is_err());
     }
 
     #[test]

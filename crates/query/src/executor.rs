@@ -14,8 +14,8 @@
 
 use sea_cache::{CacheDecision, NodeFragment, SemanticCache};
 use sea_common::{
-    kernels, AggregateKind, AnalyticalQuery, AnswerValue, BivariateStats, CostMeter, CostModel,
-    CostReport, Record, Rect, Region, Result, SeaError, SelectionMask,
+    kernels, quantile_of, AggregateKind, AnalyticalQuery, AnswerValue, BivariateStats, CostMeter,
+    CostModel, CostReport, Record, Rect, Region, Result, SeaError, SelectionMask,
 };
 use sea_storage::{Block, DataNode, NodeId, ScanStats, StorageCluster, BDAS_LAYERS, DIRECT_LAYERS};
 use sea_telemetry::{TelemetrySink, TraceContext};
@@ -194,14 +194,9 @@ impl<'a> Executor<'a> {
     /// cluster instruments the whole exact query path, and shares the
     /// process-wide [`ExecPool`] for real node parallelism.
     pub fn new(cluster: &'a StorageCluster) -> Self {
-        Self::with_cost_model(cluster, CostModel::default())
-    }
-
-    /// Creates an executor with an explicit cost model.
-    pub fn with_cost_model(cluster: &'a StorageCluster, cost_model: CostModel) -> Self {
         Executor {
             cluster,
-            cost_model,
+            cost_model: CostModel::default(),
             telemetry: cluster.telemetry().clone(),
             pool: ExecPool::global(),
             retry: RetryPolicy::default(),
@@ -1241,8 +1236,8 @@ fn merge_partials(agg: &AggregateKind, partials: Vec<Partial>) -> Result<AnswerV
                 Err(SeaError::Empty("max over empty subspace".into()))
             }
         }
-        AggregateKind::Median { .. } => merge_quantile(partials, 0.5),
-        AggregateKind::Quantile { q, .. } => merge_quantile(partials, q),
+        AggregateKind::Median { .. } => quantile_of(values_of(partials), 0.5),
+        AggregateKind::Quantile { q, .. } => quantile_of(values_of(partials), q),
         AggregateKind::Correlation { .. } => {
             let mut stats = BivariateStats::default();
             for p in &partials {
@@ -1280,26 +1275,12 @@ fn sum_of(p: &Partial) -> f64 {
     }
 }
 
-fn merge_quantile(partials: Vec<Partial>, q: f64) -> Result<AnswerValue> {
-    let mut values: Vec<f64> = partials
-        .into_iter()
-        .flat_map(|p| match p {
-            Partial::Values(v) => v,
-            _ => Vec::new(),
-        })
-        .collect();
-    if values.is_empty() {
-        return Err(SeaError::Empty("quantile over empty subspace".into()));
-    }
-    // total_cmp keeps the sort panic-free on NaN record values (they
-    // order after +inf instead of aborting the query).
-    values.sort_by(f64::total_cmp);
-    let pos = q * (values.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    Ok(AnswerValue::Scalar(
-        values[lo] + (values[hi] - values[lo]) * (pos - lo as f64),
-    ))
+/// Every node's shipped values, in node order.
+fn values_of(partials: Vec<Partial>) -> impl Iterator<Item = f64> {
+    partials.into_iter().flat_map(|p| match p {
+        Partial::Values(v) => v,
+        _ => Vec::new(),
+    })
 }
 
 #[cfg(test)]
@@ -1532,12 +1513,13 @@ mod tests {
             Partial::Values(vec![2.0, f64::NAN]),
             Partial::Values(vec![1.0, 3.0]),
         ];
-        let got = merge_quantile(partials, 0.5).unwrap();
+        let median = AggregateKind::Median { dim: 0 };
+        let got = merge_partials(&median, partials).unwrap();
         assert_eq!(got, AnswerValue::Scalar(2.5), "median of finite prefix");
         let all_nan = vec![Partial::Values(vec![f64::NAN, f64::NAN])];
         // Degenerate input: still no panic (the answer is NaN-poisoned,
         // which is honest).
-        let _ = merge_quantile(all_nan, 0.5).unwrap();
+        let _ = merge_partials(&median, all_nan).unwrap();
     }
 
     #[test]

@@ -81,11 +81,6 @@ impl Block {
         &self.cols
     }
 
-    /// The validity bitmap of dimension `d` (bit set = value present).
-    pub fn validity(&self, d: usize) -> &SelectionMask {
-        &self.validity[d]
-    }
-
     /// Bounding rectangle of the block's records (`None` for empty blocks).
     pub fn bounds(&self) -> Option<&Rect> {
         self.bounds.as_ref()
@@ -381,8 +376,8 @@ mod tests {
             Record::new(0, vec![1.0, f64::NAN]),
             Record::new(1, vec![2.0, 5.0]),
         ]);
-        assert_eq!(b.validity(0).count(), 2);
-        assert_eq!(b.validity(1).to_indices(), vec![1]);
+        assert_eq!(b.validity[0].count(), 2);
+        assert_eq!(b.validity[1].to_indices(), vec![1]);
     }
 
     #[test]

@@ -277,15 +277,6 @@ impl AnomalyDetector {
     pub fn suspicions(&self) -> Vec<Suspicion> {
         self.suspicions.values().copied().collect()
     }
-
-    /// Baseline means per node (for snapshots / debugging), warmed or
-    /// not, in node order.
-    pub fn baselines(&self) -> Vec<(u64, f64, u32)> {
-        self.nodes
-            .iter()
-            .map(|(n, b)| (*n, b.mean, b.samples))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -362,6 +353,12 @@ mod tests {
         feed_fleet(&mut a, 10, 2, 2.0);
         feed_fleet(&mut b, 10, 2, 2.0);
         assert_eq!(a.suspicions(), b.suspicions());
-        assert_eq!(a.baselines(), b.baselines());
+        let baselines = |d: &AnomalyDetector| -> Vec<(u64, f64, u32)> {
+            d.nodes
+                .iter()
+                .map(|(n, b)| (*n, b.mean, b.samples))
+                .collect()
+        };
+        assert_eq!(baselines(&a), baselines(&b));
     }
 }

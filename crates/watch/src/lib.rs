@@ -42,6 +42,5 @@ pub use slo::{
     SLOW_WINDOWS,
 };
 pub use window::{
-    merge_windows, summarize_window, SlidingWindow, TumblingSeries, WindowSummary,
-    MAX_RETAINED_WINDOWS,
+    merge_windows, SlidingWindow, TumblingSeries, WindowSummary, MAX_RETAINED_WINDOWS,
 };

@@ -74,7 +74,7 @@ fn sorted_percentile(sorted: &[f64], q: f64) -> f64 {
 }
 
 /// Summarizes `samples` (any order) for the window `[start_us, end_us)`.
-pub fn summarize_window(index: u64, start_us: f64, end_us: f64, samples: &[f64]) -> WindowSummary {
+fn summarize_window(index: u64, start_us: f64, end_us: f64, samples: &[f64]) -> WindowSummary {
     let mut sorted = samples.to_vec();
     sorted.sort_by(f64::total_cmp);
     let mut buckets = vec![0u64; BUCKET_SLOTS];

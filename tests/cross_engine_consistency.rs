@@ -5,10 +5,8 @@
 
 use proptest::prelude::*;
 
-use sea_common::{
-    AggregateKind, AnalyticalQuery, AnswerValue, CostModel, Point, Record, Rect, Region,
-};
-use sea_index::{GridIndex, KdTree, RTree};
+use sea_common::{AggregateKind, AnalyticalQuery, AnswerValue, Point, Record, Rect, Region};
+use sea_index::{GridIndex, KdTree};
 use sea_optimizer::{ExecutionEngines, QueryStrategy};
 use sea_query::Executor;
 use sea_storage::{Partitioning, StorageCluster};
@@ -78,10 +76,10 @@ proptest! {
         let c = cluster();
         let domain = Rect::new(vec![0.0, 0.0], vec![100.0, 100.0]).unwrap();
         let engines = ExecutionEngines::build(&c, "t", domain, 40).unwrap();
-        let model = CostModel::default();
+        let exec = Executor::new(&c);
         let q = AnalyticalQuery::new(Region::Range(rect), AggregateKind::Count);
-        let scan = engines.execute(QueryStrategy::ScanAggregate, &q, &model).unwrap();
-        let index = engines.execute(QueryStrategy::IndexFetch, &q, &model).unwrap();
+        let scan = engines.execute(QueryStrategy::ScanAggregate, &q, &exec).unwrap();
+        let index = engines.execute(QueryStrategy::IndexFetch, &q, &exec).unwrap();
         prop_assert_eq!(scan.answer, index.answer);
     }
 
@@ -131,34 +129,6 @@ proptest! {
                 );
             }
         }
-    }
-
-    #[test]
-    fn rtree_search_matches_linear_scan(rect in arb_rect()) {
-        let entries: Vec<(Rect, u64)> = dataset()
-            .iter()
-            .map(|r| {
-                let p = r.to_point();
-                (
-                    Rect::new(
-                        vec![p.coord(0), p.coord(1)],
-                        vec![p.coord(0) + 0.5, p.coord(1) + 0.5],
-                    )
-                    .unwrap(),
-                    r.id,
-                )
-            })
-            .collect();
-        let tree = RTree::build(entries.clone()).unwrap();
-        let mut got: Vec<u64> = tree.search(&rect).unwrap().into_iter().map(|(_, id)| id).collect();
-        got.sort_unstable();
-        let mut want: Vec<u64> = entries
-            .iter()
-            .filter(|(r, _)| r.intersects(&rect))
-            .map(|(_, id)| *id)
-            .collect();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
     }
 
     #[test]
