@@ -3,8 +3,8 @@
 # keep compiling and every reader must rule out. A public function under
 # crates/*/src whose name occurs in no other file of the code the
 # repository builds — crates/, examples/, tests/, benchmark/src — has no
-# caller and no test outside its own file: delete it, make it private,
-# or list it in ci/orphan_allowlist.txt with the reason it stays.
+# caller and no test outside its own file: delete it or make it private.
+# There are no exceptions and no allowlist.
 #
 # Grep-level on purpose (like ci/determinism_lint.sh): a name counts as
 # used when the identifier appears in the code of another file, so a
@@ -17,13 +17,6 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-
-ALLOWLIST=ci/orphan_allowlist.txt
-
-# Allowlist lines: `<path>:<fn name> <one-line reason>`.
-entries() {
-    grep -vE '^\s*(#|$)' "$ALLOWLIST" || true
-}
 
 # `<file>:<identifier>` for every identifier in a file's code: comments
 # are cut at `//`, a `pub use` statement is skipped up to its `;`.
@@ -69,31 +62,9 @@ orphans() {
         sort -u
 }
 
-status=0
 found=$(orphans)
-
-while IFS= read -r orphan; do
-    [ -n "$orphan" ] || continue
-    if ! entries | grep -qE "^${orphan//./\\.}[[:space:]]+[^[:space:]]"; then
-        echo "orphan-lint: pub fn used nowhere outside its file: $orphan" >&2
-        status=1
-    fi
-done <<<"$found"
-
-# A stale or unexplained allowlist entry hides the next orphan.
-while IFS= read -r entry; do
-    [ -n "$entry" ] || continue
-    key=${entry%%[[:space:]]*}
-    if [ "$key" = "$entry" ]; then
-        echo "orphan-lint: allowlist entry gives no reason: $entry" >&2
-        status=1
-    elif ! grep -qxF "$key" <<<"$found"; then
-        echo "orphan-lint: allowlist entry is not an orphan (remove it): $key" >&2
-        status=1
-    fi
-done < <(entries)
-
-if [ "$status" -eq 0 ]; then
-    echo "orphan-lint: every pub fn under crates/*/src is named outside its file or allowlisted"
+if [ -n "$found" ]; then
+    sed 's/^/orphan-lint: pub fn used nowhere outside its file: /' <<<"$found" >&2
+    exit 1
 fi
-exit "$status"
+echo "orphan-lint: every pub fn under crates/*/src is named outside its file"

@@ -15,8 +15,6 @@
 //! cargo run -p sea-bench --release --bin experiments          # all
 //! cargo run -p sea-bench --release --bin experiments -- e4   # one
 //! ```
-//!
-//! Criterion benches over the same kernels live in `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

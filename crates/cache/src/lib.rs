@@ -46,7 +46,7 @@
 //! ## Drift epochs
 //!
 //! [`SemanticCache::advance_epoch`] invalidates every entry admitted
-//! before the bump — the hook `sea-geo` uses when the workload generator
+//! before the bump — the hook a driver calls when the workload generator
 //! shifts interest regions (and the hook a mutable-data deployment would
 //! tie to ingest batches).
 //!
@@ -78,6 +78,7 @@
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use sea_common::{AggregateKind, AnswerValue, Record, Rect, Region};
@@ -170,8 +171,8 @@ pub enum CacheDecision {
     /// Identical key and region: the stored answer, verbatim.
     Exact(AnswerValue),
     /// A cached region contains the queried one: per-node fragments to
-    /// re-derive the answer from (cloned out of the cache).
-    Containment(Vec<NodeFragment>),
+    /// re-derive the answer from, shared with the cache's own entry.
+    Containment(Arc<[NodeFragment]>),
     /// Nothing reusable.
     Miss {
         /// Whether cached entries for the key exist whose regions are
@@ -185,9 +186,9 @@ struct Entry {
     rect: Rect,
     answer: AnswerValue,
     /// Present when the producer shipped per-node fragments; answer-only
-    /// entries (e.g. admitted by an edge node that never saw partials)
+    /// entries (admitted by a producer that never saw partials)
     /// serve exact hits but cannot serve containment hits.
-    fragments: Option<Vec<NodeFragment>>,
+    fragments: Option<Arc<[NodeFragment]>>,
     /// Simulated cost (µs) of the execution that produced the answer —
     /// what a future exact hit saves.
     recompute_cost_us: f64,
@@ -222,9 +223,9 @@ struct State {
 }
 
 /// The cost-aware semantic answer cache. Interior-mutable (all methods
-/// take `&self`) so one instance threads through an `Executor`, an
-/// `AgentPipeline`, and a `GeoSystem` edge without plumbing `&mut`
-/// everywhere; a single [`parking_lot::Mutex`] keeps operations atomic.
+/// take `&self`) so one instance threads through an `Executor` and an
+/// `AgentPipeline` without plumbing `&mut` everywhere; a single
+/// [`parking_lot::Mutex`] keeps operations atomic.
 #[derive(Debug)]
 pub struct SemanticCache {
     state: Mutex<State>,
@@ -289,12 +290,13 @@ impl SemanticCache {
                 Some(list) => {
                     if let Some(e) = exact_rect.and_then(|q| list.iter().find(|e| e.rect == *q)) {
                         CacheDecision::Exact(e.answer)
-                    } else if let Some(e) = list
+                    } else if let Some((_, fragments)) = list
                         .iter()
-                        .filter(|e| e.fragments.is_some() && e.rect.contains_rect(&bbox))
-                        .min_by_key(|e| (e.fragment_records(), e.seq))
+                        .filter(|e| e.rect.contains_rect(&bbox))
+                        .filter_map(|e| e.fragments.as_ref().map(|f| (e, f)))
+                        .min_by_key(|(e, _)| (e.fragment_records(), e.seq))
                     {
-                        CacheDecision::Containment(e.fragments.clone().expect("filtered Some"))
+                        CacheDecision::Containment(Arc::clone(fragments))
                     } else {
                         let subsumed = list.iter().any(|e| bbox.contains_rect(&e.rect));
                         CacheDecision::Miss { subsumed }
@@ -395,7 +397,7 @@ impl SemanticCache {
             list.push(Entry {
                 rect,
                 answer: *answer,
-                fragments,
+                fragments: fragments.map(Arc::from),
                 recompute_cost_us,
                 bytes,
                 epoch,

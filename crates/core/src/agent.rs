@@ -338,7 +338,9 @@ pub struct SeaAgent {
     config: AgentConfig,
     dims: usize,
     pools: HashMap<AggKey, Pool>,
-    training_queries: u64,
+    /// Read by the pipeline's `agent.cached` / `agent.trained` events,
+    /// which must not pay [`SeaAgent::stats`]' walk over every model.
+    pub(crate) training_queries: u64,
     /// Telemetry sink for `core.agent.*` counters/events; not part of the
     /// serialized model state.
     telemetry: TelemetrySink,
@@ -588,64 +590,6 @@ impl SeaAgent {
             }
         }
         Ok(reset)
-    }
-
-    /// Extracts the sub-agent whose quanta's interest regions intersect
-    /// `region` — the model-placement primitive of RT5-3 ("only models for
-    /// the (much smaller) data subspaces of interest are built" and
-    /// "carefully distributed at edge nodes"). The result predicts
-    /// identically to `self` inside `region` and knows nothing elsewhere;
-    /// shipping it costs proportionally fewer bytes than the full agent.
-    ///
-    /// # Errors
-    ///
-    /// Dimension mismatch.
-    pub fn subset_for_region(&self, region: &Rect) -> Result<SeaAgent> {
-        SeaError::check_dims(self.dims, region.dims())?;
-        let mut out = SeaAgent::new(self.dims, self.config.clone())?;
-        for (key, pool) in &self.pools {
-            let mut new_pool: Option<Pool> = None;
-            for (proto, model) in pool.quantizer.prototypes().iter().zip(pool.models.iter()) {
-                let dims = region.dims();
-                let centre = &proto.position[..dims];
-                let extents = &proto.position[dims..2 * dims];
-                let overlaps = (0..dims).all(|d| {
-                    let lo = centre[d] - extents[d].abs();
-                    let hi = centre[d] + extents[d].abs();
-                    lo <= region.hi()[d] && region.lo()[d] <= hi
-                });
-                if !overlaps {
-                    continue;
-                }
-                let p = new_pool.get_or_insert_with(|| Pool {
-                    quantizer: OnlineQuantizer::new(
-                        proto.position.len(),
-                        self.config.quantizer.clone(),
-                    )
-                    .expect("validated config"),
-                    models: Vec::new(),
-                    pair_answer: pool.pair_answer,
-                });
-                // Re-absorb the prototype position so the subset's
-                // quantizer routes queries exactly as the original would
-                // within the region. Prototypes that drifted within one
-                // spawn distance of an already-absorbed one merge into it
-                // (their model is dropped; its neighbour serves the area),
-                // keeping quantizer and model lists aligned.
-                let (_, spawned) = p
-                    .quantizer
-                    .absorb(&proto.position)
-                    .expect("dims match by construction");
-                if spawned {
-                    p.models.push(model.clone());
-                }
-            }
-            if let Some(p) = new_pool {
-                out.pools.insert(*key, p);
-            }
-        }
-        out.training_queries = self.training_queries;
-        Ok(out)
     }
 
     /// Serializes the agent's full model state to JSON — the payload of
@@ -972,41 +916,6 @@ mod tests {
         agent.train(&q25, &AnswerValue::Scalar(10.0)).unwrap();
         agent.train(&q75, &AnswerValue::Scalar(90.0)).unwrap();
         assert_eq!(agent.stats().pools, 2, "different q = different pool");
-    }
-
-    #[test]
-    fn subset_for_region_preserves_local_predictions() {
-        let mut agent = SeaAgent::new(2, AgentConfig::default()).unwrap();
-        // Two separated hotspots with different densities.
-        for i in 0..120 {
-            let e = 1.0 + (i % 12) as f64 / 6.0;
-            let qa = count_query(&[20.0, 20.0], e);
-            agent
-                .train(&qa, &AnswerValue::Scalar(2.0 * qa.region.volume()))
-                .unwrap();
-            let qb = count_query(&[80.0, 80.0], e);
-            agent
-                .train(&qb, &AnswerValue::Scalar(9.0 * qb.region.volume()))
-                .unwrap();
-        }
-        let region = Rect::new(vec![10.0, 10.0], vec![30.0, 30.0]).unwrap();
-        let subset = agent.subset_for_region(&region).unwrap();
-        assert!(subset.stats().quanta < agent.stats().quanta);
-        assert!(subset.stats().memory_bytes < agent.stats().memory_bytes);
-        // Inside the region: identical predictions.
-        let probe = count_query(&[20.0, 20.0], 1.5);
-        let a = agent.predict(&probe).unwrap();
-        let b = subset.predict(&probe).unwrap();
-        assert_eq!(a.answer, b.answer);
-        // Outside: the subset honestly reports high error (or no pool).
-        let far = count_query(&[80.0, 80.0], 1.5);
-        match subset.predict(&far) {
-            Ok(p) => assert!(p.estimated_error > agent.predict(&far).unwrap().estimated_error),
-            Err(SeaError::Empty(_)) => {}
-            Err(e) => panic!("unexpected {e}"),
-        }
-        // Shipping the subset costs fewer bytes.
-        assert!(subset.to_json().unwrap().len() < agent.to_json().unwrap().len());
     }
 
     #[test]

@@ -81,27 +81,6 @@ impl Explanation {
         })
     }
 
-    /// Evaluates the first-order model at explicit parameters
-    /// `[centre…, extents…, volume]`.
-    ///
-    /// # Errors
-    ///
-    /// Dimension mismatch.
-    pub fn eval_parameters(&self, params: &[f64]) -> Result<f64> {
-        let expect = self.centre_sensitivity.len() + self.extent_sensitivity.len() + 1;
-        SeaError::check_dims(expect, params.len())?;
-        let dims = self.centre_sensitivity.len();
-        let mut acc = self.intercept;
-        for (w, p) in self.centre_sensitivity.iter().zip(&params[..dims]) {
-            acc += w * p;
-        }
-        for (w, p) in self.extent_sensitivity.iter().zip(&params[dims..2 * dims]) {
-            acc += w * p;
-        }
-        acc += self.volume_sensitivity * params[2 * dims];
-        Ok(acc)
-    }
-
     /// Predicted answer if the queried subspace had volume `v` (uses the
     /// piecewise curve when available, otherwise the first-order volume
     /// term around the intercept).
@@ -185,17 +164,6 @@ mod tests {
             max_rel = max_rel.max((got - truth).abs() / truth);
         }
         assert!(max_rel < 0.25, "max rel err {max_rel}");
-    }
-
-    #[test]
-    fn eval_parameters_is_first_order_model() {
-        let agent = trained_agent();
-        let q = count_query(&[50.0, 50.0], 2.0);
-        let ex = Explanation::for_query(&agent, &q).unwrap();
-        let params = vec![50.0, 50.0, 2.0, 2.0, 16.0];
-        let v = ex.eval_parameters(&params).unwrap();
-        assert!((v - 32.0).abs() < 8.0, "first-order estimate {v}");
-        assert!(ex.eval_parameters(&[1.0, 2.0]).is_err());
     }
 
     #[test]

@@ -224,10 +224,7 @@ impl AgentPipeline {
                 self.agent.train(query, &outcome.answer)?;
                 self.telemetry.event(
                     "agent.cached",
-                    &[(
-                        "training_queries",
-                        self.agent.stats().training_queries.into(),
-                    )],
+                    &[("training_queries", self.agent.training_queries.into())],
                 );
                 return Ok(ProcessOutcome {
                     answer: outcome.answer,
@@ -337,10 +334,7 @@ impl AgentPipeline {
         self.agent.train(query, &outcome.answer)?;
         self.telemetry.event(
             "agent.trained",
-            &[(
-                "training_queries",
-                self.agent.stats().training_queries.into(),
-            )],
+            &[("training_queries", self.agent.training_queries.into())],
         );
         Ok(ProcessOutcome {
             answer: outcome.answer,

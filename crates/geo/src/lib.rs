@@ -8,11 +8,6 @@
 //! locally when its model's estimated error is below threshold and
 //! otherwise pays a WAN round-trip to the core — whose exact answer also
 //! trains both the edge's local agent and the core's *master* agent.
-//! Optionally each edge carries its own [`sea_cache::SemanticCache`]
-//! ([`GeoSystem::with_edge_caches`]): a repeated interest region is then
-//! answered from the edge for free instead of re-crossing the WAN, and
-//! [`GeoSystem::advance_cache_epoch`] invalidates every edge's entries
-//! when the workload's interest regions drift.
 //!
 //! Distributed model building (RT5-2) is realized through the master
 //! agent: because training queries from *all* edges reach the core, the

@@ -26,14 +26,10 @@ pub mod cache;
 pub mod db;
 pub mod generate;
 pub mod graph;
-pub mod hybrid;
 pub mod iso;
-pub mod ullmann;
 
 pub use cache::GraphCache;
 pub use db::{GraphDb, QueryStats};
 pub use generate::GraphGenerator;
 pub use graph::Graph;
-pub use hybrid::{HybridMatcher, MatchAlgorithm};
 pub use iso::subgraph_isomorphic;
-pub use ullmann::subgraph_isomorphic_ullmann;

@@ -250,50 +250,6 @@ impl KdTree {
             self.nearest_rec(far, q, k, heap);
         }
     }
-
-    /// Ids of all records within `radius` of `query` (inclusive).
-    ///
-    /// # Errors
-    ///
-    /// Dimension mismatch or negative radius.
-    pub fn within_radius(&self, query: &Point, radius: f64) -> Result<Vec<Neighbor>> {
-        SeaError::check_dims(self.dims, query.dims())?;
-        if radius.is_nan() || radius < 0.0 {
-            return Err(SeaError::invalid("radius must be non-negative"));
-        }
-        let r_sq = radius * radius;
-        let mut out = Vec::new();
-        let mut stack = Vec::new();
-        if let Some(root) = self.root {
-            stack.push(root);
-        }
-        let q = query.coords();
-        while let Some(idx) = stack.pop() {
-            let n = &self.nodes[idx];
-            let p = &self.coords[n.point];
-            let dist_sq: f64 = p.iter().zip(q).map(|(a, b)| (a - b) * (a - b)).sum();
-            if dist_sq <= r_sq {
-                out.push(Neighbor {
-                    id: self.ids[n.point],
-                    distance: dist_sq.sqrt(),
-                });
-            }
-            let sd = n.split_dim;
-            let diff = q[sd] - p[sd];
-            if let Some(l) = n.left {
-                if diff <= 0.0 || diff * diff <= r_sq {
-                    stack.push(l);
-                }
-            }
-            if let Some(r) = n.right {
-                if diff >= 0.0 || diff * diff <= r_sq {
-                    stack.push(r);
-                }
-            }
-        }
-        out.sort_by(|a, b| a.distance.partial_cmp(&b.distance).expect("finite"));
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -396,21 +352,6 @@ mod tests {
         let hits = tree.nearest(&Point::new(vec![1.0, 1.0]), 100).unwrap();
         assert_eq!(hits.len(), 9);
         assert!(tree.nearest(&Point::new(vec![0.0, 0.0]), 0).is_err());
-    }
-
-    #[test]
-    fn within_radius_matches_brute_force() {
-        let records = lattice(12);
-        let tree = KdTree::build(&records).unwrap();
-        let q = Point::new(vec![5.5, 5.5]);
-        let hits = tree.within_radius(&q, 2.0).unwrap();
-        let want = records
-            .iter()
-            .filter(|r| q.distance(&r.to_point()).unwrap() <= 2.0)
-            .count();
-        assert_eq!(hits.len(), want);
-        assert!(hits.windows(2).all(|w| w[0].distance <= w[1].distance));
-        assert!(tree.within_radius(&q, -1.0).is_err());
     }
 
     #[test]

@@ -104,6 +104,8 @@ pub struct RecursiveLeastSquares {
     w: Vec<f64>,
     d: usize,
     forget: f64,
+    /// Observations absorbed. Serialized with the model, so a shipped
+    /// agent's byte count (E10's WAN bill) includes it.
     n_updates: u64,
 }
 
@@ -136,11 +138,6 @@ impl RecursiveLeastSquares {
             forget,
             n_updates: 0,
         })
-    }
-
-    /// Number of observations absorbed.
-    pub fn n_updates(&self) -> u64 {
-        self.n_updates
     }
 
     /// Number of features.
@@ -292,7 +289,7 @@ mod tests {
         assert!((m.weights()[0] - 2.0).abs() < 0.01, "{:?}", m);
         assert!((m.weights()[1] + 3.0).abs() < 0.01);
         assert!((m.intercept() - 5.0).abs() < 0.05);
-        assert_eq!(rls.n_updates(), 2000);
+        assert_eq!(rls.n_updates, 2000);
     }
 
     #[test]

@@ -91,30 +91,6 @@ impl KMeans {
     pub fn centroids(&self) -> &[Vec<f64>] {
         &self.centroids
     }
-
-    /// Index of the centroid nearest to `x`.
-    ///
-    /// # Errors
-    ///
-    /// Dimension mismatch.
-    pub fn assign(&self, x: &[f64]) -> Result<usize> {
-        SeaError::check_dims(self.centroids[0].len(), x.len())?;
-        Ok(nearest(x, &self.centroids).0)
-    }
-
-    /// Mean squared distance of points to their assigned centroid.
-    ///
-    /// # Errors
-    ///
-    /// Dimension mismatch.
-    pub fn inertia(&self, points: &[Vec<f64>]) -> Result<f64> {
-        let mut total = 0.0;
-        for p in points {
-            SeaError::check_dims(self.centroids[0].len(), p.len())?;
-            total += nearest(p, &self.centroids).1;
-        }
-        Ok(total / points.len().max(1) as f64)
-    }
 }
 
 fn nearest(x: &[f64], centroids: &[Vec<f64>]) -> (usize, f64) {
@@ -330,9 +306,9 @@ mod tests {
         let km = KMeans::fit(&pts, 2, 50).unwrap();
         let mut cs = km.centroids().to_vec();
         cs.sort_by(|a, b| a[0].total_cmp(&b[0]));
-        assert!(cs[0][0].abs() < 0.5, "{cs:?}");
-        assert!((cs[1][0] - 10.0).abs() < 0.5, "{cs:?}");
-        assert!(km.inertia(&pts).unwrap() < 0.01);
+        // Each centroid sits on its blob (jitter ≤ 0.06 per coordinate).
+        assert!(cs[0].iter().all(|v| v.abs() < 0.1), "{cs:?}");
+        assert!(cs[1].iter().all(|v| (v - 10.0).abs() < 0.1), "{cs:?}");
     }
 
     #[test]
@@ -343,16 +319,6 @@ mod tests {
         // the assignment loop treats NaN as never-nearer: no panic.
         let km = KMeans::fit(&pts, 2, 20).unwrap();
         assert_eq!(km.centroids().len(), 2);
-    }
-
-    #[test]
-    fn kmeans_assign_routes_to_nearest() {
-        let pts = two_clusters();
-        let km = KMeans::fit(&pts, 2, 50).unwrap();
-        let a = km.assign(&[0.1, 0.1]).unwrap();
-        let b = km.assign(&[9.9, 9.9]).unwrap();
-        assert_ne!(a, b);
-        assert!(km.assign(&[1.0]).is_err());
     }
 
     #[test]

@@ -296,9 +296,9 @@ impl<'a> Executor<'a> {
     /// hit, produces the outcome a cold execution would have produced —
     /// bit-identical answer, cache-priced cost report — without touching
     /// any storage node. Returns `None` on a miss or when no cache is
-    /// attached. Exposed so coordinators that own the predict-vs-exact
-    /// decision (`sea-core`'s pipeline, `sea-geo`'s edges) can probe the
-    /// cache before committing to execution.
+    /// attached. Exposed so a coordinator that owns the predict-vs-exact
+    /// decision (`sea-core`'s pipeline) can probe the cache before
+    /// committing to execution.
     ///
     /// Exact hits cost one coordinator CPU charge; containment hits pay
     /// a CPU charge per cached record re-filtered plus the merge — still

@@ -182,6 +182,52 @@ fn pipeline_tenant_records_provenance_and_cache_class() {
 }
 
 #[test]
+fn degraded_fallback_is_ledgered_as_a_free_answer_that_trains_nothing() {
+    // Train over a healthy cluster. Threshold 0 keeps every statement on
+    // the exact path while the agent still produces predictions.
+    let healthy = build_cluster();
+    let sink = TelemetrySink::recording();
+    let mut pipe = AgentPipeline::new(2, AgentConfig::default(), "t", 0.0, ExecMode::Direct)
+        .unwrap()
+        .with_degraded_fallback(true)
+        .with_telemetry(sink.clone());
+    let exec = Executor::new(&healthy);
+    for i in 0..40 {
+        pipe.process(&exec, &count_query(10.0, 40.0 + f64::from(i % 10)))
+            .unwrap();
+    }
+    let trained = pipe.agent().stats().training_queries;
+    assert_eq!(sink.counter_value("core.agent.train_total"), trained);
+
+    // The serving cluster is one unreplicated node, and it is down:
+    // exact execution cannot succeed.
+    let mut down = StorageCluster::new(1, 64);
+    down.load_table("t", healthy.all_records("t").unwrap(), Partitioning::Hash)
+        .unwrap();
+    down.fail_node(0).unwrap();
+    let mut svc = QueryService::new(Executor::new(&down), "t");
+    let config = TenantConfig {
+        slo: Some(SloPolicy::new(f64::INFINITY, 0.0)),
+        ..TenantConfig::default()
+    };
+    svc.register_tenant_with_pipeline("ml", config, pipe)
+        .unwrap();
+
+    let out = svc.submit("ml", &count_query(10.0, 44.0)).unwrap();
+    assert_eq!(out.disposition, Disposition::Answered);
+    assert!(out.answer.is_some(), "the model's answer is served");
+    assert_eq!(out.row.source, "degraded");
+    assert_eq!(out.row.money, 0.0, "no base data was read");
+    assert_eq!(
+        sink.counter_value("core.agent.train_total"),
+        trained,
+        "a degraded answer never trains the agent"
+    );
+    let slo = svc.tenant_slo_status("ml").unwrap();
+    assert_eq!((slo.good, slo.bad), (1, 0), "the SLO tracker saw it");
+}
+
+#[test]
 fn faulty_partial_answers_surface_as_partial_source_with_retries() {
     let mut cluster = build_cluster();
     let sink = TelemetrySink::recording();

@@ -316,18 +316,6 @@ impl StorageCluster {
         Ok(())
     }
 
-    /// Drops a table.
-    ///
-    /// # Errors
-    ///
-    /// [`SeaError::NotFound`] when the table does not exist.
-    pub fn drop_table(&mut self, name: &str) -> Result<()> {
-        self.tables
-            .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| SeaError::NotFound(format!("table {name}")))
-    }
-
     fn meta(&self, name: &str) -> Result<&TableMeta> {
         self.tables
             .get(name)
@@ -860,14 +848,6 @@ mod tests {
         let total: usize = catalog.iter().map(|(_, _, _, _, n)| *n).sum();
         assert_eq!(total, 1000);
         assert!(catalog.iter().all(|(node, ..)| *node < 4));
-    }
-
-    #[test]
-    fn drop_table() {
-        let mut c = loaded_cluster();
-        c.drop_table("t").unwrap();
-        assert!(matches!(c.stats("t"), Err(SeaError::NotFound(_))));
-        assert!(c.drop_table("t").is_err());
     }
 
     #[test]

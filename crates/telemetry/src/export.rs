@@ -30,9 +30,8 @@ pub const SIM_PID: u64 = 2;
 
 /// Renders the snapshot's metrics registry (plus span/event-ring
 /// bookkeeping) in the Prometheus text exposition format, version
-/// 0.0.4. Metric names are sanitized (so internal
-/// dotted names like `query.retries` surface as `query_retries`), and
-/// any label name would go through [`sanitize_label`].
+/// 0.0.4. Metric names are sanitized, so internal dotted names like
+/// `query.retries` surface as `query_retries`.
 pub fn prometheus_text(snap: &TelemetrySnapshot) -> String {
     let mut out = String::new();
     for c in &snap.counters {
@@ -233,30 +232,6 @@ fn sanitize(name: &str) -> String {
     out
 }
 
-/// The sanitizer for label names, which are stricter than metric names:
-/// `[a-zA-Z_][a-zA-Z0-9_]*` — no colon allowed — and names starting
-/// with `__` are reserved for Prometheus internals, so a sanitized
-/// label never grows a double-underscore prefix.
-pub fn sanitize_label(name: &str) -> String {
-    let mut out: String = name
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if out.is_empty() || out.starts_with(|c: char| c.is_ascii_digit()) {
-        out.insert(0, '_');
-    }
-    while out.starts_with("__") {
-        out.remove(0);
-    }
-    out
-}
-
 /// Shortest-round-trip float formatting, with non-finite values mapped
 /// to the JSON-safe 0 (they do not occur in practice).
 fn fmt_f64(v: f64) -> String {
@@ -395,18 +370,6 @@ mod tests {
         assert_eq!(sanitize("2fast·p99"), "_2fast_p99");
         assert_eq!(sanitize(""), "_");
         assert_eq!(sanitize("already_fine"), "already_fine");
-    }
-
-    #[test]
-    fn sanitize_label_is_stricter_than_metric_names() {
-        // Labels may not contain colons and may not start with the
-        // reserved `__` prefix.
-        assert_eq!(sanitize_label("ns:label"), "ns_label");
-        assert_eq!(sanitize_label("tenant.id"), "tenant_id");
-        assert_eq!(sanitize_label("9lives"), "_9lives");
-        assert_eq!(sanitize_label("__reserved"), "_reserved");
-        assert_eq!(sanitize_label("____deep"), "_deep");
-        assert_eq!(sanitize_label(""), "_");
     }
 
     #[test]

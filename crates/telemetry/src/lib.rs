@@ -228,13 +228,6 @@ impl TelemetrySink {
         }
     }
 
-    /// Detaches the tap, if any.
-    pub fn clear_tap(&self) {
-        if let Some(r) = self.recorder() {
-            *r.tap.write() = None;
-        }
-    }
-
     /// Marks the start of a query; subsequent events are tagged with
     /// `id` until the next call.
     pub fn begin_query(&self, id: u64) {
@@ -427,9 +420,6 @@ mod tests {
         assert_eq!(probe.events.load(Ordering::Relaxed), 1);
         let snap = sink.snapshot().unwrap();
         assert_eq!(snap.event_count("derived.echo"), 1, "derived event lands");
-        sink.clear_tap();
-        sink.observe("h", 10.0);
-        assert_eq!(probe.observes.load(Ordering::Relaxed), 7, "tap detached");
         // Noop sinks never consult a tap.
         TelemetrySink::noop().set_tap(probe);
     }

@@ -21,6 +21,18 @@ pub const DEFAULT_BUCKET_BOUNDS: [f64; 31] = [
     5e4, 1e5, 2e5, 5e5, 1e6, 2e6, 5e6, 1e7, 2e7, 5e7, 1e8, 2e8, 5e8, 1e9,
 ];
 
+/// The slot of [`DEFAULT_BUCKET_BOUNDS`] a value is counted in: the
+/// first bound it does not exceed, or the overflow slot past the last.
+/// The one placement rule, shared by the cumulative histograms here and
+/// sea-watch's windowed summaries so their bucket counts agree.
+#[inline]
+pub fn bucket_index(value: f64) -> usize {
+    DEFAULT_BUCKET_BOUNDS
+        .iter()
+        .position(|bound| value <= *bound)
+        .unwrap_or(DEFAULT_BUCKET_BOUNDS.len())
+}
+
 /// Handle to a registered counter; increments are lock-free. A handle
 /// from a `Noop` sink silently discards increments.
 #[derive(Debug, Clone, Default)]
@@ -108,11 +120,7 @@ impl MetricsRegistry {
             h.min = f64::INFINITY;
             h.max = f64::NEG_INFINITY;
         }
-        let idx = DEFAULT_BUCKET_BOUNDS
-            .iter()
-            .position(|bound| value <= *bound)
-            .unwrap_or(DEFAULT_BUCKET_BOUNDS.len());
-        h.counts[idx] += 1;
+        h.counts[bucket_index(value)] += 1;
         h.count += 1;
         h.sum += value;
         h.min = h.min.min(value);

@@ -136,11 +136,6 @@ impl SloTracker {
         }
     }
 
-    /// The tracked policy.
-    pub fn policy(&self) -> &SloPolicy {
-        &self.policy
-    }
-
     /// Burn rate over the trailing `span` windows ending at
     /// `current_index`: observed bad fraction divided by the error
     /// budget (0 with no traffic in range).

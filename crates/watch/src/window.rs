@@ -15,7 +15,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use sea_telemetry::metrics::DEFAULT_BUCKET_BOUNDS;
+use sea_telemetry::metrics::{bucket_index, DEFAULT_BUCKET_BOUNDS};
 
 /// Number of bucket slots in a window summary: one per bound in
 /// [`DEFAULT_BUCKET_BOUNDS`] plus the overflow bucket.
@@ -25,15 +25,18 @@ pub const BUCKET_SLOTS: usize = DEFAULT_BUCKET_BOUNDS.len() + 1;
 /// evicted (and counted) so a long-running hub stays bounded.
 pub const MAX_RETAINED_WINDOWS: usize = 512;
 
-/// The bucket a value falls into on the shared 1–2–5 ladder.
-pub fn bucket_index(value: f64) -> usize {
-    DEFAULT_BUCKET_BOUNDS
-        .iter()
-        .position(|bound| value <= *bound)
-        .unwrap_or(DEFAULT_BUCKET_BOUNDS.len())
-}
-
 /// Exact summary of one window's samples.
+///
+/// Two percentile rules exist on purpose. A window holds its raw samples
+/// until it closes, so `p50`…`p999` here are exact: linear interpolation
+/// between the two order statistics at rank `q·(n−1)`. The cumulative
+/// [`sea_telemetry::HistogramSnapshot`] never holds samples, only the
+/// bucket counts, so its percentiles interpolate inside the bucket where
+/// the cumulative count crosses `q·n`. That bucket always holds one of
+/// the two order statistics, so over the same samples the two estimates
+/// differ by at most the span of the bucket(s) enclosing that pair —
+/// one bucket's width wherever samples are dense (`window_props.rs` pins
+/// this).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WindowSummary {
     /// Tumbling window index (`floor(t / width)`); 0 for sliding

@@ -10,8 +10,8 @@
 
 use proptest::prelude::*;
 
+use sea_telemetry::metrics::{bucket_index, DEFAULT_BUCKET_BOUNDS};
 use sea_telemetry::TelemetrySink;
-use sea_watch::window::bucket_index;
 use sea_watch::{merge_windows, TumblingSeries};
 
 /// A stream of (timestamp, value) samples with non-decreasing
@@ -112,6 +112,38 @@ proptest! {
             prop_assert_eq!(
                 *slot, registry_bucket.count,
                 "bucket le={} diverged", registry_bucket.le
+            );
+        }
+
+        // One window over the whole stream holds exactly the registry's
+        // samples. Its percentiles are exact, the registry's are
+        // bucket-interpolated, and both bracket the same rank: they
+        // differ by at most the span of the bucket(s) enclosing the two
+        // order statistics around it.
+        let mut whole = TumblingSeries::new(stream.last().unwrap().0 + 1.0);
+        let mut sorted = Vec::with_capacity(stream.len());
+        for (t, v) in &stream {
+            whole.record(*t, *v);
+            sorted.push(*v);
+        }
+        sorted.sort_by(f64::total_cmp);
+        let exact = &whole.snapshot()[0];
+        prop_assert_eq!(exact.count, h.count);
+        for (q, windowed, interpolated) in [
+            (0.5, exact.p50, h.p50),
+            (0.95, exact.p95, h.p95),
+            (0.99, exact.p99, h.p99),
+            (0.999, exact.p999, h.p999),
+        ] {
+            let rank = q * (sorted.len() - 1) as f64;
+            let below = bucket_index(sorted[rank.floor() as usize]);
+            let above = bucket_index(sorted[rank.ceil() as usize]);
+            let lower = if below == 0 { 0.0 } else { DEFAULT_BUCKET_BOUNDS[below - 1] };
+            let upper = DEFAULT_BUCKET_BOUNDS[above];
+            prop_assert!(
+                (windowed - interpolated).abs() <= upper - lower,
+                "q{}: exact {} vs interpolated {} outside ({}, {}]",
+                q, windowed, interpolated, lower, upper
             );
         }
     }

@@ -230,31 +230,6 @@ impl DataGenerator {
         }
         Ok(out)
     }
-
-    /// Generates `n` records and then blanks attribute values to `f64::NAN`
-    /// independently with probability `missing_rate`, for the imputation
-    /// experiments (E13). Attribute 0 (the "key" attribute) is never
-    /// blanked so every record stays locatable.
-    ///
-    /// # Errors
-    ///
-    /// As [`DataGenerator::generate`], plus an invalid-argument error when
-    /// `missing_rate` is outside `[0, 1)`.
-    pub fn generate_with_missing(&self, n: usize, missing_rate: f64) -> Result<Vec<Record>> {
-        if !(0.0..1.0).contains(&missing_rate) {
-            return Err(SeaError::invalid("missing_rate must be in [0, 1)"));
-        }
-        let mut records = self.generate(n)?;
-        let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(0x5EA));
-        for r in &mut records {
-            for d in 1..r.values.len() {
-                if rng.gen_bool(missing_rate) {
-                    r.values[d] = f64::NAN;
-                }
-            }
-        }
-        Ok(records)
-    }
 }
 
 #[cfg(test)]
@@ -353,29 +328,6 @@ mod tests {
         for r in &recs {
             assert!((r.value(1) - (2.0 * r.value(0) + 5.0)).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn missing_injection_rate_and_key_preservation() {
-        let gen = DataGenerator::new(
-            DataSpec::LinearCorrelated {
-                x_lo: 0.0,
-                x_hi: 1.0,
-                slope: vec![1.0, 1.0],
-                intercept: vec![0.0, 0.0],
-                noise_sigma: vec![0.1, 0.1],
-            },
-            13,
-        );
-        let recs = gen.generate_with_missing(2000, 0.2).unwrap();
-        let missing: usize = recs
-            .iter()
-            .map(|r| r.values.iter().filter(|v| v.is_nan()).count())
-            .sum();
-        let frac = missing as f64 / (2000.0 * 2.0);
-        assert!((frac - 0.2).abs() < 0.03, "got missing fraction {frac}");
-        assert!(recs.iter().all(|r| !r.value(0).is_nan()), "key attr intact");
-        assert!(gen.generate_with_missing(10, 1.5).is_err());
     }
 
     #[test]
