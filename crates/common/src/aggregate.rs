@@ -210,14 +210,27 @@ pub fn quantile_of(values: impl Iterator<Item = f64>, q: f64) -> Result<AnswerVa
     if v.is_empty() {
         return Err(SeaError::Empty("quantile over empty subspace".into()));
     }
-    // total_cmp: NaNs sort to the ends instead of panicking, so a poisoned
-    // input yields a (NaN) answer rather than aborting the query path.
-    v.sort_by(f64::total_cmp);
     let pos = q * (v.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
-    Ok(AnswerValue::Scalar(v[lo] + (v[hi] - v[lo]) * frac))
+    // The two order statistics by selection, not a full sort. total_cmp:
+    // NaNs order to the ends instead of panicking, so a poisoned input
+    // yields a (NaN) answer rather than aborting the query path — and
+    // values equal under it have equal bits, so which of them lands on
+    // a rank cannot change the answer.
+    let (_, &mut at_lo, above) = v.select_nth_unstable_by(lo, f64::total_cmp);
+    let at_hi = if hi == lo {
+        at_lo
+    } else {
+        // `hi == lo + 1`: the smallest value above rank `lo`.
+        above
+            .iter()
+            .copied()
+            .min_by(f64::total_cmp)
+            .expect("pos <= len - 1, so rank hi exists")
+    };
+    Ok(AnswerValue::Scalar(at_lo + (at_hi - at_lo) * frac))
 }
 
 /// Running bivariate sufficient statistics: the basis of the correlation

@@ -20,6 +20,33 @@ use serde::{Deserialize, Serialize};
 
 use crate::BivariateStats;
 
+/// Packs `pred` over up to 64 values into a bitmap word, bit `j` for
+/// `chunk[j]`. Full groups of eight go through a fixed `[f64; 8]`, and
+/// callers pass a non-short-circuit predicate: that shape LLVM unrolls
+/// into four packed compares back to back per group on baseline x86-64
+/// (`cmplepd`/`andpd` pairs for a range; one row per trip compiles to a
+/// single two-lane pair per trip with the bit insertion in between).
+/// There is no `movmskpd` either way: the bits are packed with shifts
+/// and ors. The ragged remainder takes the scalar loop.
+#[inline]
+fn pack_word(chunk: &[f64], pred: impl Fn(f64) -> bool) -> u64 {
+    let mut bits = 0u64;
+    let mut groups = chunk.chunks_exact(8);
+    for (g, lanes) in (&mut groups).enumerate() {
+        let lanes: &[f64; 8] = lanes.try_into().expect("chunks_exact(8) yields eight");
+        let mut byte = 0u64;
+        for (j, &v) in lanes.iter().enumerate() {
+            byte |= u64::from(pred(v)) << j;
+        }
+        bits |= byte << (8 * g);
+    }
+    let done = chunk.len() - groups.remainder().len();
+    for (j, &v) in groups.remainder().iter().enumerate() {
+        bits |= u64::from(pred(v)) << (done + j);
+    }
+    bits
+}
+
 /// A fixed-length bitmap over the rows of a block: bit `i` set means row
 /// `i` is selected (or, as a validity bitmap, present/non-NaN).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -39,14 +66,24 @@ impl SelectionMask {
 
     /// An all-set mask over `len` rows (trailing bits stay clear).
     pub fn all(len: usize) -> Self {
-        let mut words = vec![u64::MAX; len.div_ceil(64)];
-        if let Some(last) = words.last_mut() {
+        let mut m = SelectionMask::none(0);
+        m.reset_all(len);
+        m
+    }
+
+    /// Makes this an all-set mask over `len` rows, keeping the word
+    /// buffer: a scan loop owns one mask and re-fills it per block
+    /// instead of allocating one per block.
+    pub fn reset_all(&mut self, len: usize) {
+        self.words.clear();
+        self.words.resize(len.div_ceil(64), u64::MAX);
+        if let Some(last) = self.words.last_mut() {
             let tail = len % 64;
             if tail != 0 {
                 *last = (1u64 << tail) - 1;
             }
         }
-        SelectionMask { words, len }
+        self.len = len;
     }
 
     /// The validity bitmap of a column: bit `i` set iff `col[i]` is not
@@ -54,11 +91,7 @@ impl SelectionMask {
     pub fn from_valid(col: &[f64]) -> Self {
         let mut m = SelectionMask::none(col.len());
         for (w, chunk) in m.words.iter_mut().zip(col.chunks(64)) {
-            let mut bits = 0u64;
-            for (j, &v) in chunk.iter().enumerate() {
-                bits |= u64::from(!v.is_nan()) << j;
-            }
-            *w = bits;
+            *w = pack_word(chunk, |v| !v.is_nan());
         }
         m
     }
@@ -104,18 +137,12 @@ impl SelectionMask {
 
     /// Keeps only rows whose `col` value lies in `[lo, hi]` (inclusive).
     /// NaN values never satisfy the predicate, so missing data drops out
-    /// of the selection for free. The inner loop is a branchless compare
-    /// over a 64-row chunk — the autovectorizable core of a range scan.
+    /// of the selection for free. Words already empty are skipped.
     fn retain_range(&mut self, col: &[f64], lo: f64, hi: f64) {
         for (w, chunk) in self.words.iter_mut().zip(col.chunks(64)) {
-            if *w == 0 {
-                continue;
+            if *w != 0 {
+                *w &= pack_word(chunk, |v| (lo <= v) & (v <= hi));
             }
-            let mut keep = 0u64;
-            for (j, &v) in chunk.iter().enumerate() {
-                keep |= u64::from(lo <= v && v <= hi) << j;
-            }
-            *w &= keep;
         }
     }
 
@@ -165,14 +192,26 @@ impl SelectionMask {
 /// Callers are responsible for the dimensionality check (`cols.len() ==
 /// lo.len()`); rows with NaN in any dimension are never selected.
 pub fn range_mask(cols: &[Vec<f64>], len: usize, lo: &[f64], hi: &[f64]) -> SelectionMask {
-    let mut m = SelectionMask::all(len);
+    let mut m = SelectionMask::none(0);
+    range_mask_into(cols, len, lo, hi, &mut m);
+    m
+}
+
+/// [`range_mask`] into a caller-owned mask (its word buffer is reused).
+pub fn range_mask_into(
+    cols: &[Vec<f64>],
+    len: usize,
+    lo: &[f64],
+    hi: &[f64],
+    out: &mut SelectionMask,
+) {
+    out.reset_all(len);
     for (d, col) in cols.iter().enumerate() {
-        if m.is_none_set() {
+        if out.is_none_set() {
             break;
         }
-        m.retain_range(col, lo[d], hi[d]);
+        out.retain_range(col, lo[d], hi[d]);
     }
-    m
 }
 
 /// Rows of `cols` within Euclidean distance `radius` of `center`.
@@ -182,21 +221,21 @@ pub fn range_mask(cols: &[Vec<f64>], len: usize, lo: &[f64], hi: &[f64]) -> Sele
 /// the selected set is bit-identical to the row path. NaN distances
 /// never match.
 pub fn ball_mask(cols: &[Vec<f64>], len: usize, center: &[f64], radius: f64) -> SelectionMask {
-    let mut d2 = vec![0.0f64; len];
-    for (col, &c) in cols.iter().zip(center) {
-        for (acc, &v) in d2.iter_mut().zip(col) {
-            let diff = v - c;
-            *acc += diff * diff;
-        }
-    }
     let r2 = radius * radius;
     let mut m = SelectionMask::none(len);
-    for (w, chunk) in m.words.iter_mut().zip(d2.chunks(64)) {
-        let mut bits = 0u64;
-        for (j, &x) in chunk.iter().enumerate() {
-            bits |= u64::from(x <= r2) << j;
+    for (wi, w) in m.words.iter_mut().enumerate() {
+        let base = wi * 64;
+        let n = (len - base).min(64);
+        // One word's squared distances, on the stack.
+        let mut d2 = [0.0f64; 64];
+        for (col, &c) in cols.iter().zip(center) {
+            let rows = col.get(base..).unwrap_or(&[]);
+            for (acc, &v) in d2[..n].iter_mut().zip(rows) {
+                let diff = v - c;
+                *acc += diff * diff;
+            }
         }
-        *w = bits;
+        *w = pack_word(&d2[..n], |x| x <= r2);
     }
     m
 }

@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Point, Result, SeaError};
+use crate::{kernels, Point, Result, SeaError, SelectionMask};
 
 /// An axis-aligned hyper-rectangle, defined by inclusive lower and upper
 /// bounds per dimension.
@@ -307,6 +307,20 @@ impl Region {
                     d2 <= b.radius() * b.radius()
                 }
             }
+        }
+    }
+
+    /// The columnar form of [`Region::contains_record`]: the selection
+    /// bitmap over `len` rows stored column-major in `cols`, bit-identical
+    /// to filtering the materialized rows. A dimensionality mismatch
+    /// selects nothing.
+    pub fn column_mask(&self, cols: &[Vec<f64>], len: usize) -> SelectionMask {
+        if cols.len() != self.dims() {
+            return SelectionMask::none(len);
+        }
+        match self {
+            Region::Range(r) => kernels::range_mask(cols, len, r.lo(), r.hi()),
+            Region::Radius(b) => kernels::ball_mask(cols, len, b.center().coords(), b.radius()),
         }
     }
 

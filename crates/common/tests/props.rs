@@ -2,7 +2,10 @@
 
 use proptest::prelude::*;
 
-use sea_common::{AggregateKind, BivariateStats, Point, Record, Rect};
+use sea_common::{
+    kernels, quantile_of, AggregateKind, AnswerValue, BivariateStats, Point, Record, Rect,
+    SelectionMask,
+};
 
 fn arb_rect(max: f64) -> impl Strategy<Value = Rect> {
     (0.0..max, 0.0..max, 0.01..max, 0.01..max)
@@ -13,8 +16,78 @@ fn arb_point(max: f64) -> impl Strategy<Value = Point> {
     (0.0..max, 0.0..max).prop_map(|(x, y)| Point::new(vec![x, y]))
 }
 
+/// Floats where comparisons go wrong first: NaN of either sign, ±inf,
+/// ±0.0, subnormals — and half-integers in `[-4, 4]`, few enough that
+/// values repeat and meet a bound exactly.
+fn edgy_f64() -> impl Strategy<Value = f64> {
+    (0u8..18, -8i32..9).prop_map(|(kind, half)| match kind {
+        0 => f64::NAN,
+        1 => -f64::NAN,
+        2 => f64::INFINITY,
+        3 => f64::NEG_INFINITY,
+        4 => 0.0,
+        5 => -0.0,
+        6 => f64::from_bits(1),
+        7 => -f64::from_bits(1),
+        8 => 1e-310,
+        _ => f64::from(half) / 2.0,
+    })
+}
+
+/// Mask lengths around the kernel's seams: the eight-lane group, the
+/// 64-row word and the 512-row block.
+const MASK_LENS: [usize; 9] = [0, 1, 7, 8, 63, 64, 65, 511, 513];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The lane-shaped range kernel selects exactly the rows the scalar
+    /// row filter selects — inclusive bounds, NaN never matching, `lo ==
+    /// hi` and `lo > hi` included — and re-filling a caller-owned mask
+    /// leaves nothing of its previous contents.
+    #[test]
+    fn range_mask_matches_the_scalar_row_filter(
+        pool in prop::collection::vec(edgy_f64(), 3 * 513..3 * 513 + 1),
+        bounds in prop::collection::vec((edgy_f64(), edgy_f64()), 3..4),
+        dims in 1usize..4,
+        len_idx in 0usize..MASK_LENS.len(),
+    ) {
+        let len = MASK_LENS[len_idx];
+        let cols: Vec<Vec<f64>> = pool.chunks(513).take(dims).map(|c| c[..len].to_vec()).collect();
+        let (lo, hi): (Vec<f64>, Vec<f64>) = bounds.into_iter().take(dims).unzip();
+        let want: Vec<usize> = (0..len)
+            .filter(|&i| (0..dims).all(|d| lo[d] <= cols[d][i] && cols[d][i] <= hi[d]))
+            .collect();
+        let got = kernels::range_mask(&cols, len, &lo, &hi);
+        prop_assert_eq!(got.len(), len);
+        prop_assert_eq!(got.count(), want.len());
+        prop_assert_eq!(got.to_indices(), want);
+        let mut reused = SelectionMask::all(700);
+        kernels::range_mask_into(&cols, len, &lo, &hi, &mut reused);
+        prop_assert_eq!(reused, got);
+    }
+
+    /// Quantiles by selection are the sort-based rule's, bit for bit —
+    /// duplicates, signed zeros, infinities and NaN included.
+    #[test]
+    fn quantile_by_selection_matches_a_full_sort(
+        values in prop::collection::vec(edgy_f64(), 1000..1001),
+    ) {
+        for n in [1usize, 2, 3, 1000] {
+            for q in [0.0, 0.5, 0.95, 1.0] {
+                let mut sorted = values[..n].to_vec();
+                sorted.sort_by(f64::total_cmp);
+                let pos = q * (n - 1) as f64;
+                let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+                let want = sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64);
+                let got = quantile_of(values[..n].iter().copied(), q);
+                let Ok(AnswerValue::Scalar(got)) = got else {
+                    return Err(TestCaseError::fail(format!("n={n} q={q}: {got:?}")));
+                };
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "n={} q={}", n, q);
+            }
+        }
+    }
 
     #[test]
     fn intersection_is_commutative(a in arb_rect(50.0), b in arb_rect(50.0)) {

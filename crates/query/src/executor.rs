@@ -1,21 +1,23 @@
 //! The exact executor: BDAS-style and coordinator–cohort query processing.
 //!
-//! Every query — either regime, healthy or faulted cluster — takes one
-//! scan path: the coordinator *opens* each engaged node's scan (the
-//! step that consumes an installed fault plan, and owns retry, backoff,
-//! failover and partial answers), then mask evaluation and the per-node
-//! partial fold fan out across an [`ExecPool`]'s worker threads — the
-//! paper's P1/P4 node parallelism made real on the host, not just in the
-//! cost model. Workers do pure compute (telemetry-silent, charging
-//! private [`CostMeter`]s); the coordinator then replays each node's
-//! telemetry in node-index order, so answers, [`CostReport`]s, and every
-//! recorded table are bit-identical to sequential execution regardless
-//! of the thread count.
+//! Every query — either regime, healthy or faulted cluster, alone or in
+//! a batch — takes one scan path: the coordinator *opens* each engaged
+//! node's scan (the step that consumes an installed fault plan, and owns
+//! retry, backoff, failover and partial answers), one `SharedScan`
+//! gathers the rows of the statement's box out of the opened copies
+//! across an [`ExecPool`]'s worker threads, and each query refines and
+//! folds those rows into its per-node partials — the paper's P1/P4 node
+//! parallelism made real on the host, not just in the cost model.
+//! Workers do pure compute (telemetry-silent, charging private
+//! [`CostMeter`]s); the coordinator then replays each node's telemetry
+//! in node-index order, so answers, [`CostReport`]s, and every recorded
+//! table are bit-identical to sequential execution regardless of the
+//! thread count.
 
 use sea_cache::{CacheDecision, NodeFragment, SemanticCache};
 use sea_common::{
     kernels, quantile_of, AggregateKind, AnalyticalQuery, AnswerValue, BivariateStats, CostMeter,
-    CostModel, CostReport, Record, Rect, Region, Result, SeaError, SelectionMask,
+    CostModel, CostReport, Record, RecordId, Rect, Region, Result, SeaError, SelectionMask,
 };
 use sea_storage::{Block, DataNode, NodeId, ScanStats, StorageCluster, BDAS_LAYERS, DIRECT_LAYERS};
 use sea_telemetry::{TelemetrySink, TraceContext};
@@ -111,28 +113,21 @@ impl RetryPolicy {
     }
 }
 
-/// What the scatter brings back from one node: pure data, a private
-/// cost meter, the scan statistics the coordinator needs to replay the
-/// node's telemetry afterwards, and the fault handling its open phase
-/// performed (replayed as counters/events in node order).
+/// What the scatter brings back from one opened node: pure data, a
+/// private cost meter, and the scan statistics the coordinator needs to
+/// replay the node's telemetry afterwards.
 struct NodeScan {
     /// The node's partial aggregate; `None` when the partition was
     /// unavailable and the executor runs in partial-answer mode.
     partial: Option<Partial>,
     meter: CostMeter,
     stats: ScanStats,
-    /// Transient-fault retries this scan needed.
-    retries: u32,
-    /// Whether the scan was served by a replica (primary down/crashed).
-    failover: bool,
-    /// Whether the partition could not be served at all.
-    unavailable: bool,
     /// The node's matched records, cloned for semantic-cache admission
     /// (`None` unless a cache is attached and the region is cacheable).
     records: Option<Vec<Record>>,
 }
 
-/// One node's open phase (see [`Executor::scatter_scans`]): what the
+/// One node's open phase (see [`Executor::open_query`]): what the
 /// fault gate and the retry loop left behind before any block is read.
 #[derive(Clone, Copy)]
 struct Opened<'c> {
@@ -143,6 +138,17 @@ struct Opened<'c> {
     /// gate's latency multiplier; `None` when the partition is
     /// unavailable and the executor runs in partial-answer mode.
     view: Option<(&'c DataNode, bool, f64)>,
+}
+
+/// One query's open phase (see [`Executor::open_query`]).
+struct OpenedQuery<'c> {
+    /// The box whose rows the query's scans return: the region's
+    /// bounding rectangle in the pruned regime, `None` when every node
+    /// reads every block.
+    bbox: Option<Rect>,
+    /// The engaged nodes in node order, and what opening each left
+    /// behind.
+    opened: Vec<(NodeId, Opened<'c>)>,
 }
 
 /// What separates the two processing regimes at the scatter level.
@@ -449,32 +455,36 @@ impl<'a> Executor<'a> {
         self.execute(table, query, parent, &DIRECT, None)
     }
 
-    /// One query in either regime: cache probe, scatter, telemetry
-    /// replay, gather/merge, cost assembly, cache admission. `shared`
-    /// substitutes a batch's superset scan for the per-query scatter;
-    /// the span tree, charges and merge are the same either way, so each
-    /// batched query's outcome and telemetry replay stay bit-identical
-    /// to a standalone execution.
+    /// One query in either regime: cache probe, open, scatter, telemetry
+    /// replay, gather/merge, cost assembly, cache admission. A batch
+    /// hands in the query's open phase and the batch's shared scan; a
+    /// lone query is a batch of one and builds both here. The span tree,
+    /// charges and merge are the same either way, so each batched
+    /// query's outcome and telemetry replay stay bit-identical to a
+    /// standalone execution.
     fn execute(
         &self,
         table: &str,
         query: &AnalyticalQuery,
         parent: &TraceContext,
         regime: &Regime,
-        shared: Option<&SharedScan>,
+        batched: Option<(&Result<OpenedQuery<'a>>, &SharedScan<'a>)>,
     ) -> Result<QueryOutcome> {
         let _exec_span = self.telemetry.span_child_of(parent, regime.span);
         self.telemetry.incr(regime.counter, 1);
-        query.aggregate.validate(self.cluster.dims(table)?)?;
-        if self.cache_consult {
-            if let Some(hit) = self.cache_lookup(query) {
-                return hit;
+        let own_plan;
+        let (plan, shared) = match batched {
+            Some((plan, shared)) => (plan.as_ref().map_err(SeaError::clone)?, Some(shared)),
+            None => {
+                query.aggregate.validate(self.cluster.dims(table)?)?;
+                if self.cache_consult {
+                    if let Some(hit) = self.cache_lookup(query) {
+                        return hit;
+                    }
+                }
+                own_plan = self.open_query(table, query, regime)?;
+                (&own_plan, None)
             }
-        }
-        let bbox = regime.pruned.then(|| query.region.bounding_rect());
-        let nodes: Vec<NodeId> = match &bbox {
-            Some(b) => self.cluster.nodes_for_region(table, b)?,
-            None => (0..self.cluster.num_nodes()).collect(),
         };
         let mut coord = CostMeter::new();
         let (partials, node_meters, unavailable, fragments) = {
@@ -484,16 +494,36 @@ impl<'a> Executor<'a> {
                 // part of the scatter phase, so its simulated time lands
                 // on the scatter span (the coordinator still pays it
                 // sequentially in the cost report).
-                for _ in &nodes {
+                for _ in &plan.opened {
                     coord.charge_lan(64);
                 }
                 scatter.record_sim_us(coord.sequential_us(&self.cost_model));
             }
-            let scans = match (shared, &bbox) {
-                (Some(shared), Some(b)) => shared.node_scans(&nodes, b, &query.aggregate),
-                _ => self.scatter_scans(table, query, &nodes, regime.layers, bbox.as_ref())?,
+            let own_scan;
+            let shared = match shared {
+                Some(shared) => shared,
+                None => {
+                    // Clone matched records only when a cache could
+                    // admit them: a cache is attached and the region
+                    // supports the containment algebra (rectangles only).
+                    let with_ids = self.cache.is_some() && matches!(query.region, Region::Range(_));
+                    own_scan = self.plan_shared_scan(table, &[(plan, query)], with_ids);
+                    &own_scan
+                }
             };
-            let out = self.replay_scatter(table, &nodes, regime.scan_kind, &scatter.ctx(), scans);
+            // Per-node refine + fold: deterministic per node, so it runs
+            // on the pool too when there are rows enough to pay for it,
+            // or a record to clone per row.
+            let inline = !shared.with_ids && shared.rows < FOLD_FANOUT_ROWS;
+            let pool = if inline {
+                ExecPool::sequential()
+            } else {
+                self.pool
+            };
+            let scans = pool.run(plan.opened.len(), |i| {
+                shared.node_scan(&plan.opened[i].1, plan.bbox.as_ref(), query)
+            });
+            let out = self.replay_scatter(table, plan, regime.scan_kind, &scatter.ctx(), scans);
             // Nodes run in parallel: the scatter phase lasts as long as
             // its slowest node under the cost model. The per-node spans
             // carry the per-node costs; the makespan is a tag so the
@@ -515,146 +545,57 @@ impl<'a> Executor<'a> {
         coord.charge_cpu(partials.len() as u64);
         let answer = merge_partials(&query.aggregate, partials)?;
         let mut cost = coord.report_parallel(node_meters.iter(), &self.cost_model);
-        Self::note_availability(&mut cost, nodes.len(), unavailable);
+        if unavailable > 0 {
+            // What fraction of the engaged partitions actually answered.
+            let engaged = plan.opened.len() as u64;
+            cost.answered_fraction = (engaged - unavailable) as f64 / engaged as f64;
+            cost.nodes_unavailable = unavailable;
+        }
         gather.record_sim_us(merge_only.sequential_us(&self.cost_model));
         drop(gather);
         self.maybe_admit(query, &answer, fragments, &cost);
         Ok(QueryOutcome { answer, cost })
     }
 
-    /// The one scan path, for healthy and faulted clusters alike: open →
-    /// mask → fold. `bbox` selects the access path: `None` reads every
-    /// block (BDAS), `Some` prunes blocks by zone map (direct). Results
-    /// come back in node-index order.
-    ///
-    /// **Open** (coordinator thread, node order): each engaged node's
-    /// scan is opened through [`StorageCluster::open_scan`], which is
-    /// where an installed fault plan is consumed — exactly one gate
-    /// operation per (query, node, attempt). A transient fault is
-    /// retried per the executor's [`RetryPolicy`], charging only the
-    /// simulated backoff to the node's meter; in partial-answer mode a
-    /// partition still out of reach afterwards
-    /// ([`SeaError::Storage`]/[`SeaError::Transient`]) becomes an
-    /// `unavailable` scan that keeps its backoff and retry count, while
-    /// other errors (missing table, bad dims) propagate. Every node is
-    /// opened before the first error in node order is returned, because
-    /// later queries' fault decisions depend on those counters; a
-    /// dimension mismatch is rejected before any gate is consumed.
-    ///
-    /// Each opened node then asks the storage layer's scan-cost rule
-    /// ([`DataNode::charge_scan`]) which blocks the scan reads and what
-    /// they cost; the executor neither prunes nor prices blocks itself.
-    ///
-    /// **Mask** (phase A, pool): the admitted blocks are split into
-    /// **morsels** (contiguous runs of roughly [`MORSEL_RECORDS`]
-    /// records) so the pool steals within a node, not only across nodes:
-    /// a 2-node cluster saturates an 8-way pool. Each morsel evaluates
-    /// its blocks' selection bitmaps — pure compute, no telemetry.
-    ///
-    /// **Fold** (phase B, pool): each node's [`KernelAcc`] partial is
-    /// assembled from its masks in block order, so every observable
-    /// output is bit-identical for every pool size and morsel
-    /// decomposition. The scan's disk + CPU charges are scaled once by
-    /// the gate's slow-node multiplier (per-field rounding happens once
-    /// per scan, not per block); `touch_node`, backoff and the partial's
-    /// LAN bytes are never scaled, and [`ScanStats`] are unscaled.
-    fn scatter_scans(
+    /// The open phase of one query, on the calling thread: partition
+    /// metadata picks the nodes in the pruned regime (every node
+    /// otherwise), then each engaged node's scan is opened in node order
+    /// through [`StorageCluster::open_scan`], which is where an
+    /// installed fault plan is consumed — exactly one gate operation per
+    /// (query, node, attempt). A transient fault is retried per the
+    /// executor's [`RetryPolicy`], charging only the simulated backoff
+    /// to the node's meter; in partial-answer mode a partition still out
+    /// of reach afterwards ([`SeaError::Storage`]/[`SeaError::Transient`])
+    /// becomes an `unavailable` scan that keeps its backoff and retry
+    /// count, while other errors (missing table, bad dims) propagate.
+    /// Every node is opened before the first error in node order is
+    /// returned, because later queries' fault decisions depend on those
+    /// counters; a dimension mismatch is rejected before any gate is
+    /// consumed.
+    fn open_query(
         &self,
         table: &str,
         query: &AnalyticalQuery,
-        nodes: &[NodeId],
-        layers: u64,
-        bbox: Option<&Rect>,
-    ) -> Result<Vec<NodeScan>> {
-        // Clone matched records only when a cache could admit them: a
-        // cache is attached and the region supports the containment
-        // algebra (rectangles only).
-        let collect = self.cache.is_some() && matches!(query.region, Region::Range(_));
-        if let Some(b) = bbox {
-            SeaError::check_dims(self.cluster.dims(table)?, b.dims())?;
-        }
-        // Every node is opened before the first error propagates.
-        let attempts: Vec<Result<Opened>> = nodes
-            .iter()
-            .map(|&node| self.open_node(table, node, layers))
+        regime: &Regime,
+    ) -> Result<OpenedQuery<'a>> {
+        let bbox = regime.pruned.then(|| query.region.bounding_rect());
+        let nodes: Vec<NodeId> = match &bbox {
+            Some(b) => {
+                let nodes = self.cluster.nodes_for_region(table, b)?;
+                SeaError::check_dims(self.cluster.dims(table)?, b.dims())?;
+                nodes
+            }
+            None => (0..self.cluster.num_nodes()).collect(),
+        };
+        let attempts: Vec<Result<(NodeId, Opened)>> = nodes
+            .into_iter()
+            .map(|node| Ok((node, self.open_node(table, node, regime.layers)?)))
             .collect();
         let opened = attempts.into_iter().collect::<Result<Vec<_>>>()?;
-        let plans: Vec<Option<ScanPlan>> = opened
-            .iter()
-            .map(|o| {
-                o.view.map(|(dn, failover, slow)| {
-                    let mut charges = CostMeter::new();
-                    let (blocks, stats) = dn.charge_scan(bbox, &mut charges);
-                    ScanPlan {
-                        blocks,
-                        charges,
-                        stats,
-                        failover,
-                        slow,
-                    }
-                })
-            })
-            .collect();
-        // Phase A: morsel-parallel mask evaluation.
-        let morsels = plan_morsels(&plans);
-        let evals: Vec<Vec<BlockEval>> = self.pool.run(morsels.len(), |mi| {
-            morsels[mi]
-                .blocks
-                .iter()
-                .map(|b| eval_block(b, query, bbox))
-                .collect()
-        });
-        // Regroup morsel outputs per node (morsels were planned in node
-        // order, contiguously).
-        let mut per_node: Vec<Vec<BlockEval>> = vec![Vec::new(); nodes.len()];
-        for (m, evs) in morsels.iter().zip(evals) {
-            per_node[m.node_idx].extend(evs);
-        }
-        // Phase B: per-node assembly. Deterministic per node, so it can
-        // run on the pool too.
-        let scans = self.pool.run(nodes.len(), |i| {
-            let Opened {
-                mut meter, retries, ..
-            } = opened[i];
-            let Some(plan) = &plans[i] else {
-                return NodeScan {
-                    partial: None,
-                    meter,
-                    stats: ScanStats::default(),
-                    retries,
-                    failover: false,
-                    unavailable: true,
-                    records: None,
-                };
-            };
-            let mut stats = plan.stats;
-            let mut acc = KernelAcc::new(&query.aggregate);
-            let mut records = collect.then(Vec::new);
-            for (b, ev) in plan.blocks.iter().zip(&per_node[i]) {
-                stats.records_returned += ev.returned;
-                acc.push(b.cols(), &ev.refined);
-                if let Some(out) = &mut records {
-                    ev.refined.for_each_set(|r| out.push(b.record(r)));
-                }
-            }
-            // The identity at the healthy multiplier 1.0.
-            meter.merge_scaled(&plan.charges, plan.slow);
-            let partial = acc.finish();
-            meter.charge_lan(partial.wire_bytes());
-            NodeScan {
-                partial: Some(partial),
-                meter,
-                stats,
-                retries,
-                failover: plan.failover,
-                unavailable: false,
-                records,
-            }
-        });
-        Ok(scans)
+        Ok(OpenedQuery { bbox, opened })
     }
 
-    /// The open phase for one node (see [`Executor::scatter_scans`]).
+    /// The open phase for one node (see [`Executor::open_query`]).
     fn open_node(&self, table: &str, node: NodeId, layers: u64) -> Result<Opened<'a>> {
         let mut meter = CostMeter::new();
         meter.touch_node(layers);
@@ -678,15 +619,6 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Stamps a report with the scatter phase's availability outcome:
-    /// what fraction of the engaged partitions actually answered.
-    fn note_availability(cost: &mut CostReport, engaged: usize, unavailable: u64) {
-        if engaged > 0 && unavailable > 0 {
-            cost.answered_fraction = (engaged as u64 - unavailable) as f64 / engaged as f64;
-            cost.nodes_unavailable = unavailable;
-        }
-    }
-
     /// Replays the telemetry of completed scatter scans in node-index
     /// order on the calling thread: one `query.executor.node` span per
     /// node (under `scatter_ctx`) wrapping the replayed
@@ -697,7 +629,7 @@ impl<'a> Executor<'a> {
     fn replay_scatter(
         &self,
         table: &str,
-        nodes: &[NodeId],
+        plan: &OpenedQuery,
         kind: &str,
         scatter_ctx: &TraceContext,
         scans: Vec<NodeScan>,
@@ -706,27 +638,27 @@ impl<'a> Executor<'a> {
         let mut meters = Vec::with_capacity(scans.len());
         let mut unavailable = 0u64;
         let mut fragments: Option<Vec<NodeFragment>> = None;
-        for (node, scan) in nodes.iter().zip(scans) {
+        for ((node, opened), scan) in plan.opened.iter().zip(scans) {
             let node_span = self
                 .telemetry
                 .span_child_of(scatter_ctx, "query.executor.node");
             node_span.tag("node", *node);
-            if scan.retries > 0 {
+            if opened.retries > 0 {
                 self.telemetry
-                    .incr("query.retries", u64::from(scan.retries));
+                    .incr("query.retries", u64::from(opened.retries));
                 self.telemetry.event(
                     "query.node_retried",
-                    &[("node", (*node).into()), ("retries", scan.retries.into())],
+                    &[("node", (*node).into()), ("retries", opened.retries.into())],
                 );
-                node_span.tag("retries", scan.retries);
+                node_span.tag("retries", opened.retries);
             }
-            if scan.failover {
+            if opened.view.is_some_and(|(_, failover, _)| failover) {
                 self.telemetry.incr("query.failovers", 1);
                 self.telemetry
                     .event("query.node_failover", &[("node", (*node).into())]);
                 node_span.tag("failover", true);
             }
-            if scan.unavailable {
+            if scan.partial.is_none() {
                 unavailable += 1;
                 self.telemetry.incr("query.degraded", 1);
                 self.telemetry
@@ -737,7 +669,7 @@ impl<'a> Executor<'a> {
                     .record_scan(table, *node, kind, &scan.stats, &node_span.ctx());
             }
             let node_sim_us = scan.meter.sequential_us(&self.cost_model);
-            if !scan.unavailable {
+            if scan.partial.is_some() {
                 // Per-node cost feed for the watch layer's anomaly
                 // detector; replayed here in node-index order so the
                 // derived suspicion stream is deterministic too.
@@ -761,18 +693,21 @@ impl<'a> Executor<'a> {
         (partials, meters, unavailable, fragments)
     }
 
-    /// Executes many queries concurrently in the direct regime, fanning
-    /// whole queries out across the pool — the shape batched analytics
-    /// workloads (E1/E4/E7) actually have. Results come back in query
-    /// order, each exactly what [`Executor::execute_direct`] would have
-    /// returned. Per-query node scans run inline on the query's worker
-    /// (a nested fan-out would oversubscribe the host).
+    /// Executes many queries as one statement in the direct regime — the
+    /// shape batched analytics workloads (E1/E4/E7) and multi-aggregate
+    /// statements actually have: their blocks are read once, and every
+    /// query refines the shared rows on its own pool worker. Results
+    /// come back in query order, each exactly what
+    /// [`Executor::execute_direct`] would have returned. Per-query node
+    /// folds run inline on the query's worker (a nested fan-out would
+    /// oversubscribe the host).
     ///
-    /// Under an installed fault plan the queries share per-node operation
-    /// counters, so they run one after another in query order (each with
-    /// the full pool inside the query): which query meets which fault —
-    /// and pays its backoff — is then a function of the batch alone, not
-    /// of thread timing.
+    /// Every query's nodes are opened on the calling thread, in query
+    /// order then node order, before anything is read: under an
+    /// installed fault plan the queries share per-node operation
+    /// counters, and which query meets which fault — and pays its
+    /// backoff — is then a function of the batch alone, not of thread
+    /// timing.
     pub fn execute_batch(
         &self,
         table: &str,
@@ -791,10 +726,11 @@ impl<'a> Executor<'a> {
     }
 
     /// Each query's span tree attaches under the batch span even though
-    /// it is built on a worker thread; with a recording sink, span ids
-    /// and event interleavings across queries depend on scheduling —
-    /// batch telemetry is coherent per query but not bit-reproducible
-    /// across runs (single-query execution is).
+    /// it is built on a worker thread (its partition-pruning events are
+    /// emitted by the open phase, under the batch span itself); with a
+    /// recording sink, span ids and event interleavings across queries
+    /// depend on scheduling — batch telemetry is coherent per query but
+    /// not bit-reproducible across runs (single-query execution is).
     fn run_batch(
         &self,
         table: &str,
@@ -810,228 +746,272 @@ impl<'a> Executor<'a> {
         let mut inner = self.clone();
         inner.cache = None;
         inner.cache_consult = false;
-        if self.cluster.has_fault_plan() {
-            return queries
-                .iter()
-                .map(|q| inner.execute(table, q, &ctx, regime, None))
-                .collect();
-        }
-        // All-rectangular direct batches on a healthy cluster share one
-        // superset scan: the union of the batch's query boxes is gathered
-        // once per node, and every query evaluates its predicate against
-        // that (much smaller) shared subset. Answers, cost reports, and
-        // the telemetry replay are bit-identical to standalone execution
-        // — the shared scan reproduces the per-query scan's exact charges
-        // and float-op sequence — so this is purely a wall-clock win.
-        let shared = if regime.pruned {
-            self.plan_shared_scan(table, queries)
-        } else {
-            None
-        };
+        let opened: Vec<Result<OpenedQuery>> = queries
+            .iter()
+            .map(|q| {
+                q.aggregate.validate(self.cluster.dims(table)?)?;
+                inner.open_query(table, q, regime)
+            })
+            .collect();
+        let stmt: Vec<_> = opened
+            .iter()
+            .zip(queries)
+            .filter_map(|(plan, q)| Some((plan.as_ref().ok()?, q)))
+            .collect();
+        let shared = self.plan_shared_scan(table, &stmt, false);
         let inner = inner.with_pool(ExecPool::sequential());
         self.pool.run(queries.len(), |i| {
-            inner.execute(table, &queries[i], &ctx, regime, shared.as_ref())
+            let batched = Some((&opened[i], &shared));
+            inner.execute(table, &queries[i], &ctx, regime, batched)
         })
     }
 
-    /// Builds the batch-shared superset scan, or `None` when the batch
-    /// does not qualify (fewer than two queries, any non-rectangular or
-    /// dimension-mismatched region, or any primary down — those fall
-    /// back to independent per-query scans). Only called on a cluster
-    /// without a fault plan: a faulted batch opens its scans per query.
-    fn plan_shared_scan(&self, table: &str, queries: &[AnalyticalQuery]) -> Option<SharedScan<'a>> {
-        if queries.len() < 2 || self.cluster.any_primary_down() {
-            return None;
-        }
-        let dims = self.cluster.dims(table).ok()?;
-        if dims == 0 {
-            return None;
-        }
-        let mut union: Option<Rect> = None;
-        for q in queries {
-            let Region::Range(r) = &q.region else {
-                return None;
+    /// Builds the statement's [`SharedScan`] over the opened views of
+    /// its queries: the gather box is the union of the queries' boxes
+    /// (every row when a query reads everything), each distinct serving
+    /// copy — a primary and its replica both, when a crash lands
+    /// mid-batch — is priced and pruned once by the storage layer's
+    /// scan-cost rule ([`DataNode::charge_scan`]; the executor neither
+    /// prunes nor prices blocks itself), and the admitted blocks are
+    /// gathered in **morsels** (contiguous runs of roughly
+    /// [`MORSEL_RECORDS`] records) so the pool steals within a node, not
+    /// only across nodes: a 2-node cluster saturates an 8-way pool. Pure
+    /// compute, no telemetry, and no fault gate — the views are already
+    /// open.
+    fn plan_shared_scan(
+        &self,
+        table: &str,
+        stmt: &[(&OpenedQuery<'a>, &AnalyticalQuery)],
+        with_ids: bool,
+    ) -> SharedScan<'a> {
+        let mut rect = stmt.first().and_then(|(p, _)| p.bbox.clone());
+        for (p, _) in stmt.iter().skip(1) {
+            rect = match (&rect, &p.bbox) {
+                (Some(u), Some(b)) => u.union(b).ok(),
+                _ => None,
             };
-            if r.dims() != dims {
-                return None;
+        }
+        // A column is gathered only if a query reads it: its aggregate's
+        // own, or every one when it refines the gathered rows or a cache
+        // may admit them.
+        let mut need = vec![with_ids; self.cluster.dims(table).unwrap_or(0)];
+        for (p, q) in stmt {
+            if keeps_gathered(q, p.bbox.as_ref(), rect.as_ref()) {
+                for d in KernelAcc::new(&q.aggregate).reads().into_iter().flatten() {
+                    need[d] = true;
+                }
+            } else {
+                need.fill(true);
             }
-            union = Some(match union {
-                None => r.clone(),
-                Some(u) => u.union(r).ok()?,
+        }
+        let mut nodes: Vec<GatheredNode> = Vec::new();
+        let mut admitted = Vec::new();
+        for (dn, ..) in stmt
+            .iter()
+            .flat_map(|(p, _)| &p.opened)
+            .filter_map(|(_, o)| o.view)
+        {
+            if nodes.iter().any(|g| std::ptr::eq(g.node, dn)) {
+                continue;
+            }
+            let mut charges = CostMeter::new();
+            let (blocks, stats) = dn.charge_scan(rect.as_ref(), &mut charges);
+            admitted.push(blocks);
+            nodes.push(GatheredNode {
+                node: dn,
+                charges,
+                stats,
+                chunks: Vec::new(),
             });
         }
-        let union = union?;
-        let n_nodes = self.cluster.num_nodes();
-        let mut views = Vec::with_capacity(n_nodes);
-        for node in 0..n_nodes {
-            let (dn, _) = self.cluster.serving_node(table, node).ok()?;
-            views.push(dn);
-        }
-        // One pass per node: gather the union-box rows' columns in
-        // record order. Each node is independent, so the pass
-        // parallelises freely.
-        let nodes = self.pool.run(n_nodes, |n| {
-            let node = views[n];
-            let mut sub: Vec<Vec<f64>> = vec![Vec::new(); dims];
-            for b in node.blocks() {
-                if b.bounds().is_some_and(|bb| bb.intersects(&union)) {
-                    let m = b.bbox_mask(&union);
-                    if !m.is_none_set() {
-                        for (d, out) in sub.iter_mut().enumerate() {
-                            kernels::gather(b.col(d), &m, out);
-                        }
-                    }
-                }
-            }
-            SharedNode { node, sub }
+        // Morsels in node order, contiguously.
+        let per_morsel = (MORSEL_RECORDS / self.cluster.block_size()).max(1);
+        let morsels: Vec<(usize, &[&Block])> = admitted
+            .iter()
+            .enumerate()
+            .flat_map(|(n, blocks)| blocks.chunks(per_morsel).map(move |m| (n, m)))
+            .collect();
+        let chunks = self.pool.run(morsels.len(), |mi| {
+            gather_morsel(morsels[mi].1, &need, rect.as_ref(), with_ids)
         });
-        Some(SharedScan { nodes })
+        let mut rows = 0;
+        for ((n, _), chunk) in morsels.iter().zip(chunks) {
+            if chunk.rows > 0 {
+                rows += chunk.rows;
+                nodes[*n].chunks.push(chunk);
+            }
+        }
+        SharedScan {
+            rect,
+            with_ids,
+            rows,
+            nodes,
+        }
     }
 }
 
-/// Target morsel size in records: the intra-node work unit the pool
-/// steals. A fixed constant independent of thread count, so the morsel
-/// decomposition — and everything downstream — never depends on the
-/// host's parallelism.
+/// Whether `query` keeps the rows gathered for `rect` as they are: its
+/// box is the gather box and, its region being a rectangle, that box is
+/// the region too. Any other query refines them, reading every column
+/// (see [`SharedScan::node_scan`]).
+fn keeps_gathered(query: &AnalyticalQuery, bbox: Option<&Rect>, rect: Option<&Rect>) -> bool {
+    bbox.is_some() && bbox == rect && matches!(query.region, Region::Range(_))
+}
+
+/// Target morsel size in records (a whole number of full blocks, at
+/// least one): the intra-node work unit the pool steals. A fixed
+/// constant independent of thread count, so the morsel decomposition —
+/// and everything downstream — never depends on the host's parallelism.
 const MORSEL_RECORDS: usize = 4096;
 
-/// What the storage layer's scan-cost rule ([`DataNode::charge_scan`])
-/// decided for one opened node: the blocks the scan reads, their
-/// unscaled disk + CPU charges, and the scan statistics (rows returned
-/// are filled in by the fold) — plus what the open phase learned about
-/// the serving copy (replica failover, slow-node multiplier).
-struct ScanPlan<'c> {
-    blocks: Vec<&'c Block>,
-    charges: CostMeter,
-    stats: ScanStats,
-    failover: bool,
-    slow: f64,
+/// Gathered rows below which a statement's per-node folds run inline:
+/// spawning a worker costs about 100 µs on the reference host, what
+/// folding this many rows costs at 1–7 ns each (seabench's
+/// `common.fold_*_dense_mrec_s`), so a smaller fold is over before a
+/// second thread could start on it. Not when a cache wants the rows:
+/// cloning a record out of each costs ten times a fold.
+const FOLD_FANOUT_ROWS: usize = 16 * MORSEL_RECORDS;
+
+/// The rows one morsel contributes to a gather, in block then row order.
+struct Chunk {
+    rows: usize,
+    /// One per dimension; left empty where no query reads the column.
+    cols: Vec<Vec<f64>>,
+    /// The id column; empty unless the gather carries ids.
+    ids: Vec<RecordId>,
 }
 
-/// A contiguous run of one node's admitted blocks: the unit of phase-A
-/// mask evaluation.
-struct Morsel<'p, 'c> {
-    /// Index into the scatter's `opened`/`nodes` arrays.
-    node_idx: usize,
-    blocks: &'p [&'c Block],
-}
-
-/// Splits each planned node's admitted blocks into morsels of roughly
-/// [`MORSEL_RECORDS`] records (at least one block each), in node order.
-fn plan_morsels<'p, 'c>(plans: &'p [Option<ScanPlan<'c>>]) -> Vec<Morsel<'p, 'c>> {
-    let mut out = Vec::new();
-    for (node_idx, plan) in plans.iter().enumerate() {
-        let Some(plan) = plan else { continue };
-        let mut rest = plan.blocks.as_slice();
-        while !rest.is_empty() {
-            let mut hi = 0;
-            let mut rows = 0;
-            while hi < rest.len() && rows < MORSEL_RECORDS {
-                rows += rest[hi].len();
-                hi += 1;
+/// Masks each block of a morsel by the gather box (`None`: every row)
+/// and appends the selected rows of the `need`ed columns while the block
+/// is still cache-hot. One mask buffer serves the whole morsel, and each
+/// append reserves from the mask's popcount.
+fn gather_morsel(blocks: &[&Block], need: &[bool], rect: Option<&Rect>, with_ids: bool) -> Chunk {
+    let mut chunk = Chunk {
+        rows: 0,
+        cols: vec![Vec::new(); need.len()],
+        ids: Vec::new(),
+    };
+    let mut mask = SelectionMask::none(0);
+    for b in blocks {
+        match rect {
+            Some(r) => b.bbox_mask(r, &mut mask),
+            None => mask.reset_all(b.len()),
+        }
+        let n = mask.count();
+        if n == 0 {
+            continue;
+        }
+        chunk.rows += n;
+        for ((out, col), &wanted) in chunk.cols.iter_mut().zip(b.cols()).zip(need) {
+            if wanted {
+                out.reserve(n);
+                kernels::gather(col, &mask, out);
             }
-            let (blocks, tail) = rest.split_at(hi);
-            out.push(Morsel { node_idx, blocks });
-            rest = tail;
+        }
+        if with_ids {
+            chunk.ids.reserve(n);
+            mask.for_each_set(|r| chunk.ids.push(b.ids()[r]));
         }
     }
-    out
+    chunk
 }
 
-/// One node's share of a batch superset scan: the serving copy (whose
-/// zone maps price each query's scan) and the gathered sub-columns of
-/// the rows inside the union of the batch's query boxes, in node record
-/// order.
-struct SharedNode<'c> {
+/// One serving copy's share of a [`SharedScan`]: what scanning it for
+/// the gather box costs and reads, by [`DataNode::charge_scan`], and the
+/// gathered rows in node record order.
+struct GatheredNode<'c> {
     node: &'c DataNode,
-    sub: Vec<Vec<f64>>,
+    charges: CostMeter,
+    stats: ScanStats,
+    chunks: Vec<Chunk>,
 }
 
-/// A batch-shared superset scan over the whole cluster (see
-/// [`Executor::plan_shared_scan`]).
+/// The one scan body: the rows of a statement's box, gathered once out
+/// of every serving copy its queries opened (see
+/// [`Executor::plan_shared_scan`]) and shared by every aggregate over
+/// them. Any row a query selects lies in its box, hence in the gather
+/// box, and its block's zone map intersects both — the gather loses
+/// nothing.
 struct SharedScan<'c> {
-    nodes: Vec<SharedNode<'c>>,
+    /// The gather box; `None` gathers every row of every block.
+    rect: Option<Rect>,
+    /// Whether chunks carry the id column (cache admission cuts
+    /// [`NodeFragment`]s from the gathered rows).
+    with_ids: bool,
+    /// Rows gathered, over all nodes.
+    rows: usize,
+    nodes: Vec<GatheredNode<'c>>,
 }
 
 impl SharedScan<'_> {
-    /// Replays one query's per-node scans against the shared subset.
-    ///
-    /// Charges and block statistics come from the same
-    /// [`DataNode::charge_scan`] call the direct scan makes, and the
-    /// kernel fold visits the query's rows in the same record order the
-    /// direct scan would, so the resulting [`NodeScan`]s are
-    /// bit-identical to [`Executor::scatter_scans`]' on a healthy
-    /// cluster. (Every row in the query box lies in the union box, and
-    /// its block's bounds necessarily intersect the query box, so the
-    /// shared subset loses nothing.)
-    fn node_scans(
-        &self,
-        candidates: &[NodeId],
-        bbox: &Rect,
-        aggregate: &AggregateKind,
-    ) -> Vec<NodeScan> {
-        candidates
-            .iter()
-            .map(|&node| {
-                let sn = &self.nodes[node];
-                let mut meter = CostMeter::new();
-                meter.touch_node(DIRECT_LAYERS);
-                let (_, mut stats) = sn.node.charge_scan(Some(bbox), &mut meter);
-                let sub_len = sn.sub.first().map_or(0, Vec::len);
-                let qmask = kernels::range_mask(&sn.sub, sub_len, bbox.lo(), bbox.hi());
-                stats.records_returned = qmask.count();
-                let mut acc = KernelAcc::new(aggregate);
-                acc.push(&sn.sub, &qmask);
-                let partial = acc.finish();
-                meter.charge_lan(partial.wire_bytes());
-                NodeScan {
-                    partial: Some(partial),
-                    meter,
-                    stats,
-                    retries: 0,
-                    failover: false,
-                    unavailable: false,
-                    records: None,
-                }
-            })
-            .collect()
-    }
-}
-
-/// Phase-A output for one admitted block: how many rows its
-/// bounding-box filter returns, and the selection bitmap of rows
-/// matching the query region (the rows the kernel fold visits).
-#[derive(Clone)]
-struct BlockEval {
-    returned: usize,
-    refined: SelectionMask,
-}
-
-/// Evaluates one admitted block's masks for `query`. `bbox = None` is
-/// the full-scan (BDAS) path: `refined` selects the region's rows among
-/// all of the block's. `bbox = Some` is the zone-map pruned path:
-/// `refined` is the exact equivalent of bounding-box filtering followed
-/// by `region.contains_record`.
-fn eval_block(b: &Block, query: &AnalyticalQuery, bbox: Option<&Rect>) -> BlockEval {
-    let Some(rect) = bbox else {
-        return BlockEval {
-            returned: b.len(),
-            refined: b.region_mask(&query.region),
+    /// One query's scan of one opened node, refined out of the gather:
+    /// a rectangle re-masks the gathered rows only when its box is not
+    /// the gather box, any other region then runs its own mask over
+    /// them, and the kernel fold visits the selected rows in node record
+    /// order — the float-op sequence of scanning the node's blocks
+    /// directly. Charges and block statistics are the scan-cost rule's
+    /// for the query's own box (`bbox`; `None` reads everything), scaled
+    /// once by the gate's slow-node multiplier (per-field rounding
+    /// happens once per scan); `touch_node`, backoff and the partial's
+    /// LAN bytes are never scaled, and [`ScanStats`] are unscaled.
+    fn node_scan(&self, opened: &Opened, bbox: Option<&Rect>, query: &AnalyticalQuery) -> NodeScan {
+        let mut meter = opened.meter;
+        let Some((dn, _, slow)) = opened.view else {
+            return NodeScan {
+                partial: None,
+                meter,
+                stats: ScanStats::default(),
+                records: None,
+            };
         };
-    };
-    let bmask = b.bbox_mask(rect);
-    let returned = bmask.count();
-    let refined = match &query.region {
-        // For a rectangular region the bounding box *is* the region, so
-        // the bbox mask already is the exact selection.
-        Region::Range(_) => bmask,
-        other => {
-            let mut m = b.region_mask(other);
-            m.intersect(&bmask);
-            m
+        let gathered = self
+            .nodes
+            .iter()
+            .find(|g| std::ptr::eq(g.node, dn))
+            .expect("every opened copy was gathered");
+        // The query's box is the gather box: priced with it, and every
+        // gathered row is inside.
+        let whole = bbox == self.rect.as_ref();
+        let (charges, mut stats) = if whole {
+            (gathered.charges, gathered.stats)
+        } else {
+            let mut charges = CostMeter::new();
+            let (_, stats) = dn.charge_scan(bbox, &mut charges);
+            (charges, stats)
+        };
+        let mut acc = KernelAcc::new(&query.aggregate);
+        let mut records = self.with_ids.then(Vec::new);
+        for chunk in &gathered.chunks {
+            // Cut the gathered rows to the query's own box, then to its
+            // region; a query that `keeps_gathered` needs neither.
+            let mut refined = match bbox {
+                Some(b) if !whole => kernels::range_mask(&chunk.cols, chunk.rows, b.lo(), b.hi()),
+                _ => SelectionMask::all(chunk.rows),
+            };
+            stats.records_returned += refined.count();
+            // For a rectangular region the bounding box *is* the region.
+            if !(bbox.is_some() && matches!(query.region, Region::Range(_))) {
+                refined.intersect(&query.region.column_mask(&chunk.cols, chunk.rows));
+            }
+            acc.push(&chunk.cols, &refined);
+            if let Some(out) = &mut records {
+                refined.for_each_set(|r| {
+                    let values = chunk.cols.iter().map(|c| c[r]).collect();
+                    out.push(Record::new(chunk.ids[r], values));
+                });
+            }
         }
-    };
-    BlockEval { returned, refined }
+        // The identity at the healthy multiplier 1.0.
+        meter.merge_scaled(&charges, slow);
+        let partial = acc.finish();
+        meter.charge_lan(partial.wire_bytes());
+        NodeScan {
+            partial: Some(partial),
+            meter,
+            stats,
+            records,
+        }
+    }
 }
 
 /// A running per-node partial folded directly over column slices, in
@@ -1109,6 +1089,18 @@ impl KernelAcc {
                 }
             }
             _ => KernelAcc::Opaque,
+        }
+    }
+
+    /// The columns the fold reads.
+    fn reads(&self) -> [Option<usize>; 2] {
+        match *self {
+            KernelAcc::Count { .. } | KernelAcc::Opaque => [None, None],
+            KernelAcc::SumSq { dim, .. }
+            | KernelAcc::Welford { dim, .. }
+            | KernelAcc::MinMax { dim, .. }
+            | KernelAcc::Values { dim, .. } => [Some(dim), None],
+            KernelAcc::Bivariate { x, y, .. } => [Some(x), Some(y)],
         }
     }
 

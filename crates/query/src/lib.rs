@@ -15,17 +15,18 @@
 //! [`sea_common::CostReport`]. That difference — measured, not asserted —
 //! is the substance of experiments E1, E7 and E9.
 //!
-//! Both regimes, on healthy and faulted clusters alike, share one scan
-//! path: the coordinator opens each engaged node's scan
-//! ([`sea_storage::StorageCluster::open_scan`] — where an injected
+//! Both regimes, one query or a batch, on healthy and faulted clusters
+//! alike, share one scan path: the coordinator opens each engaged node's
+//! scan ([`sea_storage::StorageCluster::open_scan`] — where an injected
 //! fault is consumed, and where the executor's [`RetryPolicy`], replica
 //! failover and [partial answers](Executor::with_partial_answers)
 //! apply), asks storage's scan-cost rule
 //! ([`sea_storage::DataNode::charge_scan`]) which blocks the scan reads
-//! and what they cost, then evaluates selection masks morsel-parallel
-//! over those column blocks and folds them into one partial aggregate
-//! per node in record order. Answers, cost reports and replayed telemetry are
-//! bit-identical at every [`ExecPool`] size.
+//! and what they cost, gathers the rows of the statement's box out of
+//! those column blocks morsel-parallel — once, whatever the number of
+//! aggregates over them — and folds them into one partial aggregate per
+//! query and node in record order. Answers, cost reports and replayed
+//! telemetry are bit-identical at every [`ExecPool`] size.
 //!
 //! Either regime can consult a [`sea_cache::SemanticCache`] before
 //! scattering ([`Executor::with_cache`]): exact hits return the stored

@@ -81,9 +81,10 @@ impl ExecPool {
     /// Runs `f(0), f(1), …, f(n-1)` across the pool's workers and
     /// returns the results in index order. Workers claim indices from a
     /// shared atomic counter (dynamic load balancing: one slow item
-    /// doesn't idle the other workers behind a static stride). With a
-    /// budget of one thread — or a single item — this is a plain loop on
-    /// the calling thread, no spawning.
+    /// doesn't idle the other workers behind a static stride). The
+    /// calling thread is one of the workers, so a budget of `t` threads
+    /// spawns `t − 1`; with a budget of one thread — or a single item —
+    /// this is a plain loop on the calling thread, no spawning.
     ///
     /// # Panics
     ///
@@ -99,27 +100,27 @@ impl ExecPool {
         }
         let workers = self.threads.min(n);
         let next = AtomicUsize::new(0);
+        let claim = || {
+            let mut out = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                out.push((i, f(i)));
+            }
+            out
+        };
+        let claim = &claim;
+        // A panic in the caller's own share unwinds out of the scope
+        // (after it has joined the spawned workers) as its `Err`.
         let joined = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let f = &f;
-                    let next = &next;
-                    s.spawn(move |_| {
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            out.push((i, f(i)));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
+            let handles: Vec<_> = (1..workers).map(|_| s.spawn(move |_| claim())).collect();
+            let mut joined = vec![Ok(claim())];
+            joined.extend(handles.into_iter().map(|h| h.join()));
+            joined
         })
-        .expect("pool scope closure does not panic");
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
         let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
         let mut panic_payload = None;
         for worker in joined {

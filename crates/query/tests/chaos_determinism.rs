@@ -3,14 +3,15 @@
 //! availability), recorded telemetry tables — at any [`ExecPool`] thread
 //! count. Fault decisions are keyed on (seed, node, per-node operation
 //! index), and a query opens its nodes' scans in node order on the
-//! coordinator thread (a faulted batch runs its queries in query order),
-//! so the injected fault sequence is independent of scheduling.
+//! coordinator thread (a batch opens its queries' nodes in query order
+//! before it reads anything), so the injected fault sequence is
+//! independent of scheduling.
 //!
 //! Fault state is stateful (per-node operation counters, crash latches),
 //! so each run builds a fresh cluster with the same plan.
 
 use proptest::prelude::*;
-use sea_common::{AggregateKind, AnalyticalQuery, Record, Rect, Region};
+use sea_common::{AggregateKind, AnalyticalQuery, Ball, Point, Record, Rect, Region};
 use sea_query::{ExecPool, Executor, RetryPolicy};
 use sea_storage::{FaultPlan, Partitioning, StorageCluster};
 use sea_telemetry::{SpanNode, TelemetrySink};
@@ -97,74 +98,126 @@ proptest! {
     }
 }
 
+/// The batch shapes one gather has to serve (as in
+/// `parallel_determinism.rs`): the same rectangle under every aggregate,
+/// balls only, balls mixed with rectangles, one ball under every
+/// aggregate, and a batch of one.
+fn batch_shapes() -> Vec<(&'static str, Vec<AnalyticalQuery>)> {
+    let rect = |i: usize| {
+        let lo = 10.0 + (i % 4) as f64 * 7.0;
+        Region::Range(Rect::new(vec![lo, 0.0, 0.0], vec![lo + 45.0, 8.0, 60.0]).unwrap())
+    };
+    let ball = |i: usize| {
+        let center = Point::new(vec![20.0 + (i % 5) as f64 * 13.0, 3.0, 25.0]);
+        Region::Radius(Ball::new(center, 9.0 + (i % 3) as f64 * 8.0).unwrap())
+    };
+    let batch = |n: usize, region: &dyn Fn(usize) -> Region| -> Vec<AnalyticalQuery> {
+        (0..n)
+            .map(|i| AnalyticalQuery::new(region(i), aggregate_by_index(i % 6)))
+            .collect()
+    };
+    vec![
+        ("one rectangle, six aggregates", batch(6, &|_| rect(0))),
+        ("balls", batch(12, &ball)),
+        (
+            "mixed",
+            batch(14, &|i| if i % 3 == 0 { ball(i) } else { rect(i) }),
+        ),
+        ("one ball, six aggregates", batch(6, &|_| ball(1))),
+        ("a batch of one", batch(1, &rect)),
+    ]
+}
+
 /// A faulted batch shares per-node operation counters among its
-/// queries, so it runs them in query order: every outcome — including
-/// which query pays a retry's backoff in its [`CostReport`] — is the same
-/// at every pool size, and the same as issuing the queries one by one.
+/// queries, so it opens their nodes in query order before it shares one
+/// gather among them — across the crash of node 2 mid-batch, which
+/// leaves a primary and its replica (or, unreplicated and in
+/// partial-answer mode, a hole) to serve the same partition. Every
+/// outcome — including which query pays a retry's backoff in its
+/// [`CostReport`] — and the `query.retries` / `query.failovers` totals
+/// are the same at every pool size, and the same as issuing the queries
+/// one by one.
 ///
 /// [`CostReport`]: sea_common::CostReport
 #[test]
 fn faulted_batches_are_identical_across_thread_counts() {
-    let queries: Vec<AnalyticalQuery> = (0..6usize)
-        .map(|agg_idx| {
-            AnalyticalQuery::new(
-                Region::Range(Rect::new(vec![10.0, 0.0, 0.0], vec![70.0, 8.0, 60.0]).unwrap()),
-                aggregate_by_index(agg_idx),
-            )
-        })
-        .collect();
-    for seed in 0..8u64 {
-        let armed = || {
-            let mut cluster = build_cluster(true, 4);
-            cluster.set_fault_plan(
-                FaultPlan::new(seed)
-                    .with_transient(0.3, 1)
-                    .with_crash(2, 9)
-                    .with_slow_node(1, 3.0),
-            );
-            cluster
-        };
-        let run = |pool: ExecPool| {
-            let cluster = armed();
-            let exec = Executor::new(&cluster).with_pool(pool);
-            let direct: Vec<String> = exec
-                .execute_batch("t", &queries)
-                .iter()
-                .map(outcome_key)
-                .collect();
-            let bdas: Vec<String> = exec
-                .execute_batch_bdas("t", &queries)
-                .iter()
-                .map(outcome_key)
-                .collect();
-            (direct, bdas)
-        };
-        let one_by_one = {
-            let cluster = armed();
-            let exec = Executor::new(&cluster);
-            let direct: Vec<String> = queries
-                .iter()
-                .map(|q| outcome_key(&exec.execute_direct("t", q)))
-                .collect();
-            let bdas: Vec<String> = queries
-                .iter()
-                .map(|q| outcome_key(&exec.execute_bdas("t", q)))
-                .collect();
-            (direct, bdas)
-        };
-        assert!(
-            one_by_one.0.iter().any(|k| !k.contains("backoff_us: 0 }")),
-            "seed {seed}: the plan injects transients: {:?}",
-            one_by_one.0
-        );
-        for threads in THREAD_COUNTS {
-            assert_eq!(
-                run(ExecPool::new(threads)),
-                one_by_one,
-                "seed {seed}, {threads} threads"
-            );
+    // What the plans are there to provoke, summed over every run.
+    let (mut retries, mut failovers, mut degraded) = (0, 0, 0);
+    for (shape, queries) in batch_shapes() {
+        for seed in 0..8u64 {
+            for replicated in [true, false] {
+                let armed = || {
+                    let mut cluster = build_cluster(replicated, 4);
+                    cluster.set_telemetry(TelemetrySink::recording());
+                    cluster.set_fault_plan(
+                        FaultPlan::new(seed)
+                            .with_transient(0.3, 1)
+                            .with_crash(2, 9)
+                            .with_slow_node(1, 3.0),
+                    );
+                    cluster
+                };
+                let totals = |cluster: &StorageCluster| {
+                    let sink = cluster.telemetry();
+                    (
+                        sink.counter_value("query.retries"),
+                        sink.counter_value("query.failovers"),
+                    )
+                };
+                let run = |pool: ExecPool| {
+                    let cluster = armed();
+                    let exec = Executor::new(&cluster)
+                        .with_pool(pool)
+                        .with_partial_answers(!replicated);
+                    let direct: Vec<String> = exec
+                        .execute_batch("t", &queries)
+                        .iter()
+                        .map(outcome_key)
+                        .collect();
+                    let bdas: Vec<String> = exec
+                        .execute_batch_bdas("t", &queries)
+                        .iter()
+                        .map(outcome_key)
+                        .collect();
+                    (direct, bdas, totals(&cluster))
+                };
+                let one_by_one = {
+                    let cluster = armed();
+                    let exec = Executor::new(&cluster).with_partial_answers(!replicated);
+                    let direct: Vec<String> = queries
+                        .iter()
+                        .map(|q| outcome_key(&exec.execute_direct("t", q)))
+                        .collect();
+                    let bdas: Vec<String> = queries
+                        .iter()
+                        .map(|q| outcome_key(&exec.execute_bdas("t", q)))
+                        .collect();
+                    (direct, bdas, totals(&cluster))
+                };
+                assert!(
+                    queries.len() < 6
+                        || one_by_one.0.iter().any(|k| !k.contains("backoff_us: 0 }")),
+                    "{shape}, seed {seed}: the plan injects transients: {:?}",
+                    one_by_one.0
+                );
+                for threads in THREAD_COUNTS {
+                    assert_eq!(
+                        run(ExecPool::new(threads)),
+                        one_by_one,
+                        "{shape}, seed {seed}, replicated {replicated}, {threads} threads"
+                    );
+                }
+                retries += one_by_one.2 .0;
+                failovers += one_by_one.2 .1;
+                let partial = |k: &&String| k.contains("nodes_unavailable: 1");
+                degraded += one_by_one.0.iter().filter(partial).count();
+            }
         }
     }
+    assert!(
+        retries > 0 && failovers > 0 && degraded > 0,
+        "retries {retries}, failovers {failovers}, degraded {degraded}"
+    );
 }
 
 fn zero_wall(node: &mut SpanNode) {

@@ -4,7 +4,7 @@
 //! parallelism is allowed to change.
 
 use proptest::prelude::*;
-use sea_common::{AggregateKind, AnalyticalQuery, Record, Rect, Region};
+use sea_common::{AggregateKind, AnalyticalQuery, Ball, Point, Record, Rect, Region};
 use sea_query::{ExecPool, Executor};
 use sea_storage::{Partitioning, StorageCluster};
 use sea_telemetry::{SpanNode, TelemetrySink};
@@ -158,38 +158,86 @@ fn recorded_telemetry_tables_are_bit_identical_across_thread_counts() {
     }
 }
 
+/// The batch shapes one gather has to serve: rectangles, balls only,
+/// balls mixed with rectangles, one region under many aggregates (the
+/// multi-aggregate statement, as a rectangle and as a ball), and a
+/// batch of one.
+fn batch_shapes() -> Vec<(&'static str, Vec<AnalyticalQuery>)> {
+    let rect = |i: usize| {
+        let lo = (i % 10) as f64 * 5.0;
+        Region::Range(Rect::new(vec![lo, 0.0, 0.0], vec![lo + 20.0, 8.0, 60.0]).unwrap())
+    };
+    let ball = |i: usize| {
+        let center = Point::new(vec![15.0 + (i % 7) as f64 * 11.0, 3.0, 25.0]);
+        Region::Radius(Ball::new(center, 6.0 + (i % 4) as f64 * 7.0).unwrap())
+    };
+    let batch = |n: usize, region: &dyn Fn(usize) -> Region| -> Vec<AnalyticalQuery> {
+        (0..n)
+            .map(|i| AnalyticalQuery::new(region(i), aggregate_by_index(i % 10)))
+            .collect()
+    };
+    vec![
+        ("rectangles", batch(24, &rect)),
+        ("balls", batch(12, &ball)),
+        (
+            "mixed",
+            batch(20, &|i| if i % 3 == 0 { ball(i) } else { rect(i) }),
+        ),
+        ("one rectangle, ten aggregates", batch(10, &|_| rect(3))),
+        ("one ball, ten aggregates", batch(10, &|_| ball(2))),
+        ("a batch of one", batch(1, &ball)),
+    ]
+}
+
 #[test]
 fn execute_batch_matches_per_query_execution() {
-    let cluster = build_cluster(3000, 5, Partitioning::Hash, 0.0);
-    let queries: Vec<AnalyticalQuery> = (0..24usize)
-        .map(|i| {
-            AnalyticalQuery::new(
-                Region::Range(
-                    Rect::new(
-                        vec![(i % 10) as f64 * 5.0, 0.0, 0.0],
-                        vec![(i % 10) as f64 * 5.0 + 20.0, 8.0, 60.0],
-                    )
-                    .unwrap(),
-                ),
-                aggregate_by_index(i % 10),
-            )
-        })
-        .collect();
-    let exec = Executor::new(&cluster).with_pool(ExecPool::new(8));
-    let sequential = Executor::new(&cluster).with_pool(ExecPool::sequential());
-    let batch_direct = exec.execute_batch("t", &queries);
-    let batch_bdas = exec.execute_batch_bdas("t", &queries);
-    for (i, q) in queries.iter().enumerate() {
-        assert_eq!(
-            outcome_key(&batch_direct[i]),
-            outcome_key(&sequential.execute_direct("t", q)),
-            "direct query {i}"
-        );
-        assert_eq!(
-            outcome_key(&batch_bdas[i]),
-            outcome_key(&sequential.execute_bdas("t", q)),
-            "bdas query {i}"
-        );
+    let healthy = build_cluster(3000, 5, Partitioning::Hash, 0.0);
+    let ranged = build_cluster(3000, 5, partitioning_by_index(1), 0.0);
+    // A replicated cluster with one primary down: partition 2 is served
+    // by its replica, every other one by its primary.
+    let mut degraded = StorageCluster::with_replication(5, 64);
+    let records = healthy.all_records("t").unwrap();
+    degraded
+        .load_table("t", records, Partitioning::Hash)
+        .unwrap();
+    degraded.fail_node(2).unwrap();
+    for (state, cluster) in [
+        ("healthy", &healthy),
+        ("range-partitioned", &ranged),
+        ("primary down", &degraded),
+    ] {
+        let sequential = Executor::new(cluster).with_pool(ExecPool::sequential());
+        for (shape, queries) in batch_shapes() {
+            let direct: Vec<String> = queries
+                .iter()
+                .map(|q| outcome_key(&sequential.execute_direct("t", q)))
+                .collect();
+            let bdas: Vec<String> = queries
+                .iter()
+                .map(|q| outcome_key(&sequential.execute_bdas("t", q)))
+                .collect();
+            for threads in THREAD_COUNTS {
+                let exec = Executor::new(cluster).with_pool(ExecPool::new(threads));
+                let batch_direct: Vec<String> = exec
+                    .execute_batch("t", &queries)
+                    .iter()
+                    .map(outcome_key)
+                    .collect();
+                assert_eq!(
+                    batch_direct, direct,
+                    "{state}, {shape}, {threads} threads: direct"
+                );
+                let batch_bdas: Vec<String> = exec
+                    .execute_batch_bdas("t", &queries)
+                    .iter()
+                    .map(outcome_key)
+                    .collect();
+                assert_eq!(
+                    batch_bdas, bdas,
+                    "{state}, {shape}, {threads} threads: bdas"
+                );
+            }
+        }
     }
 }
 

@@ -185,21 +185,6 @@ impl StorageCluster {
         self.faults.as_deref().map(FaultState::plan)
     }
 
-    /// Whether a fault-injection plan is installed. Engines that read
-    /// blocks directly must then obtain each node's blocks through
-    /// [`StorageCluster::open_scan`] (one gate operation per scan
-    /// attempt) rather than [`StorageCluster::serving_node`], so
-    /// injected faults keep their per-operation determinism contract.
-    pub fn has_fault_plan(&self) -> bool {
-        self.faults.is_some()
-    }
-
-    /// Whether any node's primary is currently unable to serve (manually
-    /// failed or crashed by the fault plan).
-    pub fn any_primary_down(&self) -> bool {
-        (0..self.n_nodes).any(|n| self.primary_down(n))
-    }
-
     /// Whether partition `node`'s primary is currently unable to serve —
     /// manually failed or crashed by the fault plan. A successful scan of
     /// such a partition was served by its replica (a failover).

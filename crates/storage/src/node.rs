@@ -117,37 +117,22 @@ impl Block {
 
     /// Selection bitmap of rows inside the inclusive box `region` — the
     /// columnar equivalent of the row filter `r.dims() == region.dims()
-    /// && ∀d: lo[d] <= v[d] <= hi[d]`. A dimensionality mismatch selects
-    /// nothing; NaN (missing) values never match.
-    pub fn bbox_mask(&self, region: &Rect) -> SelectionMask {
-        if self.dims() != region.dims() {
-            return SelectionMask::none(self.len());
+    /// && ∀d: lo[d] <= v[d] <= hi[d]` — written into the caller's mask,
+    /// so a scan loop re-fills one word buffer instead of allocating one
+    /// per block. A dimensionality mismatch selects nothing; NaN
+    /// (missing) values never match.
+    pub fn bbox_mask(&self, region: &Rect, out: &mut SelectionMask) {
+        if self.dims() == region.dims() {
+            kernels::range_mask_into(&self.cols, self.len(), region.lo(), region.hi(), out);
+        } else {
+            *out = SelectionMask::none(self.len());
         }
-        kernels::range_mask(&self.cols, self.len(), region.lo(), region.hi())
     }
 
     /// Selection bitmap of rows inside `region`, bit-identical to
     /// filtering materialized rows through `region.contains_record`.
     pub fn region_mask(&self, region: &Region) -> SelectionMask {
-        match region {
-            Region::Range(r) => self.bbox_mask(r),
-            Region::Radius(b) => {
-                if self.dims() != b.dims() {
-                    return SelectionMask::none(self.len());
-                }
-                kernels::ball_mask(&self.cols, self.len(), b.center().coords(), b.radius())
-            }
-            // Future region variants: fall back to the row-at-a-time check.
-            other => {
-                let mut m = SelectionMask::none(self.len());
-                for i in 0..self.len() {
-                    if other.contains_record(&self.record(i)) {
-                        m.set(i);
-                    }
-                }
-                m
-            }
-        }
+        region.column_mask(&self.cols, self.len())
     }
 }
 
@@ -248,8 +233,8 @@ impl DataNode {
 
     /// The scan-cost rule — the one place that decides which blocks a
     /// scan of this node reads and what reading them costs. Every scan
-    /// (the row scan below, the executor's columnar scatter, a batch's
-    /// shared superset scan) calls it instead of charging on its own.
+    /// (the row scan below, the executor's shared scan of a statement's
+    /// box) calls it instead of charging on its own.
     ///
     /// * `bbox = None` (BDAS full scan): **every** block is read, each
     ///   with its own seek-equivalent disk read — the full-scan path
@@ -273,7 +258,7 @@ impl DataNode {
             blocks_total: self.blocks.len(),
             ..ScanStats::default()
         };
-        let mut admitted = Vec::new();
+        let mut admitted = Vec::with_capacity(self.blocks.len());
         for b in &self.blocks {
             match bbox {
                 None => meter.charge_disk_read(b.bytes()),
@@ -301,10 +286,14 @@ impl DataNode {
     pub fn scan(&self, bbox: Option<&Rect>, meter: &mut CostMeter) -> (Vec<Record>, ScanStats) {
         let (blocks, mut stats) = self.charge_scan(bbox, meter);
         let mut out = Vec::new();
+        let mut mask = SelectionMask::none(0);
         for b in blocks {
             match bbox {
                 None => out.extend(b.to_records()),
-                Some(rect) => b.bbox_mask(rect).for_each_set(|i| out.push(b.record(i))),
+                Some(rect) => {
+                    b.bbox_mask(rect, &mut mask);
+                    mask.for_each_set(|i| out.push(b.record(i)));
+                }
             }
         }
         stats.records_returned = out.len();
@@ -529,10 +518,13 @@ mod tests {
         let want: Vec<usize> = (0..records.len())
             .filter(|&i| region.contains_record(&records[i]))
             .collect();
-        assert_eq!(b.bbox_mask(&rect).to_indices(), want);
+        let mut mask = SelectionMask::all(3);
+        b.bbox_mask(&rect, &mut mask);
+        assert_eq!(mask.to_indices(), want);
         assert_eq!(b.region_mask(&region).to_indices(), want);
         // Dimensionality mismatch selects nothing, like the row filter.
         let skinny = Rect::new(vec![0.0], vec![100.0]).unwrap();
-        assert!(b.bbox_mask(&skinny).is_none_set());
+        b.bbox_mask(&skinny, &mut mask);
+        assert!(mask.is_none_set() && mask.len() == b.len());
     }
 }
