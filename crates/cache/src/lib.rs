@@ -11,15 +11,16 @@
 //! scatter/gather bill again. [`SemanticCache`] closes the gap by
 //! remembering, per (aggregate kind, region) key, both the merged
 //! [`sea_common::AnswerValue`] and the per-partition answer *fragments*
-//! (the matched records each node shipped), so a later query is
-//! classified as one of:
+//! (each node's matched rows, as the columns the executor's scan
+//! gathered — see [`ColumnFragment`]), so a later query is classified as
+//! one of:
 //!
 //! - **exact hit** — same aggregate, identical region: the stored answer
 //!   is returned as-is;
 //! - **containment hit** — same aggregate, the cached region *contains*
-//!   the queried one: the answer is re-derived by re-filtering the cached
-//!   per-node fragments, bit-identical to a cold scan, with every
-//!   storage node skipped entirely;
+//!   the queried one: the answer is re-derived by masking and folding
+//!   the cached per-node columns with the kernels a cold scan runs,
+//!   bit-identical to it, with every storage node skipped entirely;
 //! - **subsumption miss** — only strictly *smaller* cached regions
 //!   exist: the query must execute, but the classification is surfaced
 //!   (the workload's interest region grew);
@@ -141,11 +142,33 @@ impl CacheStats {
     }
 }
 
-/// One storage partition's contribution to a cached answer: the records
-/// that matched the cached region on that node, in node scan order.
-/// Containment hits re-filter these by the (smaller) queried region and
-/// rebuild per-node partials — the same records in the same order a cold
-/// scan would see, so the re-derived answer is bit-identical.
+/// One storage partition's contribution to a cached answer: the rows
+/// that matched the cached region on that node, as columns in node scan
+/// order — the layout the executor's scan gathers and its kernels fold,
+/// so admission copies columns, a containment hit masks and folds them
+/// in place, and an eviction frees one allocation per column. Rows carry
+/// no ids: an aggregate never reads one.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ColumnFragment {
+    /// Matched rows.
+    pub rows: usize,
+    /// One column per dimension, `rows` values each, in scan order.
+    pub cols: Vec<Vec<f64>>,
+}
+
+impl ColumnFragment {
+    /// Simulated bytes this fragment occupies in the cache: a header
+    /// plus, per row, an id-sized slot, a length and its values — what
+    /// the row it stands for is billed, whatever the host layout.
+    pub fn memory_bytes(&self) -> u64 {
+        24 + self.rows as u64 * (16 + 8 * self.cols.len() as u64)
+    }
+}
+
+/// A fragment handed over as rows. Kept for producers that hold
+/// [`Record`]s (the wall-clock benchmark's admission probe); the cache
+/// stores [`ColumnFragment`]s only, so [`SemanticCache::admit`]
+/// transposes these once on the way in.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeFragment {
     /// The storage node this fragment came from.
@@ -154,14 +177,24 @@ pub struct NodeFragment {
     pub records: Vec<Record>,
 }
 
-impl NodeFragment {
-    /// Simulated bytes this fragment occupies in the cache.
-    pub fn memory_bytes(&self) -> u64 {
-        24 + self
-            .records
-            .iter()
-            .map(|r| 16 + 8 * r.dims() as u64)
-            .sum::<u64>()
+impl From<NodeFragment> for ColumnFragment {
+    /// Transposes the rows into columns; a row shorter than the widest
+    /// is padded with NaN (missing), as a storage block pads it.
+    fn from(fragment: NodeFragment) -> Self {
+        let records = fragment.records;
+        let dims = records.iter().map(Record::dims).max().unwrap_or(0);
+        let cols = (0..dims)
+            .map(|d| {
+                records
+                    .iter()
+                    .map(|r| r.values.get(d).copied().unwrap_or(f64::NAN))
+                    .collect()
+            })
+            .collect();
+        ColumnFragment {
+            rows: records.len(),
+            cols,
+        }
     }
 }
 
@@ -172,7 +205,7 @@ pub enum CacheDecision {
     Exact(AnswerValue),
     /// A cached region contains the queried one: per-node fragments to
     /// re-derive the answer from, shared with the cache's own entry.
-    Containment(Arc<[NodeFragment]>),
+    Containment(Arc<[ColumnFragment]>),
     /// Nothing reusable.
     Miss {
         /// Whether cached entries for the key exist whose regions are
@@ -188,7 +221,10 @@ struct Entry {
     /// Present when the producer shipped per-node fragments; answer-only
     /// entries (admitted by a producer that never saw partials)
     /// serve exact hits but cannot serve containment hits.
-    fragments: Option<Arc<[NodeFragment]>>,
+    fragments: Option<Arc<[ColumnFragment]>>,
+    /// Rows over all fragments, summed once at admission: what a
+    /// containment hit re-derives from, so the fewest win a lookup.
+    rows: u64,
     /// Simulated cost (µs) of the execution that produced the answer —
     /// what a future exact hit saves.
     recompute_cost_us: f64,
@@ -201,13 +237,6 @@ struct Entry {
 impl Entry {
     fn cost_per_byte(&self) -> f64 {
         self.recompute_cost_us / self.bytes.max(1) as f64
-    }
-
-    fn fragment_records(&self) -> u64 {
-        self.fragments
-            .as_ref()
-            .map(|fs| fs.iter().map(|f| f.records.len() as u64).sum())
-            .unwrap_or(0)
     }
 }
 
@@ -294,7 +323,7 @@ impl SemanticCache {
                         .iter()
                         .filter(|e| e.rect.contains_rect(&bbox))
                         .filter_map(|e| e.fragments.as_ref().map(|f| (e, f)))
-                        .min_by_key(|(e, _)| (e.fragment_records(), e.seq))
+                        .min_by_key(|(e, _)| (e.rows, e.seq))
                     {
                         CacheDecision::Containment(Arc::clone(fragments))
                     } else {
@@ -354,12 +383,12 @@ impl SemanticCache {
     /// while over capacity, the entry with the lowest
     /// recompute-cost-per-byte is dropped (stable tie-break on admission
     /// sequence).
-    pub fn admit(
+    pub fn admit_columns(
         &self,
         agg: &AggregateKind,
         region: &Region,
         answer: &AnswerValue,
-        fragments: Option<Vec<NodeFragment>>,
+        fragments: Option<Vec<ColumnFragment>>,
         recompute_cost_us: f64,
     ) -> bool {
         let rect = match region {
@@ -370,45 +399,35 @@ impl SemanticCache {
         if recompute_cost_us.is_nan() || recompute_cost_us < self.config.admit_min_cost_us {
             return false;
         }
-        let bytes = 64
-            + fragments
-                .as_ref()
-                .map(|fs| fs.iter().map(NodeFragment::memory_bytes).sum())
-                .unwrap_or(0u64);
+        let held = fragments.as_deref().unwrap_or_default();
+        let bytes = 64 + held.iter().map(ColumnFragment::memory_bytes).sum::<u64>();
         if bytes > self.config.capacity_bytes {
             return false;
         }
-        let key = key_of(agg);
+        let rows = held.iter().map(|f| f.rows as u64).sum();
         let mut evicted = 0u64;
         {
-            let mut st = self.state.lock();
-            let epoch = st.epoch;
+            let mut guard = self.state.lock();
+            let st = &mut *guard;
             let seq = st.next_seq;
             st.next_seq += 1;
-            let list = st.entries.entry(key).or_default();
+            let list = st.entries.entry(key_of(agg)).or_default();
             if let Some(pos) = list.iter().position(|e| e.rect == rect) {
-                let old = list.remove(pos);
-                st.total_bytes -= old.bytes;
+                st.total_bytes -= list.remove(pos).bytes;
             }
-            let list = st
-                .entries
-                .get_mut(&key_of(agg))
-                .expect("entry list just created");
             list.push(Entry {
                 rect,
                 answer: *answer,
                 fragments: fragments.map(Arc::from),
+                rows,
                 recompute_cost_us,
                 bytes,
-                epoch,
+                epoch: st.epoch,
                 seq,
             });
             st.total_bytes += bytes;
             st.stats.insertions += 1;
-            while st.total_bytes > self.config.capacity_bytes {
-                if !Self::evict_one(&mut st) {
-                    break;
-                }
+            while st.total_bytes > self.config.capacity_bytes && Self::evict_one(st) {
                 evicted += 1;
             }
         }
@@ -428,33 +447,47 @@ impl SemanticCache {
         true
     }
 
+    /// [`SemanticCache::admit_columns`] for a producer that holds its
+    /// fragments as rows: each is transposed once (see
+    /// [`NodeFragment`]) and the columnar admission runs.
+    pub fn admit(
+        &self,
+        agg: &AggregateKind,
+        region: &Region,
+        answer: &AnswerValue,
+        fragments: Option<Vec<NodeFragment>>,
+        recompute_cost_us: f64,
+    ) -> bool {
+        let columns = fragments.map(|fs| fs.into_iter().map(ColumnFragment::from).collect());
+        self.admit_columns(agg, region, answer, columns, recompute_cost_us)
+    }
+
     /// Evicts the entry with the lowest recompute-cost-per-byte (ties:
     /// lowest admission sequence). Returns false when the cache is empty.
     fn evict_one(st: &mut State) -> bool {
+        let order = |a: &Entry, b: &Entry| {
+            a.cost_per_byte()
+                .total_cmp(&b.cost_per_byte())
+                .then(a.seq.cmp(&b.seq))
+        };
+        // Each key's cheapest entry, then the cheapest of those.
         let victim = st
             .entries
-            .iter()
-            .flat_map(|(key, list)| list.iter().map(move |e| (key, e)))
-            .min_by(|(_, a), (_, b)| {
-                a.cost_per_byte()
-                    .total_cmp(&b.cost_per_byte())
-                    .then(a.seq.cmp(&b.seq))
+            .iter_mut()
+            .filter_map(|(key, list)| {
+                let pos = (0..list.len()).min_by(|&a, &b| order(&list[a], &list[b]))?;
+                Some((key, list, pos))
             })
-            .map(|(key, e)| (key.clone(), e.seq));
-        let Some((key, seq)) = victim else {
+            .min_by(|(_, la, a), (_, lb, b)| order(&la[*a], &lb[*b]));
+        let Some((key, list, pos)) = victim else {
             return false;
         };
-        let list = st.entries.get_mut(&key).expect("victim's list exists");
-        let pos = list
-            .iter()
-            .position(|e| e.seq == seq)
-            .expect("victim still present");
-        let removed = list.remove(pos);
+        st.total_bytes -= list.remove(pos).bytes;
+        st.stats.evictions += 1;
         if list.is_empty() {
+            let key = key.clone();
             st.entries.remove(&key);
         }
-        st.total_bytes -= removed.bytes;
-        st.stats.evictions += 1;
         true
     }
 

@@ -14,10 +14,10 @@
 //! table are bit-identical to sequential execution regardless of the
 //! thread count.
 
-use sea_cache::{CacheDecision, NodeFragment, SemanticCache};
+use sea_cache::{CacheDecision, ColumnFragment, SemanticCache};
 use sea_common::{
     kernels, quantile_of, AggregateKind, AnalyticalQuery, AnswerValue, BivariateStats, CostMeter,
-    CostModel, CostReport, Record, RecordId, Rect, Region, Result, SeaError, SelectionMask,
+    CostModel, CostReport, Rect, Region, Result, SeaError, SelectionMask,
 };
 use sea_storage::{Block, DataNode, NodeId, ScanStats, StorageCluster, BDAS_LAYERS, DIRECT_LAYERS};
 use sea_telemetry::{TelemetrySink, TraceContext};
@@ -122,9 +122,10 @@ struct NodeScan {
     partial: Option<Partial>,
     meter: CostMeter,
     stats: ScanStats,
-    /// The node's matched records, cloned for semantic-cache admission
-    /// (`None` unless a cache is attached and the region is cacheable).
-    records: Option<Vec<Record>>,
+    /// The node's matched rows, cut from the gathered columns for
+    /// semantic-cache admission (`None` unless a cache is attached and
+    /// the region is cacheable).
+    fragment: Option<ColumnFragment>,
 }
 
 /// One node's open phase (see [`Executor::open_query`]): what the
@@ -252,7 +253,7 @@ impl<'a> Executor<'a> {
     /// Attaches a [`SemanticCache`]: the executor consults it before
     /// scattering (exact and containment hits answer without touching
     /// any storage node) and offers every successful rectangular answer
-    /// — with its per-node record fragments — for cost-based admission
+    /// — with its per-node column fragments — for cost-based admission
     /// after gathering.
     ///
     /// A cache instance is scoped to **one logical table**: the cache
@@ -307,7 +308,7 @@ impl<'a> Executor<'a> {
     /// committing to execution.
     ///
     /// Exact hits cost one coordinator CPU charge; containment hits pay
-    /// a CPU charge per cached record re-filtered plus the merge — still
+    /// a CPU charge per cached row re-masked plus the merge — still
     /// orders of magnitude below a cluster scan, and deterministic.
     pub fn cache_lookup(&self, query: &AnalyticalQuery) -> Option<Result<QueryOutcome>> {
         let cache = self.cache?;
@@ -335,31 +336,22 @@ impl<'a> Executor<'a> {
     }
 
     /// Re-derives a containment-hit answer from cached per-node
-    /// fragments: each fragment's records are re-filtered by the
-    /// (smaller) queried region, transposed into per-dimension columns,
-    /// and folded through [`KernelAcc`] into a per-node partial, then
-    /// merged in node order — the same records, in the same order, a
-    /// cold scan would have aggregated, so the answer is bit-identical.
+    /// fragments: each fragment's columns are masked by the (smaller)
+    /// queried region and folded through [`KernelAcc`] into a per-node
+    /// partial, then merged in node order — the kernels a cold scan
+    /// runs, over the same rows in the same order, so the answer is
+    /// bit-identical.
     fn derive_from_fragments(
         &self,
         query: &AnalyticalQuery,
-        fragments: &[NodeFragment],
+        fragments: &[ColumnFragment],
     ) -> Result<QueryOutcome> {
         let mut coord = CostMeter::new();
         let mut partials = Vec::with_capacity(fragments.len());
         for frag in fragments {
-            coord.charge_cpu(frag.records.len() as u64);
-            let matched: Vec<&Record> = frag
-                .records
-                .iter()
-                .filter(|r| query.region.contains_record(r))
-                .collect();
-            let dims = matched.first().map_or(0, |r| r.dims());
-            let cols: Vec<Vec<f64>> = (0..dims)
-                .map(|d| matched.iter().map(|r| r.value(d)).collect())
-                .collect();
+            coord.charge_cpu(frag.rows as u64);
             let mut acc = KernelAcc::new(&query.aggregate);
-            acc.push(&cols, &SelectionMask::all(matched.len()));
+            acc.push(&frag.cols, &query.region.column_mask(&frag.cols, frag.rows));
             partials.push(acc.finish());
         }
         coord.charge_cpu(partials.len() as u64);
@@ -378,7 +370,7 @@ impl<'a> Executor<'a> {
         &self,
         query: &AnalyticalQuery,
         answer: &AnswerValue,
-        fragments: Option<Vec<NodeFragment>>,
+        fragments: Option<Vec<ColumnFragment>>,
         cost: &CostReport,
     ) {
         let Some(cache) = self.cache else { return };
@@ -386,7 +378,7 @@ impl<'a> Executor<'a> {
         if cost.nodes_unavailable > 0 {
             return;
         }
-        cache.admit(
+        cache.admit_columns(
             &query.aggregate,
             &query.region,
             answer,
@@ -503,19 +495,18 @@ impl<'a> Executor<'a> {
             let shared = match shared {
                 Some(shared) => shared,
                 None => {
-                    // Clone matched records only when a cache could
-                    // admit them: a cache is attached and the region
-                    // supports the containment algebra (rectangles only).
-                    let with_ids = self.cache.is_some() && matches!(query.region, Region::Range(_));
-                    own_scan = self.plan_shared_scan(table, &[(plan, query)], with_ids);
+                    // Cut fragments only when a cache could admit them:
+                    // one is attached and the region supports the
+                    // containment algebra (rectangles only).
+                    let cacheable =
+                        self.cache.is_some() && matches!(query.region, Region::Range(_));
+                    own_scan = self.plan_shared_scan(table, &[(plan, query)], cacheable);
                     &own_scan
                 }
             };
             // Per-node refine + fold: deterministic per node, so it runs
-            // on the pool too when there are rows enough to pay for it,
-            // or a record to clone per row.
-            let inline = !shared.with_ids && shared.rows < FOLD_FANOUT_ROWS;
-            let pool = if inline {
+            // on the pool too when there are rows enough to pay for it.
+            let pool = if shared.rows < FOLD_FANOUT_ROWS {
                 ExecPool::sequential()
             } else {
                 self.pool
@@ -633,11 +624,16 @@ impl<'a> Executor<'a> {
         kind: &str,
         scatter_ctx: &TraceContext,
         scans: Vec<NodeScan>,
-    ) -> (Vec<Partial>, Vec<CostMeter>, u64, Option<Vec<NodeFragment>>) {
+    ) -> (
+        Vec<Partial>,
+        Vec<CostMeter>,
+        u64,
+        Option<Vec<ColumnFragment>>,
+    ) {
         let mut partials = Vec::with_capacity(scans.len());
         let mut meters = Vec::with_capacity(scans.len());
         let mut unavailable = 0u64;
-        let mut fragments: Option<Vec<NodeFragment>> = None;
+        let mut fragments: Option<Vec<ColumnFragment>> = None;
         for ((node, opened), scan) in plan.opened.iter().zip(scans) {
             let node_span = self
                 .telemetry
@@ -682,11 +678,8 @@ impl<'a> Executor<'a> {
             if let Some(partial) = scan.partial {
                 partials.push(partial);
             }
-            if let Some(records) = scan.records {
-                fragments.get_or_insert_with(Vec::new).push(NodeFragment {
-                    node: *node as u64,
-                    records,
-                });
+            if let Some(fragment) = scan.fragment {
+                fragments.get_or_insert_with(Vec::new).push(fragment);
             }
             meters.push(scan.meter);
         }
@@ -782,7 +775,7 @@ impl<'a> Executor<'a> {
         &self,
         table: &str,
         stmt: &[(&OpenedQuery<'a>, &AnalyticalQuery)],
-        with_ids: bool,
+        cacheable: bool,
     ) -> SharedScan<'a> {
         let mut rect = stmt.first().and_then(|(p, _)| p.bbox.clone());
         for (p, _) in stmt.iter().skip(1) {
@@ -794,7 +787,7 @@ impl<'a> Executor<'a> {
         // A column is gathered only if a query reads it: its aggregate's
         // own, or every one when it refines the gathered rows or a cache
         // may admit them.
-        let mut need = vec![with_ids; self.cluster.dims(table).unwrap_or(0)];
+        let mut need = vec![cacheable; self.cluster.dims(table).unwrap_or(0)];
         for (p, q) in stmt {
             if keeps_gathered(q, p.bbox.as_ref(), rect.as_ref()) {
                 for d in KernelAcc::new(&q.aggregate).reads().into_iter().flatten() {
@@ -832,7 +825,7 @@ impl<'a> Executor<'a> {
             .flat_map(|(n, blocks)| blocks.chunks(per_morsel).map(move |m| (n, m)))
             .collect();
         let chunks = self.pool.run(morsels.len(), |mi| {
-            gather_morsel(morsels[mi].1, &need, rect.as_ref(), with_ids)
+            gather_morsel(morsels[mi].1, &need, rect.as_ref())
         });
         let mut rows = 0;
         for ((n, _), chunk) in morsels.iter().zip(chunks) {
@@ -843,7 +836,7 @@ impl<'a> Executor<'a> {
         }
         SharedScan {
             rect,
-            with_ids,
+            cacheable,
             rows,
             nodes,
         }
@@ -868,8 +861,8 @@ const MORSEL_RECORDS: usize = 4096;
 /// spawning a worker costs about 100 µs on the reference host, what
 /// folding this many rows costs at 1–7 ns each (seabench's
 /// `common.fold_*_dense_mrec_s`), so a smaller fold is over before a
-/// second thread could start on it. Not when a cache wants the rows:
-/// cloning a record out of each costs ten times a fold.
+/// second thread could start on it — cutting a cache's fragment
+/// included, a column copy beside the fold.
 const FOLD_FANOUT_ROWS: usize = 16 * MORSEL_RECORDS;
 
 /// The rows one morsel contributes to a gather, in block then row order.
@@ -877,19 +870,16 @@ struct Chunk {
     rows: usize,
     /// One per dimension; left empty where no query reads the column.
     cols: Vec<Vec<f64>>,
-    /// The id column; empty unless the gather carries ids.
-    ids: Vec<RecordId>,
 }
 
 /// Masks each block of a morsel by the gather box (`None`: every row)
 /// and appends the selected rows of the `need`ed columns while the block
 /// is still cache-hot. One mask buffer serves the whole morsel, and each
 /// append reserves from the mask's popcount.
-fn gather_morsel(blocks: &[&Block], need: &[bool], rect: Option<&Rect>, with_ids: bool) -> Chunk {
+fn gather_morsel(blocks: &[&Block], need: &[bool], rect: Option<&Rect>) -> Chunk {
     let mut chunk = Chunk {
         rows: 0,
         cols: vec![Vec::new(); need.len()],
-        ids: Vec::new(),
     };
     let mut mask = SelectionMask::none(0);
     for b in blocks {
@@ -907,10 +897,6 @@ fn gather_morsel(blocks: &[&Block], need: &[bool], rect: Option<&Rect>, with_ids
                 out.reserve(n);
                 kernels::gather(col, &mask, out);
             }
-        }
-        if with_ids {
-            chunk.ids.reserve(n);
-            mask.for_each_set(|r| chunk.ids.push(b.ids()[r]));
         }
     }
     chunk
@@ -935,9 +921,10 @@ struct GatheredNode<'c> {
 struct SharedScan<'c> {
     /// The gather box; `None` gathers every row of every block.
     rect: Option<Rect>,
-    /// Whether chunks carry the id column (cache admission cuts
-    /// [`NodeFragment`]s from the gathered rows).
-    with_ids: bool,
+    /// Whether a cache may admit the statement's answer: every column
+    /// is gathered and each node scan cuts its [`ColumnFragment`] from
+    /// them.
+    cacheable: bool,
     /// Rows gathered, over all nodes.
     rows: usize,
     nodes: Vec<GatheredNode<'c>>,
@@ -961,7 +948,7 @@ impl SharedScan<'_> {
                 partial: None,
                 meter,
                 stats: ScanStats::default(),
-                records: None,
+                fragment: None,
             };
         };
         let gathered = self
@@ -980,7 +967,20 @@ impl SharedScan<'_> {
             (charges, stats)
         };
         let mut acc = KernelAcc::new(&query.aggregate);
-        let mut records = self.with_ids.then(Vec::new);
+        // Columns sized once where every gathered row is the query's
+        // (the refined mask below stays full).
+        let mut fragment = self.cacheable.then(|| {
+            let rows = if keeps_gathered(query, bbox, self.rect.as_ref()) {
+                gathered.chunks.iter().map(|c| c.rows).sum()
+            } else {
+                0
+            };
+            let dims = gathered.chunks.first().map_or(0, |c| c.cols.len());
+            ColumnFragment {
+                rows: 0,
+                cols: (0..dims).map(|_| Vec::with_capacity(rows)).collect(),
+            }
+        });
         for chunk in &gathered.chunks {
             // Cut the gathered rows to the query's own box, then to its
             // region; a query that `keeps_gathered` needs neither.
@@ -994,11 +994,17 @@ impl SharedScan<'_> {
                 refined.intersect(&query.region.column_mask(&chunk.cols, chunk.rows));
             }
             acc.push(&chunk.cols, &refined);
-            if let Some(out) = &mut records {
-                refined.for_each_set(|r| {
-                    let values = chunk.cols.iter().map(|c| c[r]).collect();
-                    out.push(Record::new(chunk.ids[r], values));
-                });
+            if let Some(frag) = &mut fragment {
+                let n = refined.count();
+                frag.rows += n;
+                for (out, col) in frag.cols.iter_mut().zip(&chunk.cols) {
+                    if n == chunk.rows {
+                        out.extend_from_slice(col);
+                    } else {
+                        out.reserve(n);
+                        kernels::gather(col, &refined, out);
+                    }
+                }
             }
         }
         // The identity at the healthy multiplier 1.0.
@@ -1009,7 +1015,7 @@ impl SharedScan<'_> {
             partial: Some(partial),
             meter,
             stats,
-            records,
+            fragment,
         }
     }
 }
@@ -1278,7 +1284,7 @@ fn values_of(partials: Vec<Partial>) -> impl Iterator<Item = f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sea_common::{Ball, Point, Rect, Region, SeaError};
+    use sea_common::{Ball, Point, Record};
     use sea_storage::Partitioning;
 
     fn cluster() -> StorageCluster {

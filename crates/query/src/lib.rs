@@ -30,9 +30,11 @@
 //!
 //! Either regime can consult a [`sea_cache::SemanticCache`] before
 //! scattering ([`Executor::with_cache`]): exact hits return the stored
-//! answer, containment hits re-derive it from cached per-node record
-//! fragments without touching a single node, and misses execute
-//! normally and populate the cache on the way out (experiment E19).
+//! answer, containment hits re-derive it from cached per-node column
+//! fragments — the rows a scan gathered, masked and folded again by the
+//! scan's own kernels — without touching a single node, and misses
+//! execute normally and hand the columns they gathered to the cache on
+//! the way out (experiment E19).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

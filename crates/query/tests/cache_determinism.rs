@@ -117,3 +117,123 @@ fn cached_outputs_are_bit_identical_across_thread_counts() {
         );
     }
 }
+
+/// A small drift replay over a cache tight enough to evict: per epoch
+/// and aggregate, an outer rectangle (miss, admitted), a rectangle or an
+/// inscribed ball inside it (containment), a shifted rectangle (miss,
+/// admitted, evicting) and the outer one again (exact hit while it
+/// survives); the hotspot moves and the epoch advances twice.
+fn drift_replay(threads: usize) -> (Vec<String>, CacheStats, u64) {
+    let cluster = build_cluster(4);
+    let cache = SemanticCache::new(CacheConfig {
+        capacity_bytes: 50_000,
+        admit_min_cost_us: 0.0,
+    });
+    let exec = Executor::new(&cluster)
+        .with_pool(ExecPool::new(threads))
+        .with_cache(&cache);
+    let rect = |lo: f64, hi: f64| Rect::new(vec![lo, 0.0, 0.0], vec![hi, 7.0, 53.0]).unwrap();
+    let mut outcomes = Vec::new();
+    for (epoch, hot) in [10.0, 40.0, 65.0].into_iter().enumerate() {
+        if epoch > 0 {
+            cache.advance_epoch();
+        }
+        for agg_idx in [0, 2, 3, 4] {
+            // Entries of different sizes, so eviction is not first-in
+            // first-out.
+            let w = 32.0 - 3.0 * agg_idx as f64;
+            let inner = if epoch == 1 {
+                Region::Radius(Ball::new(Point::new(vec![hot + 12.0, 3.0, 25.0]), 3.0).unwrap())
+            } else {
+                Region::Range(rect(hot + 3.0, hot + w - 6.0))
+            };
+            for region in [
+                Region::Range(rect(hot, hot + w)),
+                inner,
+                Region::Range(rect(hot + 10.0, hot + 10.0 + w)),
+                Region::Range(rect(hot, hot + w)),
+            ] {
+                let q = AnalyticalQuery::new(region, aggregate_by_index(agg_idx));
+                let out = exec.execute_direct("t", &q).unwrap();
+                outcomes.push(format!("{:?} @ {:?}", out.answer, out.cost.wall_us));
+            }
+        }
+    }
+    (outcomes, cache.stats(), cache.memory_bytes())
+}
+
+/// The cache's representation moves no counter: statistics, simulated
+/// bytes and every answer with its simulated cost, against literals
+/// recorded from the row-fragment cache of the commit before fragments
+/// became columns.
+#[test]
+fn drift_replay_matches_the_recorded_counters_and_answers() {
+    const RECORDED: [&str; 48] = [
+        "Scalar(660.0) @ 13187.809999999998",
+        "Scalar(480.0) @ 33.2",
+        "Scalar(660.0) @ 13187.809999999998",
+        "Scalar(660.0) @ 13187.809999999998",
+        "Scalar(2.9944444444444445) @ 13187.809999999998",
+        "Scalar(2.9916666666666667) @ 27.200000000000003",
+        "Scalar(3.0) @ 13187.809999999998",
+        "Scalar(2.9944444444444445) @ 0.05",
+        "Scalar(4.0145442708333325) @ 13187.809999999998",
+        "Scalar(4.009988888888889) @ 24.200000000000003",
+        "Scalar(3.995677083333332) @ 13187.809999999998",
+        "Scalar(4.0145442708333325) @ 0.05",
+        "Scalar(20.0) @ 13194.337999999998",
+        "Scalar(18.5) @ 21.200000000000003",
+        "Scalar(30.0) @ 13194.274",
+        "Scalar(20.0) @ 0.05",
+        "Scalar(660.0) @ 13187.809999999998",
+        "Scalar(7.0) @ 33.2",
+        "Scalar(660.0) @ 13187.809999999998",
+        "Scalar(660.0) @ 13187.809999999998",
+        "Scalar(2.998148148148148) @ 13187.809999999998",
+        "Scalar(3.142857142857143) @ 27.200000000000003",
+        "Scalar(3.0037037037037035) @ 13187.809999999998",
+        "Scalar(2.998148148148148) @ 0.05",
+        "Scalar(4.014544270833334) @ 13187.809999999998",
+        "Scalar(1.5510204081632657) @ 24.200000000000003",
+        "Scalar(3.979149305555557) @ 13187.809999999998",
+        "Scalar(4.014544270833334) @ 0.05",
+        "Scalar(50.0) @ 13194.337999999998",
+        "Scalar(54.0) @ 21.200000000000003",
+        "Scalar(60.0) @ 13194.401999999998",
+        "Scalar(50.0) @ 0.05",
+        "Scalar(660.0) @ 13187.809999999998",
+        "Scalar(480.0) @ 33.2",
+        "Scalar(500.0) @ 13187.809999999998",
+        "Scalar(660.0) @ 0.05",
+        "Scalar(3.0055555555555555) @ 13187.809999999998",
+        "Scalar(2.9833333333333334) @ 27.200000000000003",
+        "Scalar(2.988) @ 13187.809999999998",
+        "Scalar(3.0055555555555555) @ 13187.809999999998",
+        "Scalar(3.995677083333333) @ 13187.809999999998",
+        "Scalar(4.0133333333333345) @ 24.200000000000003",
+        "Scalar(4.0145442708333325) @ 13187.809999999998",
+        "Scalar(3.995677083333333) @ 0.05",
+        "Scalar(75.0) @ 13194.401999999998",
+        "Scalar(73.5) @ 21.200000000000003",
+        "Scalar(85.0) @ 13194.337999999998",
+        "Scalar(75.0) @ 0.05",
+    ];
+    for threads in [1, 8] {
+        let (outcomes, stats, bytes) = drift_replay(threads);
+        assert_eq!(
+            stats,
+            CacheStats {
+                hits: 9,
+                containment_hits: 12,
+                misses: 27,
+                subsumption_misses: 0,
+                evictions: 21,
+                insertions: 27,
+                invalidations: 4,
+            },
+            "{threads} threads"
+        );
+        assert_eq!(bytes, 33_920, "{threads} threads: simulated bytes");
+        assert_eq!(outcomes, RECORDED, "{threads} threads: outcomes");
+    }
+}

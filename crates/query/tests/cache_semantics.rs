@@ -9,22 +9,71 @@
 //! drift-epoch bump must drop every pre-drift entry.
 
 use proptest::prelude::*;
-use sea_cache::{CacheConfig, SemanticCache};
-use sea_common::{AggregateKind, AnalyticalQuery, Ball, Point, Record, Rect, Region};
-use sea_query::Executor;
+use sea_cache::{CacheConfig, CacheDecision, NodeFragment, SemanticCache};
+use sea_common::{
+    AggregateKind, AnalyticalQuery, Ball, CostMeter, CostReport, Point, Record, Rect, Region,
+};
+use sea_query::{ExecPool, Executor};
 use sea_storage::{Partitioning, StorageCluster};
 
-fn build_cluster(nodes: usize) -> StorageCluster {
-    let mut c = StorageCluster::new(nodes, 64);
-    let records: Vec<Record> = (0..2000)
+fn clean_records() -> Vec<Record> {
+    (0..2000)
         .map(|i| {
             Record::new(
                 i as u64,
                 vec![(i % 100) as f64, (i % 7) as f64, ((i * 31) % 53) as f64],
             )
         })
-        .collect();
-    c.load_table("t", records, Partitioning::Hash).unwrap();
+        .collect()
+}
+
+fn build_cluster(nodes: usize) -> StorageCluster {
+    let mut c = StorageCluster::new(nodes, 64);
+    c.load_table("t", clean_records(), Partitioning::Hash)
+        .unwrap();
+    c
+}
+
+/// The clean rows with what a scan must step over worked in: NaN, +inf
+/// and -inf in every dimension in turn (no finite region selects such a
+/// row), zeros of both signs, and dimension 2 missing from every row of
+/// the last node under `partitioning` (its zone maps never prune).
+fn adversarial_records(partitioning: &Partitioning, nodes: usize) -> Vec<Record> {
+    let mut records = clean_records();
+    for (i, r) in records.iter_mut().enumerate() {
+        let d = i % 3;
+        match i % 13 {
+            0 => r.values[d] = f64::NAN,
+            1 => r.values[d] = f64::INFINITY,
+            2 => r.values[d] = f64::NEG_INFINITY,
+            _ => {}
+        }
+        if r.values[1] == 0.0 && i % 2 == 0 {
+            r.values[1] = -0.0;
+        }
+        if partitioning.node_for(r, nodes) == nodes - 1 {
+            r.values[2] = f64::NAN;
+        }
+    }
+    records
+}
+
+/// Four tables on four nodes: clean and adversarial rows, each hashed
+/// (`t`, `t_adv`) and range-partitioned on dimension 0 (`r`, `r_adv`),
+/// where a rectangle engages some nodes and matches nothing on others.
+const TABLES: [&str; 4] = ["t", "t_adv", "r", "r_adv"];
+
+fn build_tables() -> StorageCluster {
+    let mut c = build_cluster(4);
+    let ranged = Partitioning::Range {
+        dim: 0,
+        splits: Partitioning::equi_width_splits(0.0, 100.0, 4),
+    };
+    let adv = adversarial_records(&Partitioning::Hash, 4);
+    c.load_table("t_adv", adv, Partitioning::Hash).unwrap();
+    c.load_table("r", clean_records(), ranged.clone()).unwrap();
+    let adv = adversarial_records(&ranged, 4);
+    c.load_table("r_adv", adv, ranged).unwrap();
     c
 }
 
@@ -35,7 +84,11 @@ fn aggregate_by_index(idx: usize) -> AggregateKind {
         2 => AggregateKind::Mean { dim: 1 },
         3 => AggregateKind::Variance { dim: 1 },
         4 => AggregateKind::Median { dim: 0 },
-        _ => AggregateKind::Quantile { dim: 0, q: 0.75 },
+        5 => AggregateKind::Quantile { dim: 0, q: 0.75 },
+        6 => AggregateKind::Min { dim: 1 },
+        7 => AggregateKind::Max { dim: 2 },
+        8 => AggregateKind::Correlation { x: 0, y: 2 },
+        _ => AggregateKind::Regression { x: 2, y: 1 },
     }
 }
 
@@ -53,28 +106,49 @@ fn answer_key(r: sea_common::Result<sea_query::QueryOutcome>) -> String {
     format!("{:?}", r.map(|o| o.answer))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// What the cost model bills a containment hit: one CPU charge per
+/// cached row re-masked, one per partial merged, on the coordinator.
+fn rederivation_cost(exec: &Executor, rows: u64, partials: u64) -> CostReport {
+    let mut coord = CostMeter::new();
+    coord.charge_cpu(rows);
+    coord.charge_cpu(partials);
+    coord.report_sequential(exec.cost_model())
+}
 
-    /// Warm the cache with a random outer rectangle, then query a random
-    /// rectangle contained in it and the ball inscribed in that
-    /// rectangle: the (possible) containment hits must reproduce the
-    /// cold answers exactly, for every aggregate, including
-    /// empty-subspace errors.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// Warm the cache with a random outer rectangle — through either
+    /// regime, so the fragments are cut from a gather of the query's own
+    /// box (direct) and from a gather of everything, under a mask (BDAS)
+    /// — then query a random rectangle contained in it and the ball
+    /// inscribed in that rectangle: the (possible) containment hits must
+    /// reproduce the cold answers exactly, for every aggregate, table
+    /// and pool size, including empty-subspace errors, and cost what the
+    /// model bills for the cached rows.
     #[test]
     fn containment_hits_rederive_the_cold_answer(
-        lo0 in 0.0..40.0f64, lo1 in 0.0..40.0f64, lo2 in 0.0..40.0f64,
-        w0 in 0.5..50.0f64, w1 in 0.5..50.0f64, w2 in 0.5..50.0f64,
-        off0 in 0.0..1.0f64, off1 in 0.0..1.0f64, off2 in 0.0..1.0f64,
-        frac0 in 0.01..1.0f64, frac1 in 0.01..1.0f64, frac2 in 0.01..1.0f64,
-        agg_idx in 0..6usize,
+        // Scaled to the data's extent per dimension (100 × 7 × 53), so
+        // most outer rectangles select something.
+        lo in (0.0..40.0f64, 0.0..4.0f64, 0.0..30.0f64),
+        w in (0.5..50.0f64, 0.5..6.0f64, 0.5..40.0f64),
+        off in (0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64),
+        frac in (0.01..1.0f64, 0.01..1.0f64, 0.01..1.0f64),
+        agg_idx in 0..10usize,
+        table in 0..4usize,
+        shape in (0..2usize, 0..2usize, 0..3usize),
     ) {
-        let lo = [lo0, lo1, lo2];
-        let width = [w0, w1, w2];
-        let inner_off = [off0, off1, off2];
-        let inner_frac = [frac0, frac1, frac2];
-        let outer_hi: Vec<f64> = (0..3).map(|d| lo[d] + width[d]).collect();
-        let inner_lo: Vec<f64> = (0..3).map(|d| lo[d] + inner_off[d] * width[d]).collect();
+        let (warm_bdas, snap, pool) = (shape.0 == 1, shape.1 == 1, [1, 2, 8][shape.2]);
+        // Snapped bounds land on data values: the inclusive edges.
+        let snapped = |v: f64| if snap { v.floor() } else { v };
+        let lo = [snapped(lo.0), snapped(lo.1), snapped(lo.2)];
+        let width = [w.0, w.1, w.2];
+        let inner_off = [off.0, off.1, off.2];
+        let inner_frac = [frac.0, frac.1, frac.2];
+        let outer_hi: Vec<f64> = (0..3).map(|d| snapped(lo[d] + width[d])).collect();
+        let inner_lo: Vec<f64> = (0..3)
+            .map(|d| snapped(lo[d] + inner_off[d] * (outer_hi[d] - lo[d])))
+            .collect();
         let inner_hi: Vec<f64> = (0..3)
             .map(|d| inner_lo[d] + inner_frac[d] * (outer_hi[d] - inner_lo[d]))
             .collect();
@@ -85,20 +159,38 @@ proptest! {
             .fold(f64::INFINITY, f64::min);
         let ball = Ball::new(inner.center(), radius).unwrap();
 
-        let cluster = build_cluster(4);
+        let cluster = build_tables();
+        let table = TABLES[table];
         let cache = open_cache();
-        let exec = Executor::new(&cluster).with_cache(&cache);
+        let exec = Executor::new(&cluster)
+            .with_pool(ExecPool::new(pool))
+            .with_cache(&cache);
         // Warm (and admit) the outer region; it may legitimately fail
         // (e.g. Mean over an empty subspace), in which case nothing is
         // admitted and the inner query simply runs cold on both sides.
         let warm = AnalyticalQuery::new(Region::Range(outer), aggregate_by_index(agg_idx));
-        let _ = exec.execute_direct("t", &warm);
+        let _ = if warm_bdas {
+            exec.execute_bdas(table, &warm)
+        } else {
+            exec.execute_direct(table, &warm)
+        };
 
         for region in [Region::Range(inner), Region::Radius(ball)] {
             let q = AnalyticalQuery::new(region, aggregate_by_index(agg_idx));
-            let warm_answer = answer_key(exec.execute_direct("t", &q));
-            let cold_answer = answer_key(Executor::new(&cluster).execute_direct("t", &q));
-            prop_assert_eq!(warm_answer, cold_answer);
+            // What the executor's own consult is about to be served.
+            let served = match cache.lookup(&q.aggregate, &q.region) {
+                CacheDecision::Containment(frags) => {
+                    let rows: usize = frags.iter().map(|f| f.rows).sum();
+                    Some((rows as u64, frags.len() as u64))
+                }
+                _ => None,
+            };
+            let warm_out = exec.execute_direct(table, &q);
+            if let (Some((rows, partials)), Ok(out)) = (served, &warm_out) {
+                prop_assert_eq!(&out.cost, &rederivation_cost(&exec, rows, partials));
+            }
+            let cold_answer = answer_key(Executor::new(&cluster).execute_direct(table, &q));
+            prop_assert_eq!(answer_key(warm_out), cold_answer);
         }
     }
 }
@@ -118,6 +210,16 @@ fn containment_serves_rect_and_ball_sub_queries() {
     let warm_out = exec.execute_direct("t", &q).unwrap();
     let cold_out = Executor::new(&cluster).execute_direct("t", &q).unwrap();
     assert_eq!(warm_out.answer, cold_out.answer);
+    // The hit re-masks every cached row — the outer region's count —
+    // and merges one partial per node.
+    let cached_rows = clean_records()
+        .iter()
+        .filter(|r| warm.region.contains_record(r))
+        .count();
+    assert_eq!(
+        warm_out.cost,
+        rederivation_cost(&exec, cached_rows as u64, 4)
+    );
     assert!(
         warm_out.cost.wall_us < cold_out.cost.wall_us,
         "serving from memory beats scanning: {} vs {}",
@@ -191,4 +293,73 @@ fn drift_epoch_bump_drops_pre_drift_entries() {
     // The fresh result is re-admitted under the new epoch and serves again.
     exec.execute_direct("t", &q).unwrap();
     assert_eq!(cache.stats().hits, 2);
+}
+
+/// The representation moves no counter: the rows a row scan returns,
+/// admitted through the [`NodeFragment`] adapter, make the entry the
+/// executor cuts from its gathered columns — byte for simulated byte,
+/// classification for classification, re-derived answer for answer.
+#[test]
+fn row_adapter_and_column_admission_hold_the_same_entry() {
+    let cluster = build_tables();
+    let outer = Rect::new(vec![5.0, 0.0, 2.0], vec![70.0, 6.0, 50.0]).unwrap();
+    let inner = Rect::new(vec![20.0, 0.0, 5.0], vec![50.0, 5.0, 40.0]).unwrap();
+    let ball = Ball::new(Point::new(vec![40.0, 3.0, 25.0]), 2.5).unwrap();
+    let beyond = Rect::new(vec![0.0, 0.0, 0.0], vec![90.0, 7.0, 53.0]).unwrap();
+    let apart = Rect::new(vec![80.0, 0.0, 0.0], vec![90.0, 7.0, 53.0]).unwrap();
+    for table in TABLES {
+        for agg_idx in 0..10 {
+            let agg = aggregate_by_index(agg_idx);
+            let warm = AnalyticalQuery::new(Region::Range(outer.clone()), agg);
+            let by_columns = open_cache();
+            let admitted = Executor::new(&cluster)
+                .with_cache(&by_columns)
+                .execute_direct(table, &warm)
+                .unwrap();
+
+            let by_rows = open_cache();
+            let fragments = cluster
+                .nodes_for_region(table, &outer)
+                .unwrap()
+                .into_iter()
+                .map(|node| NodeFragment {
+                    node: node as u64,
+                    records: cluster
+                        .scan_node_region(table, node, &outer, &mut CostMeter::new())
+                        .unwrap(),
+                })
+                .collect();
+            assert!(by_rows.admit(
+                &warm.aggregate,
+                &warm.region,
+                &admitted.answer,
+                Some(fragments),
+                admitted.cost.wall_us,
+            ));
+            assert_eq!(by_rows.memory_bytes(), by_columns.memory_bytes());
+
+            let derive_rows = Executor::new(&cluster).with_cache_populate_only(&by_rows);
+            let derive_columns = Executor::new(&cluster).with_cache_populate_only(&by_columns);
+            for region in [
+                Region::Range(outer.clone()),
+                Region::Range(inner.clone()),
+                Region::Radius(ball.clone()),
+                Region::Range(beyond.clone()),
+                Region::Range(apart.clone()),
+            ] {
+                // Debug renders every cached value, signed zeros apart.
+                assert_eq!(
+                    format!("{:?}", by_rows.lookup(&agg, &region)),
+                    format!("{:?}", by_columns.lookup(&agg, &region)),
+                    "{table} {agg:?} {region:?}: classification"
+                );
+                let q = AnalyticalQuery::new(region, agg);
+                assert_eq!(
+                    format!("{:?}", derive_rows.cache_lookup(&q)),
+                    format!("{:?}", derive_columns.cache_lookup(&q)),
+                    "{table} {agg:?}: re-derived outcome"
+                );
+            }
+        }
+    }
 }

@@ -16,8 +16,11 @@ use sea_common::{kernels, CostMeter, Record, RecordId, Rect, Region, SelectionMa
 /// Blocks also carry the bounding rectangle of their records so engines
 /// can prune irrelevant blocks without reading them (the zone-map style
 /// metadata that makes "surgical" access possible at all). Bounds are
-/// computed per dimension over *valid* values only, seeded from the
-/// first non-NaN value, so missing data never widens a zone map.
+/// computed per dimension over *finite* values only, seeded from the
+/// first one: a missing (NaN) or infinite value lies in no region a scan
+/// can ask for, so it neither widens a zone map nor costs the block its
+/// map (bounds must be finite; a block without one is never read by a
+/// pruned scan).
 ///
 /// Rows shorter than the block arity (the max dimensionality seen at
 /// build time) are padded with NaN/invalid entries; clusters enforce
@@ -51,7 +54,7 @@ impl Block {
         }
         let validity: Vec<SelectionMask> =
             cols.iter().map(|c| SelectionMask::from_valid(c)).collect();
-        let bounds = bounds_of(&cols, &validity, n);
+        let bounds = bounds_of(&cols, n);
         Block {
             ids,
             cols,
@@ -136,21 +139,21 @@ impl Block {
     }
 }
 
-/// Zone-map bounds over columns: per dimension, the min/max of *valid*
-/// (non-NaN) values, seeded from the first valid value so a leading NaN
-/// can never poison the bounds. Dimensions with no valid value at all
-/// fall back to wide ±1e300 sentinels (conservative: never prunes).
-fn bounds_of(cols: &[Vec<f64>], validity: &[SelectionMask], n: usize) -> Option<Rect> {
+/// Zone-map bounds over columns: per dimension, the min/max of the
+/// *finite* values, seeded from the first one so a leading NaN can never
+/// poison the bounds and an infinity never makes them unrepresentable.
+/// Dimensions with no finite value at all fall back to wide ±1e300
+/// sentinels (conservative: never prunes).
+fn bounds_of(cols: &[Vec<f64>], n: usize) -> Option<Rect> {
     if n == 0 || cols.is_empty() {
         return None;
     }
     let mut lo = Vec::with_capacity(cols.len());
     let mut hi = Vec::with_capacity(cols.len());
-    for (col, valid) in cols.iter().zip(validity) {
+    for col in cols {
         let mut d_lo = f64::NAN;
         let mut d_hi = f64::NAN;
-        valid.for_each_set(|i| {
-            let v = col[i];
+        for &v in col.iter().filter(|v| v.is_finite()) {
             if d_lo.is_nan() {
                 d_lo = v;
                 d_hi = v;
@@ -162,8 +165,8 @@ fn bounds_of(cols: &[Vec<f64>], validity: &[SelectionMask], n: usize) -> Option<
                     d_hi = v;
                 }
             }
-        });
-        if d_lo.is_nan() || d_hi.is_nan() {
+        }
+        if d_lo.is_nan() {
             d_lo = -1e300;
             d_hi = 1e300;
         }
@@ -200,14 +203,14 @@ impl DataNode {
         DataNode::default()
     }
 
-    /// Appends records as new blocks of at most `block_size` records.
+    /// Appends records as new blocks of at most `block_size` records
+    /// (at least one), walking them once.
     pub fn append(&mut self, records: Vec<Record>, block_size: usize) {
         let block_size = block_size.max(1);
-        let mut buf = records;
-        while !buf.is_empty() {
-            let rest = buf.split_off(buf.len().min(block_size));
-            self.blocks.push(Block::new(buf));
-            buf = rest;
+        let mut rest = records.into_iter().peekable();
+        while rest.peek().is_some() {
+            self.blocks
+                .push(Block::new(rest.by_ref().take(block_size).collect()));
         }
     }
 
@@ -339,6 +342,22 @@ mod tests {
     }
 
     #[test]
+    fn append_cuts_the_blocks_chunks_would() {
+        let bs = 8;
+        for n in [0, 1, bs - 1, bs, bs + 1, 3 * bs + 7] {
+            for block_size in [bs, 0] {
+                let mut node = DataNode::new();
+                node.append(recs(n), block_size);
+                let want: Vec<Block> = recs(n)
+                    .chunks(block_size.max(1))
+                    .map(|c| Block::new(c.to_vec()))
+                    .collect();
+                assert_eq!(node.blocks(), want, "{n} records in blocks of {block_size}");
+            }
+        }
+    }
+
+    #[test]
     fn block_bounds_cover_records() {
         let b = Block::new(recs(10));
         let bounds = b.bounds().unwrap();
@@ -357,6 +376,29 @@ mod tests {
         assert_eq!(b.col(1)[7], 14.0);
         assert_eq!(b.to_records(), original);
         assert_eq!(b.record(3), original[3]);
+    }
+
+    #[test]
+    fn infinite_values_neither_widen_nor_drop_a_zone_map() {
+        let mut node = DataNode::new();
+        node.append(
+            vec![
+                Record::new(0, vec![f64::INFINITY, 1.0]),
+                Record::new(1, vec![2.0, f64::NEG_INFINITY]),
+                Record::new(2, vec![3.0, 4.0]),
+            ],
+            8,
+        );
+        let bounds = node.blocks()[0].bounds().unwrap();
+        assert_eq!(
+            (bounds.lo(), bounds.hi()),
+            (&[2.0, 1.0][..], &[3.0, 4.0][..])
+        );
+        // A pruned scan reads the block and finds its finite row.
+        let rect = Rect::new(vec![0.0, 0.0], vec![10.0, 10.0]).unwrap();
+        let (rows, stats) = node.scan(Some(&rect), &mut CostMeter::new());
+        assert_eq!(stats.blocks_read, 1);
+        assert_eq!(rows, vec![Record::new(2, vec![3.0, 4.0])]);
     }
 
     #[test]
