@@ -33,7 +33,12 @@
 //! an optional [`sea_cache::SemanticCache`] sits *in front of* the
 //! predict-vs-exact branch ([`AgentPipeline::with_cache`]), so a cached
 //! exact answer short-circuits both prediction and execution while
-//! still feeding the agent a training example.
+//! still feeding the agent a training example. A [`ProcessOutcome`]
+//! hands on, unchanged, the [`sea_query::Provenance`] the executor
+//! recorded (a prediction carries the probe's miss), and
+//! [`ProcessOutcome::source_label`] is the one rule that names an
+//! answer `exact`, `cached`, `predicted`, `degraded` or `partial` for
+//! the ledger and for `sea-lang`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

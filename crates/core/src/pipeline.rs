@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use sea_cache::SemanticCache;
 use sea_common::{AnalyticalQuery, AnswerValue, CostReport, Result};
-use sea_query::Executor;
+use sea_query::{CacheClass, Executor, Provenance, QueryOutcome};
 use sea_telemetry::TelemetrySink;
 
 use crate::agent::{AgentConfig, SeaAgent};
@@ -76,6 +76,39 @@ pub struct ProcessOutcome {
     pub cost: CostReport,
     /// Provenance of the answer.
     pub source: AnswerSource,
+    /// What the executor recorded, unchanged; a prediction carries the
+    /// probe's miss when a cache is attached, zeros otherwise.
+    pub provenance: Provenance,
+}
+
+/// An executor outcome is an exact answer, or a cached one when the
+/// cache served it.
+impl From<QueryOutcome> for ProcessOutcome {
+    fn from(o: QueryOutcome) -> Self {
+        let source = match o.provenance.cache {
+            CacheClass::Exact | CacheClass::Containment => AnswerSource::Cached,
+            CacheClass::None | CacheClass::Miss => AnswerSource::Exact,
+        };
+        ProcessOutcome {
+            answer: o.answer,
+            cost: o.cost,
+            source,
+            provenance: o.provenance,
+        }
+    }
+}
+
+impl ProcessOutcome {
+    /// The one source-label rule (ledger rows, `sea-lang` results,
+    /// EXPLAIN's `path=`): `partial` when unavailable partitions were
+    /// skipped, otherwise [`AnswerSource::label`].
+    pub fn source_label(&self) -> &'static str {
+        if self.cost.answered_fraction < 1.0 {
+            "partial"
+        } else {
+            self.source.label()
+        }
+    }
 }
 
 /// An agent bound to a table with an error-threshold policy.
@@ -163,11 +196,6 @@ impl AgentPipeline {
         self
     }
 
-    /// The attached semantic cache, if any.
-    pub fn cache(&self) -> Option<&SemanticCache> {
-        self.cache.as_deref()
-    }
-
     /// Attaches a telemetry sink: `core.pipeline.process` spans plus
     /// `agent.predicted` / `agent.fallback` / `agent.trained` decision
     /// events flow into it (the inner agent is instrumented too).
@@ -208,8 +236,16 @@ impl AgentPipeline {
     ) -> Result<ProcessOutcome> {
         let span = self.telemetry.span("core.pipeline.process");
         let ctx = span.ctx();
-        if let Some(cache) = &self.cache {
-            let probe = executor.clone().with_cache(cache);
+        // The one cache-attached executor of this call: probed here,
+        // before the predict decision (an exact cached answer beats a
+        // confident prediction), and populate-only below so the miss is
+        // not counted twice.
+        let cached_exec = self
+            .cache
+            .as_ref()
+            .map(|cache| executor.clone().with_cache_populate_only(cache));
+        let mut missed = Provenance::default();
+        if let Some(probe) = &cached_exec {
             if let Some(Ok(outcome)) = probe.cache_lookup(query) {
                 // A cache hit is an exact answer obtained without base
                 // data: serve it *and* learn from it, exactly like a
@@ -226,12 +262,9 @@ impl AgentPipeline {
                     "agent.cached",
                     &[("training_queries", self.agent.training_queries.into())],
                 );
-                return Ok(ProcessOutcome {
-                    answer: outcome.answer,
-                    cost: outcome.cost,
-                    source: AnswerSource::Cached,
-                });
+                return Ok(outcome.into());
             }
+            missed.cache = CacheClass::Miss;
         }
         let mut fallback_reason = "untrained";
         // −1 = the agent produced no estimate at all (kept finite so the
@@ -264,6 +297,7 @@ impl AgentPipeline {
                     source: AnswerSource::Predicted {
                         estimated_error: pred.estimated_error,
                     },
+                    provenance: missed,
                 });
             }
             fallback_reason = if audit_due {
@@ -286,18 +320,7 @@ impl AgentPipeline {
             ],
         );
         self.predictions_since_audit = 0;
-        // Populate-only: the pipeline already consulted the cache above,
-        // so the executor must not count a second lookup, but its exact
-        // answer (with per-node fragments) should be offered for
-        // admission.
-        let cached_exec;
-        let exec_ref = match &self.cache {
-            Some(cache) => {
-                cached_exec = executor.clone().with_cache_populate_only(cache);
-                &cached_exec
-            }
-            None => executor,
-        };
+        let exec_ref = cached_exec.as_ref().unwrap_or(executor);
         // The executor's span tree (scatter → per-node scans → gather)
         // hangs under this pipeline span via the explicit trace parent.
         let exact = match self.mode {
@@ -325,6 +348,7 @@ impl AgentPipeline {
                         source: AnswerSource::Degraded {
                             estimated_error: pred.estimated_error,
                         },
+                        provenance: missed,
                     });
                 }
                 return Err(err);
@@ -336,11 +360,7 @@ impl AgentPipeline {
             "agent.trained",
             &[("training_queries", self.agent.training_queries.into())],
         );
-        Ok(ProcessOutcome {
-            answer: outcome.answer,
-            cost: outcome.cost,
-            source: AnswerSource::Exact,
-        })
+        Ok(outcome.into())
     }
 }
 

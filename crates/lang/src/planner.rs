@@ -13,7 +13,7 @@
 use sea_common::{
     AnalyticalQuery, AnswerValue, Ball, CostReport, Point, Rect, Region, Result, SeaError,
 };
-use sea_core::AgentPipeline;
+use sea_core::{AgentPipeline, ProcessOutcome};
 use sea_optimizer::{ExecutionEngines, QueryStrategy};
 use sea_query::Executor;
 use sea_service::{QueryService, SubmitOutcome};
@@ -140,7 +140,9 @@ pub struct AggregateResult {
     pub answer: AnswerValue,
     /// Simulated resource bill (zero for pure predictions).
     pub cost: CostReport,
-    /// Provenance label: `exact`, `predicted`, `cached`, or `degraded`.
+    /// Provenance label, by the rule the ledger uses
+    /// ([`ProcessOutcome::source_label`]): `exact`, `predicted`,
+    /// `cached`, `degraded`, or `partial`.
     pub source: &'static str,
     /// Access path when the optimizer chose one (`None` on the plain
     /// executor scan path and on non-exact answers).
@@ -308,11 +310,11 @@ fn execute(
     plan: &LogicalPlan,
     queries: &[AnalyticalQuery],
 ) -> Result<Vec<(AggregateResult, Option<Estimates>)>> {
-    let result = |spec: &AggSpec, answer, cost, source, strategy| AggregateResult {
+    let result = |spec: &AggSpec, out: ProcessOutcome, strategy| AggregateResult {
         spec: spec.clone(),
-        answer,
-        cost,
-        source,
+        answer: out.answer,
+        cost: out.cost,
+        source: out.source_label(),
         strategy,
     };
     let specs = plan.aggregates.iter().zip(queries);
@@ -324,16 +326,18 @@ fn execute(
             .map(|(spec, q)| {
                 let p = pipeline.agent().predict(q)?;
                 exec.telemetry().span("lang.predict").record_sim_us(0.0);
-                let cost = CostReport::zero();
-                Ok((result(spec, p.answer, cost, "predicted", None), None))
+                let predicted = AggregateResult {
+                    spec: spec.clone(),
+                    answer: p.answer,
+                    cost: CostReport::zero(),
+                    source: "predicted",
+                    strategy: None,
+                };
+                Ok((predicted, None))
             })
             .collect(),
         (ModeHint::Auto, Some(pipeline)) => specs
-            .map(|(spec, q)| {
-                let out = pipeline.process(exec, q)?;
-                let source = out.source.label();
-                Ok((result(spec, out.answer, out.cost, source, None), None))
-            })
+            .map(|(spec, q)| Ok((result(spec, pipeline.process(exec, q)?, None), None)))
             .collect(),
         // `run` has already turned a pipeline-less `auto` into exact.
         (ModeHint::Exact, _) | (ModeHint::Auto, None) => match engines {
@@ -356,7 +360,7 @@ fn execute(
                         span.record_sim_us(out.cost.wall_us);
                     }
                     Ok((
-                        result(spec, out.answer, out.cost, "exact", Some(strategy)),
+                        result(spec, out.into(), Some(strategy)),
                         Some(Estimates { scan_us, index_us }),
                     ))
                 })
@@ -372,10 +376,7 @@ fn execute(
                 };
                 specs
                     .zip(outcomes)
-                    .map(|((spec, _), out)| {
-                        let out = out?;
-                        Ok((result(spec, out.answer, out.cost, "exact", None), None))
-                    })
+                    .map(|((spec, _), out)| Ok((result(spec, out?.into(), None), None)))
                     .collect()
             }
         },

@@ -3,6 +3,7 @@
 //! values against the same executor — the front end adds a surface, not
 //! semantics.
 
+use sea_cache::{CacheConfig, SemanticCache};
 use sea_common::{AggregateKind, AnalyticalQuery, AnswerValue, Record, Rect, Region};
 use sea_core::{AgentConfig, AgentPipeline, ExecMode};
 use sea_lang::{parse, submit_statement, Frontend, ModeHint};
@@ -142,6 +143,33 @@ fn engine_scans_run_on_the_front_ends_executor() {
     let roots = sink.snapshot().unwrap().spans.roots;
     assert_eq!(roots.len(), 1);
     assert_eq!(roots[0].name, "query.executor.direct");
+}
+
+#[test]
+fn a_statement_the_executors_cache_answers_is_labelled_cached() {
+    let cluster = cluster();
+    let cache = SemanticCache::new(CacheConfig {
+        admit_min_cost_us: 0.0,
+        ..CacheConfig::default()
+    });
+    let stmt = "SELECT mean(d0) WHERE d0 IN [20.0, 60.0] AND d1 IN [10.0, 30.0] EXPLAIN";
+    let plain = Frontend::new(Executor::new(&cluster), "t")
+        .unwrap()
+        .run(stmt)
+        .unwrap();
+    let mut front = Frontend::new(Executor::new(&cluster).with_cache(&cache), "t").unwrap();
+    // Cold: a miss reads as it does with no cache attached.
+    let cold = front.run(stmt).unwrap();
+    assert_eq!(cold.results[0].source, "exact");
+    assert_eq!(cold.explain, plain.explain);
+    assert!(cold.explain.unwrap().contains("path=exact(executor)"));
+    // Hot: the same answer, and it says where it came from.
+    let hot = front.run(stmt).unwrap();
+    assert_eq!(hot.results[0].source, "cached");
+    assert_bits_eq(&hot.results[0].answer, &cold.results[0].answer);
+    let explain = hot.explain.unwrap();
+    assert!(explain.contains("path=cached(executor)"), "{explain}");
+    assert!(explain.contains("query.executor.cache class=exact"));
 }
 
 #[test]

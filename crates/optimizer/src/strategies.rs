@@ -20,7 +20,7 @@ use sea_common::{
     AnalyticalQuery, CostMeter, CostModel, CostReport, Record, RecordId, Rect, Result, SeaError,
 };
 use sea_index::GridIndex;
-use sea_query::{Executor, QueryOutcome};
+use sea_query::{Executor, Provenance, QueryOutcome};
 use sea_storage::{StorageCluster, DIRECT_LAYERS};
 
 /// An execution strategy for analytical queries.
@@ -212,6 +212,7 @@ impl<'a> ExecutionEngines<'a> {
         Ok(QueryOutcome {
             answer,
             cost: self.point_read_cost(candidates.len(), cost_model),
+            provenance: Provenance::default(),
         })
     }
 

@@ -24,14 +24,56 @@ use sea_telemetry::{TelemetrySink, TraceContext};
 
 use crate::pool::ExecPool;
 
-/// The outcome of executing one analytical query: the exact answer plus
-/// the full resource bill.
+/// The outcome of executing one analytical query: the exact answer, the
+/// full resource bill, and how the statement was answered.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryOutcome {
     /// The (exact) answer.
     pub answer: AnswerValue,
     /// What it cost to produce.
     pub cost: CostReport,
+    /// How it was produced.
+    pub provenance: Provenance,
+}
+
+/// What the semantic cache had to do with one statement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum CacheClass {
+    /// No cache sat on the statement's path.
+    #[default]
+    None,
+    /// A cache was probed and had no answer.
+    Miss,
+    /// Served by an identical cached statement's answer.
+    Exact,
+    /// Re-derived from the cached rows of a containing statement.
+    Containment,
+}
+
+impl CacheClass {
+    /// Short stable name (the ledger's `cache_class`).
+    pub fn label(self) -> &'static str {
+        match self {
+            CacheClass::None => "none",
+            CacheClass::Miss => "miss",
+            CacheClass::Exact => "exact",
+            CacheClass::Containment => "containment",
+        }
+    }
+}
+
+/// How a statement was answered, recorded where each fact is born —
+/// the cache class by the probe, retries and failovers by the iteration
+/// that bumps `query.retries` / `query.failovers` — and read, never
+/// re-derived, by every layer above.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Provenance {
+    /// The semantic cache's part.
+    pub cache: CacheClass,
+    /// Transient-fault retries over the engaged nodes.
+    pub retries: u64,
+    /// Engaged nodes served by a replica.
+    pub failovers: u64,
 }
 
 /// Per-node partial state shipped to the coordinator. Distributive and
@@ -270,11 +312,12 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Attaches a [`SemanticCache`] for admission only: answers are
-    /// offered to the cache after execution, but lookups are the
-    /// caller's job (used by `sea-core`'s pipeline, which consults the
-    /// cache itself before deciding between prediction and execution,
-    /// so hits and misses are counted exactly once).
+    /// Attaches a [`SemanticCache`] the caller probes: `sea-core`'s
+    /// pipeline calls [`Executor::cache_lookup`] itself, *before* it
+    /// decides between prediction and execution (an exact cached answer
+    /// beats a confident prediction), so `execute` must not count a
+    /// second lookup — it only offers its answer for admission, and
+    /// reports the caller's miss as [`CacheClass::Miss`].
     #[must_use]
     pub fn with_cache_populate_only(mut self, cache: &'a SemanticCache) -> Self {
         self.cache = Some(cache);
@@ -311,28 +354,39 @@ impl<'a> Executor<'a> {
     /// a CPU charge per cached row re-masked plus the merge — still
     /// orders of magnitude below a cluster scan, and deterministic.
     pub fn cache_lookup(&self, query: &AnalyticalQuery) -> Option<Result<QueryOutcome>> {
-        let cache = self.cache?;
-        match cache.lookup(&query.aggregate, &query.region) {
+        // One value names the hit in the span tree and on the outcome.
+        let open = |class: CacheClass| {
+            let span = self.telemetry.span("query.executor.cache");
+            span.tag("class", class.label());
+            (span, class)
+        };
+        let mut coord = CostMeter::new();
+        let ((span, class), answer) = match self.cache?.lookup(&query.aggregate, &query.region) {
             CacheDecision::Exact(answer) => {
-                let span = self.telemetry.span("query.executor.cache");
-                span.tag("class", "exact");
-                let mut coord = CostMeter::new();
                 coord.charge_cpu(1);
-                let cost = coord.report_sequential(&self.cost_model);
-                span.record_sim_us(coord.sequential_us(&self.cost_model));
-                Some(Ok(QueryOutcome { answer, cost }))
+                (open(CacheClass::Exact), Ok(answer))
             }
             CacheDecision::Containment(fragments) => {
-                let span = self.telemetry.span("query.executor.cache");
-                span.tag("class", "containment");
-                let derived = self.derive_from_fragments(query, &fragments);
-                if let Ok(out) = &derived {
-                    span.record_sim_us(out.cost.wall_us);
-                }
-                Some(derived)
+                // Opened first: the span's host time covers the fold.
+                let hit = open(CacheClass::Containment);
+                let derived = Self::derive_from_fragments(query, &fragments, &mut coord);
+                (hit, derived)
             }
-            CacheDecision::Miss { .. } => None,
-        }
+            CacheDecision::Miss { .. } => return None,
+        };
+        Some(answer.map(|answer| {
+            let cost = coord.report_sequential(&self.cost_model);
+            span.record_sim_us(cost.wall_us);
+            let provenance = Provenance {
+                cache: class,
+                ..Provenance::default()
+            };
+            QueryOutcome {
+                answer,
+                cost,
+                provenance,
+            }
+        }))
     }
 
     /// Re-derives a containment-hit answer from cached per-node
@@ -340,13 +394,13 @@ impl<'a> Executor<'a> {
     /// queried region and folded through [`KernelAcc`] into a per-node
     /// partial, then merged in node order — the kernels a cold scan
     /// runs, over the same rows in the same order, so the answer is
-    /// bit-identical.
+    /// bit-identical. Charges `coord` a CPU unit per cached row and per
+    /// merged partial.
     fn derive_from_fragments(
-        &self,
         query: &AnalyticalQuery,
         fragments: &[ColumnFragment],
-    ) -> Result<QueryOutcome> {
-        let mut coord = CostMeter::new();
+        coord: &mut CostMeter,
+    ) -> Result<AnswerValue> {
         let mut partials = Vec::with_capacity(fragments.len());
         for frag in fragments {
             coord.charge_cpu(frag.rows as u64);
@@ -355,9 +409,7 @@ impl<'a> Executor<'a> {
             partials.push(acc.finish());
         }
         coord.charge_cpu(partials.len() as u64);
-        let answer = merge_partials(&query.aggregate, partials)?;
-        let cost = coord.report_sequential(&self.cost_model);
-        Ok(QueryOutcome { answer, cost })
+        merge_partials(&query.aggregate, partials)
     }
 
     /// Offers a freshly computed answer to the attached cache. Only
@@ -479,6 +531,12 @@ impl<'a> Executor<'a> {
             }
         };
         let mut coord = CostMeter::new();
+        // An attached cache that did not answer — probed above, or by the
+        // caller that attached it populate-only — is a miss.
+        let mut provenance = Provenance::default();
+        if self.cache.is_some() {
+            provenance.cache = CacheClass::Miss;
+        }
         let (partials, node_meters, unavailable, fragments) = {
             let scatter = self.telemetry.span("query.executor.scatter");
             if regime.pruned {
@@ -514,7 +572,14 @@ impl<'a> Executor<'a> {
             let scans = pool.run(plan.opened.len(), |i| {
                 shared.node_scan(&plan.opened[i].1, plan.bbox.as_ref(), query)
             });
-            let out = self.replay_scatter(table, plan, regime.scan_kind, &scatter.ctx(), scans);
+            let out = self.replay_scatter(
+                table,
+                plan,
+                regime.scan_kind,
+                &scatter.ctx(),
+                scans,
+                &mut provenance,
+            );
             // Nodes run in parallel: the scatter phase lasts as long as
             // its slowest node under the cost model. The per-node spans
             // carry the per-node costs; the makespan is a tag so the
@@ -545,7 +610,11 @@ impl<'a> Executor<'a> {
         gather.record_sim_us(merge_only.sequential_us(&self.cost_model));
         drop(gather);
         self.maybe_admit(query, &answer, fragments, &cost);
-        Ok(QueryOutcome { answer, cost })
+        Ok(QueryOutcome {
+            answer,
+            cost,
+            provenance,
+        })
     }
 
     /// The open phase of one query, on the calling thread: partition
@@ -616,7 +685,10 @@ impl<'a> Executor<'a> {
     /// `storage.node.scan` span, counters, and event. Because this runs
     /// single-threaded in a fixed order, the recorded tables — span
     /// ids, event sequence, counter totals — are bit-identical to what
-    /// the old sequential loop produced, for every pool size.
+    /// the old sequential loop produced, for every pool size. The
+    /// iteration that bumps `query.retries` / `query.failovers` tallies
+    /// the same amounts into `provenance`: counter and carrier cannot
+    /// disagree, recording or not.
     fn replay_scatter(
         &self,
         table: &str,
@@ -624,6 +696,7 @@ impl<'a> Executor<'a> {
         kind: &str,
         scatter_ctx: &TraceContext,
         scans: Vec<NodeScan>,
+        provenance: &mut Provenance,
     ) -> (
         Vec<Partial>,
         Vec<CostMeter>,
@@ -640,6 +713,7 @@ impl<'a> Executor<'a> {
                 .span_child_of(scatter_ctx, "query.executor.node");
             node_span.tag("node", *node);
             if opened.retries > 0 {
+                provenance.retries += u64::from(opened.retries);
                 self.telemetry
                     .incr("query.retries", u64::from(opened.retries));
                 self.telemetry.event(
@@ -649,6 +723,7 @@ impl<'a> Executor<'a> {
                 node_span.tag("retries", opened.retries);
             }
             if opened.view.is_some_and(|(_, failover, _)| failover) {
+                provenance.failovers += 1;
                 self.telemetry.incr("query.failovers", 1);
                 self.telemetry
                     .event("query.node_failover", &[("node", (*node).into())]);

@@ -35,6 +35,14 @@
 //! scan's own kernels — without touching a single node, and misses
 //! execute normally and hand the columns they gathered to the cache on
 //! the way out (experiment E19).
+//!
+//! Every [`QueryOutcome`] says how it was answered ([`Provenance`]):
+//! the cache class where the probe decides it, retries and failovers in
+//! the loop iteration that bumps the `query.retries` /
+//! `query.failovers` counters — so the layers above (the pipeline, the
+//! service's ledger, `sea-lang`'s results and EXPLAIN) read one carrier
+//! instead of each reconstructing it from counters and cache
+//! statistics, and say the same with telemetry recording or not.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,5 +52,5 @@ pub mod executor;
 pub mod pool;
 
 pub use adhoc::{classify_subspace, cluster_subspace, regress_subspace, AdHocOutcome};
-pub use executor::{Executor, QueryOutcome, RetryPolicy};
+pub use executor::{CacheClass, Executor, Provenance, QueryOutcome, RetryPolicy};
 pub use pool::ExecPool;

@@ -7,7 +7,12 @@
 //! armed with its plan. Every query's answer bits, simulated `wall_us`
 //! bits, money, availability, retries and failovers (or its error) are
 //! rendered one per line and compared byte for byte with
-//! `tests/fixtures/chaos_golden.txt`.
+//! `tests/fixtures/chaos_golden.txt`, at pools of 1, 2 and 8 threads.
+//! The retries and failovers a line shows are the per-query deltas of
+//! the `query.retries` / `query.failovers` counters — the only place
+//! that subtraction survives — and every answered query's
+//! [`Provenance`](sea_query::Provenance) must equal them, alone or in a
+//! batch.
 //!
 //! Fault decisions depend on the per-node operation counters every
 //! earlier query left behind, so one scan that consumes an operation too
@@ -22,7 +27,7 @@ use std::path::PathBuf;
 use sea_common::{
     AggregateKind, AnalyticalQuery, AnswerValue, Ball, Point, Record, Rect, Region, Result,
 };
-use sea_query::{Executor, QueryOutcome, RetryPolicy};
+use sea_query::{CacheClass, ExecPool, Executor, Provenance, QueryOutcome, RetryPolicy};
 use sea_storage::{FaultPlan, Partitioning, StorageCluster};
 use sea_telemetry::TelemetrySink;
 
@@ -148,52 +153,80 @@ fn render(out: &Result<QueryOutcome>, retries: u64, failovers: u64) -> String {
     }
 }
 
-fn render_all() -> String {
+/// A fresh cluster armed with fault plan `plan_idx`.
+fn armed(plan_idx: usize, replicated: bool) -> StorageCluster {
+    let mut cluster = build_cluster(replicated);
+    cluster.set_fault_plan(
+        FaultPlan::new(97 + plan_idx as u64)
+            .with_transient(RATES[plan_idx], 1 + plan_idx as u32 % 2)
+            .with_crash(2, 10)
+            .with_slow_node(1, 3.0),
+    );
+    cluster
+}
+
+/// The arm's executor over `cluster`, recording into `sink`.
+fn executor<'a>(
+    cluster: &'a StorageCluster,
+    replicated: bool,
+    pool: ExecPool,
+    sink: &TelemetrySink,
+) -> Executor<'a> {
+    let exec = Executor::new(cluster)
+        .with_pool(pool)
+        .with_telemetry(sink.clone());
+    if replicated {
+        exec
+    } else {
+        exec.with_partial_answers(true)
+            .with_retry_policy(RetryPolicy {
+                max_retries: 2,
+                backoff_base_us: 5_000,
+            })
+    }
+}
+
+fn fault_counters(sink: &TelemetrySink) -> (u64, u64) {
+    (
+        sink.counter_value("query.retries"),
+        sink.counter_value("query.failovers"),
+    )
+}
+
+fn render_all(pool: ExecPool) -> String {
     let mut text = String::new();
     for (plan_idx, rate) in RATES.into_iter().enumerate() {
         for replicated in [true, false] {
             for regime in ["direct", "bdas"] {
-                let mut cluster = build_cluster(replicated);
-                cluster.set_fault_plan(
-                    FaultPlan::new(97 + plan_idx as u64)
-                        .with_transient(rate, 1 + plan_idx as u32 % 2)
-                        .with_crash(2, 10)
-                        .with_slow_node(1, 3.0),
-                );
+                let cluster = armed(plan_idx, replicated);
                 let sink = TelemetrySink::recording();
-                let exec = Executor::new(&cluster).with_telemetry(sink.clone());
-                let exec = if replicated {
-                    exec
-                } else {
-                    exec.with_partial_answers(true)
-                        .with_retry_policy(RetryPolicy {
-                            max_retries: 2,
-                            backoff_base_us: 5_000,
-                        })
-                };
+                let exec = executor(&cluster, replicated, pool, &sink);
                 let arm = if replicated { "repl" } else { "norepl" };
                 // The same query stream for every (arm, regime) of a plan.
                 let mut rng = Mix(0x5EA0 + plan_idx as u64);
                 for k in 0..QUERIES_PER_STREAM {
                     let q = query(&mut rng, k);
                     let table = if k % 2 == 0 { "t" } else { "r" };
-                    let before = (
-                        sink.counter_value("query.retries"),
-                        sink.counter_value("query.failovers"),
-                    );
+                    let before = fault_counters(&sink);
                     let out = match regime {
                         "direct" => exec.execute_direct(table, &q),
                         _ => exec.execute_bdas(table, &q),
                     };
+                    let after = fault_counters(&sink);
+                    let (retries, failovers) = (after.0 - before.0, after.1 - before.1);
+                    if let Ok(o) = &out {
+                        let counted = Provenance {
+                            cache: CacheClass::None,
+                            retries,
+                            failovers,
+                        };
+                        assert_eq!(o.provenance, counted, "{arm} {regime} q={k}");
+                    }
                     writeln!(
                         text,
                         "rate={rate} {arm} {regime} q={k} {table} {:?} => {}",
                         q.aggregate,
-                        render(
-                            &out,
-                            sink.counter_value("query.retries") - before.0,
-                            sink.counter_value("query.failovers") - before.1,
-                        )
+                        render(&out, retries, failovers)
                     )
                     .unwrap();
                 }
@@ -203,9 +236,61 @@ fn render_all() -> String {
     text
 }
 
+/// The same streams eight queries to a batch: a batch's counter delta is
+/// the sum of what its outcomes carry. A query that fails in the merge
+/// (an operator undefined on an empty selection) returns no outcome
+/// though its nodes' retries were counted, so such a batch can only be
+/// bounded. Returns the retries and failovers matched exactly.
+fn check_batches(pool: ExecPool) -> (u64, u64) {
+    let mut matched = (0, 0);
+    for plan_idx in 0..RATES.len() {
+        for replicated in [true, false] {
+            for regime in ["direct", "bdas"] {
+                let cluster = armed(plan_idx, replicated);
+                let sink = TelemetrySink::recording();
+                let exec = executor(&cluster, replicated, pool, &sink);
+                let mut rng = Mix(0x5EA0 + plan_idx as u64);
+                let queries: Vec<_> = (0..QUERIES_PER_STREAM)
+                    .map(|k| query(&mut rng, k))
+                    .collect();
+                for batch in queries.chunks(8) {
+                    let before = fault_counters(&sink);
+                    let outs = match regime {
+                        "direct" => exec.execute_batch("r", batch),
+                        _ => exec.execute_batch_bdas("r", batch),
+                    };
+                    let after = fault_counters(&sink);
+                    let counted = (after.0 - before.0, after.1 - before.1);
+                    let carried = outs.iter().flatten().fold((0, 0), |sum, o| {
+                        assert_eq!(o.provenance.cache, CacheClass::None);
+                        (sum.0 + o.provenance.retries, sum.1 + o.provenance.failovers)
+                    });
+                    if outs.iter().all(Result::is_ok) {
+                        assert_eq!(carried, counted, "plan {plan_idx} {regime}");
+                        matched = (matched.0 + carried.0, matched.1 + carried.1);
+                    } else {
+                        assert!(carried.0 <= counted.0 && carried.1 <= counted.1);
+                    }
+                }
+            }
+        }
+    }
+    matched
+}
+
 #[test]
 fn faulted_bills_match_the_golden_file() {
-    let rendered = render_all();
+    let rendered = render_all(ExecPool::new(1));
+    let matched = check_batches(ExecPool::new(1));
+    assert!(
+        matched.0 > 0 && matched.1 > 0,
+        "batches met faults: {matched:?}"
+    );
+    for threads in [2, 8] {
+        let pool = ExecPool::new(threads);
+        assert_eq!(render_all(pool), rendered, "{threads} threads");
+        assert_eq!(check_batches(pool), matched, "{threads} threads");
+    }
     let path: PathBuf = [
         env!("CARGO_MANIFEST_DIR"),
         "tests",

@@ -50,10 +50,11 @@ pub struct LedgerRow {
     pub aggregate: String,
     /// How the request was disposed of.
     pub disposition: Disposition,
-    /// Answer provenance for answered rows: `exact`, `predicted`,
-    /// `cached`, `degraded`, or `partial` (complete-answer provenance
-    /// is overridden by `partial` when unavailable partitions were
-    /// skipped). Empty for rejected/failed rows.
+    /// Answer provenance for answered rows, by
+    /// [`ProcessOutcome::source_label`](sea_core::ProcessOutcome::source_label):
+    /// `exact`, `predicted`, `cached`, `degraded`, or `partial` when
+    /// unavailable partitions were skipped. Empty for rejected/failed
+    /// rows.
     pub source: String,
     /// Simulated service clock at admission, microseconds.
     pub sim_time_us: f64,
@@ -65,15 +66,16 @@ pub struct LedgerRow {
     pub answered_fraction: f64,
     /// Partitions that could not be served at all.
     pub nodes_unavailable: u64,
-    /// Transient-fault retries performed while serving this request
-    /// (0 when the service runs without a recording telemetry sink).
+    /// Transient-fault retries the answer's scans rode out.
     pub retries: u64,
-    /// Replica failovers performed while serving this request (0 when
-    /// the service runs without a recording telemetry sink).
+    /// Partitions a replica served the answer from.
     pub failovers: u64,
-    /// Semantic-cache classification for this request: `exact`,
-    /// `containment`, `miss`, or `none` when no cache sits on the
-    /// tenant's path.
+    /// What the semantic cache had to do with the answer: `exact`,
+    /// `containment`, `miss`, or `none` when no cache sat on its path.
+    /// These three are read off the outcome's
+    /// [`Provenance`](sea_query::Provenance) — the same with telemetry
+    /// recording or not — so a request that returned no outcome
+    /// (rejected, failed) carries `0`, `0`, `none`.
     pub cache_class: String,
 }
 

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sea_common::{AnalyticalQuery, AnswerValue, Result, SeaError};
-use sea_core::AgentPipeline;
+use sea_core::{AgentPipeline, ProcessOutcome};
 use sea_query::Executor;
 use sea_watch::{AlertLog, AlertRecord, SloPolicy, SloTracker, FAST_WINDOWS, SLOW_WINDOWS};
 
@@ -298,56 +298,21 @@ impl<'a> QueryService<'a> {
             entry.tokens -= 1.0;
         }
 
-        // Admitted: execute, attributing telemetry counter deltas and
-        // cache-stat deltas to this request (submission is serialized
-        // through `&mut self`, so the deltas are unambiguous).
-        let sink = self.executor.telemetry();
-        let retries_before = sink.counter_value("query.retries");
-        let failovers_before = sink.counter_value("query.failovers");
-        let cache_before = entry
-            .pipeline
-            .as_ref()
-            .and_then(|p| p.cache())
-            .map(|c| c.stats());
+        // Admitted: execute. How the statement was answered rides the
+        // outcome (an executor outcome is a pipeline outcome that was
+        // not predicted), so the row below reads it, it does not
+        // reconstruct it.
         let outcome = match entry.pipeline.as_mut() {
-            Some(pipe) => pipe
-                .process(&self.executor, query)
-                .map(|o| (o.answer, o.cost, o.source.label())),
+            Some(pipe) => pipe.process(&self.executor, query),
             None => self
                 .executor
                 .execute_direct(&self.table, query)
-                .map(|o| (o.answer, o.cost, "exact")),
-        };
-        let sink = self.executor.telemetry();
-        let retries = sink.counter_value("query.retries") - retries_before;
-        let failovers = sink.counter_value("query.failovers") - failovers_before;
-        let cache_class = match (
-            cache_before,
-            entry
-                .pipeline
-                .as_ref()
-                .and_then(|p| p.cache())
-                .map(|c| c.stats()),
-        ) {
-            (Some(before), Some(after)) => {
-                if after.hits > before.hits {
-                    "exact"
-                } else if after.containment_hits > before.containment_hits {
-                    "containment"
-                } else {
-                    "miss"
-                }
-            }
-            _ => "none",
+                .map(ProcessOutcome::from),
         };
 
         match outcome {
-            Ok((answer, cost, provenance)) => {
-                let source = if cost.answered_fraction < 1.0 {
-                    "partial"
-                } else {
-                    provenance
-                };
+            Ok(out) => {
+                let cost = out.cost;
                 entry.usage.answered += 1;
                 self.executor.telemetry().incr("service.answered", 1);
                 // The serving tier's own latency distribution (simulated
@@ -373,20 +338,20 @@ impl<'a> QueryService<'a> {
                     tenant: tenant.to_string(),
                     aggregate: agg.to_string(),
                     disposition: Disposition::Answered,
-                    source: source.to_string(),
+                    source: out.source_label().to_string(),
                     sim_time_us: now,
                     money: cost.money,
                     wall_us: cost.wall_us,
                     answered_fraction: cost.answered_fraction,
                     nodes_unavailable: cost.nodes_unavailable,
-                    retries,
-                    failovers,
-                    cache_class: cache_class.to_string(),
+                    retries: out.provenance.retries,
+                    failovers: out.provenance.failovers,
+                    cache_class: out.provenance.cache.label().to_string(),
                 };
                 self.ledger.append(row.clone());
                 Ok(SubmitOutcome {
                     disposition: Disposition::Answered,
-                    answer: Some(answer),
+                    answer: Some(out.answer),
                     row,
                 })
             }
@@ -403,10 +368,7 @@ impl<'a> QueryService<'a> {
                     0.0,
                     0.0,
                 );
-                let mut row = LedgerRow::unanswered(seq, tenant, agg, Disposition::Failed, now);
-                row.retries = retries;
-                row.failovers = failovers;
-                row.cache_class = cache_class.to_string();
+                let row = LedgerRow::unanswered(seq, tenant, agg, Disposition::Failed, now);
                 self.ledger.append(row.clone());
                 Ok(SubmitOutcome {
                     disposition: Disposition::Failed,
