@@ -165,7 +165,7 @@ impl QuantumModel {
             })
             .collect();
         let k = k.min(dists.len());
-        dists.select_nth_unstable_by(k - 1, |a, b| a.0.partial_cmp(&b.0).expect("finite"));
+        dists.select_nth_unstable_by(k - 1, |a, b| a.0.total_cmp(&b.0));
         let neigh = &dists[..k];
         let mut w_sum = 0.0;
         let mut acc = (0.0, 0.0);
@@ -692,6 +692,17 @@ mod tests {
             agent.train(&q, &count_truth(&q)).unwrap();
         }
         agent
+    }
+
+    #[test]
+    fn a_nan_valued_training_pair_does_not_panic_the_knn_fallback() {
+        let mut model = QuantumModel::new(2, false, 1.0).unwrap();
+        for x in [1.0, f64::NAN, 1.5] {
+            let answer = AnswerValue::Scalar(2.0);
+            model.train(&[x, 1.0], &answer, 8).unwrap();
+        }
+        // The NaN distance is ordered, not compared to a panic.
+        assert!(model.knn_predict(&[1.0, 1.0], 2).is_some());
     }
 
     #[test]

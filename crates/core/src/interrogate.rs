@@ -90,7 +90,7 @@ pub fn interesting_subspaces(
             }
         }
     }
-    out.sort_by(|a, b| b.predicted.partial_cmp(&a.predicted).expect("finite"));
+    out.sort_by(|a, b| b.predicted.total_cmp(&a.predicted));
     Ok(out)
 }
 
@@ -126,6 +126,34 @@ mod tests {
             agent.train(&q, &AnswerValue::Scalar(corr)).unwrap();
         }
         agent
+    }
+
+    #[test]
+    fn a_nan_prediction_is_dropped_not_sorted_to_a_panic() {
+        let mut agent = trained_agent();
+        // Exact answers can be NaN (a correlation over constant data):
+        // the quanta around (75, 75) now predict it.
+        for i in 0..40 {
+            let c = 70.0 + f64::from(i % 5) * 2.5;
+            let q = AnalyticalQuery::new(
+                Region::Range(Rect::centered(&Point::new(vec![c, c]), &[3.0, 3.0]).unwrap()),
+                AggregateKind::Correlation { x: 0, y: 1 },
+            );
+            agent.train(&q, &AnswerValue::Scalar(f64::NAN)).unwrap();
+        }
+        let domain = Rect::new(vec![0.0, 0.0], vec![100.0, 100.0]).unwrap();
+        let hits = interesting_subspaces(
+            &agent,
+            &domain,
+            10,
+            &[3.0, 3.0],
+            AggregateKind::Correlation { x: 0, y: 1 },
+            0.6,
+            f64::INFINITY,
+        )
+        .unwrap();
+        assert!(!hits.is_empty());
+        assert!(hits.iter().all(|h| h.predicted.is_finite()));
     }
 
     #[test]

@@ -295,12 +295,9 @@ pub(crate) struct Estimates {
 /// by mode, access path and batching. Everything that executes runs
 /// under `exec`, so its telemetry sink sees every arm (`lang.*` spans
 /// cover the two arms the executor never enters). Returns each
-/// aggregate's result with the planner's estimates for it.
-///
-/// The only thing `EXPLAIN` changes here is batching: batch telemetry
-/// is coherent but schedule-dependent, so an explained statement runs
-/// its aggregates one at a time and its span tree stays identical at
-/// any thread count.
+/// aggregate's result with the planner's estimates for it. `EXPLAIN`
+/// changes nothing here: the statement it explains is the statement
+/// that ran.
 fn execute(
     exec: &Executor<'_>,
     table: &str,
@@ -366,7 +363,7 @@ fn execute(
                 })
                 .collect(),
             None => {
-                let outcomes = if queries.len() > 1 && !plan.explain {
+                let outcomes = if queries.len() > 1 {
                     exec.execute_batch(table, queries)
                 } else {
                     queries

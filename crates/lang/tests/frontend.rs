@@ -10,7 +10,7 @@ use sea_lang::{parse, submit_statement, Frontend, ModeHint};
 use sea_query::Executor;
 use sea_service::{QueryService, TenantConfig};
 use sea_storage::{Partitioning, StorageCluster};
-use sea_telemetry::TelemetrySink;
+use sea_telemetry::{SpanNode, TelemetrySink};
 
 /// 2-D grid over [0, 100)²: d0 = i % 100, d1 = i / 100.
 fn cluster() -> StorageCluster {
@@ -170,6 +170,72 @@ fn a_statement_the_executors_cache_answers_is_labelled_cached() {
     let explain = hot.explain.unwrap();
     assert!(explain.contains("path=cached(executor)"), "{explain}");
     assert!(explain.contains("query.executor.cache class=exact"));
+}
+
+/// A span forest as EXPLAIN's trace section draws it, tags aside:
+/// depth, name and rolled-up simulated time, one span a line.
+fn drawn(nodes: &[SpanNode], depth: usize, out: &mut Vec<(usize, String, String)>) {
+    for n in nodes {
+        let sim = format!("sim_us={:.1}", n.sim_us_total());
+        out.push((depth, n.name.clone(), sim));
+        drawn(&n.children, depth + 1, out);
+    }
+}
+
+/// `EXPLAIN` must not change what a statement does: a multi-aggregate
+/// statement over a cache-attached executor probes, admits and hits the
+/// same with and without it, and the trace it renders is the forest the
+/// plain statement records.
+#[test]
+fn explain_changes_nothing_about_a_cached_multi_aggregate_statement() {
+    let cluster = cluster();
+    let stmt = "SELECT count(), mean(d0) WHERE d0 IN [20.0, 60.0] AND d1 IN [10.0, 30.0]";
+    // The statement twice over a fresh cache: what each run returned and
+    // the forest it drew, then what it left in the cache.
+    let arm = |explain: bool| {
+        let cache = SemanticCache::new(CacheConfig {
+            admit_min_cost_us: 0.0,
+            ..CacheConfig::default()
+        });
+        let sink = TelemetrySink::recording();
+        let exec = Executor::new(&cluster)
+            .with_cache(&cache)
+            .with_telemetry(sink.clone());
+        let mut front = Frontend::new(exec, "t").unwrap();
+        let runs = [0, 1].map(|run| {
+            let suffix = if explain { " EXPLAIN" } else { "" };
+            let out = front.run(&format!("{stmt}{suffix}")).unwrap();
+            let mut forest = Vec::new();
+            match &out.explain {
+                Some(report) => {
+                    let trace = report.split_once("\ntrace\n").unwrap().1;
+                    for line in trace.lines() {
+                        let span = line.trim_start();
+                        let mut words = span.split(' ');
+                        forest.push((
+                            (line.len() - span.len()) / 2 - 1,
+                            words.next().unwrap().to_string(),
+                            words.next_back().unwrap().to_string(),
+                        ));
+                    }
+                }
+                None => drawn(&sink.snapshot().unwrap().spans.roots[run..], 0, &mut forest),
+            }
+            let results: Vec<_> = (out.results.iter())
+                .map(|r| (r.source, r.cost, format!("{:?}", r.answer)))
+                .collect();
+            (results, forest)
+        });
+        (runs, cache.stats(), cache.len())
+    };
+    let (plain, explained) = (arm(false), arm(true));
+    assert_eq!(plain, explained);
+    let ([cold, hot], stats, len) = plain;
+    assert!(cold.0.iter().all(|r| r.0 == "exact"), "{cold:?}");
+    assert!(hot.0.iter().all(|r| r.0 == "cached"), "{hot:?}");
+    assert_eq!(cold.1[0].1, "query.executor.batch");
+    assert_eq!((stats.misses, stats.insertions, stats.hits), (2, 2, 2));
+    assert_eq!(len, 2);
 }
 
 #[test]

@@ -126,14 +126,13 @@ impl LearnedOptimizer {
         if self.trained == 0 {
             return Err(SeaError::Empty("optimizer has no training yet".into()));
         }
+        // `total_cmp`: a NaN prediction (a poisoned model) loses to every
+        // finite one instead of panicking.
         let costs = self.predict_costs(query);
-        let best = costs
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-            .map(|(i, _)| QueryStrategy::ALL[i])
-            .expect("non-empty");
-        Ok(best)
+        (costs.iter().zip(QueryStrategy::ALL))
+            .min_by(|a, b| a.0.total_cmp(b.0))
+            .map(|(_, s)| s)
+            .ok_or_else(|| SeaError::Empty("optimizer has no cost models".into()))
     }
 
     /// Executes with the learned choice, returning the outcome and the
@@ -208,6 +207,22 @@ mod tests {
             opt.choose(&count_query(50.0, 1.0)),
             Err(SeaError::Empty(_))
         ));
+    }
+
+    #[test]
+    fn a_nan_predicted_cost_loses_instead_of_panicking() {
+        let c = cluster();
+        let eng = engines(&c);
+        let exec = Executor::new(&c);
+        let mut opt = LearnedOptimizer::new(&c, "t", 16).unwrap();
+        let q = count_query(50.0, 1.0);
+        opt.train(&eng, &q, &exec).unwrap();
+        // One NaN observation poisons the scan model's weights for good.
+        opt.cost_models[0].update(&[f64::NAN; 4], 1.0).unwrap();
+        assert!(opt.predict_costs(&q)[0].is_nan());
+        assert_eq!(opt.choose(&q).unwrap(), QueryStrategy::IndexFetch);
+        opt.cost_models[1].update(&[f64::NAN; 4], 1.0).unwrap();
+        assert!(opt.choose(&q).is_ok(), "every cost NaN: still a choice");
     }
 
     #[test]

@@ -71,12 +71,12 @@ pub fn select_model(
         GradientBoostedTrees::fit(tx, ty, &gbt_params)
     })?;
     let scores = vec![("linear", lin), ("knn", knn), ("boosted", gbt)];
-    let best = scores
-        .iter()
-        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
-        .expect("non-empty")
-        .0;
-    let choice = match best {
+    // `total_cmp`: a NaN score (a fold whose targets or predictions were
+    // NaN) loses to every finite one instead of panicking.
+    let best = (scores.iter())
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .ok_or_else(|| SeaError::Empty("no model family was scored".into()))?;
+    let choice = match best.0 {
         "linear" => ModelChoice::Linear(LinearModel::fit(xs, ys, 1e-6)?),
         "knn" => ModelChoice::Knn(KnnRegressor::fit(xs, ys, 5)?),
         _ => ModelChoice::Boosted(GradientBoostedTrees::fit(xs, ys, &gbt_params)?),
@@ -87,6 +87,14 @@ pub fn select_model(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_nan_fold_score_loses_instead_of_panicking() {
+        // NaN targets make every family's score NaN.
+        let xs: Vec<Vec<f64>> = (0..20).map(|i| vec![f64::from(i)]).collect();
+        let (_, scores) = select_model(&xs, &[f64::NAN; 20], 4).unwrap();
+        assert!(scores.iter().all(|s| s.1.is_nan()), "{scores:?}");
+    }
 
     #[test]
     fn linear_data_selects_linear() {

@@ -1,18 +1,21 @@
 //! The exact executor: BDAS-style and coordinator–cohort query processing.
 //!
-//! Every query — either regime, healthy or faulted cluster, alone or in
-//! a batch — takes one scan path: the coordinator *opens* each engaged
-//! node's scan (the step that consumes an installed fault plan, and owns
-//! retry, backoff, failover and partial answers), one `SharedScan`
-//! gathers the rows of the statement's box out of the opened copies
-//! across an [`ExecPool`]'s worker threads, and each query refines and
-//! folds those rows into its per-node partials — the paper's P1/P4 node
+//! A statement is a batch of queries — a lone query is a batch of one —
+//! and every statement, either regime, healthy or faulted cluster, takes
+//! one body in three phases (`Executor::run`). The coordinator *opens*
+//! each query in query order: the cache probe, then each engaged node's
+//! scan (the step that consumes an installed fault plan, and owns retry,
+//! backoff, failover and partial answers). One `SharedScan` gathers the
+//! rows of the statement's box out of the opened copies across an
+//! [`ExecPool`]'s worker threads, and every (query, node) pair folds
+//! them into its partial in one flat fan-out — the paper's P1/P4 node
 //! parallelism made real on the host, not just in the cost model.
 //! Workers do pure compute (telemetry-silent, charging private
-//! [`CostMeter`]s); the coordinator then replays each node's telemetry
-//! in node-index order, so answers, [`CostReport`]s, and every recorded
-//! table are bit-identical to sequential execution regardless of the
-//! thread count.
+//! [`CostMeter`]s); the coordinator then *replays* each query in query
+//! order, its nodes in node-index order, so answers, [`CostReport`]s,
+//! cache state and every recorded table are bit-identical to sequential
+//! execution regardless of the thread count, for a batch as for a lone
+//! query.
 
 use sea_cache::{CacheDecision, ColumnFragment, SemanticCache};
 use sea_common::{
@@ -194,6 +197,14 @@ struct OpenedQuery<'c> {
     opened: Vec<(NodeId, Opened<'c>)>,
 }
 
+/// How one query leaves the open phase (see [`Executor::run`]).
+enum Step<'c> {
+    /// Answered by the cache: no node was opened.
+    Hit(QueryOutcome),
+    /// Its engaged nodes are open and wait for the statement's scan.
+    Scan(OpenedQuery<'c>),
+}
+
 /// What separates the two processing regimes at the scatter level.
 struct Regime {
     span: &'static str,
@@ -301,10 +312,10 @@ impl<'a> Executor<'a> {
     /// A cache instance is scoped to **one logical table**: the cache
     /// key is (aggregate, region), so callers querying several tables
     /// through one executor must attach a separate cache per table.
-    /// Consultation and admission happen on the coordinator thread, so
-    /// determinism across [`ExecPool`] sizes is preserved; batch
-    /// execution strips the cache from its inner per-query executors
-    /// (concurrent admissions would be schedule-dependent).
+    /// Consultation and admission happen on the coordinator thread in
+    /// query order — every probe of a batch before any of its
+    /// admissions — so determinism across [`ExecPool`] sizes is
+    /// preserved.
     #[must_use]
     pub fn with_cache(mut self, cache: &'a SemanticCache) -> Self {
         self.cache = Some(cache);
@@ -412,33 +423,6 @@ impl<'a> Executor<'a> {
         merge_partials(&query.aggregate, partials)
     }
 
-    /// Offers a freshly computed answer to the attached cache. Only
-    /// complete (no unavailable partitions) rectangular answers with
-    /// collected fragments qualify; the cache applies its own cost-based
-    /// admission on top. Runs on the coordinator thread after gather, so
-    /// admission order — and therefore eviction tie-breaks — is
-    /// deterministic for every pool size.
-    fn maybe_admit(
-        &self,
-        query: &AnalyticalQuery,
-        answer: &AnswerValue,
-        fragments: Option<Vec<ColumnFragment>>,
-        cost: &CostReport,
-    ) {
-        let Some(cache) = self.cache else { return };
-        let Some(fragments) = fragments else { return };
-        if cost.nodes_unavailable > 0 {
-            return;
-        }
-        cache.admit_columns(
-            &query.aggregate,
-            &query.region,
-            answer,
-            Some(fragments),
-            cost.wall_us,
-        );
-    }
-
     /// Executes `query` over `table` MapReduce-style: every node is
     /// engaged through all BDAS layers, scans all of its blocks, filters,
     /// computes a partial aggregate, and ships it over the LAN to a
@@ -469,7 +453,7 @@ impl<'a> Executor<'a> {
         query: &AnalyticalQuery,
         parent: &TraceContext,
     ) -> Result<QueryOutcome> {
-        self.execute(table, query, parent, &BDAS, None)
+        self.run_one(table, query, parent, &BDAS)
     }
 
     /// Executes `query` over `table` in the coordinator–cohort regime:
@@ -496,120 +480,207 @@ impl<'a> Executor<'a> {
         query: &AnalyticalQuery,
         parent: &TraceContext,
     ) -> Result<QueryOutcome> {
-        self.execute(table, query, parent, &DIRECT, None)
+        self.run_one(table, query, parent, &DIRECT)
     }
 
-    /// One query in either regime: cache probe, open, scatter, telemetry
-    /// replay, gather/merge, cost assembly, cache admission. A batch
-    /// hands in the query's open phase and the batch's shared scan; a
-    /// lone query is a batch of one and builds both here. The span tree,
-    /// charges and merge are the same either way, so each batched
-    /// query's outcome and telemetry replay stay bit-identical to a
-    /// standalone execution.
-    fn execute(
+    /// A lone query is [`Executor::run`] over a batch of one.
+    fn run_one(
         &self,
         table: &str,
         query: &AnalyticalQuery,
         parent: &TraceContext,
         regime: &Regime,
-        batched: Option<(&Result<OpenedQuery<'a>>, &SharedScan<'a>)>,
     ) -> Result<QueryOutcome> {
-        let _exec_span = self.telemetry.span_child_of(parent, regime.span);
-        self.telemetry.incr(regime.counter, 1);
-        let own_plan;
-        let (plan, shared) = match batched {
-            Some((plan, shared)) => (plan.as_ref().map_err(SeaError::clone)?, Some(shared)),
-            None => {
-                query.aggregate.validate(self.cluster.dims(table)?)?;
-                if self.cache_consult {
-                    if let Some(hit) = self.cache_lookup(query) {
-                        return hit;
+        self.run(table, std::slice::from_ref(query), parent, regime)
+            .pop()
+            .expect("one outcome per query")
+    }
+
+    /// The one statement body — a lone query is a batch of one — in three
+    /// phases. **Open**, on the calling thread in query order: each
+    /// query's exec span, validation, the cache probe when the executor
+    /// consults (a hit is that query's outcome) and its nodes'
+    /// [`Executor::open_query`]. **Compute**, on the pool, pure and
+    /// telemetry-silent: one [`SharedScan`] over the queries still to
+    /// scan, then their (query, node) folds as one flat fan-out.
+    /// **Replay**, on the calling thread in query order: each query's
+    /// scatter telemetry, merge, cost assembly and cache admission, under
+    /// its resumed exec span. Every probe therefore precedes every
+    /// admission, and nothing recorded depends on the pool.
+    fn run(
+        &self,
+        table: &str,
+        queries: &[AnalyticalQuery],
+        parent: &TraceContext,
+        regime: &Regime,
+    ) -> Vec<Result<QueryOutcome>> {
+        let (spans, steps): (Vec<_>, Vec<_>) = queries
+            .iter()
+            .map(|q| {
+                let exec_span = self.telemetry.span_child_of(parent, regime.span);
+                self.telemetry.incr(regime.counter, 1);
+                (exec_span, self.open_query(table, q, regime))
+            })
+            .unzip();
+        let stmt: Vec<(&OpenedQuery, &AnalyticalQuery)> = steps
+            .iter()
+            .zip(queries)
+            .filter_map(|(step, q)| match step {
+                Ok(Step::Scan(plan)) => Some((plan, q)),
+                _ => None,
+            })
+            .collect();
+        let shared = self.plan_shared_scan(table, &stmt);
+        let folds: Vec<(&OpenedQuery, &AnalyticalQuery, usize)> = stmt
+            .iter()
+            .flat_map(|&(plan, q)| (0..plan.opened.len()).map(move |i| (plan, q, i)))
+            .collect();
+        // Per-node refine + fold: deterministic per (query, node), so it
+        // runs on the pool too when there are rows enough to pay for it.
+        let pool = if shared.rows * stmt.len() < FOLD_FANOUT_ROWS {
+            ExecPool::sequential()
+        } else {
+            self.pool
+        };
+        let mut scans = pool
+            .run(folds.len(), |k| {
+                let (plan, q, i) = folds[k];
+                shared.node_scan(&plan.opened[i].1, plan.bbox.as_ref(), q)
+            })
+            .into_iter();
+        (spans.into_iter().zip(steps).zip(queries))
+            .map(|((exec_span, step), q)| {
+                exec_span.resume();
+                match step? {
+                    Step::Hit(outcome) => Ok(outcome),
+                    Step::Scan(plan) => {
+                        let scans = scans.by_ref().take(plan.opened.len());
+                        self.replay(table, q, &plan, scans, regime)
                     }
                 }
-                own_plan = self.open_query(table, query, regime)?;
-                (&own_plan, None)
-            }
-        };
+            })
+            .collect()
+    }
+
+    /// One scanned query's replay phase (see [`Executor::run`]), on the
+    /// calling thread under its exec span: one `query.executor.node`
+    /// span per node, in node-index order, wrapping the replayed
+    /// `storage.node.scan` span, counters and event — so the recorded
+    /// tables (span ids, event sequence, counter totals) are those of a
+    /// sequential loop for every pool size — then gather/merge, cost
+    /// assembly and cache admission. The iteration that bumps
+    /// `query.retries` / `query.failovers` tallies the same amounts into
+    /// the outcome's provenance: counter and carrier cannot disagree,
+    /// recording or not.
+    fn replay(
+        &self,
+        table: &str,
+        query: &AnalyticalQuery,
+        plan: &OpenedQuery,
+        scans: impl Iterator<Item = NodeScan>,
+        regime: &Regime,
+    ) -> Result<QueryOutcome> {
         let mut coord = CostMeter::new();
-        // An attached cache that did not answer — probed above, or by the
-        // caller that attached it populate-only — is a miss.
+        // An attached cache that did not answer — probed in the open
+        // phase, or by the caller that attached it populate-only — is a
+        // miss.
         let mut provenance = Provenance::default();
         if self.cache.is_some() {
             provenance.cache = CacheClass::Miss;
         }
-        let (partials, node_meters, unavailable, fragments) = {
-            let scatter = self.telemetry.span("query.executor.scatter");
-            if regime.pruned {
-                // One request message per engaged node. The fan-out is
-                // part of the scatter phase, so its simulated time lands
-                // on the scatter span (the coordinator still pays it
-                // sequentially in the cost report).
-                for _ in &plan.opened {
-                    coord.charge_lan(64);
-                }
-                scatter.record_sim_us(coord.sequential_us(&self.cost_model));
+        let scatter = self.telemetry.span("query.executor.scatter");
+        if regime.pruned {
+            // One request message per engaged node. The fan-out is part
+            // of the scatter phase, so its simulated time lands on the
+            // scatter span (the coordinator still pays it sequentially in
+            // the cost report).
+            for _ in &plan.opened {
+                coord.charge_lan(64);
             }
-            let own_scan;
-            let shared = match shared {
-                Some(shared) => shared,
-                None => {
-                    // Cut fragments only when a cache could admit them:
-                    // one is attached and the region supports the
-                    // containment algebra (rectangles only).
-                    let cacheable =
-                        self.cache.is_some() && matches!(query.region, Region::Range(_));
-                    own_scan = self.plan_shared_scan(table, &[(plan, query)], cacheable);
-                    &own_scan
-                }
-            };
-            // Per-node refine + fold: deterministic per node, so it runs
-            // on the pool too when there are rows enough to pay for it.
-            let pool = if shared.rows < FOLD_FANOUT_ROWS {
-                ExecPool::sequential()
+            scatter.record_sim_us(coord.sequential_us(&self.cost_model));
+        }
+        let engaged = plan.opened.len();
+        let mut partials = Vec::with_capacity(engaged);
+        let mut meters = Vec::with_capacity(engaged);
+        let mut fragments: Option<Vec<ColumnFragment>> = None;
+        for ((node, opened), scan) in plan.opened.iter().zip(scans) {
+            let node_span = self
+                .telemetry
+                .span_child_of(&scatter.ctx(), "query.executor.node");
+            node_span.tag("node", *node);
+            if opened.retries > 0 {
+                provenance.retries += u64::from(opened.retries);
+                self.telemetry
+                    .incr("query.retries", u64::from(opened.retries));
+                self.telemetry.event(
+                    "query.node_retried",
+                    &[("node", (*node).into()), ("retries", opened.retries.into())],
+                );
+                node_span.tag("retries", opened.retries);
+            }
+            if opened.view.is_some_and(|(_, failover, _)| failover) {
+                provenance.failovers += 1;
+                self.telemetry.incr("query.failovers", 1);
+                self.telemetry
+                    .event("query.node_failover", &[("node", (*node).into())]);
+                node_span.tag("failover", true);
+            }
+            let node_sim_us = scan.meter.sequential_us(&self.cost_model);
+            if let Some(partial) = scan.partial {
+                let kind = regime.scan_kind;
+                self.cluster
+                    .record_scan(table, *node, kind, &scan.stats, &node_span.ctx());
+                // Per-node cost feed for the watch layer's anomaly
+                // detector; replayed here in node-index order so the
+                // derived suspicion stream is deterministic too.
+                self.telemetry.event(
+                    "query.node_cost",
+                    &[("node", (*node).into()), ("sim_us", node_sim_us.into())],
+                );
+                partials.push(partial);
             } else {
-                self.pool
-            };
-            let scans = pool.run(plan.opened.len(), |i| {
-                shared.node_scan(&plan.opened[i].1, plan.bbox.as_ref(), query)
-            });
-            let out = self.replay_scatter(
-                table,
-                plan,
-                regime.scan_kind,
-                &scatter.ctx(),
-                scans,
-                &mut provenance,
-            );
-            // Nodes run in parallel: the scatter phase lasts as long as
-            // its slowest node under the cost model. The per-node spans
-            // carry the per-node costs; the makespan is a tag so the
-            // tree's sim rollup doesn't double-count.
-            scatter.tag(
-                "sim_makespan_us",
-                out.1
-                    .iter()
-                    .map(|m| m.sequential_us(&self.cost_model))
-                    .fold(0.0, f64::max),
-            );
-            out
-        };
+                self.telemetry.incr("query.degraded", 1);
+                self.telemetry
+                    .event("query.node_unavailable", &[("node", (*node).into())]);
+                node_span.tag("unavailable", true);
+            }
+            node_span.record_sim_us(node_sim_us);
+            if let Some(fragment) = scan.fragment {
+                fragments.get_or_insert_with(Vec::new).push(fragment);
+            }
+            meters.push(scan.meter);
+        }
+        // Nodes run in parallel: the scatter phase lasts as long as its
+        // slowest node under the cost model. The per-node spans carry the
+        // per-node costs; the makespan is a tag so the tree's sim rollup
+        // doesn't double-count.
+        let makespan = meters.iter().map(|m| m.sequential_us(&self.cost_model));
+        scatter.tag("sim_makespan_us", makespan.fold(0.0, f64::max));
+        drop(scatter);
         let gather = self.telemetry.span("query.executor.gather");
         // The gather span carries only the merge work; request fan-out
         // was already attributed to scatter above.
         let mut merge_only = CostMeter::new();
         merge_only.charge_cpu(partials.len() as u64);
         coord.charge_cpu(partials.len() as u64);
+        let unavailable = (engaged - partials.len()) as u64;
         let answer = merge_partials(&query.aggregate, partials)?;
-        let mut cost = coord.report_parallel(node_meters.iter(), &self.cost_model);
+        let mut cost = coord.report_parallel(meters.iter(), &self.cost_model);
         if unavailable > 0 {
             // What fraction of the engaged partitions actually answered.
-            let engaged = plan.opened.len() as u64;
-            cost.answered_fraction = (engaged - unavailable) as f64 / engaged as f64;
+            cost.answered_fraction = (engaged as u64 - unavailable) as f64 / engaged as f64;
             cost.nodes_unavailable = unavailable;
         }
         gather.record_sim_us(merge_only.sequential_us(&self.cost_model));
         drop(gather);
-        self.maybe_admit(query, &answer, fragments, &cost);
+        // Only a complete answer (no partition unavailable) whose
+        // fragments were cut is offered; the cache applies its own
+        // cost-based admission on top. On the coordinator, in query
+        // order, so eviction tie-breaks are those of every pool size.
+        if let (Some(cache), Some(fragments), 0) = (self.cache, fragments, unavailable) {
+            let (agg, region) = (&query.aggregate, &query.region);
+            cache.admit_columns(agg, region, &answer, Some(fragments), cost.wall_us);
+        }
         Ok(QueryOutcome {
             answer,
             cost,
@@ -617,10 +688,11 @@ impl<'a> Executor<'a> {
         })
     }
 
-    /// The open phase of one query, on the calling thread: partition
-    /// metadata picks the nodes in the pruned regime (every node
-    /// otherwise), then each engaged node's scan is opened in node order
-    /// through [`StorageCluster::open_scan`], which is where an
+    /// The open phase of one query, on the calling thread: the cache is
+    /// probed when the executor consults it (a hit opens nothing),
+    /// partition metadata picks the nodes in the pruned regime (every
+    /// node otherwise), then each engaged node's scan is opened in node
+    /// order through [`StorageCluster::open_scan`], which is where an
     /// installed fault plan is consumed — exactly one gate operation per
     /// (query, node, attempt). A transient fault is retried per the
     /// executor's [`RetryPolicy`], charging only the simulated backoff
@@ -637,7 +709,13 @@ impl<'a> Executor<'a> {
         table: &str,
         query: &AnalyticalQuery,
         regime: &Regime,
-    ) -> Result<OpenedQuery<'a>> {
+    ) -> Result<Step<'a>> {
+        query.aggregate.validate(self.cluster.dims(table)?)?;
+        if self.cache_consult {
+            if let Some(hit) = self.cache_lookup(query) {
+                return hit.map(Step::Hit);
+            }
+        }
         let bbox = regime.pruned.then(|| query.region.bounding_rect());
         let nodes: Vec<NodeId> = match &bbox {
             Some(b) => {
@@ -652,7 +730,7 @@ impl<'a> Executor<'a> {
             .map(|node| Ok((node, self.open_node(table, node, regime.layers)?)))
             .collect();
         let opened = attempts.into_iter().collect::<Result<Vec<_>>>()?;
-        Ok(OpenedQuery { bbox, opened })
+        Ok(Step::Scan(OpenedQuery { bbox, opened }))
     }
 
     /// The open phase for one node (see [`Executor::open_query`]).
@@ -679,103 +757,23 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Replays the telemetry of completed scatter scans in node-index
-    /// order on the calling thread: one `query.executor.node` span per
-    /// node (under `scatter_ctx`) wrapping the replayed
-    /// `storage.node.scan` span, counters, and event. Because this runs
-    /// single-threaded in a fixed order, the recorded tables — span
-    /// ids, event sequence, counter totals — are bit-identical to what
-    /// the old sequential loop produced, for every pool size. The
-    /// iteration that bumps `query.retries` / `query.failovers` tallies
-    /// the same amounts into `provenance`: counter and carrier cannot
-    /// disagree, recording or not.
-    fn replay_scatter(
-        &self,
-        table: &str,
-        plan: &OpenedQuery,
-        kind: &str,
-        scatter_ctx: &TraceContext,
-        scans: Vec<NodeScan>,
-        provenance: &mut Provenance,
-    ) -> (
-        Vec<Partial>,
-        Vec<CostMeter>,
-        u64,
-        Option<Vec<ColumnFragment>>,
-    ) {
-        let mut partials = Vec::with_capacity(scans.len());
-        let mut meters = Vec::with_capacity(scans.len());
-        let mut unavailable = 0u64;
-        let mut fragments: Option<Vec<ColumnFragment>> = None;
-        for ((node, opened), scan) in plan.opened.iter().zip(scans) {
-            let node_span = self
-                .telemetry
-                .span_child_of(scatter_ctx, "query.executor.node");
-            node_span.tag("node", *node);
-            if opened.retries > 0 {
-                provenance.retries += u64::from(opened.retries);
-                self.telemetry
-                    .incr("query.retries", u64::from(opened.retries));
-                self.telemetry.event(
-                    "query.node_retried",
-                    &[("node", (*node).into()), ("retries", opened.retries.into())],
-                );
-                node_span.tag("retries", opened.retries);
-            }
-            if opened.view.is_some_and(|(_, failover, _)| failover) {
-                provenance.failovers += 1;
-                self.telemetry.incr("query.failovers", 1);
-                self.telemetry
-                    .event("query.node_failover", &[("node", (*node).into())]);
-                node_span.tag("failover", true);
-            }
-            if scan.partial.is_none() {
-                unavailable += 1;
-                self.telemetry.incr("query.degraded", 1);
-                self.telemetry
-                    .event("query.node_unavailable", &[("node", (*node).into())]);
-                node_span.tag("unavailable", true);
-            } else {
-                self.cluster
-                    .record_scan(table, *node, kind, &scan.stats, &node_span.ctx());
-            }
-            let node_sim_us = scan.meter.sequential_us(&self.cost_model);
-            if scan.partial.is_some() {
-                // Per-node cost feed for the watch layer's anomaly
-                // detector; replayed here in node-index order so the
-                // derived suspicion stream is deterministic too.
-                self.telemetry.event(
-                    "query.node_cost",
-                    &[("node", (*node).into()), ("sim_us", node_sim_us.into())],
-                );
-            }
-            node_span.record_sim_us(node_sim_us);
-            if let Some(partial) = scan.partial {
-                partials.push(partial);
-            }
-            if let Some(fragment) = scan.fragment {
-                fragments.get_or_insert_with(Vec::new).push(fragment);
-            }
-            meters.push(scan.meter);
-        }
-        (partials, meters, unavailable, fragments)
-    }
-
     /// Executes many queries as one statement in the direct regime — the
-    /// shape batched analytics workloads (E1/E4/E7) and multi-aggregate
+    /// shape batch analytics workloads (E1/E4/E7) and multi-aggregate
     /// statements actually have: their blocks are read once, and every
-    /// query refines the shared rows on its own pool worker. Results
-    /// come back in query order, each exactly what
-    /// [`Executor::execute_direct`] would have returned. Per-query node
-    /// folds run inline on the query's worker (a nested fan-out would
-    /// oversubscribe the host).
+    /// query refines the shared rows. Results come back in query order,
+    /// each exactly what [`Executor::execute_direct`] would have
+    /// returned — over an attached cache too, except that all of the
+    /// batch's probes precede all of its admissions, so no query is
+    /// served from an earlier one of the same batch.
     ///
     /// Every query's nodes are opened on the calling thread, in query
     /// order then node order, before anything is read: under an
     /// installed fault plan the queries share per-node operation
     /// counters, and which query meets which fault — and pays its
     /// backoff — is then a function of the batch alone, not of thread
-    /// timing.
+    /// timing. Each query's span tree, replayed on the calling thread
+    /// under one `query.executor.batch` span, is as reproducible as a
+    /// lone query's.
     pub fn execute_batch(
         &self,
         table: &str,
@@ -793,12 +791,7 @@ impl<'a> Executor<'a> {
         self.run_batch(table, queries, &BDAS)
     }
 
-    /// Each query's span tree attaches under the batch span even though
-    /// it is built on a worker thread (its partition-pruning events are
-    /// emitted by the open phase, under the batch span itself); with a
-    /// recording sink, span ids and event interleavings across queries
-    /// depend on scheduling — batch telemetry is coherent per query but
-    /// not bit-reproducible across runs (single-query execution is).
+    /// [`Executor::run`] under a `query.executor.batch` span.
     fn run_batch(
         &self,
         table: &str,
@@ -807,31 +800,7 @@ impl<'a> Executor<'a> {
     ) -> Vec<Result<QueryOutcome>> {
         let batch_span = self.telemetry.span("query.executor.batch");
         batch_span.tag("queries", queries.len());
-        let ctx = batch_span.ctx();
-        // Batches run cache-less: concurrent admissions would make
-        // admission order (and thus eviction tie-breaks)
-        // schedule-dependent.
-        let mut inner = self.clone();
-        inner.cache = None;
-        inner.cache_consult = false;
-        let opened: Vec<Result<OpenedQuery>> = queries
-            .iter()
-            .map(|q| {
-                q.aggregate.validate(self.cluster.dims(table)?)?;
-                inner.open_query(table, q, regime)
-            })
-            .collect();
-        let stmt: Vec<_> = opened
-            .iter()
-            .zip(queries)
-            .filter_map(|(plan, q)| Some((plan.as_ref().ok()?, q)))
-            .collect();
-        let shared = self.plan_shared_scan(table, &stmt, false);
-        let inner = inner.with_pool(ExecPool::sequential());
-        self.pool.run(queries.len(), |i| {
-            let batched = Some((&opened[i], &shared));
-            inner.execute(table, &queries[i], &ctx, regime, batched)
-        })
+        self.run(table, queries, &batch_span.ctx(), regime)
     }
 
     /// Builds the statement's [`SharedScan`] over the opened views of
@@ -850,8 +819,12 @@ impl<'a> Executor<'a> {
         &self,
         table: &str,
         stmt: &[(&OpenedQuery<'a>, &AnalyticalQuery)],
-        cacheable: bool,
     ) -> SharedScan<'a> {
+        // Fragments are cut only where a cache could admit them: one is
+        // attached and a region supports the containment algebra
+        // (rectangles only).
+        let cacheable = self.cache.is_some()
+            && (stmt.iter()).any(|(_, q)| matches!(q.region, Region::Range(_)));
         let mut rect = stmt.first().and_then(|(p, _)| p.bbox.clone());
         for (p, _) in stmt.iter().skip(1) {
             rect = match (&rect, &p.bbox) {
@@ -996,9 +969,9 @@ struct GatheredNode<'c> {
 struct SharedScan<'c> {
     /// The gather box; `None` gathers every row of every block.
     rect: Option<Rect>,
-    /// Whether a cache may admit the statement's answer: every column
-    /// is gathered and each node scan cuts its [`ColumnFragment`] from
-    /// them.
+    /// Whether a cache may admit one of the statement's answers: every
+    /// column is gathered and each rectangle's node scan cuts its
+    /// [`ColumnFragment`] from them.
     cacheable: bool,
     /// Rows gathered, over all nodes.
     rows: usize,
@@ -1044,7 +1017,8 @@ impl SharedScan<'_> {
         let mut acc = KernelAcc::new(&query.aggregate);
         // Columns sized once where every gathered row is the query's
         // (the refined mask below stays full).
-        let mut fragment = self.cacheable.then(|| {
+        let cut = self.cacheable && matches!(query.region, Region::Range(_));
+        let mut fragment = cut.then(|| {
             let rows = if keeps_gathered(query, bbox, self.rect.as_ref()) {
                 gathered.chunks.iter().map(|c| c.rows).sum()
             } else {

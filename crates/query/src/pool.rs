@@ -43,9 +43,8 @@ impl ExecPool {
     }
 
     /// A pool that runs everything inline on the calling thread. Used
-    /// for nested fan-outs (a batched query already running on a pool
-    /// worker must not oversubscribe the host) and for exercising the
-    /// sequential path in tests.
+    /// where a fan-out is too small to pay for a spawn and for
+    /// exercising the sequential path in tests.
     pub fn sequential() -> Self {
         ExecPool::new(1)
     }

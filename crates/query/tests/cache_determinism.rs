@@ -44,9 +44,10 @@ fn zero_wall(node: &mut SpanNode) {
 }
 
 /// Runs a repeat-heavy workload through a cached executor with the
-/// given thread budget; returns every outcome (answer *and* full cost
-/// report), the final cache statistics, and the telemetry snapshot with
-/// host wall-clock scrubbed.
+/// given thread budget — every third statement as a batch of two, the
+/// query and its region under the next aggregate; returns every outcome
+/// (answer *and* full cost report), the final cache statistics, and the
+/// telemetry snapshot with host wall-clock scrubbed.
 fn cached_run(threads: usize) -> (Vec<String>, CacheStats, TelemetrySnapshot) {
     let mut cluster = build_cluster(4);
     let sink = TelemetrySink::recording();
@@ -76,11 +77,18 @@ fn cached_run(threads: usize) -> (Vec<String>, CacheStats, TelemetrySnapshot) {
         ] {
             sink.begin_query(query_id);
             query_id += 1;
-            let q = AnalyticalQuery::new(region, aggregate_by_index(agg_idx));
+            let q = AnalyticalQuery::new(region.clone(), aggregate_by_index(agg_idx));
             // Errors (Mean over an empty subspace and friends) must be
             // identical run to run too, so they stay in the key.
-            outcomes.push(format!("{:?}", exec.execute_direct("t", &q)));
-            outcomes.push(format!("{:?}", exec.execute_bdas("t", &q)));
+            if query_id.is_multiple_of(3) {
+                let next = AnalyticalQuery::new(region, aggregate_by_index((agg_idx + 1) % 6));
+                let batch = [q, next];
+                outcomes.push(format!("{:?}", exec.execute_batch("t", &batch)));
+                outcomes.push(format!("{:?}", exec.execute_batch_bdas("t", &batch)));
+            } else {
+                outcomes.push(format!("{:?}", exec.execute_direct("t", &q)));
+                outcomes.push(format!("{:?}", exec.execute_bdas("t", &q)));
+            }
         }
     }
     let mut snap = sink.snapshot().unwrap();

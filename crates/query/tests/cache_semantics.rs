@@ -13,8 +13,9 @@ use sea_cache::{CacheConfig, CacheDecision, NodeFragment, SemanticCache};
 use sea_common::{
     AggregateKind, AnalyticalQuery, Ball, CostMeter, CostReport, Point, Record, Rect, Region,
 };
-use sea_query::{ExecPool, Executor};
+use sea_query::{CacheClass, ExecPool, Executor, QueryOutcome};
 use sea_storage::{Partitioning, StorageCluster};
+use sea_telemetry::TelemetrySink;
 
 fn clean_records() -> Vec<Record> {
     (0..2000)
@@ -102,7 +103,7 @@ fn open_cache() -> SemanticCache {
 /// Answers (or error messages) compare structurally via their debug
 /// rendering; costs are excluded because a cache hit is *supposed* to
 /// be cheaper.
-fn answer_key(r: sea_common::Result<sea_query::QueryOutcome>) -> String {
+fn answer_key(r: sea_common::Result<QueryOutcome>) -> String {
     format!("{:?}", r.map(|o| o.answer))
 }
 
@@ -240,6 +241,76 @@ fn containment_serves_rect_and_ball_sub_queries() {
         (0, 2),
         "both sub-queries classified as containment hits: {stats:?}"
     );
+}
+
+/// A batch over a cache-attached executor is its queries one by one:
+/// probes in query order, admissions in query order, each query cutting
+/// its own fragments out of the shared gather.
+#[test]
+fn a_cached_batch_is_its_queries_one_by_one() {
+    let mut cluster = build_cluster(4);
+    let sink = TelemetrySink::recording();
+    cluster.set_telemetry(sink.clone());
+    let rect = |lo: f64, hi: f64| Rect::new(vec![lo, 0.0, 0.0], vec![hi, 7.0, 53.0]).unwrap();
+    // Pairwise different (aggregate, region) keys, no rectangle inside
+    // another under one aggregate: one by one, every query misses.
+    let queries: Vec<AnalyticalQuery> = (0..12usize)
+        .map(|i| {
+            let lo = 5.0 * i as f64;
+            AnalyticalQuery::new(
+                Region::Range(rect(lo, lo + 30.0)),
+                aggregate_by_index(i % 10),
+            )
+        })
+        .collect();
+    let keys = |outs: Vec<sea_common::Result<QueryOutcome>>| -> Vec<String> {
+        outs.iter().map(|o| format!("{o:?}")).collect()
+    };
+    let left = |cache: &SemanticCache| (cache.stats(), cache.len(), cache.memory_bytes());
+    let one_by_one = open_cache();
+    let exec = Executor::new(&cluster).with_cache(&one_by_one);
+    let lone = keys(
+        queries
+            .iter()
+            .map(|q| exec.execute_direct("t", q))
+            .collect(),
+    );
+    for threads in [1, 2, 8] {
+        let batched = open_cache();
+        let exec = Executor::new(&cluster)
+            .with_pool(ExecPool::new(threads))
+            .with_cache(&batched);
+        // Answer bits, cost report and provenance (`miss`), per query.
+        assert_eq!(keys(exec.execute_batch("t", &queries)), lone, "{threads}");
+        assert_eq!(left(&batched), left(&one_by_one), "{threads} threads");
+        assert_eq!(batched.stats().insertions, 12);
+        // The same batch again: every query an exact hit, no node opened.
+        let scans = sink.counter_value("storage.node.scans");
+        for hit in exec.execute_batch("t", &queries) {
+            assert_eq!(hit.unwrap().provenance.cache, CacheClass::Exact);
+        }
+        assert_eq!(sink.counter_value("storage.node.scans"), scans);
+    }
+
+    // The one difference: all of a batch's probes precede all of its
+    // admissions, so a rectangle inside an earlier one of the same batch
+    // misses, where one by one it is re-derived from that one's rows.
+    let nested = [rect(10.0, 70.0), rect(20.0, 50.0)]
+        .map(|r| AnalyticalQuery::new(Region::Range(r), AggregateKind::Count));
+    let class = |outs: Vec<sea_common::Result<QueryOutcome>>| -> Vec<_> {
+        let outs = outs.into_iter().map(|o| o.unwrap());
+        outs.map(|o| (o.answer, o.provenance.cache)).collect()
+    };
+    let cache = open_cache();
+    let exec = Executor::new(&cluster).with_cache(&cache);
+    let lone = class(nested.iter().map(|q| exec.execute_direct("t", q)).collect());
+    let cache = open_cache();
+    let exec = Executor::new(&cluster).with_cache(&cache);
+    let batch = class(exec.execute_batch("t", &nested));
+    assert_eq!(lone[1].1, CacheClass::Containment);
+    assert_eq!(batch[1].1, CacheClass::Miss);
+    assert_eq!((batch[0], batch[1].0), (lone[0], lone[1].0));
+    assert_eq!(cache.stats().insertions, 2);
 }
 
 #[test]

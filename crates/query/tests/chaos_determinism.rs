@@ -14,7 +14,9 @@ use proptest::prelude::*;
 use sea_common::{AggregateKind, AnalyticalQuery, Ball, Point, Record, Rect, Region};
 use sea_query::{ExecPool, Executor, RetryPolicy};
 use sea_storage::{FaultPlan, Partitioning, StorageCluster};
-use sea_telemetry::{SpanNode, TelemetrySink};
+use sea_telemetry::TelemetrySink;
+
+mod support;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -220,16 +222,12 @@ fn faulted_batches_are_identical_across_thread_counts() {
     );
 }
 
-fn zero_wall(node: &mut SpanNode) {
-    node.wall_us = 0.0;
-    for c in &mut node.children {
-        zero_wall(c);
-    }
-}
-
 /// Runs a fault-riddled workload under a recording sink with the given
-/// thread budget and returns the snapshot with host wall-clock scrubbed.
-fn chaos_snapshot(threads: usize) -> sea_telemetry::TelemetrySnapshot {
+/// thread budget and returns the snapshot with host wall-clock
+/// scrubbed: six aggregates one query at a time in both regimes, or
+/// (`batched`) every one of [`batch_shapes`] as one statement in both
+/// regimes — node 2 then crashes inside the first batch.
+fn chaos_snapshot(threads: usize, batched: bool) -> sea_telemetry::TelemetrySnapshot {
     let mut cluster = build_cluster(true, 4);
     let sink = TelemetrySink::recording();
     cluster.set_telemetry(sink.clone());
@@ -246,47 +244,61 @@ fn chaos_snapshot(threads: usize) -> sea_telemetry::TelemetrySnapshot {
             max_retries: 2,
             backoff_base_us: 5_000,
         });
-    for agg_idx in 0..6usize {
-        sink.begin_query(agg_idx as u64);
-        let q = AnalyticalQuery::new(
-            Region::Range(Rect::new(vec![10.0, 0.0, 0.0], vec![70.0, 8.0, 60.0]).unwrap()),
-            aggregate_by_index(agg_idx),
-        );
-        // Partial-answer mode keeps degraded outcomes well-typed; any
-        // residual errors must still be identical run to run, so results
-        // are deliberately ignored here (the proptest above covers them).
-        let _ = exec.execute_bdas("t", &q);
-        let _ = exec.execute_direct("t", &q);
+    // Partial-answer mode keeps degraded outcomes well-typed; any
+    // residual errors must still be identical run to run, so results
+    // are deliberately ignored here (the proptest above covers them).
+    if batched {
+        for (i, (_, queries)) in batch_shapes().iter().enumerate() {
+            sink.begin_query(i as u64);
+            let _ = exec.execute_batch("t", queries);
+            let _ = exec.execute_batch_bdas("t", queries);
+        }
+    } else {
+        for agg_idx in 0..6usize {
+            sink.begin_query(agg_idx as u64);
+            let q = AnalyticalQuery::new(
+                Region::Range(Rect::new(vec![10.0, 0.0, 0.0], vec![70.0, 8.0, 60.0]).unwrap()),
+                aggregate_by_index(agg_idx),
+            );
+            let _ = exec.execute_bdas("t", &q);
+            let _ = exec.execute_direct("t", &q);
+        }
     }
-    let mut snap = sink.snapshot().unwrap();
-    for root in &mut snap.spans.roots {
-        zero_wall(root);
-    }
-    snap
+    support::scrubbed(sink.snapshot().unwrap())
+}
+
+/// The faulted lone query's recorded tables, pinned from the commit
+/// before a statement became a batch of one.
+#[test]
+fn lone_query_chaos_telemetry_matches_the_golden() {
+    support::assert_golden(
+        "lone_query_chaos_telemetry.txt",
+        &support::render(&chaos_snapshot(1, false)),
+    );
 }
 
 #[test]
 fn chaos_telemetry_tables_are_bit_identical_across_thread_counts() {
-    let base = chaos_snapshot(1);
-    assert!(
-        base.counter("query.retries") > 0,
-        "the plan actually injects retried transients"
-    );
-    assert!(
-        base.counter("query.failovers") > 0,
-        "the crashed node actually fails over"
-    );
-    for threads in [2, 8] {
-        let snap = chaos_snapshot(threads);
-        assert_eq!(snap.counters, base.counters, "{threads} threads: counters");
-        assert_eq!(
-            snap.histograms, base.histograms,
-            "{threads} threads: histograms"
+    for batched in [false, true] {
+        let base = chaos_snapshot(1, batched);
+        assert!(
+            base.counter("query.retries") > 0,
+            "the plan actually injects retried transients"
         );
-        assert_eq!(snap.events, base.events, "{threads} threads: events");
-        assert_eq!(
-            snap.spans, base.spans,
-            "{threads} threads: span forest (ids, parents, tags, sim)"
+        assert!(
+            base.counter("query.failovers") > 0,
+            "the crashed node actually fails over"
         );
+        for threads in [2, 8] {
+            let snap = chaos_snapshot(threads, batched);
+            let at = format!("{threads} threads, batched {batched}");
+            assert_eq!(snap.counters, base.counters, "{at}: counters");
+            assert_eq!(snap.histograms, base.histograms, "{at}: histograms");
+            assert_eq!(snap.events, base.events, "{at}: events");
+            assert_eq!(
+                snap.spans, base.spans,
+                "{at}: span forest (ids, parents, tags, sim)"
+            );
+        }
     }
 }

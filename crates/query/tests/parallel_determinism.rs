@@ -7,7 +7,9 @@ use proptest::prelude::*;
 use sea_common::{AggregateKind, AnalyticalQuery, Ball, Point, Record, Rect, Region};
 use sea_query::{ExecPool, Executor};
 use sea_storage::{Partitioning, StorageCluster};
-use sea_telemetry::{SpanNode, TelemetrySink};
+use sea_telemetry::TelemetrySink;
+
+mod support;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -108,53 +110,64 @@ proptest! {
     }
 }
 
-fn zero_wall(node: &mut SpanNode) {
-    node.wall_us = 0.0;
-    for c in &mut node.children {
-        zero_wall(c);
-    }
-}
-
 /// Runs one workload under a recording sink with the given thread
-/// budget and returns the snapshot with wall-clock scrubbed.
-fn recorded_snapshot(threads: usize) -> sea_telemetry::TelemetrySnapshot {
+/// budget and returns the snapshot with wall-clock scrubbed: six
+/// aggregates one query at a time in both regimes, or (`batched`) every
+/// one of [`batch_shapes`] as one statement in both regimes.
+fn recorded_snapshot(threads: usize, batched: bool) -> sea_telemetry::TelemetrySnapshot {
     let mut cluster = build_cluster(2000, 4, Partitioning::Hash, 0.0);
     let sink = TelemetrySink::recording();
     cluster.set_telemetry(sink.clone());
     let exec = Executor::new(&cluster).with_pool(ExecPool::new(threads));
-    for agg_idx in 0..6usize {
-        sink.begin_query(agg_idx as u64);
-        let q = AnalyticalQuery::new(
-            Region::Range(Rect::new(vec![10.0, 0.0, 0.0], vec![70.0, 8.0, 60.0]).unwrap()),
-            aggregate_by_index(agg_idx),
-        );
-        exec.execute_bdas("t", &q).unwrap();
-        exec.execute_direct("t", &q).unwrap();
+    if batched {
+        for (i, (_, queries)) in batch_shapes().iter().enumerate() {
+            sink.begin_query(i as u64);
+            // An aggregate undefined on an empty ball is an `Err` at
+            // every pool size (`execute_batch_matches_per_query_execution`).
+            let _ = exec.execute_batch("t", queries);
+            let _ = exec.execute_batch_bdas("t", queries);
+        }
+    } else {
+        for agg_idx in 0..6usize {
+            sink.begin_query(agg_idx as u64);
+            let q = AnalyticalQuery::new(
+                Region::Range(Rect::new(vec![10.0, 0.0, 0.0], vec![70.0, 8.0, 60.0]).unwrap()),
+                aggregate_by_index(agg_idx),
+            );
+            exec.execute_bdas("t", &q).unwrap();
+            exec.execute_direct("t", &q).unwrap();
+        }
     }
-    let mut snap = sink.snapshot().unwrap();
-    for root in &mut snap.spans.roots {
-        zero_wall(root);
-    }
-    snap
+    support::scrubbed(sink.snapshot().unwrap())
+}
+
+/// The lone query's recorded tables, pinned from the commit before a
+/// statement became a batch of one.
+#[test]
+fn lone_query_telemetry_matches_the_golden() {
+    support::assert_golden(
+        "lone_query_telemetry.txt",
+        &support::render(&recorded_snapshot(1, false)),
+    );
 }
 
 #[test]
 fn recorded_telemetry_tables_are_bit_identical_across_thread_counts() {
-    let base = recorded_snapshot(1);
-    assert!(!base.spans.roots.is_empty());
-    assert!(base.counter("storage.node.scans") > 0);
-    for threads in [2, 8] {
-        let snap = recorded_snapshot(threads);
-        assert_eq!(snap.counters, base.counters, "{threads} threads: counters");
-        assert_eq!(
-            snap.histograms, base.histograms,
-            "{threads} threads: histograms"
-        );
-        assert_eq!(snap.events, base.events, "{threads} threads: events");
-        assert_eq!(
-            snap.spans, base.spans,
-            "{threads} threads: span forest (ids, parents, tags, sim)"
-        );
+    for batched in [false, true] {
+        let base = recorded_snapshot(1, batched);
+        assert!(!base.spans.roots.is_empty());
+        assert!(base.counter("storage.node.scans") > 0);
+        for threads in [2, 8] {
+            let snap = recorded_snapshot(threads, batched);
+            let at = format!("{threads} threads, batched {batched}");
+            assert_eq!(snap.counters, base.counters, "{at}: counters");
+            assert_eq!(snap.histograms, base.histograms, "{at}: histograms");
+            assert_eq!(snap.events, base.events, "{at}: events");
+            assert_eq!(
+                snap.spans, base.spans,
+                "{at}: span forest (ids, parents, tags, sim)"
+            );
+        }
     }
 }
 

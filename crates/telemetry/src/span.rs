@@ -8,13 +8,16 @@
 //! `storage.node.scan`) without any explicit plumbing between them.
 //! Where work crosses a simulated node boundary (executor → storage
 //! node, coordinator → constituent system) — or a real thread boundary
-//! (the executor's scatter workers, a batched query on a pool thread) —
-//! the callee opens its span with an explicit [`TraceContext`] parent
-//! via [`crate::TelemetrySink::span_child_of`], so the tree stays
-//! coherent even when no ambient stack could attribute it: a span
-//! finished off-thread attaches to its declared parent wherever that
-//! parent's thread is, never to an unrelated span that happens to be
-//! open elsewhere. Every completed span carries `trace_id` / `span_id`
+//! (a worker reporting under its coordinator's span) — the callee
+//! opens its span with an explicit [`TraceContext`] parent via
+//! [`crate::TelemetrySink::span_child_of`], so the tree stays coherent
+//! even when no ambient stack could attribute it: a span finished
+//! off-thread attaches to its declared parent wherever that parent's
+//! thread is, never to an unrelated span that happens to be open
+//! elsewhere. A coordinator holding several sibling spans open at once
+//! (the executor's queries of one batch) brings each back to the top
+//! with [`SpanGuard::resume`] before it records under it. Every
+//! completed span carries `trace_id` / `span_id`
 //! / `parent_span_id` (deterministic; no wall clock or RNG) and
 //! free-form tags for per-hop attribution (which storage node, which
 //! branch the agent took). Completed root trees are kept up to a bound;
@@ -185,6 +188,19 @@ impl SpanRecorder {
             })
     }
 
+    /// Moves the open span `span_id` back to the top of the calling
+    /// thread's stack (a no-op for a span opened on another thread).
+    fn resume(&self, span_id: u64) {
+        let tid = current_thread_id();
+        let mut state = self.state.lock();
+        if let Some(st) = state.stacks.iter_mut().find(|st| st.tid == tid) {
+            if let Some(i) = st.open.iter().position(|s| s.span_id == span_id) {
+                let span = st.open.remove(i);
+                st.open.push(span);
+            }
+        }
+    }
+
     /// Closes the span with id `span_id`, folding any still-open
     /// descendants above it in its own thread's stack (guards leaked or
     /// dropped out of order) into their parents first. A stale guard
@@ -277,6 +293,18 @@ impl SpanGuard {
     /// Inactive (all zeros) for a noop guard.
     pub fn ctx(&self) -> TraceContext {
         self.ctx
+    }
+
+    /// Makes this span the calling thread's innermost open span again:
+    /// a coordinator that opened several sibling spans (each under an
+    /// explicit parent) and works through them in opening order resumes
+    /// each before it records under it, so ambient children and events
+    /// land in the span they belong to and every guard still drops from
+    /// the top of the stack.
+    pub fn resume(&self) {
+        if let Some(r) = &self.recorder {
+            r.spans.resume(self.ctx.span_id);
+        }
     }
 
     /// Attributes simulated cost (microseconds of modelled latency) to
@@ -465,6 +493,32 @@ mod tests {
         // "unrelated" must not have adopted node.work.
         let unrelated = parent.find("unrelated").unwrap();
         assert!(unrelated.children.is_empty());
+    }
+
+    #[test]
+    fn resumed_siblings_close_in_opening_order() {
+        let sink = TelemetrySink::recording();
+        {
+            let batch = sink.span("batch");
+            let siblings: Vec<_> = ["a", "b", "c"]
+                .iter()
+                .map(|name| sink.span_child_of(&batch.ctx(), name))
+                .collect();
+            for sibling in siblings {
+                sibling.resume();
+                let _child = sink.span("work");
+                sink.event("checkpoint", &[]);
+            }
+        }
+        let snap = sink.snapshot().unwrap();
+        let batch = &snap.spans.roots[0];
+        let names: Vec<&str> = batch.children.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["a", "b", "c"]);
+        for (sibling, event) in batch.children.iter().zip(&snap.events.events) {
+            assert_eq!(sibling.children.len(), 1, "each keeps its own child");
+            assert_eq!(event.span_id, sibling.children[0].span_id);
+        }
+        assert_eq!(snap.spans.open_spans, 0);
     }
 
     #[test]
