@@ -168,6 +168,34 @@ fn measure_batch_speedup() -> sea_common::Result<f64> {
     Ok(ratios[SPEEDUP_PAIRS / 2])
 }
 
+/// Calls behind `pool_dispatch_us` (odd: the median is a call that
+/// ran).
+const DISPATCH_CALLS: usize = 301;
+
+/// Median host wall-clock, in microseconds, of
+/// `ExecPool::new(2).run(2, |i| i)`: what a fan-out costs its caller
+/// when there is nothing to fan out — lending the claim loop to one
+/// sleeping helper and taking it back. The calls are 300 µs of
+/// caller-side work apart so that the helper really goes back to sleep;
+/// back to back it never does, and the number hides what every scanning
+/// statement pays. Machine-dependent, so never gated: a trend in which a
+/// thread created per `run` (a few hundred µs) cannot hide.
+fn measure_pool_dispatch_us() -> f64 {
+    let pool = ExecPool::new(2);
+    let mut us = Vec::with_capacity(DISPATCH_CALLS);
+    for _ in 0..DISPATCH_CALLS {
+        let apart = std::time::Instant::now();
+        while apart.elapsed() < std::time::Duration::from_micros(300) {
+            std::hint::spin_loop();
+        }
+        let started = std::time::Instant::now();
+        std::hint::black_box(pool.run(2, |i| i));
+        us.push(started.elapsed().as_secs_f64() * 1e6);
+    }
+    us.sort_by(f64::total_cmp);
+    us[DISPATCH_CALLS / 2]
+}
+
 /// Runs [`BASELINE_EXPERIMENTS`] under recording sinks and extracts
 /// headline metrics from each telemetry snapshot.
 ///
@@ -227,6 +255,12 @@ pub fn collect() -> sea_common::Result<BenchBaseline> {
                 value: measure_batch_speedup()?,
                 higher_is_better: true,
                 gate: true,
+            });
+            metrics.push(HeadlineMetric {
+                name: "pool_dispatch_us".to_string(),
+                value: measure_pool_dispatch_us(),
+                higher_is_better: false,
+                gate: false,
             });
         }
         if id == "e18" {

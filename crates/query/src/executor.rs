@@ -903,15 +903,41 @@ fn keeps_gathered(query: &AnalyticalQuery, bbox: Option<&Rect>, rect: Option<&Re
 /// least one): the intra-node work unit the pool steals. A fixed
 /// constant independent of thread count, so the morsel decomposition —
 /// and everything downstream — never depends on the host's parallelism.
+/// What a `run` costs to dispatch is paid once whatever the morsel
+/// count, so the cheaper dispatch says nothing about this value and
+/// left it where it was; a sweep on scan_cold says larger morsels are
+/// faster (ROADMAP item 4), which is a claim of its own.
 const MORSEL_RECORDS: usize = 4096;
 
-/// Gathered rows below which a statement's per-node folds run inline:
-/// spawning a worker costs about 100 µs on the reference host, what
-/// folding this many rows costs at 1–7 ns each (seabench's
-/// `common.fold_*_dense_mrec_s`), so a smaller fold is over before a
-/// second thread could start on it — cutting a cache's fragment
-/// included, a column copy beside the fold.
+/// Gathered rows below which a statement's per-node folds run inline.
+/// Lending the fold to a sleeping helper costs the caller about 5 µs
+/// (`pool_dispatch_us` in `BENCH_baseline.json`), but the helper is
+/// 50–125 µs from its first item (reference host, 2 cores; read with
+/// timers around [`ExecPool::run`], calls 300 µs apart), and folding
+/// this many rows lasts 70–460 µs at 1–7 ns each (seabench's
+/// `common.fold_*_dense_mrec_s`): a smaller fold is over before the
+/// helper arrives — cutting a cache's fragment included, a column copy
+/// beside the fold. Re-derived when the per-`run` thread spawn went and
+/// unchanged by it: what a fold has to outlast is the helper's start,
+/// not the caller's dispatch, and that stayed where the spawn had been.
+/// Swept through an environment knob on one seabench binary, six
+/// alternating pairs a value: 16 384 reads 4 % behind this value on
+/// drift_churn (1 of 6 pairs ahead) and level on scan_cold, 262 144
+/// 2 % behind on scan_cold (2 of 6) and level on drift_churn.
 const FOLD_FANOUT_ROWS: usize = 16 * MORSEL_RECORDS;
+
+/// Fewest rows a gathered column reserves room for at its first block:
+/// one more `f64` than glibc's per-thread cache serves (requests up to
+/// 1 032 bytes). A freed chunk of that size enters the cache of the
+/// thread that frees it — the coordinator, for every column a helper
+/// gathered — and a column started in such a chunk grows by `realloc`
+/// under the lock of the arena it came from: the other thread's, while
+/// that thread is gathering too (explore_warm, a few dozen rows a
+/// morsel: 300 000 lock waits a run against 9 000 with this floor;
+/// DESIGN.md "Concurrency model"). A first request past the cache comes
+/// from the gathering thread's own arena and stays there. Capacity
+/// only: the gathered values and their order are unchanged.
+const GATHER_MIN_ROWS: usize = 1032 / std::mem::size_of::<f64>() + 1;
 
 /// The rows one morsel contributes to a gather, in block then row order.
 struct Chunk {
@@ -942,7 +968,7 @@ fn gather_morsel(blocks: &[&Block], need: &[bool], rect: Option<&Rect>) -> Chunk
         chunk.rows += n;
         for ((out, col), &wanted) in chunk.cols.iter_mut().zip(b.cols()).zip(need) {
             if wanted {
-                out.reserve(n);
+                out.reserve(n.max(GATHER_MIN_ROWS));
                 kernels::gather(col, &mask, out);
             }
         }

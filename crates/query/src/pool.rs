@@ -7,18 +7,40 @@
 //! of with the slowest node. [`ExecPool`] supplies the missing real
 //! parallelism: a thread budget sized from the host
 //! (`available_parallelism`, overridable via `SEA_EXEC_THREADS`) that
-//! [`run`](ExecPool::run) spends on scoped worker threads pulling work
-//! items off a shared atomic counter.
+//! [`run`](ExecPool::run) spends on work items claimed off a shared
+//! atomic counter — by the calling thread and by helpers it borrows for
+//! the length of the call from one process-wide set of worker threads,
+//! which sleep between calls. No thread is created per `run`: waking a
+//! sleeping helper costs the caller microseconds where spawning and
+//! joining one cost hundreds, every scanning statement.
+//!
+//! The helpers are one [`scoped_threadpool::Pool`] behind a lock.
+//! It starts on the first parallel `run` and is replaced by a larger
+//! one when a larger budget asks (so it holds the largest
+//! `threads − 1` ever asked for). A `run` takes the lock for its whole
+//! length; one that finds it taken — a second client thread, a
+//! parallel test, a `run` nested inside a job — does its work inline
+//! instead of waiting, which is also what keeps nested calls
+//! sequential. Lending a borrowed closure to a thread that outlives the
+//! call needs one lifetime erasure; it lives in that vendored crate,
+//! with its safety argument, not here.
 //!
 //! Determinism contract: `run` returns results **in item-index order**
-//! regardless of which worker computed what or when it finished, and a
-//! single-thread pool degenerates to a plain loop on the calling thread.
+//! regardless of which worker computed what or when it finished —
+//! or whether any helper took part at all — and a single-thread pool
+//! degenerates to a plain loop on the calling thread.
 //! Callers keep all side-effecting work (telemetry, shared counters) out
 //! of the closure and on the calling thread, so every observable output
 //! is independent of the thread count.
 
+use parking_lot::Mutex;
+use scoped_threadpool::Pool;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
+
+/// The process-wide helper threads every [`ExecPool`] borrows from (see
+/// the module docs); `None` until the first parallel [`ExecPool::run`].
+static HELPERS: Mutex<Option<Pool>> = Mutex::new(None);
 
 /// Environment variable overriding the global pool's thread budget
 /// (`1` forces sequential execution; unset/invalid falls back to
@@ -26,9 +48,10 @@ use std::sync::OnceLock;
 pub const EXEC_THREADS_ENV: &str = "SEA_EXEC_THREADS";
 
 /// A thread budget for fanning per-node (or per-query) work out across
-/// the host's cores. Cheap to copy: the pool spawns scoped threads per
-/// [`run`](ExecPool::run) call (joined before it returns), so there is
-/// no persistent worker state to own.
+/// the host's cores. Cheap to copy: it is only the number of threads a
+/// [`run`](ExecPool::run) may use — the caller and up to `threads − 1`
+/// helpers borrowed from the process-wide workers, which belong to no
+/// budget and to no executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecPool {
     threads: usize,
@@ -43,7 +66,7 @@ impl ExecPool {
     }
 
     /// A pool that runs everything inline on the calling thread. Used
-    /// where a fan-out is too small to pay for a spawn and for
+    /// where a fan-out is too small to pay for waking a helper and for
     /// exercising the sequential path in tests.
     pub fn sequential() -> Self {
         ExecPool::new(1)
@@ -82,22 +105,30 @@ impl ExecPool {
     /// shared atomic counter (dynamic load balancing: one slow item
     /// doesn't idle the other workers behind a static stride). The
     /// calling thread is one of the workers, so a budget of `t` threads
-    /// spawns `t − 1`; with a budget of one thread — or a single item —
-    /// this is a plain loop on the calling thread, no spawning.
+    /// lends the claim loop to `min(t, n) − 1` sleeping helpers; one
+    /// that has not woken by the time the caller runs out of items is
+    /// never waited for. With a budget of one thread, a single item, or
+    /// the helpers already lent to another `run`, this is a plain loop
+    /// on the calling thread.
     ///
     /// # Panics
     ///
-    /// A panic in `f` is resumed on the calling thread after all workers
-    /// have been joined.
+    /// A panic in `f` is resumed on the calling thread once no helper
+    /// is still running `f`.
     pub fn run<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        if self.threads == 1 || n <= 1 {
+        let parallel = self.threads > 1 && n > 1;
+        let Some(mut slot) = parallel.then(|| HELPERS.try_lock()).flatten() else {
             return (0..n).map(f).collect();
-        }
-        let workers = self.threads.min(n);
+        };
+        let budget = u32::try_from(self.threads - 1).unwrap_or(u32::MAX);
+        let helpers = match &mut *slot {
+            Some(pool) if pool.thread_count() >= budget => pool,
+            outgrown => outgrown.insert(Pool::new(budget)),
+        };
         let next = AtomicUsize::new(0);
         let claim = || {
             let mut out = Vec::new();
@@ -110,35 +141,21 @@ impl ExecPool {
             }
             out
         };
-        let claim = &claim;
-        // A panic in the caller's own share unwinds out of the scope
-        // (after it has joined the spawned workers) as its `Err`.
-        let joined = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = (1..workers).map(|_| s.spawn(move |_| claim())).collect();
-            let mut joined = vec![Ok(claim())];
-            joined.extend(handles.into_iter().map(|h| h.join()));
-            joined
-        })
-        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        let mut panic_payload = None;
-        for worker in joined {
-            match worker {
-                Ok(items) => {
-                    for (i, v) in items {
-                        slots[i] = Some(v);
-                    }
-                }
-                Err(payload) => panic_payload = Some(payload),
+        let lent = Mutex::new(Vec::new());
+        // The scope ends — returning, or unwinding with the caller's own
+        // panic or a helper's — only once no helper can still call `f`.
+        let mut items = helpers.scoped(|scope| {
+            for _ in 1..self.threads.min(n) {
+                scope.execute(|| {
+                    let out = claim();
+                    lent.lock().extend(out);
+                });
             }
-        }
-        if let Some(payload) = panic_payload {
-            std::panic::resume_unwind(payload);
-        }
-        slots
-            .into_iter()
-            .map(|o| o.expect("every index in 0..n was claimed exactly once"))
-            .collect()
+            claim()
+        });
+        items.append(&mut lent.into_inner());
+        items.sort_unstable_by_key(|&(i, _)| i);
+        items.into_iter().map(|(_, v)| v).collect()
     }
 }
 

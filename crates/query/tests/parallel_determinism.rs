@@ -111,16 +111,22 @@ proptest! {
 }
 
 /// Runs one workload under a recording sink with the given thread
-/// budget and returns the snapshot with wall-clock scrubbed: six
+/// budgets — statement `i` on an executor with `budgets[i % len]`, so
+/// more than one interleaves them over the process's one set of helper
+/// threads — and returns the snapshot with wall-clock scrubbed: six
 /// aggregates one query at a time in both regimes, or (`batched`) every
 /// one of [`batch_shapes`] as one statement in both regimes.
-fn recorded_snapshot(threads: usize, batched: bool) -> sea_telemetry::TelemetrySnapshot {
+fn recorded_snapshot(budgets: &[usize], batched: bool) -> sea_telemetry::TelemetrySnapshot {
     let mut cluster = build_cluster(2000, 4, Partitioning::Hash, 0.0);
     let sink = TelemetrySink::recording();
     cluster.set_telemetry(sink.clone());
-    let exec = Executor::new(&cluster).with_pool(ExecPool::new(threads));
+    let execs: Vec<Executor> = budgets
+        .iter()
+        .map(|&t| Executor::new(&cluster).with_pool(ExecPool::new(t)))
+        .collect();
     if batched {
         for (i, (_, queries)) in batch_shapes().iter().enumerate() {
+            let exec = &execs[i % execs.len()];
             sink.begin_query(i as u64);
             // An aggregate undefined on an empty ball is an `Err` at
             // every pool size (`execute_batch_matches_per_query_execution`).
@@ -129,6 +135,7 @@ fn recorded_snapshot(threads: usize, batched: bool) -> sea_telemetry::TelemetryS
         }
     } else {
         for agg_idx in 0..6usize {
+            let exec = &execs[agg_idx % execs.len()];
             sink.begin_query(agg_idx as u64);
             let q = AnalyticalQuery::new(
                 Region::Range(Rect::new(vec![10.0, 0.0, 0.0], vec![70.0, 8.0, 60.0]).unwrap()),
@@ -147,19 +154,19 @@ fn recorded_snapshot(threads: usize, batched: bool) -> sea_telemetry::TelemetryS
 fn lone_query_telemetry_matches_the_golden() {
     support::assert_golden(
         "lone_query_telemetry.txt",
-        &support::render(&recorded_snapshot(1, false)),
+        &support::render(&recorded_snapshot(&[1], false)),
     );
 }
 
 #[test]
 fn recorded_telemetry_tables_are_bit_identical_across_thread_counts() {
     for batched in [false, true] {
-        let base = recorded_snapshot(1, batched);
+        let base = recorded_snapshot(&[1], batched);
         assert!(!base.spans.roots.is_empty());
         assert!(base.counter("storage.node.scans") > 0);
-        for threads in [2, 8] {
-            let snap = recorded_snapshot(threads, batched);
-            let at = format!("{threads} threads, batched {batched}");
+        for budgets in [&[2][..], &[8], &[2, 8]] {
+            let snap = recorded_snapshot(budgets, batched);
+            let at = format!("{budgets:?} threads, batched {batched}");
             assert_eq!(snap.counters, base.counters, "{at}: counters");
             assert_eq!(snap.histograms, base.histograms, "{at}: histograms");
             assert_eq!(snap.events, base.events, "{at}: events");
