@@ -13,10 +13,10 @@
 use std::collections::HashMap;
 
 use sea_common::{
-    AggregateKind, AnalyticalQuery, AnswerValue, CostMeter, CostModel, CostReport, Rect, Result,
-    SeaError,
+    AggregateKind, AnalyticalQuery, AnswerValue, CostMeter, CostReport, Rect, Result, SeaError,
 };
-use sea_storage::{StorageCluster, DIRECT_LAYERS};
+use sea_query::Executor;
+use sea_storage::DIRECT_LAYERS;
 
 use crate::sampling::AqpOutcome;
 
@@ -31,14 +31,13 @@ struct ChunkStats {
 /// A semantic cache of per-chunk statistics over one table.
 #[derive(Debug)]
 pub struct DataCanopy<'a> {
-    cluster: &'a StorageCluster,
+    exec: &'a Executor<'a>,
     table: String,
     domain: Rect,
     chunks_per_dim: usize,
     /// (dim, chunk index, value dim) → stats of records whose `dim` value
     /// falls in the chunk, aggregated over attribute `value dim`.
     cache: HashMap<(usize, usize, usize), ChunkStats>,
-    cost_model: CostModel,
 }
 
 impl<'a> DataCanopy<'a> {
@@ -48,7 +47,7 @@ impl<'a> DataCanopy<'a> {
     ///
     /// Missing table or invalid chunking.
     pub fn new(
-        cluster: &'a StorageCluster,
+        exec: &'a Executor<'a>,
         table: &str,
         domain: Rect,
         chunks_per_dim: usize,
@@ -56,14 +55,13 @@ impl<'a> DataCanopy<'a> {
         if chunks_per_dim == 0 {
             return Err(SeaError::invalid("chunks_per_dim must be positive"));
         }
-        SeaError::check_dims(cluster.dims(table)?, domain.dims())?;
+        SeaError::check_dims(exec.cluster().dims(table)?, domain.dims())?;
         Ok(DataCanopy {
-            cluster,
+            exec,
             table: table.to_string(),
             domain,
             chunks_per_dim,
             cache: HashMap::new(),
-            cost_model: CostModel::default(),
         })
     }
 
@@ -88,8 +86,9 @@ impl<'a> DataCanopy<'a> {
     }
 
     /// Ensures chunk `(dim, chunk)` statistics over attribute `value_dim`
-    /// are cached, scanning base data on a miss. Returns the stats plus
-    /// the cost (zero on a hit).
+    /// are cached, scanning base data on a miss — the chunk's key column
+    /// and the value column, nothing else. Returns the stats plus the
+    /// cost (zero on a hit); a chunk of part of the table is never cached.
     fn chunk_stats(
         &mut self,
         dim: usize,
@@ -106,36 +105,36 @@ impl<'a> DataCanopy<'a> {
         slab_lo[dim] = lo;
         slab_hi[dim] = hi;
         let slab = Rect::new(slab_lo, slab_hi)?;
-        let nodes = self.cluster.nodes_for_region(&self.table, &slab)?;
+        let (table, top) = (&self.table, chunk == self.chunks_per_dim - 1);
         let mut node_meters = Vec::new();
         let mut stats = ChunkStats::default();
-        for node in nodes {
+        for node in self.exec.cluster().nodes_for_region(table, &slab)? {
             let mut meter = CostMeter::new();
             meter.touch_node(DIRECT_LAYERS);
-            let records = self
-                .cluster
-                .scan_node_region(&self.table, node, &slab, &mut meter)?;
-            for r in records {
-                // Half-open chunks so adjacent chunks never double count
-                // (the top chunk is closed at the domain edge).
-                let v = r.value(dim);
-                let in_chunk = if chunk == self.chunks_per_dim - 1 {
-                    v >= lo && v <= hi
-                } else {
-                    v >= lo && v < hi
-                };
-                if in_chunk {
-                    let x = r.value(value_dim);
-                    stats.count += 1;
-                    stats.sum += x;
-                    stats.sum_sq += x * x;
-                }
+            let views = self
+                .exec
+                .scan_blocks(table, node, Some(&slab), &mut meter)?;
+            let views = views.ok_or_else(|| {
+                SeaError::Storage(format!("canopy chunk of {table}: partition {node} unread"))
+            })?;
+            for view in &views {
+                let (keys, xs) = (view.block.col(dim), view.block.col(value_dim));
+                view.mask.for_each_set(|i| {
+                    // Half-open chunks so adjacent chunks never double
+                    // count (the top chunk is closed at the domain edge).
+                    let v = keys[i];
+                    if v >= lo && (v < hi || (top && v <= hi)) {
+                        stats.count += 1;
+                        stats.sum += xs[i];
+                        stats.sum_sq += xs[i] * xs[i];
+                    }
+                });
             }
             meter.charge_lan(24);
             node_meters.push(meter);
         }
         let coord = CostMeter::new();
-        let cost = coord.report_parallel(node_meters.iter(), &self.cost_model);
+        let cost = coord.report_parallel(node_meters.iter(), self.exec.cost_model());
         self.cache.insert((dim, chunk, value_dim), stats);
         Ok((stats, cost))
     }
@@ -151,8 +150,8 @@ impl<'a> DataCanopy<'a> {
     ///
     /// # Errors
     ///
-    /// Regions constraining more than one dimension, or unsupported
-    /// operators.
+    /// Regions constraining more than one dimension, unsupported
+    /// operators, or a partition a chunk miss cannot read.
     pub fn query(&mut self, query: &AnalyticalQuery) -> Result<AqpOutcome> {
         let bbox = query.region.bounding_rect();
         SeaError::check_dims(self.domain.dims(), bbox.dims())?;
@@ -171,11 +170,24 @@ impl<'a> DataCanopy<'a> {
         }
         let dim = constrained.unwrap_or(0);
         let (a, b) = (bbox.lo()[dim], bbox.hi()[dim]);
-        let value_dim = match query.aggregate {
-            AggregateKind::Count => dim,
-            AggregateKind::Sum { dim: v }
-            | AggregateKind::Mean { dim: v }
-            | AggregateKind::Variance { dim: v } => v,
+        // The attribute the statistic reads, and how it finishes from the
+        // chunks' combined basic aggregates.
+        let (value_dim, finish): (usize, fn(ChunkStats) -> Result<f64>) = match query.aggregate {
+            AggregateKind::Count => (dim, |t| Ok(t.count as f64)),
+            AggregateKind::Sum { dim: v } => (v, |t| Ok(t.sum)),
+            AggregateKind::Mean { dim: v } => (v, |t| {
+                if t.count == 0 {
+                    return Err(SeaError::Empty("mean over empty selection".into()));
+                }
+                Ok(t.sum / t.count as f64)
+            }),
+            AggregateKind::Variance { dim: v } => (v, |t| {
+                if t.count == 0 {
+                    return Err(SeaError::Empty("variance over empty selection".into()));
+                }
+                let mean = t.sum / t.count as f64;
+                Ok(t.sum_sq / t.count as f64 - mean * mean)
+            }),
             other => {
                 return Err(SeaError::invalid(format!(
                     "DataCanopy does not support {other:?}"
@@ -203,24 +215,7 @@ impl<'a> DataCanopy<'a> {
             total.sum_sq += stats.sum_sq * frac;
         }
 
-        let answer = match query.aggregate {
-            AggregateKind::Count => AnswerValue::Scalar(total.count as f64),
-            AggregateKind::Sum { .. } => AnswerValue::Scalar(total.sum),
-            AggregateKind::Mean { .. } => {
-                if total.count == 0 {
-                    return Err(SeaError::Empty("mean over empty selection".into()));
-                }
-                AnswerValue::Scalar(total.sum / total.count as f64)
-            }
-            AggregateKind::Variance { .. } => {
-                if total.count == 0 {
-                    return Err(SeaError::Empty("variance over empty selection".into()));
-                }
-                let mean = total.sum / total.count as f64;
-                AnswerValue::Scalar(total.sum_sq / total.count as f64 - mean * mean)
-            }
-            _ => unreachable!("validated above"),
-        };
+        let answer = AnswerValue::Scalar(finish(total)?);
         Ok(AqpOutcome { answer, cost })
     }
 }
@@ -229,7 +224,7 @@ impl<'a> DataCanopy<'a> {
 mod tests {
     use super::*;
     use sea_common::{Record, Region};
-    use sea_storage::Partitioning;
+    use sea_storage::{Partitioning, StorageCluster};
 
     fn cluster() -> StorageCluster {
         let mut c = StorageCluster::new(4, 128);
@@ -250,8 +245,9 @@ mod tests {
     #[test]
     fn chunk_aligned_count_is_exact() {
         let c = cluster();
+        let exec = Executor::new(&c);
         let domain = Rect::new(vec![0.0, 0.0], vec![100.0, 100.0]).unwrap();
-        let mut canopy = DataCanopy::new(&c, "t", domain, 10).unwrap();
+        let mut canopy = DataCanopy::new(&exec, "t", domain, 10).unwrap();
         // [10, 20) aligned with chunk 1 plus boundary at 20 hits chunk 2.
         let q = slab_query(10.0, 19.99, AggregateKind::Count);
         let out = canopy.query(&q).unwrap();
@@ -263,8 +259,9 @@ mod tests {
     #[test]
     fn repeated_queries_hit_cache() {
         let c = cluster();
+        let exec = Executor::new(&c);
         let domain = Rect::new(vec![0.0, 0.0], vec![100.0, 100.0]).unwrap();
-        let mut canopy = DataCanopy::new(&c, "t", domain, 10).unwrap();
+        let mut canopy = DataCanopy::new(&exec, "t", domain, 10).unwrap();
         let q = slab_query(10.0, 30.0, AggregateKind::Count);
         let first = canopy.query(&q).unwrap();
         assert!(first.cost.wall_us > 0.0, "cold cache pays");
@@ -276,8 +273,9 @@ mod tests {
     #[test]
     fn overlapping_queries_reuse_chunks() {
         let c = cluster();
+        let exec = Executor::new(&c);
         let domain = Rect::new(vec![0.0, 0.0], vec![100.0, 100.0]).unwrap();
-        let mut canopy = DataCanopy::new(&c, "t", domain, 10).unwrap();
+        let mut canopy = DataCanopy::new(&exec, "t", domain, 10).unwrap();
         canopy
             .query(&slab_query(0.0, 50.0, AggregateKind::Count))
             .unwrap();
@@ -294,8 +292,9 @@ mod tests {
     #[test]
     fn mean_and_variance_from_chunks() {
         let c = cluster();
+        let exec = Executor::new(&c);
         let domain = Rect::new(vec![0.0, 0.0], vec![100.0, 100.0]).unwrap();
-        let mut canopy = DataCanopy::new(&c, "t", domain, 20).unwrap();
+        let mut canopy = DataCanopy::new(&exec, "t", domain, 20).unwrap();
         let q = slab_query(0.0, 100.0, AggregateKind::Mean { dim: 0 });
         let got = canopy.query(&q).unwrap().answer.as_scalar().unwrap();
         assert!((got - 49.5).abs() < 1.0, "mean of 0..99: {got}");
@@ -308,8 +307,9 @@ mod tests {
     #[test]
     fn storage_grows_only_with_touched_chunks() {
         let c = cluster();
+        let exec = Executor::new(&c);
         let domain = Rect::new(vec![0.0, 0.0], vec![100.0, 100.0]).unwrap();
-        let mut canopy = DataCanopy::new(&c, "t", domain, 100).unwrap();
+        let mut canopy = DataCanopy::new(&exec, "t", domain, 100).unwrap();
         assert_eq!(canopy.storage_bytes(), 0);
         canopy
             .query(&slab_query(0.0, 10.0, AggregateKind::Count))
@@ -324,8 +324,9 @@ mod tests {
     #[test]
     fn multi_dim_selection_is_rejected() {
         let c = cluster();
+        let exec = Executor::new(&c);
         let domain = Rect::new(vec![0.0, 0.0], vec![100.0, 100.0]).unwrap();
-        let mut canopy = DataCanopy::new(&c, "t", domain, 10).unwrap();
+        let mut canopy = DataCanopy::new(&exec, "t", domain, 10).unwrap();
         let q = AnalyticalQuery::new(
             Region::Range(Rect::new(vec![10.0, 10.0], vec![20.0, 20.0]).unwrap()),
             AggregateKind::Count,
@@ -339,8 +340,9 @@ mod tests {
     #[test]
     fn unsupported_operator_rejected() {
         let c = cluster();
+        let exec = Executor::new(&c);
         let domain = Rect::new(vec![0.0, 0.0], vec![100.0, 100.0]).unwrap();
-        let mut canopy = DataCanopy::new(&c, "t", domain, 10).unwrap();
+        let mut canopy = DataCanopy::new(&exec, "t", domain, 10).unwrap();
         let q = slab_query(0.0, 10.0, AggregateKind::Median { dim: 0 });
         assert!(canopy.query(&q).is_err());
     }

@@ -120,6 +120,7 @@ fn feature_vec(query: &AnalyticalQuery) -> Vec<f64> {
 mod tests {
     use super::*;
     use sea_common::{AggregateKind, CostReport, Point, Record, Rect, Region};
+    use sea_query::Executor;
     use sea_storage::{Partitioning, StorageCluster};
 
     /// A cluster whose density is *doubled* in a stripe, so a coarse
@@ -172,7 +173,7 @@ mod tests {
             .collect();
         sparse.load_table("t", base, Partitioning::Hash).unwrap();
         let domain = Rect::new(vec![0.0, 0.0], vec![101.0, 101.0]).unwrap();
-        let engine = SamplingAqp::build(&sparse, "t", domain, 10, 40, 3).unwrap();
+        let engine = SamplingAqp::build(&Executor::new(&sparse), "t", domain, 10, 40, 3).unwrap();
 
         let grown = cluster(); // same data + 4x density in x ∈ [40, 50)
         let mut learned = LearnedAqp::new(engine, 5).unwrap();
@@ -199,7 +200,7 @@ mod tests {
     fn storage_includes_history() {
         let c = cluster();
         let domain = Rect::new(vec![0.0, 0.0], vec![101.0, 101.0]).unwrap();
-        let engine = SamplingAqp::build(&c, "t", domain, 4, 20, 3).unwrap();
+        let engine = SamplingAqp::build(&Executor::new(&c), "t", domain, 4, 20, 3).unwrap();
         let base_storage = engine.storage_bytes();
         let mut learned = LearnedAqp::new(engine, 5).unwrap();
         assert_eq!(learned.storage_bytes(), base_storage);
@@ -218,7 +219,7 @@ mod tests {
     fn queries_still_pay_aqp_cost() {
         let c = cluster();
         let domain = Rect::new(vec![0.0, 0.0], vec![101.0, 101.0]).unwrap();
-        let engine = SamplingAqp::build(&c, "t", domain, 4, 20, 3).unwrap();
+        let engine = SamplingAqp::build(&Executor::new(&c), "t", domain, 4, 20, 3).unwrap();
         let learned = LearnedAqp::new(engine, 5).unwrap();
         let out = learned.query(&count_query(45.0, 3.0)).unwrap();
         assert_ne!(out.cost, CostReport::zero());
@@ -228,7 +229,7 @@ mod tests {
     fn non_scalar_observation_rejected() {
         let c = cluster();
         let domain = Rect::new(vec![0.0, 0.0], vec![101.0, 101.0]).unwrap();
-        let engine = SamplingAqp::build(&c, "t", domain, 4, 20, 3).unwrap();
+        let engine = SamplingAqp::build(&Executor::new(&c), "t", domain, 4, 20, 3).unwrap();
         let mut learned = LearnedAqp::new(engine, 5).unwrap();
         let q = count_query(45.0, 3.0);
         assert!(learned.observe(&q, &AnswerValue::Pair(1.0, 2.0)).is_err());

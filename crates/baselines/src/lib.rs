@@ -1,8 +1,9 @@
 //! # sea-baselines
 //!
 //! Reimplementations of the state-of-the-art systems §II of the paper
-//! positions SEA against, all running on the same simulated substrate so
-//! their costs and accuracies are directly comparable to the agent's:
+//! positions SEA against, all running on the same simulated substrate
+//! (read through [`sea_query::Executor::scan_blocks`]) so their costs and
+//! accuracies are directly comparable to the agent's:
 //!
 //! * [`SamplingAqp`] — a BlinkDB-style engine (\[17\]): offline stratified
 //!   samples, per-query scale-up estimation. Faithful to the paper's

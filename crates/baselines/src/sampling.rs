@@ -5,7 +5,8 @@ use sea_common::{
     Result, SeaError,
 };
 use sea_index::{GridIndex, StratifiedSample};
-use sea_storage::{StorageCluster, BDAS_LAYERS};
+use sea_query::Executor;
+use sea_storage::BDAS_LAYERS;
 
 /// The outcome of an approximate query: the estimate and its resource bill.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,9 +41,10 @@ impl SamplingAqp {
     ///
     /// # Errors
     ///
-    /// Missing table, invalid grid parameters, or zero `per_stratum`.
+    /// Missing table, invalid grid parameters, zero `per_stratum`, or an
+    /// unreadable partition (a sample of part of it would answer short).
     pub fn build(
-        cluster: &StorageCluster,
+        exec: &Executor,
         table: &str,
         domain: Rect,
         cells_per_dim: usize,
@@ -54,12 +56,17 @@ impl SamplingAqp {
         // Offline pass: full BDAS scan of every node.
         let mut node_meters = Vec::new();
         let mut all: Vec<Record> = Vec::new();
-        for node in 0..cluster.num_nodes() {
+        for node in 0..exec.cluster().num_nodes() {
             let mut meter = CostMeter::new();
             meter.touch_node(BDAS_LAYERS);
-            let records = cluster.scan_node(table, node, &mut meter)?;
-            // Sampled records ship to the sample store.
-            all.extend(records);
+            let views = exec.scan_blocks(table, node, None, &mut meter)?;
+            let views = views.ok_or_else(|| {
+                SeaError::Storage(format!("sample of {table}: partition {node} unread"))
+            })?;
+            // Sampled records ship to the sample store, as rows.
+            for v in &views {
+                v.mask.for_each_set(|i| all.push(v.block.record(i)));
+            }
             node_meters.push(meter);
         }
         let sample = StratifiedSample::build(&all, per_stratum, seed, |r| {
@@ -67,11 +74,11 @@ impl SamplingAqp {
         })?;
         let mut coord = CostMeter::new();
         coord.charge_lan(sample.memory_bytes());
-        let cost_model = CostModel::default();
+        let cost_model = exec.cost_model().clone();
         let build_cost = coord.report_parallel(node_meters.iter(), &cost_model);
         Ok(SamplingAqp {
             sample,
-            sample_nodes: cluster.num_nodes().min(4),
+            sample_nodes: exec.cluster().num_nodes().min(4),
             build_cost,
             cost_model,
         })
@@ -153,7 +160,7 @@ impl SamplingAqp {
 mod tests {
     use super::*;
     use sea_common::{Point, Region};
-    use sea_storage::Partitioning;
+    use sea_storage::{Partitioning, StorageCluster};
 
     fn cluster() -> StorageCluster {
         let mut c = StorageCluster::new(4, 128);
@@ -166,7 +173,7 @@ mod tests {
 
     fn engine(c: &StorageCluster) -> SamplingAqp {
         let domain = Rect::new(vec![0.0, 0.0], vec![100.0, 100.0]).unwrap();
-        SamplingAqp::build(c, "t", domain, 10, 40, 7).unwrap()
+        SamplingAqp::build(&Executor::new(c), "t", domain, 10, 40, 7).unwrap()
     }
 
     fn count_query(lo: Vec<f64>, hi: Vec<f64>) -> AnalyticalQuery {
@@ -240,8 +247,8 @@ mod tests {
     fn storage_grows_with_strata() {
         let c = cluster();
         let domain = Rect::new(vec![0.0, 0.0], vec![100.0, 100.0]).unwrap();
-        let small = SamplingAqp::build(&c, "t", domain.clone(), 5, 40, 7).unwrap();
-        let large = SamplingAqp::build(&c, "t", domain, 20, 40, 7).unwrap();
+        let small = SamplingAqp::build(&Executor::new(&c), "t", domain.clone(), 5, 40, 7).unwrap();
+        let large = SamplingAqp::build(&Executor::new(&c), "t", domain, 20, 40, 7).unwrap();
         assert!(large.storage_bytes() > small.storage_bytes() * 4);
         assert!(large.sample_size() > small.sample_size());
     }

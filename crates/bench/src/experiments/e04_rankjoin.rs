@@ -64,12 +64,13 @@ pub fn run_e4_with(sink: &TelemetrySink) -> Result<Report> {
     for &n in &[10_000u64, 50_000, 200_000] {
         let mut cluster = rankjoin_cluster(n, n / 50, 8)?;
         cluster.set_telemetry(sink.clone());
+        let exec = Executor::new(&cluster);
         let span = query_span(sink, qid);
         qid += 1;
-        let li = ScoreIndex::build(&cluster, "l", &mut CostMeter::new())?;
-        let ri = ScoreIndex::build(&cluster, "r", &mut CostMeter::new())?;
+        let li = ScoreIndex::build(&exec, "l", &mut CostMeter::new())?;
+        let ri = ScoreIndex::build(&exec, "r", &mut CostMeter::new())?;
         let surgical = surgical_rank_join(&li, &ri, 10, 256, &model)?;
-        let mr = mapreduce_rank_join(&cluster, "l", "r", 10, &model)?;
+        let mr = mapreduce_rank_join(&exec, "l", "r", 10)?;
         span.record_sim_us(surgical.cost.wall_us + mr.cost.wall_us);
         drop(span);
         observe_query_us(sink, surgical.cost.wall_us);

@@ -6,6 +6,7 @@
 
 use sea_common::{CostModel, Point, Result};
 use sea_knn::{mapreduce_knn, DistributedKnnIndex};
+use sea_query::Executor;
 use sea_telemetry::TelemetrySink;
 
 use crate::experiments::common::{observe_query_us, query_span, uniform_cluster};
@@ -23,14 +24,15 @@ pub fn run_e5_with(sink: &TelemetrySink) -> Result<Report> {
     for &n in &[50_000usize, 200_000, 500_000] {
         let mut cluster = uniform_cluster(n, 8, 2)?;
         cluster.set_telemetry(sink.clone());
+        let exec = Executor::new(&cluster);
         let build_span = sink.span("bench.e5.index_build");
-        let index = DistributedKnnIndex::build(&cluster, "t", &model)?;
+        let index = DistributedKnnIndex::build(&exec, "t")?;
         drop(build_span);
         for &k in &[1usize, 10, 50] {
             let q = Point::new(vec![42.0, 37.0]);
             let span = query_span(sink, qid);
             qid += 1;
-            let mr = mapreduce_knn(&cluster, "t", &q, k, &model)?;
+            let mr = mapreduce_knn(&exec, "t", &q, k)?;
             let cc = index.query(&q, k, &model)?;
             span.record_sim_us(mr.cost.wall_us + cc.cost.wall_us);
             drop(span);

@@ -28,12 +28,9 @@ pub fn run_e8_with(sink: &TelemetrySink) -> Result<Report> {
     let domain = Rect::new(vec![0.0, 0.0], vec![100.0, 100.0])?;
     // BlinkDB-style sample sized to reach roughly the agent's accuracy on
     // this workload (32 strata × 64 records).
-    let sample = SamplingAqp::build(&cluster, "t", domain.clone(), 8, 64, 7)?;
-    let mut dbl = LearnedAqp::new(
-        SamplingAqp::build(&cluster, "t", domain.clone(), 8, 64, 9)?,
-        5,
-    )?;
-    let mut canopy = DataCanopy::new(&cluster, "t", domain.clone(), 100)?;
+    let sample = SamplingAqp::build(&exec, "t", domain.clone(), 8, 64, 7)?;
+    let mut dbl = LearnedAqp::new(SamplingAqp::build(&exec, "t", domain.clone(), 8, 64, 9)?, 5)?;
+    let mut canopy = DataCanopy::new(&exec, "t", domain.clone(), 100)?;
     let mut agent = SeaAgent::new(2, AgentConfig::default())?;
 
     let mut gen = count_workload(4.0, 14.0, 41)?;

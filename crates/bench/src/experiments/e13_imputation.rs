@@ -4,8 +4,9 @@
 //! baseline's accuracy while examining a small fraction of the candidates
 //! and finishing far faster, with the gap widening as data grows.
 
-use sea_common::{CostModel, Record, Rect, Result};
+use sea_common::{Record, Rect, Result};
 use sea_imputation::{fullscan_impute, GridImputer};
+use sea_query::Executor;
 use sea_storage::{Partitioning, StorageCluster};
 use sea_telemetry::TelemetrySink;
 
@@ -55,16 +56,16 @@ pub fn run_e13_with(sink: &TelemetrySink) -> Result<Report> {
             "grid_rmse",
         ],
     );
-    let model = CostModel::default();
     let domain = Rect::new(vec![0.0, 0.0, 0.0], vec![100.0, 205.0, 100.0])?;
     for (qid, &n) in [20_000u64, 100_000, 400_000].iter().enumerate() {
         let mut c = cluster(n)?;
         c.set_telemetry(sink.clone());
+        let exec = Executor::new(&c);
         let probes = probes();
         let span = query_span(sink, qid as u64);
-        let full = fullscan_impute(&c, "t", &probes, 5, &model)?;
+        let full = fullscan_impute(&exec, "t", &probes, 5)?;
         let imputer = GridImputer::new(domain.clone(), 50)?;
-        let grid = imputer.impute(&c, "t", &probes, 5, &model)?;
+        let grid = imputer.impute(&exec, "t", &probes, 5)?;
         span.record_sim_us(full.cost.wall_us + grid.cost.wall_us);
         drop(span);
         observe_query_us(sink, grid.cost.wall_us);

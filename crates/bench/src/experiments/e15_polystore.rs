@@ -8,6 +8,7 @@
 use sea_common::{AggregateKind, AnalyticalQuery, Point, Rect, Region, Result};
 use sea_core::agent::AgentConfig;
 use sea_geo::{ConstituentSystem, Polystore};
+use sea_query::Executor;
 use sea_storage::{Partitioning, StorageCluster};
 use sea_telemetry::TelemetrySink;
 
@@ -55,9 +56,9 @@ pub fn run_e15_with(sink: &TelemetrySink) -> Result<Report> {
     c2.set_telemetry(sink.clone());
     c3.set_telemetry(sink.clone());
     let systems = vec![
-        ConstituentSystem::new(&c1, "t", AgentConfig::default())?,
-        ConstituentSystem::new(&c2, "t", AgentConfig::default())?,
-        ConstituentSystem::new(&c3, "t", AgentConfig::default())?,
+        ConstituentSystem::new(&Executor::new(&c1), "t", AgentConfig::default())?,
+        ConstituentSystem::new(&Executor::new(&c2), "t", AgentConfig::default())?,
+        ConstituentSystem::new(&Executor::new(&c3), "t", AgentConfig::default())?,
     ];
     let mut store = Polystore::new(systems, 0.15)?;
     let training: Vec<AnalyticalQuery> = (0..120)

@@ -262,6 +262,17 @@ impl CostReport {
         }
     }
 
+    /// Labels the report of a task that could not read `unavailable` of
+    /// the `engaged` partitions it meant to (unchanged when none).
+    #[must_use]
+    pub fn partial(mut self, engaged: usize, unavailable: usize) -> Self {
+        if unavailable > 0 {
+            self.answered_fraction = (engaged - unavailable) as f64 / engaged as f64;
+            self.nodes_unavailable = unavailable as u64;
+        }
+        self
+    }
+
     /// Combines two reports executed one after the other. Availability
     /// composes pessimistically: the combined answer is only as complete
     /// as its least-complete part (clamped into `[0, 1]`, and a NaN

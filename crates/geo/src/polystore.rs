@@ -22,31 +22,32 @@
 //!   rest fall back to local exact execution; only answers move.
 
 use sea_common::{
-    AggregateKind, AnalyticalQuery, AnswerValue, CostMeter, CostModel, CostReport, Record, Result,
-    SeaError,
+    AggregateKind, AnalyticalQuery, AnswerValue, CostMeter, CostReport, Record, Result, SeaError,
 };
 use sea_core::agent::{AgentConfig, SeaAgent};
 use sea_query::Executor;
-use sea_storage::{StorageCluster, DIRECT_LAYERS};
+use sea_storage::DIRECT_LAYERS;
 use sea_telemetry::TelemetrySink;
 
 /// One constituent system of the polystore.
 pub struct ConstituentSystem<'a> {
-    cluster: &'a StorageCluster,
+    /// Every read of the system's data goes through it — its retry
+    /// policy and partial-answer mode included.
+    exec: Executor<'a>,
     table: String,
     agent: SeaAgent,
 }
 
 impl<'a> ConstituentSystem<'a> {
-    /// Wraps a cluster + table with a fresh resident agent.
+    /// Wraps the table an executor reads with a fresh resident agent.
     ///
     /// # Errors
     ///
     /// Missing table or invalid agent config.
-    pub fn new(cluster: &'a StorageCluster, table: &str, config: AgentConfig) -> Result<Self> {
-        let dims = cluster.dims(table)?;
+    pub fn new(exec: &Executor<'a>, table: &str, config: AgentConfig) -> Result<Self> {
+        let dims = exec.cluster().dims(table)?;
         Ok(ConstituentSystem {
-            cluster,
+            exec: exec.clone(),
             table: table.to_string(),
             agent: SeaAgent::new(dims, config)?,
         })
@@ -69,7 +70,6 @@ pub struct PolystoreOutcome {
 /// Several constituent systems answering cross-system aggregates.
 pub struct Polystore<'a> {
     systems: Vec<ConstituentSystem<'a>>,
-    cost_model: CostModel,
     /// Error budget for model answers in
     /// [`Polystore::query_exchange_models`].
     error_threshold: f64,
@@ -91,13 +91,12 @@ impl<'a> Polystore<'a> {
             ));
         };
         let dims = first.agent.dims();
-        let telemetry = first.cluster.telemetry().clone();
+        let telemetry = first.exec.telemetry().clone();
         for s in &systems {
             SeaError::check_dims(dims, s.agent.dims())?;
         }
         Ok(Polystore {
             systems,
-            cost_model: CostModel::default(),
             error_threshold,
             telemetry,
         })
@@ -111,9 +110,8 @@ impl<'a> Polystore<'a> {
     /// Execution errors (systems whose subspace is empty skip the query).
     pub fn train_agents(&mut self, queries: &[AnalyticalQuery]) -> Result<()> {
         for s in &mut self.systems {
-            let exec = Executor::new(s.cluster);
             for q in queries {
-                if let Ok(exact) = exec.execute_direct(&s.table, q) {
+                if let Ok(exact) = s.exec.execute_direct(&s.table, q) {
                     s.agent.train(q, &exact.answer)?;
                 }
             }
@@ -122,7 +120,9 @@ impl<'a> Polystore<'a> {
     }
 
     /// Cross-system COUNT/SUM: ship all matching raw records from every
-    /// system to the first (coordinator) system, then aggregate there.
+    /// system to the first (coordinator) system, then aggregate there. A
+    /// partition a system could not read (partial-answer mode) ships
+    /// nothing and labels the report partial.
     ///
     /// # Errors
     ///
@@ -139,24 +139,27 @@ impl<'a> Polystore<'a> {
                 .span_child_of(&span.ctx(), "geo.polystore.system");
             sys_span.tag("system", i);
             let bbox = query.region.bounding_rect();
-            let nodes = s.cluster.nodes_for_region(&s.table, &bbox)?;
+            let nodes = s.exec.cluster().nodes_for_region(&s.table, &bbox)?;
             let mut node_meters = Vec::new();
             let mut matched: Vec<Record> = Vec::new();
+            let mut unavailable = 0;
             for node in nodes {
                 let mut meter = CostMeter::new();
                 meter.touch_node(DIRECT_LAYERS);
-                let records = s.cluster.scan_node_region_traced(
-                    &s.table,
-                    node,
-                    &bbox,
-                    &sys_span.ctx(),
-                    &mut meter,
-                )?;
-                matched.extend(
-                    records
-                        .into_iter()
-                        .filter(|r| query.region.contains_record(r)),
-                );
+                // Scanned under the system's span; raw rows are what moves.
+                match s
+                    .exec
+                    .scan_blocks(&s.table, node, Some(&bbox), &mut meter)?
+                {
+                    Some(views) => {
+                        for v in &views {
+                            let mut hits = v.block.region_mask(&query.region);
+                            hits.intersect(&v.mask);
+                            hits.for_each_set(|r| matched.push(v.block.record(r)));
+                        }
+                    }
+                    None => unavailable += 1,
+                }
                 node_meters.push(meter);
             }
             let mut coord = CostMeter::new();
@@ -169,7 +172,9 @@ impl<'a> Polystore<'a> {
                 self.telemetry
                     .incr("geo.polystore.inter_system_bytes", bytes);
             }
-            let report = coord.report_parallel(node_meters.iter(), &self.cost_model);
+            let report = coord
+                .report_parallel(node_meters.iter(), s.exec.cost_model())
+                .partial(node_meters.len(), unavailable);
             sys_span.record_sim_us(report.wall_us);
             cost = cost.then(&report);
             all.extend(matched);
@@ -201,8 +206,7 @@ impl<'a> Polystore<'a> {
                 .telemetry
                 .span_child_of(&span.ctx(), "geo.polystore.system");
             sys_span.tag("system", i);
-            let exec = Executor::new(s.cluster);
-            let out = exec.execute_direct_traced(&s.table, query, &sys_span.ctx())?;
+            let out = (s.exec).execute_direct_traced(&s.table, query, &sys_span.ctx())?;
             total += out.answer.as_scalar().unwrap_or(0.0);
             cost = cost.then(&out.cost);
             if i != 0 {
@@ -210,7 +214,7 @@ impl<'a> Polystore<'a> {
                 m.charge_wan(24);
                 inter_bytes += 24;
                 self.telemetry.incr("geo.polystore.inter_system_bytes", 24);
-                let wan = m.report_sequential(&self.cost_model);
+                let wan = m.report_sequential(s.exec.cost_model());
                 // The executor's own spans carry the local execution cost;
                 // this span carries only the inter-system hop.
                 sys_span.record_sim_us(wan.wall_us);
@@ -262,8 +266,7 @@ impl<'a> Polystore<'a> {
                     if self.telemetry.is_enabled() {
                         sys_span.tag("source", "local_exact");
                     }
-                    let exec = Executor::new(s.cluster);
-                    let out = exec.execute_direct_traced(&s.table, query, &sys_span.ctx())?;
+                    let out = (s.exec).execute_direct_traced(&s.table, query, &sys_span.ctx())?;
                     cost = cost.then(&out.cost);
                     out.answer.as_scalar().unwrap_or(0.0)
                 }
@@ -274,7 +277,7 @@ impl<'a> Polystore<'a> {
                 m.charge_wan(24);
                 inter_bytes += 24;
                 self.telemetry.incr("geo.polystore.inter_system_bytes", 24);
-                let wan = m.report_sequential(&self.cost_model);
+                let wan = m.report_sequential(s.exec.cost_model());
                 sys_span.record_sim_us(wan.wall_us);
                 cost = cost.then(&wan);
             }
@@ -305,7 +308,7 @@ fn check_supported(agg: &AggregateKind) -> Result<()> {
 mod tests {
     use super::*;
     use sea_common::{Point, Rect, Region};
-    use sea_storage::Partitioning;
+    use sea_storage::{Partitioning, StorageCluster};
     use sea_telemetry::FieldValue;
 
     fn make_cluster(seed_shift: u64) -> StorageCluster {
@@ -343,8 +346,8 @@ mod tests {
         let c1 = make_cluster(0);
         let c2 = make_cluster(1);
         let systems = vec![
-            ConstituentSystem::new(&c1, "t", AgentConfig::default()).unwrap(),
-            ConstituentSystem::new(&c2, "t", AgentConfig::default()).unwrap(),
+            ConstituentSystem::new(&Executor::new(&c1), "t", AgentConfig::default()).unwrap(),
+            ConstituentSystem::new(&Executor::new(&c2), "t", AgentConfig::default()).unwrap(),
         ];
         let store = Polystore::new(systems, 0.15).unwrap();
         let q = count_query(6.0);
@@ -364,8 +367,8 @@ mod tests {
         let c1 = make_cluster(0);
         let c2 = make_cluster(1);
         let systems = vec![
-            ConstituentSystem::new(&c1, "t", AgentConfig::default()).unwrap(),
-            ConstituentSystem::new(&c2, "t", AgentConfig::default()).unwrap(),
+            ConstituentSystem::new(&Executor::new(&c1), "t", AgentConfig::default()).unwrap(),
+            ConstituentSystem::new(&Executor::new(&c2), "t", AgentConfig::default()).unwrap(),
         ];
         let mut store = Polystore::new(systems, 0.15).unwrap();
         store.train_agents(&training_queries()).unwrap();
@@ -391,7 +394,8 @@ mod tests {
     #[test]
     fn untrained_agents_fall_back_to_local_execution() {
         let c1 = make_cluster(0);
-        let systems = vec![ConstituentSystem::new(&c1, "t", AgentConfig::default()).unwrap()];
+        let systems =
+            vec![ConstituentSystem::new(&Executor::new(&c1), "t", AgentConfig::default()).unwrap()];
         let store = Polystore::new(systems, 0.15).unwrap();
         let q = count_query(6.0);
         let out = store.query_exchange_models(&q).unwrap();
@@ -408,8 +412,8 @@ mod tests {
         let mut c2 = make_cluster(1);
         c2.set_telemetry(sink.clone());
         let systems = vec![
-            ConstituentSystem::new(&c1, "t", AgentConfig::default()).unwrap(),
-            ConstituentSystem::new(&c2, "t", AgentConfig::default()).unwrap(),
+            ConstituentSystem::new(&Executor::new(&c1), "t", AgentConfig::default()).unwrap(),
+            ConstituentSystem::new(&Executor::new(&c2), "t", AgentConfig::default()).unwrap(),
         ];
         let store = Polystore::new(systems, 0.15).unwrap();
         let q = count_query(6.0);
@@ -451,7 +455,8 @@ mod tests {
     fn validations() {
         assert!(Polystore::new(vec![], 0.1).is_err());
         let c1 = make_cluster(0);
-        let systems = vec![ConstituentSystem::new(&c1, "t", AgentConfig::default()).unwrap()];
+        let systems =
+            vec![ConstituentSystem::new(&Executor::new(&c1), "t", AgentConfig::default()).unwrap()];
         let store = Polystore::new(systems, 0.1).unwrap();
         let bad = AnalyticalQuery::new(count_query(5.0).region, AggregateKind::Median { dim: 0 });
         assert!(store.query_migrate_data(&bad).is_err());

@@ -5,7 +5,8 @@
 //! preparatory data-quality task the paper lists among those processed
 //! wastefully by BDAS/MapReduce-style engines.
 //!
-//! Two strategies over the same substrate:
+//! Two strategies over the same substrate, both reading donors in place
+//! from [`sea_query::Executor::scan_blocks`]:
 //!
 //! * [`fullscan_impute`] — the baseline: every incomplete record is
 //!   compared against the *entire* table, scanned through the BDAS stack.

@@ -1,7 +1,8 @@
 //! Full-scan vs grid-partitioned kNN imputation.
 
-use sea_common::{CostMeter, CostModel, CostReport, Record, Rect, Result, SeaError};
-use sea_storage::{StorageCluster, BDAS_LAYERS, DIRECT_LAYERS};
+use sea_common::{CostMeter, CostReport, Record, Rect, Result, SeaError};
+use sea_query::Executor;
+use sea_storage::{Block, BDAS_LAYERS, DIRECT_LAYERS};
 
 /// The outcome of imputing a batch of incomplete records.
 #[derive(Debug, Clone, PartialEq)]
@@ -15,12 +16,17 @@ pub struct ImputationOutcome {
     pub candidates_examined: u64,
 }
 
-/// Distance over the dimensions observed in `probe` (ignoring its NaNs).
-/// Returns `None` when no dimension is observed.
-fn observed_distance(probe: &Record, donor: &Record) -> Option<f64> {
+/// A stored row a probe may borrow from, read in place: (block, row).
+type Donor<'c> = (&'c Block, usize);
+
+/// Distance over the dimensions observed in `probe` (ignoring its NaNs)
+/// to `donor`, read off the donor block's columns. Returns `None` when
+/// no dimension is observed.
+fn observed_distance(probe: &Record, (block, row): Donor) -> Option<f64> {
     let mut acc = 0.0;
     let mut n = 0;
-    for (a, b) in probe.values.iter().zip(&donor.values) {
+    for (a, col) in probe.values.iter().zip(block.cols()) {
+        let b = col[row];
         if a.is_nan() || b.is_nan() {
             continue;
         }
@@ -30,18 +36,23 @@ fn observed_distance(probe: &Record, donor: &Record) -> Option<f64> {
     (n > 0).then(|| acc.sqrt())
 }
 
-/// Fills `probe`'s NaN dimensions with the mean of the k nearest donors.
-fn fill_from(probe: &Record, mut donors: Vec<(&Record, f64)>, k: usize) -> Record {
+/// Compares `probe` with every donor (counting the comparisons that
+/// produced a distance into `examined`), then fills its NaN dimensions
+/// with the mean of the k nearest.
+fn impute_one(probe: &Record, donors: &[Donor], k: usize, examined: &mut u64) -> Record {
+    let mut near: Vec<(Donor, f64)> = (donors.iter())
+        .filter_map(|&d| observed_distance(probe, d).map(|dist| (d, dist)))
+        .collect();
+    *examined += near.len() as u64;
     // total_cmp (NaN-safe) with a donor-id tie-break: equidistant donors
     // truncate to the same k-set regardless of input order.
-    donors.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.id.cmp(&b.0.id)));
-    donors.truncate(k);
+    near.sort_by(|((a, i), x), ((b, j), y)| x.total_cmp(y).then(a.ids()[*i].cmp(&b.ids()[*j])));
+    near.truncate(k);
     let mut out = probe.clone();
     for d in 0..out.values.len() {
         if out.values[d].is_nan() {
-            let usable: Vec<f64> = donors
-                .iter()
-                .map(|(r, _)| r.value(d))
+            let usable: Vec<f64> = (near.iter())
+                .map(|((block, row), _)| block.col(d)[*row])
                 .filter(|v| !v.is_nan())
                 .collect();
             if !usable.is_empty() {
@@ -54,51 +65,55 @@ fn fill_from(probe: &Record, mut donors: Vec<(&Record, f64)>, k: usize) -> Recor
 
 /// Baseline: impute each incomplete record by scanning the complete table
 /// fully through the BDAS stack, once per batch, comparing every probe
-/// against every stored record.
+/// against every stored record. A partition that could not be read
+/// (partial-answer mode) lends no donors and labels the report partial.
 ///
 /// # Errors
 ///
-/// Missing table, `k == 0`, or dimension mismatch.
+/// Missing table, `k == 0`, dimension mismatch, or an unreadable
+/// partition.
 pub fn fullscan_impute(
-    cluster: &StorageCluster,
+    exec: &Executor,
     table: &str,
     incomplete: &[Record],
     k: usize,
-    cost_model: &CostModel,
 ) -> Result<ImputationOutcome> {
     if k == 0 {
         return Err(SeaError::invalid("k must be positive"));
     }
-    let dims = cluster.dims(table)?;
+    let dims = exec.cluster().dims(table)?;
     for r in incomplete {
         SeaError::check_dims(dims, r.dims())?;
     }
     let mut node_meters = Vec::new();
-    let mut donors: Vec<Record> = Vec::new();
-    for node in 0..cluster.num_nodes() {
+    let mut donors: Vec<Donor> = Vec::new();
+    let mut unavailable = 0;
+    for node in 0..exec.cluster().num_nodes() {
         let mut meter = CostMeter::new();
         meter.touch_node(BDAS_LAYERS);
-        let records = cluster.scan_node(table, node, &mut meter)?;
-        // Every probe × every record comparison happens node-side.
-        meter.charge_cpu(records.len() as u64 * incomplete.len() as u64);
-        meter.charge_lan(64);
-        donors.extend(records);
+        match exec.scan_blocks(table, node, None, &mut meter)? {
+            Some(views) => {
+                let stored = donors.len();
+                for v in &views {
+                    v.mask.for_each_set(|i| donors.push((v.block, i)));
+                }
+                // Every probe × every record comparison happens node-side.
+                let rows = (donors.len() - stored) as u64;
+                meter.charge_cpu(rows * incomplete.len() as u64);
+                meter.charge_lan(64);
+            }
+            None => unavailable += 1,
+        }
         node_meters.push(meter);
     }
     let mut examined = 0u64;
-    let mut out = Vec::with_capacity(incomplete.len());
-    for probe in incomplete {
-        let cands: Vec<(&Record, f64)> = donors
-            .iter()
-            .filter_map(|r| observed_distance(probe, r).map(|d| (r, d)))
-            .collect();
-        examined += cands.len() as u64;
-        out.push(fill_from(probe, cands, k));
-    }
-    let coord = CostMeter::new();
+    let imputed = (incomplete.iter())
+        .map(|probe| impute_one(probe, &donors, k, &mut examined))
+        .collect();
+    let cost = CostMeter::new().report_parallel(node_meters.iter(), exec.cost_model());
     Ok(ImputationOutcome {
-        imputed: out,
-        cost: coord.report_parallel(node_meters.iter(), cost_model),
+        imputed,
+        cost: cost.partial(node_meters.len(), unavailable),
         candidates_examined: examined,
     })
 }
@@ -147,54 +162,58 @@ impl GridImputer {
     }
 
     /// Imputes a batch: each probe fetches donors only from its
-    /// neighbourhood region via block-pruned coordinator reads.
+    /// neighbourhood region via block-pruned coordinator reads. A
+    /// partition read that fails (partial-answer mode) lends no donors
+    /// and labels the report partial, one read of each engaged.
     ///
     /// # Errors
     ///
-    /// Missing table, `k == 0`, or dimension mismatch.
+    /// Missing table, `k == 0`, dimension mismatch, or an unreadable
+    /// partition.
     pub fn impute(
         &self,
-        cluster: &StorageCluster,
+        exec: &Executor,
         table: &str,
         incomplete: &[Record],
         k: usize,
-        cost_model: &CostModel,
     ) -> Result<ImputationOutcome> {
         if k == 0 {
             return Err(SeaError::invalid("k must be positive"));
         }
-        let dims = cluster.dims(table)?;
-        SeaError::check_dims(dims, self.domain.dims())?;
+        let cluster = exec.cluster();
+        SeaError::check_dims(cluster.dims(table)?, self.domain.dims())?;
         // Probes are independent; each data node serves its share of the
         // probe fetches sequentially while the nodes run in parallel, so
         // the batch's wall-clock is the busiest node, not the probe sum.
         let mut per_node_acc = vec![CostMeter::new(); cluster.num_nodes()];
+        let (mut reads, mut unavailable) = (0, 0);
         let mut examined = 0u64;
         let mut out = Vec::with_capacity(incomplete.len());
         for probe in incomplete {
             let region = self.donor_region(probe)?;
-            let nodes = cluster.nodes_for_region(table, &region)?;
-            let mut donors: Vec<Record> = Vec::new();
-            for node in nodes {
+            let mut donors: Vec<Donor> = Vec::new();
+            for node in cluster.nodes_for_region(table, &region)? {
                 let meter = &mut per_node_acc[node];
                 meter.touch_node(DIRECT_LAYERS);
-                // scan_node_region already charged the block scan CPU;
-                // only the donor shipment is added here.
-                let records = cluster.scan_node_region(table, node, &region, meter)?;
-                meter.charge_lan(records.len() as u64 * 16);
-                donors.extend(records);
+                reads += 1;
+                // The scan charges the block reads; only the donor
+                // shipment is added here.
+                let Some(views) = exec.scan_blocks(table, node, Some(&region), meter)? else {
+                    unavailable += 1;
+                    continue;
+                };
+                let fetched = donors.len();
+                for v in &views {
+                    v.mask.for_each_set(|i| donors.push((v.block, i)));
+                }
+                meter.charge_lan((donors.len() - fetched) as u64 * 16);
             }
-            let cands: Vec<(&Record, f64)> = donors
-                .iter()
-                .filter_map(|r| observed_distance(probe, r).map(|d| (r, d)))
-                .collect();
-            examined += cands.len() as u64;
-            out.push(fill_from(probe, cands, k));
+            out.push(impute_one(probe, &donors, k, &mut examined));
         }
-        let coord = CostMeter::new();
+        let cost = CostMeter::new().report_parallel(per_node_acc.iter(), exec.cost_model());
         Ok(ImputationOutcome {
             imputed: out,
-            cost: coord.report_parallel(per_node_acc.iter(), cost_model),
+            cost: cost.partial(reads, unavailable),
             candidates_examined: examined,
         })
     }
@@ -203,7 +222,7 @@ impl GridImputer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sea_storage::Partitioning;
+    use sea_storage::{Partitioning, StorageCluster};
 
     /// Complete table where attr1 = 2·attr0 and attr2 = 100 − attr0: every
     /// missing value is exactly recoverable from neighbours.
@@ -241,8 +260,7 @@ mod tests {
     #[test]
     fn fullscan_recovers_exact_values() {
         let c = cluster();
-        let model = CostModel::default();
-        let out = fullscan_impute(&c, "t", &probes(), 5, &model).unwrap();
+        let out = fullscan_impute(&Executor::new(&c), "t", &probes(), 5).unwrap();
         for (probe, imputed) in probes().iter().zip(&out.imputed) {
             let want = 2.0 * probe.value(0);
             assert!(
@@ -256,10 +274,11 @@ mod tests {
     #[test]
     fn grid_imputer_matches_fullscan_accuracy() {
         let c = cluster();
-        let model = CostModel::default();
         let domain = Rect::new(vec![0.0, 0.0, 0.0], vec![100.0, 200.0, 100.0]).unwrap();
         let imputer = GridImputer::new(domain, 50).unwrap();
-        let out = imputer.impute(&c, "t", &probes(), 5, &model).unwrap();
+        let out = imputer
+            .impute(&Executor::new(&c), "t", &probes(), 5)
+            .unwrap();
         for (probe, imputed) in probes().iter().zip(&out.imputed) {
             let want = 2.0 * probe.value(0);
             assert!(
@@ -272,11 +291,12 @@ mod tests {
     #[test]
     fn grid_imputer_is_much_cheaper() {
         let c = cluster();
-        let model = CostModel::default();
         let domain = Rect::new(vec![0.0, 0.0, 0.0], vec![100.0, 200.0, 100.0]).unwrap();
         let imputer = GridImputer::new(domain, 50).unwrap();
-        let grid = imputer.impute(&c, "t", &probes(), 5, &model).unwrap();
-        let full = fullscan_impute(&c, "t", &probes(), 5, &model).unwrap();
+        let grid = imputer
+            .impute(&Executor::new(&c), "t", &probes(), 5)
+            .unwrap();
+        let full = fullscan_impute(&Executor::new(&c), "t", &probes(), 5).unwrap();
         assert!(
             grid.candidates_examined * 5 < full.candidates_examined,
             "grid {} vs full {}",
@@ -300,9 +320,8 @@ mod tests {
             Record::new(2, vec![1.2, 12.0]),
         ];
         c.load_table("t", records, Partitioning::Hash).unwrap();
-        let model = CostModel::default();
         let probe = vec![Record::new(9, vec![1.1, f64::NAN])];
-        let out = fullscan_impute(&c, "t", &probe, 3, &model).unwrap();
+        let out = fullscan_impute(&Executor::new(&c), "t", &probe, 3).unwrap();
         let v = out.imputed[0].value(1);
         assert!((v - 11.0).abs() < 1e-9, "mean of usable donors: {v}");
     }
@@ -315,9 +334,8 @@ mod tests {
             Record::new(1, vec![2.0, f64::NAN]),
         ];
         c.load_table("t", records, Partitioning::Hash).unwrap();
-        let model = CostModel::default();
         let probe = vec![Record::new(9, vec![1.5, f64::NAN])];
-        let out = fullscan_impute(&c, "t", &probe, 2, &model).unwrap();
+        let out = fullscan_impute(&Executor::new(&c), "t", &probe, 2).unwrap();
         assert!(out.imputed[0].value(1).is_nan(), "no donor has the value");
     }
 
@@ -332,9 +350,8 @@ mod tests {
             Record::new(3, vec![0.0, 30.0]),
         ];
         c.load_table("t", records, Partitioning::Hash).unwrap();
-        let model = CostModel::default();
         let probe = vec![Record::new(9, vec![1.0, f64::NAN])];
-        let out = fullscan_impute(&c, "t", &probe, 1, &model).unwrap();
+        let out = fullscan_impute(&Executor::new(&c), "t", &probe, 1).unwrap();
         let v = out.imputed[0].value(1);
         assert!((v - 30.0).abs() < 1e-9, "lowest-id donor wins the tie: {v}");
     }
@@ -342,11 +359,10 @@ mod tests {
     #[test]
     fn validations() {
         let c = cluster();
-        let model = CostModel::default();
-        assert!(fullscan_impute(&c, "t", &probes(), 0, &model).is_err());
-        assert!(fullscan_impute(&c, "missing", &probes(), 5, &model).is_err());
+        assert!(fullscan_impute(&Executor::new(&c), "t", &probes(), 0).is_err());
+        assert!(fullscan_impute(&Executor::new(&c), "missing", &probes(), 5).is_err());
         let bad = vec![Record::new(0, vec![1.0])];
-        assert!(fullscan_impute(&c, "t", &bad, 5, &model).is_err());
+        assert!(fullscan_impute(&Executor::new(&c), "t", &bad, 5).is_err());
         let domain = Rect::new(vec![0.0; 3], vec![1.0; 3]).unwrap();
         assert!(GridImputer::new(domain, 0).is_err());
     }

@@ -65,9 +65,10 @@ impl PartialOrd for HeapEntry {
 }
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        // total_cmp: a NaN distance (a NaN coordinate on either side)
+        // ranks farthest instead of panicking.
         self.dist_sq
-            .partial_cmp(&other.dist_sq)
-            .expect("distances are finite")
+            .total_cmp(&other.dist_sq)
             .then(self.id.cmp(&other.id))
     }
 }
@@ -111,9 +112,7 @@ impl KdTree {
         let split_dim = depth % self.dims;
         let mid = order.len() / 2;
         order.select_nth_unstable_by(mid, |&a, &b| {
-            self.coords[a][split_dim]
-                .partial_cmp(&self.coords[b][split_dim])
-                .expect("finite coordinates")
+            self.coords[a][split_dim].total_cmp(&self.coords[b][split_dim])
         });
         let pivot = order[mid];
         let node_idx = self.nodes.len();
@@ -241,12 +240,13 @@ impl KdTree {
             (n.right, n.left)
         };
         self.nearest_rec(near, q, k, heap);
-        // Visit the far side only if the splitting plane is closer than
-        // (or exactly at) the current k-th best — the boundary case must
+        // Visit the far side unless the splitting plane is provably
+        // farther than the current k-th best — the boundary case must
         // recurse so an equidistant lower-id record can still win its
-        // tie.
+        // tie, and a NaN on either side proves nothing.
         let worst = heap.peek().map_or(f64::INFINITY, |e| e.dist_sq);
-        if heap.len() < k || diff * diff <= worst {
+        let plane = diff * diff;
+        if heap.len() < k || plane <= worst || plane.is_nan() || worst.is_nan() {
             self.nearest_rec(far, q, k, heap);
         }
     }

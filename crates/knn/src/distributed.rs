@@ -1,8 +1,11 @@
 //! MapReduce-style vs coordinator–cohort distributed kNN.
 
+use std::cmp::Ordering;
+
 use sea_common::{CostMeter, CostModel, CostReport, Point, Record, Rect, Result, SeaError};
 use sea_index::kdtree::{KdTree, Neighbor};
-use sea_storage::{NodeId, StorageCluster, BDAS_LAYERS, DIRECT_LAYERS};
+use sea_query::Executor;
+use sea_storage::{Block, BDAS_LAYERS, DIRECT_LAYERS};
 
 /// A kNN answer plus its resource bill.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,44 +19,39 @@ pub struct KnnOutcome {
 }
 
 /// MapReduce-style kNN: full scan of every node's partition through the
-/// BDAS stack; each node ships its local top-k; the coordinator merges.
+/// BDAS stack, scoring each row off its coordinate columns; each node
+/// ships its local top-k; the coordinator merges. A partition that could
+/// not be read (partial-answer mode) leaves the report labelled partial.
 ///
 /// # Errors
 ///
-/// Missing table, `k == 0`, or dimension mismatch.
-pub fn mapreduce_knn(
-    cluster: &StorageCluster,
-    table: &str,
-    query: &Point,
-    k: usize,
-    cost_model: &CostModel,
-) -> Result<KnnOutcome> {
+/// Missing table, `k == 0`, dimension mismatch, or an unreadable
+/// partition.
+pub fn mapreduce_knn(exec: &Executor, table: &str, query: &Point, k: usize) -> Result<KnnOutcome> {
     if k == 0 {
         return Err(SeaError::invalid("k must be positive"));
     }
-    SeaError::check_dims(cluster.dims(table)?, query.dims())?;
+    SeaError::check_dims(exec.cluster().dims(table)?, query.dims())?;
+    let nodes = exec.cluster().num_nodes();
     let mut node_meters = Vec::new();
     let mut merged: Vec<Neighbor> = Vec::new();
-    for node in 0..cluster.num_nodes() {
+    let mut unavailable = 0;
+    for node in 0..nodes {
         let mut meter = CostMeter::new();
         meter.touch_node(BDAS_LAYERS);
-        let records = cluster.scan_node(table, node, &mut meter)?;
-        let mut local: Vec<Neighbor> = records
-            .iter()
-            .map(|r| Neighbor {
-                id: r.id,
-                distance: dist(query, r),
-            })
-            .collect();
-        // Tie-break on record id: a node's local top-k must not depend
-        // on its block storage order when distances are equal, or the
-        // merged answer becomes order-unstable.
-        local.sort_by(|a, b| {
-            a.distance
-                .partial_cmp(&b.distance)
-                .expect("finite")
-                .then(a.id.cmp(&b.id))
-        });
+        let Some(views) = exec.scan_blocks(table, node, None, &mut meter)? else {
+            unavailable += 1;
+            node_meters.push(meter);
+            continue;
+        };
+        let mut local: Vec<Neighbor> = Vec::new();
+        for v in &views {
+            v.mask.for_each_set(|i| {
+                let (id, distance) = (v.block.ids()[i], dist(query, v.block, i));
+                local.push(Neighbor { id, distance });
+            });
+        }
+        local.sort_by(nearest_first);
         local.truncate(k);
         meter.charge_lan(local.len() as u64 * 16);
         merged.extend(local);
@@ -61,26 +59,31 @@ pub fn mapreduce_knn(
     }
     let mut coord = CostMeter::new();
     coord.charge_cpu(merged.len() as u64);
-    merged.sort_by(|a, b| {
-        a.distance
-            .partial_cmp(&b.distance)
-            .expect("finite")
-            .then(a.id.cmp(&b.id))
-    });
+    merged.sort_by(nearest_first);
     merged.truncate(k);
-    let nodes = cluster.num_nodes();
+    let cost = coord.report_parallel(node_meters.iter(), exec.cost_model());
     Ok(KnnOutcome {
         neighbors: merged,
-        cost: coord.report_parallel(node_meters.iter(), cost_model),
+        cost: cost.partial(nodes, unavailable),
         nodes_engaged: nodes,
     })
 }
 
-fn dist(q: &Point, r: &Record) -> f64 {
+/// Ascending distance, ties to the lower id — a node's local top-k must
+/// not depend on its block storage order when distances are equal, or
+/// the merged answer becomes order-unstable — and a NaN distance last
+/// (`total_cmp`), not a panic.
+fn nearest_first(a: &Neighbor, b: &Neighbor) -> Ordering {
+    a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id))
+}
+
+/// Euclidean distance from `q` to row `i` of `block`, read off its
+/// coordinate columns.
+fn dist(q: &Point, block: &Block, i: usize) -> f64 {
     q.coords()
         .iter()
-        .zip(&r.values)
-        .map(|(a, b)| (a - b) * (a - b))
+        .zip(block.cols())
+        .map(|(a, col)| (a - col[i]) * (a - col[i]))
         .sum::<f64>()
         .sqrt()
 }
@@ -89,8 +92,9 @@ fn dist(q: &Point, r: &Record) -> f64 {
 /// each partition's bounding rectangle for node-level pruning.
 #[derive(Debug, Clone)]
 pub struct DistributedKnnIndex {
-    trees: Vec<Option<KdTree>>,
-    bounds: Vec<Option<Rect>>,
+    /// Per node: the partition's bounding rectangle and its tree (`None`
+    /// for an empty partition).
+    parts: Vec<Option<(Rect, KdTree)>>,
     dims: usize,
     record_bytes: u64,
     build_cost: CostReport,
@@ -101,40 +105,40 @@ impl DistributedKnnIndex {
     ///
     /// # Errors
     ///
-    /// Missing table.
-    pub fn build(cluster: &StorageCluster, table: &str, cost_model: &CostModel) -> Result<Self> {
-        let dims = cluster.dims(table)?;
+    /// Missing table, or an unreadable partition (an index of part of
+    /// the table would answer short).
+    pub fn build(exec: &Executor, table: &str) -> Result<Self> {
+        let dims = exec.cluster().dims(table)?;
         let mut node_meters = Vec::new();
-        let mut trees = Vec::with_capacity(cluster.num_nodes());
-        let mut bounds = Vec::with_capacity(cluster.num_nodes());
-        for node in 0..cluster.num_nodes() {
+        let mut parts = Vec::with_capacity(exec.cluster().num_nodes());
+        for node in 0..exec.cluster().num_nodes() {
             let mut meter = CostMeter::new();
             meter.touch_node(DIRECT_LAYERS);
-            let records: Vec<Record> = cluster.scan_node(table, node, &mut meter)?;
-            if records.is_empty() {
-                trees.push(None);
-                bounds.push(None);
-            } else {
-                let mut lo = records[0].values.clone();
-                let mut hi = records[0].values.clone();
-                for r in &records {
-                    for d in 0..dims {
-                        lo[d] = lo[d].min(r.value(d));
-                        hi[d] = hi[d].max(r.value(d));
-                    }
-                }
-                bounds.push(Some(Rect::new(lo, hi)?));
-                trees.push(Some(KdTree::build(&records)?));
+            let views = exec.scan_blocks(table, node, None, &mut meter)?;
+            let views = views.ok_or_else(|| {
+                SeaError::Storage(format!("kNN index over {table}: partition {node} unread"))
+            })?;
+            // The partition's box is the union of its blocks' zone maps;
+            // the tree indexes points, so it is built from rows.
+            let mut bounds: Option<Rect> = None;
+            for zone in views.iter().filter_map(|v| v.block.bounds()) {
+                bounds = Some(bounds.map_or(Ok(zone.clone()), |b| b.union(zone))?);
             }
+            let records: Vec<Record> = (views.iter())
+                .flat_map(|v| v.mask.to_indices().into_iter().map(|i| v.block.record(i)))
+                .collect();
+            parts.push(match bounds {
+                Some(rect) => Some((rect, KdTree::build(&records)?)),
+                None => None,
+            });
             node_meters.push(meter);
         }
         let coord = CostMeter::new();
         Ok(DistributedKnnIndex {
-            trees,
-            bounds,
+            parts,
             dims,
             record_bytes: 8 + 8 * dims as u64,
-            build_cost: coord.report_parallel(node_meters.iter(), cost_model),
+            build_cost: coord.report_parallel(node_meters.iter(), exec.cost_model()),
         })
     }
 
@@ -179,42 +183,28 @@ impl DistributedKnnIndex {
         if max_nodes == 0 {
             return Err(SeaError::invalid("max_nodes must be positive"));
         }
-        self.query_inner(query, k, max_nodes, cost_model)
-    }
-
-    fn query_inner(
-        &self,
-        query: &Point,
-        k: usize,
-        max_nodes: usize,
-        cost_model: &CostModel,
-    ) -> Result<KnnOutcome> {
         if k == 0 {
             return Err(SeaError::invalid("k must be positive"));
         }
         SeaError::check_dims(self.dims, query.dims())?;
 
-        // Visit order: ascending minimum distance from query to partition.
-        let mut order: Vec<(f64, NodeId)> = Vec::new();
-        for (node, b) in self.bounds.iter().enumerate() {
-            if let Some(rect) = b {
-                order.push((rect.min_distance(query)?, node));
-            }
+        // Visit order: ascending minimum distance from query to partition
+        // (a NaN distance last), ties to the lower node (a stable sort).
+        let mut order: Vec<(f64, &KdTree)> = Vec::new();
+        for (rect, tree) in self.parts.iter().flatten() {
+            order.push((rect.min_distance(query)?, tree));
         }
-        order.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite").then(a.1.cmp(&b.1)));
+        order.sort_by(|a, b| a.0.total_cmp(&b.0));
 
         let mut coord = CostMeter::new();
         let mut node_meters = Vec::new();
         let mut merged: Vec<Neighbor> = Vec::new();
         let mut engaged = 0usize;
-        for (min_dist, node) in order {
+        for (min_dist, tree) in order {
             if engaged >= max_nodes {
                 break; // approximate budget exhausted
             }
-            let kth = merged
-                .get(k - 1)
-                .map(|n| n.distance)
-                .unwrap_or(f64::INFINITY);
+            let kth = merged.get(k - 1).map_or(f64::INFINITY, |n| n.distance);
             if merged.len() >= k && min_dist > kth {
                 break; // this and all farther nodes are irrelevant
             }
@@ -222,7 +212,6 @@ impl DistributedKnnIndex {
             coord.charge_lan(48); // the query message
             let mut meter = CostMeter::new();
             meter.touch_node(DIRECT_LAYERS);
-            let tree = self.trees[node].as_ref().expect("ordered over Some");
             let local = tree.nearest(query, k)?;
             // Index traversal: ~log2(n) node inspections per result.
             // The tree (holding the vectors) is memory-resident on its
@@ -233,12 +222,7 @@ impl DistributedKnnIndex {
             meter.charge_cpu(visits);
             meter.charge_lan(local.len() as u64 * self.record_bytes.max(16));
             merged.extend(local);
-            merged.sort_by(|a, b| {
-                a.distance
-                    .partial_cmp(&b.distance)
-                    .expect("finite")
-                    .then(a.id.cmp(&b.id))
-            });
+            merged.sort_by(nearest_first);
             merged.truncate(k);
             node_meters.push(meter);
         }
@@ -255,7 +239,7 @@ impl DistributedKnnIndex {
 mod tests {
     use super::*;
     use sea_common::RecordId;
-    use sea_storage::Partitioning;
+    use sea_storage::{Partitioning, StorageCluster};
 
     fn cluster(n: u64, partitioning: Partitioning) -> StorageCluster {
         let mut c = StorageCluster::new(8, 256);
@@ -276,7 +260,7 @@ mod tests {
             .all_records("t")
             .unwrap()
             .iter()
-            .map(|r| (r.id, dist(q, r)))
+            .map(|r| (r.id, q.distance(&r.to_point()).unwrap()))
             .collect();
         all.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
         all.truncate(k);
@@ -287,7 +271,7 @@ mod tests {
     fn both_strategies_match_brute_force() {
         let c = cluster(10_000, Partitioning::Hash);
         let model = CostModel::default();
-        let idx = DistributedKnnIndex::build(&c, "t", &model).unwrap();
+        let idx = DistributedKnnIndex::build(&Executor::new(&c), "t").unwrap();
         for q in [
             Point::new(vec![50.0, 50.0]),
             Point::new(vec![0.0, 0.0]),
@@ -295,7 +279,7 @@ mod tests {
         ] {
             for k in [1, 10, 50] {
                 let want = brute(&c, &q, k);
-                let mr = mapreduce_knn(&c, "t", &q, k, &model).unwrap();
+                let mr = mapreduce_knn(&Executor::new(&c), "t", &q, k).unwrap();
                 let cc = idx.query(&q, k, &model).unwrap();
                 let mr_d: Vec<f64> = mr.neighbors.iter().map(|n| n.distance).collect();
                 let cc_d: Vec<f64> = cc.neighbors.iter().map(|n| n.distance).collect();
@@ -314,9 +298,9 @@ mod tests {
     fn coordinator_is_orders_cheaper() {
         let c = cluster(50_000, Partitioning::Hash);
         let model = CostModel::default();
-        let idx = DistributedKnnIndex::build(&c, "t", &model).unwrap();
+        let idx = DistributedKnnIndex::build(&Executor::new(&c), "t").unwrap();
         let q = Point::new(vec![42.0, 37.0]);
-        let mr = mapreduce_knn(&c, "t", &q, 10, &model).unwrap();
+        let mr = mapreduce_knn(&Executor::new(&c), "t", &q, 10).unwrap();
         let cc = idx.query(&q, 10, &model).unwrap();
         let factor = mr.cost.wall_us / cc.cost.wall_us;
         assert!(factor > 50.0, "speedup factor {factor}");
@@ -333,7 +317,7 @@ mod tests {
             },
         );
         let model = CostModel::default();
-        let idx = DistributedKnnIndex::build(&c, "t", &model).unwrap();
+        let idx = DistributedKnnIndex::build(&Executor::new(&c), "t").unwrap();
         let q = Point::new(vec![42.0, 37.0]);
         let out = idx.query(&q, 10, &model).unwrap();
         assert!(
@@ -352,11 +336,11 @@ mod tests {
     fn k_larger_than_table() {
         let c = cluster(20, Partitioning::Hash);
         let model = CostModel::default();
-        let idx = DistributedKnnIndex::build(&c, "t", &model).unwrap();
+        let idx = DistributedKnnIndex::build(&Executor::new(&c), "t").unwrap();
         let q = Point::new(vec![1.0, 1.0]);
         let out = idx.query(&q, 100, &model).unwrap();
         assert_eq!(out.neighbors.len(), 20);
-        let mr = mapreduce_knn(&c, "t", &q, 100, &model).unwrap();
+        let mr = mapreduce_knn(&Executor::new(&c), "t", &q, 100).unwrap();
         assert_eq!(mr.neighbors.len(), 20);
     }
 
@@ -365,11 +349,11 @@ mod tests {
         let c = cluster(100, Partitioning::Hash);
         let model = CostModel::default();
         let q = Point::new(vec![1.0, 1.0]);
-        assert!(mapreduce_knn(&c, "t", &q, 0, &model).is_err());
-        assert!(mapreduce_knn(&c, "missing", &q, 5, &model).is_err());
+        assert!(mapreduce_knn(&Executor::new(&c), "t", &q, 0).is_err());
+        assert!(mapreduce_knn(&Executor::new(&c), "missing", &q, 5).is_err());
         let bad_q = Point::new(vec![1.0]);
-        assert!(mapreduce_knn(&c, "t", &bad_q, 5, &model).is_err());
-        let idx = DistributedKnnIndex::build(&c, "t", &model).unwrap();
+        assert!(mapreduce_knn(&Executor::new(&c), "t", &bad_q, 5).is_err());
+        let idx = DistributedKnnIndex::build(&Executor::new(&c), "t").unwrap();
         assert!(idx.query(&q, 0, &model).is_err());
         assert!(idx.query(&bad_q, 5, &model).is_err());
     }
@@ -390,22 +374,42 @@ mod tests {
         .unwrap();
         let model = CostModel::default();
         let q = Point::new(vec![0.0, 0.0]);
-        let mr = mapreduce_knn(&c, "t", &q, 1, &model).unwrap();
+        let mr = mapreduce_knn(&Executor::new(&c), "t", &q, 1).unwrap();
         assert_eq!(mr.neighbors[0].id, 5, "lowest id wins the tie");
-        let idx = DistributedKnnIndex::build(&c, "t", &model).unwrap();
+        let idx = DistributedKnnIndex::build(&Executor::new(&c), "t").unwrap();
         let cc = idx.query(&q, 1, &model).unwrap();
         assert_eq!(cc.neighbors[0].id, 5);
         // Both ids surface, deterministically ordered, at k = 2.
-        let both = mapreduce_knn(&c, "t", &q, 2, &model).unwrap();
+        let both = mapreduce_knn(&Executor::new(&c), "t", &q, 2).unwrap();
         let ids: Vec<_> = both.neighbors.iter().map(|n| n.id).collect();
         assert_eq!(ids, vec![5, 10]);
     }
 
     #[test]
+    fn a_nan_coordinate_ranks_last_instead_of_panicking() {
+        let mut c = StorageCluster::new(2, 4);
+        let records: Vec<Record> = (0..20)
+            .map(|i| Record::new(i, vec![i as f64, if i == 5 { f64::NAN } else { 0.0 }]))
+            .collect();
+        c.load_table("t", records, Partitioning::Hash).unwrap();
+        let (exec, model) = (Executor::new(&c), CostModel::default());
+        let idx = DistributedKnnIndex::build(&exec, "t").unwrap();
+        let q = Point::new(vec![5.0, 0.0]);
+        let ids = |o: KnnOutcome| o.neighbors.iter().map(|n| n.id).collect::<Vec<_>>();
+        // Distance 1 to ids 4 and 6, 2 to 3 and 7; the NaN row is nobody's
+        // neighbour until every finite row is.
+        let near = ids(mapreduce_knn(&exec, "t", &q, 4).unwrap());
+        assert_eq!(near, vec![4, 6, 3, 7]);
+        assert_eq!(ids(idx.query(&q, 4, &model).unwrap()), near);
+        let all = ids(mapreduce_knn(&exec, "t", &q, 20).unwrap());
+        assert_eq!(all.last(), Some(&5));
+        assert_eq!(ids(idx.query(&q, 20, &model).unwrap()), all);
+    }
+
+    #[test]
     fn build_cost_reflects_full_scan() {
         let c = cluster(10_000, Partitioning::Hash);
-        let model = CostModel::default();
-        let idx = DistributedKnnIndex::build(&c, "t", &model).unwrap();
+        let idx = DistributedKnnIndex::build(&Executor::new(&c), "t").unwrap();
         assert!(idx.build_cost().totals.disk_bytes >= c.stats("t").unwrap().bytes);
     }
 }
@@ -413,7 +417,7 @@ mod tests {
 #[cfg(test)]
 mod approximate_tests {
     use super::*;
-    use sea_storage::Partitioning;
+    use sea_storage::{Partitioning, StorageCluster};
 
     fn cluster(n: u64) -> StorageCluster {
         let mut c = StorageCluster::new(8, 256);
@@ -433,7 +437,7 @@ mod approximate_tests {
     fn full_budget_equals_exact() {
         let c = cluster(20_000);
         let model = CostModel::default();
-        let idx = DistributedKnnIndex::build(&c, "t", &model).unwrap();
+        let idx = DistributedKnnIndex::build(&Executor::new(&c), "t").unwrap();
         let q = Point::new(vec![42.0, 37.0]);
         let exact = idx.query(&q, 10, &model).unwrap();
         let budgeted = idx.query_budgeted(&q, 10, usize::MAX, &model).unwrap();
@@ -446,7 +450,7 @@ mod approximate_tests {
     fn small_budget_trades_recall_for_cost() {
         let c = cluster(40_000);
         let model = CostModel::default();
-        let idx = DistributedKnnIndex::build(&c, "t", &model).unwrap();
+        let idx = DistributedKnnIndex::build(&Executor::new(&c), "t").unwrap();
         let q = Point::new(vec![42.0, 37.0]);
         let exact = idx.query(&q, 20, &model).unwrap();
         let approx = idx.query_budgeted(&q, 20, 2, &model).unwrap();
@@ -473,7 +477,7 @@ mod approximate_tests {
     fn zero_budget_is_invalid() {
         let c = cluster(1_000);
         let model = CostModel::default();
-        let idx = DistributedKnnIndex::build(&c, "t", &model).unwrap();
+        let idx = DistributedKnnIndex::build(&Executor::new(&c), "t").unwrap();
         let q = Point::new(vec![1.0, 1.0]);
         assert!(idx.query_budgeted(&q, 5, 0, &model).is_err());
     }

@@ -13,8 +13,9 @@
 //!   stops as soon as the running k-th distance proves remaining nodes
 //!   irrelevant. Scales with *k*, not data size.
 //!
-//! The kNN join ([`knn_join`], RT2-1) is built on the same cohort
-//! primitive.
+//! Both read the cluster through [`sea_query::Executor::scan_blocks`].
+//! The kNN join ([`knn_join`], RT2-1) is built on the cohort primitive,
+//! on the workspace's one pool ([`sea_query::ExecPool`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,22 +2,19 @@
 //!
 //! Built on the coordinator–cohort primitive
 //! ([`DistributedKnnIndex`]); the per-probe queries of a join are
-//! independent, so they are fanned out across worker threads with
-//! `crossbeam` — the coordinator-side parallelism a real deployment would
-//! use.
-
-use crossbeam::thread;
+//! independent, so they are fanned out across the workspace's one
+//! thread pool ([`ExecPool`]) — the coordinator-side parallelism a real
+//! deployment would use.
 
 use sea_common::{CostModel, Point, Result, SeaError};
 use sea_index::kdtree::Neighbor;
+use sea_query::ExecPool;
 
 use crate::distributed::DistributedKnnIndex;
 
 /// kNN join: for every probe point, its k nearest records. Probes are
-/// processed in parallel across `threads` coordinator workers; the
-/// returned cost is the sequential sum of per-probe bills with wall-clock
-/// divided by the worker count (the standard embarrassingly-parallel
-/// model).
+/// processed in `threads` contiguous chunks on an [`ExecPool`] of that
+/// budget; results come back in probe order whatever ran where.
 ///
 /// # Errors
 ///
@@ -38,31 +35,26 @@ pub fn knn_join(
     for p in probes {
         SeaError::check_dims(index.dims(), p.dims())?;
     }
-    let chunk = probes.len().div_ceil(threads).max(1);
-    let results = thread::scope(|s| {
-        let mut handles = Vec::new();
-        for chunk_probes in probes.chunks(chunk) {
-            handles.push(s.spawn(move |_| {
-                chunk_probes
-                    .iter()
-                    .map(|p| index.query(p, k, cost_model).map(|o| o.neighbors))
-                    .collect::<Result<Vec<_>>>()
-            }));
-        }
-        let mut out = Vec::with_capacity(probes.len());
-        for h in handles {
-            out.extend(h.join().expect("worker panicked")?);
-        }
-        Ok::<_, SeaError>(out)
-    })
-    .expect("scope panicked")?;
-    Ok(results)
+    let chunks: Vec<&[Point]> = probes
+        .chunks(probes.len().div_ceil(threads).max(1))
+        .collect();
+    let answered = ExecPool::new(threads).run(chunks.len(), |c| {
+        (chunks[c].iter())
+            .map(|p| index.query(p, k, cost_model).map(|o| o.neighbors))
+            .collect::<Result<Vec<_>>>()
+    });
+    let mut out = Vec::with_capacity(probes.len());
+    for chunk in answered {
+        out.extend(chunk?);
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sea_common::Record;
+    use sea_query::Executor;
     use sea_storage::{Partitioning, StorageCluster};
 
     fn setup() -> (StorageCluster, DistributedKnnIndex, CostModel) {
@@ -71,9 +63,8 @@ mod tests {
             .map(|i| Record::new(i, vec![(i % 50) as f64, (i / 50) as f64]))
             .collect();
         c.load_table("t", records, Partitioning::Hash).unwrap();
-        let model = CostModel::default();
-        let idx = DistributedKnnIndex::build(&c, "t", &model).unwrap();
-        (c, idx, model)
+        let idx = DistributedKnnIndex::build(&Executor::new(&c), "t").unwrap();
+        (c, idx, CostModel::default())
     }
 
     #[test]

@@ -4,13 +4,16 @@
 //! interest and ask for the data items within these subspaces to be
 //! clustered, classified, or to perform regressions". These operators
 //! fetch the subspace surgically (partition + zone-map pruning through
-//! the direct path) and then run the ML routine coordinator-side,
-//! charging both phases to the returned [`sea_common::CostReport`].
+//! the direct path, [`Executor::scan_blocks`]) and then run the ML
+//! routine coordinator-side, charging both phases to the returned
+//! [`sea_common::CostReport`].
 
-use sea_common::{CostMeter, CostModel, CostReport, Record, Region, Result, SeaError};
+use sea_common::{CostMeter, CostReport, Record, Region, Result, SeaError};
 use sea_ml::linreg::LinearModel;
 use sea_ml::quantize::KMeans;
-use sea_storage::{StorageCluster, DIRECT_LAYERS};
+use sea_storage::DIRECT_LAYERS;
+
+use crate::executor::Executor;
 
 /// An ad hoc ML result plus its resource bill.
 #[derive(Debug, Clone)]
@@ -23,29 +26,46 @@ pub struct AdHocOutcome<T> {
     pub records_in_subspace: usize,
 }
 
-/// Fetches the records inside `region` via the surgical path.
-fn fetch_subspace(
-    cluster: &StorageCluster,
+/// Runs `task` coordinator-side over the records inside `region`,
+/// fetched via the surgical path, and bills both phases: each engaged
+/// node's scan and shipment beside the coordinator's `task` work,
+/// labelled partial for a partition that could not be read.
+fn on_subspace<T>(
+    exec: &Executor,
     table: &str,
     region: &Region,
-) -> Result<(Vec<Record>, Vec<CostMeter>)> {
+    task: impl FnOnce(&[Record], &mut CostMeter) -> Result<T>,
+) -> Result<AdHocOutcome<T>> {
     let bbox = region.bounding_rect();
-    let nodes = cluster.nodes_for_region(table, &bbox)?;
+    let nodes = exec.cluster().nodes_for_region(table, &bbox)?;
     let mut node_meters = Vec::new();
     let mut selected = Vec::new();
+    let mut unavailable = 0;
     for node in nodes {
         let mut meter = CostMeter::new();
         meter.touch_node(DIRECT_LAYERS);
-        let records = cluster.scan_node_region(table, node, &bbox, &mut meter)?;
-        let hits: Vec<Record> = records
-            .into_iter()
-            .filter(|r| region.contains_record(r))
-            .collect();
-        meter.charge_lan(hits.iter().map(Record::storage_bytes).sum());
-        selected.extend(hits);
+        match exec.scan_blocks(table, node, Some(&bbox), &mut meter)? {
+            Some(views) => {
+                let shipped = selected.len();
+                for view in &views {
+                    let mut hits = view.block.region_mask(region);
+                    hits.intersect(&view.mask);
+                    hits.for_each_set(|i| selected.push(view.block.record(i)));
+                }
+                meter.charge_lan(selected[shipped..].iter().map(Record::storage_bytes).sum());
+            }
+            None => unavailable += 1,
+        }
         node_meters.push(meter);
     }
-    Ok((selected, node_meters))
+    let mut coord = CostMeter::new();
+    let output = task(&selected, &mut coord)?;
+    let cost = coord.report_parallel(node_meters.iter(), exec.cost_model());
+    Ok(AdHocOutcome {
+        output,
+        cost: cost.partial(node_meters.len(), unavailable),
+        records_in_subspace: selected.len(),
+    })
 }
 
 /// Clusters the records inside `region` into `k` groups (Lloyd k-means on
@@ -55,25 +75,19 @@ fn fetch_subspace(
 ///
 /// Empty subspace, `k == 0`, or missing table.
 pub fn cluster_subspace(
-    cluster: &StorageCluster,
+    exec: &Executor,
     table: &str,
     region: &Region,
     k: usize,
-    cost_model: &CostModel,
 ) -> Result<AdHocOutcome<KMeans>> {
-    let (records, node_meters) = fetch_subspace(cluster, table, region)?;
-    if records.is_empty() {
-        return Err(SeaError::Empty("clustering an empty subspace".into()));
-    }
-    let points: Vec<Vec<f64>> = records.iter().map(|r| r.values.clone()).collect();
-    let mut coord = CostMeter::new();
-    // Lloyd iterations: ~20 passes over the subspace.
-    coord.charge_cpu(20 * points.len() as u64);
-    let km = KMeans::fit(&points, k, 20)?;
-    Ok(AdHocOutcome {
-        output: km,
-        cost: coord.report_parallel(node_meters.iter(), cost_model),
-        records_in_subspace: records.len(),
+    on_subspace(exec, table, region, |records, coord| {
+        if records.is_empty() {
+            return Err(SeaError::Empty("clustering an empty subspace".into()));
+        }
+        let points: Vec<Vec<f64>> = records.iter().map(|r| r.values.clone()).collect();
+        // Lloyd iterations: ~20 passes over the subspace.
+        coord.charge_cpu(20 * points.len() as u64);
+        KMeans::fit(&points, k, 20)
     })
 }
 
@@ -85,43 +99,37 @@ pub fn cluster_subspace(
 ///
 /// Empty subspace, singular design, or missing table.
 pub fn regress_subspace(
-    cluster: &StorageCluster,
+    exec: &Executor,
     table: &str,
     region: &Region,
     target_dim: usize,
-    cost_model: &CostModel,
 ) -> Result<AdHocOutcome<LinearModel>> {
-    let dims = cluster.dims(table)?;
+    let dims = exec.cluster().dims(table)?;
     if target_dim >= dims {
         return Err(SeaError::invalid(format!(
             "target dim {target_dim} out of range for {dims}-dim table"
         )));
     }
-    let (records, node_meters) = fetch_subspace(cluster, table, region)?;
-    if records.len() < 2 {
-        return Err(SeaError::Empty(
-            "regression needs at least 2 records".into(),
-        ));
-    }
-    let xs: Vec<Vec<f64>> = records
-        .iter()
-        .map(|r| {
-            r.values
-                .iter()
-                .enumerate()
-                .filter(|(d, _)| *d != target_dim)
-                .map(|(_, v)| *v)
-                .collect()
-        })
-        .collect();
-    let ys: Vec<f64> = records.iter().map(|r| r.value(target_dim)).collect();
-    let mut coord = CostMeter::new();
-    coord.charge_cpu(xs.len() as u64);
-    let model = LinearModel::fit(&xs, &ys, 1e-9)?;
-    Ok(AdHocOutcome {
-        output: model,
-        cost: coord.report_parallel(node_meters.iter(), cost_model),
-        records_in_subspace: records.len(),
+    on_subspace(exec, table, region, |records, coord| {
+        if records.len() < 2 {
+            return Err(SeaError::Empty(
+                "regression needs at least 2 records".into(),
+            ));
+        }
+        let xs: Vec<Vec<f64>> = records
+            .iter()
+            .map(|r| {
+                r.values
+                    .iter()
+                    .enumerate()
+                    .filter(|(d, _)| *d != target_dim)
+                    .map(|(_, v)| *v)
+                    .collect()
+            })
+            .collect();
+        let ys: Vec<f64> = records.iter().map(|r| r.value(target_dim)).collect();
+        coord.charge_cpu(xs.len() as u64);
+        LinearModel::fit(&xs, &ys, 1e-9)
     })
 }
 
@@ -133,70 +141,65 @@ pub fn regress_subspace(
 ///
 /// Empty subspace, `k == 0`, or dimension mismatches.
 pub fn classify_subspace(
-    cluster: &StorageCluster,
+    exec: &Executor,
     table: &str,
     region: &Region,
     label_dim: usize,
     probes: &[Vec<f64>],
     k: usize,
-    cost_model: &CostModel,
 ) -> Result<AdHocOutcome<Vec<i64>>> {
     if k == 0 {
         return Err(SeaError::invalid("k must be positive"));
     }
-    let dims = cluster.dims(table)?;
+    let dims = exec.cluster().dims(table)?;
     if label_dim >= dims {
         return Err(SeaError::invalid("label dim out of range"));
     }
     for p in probes {
         SeaError::check_dims(dims - 1, p.len())?;
     }
-    let (records, node_meters) = fetch_subspace(cluster, table, region)?;
-    if records.is_empty() {
-        return Err(SeaError::Empty(
-            "classification over an empty subspace".into(),
-        ));
-    }
-    let features = |r: &Record| -> Vec<f64> {
-        r.values
-            .iter()
-            .enumerate()
-            .filter(|(d, _)| *d != label_dim)
-            .map(|(_, v)| *v)
-            .collect()
-    };
-    let mut coord = CostMeter::new();
-    coord.charge_cpu(records.len() as u64 * probes.len() as u64);
-    let mut labels = Vec::with_capacity(probes.len());
-    for p in probes {
-        let mut dists: Vec<(f64, i64)> = records
-            .iter()
-            .map(|r| {
-                let f = features(r);
-                let d: f64 = f.iter().zip(p).map(|(a, b)| (a - b) * (a - b)).sum();
-                (d, r.value(label_dim).round() as i64)
-            })
-            .collect();
-        let kk = k.min(dists.len());
-        // total_cmp (NaN-safe) with a label tie-break so equidistant
-        // candidates partition deterministically.
-        dists.select_nth_unstable_by(kk - 1, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        // Majority vote over the k nearest.
-        let mut votes: std::collections::HashMap<i64, usize> = std::collections::HashMap::new();
-        for (_, label) in &dists[..kk] {
-            *votes.entry(*label).or_default() += 1;
+    on_subspace(exec, table, region, |records, coord| {
+        if records.is_empty() {
+            return Err(SeaError::Empty(
+                "classification over an empty subspace".into(),
+            ));
         }
-        let winner = votes
-            .into_iter()
-            .max_by_key(|(label, n)| (*n, -label))
-            .map(|(label, _)| label)
-            .expect("non-empty");
-        labels.push(winner);
-    }
-    Ok(AdHocOutcome {
-        output: labels,
-        cost: coord.report_parallel(node_meters.iter(), cost_model),
-        records_in_subspace: records.len(),
+        let features = |r: &Record| -> Vec<f64> {
+            r.values
+                .iter()
+                .enumerate()
+                .filter(|(d, _)| *d != label_dim)
+                .map(|(_, v)| *v)
+                .collect()
+        };
+        coord.charge_cpu(records.len() as u64 * probes.len() as u64);
+        let mut labels = Vec::with_capacity(probes.len());
+        for p in probes {
+            let mut dists: Vec<(f64, i64)> = records
+                .iter()
+                .map(|r| {
+                    let f = features(r);
+                    let d: f64 = f.iter().zip(p).map(|(a, b)| (a - b) * (a - b)).sum();
+                    (d, r.value(label_dim).round() as i64)
+                })
+                .collect();
+            let kk = k.min(dists.len());
+            // total_cmp (NaN-safe) with a label tie-break so equidistant
+            // candidates partition deterministically.
+            dists.select_nth_unstable_by(kk - 1, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            // Majority vote over the k nearest.
+            let mut votes: std::collections::HashMap<i64, usize> = std::collections::HashMap::new();
+            for (_, label) in &dists[..kk] {
+                *votes.entry(*label).or_default() += 1;
+            }
+            let winner = votes
+                .into_iter()
+                .max_by_key(|(label, n)| (*n, -label))
+                .map(|(label, _)| label)
+                .expect("non-empty");
+            labels.push(winner);
+        }
+        Ok(labels)
     })
 }
 
@@ -204,7 +207,7 @@ pub fn classify_subspace(
 mod tests {
     use super::*;
     use sea_common::Rect;
-    use sea_storage::Partitioning;
+    use sea_storage::{Partitioning, StorageCluster};
 
     /// Records: attr0, attr1 spatial; attr2 = 3·attr0 − attr1 + 2; attr3 =
     /// class label (0 left half, 1 right half).
@@ -230,12 +233,12 @@ mod tests {
     #[test]
     fn kmeans_finds_the_two_label_blobs() {
         let c = cluster_with_data();
-        let model = CostModel::default();
+        let exec = Executor::new(&c);
         // Subspace: a thin y-stripe so the two x-halves form two clear blobs.
         let region = Region::Range(
             Rect::new(vec![0.0, 0.0, -1e6, -1.0], vec![100.0, 5.0, 1e6, 2.0]).unwrap(),
         );
-        let out = cluster_subspace(&c, "t", &region, 2, &model).unwrap();
+        let out = cluster_subspace(&exec, "t", &region, 2).unwrap();
         assert!(out.records_in_subspace > 100);
         let mut xs: Vec<f64> = out.output.centroids().iter().map(|c| c[0]).collect();
         xs.sort_by(f64::total_cmp);
@@ -246,8 +249,8 @@ mod tests {
     #[test]
     fn regression_recovers_plane() {
         let c = cluster_with_data();
-        let model = CostModel::default();
-        let out = regress_subspace(&c, "t", &whole_region(), 2, &model).unwrap();
+        let exec = Executor::new(&c);
+        let out = regress_subspace(&exec, "t", &whole_region(), 2).unwrap();
         // Features are [x, y, label] (target attr2 removed); true plane has
         // weights [3, −1, 0] and intercept 2 (label is redundant with x but
         // ridge keeps it tame).
@@ -260,25 +263,25 @@ mod tests {
     #[test]
     fn classification_labels_probes() {
         let c = cluster_with_data();
-        let model = CostModel::default();
+        let exec = Executor::new(&c);
         // Probe features exclude the label dim: [x, y, target].
         let probes = vec![
             vec![10.0, 10.0, 3.0 * 10.0 - 10.0 + 2.0],
             vec![90.0, 10.0, 3.0 * 90.0 - 10.0 + 2.0],
         ];
-        let out = classify_subspace(&c, "t", &whole_region(), 3, &probes, 5, &model).unwrap();
+        let out = classify_subspace(&exec, "t", &whole_region(), 3, &probes, 5).unwrap();
         assert_eq!(out.output, vec![0, 1]);
     }
 
     #[test]
     fn narrow_subspace_is_cheaper_than_wide() {
         let c = cluster_with_data();
-        let model = CostModel::default();
+        let exec = Executor::new(&c);
         let narrow = Region::Range(
             Rect::new(vec![40.0, 40.0, -1e6, -1.0], vec![60.0, 60.0, 1e6, 2.0]).unwrap(),
         );
-        let a = cluster_subspace(&c, "t", &narrow, 2, &model).unwrap();
-        let b = cluster_subspace(&c, "t", &whole_region(), 2, &model).unwrap();
+        let a = cluster_subspace(&exec, "t", &narrow, 2).unwrap();
+        let b = cluster_subspace(&exec, "t", &whole_region(), 2).unwrap();
         assert!(a.records_in_subspace < b.records_in_subspace);
         assert!(a.cost.totals.records_processed < b.cost.totals.records_processed);
     }
@@ -286,33 +289,31 @@ mod tests {
     #[test]
     fn nan_probes_classify_without_panicking() {
         let c = cluster_with_data();
-        let model = CostModel::default();
+        let exec = Executor::new(&c);
         // Every distance to a NaN probe is NaN; total_cmp + the label
         // tie-break still produce a deterministic majority vote.
         let probes = vec![vec![f64::NAN, 10.0, 30.0]];
-        let out = classify_subspace(&c, "t", &whole_region(), 3, &probes, 5, &model).unwrap();
+        let out = classify_subspace(&exec, "t", &whole_region(), 3, &probes, 5).unwrap();
         assert_eq!(out.output.len(), 1);
-        let again = classify_subspace(&c, "t", &whole_region(), 3, &probes, 5, &model).unwrap();
+        let again = classify_subspace(&exec, "t", &whole_region(), 3, &probes, 5).unwrap();
         assert_eq!(out.output, again.output);
     }
 
     #[test]
     fn validations() {
         let c = cluster_with_data();
-        let model = CostModel::default();
+        let exec = Executor::new(&c);
         let empty = Region::Range(
             Rect::new(vec![-10.0, -10.0, 0.0, 0.0], vec![-5.0, -5.0, 1.0, 1.0]).unwrap(),
         );
-        assert!(cluster_subspace(&c, "t", &empty, 2, &model).is_err());
+        assert!(cluster_subspace(&exec, "t", &empty, 2).is_err());
         // Empty subspace: typed error, not a select_nth underflow panic.
         assert!(matches!(
-            classify_subspace(&c, "t", &empty, 3, &[vec![1.0; 3]], 5, &model),
+            classify_subspace(&exec, "t", &empty, 3, &[vec![1.0; 3]], 5),
             Err(sea_common::SeaError::Empty(_))
         ));
-        assert!(regress_subspace(&c, "t", &whole_region(), 9, &model).is_err());
-        assert!(classify_subspace(&c, "t", &whole_region(), 3, &[vec![1.0]], 5, &model).is_err());
-        assert!(
-            classify_subspace(&c, "t", &whole_region(), 3, &[vec![1.0; 3]], 0, &model).is_err()
-        );
+        assert!(regress_subspace(&exec, "t", &whole_region(), 9).is_err());
+        assert!(classify_subspace(&exec, "t", &whole_region(), 3, &[vec![1.0]], 5).is_err());
+        assert!(classify_subspace(&exec, "t", &whole_region(), 3, &[vec![1.0; 3]], 0).is_err());
     }
 }

@@ -23,7 +23,7 @@ use sea_common::{
     CostModel, CostReport, Rect, Region, Result, SeaError, SelectionMask,
 };
 use sea_storage::{Block, DataNode, NodeId, ScanStats, StorageCluster, BDAS_LAYERS, DIRECT_LAYERS};
-use sea_telemetry::{TelemetrySink, TraceContext};
+use sea_telemetry::{SpanGuard, TelemetrySink, TraceContext};
 
 use crate::pool::ExecPool;
 
@@ -173,11 +173,21 @@ struct NodeScan {
     fragment: Option<ColumnFragment>,
 }
 
-/// One node's open phase (see [`Executor::open_query`]): what the
+/// One admitted block of an [`Executor::scan_blocks`]: the stored block
+/// (columns, validity, ids) and the rows the scan's box selects in it.
+#[derive(Debug)]
+pub struct BlockView<'c> {
+    /// The stored block.
+    pub block: &'c Block,
+    /// The rows inside the scan's box; every row for a scan without one.
+    pub mask: SelectionMask,
+}
+
+/// One node's open phase (see [`Executor::open_node`]): what the
 /// fault gate and the retry loop left behind before any block is read.
 #[derive(Clone, Copy)]
 struct Opened<'c> {
-    /// `touch_node` plus any retry backoff.
+    /// Retry backoff, plus `touch_node` for a statement's node.
     meter: CostMeter,
     retries: u32,
     /// The serving copy, whether it is a replica failover, and the
@@ -209,8 +219,6 @@ enum Step<'c> {
 struct Regime {
     span: &'static str,
     counter: &'static str,
-    /// `storage.node.scan`'s `kind` tag.
-    scan_kind: &'static str,
     /// Layer crossings each engaged node pays.
     layers: u64,
     /// Whether the coordinator prunes: partition metadata picks the
@@ -222,7 +230,6 @@ struct Regime {
 const BDAS: Regime = Regime {
     span: "query.executor.bdas",
     counter: "query.executor.bdas_queries",
-    scan_kind: "full",
     layers: BDAS_LAYERS,
     pruned: false,
 };
@@ -230,7 +237,6 @@ const BDAS: Regime = Regime {
 const DIRECT: Regime = Regime {
     span: "query.executor.direct",
     counter: "query.executor.direct_queries",
-    scan_kind: "region",
     layers: DIRECT_LAYERS,
     pruned: true,
 };
@@ -604,32 +610,11 @@ impl<'a> Executor<'a> {
         let mut meters = Vec::with_capacity(engaged);
         let mut fragments: Option<Vec<ColumnFragment>> = None;
         for ((node, opened), scan) in plan.opened.iter().zip(scans) {
-            let node_span = self
-                .telemetry
-                .span_child_of(&scatter.ctx(), "query.executor.node");
-            node_span.tag("node", *node);
-            if opened.retries > 0 {
-                provenance.retries += u64::from(opened.retries);
-                self.telemetry
-                    .incr("query.retries", u64::from(opened.retries));
-                self.telemetry.event(
-                    "query.node_retried",
-                    &[("node", (*node).into()), ("retries", opened.retries.into())],
-                );
-                node_span.tag("retries", opened.retries);
-            }
-            if opened.view.is_some_and(|(_, failover, _)| failover) {
-                provenance.failovers += 1;
-                self.telemetry.incr("query.failovers", 1);
-                self.telemetry
-                    .event("query.node_failover", &[("node", (*node).into())]);
-                node_span.tag("failover", true);
-            }
+            let bbox = plan.bbox.as_ref();
+            let node_span =
+                self.record_node(table, *node, bbox, opened, &scan.stats, &mut provenance);
             let node_sim_us = scan.meter.sequential_us(&self.cost_model);
             if let Some(partial) = scan.partial {
-                let kind = regime.scan_kind;
-                self.cluster
-                    .record_scan(table, *node, kind, &scan.stats, &node_span.ctx());
                 // Per-node cost feed for the watch layer's anomaly
                 // detector; replayed here in node-index order so the
                 // derived suspicion stream is deterministic too.
@@ -638,11 +623,6 @@ impl<'a> Executor<'a> {
                     &[("node", (*node).into()), ("sim_us", node_sim_us.into())],
                 );
                 partials.push(partial);
-            } else {
-                self.telemetry.incr("query.degraded", 1);
-                self.telemetry
-                    .event("query.node_unavailable", &[("node", (*node).into())]);
-                node_span.tag("unavailable", true);
             }
             node_span.record_sim_us(node_sim_us);
             if let Some(fragment) = scan.fragment {
@@ -663,14 +643,11 @@ impl<'a> Executor<'a> {
         let mut merge_only = CostMeter::new();
         merge_only.charge_cpu(partials.len() as u64);
         coord.charge_cpu(partials.len() as u64);
-        let unavailable = (engaged - partials.len()) as u64;
+        let unavailable = engaged - partials.len();
         let answer = merge_partials(&query.aggregate, partials)?;
-        let mut cost = coord.report_parallel(meters.iter(), &self.cost_model);
-        if unavailable > 0 {
-            // What fraction of the engaged partitions actually answered.
-            cost.answered_fraction = (engaged as u64 - unavailable) as f64 / engaged as f64;
-            cost.nodes_unavailable = unavailable;
-        }
+        let cost = coord
+            .report_parallel(meters.iter(), &self.cost_model)
+            .partial(engaged, unavailable);
         gather.record_sim_us(merge_only.sequential_us(&self.cost_model));
         drop(gather);
         // Only a complete answer (no partition unavailable) whose
@@ -691,19 +668,11 @@ impl<'a> Executor<'a> {
     /// The open phase of one query, on the calling thread: the cache is
     /// probed when the executor consults it (a hit opens nothing),
     /// partition metadata picks the nodes in the pruned regime (every
-    /// node otherwise), then each engaged node's scan is opened in node
-    /// order through [`StorageCluster::open_scan`], which is where an
-    /// installed fault plan is consumed — exactly one gate operation per
-    /// (query, node, attempt). A transient fault is retried per the
-    /// executor's [`RetryPolicy`], charging only the simulated backoff
-    /// to the node's meter; in partial-answer mode a partition still out
-    /// of reach afterwards ([`SeaError::Storage`]/[`SeaError::Transient`])
-    /// becomes an `unavailable` scan that keeps its backoff and retry
-    /// count, while other errors (missing table, bad dims) propagate.
-    /// Every node is opened before the first error in node order is
-    /// returned, because later queries' fault decisions depend on those
-    /// counters; a dimension mismatch is rejected before any gate is
-    /// consumed.
+    /// node otherwise), and each engaged node is opened in node order
+    /// ([`Executor::open_node`]). Every node is opened before the first
+    /// error in node order is returned, because later queries' fault
+    /// decisions depend on those counters; a dimension mismatch is
+    /// rejected before any gate is consumed.
     fn open_query(
         &self,
         table: &str,
@@ -727,16 +696,26 @@ impl<'a> Executor<'a> {
         };
         let attempts: Vec<Result<(NodeId, Opened)>> = nodes
             .into_iter()
-            .map(|node| Ok((node, self.open_node(table, node, regime.layers)?)))
+            .map(|node| {
+                let mut opened = self.open_node(table, node)?;
+                opened.meter.touch_node(regime.layers);
+                Ok((node, opened))
+            })
             .collect();
         let opened = attempts.into_iter().collect::<Result<Vec<_>>>()?;
         Ok(Step::Scan(OpenedQuery { bbox, opened }))
     }
 
-    /// The open phase for one node (see [`Executor::open_query`]).
-    fn open_node(&self, table: &str, node: NodeId, layers: u64) -> Result<Opened<'a>> {
+    /// Opens one node — a statement's ([`Executor::open_query`]) or an
+    /// operator's ([`Executor::scan_blocks`]) — through
+    /// [`StorageCluster::open_scan`], where an installed fault plan is
+    /// consumed: one gate operation per attempt. A transient fault is
+    /// retried per the [`RetryPolicy`], charging only the simulated
+    /// backoff; in partial-answer mode a partition still out of reach
+    /// ([`SeaError::Storage`]/[`SeaError::Transient`]) is left without a
+    /// view, keeping its backoff and retries; other errors propagate.
+    fn open_node(&self, table: &str, node: NodeId) -> Result<Opened<'a>> {
         let mut meter = CostMeter::new();
-        meter.touch_node(layers);
         let mut retries = 0u32;
         loop {
             let view = match self.cluster.open_scan(table, node) {
@@ -755,6 +734,106 @@ impl<'a> Executor<'a> {
                 view,
             });
         }
+    }
+
+    /// The one scan of everything that is not a statement (rank-join,
+    /// kNN, imputation, sampling, canopy, ad hoc ML, polystore): `node`
+    /// opened as a statement's node is — retries, failover, [partial
+    /// answers](Executor::with_partial_answers) — the blocks
+    /// [`DataNode::charge_scan`] admits for `bbox` (`None`: all) charged
+    /// to `meter` scaled once by the slow-node multiplier (backoff is
+    /// not; layer crossings are the caller's), and the node's telemetry
+    /// recorded as the statement's replay records it, under the calling
+    /// thread's open span. Returns the admitted blocks in block order
+    /// with the rows of `bbox`, or `None` for a partition left
+    /// unavailable in partial-answer mode.
+    ///
+    /// # Errors
+    ///
+    /// A missing table, a wrong-dimensional box, or a partition out of
+    /// reach after the retries (unless answering partially).
+    pub fn scan_blocks(
+        &self,
+        table: &str,
+        node: NodeId,
+        bbox: Option<&Rect>,
+        meter: &mut CostMeter,
+    ) -> Result<Option<Vec<BlockView<'a>>>> {
+        if let Some(rect) = bbox {
+            SeaError::check_dims(self.cluster.dims(table)?, rect.dims())?;
+        }
+        let opened = self.open_node(table, node)?;
+        meter.merge(&opened.meter);
+        let (mut stats, mut charges) = (ScanStats::default(), CostMeter::new());
+        let views = opened.view.map(|(dn, _, slow)| {
+            let blocks;
+            (blocks, stats) = dn.charge_scan(bbox, &mut charges);
+            meter.merge_scaled(&charges, slow);
+            (blocks.into_iter())
+                .map(|block| {
+                    let mut mask = SelectionMask::none(0);
+                    match bbox {
+                        Some(rect) => block.bbox_mask(rect, &mut mask),
+                        None => mask.reset_all(block.len()),
+                    }
+                    stats.records_returned += mask.count();
+                    BlockView { block, mask }
+                })
+                .collect()
+        });
+        let mut unused = Provenance::default();
+        self.record_node(table, node, bbox, &opened, &stats, &mut unused);
+        Ok(views)
+    }
+
+    /// One opened node's telemetry, for a statement's replay and
+    /// [`Executor::scan_blocks`] alike: a `query.executor.node` span under
+    /// the thread's open span; retries and failover counted, evented,
+    /// tagged and tallied on `provenance` in this one place; then
+    /// storage's scan record, or the partition's unavailability. Returns
+    /// the node span, still open.
+    fn record_node(
+        &self,
+        table: &str,
+        node: NodeId,
+        bbox: Option<&Rect>,
+        opened: &Opened,
+        stats: &ScanStats,
+        provenance: &mut Provenance,
+    ) -> SpanGuard {
+        let span = self.telemetry.span("query.executor.node");
+        span.tag("node", node);
+        if opened.retries > 0 {
+            provenance.retries += u64::from(opened.retries);
+            self.telemetry
+                .incr("query.retries", u64::from(opened.retries));
+            self.telemetry.event(
+                "query.node_retried",
+                &[("node", node.into()), ("retries", opened.retries.into())],
+            );
+            span.tag("retries", opened.retries);
+        }
+        match opened.view {
+            Some((_, failover, _)) => {
+                if failover {
+                    provenance.failovers += 1;
+                    self.telemetry.incr("query.failovers", 1);
+                    self.telemetry
+                        .event("query.node_failover", &[("node", node.into())]);
+                    span.tag("failover", true);
+                }
+                let kind = if bbox.is_some() { "region" } else { "full" };
+                self.cluster
+                    .record_scan(table, node, kind, stats, &span.ctx());
+            }
+            None => {
+                self.telemetry.incr("query.degraded", 1);
+                self.telemetry
+                    .event("query.node_unavailable", &[("node", node.into())]);
+                span.tag("unavailable", true);
+            }
+        }
+        span
     }
 
     /// Executes many queries as one statement in the direct regime — the
@@ -902,41 +981,24 @@ fn keeps_gathered(query: &AnalyticalQuery, bbox: Option<&Rect>, rect: Option<&Re
 /// Target morsel size in records (a whole number of full blocks, at
 /// least one): the intra-node work unit the pool steals. A fixed
 /// constant independent of thread count, so the morsel decomposition —
-/// and everything downstream — never depends on the host's parallelism.
-/// What a `run` costs to dispatch is paid once whatever the morsel
-/// count, so the cheaper dispatch says nothing about this value and
-/// left it where it was; a sweep on scan_cold says larger morsels are
-/// faster (ROADMAP item 4), which is a claim of its own.
+/// and everything downstream — never depends on the host's parallelism
+/// (whether larger morsels are faster is ROADMAP item 4's claim).
 const MORSEL_RECORDS: usize = 4096;
 
-/// Gathered rows below which a statement's per-node folds run inline.
-/// Lending the fold to a sleeping helper costs the caller about 5 µs
-/// (`pool_dispatch_us` in `BENCH_baseline.json`), but the helper is
-/// 50–125 µs from its first item (reference host, 2 cores; read with
-/// timers around [`ExecPool::run`], calls 300 µs apart), and folding
-/// this many rows lasts 70–460 µs at 1–7 ns each (seabench's
-/// `common.fold_*_dense_mrec_s`): a smaller fold is over before the
-/// helper arrives — cutting a cache's fragment included, a column copy
-/// beside the fold. Re-derived when the per-`run` thread spawn went and
-/// unchanged by it: what a fold has to outlast is the helper's start,
-/// not the caller's dispatch, and that stayed where the spawn had been.
-/// Swept through an environment knob on one seabench binary, six
-/// alternating pairs a value: 16 384 reads 4 % behind this value on
-/// drift_churn (1 of 6 pairs ahead) and level on scan_cold, 262 144
-/// 2 % behind on scan_cold (2 of 6) and level on drift_churn.
+/// Gathered rows below which a statement's per-node folds run inline: a
+/// sleeping helper is 50–125 µs from its first item ([`ExecPool::run`],
+/// reference host), and folding this many rows lasts 70–460 µs at
+/// 1–7 ns each (seabench's `common.fold_*_dense_mrec_s`), so a smaller
+/// fold — a cache fragment's column copy included — is over before the
+/// helper arrives. The sweep that set it is in ROADMAP item 4.
 const FOLD_FANOUT_ROWS: usize = 16 * MORSEL_RECORDS;
 
 /// Fewest rows a gathered column reserves room for at its first block:
-/// one more `f64` than glibc's per-thread cache serves (requests up to
-/// 1 032 bytes). A freed chunk of that size enters the cache of the
-/// thread that frees it — the coordinator, for every column a helper
-/// gathered — and a column started in such a chunk grows by `realloc`
-/// under the lock of the arena it came from: the other thread's, while
-/// that thread is gathering too (explore_warm, a few dozen rows a
-/// morsel: 300 000 lock waits a run against 9 000 with this floor;
-/// DESIGN.md "Concurrency model"). A first request past the cache comes
-/// from the gathering thread's own arena and stays there. Capacity
-/// only: the gathered values and their order are unchanged.
+/// one more `f64` than glibc's per-thread cache serves (1 032 bytes), so
+/// the column comes from the gathering thread's own arena, not from a
+/// chunk the coordinator freed into its cache and whose `realloc` would
+/// take the other thread's arena lock (DESIGN.md "Concurrency model").
+/// Capacity only: the gathered values and their order are unchanged.
 const GATHER_MIN_ROWS: usize = 1032 / std::mem::size_of::<f64>() + 1;
 
 /// The rows one morsel contributes to a gather, in block then row order.

@@ -28,6 +28,11 @@
 //! query and node in record order. Answers, cost reports and replayed
 //! telemetry are bit-identical at every [`ExecPool`] size.
 //!
+//! Every other reader of the cluster — the operator crates, [`adhoc`] —
+//! goes through the same open step, [`Executor::scan_blocks`]: same
+//! retry, failover, partial answers, charges and node telemetry, handed
+//! back as borrowed [`BlockView`]s, not rows.
+//!
 //! Either regime can consult a [`sea_cache::SemanticCache`] before
 //! scattering ([`Executor::with_cache`]): exact hits return the stored
 //! answer, containment hits re-derive it from cached per-node column
@@ -52,5 +57,5 @@ pub mod executor;
 pub mod pool;
 
 pub use adhoc::{classify_subspace, cluster_subspace, regress_subspace, AdHocOutcome};
-pub use executor::{CacheClass, Executor, Provenance, QueryOutcome, RetryPolicy};
+pub use executor::{BlockView, CacheClass, Executor, Provenance, QueryOutcome, RetryPolicy};
 pub use pool::ExecPool;

@@ -366,8 +366,10 @@ fn drift_epoch_bump_drops_pre_drift_entries() {
     assert_eq!(cache.stats().hits, 2);
 }
 
-/// The representation moves no counter: the rows a row scan returns,
-/// admitted through the [`NodeFragment`] adapter, make the entry the
+/// The representation moves no counter: the rows the benchmark's row
+/// adapter returns (`scan_node_region_stats`, what its admit probe
+/// builds fragments from), admitted through the [`NodeFragment`]
+/// adapter, make the entry the
 /// executor cuts from its gathered columns — byte for simulated byte,
 /// classification for classification, re-derived answer for answer.
 #[test]
@@ -396,8 +398,9 @@ fn row_adapter_and_column_admission_hold_the_same_entry() {
                 .map(|node| NodeFragment {
                     node: node as u64,
                     records: cluster
-                        .scan_node_region(table, node, &outer, &mut CostMeter::new())
-                        .unwrap(),
+                        .scan_node_region_stats(table, node, &outer, &mut CostMeter::new())
+                        .unwrap()
+                        .0,
                 })
                 .collect();
             assert!(by_rows.admit(

@@ -3,7 +3,8 @@
 use serde::{Deserialize, Serialize};
 
 use sea_common::{CostMeter, RecordId, Result, SeaError};
-use sea_storage::{NodeId, StorageCluster};
+use sea_query::Executor;
+use sea_storage::NodeId;
 
 /// One index entry: where a tuple lives and what matters about it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -34,41 +35,41 @@ pub struct ScoreIndex {
 }
 
 impl ScoreIndex {
-    /// Builds the index over `table` (attribute 0 = key, 1 = score),
-    /// charging the scan to `build_meter`.
+    /// Builds the index over `table` (attribute 0 = key, 1 = score) from
+    /// those columns, charging the scan to `build_meter`.
     ///
     /// # Errors
     ///
-    /// Missing table or a table with fewer than 2 attributes.
-    pub fn build(
-        cluster: &StorageCluster,
-        table: &str,
-        build_meter: &mut CostMeter,
-    ) -> Result<Self> {
-        let dims = cluster.dims(table)?;
+    /// Missing table, a table with fewer than 2 attributes, or an
+    /// unreadable partition (an index of part of it would answer short).
+    pub fn build(exec: &Executor, table: &str, build_meter: &mut CostMeter) -> Result<Self> {
+        let dims = exec.cluster().dims(table)?;
         if dims < 2 {
             return Err(SeaError::invalid(
                 "rank-join tables need key (attr 0) and score (attr 1)",
             ));
         }
         let mut entries = Vec::new();
-        for node in 0..cluster.num_nodes() {
+        for node in 0..exec.cluster().num_nodes() {
             build_meter.touch_node(sea_storage::DIRECT_LAYERS);
-            for r in cluster.scan_node(table, node, build_meter)? {
-                entries.push(ScoreEntry {
-                    id: r.id,
-                    key: r.value(0) as i64,
-                    score: r.value(1),
-                    node,
+            let scanned = exec.scan_blocks(table, node, None, build_meter)?;
+            let views = scanned.ok_or_else(|| {
+                SeaError::Storage(format!("score index over {table}: partition {node} unread"))
+            })?;
+            for v in &views {
+                let (keys, scores, ids) = (v.block.col(0), v.block.col(1), v.block.ids());
+                v.mask.for_each_set(|i| {
+                    entries.push(ScoreEntry {
+                        id: ids[i],
+                        key: keys[i] as i64,
+                        score: scores[i],
+                        node,
+                    });
                 });
             }
         }
-        entries.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .expect("finite scores")
-                .then(a.id.cmp(&b.id))
-        });
+        // total_cmp: a NaN score sorts as a score, not as a panic.
+        entries.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
         Ok(ScoreIndex {
             entries,
             tuple_bytes: 8 * dims as u64 + 8,
@@ -122,7 +123,7 @@ impl ScoreIndex {
 mod tests {
     use super::*;
     use sea_common::Record;
-    use sea_storage::Partitioning;
+    use sea_storage::{Partitioning, StorageCluster};
 
     fn cluster(n: u64) -> StorageCluster {
         let mut c = StorageCluster::new(4, 64);
@@ -137,7 +138,7 @@ mod tests {
     fn build_sorts_descending() {
         let c = cluster(500);
         let mut meter = CostMeter::new();
-        let idx = ScoreIndex::build(&c, "r", &mut meter).unwrap();
+        let idx = ScoreIndex::build(&Executor::new(&c), "r", &mut meter).unwrap();
         assert_eq!(idx.len(), 500);
         assert!(meter.disk_bytes > 0, "building reads the table");
         let b = idx.batch(0, 500, &mut CostMeter::new());
@@ -150,7 +151,7 @@ mod tests {
     #[test]
     fn batches_are_contiguous_and_charged() {
         let c = cluster(200);
-        let idx = ScoreIndex::build(&c, "r", &mut CostMeter::new()).unwrap();
+        let idx = ScoreIndex::build(&Executor::new(&c), "r", &mut CostMeter::new()).unwrap();
         let mut meter = CostMeter::new();
         let b1 = idx.batch(0, 50, &mut meter).to_vec();
         let b2 = idx.batch(50, 50, &mut meter).to_vec();
@@ -164,7 +165,7 @@ mod tests {
     #[test]
     fn batch_past_end_is_empty() {
         let c = cluster(10);
-        let idx = ScoreIndex::build(&c, "r", &mut CostMeter::new()).unwrap();
+        let idx = ScoreIndex::build(&Executor::new(&c), "r", &mut CostMeter::new()).unwrap();
         let mut m = CostMeter::new();
         assert!(idx.batch(10, 5, &mut m).is_empty());
         assert_eq!(m.disk_bytes, 0, "nothing fetched, nothing charged");
@@ -177,7 +178,24 @@ mod tests {
         let mut c = StorageCluster::new(2, 16);
         let records: Vec<Record> = (0..10).map(|i| Record::new(i, vec![i as f64])).collect();
         c.load_table("narrow", records, Partitioning::Hash).unwrap();
-        assert!(ScoreIndex::build(&c, "narrow", &mut CostMeter::new()).is_err());
-        assert!(ScoreIndex::build(&c, "missing", &mut CostMeter::new()).is_err());
+        assert!(ScoreIndex::build(&Executor::new(&c), "narrow", &mut CostMeter::new()).is_err());
+        assert!(ScoreIndex::build(&Executor::new(&c), "missing", &mut CostMeter::new()).is_err());
+    }
+
+    #[test]
+    fn a_nan_score_builds_instead_of_panicking() {
+        let mut c = StorageCluster::new(2, 16);
+        let records: Vec<Record> = (0..10)
+            .map(|i| Record::new(i, vec![i as f64, if i == 3 { f64::NAN } else { i as f64 }]))
+            .collect();
+        c.load_table("s", records, Partitioning::Hash).unwrap();
+        let idx = ScoreIndex::build(&Executor::new(&c), "s", &mut CostMeter::new()).unwrap();
+        let ranked: Vec<u64> = idx
+            .batch(0, 10, &mut CostMeter::new())
+            .iter()
+            .map(|e| e.id)
+            .collect();
+        // The total order ranks the NaN first; the rest descend.
+        assert_eq!(ranked, vec![3, 9, 8, 7, 6, 5, 4, 2, 1, 0]);
     }
 }

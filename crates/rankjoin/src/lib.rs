@@ -19,7 +19,8 @@
 //!   time, bandwidth, and money.
 //!
 //! Table layout convention: attribute 0 is the join key (integral values),
-//! attribute 1 is the score.
+//! attribute 1 is the score; both strategies read those columns through
+//! the executor's one scan, [`sea_query::Executor::scan_blocks`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

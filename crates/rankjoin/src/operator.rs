@@ -3,7 +3,8 @@
 use std::collections::HashMap;
 
 use sea_common::{CostMeter, CostModel, CostReport, RecordId, Result, SeaError};
-use sea_storage::{StorageCluster, BDAS_LAYERS};
+use sea_query::Executor;
+use sea_storage::BDAS_LAYERS;
 
 use crate::index::ScoreIndex;
 
@@ -33,23 +34,23 @@ pub struct RankJoinOutcome {
 
 /// MapReduce-style rank-join: scan both tables fully on every node through
 /// the BDAS stack, shuffle every tuple to the coordinator, hash-join,
-/// sort, truncate to `k`.
+/// sort, truncate to `k`. A node whose partition of either table could
+/// not be read (partial-answer mode) leaves the report labelled partial.
 ///
 /// # Errors
 ///
-/// Missing tables, narrow schemas, or `k == 0`.
+/// Missing tables, narrow schemas, `k == 0`, or an unreadable partition.
 pub fn mapreduce_rank_join(
-    cluster: &StorageCluster,
+    exec: &Executor,
     left: &str,
     right: &str,
     k: usize,
-    cost_model: &CostModel,
 ) -> Result<RankJoinOutcome> {
     if k == 0 {
         return Err(SeaError::invalid("k must be positive"));
     }
     for t in [left, right] {
-        if cluster.dims(t)? < 2 {
+        if exec.cluster().dims(t)? < 2 {
             return Err(SeaError::invalid(
                 "rank-join tables need key (attr 0) and score (attr 1)",
             ));
@@ -58,25 +59,34 @@ pub fn mapreduce_rank_join(
     let mut node_meters = Vec::new();
     let mut left_tuples: Vec<(i64, RecordId, f64)> = Vec::new();
     let mut right_tuples: Vec<(i64, RecordId, f64)> = Vec::new();
-    let mut retrieved = 0u64;
-    for node in 0..cluster.num_nodes() {
+    let mut unavailable = 0;
+    for node in 0..exec.cluster().num_nodes() {
         let mut meter = CostMeter::new();
         meter.touch_node(BDAS_LAYERS);
-        for r in cluster.scan_node(left, node, &mut meter)? {
-            meter.charge_lan(r.storage_bytes());
-            left_tuples.push((r.value(0) as i64, r.id, r.value(1)));
-            retrieved += 1;
+        let mut served = true;
+        for (table, tuples) in [(left, &mut left_tuples), (right, &mut right_tuples)] {
+            let Some(views) = exec.scan_blocks(table, node, None, &mut meter)? else {
+                served = false;
+                continue;
+            };
+            // Every row ships as one (key, id, score) tuple and LAN
+            // message carrying the whole row, read off the columns.
+            for v in &views {
+                let (keys, scores, ids) = (v.block.col(0), v.block.col(1), v.block.ids());
+                let bytes = 8 + 8 * v.block.dims() as u64;
+                v.mask.for_each_set(|i| {
+                    meter.charge_lan(bytes);
+                    tuples.push((keys[i] as i64, ids[i], scores[i]));
+                });
+            }
         }
-        for r in cluster.scan_node(right, node, &mut meter)? {
-            meter.charge_lan(r.storage_bytes());
-            right_tuples.push((r.value(0) as i64, r.id, r.value(1)));
-            retrieved += 1;
-        }
+        unavailable += usize::from(!served);
         node_meters.push(meter);
     }
+    let retrieved = (left_tuples.len() + right_tuples.len()) as u64;
     // Coordinator hash join.
     let mut coord = CostMeter::new();
-    coord.charge_cpu(left_tuples.len() as u64 + right_tuples.len() as u64);
+    coord.charge_cpu(retrieved);
     let mut by_key: HashMap<i64, Vec<(RecordId, f64)>> = HashMap::new();
     for (key, id, score) in &left_tuples {
         by_key.entry(*key).or_default().push((*id, *score));
@@ -97,10 +107,10 @@ pub fn mapreduce_rank_join(
     coord.charge_cpu(results.len() as u64);
     sort_join_results(&mut results);
     results.truncate(k);
-    let cost = coord.report_parallel(node_meters.iter(), cost_model);
+    let cost = coord.report_parallel(node_meters.iter(), exec.cost_model());
     Ok(RankJoinOutcome {
         results,
-        cost,
+        cost: cost.partial(node_meters.len(), unavailable),
         tuples_retrieved: retrieved,
     })
 }
@@ -214,10 +224,10 @@ pub fn surgical_rank_join(
 }
 
 fn sort_join_results(results: &mut [JoinResult]) {
+    // total_cmp: a NaN score sorts as a score, not as a panic.
     results.sort_by(|a, b| {
         b.score
-            .partial_cmp(&a.score)
-            .expect("finite scores")
+            .total_cmp(&a.score)
             .then(a.left.cmp(&b.left))
             .then(a.right.cmp(&b.right))
     });
@@ -227,7 +237,7 @@ fn sort_join_results(results: &mut [JoinResult]) {
 mod tests {
     use super::*;
     use sea_common::Record;
-    use sea_storage::Partitioning;
+    use sea_storage::{Partitioning, StorageCluster};
 
     /// Two tables with `n` tuples each, `keys` distinct join keys, and
     /// deterministic pseudo-random scores in [0, 1000).
@@ -247,8 +257,9 @@ mod tests {
     }
 
     fn oracle(c: &StorageCluster, k: usize) -> Vec<JoinResult> {
-        let model = CostModel::default();
-        mapreduce_rank_join(c, "l", "r", k, &model).unwrap().results
+        mapreduce_rank_join(&Executor::new(c), "l", "r", k)
+            .unwrap()
+            .results
     }
 
     #[test]
@@ -256,8 +267,8 @@ mod tests {
         let c = cluster(2000, 100);
         let model = CostModel::default();
         let mut m = CostMeter::new();
-        let li = ScoreIndex::build(&c, "l", &mut m).unwrap();
-        let ri = ScoreIndex::build(&c, "r", &mut m).unwrap();
+        let li = ScoreIndex::build(&Executor::new(&c), "l", &mut m).unwrap();
+        let ri = ScoreIndex::build(&Executor::new(&c), "r", &mut m).unwrap();
         for k in [1, 5, 20] {
             let surgical = surgical_rank_join(&li, &ri, k, 32, &model).unwrap();
             let exact = oracle(&c, k);
@@ -273,10 +284,10 @@ mod tests {
     fn surgical_retrieves_far_fewer_tuples() {
         let c = cluster(20_000, 500);
         let model = CostModel::default();
-        let li = ScoreIndex::build(&c, "l", &mut CostMeter::new()).unwrap();
-        let ri = ScoreIndex::build(&c, "r", &mut CostMeter::new()).unwrap();
+        let li = ScoreIndex::build(&Executor::new(&c), "l", &mut CostMeter::new()).unwrap();
+        let ri = ScoreIndex::build(&Executor::new(&c), "r", &mut CostMeter::new()).unwrap();
         let surgical = surgical_rank_join(&li, &ri, 10, 256, &model).unwrap();
-        let mr = mapreduce_rank_join(&c, "l", "r", 10, &model).unwrap();
+        let mr = mapreduce_rank_join(&Executor::new(&c), "l", "r", 10).unwrap();
         assert!(
             surgical.tuples_retrieved * 10 < mr.tuples_retrieved,
             "surgical {} vs mapreduce {}",
@@ -298,10 +309,10 @@ mod tests {
         let mut factors = Vec::new();
         for n in [2_000u64, 20_000] {
             let c = cluster(n, 200);
-            let li = ScoreIndex::build(&c, "l", &mut CostMeter::new()).unwrap();
-            let ri = ScoreIndex::build(&c, "r", &mut CostMeter::new()).unwrap();
+            let li = ScoreIndex::build(&Executor::new(&c), "l", &mut CostMeter::new()).unwrap();
+            let ri = ScoreIndex::build(&Executor::new(&c), "r", &mut CostMeter::new()).unwrap();
             let s = surgical_rank_join(&li, &ri, 10, 64, &model).unwrap();
-            let m = mapreduce_rank_join(&c, "l", "r", 10, &model).unwrap();
+            let m = mapreduce_rank_join(&Executor::new(&c), "l", "r", 10).unwrap();
             factors.push(m.cost.wall_us / s.cost.wall_us);
         }
         assert!(
@@ -323,10 +334,10 @@ mod tests {
         c.load_table("l", left, Partitioning::Hash).unwrap();
         c.load_table("r", right, Partitioning::Hash).unwrap();
         let model = CostModel::default();
-        let mr = mapreduce_rank_join(&c, "l", "r", 5, &model).unwrap();
+        let mr = mapreduce_rank_join(&Executor::new(&c), "l", "r", 5).unwrap();
         assert!(mr.results.is_empty());
-        let li = ScoreIndex::build(&c, "l", &mut CostMeter::new()).unwrap();
-        let ri = ScoreIndex::build(&c, "r", &mut CostMeter::new()).unwrap();
+        let li = ScoreIndex::build(&Executor::new(&c), "l", &mut CostMeter::new()).unwrap();
+        let ri = ScoreIndex::build(&Executor::new(&c), "r", &mut CostMeter::new()).unwrap();
         let s = surgical_rank_join(&li, &ri, 5, 16, &model).unwrap();
         assert!(s.results.is_empty());
     }
@@ -334,8 +345,7 @@ mod tests {
     #[test]
     fn results_are_sorted_descending() {
         let c = cluster(1000, 50);
-        let model = CostModel::default();
-        let out = mapreduce_rank_join(&c, "l", "r", 20, &model).unwrap();
+        let out = mapreduce_rank_join(&Executor::new(&c), "l", "r", 20).unwrap();
         for w in out.results.windows(2) {
             assert!(w[0].score >= w[1].score);
         }
@@ -349,10 +359,10 @@ mod tests {
     fn parameter_validation() {
         let c = cluster(100, 10);
         let model = CostModel::default();
-        assert!(mapreduce_rank_join(&c, "l", "r", 0, &model).is_err());
-        assert!(mapreduce_rank_join(&c, "nope", "r", 5, &model).is_err());
-        let li = ScoreIndex::build(&c, "l", &mut CostMeter::new()).unwrap();
-        let ri = ScoreIndex::build(&c, "r", &mut CostMeter::new()).unwrap();
+        assert!(mapreduce_rank_join(&Executor::new(&c), "l", "r", 0).is_err());
+        assert!(mapreduce_rank_join(&Executor::new(&c), "nope", "r", 5).is_err());
+        let li = ScoreIndex::build(&Executor::new(&c), "l", &mut CostMeter::new()).unwrap();
+        let ri = ScoreIndex::build(&Executor::new(&c), "r", &mut CostMeter::new()).unwrap();
         assert!(surgical_rank_join(&li, &ri, 0, 16, &model).is_err());
         assert!(surgical_rank_join(&li, &ri, 5, 0, &model).is_err());
     }
@@ -361,10 +371,33 @@ mod tests {
     fn k_larger_than_result_set() {
         let c = cluster(50, 5);
         let model = CostModel::default();
-        let li = ScoreIndex::build(&c, "l", &mut CostMeter::new()).unwrap();
-        let ri = ScoreIndex::build(&c, "r", &mut CostMeter::new()).unwrap();
+        let li = ScoreIndex::build(&Executor::new(&c), "l", &mut CostMeter::new()).unwrap();
+        let ri = ScoreIndex::build(&Executor::new(&c), "r", &mut CostMeter::new()).unwrap();
         let s = surgical_rank_join(&li, &ri, 100_000, 16, &model).unwrap();
-        let m = mapreduce_rank_join(&c, "l", "r", 100_000, &model).unwrap();
+        let m = mapreduce_rank_join(&Executor::new(&c), "l", "r", 100_000).unwrap();
         assert_eq!(s.results.len(), m.results.len());
+    }
+
+    #[test]
+    fn nan_scores_sort_instead_of_panicking() {
+        let mut c = StorageCluster::new(2, 32);
+        let side = |salt: f64| -> Vec<Record> {
+            (0..50)
+                .map(|i| {
+                    let score = if i == 7 { f64::NAN } else { i as f64 + salt };
+                    Record::new(i, vec![(i % 5) as f64, score])
+                })
+                .collect()
+        };
+        c.load_table("l", side(0.0), Partitioning::Hash).unwrap();
+        c.load_table("r", side(0.5), Partitioning::Hash).unwrap();
+        let exec = Executor::new(&c);
+        let out = mapreduce_rank_join(&exec, "l", "r", 20).unwrap();
+        // Key 2 holds one NaN score a side: 10 + 10 − 1 NaN pairs, which
+        // the total order ranks above every finite pair.
+        assert!(out.results[..19].iter().all(|r| r.score.is_nan()));
+        assert_eq!(out.results[19].score, 49.0 + 49.5);
+        let again = mapreduce_rank_join(&exec, "l", "r", 20).unwrap();
+        assert_eq!(format!("{:?}", out.results), format!("{:?}", again.results));
     }
 }

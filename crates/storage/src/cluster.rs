@@ -5,8 +5,8 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use sea_common::{CostMeter, Record, Rect, Result, SeaError};
-use sea_telemetry::{SpanGuard, TelemetrySink, TraceContext};
+use sea_common::{CostMeter, Record, Rect, Result, SeaError, SelectionMask};
+use sea_telemetry::{TelemetrySink, TraceContext};
 
 use crate::fault::{FaultDecision, FaultPlan, FaultState};
 use crate::node::{DataNode, ScanStats};
@@ -70,10 +70,8 @@ fn fold_bounds(dims: usize, nodes: &[DataNode]) -> Option<Rect> {
 
 /// A simulated cluster of data-server nodes holding partitioned tables.
 ///
-/// All read paths take an explicit [`CostMeter`] (usually one per simulated
-/// node, combined with
-/// [`CostMeter::report_parallel`](sea_common::CostMeter::report_parallel))
-/// so callers decide the parallelism semantics.
+/// It holds no row scan: a reader opens a partition
+/// ([`StorageCluster::open_scan`]) and charges its own [`CostMeter`].
 ///
 /// # Examples
 ///
@@ -377,54 +375,6 @@ impl StorageCluster {
         Ok(candidates)
     }
 
-    /// Full scan of table `name` on node `node`, charging `meter` for disk
-    /// and CPU (layer crossings are charged by the caller, which knows its
-    /// access path).
-    ///
-    /// # Errors
-    ///
-    /// [`SeaError::NotFound`] for missing table, [`SeaError::Storage`] for
-    /// an out-of-range node id.
-    pub fn scan_node(
-        &self,
-        name: &str,
-        node: NodeId,
-        meter: &mut CostMeter,
-    ) -> Result<Vec<Record>> {
-        let trace = Some(&TraceContext::NONE);
-        Ok(self.scan_partition(name, node, None, trace, meter)?.0)
-    }
-
-    /// The one row scan of a partition behind every `scan_node*`: checks
-    /// the box's dimensionality, opens the scan
-    /// ([`StorageCluster::open_scan`]), runs [`DataNode::scan`] with its
-    /// charges scaled by the gate's slow-node multiplier, and — unless
-    /// `trace` is `None` (the quiet form) — wraps it in a
-    /// `storage.node.scan` span under the given parent and records it.
-    fn scan_partition(
-        &self,
-        name: &str,
-        node: NodeId,
-        bbox: Option<&Rect>,
-        trace: Option<&TraceContext>,
-        meter: &mut CostMeter,
-    ) -> Result<(Vec<Record>, ScanStats)> {
-        if let Some(rect) = bbox {
-            SeaError::check_dims(self.dims(name)?, rect.dims())?;
-        }
-        let (n, _, slow) = self.open_scan(name, node)?;
-        let kind = if bbox.is_some() { "region" } else { "full" };
-        let _span = trace.map(|parent| self.scan_span(name, node, kind, parent));
-        let mut scan = CostMeter::new();
-        let (records, stats) = n.scan(bbox, &mut scan);
-        // The identity at the healthy multiplier 1.0.
-        meter.merge_scaled(&scan, slow);
-        if trace.is_some() {
-            self.note_scan(name, node, kind, &stats);
-        }
-        Ok((records, stats))
-    }
-
     /// Opens one scan attempt against partition `node` of table `name`:
     /// consults the fault layer (one operation of the node's counter —
     /// this is where an installed [`FaultPlan`] is consumed) and resolves
@@ -432,10 +382,11 @@ impl StorageCluster {
     /// [`DataNode`], whether it is a replica failover (primary down),
     /// and the latency multiplier the scan's disk + CPU charges must be
     /// scaled by (1.0 unless the plan slows the node). Quiet: no spans,
-    /// counters or events, and nothing is charged — engines running
-    /// their own columnar kernels over [`DataNode::blocks`] charge their
-    /// meters themselves and replay telemetry via
-    /// [`StorageCluster::record_scan`].
+    /// counters or events, and nothing is charged — the caller asks
+    /// [`DataNode::charge_scan`] which blocks to read and what they cost,
+    /// reads their columns itself and records the scan via
+    /// [`StorageCluster::record_scan`] (in the workspace, that caller is
+    /// `sea_query::Executor`, retries and failover included).
     ///
     /// # Errors
     ///
@@ -451,15 +402,17 @@ impl StorageCluster {
         Ok((n, self.primary_down(node), slow))
     }
 
-    /// Telemetry-free block-pruned scan: charges `meter` exactly like
-    /// [`StorageCluster::scan_node_region`] but emits no spans, counters,
-    /// or events, and additionally returns the
-    /// [`ScanStats`], so a caller can replay the
-    /// scan's telemetry afterwards via [`StorageCluster::record_scan`].
+    /// The rows of partition `node` inside `region`, materialized: kept
+    /// only because the frozen benchmark (`benchmark/src/probes.rs`)
+    /// times it and cuts cache fragments from its rows, and built from
+    /// the primitives every scan uses — [`StorageCluster::open_scan`],
+    /// [`DataNode::charge_scan`] (scaled by the slow-node multiplier),
+    /// [`Block::bbox_mask`](crate::Block::bbox_mask). Quiet, no retry.
     ///
     /// # Errors
     ///
-    /// As [`StorageCluster::scan_node_region`].
+    /// A missing table, a region of the wrong dimensionality, or
+    /// whatever [`StorageCluster::open_scan`] refuses.
     pub fn scan_node_region_stats(
         &self,
         name: &str,
@@ -467,18 +420,27 @@ impl StorageCluster {
         region: &Rect,
         meter: &mut CostMeter,
     ) -> Result<(Vec<Record>, ScanStats)> {
-        self.scan_partition(name, node, Some(region), None, meter)
+        SeaError::check_dims(self.dims(name)?, region.dims())?;
+        let (n, _, slow) = self.open_scan(name, node)?;
+        let mut charges = CostMeter::new();
+        let (blocks, mut stats) = n.charge_scan(Some(region), &mut charges);
+        meter.merge_scaled(&charges, slow);
+        let (mut rows, mut mask) = (Vec::new(), SelectionMask::none(0));
+        for b in blocks {
+            b.bbox_mask(region, &mut mask);
+            mask.for_each_set(|i| rows.push(b.record(i)));
+        }
+        stats.records_returned = rows.len();
+        Ok((rows, stats))
     }
 
-    /// Replays the telemetry of one already-performed quiet scan
-    /// ([`StorageCluster::open_scan`] /
-    /// [`StorageCluster::scan_node_region_stats`]): opens the same
-    /// `storage.node.scan` span under `parent` and emits the same
-    /// counters and `storage.node.scanned` event the traced scan paths
-    /// would have. Calling this from a single coordinator thread in a
-    /// fixed node order makes the recorded tables independent of how
-    /// many worker threads performed the scans. `kind` is `"full"` or
-    /// `"region"`.
+    /// Records one scan already performed over [`StorageCluster::open_scan`]
+    /// and [`DataNode::charge_scan`]: opens its `storage.node.scan` span
+    /// under `parent` and emits its `storage.node.*` counters and
+    /// `storage.node.scanned` event. Calling this from a single
+    /// coordinator thread in a fixed node order makes the recorded tables
+    /// independent of how many worker threads performed the scans.
+    /// `kind` is `"full"` or `"region"`.
     pub fn record_scan(
         &self,
         name: &str,
@@ -487,30 +449,15 @@ impl StorageCluster {
         stats: &ScanStats,
         parent: &TraceContext,
     ) {
-        let _span = self.scan_span(name, node, kind, parent);
-        self.note_scan(name, node, kind, stats);
-    }
-
-    /// Opens a scan's `storage.node.scan` span under `parent`.
-    fn scan_span(&self, name: &str, node: NodeId, kind: &str, parent: &TraceContext) -> SpanGuard {
+        // Simulated time lives on the caller's spans (only it knows the
+        // cost model); this span carries wall time.
         let span = self.telemetry.span_child_of(parent, "storage.node.scan");
-        if self.telemetry.is_enabled() {
-            span.tag("node", node);
-            span.tag("table", name);
-            span.tag("kind", kind);
-        }
-        span
-    }
-
-    /// Records one node scan into the telemetry sink (no-op when
-    /// disabled): `storage.node.*` counters plus a `storage.node.scanned`
-    /// event carrying the pruning outcome. Simulated time lives on the
-    /// executor's scatter span (only it knows the cost model); storage
-    /// spans carry wall time.
-    fn note_scan(&self, table: &str, node: NodeId, kind: &str, stats: &ScanStats) {
         if !self.telemetry.is_enabled() {
             return;
         }
+        span.tag("node", node);
+        span.tag("table", name);
+        span.tag("kind", kind);
         self.telemetry.incr("storage.node.scans", 1);
         self.telemetry
             .incr("storage.node.blocks_read", stats.blocks_read as u64);
@@ -523,7 +470,7 @@ impl StorageCluster {
         self.telemetry.event(
             "storage.node.scanned",
             &[
-                ("table", table.into()),
+                ("table", name.into()),
                 ("node", node.into()),
                 ("kind", kind.into()),
                 ("blocks_read", stats.blocks_read.into()),
@@ -570,45 +517,6 @@ impl StorageCluster {
         let meta = self.meta(name)?;
         let n = self.serving_copy(meta, node)?;
         Ok((n, self.primary_down(node)))
-    }
-
-    /// Block-pruned scan of table `name` on node `node`, returning only
-    /// records inside `region` and charging `meter` only for blocks whose
-    /// zone map intersects `region`.
-    ///
-    /// # Errors
-    ///
-    /// As [`StorageCluster::scan_node`], plus a dimension mismatch when the
-    /// region's dimensionality differs from the table's.
-    pub fn scan_node_region(
-        &self,
-        name: &str,
-        node: NodeId,
-        region: &Rect,
-        meter: &mut CostMeter,
-    ) -> Result<Vec<Record>> {
-        self.scan_node_region_traced(name, node, region, &TraceContext::NONE, meter)
-    }
-
-    /// [`StorageCluster::scan_node_region`] with an explicit trace
-    /// parent: the scan's `storage.node.scan` span attaches under
-    /// `parent` (the caller's per-node span), modelling the caller →
-    /// storage-node hop carrying a trace header.
-    ///
-    /// # Errors
-    ///
-    /// As [`StorageCluster::scan_node_region`].
-    pub fn scan_node_region_traced(
-        &self,
-        name: &str,
-        node: NodeId,
-        region: &Rect,
-        parent: &TraceContext,
-        meter: &mut CostMeter,
-    ) -> Result<Vec<Record>> {
-        Ok(self
-            .scan_partition(name, node, Some(region), Some(parent), meter)?
-            .0)
     }
 
     /// Inserts additional records into an existing table (appended as new
@@ -718,6 +626,33 @@ impl StorageCluster {
 mod tests {
     use super::*;
 
+    /// What a scan of partition `node` reads, by the primitives every
+    /// reader uses: the copy `open_scan` resolves, the blocks
+    /// `charge_scan` admits for `bbox` (charged to `meter`), the rows
+    /// the box selects — as ids, with the scan's statistics.
+    pub(super) fn scanned(
+        c: &StorageCluster,
+        name: &str,
+        node: NodeId,
+        bbox: Option<&Rect>,
+        meter: &mut CostMeter,
+    ) -> Result<(Vec<u64>, ScanStats)> {
+        let (dn, _, slow) = c.open_scan(name, node)?;
+        let mut charges = CostMeter::new();
+        let (blocks, mut stats) = dn.charge_scan(bbox, &mut charges);
+        meter.merge_scaled(&charges, slow);
+        let (mut ids, mut mask) = (Vec::new(), SelectionMask::none(0));
+        for b in blocks {
+            match bbox {
+                Some(rect) => b.bbox_mask(rect, &mut mask),
+                None => mask.reset_all(b.len()),
+            }
+            mask.for_each_set(|i| ids.push(b.ids()[i]));
+        }
+        stats.records_returned = ids.len();
+        Ok((ids, stats))
+    }
+
     fn sample_records(n: usize) -> Vec<Record> {
         (0..n)
             .map(|i| Record::new(i as u64, vec![i as f64 % 100.0, i as f64]))
@@ -776,7 +711,7 @@ mod tests {
         let mut total = 0;
         for node in 0..c.num_nodes() {
             let mut meter = CostMeter::new();
-            total += c.scan_node("t", node, &mut meter).unwrap().len();
+            total += scanned(&c, "t", node, None, &mut meter).unwrap().0.len();
             assert!(meter.disk_bytes > 0);
         }
         assert_eq!(total, 1000);
@@ -796,7 +731,7 @@ mod tests {
         let nodes = c.nodes_for_region("r", &region).unwrap();
         assert_eq!(nodes, vec![0], "10..20 lives on node 0");
         let mut meter = CostMeter::new();
-        let hits = c.scan_node_region("r", 0, &region, &mut meter).unwrap();
+        let (hits, _) = scanned(&c, "r", 0, Some(&region), &mut meter).unwrap();
         // dim0 = i % 100 in [10, 20] → 11 values × 10 repetitions
         assert_eq!(hits.len(), 110);
     }
@@ -852,19 +787,21 @@ mod tests {
 
         let region = Rect::new(vec![10.0, 0.0], vec![20.0, 1e9]).unwrap();
         for node in 0..traced.num_nodes() {
+            // The reader's scan — open, charge, mask — recorded as it goes.
             let mut mt = CostMeter::new();
-            let rt = traced
-                .scan_node_region_traced("t", node, &region, &TraceContext::NONE, &mut mt)
-                .unwrap();
+            let (rt, st) = scanned(&traced, "t", node, Some(&region), &mut mt).unwrap();
+            traced.record_scan("t", node, "region", &st, &TraceContext::NONE);
+            // The benchmark's adapter, replayed afterwards.
             let mut mq = CostMeter::new();
             let (rq, stats) = quiet
                 .scan_node_region_stats("t", node, &region, &mut mq)
                 .unwrap();
+            assert_eq!(rt, rq.iter().map(|r| r.id).collect::<Vec<_>>());
             assert_eq!(
-                rt.iter().map(|r| r.id).collect::<Vec<_>>(),
-                rq.iter().map(|r| r.id).collect::<Vec<_>>()
+                (mt, st),
+                (mq, stats),
+                "the adapter charges and counts alike"
             );
-            assert_eq!(mt, mq, "quiet scan charges the same simulated cost");
             quiet.record_scan("t", node, "region", &stats, &TraceContext::NONE);
         }
         let ts = traced_sink.snapshot().unwrap();
@@ -908,6 +845,7 @@ mod tests {
 
 #[cfg(test)]
 mod replication_tests {
+    use super::tests::scanned;
     use super::*;
 
     fn replicated_cluster() -> StorageCluster {
@@ -923,7 +861,7 @@ mod replication_tests {
         (0..c.num_nodes())
             .map(|n| {
                 let mut m = CostMeter::new();
-                c.scan_node("t", n, &mut m).map(|v| v.len()).unwrap_or(0)
+                scanned(c, "t", n, None, &mut m).map_or(0, |(ids, _)| ids.len())
             })
             .sum()
     }
@@ -948,11 +886,7 @@ mod replication_tests {
             .collect();
         c.load_table("t", records, Partitioning::Hash).unwrap();
         c.fail_node(1).unwrap();
-        let mut m = CostMeter::new();
-        assert!(matches!(
-            c.scan_node("t", 1, &mut m),
-            Err(SeaError::Storage(_))
-        ));
+        assert!(matches!(c.open_scan("t", 1), Err(SeaError::Storage(_))));
     }
 
     #[test]
@@ -960,10 +894,9 @@ mod replication_tests {
         let mut c = replicated_cluster();
         c.fail_node(2).unwrap();
         c.fail_node(3).unwrap(); // node 3 held node 2's replica
-        let mut m = CostMeter::new();
-        assert!(c.scan_node("t", 2, &mut m).is_err());
+        assert!(c.open_scan("t", 2).is_err());
         // Non-adjacent partitions are still fine.
-        assert!(c.scan_node("t", 0, &mut m).is_ok());
+        assert!(c.open_scan("t", 0).is_ok());
     }
 
     #[test]
@@ -1033,14 +966,14 @@ mod replication_tests {
         let count_before: usize = (0..4)
             .map(|n| {
                 let mut m = CostMeter::new();
-                c.scan_node_region("t", n, &region, &mut m).unwrap().len()
+                scanned(&c, "t", n, Some(&region), &mut m).unwrap().0.len()
             })
             .sum();
         c.fail_node(0).unwrap();
         let count_after: usize = (0..4)
             .map(|n| {
                 let mut m = CostMeter::new();
-                c.scan_node_region("t", n, &region, &mut m).unwrap().len()
+                scanned(&c, "t", n, Some(&region), &mut m).unwrap().0.len()
             })
             .sum();
         assert_eq!(count_before, count_after);

@@ -22,6 +22,11 @@
 //!
 //! Which blocks a scan reads on either path, and what reading them
 //! charges, is decided in exactly one place: [`DataNode::charge_scan`].
+//! There is no row scan here: a reader opens a partition
+//! ([`StorageCluster::open_scan`]), reads the admitted blocks' columns and
+//! records the scan ([`StorageCluster::record_scan`]) — `sea_query`'s
+//! executor, for statements and operators alike. The one method that
+//! returns rows is the frozen benchmark's adapter over those primitives.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -235,9 +235,12 @@ impl DataNode {
     }
 
     /// The scan-cost rule — the one place that decides which blocks a
-    /// scan of this node reads and what reading them costs. Every scan
-    /// (the row scan below, the executor's shared scan of a statement's
-    /// box) calls it instead of charging on its own.
+    /// scan of this node reads and what reading them costs. Its callers
+    /// are the executor's statement body (the shared scan of a
+    /// statement's box) and its one operator step
+    /// (`sea_query::Executor::scan_blocks`) — plus the optimizer's
+    /// scan estimate and the frozen benchmark's row adapter; none charges
+    /// on its own.
     ///
     /// * `bbox = None` (BDAS full scan): **every** block is read, each
     ///   with its own seek-equivalent disk read — the full-scan path
@@ -282,27 +285,6 @@ impl DataNode {
         (admitted, stats)
     }
 
-    /// The row scan: reads the blocks [`DataNode::charge_scan`] admits
-    /// (charging `meter` by its rule) and materializes, in row order,
-    /// every record of them (`bbox = None`) or the records inside the
-    /// box (`bbox = Some`).
-    pub fn scan(&self, bbox: Option<&Rect>, meter: &mut CostMeter) -> (Vec<Record>, ScanStats) {
-        let (blocks, mut stats) = self.charge_scan(bbox, meter);
-        let mut out = Vec::new();
-        let mut mask = SelectionMask::none(0);
-        for b in blocks {
-            match bbox {
-                None => out.extend(b.to_records()),
-                Some(rect) => {
-                    b.bbox_mask(rect, &mut mask);
-                    mask.for_each_set(|i| out.push(b.record(i)));
-                }
-            }
-        }
-        stats.records_returned = out.len();
-        (out, stats)
-    }
-
     /// Deletes records matching `pred`, rebuilding affected blocks.
     /// Returns the number of records removed.
     pub fn delete_where(&mut self, pred: impl Fn(&Record) -> bool) -> usize {
@@ -329,6 +311,22 @@ mod tests {
         (0..n)
             .map(|i| Record::new(i as u64, vec![i as f64, (i * 2) as f64]))
             .collect()
+    }
+
+    /// The rows a scan of `node` for `bbox` reads: the blocks
+    /// `charge_scan` admits, each masked by the box.
+    fn scanned(node: &DataNode, bbox: Option<&Rect>) -> (Vec<Record>, ScanStats) {
+        let (blocks, mut stats) = node.charge_scan(bbox, &mut CostMeter::new());
+        let (mut rows, mut mask) = (Vec::new(), SelectionMask::none(0));
+        for b in blocks {
+            match bbox {
+                Some(rect) => b.bbox_mask(rect, &mut mask),
+                None => mask.reset_all(b.len()),
+            }
+            mask.for_each_set(|i| rows.push(b.record(i)));
+        }
+        stats.records_returned = rows.len();
+        (rows, stats)
     }
 
     #[test]
@@ -396,7 +394,7 @@ mod tests {
         );
         // A pruned scan reads the block and finds its finite row.
         let rect = Rect::new(vec![0.0, 0.0], vec![10.0, 10.0]).unwrap();
-        let (rows, stats) = node.scan(Some(&rect), &mut CostMeter::new());
+        let (rows, stats) = scanned(&node, Some(&rect));
         assert_eq!(stats.blocks_read, 1);
         assert_eq!(rows, vec![Record::new(2, vec![3.0, 4.0])]);
     }
@@ -477,11 +475,11 @@ mod tests {
         let mut node = DataNode::new();
         node.append(recs(20), 20); // one block
         let region = Rect::new(vec![5.0, 0.0], vec![7.0, 1e9]).unwrap();
-        let (hits, stats) = node.scan(Some(&region), &mut CostMeter::new());
+        let (hits, stats) = scanned(&node, Some(&region));
         let ids: Vec<u64> = hits.iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![5, 6, 7]);
         assert_eq!(stats.records_returned, 3);
-        let (all, stats) = node.scan(None, &mut CostMeter::new());
+        let (all, stats) = scanned(&node, None);
         assert_eq!(all, recs(20));
         assert_eq!(stats.records_returned, 20);
     }

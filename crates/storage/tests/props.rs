@@ -4,8 +4,25 @@
 
 use proptest::prelude::*;
 
-use sea_common::{CostMeter, Record, Rect};
+use sea_common::{CostMeter, Record, Rect, SelectionMask};
 use sea_storage::{Partitioning, StorageCluster};
+
+/// Ids of the rows a scan of partition `n` of `t` reads, by the
+/// primitives every reader uses: the copy `open_scan` resolves, the
+/// blocks `charge_scan` admits for `bbox`, the rows the box selects.
+fn scan_ids(c: &StorageCluster, n: usize, bbox: Option<&Rect>) -> Vec<u64> {
+    let (dn, _, _) = c.open_scan("t", n).unwrap();
+    let (blocks, _) = dn.charge_scan(bbox, &mut CostMeter::new());
+    let (mut ids, mut mask) = (Vec::new(), SelectionMask::none(0));
+    for b in blocks {
+        match bbox {
+            Some(rect) => b.bbox_mask(rect, &mut mask),
+            None => mask.reset_all(b.len()),
+        }
+        mask.for_each_set(|i| ids.push(b.ids()[i]));
+    }
+    ids
+}
 
 fn arb_records(max: usize) -> impl Strategy<Value = Vec<Record>> {
     prop::collection::vec((0.0f64..100.0, 0.0f64..100.0), 1..max).prop_map(|pts| {
@@ -87,8 +104,7 @@ proptest! {
         c.load_table("t", records.clone(), partitioning).unwrap();
         let mut ids = Vec::new();
         for n in 0..nodes {
-            let mut m = CostMeter::new();
-            ids.extend(c.scan_node("t", n, &mut m).unwrap().iter().map(|r| r.id));
+            ids.extend(scan_ids(&c, n, None));
         }
         ids.sort_unstable();
         let mut want: Vec<u64> = records.iter().map(|r| r.id).collect();
@@ -107,13 +123,7 @@ proptest! {
         c.load_table("t", records.clone(), partitioning).unwrap();
         let mut got = Vec::new();
         for n in c.nodes_for_region("t", &region).unwrap() {
-            let mut m = CostMeter::new();
-            got.extend(
-                c.scan_node_region("t", n, &region, &mut m)
-                    .unwrap()
-                    .iter()
-                    .map(|r| r.id),
-            );
+            got.extend(scan_ids(&c, n, Some(&region)));
         }
         got.sort_unstable();
         let mut want: Vec<u64> = records
@@ -135,8 +145,7 @@ proptest! {
         c.fail_node(fail).unwrap();
         let mut ids = Vec::new();
         for n in 0..4 {
-            let mut m = CostMeter::new();
-            ids.extend(c.scan_node("t", n, &mut m).unwrap().iter().map(|r| r.id));
+            ids.extend(scan_ids(&c, n, None));
         }
         ids.sort_unstable();
         let mut want: Vec<u64> = records.iter().map(|r| r.id).collect();
@@ -164,9 +173,7 @@ proptest! {
         );
         // Nothing inside the region survives.
         for n in 0..3 {
-            let mut m = CostMeter::new();
-            let inside = c.scan_node_region("t", n, &region, &mut m).unwrap();
-            prop_assert!(inside.is_empty());
+            prop_assert!(scan_ids(&c, n, Some(&region)).is_empty());
         }
     }
 

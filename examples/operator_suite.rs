@@ -9,6 +9,7 @@
 use sea_common::{CostMeter, CostModel, Point, Record, Rect};
 use sea_imputation::{fullscan_impute, GridImputer};
 use sea_knn::{knn_join, mapreduce_knn, DistributedKnnIndex};
+use sea_query::Executor;
 use sea_rankjoin::{mapreduce_rank_join, surgical_rank_join, ScoreIndex};
 use sea_storage::{Partitioning, StorageCluster};
 
@@ -28,10 +29,11 @@ fn main() -> sea_common::Result<()> {
         .collect();
     cluster.load_table("l", left, Partitioning::Hash)?;
     cluster.load_table("r", right, Partitioning::Hash)?;
-    let li = ScoreIndex::build(&cluster, "l", &mut CostMeter::new())?;
-    let ri = ScoreIndex::build(&cluster, "r", &mut CostMeter::new())?;
+    let exec = Executor::new(&cluster);
+    let li = ScoreIndex::build(&exec, "l", &mut CostMeter::new())?;
+    let ri = ScoreIndex::build(&exec, "r", &mut CostMeter::new())?;
     let surgical = surgical_rank_join(&li, &ri, 10, 256, &model)?;
-    let mapreduce = mapreduce_rank_join(&cluster, "l", "r", 10, &model)?;
+    let mapreduce = mapreduce_rank_join(&exec, "l", "r", 10)?;
     println!("rank-join, top-10 of {n} x {n} tuples:");
     println!(
         "  surgical:  {:9.1} ms, {:9} tuples touched, best pair score {:.0}",
@@ -57,10 +59,11 @@ fn main() -> sea_common::Result<()> {
         })
         .collect();
     knn_cluster.load_table("pts", points, Partitioning::Hash)?;
-    let index = DistributedKnnIndex::build(&knn_cluster, "pts", &model)?;
+    let knn_exec = Executor::new(&knn_cluster);
+    let index = DistributedKnnIndex::build(&knn_exec, "pts")?;
     let q = Point::new(vec![33.0, 66.0]);
     let cohort = index.query(&q, 10, &model)?;
-    let mr = mapreduce_knn(&knn_cluster, "pts", &q, 10, &model)?;
+    let mr = mapreduce_knn(&knn_exec, "pts", &q, 10)?;
     println!("\nkNN, k=10 over 200k points:");
     println!(
         "  cohort:    {:9.2} ms ({} nodes engaged)",
@@ -105,8 +108,9 @@ fn main() -> sea_common::Result<()> {
         })
         .collect();
     let domain = Rect::new(vec![0.0, 0.0, 0.0], vec![100.0, 205.0, 100.0])?;
-    let grid = GridImputer::new(domain, 50)?.impute(&imp_cluster, "obs", &incomplete, 5, &model)?;
-    let full = fullscan_impute(&imp_cluster, "obs", &incomplete, 5, &model)?;
+    let imp_exec = Executor::new(&imp_cluster);
+    let grid = GridImputer::new(domain, 50)?.impute(&imp_exec, "obs", &incomplete, 5)?;
+    let full = fullscan_impute(&imp_exec, "obs", &incomplete, 5)?;
     println!("\nmissing-value imputation, 30 incomplete records over 100k:");
     println!(
         "  grid:      {:9.1} ms, {:8} candidates examined",

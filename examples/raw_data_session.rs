@@ -7,9 +7,9 @@
 //! cargo run -p sea-bench --release --example raw_data_session
 //! ```
 
-use sea_common::{CostModel, Record, Rect, Region};
+use sea_common::{Record, Rect, Region};
 use sea_index::CrackerIndex;
-use sea_query::{classify_subspace, cluster_subspace, regress_subspace};
+use sea_query::{classify_subspace, cluster_subspace, regress_subspace, Executor};
 use sea_storage::{Partitioning, StorageCluster};
 
 fn main() -> sea_common::Result<()> {
@@ -48,7 +48,7 @@ fn main() -> sea_common::Result<()> {
         .collect();
     let mut cluster = StorageCluster::new(8, 512);
     cluster.load_table("obs", records, Partitioning::Hash)?;
-    let model = CostModel::default();
+    let exec = Executor::new(&cluster);
 
     // Penny selects a subspace and asks for its structure.
     let subspace = Region::Range(Rect::new(
@@ -56,7 +56,7 @@ fn main() -> sea_common::Result<()> {
         vec![80.0, 80.0, 1e9, 2.0],
     )?);
 
-    let km = cluster_subspace(&cluster, "obs", &subspace, 2, &model)?;
+    let km = cluster_subspace(&exec, "obs", &subspace, 2)?;
     println!(
         "\nk-means over the selected subspace ({} records, {:.1} ms):",
         km.records_in_subspace,
@@ -66,7 +66,7 @@ fn main() -> sea_common::Result<()> {
         println!("  centroid at ({:6.2}, {:6.2}, …)", c[0], c[1]);
     }
 
-    let reg = regress_subspace(&cluster, "obs", &subspace, 2, &model)?;
+    let reg = regress_subspace(&exec, "obs", &subspace, 2)?;
     println!(
         "regression of attr2 on the others: weights {:?} intercept {:.3}",
         reg.output
@@ -81,7 +81,7 @@ fn main() -> sea_common::Result<()> {
         vec![30.0, 30.0, 3.0 * 30.0 - 30.0 + 2.0],
         vec![70.0, 70.0, 3.0 * 70.0 - 70.0 + 2.0],
     ];
-    let labels = classify_subspace(&cluster, "obs", &subspace, 3, &probes, 7, &model)?;
+    let labels = classify_subspace(&exec, "obs", &subspace, 3, &probes, 7)?;
     println!(
         "kNN classification of two probes: {:?} (expected [0, 1])",
         labels.output

@@ -16,9 +16,9 @@
 //!   payload of a scope is resumed on the scope's owner when the scope
 //!   ends (the real crate panics there too, with its own message).
 //!
-//! This is the one place in the workspace that erases a lifetime — where
-//! `std::thread::scope` does it for the `crossbeam` shim — so that every
-//! crate under `crates/` can keep `#![forbid(unsafe_code)]`.
+//! This is the one place in the workspace that erases a lifetime — as
+//! `std::thread::scope` does inside std — so that every crate under
+//! `crates/` can keep `#![forbid(unsafe_code)]`.
 
 use std::any::Any;
 use std::cell::Cell;

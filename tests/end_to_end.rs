@@ -75,12 +75,9 @@ fn agent_beats_baselines_on_storage_at_similar_accuracy() {
         }
     }
     // Baselines.
-    let sample = SamplingAqp::build(&cluster, "t", domain.clone(), 8, 64, 3).unwrap();
-    let mut dbl = LearnedAqp::new(
-        SamplingAqp::build(&cluster, "t", domain, 8, 64, 5).unwrap(),
-        5,
-    )
-    .unwrap();
+    let sample = SamplingAqp::build(&exec, "t", domain.clone(), 8, 64, 3).unwrap();
+    let mut dbl =
+        LearnedAqp::new(SamplingAqp::build(&exec, "t", domain, 8, 64, 5).unwrap(), 5).unwrap();
     let mut observe_gen = gen.clone();
     for _ in 0..50 {
         let q = observe_gen.next_query();

@@ -2,10 +2,17 @@
 //! exactly — through single-node failures when replication is on, and
 //! fail loudly (never silently wrong) when it is not.
 
-use sea_common::{AggregateKind, AnalyticalQuery, CostModel, Point, Record, Rect, Region};
+use sea_baselines::{DataCanopy, SamplingAqp};
+use sea_common::{
+    AggregateKind, AnalyticalQuery, CostMeter, CostReport, Point, Record, Rect, Region,
+};
+use sea_core::AgentConfig;
+use sea_geo::{ConstituentSystem, Polystore};
+use sea_imputation::{fullscan_impute, GridImputer};
 use sea_knn::{mapreduce_knn, DistributedKnnIndex};
-use sea_query::Executor;
-use sea_storage::{Partitioning, StorageCluster};
+use sea_query::{cluster_subspace, Executor};
+use sea_rankjoin::{mapreduce_rank_join, ScoreIndex};
+use sea_storage::{FaultPlan, Partitioning, StorageCluster};
 
 fn records(n: u64) -> Vec<Record> {
     (0..n)
@@ -61,47 +68,207 @@ fn unreplicated_failure_is_loud_not_wrong() {
     assert!(exec.execute_direct("t", &count_query(12.0)).is_err());
 }
 
+/// An operator that scans, run over one executor: its answer (rendered)
+/// and its bill.
+type Run = fn(&Executor) -> sea_common::Result<(String, CostReport)>;
+
+/// Three dims over a 100 × 100 grid, the third twice the first.
+fn grid_records(n: u64) -> Vec<Record> {
+    (0..n)
+        .map(|i| {
+            let x = (i % 100) as f64;
+            Record::new(i, vec![x, (i / 100 % 100) as f64, 2.0 * x])
+        })
+        .collect()
+}
+
+/// `t` for kNN, imputation, sampling, the canopy, k-means and the
+/// polystore; `l` and `r` (key, score) for the rank-join.
+fn operator_cluster(replicated: bool) -> StorageCluster {
+    let mut c = if replicated {
+        StorageCluster::with_replication(6, 128)
+    } else {
+        StorageCluster::new(6, 128)
+    };
+    c.load_table("t", grid_records(6_000), Partitioning::Hash)
+        .unwrap();
+    let side = |salt: u64| -> Vec<Record> {
+        (0..2_000)
+            .map(|i| Record::new(i, vec![(i % 100) as f64, ((i * 7919 + salt) % 1000) as f64]))
+            .collect()
+    };
+    c.load_table("l", side(17), Partitioning::Hash).unwrap();
+    c.load_table("r", side(91), Partitioning::Hash).unwrap();
+    c
+}
+
+fn domain() -> sea_common::Result<Rect> {
+    Rect::new(vec![0.0, 0.0, 0.0], vec![100.0, 100.0, 200.0])
+}
+
+fn probe() -> Point {
+    Point::new(vec![42.0, 37.0, 84.0])
+}
+
+fn incomplete() -> Vec<Record> {
+    (0..8)
+        .map(|i| Record::new(90_000 + i, vec![(i * 11) as f64, 50.0, f64::NAN]))
+        .collect()
+}
+
+fn cube(e: f64) -> AnalyticalQuery {
+    AnalyticalQuery::new(
+        Region::Range(
+            Rect::centered(&Point::new(vec![50.0, 40.0, 100.0]), &[e, e, 2.0 * e]).unwrap(),
+        ),
+        AggregateKind::Count,
+    )
+}
+
+/// Every operator ported onto `Executor::scan_blocks`.
+fn operators() -> [(&'static str, Run); 10] {
+    [
+        ("mapreduce_rank_join", |e| {
+            let o = mapreduce_rank_join(e, "l", "r", 10)?;
+            Ok((format!("{:?} {}", o.results, o.tuples_retrieved), o.cost))
+        }),
+        ("ScoreIndex::build", |e| {
+            let mut meter = CostMeter::new();
+            let idx = ScoreIndex::build(e, "l", &mut meter)?;
+            let entries = idx.batch(0, idx.len(), &mut CostMeter::new());
+            Ok((
+                format!("{entries:?}"),
+                meter.report_sequential(e.cost_model()),
+            ))
+        }),
+        ("mapreduce_knn", |e| {
+            let o = mapreduce_knn(e, "t", &probe(), 10)?;
+            Ok((format!("{:?}", o.neighbors), o.cost))
+        }),
+        ("DistributedKnnIndex::build", |e| {
+            let idx = DistributedKnnIndex::build(e, "t")?;
+            let o = idx.query(&probe(), 10, e.cost_model())?;
+            Ok((format!("{:?}", o.neighbors), *idx.build_cost()))
+        }),
+        ("fullscan_impute", |e| {
+            let o = fullscan_impute(e, "t", &incomplete(), 5)?;
+            Ok((format!("{:?} {}", o.imputed, o.candidates_examined), o.cost))
+        }),
+        ("GridImputer::impute", |e| {
+            let o = GridImputer::new(domain()?, 50)?.impute(e, "t", &incomplete(), 5)?;
+            Ok((format!("{:?} {}", o.imputed, o.candidates_examined), o.cost))
+        }),
+        ("SamplingAqp::build", |e| {
+            let aqp = SamplingAqp::build(e, "t", domain()?, 4, 20, 7)?;
+            let o = aqp.query(&cube(20.0))?;
+            Ok((
+                format!("{:?} {}", o.answer, aqp.storage_bytes()),
+                *aqp.build_cost(),
+            ))
+        }),
+        ("DataCanopy::query", |e| {
+            let mut canopy = DataCanopy::new(e, "t", domain()?, 10)?;
+            let slab = Rect::new(vec![12.0, 0.0, 0.0], vec![47.0, 100.0, 200.0])?;
+            let o = canopy.query(&AnalyticalQuery::new(
+                Region::Range(slab),
+                AggregateKind::Count,
+            ))?;
+            Ok((format!("{:?}", o.answer), o.cost))
+        }),
+        ("cluster_subspace", |e| {
+            let o = cluster_subspace(e, "t", &cube(30.0).region, 2)?;
+            Ok((
+                format!("{:?} {}", o.output.centroids(), o.records_in_subspace),
+                o.cost,
+            ))
+        }),
+        ("query_migrate_data", |e| {
+            let system = ConstituentSystem::new(e, "t", AgentConfig::default())?;
+            let o = Polystore::new(vec![system], 0.15)?.query_migrate_data(&cube(12.0))?;
+            Ok((format!("{:?} {}", o.answer, o.inter_system_bytes), o.cost))
+        }),
+    ]
+}
+
+/// The bill of a run that rode out faults: the healthy bill plus retry
+/// backoff and the slow node's scaled block charges — nothing else
+/// moves, and the answer is complete.
+fn only_backoff_and_slowness(name: &str, healthy: &CostReport, faulted: &CostReport) {
+    let (h, f) = (healthy.totals, faulted.totals);
+    let fixed = |m: CostMeter| {
+        let lan = (m.lan_msgs, m.lan_bytes, m.wan_msgs, m.wan_bytes);
+        (lan, m.layer_crossings, m.nodes_touched, m.disk_point_reads)
+    };
+    assert_eq!(fixed(h), fixed(f), "{name}: only backoff and slowness move");
+    assert!(
+        f.disk_seeks >= h.disk_seeks && f.disk_bytes >= h.disk_bytes,
+        "{name}"
+    );
+    assert!(f.records_processed >= h.records_processed, "{name}");
+    assert_eq!(
+        (faulted.answered_fraction, faulted.nodes_unavailable),
+        (1.0, 0)
+    );
+}
+
 #[test]
 fn knn_operators_survive_failover() {
-    let mut cluster = StorageCluster::with_replication(6, 256);
-    cluster
-        .load_table("t", records(20_000), Partitioning::Hash)
-        .unwrap();
-    let model = CostModel::default();
-    let q = Point::new(vec![42.0, 37.0]);
-    let want: Vec<f64> = mapreduce_knn(&cluster, "t", &q, 10, &model)
-        .unwrap()
-        .neighbors
+    let healthy = operator_cluster(true);
+    let want: Vec<(String, CostReport)> = operators()
         .iter()
-        .map(|n| n.distance)
+        .map(|(name, run)| run(&Executor::new(&healthy)).unwrap_or_else(|e| panic!("{name}: {e}")))
         .collect();
 
-    cluster.fail_node(3).unwrap();
-    // MapReduce path reads through replicas transparently.
-    let got: Vec<f64> = mapreduce_knn(&cluster, "t", &q, 10, &model)
-        .unwrap()
-        .neighbors
-        .iter()
-        .map(|n| n.distance)
-        .collect();
-    assert_eq!(want, got, "kNN distances unchanged through failover");
+    // Node 3 down: its partitions are read through the replica on node 4
+    // — the same blocks, so the same answer and the same bill. (A cohort
+    // index *built* during the failure answers correctly too.)
+    let mut failed = operator_cluster(true);
+    failed.fail_node(3).unwrap();
+    for ((name, run), want) in operators().iter().zip(&want) {
+        let got = run(&Executor::new(&failed)).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(&got, want, "{name}: failover changes nothing");
+    }
 
-    // A cohort index *built* during the failure also answers correctly
-    // (it reads partition 3's data from the replica on node 4).
-    let index = DistributedKnnIndex::build(&cluster, "t", &model).unwrap();
-    let cohort: Vec<f64> = index
-        .query(&q, 10, &model)
-        .unwrap()
-        .neighbors
-        .iter()
-        .map(|n| n.distance)
-        .collect();
-    assert_eq!(want, cohort);
+    // E18's plan — transient scan faults, a crash, a slow node — on the
+    // replicated cluster with the default retry policy: retries ride out
+    // the transients, the replica serves the crashed partition.
+    for ((name, run), (answer, bill)) in operators().iter().zip(&want) {
+        let mut faulted = operator_cluster(true);
+        faulted.set_fault_plan(
+            FaultPlan::new(97)
+                .with_transient(0.2, 1)
+                .with_crash(2, 10)
+                .with_slow_node(1, 2.0),
+        );
+        let (got, cost) = run(&Executor::new(&faulted)).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(&got, answer, "{name}: the healthy answer");
+        only_backoff_and_slowness(name, bill, &cost);
+        assert!(
+            cost.totals.backoff_us > 0,
+            "{name}: met a transient, retried it"
+        );
+    }
+
+    // No replica, a crashed node, partial answers accepted: an operator
+    // either refuses or says it answered partially — never a silently
+    // smaller answer.
+    let mut crashed = operator_cluster(false);
+    crashed.set_fault_plan(FaultPlan::new(97).with_crash(2, 0));
+    let partial = Executor::new(&crashed).with_partial_answers(true);
+    for (name, run) in operators() {
+        if let Ok((_, cost)) = run(&partial) {
+            assert!(
+                cost.answered_fraction < 1.0,
+                "{name}: a partial answer says so"
+            );
+            assert!(cost.nodes_unavailable > 0, "{name}");
+        }
+    }
 }
 
 #[test]
 fn agent_pipeline_rides_through_failover() {
-    use sea_core::{AgentConfig, AgentPipeline, ExecMode};
+    use sea_core::{AgentPipeline, ExecMode};
     let mut cluster = StorageCluster::with_replication(4, 256);
     cluster
         .load_table("t", records(20_000), Partitioning::Hash)
