@@ -53,22 +53,15 @@ impl SamplingAqp {
     ) -> Result<Self> {
         // The grid only defines the strata.
         let grid = GridIndex::new(domain, cells_per_dim)?;
-        // Offline pass: full BDAS scan of every node.
-        let mut node_meters = Vec::new();
+        // Offline pass: full BDAS scan of every node. Sampled records
+        // ship to the sample store, as rows.
         let mut all: Vec<Record> = Vec::new();
-        for node in 0..exec.cluster().num_nodes() {
-            let mut meter = CostMeter::new();
-            meter.touch_node(BDAS_LAYERS);
-            let views = exec.scan_blocks(table, node, None, &mut meter)?;
-            let views = views.ok_or_else(|| {
-                SeaError::Storage(format!("sample of {table}: partition {node} unread"))
-            })?;
-            // Sampled records ship to the sample store, as rows.
-            for v in &views {
+        let node_meters = exec.scan_table(table, BDAS_LAYERS, |_, views| {
+            for v in views {
                 v.mask.for_each_set(|i| all.push(v.block.record(i)));
             }
-            node_meters.push(meter);
-        }
+            Ok(())
+        })?;
         let sample = StratifiedSample::build(&all, per_stratum, seed, |r| {
             grid.cell_of(&r.values).unwrap_or(0) as u64
         })?;

@@ -57,11 +57,11 @@ pub fn run_e9_with(sink: &TelemetrySink) -> Result<Report> {
     let mut c = cluster()?;
     c.set_telemetry(sink.clone());
     let domain = Rect::new(vec![0.0, 0.0], vec![100.0, 400.0])?;
-    let engines = ExecutionEngines::build(&c, "t", domain, 100)?;
     let exec = Executor::new(&c);
+    let engines = ExecutionEngines::build(&exec, "t", domain, 100)?;
 
     let train_span = sink.span("bench.e9.optimizer_train");
-    let mut opt = LearnedOptimizer::new(&c, "t", 32)?;
+    let mut opt = LearnedOptimizer::new(&exec, "t", 32)?;
     for i in 0..30 {
         let e = 0.3 + i as f64 * 1.6;
         opt.train(&engines, &query(e)?, &exec)?;

@@ -30,12 +30,12 @@ pub struct CellStats {
 /// # Examples
 ///
 /// ```
-/// use sea_common::{Record, Rect};
+/// use sea_common::Rect;
 /// use sea_index::GridIndex;
 ///
 /// let domain = Rect::new(vec![0.0, 0.0], vec![10.0, 10.0]).unwrap();
 /// let mut grid = GridIndex::new(domain, 5).unwrap();
-/// grid.insert(&Record::new(1, vec![2.5, 7.5])).unwrap();
+/// grid.insert(1, &[2.5, 7.5]).unwrap();
 /// let q = Rect::new(vec![2.0, 7.0], vec![3.0, 8.0]).unwrap();
 /// assert_eq!(grid.candidates(&q).unwrap(), vec![1]);
 /// ```
@@ -43,7 +43,8 @@ pub struct CellStats {
 pub struct GridIndex {
     domain: Rect,
     cells_per_dim: usize,
-    /// Flat row-major cell array, each holding the ids of its records.
+    /// Flat row-major cell array, each holding the keys of its rows in
+    /// insertion order.
     ids: Vec<Vec<RecordId>>,
     stats: Vec<CellStats>,
 }
@@ -92,7 +93,7 @@ impl GridIndex {
     pub fn build(domain: Rect, cells_per_dim: usize, records: &[Record]) -> Result<Self> {
         let mut g = GridIndex::new(domain, cells_per_dim)?;
         for r in records {
-            g.insert(r)?;
+            g.insert(r.id, &r.values)?;
         }
         Ok(g)
     }
@@ -162,19 +163,21 @@ impl GridIndex {
         Ok(self.cell_index(&coords))
     }
 
-    /// Inserts a record.
+    /// Inserts one row under `key` — a record id, or any key the caller
+    /// resolves itself (a scan-order ordinal, say) — from its `values`,
+    /// so a build from columns allocates no [`Record`].
     ///
     /// # Errors
     ///
     /// Dimension mismatch.
-    pub fn insert(&mut self, record: &Record) -> Result<()> {
-        let cell = self.cell_of(&record.values)?;
-        self.ids[cell].push(record.id);
+    pub fn insert(&mut self, key: u64, values: &[f64]) -> Result<()> {
+        let cell = self.cell_of(values)?;
+        self.ids[cell].push(key);
         let s = &mut self.stats[cell];
         s.count += 1;
-        for d in 0..record.dims() {
-            s.sums[d] += record.value(d);
-            s.sum_squares[d] += record.value(d) * record.value(d);
+        for (d, &v) in values.iter().enumerate() {
+            s.sums[d] += v;
+            s.sum_squares[d] += v * v;
         }
         Ok(())
     }
@@ -235,9 +238,9 @@ impl GridIndex {
         }
     }
 
-    /// Candidate record ids for a selection region: every id registered in
-    /// an overlapping cell. Callers must still verify each candidate
-    /// against the exact region.
+    /// Candidate keys for a selection region: every key registered in an
+    /// overlapping cell, cell by cell in insertion order. Callers must
+    /// still verify each candidate against the exact region.
     ///
     /// # Errors
     ///
@@ -315,8 +318,7 @@ mod tests {
         let mut id = 0;
         for i in 0..10 {
             for j in 0..10 {
-                grid.insert(&Record::new(id, vec![i as f64 + 0.5, j as f64 + 0.5]))
-                    .unwrap();
+                grid.insert(id, &[i as f64 + 0.5, j as f64 + 0.5]).unwrap();
                 id += 1;
             }
         }
@@ -349,7 +351,7 @@ mod tests {
     fn remove_updates_stats() {
         let mut g = grid_10x10();
         let r = Record::new(1, vec![5.5, 5.5]);
-        g.insert(&r).unwrap();
+        g.insert(r.id, &r.values).unwrap();
         assert_eq!(g.len(), 1);
         assert!(g.remove(&r).unwrap());
         assert!(!g.remove(&r).unwrap(), "second remove is a no-op");
@@ -362,7 +364,7 @@ mod tests {
     #[test]
     fn out_of_domain_points_clamp() {
         let mut g = grid_10x10();
-        g.insert(&Record::new(1, vec![-5.0, 20.0])).unwrap();
+        g.insert(1, &[-5.0, 20.0]).unwrap();
         let corner = g.cell_of(&[-5.0, 20.0]).unwrap();
         assert_eq!(corner, g.cell_of(&[0.0, 9.99]).unwrap());
     }
@@ -419,7 +421,7 @@ mod tests {
         let domain = Rect::new(vec![0.0; 3], vec![1.0; 3]).unwrap();
         let mut g = GridIndex::new(domain, 4).unwrap();
         assert_eq!(g.num_cells(), 64);
-        g.insert(&Record::new(0, vec![0.9, 0.1, 0.5])).unwrap();
+        g.insert(0, &[0.9, 0.1, 0.5]).unwrap();
         let q = Rect::new(vec![0.8, 0.0, 0.4], vec![1.0, 0.2, 0.6]).unwrap();
         assert_eq!(g.candidates(&q).unwrap(), vec![0]);
     }

@@ -71,7 +71,7 @@ proptest! {
             .map(|(i, (x, y))| Record::new(i as u64, vec![*x, *y]))
             .collect();
         for r in &records {
-            grid.insert(r).unwrap();
+            grid.insert(r.id, &r.values).unwrap();
         }
         prop_assert_eq!(grid.len(), records.len());
         for r in &records {

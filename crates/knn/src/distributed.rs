@@ -109,15 +109,8 @@ impl DistributedKnnIndex {
     /// the table would answer short).
     pub fn build(exec: &Executor, table: &str) -> Result<Self> {
         let dims = exec.cluster().dims(table)?;
-        let mut node_meters = Vec::new();
         let mut parts = Vec::with_capacity(exec.cluster().num_nodes());
-        for node in 0..exec.cluster().num_nodes() {
-            let mut meter = CostMeter::new();
-            meter.touch_node(DIRECT_LAYERS);
-            let views = exec.scan_blocks(table, node, None, &mut meter)?;
-            let views = views.ok_or_else(|| {
-                SeaError::Storage(format!("kNN index over {table}: partition {node} unread"))
-            })?;
+        let node_meters = exec.scan_table(table, DIRECT_LAYERS, |_, views| {
             // The partition's box is the union of its blocks' zone maps;
             // the tree indexes points, so it is built from rows.
             let mut bounds: Option<Rect> = None;
@@ -131,8 +124,8 @@ impl DistributedKnnIndex {
                 Some(rect) => Some((rect, KdTree::build(&records)?)),
                 None => None,
             });
-            node_meters.push(meter);
-        }
+            Ok(())
+        })?;
         let coord = CostMeter::new();
         Ok(DistributedKnnIndex {
             parts,

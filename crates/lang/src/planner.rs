@@ -204,15 +204,17 @@ impl<'a> Frontend<'a> {
     }
 
     /// Attaches access-path selection: builds a secondary grid index
-    /// with `cells_per_dim` cells over the inferred domain and lets
-    /// exact statements choose scan vs index by estimated cost.
+    /// with `cells_per_dim` cells over the inferred domain — one billed
+    /// scan of the table on this front end's executor, traced as an
+    /// `optimizer.engines.build` span in its sink — and lets exact
+    /// statements choose scan vs index by estimated cost.
     ///
     /// # Errors
     ///
     /// Grid-construction errors.
     pub fn with_engines(mut self, cells_per_dim: usize) -> Result<Self> {
         let engines = ExecutionEngines::build(
-            self.executor.cluster(),
+            &self.executor,
             &self.table,
             self.schema.domain().clone(),
             cells_per_dim,

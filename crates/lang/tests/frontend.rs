@@ -4,12 +4,14 @@
 //! semantics.
 
 use sea_cache::{CacheConfig, SemanticCache};
-use sea_common::{AggregateKind, AnalyticalQuery, AnswerValue, Record, Rect, Region};
+use sea_common::{
+    AggregateKind, AnalyticalQuery, AnswerValue, CostMeter, CostModel, Record, Rect, Region,
+};
 use sea_core::{AgentConfig, AgentPipeline, ExecMode};
 use sea_lang::{parse, submit_statement, Frontend, ModeHint};
 use sea_query::Executor;
 use sea_service::{QueryService, TenantConfig};
-use sea_storage::{Partitioning, StorageCluster};
+use sea_storage::{Partitioning, StorageCluster, DIRECT_LAYERS};
 use sea_telemetry::{SpanNode, TelemetrySink};
 
 /// 2-D grid over [0, 100)²: d0 = i % 100, d1 = i / 100.
@@ -140,9 +142,18 @@ fn engine_scans_run_on_the_front_ends_executor() {
         wide.results[0].strategy,
         Some(sea_optimizer::QueryStrategy::ScanAggregate)
     );
+    // The index build is a billed scan on the same executor: its span
+    // first, one node per partition, carrying the build's bill; then the
+    // statement.
     let roots = sink.snapshot().unwrap().spans.roots;
-    assert_eq!(roots.len(), 1);
-    assert_eq!(roots[0].name, "query.executor.direct");
+    let names: Vec<&str> = roots.iter().map(|r| r.name.as_str()).collect();
+    assert_eq!(names, ["optimizer.engines.build", "query.executor.direct"]);
+    let build = &roots[0];
+    let nodes: Vec<_> = build.children.iter().map(|c| c.name.as_str()).collect();
+    assert_eq!(nodes, vec!["query.executor.node"; cluster.num_nodes()]);
+    let pass = Executor::new(&cluster).scan_table("t", DIRECT_LAYERS, |_, _| Ok(()));
+    let bill = CostMeter::new().report_parallel(&pass.unwrap(), &CostModel::default());
+    assert_eq!(build.sim_us.to_bits(), bill.wall_us.to_bits());
 }
 
 #[test]

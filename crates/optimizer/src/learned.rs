@@ -7,7 +7,7 @@ use sea_index::EquiDepthHistogram;
 use sea_ml::linreg::RecursiveLeastSquares;
 use sea_ml::Regressor;
 use sea_query::Executor;
-use sea_storage::StorageCluster;
+use sea_storage::DIRECT_LAYERS;
 
 use crate::strategies::{ExecutionEngines, QueryStrategy};
 
@@ -28,19 +28,28 @@ pub struct LearnedOptimizer {
 impl LearnedOptimizer {
     /// Creates an optimizer for `table`, collecting per-dimension
     /// histograms (the statistics pass a real system piggybacks on data
-    /// loading).
+    /// loading) in one offline pass through [`Executor::scan_table`],
+    /// from the block columns.
     ///
     /// # Errors
     ///
-    /// Missing table.
-    pub fn new(cluster: &StorageCluster, table: &str, buckets: usize) -> Result<Self> {
+    /// Missing table, or an unreadable partition (histograms of part of
+    /// the table would misestimate).
+    pub fn new(exec: &Executor, table: &str, buckets: usize) -> Result<Self> {
+        let cluster = exec.cluster();
         let stats = cluster.stats(table)?;
-        let all = cluster.all_records(table)?;
-        let mut histograms = Vec::with_capacity(stats.dims);
-        for d in 0..stats.dims {
-            let values: Vec<f64> = all.iter().map(|r| r.value(d)).collect();
-            histograms.push(EquiDepthHistogram::build(&values, buckets.max(2))?);
-        }
+        let mut columns = vec![Vec::new(); stats.dims];
+        exec.scan_table(table, DIRECT_LAYERS, |_, views| {
+            for v in views {
+                for (d, values) in columns.iter_mut().enumerate() {
+                    values.extend_from_slice(v.block.col(d));
+                }
+            }
+            Ok(())
+        })?;
+        let histograms = (columns.iter())
+            .map(|values| EquiDepthHistogram::build(values, buckets.max(2)))
+            .collect::<Result<Vec<_>>>()?;
         let features = 4;
         let cost_models = QueryStrategy::ALL
             .iter()
@@ -156,7 +165,7 @@ impl LearnedOptimizer {
 mod tests {
     use super::*;
     use sea_common::{AggregateKind, Point, Record, Rect, Region};
-    use sea_storage::Partitioning;
+    use sea_storage::{Partitioning, StorageCluster};
 
     fn cluster() -> StorageCluster {
         let mut c = StorageCluster::new(4, 512);
@@ -177,7 +186,7 @@ mod tests {
 
     fn engines(c: &StorageCluster) -> ExecutionEngines<'_> {
         let domain = Rect::new(vec![0.0, 0.0], vec![100.0, 400.0]).unwrap();
-        ExecutionEngines::build(c, "t", domain, 100).unwrap()
+        ExecutionEngines::build(&Executor::new(c), "t", domain, 100).unwrap()
     }
 
     fn count_query(cx: f64, e: f64) -> AnalyticalQuery {
@@ -190,7 +199,7 @@ mod tests {
     #[test]
     fn selectivity_estimates_track_extent() {
         let c = cluster();
-        let opt = LearnedOptimizer::new(&c, "t", 32).unwrap();
+        let opt = LearnedOptimizer::new(&Executor::new(&c), "t", 32).unwrap();
         let narrow = opt.estimate_selectivity(&count_query(50.0, 1.0));
         let wide = opt.estimate_selectivity(&count_query(50.0, 40.0));
         assert!(narrow < wide);
@@ -202,7 +211,7 @@ mod tests {
     #[test]
     fn untrained_optimizer_refuses_to_choose() {
         let c = cluster();
-        let opt = LearnedOptimizer::new(&c, "t", 16).unwrap();
+        let opt = LearnedOptimizer::new(&Executor::new(&c), "t", 16).unwrap();
         assert!(matches!(
             opt.choose(&count_query(50.0, 1.0)),
             Err(SeaError::Empty(_))
@@ -214,7 +223,7 @@ mod tests {
         let c = cluster();
         let eng = engines(&c);
         let exec = Executor::new(&c);
-        let mut opt = LearnedOptimizer::new(&c, "t", 16).unwrap();
+        let mut opt = LearnedOptimizer::new(&Executor::new(&c), "t", 16).unwrap();
         let q = count_query(50.0, 1.0);
         opt.train(&eng, &q, &exec).unwrap();
         // One NaN observation poisons the scan model's weights for good.
@@ -230,7 +239,7 @@ mod tests {
         let c = cluster();
         let eng = engines(&c);
         let exec = Executor::new(&c);
-        let mut opt = LearnedOptimizer::new(&c, "t", 32).unwrap();
+        let mut opt = LearnedOptimizer::new(&Executor::new(&c), "t", 32).unwrap();
         for i in 0..30 {
             let e = 0.5 + i as f64 * 1.7; // 0.5 .. 49.8
             opt.train(&eng, &count_query(50.0, e), &exec).unwrap();
@@ -254,7 +263,7 @@ mod tests {
         let c = cluster();
         let eng = engines(&c);
         let exec = Executor::new(&c);
-        let mut opt = LearnedOptimizer::new(&c, "t", 32).unwrap();
+        let mut opt = LearnedOptimizer::new(&Executor::new(&c), "t", 32).unwrap();
         for i in 0..30 {
             let e = 0.5 + i as f64 * 1.7;
             opt.train(&eng, &count_query(50.0, e), &exec).unwrap();
@@ -277,7 +286,7 @@ mod tests {
         let c = cluster();
         let eng = engines(&c);
         let exec = Executor::new(&c);
-        let mut opt = LearnedOptimizer::new(&c, "t", 16).unwrap();
+        let mut opt = LearnedOptimizer::new(&Executor::new(&c), "t", 16).unwrap();
         opt.train(&eng, &count_query(50.0, 5.0), &exec).unwrap();
         let q = count_query(50.0, 5.0);
         let (out, s) = opt.execute(&eng, &q, &exec).unwrap();

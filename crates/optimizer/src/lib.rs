@@ -7,11 +7,12 @@
 //!   contrasts (RT3-2): MapReduce-style node-side partial aggregation
 //!   versus a coordinator that surgically fetches matching records. Their
 //!   costs cross over with selectivity: fetching wins when selections are
-//!   narrow, node-side aggregation wins when they are wide. The scan runs
-//!   on the caller's [`sea_query::Executor`], and the planner-side
-//!   estimate of either path makes the charges its execution makes (the
-//!   scan's from `DataNode::charge_scan`), so estimate and bill cannot
-//!   drift apart.
+//!   narrow, node-side aggregation wins when they are wide. Both arms
+//!   read the caller's [`sea_query::Executor`]'s cluster — the index
+//!   holds row positions, not a copy of the table, and is built by one
+//!   billed scan — and the planner-side estimate of either path makes
+//!   the charges its execution makes (the scan's from
+//!   `DataNode::charge_scan`), so estimate and bill cannot drift apart.
 //! * [`learned`] — the learned selector (G6/O6): trained from measured
 //!   executions of both strategies, it predicts per-strategy cost from
 //!   query features (estimated selectivity, table size, node count) and

@@ -8,20 +8,19 @@
 //!   constant-size partial aggregate. Cost ≈ partition bytes, independent
 //!   of how many records match.
 //! * **IndexFetch** — a secondary grid index maps the selection to
-//!   candidate record ids; each candidate is fetched with a *random point
-//!   read* and shipped to the coordinator, which aggregates. Cost ≈
-//!   matches × point-read, independent of partition size.
+//!   candidate row positions; each candidate is fetched from storage with
+//!   a *random point read* and shipped to the coordinator, which
+//!   aggregates. Cost ≈ matches × point-read, independent of partition
+//!   size.
 //!
 //! Narrow selections favour the index; wide ones favour the scan; the
 //! crossover moves with table size — exactly the structure a learned
 //! selector (RT3/G6) must capture.
 
-use sea_common::{
-    AnalyticalQuery, CostMeter, CostModel, CostReport, Record, RecordId, Rect, Result, SeaError,
-};
+use sea_common::{AnalyticalQuery, CostMeter, CostModel, CostReport, Rect, Result, SeaError};
 use sea_index::GridIndex;
 use sea_query::{Executor, Provenance, QueryOutcome};
-use sea_storage::{StorageCluster, DIRECT_LAYERS};
+use sea_storage::{NodeId, StorageCluster, DIRECT_LAYERS};
 
 /// An execution strategy for analytical queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -38,61 +37,73 @@ impl QueryStrategy {
 }
 
 /// The execution context the optimizer chooses within: the cluster, the
-/// table, and a pre-built secondary index.
+/// table, and a pre-built secondary index holding positions into the
+/// stored table, not a copy of it.
 #[derive(Debug)]
 pub struct ExecutionEngines<'a> {
     cluster: &'a StorageCluster,
     table: String,
+    /// The secondary grid index, keyed by each row's ordinal in scan
+    /// order: node, then block, then row.
     grid: GridIndex,
-    /// id → (record clone, node) — the base-data image the index points
-    /// into; fetches through it are charged as point reads.
-    by_id: std::collections::HashMap<RecordId, Record>,
+    /// `(node, block, first ordinal)` for every block, in ordinal order:
+    /// where a candidate's row sits in its partition's serving copy.
+    blocks: Vec<(NodeId, usize, u64)>,
     record_bytes: u64,
 }
 
 impl<'a> ExecutionEngines<'a> {
-    /// Builds the secondary grid index over `table` (one offline pass).
+    /// Builds the secondary grid index over `table` in one offline pass
+    /// through [`Executor::scan_table`] — billed, fault-gated and traced
+    /// like any scan, under one `optimizer.engines.build` span carrying
+    /// the pass's simulated µs — from the columns, no row materialised.
     ///
     /// # Errors
     ///
-    /// Missing table or invalid grid parameters.
+    /// Missing table, invalid grid parameters, or an unreadable
+    /// partition (an index of part of the table would answer short).
     pub fn build(
-        cluster: &'a StorageCluster,
+        exec: &Executor<'a>,
         table: &str,
         domain: Rect,
         cells_per_dim: usize,
     ) -> Result<Self> {
-        let dims = cluster.dims(table)?;
+        let dims = exec.cluster().dims(table)?;
         SeaError::check_dims(dims, domain.dims())?;
         let mut grid = GridIndex::new(domain, cells_per_dim)?;
-        let mut by_id = std::collections::HashMap::new();
-        for r in cluster.all_records(table)? {
-            grid.insert(&r)?;
-            by_id.insert(r.id, r);
-        }
+        let span = exec.telemetry().span("optimizer.engines.build");
+        let (mut blocks, mut ordinal, mut row) = (Vec::new(), 0u64, vec![0.0; dims]);
+        let node_meters = exec.scan_table(table, DIRECT_LAYERS, |node, views| {
+            // The pass admits every block, so a view's position is the
+            // block's index in the serving copy.
+            for (block, v) in views.iter().enumerate() {
+                blocks.push((node, block, ordinal));
+                for i in 0..v.block.len() {
+                    for (x, col) in row.iter_mut().zip(v.block.cols()) {
+                        *x = col[i];
+                    }
+                    grid.insert(ordinal, &row)?;
+                    ordinal += 1;
+                }
+            }
+            Ok(())
+        })?;
+        let bill = CostMeter::new().report_parallel(node_meters.iter(), exec.cost_model());
+        span.record_sim_us(bill.wall_us);
         Ok(ExecutionEngines {
-            cluster,
+            cluster: exec.cluster(),
             table: table.to_string(),
             grid,
-            by_id,
+            blocks,
             record_bytes: 8 + 8 * dims as u64,
         })
     }
 
-    /// The underlying cluster.
-    pub fn cluster(&self) -> &StorageCluster {
-        self.cluster
-    }
-
-    /// The table name.
-    pub fn table(&self) -> &str {
-        &self.table
-    }
-
-    /// Executes `query` with the chosen strategy. The scan runs on the
-    /// caller's `executor` (its telemetry sink, pool, retry policy and
-    /// cache); the index fetch is priced by the same executor's cost
-    /// model.
+    /// Executes `query` with the chosen strategy. Both arms read the
+    /// caller's `executor`'s cluster: the scan runs on the executor (its
+    /// telemetry sink, pool, retry policy and cache); the index fetch
+    /// reads each candidate from its partition's serving copy there and
+    /// is priced by the same executor's cost model.
     ///
     /// # Errors
     ///
@@ -105,7 +116,7 @@ impl<'a> ExecutionEngines<'a> {
     ) -> Result<QueryOutcome> {
         match strategy {
             QueryStrategy::ScanAggregate => executor.execute_direct(&self.table, query),
-            QueryStrategy::IndexFetch => self.index_fetch(query, executor.cost_model()),
+            QueryStrategy::IndexFetch => self.index_fetch(query, executor),
         }
     }
 
@@ -124,7 +135,7 @@ impl<'a> ExecutionEngines<'a> {
     ///   (`count()`); it is off only by a larger partial's wire bytes
     ///   and by partitions the executor engages that admit nothing.
     /// * [`QueryStrategy::IndexFetch`] — priced from the grid index:
-    ///   candidate ids from overlapping cells, one point read each,
+    ///   candidates from overlapping cells, one point read each,
     ///   spread across the cluster — the charges the real fetch makes,
     ///   which reads records only to aggregate them, so estimate and
     ///   actual coincide.
@@ -197,21 +208,44 @@ impl<'a> ExecutionEngines<'a> {
         coord.report_parallel(node_meters.iter(), cost_model)
     }
 
-    /// Index-driven execution: candidate ids from overlapping grid cells,
-    /// one point read per candidate, aggregation at the coordinator.
-    fn index_fetch(&self, query: &AnalyticalQuery, cost_model: &CostModel) -> Result<QueryOutcome> {
+    /// Index-driven execution: candidates from overlapping grid cells,
+    /// one point read per candidate from its partition's serving copy on
+    /// the executor's cluster (a replica is a block-for-block clone of
+    /// its primary, so a failover read resolves the same position),
+    /// aggregation at the coordinator.
+    fn index_fetch(
+        &self,
+        query: &AnalyticalQuery,
+        executor: &Executor<'_>,
+    ) -> Result<QueryOutcome> {
         query.aggregate.validate(self.grid.dims())?;
         let bbox = query.region.bounding_rect();
         let candidates = self.grid.candidates(&bbox)?;
-        let matched: Vec<&Record> = candidates
-            .iter()
-            .filter_map(|id| self.by_id.get(id))
-            .filter(|r| query.region.contains_record(r))
+        let cluster = executor.cluster();
+        SeaError::check_dims(cluster.dims(&self.table)?, self.grid.dims())?;
+        // A partition out of reach fails the fetch only if a candidate
+        // lives there.
+        let copies: Vec<_> = (0..cluster.num_nodes())
+            .map(|node| cluster.serving_node(&self.table, node))
             .collect();
-        let answer = query.aggregate.compute(matched)?;
+        let mut matched = Vec::new();
+        for &ordinal in &candidates {
+            let at = self.blocks.partition_point(|&(.., first)| first <= ordinal);
+            let &(node, block, first) = self.blocks[..at].last().ok_or_else(|| stale(ordinal))?;
+            let (copy, _) = copies.get(node).ok_or_else(|| stale(ordinal))?.clone()?;
+            let row = (ordinal - first) as usize;
+            let block = (copy.blocks().get(block))
+                .filter(|b| row < b.len())
+                .ok_or_else(|| stale(ordinal))?;
+            let r = block.record(row);
+            if query.region.contains_record(&r) {
+                matched.push(r);
+            }
+        }
+        let answer = query.aggregate.compute(&matched)?;
         Ok(QueryOutcome {
             answer,
-            cost: self.point_read_cost(candidates.len(), cost_model),
+            cost: self.point_read_cost(candidates.len(), executor.cost_model()),
             provenance: Provenance::default(),
         })
     }
@@ -237,14 +271,21 @@ impl<'a> ExecutionEngines<'a> {
     }
 }
 
+/// A candidate position the executor's cluster does not hold: the index
+/// was built over another image of the table.
+fn stale(ordinal: u64) -> SeaError {
+    SeaError::Storage(format!("indexed row {ordinal} is not stored"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sea_common::{AggregateKind, Point, Region};
+    use sea_common::{AggregateKind, Point, Record, Region};
     use sea_storage::Partitioning;
 
-    fn cluster() -> StorageCluster {
-        let mut c = StorageCluster::new(4, 512);
+    /// `t` on `c`, range-partitioned on dim 0: partition 1 holds
+    /// dim 0 in [25, 50).
+    fn load(mut c: StorageCluster) -> StorageCluster {
         let records: Vec<Record> = (0..40_000)
             .map(|i| Record::new(i, vec![(i / 400) as f64, (i % 400) as f64]))
             .collect();
@@ -260,9 +301,16 @@ mod tests {
         c
     }
 
+    fn cluster() -> StorageCluster {
+        load(StorageCluster::new(4, 512))
+    }
+
+    fn domain() -> Rect {
+        Rect::new(vec![0.0, 0.0], vec![100.0, 400.0]).unwrap()
+    }
+
     fn engines(c: &StorageCluster) -> ExecutionEngines<'_> {
-        let domain = Rect::new(vec![0.0, 0.0], vec![100.0, 400.0]).unwrap();
-        ExecutionEngines::build(c, "t", domain, 100).unwrap()
+        ExecutionEngines::build(&Executor::new(c), "t", domain(), 100).unwrap()
     }
 
     fn count_query(cx: f64, e: f64) -> AnalyticalQuery {
@@ -414,9 +462,68 @@ mod tests {
     #[test]
     fn build_validates() {
         let c = cluster();
+        let exec = Executor::new(&c);
         let bad_domain = Rect::new(vec![0.0], vec![1.0]).unwrap();
-        assert!(ExecutionEngines::build(&c, "t", bad_domain, 10).is_err());
-        let domain = Rect::new(vec![0.0, 0.0], vec![100.0, 400.0]).unwrap();
-        assert!(ExecutionEngines::build(&c, "missing", domain, 10).is_err());
+        assert!(ExecutionEngines::build(&exec, "t", bad_domain, 10).is_err());
+        assert!(ExecutionEngines::build(&exec, "missing", domain(), 10).is_err());
+    }
+
+    /// Queries over partition 1's rows that read every column.
+    fn partition_one_queries() -> Vec<AnalyticalQuery> {
+        let region = count_query(30.0, 2.0).region; // dim 0 in [28, 32]
+        [
+            AggregateKind::Count,
+            AggregateKind::Mean { dim: 1 },
+            AggregateKind::Variance { dim: 0 },
+        ]
+        .into_iter()
+        .map(|agg| AnalyticalQuery::new(region.clone(), agg))
+        .collect()
+    }
+
+    #[test]
+    fn the_index_arm_reads_live_storage() {
+        let c = cluster();
+        let eng = engines(&c);
+        let mut failed = c.clone();
+        failed.fail_node(1).unwrap();
+        let exec = Executor::new(&failed);
+        // No replica holds partition 1: a fetch that needs its rows fails
+        // like a scan would; one whose candidates live elsewhere answers.
+        for q in partition_one_queries() {
+            let fetched = eng.execute(QueryStrategy::IndexFetch, &q, &exec);
+            assert!(matches!(fetched, Err(SeaError::Storage(_))), "{fetched:?}");
+        }
+        let elsewhere = count_query(80.0, 2.0);
+        let healthy = eng.execute(QueryStrategy::IndexFetch, &elsewhere, &Executor::new(&c));
+        let fetched = eng.execute(QueryStrategy::IndexFetch, &elsewhere, &exec);
+        assert_eq!(fetched.unwrap(), healthy.unwrap());
+        // Neither offline pass builds from part of the table.
+        let built = ExecutionEngines::build(&exec, "t", domain(), 100);
+        assert!(matches!(built, Err(SeaError::Storage(_))));
+        let learned = crate::LearnedOptimizer::new(&exec, "t", 16);
+        assert!(matches!(learned, Err(SeaError::Storage(_))));
+    }
+
+    #[test]
+    fn a_failover_fetch_resolves_the_same_positions() {
+        let healthy = load(StorageCluster::with_replication(4, 512));
+        let mut failed = healthy.clone();
+        failed.fail_node(1).unwrap();
+        let eng = engines(&healthy);
+        let built_on_failover = engines(&failed);
+        for q in partition_one_queries() {
+            let want = eng
+                .execute(QueryStrategy::IndexFetch, &q, &Executor::new(&healthy))
+                .unwrap();
+            for e in [&eng, &built_on_failover] {
+                let got = e
+                    .execute(QueryStrategy::IndexFetch, &q, &Executor::new(&failed))
+                    .unwrap();
+                assert_eq!(format!("{:?}", got.answer), format!("{:?}", want.answer));
+                assert_eq!(got.cost.wall_us.to_bits(), want.cost.wall_us.to_bits());
+                assert_eq!(got, want);
+            }
+        }
     }
 }

@@ -786,6 +786,42 @@ impl<'a> Executor<'a> {
         Ok(views)
     }
 
+    /// The one step of every whole-table offline pass (an index, a
+    /// sample, a histogram built by reading the table): each partition
+    /// in node order through [`Executor::scan_blocks`] with no box, on a
+    /// fresh meter charged `touch_node(layers)` plus the scan, its blocks
+    /// handed to `visit` — every block of the serving copy, in block
+    /// order, each view selecting every row. A partition left unread
+    /// (partial-answer mode) refuses the pass: a structure built from
+    /// part of the table would answer short. Returns the per-node meters
+    /// in node order.
+    ///
+    /// # Errors
+    ///
+    /// As [`Executor::scan_blocks`], an unread partition, or `visit`'s
+    /// first error.
+    pub fn scan_table(
+        &self,
+        table: &str,
+        layers: u64,
+        mut visit: impl FnMut(NodeId, &[BlockView<'a>]) -> Result<()>,
+    ) -> Result<Vec<CostMeter>> {
+        (0..self.cluster.num_nodes())
+            .map(|node| {
+                let mut meter = CostMeter::new();
+                meter.touch_node(layers);
+                let views = self.scan_blocks(table, node, None, &mut meter)?;
+                let views = views.ok_or_else(|| {
+                    SeaError::Storage(format!(
+                        "offline pass over {table}: partition {node} unread"
+                    ))
+                })?;
+                visit(node, &views)?;
+                Ok(meter)
+            })
+            .collect()
+    }
+
     /// One opened node's telemetry, for a statement's replay and
     /// [`Executor::scan_blocks`] alike: a `query.executor.node` span under
     /// the thread's open span; retries and failover counted, evented,

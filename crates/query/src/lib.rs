@@ -31,7 +31,10 @@
 //! Every other reader of the cluster — the operator crates, [`adhoc`] —
 //! goes through the same open step, [`Executor::scan_blocks`]: same
 //! retry, failover, partial answers, charges and node telemetry, handed
-//! back as borrowed [`BlockView`]s, not rows.
+//! back as borrowed [`BlockView`]s, not rows. Offline passes that read
+//! the whole table (the optimizer's grid index and histograms, the kNN
+//! trees, the score index, the sample) take its whole-table form,
+//! [`Executor::scan_table`], which refuses a partially read table.
 //!
 //! Either regime can consult a [`sea_cache::SemanticCache`] before
 //! scattering ([`Executor::with_cache`]): exact hits return the stored

@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use sea_common::{CostMeter, RecordId, Result, SeaError};
 use sea_query::Executor;
-use sea_storage::NodeId;
+use sea_storage::{NodeId, DIRECT_LAYERS};
 
 /// One index entry: where a tuple lives and what matters about it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -50,13 +50,8 @@ impl ScoreIndex {
             ));
         }
         let mut entries = Vec::new();
-        for node in 0..exec.cluster().num_nodes() {
-            build_meter.touch_node(sea_storage::DIRECT_LAYERS);
-            let scanned = exec.scan_blocks(table, node, None, build_meter)?;
-            let views = scanned.ok_or_else(|| {
-                SeaError::Storage(format!("score index over {table}: partition {node} unread"))
-            })?;
-            for v in &views {
+        let node_meters = exec.scan_table(table, DIRECT_LAYERS, |node, views| {
+            for v in views {
                 let (keys, scores, ids) = (v.block.col(0), v.block.col(1), v.block.ids());
                 v.mask.for_each_set(|i| {
                     entries.push(ScoreEntry {
@@ -67,6 +62,11 @@ impl ScoreIndex {
                     });
                 });
             }
+            Ok(())
+        })?;
+        // One meter for the whole pass: the per-node counters sum.
+        for m in &node_meters {
+            build_meter.merge(m);
         }
         // total_cmp: a NaN score sorts as a score, not as a panic.
         entries.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
@@ -114,7 +114,7 @@ impl ScoreIndex {
         meter.charge_disk_read(bytes);
         meter.charge_cpu(batch.len() as u64);
         meter.charge_lan(bytes);
-        meter.touch_node(sea_storage::DIRECT_LAYERS);
+        meter.touch_node(DIRECT_LAYERS);
         batch
     }
 }

@@ -563,41 +563,30 @@ impl StorageCluster {
     pub fn delete_region(&mut self, name: &str, region: &Rect) -> Result<usize> {
         let meta = self.meta_mut(name)?;
         SeaError::check_dims(meta.dims, region.dims())?;
-        let in_region = |r: &Record| {
-            r.values
-                .iter()
-                .enumerate()
-                .all(|(d, &v)| region.lo()[d] <= v && v <= region.hi()[d])
-        };
-        let mut removed = 0;
-        for node in &mut meta.nodes {
-            removed += node.delete_where(in_region);
-        }
-        if let Some(replicas) = &mut meta.replicas {
-            for replica in replicas.iter_mut() {
-                replica.delete_where(in_region);
-            }
+        let removed = meta.nodes.iter_mut().map(|n| n.delete_box(region)).sum();
+        for replica in meta.replicas.iter_mut().flatten() {
+            replica.delete_box(region);
         }
         meta.bounds = fold_bounds(meta.dims, &meta.nodes);
         Ok(removed)
     }
 
-    /// Direct (test/oracle) access to every record of a table, without any
-    /// cost accounting. Ground-truth computations use this; engines must
-    /// not.
+    /// Every record of a table, materialised from the primaries in scan
+    /// order (node, then block, then row) with no cost accounting, no
+    /// fault gate and no telemetry. It exists for the frozen benchmark's
+    /// oracle (`benchmark/src/oracle.rs`) and for tests; no engine calls
+    /// it — an engine reads through `sea_query::Executor::scan_blocks` —
+    /// and CI fails on a call in any crate's non-test source.
     ///
     /// # Errors
     ///
     /// [`SeaError::NotFound`] when the table does not exist.
     pub fn all_records(&self, name: &str) -> Result<Vec<Record>> {
         let meta = self.meta(name)?;
-        let mut out = Vec::new();
-        for n in &meta.nodes {
-            for b in n.blocks() {
-                out.extend(b.to_records());
-            }
-        }
-        Ok(out)
+        let blocks = meta.nodes.iter().flat_map(DataNode::blocks);
+        Ok(blocks
+            .flat_map(|b| (0..b.len()).map(|i| b.record(i)))
+            .collect())
     }
 
     /// Per-node block metadata (bounds and sizes) for index construction:
@@ -759,6 +748,27 @@ mod tests {
         let removed = c.delete_region("t", &region).unwrap();
         assert_eq!(removed, 50, "records with second attr 0..=49");
         assert_eq!(c.stats("t").unwrap().records, 950);
+    }
+
+    #[test]
+    fn rows_outside_every_box_survive_delete_region() {
+        // NaN and ±inf lie in no finite box: a delete over the rows'
+        // finite dimensions keeps them, values intact, and drops the rest.
+        let rows = vec![
+            Record::new(0, vec![1.0, f64::NAN]),
+            Record::new(1, vec![f64::INFINITY, 2.0]),
+            Record::new(2, vec![3.0, f64::NEG_INFINITY]),
+            Record::new(3, vec![4.0, 5.0]),
+            Record::new(4, vec![f64::NAN, f64::NAN]),
+        ];
+        let mut c = StorageCluster::new(2, 2);
+        c.load_table("t", rows.clone(), Partitioning::Hash).unwrap();
+        let finite = Rect::new(vec![-1e9, -1e9], vec![1e9, 1e9]).unwrap();
+        assert_eq!(c.delete_region("t", &finite).unwrap(), 1);
+        let mut kept = c.all_records("t").unwrap();
+        kept.sort_by_key(|r| r.id);
+        let want: Vec<&Record> = rows.iter().filter(|r| r.id != 3).collect();
+        assert_eq!(format!("{kept:?}"), format!("{want:?}"));
     }
 
     #[test]

@@ -113,11 +113,6 @@ impl Block {
         Record::new(self.ids[i], self.cols.iter().map(|c| c[i]).collect())
     }
 
-    /// Materializes every row back into [`Record`]s, in row order.
-    pub fn to_records(&self) -> Vec<Record> {
-        (0..self.len()).map(|i| self.record(i)).collect()
-    }
-
     /// Selection bitmap of rows inside the inclusive box `region` — the
     /// columnar equivalent of the row filter `r.dims() == region.dims()
     /// && ∀d: lo[d] <= v[d] <= hi[d]` — written into the caller's mask,
@@ -285,17 +280,24 @@ impl DataNode {
         (admitted, stats)
     }
 
-    /// Deletes records matching `pred`, rebuilding affected blocks.
-    /// Returns the number of records removed.
-    pub fn delete_where(&mut self, pred: impl Fn(&Record) -> bool) -> usize {
-        let mut removed = 0;
+    /// Deletes the rows inside the inclusive box `region` — the rows a
+    /// scan for it selects: a block whose zone map misses the box is
+    /// skipped, [`Block::bbox_mask`] picks the rows, and only a block
+    /// that loses rows is rebuilt, from the rows it keeps (an emptied one
+    /// is dropped). A pure function of the blocks and the box, so a
+    /// replica handed the same box stays a block-for-block clone of its
+    /// primary. Returns the number of rows removed.
+    pub fn delete_box(&mut self, region: &Rect) -> usize {
+        let (mut removed, mut mask) = (0, SelectionMask::none(0));
         for b in &mut self.blocks {
-            let before = b.len();
-            let mut keep = b.to_records();
-            keep.retain(|r| !pred(r));
-            if keep.len() != before {
-                removed += before - keep.len();
-                *b = Block::new(keep);
+            if !b.bounds().is_some_and(|zone| zone.intersects(region)) {
+                continue;
+            }
+            b.bbox_mask(region, &mut mask);
+            if !mask.is_none_set() {
+                removed += mask.count();
+                let kept = (0..b.len()).filter(|&i| !mask.get(i));
+                *b = Block::new(kept.map(|i| b.record(i)).collect());
             }
         }
         self.blocks.retain(|b| !b.is_empty());
@@ -372,8 +374,8 @@ mod tests {
         assert_eq!(&b.ids()[..3], &[0, 1, 2]);
         assert_eq!(b.col(0)[7], 7.0);
         assert_eq!(b.col(1)[7], 14.0);
-        assert_eq!(b.to_records(), original);
-        assert_eq!(b.record(3), original[3]);
+        let rows: Vec<Record> = (0..b.len()).map(|i| b.record(i)).collect();
+        assert_eq!(rows, original);
     }
 
     #[test]
@@ -415,7 +417,6 @@ mod tests {
         assert!(b.is_empty());
         assert_eq!(b.len(), 0);
         assert!(b.bounds().is_none());
-        assert!(b.to_records().is_empty());
     }
 
     #[test]
@@ -485,11 +486,11 @@ mod tests {
     }
 
     #[test]
-    fn delete_where_rebuilds_bounds() {
+    fn delete_box_rebuilds_bounds() {
         let mut node = DataNode::new();
         node.append(recs(10), 10);
-        let removed = node.delete_where(|r| r.value(0) >= 5.0);
-        assert_eq!(removed, 5);
+        let upper = Rect::new(vec![5.0, 0.0], vec![100.0, 100.0]).unwrap();
+        assert_eq!(node.delete_box(&upper), 5);
         assert_eq!(node.len(), 5);
         let bounds = node.blocks()[0].bounds().unwrap();
         assert_eq!(bounds.hi()[0], 4.0, "bounds shrunk after delete");
@@ -499,9 +500,26 @@ mod tests {
     fn delete_everything_leaves_empty_node() {
         let mut node = DataNode::new();
         node.append(recs(10), 3);
-        assert_eq!(node.delete_where(|_| true), 10);
+        let all = Rect::new(vec![0.0, 0.0], vec![9.0, 18.0]).unwrap();
+        assert_eq!(node.delete_box(&all), 10);
         assert!(node.is_empty());
         assert_eq!(node.blocks().len(), 0);
+    }
+
+    #[test]
+    fn delete_box_rebuilds_only_the_blocks_it_touches() {
+        let mut node = DataNode::new();
+        node.append(recs(30), 10); // block i covers dim 0 in [10i, 10i+9]
+        let before = node.clone();
+        let middle = Rect::new(vec![12.0, 0.0], vec![13.0, 100.0]).unwrap();
+        assert_eq!(node.delete_box(&middle), 2);
+        assert_eq!(node.blocks()[0], before.blocks()[0]);
+        assert_eq!(node.blocks()[2], before.blocks()[2]);
+        let ids = node.blocks()[1].ids();
+        assert_eq!(ids, &[10, 11, 14, 15, 16, 17, 18, 19]);
+        // A box no zone map meets deletes nothing.
+        let far = Rect::new(vec![500.0, 0.0], vec![600.0, 100.0]).unwrap();
+        assert_eq!(node.delete_box(&far), 0);
     }
 
     #[test]
