@@ -105,19 +105,11 @@ impl<'a> DataCanopy<'a> {
         slab_lo[dim] = lo;
         slab_hi[dim] = hi;
         let slab = Rect::new(slab_lo, slab_hi)?;
-        let (table, top) = (&self.table, chunk == self.chunks_per_dim - 1);
-        let mut node_meters = Vec::new();
+        let (exec, table) = (self.exec, &self.table);
+        let top = chunk == self.chunks_per_dim - 1;
         let mut stats = ChunkStats::default();
-        for node in self.exec.cluster().nodes_for_region(table, &slab)? {
-            let mut meter = CostMeter::new();
-            meter.touch_node(DIRECT_LAYERS);
-            let views = self
-                .exec
-                .scan_blocks(table, node, Some(&slab), &mut meter)?;
-            let views = views.ok_or_else(|| {
-                SeaError::Storage(format!("canopy chunk of {table}: partition {node} unread"))
-            })?;
-            for view in &views {
+        let scatter = exec.scatter(table, Some(&slab), DIRECT_LAYERS, |_, views, meter| {
+            for view in views {
                 let (keys, xs) = (view.block.col(dim), view.block.col(value_dim));
                 view.mask.for_each_set(|i| {
                     // Half-open chunks so adjacent chunks never double
@@ -131,10 +123,11 @@ impl<'a> DataCanopy<'a> {
                 });
             }
             meter.charge_lan(24);
-            node_meters.push(meter);
-        }
-        let coord = CostMeter::new();
-        let cost = coord.report_parallel(node_meters.iter(), self.exec.cost_model());
+            Ok(())
+        })?;
+        let cost = scatter
+            .complete()?
+            .report(&CostMeter::new(), exec.cost_model());
         self.cache.insert((dim, chunk, value_dim), stats);
         Ok((stats, cost))
     }

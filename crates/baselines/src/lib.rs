@@ -2,7 +2,7 @@
 //!
 //! Reimplementations of the state-of-the-art systems §II of the paper
 //! positions SEA against, all running on the same simulated substrate
-//! (read through [`sea_query::Executor::scan_blocks`]) so their costs and
+//! (read through [`sea_query::Executor::scatter`]) so their costs and
 //! accuracies are directly comparable to the agent's:
 //!
 //! * [`SamplingAqp`] — a BlinkDB-style engine (\[17\]): offline stratified

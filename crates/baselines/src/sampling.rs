@@ -53,22 +53,23 @@ impl SamplingAqp {
     ) -> Result<Self> {
         // The grid only defines the strata.
         let grid = GridIndex::new(domain, cells_per_dim)?;
-        // Offline pass: full BDAS scan of every node. Sampled records
-        // ship to the sample store, as rows.
+        // Offline pass: full BDAS scan of every node. Records ship as rows
+        // on purpose: the stratified sample stores rows.
         let mut all: Vec<Record> = Vec::new();
-        let node_meters = exec.scan_table(table, BDAS_LAYERS, |_, views| {
+        let scatter = exec.scatter(table, None, BDAS_LAYERS, |_, views, _| {
             for v in views {
                 v.mask.for_each_set(|i| all.push(v.block.record(i)));
             }
             Ok(())
         })?;
+        let scatter = scatter.complete()?;
         let sample = StratifiedSample::build(&all, per_stratum, seed, |r| {
             grid.cell_of(&r.values).unwrap_or(0) as u64
         })?;
         let mut coord = CostMeter::new();
         coord.charge_lan(sample.memory_bytes());
         let cost_model = exec.cost_model().clone();
-        let build_cost = coord.report_parallel(node_meters.iter(), &cost_model);
+        let build_cost = scatter.report(&coord, &cost_model);
         Ok(SamplingAqp {
             sample,
             sample_nodes: exec.cluster().num_nodes().min(4),

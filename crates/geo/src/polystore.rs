@@ -120,9 +120,10 @@ impl<'a> Polystore<'a> {
     }
 
     /// Cross-system COUNT/SUM: ship all matching raw records from every
-    /// system to the first (coordinator) system, then aggregate there. A
-    /// partition a system could not read (partial-answer mode) ships
-    /// nothing and labels the report partial.
+    /// system to the first (coordinator) system, then aggregate there.
+    /// Records ship as rows on purpose: moving raw records is the status
+    /// quo this alternative models. A partition a system could not read
+    /// (partial-answer mode) ships nothing and labels the report partial.
     ///
     /// # Errors
     ///
@@ -139,29 +140,18 @@ impl<'a> Polystore<'a> {
                 .span_child_of(&span.ctx(), "geo.polystore.system");
             sys_span.tag("system", i);
             let bbox = query.region.bounding_rect();
-            let nodes = s.exec.cluster().nodes_for_region(&s.table, &bbox)?;
-            let mut node_meters = Vec::new();
             let mut matched: Vec<Record> = Vec::new();
-            let mut unavailable = 0;
-            for node in nodes {
-                let mut meter = CostMeter::new();
-                meter.touch_node(DIRECT_LAYERS);
-                // Scanned under the system's span; raw rows are what moves.
-                match s
-                    .exec
-                    .scan_blocks(&s.table, node, Some(&bbox), &mut meter)?
-                {
-                    Some(views) => {
-                        for v in &views {
-                            let mut hits = v.block.region_mask(&query.region);
-                            hits.intersect(&v.mask);
-                            hits.for_each_set(|r| matched.push(v.block.record(r)));
-                        }
+            // Scanned under the system's span; raw rows are what moves.
+            let scatter = s
+                .exec
+                .scatter(&s.table, Some(&bbox), DIRECT_LAYERS, |_, views, _| {
+                    for v in views {
+                        let mut hits = v.block.region_mask(&query.region);
+                        hits.intersect(&v.mask);
+                        hits.for_each_set(|r| matched.push(v.block.record(r)));
                     }
-                    None => unavailable += 1,
-                }
-                node_meters.push(meter);
-            }
+                    Ok(())
+                })?;
             let mut coord = CostMeter::new();
             if i != 0 {
                 // Inter-system transfer of the raw records (WAN-priced:
@@ -172,9 +162,7 @@ impl<'a> Polystore<'a> {
                 self.telemetry
                     .incr("geo.polystore.inter_system_bytes", bytes);
             }
-            let report = coord
-                .report_parallel(node_meters.iter(), s.exec.cost_model())
-                .partial(node_meters.len(), unavailable);
+            let report = scatter.report(&coord, s.exec.cost_model());
             sys_span.record_sim_us(report.wall_us);
             cost = cost.then(&report);
             all.extend(matched);

@@ -6,7 +6,7 @@
 //! wastefully by BDAS/MapReduce-style engines.
 //!
 //! Two strategies over the same substrate, both reading donors in place
-//! from [`sea_query::Executor::scan_blocks`]:
+//! from the executor's node loop, [`sea_query::Executor::scatter`]:
 //!
 //! * [`fullscan_impute`] — the baseline: every incomplete record is
 //!   compared against the *entire* table, scanned through the BDAS stack.

@@ -85,35 +85,25 @@ pub fn fullscan_impute(
     for r in incomplete {
         SeaError::check_dims(dims, r.dims())?;
     }
-    let mut node_meters = Vec::new();
     let mut donors: Vec<Donor> = Vec::new();
-    let mut unavailable = 0;
-    for node in 0..exec.cluster().num_nodes() {
-        let mut meter = CostMeter::new();
-        meter.touch_node(BDAS_LAYERS);
-        match exec.scan_blocks(table, node, None, &mut meter)? {
-            Some(views) => {
-                let stored = donors.len();
-                for v in &views {
-                    v.mask.for_each_set(|i| donors.push((v.block, i)));
-                }
-                // Every probe × every record comparison happens node-side.
-                let rows = (donors.len() - stored) as u64;
-                meter.charge_cpu(rows * incomplete.len() as u64);
-                meter.charge_lan(64);
-            }
-            None => unavailable += 1,
+    let scatter = exec.scatter(table, None, BDAS_LAYERS, |_, views, meter| {
+        let stored = donors.len();
+        for v in views {
+            v.mask.for_each_set(|i| donors.push((v.block, i)));
         }
-        node_meters.push(meter);
-    }
+        // Every probe × every record comparison happens node-side.
+        let rows = (donors.len() - stored) as u64;
+        meter.charge_cpu(rows * incomplete.len() as u64);
+        meter.charge_lan(64);
+        Ok(())
+    })?;
     let mut examined = 0u64;
     let imputed = (incomplete.iter())
         .map(|probe| impute_one(probe, &donors, k, &mut examined))
         .collect();
-    let cost = CostMeter::new().report_parallel(node_meters.iter(), exec.cost_model());
     Ok(ImputationOutcome {
         imputed,
-        cost: cost.partial(node_meters.len(), unavailable),
+        cost: scatter.report(&CostMeter::new(), exec.cost_model()),
         candidates_examined: examined,
     })
 }
@@ -192,22 +182,22 @@ impl GridImputer {
         for probe in incomplete {
             let region = self.donor_region(probe)?;
             let mut donors: Vec<Donor> = Vec::new();
-            for node in cluster.nodes_for_region(table, &region)? {
-                let meter = &mut per_node_acc[node];
-                meter.touch_node(DIRECT_LAYERS);
-                reads += 1;
-                // The scan charges the block reads; only the donor
-                // shipment is added here.
-                let Some(views) = exec.scan_blocks(table, node, Some(&region), meter)? else {
-                    unavailable += 1;
-                    continue;
-                };
-                let fetched = donors.len();
-                for v in &views {
-                    v.mask.for_each_set(|i| donors.push((v.block, i)));
-                }
-                meter.charge_lan((donors.len() - fetched) as u64 * 16);
+            // The scan charges the block reads; only the donor shipment
+            // is added here.
+            let scatter =
+                exec.scatter(table, Some(&region), DIRECT_LAYERS, |_, views, meter| {
+                    let fetched = donors.len();
+                    for v in views {
+                        v.mask.for_each_set(|i| donors.push((v.block, i)));
+                    }
+                    meter.charge_lan((donors.len() - fetched) as u64 * 16);
+                    Ok(())
+                })?;
+            for (node, meter) in &scatter.meters {
+                per_node_acc[*node].merge(meter);
             }
+            reads += scatter.meters.len();
+            unavailable += scatter.unread.len();
             out.push(impute_one(probe, &donors, k, &mut examined));
         }
         let cost = CostMeter::new().report_parallel(per_node_acc.iter(), exec.cost_model());

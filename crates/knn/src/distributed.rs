@@ -21,7 +21,8 @@ pub struct KnnOutcome {
 /// MapReduce-style kNN: full scan of every node's partition through the
 /// BDAS stack, scoring each row off its coordinate columns; each node
 /// ships its local top-k; the coordinator merges. A partition that could
-/// not be read (partial-answer mode) leaves the report labelled partial.
+/// not be read (partial-answer mode) leaves the report labelled partial
+/// and is not counted in `nodes_engaged`.
 ///
 /// # Errors
 ///
@@ -32,20 +33,10 @@ pub fn mapreduce_knn(exec: &Executor, table: &str, query: &Point, k: usize) -> R
         return Err(SeaError::invalid("k must be positive"));
     }
     SeaError::check_dims(exec.cluster().dims(table)?, query.dims())?;
-    let nodes = exec.cluster().num_nodes();
-    let mut node_meters = Vec::new();
     let mut merged: Vec<Neighbor> = Vec::new();
-    let mut unavailable = 0;
-    for node in 0..nodes {
-        let mut meter = CostMeter::new();
-        meter.touch_node(BDAS_LAYERS);
-        let Some(views) = exec.scan_blocks(table, node, None, &mut meter)? else {
-            unavailable += 1;
-            node_meters.push(meter);
-            continue;
-        };
+    let scatter = exec.scatter(table, None, BDAS_LAYERS, |_, views, meter| {
         let mut local: Vec<Neighbor> = Vec::new();
-        for v in &views {
+        for v in views {
             v.mask.for_each_set(|i| {
                 let (id, distance) = (v.block.ids()[i], dist(query, v.block, i));
                 local.push(Neighbor { id, distance });
@@ -55,17 +46,16 @@ pub fn mapreduce_knn(exec: &Executor, table: &str, query: &Point, k: usize) -> R
         local.truncate(k);
         meter.charge_lan(local.len() as u64 * 16);
         merged.extend(local);
-        node_meters.push(meter);
-    }
+        Ok(())
+    })?;
     let mut coord = CostMeter::new();
     coord.charge_cpu(merged.len() as u64);
     merged.sort_by(nearest_first);
     merged.truncate(k);
-    let cost = coord.report_parallel(node_meters.iter(), exec.cost_model());
     Ok(KnnOutcome {
         neighbors: merged,
-        cost: cost.partial(nodes, unavailable),
-        nodes_engaged: nodes,
+        cost: scatter.report(&coord, exec.cost_model()),
+        nodes_engaged: scatter.meters.len() - scatter.unread.len(),
     })
 }
 
@@ -110,9 +100,9 @@ impl DistributedKnnIndex {
     pub fn build(exec: &Executor, table: &str) -> Result<Self> {
         let dims = exec.cluster().dims(table)?;
         let mut parts = Vec::with_capacity(exec.cluster().num_nodes());
-        let node_meters = exec.scan_table(table, DIRECT_LAYERS, |_, views| {
+        let scatter = exec.scatter(table, None, DIRECT_LAYERS, |_, views, _| {
             // The partition's box is the union of its blocks' zone maps;
-            // the tree indexes points, so it is built from rows.
+            // the tree indexes points, so it is built from rows on purpose.
             let mut bounds: Option<Rect> = None;
             for zone in views.iter().filter_map(|v| v.block.bounds()) {
                 bounds = Some(bounds.map_or(Ok(zone.clone()), |b| b.union(zone))?);
@@ -126,12 +116,13 @@ impl DistributedKnnIndex {
             });
             Ok(())
         })?;
-        let coord = CostMeter::new();
         Ok(DistributedKnnIndex {
+            build_cost: scatter
+                .complete()?
+                .report(&CostMeter::new(), exec.cost_model()),
             parts,
             dims,
             record_bytes: 8 + 8 * dims as u64,
-            build_cost: coord.report_parallel(node_meters.iter(), exec.cost_model()),
         })
     }
 

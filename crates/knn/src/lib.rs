@@ -13,7 +13,7 @@
 //!   stops as soon as the running k-th distance proves remaining nodes
 //!   irrelevant. Scales with *k*, not data size.
 //!
-//! Both read the cluster through [`sea_query::Executor::scan_blocks`].
+//! Both read the cluster through [`sea_query::Executor::scatter`].
 //! The kNN join ([`knn_join`], RT2-1) is built on the cohort primitive,
 //! on the workspace's one pool ([`sea_query::ExecPool`]).
 

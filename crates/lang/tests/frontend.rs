@@ -151,8 +151,10 @@ fn engine_scans_run_on_the_front_ends_executor() {
     let build = &roots[0];
     let nodes: Vec<_> = build.children.iter().map(|c| c.name.as_str()).collect();
     assert_eq!(nodes, vec!["query.executor.node"; cluster.num_nodes()]);
-    let pass = Executor::new(&cluster).scan_table("t", DIRECT_LAYERS, |_, _| Ok(()));
-    let bill = CostMeter::new().report_parallel(&pass.unwrap(), &CostModel::default());
+    let pass = Executor::new(&cluster).scatter("t", None, DIRECT_LAYERS, |_, _, _| Ok(()));
+    let bill = pass
+        .unwrap()
+        .report(&CostMeter::new(), &CostModel::default());
     assert_eq!(build.sim_us.to_bits(), bill.wall_us.to_bits());
 }
 

@@ -28,8 +28,8 @@ pub struct LearnedOptimizer {
 impl LearnedOptimizer {
     /// Creates an optimizer for `table`, collecting per-dimension
     /// histograms (the statistics pass a real system piggybacks on data
-    /// loading) in one offline pass through [`Executor::scan_table`],
-    /// from the block columns.
+    /// loading) in one offline pass through [`Executor::scatter`], from
+    /// the block columns.
     ///
     /// # Errors
     ///
@@ -39,14 +39,15 @@ impl LearnedOptimizer {
         let cluster = exec.cluster();
         let stats = cluster.stats(table)?;
         let mut columns = vec![Vec::new(); stats.dims];
-        exec.scan_table(table, DIRECT_LAYERS, |_, views| {
+        exec.scatter(table, None, DIRECT_LAYERS, |_, views, _| {
             for v in views {
                 for (d, values) in columns.iter_mut().enumerate() {
                     values.extend_from_slice(v.block.col(d));
                 }
             }
             Ok(())
-        })?;
+        })?
+        .complete()?;
         let histograms = (columns.iter())
             .map(|values| EquiDepthHistogram::build(values, buckets.max(2)))
             .collect::<Result<Vec<_>>>()?;

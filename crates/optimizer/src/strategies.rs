@@ -54,7 +54,7 @@ pub struct ExecutionEngines<'a> {
 
 impl<'a> ExecutionEngines<'a> {
     /// Builds the secondary grid index over `table` in one offline pass
-    /// through [`Executor::scan_table`] — billed, fault-gated and traced
+    /// through [`Executor::scatter`] — billed, fault-gated and traced
     /// like any scan, under one `optimizer.engines.build` span carrying
     /// the pass's simulated µs — from the columns, no row materialised.
     ///
@@ -73,7 +73,7 @@ impl<'a> ExecutionEngines<'a> {
         let mut grid = GridIndex::new(domain, cells_per_dim)?;
         let span = exec.telemetry().span("optimizer.engines.build");
         let (mut blocks, mut ordinal, mut row) = (Vec::new(), 0u64, vec![0.0; dims]);
-        let node_meters = exec.scan_table(table, DIRECT_LAYERS, |node, views| {
+        let scatter = exec.scatter(table, None, DIRECT_LAYERS, |node, views, _| {
             // The pass admits every block, so a view's position is the
             // block's index in the serving copy.
             for (block, v) in views.iter().enumerate() {
@@ -88,7 +88,9 @@ impl<'a> ExecutionEngines<'a> {
             }
             Ok(())
         })?;
-        let bill = CostMeter::new().report_parallel(node_meters.iter(), exec.cost_model());
+        let bill = scatter
+            .complete()?
+            .report(&CostMeter::new(), exec.cost_model());
         span.record_sim_us(bill.wall_us);
         Ok(ExecutionEngines {
             cluster: exec.cluster(),

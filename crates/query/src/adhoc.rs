@@ -4,7 +4,7 @@
 //! interest and ask for the data items within these subspaces to be
 //! clustered, classified, or to perform regressions". These operators
 //! fetch the subspace surgically (partition + zone-map pruning through
-//! the direct path, [`Executor::scan_blocks`]) and then run the ML
+//! the direct path, [`Executor::scatter`]) and then run the ML
 //! routine coordinator-side, charging both phases to the returned
 //! [`sea_common::CostReport`].
 
@@ -29,7 +29,8 @@ pub struct AdHocOutcome<T> {
 /// Runs `task` coordinator-side over the records inside `region`,
 /// fetched via the surgical path, and bills both phases: each engaged
 /// node's scan and shipment beside the coordinator's `task` work,
-/// labelled partial for a partition that could not be read.
+/// labelled partial for a partition that could not be read. The
+/// subspace ships as rows on purpose: the `sea-ml` routines take rows.
 fn on_subspace<T>(
     exec: &Executor,
     table: &str,
@@ -37,33 +38,22 @@ fn on_subspace<T>(
     task: impl FnOnce(&[Record], &mut CostMeter) -> Result<T>,
 ) -> Result<AdHocOutcome<T>> {
     let bbox = region.bounding_rect();
-    let nodes = exec.cluster().nodes_for_region(table, &bbox)?;
-    let mut node_meters = Vec::new();
     let mut selected = Vec::new();
-    let mut unavailable = 0;
-    for node in nodes {
-        let mut meter = CostMeter::new();
-        meter.touch_node(DIRECT_LAYERS);
-        match exec.scan_blocks(table, node, Some(&bbox), &mut meter)? {
-            Some(views) => {
-                let shipped = selected.len();
-                for view in &views {
-                    let mut hits = view.block.region_mask(region);
-                    hits.intersect(&view.mask);
-                    hits.for_each_set(|i| selected.push(view.block.record(i)));
-                }
-                meter.charge_lan(selected[shipped..].iter().map(Record::storage_bytes).sum());
-            }
-            None => unavailable += 1,
+    let scatter = exec.scatter(table, Some(&bbox), DIRECT_LAYERS, |_, views, meter| {
+        let shipped = selected.len();
+        for view in views {
+            let mut hits = view.block.region_mask(region);
+            hits.intersect(&view.mask);
+            hits.for_each_set(|i| selected.push(view.block.record(i)));
         }
-        node_meters.push(meter);
-    }
+        meter.charge_lan(selected[shipped..].iter().map(Record::storage_bytes).sum());
+        Ok(())
+    })?;
     let mut coord = CostMeter::new();
     let output = task(&selected, &mut coord)?;
-    let cost = coord.report_parallel(node_meters.iter(), exec.cost_model());
     Ok(AdHocOutcome {
         output,
-        cost: cost.partial(node_meters.len(), unavailable),
+        cost: scatter.report(&coord, exec.cost_model()),
         records_in_subspace: selected.len(),
     })
 }

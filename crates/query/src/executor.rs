@@ -183,6 +183,38 @@ pub struct BlockView<'c> {
     pub mask: SelectionMask,
 }
 
+/// What one [`Executor::scatter`] engaged and left unread.
+#[derive(Debug, Default)]
+pub struct Scatter {
+    /// Every engaged node with its meter, in engagement order; an unread
+    /// partition's meter keeps its `touch_node` and retry backoff.
+    pub meters: Vec<(NodeId, CostMeter)>,
+    /// The engaged partitions left unread (partial-answer mode).
+    pub unread: Vec<NodeId>,
+}
+
+impl Scatter {
+    /// The bill of the nodes running in parallel beside `coord`'s work,
+    /// labelled partial for every unread partition.
+    pub fn report(&self, coord: &CostMeter, model: &CostModel) -> CostReport {
+        (coord.report_parallel(self.meters.iter().map(|(_, m)| m), model))
+            .partial(self.meters.len(), self.unread.len())
+    }
+
+    /// `self` when every engaged partition was read: a structure built
+    /// from part of the table would answer short.
+    ///
+    /// # Errors
+    ///
+    /// [`SeaError::Storage`] naming the first unread partition.
+    pub fn complete(self) -> Result<Self> {
+        match self.unread.first() {
+            Some(node) => Err(SeaError::Storage(format!("partition {node} left unread"))),
+            None => Ok(self),
+        }
+    }
+}
+
 /// One node's open phase (see [`Executor::open_node`]): what the
 /// fault gate and the retry loop left behind before any block is read.
 #[derive(Clone, Copy)]
@@ -686,15 +718,7 @@ impl<'a> Executor<'a> {
             }
         }
         let bbox = regime.pruned.then(|| query.region.bounding_rect());
-        let nodes: Vec<NodeId> = match &bbox {
-            Some(b) => {
-                let nodes = self.cluster.nodes_for_region(table, b)?;
-                SeaError::check_dims(self.cluster.dims(table)?, b.dims())?;
-                nodes
-            }
-            None => (0..self.cluster.num_nodes()).collect(),
-        };
-        let attempts: Vec<Result<(NodeId, Opened)>> = nodes
+        let attempts: Vec<Result<(NodeId, Opened)>> = (self.engaged_nodes(table, bbox.as_ref())?)
             .into_iter()
             .map(|node| {
                 let mut opened = self.open_node(table, node)?;
@@ -704,6 +728,17 @@ impl<'a> Executor<'a> {
             .collect();
         let opened = attempts.into_iter().collect::<Result<Vec<_>>>()?;
         Ok(Step::Scan(OpenedQuery { bbox, opened }))
+    }
+
+    /// The nodes a read of `table` engages, in node order: every node
+    /// without a box, the partitions metadata admits for `bbox` with one.
+    fn engaged_nodes(&self, table: &str, bbox: Option<&Rect>) -> Result<Vec<NodeId>> {
+        let Some(b) = bbox else {
+            return Ok((0..self.cluster.num_nodes()).collect());
+        };
+        let nodes = self.cluster.nodes_for_region(table, b)?;
+        SeaError::check_dims(self.cluster.dims(table)?, b.dims())?;
+        Ok(nodes)
     }
 
     /// Opens one node — a statement's ([`Executor::open_query`]) or an
@@ -736,8 +771,8 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// The one scan of everything that is not a statement (rank-join,
-    /// kNN, imputation, sampling, canopy, ad hoc ML, polystore): `node`
+    /// The one scan of everything that is not a statement (the step of
+    /// [`Executor::scatter`] and of the MapReduce rank-join): `node`
     /// opened as a statement's node is — retries, failover, [partial
     /// answers](Executor::with_partial_answers) — the blocks
     /// [`DataNode::charge_scan`] admits for `bbox` (`None`: all) charged
@@ -786,40 +821,37 @@ impl<'a> Executor<'a> {
         Ok(views)
     }
 
-    /// The one step of every whole-table offline pass (an index, a
-    /// sample, a histogram built by reading the table): each partition
-    /// in node order through [`Executor::scan_blocks`] with no box, on a
-    /// fresh meter charged `touch_node(layers)` plus the scan, its blocks
-    /// handed to `visit` — every block of the serving copy, in block
-    /// order, each view selecting every row. A partition left unread
-    /// (partial-answer mode) refuses the pass: a structure built from
-    /// part of the table would answer short. Returns the per-node meters
-    /// in node order.
+    /// The node loop of every operator and offline pass: the nodes a
+    /// statement over `bbox` engages (every node without a box), each on
+    /// a fresh meter charged `touch_node(layers)` and read through
+    /// [`Executor::scan_blocks`], its views and meter handed to `visit`
+    /// in node order — with no box, every block of the serving copy in
+    /// block order, each view selecting every row. A partition left
+    /// unread (partial-answer mode) is counted, not visited, and keeps
+    /// its meter. [`Scatter::report`] labels the bill by what was read;
+    /// a pass that must read everything takes [`Scatter::complete`].
     ///
     /// # Errors
     ///
-    /// As [`Executor::scan_blocks`], an unread partition, or `visit`'s
-    /// first error.
-    pub fn scan_table(
+    /// As [`Executor::scan_blocks`], or `visit`'s first error.
+    pub fn scatter(
         &self,
         table: &str,
+        bbox: Option<&Rect>,
         layers: u64,
-        mut visit: impl FnMut(NodeId, &[BlockView<'a>]) -> Result<()>,
-    ) -> Result<Vec<CostMeter>> {
-        (0..self.cluster.num_nodes())
-            .map(|node| {
-                let mut meter = CostMeter::new();
-                meter.touch_node(layers);
-                let views = self.scan_blocks(table, node, None, &mut meter)?;
-                let views = views.ok_or_else(|| {
-                    SeaError::Storage(format!(
-                        "offline pass over {table}: partition {node} unread"
-                    ))
-                })?;
-                visit(node, &views)?;
-                Ok(meter)
-            })
-            .collect()
+        mut visit: impl FnMut(NodeId, &[BlockView<'a>], &mut CostMeter) -> Result<()>,
+    ) -> Result<Scatter> {
+        let mut out = Scatter::default();
+        for node in self.engaged_nodes(table, bbox)? {
+            let mut meter = CostMeter::new();
+            meter.touch_node(layers);
+            match self.scan_blocks(table, node, bbox, &mut meter)? {
+                Some(views) => visit(node, &views, &mut meter)?,
+                None => out.unread.push(node),
+            }
+            out.meters.push((node, meter));
+        }
+        Ok(out)
     }
 
     /// One opened node's telemetry, for a statement's replay and

@@ -31,10 +31,11 @@
 //! Every other reader of the cluster — the operator crates, [`adhoc`] —
 //! goes through the same open step, [`Executor::scan_blocks`]: same
 //! retry, failover, partial answers, charges and node telemetry, handed
-//! back as borrowed [`BlockView`]s, not rows. Offline passes that read
-//! the whole table (the optimizer's grid index and histograms, the kNN
-//! trees, the score index, the sample) take its whole-table form,
-//! [`Executor::scan_table`], which refuses a partially read table.
+//! back as borrowed [`BlockView`]s, not rows, in one node loop,
+//! [`Executor::scatter`], that counts unread partitions and labels the
+//! bill: an operator supplies only its per-node compute. Offline passes
+//! (the optimizer's grid index and histograms, the kNN trees, the score
+//! index, the sample) refuse a partially read table.
 //!
 //! Either regime can consult a [`sea_cache::SemanticCache`] before
 //! scattering ([`Executor::with_cache`]): exact hits return the stored
@@ -60,5 +61,7 @@ pub mod executor;
 pub mod pool;
 
 pub use adhoc::{classify_subspace, cluster_subspace, regress_subspace, AdHocOutcome};
-pub use executor::{BlockView, CacheClass, Executor, Provenance, QueryOutcome, RetryPolicy};
+pub use executor::{
+    BlockView, CacheClass, Executor, Provenance, QueryOutcome, RetryPolicy, Scatter,
+};
 pub use pool::ExecPool;

@@ -1,15 +1,15 @@
 //! The one scan: `Executor::scan_blocks`, the open step every operator
-//! reads the cluster through, its whole-table form `Executor::scan_table`
-//! that every offline pass takes, and the frozen benchmark's row adapter
-//! (`StorageCluster::scan_node_region_stats`) pinned to it — the rows the
-//! benchmark times and caches are the rows operators read, counted and
-//! charged alike.
+//! reads the cluster through, the node loop `Executor::scatter` that
+//! every operator and offline pass runs it in, and the frozen
+//! benchmark's row adapter (`StorageCluster::scan_node_region_stats`)
+//! pinned to it — the rows the benchmark times and caches are the rows
+//! operators read, counted and charged alike.
 
 use proptest::prelude::*;
 use sea_common::{CostMeter, Record, Rect, SeaError};
-use sea_query::{BlockView, Executor};
+use sea_query::{BlockView, Executor, RetryPolicy, Scatter};
 use sea_storage::{FaultPlan, Partitioning, ScanStats, StorageCluster};
-use sea_telemetry::TelemetrySink;
+use sea_telemetry::{FieldValue, TelemetrySink};
 
 /// A coordinate that is occasionally NaN.
 fn coord() -> impl Strategy<Value = f64> {
@@ -117,36 +117,144 @@ fn ids_of(exec: &Executor, node: usize) -> Vec<u64> {
         .collect()
 }
 
-/// An offline pass visits every partition in node order, each on its own
-/// meter charged its layer crossings and its scan, and refuses a table
-/// it could read only part of.
+/// A scatter engages the nodes a statement over the same box would —
+/// every node without one, the partitions metadata admits with one —
+/// each on its own meter: `touch_node(layers)`, the scan's charges and
+/// whatever `visit` adds, the views being the scan's own.
+#[test]
+fn a_scatter_engages_a_statements_nodes_each_on_its_own_meter() {
+    let mut c = StorageCluster::new(4, 16);
+    let records = (0..400)
+        .map(|i| Record::new(i, vec![(i % 100) as f64, (i / 4) as f64]))
+        .collect();
+    let splits = Partitioning::equi_width_splits(0.0, 100.0, 4);
+    let ranged = Partitioning::Range { dim: 0, splits };
+    c.load_table("t", records, ranged).unwrap();
+    let exec = Executor::new(&c);
+    let region = Rect::new(vec![30.0, 10.0], vec![55.0, 60.0]).unwrap();
+    let pruned = c.nodes_for_region("t", &region).unwrap();
+    assert_eq!(pruned, [1, 2], "the box prunes the range partitions");
+    for (bbox, nodes) in [(None, vec![0, 1, 2, 3]), (Some(&region), pruned)] {
+        let mut visited = Vec::new();
+        let scatter = exec
+            .scatter("t", bbox, 3, |node, views, meter| {
+                visited.push((node, selected(views)));
+                meter.charge_lan(8);
+                Ok(())
+            })
+            .unwrap();
+        assert!(scatter.unread.is_empty());
+        let engaged: Vec<usize> = scatter.meters.iter().map(|(node, _)| *node).collect();
+        assert_eq!(engaged, nodes, "{bbox:?}");
+        for ((node, meter), (seen, rows)) in scatter.meters.iter().zip(&visited) {
+            assert_eq!(node, seen);
+            let mut want = CostMeter::new();
+            want.touch_node(3);
+            let views = exec.scan_blocks("t", *node, bbox, &mut want).unwrap();
+            want.charge_lan(8);
+            assert_eq!(*meter, want, "partition {node}");
+            assert_eq!(*rows, selected(&views.unwrap()));
+        }
+        let cost = scatter.report(&CostMeter::new(), exec.cost_model());
+        assert_eq!((cost.answered_fraction, cost.nodes_unavailable), (1.0, 0));
+    }
+}
+
+/// A partition left unread in partial-answer mode is counted, not
+/// visited, and keeps its meter — layer crossings and retry backoff —
+/// and the report says what share was read.
+#[test]
+fn an_unread_partition_is_counted_not_visited_and_keeps_its_meter() {
+    let c = cluster((0..200).map(|i| (i as f64 % 100.0, i as f64)).collect(), 16);
+    let mut down = c.clone();
+    down.fail_node(2).unwrap();
+    let exec = Executor::new(&down).with_partial_answers(true);
+    let mut visited = Vec::new();
+    let scatter = exec
+        .scatter("t", None, 3, |node, _, _| {
+            visited.push(node);
+            Ok(())
+        })
+        .unwrap();
+    assert_eq!(visited, [0, 1, 3]);
+    assert_eq!(scatter.unread, [2]);
+    let mut touched = CostMeter::new();
+    touched.touch_node(3);
+    assert_eq!(scatter.meters[2], (2, touched));
+    let cost = scatter.report(&CostMeter::new(), exec.cost_model());
+    assert_eq!((cost.answered_fraction, cost.nodes_unavailable), (0.75, 1));
+
+    // Every scan faults past its retries: nothing is read, and each
+    // engaged node's bill is its crossings plus the backoff it waited.
+    let mut flaky = c.clone();
+    flaky.set_fault_plan(FaultPlan::new(3).with_transient(1.0, 100));
+    let retry = RetryPolicy {
+        max_retries: 2,
+        backoff_base_us: 10,
+    };
+    let exec = (Executor::new(&flaky).with_retry_policy(retry)).with_partial_answers(true);
+    let scatter = exec
+        .scatter("t", None, 3, |node, _, _| panic!("partition {node} read"))
+        .unwrap();
+    assert_eq!(scatter.unread, [0, 1, 2, 3]);
+    let mut waited = touched;
+    waited.charge_backoff(retry.backoff_us(0) + retry.backoff_us(1));
+    for (node, meter) in &scatter.meters {
+        assert_eq!(*meter, waited, "partition {node}");
+    }
+    let cost = scatter.report(&CostMeter::new(), exec.cost_model());
+    assert_eq!((cost.answered_fraction, cost.nodes_unavailable), (0.0, 4));
+}
+
+/// An offline pass visits every partition in node order and refuses a
+/// table it could read only part of — after opening every partition,
+/// each leaving its `query.executor.node` span.
 #[test]
 fn an_offline_pass_reads_every_partition_or_refuses() {
-    let c = cluster((0..200).map(|i| (i as f64 % 100.0, i as f64)).collect(), 16);
+    let mut c = cluster((0..200).map(|i| (i as f64 % 100.0, i as f64)).collect(), 16);
     let exec = Executor::new(&c);
     let mut rows = Vec::new();
-    let meters = exec
-        .scan_table("t", 3, |node, views| {
+    let pass = exec
+        .scatter("t", None, 3, |node, views, _| {
             rows.push((node, selected(views).len()));
             Ok(())
         })
+        .and_then(Scatter::complete)
         .unwrap();
     let per_node = c.stats("t").unwrap().per_node;
     assert_eq!(
         rows,
         per_node.iter().copied().enumerate().collect::<Vec<_>>()
     );
-    for (node, m) in meters.iter().enumerate() {
-        let mut want = CostMeter::new();
-        want.touch_node(3);
-        exec.scan_blocks("t", node, None, &mut want).unwrap();
-        assert_eq!(*m, want, "partition {node}");
+    assert_eq!(pass.meters.len(), c.num_nodes());
+
+    let sink = TelemetrySink::recording();
+    c.set_telemetry(sink.clone());
+    c.fail_node(2).unwrap();
+    let partial = Executor::new(&c).with_partial_answers(true);
+    let parent = sink.span("pass");
+    let mut visited = Vec::new();
+    let refused = partial
+        .scatter("t", None, 3, |node, _, _| {
+            visited.push(node);
+            Ok(())
+        })
+        .and_then(Scatter::complete);
+    drop(parent);
+    match refused {
+        Err(SeaError::Storage(msg)) => assert!(msg.contains("partition 2"), "{msg}"),
+        other => panic!("refused with a storage error, not {other:?}"),
     }
-    let mut down = c.clone();
-    down.fail_node(2).unwrap();
-    let partial = Executor::new(&down).with_partial_answers(true);
-    let refused = partial.scan_table("t", 3, |_, _| Ok(()));
-    assert!(matches!(refused, Err(SeaError::Storage(_))), "{refused:?}");
+    assert_eq!(visited, [0, 1, 3], "the pass went on past the unread one");
+    let snap = sink.snapshot().unwrap();
+    let opened: Vec<_> = (snap.spans.roots[0].children.iter())
+        .filter(|s| s.name == "query.executor.node")
+        .map(|s| (s.tag("node").cloned(), s.tag("unavailable").is_some()))
+        .collect();
+    let want: Vec<_> = (0..4u64)
+        .map(|node| (Some(FieldValue::U64(node)), node == 2))
+        .collect();
+    assert_eq!(opened, want);
 }
 
 /// A replica is a block-for-block clone of its primary after inserts and

@@ -50,7 +50,7 @@ impl ScoreIndex {
             ));
         }
         let mut entries = Vec::new();
-        let node_meters = exec.scan_table(table, DIRECT_LAYERS, |node, views| {
+        let scatter = exec.scatter(table, None, DIRECT_LAYERS, |node, views, _| {
             for v in views {
                 let (keys, scores, ids) = (v.block.col(0), v.block.col(1), v.block.ids());
                 v.mask.for_each_set(|i| {
@@ -65,7 +65,7 @@ impl ScoreIndex {
             Ok(())
         })?;
         // One meter for the whole pass: the per-node counters sum.
-        for m in &node_meters {
+        for (_, m) in &scatter.complete()?.meters {
             build_meter.merge(m);
         }
         // total_cmp: a NaN score sorts as a score, not as a panic.

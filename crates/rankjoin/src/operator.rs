@@ -37,6 +37,10 @@ pub struct RankJoinOutcome {
 /// sort, truncate to `k`. A node whose partition of either table could
 /// not be read (partial-answer mode) leaves the report labelled partial.
 ///
+/// It loops over nodes itself, not through [`Executor::scatter`]: a node
+/// reads both tables under one meter and one `touch_node`, and is unread
+/// if either side is.
+///
 /// # Errors
 ///
 /// Missing tables, narrow schemas, `k == 0`, or an unreadable partition.

@@ -4,7 +4,7 @@
 
 use sea_baselines::{DataCanopy, SamplingAqp};
 use sea_common::{
-    AggregateKind, AnalyticalQuery, CostMeter, CostReport, Point, Record, Rect, Region,
+    AggregateKind, AnalyticalQuery, CostMeter, CostReport, Point, Record, Rect, Region, SeaError,
 };
 use sea_core::AgentConfig;
 use sea_geo::{ConstituentSystem, Polystore};
@@ -125,14 +125,29 @@ fn cube(e: f64) -> AnalyticalQuery {
     )
 }
 
-/// Every operator ported onto `Executor::scan_blocks`.
-fn operators() -> [(&'static str, Run); 10] {
+/// How an operator meets a partition it cannot read when partial
+/// answers are accepted.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    /// `SeaError::Storage`: what it builds from part of the table would
+    /// answer short.
+    Refuses,
+    /// An answer labelled partial, with this many engaged partitions
+    /// unread.
+    Partial(u64),
+}
+
+/// Every operator that reads the cluster — through `Executor::scatter`,
+/// the rank-join through `Executor::scan_blocks` — and how it meets one
+/// crashed unreplicated node of six (the grid imputer engages every hash
+/// partition once per probe, eight probes).
+fn operators() -> [(&'static str, Fault, Run); 10] {
     [
-        ("mapreduce_rank_join", |e| {
+        ("mapreduce_rank_join", Fault::Partial(1), |e| {
             let o = mapreduce_rank_join(e, "l", "r", 10)?;
             Ok((format!("{:?} {}", o.results, o.tuples_retrieved), o.cost))
         }),
-        ("ScoreIndex::build", |e| {
+        ("ScoreIndex::build", Fault::Refuses, |e| {
             let mut meter = CostMeter::new();
             let idx = ScoreIndex::build(e, "l", &mut meter)?;
             let entries = idx.batch(0, idx.len(), &mut CostMeter::new());
@@ -141,24 +156,24 @@ fn operators() -> [(&'static str, Run); 10] {
                 meter.report_sequential(e.cost_model()),
             ))
         }),
-        ("mapreduce_knn", |e| {
+        ("mapreduce_knn", Fault::Partial(1), |e| {
             let o = mapreduce_knn(e, "t", &probe(), 10)?;
             Ok((format!("{:?}", o.neighbors), o.cost))
         }),
-        ("DistributedKnnIndex::build", |e| {
+        ("DistributedKnnIndex::build", Fault::Refuses, |e| {
             let idx = DistributedKnnIndex::build(e, "t")?;
             let o = idx.query(&probe(), 10, e.cost_model())?;
             Ok((format!("{:?}", o.neighbors), *idx.build_cost()))
         }),
-        ("fullscan_impute", |e| {
+        ("fullscan_impute", Fault::Partial(1), |e| {
             let o = fullscan_impute(e, "t", &incomplete(), 5)?;
             Ok((format!("{:?} {}", o.imputed, o.candidates_examined), o.cost))
         }),
-        ("GridImputer::impute", |e| {
+        ("GridImputer::impute", Fault::Partial(8), |e| {
             let o = GridImputer::new(domain()?, 50)?.impute(e, "t", &incomplete(), 5)?;
             Ok((format!("{:?} {}", o.imputed, o.candidates_examined), o.cost))
         }),
-        ("SamplingAqp::build", |e| {
+        ("SamplingAqp::build", Fault::Refuses, |e| {
             let aqp = SamplingAqp::build(e, "t", domain()?, 4, 20, 7)?;
             let o = aqp.query(&cube(20.0))?;
             Ok((
@@ -166,7 +181,7 @@ fn operators() -> [(&'static str, Run); 10] {
                 *aqp.build_cost(),
             ))
         }),
-        ("DataCanopy::query", |e| {
+        ("DataCanopy::query", Fault::Refuses, |e| {
             let mut canopy = DataCanopy::new(e, "t", domain()?, 10)?;
             let slab = Rect::new(vec![12.0, 0.0, 0.0], vec![47.0, 100.0, 200.0])?;
             let o = canopy.query(&AnalyticalQuery::new(
@@ -175,14 +190,14 @@ fn operators() -> [(&'static str, Run); 10] {
             ))?;
             Ok((format!("{:?}", o.answer), o.cost))
         }),
-        ("cluster_subspace", |e| {
+        ("cluster_subspace", Fault::Partial(1), |e| {
             let o = cluster_subspace(e, "t", &cube(30.0).region, 2)?;
             Ok((
                 format!("{:?} {}", o.output.centroids(), o.records_in_subspace),
                 o.cost,
             ))
         }),
-        ("query_migrate_data", |e| {
+        ("query_migrate_data", Fault::Partial(1), |e| {
             let system = ConstituentSystem::new(e, "t", AgentConfig::default())?;
             let o = Polystore::new(vec![system], 0.15)?.query_migrate_data(&cube(12.0))?;
             Ok((format!("{:?} {}", o.answer, o.inter_system_bytes), o.cost))
@@ -216,7 +231,9 @@ fn knn_operators_survive_failover() {
     let healthy = operator_cluster(true);
     let want: Vec<(String, CostReport)> = operators()
         .iter()
-        .map(|(name, run)| run(&Executor::new(&healthy)).unwrap_or_else(|e| panic!("{name}: {e}")))
+        .map(|(name, _, run)| {
+            run(&Executor::new(&healthy)).unwrap_or_else(|e| panic!("{name}: {e}"))
+        })
         .collect();
 
     // Node 3 down: its partitions are read through the replica on node 4
@@ -224,7 +241,7 @@ fn knn_operators_survive_failover() {
     // index *built* during the failure answers correctly too.)
     let mut failed = operator_cluster(true);
     failed.fail_node(3).unwrap();
-    for ((name, run), want) in operators().iter().zip(&want) {
+    for ((name, _, run), want) in operators().iter().zip(&want) {
         let got = run(&Executor::new(&failed)).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(&got, want, "{name}: failover changes nothing");
     }
@@ -232,7 +249,7 @@ fn knn_operators_survive_failover() {
     // E18's plan — transient scan faults, a crash, a slow node — on the
     // replicated cluster with the default retry policy: retries ride out
     // the transients, the replica serves the crashed partition.
-    for ((name, run), (answer, bill)) in operators().iter().zip(&want) {
+    for ((name, _, run), (answer, bill)) in operators().iter().zip(&want) {
         let mut faulted = operator_cluster(true);
         faulted.set_fault_plan(
             FaultPlan::new(97)
@@ -251,19 +268,26 @@ fn knn_operators_survive_failover() {
 
     // No replica, a crashed node, partial answers accepted: an operator
     // either refuses or says it answered partially — never a silently
-    // smaller answer.
+    // smaller answer — and which one it does is pinned.
     let mut crashed = operator_cluster(false);
     crashed.set_fault_plan(FaultPlan::new(97).with_crash(2, 0));
     let partial = Executor::new(&crashed).with_partial_answers(true);
-    for (name, run) in operators() {
-        if let Ok((_, cost)) = run(&partial) {
-            assert!(
-                cost.answered_fraction < 1.0,
-                "{name}: a partial answer says so"
-            );
-            assert!(cost.nodes_unavailable > 0, "{name}");
+    for (name, fault, run) in operators() {
+        match (fault, run(&partial)) {
+            (Fault::Refuses, Err(SeaError::Storage(_))) => {}
+            (Fault::Partial(unread), Ok((_, cost))) => {
+                assert!(
+                    cost.answered_fraction < 1.0,
+                    "{name}: a partial answer says so"
+                );
+                assert_eq!(cost.nodes_unavailable, unread, "{name}");
+            }
+            (_, got) => panic!("{name}: expected {fault:?}, got {got:?}"),
         }
     }
+    // kNN counts the partitions that did work, not the ones it engaged.
+    let knn = mapreduce_knn(&partial, "t", &probe(), 10).unwrap();
+    assert_eq!(knn.nodes_engaged, crashed.num_nodes() - 1);
 }
 
 #[test]
