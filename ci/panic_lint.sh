@@ -18,7 +18,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ALLOWLIST=ci/panic_allowlist.txt
-CRATES='common storage cache query core optimizer service lang telemetry watch rankjoin knn imputation baselines geo'
+CRATES='common storage cache query core optimizer service lang telemetry watch operators geo'
 
 # `<file>: <trimmed line>` for every panicking call outside tests.
 sites() {

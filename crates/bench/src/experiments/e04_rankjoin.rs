@@ -7,8 +7,8 @@
 
 use sea_common::{AggregateKind, AnalyticalQuery, CostMeter, CostModel, Rect, Region, Result};
 use sea_core::{AgentConfig, AgentPipeline, ExecMode};
+use sea_operators::{mapreduce_rank_join, surgical_rank_join, RankJoinOutcome, ScoreIndex};
 use sea_query::Executor;
-use sea_rankjoin::{mapreduce_rank_join, surgical_rank_join, ScoreIndex};
 use sea_telemetry::TelemetrySink;
 
 use crate::experiments::common::{observe_query_us, query_span, rankjoin_cluster};
@@ -75,9 +75,8 @@ pub fn run_e4_with(sink: &TelemetrySink) -> Result<Report> {
         drop(span);
         observe_query_us(sink, surgical.cost.wall_us);
         observe_query_us(sink, mr.cost.wall_us);
-        let bytes = |o: &sea_rankjoin::RankJoinOutcome| {
-            (o.cost.totals.disk_bytes + o.cost.totals.lan_bytes) as f64
-        };
+        let bytes =
+            |o: &RankJoinOutcome| (o.cost.totals.disk_bytes + o.cost.totals.lan_bytes) as f64;
         report.push_row(vec![
             n as f64,
             mr.cost.wall_us / surgical.cost.wall_us,

@@ -5,7 +5,7 @@
 //! k, not with n.
 
 use sea_common::{CostModel, Point, Result};
-use sea_knn::{mapreduce_knn, DistributedKnnIndex};
+use sea_operators::{mapreduce_knn, DistributedKnnIndex};
 use sea_query::Executor;
 use sea_telemetry::TelemetrySink;
 

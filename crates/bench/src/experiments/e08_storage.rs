@@ -5,9 +5,9 @@
 //! prohibitively large", DBL additionally stores query history. The
 //! agent's models are bounded by quanta × pair-cap.
 
-use sea_baselines::{DataCanopy, LearnedAqp, SamplingAqp};
 use sea_common::{AggregateKind, AnalyticalQuery, Rect, Region, Result};
 use sea_core::{AgentConfig, SeaAgent};
+use sea_operators::{DataCanopy, LearnedAqp, SamplingAqp};
 use sea_query::Executor;
 use sea_telemetry::TelemetrySink;
 

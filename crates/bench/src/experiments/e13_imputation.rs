@@ -5,7 +5,7 @@
 //! and finishing far faster, with the gap widening as data grows.
 
 use sea_common::{Record, Rect, Result};
-use sea_imputation::{fullscan_impute, GridImputer};
+use sea_operators::{fullscan_impute, GridImputer};
 use sea_query::Executor;
 use sea_storage::{Partitioning, StorageCluster};
 use sea_telemetry::TelemetrySink;

@@ -8,12 +8,14 @@
 //! routine coordinator-side, charging both phases to the returned
 //! [`sea_common::CostReport`].
 
+use std::cmp::Reverse;
+use std::collections::HashMap;
+
 use sea_common::{CostMeter, CostReport, Record, Region, Result, SeaError};
 use sea_ml::linreg::LinearModel;
 use sea_ml::quantize::KMeans;
+use sea_query::Executor;
 use sea_storage::DIRECT_LAYERS;
-
-use crate::executor::Executor;
 
 /// An ad hoc ML result plus its resource bill.
 #[derive(Debug, Clone)]
@@ -56,6 +58,14 @@ fn on_subspace<T>(
         cost: scatter.report(&coord, exec.cost_model()),
         records_in_subspace: selected.len(),
     })
+}
+
+/// A record's attribute values, attribute `dim` left out.
+fn without(r: &Record, dim: usize) -> Vec<f64> {
+    (r.values.iter().enumerate())
+        .filter(|(d, _)| *d != dim)
+        .map(|(_, v)| *v)
+        .collect()
 }
 
 /// Clusters the records inside `region` into `k` groups (Lloyd k-means on
@@ -106,17 +116,7 @@ pub fn regress_subspace(
                 "regression needs at least 2 records".into(),
             ));
         }
-        let xs: Vec<Vec<f64>> = records
-            .iter()
-            .map(|r| {
-                r.values
-                    .iter()
-                    .enumerate()
-                    .filter(|(d, _)| *d != target_dim)
-                    .map(|(_, v)| *v)
-                    .collect()
-            })
-            .collect();
+        let xs: Vec<Vec<f64>> = records.iter().map(|r| without(r, target_dim)).collect();
         let ys: Vec<f64> = records.iter().map(|r| r.value(target_dim)).collect();
         coord.charge_cpu(xs.len() as u64);
         LinearModel::fit(&xs, &ys, 1e-9)
@@ -154,21 +154,13 @@ pub fn classify_subspace(
                 "classification over an empty subspace".into(),
             ));
         }
-        let features = |r: &Record| -> Vec<f64> {
-            r.values
-                .iter()
-                .enumerate()
-                .filter(|(d, _)| *d != label_dim)
-                .map(|(_, v)| *v)
-                .collect()
-        };
         coord.charge_cpu(records.len() as u64 * probes.len() as u64);
         let mut labels = Vec::with_capacity(probes.len());
         for p in probes {
             let mut dists: Vec<(f64, i64)> = records
                 .iter()
                 .map(|r| {
-                    let f = features(r);
+                    let f = without(r, label_dim);
                     let d: f64 = f.iter().zip(p).map(|(a, b)| (a - b) * (a - b)).sum();
                     (d, r.value(label_dim).round() as i64)
                 })
@@ -177,17 +169,16 @@ pub fn classify_subspace(
             // total_cmp (NaN-safe) with a label tie-break so equidistant
             // candidates partition deterministically.
             dists.select_nth_unstable_by(kk - 1, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            // Majority vote over the k nearest.
-            let mut votes: std::collections::HashMap<i64, usize> = std::collections::HashMap::new();
+            // Majority vote over the k nearest, ties to the lower label.
+            let mut votes: HashMap<i64, usize> = HashMap::new();
             for (_, label) in &dists[..kk] {
                 *votes.entry(*label).or_default() += 1;
             }
             let winner = votes
                 .into_iter()
-                .max_by_key(|(label, n)| (*n, -label))
-                .map(|(label, _)| label)
-                .expect("non-empty");
-            labels.push(winner);
+                .max_by_key(|&(label, n)| (n, Reverse(label)))
+                .ok_or_else(|| SeaError::Empty("no neighbours to vote".into()))?;
+            labels.push(winner.0);
         }
         Ok(labels)
     })

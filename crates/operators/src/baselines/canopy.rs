@@ -18,7 +18,7 @@ use sea_common::{
 use sea_query::Executor;
 use sea_storage::DIRECT_LAYERS;
 
-use crate::sampling::AqpOutcome;
+use super::sampling::AqpOutcome;
 
 /// Basic aggregates of one chunk of one dimension.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -139,7 +139,9 @@ impl<'a> DataCanopy<'a> {
     ///
     /// The answer is assembled from cached chunk statistics; chunks
     /// partially covered at the selection boundary are *approximated*
-    /// proportionally (the canopy trade-off).
+    /// proportionally (the canopy trade-off). `Count` rounds each chunk's
+    /// scaled count; `Mean` and `Variance` divide by the unrounded one,
+    /// the weight the scaled sums carry.
     ///
     /// # Errors
     ///
@@ -164,22 +166,23 @@ impl<'a> DataCanopy<'a> {
         let dim = constrained.unwrap_or(0);
         let (a, b) = (bbox.lo()[dim], bbox.hi()[dim]);
         // The attribute the statistic reads, and how it finishes from the
-        // chunks' combined basic aggregates.
-        let (value_dim, finish): (usize, fn(ChunkStats) -> Result<f64>) = match query.aggregate {
-            AggregateKind::Count => (dim, |t| Ok(t.count as f64)),
-            AggregateKind::Sum { dim: v } => (v, |t| Ok(t.sum)),
-            AggregateKind::Mean { dim: v } => (v, |t| {
-                if t.count == 0 {
+        // chunks' combined basic aggregates and unrounded scaled count.
+        type Finish = fn(ChunkStats, f64) -> Result<f64>;
+        let (value_dim, finish): (usize, Finish) = match query.aggregate {
+            AggregateKind::Count => (dim, |t, _| Ok(t.count as f64)),
+            AggregateKind::Sum { dim: v } => (v, |t, _| Ok(t.sum)),
+            AggregateKind::Mean { dim: v } => (v, |t, n| {
+                if n == 0.0 {
                     return Err(SeaError::Empty("mean over empty selection".into()));
                 }
-                Ok(t.sum / t.count as f64)
+                Ok(t.sum / n)
             }),
-            AggregateKind::Variance { dim: v } => (v, |t| {
-                if t.count == 0 {
+            AggregateKind::Variance { dim: v } => (v, |t, n| {
+                if n == 0.0 {
                     return Err(SeaError::Empty("variance over empty selection".into()));
                 }
-                let mean = t.sum / t.count as f64;
-                Ok(t.sum_sq / t.count as f64 - mean * mean)
+                let mean = t.sum / n;
+                Ok((t.sum_sq / n - mean * mean).max(0.0))
             }),
             other => {
                 return Err(SeaError::invalid(format!(
@@ -191,6 +194,7 @@ impl<'a> DataCanopy<'a> {
         let first = self.chunk_of(dim, a);
         let last = self.chunk_of(dim, b);
         let mut total = ChunkStats::default();
+        let mut weight = 0.0;
         let mut cost = CostReport::zero();
         for chunk in first..=last {
             let (stats, c) = self.chunk_stats(dim, chunk, value_dim)?;
@@ -204,11 +208,12 @@ impl<'a> DataCanopy<'a> {
                 0.0
             };
             total.count += (stats.count as f64 * frac).round() as u64;
+            weight += stats.count as f64 * frac;
             total.sum += stats.sum * frac;
             total.sum_sq += stats.sum_sq * frac;
         }
 
-        let answer = AnswerValue::Scalar(finish(total)?);
+        let answer = AnswerValue::Scalar(finish(total, weight)?);
         Ok(AqpOutcome { answer, cost })
     }
 }
@@ -295,6 +300,31 @@ mod tests {
         let got_v = canopy.query(&v).unwrap().answer.as_scalar().unwrap();
         // Variance of discrete uniform 0..99 ≈ 833.25.
         assert!((got_v - 833.25).abs() < 20.0, "got {got_v}");
+    }
+
+    #[test]
+    fn a_partly_covered_chunk_keeps_mean_and_variance_inside_the_data() {
+        let mut c = StorageCluster::new(2, 16);
+        let records = (1..=3)
+            .map(|i| Record::new(i, vec![i as f64, 5.0]))
+            .collect();
+        c.load_table("t", records, Partitioning::Hash).unwrap();
+        let exec = Executor::new(&c);
+        let domain = Rect::new(vec![0.0, 0.0], vec![10.0, 10.0]).unwrap();
+        let mut canopy = DataCanopy::new(&exec, "t", domain, 1).unwrap();
+        // [0, 4] covers 0.4 of the one chunk: 1.2 of its 3 rows.
+        let mut answer = |agg| {
+            let q = AnalyticalQuery::new(
+                Region::Range(Rect::new(vec![0.0, 0.0], vec![4.0, 10.0]).unwrap()),
+                agg,
+            );
+            canopy.query(&q).unwrap().answer.as_scalar().unwrap()
+        };
+        let mean = answer(AggregateKind::Mean { dim: 1 });
+        assert!((mean - 5.0).abs() < 1e-9, "mean {mean}");
+        let variance = answer(AggregateKind::Variance { dim: 1 });
+        assert!((0.0..1e-9).contains(&variance), "variance {variance}");
+        assert_eq!(answer(AggregateKind::Count), 1.0, "count rounds per chunk");
     }
 
     #[test]

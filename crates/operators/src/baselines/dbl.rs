@@ -12,7 +12,7 @@ use sea_common::{AnalyticalQuery, AnswerValue, Result, SeaError};
 use sea_ml::linreg::RecursiveLeastSquares;
 use sea_ml::Regressor;
 
-use crate::sampling::{AqpOutcome, SamplingAqp};
+use super::sampling::{AqpOutcome, SamplingAqp};
 
 /// A learned correction layer over [`SamplingAqp`].
 #[derive(Debug)]
@@ -102,11 +102,6 @@ impl LearnedAqp {
             answer: AnswerValue::Scalar(a * ratio),
             cost: base.cost,
         })
-    }
-
-    /// The wrapped engine.
-    pub fn engine(&self) -> &SamplingAqp {
-        &self.engine
     }
 }
 

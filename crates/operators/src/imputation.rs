@@ -1,8 +1,15 @@
-//! Full-scan vs grid-partitioned kNN imputation.
+//! Missing-value **imputation** (P3, fourth bullet; \[36\]): each `NaN`
+//! takes the mean of the k nearest donors (distance over the observed
+//! dimensions), read in place from the scan's block views.
+//! [`fullscan_impute`] compares every probe with the whole table;
+//! [`GridImputer`] fetches donors only from the grid cells around a
+//! probe's observed values.
 
 use sea_common::{CostMeter, CostReport, Record, Rect, Result, SeaError};
 use sea_query::Executor;
 use sea_storage::{Block, BDAS_LAYERS, DIRECT_LAYERS};
+
+use crate::nearest_first;
 
 /// The outcome of imputing a batch of incomplete records.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,9 +51,11 @@ fn impute_one(probe: &Record, donors: &[Donor], k: usize, examined: &mut u64) ->
         .filter_map(|&d| observed_distance(probe, d).map(|dist| (d, dist)))
         .collect();
     *examined += near.len() as u64;
-    // total_cmp (NaN-safe) with a donor-id tie-break: equidistant donors
-    // truncate to the same k-set regardless of input order.
-    near.sort_by(|((a, i), x), ((b, j), y)| x.total_cmp(y).then(a.ids()[*i].cmp(&b.ids()[*j])));
+    // Equidistant donors truncate to the same k-set whatever the input
+    // order.
+    near.sort_by(nearest_first(|((block, row), dist): &(Donor, f64)| {
+        (*dist, block.ids()[*row])
+    }));
     near.truncate(k);
     let mut out = probe.clone();
     for d in 0..out.values.len() {
@@ -134,8 +143,10 @@ impl GridImputer {
 
     /// The donor-fetch region of one probe: observed dimensions are
     /// constrained to ± one cell width around the observed value; missing
-    /// dimensions span the whole domain.
-    fn donor_region(&self, probe: &Record) -> Result<Rect> {
+    /// dimensions span the whole domain. `None` when an observed value's
+    /// window misses the domain (more than a cell outside it, or ±inf):
+    /// no donor lies there.
+    fn donor_region(&self, probe: &Record) -> Result<Option<Rect>> {
         SeaError::check_dims(self.domain.dims(), probe.dims())?;
         let mut lo = self.domain.lo().to_vec();
         let mut hi = self.domain.hi().to_vec();
@@ -147,14 +158,18 @@ impl GridImputer {
             let w = (self.domain.hi()[d] - self.domain.lo()[d]) / self.cells_per_dim as f64;
             lo[d] = (v - w).max(self.domain.lo()[d]);
             hi[d] = (v + w).min(self.domain.hi()[d]);
+            if lo[d] > hi[d] {
+                return Ok(None);
+            }
         }
-        Rect::new(lo, hi)
+        Rect::new(lo, hi).map(Some)
     }
 
     /// Imputes a batch: each probe fetches donors only from its
-    /// neighbourhood region via block-pruned coordinator reads. A
-    /// partition read that fails (partial-answer mode) lends no donors
-    /// and labels the report partial, one read of each engaged.
+    /// neighbourhood region via block-pruned coordinator reads; a probe
+    /// whose region misses the domain engages no partition and keeps its
+    /// `NaN`s. A partition read that fails (partial-answer mode) lends no
+    /// donors and labels the report partial, one read of each engaged.
     ///
     /// # Errors
     ///
@@ -180,7 +195,10 @@ impl GridImputer {
         let mut examined = 0u64;
         let mut out = Vec::with_capacity(incomplete.len());
         for probe in incomplete {
-            let region = self.donor_region(probe)?;
+            let Some(region) = self.donor_region(probe)? else {
+                out.push(probe.clone());
+                continue;
+            };
             let mut donors: Vec<Donor> = Vec::new();
             // The scan charges the block reads; only the donor shipment
             // is added here.
@@ -344,6 +362,26 @@ mod tests {
         let out = fullscan_impute(&Executor::new(&c), "t", &probe, 1).unwrap();
         let v = out.imputed[0].value(1);
         assert!((v - 30.0).abs() < 1e-9, "lowest-id donor wins the tie: {v}");
+    }
+
+    #[test]
+    fn a_probe_outside_the_domain_keeps_its_nans_and_spares_the_batch() {
+        let c = cluster();
+        let exec = Executor::new(&c);
+        let domain = Rect::new(vec![0.0, 0.0, 0.0], vec![100.0, 205.0, 100.0]).unwrap();
+        let imputer = GridImputer::new(domain, 50).unwrap();
+        let inside = Record::new(1, vec![40.0, f64::NAN, 60.0]);
+        let batch = [
+            inside.clone(),
+            Record::new(2, vec![150.0, f64::NAN, 50.0]),
+            Record::new(3, vec![f64::INFINITY, f64::NAN, 50.0]),
+        ];
+        let out = imputer.impute(&exec, "t", &batch, 5).unwrap();
+        let alone = imputer.impute(&exec, "t", &[inside], 5).unwrap();
+        assert_eq!(out.imputed[0], alone.imputed[0]);
+        assert_eq!(out.candidates_examined, alone.candidates_examined);
+        assert!(out.imputed[1].value(1).is_nan());
+        assert!(out.imputed[2].value(1).is_nan());
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! MapReduce-style vs coordinator–cohort distributed kNN.
 
-use std::cmp::Ordering;
-
-use sea_common::{CostMeter, CostModel, CostReport, Point, Record, Rect, Result, SeaError};
+use sea_common::{
+    CostMeter, CostModel, CostReport, Point, Record, RecordId, Rect, Result, SeaError,
+};
 use sea_index::kdtree::{KdTree, Neighbor};
 use sea_query::Executor;
 use sea_storage::{Block, BDAS_LAYERS, DIRECT_LAYERS};
+
+use crate::nearest_first;
 
 /// A kNN answer plus its resource bill.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,7 +44,7 @@ pub fn mapreduce_knn(exec: &Executor, table: &str, query: &Point, k: usize) -> R
                 local.push(Neighbor { id, distance });
             });
         }
-        local.sort_by(nearest_first);
+        local.sort_by(nearest_first(by_distance));
         local.truncate(k);
         meter.charge_lan(local.len() as u64 * 16);
         merged.extend(local);
@@ -50,7 +52,7 @@ pub fn mapreduce_knn(exec: &Executor, table: &str, query: &Point, k: usize) -> R
     })?;
     let mut coord = CostMeter::new();
     coord.charge_cpu(merged.len() as u64);
-    merged.sort_by(nearest_first);
+    merged.sort_by(nearest_first(by_distance));
     merged.truncate(k);
     Ok(KnnOutcome {
         neighbors: merged,
@@ -59,12 +61,9 @@ pub fn mapreduce_knn(exec: &Executor, table: &str, query: &Point, k: usize) -> R
     })
 }
 
-/// Ascending distance, ties to the lower id — a node's local top-k must
-/// not depend on its block storage order when distances are equal, or
-/// the merged answer becomes order-unstable — and a NaN distance last
-/// (`total_cmp`), not a panic.
-fn nearest_first(a: &Neighbor, b: &Neighbor) -> Ordering {
-    a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id))
+/// The [`nearest_first`] key of a neighbour.
+fn by_distance(n: &Neighbor) -> (f64, RecordId) {
+    (n.distance, n.id)
 }
 
 /// Euclidean distance from `q` to row `i` of `block`, read off its
@@ -206,7 +205,7 @@ impl DistributedKnnIndex {
             meter.charge_cpu(visits);
             meter.charge_lan(local.len() as u64 * self.record_bytes.max(16));
             merged.extend(local);
-            merged.sort_by(nearest_first);
+            merged.sort_by(nearest_first(by_distance));
             merged.truncate(k);
             node_meters.push(meter);
         }
@@ -222,7 +221,6 @@ impl DistributedKnnIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sea_common::RecordId;
     use sea_storage::{Partitioning, StorageCluster};
 
     fn cluster(n: u64, partitioning: Partitioning) -> StorageCluster {

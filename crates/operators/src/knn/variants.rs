@@ -10,7 +10,7 @@ use sea_common::{CostModel, Point, Result, SeaError};
 use sea_index::kdtree::Neighbor;
 use sea_query::ExecPool;
 
-use crate::distributed::DistributedKnnIndex;
+use super::DistributedKnnIndex;
 
 /// kNN join: for every probe point, its k nearest records. Probes are
 /// processed in `threads` contiguous chunks on an [`ExecPool`] of that

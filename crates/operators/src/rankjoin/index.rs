@@ -1,13 +1,11 @@
 //! The score-sorted statistical index behind surgical rank-join access.
 
-use serde::{Deserialize, Serialize};
-
 use sea_common::{CostMeter, RecordId, Result, SeaError};
 use sea_query::Executor;
 use sea_storage::{NodeId, DIRECT_LAYERS};
 
 /// One index entry: where a tuple lives and what matters about it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoreEntry {
     /// Record id.
     pub id: RecordId,
@@ -25,7 +23,7 @@ pub struct ScoreEntry {
 /// the returned build meter); after that, [`ScoreIndex::batch`] hands out
 /// successive descending-score batches, and charges only the batch's own
 /// retrieval cost.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScoreIndex {
     /// Entries sorted by descending score.
     entries: Vec<ScoreEntry>,
@@ -84,11 +82,6 @@ impl ScoreIndex {
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Index memory footprint in bytes.
-    pub fn memory_bytes(&self) -> u64 {
-        self.entries.len() as u64 * 32
     }
 
     /// The highest score in the table (`None` when empty).

@@ -6,7 +6,7 @@ use sea_common::{CostMeter, CostModel, CostReport, RecordId, Result, SeaError};
 use sea_query::Executor;
 use sea_storage::BDAS_LAYERS;
 
-use crate::index::ScoreIndex;
+use super::ScoreIndex;
 
 /// One joined pair in the result.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -28,10 +28,11 @@
 //! query and node in record order. Answers, cost reports and replayed
 //! telemetry are bit-identical at every [`ExecPool`] size.
 //!
-//! Every other reader of the cluster — the operator crates, [`adhoc`] —
-//! goes through the same open step, [`Executor::scan_blocks`]: same
-//! retry, failover, partial answers, charges and node telemetry, handed
-//! back as borrowed [`BlockView`]s, not rows, in one node loop,
+//! Every other reader of the cluster — `sea-operators`' rank-join, kNN,
+//! imputation, AQP comparators and ad hoc ML, the optimizer, the
+//! polystore — goes through the same open step, [`Executor::scan_blocks`]:
+//! same retry, failover, partial answers, charges and node telemetry,
+//! handed back as borrowed [`BlockView`]s, not rows, in one node loop,
 //! [`Executor::scatter`], that counts unread partitions and labels the
 //! bill: an operator supplies only its per-node compute. Offline passes
 //! (the optimizer's grid index and histograms, the kNN trees, the score
@@ -56,11 +57,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adhoc;
 pub mod executor;
 pub mod pool;
 
-pub use adhoc::{classify_subspace, cluster_subspace, regress_subspace, AdHocOutcome};
 pub use executor::{
     BlockView, CacheClass, Executor, Provenance, QueryOutcome, RetryPolicy, Scatter,
 };

@@ -7,10 +7,11 @@
 //! ```
 
 use sea_common::{CostMeter, CostModel, Point, Record, Rect};
-use sea_imputation::{fullscan_impute, GridImputer};
-use sea_knn::{knn_join, mapreduce_knn, DistributedKnnIndex};
+use sea_operators::{
+    fullscan_impute, knn_join, mapreduce_knn, mapreduce_rank_join, surgical_rank_join,
+    DistributedKnnIndex, GridImputer, ScoreIndex,
+};
 use sea_query::Executor;
-use sea_rankjoin::{mapreduce_rank_join, surgical_rank_join, ScoreIndex};
 use sea_storage::{Partitioning, StorageCluster};
 
 fn main() -> sea_common::Result<()> {

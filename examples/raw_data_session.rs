@@ -9,7 +9,8 @@
 
 use sea_common::{Record, Rect, Region};
 use sea_index::CrackerIndex;
-use sea_query::{classify_subspace, cluster_subspace, regress_subspace, Executor};
+use sea_operators::{classify_subspace, cluster_subspace, regress_subspace};
+use sea_query::Executor;
 use sea_storage::{Partitioning, StorageCluster};
 
 fn main() -> sea_common::Result<()> {

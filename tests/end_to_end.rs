@@ -2,9 +2,9 @@
 //! engines → trained agent → comparisons against every baseline — the
 //! whole Fig-2 loop spanning all workspace crates.
 
-use sea_baselines::{LearnedAqp, SamplingAqp};
 use sea_common::{AggregateKind, Rect};
 use sea_core::{AgentConfig, AgentPipeline, AnswerSource, ExecMode};
+use sea_operators::{LearnedAqp, SamplingAqp};
 use sea_query::Executor;
 use sea_storage::{Partitioning, StorageCluster};
 use sea_workload::{DataGenerator, DataSpec, QueryGenerator, QuerySpec};

@@ -2,16 +2,16 @@
 //! exactly — through single-node failures when replication is on, and
 //! fail loudly (never silently wrong) when it is not.
 
-use sea_baselines::{DataCanopy, SamplingAqp};
 use sea_common::{
     AggregateKind, AnalyticalQuery, CostMeter, CostReport, Point, Record, Rect, Region, SeaError,
 };
 use sea_core::AgentConfig;
 use sea_geo::{ConstituentSystem, Polystore};
-use sea_imputation::{fullscan_impute, GridImputer};
-use sea_knn::{mapreduce_knn, DistributedKnnIndex};
-use sea_query::{cluster_subspace, Executor};
-use sea_rankjoin::{mapreduce_rank_join, ScoreIndex};
+use sea_operators::{
+    cluster_subspace, fullscan_impute, mapreduce_knn, mapreduce_rank_join, DataCanopy,
+    DistributedKnnIndex, GridImputer, SamplingAqp, ScoreIndex,
+};
+use sea_query::Executor;
 use sea_storage::{FaultPlan, Partitioning, StorageCluster};
 
 fn records(n: u64) -> Vec<Record> {
