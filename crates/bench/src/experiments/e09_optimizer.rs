@@ -5,7 +5,7 @@
 //! trained selector's total cost is close to the per-query oracle.
 
 use sea_common::{AggregateKind, AnalyticalQuery, Point, Record, Rect, Region, Result};
-use sea_optimizer::{ExecutionEngines, LearnedOptimizer, QueryStrategy};
+use sea_operators::{ExecutionEngines, LearnedOptimizer, QueryStrategy};
 use sea_query::Executor;
 use sea_storage::{Partitioning, StorageCluster};
 use sea_telemetry::TelemetrySink;

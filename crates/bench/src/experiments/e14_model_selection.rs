@@ -8,8 +8,7 @@
 use sea_common::Result;
 use sea_ml::linreg::LinearModel;
 use sea_ml::selection::train_test_split;
-use sea_ml::Metrics;
-use sea_optimizer::select_model;
+use sea_ml::{select_model, Metrics};
 use sea_telemetry::TelemetrySink;
 
 use crate::Report;

@@ -6,7 +6,7 @@
 //! up-front indexing.
 
 use sea_common::Result;
-use sea_index::CrackerIndex;
+use sea_operators::CrackerIndex;
 use sea_telemetry::TelemetrySink;
 
 use crate::Report;

@@ -12,9 +12,6 @@
 //!   row-order arithmetic (`sum += v`, Welford updates, `min.min(v)`),
 //!   so every answer stays bit-identical to a row-at-a-time scan. The
 //!   speedup comes from filtering cheaply, not from reordering floats.
-//!
-//! The same bitmap type doubles as a per-column **validity bitmap**
-//! (NaN = missing) in block metadata.
 
 use serde::{Deserialize, Serialize};
 
@@ -48,7 +45,7 @@ fn pack_word(chunk: &[f64], pred: impl Fn(f64) -> bool) -> u64 {
 }
 
 /// A fixed-length bitmap over the rows of a block: bit `i` set means row
-/// `i` is selected (or, as a validity bitmap, present/non-NaN).
+/// `i` is selected.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SelectionMask {
     words: Vec<u64>,
@@ -84,16 +81,6 @@ impl SelectionMask {
             }
         }
         self.len = len;
-    }
-
-    /// The validity bitmap of a column: bit `i` set iff `col[i]` is not
-    /// NaN (missing values are encoded as NaN).
-    pub fn from_valid(col: &[f64]) -> Self {
-        let mut m = SelectionMask::none(col.len());
-        for (w, chunk) in m.words.iter_mut().zip(col.chunks(64)) {
-            *w = pack_word(chunk, |v| !v.is_nan());
-        }
-        m
     }
 
     /// Number of rows the mask covers.
@@ -339,13 +326,6 @@ mod tests {
         // (0,0) at 0, (3,4) at exactly 5 (boundary inclusive), (1,1) at √2;
         // the NaN row never matches.
         assert_eq!(m.to_indices(), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn validity_bitmap_flags_nan() {
-        let v = SelectionMask::from_valid(&[1.0, f64::NAN, 3.0]);
-        assert_eq!(v.to_indices(), vec![0, 2]);
-        assert_eq!(SelectionMask::from_valid(&[]).count(), 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use std::fmt::Write as _;
 
-use sea_optimizer::QueryStrategy;
+use sea_operators::QueryStrategy;
 use sea_telemetry::{FieldValue, SpanNode};
 
 use crate::ast::{LogicalPlan, ModeHint};

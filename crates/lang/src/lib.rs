@@ -22,8 +22,8 @@
 //!   canonical pretty-printer that round-trips through [`parse`].
 //! * [`Frontend`] — plans and executes statements against an
 //!   [`sea_query::Executor`], optionally routing through
-//!   [`sea_optimizer::ExecutionEngines`] (scan-vs-index chosen by
-//!   [`sea_optimizer::ExecutionEngines::estimate_cost`]) and an
+//!   [`sea_operators::ExecutionEngines`] (scan-vs-index chosen by
+//!   [`sea_operators::ExecutionEngines::estimate_cost`]) and an
 //!   [`sea_core::AgentPipeline`] (the predict-vs-exact-vs-cache
 //!   decision). Every statement takes one ladder, run under the front
 //!   end's executor; an `EXPLAIN` statement takes it under a recording

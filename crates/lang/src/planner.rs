@@ -2,7 +2,7 @@
 //!
 //! The [`Frontend`] binds a statement surface to the existing execution
 //! stack — [`Executor`] for exact answers (batched statements share one
-//! superset scan), [`sea_optimizer::ExecutionEngines`] for
+//! superset scan), [`sea_operators::ExecutionEngines`] for
 //! scan-vs-index access-path selection, and [`AgentPipeline`] for the
 //! predict-vs-exact-vs-cache decision — without changing any of their
 //! semantics: a lowered statement produces answers and
@@ -14,7 +14,7 @@ use sea_common::{
     AnalyticalQuery, AnswerValue, Ball, CostReport, Point, Rect, Region, Result, SeaError,
 };
 use sea_core::{AgentPipeline, ProcessOutcome};
-use sea_optimizer::{ExecutionEngines, QueryStrategy};
+use sea_operators::{ExecutionEngines, QueryStrategy};
 use sea_query::Executor;
 use sea_service::{QueryService, SubmitOutcome};
 use sea_storage::StorageCluster;

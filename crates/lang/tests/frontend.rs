@@ -125,7 +125,7 @@ fn engines_pick_a_path_and_preserve_answers() {
     assert_eq!(wide.results[0].answer, AnswerValue::Scalar(10_000.0));
     assert_eq!(
         wide.results[0].strategy,
-        Some(sea_optimizer::QueryStrategy::ScanAggregate)
+        Some(sea_operators::QueryStrategy::ScanAggregate)
     );
 }
 
@@ -140,7 +140,7 @@ fn engine_scans_run_on_the_front_ends_executor() {
     let wide = front.run("SELECT count()").unwrap();
     assert_eq!(
         wide.results[0].strategy,
-        Some(sea_optimizer::QueryStrategy::ScanAggregate)
+        Some(sea_operators::QueryStrategy::ScanAggregate)
     );
     // The index build is a billed scan on the same executor: its span
     // first, one node per partition, carrying the build's bill; then the

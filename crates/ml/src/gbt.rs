@@ -166,11 +166,8 @@ fn build_tree(
     let mut best: Option<(usize, f64, f64)> = None; // (dim, threshold, sse)
     let mut sorted = rows.to_vec();
     for dim in 0..dims {
-        sorted.sort_by(|&a, &b| {
-            xs[a][dim]
-                .partial_cmp(&xs[b][dim])
-                .expect("finite features")
-        });
+        // `total_cmp`: a NaN feature sorts to an end instead of panicking.
+        sorted.sort_by(|&a, &b| xs[a][dim].total_cmp(&xs[b][dim]));
         // Prefix sums for O(1) split evaluation.
         let mut prefix_sum = 0.0;
         let mut prefix_sq = 0.0;
@@ -326,6 +323,15 @@ mod tests {
             }
         )
         .is_err());
+    }
+
+    #[test]
+    fn a_nan_feature_returns_instead_of_panicking() {
+        let mut xs: Vec<Vec<f64>> = (0..20).map(|i| vec![f64::from(i)]).collect();
+        xs[7][0] = f64::NAN;
+        let ys: Vec<f64> = (0..20).map(f64::from).collect();
+        // Either answer is acceptable; a panic is not.
+        let _ = GradientBoostedTrees::fit(&xs, &ys, &GbtParams::default());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! # sea-ml
 //!
 //! The statistical machine-learning substrate of SEA: every model the
-//! intelligent agent (sea-core), the optimizer (sea-optimizer) and the
-//! baselines rely on, implemented from scratch on `f64` slices with no
-//! external linear-algebra dependency.
+//! intelligent agent (sea-core), the learned access-path selector and the
+//! baselines (sea-operators) rely on, implemented from scratch on `f64`
+//! slices with no external linear-algebra dependency.
 //!
 //! * [`linreg`] — batch OLS/ridge regression (normal equations) and
 //!   *recursive least squares* for the agent's incremental per-quantum
@@ -20,6 +20,9 @@
 //!   the heavier ensemble alternative in inference-model selection (RT3-3).
 //! * [`selection`] — train/test splitting, k-fold cross-validation and the
 //!   error metrics used to pick among inference models (\[48\]).
+//! * [`model_select`] — inference-model selection (RT3-3, \[48\]): given
+//!   a data subspace's training pairs, pick among the linear, kNN and
+//!   gradient-boosted regressors above by k-fold validation error.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,6 +31,7 @@ pub mod gbt;
 pub mod knnreg;
 pub mod linalg;
 pub mod linreg;
+pub mod model_select;
 pub mod piecewise;
 pub mod quantize;
 pub mod selection;
@@ -35,6 +39,7 @@ pub mod selection;
 pub use gbt::{GbtParams, GradientBoostedTrees};
 pub use knnreg::KnnRegressor;
 pub use linreg::{LinearModel, RecursiveLeastSquares};
+pub use model_select::{select_model, ModelChoice};
 pub use piecewise::PiecewiseLinear;
 pub use quantize::{KMeans, OnlineQuantizer, QuantizerParams};
 pub use selection::{kfold_mse, train_test_split, Metrics};

@@ -2,15 +2,12 @@
 //!
 //! "Even if said models derive from the same family, different models have
 //! been found to be best for different data subspaces." This module picks,
-//! per subspace, among the three regressor families in `sea-ml` by k-fold
+//! per subspace, among the crate's three regressor families by k-fold
 //! cross-validated MSE.
 
 use sea_common::{Result, SeaError};
-use sea_ml::gbt::{GbtParams, GradientBoostedTrees};
-use sea_ml::knnreg::KnnRegressor;
-use sea_ml::linreg::LinearModel;
-use sea_ml::selection::kfold_mse;
-use sea_ml::Regressor;
+
+use crate::{kfold_mse, GbtParams, GradientBoostedTrees, KnnRegressor, LinearModel, Regressor};
 
 /// The selected model family, with the fitted model.
 #[derive(Debug)]
@@ -94,6 +91,14 @@ mod tests {
         let xs: Vec<Vec<f64>> = (0..20).map(|i| vec![f64::from(i)]).collect();
         let (_, scores) = select_model(&xs, &[f64::NAN; 20], 4).unwrap();
         assert!(scores.iter().all(|s| s.1.is_nan()), "{scores:?}");
+    }
+
+    #[test]
+    fn a_nan_feature_returns_instead_of_panicking() {
+        let mut xs: Vec<Vec<f64>> = (0..20).map(|i| vec![f64::from(i)]).collect();
+        xs[7][0] = f64::NAN;
+        let ys: Vec<f64> = (0..20).map(f64::from).collect();
+        let _ = select_model(&xs, &ys, 4);
     }
 
     #[test]

@@ -129,12 +129,11 @@ impl PiecewiseLinear {
 
     /// Evaluates the model at `x` (extrapolating with the edge segments).
     pub fn eval(&self, x: f64) -> f64 {
-        for s in &self.segments {
-            if x < s.hi {
-                return s.eval(x);
-            }
-        }
-        self.segments.last().expect("non-empty").eval(x)
+        // The last segment extends to +inf, so only `x` = +inf or NaN
+        // falls through to it.
+        (self.segments.iter().find(|s| x < s.hi))
+            .or(self.segments.last())
+            .map_or(f64::NAN, |s| s.eval(x))
     }
 
     /// Mean squared error over a dataset.

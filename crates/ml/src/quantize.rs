@@ -44,14 +44,13 @@ impl KMeans {
         // Deterministic farthest-point seeding.
         let mut centroids: Vec<Vec<f64>> = vec![points[0].clone()];
         while centroids.len() < k {
-            let far = points
-                .iter()
-                .max_by(|a, b| {
-                    let da = nearest_dist_sq(a, &centroids);
-                    let db = nearest_dist_sq(b, &centroids);
-                    da.total_cmp(&db)
-                })
-                .expect("non-empty");
+            let Some(far) = points.iter().max_by(|a, b| {
+                let da = nearest_dist_sq(a, &centroids);
+                let db = nearest_dist_sq(b, &centroids);
+                da.total_cmp(&db)
+            }) else {
+                break;
+            };
             centroids.push(far.clone());
         }
 

@@ -4,9 +4,10 @@ use sea_common::{
     AggregateKind, AnalyticalQuery, AnswerValue, CostMeter, CostModel, CostReport, Record, Rect,
     Result, SeaError,
 };
-use sea_index::{GridIndex, StratifiedSample};
 use sea_query::Executor;
 use sea_storage::BDAS_LAYERS;
+
+use crate::{GridIndex, StratifiedSample};
 
 /// The outcome of an approximate query: the estimate and its resource bill.
 #[derive(Debug, Clone, PartialEq)]

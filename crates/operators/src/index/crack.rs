@@ -12,12 +12,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use sea_common::{RecordId, Result, SeaError};
 
 /// A crackable single-attribute column of `(value, record id)` pairs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CrackerIndex {
     /// The column; progressively partitioned in place.
     data: Vec<(f64, RecordId)>,
@@ -26,8 +24,9 @@ pub struct CrackerIndex {
     cracks: BTreeMap<OrderedF64, usize>,
 }
 
-/// A totally-ordered wrapper for finite f64 crack keys.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// A totally-ordered wrapper for crack keys (finite: `query` and `count`
+/// reject any other bound).
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct OrderedF64(f64);
 
 impl Eq for OrderedF64 {}
@@ -38,7 +37,7 @@ impl PartialOrd for OrderedF64 {
 }
 impl Ord for OrderedF64 {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.partial_cmp(&other.0).expect("finite crack keys")
+        self.0.total_cmp(&other.0)
     }
 }
 

@@ -5,13 +5,11 @@
 //! statistical structure. It is equi-depth (fixed bucket population),
 //! which stays accurate on skewed data where fixed-width buckets do not.
 
-use serde::{Deserialize, Serialize};
-
 use sea_common::{Result, SeaError};
 
 /// An equi-depth histogram: bucket boundaries chosen so each bucket holds
 /// (approximately) the same number of values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EquiDepthHistogram {
     /// Ascending bucket boundaries, `buckets + 1` entries.
     bounds: Vec<f64>,
@@ -34,7 +32,7 @@ impl EquiDepthHistogram {
         if sorted.is_empty() {
             return Err(SeaError::Empty("equi-depth histogram of no values".into()));
         }
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN"));
+        sorted.sort_by(f64::total_cmp);
         let n = sorted.len();
         let buckets = buckets.min(n);
         let mut bounds = Vec::with_capacity(buckets + 1);

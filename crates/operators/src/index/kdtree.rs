@@ -4,13 +4,11 @@
 //! operator of experiment E5 (paper claim: three orders of magnitude over
 //! MapReduce-style scanning, \[33\]).
 
-use std::collections::BinaryHeap;
-
-use serde::{Deserialize, Serialize};
-
 use sea_common::{Point, Record, RecordId, Rect, Result, SeaError};
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+use crate::nearest_first;
+
+#[derive(Debug, Clone)]
 struct Node {
     /// Index into `points` of this node's pivot.
     point: usize,
@@ -25,7 +23,7 @@ struct Node {
 ///
 /// ```
 /// use sea_common::{Point, Record};
-/// use sea_index::KdTree;
+/// use sea_operators::KdTree;
 ///
 /// let records: Vec<Record> = (0..100)
 ///     .map(|i| Record::new(i, vec![i as f64, (i * 7 % 100) as f64]))
@@ -34,7 +32,7 @@ struct Node {
 /// let nn = tree.nearest(&Point::new(vec![50.0, 50.0]), 3).unwrap();
 /// assert_eq!(nn.len(), 3);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KdTree {
     dims: usize,
     ids: Vec<RecordId>,
@@ -50,27 +48,6 @@ pub struct Neighbor {
     pub id: RecordId,
     /// Euclidean distance to the query point.
     pub distance: f64,
-}
-
-#[derive(PartialEq)]
-struct HeapEntry {
-    dist_sq: f64,
-    id: RecordId,
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // total_cmp: a NaN distance (a NaN coordinate on either side)
-        // ranks farthest instead of panicking.
-        self.dist_sq
-            .total_cmp(&other.dist_sq)
-            .then(self.id.cmp(&other.id))
-    }
 }
 
 impl KdTree {
@@ -194,43 +171,40 @@ impl KdTree {
         if k == 0 {
             return Err(SeaError::invalid("k must be positive"));
         }
-        let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
-        self.nearest_rec(self.root, query.coords(), k, &mut heap);
-        let mut hits: Vec<Neighbor> = heap
-            .into_sorted_vec()
+        let mut best = Vec::with_capacity(k + 1);
+        self.nearest_rec(self.root, query.coords(), k, &mut best);
+        Ok(best
             .into_iter()
-            .map(|e| Neighbor {
-                id: e.id,
-                distance: e.dist_sq.sqrt(),
+            .map(|(dist_sq, id)| Neighbor {
+                id,
+                distance: dist_sq.sqrt(),
             })
-            .collect();
-        hits.truncate(k);
-        Ok(hits)
+            .collect())
     }
 
+    /// Visits the subtree at `node`, keeping in `best` the `k` nearest
+    /// `(squared distance, id)` pairs seen so far in the crate's
+    /// nearest-first order.
     fn nearest_rec(
         &self,
         node: Option<usize>,
         q: &[f64],
         k: usize,
-        heap: &mut BinaryHeap<HeapEntry>,
+        best: &mut Vec<(f64, RecordId)>,
     ) {
         let Some(idx) = node else { return };
         let n = &self.nodes[idx];
         let p = &self.coords[n.point];
         let dist_sq: f64 = p.iter().zip(q).map(|(a, b)| (a - b) * (a - b)).sum();
-        let candidate = HeapEntry {
-            dist_sq,
-            id: self.ids[n.point],
-        };
-        if heap.len() < k {
-            heap.push(candidate);
-        } else if candidate < *heap.peek().expect("non-empty") {
-            // (dist, id)-lexicographic eviction: an equidistant record
-            // with a lower id replaces the incumbent, so the reported
-            // top-k never depends on tree traversal order.
-            heap.pop();
-            heap.push(candidate);
+        let candidate = (dist_sq, self.ids[n.point]);
+        // (dist, id)-lexicographic eviction: an equidistant record with a
+        // lower id displaces the incumbent, so the reported top-k never
+        // depends on tree traversal order.
+        let order = nearest_first(|e: &(f64, RecordId)| *e);
+        let at = best.partition_point(|e| order(e, &candidate).is_lt());
+        if at < k {
+            best.insert(at, candidate);
+            best.truncate(k);
         }
         let sd = n.split_dim;
         let diff = q[sd] - p[sd];
@@ -239,15 +213,15 @@ impl KdTree {
         } else {
             (n.right, n.left)
         };
-        self.nearest_rec(near, q, k, heap);
+        self.nearest_rec(near, q, k, best);
         // Visit the far side unless the splitting plane is provably
         // farther than the current k-th best — the boundary case must
         // recurse so an equidistant lower-id record can still win its
         // tie, and a NaN on either side proves nothing.
-        let worst = heap.peek().map_or(f64::INFINITY, |e| e.dist_sq);
+        let worst = best.last().map_or(f64::INFINITY, |e| e.0);
         let plane = diff * diff;
-        if heap.len() < k || plane <= worst || plane.is_nan() || worst.is_nan() {
-            self.nearest_rec(far, q, k, heap);
+        if best.len() < k || plane <= worst || plane.is_nan() || worst.is_nan() {
+            self.nearest_rec(far, q, k, best);
         }
     }
 }

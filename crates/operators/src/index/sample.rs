@@ -10,7 +10,6 @@ use std::collections::HashMap;
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 use sea_common::{Record, Result, SeaError};
 
@@ -68,7 +67,7 @@ impl ReservoirSampler {
 
 /// A stratified sample: per-stratum uniform samples with per-stratum
 /// scale-up weights, built offline from a full dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StratifiedSample {
     /// stratum key → (sampled records, population size of the stratum)
     strata: HashMap<u64, (Vec<Record>, u64)>,

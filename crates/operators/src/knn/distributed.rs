@@ -3,10 +3,10 @@
 use sea_common::{
     CostMeter, CostModel, CostReport, Point, Record, RecordId, Rect, Result, SeaError,
 };
-use sea_index::kdtree::{KdTree, Neighbor};
 use sea_query::Executor;
 use sea_storage::{Block, BDAS_LAYERS, DIRECT_LAYERS};
 
+use crate::index::kdtree::{KdTree, Neighbor};
 use crate::nearest_first;
 
 /// A kNN answer plus its resource bill.

@@ -3,13 +3,12 @@
 //! adopt the best execution method."
 
 use sea_common::{AnalyticalQuery, Result, SeaError};
-use sea_index::EquiDepthHistogram;
 use sea_ml::linreg::RecursiveLeastSquares;
 use sea_ml::Regressor;
 use sea_query::Executor;
 use sea_storage::DIRECT_LAYERS;
 
-use crate::strategies::{ExecutionEngines, QueryStrategy};
+use crate::{EquiDepthHistogram, ExecutionEngines, QueryStrategy};
 
 /// A learned per-strategy cost model over query features.
 #[derive(Debug)]

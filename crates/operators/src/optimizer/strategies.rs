@@ -18,9 +18,10 @@
 //! selector (RT3/G6) must capture.
 
 use sea_common::{AnalyticalQuery, CostMeter, CostModel, CostReport, Rect, Result, SeaError};
-use sea_index::GridIndex;
 use sea_query::{Executor, Provenance, QueryOutcome};
 use sea_storage::{NodeId, StorageCluster, DIRECT_LAYERS};
+
+use crate::GridIndex;
 
 /// An execution strategy for analytical queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

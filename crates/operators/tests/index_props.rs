@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 
-use sea_common::{Record, Rect};
-use sea_index::{EquiDepthHistogram, GridIndex, ReservoirSampler};
+use sea_common::Record;
+use sea_operators::{EquiDepthHistogram, ReservoirSampler};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -44,39 +44,5 @@ proptest! {
         ids.sort_unstable();
         ids.dedup();
         prop_assert_eq!(ids.len(), s.sample().len());
-    }
-
-    #[test]
-    fn grid_estimate_count_full_domain_is_total(points in prop::collection::vec((0.0f64..10.0, 0.0f64..10.0), 1..150)) {
-        let domain = Rect::new(vec![0.0, 0.0], vec![10.0, 10.0]).unwrap();
-        let records: Vec<Record> = points
-            .iter()
-            .enumerate()
-            .map(|(i, (x, y))| Record::new(i as u64, vec![*x, *y]))
-            .collect();
-        let grid = GridIndex::build(domain.clone(), 8, &records).unwrap();
-        let est = grid
-            .estimate_count(&sea_common::Region::Range(domain))
-            .unwrap();
-        prop_assert!((est - records.len() as f64).abs() < 1e-6, "est {est}");
-    }
-
-    #[test]
-    fn grid_insert_remove_roundtrip(points in prop::collection::vec((0.0f64..10.0, 0.0f64..10.0), 1..60)) {
-        let domain = Rect::new(vec![0.0, 0.0], vec![10.0, 10.0]).unwrap();
-        let mut grid = GridIndex::new(domain, 5).unwrap();
-        let records: Vec<Record> = points
-            .iter()
-            .enumerate()
-            .map(|(i, (x, y))| Record::new(i as u64, vec![*x, *y]))
-            .collect();
-        for r in &records {
-            grid.insert(r.id, &r.values).unwrap();
-        }
-        prop_assert_eq!(grid.len(), records.len());
-        for r in &records {
-            prop_assert!(grid.remove(r).unwrap());
-        }
-        prop_assert!(grid.is_empty());
     }
 }

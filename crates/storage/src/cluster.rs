@@ -30,7 +30,7 @@ pub struct TableStats {
     pub per_node: Vec<usize>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct TableMeta {
     dims: usize,
     partitioning: Partitioning,
@@ -86,7 +86,7 @@ fn fold_bounds(dims: usize, nodes: &[DataNode]) -> Option<Rect> {
 /// cluster.load_table("t", records, Partitioning::Hash).unwrap();
 /// assert_eq!(cluster.stats("t").unwrap().records, 1000);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StorageCluster {
     n_nodes: usize,
     block_size: usize,
@@ -95,14 +95,11 @@ pub struct StorageCluster {
     /// partitions are served by the next node's replica (when present).
     down: Vec<bool>,
     tables: HashMap<String, TableMeta>,
-    /// Telemetry sink for `storage.*` spans/events. Not part of the
-    /// cluster's persistent state; defaults to the no-op sink.
-    #[serde(skip)]
+    /// Telemetry sink for `storage.*` spans/events; defaults to the
+    /// no-op sink.
     telemetry: TelemetrySink,
     /// Installed fault-injection state (see [`crate::fault`]). Shared
-    /// across clones so one fault timeline governs an experiment; not
-    /// part of the persistent cluster image.
-    #[serde(skip)]
+    /// across clones so one fault timeline governs an experiment.
     faults: Option<Arc<FaultState>>,
 }
 

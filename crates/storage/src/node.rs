@@ -1,15 +1,12 @@
 //! A single simulated data-server node.
 
-use serde::{Deserialize, Serialize};
-
 use sea_common::{kernels, CostMeter, Record, RecordId, Rect, Region, SelectionMask};
 
 /// A storage block: the unit of disk I/O, stored **column-major**.
 ///
 /// Records are decomposed on ingest into a contiguous id column plus one
-/// `Vec<f64>` per dimension, with a validity bitmap per column marking
-/// non-NaN (present) values. Scans evaluate predicates as selection
-/// bitmaps over the dimension arrays — tight slice loops the compiler
+/// `Vec<f64>` per dimension (NaN = missing). Scans evaluate predicates as
+/// selection bitmaps over the dimension arrays — tight slice loops the compiler
 /// autovectorizes — and only then gather or materialize the selected
 /// values.
 ///
@@ -23,21 +20,20 @@ use sea_common::{kernels, CostMeter, Record, RecordId, Rect, Region, SelectionMa
 /// pruned scan).
 ///
 /// Rows shorter than the block arity (the max dimensionality seen at
-/// build time) are padded with NaN/invalid entries; clusters enforce
+/// build time) are padded with NaN (missing) entries; clusters enforce
 /// uniform dimensionality per table, so padding only arises for ad-hoc
 /// node use.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     ids: Vec<RecordId>,
     cols: Vec<Vec<f64>>,
-    validity: Vec<SelectionMask>,
     bounds: Option<Rect>,
     bytes: u64,
 }
 
 impl Block {
     /// Builds a block from records, decomposing them into columns and
-    /// computing validity bitmaps, zone-map bounds, and serialized size.
+    /// computing zone-map bounds and serialized size.
     pub fn new(records: Vec<Record>) -> Self {
         let bytes = records.iter().map(Record::storage_bytes).sum();
         let n = records.len();
@@ -52,13 +48,10 @@ impl Block {
                     .collect(),
             );
         }
-        let validity: Vec<SelectionMask> =
-            cols.iter().map(|c| SelectionMask::from_valid(c)).collect();
         let bounds = bounds_of(&cols, n);
         Block {
             ids,
             cols,
-            validity,
             bounds,
             bytes,
         }
@@ -187,7 +180,7 @@ pub struct ScanStats {
 }
 
 /// One simulated data-server node: a list of columnar blocks per table.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DataNode {
     blocks: Vec<Block>,
 }
@@ -399,16 +392,6 @@ mod tests {
         let (rows, stats) = scanned(&node, Some(&rect));
         assert_eq!(stats.blocks_read, 1);
         assert_eq!(rows, vec![Record::new(2, vec![3.0, 4.0])]);
-    }
-
-    #[test]
-    fn validity_bitmaps_track_missing_values() {
-        let b = Block::new(vec![
-            Record::new(0, vec![1.0, f64::NAN]),
-            Record::new(1, vec![2.0, 5.0]),
-        ]);
-        assert_eq!(b.validity[0].count(), 2);
-        assert_eq!(b.validity[1].to_indices(), vec![1]);
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! ```
 
 use sea_common::{Record, Rect, Region};
-use sea_index::CrackerIndex;
-use sea_operators::{classify_subspace, cluster_subspace, regress_subspace};
+use sea_operators::{classify_subspace, cluster_subspace, regress_subspace, CrackerIndex};
 use sea_query::Executor;
 use sea_storage::{Partitioning, StorageCluster};
 

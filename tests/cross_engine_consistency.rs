@@ -6,8 +6,7 @@
 use proptest::prelude::*;
 
 use sea_common::{AggregateKind, AnalyticalQuery, AnswerValue, Point, Record, Rect, Region};
-use sea_index::{GridIndex, KdTree};
-use sea_optimizer::{ExecutionEngines, QueryStrategy};
+use sea_operators::{ExecutionEngines, GridIndex, KdTree, QueryStrategy};
 use sea_query::Executor;
 use sea_storage::{Partitioning, StorageCluster};
 
@@ -127,7 +126,10 @@ proptest! {
     fn grid_candidates_are_a_superset_of_matches(rect in arb_rect()) {
         let records = dataset();
         let domain = Rect::new(vec![0.0, 0.0], vec![100.0, 100.0]).unwrap();
-        let grid = GridIndex::build(domain, 20, &records).unwrap();
+        let mut grid = GridIndex::new(domain, 20).unwrap();
+        for r in &records {
+            grid.insert(r.id, &r.values).unwrap();
+        }
         let candidates = grid.candidates(&rect).unwrap();
         for r in &records {
             if rect.contains(&r.to_point()) {
