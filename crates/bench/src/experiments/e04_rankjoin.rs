@@ -5,7 +5,7 @@
 //! size* (the paper reports up to 6 orders of magnitude on real
 //! deployments).
 
-use sea_common::{AggregateKind, AnalyticalQuery, CostMeter, CostModel, Rect, Region, Result};
+use sea_common::{AggregateKind, AnalyticalQuery, CostMeter, Rect, Region, Result};
 use sea_core::{AgentConfig, AgentPipeline, ExecMode};
 use sea_operators::{mapreduce_rank_join, surgical_rank_join, RankJoinOutcome, ScoreIndex};
 use sea_query::Executor;
@@ -60,7 +60,6 @@ pub fn run_e4_with(sink: &TelemetrySink) -> Result<Report> {
     );
     let mut qid = 0u64;
     plan_cardinalities(sink, &mut qid)?;
-    let model = CostModel::default();
     for &n in &[10_000u64, 50_000, 200_000] {
         let mut cluster = rankjoin_cluster(n, n / 50, 8)?;
         cluster.set_telemetry(sink.clone());
@@ -69,7 +68,7 @@ pub fn run_e4_with(sink: &TelemetrySink) -> Result<Report> {
         qid += 1;
         let li = ScoreIndex::build(&exec, "l", &mut CostMeter::new())?;
         let ri = ScoreIndex::build(&exec, "r", &mut CostMeter::new())?;
-        let surgical = surgical_rank_join(&li, &ri, 10, 256, &model)?;
+        let surgical = surgical_rank_join(&li, &ri, 10, 256)?;
         let mr = mapreduce_rank_join(&exec, "l", "r", 10)?;
         span.record_sim_us(surgical.cost.wall_us + mr.cost.wall_us);
         drop(span);

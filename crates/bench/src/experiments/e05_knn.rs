@@ -4,7 +4,7 @@
 //! toward the paper's "three orders of magnitude"; its cost scales with
 //! k, not with n.
 
-use sea_common::{CostModel, Point, Result};
+use sea_common::{Point, Result};
 use sea_operators::{mapreduce_knn, DistributedKnnIndex};
 use sea_query::Executor;
 use sea_telemetry::TelemetrySink;
@@ -19,7 +19,6 @@ pub fn run_e5_with(sink: &TelemetrySink) -> Result<Report> {
         "kNN: coordinator-cohort vs MapReduce",
         &["records", "k", "time_factor", "bytes_factor"],
     );
-    let model = CostModel::default();
     let mut qid = 0u64;
     for &n in &[50_000usize, 200_000, 500_000] {
         let mut cluster = uniform_cluster(n, 8, 2)?;
@@ -33,7 +32,7 @@ pub fn run_e5_with(sink: &TelemetrySink) -> Result<Report> {
             let span = query_span(sink, qid);
             qid += 1;
             let mr = mapreduce_knn(&exec, "t", &q, k)?;
-            let cc = index.query(&q, k, &model)?;
+            let cc = index.query(&q, k)?;
             span.record_sim_us(mr.cost.wall_us + cc.cost.wall_us);
             drop(span);
             observe_query_us(sink, cc.cost.wall_us);

@@ -5,6 +5,7 @@
 //! mean service time; the agent answers most queries from models and so
 //! sustains orders of magnitude higher arrival rates.
 
+use sea_common::cost::PREDICT_US;
 use sea_common::Result;
 use sea_core::{AgentConfig, AgentPipeline, ExecMode};
 use sea_query::Executor;
@@ -63,7 +64,6 @@ pub fn run_e7_with(sink: &TelemetrySink) -> Result<Report> {
         // ~0.1 ms of agent compute plus the amortized audit.
         let mut probe = count_workload(5.0, 15.0, 37)?;
         let mut agent_us = 0.0;
-        const PREDICT_US: f64 = 100.0;
         for _ in 0..60 {
             let q = probe.next_query();
             let span = query_span(sink, qid);

@@ -5,63 +5,49 @@
 //! "crunch and transfer large volumes of data", and "each layer [of the
 //! BDAS] adds extra overheads at all nodes engaged". This module makes those
 //! quantities first-class: every engine in the workspace charges its work to
-//! a [`CostMeter`], and a [`CostModel`] converts the raw counters into
-//! simulated wall-clock time and money cost — deterministically, so
-//! experiments are reproducible and machine-independent.
+//! a [`CostMeter`], and the meter prices itself from one price list (the
+//! constants below) into simulated wall-clock time and money cost —
+//! deterministically, so experiments are reproducible and
+//! machine-independent. The planner's estimates and the executor's bills
+//! read the same rates.
+//!
+//! The rates model a commodity cluster: 10 ms disk seek, ~100 MB/s
+//! sequential disk, ~1 Gb/s LAN with 0.2 ms per-message latency, ~50 ms WAN
+//! round-trip with ~50 Mb/s effective inter-datacentre bandwidth, and a
+//! per-layer software overhead charged once per BDAS layer per touched node
+//! (the paper's "each layer adding extra overheads").
 
 use serde::{Deserialize, Serialize};
 
-/// Conversion rates from raw resource counters to simulated time and money.
-///
-/// The defaults model a commodity cluster: 10 ms disk seek, ~100 MB/s
-/// sequential disk, ~1 Gb/s LAN with 0.2 ms per-message latency, ~50 ms WAN
-/// round-trip with ~50 Mb/s effective inter-datacentre bandwidth, and a
-/// per-layer software overhead charged once per BDAS layer per touched node
-/// (the paper's "each layer adding extra overheads").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CostModel {
-    /// Microseconds per disk seek (also charged once per MapReduce-style
-    /// split, modelling per-task scheduling overhead).
-    pub disk_seek_us: f64,
-    /// Microseconds per random point read (index-driven record fetch).
-    pub disk_point_us: f64,
-    /// Microseconds per byte read from disk.
-    pub disk_byte_us: f64,
-    /// Microseconds of fixed latency per LAN message.
-    pub lan_msg_us: f64,
-    /// Microseconds per byte sent over the LAN.
-    pub lan_byte_us: f64,
-    /// Microseconds of fixed latency per WAN message.
-    pub wan_msg_us: f64,
-    /// Microseconds per byte sent over the WAN.
-    pub wan_byte_us: f64,
-    /// Microseconds of CPU work per record processed.
-    pub cpu_record_us: f64,
-    /// Microseconds of software overhead per BDAS layer crossing per node.
-    pub layer_us: f64,
-    /// Money cost (arbitrary currency units) per node-second of work.
-    pub money_per_node_second: f64,
-    /// Money cost per gigabyte moved across the WAN.
-    pub money_per_wan_gb: f64,
-}
+/// Microseconds per disk seek (also charged once per MapReduce-style
+/// split, modelling per-task scheduling overhead).
+const DISK_SEEK_US: f64 = 10_000.0;
+/// Microseconds per random point read (index-driven record fetch):
+/// SSD-class.
+const DISK_POINT_US: f64 = 100.0;
+/// Microseconds per byte read from disk: 100 MB/s.
+const DISK_BYTE_US: f64 = 0.01;
+/// Microseconds of fixed latency per LAN message: 0.2 ms.
+const LAN_MSG_US: f64 = 200.0;
+/// Microseconds per byte sent over the LAN: 1 Gb/s.
+const LAN_BYTE_US: f64 = 0.008;
+/// Microseconds of fixed latency per WAN message: 50 ms round trip.
+const WAN_MSG_US: f64 = 50_000.0;
+/// Microseconds per byte sent over the WAN: 50 Mb/s.
+const WAN_BYTE_US: f64 = 0.16;
+/// Microseconds of CPU work per record processed.
+const CPU_RECORD_US: f64 = 0.05;
+/// Microseconds of software overhead per BDAS layer crossing per node:
+/// a 2 ms tax per layer per node.
+const LAYER_US: f64 = 2_000.0;
+/// Money cost (arbitrary currency units) per node-second of work.
+const MONEY_PER_NODE_SECOND: f64 = 0.0001;
+/// Money cost per gigabyte moved across the WAN.
+const MONEY_PER_WAN_GB: f64 = 0.05;
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            disk_seek_us: 10_000.0,
-            disk_point_us: 100.0, // SSD-class point lookup
-            disk_byte_us: 0.01,   // 100 MB/s
-            lan_msg_us: 200.0,    // 0.2 ms
-            lan_byte_us: 0.008,   // 1 Gb/s
-            wan_msg_us: 50_000.0, // 50 ms RTT
-            wan_byte_us: 0.16,    // 50 Mb/s
-            cpu_record_us: 0.05,
-            layer_us: 2_000.0, // 2 ms software tax per layer per node
-            money_per_node_second: 0.0001,
-            money_per_wan_gb: 0.05,
-        }
-    }
-}
+/// Simulated microseconds of one in-memory model prediction (an edge
+/// site's or the pipeline's learned model answering without data).
+pub const PREDICT_US: f64 = 100.0;
 
 /// Raw resource counters accumulated while executing a query or task.
 ///
@@ -90,7 +76,7 @@ pub struct CostMeter {
     /// Data-server nodes engaged by the task.
     pub nodes_touched: u64,
     /// Simulated microseconds spent waiting in retry backoff (charged at
-    /// 1 µs per unit — the unit *is* microseconds, no model rate needed).
+    /// 1 µs per unit — the unit *is* microseconds, no rate needed).
     pub backoff_us: u64,
 }
 
@@ -177,17 +163,17 @@ impl CostMeter {
     }
 
     /// Simulated elapsed microseconds if all this meter's work ran
-    /// sequentially on one node, under `model`.
-    pub fn sequential_us(&self, model: &CostModel) -> f64 {
-        self.disk_seeks as f64 * model.disk_seek_us
-            + self.disk_point_reads as f64 * model.disk_point_us
-            + self.disk_bytes as f64 * model.disk_byte_us
-            + self.lan_msgs as f64 * model.lan_msg_us
-            + self.lan_bytes as f64 * model.lan_byte_us
-            + self.wan_msgs as f64 * model.wan_msg_us
-            + self.wan_bytes as f64 * model.wan_byte_us
-            + self.records_processed as f64 * model.cpu_record_us
-            + self.layer_crossings as f64 * model.layer_us
+    /// sequentially on one node.
+    pub fn sequential_us(&self) -> f64 {
+        self.disk_seeks as f64 * DISK_SEEK_US
+            + self.disk_point_reads as f64 * DISK_POINT_US
+            + self.disk_bytes as f64 * DISK_BYTE_US
+            + self.lan_msgs as f64 * LAN_MSG_US
+            + self.lan_bytes as f64 * LAN_BYTE_US
+            + self.wan_msgs as f64 * WAN_MSG_US
+            + self.wan_bytes as f64 * WAN_BYTE_US
+            + self.records_processed as f64 * CPU_RECORD_US
+            + self.layer_crossings as f64 * LAYER_US
             + self.backoff_us as f64
     }
 
@@ -195,23 +181,23 @@ impl CostMeter {
     /// described by `per_node` meters running **in parallel**, plus this
     /// meter's own coordinator-side (sequential) work. Wall-clock is the
     /// slowest node plus the coordinator; totals and money sum everything.
-    pub fn report_parallel<'a, I>(&self, per_node: I, model: &CostModel) -> CostReport
+    pub fn report_parallel<'a, I>(&self, per_node: I) -> CostReport
     where
         I: IntoIterator<Item = &'a CostMeter>,
     {
         let mut totals = *self;
         let mut slowest = 0.0f64;
         for m in per_node {
-            slowest = slowest.max(m.sequential_us(model));
+            slowest = slowest.max(m.sequential_us());
             totals.merge(m);
         }
-        let wall_us = self.sequential_us(model) + slowest;
-        CostReport::from_totals(totals, wall_us, model)
+        let wall_us = self.sequential_us() + slowest;
+        CostReport::from_totals(totals, wall_us)
     }
 
     /// Builds the final [`CostReport`] for purely sequential execution.
-    pub fn report_sequential(&self, model: &CostModel) -> CostReport {
-        CostReport::from_totals(*self, self.sequential_us(model), model)
+    pub fn report_sequential(&self) -> CostReport {
+        CostReport::from_totals(*self, self.sequential_us())
     }
 }
 
@@ -236,12 +222,12 @@ pub struct CostReport {
 }
 
 impl CostReport {
-    fn from_totals(totals: CostMeter, wall_us: f64, model: &CostModel) -> Self {
+    fn from_totals(totals: CostMeter, wall_us: f64) -> Self {
         // Money charges every node for the wall duration of the task plus
         // the WAN transfer volume.
         let node_seconds = (totals.nodes_touched.max(1)) as f64 * wall_us / 1e6;
-        let money = node_seconds * model.money_per_node_second
-            + totals.wan_bytes as f64 / 1e9 * model.money_per_wan_gb;
+        let money =
+            node_seconds * MONEY_PER_NODE_SECOND + totals.wan_bytes as f64 / 1e9 * MONEY_PER_WAN_GB;
         CostReport {
             totals,
             wall_us,
@@ -310,11 +296,10 @@ mod tests {
 
     #[test]
     fn default_model_is_sane() {
-        let m = CostModel::default();
         // Reading 1 MB: one 10 ms seek + ~10 ms transfer.
         let mut meter = CostMeter::new();
         meter.charge_disk_read(1_000_000);
-        let us = meter.sequential_us(&m);
+        let us = meter.sequential_us();
         assert!((us - 20_000.0).abs() < 1.0, "got {us}");
     }
 
@@ -336,7 +321,6 @@ mod tests {
 
     #[test]
     fn parallel_report_takes_slowest_node() {
-        let model = CostModel::default();
         let mut coord = CostMeter::new();
         coord.charge_lan(0); // one message: 200us
 
@@ -345,39 +329,36 @@ mod tests {
         let mut slow = CostMeter::new();
         slow.charge_cpu(1_000_000); // 50_000 us
 
-        let report = coord.report_parallel([&fast, &slow], &model);
+        let report = coord.report_parallel([&fast, &slow]);
         assert!((report.wall_us - (200.0 + 50_000.0)).abs() < 1e-9);
         assert_eq!(report.totals.records_processed, 1_000_100);
     }
 
     #[test]
     fn sequential_report_sums_everything() {
-        let model = CostModel::default();
         let mut m = CostMeter::new();
         m.charge_cpu(1_000_000);
         m.charge_disk_read(0);
-        let report = m.report_sequential(&model);
+        let report = m.report_sequential();
         assert!((report.wall_us - (50_000.0 + 10_000.0)).abs() < 1e-9);
     }
 
     #[test]
     fn wan_traffic_costs_money() {
-        let model = CostModel::default();
         let mut m = CostMeter::new();
         m.charge_wan(2_000_000_000); // 2 GB
-        let report = m.report_sequential(&model);
-        assert!(report.money > 2.0 * model.money_per_wan_gb * 0.99);
+        let report = m.report_sequential();
+        assert!(report.money > 2.0 * MONEY_PER_WAN_GB * 0.99);
     }
 
     #[test]
     fn then_composes_sequentially() {
-        let model = CostModel::default();
         let mut a = CostMeter::new();
         a.charge_cpu(100);
         let mut b = CostMeter::new();
         b.charge_cpu(200);
-        let ra = a.report_sequential(&model);
-        let rb = b.report_sequential(&model);
+        let ra = a.report_sequential();
+        let rb = b.report_sequential();
         let c = ra.then(&rb);
         assert_eq!(c.totals.records_processed, 300);
         assert!((c.wall_us - (ra.wall_us + rb.wall_us)).abs() < 1e-12);
@@ -395,10 +376,9 @@ mod tests {
 
     #[test]
     fn backoff_is_charged_as_microseconds() {
-        let model = CostModel::default();
         let mut m = CostMeter::new();
         m.charge_backoff(1_500);
-        assert!((m.sequential_us(&model) - 1_500.0).abs() < 1e-9);
+        assert!((m.sequential_us() - 1_500.0).abs() < 1e-9);
     }
 
     #[test]
@@ -496,10 +476,9 @@ mod tests {
 
     #[test]
     fn availability_fields_default_to_complete() {
-        let model = CostModel::default();
         let mut m = CostMeter::new();
         m.charge_cpu(10);
-        let r = m.report_sequential(&model);
+        let r = m.report_sequential();
         assert_eq!(r.answered_fraction, 1.0);
         assert_eq!(r.nodes_unavailable, 0);
         assert_eq!(r.totals.backoff_us, 0);
@@ -608,22 +587,20 @@ mod prop_tests {
 
         #[test]
         fn sequential_time_is_additive_under_merge(a in meter(), b in meter()) {
-            let model = CostModel::default();
-            let lhs = merged(&a, &b).sequential_us(&model);
-            let rhs = a.sequential_us(&model) + b.sequential_us(&model);
+            let lhs = merged(&a, &b).sequential_us();
+            let rhs = a.sequential_us() + b.sequential_us();
             prop_assert!(close(lhs, rhs), "{lhs} vs {rhs}");
         }
 
         #[test]
         fn money_round_trips_from_totals_and_wall_clock(m in meter()) {
             // A report's money must be reconstructible from its published
-            // totals and wall-clock — the CostModel time→money conversion
+            // totals and wall-clock — the time→money conversion
             // loses no information.
-            let model = CostModel::default();
-            let report = m.report_sequential(&model);
+            let report = m.report_sequential();
             let rebuilt = report.totals.nodes_touched.max(1) as f64 * report.wall_us / 1e6
-                * model.money_per_node_second
-                + report.totals.wan_bytes as f64 / 1e9 * model.money_per_wan_gb;
+                * MONEY_PER_NODE_SECOND
+                + report.totals.wan_bytes as f64 / 1e9 * MONEY_PER_WAN_GB;
             prop_assert!(close(report.money, rebuilt), "{} vs {rebuilt}", report.money);
             prop_assert!(report.wall_us >= 0.0 && report.money >= 0.0);
         }
@@ -634,11 +611,10 @@ mod prop_tests {
             fa in 0.0f64..1.0, fb in 0.0f64..1.0,
             ua in 0..1_000u64, ub in 0..1_000u64,
         ) {
-            let model = CostModel::default();
-            let mut ra = a.report_sequential(&model);
+            let mut ra = a.report_sequential();
             ra.answered_fraction = fa;
             ra.nodes_unavailable = ua;
-            let mut rb = b.report_sequential(&model);
+            let mut rb = b.report_sequential();
             rb.answered_fraction = fb;
             rb.nodes_unavailable = ub;
             let c = ra.then(&rb);
@@ -660,9 +636,8 @@ mod prop_tests {
         fn parallel_wall_clock_bounded_by_sequential(coord in meter(), a in meter(), b in meter()) {
             // Parallelism can only help: slowest-node wall-clock is at most
             // the fully-sequential time, and totals still sum everything.
-            let model = CostModel::default();
-            let report = coord.report_parallel([&a, &b], &model);
-            let sequential = merged(&merged(&coord, &a), &b).sequential_us(&model);
+            let report = coord.report_parallel([&a, &b]);
+            let sequential = merged(&merged(&coord, &a), &b).sequential_us();
             prop_assert!(report.wall_us <= sequential + 1e-9 * (1.0 + sequential));
             prop_assert_eq!(report.totals, merged(&merged(&coord, &a), &b));
         }

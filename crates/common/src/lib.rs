@@ -2,8 +2,9 @@
 //!
 //! Core types shared by every crate in the SEA workspace: multi-dimensional
 //! points and records, query selection regions, aggregate operators, cost
-//! accounting for the simulated distributed substrate, and the workspace-wide
-//! error type.
+//! accounting for the simulated distributed substrate (one price list, the
+//! rates in [`cost`], that every [`CostMeter`] prices itself by), and the
+//! workspace-wide error type.
 //!
 //! The SEA system (from Triantafillou, *Towards Intelligent Distributed Data
 //! Systems for Scalable, Efficient and Accurate Analytics*, ICDCS 2018)
@@ -26,7 +27,7 @@ pub mod record;
 pub mod region;
 
 pub use aggregate::{quantile_of, AggregateKind, AnswerValue, BivariateStats};
-pub use cost::{CostMeter, CostModel, CostReport};
+pub use cost::{CostMeter, CostReport};
 pub use error::SeaError;
 pub use kernels::SelectionMask;
 pub use point::Point;

@@ -86,36 +86,6 @@ impl Point {
             .map(|(a, b)| (a - b) * (a - b))
             .sum())
     }
-
-    /// Manhattan (L1) distance to `other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SeaError::DimensionMismatch`] if dimensionalities differ.
-    pub fn manhattan_distance(&self, other: &Point) -> Result<f64> {
-        SeaError::check_dims(self.dims(), other.dims())?;
-        Ok(self
-            .coords
-            .iter()
-            .zip(&other.coords)
-            .map(|(a, b)| (a - b).abs())
-            .sum())
-    }
-
-    /// Chebyshev (L∞) distance to `other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SeaError::DimensionMismatch`] if dimensionalities differ.
-    pub fn chebyshev_distance(&self, other: &Point) -> Result<f64> {
-        SeaError::check_dims(self.dims(), other.dims())?;
-        Ok(self
-            .coords
-            .iter()
-            .zip(&other.coords)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max))
-    }
 }
 
 impl From<Vec<f64>> for Point {
@@ -154,14 +124,6 @@ mod tests {
         let b = Point::new(vec![-1.0, 0.5, 3.0]);
         assert_eq!(a.distance(&b).unwrap(), b.distance(&a).unwrap());
         assert_eq!(a.distance(&a).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn manhattan_and_chebyshev() {
-        let a = Point::new(vec![0.0, 0.0]);
-        let b = Point::new(vec![3.0, -4.0]);
-        assert_eq!(a.manhattan_distance(&b).unwrap(), 7.0);
-        assert_eq!(a.chebyshev_distance(&b).unwrap(), 4.0);
     }
 
     #[test]

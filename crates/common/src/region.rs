@@ -191,19 +191,6 @@ impl Rect {
         }
         Ok(sum.sqrt())
     }
-
-    /// Fraction of this rectangle's volume that overlaps `other`
-    /// (0 when disjoint, 1 when `other` covers this rectangle). Rectangles
-    /// with zero volume report 0 overlap.
-    pub fn overlap_fraction(&self, other: &Rect) -> f64 {
-        let v = self.volume();
-        if v <= 0.0 {
-            return 0.0;
-        }
-        self.intersection(other)
-            .map(|i| i.volume() / v)
-            .unwrap_or(0.0)
-    }
 }
 
 /// A hyper-sphere: centre plus radius. The selection region of *radius
@@ -440,13 +427,8 @@ mod tests {
     }
 
     #[test]
-    fn rect_volume_and_overlap_fraction() {
-        let a = unit_square();
-        let b = Rect::new(vec![0.5, 0.0], vec![1.5, 1.0]).unwrap();
-        assert_eq!(a.volume(), 1.0);
-        assert!((a.overlap_fraction(&b) - 0.5).abs() < 1e-12);
-        let zero = Rect::new(vec![0.0, 0.0], vec![0.0, 1.0]).unwrap();
-        assert_eq!(zero.overlap_fraction(&a), 0.0);
+    fn rect_volume() {
+        assert_eq!(unit_square().volume(), 1.0);
     }
 
     #[test]

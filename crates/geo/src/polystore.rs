@@ -162,7 +162,7 @@ impl<'a> Polystore<'a> {
                 self.telemetry
                     .incr("geo.polystore.inter_system_bytes", bytes);
             }
-            let report = scatter.report(&coord, s.exec.cost_model());
+            let report = scatter.report(&coord);
             sys_span.record_sim_us(report.wall_us);
             cost = cost.then(&report);
             all.extend(matched);
@@ -202,7 +202,7 @@ impl<'a> Polystore<'a> {
                 m.charge_wan(24);
                 inter_bytes += 24;
                 self.telemetry.incr("geo.polystore.inter_system_bytes", 24);
-                let wan = m.report_sequential(s.exec.cost_model());
+                let wan = m.report_sequential();
                 // The executor's own spans carry the local execution cost;
                 // this span carries only the inter-system hop.
                 sys_span.record_sim_us(wan.wall_us);
@@ -265,7 +265,7 @@ impl<'a> Polystore<'a> {
                 m.charge_wan(24);
                 inter_bytes += 24;
                 self.telemetry.incr("geo.polystore.inter_system_bytes", 24);
-                let wan = m.report_sequential(s.exec.cost_model());
+                let wan = m.report_sequential();
                 sys_span.record_sim_us(wan.wall_us);
                 cost = cost.then(&wan);
             }

@@ -1,13 +1,11 @@
 //! The edge/core geo-distributed system.
 
-use sea_common::{AnalyticalQuery, AnswerValue, CostModel, Result, SeaError};
+use sea_common::cost::PREDICT_US;
+use sea_common::{AnalyticalQuery, AnswerValue, CostMeter, Result, SeaError};
 use sea_core::agent::{AgentConfig, SeaAgent};
 use sea_query::{Executor, QueryOutcome, RetryPolicy};
 use sea_storage::StorageCluster;
 use sea_telemetry::{TelemetrySink, TraceContext};
-
-/// A model prediction costs ~0.1 ms of edge compute.
-const EDGE_PREDICT_US: f64 = 100.0;
 
 /// Configuration of the geo-distributed deployment.
 #[derive(Debug, Clone)]
@@ -54,7 +52,7 @@ pub struct GeoOutcome {
 }
 
 /// Aggregate statistics of a deployment.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GeoStats {
     /// Queries submitted in total.
     pub queries: u64,
@@ -107,7 +105,6 @@ pub struct GeoSystem<'a> {
     edges: Vec<SeaAgent>,
     master: SeaAgent,
     config: GeoConfig,
-    cost_model: CostModel,
     stats: GeoStats,
     /// Inherited from the cluster; `geo.*` spans and events flow here.
     telemetry: TelemetrySink,
@@ -135,15 +132,7 @@ impl<'a> GeoSystem<'a> {
             edges,
             master: SeaAgent::new(dims, config.agent.clone())?,
             config,
-            cost_model: CostModel::default(),
-            stats: GeoStats {
-                queries: 0,
-                edge_answered: 0,
-                core_answered: 0,
-                wan_bytes: 0,
-                wan_msgs: 0,
-                total_response_us: 0.0,
-            },
+            stats: GeoStats::default(),
             telemetry: cluster.telemetry().clone(),
         })
     }
@@ -176,11 +165,11 @@ impl<'a> GeoSystem<'a> {
         parent: &TraceContext,
         edge: Option<usize>,
     ) -> Result<CoreTrip> {
-        let query_bytes = 16 * query.region.dims() as u64 + 32;
-        let answer_bytes = 24u64;
-        let round_trip_bytes = query_bytes + answer_bytes;
-        let round_trip_us = 2.0 * self.cost_model.wan_msg_us
-            + round_trip_bytes as f64 * self.cost_model.wan_byte_us;
+        // The request, then a 24-byte answer.
+        let mut round_trip = CostMeter::new();
+        round_trip.charge_wan(16 * query.region.dims() as u64 + 32);
+        round_trip.charge_wan(24);
+        let round_trip_us = round_trip.sequential_us();
         let wan_retry = RetryPolicy::default();
         let mut retries = 0u32;
         let mut retry_us = 0.0;
@@ -206,8 +195,8 @@ impl<'a> GeoSystem<'a> {
         Ok(CoreTrip {
             core,
             retries,
-            wan_bytes: round_trip_bytes * wan_trips,
-            wan_msgs: 2 * wan_trips,
+            wan_bytes: round_trip.wan_bytes * wan_trips,
+            wan_msgs: round_trip.wan_msgs * wan_trips,
             wan_us: round_trip_us + retry_us,
         })
     }
@@ -244,8 +233,8 @@ impl<'a> GeoSystem<'a> {
         {
             self.stats.queries += 1;
             self.stats.edge_answered += 1;
-            self.stats.total_response_us += EDGE_PREDICT_US;
-            span.record_sim_us(EDGE_PREDICT_US);
+            self.stats.total_response_us += PREDICT_US;
+            span.record_sim_us(PREDICT_US);
             if self.telemetry.is_enabled() {
                 span.tag("source", "edge_model");
                 self.telemetry.incr("geo.edge_answered", 1);
@@ -259,7 +248,7 @@ impl<'a> GeoSystem<'a> {
             }
             return Ok(GeoOutcome {
                 answer: pred.answer,
-                response_us: EDGE_PREDICT_US,
+                response_us: PREDICT_US,
                 wan_bytes: 0,
                 source: GeoSource::EdgeModel,
             });
@@ -288,11 +277,11 @@ impl<'a> GeoSystem<'a> {
         self.edges[edge].train(query, &trip.core.answer)?;
         self.master.train(query, &trip.core.answer)?;
 
-        let response_us = EDGE_PREDICT_US + core_us;
+        let response_us = PREDICT_US + core_us;
         self.record_core_answer(&trip, response_us);
         // The escalation span carries the WAN + core cost; only the local
         // predict attempt is this span's own share.
-        span.record_sim_us(EDGE_PREDICT_US);
+        span.record_sim_us(PREDICT_US);
         Ok(GeoOutcome {
             answer: trip.core.answer,
             response_us,
@@ -355,14 +344,7 @@ impl<'a> GeoSystem<'a> {
     /// Resets the statistics counters (e.g. between experiment phases),
     /// keeping all trained models.
     pub fn reset_stats(&mut self) {
-        self.stats = GeoStats {
-            queries: 0,
-            edge_answered: 0,
-            core_answered: 0,
-            wan_bytes: 0,
-            wan_msgs: 0,
-            total_response_us: 0.0,
-        };
+        self.stats = GeoStats::default();
     }
 
     /// Purges stale quanta on every edge and the master (RT5-3).

@@ -68,14 +68,6 @@ impl<'s> Parser<'s> {
         self.toks.get(self.pos)
     }
 
-    fn next(&mut self) -> Option<Token> {
-        let t = self.toks.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
-
     fn err_at(&self, start: usize, end: usize, message: impl Into<String>) -> ParseError {
         ParseError::new(self.src, start, end, message)
     }
@@ -122,21 +114,25 @@ impl<'s> Parser<'s> {
 
     fn expect_punct(&mut self, kind: Tok, what: &str) -> Result<Token, ParseError> {
         match self.peek() {
-            Some(t) if t.kind == kind => Ok(self.next().unwrap()),
+            Some(t) if t.kind == kind => {
+                let t = t.clone();
+                self.pos += 1;
+                Ok(t)
+            }
             _ => Err(self.err_here(what)),
         }
     }
 
     fn expect_number(&mut self) -> Result<(f64, Token), ParseError> {
         match self.peek() {
-            Some(Token {
-                kind: Tok::Number(_),
-                ..
-            }) => {
-                let t = self.next().unwrap();
-                let Tok::Number(v) = t.kind else {
-                    unreachable!()
-                };
+            Some(
+                t @ Token {
+                    kind: Tok::Number(v),
+                    ..
+                },
+            ) => {
+                let (v, t) = (*v, t.clone());
+                self.pos += 1;
                 Ok((v, t))
             }
             _ => Err(self.err_here("a number")),

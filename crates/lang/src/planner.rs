@@ -344,9 +344,8 @@ fn execute(
                 .map(|(spec, q)| {
                     // Ties go to the scan: it is the conservative,
                     // bandwidth-bound default.
-                    let model = exec.cost_model();
-                    let scan_us = engines.estimate_cost(QueryStrategy::ScanAggregate, q, model)?;
-                    let index_us = engines.estimate_cost(QueryStrategy::IndexFetch, q, model)?;
+                    let scan_us = engines.estimate_cost(QueryStrategy::ScanAggregate, q)?;
+                    let index_us = engines.estimate_cost(QueryStrategy::IndexFetch, q)?;
                     let strategy = if index_us < scan_us {
                         QueryStrategy::IndexFetch
                     } else {

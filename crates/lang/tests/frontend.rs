@@ -4,9 +4,7 @@
 //! semantics.
 
 use sea_cache::{CacheConfig, SemanticCache};
-use sea_common::{
-    AggregateKind, AnalyticalQuery, AnswerValue, CostMeter, CostModel, Record, Rect, Region,
-};
+use sea_common::{AggregateKind, AnalyticalQuery, AnswerValue, CostMeter, Record, Rect, Region};
 use sea_core::{AgentConfig, AgentPipeline, ExecMode};
 use sea_lang::{parse, submit_statement, Frontend, ModeHint};
 use sea_query::Executor;
@@ -152,9 +150,7 @@ fn engine_scans_run_on_the_front_ends_executor() {
     let nodes: Vec<_> = build.children.iter().map(|c| c.name.as_str()).collect();
     assert_eq!(nodes, vec!["query.executor.node"; cluster.num_nodes()]);
     let pass = Executor::new(&cluster).scatter("t", None, DIRECT_LAYERS, |_, _, _| Ok(()));
-    let bill = pass
-        .unwrap()
-        .report(&CostMeter::new(), &CostModel::default());
+    let bill = pass.unwrap().report(&CostMeter::new());
     assert_eq!(build.sim_us.to_bits(), bill.wall_us.to_bits());
 }
 

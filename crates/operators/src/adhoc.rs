@@ -55,7 +55,7 @@ fn on_subspace<T>(
     let output = task(&selected, &mut coord)?;
     Ok(AdHocOutcome {
         output,
-        cost: scatter.report(&coord, exec.cost_model()),
+        cost: scatter.report(&coord),
         records_in_subspace: selected.len(),
     })
 }

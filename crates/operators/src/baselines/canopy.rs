@@ -125,9 +125,7 @@ impl<'a> DataCanopy<'a> {
             meter.charge_lan(24);
             Ok(())
         })?;
-        let cost = scatter
-            .complete()?
-            .report(&CostMeter::new(), exec.cost_model());
+        let cost = scatter.complete()?.report(&CostMeter::new());
         self.cache.insert((dim, chunk, value_dim), stats);
         Ok((stats, cost))
     }

@@ -1,8 +1,8 @@
 //! A BlinkDB-style stratified-sampling AQP engine.
 
 use sea_common::{
-    AggregateKind, AnalyticalQuery, AnswerValue, CostMeter, CostModel, CostReport, Record, Rect,
-    Result, SeaError,
+    AggregateKind, AnalyticalQuery, AnswerValue, CostMeter, CostReport, Record, Rect, Result,
+    SeaError,
 };
 use sea_query::Executor;
 use sea_storage::BDAS_LAYERS;
@@ -33,7 +33,6 @@ pub struct SamplingAqp {
     /// Nodes the sample is spread over (for per-query cost accounting).
     sample_nodes: usize,
     build_cost: CostReport,
-    cost_model: CostModel,
 }
 
 impl SamplingAqp {
@@ -69,13 +68,11 @@ impl SamplingAqp {
         })?;
         let mut coord = CostMeter::new();
         coord.charge_lan(sample.memory_bytes());
-        let cost_model = exec.cost_model().clone();
-        let build_cost = scatter.report(&coord, &cost_model);
+        let build_cost = scatter.report(&coord);
         Ok(SamplingAqp {
             sample,
             sample_nodes: exec.cluster().num_nodes().min(4),
             build_cost,
-            cost_model,
         })
     }
 
@@ -118,7 +115,7 @@ impl SamplingAqp {
             node_meters.push(m);
         }
         let coord = CostMeter::new();
-        let cost = coord.report_parallel(node_meters.iter(), &self.cost_model);
+        let cost = coord.report_parallel(node_meters.iter());
 
         let region = &query.region;
         let answer = match query.aggregate {

@@ -112,7 +112,7 @@ pub fn fullscan_impute(
         .collect();
     Ok(ImputationOutcome {
         imputed,
-        cost: scatter.report(&CostMeter::new(), exec.cost_model()),
+        cost: scatter.report(&CostMeter::new()),
         candidates_examined: examined,
     })
 }
@@ -218,7 +218,7 @@ impl GridImputer {
             unavailable += scatter.unread.len();
             out.push(impute_one(probe, &donors, k, &mut examined));
         }
-        let cost = CostMeter::new().report_parallel(per_node_acc.iter(), exec.cost_model());
+        let cost = CostMeter::new().report_parallel(per_node_acc.iter());
         Ok(ImputationOutcome {
             imputed: out,
             cost: cost.partial(reads, unavailable),

@@ -1,8 +1,6 @@
 //! MapReduce-style vs coordinator–cohort distributed kNN.
 
-use sea_common::{
-    CostMeter, CostModel, CostReport, Point, Record, RecordId, Rect, Result, SeaError,
-};
+use sea_common::{CostMeter, CostReport, Point, Record, RecordId, Rect, Result, SeaError};
 use sea_query::Executor;
 use sea_storage::{Block, BDAS_LAYERS, DIRECT_LAYERS};
 
@@ -56,7 +54,7 @@ pub fn mapreduce_knn(exec: &Executor, table: &str, query: &Point, k: usize) -> R
     merged.truncate(k);
     Ok(KnnOutcome {
         neighbors: merged,
-        cost: scatter.report(&coord, exec.cost_model()),
+        cost: scatter.report(&coord),
         nodes_engaged: scatter.meters.len() - scatter.unread.len(),
     })
 }
@@ -116,9 +114,7 @@ impl DistributedKnnIndex {
             Ok(())
         })?;
         Ok(DistributedKnnIndex {
-            build_cost: scatter
-                .complete()?
-                .report(&CostMeter::new(), exec.cost_model()),
+            build_cost: scatter.complete()?.report(&CostMeter::new()),
             parts,
             dims,
             record_bytes: 8 + 8 * dims as u64,
@@ -143,8 +139,8 @@ impl DistributedKnnIndex {
     /// # Errors
     ///
     /// `k == 0` or dimension mismatch.
-    pub fn query(&self, query: &Point, k: usize, cost_model: &CostModel) -> Result<KnnOutcome> {
-        self.query_budgeted(query, k, usize::MAX, cost_model)
+    pub fn query(&self, query: &Point, k: usize) -> Result<KnnOutcome> {
+        self.query_budgeted(query, k, usize::MAX)
     }
 
     /// Approximate kNN (RT2-1): like [`DistributedKnnIndex::query`] but
@@ -156,13 +152,7 @@ impl DistributedKnnIndex {
     /// # Errors
     ///
     /// `k == 0`, `max_nodes == 0`, or dimension mismatch.
-    fn query_budgeted(
-        &self,
-        query: &Point,
-        k: usize,
-        max_nodes: usize,
-        cost_model: &CostModel,
-    ) -> Result<KnnOutcome> {
+    fn query_budgeted(&self, query: &Point, k: usize, max_nodes: usize) -> Result<KnnOutcome> {
         if max_nodes == 0 {
             return Err(SeaError::invalid("max_nodes must be positive"));
         }
@@ -212,7 +202,7 @@ impl DistributedKnnIndex {
         coord.charge_cpu(merged.len() as u64);
         Ok(KnnOutcome {
             neighbors: merged,
-            cost: coord.report_parallel(node_meters.iter(), cost_model),
+            cost: coord.report_parallel(node_meters.iter()),
             nodes_engaged: engaged,
         })
     }
@@ -252,7 +242,6 @@ mod tests {
     #[test]
     fn both_strategies_match_brute_force() {
         let c = cluster(10_000, Partitioning::Hash);
-        let model = CostModel::default();
         let idx = DistributedKnnIndex::build(&Executor::new(&c), "t").unwrap();
         for q in [
             Point::new(vec![50.0, 50.0]),
@@ -262,7 +251,7 @@ mod tests {
             for k in [1, 10, 50] {
                 let want = brute(&c, &q, k);
                 let mr = mapreduce_knn(&Executor::new(&c), "t", &q, k).unwrap();
-                let cc = idx.query(&q, k, &model).unwrap();
+                let cc = idx.query(&q, k).unwrap();
                 let mr_d: Vec<f64> = mr.neighbors.iter().map(|n| n.distance).collect();
                 let cc_d: Vec<f64> = cc.neighbors.iter().map(|n| n.distance).collect();
                 let want_d: Vec<f64> = want.iter().map(|(_, d)| *d).collect();
@@ -279,11 +268,10 @@ mod tests {
     #[test]
     fn coordinator_is_orders_cheaper() {
         let c = cluster(50_000, Partitioning::Hash);
-        let model = CostModel::default();
         let idx = DistributedKnnIndex::build(&Executor::new(&c), "t").unwrap();
         let q = Point::new(vec![42.0, 37.0]);
         let mr = mapreduce_knn(&Executor::new(&c), "t", &q, 10).unwrap();
-        let cc = idx.query(&q, 10, &model).unwrap();
+        let cc = idx.query(&q, 10).unwrap();
         let factor = mr.cost.wall_us / cc.cost.wall_us;
         assert!(factor > 50.0, "speedup factor {factor}");
         assert!(cc.cost.totals.disk_bytes * 100 < mr.cost.totals.disk_bytes);
@@ -298,10 +286,9 @@ mod tests {
                 splits: Partitioning::equi_width_splits(0.0, 100.0, 8),
             },
         );
-        let model = CostModel::default();
         let idx = DistributedKnnIndex::build(&Executor::new(&c), "t").unwrap();
         let q = Point::new(vec![42.0, 37.0]);
-        let out = idx.query(&q, 10, &model).unwrap();
+        let out = idx.query(&q, 10).unwrap();
         assert!(
             out.nodes_engaged <= 3,
             "pruned to the partitions near the query: {}",
@@ -317,10 +304,9 @@ mod tests {
     #[test]
     fn k_larger_than_table() {
         let c = cluster(20, Partitioning::Hash);
-        let model = CostModel::default();
         let idx = DistributedKnnIndex::build(&Executor::new(&c), "t").unwrap();
         let q = Point::new(vec![1.0, 1.0]);
-        let out = idx.query(&q, 100, &model).unwrap();
+        let out = idx.query(&q, 100).unwrap();
         assert_eq!(out.neighbors.len(), 20);
         let mr = mapreduce_knn(&Executor::new(&c), "t", &q, 100).unwrap();
         assert_eq!(mr.neighbors.len(), 20);
@@ -329,15 +315,14 @@ mod tests {
     #[test]
     fn validations() {
         let c = cluster(100, Partitioning::Hash);
-        let model = CostModel::default();
         let q = Point::new(vec![1.0, 1.0]);
         assert!(mapreduce_knn(&Executor::new(&c), "t", &q, 0).is_err());
         assert!(mapreduce_knn(&Executor::new(&c), "missing", &q, 5).is_err());
         let bad_q = Point::new(vec![1.0]);
         assert!(mapreduce_knn(&Executor::new(&c), "t", &bad_q, 5).is_err());
         let idx = DistributedKnnIndex::build(&Executor::new(&c), "t").unwrap();
-        assert!(idx.query(&q, 0, &model).is_err());
-        assert!(idx.query(&bad_q, 5, &model).is_err());
+        assert!(idx.query(&q, 0).is_err());
+        assert!(idx.query(&bad_q, 5).is_err());
     }
 
     #[test]
@@ -354,12 +339,11 @@ mod tests {
             Partitioning::Hash,
         )
         .unwrap();
-        let model = CostModel::default();
         let q = Point::new(vec![0.0, 0.0]);
         let mr = mapreduce_knn(&Executor::new(&c), "t", &q, 1).unwrap();
         assert_eq!(mr.neighbors[0].id, 5, "lowest id wins the tie");
         let idx = DistributedKnnIndex::build(&Executor::new(&c), "t").unwrap();
-        let cc = idx.query(&q, 1, &model).unwrap();
+        let cc = idx.query(&q, 1).unwrap();
         assert_eq!(cc.neighbors[0].id, 5);
         // Both ids surface, deterministically ordered, at k = 2.
         let both = mapreduce_knn(&Executor::new(&c), "t", &q, 2).unwrap();
@@ -374,7 +358,7 @@ mod tests {
             .map(|i| Record::new(i, vec![i as f64, if i == 5 { f64::NAN } else { 0.0 }]))
             .collect();
         c.load_table("t", records, Partitioning::Hash).unwrap();
-        let (exec, model) = (Executor::new(&c), CostModel::default());
+        let exec = Executor::new(&c);
         let idx = DistributedKnnIndex::build(&exec, "t").unwrap();
         let q = Point::new(vec![5.0, 0.0]);
         let ids = |o: KnnOutcome| o.neighbors.iter().map(|n| n.id).collect::<Vec<_>>();
@@ -382,10 +366,10 @@ mod tests {
         // neighbour until every finite row is.
         let near = ids(mapreduce_knn(&exec, "t", &q, 4).unwrap());
         assert_eq!(near, vec![4, 6, 3, 7]);
-        assert_eq!(ids(idx.query(&q, 4, &model).unwrap()), near);
+        assert_eq!(ids(idx.query(&q, 4).unwrap()), near);
         let all = ids(mapreduce_knn(&exec, "t", &q, 20).unwrap());
         assert_eq!(all.last(), Some(&5));
-        assert_eq!(ids(idx.query(&q, 20, &model).unwrap()), all);
+        assert_eq!(ids(idx.query(&q, 20).unwrap()), all);
     }
 
     #[test]
@@ -418,11 +402,10 @@ mod approximate_tests {
     #[test]
     fn full_budget_equals_exact() {
         let c = cluster(20_000);
-        let model = CostModel::default();
         let idx = DistributedKnnIndex::build(&Executor::new(&c), "t").unwrap();
         let q = Point::new(vec![42.0, 37.0]);
-        let exact = idx.query(&q, 10, &model).unwrap();
-        let budgeted = idx.query_budgeted(&q, 10, usize::MAX, &model).unwrap();
+        let exact = idx.query(&q, 10).unwrap();
+        let budgeted = idx.query_budgeted(&q, 10, usize::MAX).unwrap();
         let a: Vec<f64> = exact.neighbors.iter().map(|n| n.distance).collect();
         let b: Vec<f64> = budgeted.neighbors.iter().map(|n| n.distance).collect();
         assert_eq!(a, b);
@@ -431,11 +414,10 @@ mod approximate_tests {
     #[test]
     fn small_budget_trades_recall_for_cost() {
         let c = cluster(40_000);
-        let model = CostModel::default();
         let idx = DistributedKnnIndex::build(&Executor::new(&c), "t").unwrap();
         let q = Point::new(vec![42.0, 37.0]);
-        let exact = idx.query(&q, 20, &model).unwrap();
-        let approx = idx.query_budgeted(&q, 20, 2, &model).unwrap();
+        let exact = idx.query(&q, 20).unwrap();
+        let approx = idx.query_budgeted(&q, 20, 2).unwrap();
         assert!(approx.nodes_engaged <= 2);
         assert!(approx.cost.wall_us <= exact.cost.wall_us);
         // Recall: fraction of exact ids that the approximate answer found.
@@ -458,9 +440,8 @@ mod approximate_tests {
     #[test]
     fn zero_budget_is_invalid() {
         let c = cluster(1_000);
-        let model = CostModel::default();
         let idx = DistributedKnnIndex::build(&Executor::new(&c), "t").unwrap();
         let q = Point::new(vec![1.0, 1.0]);
-        assert!(idx.query_budgeted(&q, 5, 0, &model).is_err());
+        assert!(idx.query_budgeted(&q, 5, 0).is_err());
     }
 }

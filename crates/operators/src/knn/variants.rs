@@ -6,7 +6,7 @@
 //! thread pool ([`ExecPool`]) — the coordinator-side parallelism a real
 //! deployment would use.
 
-use sea_common::{CostModel, Point, Result, SeaError};
+use sea_common::{Point, Result, SeaError};
 use sea_query::ExecPool;
 
 use super::DistributedKnnIndex;
@@ -24,7 +24,6 @@ pub fn knn_join(
     probes: &[Point],
     k: usize,
     threads: usize,
-    cost_model: &CostModel,
 ) -> Result<Vec<Vec<Neighbor>>> {
     if threads == 0 {
         return Err(SeaError::invalid("threads must be positive"));
@@ -40,7 +39,7 @@ pub fn knn_join(
         .collect();
     let answered = ExecPool::new(threads).run(chunks.len(), |c| {
         (chunks[c].iter())
-            .map(|p| index.query(p, k, cost_model).map(|o| o.neighbors))
+            .map(|p| index.query(p, k).map(|o| o.neighbors))
             .collect::<Result<Vec<_>>>()
     });
     let mut out = Vec::with_capacity(probes.len());
@@ -57,23 +56,23 @@ mod tests {
     use sea_query::Executor;
     use sea_storage::{Partitioning, StorageCluster};
 
-    fn setup() -> (StorageCluster, DistributedKnnIndex, CostModel) {
+    fn setup() -> (StorageCluster, DistributedKnnIndex) {
         let mut c = StorageCluster::new(4, 128);
         let records: Vec<Record> = (0..2500)
             .map(|i| Record::new(i, vec![(i % 50) as f64, (i / 50) as f64]))
             .collect();
         c.load_table("t", records, Partitioning::Hash).unwrap();
         let idx = DistributedKnnIndex::build(&Executor::new(&c), "t").unwrap();
-        (c, idx, CostModel::default())
+        (c, idx)
     }
 
     #[test]
     fn knn_join_answers_every_probe() {
-        let (_c, idx, model) = setup();
+        let (_c, idx) = setup();
         let probes: Vec<Point> = (0..20)
             .map(|i| Point::new(vec![i as f64 * 2.0, i as f64]))
             .collect();
-        let out = knn_join(&idx, &probes, 5, 4, &model).unwrap();
+        let out = knn_join(&idx, &probes, 5, 4).unwrap();
         assert_eq!(out.len(), 20);
         for (probe, neighbors) in probes.iter().zip(&out) {
             assert_eq!(neighbors.len(), 5);
@@ -86,12 +85,12 @@ mod tests {
 
     #[test]
     fn knn_join_parallelism_is_equivalent() {
-        let (_c, idx, model) = setup();
+        let (_c, idx) = setup();
         let probes: Vec<Point> = (0..16)
             .map(|i| Point::new(vec![i as f64 * 3.0, 25.0]))
             .collect();
-        let serial = knn_join(&idx, &probes, 3, 1, &model).unwrap();
-        let parallel = knn_join(&idx, &probes, 3, 8, &model).unwrap();
+        let serial = knn_join(&idx, &probes, 3, 1).unwrap();
+        let parallel = knn_join(&idx, &probes, 3, 8).unwrap();
         for (a, b) in serial.iter().zip(&parallel) {
             let da: Vec<f64> = a.iter().map(|n| n.distance).collect();
             let db: Vec<f64> = b.iter().map(|n| n.distance).collect();
@@ -101,11 +100,11 @@ mod tests {
 
     #[test]
     fn validations() {
-        let (_c, idx, model) = setup();
+        let (_c, idx) = setup();
         let probes = vec![Point::new(vec![0.0, 0.0])];
-        assert!(knn_join(&idx, &probes, 0, 2, &model).is_err());
-        assert!(knn_join(&idx, &probes, 5, 0, &model).is_err());
+        assert!(knn_join(&idx, &probes, 0, 2).is_err());
+        assert!(knn_join(&idx, &probes, 5, 0).is_err());
         let bad = vec![Point::new(vec![0.0])];
-        assert!(knn_join(&idx, &bad, 5, 2, &model).is_err());
+        assert!(knn_join(&idx, &bad, 5, 2).is_err());
     }
 }

@@ -17,7 +17,7 @@
 //! crossover moves with table size — exactly the structure a learned
 //! selector (RT3/G6) must capture.
 
-use sea_common::{AnalyticalQuery, CostMeter, CostModel, CostReport, Rect, Result, SeaError};
+use sea_common::{AnalyticalQuery, CostMeter, CostReport, Rect, Result, SeaError};
 use sea_query::{Executor, Provenance, QueryOutcome};
 use sea_storage::{NodeId, StorageCluster, DIRECT_LAYERS};
 
@@ -89,9 +89,7 @@ impl<'a> ExecutionEngines<'a> {
             }
             Ok(())
         })?;
-        let bill = scatter
-            .complete()?
-            .report(&CostMeter::new(), exec.cost_model());
+        let bill = scatter.complete()?.report(&CostMeter::new());
         span.record_sim_us(bill.wall_us);
         Ok(ExecutionEngines {
             cluster: exec.cluster(),
@@ -106,7 +104,7 @@ impl<'a> ExecutionEngines<'a> {
     /// caller's `executor`'s cluster: the scan runs on the executor (its
     /// telemetry sink, pool, retry policy and cache); the index fetch
     /// reads each candidate from its partition's serving copy there and
-    /// is priced by the same executor's cost model.
+    /// is priced from the same price list.
     ///
     /// # Errors
     ///
@@ -148,12 +146,7 @@ impl<'a> ExecutionEngines<'a> {
     /// # Errors
     ///
     /// Missing table or invalid query geometry.
-    pub fn estimate_cost(
-        &self,
-        strategy: QueryStrategy,
-        query: &AnalyticalQuery,
-        cost_model: &CostModel,
-    ) -> Result<f64> {
+    pub fn estimate_cost(&self, strategy: QueryStrategy, query: &AnalyticalQuery) -> Result<f64> {
         let bbox = query.region.bounding_rect();
         match strategy {
             QueryStrategy::ScanAggregate => {
@@ -175,13 +168,11 @@ impl<'a> ExecutionEngines<'a> {
                     node_meters.push(m);
                 }
                 coord.charge_cpu(node_meters.len() as u64);
-                Ok(coord
-                    .report_parallel(node_meters.iter(), cost_model)
-                    .wall_us)
+                Ok(coord.report_parallel(node_meters.iter()).wall_us)
             }
             QueryStrategy::IndexFetch => {
                 let candidates = self.grid.candidates(&bbox)?.len();
-                Ok(self.point_read_cost(candidates, cost_model).wall_us)
+                Ok(self.point_read_cost(candidates).wall_us)
             }
         }
     }
@@ -190,7 +181,7 @@ impl<'a> ExecutionEngines<'a> {
     /// point read each on the data nodes — modelled as spread evenly and
     /// running in parallel across the cluster — each shipped to the
     /// coordinator, which pays CPU per candidate.
-    fn point_read_cost(&self, candidates: usize, cost_model: &CostModel) -> CostReport {
+    fn point_read_cost(&self, candidates: usize) -> CostReport {
         let nodes = self.cluster.num_nodes().max(1);
         let per_node = candidates.div_ceil(nodes).max(1);
         let mut node_meters = Vec::new();
@@ -208,7 +199,7 @@ impl<'a> ExecutionEngines<'a> {
         }
         let mut coord = CostMeter::new();
         coord.charge_cpu(candidates as u64);
-        coord.report_parallel(node_meters.iter(), cost_model)
+        coord.report_parallel(node_meters.iter())
     }
 
     /// Index-driven execution: candidates from overlapping grid cells,
@@ -248,7 +239,7 @@ impl<'a> ExecutionEngines<'a> {
         let answer = query.aggregate.compute(&matched)?;
         Ok(QueryOutcome {
             answer,
-            cost: self.point_read_cost(candidates.len(), executor.cost_model()),
+            cost: self.point_read_cost(candidates.len()),
             provenance: Provenance::default(),
         })
     }
@@ -382,13 +373,12 @@ mod tests {
     fn estimates_rank_strategies_like_the_oracle_at_the_extremes() {
         let c = cluster();
         let eng = engines(&c);
-        let model = CostModel::default();
         let narrow = count_query(50.0, 0.5);
         let est_scan = eng
-            .estimate_cost(QueryStrategy::ScanAggregate, &narrow, &model)
+            .estimate_cost(QueryStrategy::ScanAggregate, &narrow)
             .unwrap();
         let est_fetch = eng
-            .estimate_cost(QueryStrategy::IndexFetch, &narrow, &model)
+            .estimate_cost(QueryStrategy::IndexFetch, &narrow)
             .unwrap();
         assert!(
             est_fetch < est_scan,
@@ -396,11 +386,9 @@ mod tests {
         );
         let wide = count_query(50.0, 50.0);
         let est_scan = eng
-            .estimate_cost(QueryStrategy::ScanAggregate, &wide, &model)
+            .estimate_cost(QueryStrategy::ScanAggregate, &wide)
             .unwrap();
-        let est_fetch = eng
-            .estimate_cost(QueryStrategy::IndexFetch, &wide, &model)
-            .unwrap();
+        let est_fetch = eng.estimate_cost(QueryStrategy::IndexFetch, &wide).unwrap();
         assert!(
             est_scan < est_fetch,
             "wide: scan should estimate cheaper ({est_scan} vs {est_fetch})"
@@ -412,19 +400,12 @@ mod tests {
         let c = cluster();
         let eng = engines(&c);
         let exec = Executor::new(&c);
-        let model = exec.cost_model();
         let q = count_query(50.0, 2.0);
-        let est = eng
-            .estimate_cost(QueryStrategy::IndexFetch, &q, model)
-            .unwrap();
+        let est = eng.estimate_cost(QueryStrategy::IndexFetch, &q).unwrap();
         let actual = eng.execute(QueryStrategy::IndexFetch, &q, &exec).unwrap();
         assert_eq!(est.to_bits(), actual.cost.wall_us.to_bits());
-        let a = eng
-            .estimate_cost(QueryStrategy::ScanAggregate, &q, model)
-            .unwrap();
-        let b = eng
-            .estimate_cost(QueryStrategy::ScanAggregate, &q, model)
-            .unwrap();
+        let a = eng.estimate_cost(QueryStrategy::ScanAggregate, &q).unwrap();
+        let b = eng.estimate_cost(QueryStrategy::ScanAggregate, &q).unwrap();
         assert_eq!(a.to_bits(), b.to_bits());
         assert!(a > 0.0);
 
@@ -440,9 +421,7 @@ mod tests {
             let eng = engines(cluster);
             let exec = Executor::new(cluster);
             for q in [count_query(50.0, 2.0), count_query(20.0, 30.0)] {
-                let est = eng
-                    .estimate_cost(QueryStrategy::ScanAggregate, &q, exec.cost_model())
-                    .unwrap();
+                let est = eng.estimate_cost(QueryStrategy::ScanAggregate, &q).unwrap();
                 let actual = exec.execute_direct("t", &q).unwrap();
                 assert_eq!(est.to_bits(), actual.cost.wall_us.to_bits());
             }

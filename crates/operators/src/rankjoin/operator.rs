@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use sea_common::{CostMeter, CostModel, CostReport, RecordId, Result, SeaError};
+use sea_common::{CostMeter, CostReport, RecordId, Result, SeaError};
 use sea_query::Executor;
 use sea_storage::BDAS_LAYERS;
 
@@ -111,7 +111,7 @@ pub fn mapreduce_rank_join(
     coord.charge_cpu(results.len() as u64);
     sort_join_results(&mut results);
     results.truncate(k);
-    let cost = coord.report_parallel(node_meters.iter(), exec.cost_model());
+    let cost = coord.report_parallel(node_meters.iter());
     Ok(RankJoinOutcome {
         results,
         cost: cost.partial(node_meters.len(), unavailable),
@@ -134,7 +134,6 @@ pub fn surgical_rank_join(
     right_index: &ScoreIndex,
     k: usize,
     batch: usize,
-    cost_model: &CostModel,
 ) -> Result<RankJoinOutcome> {
     if k == 0 {
         return Err(SeaError::invalid("k must be positive"));
@@ -146,7 +145,7 @@ pub fn surgical_rank_join(
     let (Some(l_top), Some(r_top)) = (left_index.top_score(), right_index.top_score()) else {
         return Ok(RankJoinOutcome {
             results: Vec::new(),
-            cost: meter.report_sequential(cost_model),
+            cost: meter.report_sequential(),
             tuples_retrieved: 0,
         });
     };
@@ -222,7 +221,7 @@ pub fn surgical_rank_join(
     results.truncate(k);
     Ok(RankJoinOutcome {
         results,
-        cost: meter.report_sequential(cost_model),
+        cost: meter.report_sequential(),
         tuples_retrieved: retrieved,
     })
 }
@@ -269,12 +268,11 @@ mod tests {
     #[test]
     fn surgical_matches_mapreduce_results() {
         let c = cluster(2000, 100);
-        let model = CostModel::default();
         let mut m = CostMeter::new();
         let li = ScoreIndex::build(&Executor::new(&c), "l", &mut m).unwrap();
         let ri = ScoreIndex::build(&Executor::new(&c), "r", &mut m).unwrap();
         for k in [1, 5, 20] {
-            let surgical = surgical_rank_join(&li, &ri, k, 32, &model).unwrap();
+            let surgical = surgical_rank_join(&li, &ri, k, 32).unwrap();
             let exact = oracle(&c, k);
             assert_eq!(surgical.results.len(), k);
             // Scores must agree exactly (ids may tie-swap).
@@ -287,10 +285,9 @@ mod tests {
     #[test]
     fn surgical_retrieves_far_fewer_tuples() {
         let c = cluster(20_000, 500);
-        let model = CostModel::default();
         let li = ScoreIndex::build(&Executor::new(&c), "l", &mut CostMeter::new()).unwrap();
         let ri = ScoreIndex::build(&Executor::new(&c), "r", &mut CostMeter::new()).unwrap();
-        let surgical = surgical_rank_join(&li, &ri, 10, 256, &model).unwrap();
+        let surgical = surgical_rank_join(&li, &ri, 10, 256).unwrap();
         let mr = mapreduce_rank_join(&Executor::new(&c), "l", "r", 10).unwrap();
         assert!(
             surgical.tuples_retrieved * 10 < mr.tuples_retrieved,
@@ -309,13 +306,12 @@ mod tests {
 
     #[test]
     fn advantage_grows_with_data_size() {
-        let model = CostModel::default();
         let mut factors = Vec::new();
         for n in [2_000u64, 20_000] {
             let c = cluster(n, 200);
             let li = ScoreIndex::build(&Executor::new(&c), "l", &mut CostMeter::new()).unwrap();
             let ri = ScoreIndex::build(&Executor::new(&c), "r", &mut CostMeter::new()).unwrap();
-            let s = surgical_rank_join(&li, &ri, 10, 64, &model).unwrap();
+            let s = surgical_rank_join(&li, &ri, 10, 64).unwrap();
             let m = mapreduce_rank_join(&Executor::new(&c), "l", "r", 10).unwrap();
             factors.push(m.cost.wall_us / s.cost.wall_us);
         }
@@ -337,12 +333,11 @@ mod tests {
             .collect();
         c.load_table("l", left, Partitioning::Hash).unwrap();
         c.load_table("r", right, Partitioning::Hash).unwrap();
-        let model = CostModel::default();
         let mr = mapreduce_rank_join(&Executor::new(&c), "l", "r", 5).unwrap();
         assert!(mr.results.is_empty());
         let li = ScoreIndex::build(&Executor::new(&c), "l", &mut CostMeter::new()).unwrap();
         let ri = ScoreIndex::build(&Executor::new(&c), "r", &mut CostMeter::new()).unwrap();
-        let s = surgical_rank_join(&li, &ri, 5, 16, &model).unwrap();
+        let s = surgical_rank_join(&li, &ri, 5, 16).unwrap();
         assert!(s.results.is_empty());
     }
 
@@ -362,22 +357,20 @@ mod tests {
     #[test]
     fn parameter_validation() {
         let c = cluster(100, 10);
-        let model = CostModel::default();
         assert!(mapreduce_rank_join(&Executor::new(&c), "l", "r", 0).is_err());
         assert!(mapreduce_rank_join(&Executor::new(&c), "nope", "r", 5).is_err());
         let li = ScoreIndex::build(&Executor::new(&c), "l", &mut CostMeter::new()).unwrap();
         let ri = ScoreIndex::build(&Executor::new(&c), "r", &mut CostMeter::new()).unwrap();
-        assert!(surgical_rank_join(&li, &ri, 0, 16, &model).is_err());
-        assert!(surgical_rank_join(&li, &ri, 5, 0, &model).is_err());
+        assert!(surgical_rank_join(&li, &ri, 0, 16).is_err());
+        assert!(surgical_rank_join(&li, &ri, 5, 0).is_err());
     }
 
     #[test]
     fn k_larger_than_result_set() {
         let c = cluster(50, 5);
-        let model = CostModel::default();
         let li = ScoreIndex::build(&Executor::new(&c), "l", &mut CostMeter::new()).unwrap();
         let ri = ScoreIndex::build(&Executor::new(&c), "r", &mut CostMeter::new()).unwrap();
-        let s = surgical_rank_join(&li, &ri, 100_000, 16, &model).unwrap();
+        let s = surgical_rank_join(&li, &ri, 100_000, 16).unwrap();
         let m = mapreduce_rank_join(&Executor::new(&c), "l", "r", 100_000).unwrap();
         assert_eq!(s.results.len(), m.results.len());
     }

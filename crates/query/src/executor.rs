@@ -20,7 +20,7 @@
 use sea_cache::{CacheDecision, ColumnFragment, SemanticCache};
 use sea_common::{
     kernels, quantile_of, AggregateKind, AnalyticalQuery, AnswerValue, BivariateStats, CostMeter,
-    CostModel, CostReport, Rect, Region, Result, SeaError, SelectionMask,
+    CostReport, Rect, Region, Result, SeaError, SelectionMask,
 };
 use sea_storage::{Block, DataNode, NodeId, ScanStats, StorageCluster, BDAS_LAYERS, DIRECT_LAYERS};
 use sea_telemetry::{SpanGuard, TelemetrySink, TraceContext};
@@ -196,8 +196,8 @@ pub struct Scatter {
 impl Scatter {
     /// The bill of the nodes running in parallel beside `coord`'s work,
     /// labelled partial for every unread partition.
-    pub fn report(&self, coord: &CostMeter, model: &CostModel) -> CostReport {
-        (coord.report_parallel(self.meters.iter().map(|(_, m)| m), model))
+    pub fn report(&self, coord: &CostMeter) -> CostReport {
+        (coord.report_parallel(self.meters.iter().map(|(_, m)| m)))
             .partial(self.meters.len(), self.unread.len())
     }
 
@@ -277,7 +277,6 @@ const DIRECT: Regime = Regime {
 #[derive(Debug, Clone)]
 pub struct Executor<'a> {
     cluster: &'a StorageCluster,
-    cost_model: CostModel,
     telemetry: TelemetrySink,
     pool: ExecPool,
     retry: RetryPolicy,
@@ -287,14 +286,13 @@ pub struct Executor<'a> {
 }
 
 impl<'a> Executor<'a> {
-    /// Creates an executor using the default [`CostModel`]. The executor
-    /// inherits the cluster's telemetry sink, so instrumenting the
-    /// cluster instruments the whole exact query path, and shares the
-    /// process-wide [`ExecPool`] for real node parallelism.
+    /// Creates an executor over `cluster`. The executor inherits the
+    /// cluster's telemetry sink, so instrumenting the cluster instruments
+    /// the whole exact query path, and shares the process-wide
+    /// [`ExecPool`] for real node parallelism.
     pub fn new(cluster: &'a StorageCluster) -> Self {
         Executor {
             cluster,
-            cost_model: CostModel::default(),
             telemetry: cluster.telemetry().clone(),
             pool: ExecPool::global(),
             retry: RetryPolicy::default(),
@@ -386,11 +384,6 @@ impl<'a> Executor<'a> {
         self.cluster
     }
 
-    /// The executor's cost model.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost_model
-    }
-
     /// Consults the attached [`SemanticCache`] for `query` and, on a
     /// hit, produces the outcome a cold execution would have produced —
     /// bit-identical answer, cache-priced cost report — without touching
@@ -424,7 +417,7 @@ impl<'a> Executor<'a> {
             CacheDecision::Miss { .. } => return None,
         };
         Some(answer.map(|answer| {
-            let cost = coord.report_sequential(&self.cost_model);
+            let cost = coord.report_sequential();
             span.record_sim_us(cost.wall_us);
             let provenance = Provenance {
                 cache: class,
@@ -635,7 +628,7 @@ impl<'a> Executor<'a> {
             for _ in &plan.opened {
                 coord.charge_lan(64);
             }
-            scatter.record_sim_us(coord.sequential_us(&self.cost_model));
+            scatter.record_sim_us(coord.sequential_us());
         }
         let engaged = plan.opened.len();
         let mut partials = Vec::with_capacity(engaged);
@@ -645,7 +638,7 @@ impl<'a> Executor<'a> {
             let bbox = plan.bbox.as_ref();
             let node_span =
                 self.record_node(table, *node, bbox, opened, &scan.stats, &mut provenance);
-            let node_sim_us = scan.meter.sequential_us(&self.cost_model);
+            let node_sim_us = scan.meter.sequential_us();
             if let Some(partial) = scan.partial {
                 // Per-node cost feed for the watch layer's anomaly
                 // detector; replayed here in node-index order so the
@@ -666,7 +659,7 @@ impl<'a> Executor<'a> {
         // slowest node under the cost model. The per-node spans carry the
         // per-node costs; the makespan is a tag so the tree's sim rollup
         // doesn't double-count.
-        let makespan = meters.iter().map(|m| m.sequential_us(&self.cost_model));
+        let makespan = meters.iter().map(|m| m.sequential_us());
         scatter.tag("sim_makespan_us", makespan.fold(0.0, f64::max));
         drop(scatter);
         let gather = self.telemetry.span("query.executor.gather");
@@ -678,9 +671,9 @@ impl<'a> Executor<'a> {
         let unavailable = engaged - partials.len();
         let answer = merge_partials(&query.aggregate, partials)?;
         let cost = coord
-            .report_parallel(meters.iter(), &self.cost_model)
+            .report_parallel(meters.iter())
             .partial(engaged, unavailable);
-        gather.record_sim_us(merge_only.sequential_us(&self.cost_model));
+        gather.record_sim_us(merge_only.sequential_us());
         drop(gather);
         // Only a complete answer (no partition unavailable) whose
         // fragments were cut is offered; the cache applies its own
@@ -1772,7 +1765,6 @@ mod tests {
         let root = &snap.spans.roots[0];
         let scatter = root.find("query.executor.scatter").unwrap();
         let gather = root.find("query.executor.gather").unwrap();
-        let model = exec.cost_model();
         let mut request = CostMeter::new();
         for _ in 0..4 {
             request.charge_lan(64);
@@ -1780,12 +1772,12 @@ mod tests {
         let mut merge = CostMeter::new();
         merge.charge_cpu(4);
         assert!(
-            (scatter.sim_us - request.sequential_us(model)).abs() < 1e-12,
+            (scatter.sim_us - request.sequential_us()).abs() < 1e-12,
             "scatter carries the request fan-out: {}",
             scatter.sim_us
         );
         assert!(
-            (gather.sim_us - merge.sequential_us(model)).abs() < 1e-12,
+            (gather.sim_us - merge.sequential_us()).abs() < 1e-12,
             "gather carries only the merge: {}",
             gather.sim_us
         );
@@ -1801,7 +1793,7 @@ mod tests {
             .map(|s| s.sim_us)
             .fold(0.0, f64::max);
         assert!(
-            (out.cost.wall_us - (coord.sequential_us(model) + node_sim)).abs() < 1e-9,
+            (out.cost.wall_us - (coord.sequential_us() + node_sim)).abs() < 1e-9,
             "wall = coordinator + slowest node"
         );
     }

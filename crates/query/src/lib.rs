@@ -13,7 +13,10 @@
 //!
 //! Both return the identical exact answer; what differs is the
 //! [`sea_common::CostReport`]. That difference — measured, not asserted —
-//! is the substance of experiments E1, E7 and E9.
+//! is the substance of experiments E1, E7 and E9. An executor carries no
+//! rates: every bill, its own and an operator's
+//! ([`Scatter::report`]), is priced by the one price list in
+//! [`sea_common::cost`].
 //!
 //! Both regimes, one query or a batch, on healthy and faulted clusters
 //! alike, share one scan path: the coordinator opens each engaged node's

@@ -107,13 +107,13 @@ fn answer_key(r: sea_common::Result<QueryOutcome>) -> String {
     format!("{:?}", r.map(|o| o.answer))
 }
 
-/// What the cost model bills a containment hit: one CPU charge per
+/// What the price list bills a containment hit: one CPU charge per
 /// cached row re-masked, one per partial merged, on the coordinator.
-fn rederivation_cost(exec: &Executor, rows: u64, partials: u64) -> CostReport {
+fn rederivation_cost(rows: u64, partials: u64) -> CostReport {
     let mut coord = CostMeter::new();
     coord.charge_cpu(rows);
     coord.charge_cpu(partials);
-    coord.report_sequential(exec.cost_model())
+    coord.report_sequential()
 }
 
 proptest! {
@@ -188,7 +188,7 @@ proptest! {
             };
             let warm_out = exec.execute_direct(table, &q);
             if let (Some((rows, partials)), Ok(out)) = (served, &warm_out) {
-                prop_assert_eq!(&out.cost, &rederivation_cost(&exec, rows, partials));
+                prop_assert_eq!(&out.cost, &rederivation_cost(rows, partials));
             }
             let cold_answer = answer_key(Executor::new(&cluster).execute_direct(table, &q));
             prop_assert_eq!(answer_key(warm_out), cold_answer);
@@ -217,10 +217,7 @@ fn containment_serves_rect_and_ball_sub_queries() {
         .iter()
         .filter(|r| warm.region.contains_record(r))
         .count();
-    assert_eq!(
-        warm_out.cost,
-        rederivation_cost(&exec, cached_rows as u64, 4)
-    );
+    assert_eq!(warm_out.cost, rederivation_cost(cached_rows as u64, 4));
     assert!(
         warm_out.cost.wall_us < cold_out.cost.wall_us,
         "serving from memory beats scanning: {} vs {}",

@@ -155,7 +155,7 @@ fn a_scatter_engages_a_statements_nodes_each_on_its_own_meter() {
             assert_eq!(*meter, want, "partition {node}");
             assert_eq!(*rows, selected(&views.unwrap()));
         }
-        let cost = scatter.report(&CostMeter::new(), exec.cost_model());
+        let cost = scatter.report(&CostMeter::new());
         assert_eq!((cost.answered_fraction, cost.nodes_unavailable), (1.0, 0));
     }
 }
@@ -181,7 +181,7 @@ fn an_unread_partition_is_counted_not_visited_and_keeps_its_meter() {
     let mut touched = CostMeter::new();
     touched.touch_node(3);
     assert_eq!(scatter.meters[2], (2, touched));
-    let cost = scatter.report(&CostMeter::new(), exec.cost_model());
+    let cost = scatter.report(&CostMeter::new());
     assert_eq!((cost.answered_fraction, cost.nodes_unavailable), (0.75, 1));
 
     // Every scan faults past its retries: nothing is read, and each
@@ -202,7 +202,7 @@ fn an_unread_partition_is_counted_not_visited_and_keeps_its_meter() {
     for (node, meter) in &scatter.meters {
         assert_eq!(*meter, waited, "partition {node}");
     }
-    let cost = scatter.report(&CostMeter::new(), exec.cost_model());
+    let cost = scatter.report(&CostMeter::new());
     assert_eq!((cost.answered_fraction, cost.nodes_unavailable), (0.0, 4));
 }
 

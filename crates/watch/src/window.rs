@@ -2,8 +2,9 @@
 //! non-overlapping) and sliding windows (the trailing `width_us`).
 //!
 //! A window keeps the raw samples while it is open, so its summary is
-//! *exact* — percentiles come from the sorted samples, not from bucket
-//! interpolation — and additionally counts samples into the same
+//! *exact* — percentiles come from the raw samples by the workspace's one
+//! quantile rule ([`quantile_of`]), not from bucket interpolation — and
+//! additionally counts samples into the same
 //! [`DEFAULT_BUCKET_BOUNDS`] ladder the cumulative telemetry registry
 //! uses, so merging adjacent windows reproduces the cumulative
 //! [`sea_telemetry::HistogramSnapshot`] bucket counts bit-for-bit.
@@ -15,6 +16,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use sea_common::quantile_of;
 use sea_telemetry::metrics::{bucket_index, DEFAULT_BUCKET_BOUNDS};
 
 /// Number of bucket slots in a window summary: one per bound in
@@ -60,26 +62,15 @@ pub struct WindowSummary {
     pub buckets: Vec<u64>,
 }
 
-/// Exact percentile of an ascending-sorted slice: linear interpolation
-/// at rank `q·(n−1)`.
-fn sorted_percentile(sorted: &[f64], q: f64) -> f64 {
-    match sorted.len() {
-        0 => 0.0,
-        1 => sorted[0],
-        n => {
-            let pos = q * (n - 1) as f64;
-            let lo = pos.floor() as usize;
-            let hi = (lo + 1).min(n - 1);
-            let frac = pos - lo as f64;
-            sorted[lo] + frac * (sorted[hi] - sorted[lo])
-        }
-    }
-}
-
 /// Summarizes `samples` (any order) for the window `[start_us, end_us)`.
+/// An empty window reports 0 for every statistic.
 fn summarize_window(index: u64, start_us: f64, end_us: f64, samples: &[f64]) -> WindowSummary {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
+    let percentile = |q| {
+        quantile_of(samples.iter().copied(), q)
+            .ok()
+            .and_then(|answer| answer.as_scalar())
+            .unwrap_or(0.0)
+    };
     let mut buckets = vec![0u64; BUCKET_SLOTS];
     let mut sum = 0.0;
     for v in samples {
@@ -93,13 +84,21 @@ fn summarize_window(index: u64, start_us: f64, end_us: f64, samples: &[f64]) -> 
         end_us,
         count,
         sum,
-        min: sorted.first().copied().unwrap_or(0.0),
-        max: sorted.last().copied().unwrap_or(0.0),
+        min: samples
+            .iter()
+            .copied()
+            .min_by(f64::total_cmp)
+            .unwrap_or(0.0),
+        max: samples
+            .iter()
+            .copied()
+            .max_by(f64::total_cmp)
+            .unwrap_or(0.0),
         mean: if count == 0 { 0.0 } else { sum / count as f64 },
-        p50: sorted_percentile(&sorted, 0.50),
-        p95: sorted_percentile(&sorted, 0.95),
-        p99: sorted_percentile(&sorted, 0.99),
-        p999: sorted_percentile(&sorted, 0.999),
+        p50: percentile(0.50),
+        p95: percentile(0.95),
+        p99: percentile(0.99),
+        p999: percentile(0.999),
         buckets,
     }
 }
@@ -349,6 +348,15 @@ mod tests {
         assert_eq!(w.mean, 50.5);
         assert!(w.p99 <= w.p999 && w.p999 <= w.max);
         assert_eq!(w.buckets.iter().sum::<u64>(), 100);
+    }
+
+    #[test]
+    fn window_percentile_at_an_exact_rank_ignores_an_infinite_neighbour() {
+        // p50 of three samples sits exactly on rank 1; the +inf at rank 2
+        // must not enter the interpolation as 0 × inf = NaN.
+        let w = summarize_window(0, 0.0, 1000.0, &[1.0, 2.0, f64::INFINITY]);
+        assert_eq!(w.p50, 2.0);
+        assert_eq!(w.max, f64::INFINITY);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! cargo run -p sea-bench --release --example operator_suite
 //! ```
 
-use sea_common::{CostMeter, CostModel, Point, Record, Rect};
+use sea_common::{CostMeter, Point, Record, Rect};
 use sea_operators::{
     fullscan_impute, knn_join, mapreduce_knn, mapreduce_rank_join, surgical_rank_join,
     DistributedKnnIndex, GridImputer, ScoreIndex,
@@ -15,8 +15,6 @@ use sea_query::Executor;
 use sea_storage::{Partitioning, StorageCluster};
 
 fn main() -> sea_common::Result<()> {
-    let model = CostModel::default();
-
     // ---- Rank-join -------------------------------------------------------
     let mut cluster = StorageCluster::new(8, 512);
     let score =
@@ -33,7 +31,7 @@ fn main() -> sea_common::Result<()> {
     let exec = Executor::new(&cluster);
     let li = ScoreIndex::build(&exec, "l", &mut CostMeter::new())?;
     let ri = ScoreIndex::build(&exec, "r", &mut CostMeter::new())?;
-    let surgical = surgical_rank_join(&li, &ri, 10, 256, &model)?;
+    let surgical = surgical_rank_join(&li, &ri, 10, 256)?;
     let mapreduce = mapreduce_rank_join(&exec, "l", "r", 10)?;
     println!("rank-join, top-10 of {n} x {n} tuples:");
     println!(
@@ -63,7 +61,7 @@ fn main() -> sea_common::Result<()> {
     let knn_exec = Executor::new(&knn_cluster);
     let index = DistributedKnnIndex::build(&knn_exec, "pts")?;
     let q = Point::new(vec![33.0, 66.0]);
-    let cohort = index.query(&q, 10, &model)?;
+    let cohort = index.query(&q, 10)?;
     let mr = mapreduce_knn(&knn_exec, "pts", &q, 10)?;
     println!("\nkNN, k=10 over 200k points:");
     println!(
@@ -81,7 +79,7 @@ fn main() -> sea_common::Result<()> {
     let probes: Vec<Point> = (0..32)
         .map(|i| Point::new(vec![i as f64 * 3.0, 50.0]))
         .collect();
-    let joined = knn_join(&index, &probes, 5, 8, &model)?;
+    let joined = knn_join(&index, &probes, 5, 8)?;
     println!("  kNN join: {} probes × 5 neighbours each", joined.len());
 
     // ---- Missing-value imputation ----------------------------------------

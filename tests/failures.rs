@@ -151,10 +151,7 @@ fn operators() -> [(&'static str, Fault, Run); 10] {
             let mut meter = CostMeter::new();
             let idx = ScoreIndex::build(e, "l", &mut meter)?;
             let entries = idx.batch(0, idx.len(), &mut CostMeter::new());
-            Ok((
-                format!("{entries:?}"),
-                meter.report_sequential(e.cost_model()),
-            ))
+            Ok((format!("{entries:?}"), meter.report_sequential()))
         }),
         ("mapreduce_knn", Fault::Partial(1), |e| {
             let o = mapreduce_knn(e, "t", &probe(), 10)?;
@@ -162,7 +159,7 @@ fn operators() -> [(&'static str, Fault, Run); 10] {
         }),
         ("DistributedKnnIndex::build", Fault::Refuses, |e| {
             let idx = DistributedKnnIndex::build(e, "t")?;
-            let o = idx.query(&probe(), 10, e.cost_model())?;
+            let o = idx.query(&probe(), 10)?;
             Ok((format!("{:?}", o.neighbors), *idx.build_cost()))
         }),
         ("fullscan_impute", Fault::Partial(1), |e| {
