@@ -183,8 +183,6 @@ pub fn run_e22_with_pool(sink: &TelemetrySink, pool: Option<ExecPool>) -> Result
         let answer0 = match out.results[0].answer {
             AnswerValue::Scalar(v) => v,
             AnswerValue::Pair(a, _) => a,
-            // `AnswerValue` is non_exhaustive; no other variants exist today.
-            _ => f64::NAN,
         };
         report.push_row(vec![
             idx as f64,

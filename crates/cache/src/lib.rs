@@ -82,7 +82,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sea_common::{AggregateKind, AnswerValue, Record, Rect, Region};
+use sea_common::{AggregateKey, AggregateKind, AnswerValue, Record, Rect, Region};
 use sea_telemetry::TelemetrySink;
 
 /// Configuration of a [`SemanticCache`].
@@ -242,9 +242,9 @@ impl Entry {
 
 #[derive(Debug, Default)]
 struct State {
-    /// Key (canonical aggregate-kind encoding) → entries in admission
-    /// order. `BTreeMap` for deterministic iteration during eviction.
-    entries: BTreeMap<String, Vec<Entry>>,
+    /// Aggregate key → entries in admission order. `BTreeMap` for
+    /// deterministic iteration during eviction.
+    entries: BTreeMap<AggregateKey, Vec<Entry>>,
     total_bytes: u64,
     next_seq: u64,
     epoch: u64,
@@ -266,14 +266,6 @@ impl Default for SemanticCache {
     fn default() -> Self {
         SemanticCache::new(CacheConfig::default())
     }
-}
-
-/// Canonical cache-key encoding of an aggregate kind. `AggregateKind`
-/// carries an `f64` (quantile), so it cannot derive `Ord`/`Hash`; the
-/// `Debug` rendering is deterministic and collision-free across the
-/// enum's variants.
-fn key_of(agg: &AggregateKind) -> String {
-    format!("{agg:?}")
 }
 
 impl SemanticCache {
@@ -307,7 +299,7 @@ impl SemanticCache {
     /// entries contain the query, the one with the fewest cached records
     /// (cheapest re-derivation) wins, ties broken by admission order.
     pub fn lookup(&self, agg: &AggregateKind, region: &Region) -> CacheDecision {
-        let key = key_of(agg);
+        let key = agg.key();
         let bbox = region.bounding_rect();
         let exact_rect = match region {
             Region::Range(r) => Some(r),
@@ -411,7 +403,7 @@ impl SemanticCache {
             let st = &mut *guard;
             let seq = st.next_seq;
             st.next_seq += 1;
-            let list = st.entries.entry(key_of(agg)).or_default();
+            let list = st.entries.entry(agg.key()).or_default();
             if let Some(pos) = list.iter().position(|e| e.rect == rect) {
                 st.total_bytes -= list.remove(pos).bytes;
             }
@@ -485,7 +477,7 @@ impl SemanticCache {
         st.total_bytes -= list.remove(pos).bytes;
         st.stats.evictions += 1;
         if list.is_empty() {
-            let key = key.clone();
+            let key = *key;
             st.entries.remove(&key);
         }
         true

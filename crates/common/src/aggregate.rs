@@ -3,6 +3,13 @@
 //! §III-A of the paper: analytics over selected subspaces must cover both
 //! *descriptive statistics* (count, mean, median, quantiles, …) and
 //! *dependence statistics* (correlation, regression coefficients).
+//!
+//! [`AggregateKind`] is the workspace's one aggregate vocabulary: the
+//! statement language parses to it and prints it (its `Display` is the
+//! canonical sea-lang text), the executor folds it, and the agent's
+//! model pools and the semantic cache key it by [`AggregateKind::key`].
+
+use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
@@ -11,7 +18,6 @@ use crate::{Result, SeaError};
 /// The analytical operator applied to the records selected by a
 /// [`crate::Region`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[non_exhaustive]
 pub enum AggregateKind {
     /// Number of records in the subspace.
     Count,
@@ -88,6 +94,44 @@ impl AggregateKind {
         }
     }
 
+    /// The attributes the operator reads: none for `Count`, `x` then
+    /// `y` for the dependence statistics, its one `dim` otherwise.
+    pub fn columns(&self) -> impl Iterator<Item = usize> {
+        let pair = match *self {
+            AggregateKind::Count => [None, None],
+            AggregateKind::Sum { dim }
+            | AggregateKind::Mean { dim }
+            | AggregateKind::Variance { dim }
+            | AggregateKind::Min { dim }
+            | AggregateKind::Max { dim }
+            | AggregateKind::Median { dim }
+            | AggregateKind::Quantile { dim, .. } => [Some(dim), None],
+            AggregateKind::Correlation { x, y } | AggregateKind::Regression { x, y } => {
+                [Some(x), Some(y)]
+            }
+        };
+        pair.into_iter().flatten()
+    }
+
+    /// The operator's total-order identity: one pool of agent models,
+    /// or one list of cached answers, per key. A quantile level keys by
+    /// its bits, so distinct levels never share a key.
+    pub fn key(&self) -> AggregateKey {
+        let (tag, a, b, qbits) = match *self {
+            AggregateKind::Count => (0, 0, 0, 0),
+            AggregateKind::Sum { dim } => (1, dim, 0, 0),
+            AggregateKind::Mean { dim } => (2, dim, 0, 0),
+            AggregateKind::Variance { dim } => (3, dim, 0, 0),
+            AggregateKind::Min { dim } => (4, dim, 0, 0),
+            AggregateKind::Max { dim } => (5, dim, 0, 0),
+            AggregateKind::Median { dim } => (6, dim, 0, 0),
+            AggregateKind::Quantile { dim, q } => (7, dim, 0, q.to_bits()),
+            AggregateKind::Correlation { x, y } => (8, x, y, 0),
+            AggregateKind::Regression { x, y } => (9, x, y, 0),
+        };
+        AggregateKey { tag, a, b, qbits }
+    }
+
     /// Validates the operator against a dataset dimensionality.
     ///
     /// # Errors
@@ -95,37 +139,16 @@ impl AggregateKind {
     /// Returns [`SeaError::InvalidArgument`] when an attribute index is out
     /// of range or a quantile level lies outside `[0, 1]`.
     pub fn validate(&self, dims: usize) -> Result<()> {
-        let check = |d: usize| {
-            if d < dims {
-                Ok(())
-            } else {
-                Err(SeaError::invalid(format!(
-                    "attribute index {d} out of range for {dims}-dimensional data"
-                )))
-            }
-        };
+        if let Some(d) = self.columns().find(|&d| d >= dims) {
+            return Err(SeaError::invalid(format!(
+                "attribute index {d} out of range for {dims}-dimensional data"
+            )));
+        }
         match *self {
-            AggregateKind::Count => Ok(()),
-            AggregateKind::Sum { dim }
-            | AggregateKind::Mean { dim }
-            | AggregateKind::Variance { dim }
-            | AggregateKind::Min { dim }
-            | AggregateKind::Max { dim }
-            | AggregateKind::Median { dim } => check(dim),
-            AggregateKind::Quantile { dim, q } => {
-                check(dim)?;
-                if (0.0..=1.0).contains(&q) {
-                    Ok(())
-                } else {
-                    Err(SeaError::invalid(format!(
-                        "quantile level {q} outside [0, 1]"
-                    )))
-                }
-            }
-            AggregateKind::Correlation { x, y } | AggregateKind::Regression { x, y } => {
-                check(x)?;
-                check(y)
-            }
+            AggregateKind::Quantile { q, .. } if !(0.0..=1.0).contains(&q) => Err(
+                SeaError::invalid(format!("quantile level {q} outside [0, 1]")),
+            ),
+            _ => Ok(()),
         }
     }
 
@@ -196,6 +219,38 @@ impl AggregateKind {
             }
         }
     }
+}
+
+/// The canonical sea-lang text of the operator (`count()`,
+/// `quantile(d0, 0.95)`, `corr(d0, d1)`, …): what a statement's plan
+/// prints and what parses back to the same operator.
+impl fmt::Display for AggregateKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            AggregateKind::Count => write!(f, "count()"),
+            AggregateKind::Sum { dim } => write!(f, "sum(d{dim})"),
+            AggregateKind::Mean { dim } => write!(f, "mean(d{dim})"),
+            AggregateKind::Variance { dim } => write!(f, "variance(d{dim})"),
+            AggregateKind::Min { dim } => write!(f, "min(d{dim})"),
+            AggregateKind::Max { dim } => write!(f, "max(d{dim})"),
+            AggregateKind::Median { dim } => write!(f, "median(d{dim})"),
+            AggregateKind::Quantile { dim, q } => write!(f, "quantile(d{dim}, {q:?})"),
+            AggregateKind::Correlation { x, y } => write!(f, "corr(d{x}, d{y})"),
+            AggregateKind::Regression { x, y } => write!(f, "regress(d{x}, d{y})"),
+        }
+    }
+}
+
+/// An [`AggregateKind`] as an ordered, hashable key (see
+/// [`AggregateKind::key`]): a variant tag 0–9, the attributes `a`/`b`
+/// it reads (0 where unused), and a quantile level's bits. Its serde
+/// form is part of the agent's wire format.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+pub struct AggregateKey {
+    tag: u8,
+    a: usize,
+    b: usize,
+    qbits: u64,
 }
 
 /// The `q`-quantile of `values` (any order), linearly interpolated
@@ -338,7 +393,6 @@ impl BivariateStats {
 
 /// The answer to an analytical query.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[non_exhaustive]
 pub enum AnswerValue {
     /// A single scalar (count, mean, quantile, correlation, …).
     Scalar(f64),

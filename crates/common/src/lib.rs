@@ -26,7 +26,7 @@ pub mod query;
 pub mod record;
 pub mod region;
 
-pub use aggregate::{quantile_of, AggregateKind, AnswerValue, BivariateStats};
+pub use aggregate::{quantile_of, AggregateKey, AggregateKind, AnswerValue, BivariateStats};
 pub use cost::{CostMeter, CostReport};
 pub use error::SeaError;
 pub use kernels::SelectionMask;

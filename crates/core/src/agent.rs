@@ -1,11 +1,13 @@
 //! The SEA agent: query-space quantization, per-quantum answer models,
 //! prediction with error estimation, and model maintenance.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use sea_common::{AggregateKind, AnalyticalQuery, AnswerValue, Rect, Result, SeaError};
+use sea_common::{
+    AggregateKey, AggregateKind, AnalyticalQuery, AnswerValue, Rect, Result, SeaError,
+};
 use sea_ml::linreg::RecursiveLeastSquares;
 use sea_ml::quantize::{OnlineQuantizer, QuantizerParams};
 use sea_ml::Regressor;
@@ -180,7 +182,6 @@ impl QuantumModel {
                     acc.0 += w * x;
                     acc.1 += w * y;
                 }
-                _ => {}
             }
         }
         Some(if is_pair {
@@ -208,86 +209,6 @@ struct Pool {
     quantizer: OnlineQuantizer,
     models: Vec<QuantumModel>,
     pair_answer: bool,
-}
-
-/// Hashable key identifying an operator pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-struct AggKey {
-    tag: u8,
-    a: usize,
-    b: usize,
-    qbits: u64,
-}
-
-fn agg_key(agg: &AggregateKind) -> AggKey {
-    match *agg {
-        AggregateKind::Count => AggKey {
-            tag: 0,
-            a: 0,
-            b: 0,
-            qbits: 0,
-        },
-        AggregateKind::Sum { dim } => AggKey {
-            tag: 1,
-            a: dim,
-            b: 0,
-            qbits: 0,
-        },
-        AggregateKind::Mean { dim } => AggKey {
-            tag: 2,
-            a: dim,
-            b: 0,
-            qbits: 0,
-        },
-        AggregateKind::Variance { dim } => AggKey {
-            tag: 3,
-            a: dim,
-            b: 0,
-            qbits: 0,
-        },
-        AggregateKind::Min { dim } => AggKey {
-            tag: 4,
-            a: dim,
-            b: 0,
-            qbits: 0,
-        },
-        AggregateKind::Max { dim } => AggKey {
-            tag: 5,
-            a: dim,
-            b: 0,
-            qbits: 0,
-        },
-        AggregateKind::Median { dim } => AggKey {
-            tag: 6,
-            a: dim,
-            b: 0,
-            qbits: 0,
-        },
-        AggregateKind::Quantile { dim, q } => AggKey {
-            tag: 7,
-            a: dim,
-            b: 0,
-            qbits: q.to_bits(),
-        },
-        AggregateKind::Correlation { x, y } => AggKey {
-            tag: 8,
-            a: x,
-            b: y,
-            qbits: 0,
-        },
-        AggregateKind::Regression { x, y } => AggKey {
-            tag: 9,
-            a: x,
-            b: y,
-            qbits: 0,
-        },
-        _ => AggKey {
-            tag: u8::MAX,
-            a: 0,
-            b: 0,
-            qbits: 0,
-        },
-    }
 }
 
 fn is_pair_answer(agg: &AggregateKind) -> bool {
@@ -337,7 +258,7 @@ pub struct AgentStats {
 pub struct SeaAgent {
     config: AgentConfig,
     dims: usize,
-    pools: HashMap<AggKey, Pool>,
+    pools: BTreeMap<AggregateKey, Pool>,
     /// Read by the pipeline's `agent.cached` / `agent.trained` events,
     /// which must not pay [`SeaAgent::stats`]' walk over every model.
     pub(crate) training_queries: u64,
@@ -347,12 +268,13 @@ pub struct SeaAgent {
 }
 
 /// The wire form of a [`SeaAgent`]: pools as explicit pairs (JSON maps
-/// need string keys, so the HashMap is flattened for transport).
+/// need string keys, so the map is flattened for transport, in key
+/// order: two agents with the same state write the same bytes).
 #[derive(Debug, Serialize, Deserialize)]
 struct AgentWire {
     config: AgentConfig,
     dims: usize,
-    pools: Vec<(AggKey, Pool)>,
+    pools: Vec<(AggregateKey, Pool)>,
     training_queries: u64,
 }
 
@@ -378,7 +300,7 @@ impl SeaAgent {
         Ok(SeaAgent {
             config,
             dims,
-            pools: HashMap::new(),
+            pools: BTreeMap::new(),
             training_queries: 0,
             telemetry: TelemetrySink::default(),
         })
@@ -415,7 +337,7 @@ impl SeaAgent {
     /// does not match the operator (e.g. a scalar for a regression query).
     pub fn train(&mut self, query: &AnalyticalQuery, answer: &AnswerValue) -> Result<()> {
         SeaError::check_dims(self.dims, query.region.dims())?;
-        let key = agg_key(&query.aggregate);
+        let key = query.aggregate.key();
         let qvec = query.to_query_vector();
         let features = self.features(query);
         let feature_dims = features.len();
@@ -423,8 +345,8 @@ impl SeaAgent {
         let forget = self.config.forget;
         let quant_params = self.config.quantizer.clone();
         let pool = match self.pools.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => e.insert(Pool {
+            std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
+            std::collections::btree_map::Entry::Vacant(e) => e.insert(Pool {
                 quantizer: OnlineQuantizer::new(qvec.len(), quant_params)?,
                 models: Vec::new(),
                 pair_answer: pair,
@@ -459,7 +381,7 @@ impl SeaAgent {
     pub fn predict(&self, query: &AnalyticalQuery) -> Result<Prediction> {
         SeaError::check_dims(self.dims, query.region.dims())?;
         self.telemetry.incr("core.agent.predict_total", 1);
-        let key = agg_key(&query.aggregate);
+        let key = query.aggregate.key();
         let pool = self
             .pools
             .get(&key)
@@ -509,7 +431,7 @@ impl SeaAgent {
     /// (used by explanation fitting). Empty when the operator pool is
     /// missing.
     pub fn quantum_pairs(&self, query: &AnalyticalQuery) -> Vec<(Vec<f64>, AnswerValue)> {
-        let key = agg_key(&query.aggregate);
+        let key = query.aggregate.key();
         let Some(pool) = self.pools.get(&key) else {
             return Vec::new();
         };
@@ -526,7 +448,7 @@ impl SeaAgent {
     /// first-order explanation of how the answer depends on each query
     /// parameter.
     pub fn quantum_weights(&self, query: &AnalyticalQuery) -> Option<(Vec<f64>, f64)> {
-        let pool = self.pools.get(&agg_key(&query.aggregate))?;
+        let pool = self.pools.get(&query.aggregate.key())?;
         let (idx, _) = pool.quantizer.nearest_prototype(&query.to_query_vector())?;
         let model = &pool.models[idx];
         if model.training < self.config.min_training {
@@ -960,5 +882,65 @@ mod tests {
         // the signal and be positive... combined with extents.
         let pairs = agent.quantum_pairs(&q);
         assert!(!pairs.is_empty());
+    }
+
+    /// One of each of the ten aggregates, over attributes `a` and `b`.
+    fn all_ten(a: usize, b: usize, q: f64) -> [AggregateKind; 10] {
+        [
+            AggregateKind::Count,
+            AggregateKind::Sum { dim: a },
+            AggregateKind::Mean { dim: a },
+            AggregateKind::Variance { dim: a },
+            AggregateKind::Min { dim: a },
+            AggregateKind::Max { dim: a },
+            AggregateKind::Median { dim: a },
+            AggregateKind::Quantile { dim: a, q },
+            AggregateKind::Correlation { x: a, y: b },
+            AggregateKind::Regression { x: a, y: b },
+        ]
+    }
+
+    #[test]
+    fn identically_trained_agents_write_identical_wire_bytes() {
+        let wire = || {
+            let mut agent = SeaAgent::new(2, AgentConfig::default()).unwrap();
+            for i in 0..20 {
+                let region = count_query(&[40.0 + i as f64, 50.0], 2.0).region;
+                for agg in all_ten(0, 1, 0.95) {
+                    let v = i as f64;
+                    let answer = match agg {
+                        AggregateKind::Regression { .. } => AnswerValue::Pair(0.5, v),
+                        _ => AnswerValue::Scalar(v),
+                    };
+                    let q = AnalyticalQuery::new(region.clone(), agg);
+                    agent.train(&q, &answer).unwrap();
+                }
+            }
+            assert_eq!(agent.stats().pools, 10);
+            agent.to_json().unwrap()
+        };
+        assert_eq!(wire(), wire());
+    }
+
+    #[test]
+    fn aggregate_keys_are_injective_and_keep_the_wire_form() {
+        let mut kinds = Vec::new();
+        for a in 0..3 {
+            for b in 0..3 {
+                for q in [0.25, 0.5, 0.95] {
+                    kinds.extend(all_ten(a, b, q));
+                }
+            }
+        }
+        for x in &kinds {
+            for y in &kinds {
+                assert_eq!(x == y, x.key() == y.key(), "{x:?} vs {y:?}");
+            }
+        }
+        let key = AggregateKind::Quantile { dim: 0, q: 0.5 }.key();
+        assert_eq!(
+            serde_json::to_string(&key).unwrap(),
+            format!(r#"{{"tag":7,"a":0,"b":0,"qbits":{}}}"#, 0.5f64.to_bits())
+        );
     }
 }

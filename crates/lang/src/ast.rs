@@ -1,83 +1,20 @@
 //! The typed logical plan a statement parses to, plus its canonical
 //! pretty-printer.
 //!
+//! The plan's aggregates are the engine's own [`AggregateKind`], and
+//! their canonical text is `AggregateKind`'s `Display` in sea-common;
+//! this printer adds the selection, mode and `EXPLAIN` around it.
+//!
 //! The printer and [`crate::parse`] are inverses: printing a plan and
 //! re-parsing the text yields a structurally equal plan (property-tested
 //! in `tests/props.rs`). Canonicalization happens at parse time — sugar
-//! aggregates (`avg`, `p95`, …) normalize to their canonical forms and
-//! range predicates sort by dimension — so the printed form is a stable
-//! identity for a statement.
+//! aggregates (`avg` → `mean`, `p95(d)` → `quantile(d, 0.95)`, …)
+//! normalize to their canonical forms and range predicates sort by
+//! dimension — so the printed form is a stable identity for a statement.
 
 use std::fmt;
 
 use sea_common::AggregateKind;
-
-/// An aggregate call as written in a statement.
-///
-/// This mirrors [`AggregateKind`] but is a closed enum owned by this
-/// crate: the printer can match it exhaustively, and parser-level sugar
-/// (`avg` → [`AggSpec::Mean`], `p95(d)` → `quantile(d, 0.95)`)
-/// normalizes here before planning maps it onto the core type via
-/// [`AggSpec::to_kind`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum AggSpec {
-    /// `count()` — number of records in the selection.
-    Count,
-    /// `sum(d)` — sum of attribute `d`.
-    Sum(usize),
-    /// `mean(d)` (also `avg(d)`) — mean of attribute `d`.
-    Mean(usize),
-    /// `variance(d)` (also `var(d)`) — population variance.
-    Variance(usize),
-    /// `min(d)` — minimum of attribute `d`.
-    Min(usize),
-    /// `max(d)` — maximum of attribute `d`.
-    Max(usize),
-    /// `median(d)` — median of attribute `d`.
-    Median(usize),
-    /// `quantile(d, q)` (also `p50`/`p95`/`p99`) — `q`-quantile.
-    Quantile(usize, f64),
-    /// `corr(x, y)` (also `correlation`) — Pearson correlation.
-    Correlation(usize, usize),
-    /// `regress(x, y)` (also `regression`) — least-squares slope and
-    /// intercept of `y` on `x`.
-    Regression(usize, usize),
-}
-
-impl AggSpec {
-    /// Maps onto the core aggregate type the executor computes.
-    pub fn to_kind(&self) -> AggregateKind {
-        match *self {
-            AggSpec::Count => AggregateKind::Count,
-            AggSpec::Sum(dim) => AggregateKind::Sum { dim },
-            AggSpec::Mean(dim) => AggregateKind::Mean { dim },
-            AggSpec::Variance(dim) => AggregateKind::Variance { dim },
-            AggSpec::Min(dim) => AggregateKind::Min { dim },
-            AggSpec::Max(dim) => AggregateKind::Max { dim },
-            AggSpec::Median(dim) => AggregateKind::Median { dim },
-            AggSpec::Quantile(dim, q) => AggregateKind::Quantile { dim, q },
-            AggSpec::Correlation(x, y) => AggregateKind::Correlation { x, y },
-            AggSpec::Regression(x, y) => AggregateKind::Regression { x, y },
-        }
-    }
-}
-
-impl fmt::Display for AggSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            AggSpec::Count => write!(f, "count()"),
-            AggSpec::Sum(d) => write!(f, "sum(d{d})"),
-            AggSpec::Mean(d) => write!(f, "mean(d{d})"),
-            AggSpec::Variance(d) => write!(f, "variance(d{d})"),
-            AggSpec::Min(d) => write!(f, "min(d{d})"),
-            AggSpec::Max(d) => write!(f, "max(d{d})"),
-            AggSpec::Median(d) => write!(f, "median(d{d})"),
-            AggSpec::Quantile(d, q) => write!(f, "quantile(d{d}, {q:?})"),
-            AggSpec::Correlation(x, y) => write!(f, "corr(d{x}, d{y})"),
-            AggSpec::Regression(x, y) => write!(f, "regress(d{x}, d{y})"),
-        }
-    }
-}
 
 /// One per-dimension interval predicate: `d<dim> IN [lo, hi]`.
 #[derive(Debug, Clone, PartialEq)]
@@ -144,7 +81,7 @@ impl ModeHint {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogicalPlan {
     /// Selected aggregates, in statement order (at least one).
-    pub aggregates: Vec<AggSpec>,
+    pub aggregates: Vec<AggregateKind>,
     /// The selection region.
     pub selection: Selection,
     /// Execution-mode hint (`WITH MODE …`, default [`ModeHint::Auto`]).
@@ -201,7 +138,10 @@ mod tests {
     #[test]
     fn canonical_printing_is_stable() {
         let plan = LogicalPlan {
-            aggregates: vec![AggSpec::Mean(0), AggSpec::Quantile(1, 0.95)],
+            aggregates: vec![
+                AggregateKind::Mean { dim: 0 },
+                AggregateKind::Quantile { dim: 1, q: 0.95 },
+            ],
             selection: Selection::Ranges(vec![RangePred {
                 dim: 0,
                 lo: 2.5,
@@ -219,7 +159,7 @@ mod tests {
     #[test]
     fn ball_and_default_mode_print_minimally() {
         let plan = LogicalPlan {
-            aggregates: vec![AggSpec::Count],
+            aggregates: vec![AggregateKind::Count],
             selection: Selection::Ball(BallPred {
                 center: vec![50.0, 50.0],
                 radius: 10.0,

@@ -18,8 +18,10 @@
 //! * [`parse`] — deterministic recursive-descent parser producing a
 //!   typed [`LogicalPlan`]; errors are span-annotated [`ParseError`]s
 //!   with a stable, golden-tested rendering.
-//! * [`LogicalPlan`] — the typed plan; its `Display` impl is a
-//!   canonical pretty-printer that round-trips through [`parse`].
+//! * [`LogicalPlan`] — the typed plan; its aggregates are the engine's
+//!   own [`sea_common::AggregateKind`] (canonical text: its `Display` in
+//!   sea-common), and its `Display` impl is a canonical pretty-printer
+//!   that round-trips through [`parse`].
 //! * [`Frontend`] — plans and executes statements against an
 //!   [`sea_query::Executor`], optionally routing through
 //!   [`sea_operators::ExecutionEngines`] (scan-vs-index chosen by
@@ -70,7 +72,7 @@ mod lexer;
 mod parser;
 mod planner;
 
-pub use ast::{AggSpec, BallPred, LogicalPlan, ModeHint, RangePred, Selection};
+pub use ast::{BallPred, LogicalPlan, ModeHint, RangePred, Selection};
 pub use error::ParseError;
 pub use parser::parse;
 pub use planner::{submit_statement, AggregateResult, Frontend, StatementOutcome, TableSchema};

@@ -19,12 +19,18 @@
 //! dim       := "d" digits
 //! ```
 //!
+//! An aggregate call parses straight to the engine's
+//! [`sea_common::AggregateKind`], its sugar normalised on the way (`avg`
+//! → `Mean`, `var` → `Variance`, `p95(d)` → `Quantile { q: 0.95 }`).
+//!
 //! Semantic rules enforced here (not just shape): quantile levels lie in
 //! `[0, 1]`, range bounds are ordered, ball radii are positive, at most
 //! one ball, no duplicate range dimensions, and ranges and balls never
 //! mix (the core [`sea_common::Region`] is a box *or* a ball).
 
-use crate::ast::{AggSpec, BallPred, LogicalPlan, ModeHint, RangePred, Selection};
+use sea_common::AggregateKind;
+
+use crate::ast::{BallPred, LogicalPlan, ModeHint, RangePred, Selection};
 use crate::error::ParseError;
 use crate::lexer::{lex, Tok, Token};
 
@@ -37,8 +43,10 @@ use crate::lexer::{lex, Tok, Token};
 /// [`sea_common::SeaError::InvalidArgument`] via `From`.
 ///
 /// ```
+/// use sea_common::AggregateKind;
+///
 /// let plan = sea_lang::parse("SELECT mean(d0) WHERE d0 IN [0.0, 10.0]").unwrap();
-/// assert_eq!(plan.aggregates, vec![sea_lang::AggSpec::Mean(0)]);
+/// assert_eq!(plan.aggregates, vec![AggregateKind::Mean { dim: 0 }]);
 /// ```
 pub fn parse(src: &str) -> Result<LogicalPlan, ParseError> {
     let toks = lex(src)?;
@@ -215,7 +223,7 @@ impl<'s> Parser<'s> {
         Err(self.err_here("a query mode: `exact`, `predict`, or `auto`"))
     }
 
-    fn aggregate(&mut self) -> Result<AggSpec, ParseError> {
+    fn aggregate(&mut self) -> Result<AggregateKind, ParseError> {
         let Some(Token {
             kind: Tok::Ident(name),
             start,
@@ -227,7 +235,7 @@ impl<'s> Parser<'s> {
         let (name, start, end) = (name.to_ascii_lowercase(), *start, *end);
         self.pos += 1;
         self.expect_punct(Tok::LParen, "`(`")?;
-        let spec = match name.as_str() {
+        let kind = match name.as_str() {
             "count" => {
                 if !matches!(
                     self.peek(),
@@ -241,17 +249,38 @@ impl<'s> Parser<'s> {
                         .map_or((self.src.len(), self.src.len()), |t| (t.start, t.end));
                     return Err(self.err_at(s, e, "count() takes no arguments"));
                 }
-                AggSpec::Count
+                AggregateKind::Count
             }
-            "sum" => AggSpec::Sum(self.expect_dim()?),
-            "mean" | "avg" => AggSpec::Mean(self.expect_dim()?),
-            "variance" | "var" => AggSpec::Variance(self.expect_dim()?),
-            "min" => AggSpec::Min(self.expect_dim()?),
-            "max" => AggSpec::Max(self.expect_dim()?),
-            "median" => AggSpec::Median(self.expect_dim()?),
-            "p50" => AggSpec::Quantile(self.expect_dim()?, 0.5),
-            "p95" => AggSpec::Quantile(self.expect_dim()?, 0.95),
-            "p99" => AggSpec::Quantile(self.expect_dim()?, 0.99),
+            "sum" => AggregateKind::Sum {
+                dim: self.expect_dim()?,
+            },
+            "mean" | "avg" => AggregateKind::Mean {
+                dim: self.expect_dim()?,
+            },
+            "variance" | "var" => AggregateKind::Variance {
+                dim: self.expect_dim()?,
+            },
+            "min" => AggregateKind::Min {
+                dim: self.expect_dim()?,
+            },
+            "max" => AggregateKind::Max {
+                dim: self.expect_dim()?,
+            },
+            "median" => AggregateKind::Median {
+                dim: self.expect_dim()?,
+            },
+            "p50" => AggregateKind::Quantile {
+                dim: self.expect_dim()?,
+                q: 0.5,
+            },
+            "p95" => AggregateKind::Quantile {
+                dim: self.expect_dim()?,
+                q: 0.95,
+            },
+            "p99" => AggregateKind::Quantile {
+                dim: self.expect_dim()?,
+                q: 0.99,
+            },
             "quantile" => {
                 let dim = self.expect_dim()?;
                 self.expect_punct(Tok::Comma, "`,`")?;
@@ -263,17 +292,23 @@ impl<'s> Parser<'s> {
                         format!("quantile level must be within [0, 1], got {q:?}"),
                     ));
                 }
-                AggSpec::Quantile(dim, q)
+                AggregateKind::Quantile { dim, q }
             }
             "corr" | "correlation" => {
                 let x = self.expect_dim()?;
                 self.expect_punct(Tok::Comma, "`,`")?;
-                AggSpec::Correlation(x, self.expect_dim()?)
+                AggregateKind::Correlation {
+                    x,
+                    y: self.expect_dim()?,
+                }
             }
             "regress" | "regression" => {
                 let x = self.expect_dim()?;
                 self.expect_punct(Tok::Comma, "`,`")?;
-                AggSpec::Regression(x, self.expect_dim()?)
+                AggregateKind::Regression {
+                    x,
+                    y: self.expect_dim()?,
+                }
             }
             other => {
                 return Err(self.err_at(
@@ -284,7 +319,7 @@ impl<'s> Parser<'s> {
             }
         };
         self.expect_punct(Tok::RParen, "`)`")?;
-        Ok(spec)
+        Ok(kind)
     }
 
     fn where_clause(&mut self) -> Result<Selection, ParseError> {
@@ -401,7 +436,10 @@ mod tests {
         .unwrap();
         assert_eq!(
             plan.aggregates,
-            vec![AggSpec::Mean(0), AggSpec::Quantile(1, 0.95)]
+            vec![
+                AggregateKind::Mean { dim: 0 },
+                AggregateKind::Quantile { dim: 1, q: 0.95 }
+            ]
         );
         assert_eq!(plan.mode, ModeHint::Exact);
         assert!(plan.explain);
@@ -426,10 +464,10 @@ mod tests {
         assert_eq!(
             plan.aggregates,
             vec![
-                AggSpec::Mean(2),
-                AggSpec::Variance(0),
-                AggSpec::Quantile(1, 0.5),
-                AggSpec::Correlation(0, 1),
+                AggregateKind::Mean { dim: 2 },
+                AggregateKind::Variance { dim: 0 },
+                AggregateKind::Quantile { dim: 1, q: 0.5 },
+                AggregateKind::Correlation { x: 0, y: 1 },
             ]
         );
     }

@@ -1,5 +1,9 @@
 //! Lowering: [`LogicalPlan`] → [`AnalyticalQuery`] executions.
 //!
+//! The plan's aggregates already are [`AggregateKind`]s, so lowering
+//! only builds the region and validates each aggregate against the
+//! table's dimensionality.
+//!
 //! The [`Frontend`] binds a statement surface to the existing execution
 //! stack — [`Executor`] for exact answers (batched statements share one
 //! superset scan), [`sea_operators::ExecutionEngines`] for
@@ -11,7 +15,8 @@
 //! `crates/bench/tests/lang_determinism.rs`).
 
 use sea_common::{
-    AnalyticalQuery, AnswerValue, Ball, CostReport, Point, Rect, Region, Result, SeaError,
+    AggregateKind, AnalyticalQuery, AnswerValue, Ball, CostReport, Point, Rect, Region, Result,
+    SeaError,
 };
 use sea_core::{AgentPipeline, ProcessOutcome};
 use sea_operators::{ExecutionEngines, QueryStrategy};
@@ -20,7 +25,7 @@ use sea_service::{QueryService, SubmitOutcome};
 use sea_storage::StorageCluster;
 use sea_telemetry::TelemetrySink;
 
-use crate::ast::{AggSpec, LogicalPlan, ModeHint, Selection};
+use crate::ast::{LogicalPlan, ModeHint, Selection};
 use crate::explain::render;
 use crate::parse;
 
@@ -122,8 +127,7 @@ impl LogicalPlan {
         let region = self.region(schema)?;
         self.aggregates
             .iter()
-            .map(|spec| {
-                let kind = spec.to_kind();
+            .map(|&kind| {
                 kind.validate(schema.dims())?;
                 Ok(AnalyticalQuery::new(region.clone(), kind))
             })
@@ -135,7 +139,7 @@ impl LogicalPlan {
 #[derive(Debug, Clone, PartialEq)]
 pub struct AggregateResult {
     /// The aggregate as written (canonical form).
-    pub spec: AggSpec,
+    pub spec: AggregateKind,
     /// The answer.
     pub answer: AnswerValue,
     /// Simulated resource bill (zero for pure predictions).
@@ -267,7 +271,6 @@ impl<'a> Frontend<'a> {
             self.engines.as_ref(),
             self.pipeline.as_mut(),
             mode,
-            &plan,
             &queries,
         )?;
         let explain = recording.map(|exec| {
@@ -306,27 +309,26 @@ fn execute(
     engines: Option<&ExecutionEngines<'_>>,
     pipeline: Option<&mut AgentPipeline>,
     mode: ModeHint,
-    plan: &LogicalPlan,
     queries: &[AnalyticalQuery],
 ) -> Result<Vec<(AggregateResult, Option<Estimates>)>> {
-    let result = |spec: &AggSpec, out: ProcessOutcome, strategy| AggregateResult {
-        spec: spec.clone(),
+    let result = |q: &AnalyticalQuery, out: ProcessOutcome, strategy| AggregateResult {
+        spec: q.aggregate,
         answer: out.answer,
         cost: out.cost,
         source: out.source_label(),
         strategy,
     };
-    let specs = plan.aggregates.iter().zip(queries);
     match (mode, pipeline) {
         (ModeHint::Predict, None) => Err(SeaError::invalid(
             "WITH MODE predict requires an agent pipeline (Frontend::with_pipeline)",
         )),
-        (ModeHint::Predict, Some(pipeline)) => specs
-            .map(|(spec, q)| {
+        (ModeHint::Predict, Some(pipeline)) => queries
+            .iter()
+            .map(|q| {
                 let p = pipeline.agent().predict(q)?;
                 exec.telemetry().span("lang.predict").record_sim_us(0.0);
                 let predicted = AggregateResult {
-                    spec: spec.clone(),
+                    spec: q.aggregate,
                     answer: p.answer,
                     cost: CostReport::zero(),
                     source: "predicted",
@@ -335,13 +337,15 @@ fn execute(
                 Ok((predicted, None))
             })
             .collect(),
-        (ModeHint::Auto, Some(pipeline)) => specs
-            .map(|(spec, q)| Ok((result(spec, pipeline.process(exec, q)?, None), None)))
+        (ModeHint::Auto, Some(pipeline)) => queries
+            .iter()
+            .map(|q| Ok((result(q, pipeline.process(exec, q)?, None), None)))
             .collect(),
         // `run` has already turned a pipeline-less `auto` into exact.
         (ModeHint::Exact, _) | (ModeHint::Auto, None) => match engines {
-            Some(engines) => specs
-                .map(|(spec, q)| {
+            Some(engines) => queries
+                .iter()
+                .map(|q| {
                     // Ties go to the scan: it is the conservative,
                     // bandwidth-bound default.
                     let scan_us = engines.estimate_cost(QueryStrategy::ScanAggregate, q)?;
@@ -358,7 +362,7 @@ fn execute(
                         span.record_sim_us(out.cost.wall_us);
                     }
                     Ok((
-                        result(spec, out.into(), Some(strategy)),
+                        result(q, out.into(), Some(strategy)),
                         Some(Estimates { scan_us, index_us }),
                     ))
                 })
@@ -372,9 +376,10 @@ fn execute(
                         .map(|q| exec.execute_direct(table, q))
                         .collect()
                 };
-                specs
+                queries
+                    .iter()
                     .zip(outcomes)
-                    .map(|((spec, _), out)| Ok((result(spec, out?.into(), None), None)))
+                    .map(|(q, out)| Ok((result(q, out?.into(), None), None)))
                     .collect()
             }
         },

@@ -2,20 +2,21 @@
 
 use proptest::prelude::*;
 
-use sea_lang::{parse, AggSpec, BallPred, LogicalPlan, ModeHint, RangePred, Selection};
+use sea_common::AggregateKind;
+use sea_lang::{parse, BallPred, LogicalPlan, ModeHint, RangePred, Selection};
 
-fn arb_agg() -> impl Strategy<Value = AggSpec> {
+fn arb_agg() -> impl Strategy<Value = AggregateKind> {
     prop_oneof![
-        Just(AggSpec::Count),
-        (0usize..4).prop_map(AggSpec::Sum),
-        (0usize..4).prop_map(AggSpec::Mean),
-        (0usize..4).prop_map(AggSpec::Variance),
-        (0usize..4).prop_map(AggSpec::Min),
-        (0usize..4).prop_map(AggSpec::Max),
-        (0usize..4).prop_map(AggSpec::Median),
-        (0usize..4, 0.0..=1.0).prop_map(|(d, q)| AggSpec::Quantile(d, q)),
-        (0usize..4, 0usize..4).prop_map(|(x, y)| AggSpec::Correlation(x, y)),
-        (0usize..4, 0usize..4).prop_map(|(x, y)| AggSpec::Regression(x, y)),
+        Just(AggregateKind::Count),
+        (0usize..4).prop_map(|dim| AggregateKind::Sum { dim }),
+        (0usize..4).prop_map(|dim| AggregateKind::Mean { dim }),
+        (0usize..4).prop_map(|dim| AggregateKind::Variance { dim }),
+        (0usize..4).prop_map(|dim| AggregateKind::Min { dim }),
+        (0usize..4).prop_map(|dim| AggregateKind::Max { dim }),
+        (0usize..4).prop_map(|dim| AggregateKind::Median { dim }),
+        (0usize..4, 0.0..=1.0).prop_map(|(dim, q)| AggregateKind::Quantile { dim, q }),
+        (0usize..4, 0usize..4).prop_map(|(x, y)| AggregateKind::Correlation { x, y }),
+        (0usize..4, 0usize..4).prop_map(|(x, y)| AggregateKind::Regression { x, y }),
     ]
 }
 

@@ -79,44 +79,6 @@ pub struct Provenance {
     pub failovers: u64,
 }
 
-/// Per-node partial state shipped to the coordinator. Distributive and
-/// algebraic aggregates ship constant-size sufficient statistics; holistic
-/// aggregates (median/quantile) must ship the selected values themselves.
-#[derive(Debug, Clone)]
-enum Partial {
-    /// Shipped as the (count, sum, sum_sq) sufficient-statistics triple;
-    /// the coordinator's merges read only the first two.
-    CountSum {
-        count: u64,
-        sum: f64,
-    },
-    /// Centered moments for variance: numerically robust under large
-    /// means, where the raw `sum_sq` form cancels catastrophically.
-    Moments {
-        count: u64,
-        mean: f64,
-        m2: f64,
-    },
-    MinMax {
-        min: f64,
-        max: f64,
-    },
-    Bivariate(BivariateStats),
-    Values(Vec<f64>),
-}
-
-impl Partial {
-    /// Bytes this partial occupies on the wire.
-    fn wire_bytes(&self) -> u64 {
-        match self {
-            Partial::CountSum { .. } | Partial::Moments { .. } => 24,
-            Partial::MinMax { .. } => 16,
-            Partial::Bivariate(_) => 48,
-            Partial::Values(v) => 8 * v.len() as u64,
-        }
-    }
-}
-
 /// Bounded retry with exponential simulated backoff for transient scan
 /// faults. Backoff is *simulated* time charged to the node's meter (the
 /// coordinator never sleeps), so retrying has a visible cost in every
@@ -433,11 +395,10 @@ impl<'a> Executor<'a> {
 
     /// Re-derives a containment-hit answer from cached per-node
     /// fragments: each fragment's columns are masked by the (smaller)
-    /// queried region and folded through [`KernelAcc`] into a per-node
-    /// partial, then merged in node order — the kernels a cold scan
-    /// runs, over the same rows in the same order, so the answer is
-    /// bit-identical. Charges `coord` a CPU unit per cached row and per
-    /// merged partial.
+    /// queried region and folded into a per-node [`Partial`], then
+    /// merged in node order — the kernels a cold scan runs, over the
+    /// same rows in the same order, so the answer is bit-identical.
+    /// Charges `coord` a CPU unit per cached row and per merged partial.
     fn derive_from_fragments(
         query: &AnalyticalQuery,
         fragments: &[ColumnFragment],
@@ -446,9 +407,9 @@ impl<'a> Executor<'a> {
         let mut partials = Vec::with_capacity(fragments.len());
         for frag in fragments {
             coord.charge_cpu(frag.rows as u64);
-            let mut acc = KernelAcc::new(&query.aggregate);
-            acc.push(&frag.cols, &query.region.column_mask(&frag.cols, frag.rows));
-            partials.push(acc.finish());
+            let mut partial = Partial::new(&query.aggregate);
+            partial.push(&frag.cols, &query.region.column_mask(&frag.cols, frag.rows));
+            partials.push(partial);
         }
         coord.charge_cpu(partials.len() as u64);
         merge_partials(&query.aggregate, partials)
@@ -978,7 +939,7 @@ impl<'a> Executor<'a> {
         let mut need = vec![cacheable; self.cluster.dims(table).unwrap_or(0)];
         for (p, q) in stmt {
             if keeps_gathered(q, p.bbox.as_ref(), rect.as_ref()) {
-                for d in KernelAcc::new(&q.aggregate).reads().into_iter().flatten() {
+                for d in q.aggregate.columns() {
                     need[d] = true;
                 }
             } else {
@@ -1163,7 +1124,7 @@ impl SharedScan<'_> {
             let (_, stats) = dn.charge_scan(bbox, &mut charges);
             (charges, stats)
         };
-        let mut acc = KernelAcc::new(&query.aggregate);
+        let mut partial = Partial::new(&query.aggregate);
         // Columns sized once where every gathered row is the query's
         // (the refined mask below stays full).
         let cut = self.cacheable && matches!(query.region, Region::Range(_));
@@ -1191,7 +1152,7 @@ impl SharedScan<'_> {
             if !(bbox.is_some() && matches!(query.region, Region::Range(_))) {
                 refined.intersect(&query.region.column_mask(&chunk.cols, chunk.rows));
             }
-            acc.push(&chunk.cols, &refined);
+            partial.push(&chunk.cols, &refined);
             if let Some(frag) = &mut fragment {
                 let n = refined.count();
                 frag.rows += n;
@@ -1207,7 +1168,6 @@ impl SharedScan<'_> {
         }
         // The identity at the healthy multiplier 1.0.
         meter.merge_scaled(&charges, slow);
-        let partial = acc.finish();
         meter.charge_lan(partial.wire_bytes());
         NodeScan {
             partial: Some(partial),
@@ -1218,20 +1178,28 @@ impl SharedScan<'_> {
     }
 }
 
-/// A running per-node partial folded directly over column slices, in
-/// record order over the selected rows — the crate's only fold, so a
-/// cold scan and a containment re-derivation of the same records
-/// produce bit-identical [`Partial`]s.
-enum KernelAcc {
+/// One node's partial aggregate: folded directly over column slices, in
+/// record order over the selected rows, and shipped to the coordinator
+/// as it stands. Distributive and algebraic aggregates ship
+/// constant-size sufficient statistics; holistic aggregates
+/// (median/quantile) must ship the selected values themselves. The
+/// crate's only fold, so a cold scan and a containment re-derivation of
+/// the same records produce bit-identical partials.
+#[derive(Debug, Clone)]
+enum Partial {
     Count {
         count: u64,
     },
+    /// Shipped as the (count, sum, sum_sq) sufficient-statistics triple;
+    /// the coordinator's merges read only the first two.
     SumSq {
         dim: usize,
         count: u64,
         sum: f64,
         sum_sq: f64,
     },
+    /// Centered moments for variance: numerically robust under large
+    /// means, where the raw `sum_sq` form cancels catastrophically.
     Welford {
         dim: usize,
         count: u64,
@@ -1252,71 +1220,54 @@ enum KernelAcc {
         y: usize,
         stats: BivariateStats,
     },
-    /// Future `AggregateKind` variants (the enum is non-exhaustive):
-    /// finishes to an empty `Values` partial so [`merge_partials`] can
-    /// reject them explicitly.
-    Opaque,
 }
 
-impl KernelAcc {
+impl Partial {
     fn new(agg: &AggregateKind) -> Self {
         match *agg {
-            AggregateKind::Count => KernelAcc::Count { count: 0 },
-            AggregateKind::Sum { dim } | AggregateKind::Mean { dim } => KernelAcc::SumSq {
+            AggregateKind::Count => Partial::Count { count: 0 },
+            AggregateKind::Sum { dim } | AggregateKind::Mean { dim } => Partial::SumSq {
                 dim,
                 count: 0,
                 sum: 0.0,
                 sum_sq: 0.0,
             },
-            AggregateKind::Variance { dim } => KernelAcc::Welford {
+            AggregateKind::Variance { dim } => Partial::Welford {
                 dim,
                 count: 0,
                 mean: 0.0,
                 m2: 0.0,
             },
-            AggregateKind::Min { dim } | AggregateKind::Max { dim } => KernelAcc::MinMax {
+            AggregateKind::Min { dim } | AggregateKind::Max { dim } => Partial::MinMax {
                 dim,
                 min: f64::INFINITY,
                 max: f64::NEG_INFINITY,
             },
             AggregateKind::Median { dim } | AggregateKind::Quantile { dim, .. } => {
-                KernelAcc::Values {
+                Partial::Values {
                     dim,
                     values: Vec::new(),
                 }
             }
             AggregateKind::Correlation { x, y } | AggregateKind::Regression { x, y } => {
-                KernelAcc::Bivariate {
+                Partial::Bivariate {
                     x,
                     y,
                     stats: BivariateStats::default(),
                 }
             }
-            _ => KernelAcc::Opaque,
         }
     }
 
-    /// The columns the fold reads.
-    fn reads(&self) -> [Option<usize>; 2] {
-        match *self {
-            KernelAcc::Count { .. } | KernelAcc::Opaque => [None, None],
-            KernelAcc::SumSq { dim, .. }
-            | KernelAcc::Welford { dim, .. }
-            | KernelAcc::MinMax { dim, .. }
-            | KernelAcc::Values { dim, .. } => [Some(dim), None],
-            KernelAcc::Bivariate { x, y, .. } => [Some(x), Some(y)],
-        }
-    }
-
-    /// Folds the rows `mask` selects from `cols` into the accumulator,
-    /// in row order.
+    /// Folds the rows `mask` selects from `cols` into the partial, in
+    /// row order.
     fn push(&mut self, cols: &[Vec<f64>], mask: &SelectionMask) {
         if mask.is_none_set() {
             return;
         }
         match self {
-            KernelAcc::Count { count } => *count += mask.count() as u64,
-            KernelAcc::SumSq {
+            Partial::Count { count } => *count += mask.count() as u64,
+            Partial::SumSq {
                 dim,
                 count,
                 sum,
@@ -1325,34 +1276,28 @@ impl KernelAcc {
                 *count += mask.count() as u64;
                 kernels::fold_sum_sq(&cols[*dim], mask, sum, sum_sq);
             }
-            KernelAcc::Welford {
+            Partial::Welford {
                 dim,
                 count,
                 mean,
                 m2,
             } => kernels::fold_welford(&cols[*dim], mask, count, mean, m2),
-            KernelAcc::MinMax { dim, min, max } => {
-                kernels::fold_min_max(&cols[*dim], mask, min, max)
-            }
-            KernelAcc::Values { dim, values } => kernels::gather(&cols[*dim], mask, values),
-            KernelAcc::Bivariate { x, y, stats } => {
+            Partial::MinMax { dim, min, max } => kernels::fold_min_max(&cols[*dim], mask, min, max),
+            Partial::Values { dim, values } => kernels::gather(&cols[*dim], mask, values),
+            Partial::Bivariate { x, y, stats } => {
                 kernels::fold_bivariate(&cols[*x], &cols[*y], mask, stats)
             }
-            KernelAcc::Opaque => {}
         }
     }
 
-    fn finish(self) -> Partial {
+    /// Bytes this partial occupies on the wire (a count ships in the
+    /// sum triple).
+    fn wire_bytes(&self) -> u64 {
         match self {
-            KernelAcc::Count { count } => Partial::CountSum { count, sum: 0.0 },
-            KernelAcc::SumSq { count, sum, .. } => Partial::CountSum { count, sum },
-            KernelAcc::Welford {
-                count, mean, m2, ..
-            } => Partial::Moments { count, mean, m2 },
-            KernelAcc::MinMax { min, max, .. } => Partial::MinMax { min, max },
-            KernelAcc::Values { values, .. } => Partial::Values(values),
-            KernelAcc::Bivariate { stats, .. } => Partial::Bivariate(stats),
-            KernelAcc::Opaque => Partial::Values(Vec::new()),
+            Partial::Count { .. } | Partial::SumSq { .. } | Partial::Welford { .. } => 24,
+            Partial::MinMax { .. } => 16,
+            Partial::Bivariate { .. } => 48,
+            Partial::Values { values, .. } => 8 * values.len() as u64,
         }
     }
 }
@@ -1395,7 +1340,10 @@ fn merge_partials(agg: &AggregateKind, partials: Vec<Partial>) -> Result<AnswerV
                 count += nb;
             };
             for p in &partials {
-                if let Partial::Moments { count, mean, m2 } = p {
+                if let Partial::Welford {
+                    count, mean, m2, ..
+                } = p
+                {
                     fold(*count, *mean, *m2);
                 }
             }
@@ -1437,7 +1385,7 @@ fn merge_partials(agg: &AggregateKind, partials: Vec<Partial>) -> Result<AnswerV
         AggregateKind::Correlation { .. } => {
             let mut stats = BivariateStats::default();
             for p in &partials {
-                if let Partial::Bivariate(b) = p {
+                if let Partial::Bivariate { stats: b, .. } = p {
                     stats.merge(b);
                 }
             }
@@ -1446,27 +1394,26 @@ fn merge_partials(agg: &AggregateKind, partials: Vec<Partial>) -> Result<AnswerV
         AggregateKind::Regression { .. } => {
             let mut stats = BivariateStats::default();
             for p in &partials {
-                if let Partial::Bivariate(b) = p {
+                if let Partial::Bivariate { stats: b, .. } = p {
                     stats.merge(b);
                 }
             }
             let (slope, intercept) = stats.ols_line()?;
             Ok(AnswerValue::Pair(slope, intercept))
         }
-        _ => Err(SeaError::invalid("aggregate not supported by the executor")),
     }
 }
 
 fn count_of(p: &Partial) -> u64 {
     match p {
-        Partial::CountSum { count, .. } => *count,
+        Partial::Count { count } | Partial::SumSq { count, .. } => *count,
         _ => 0,
     }
 }
 
 fn sum_of(p: &Partial) -> f64 {
     match p {
-        Partial::CountSum { sum, .. } => *sum,
+        Partial::SumSq { sum, .. } => *sum,
         _ => 0.0,
     }
 }
@@ -1474,7 +1421,7 @@ fn sum_of(p: &Partial) -> f64 {
 /// Every node's shipped values, in node order.
 fn values_of(partials: Vec<Partial>) -> impl Iterator<Item = f64> {
     partials.into_iter().flat_map(|p| match p {
-        Partial::Values(v) => v,
+        Partial::Values { values, .. } => values,
         _ => Vec::new(),
     })
 }
@@ -1705,14 +1652,12 @@ mod tests {
         // from other sources (or future float paths) must not abort the
         // coordinator: total_cmp sorts NaN after +inf instead of
         // panicking mid-merge.
-        let partials = vec![
-            Partial::Values(vec![2.0, f64::NAN]),
-            Partial::Values(vec![1.0, 3.0]),
-        ];
+        let values = |values| Partial::Values { dim: 0, values };
+        let partials = vec![values(vec![2.0, f64::NAN]), values(vec![1.0, 3.0])];
         let median = AggregateKind::Median { dim: 0 };
         let got = merge_partials(&median, partials).unwrap();
         assert_eq!(got, AnswerValue::Scalar(2.5), "median of finite prefix");
-        let all_nan = vec![Partial::Values(vec![f64::NAN, f64::NAN])];
+        let all_nan = vec![values(vec![f64::NAN, f64::NAN])];
         // Degenerate input: still no panic (the answer is NaN-poisoned,
         // which is honest).
         let _ = merge_partials(&median, all_nan).unwrap();

@@ -138,7 +138,6 @@ fn render(out: &Result<QueryOutcome>, retries: u64, failovers: u64) -> String {
             let answer = match o.answer {
                 AnswerValue::Scalar(v) => bits(v),
                 AnswerValue::Pair(a, b) => format!("{}:{}", bits(a), bits(b)),
-                ref other => format!("{other:?}"),
             };
             format!(
                 "ok answer={answer} wall={} money={} answered={} unavailable={} backoff_us={} retries={retries} failovers={failovers}",

@@ -101,6 +101,23 @@ impl TenantEntry {
         }
         self.last_refill_us = now_us;
     }
+
+    /// Admission control: `None` admits, drawing a token when the
+    /// tenant is rate limited. Budget first: a tenant out of money is
+    /// rejected even when it has tokens, so budget exhaustion cannot be
+    /// worked around by pacing.
+    fn admit(&mut self) -> Option<Disposition> {
+        if (self.config.money_budget).is_some_and(|budget| self.usage.money >= budget) {
+            return Some(Disposition::RejectedBudget);
+        }
+        if self.config.rate_per_sec.is_some() {
+            if self.tokens < 1.0 {
+                return Some(Disposition::RejectedRate);
+            }
+            self.tokens -= 1.0;
+        }
+        None
+    }
 }
 
 /// The result of submitting one query.
@@ -266,48 +283,21 @@ impl<'a> QueryService<'a> {
         entry.refill(now);
         entry.usage.submitted += 1;
 
-        // Budget first: a tenant out of money is rejected even when it
-        // has tokens, so budget exhaustion cannot be worked around by
-        // pacing.
         self.executor.telemetry().incr("service.submitted", 1);
-        if let Some(budget) = entry.config.money_budget {
-            if entry.usage.money >= budget {
-                entry.usage.rejected_budget += 1;
-                self.executor.telemetry().incr("service.rejected_budget", 1);
-                let row = LedgerRow::unanswered(seq, tenant, agg, Disposition::RejectedBudget, now);
-                self.ledger.append(row.clone());
-                return Ok(SubmitOutcome {
-                    disposition: Disposition::RejectedBudget,
-                    answer: None,
-                    row,
-                });
+        let outcome = match entry.admit() {
+            Some(rejected) => Err(rejected),
+            // Admitted: execute. How the statement was answered rides
+            // the outcome (an executor outcome is a pipeline outcome
+            // that was not predicted), so the row below reads it, it
+            // does not reconstruct it.
+            None => match entry.pipeline.as_mut() {
+                Some(pipe) => pipe.process(&self.executor, query),
+                None => self
+                    .executor
+                    .execute_direct(&self.table, query)
+                    .map(ProcessOutcome::from),
             }
-        }
-        if entry.config.rate_per_sec.is_some() {
-            if entry.tokens < 1.0 {
-                entry.usage.rejected_rate += 1;
-                self.executor.telemetry().incr("service.rejected_rate", 1);
-                let row = LedgerRow::unanswered(seq, tenant, agg, Disposition::RejectedRate, now);
-                self.ledger.append(row.clone());
-                return Ok(SubmitOutcome {
-                    disposition: Disposition::RejectedRate,
-                    answer: None,
-                    row,
-                });
-            }
-            entry.tokens -= 1.0;
-        }
-
-        // Admitted: execute. How the statement was answered rides the
-        // outcome (an executor outcome is a pipeline outcome that was
-        // not predicted), so the row below reads it, it does not
-        // reconstruct it.
-        let outcome = match entry.pipeline.as_mut() {
-            Some(pipe) => pipe.process(&self.executor, query),
-            None => self
-                .executor
-                .execute_direct(&self.table, query)
-                .map(ProcessOutcome::from),
+            .map_err(|_| Disposition::Failed),
         };
 
         match outcome {
@@ -355,23 +345,37 @@ impl<'a> QueryService<'a> {
                     row,
                 })
             }
-            Err(_) => {
-                entry.usage.failed += 1;
-                self.executor.telemetry().incr("service.failed", 1);
-                feed_slo(
-                    entry.slo.as_mut(),
-                    &self.alert_log,
-                    self.executor.telemetry(),
-                    tenant,
-                    self.sim_now_us,
-                    false,
-                    0.0,
-                    0.0,
-                );
-                let row = LedgerRow::unanswered(seq, tenant, agg, Disposition::Failed, now);
+            // The one exit for an unanswered request: its usage field
+            // and `service.*` counter, a failure's SLO sample (a
+            // rejection is policy, not service quality), its ledger row.
+            Err(disposition) => {
+                let (usage, counter) = match disposition {
+                    Disposition::RejectedBudget => {
+                        (&mut entry.usage.rejected_budget, "service.rejected_budget")
+                    }
+                    Disposition::RejectedRate => {
+                        (&mut entry.usage.rejected_rate, "service.rejected_rate")
+                    }
+                    _ => (&mut entry.usage.failed, "service.failed"),
+                };
+                *usage += 1;
+                self.executor.telemetry().incr(counter, 1);
+                if disposition == Disposition::Failed {
+                    feed_slo(
+                        entry.slo.as_mut(),
+                        &self.alert_log,
+                        self.executor.telemetry(),
+                        tenant,
+                        self.sim_now_us,
+                        false,
+                        0.0,
+                        0.0,
+                    );
+                }
+                let row = LedgerRow::unanswered(seq, tenant, agg, disposition, now);
                 self.ledger.append(row.clone());
                 Ok(SubmitOutcome {
-                    disposition: Disposition::Failed,
+                    disposition,
                     answer: None,
                     row,
                 })

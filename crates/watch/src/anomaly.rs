@@ -25,32 +25,20 @@ use std::collections::{BTreeMap, VecDeque};
 
 use serde::{Deserialize, Serialize};
 
-/// Tuning knobs for the detector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AnomalyConfig {
-    /// EWMA smoothing factor (weight of the newest sample).
-    pub alpha: f64,
-    /// Z-score above which a sample counts as drift from the node's
-    /// own baseline.
-    pub z_threshold: f64,
-    /// A node whose baseline exceeds `straggler_ratio ×` the fleet
-    /// median baseline is a straggler.
-    pub straggler_ratio: f64,
-    /// Samples a node must absorb before it can be judged (and before
-    /// it participates in the fleet median).
-    pub warmup: u32,
-}
+// The detector's tuning, fixed for every hub: E21's precision/recall
+// against the injected fault plans is scored at these values.
 
-impl Default for AnomalyConfig {
-    fn default() -> Self {
-        AnomalyConfig {
-            alpha: 0.3,
-            z_threshold: 4.0,
-            straggler_ratio: 1.6,
-            warmup: 3,
-        }
-    }
-}
+/// EWMA smoothing factor: the weight of the newest sample.
+const ALPHA: f64 = 0.3;
+/// Z-score above which a sample counts as drift from the node's own
+/// baseline.
+const Z_THRESHOLD: f64 = 4.0;
+/// A node whose level exceeds `STRAGGLER_RATIO ×` the fleet median
+/// level is a straggler.
+const STRAGGLER_RATIO: f64 = 1.6;
+/// Samples a node must absorb before it can be judged (and before it
+/// participates in the fleet median).
+const WARMUP: u32 = 3;
 
 /// Which rule flagged the node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -108,8 +96,8 @@ struct NodeBaseline {
 }
 
 impl NodeBaseline {
-    fn warmed(&self, cfg: &AnomalyConfig) -> bool {
-        self.samples >= cfg.warmup
+    fn warmed(&self) -> bool {
+        self.samples >= WARMUP
     }
 
     /// Minimum of the retained raw samples (0 when empty): the node's
@@ -138,9 +126,8 @@ fn median(values: impl Iterator<Item = f64>) -> f64 {
 }
 
 /// The detector: per-node baselines plus latched suspicions.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct AnomalyDetector {
-    cfg: AnomalyConfig,
     nodes: BTreeMap<u64, NodeBaseline>,
     /// Latched suspicions keyed by (node, kind-is-straggler) for
     /// deterministic ordering.
@@ -148,18 +135,9 @@ pub struct AnomalyDetector {
 }
 
 impl AnomalyDetector {
-    /// A detector with the given config.
-    pub fn new(cfg: AnomalyConfig) -> Self {
-        AnomalyDetector {
-            cfg,
-            nodes: BTreeMap::new(),
-            suspicions: BTreeMap::new(),
-        }
-    }
-
-    /// The active config.
-    pub fn config(&self) -> &AnomalyConfig {
-        &self.cfg
+    /// A detector with no node seen yet.
+    pub fn new() -> Self {
+        AnomalyDetector::default()
     }
 
     /// Median of warmed-node robust levels (`None` until at least three
@@ -169,7 +147,7 @@ impl AnomalyDetector {
         let levels: Vec<f64> = self
             .nodes
             .values()
-            .filter(|b| b.warmed(&self.cfg))
+            .filter(|b| b.warmed())
             .map(NodeBaseline::robust_level)
             .collect();
         if levels.len() < 3 {
@@ -219,9 +197,9 @@ impl AnomalyDetector {
         let sd = var0.sqrt().max(0.01 * mean0.abs() + 1e-6);
         let mut winsorized = false;
         let mut cost_eff = cost_us;
-        if samples0 >= self.cfg.warmup {
+        if samples0 >= WARMUP {
             let z = (cost_us - mean0) / sd;
-            if z >= self.cfg.z_threshold {
+            if z >= Z_THRESHOLD {
                 if let Some(s) = self.latch(node, SuspicionKind::Drift, now_us, z) {
                     fresh.push(s);
                 }
@@ -231,10 +209,10 @@ impl AnomalyDetector {
                 // outlier's deviation into the variance widens the
                 // clamp after every spike until the gate is useless.
                 winsorized = true;
-                cost_eff = mean0 + self.cfg.z_threshold * sd;
+                cost_eff = mean0 + Z_THRESHOLD * sd;
             }
         }
-        let a = self.cfg.alpha;
+        let a = ALPHA;
         let d = cost_eff - mean0;
         let entry = self.nodes.entry(node).or_insert_with(|| NodeBaseline {
             mean: cost_us,
@@ -257,12 +235,12 @@ impl AnomalyDetector {
         }
 
         // Straggler check: this node's median level vs the fleet's.
-        if samples0.saturating_add(1) >= self.cfg.warmup {
+        if samples0.saturating_add(1) >= WARMUP {
             let level = self.nodes[&node].robust_level();
             if let Some(fleet) = self.fleet_median() {
                 if fleet > 0.0 {
                     let ratio = level / fleet;
-                    if ratio >= self.cfg.straggler_ratio {
+                    if ratio >= STRAGGLER_RATIO {
                         if let Some(s) = self.latch(node, SuspicionKind::Straggler, now_us, ratio) {
                             fresh.push(s);
                         }
@@ -300,14 +278,14 @@ mod tests {
 
     #[test]
     fn steady_fleet_raises_nothing() {
-        let mut det = AnomalyDetector::new(AnomalyConfig::default());
+        let mut det = AnomalyDetector::new();
         feed_fleet(&mut det, 20, 99, 1.0); // no slow node
         assert!(det.suspicions().is_empty());
     }
 
     #[test]
     fn slow_from_start_node_is_flagged_as_straggler() {
-        let mut det = AnomalyDetector::new(AnomalyConfig::default());
+        let mut det = AnomalyDetector::new();
         feed_fleet(&mut det, 10, 1, 2.0);
         let sus = det.suspicions();
         assert_eq!(sus.len(), 1, "exactly the slow node: {sus:?}");
@@ -322,7 +300,7 @@ mod tests {
 
     #[test]
     fn sudden_spike_is_flagged_as_drift_once() {
-        let mut det = AnomalyDetector::new(AnomalyConfig::default());
+        let mut det = AnomalyDetector::new();
         // Healthy history for node 0.
         for r in 0..6 {
             det.observe(0, r as f64 * 1_000.0, 100.0);
@@ -348,8 +326,8 @@ mod tests {
 
     #[test]
     fn observation_order_is_irrelevant_to_latched_set() {
-        let mut a = AnomalyDetector::new(AnomalyConfig::default());
-        let mut b = AnomalyDetector::new(AnomalyConfig::default());
+        let mut a = AnomalyDetector::new();
+        let mut b = AnomalyDetector::new();
         feed_fleet(&mut a, 10, 2, 2.0);
         feed_fleet(&mut b, 10, 2, 2.0);
         assert_eq!(a.suspicions(), b.suspicions());

@@ -35,7 +35,7 @@ use parking_lot::Mutex;
 use sea_telemetry::{FieldValue, TelemetrySink, TelemetryTap};
 use serde::{Deserialize, Serialize};
 
-use crate::anomaly::{AnomalyConfig, AnomalyDetector, Suspicion};
+use crate::anomaly::{AnomalyDetector, Suspicion};
 use crate::window::{SlidingWindow, TumblingSeries, WindowSummary};
 
 /// Prefix of every metric/event the hub itself derives; inputs with
@@ -55,8 +55,6 @@ pub struct WatchConfig {
     pub window_us: f64,
     /// Sliding-window width (simulated µs) for every tracked series.
     pub sliding_us: f64,
-    /// Anomaly-detector knobs.
-    pub anomaly: AnomalyConfig,
 }
 
 impl Default for WatchConfig {
@@ -64,7 +62,6 @@ impl Default for WatchConfig {
         WatchConfig {
             window_us: 1_000_000.0,
             sliding_us: 5_000_000.0,
-            anomaly: AnomalyConfig::default(),
         }
     }
 }
@@ -138,15 +135,10 @@ impl WatchHub {
             state: Mutex::new(HubState {
                 now_us: 0.0,
                 series: BTreeMap::new(),
-                detector: AnomalyDetector::new(cfg.anomaly),
+                detector: AnomalyDetector::new(),
                 first_failover_us: BTreeMap::new(),
             }),
         })
-    }
-
-    /// The hub config.
-    pub fn config(&self) -> &WatchConfig {
-        &self.cfg
     }
 
     /// Advances the hub's simulated clock (monotone; stale values are
@@ -293,7 +285,6 @@ mod tests {
         let hub = WatchHub::new(WatchConfig {
             window_us: 1_000.0,
             sliding_us: 2_000.0,
-            ..WatchConfig::default()
         });
         let sink = TelemetrySink::recording();
         hub.on_observe(&sink, "q.us", 10.0);

@@ -32,7 +32,7 @@ pub mod hub;
 pub mod slo;
 pub mod window;
 
-pub use anomaly::{AnomalyConfig, AnomalyDetector, Suspicion, SuspicionKind};
+pub use anomaly::{AnomalyDetector, Suspicion, SuspicionKind};
 pub use hub::{
     NodeTime, SeriesSnapshot, WatchConfig, WatchHub, WatchSnapshot, NODE_COST_EVENT,
     NODE_FAILOVER_EVENT, SUSPECT_EVENT,
