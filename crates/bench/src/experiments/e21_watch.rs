@@ -24,7 +24,7 @@
 //! — is keyed on the simulated clock and replayed in node-index order,
 //! so the entire report is bit-identical at any `SEA_EXEC_THREADS`.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use sea_common::{AnalyticalQuery, Result};
 use sea_query::{ExecPool, Executor, RetryPolicy};
@@ -97,7 +97,7 @@ fn calibrate_max_wall(pool: Option<ExecPool>, stream: &[AnalyticalQuery]) -> Res
 }
 
 /// The serialized per-arm watch state: the `--watch-out` sidecar row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WatchArm {
     /// Injected transient-fault rate.
     pub fault_rate: f64,
@@ -120,7 +120,7 @@ pub struct WatchArm {
 }
 
 /// The whole `--watch-out` sidecar: one arm per fault rate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WatchReport {
     /// Arms in fault-rate order.
     pub arms: Vec<WatchArm>,

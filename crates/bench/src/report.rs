@@ -3,10 +3,10 @@
 use std::fmt;
 
 use sea_common::{Result, SeaError};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One experiment's result table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Report {
     /// Experiment id, e.g. "E4".
     pub id: String,
@@ -16,10 +16,8 @@ pub struct Report {
     pub columns: Vec<String>,
     /// Rows of values, one per parameter setting.
     pub rows: Vec<Vec<f64>>,
-    /// Number of rows rejected for arity mismatch. Serialized so a JSON consumer can tell a short table
-    /// from a silently truncated one; defaults to zero when absent so
-    /// pre-existing report files still parse.
-    #[serde(default)]
+    /// Number of rows rejected for arity mismatch. Serialized so a JSON
+    /// consumer can tell a short table from a silently truncated one.
     pub rows_dropped: u64,
 }
 
@@ -191,15 +189,6 @@ mod tests {
             json.contains("\"rows_dropped\": 1"),
             "dropped rows are visible to JSON consumers: {json}"
         );
-        let back: Report = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn reports_without_a_dropped_count_still_parse() {
-        let legacy = r#"{"id":"E0","title":"demo","columns":["a"],"rows":[[1.0]]}"#;
-        let r: Report = serde_json::from_str(legacy).unwrap();
-        assert_eq!(r.rows_dropped, 0);
     }
 
     #[test]

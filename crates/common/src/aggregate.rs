@@ -17,7 +17,7 @@ use crate::{Result, SeaError};
 
 /// The analytical operator applied to the records selected by a
 /// [`crate::Region`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AggregateKind {
     /// Number of records in the subspace.
     Count,
@@ -291,7 +291,7 @@ pub fn quantile_of(values: impl Iterator<Item = f64>, q: f64) -> Result<AnswerVa
 /// Running bivariate sufficient statistics: the basis of the correlation
 /// and regression operators, and of the mergeable per-partition partial
 /// aggregates used by the distributed executor.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BivariateStats {
     /// Number of observations.
     pub n: u64,

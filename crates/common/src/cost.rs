@@ -17,8 +17,6 @@
 //! per-layer software overhead charged once per BDAS layer per touched node
 //! (the paper's "each layer adding extra overheads").
 
-use serde::{Deserialize, Serialize};
-
 /// Microseconds per disk seek (also charged once per MapReduce-style
 /// split, modelling per-task scheduling overhead).
 const DISK_SEEK_US: f64 = 10_000.0;
@@ -53,7 +51,7 @@ pub const PREDICT_US: f64 = 100.0;
 ///
 /// Meters are cheap plain structs; engines create one per task (or per
 /// simulated node) and combine them with [`CostMeter::merge`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CostMeter {
     /// Number of disk seeks performed.
     pub disk_seeks: u64,
@@ -203,7 +201,7 @@ impl CostMeter {
 
 /// The outcome of cost accounting for one task: total resource counters,
 /// simulated wall-clock time, and money cost.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostReport {
     /// Summed resource counters across all nodes.
     pub totals: CostMeter,

@@ -13,8 +13,6 @@
 //!   so every answer stays bit-identical to a row-at-a-time scan. The
 //!   speedup comes from filtering cheaply, not from reordering floats.
 
-use serde::{Deserialize, Serialize};
-
 use crate::BivariateStats;
 
 /// Packs `pred` over up to 64 values into a bitmap word, bit `j` for
@@ -46,7 +44,7 @@ fn pack_word(chunk: &[f64], pred: impl Fn(f64) -> bool) -> u64 {
 
 /// A fixed-length bitmap over the rows of a block: bit `i` set means row
 /// `i` is selected.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SelectionMask {
     words: Vec<u64>,
     len: usize,

@@ -1,7 +1,5 @@
 //! Multi-dimensional points and distance functions.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Result, SeaError};
 
 /// A point in a multi-dimensional real-valued data space.
@@ -20,7 +18,7 @@ use crate::{Result, SeaError};
 /// let b = Point::new(vec![3.0, 4.0]);
 /// assert_eq!(a.distance(&b).unwrap(), 5.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Point {
     coords: Vec<f64>,
 }

@@ -1,7 +1,5 @@
 //! The analytical query: a selection region plus an analytical operator.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{AggregateKind, Record, Region, Result};
 
 /// An analytical query as defined in §III-A of the paper: "(a) selection
@@ -11,7 +9,7 @@ use crate::{AggregateKind, Record, Region, Result};
 /// Every engine in the workspace — the exact executor, the sampling and
 /// synopsis baselines, and the data-less SEA agent — consumes this same
 /// type, so their answers are directly comparable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnalyticalQuery {
     /// The data subspace of interest.
     pub region: Region,

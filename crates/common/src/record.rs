@@ -1,7 +1,5 @@
 //! Data records: identified rows of a multi-dimensional dataset.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Point;
 
 /// Unique identifier of a record within a dataset.
@@ -10,7 +8,7 @@ pub type RecordId = u64;
 /// A row of a multi-dimensional dataset: an id plus a dense coordinate
 /// vector. Records are what the simulated storage layer stores in blocks,
 /// what selection regions filter, and what analytical operators aggregate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Record {
     /// Unique id of this record.
     pub id: RecordId,

@@ -6,8 +6,6 @@
 //! queries (hyper-spheres), and **k-nearest-neighbour** selections. All
 //! three are represented by [`Region`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::{kernels, Point, Result, SeaError, SelectionMask};
 
 /// An axis-aligned hyper-rectangle, defined by inclusive lower and upper
@@ -23,7 +21,7 @@ use crate::{kernels, Point, Result, SeaError, SelectionMask};
 /// assert!(!r.contains(&Point::new(vec![3.0, 1.0])));
 /// assert_eq!(r.volume(), 4.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rect {
     lo: Vec<f64>,
     hi: Vec<f64>,
@@ -195,7 +193,7 @@ impl Rect {
 
 /// A hyper-sphere: centre plus radius. The selection region of *radius
 /// queries* (§III-A).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ball {
     center: Point,
     radius: f64,
@@ -246,7 +244,7 @@ impl Ball {
 
 /// A query selection region: the data subspace an analytical operator is
 /// applied to.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Region {
     /// Range query: an axis-aligned hyper-rectangle.

@@ -216,7 +216,7 @@ fn is_pair_answer(agg: &AggregateKind) -> bool {
 }
 
 /// Aggregate statistics about an agent's state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AgentStats {
     /// Operator pools held.
     pub pools: usize,
@@ -331,12 +331,24 @@ impl SeaAgent {
 
     /// Absorbs one `(query, exact answer)` training observation.
     ///
+    /// An answer with a NaN or infinite component is not learned: the
+    /// call returns `Ok(())` before the quantizer absorbs the query, so
+    /// one such answer cannot turn a quantum's weights non-finite (which
+    /// the wire writes as `null` and [`SeaAgent::from_json`] rejects).
+    ///
     /// # Errors
     ///
     /// Dimension mismatch between query and agent, or an answer shape that
     /// does not match the operator (e.g. a scalar for a regression query).
     pub fn train(&mut self, query: &AnalyticalQuery, answer: &AnswerValue) -> Result<()> {
         SeaError::check_dims(self.dims, query.region.dims())?;
+        let finite = match *answer {
+            AnswerValue::Scalar(v) => v.is_finite(),
+            AnswerValue::Pair(a, b) => a.is_finite() && b.is_finite(),
+        };
+        if !finite {
+            return Ok(());
+        }
         let key = query.aggregate.key();
         let qvec = query.to_query_vector();
         let features = self.features(query);
@@ -870,6 +882,32 @@ mod tests {
         }
         assert_eq!(agent.stats().quanta, back.stats().quanta);
         assert!(SeaAgent::from_json("{broken").is_err());
+    }
+
+    #[test]
+    fn a_non_finite_answer_is_not_learned_and_the_agent_still_ships() {
+        let mut agent = trained_agent();
+        let region = count_query(&[52.0, 50.0], 1.5).region;
+        let min = AnalyticalQuery::new(region.clone(), AggregateKind::Min { dim: 0 });
+        agent.train(&min, &AnswerValue::Scalar(-3.0)).unwrap();
+        let count = AnalyticalQuery::new(region.clone(), AggregateKind::Count);
+        let line = AnalyticalQuery::new(region, AggregateKind::Regression { x: 0, y: 1 });
+        let before = [agent.predict(&count).unwrap(), agent.predict(&min).unwrap()];
+        let trained = agent.stats().training_queries;
+
+        agent
+            .train(&min, &AnswerValue::Scalar(f64::INFINITY))
+            .unwrap();
+        agent.train(&count, &AnswerValue::Scalar(f64::NAN)).unwrap();
+        agent
+            .train(&line, &AnswerValue::Pair(0.5, f64::NEG_INFINITY))
+            .unwrap();
+        assert_eq!(agent.stats().training_queries, trained, "nothing absorbed");
+
+        let back = SeaAgent::from_json(&agent.to_json().unwrap()).unwrap();
+        assert_eq!(back.predict(&count).unwrap(), before[0]);
+        assert_eq!(back.predict(&min).unwrap(), before[1]);
+        assert!(back.predict(&line).is_err(), "no pool for the regression");
     }
 
     #[test]

@@ -15,15 +15,13 @@
 //! so the analyst can "simply plug in values for parameters" instead of
 //! issuing more queries.
 
-use serde::{Deserialize, Serialize};
-
 use sea_common::{AnalyticalQuery, AnswerValue, Result, SeaError};
 use sea_ml::PiecewiseLinear;
 
 use crate::agent::SeaAgent;
 
 /// A compact model of how a query's answer depends on its parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Explanation {
     /// ∂answer/∂centre_d for each data dimension.
     pub centre_sensitivity: Vec<f64>,

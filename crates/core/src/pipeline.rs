@@ -268,7 +268,7 @@ impl AgentPipeline {
         }
         let mut fallback_reason = "untrained";
         // −1 = the agent produced no estimate at all (kept finite so the
-        // payload survives JSON round-trips).
+        // event field is written as a number, not `null`).
         let mut fallback_est_error = -1.0;
         let prediction = self.agent.predict(query).ok();
         if let Some(pred) = &prediction {

@@ -1,7 +1,5 @@
 //! A labelled undirected graph.
 
-use serde::{Deserialize, Serialize};
-
 use sea_common::{Result, SeaError};
 
 /// A simple undirected graph with `u32` node labels.
@@ -18,7 +16,7 @@ use sea_common::{Result, SeaError};
 /// assert_eq!(g.num_nodes(), 2);
 /// assert!(g.has_edge(a, b));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Graph {
     labels: Vec<u32>,
     adjacency: Vec<Vec<usize>>,

@@ -5,14 +5,12 @@
 //! inference-model selection experiments (RT3-3 / E14) as the
 //! high-capacity alternative to linear and kNN models.
 
-use serde::{Deserialize, Serialize};
-
 use sea_common::{Result, SeaError};
 
 use crate::Regressor;
 
 /// Boosting hyper-parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GbtParams {
     /// Number of boosting rounds (trees).
     pub n_trees: usize,
@@ -35,7 +33,7 @@ impl Default for GbtParams {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum TreeNode {
     Leaf(f64),
     Split {
@@ -67,7 +65,7 @@ impl TreeNode {
 }
 
 /// A fitted gradient-boosted ensemble.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GradientBoostedTrees {
     base: f64,
     trees: Vec<TreeNode>,

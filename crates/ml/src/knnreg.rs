@@ -6,14 +6,12 @@
 //! estimator: distance-weighted kNN regression over stored
 //! `(query-vector, answer)` pairs.
 
-use serde::{Deserialize, Serialize};
-
 use sea_common::{Result, SeaError};
 
 use crate::Regressor;
 
 /// Distance-weighted k-nearest-neighbour regressor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KnnRegressor {
     k: usize,
     xs: Vec<Vec<f64>>,

@@ -14,7 +14,7 @@ use crate::linalg::{dot, solve};
 use crate::Regressor;
 
 /// A fitted linear model `y = w·x + b`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearModel {
     weights: Vec<f64>,
     intercept: f64,

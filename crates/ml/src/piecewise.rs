@@ -9,12 +9,10 @@
 //! squared error the most, stop when the reduction is below a tolerance or
 //! segments would get too small.
 
-use serde::{Deserialize, Serialize};
-
 use sea_common::{Result, SeaError};
 
 /// One linear segment over `[lo, hi)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Segment {
     /// Inclusive lower edge of the segment's domain.
     pub lo: f64,
@@ -34,7 +32,7 @@ impl Segment {
 }
 
 /// A fitted piecewise-linear function.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PiecewiseLinear {
     segments: Vec<Segment>,
 }

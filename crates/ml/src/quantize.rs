@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use sea_common::{Result, SeaError};
 
 /// Batch k-means (Lloyd's algorithm) with deterministic seeding.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KMeans {
     centroids: Vec<Vec<f64>>,
 }

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use sea_common::{Result, SeaError};
 use sea_telemetry::{CounterSnapshot, TelemetrySink};
@@ -54,7 +54,7 @@ impl StatsFilter {
 }
 
 /// Aggregate totals over the rows a filter selects.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct StatsSummary {
     /// Rows selected (all dispositions).
     pub queries: u64,
@@ -82,7 +82,7 @@ pub struct StatsSummary {
 }
 
 /// One cell of the tenant × aggregate × source breakdown.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BreakdownRow {
     /// Tenant name.
     pub tenant: String,
@@ -100,7 +100,7 @@ pub struct BreakdownRow {
 
 /// The full serializable stats report: summary + breakdown + top-N +
 /// the telemetry counter table (empty under a noop sink).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StatsReport {
     /// Unfiltered totals.
     pub summary: StatsSummary,

@@ -3,8 +3,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use sea_common::{CostMeter, Record, Rect, Result, SeaError, SelectionMask};
 use sea_telemetry::{TelemetrySink, TraceContext};
 
@@ -18,7 +16,7 @@ use crate::partition::{NodeId, Partitioning};
 pub type BlockCatalogEntry = (NodeId, usize, Rect, u64, usize);
 
 /// Summary statistics of a stored table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableStats {
     /// Total number of records.
     pub records: usize,

@@ -21,8 +21,6 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 use crate::partition::NodeId;
 
 /// SplitMix64 finalizer: the workspace idiom for deterministic derived
@@ -60,7 +58,7 @@ fn unit(seed: u64, node: NodeId, op: u64) -> f64 {
 ///     .with_slow_node(2, 3.0); // node 2's scans cost 3x
 /// assert_eq!(plan.seed, 42);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed all fault decisions derive from.
     pub seed: u64,
@@ -282,16 +280,5 @@ mod tests {
         let plan = FaultPlan::new(0).with_slow_node(1, 4.0);
         assert_eq!(plan.slow_multiplier(1), 4.0);
         assert_eq!(plan.slow_multiplier(0), 1.0);
-    }
-
-    #[test]
-    fn plan_round_trips_through_serde() {
-        let plan = FaultPlan::new(42)
-            .with_transient(0.1, 2)
-            .with_crash(0, 5)
-            .with_slow_node(3, 2.5);
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, plan);
     }
 }

@@ -1,14 +1,12 @@
 //! Table partitioning policies.
 
-use serde::{Deserialize, Serialize};
-
 use sea_common::{Record, Rect};
 
 /// Identifier of a data node within a [`crate::StorageCluster`].
 pub type NodeId = usize;
 
 /// How a table's records are assigned to data nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Partitioning {
     /// Records are spread across all nodes by record-id hash. Every

@@ -8,7 +8,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::trace::TraceContext;
 
@@ -19,7 +19,7 @@ use crate::trace::TraceContext;
 pub const MAX_EVENTS: usize = 4096;
 
 /// A structured payload value attached to an event field.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum FieldValue {
     U64(u64),
     I64(i64),
@@ -141,7 +141,7 @@ impl EventLog {
 }
 
 /// One recorded event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EventSnapshot {
     /// Monotonic sequence number (survives ring eviction).
     pub seq: u64,
@@ -156,7 +156,7 @@ pub struct EventSnapshot {
 }
 
 /// The retained tail of the event stream plus per-name totals.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EventLogSnapshot {
     pub events: Vec<EventSnapshot>,
     /// Events dropped from the front of the ring.

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Upper bucket bounds (microseconds or any unit the caller picks) in a
 /// 1–2–5 decade ladder; one implicit overflow bucket sits above the
@@ -231,14 +231,14 @@ fn percentile(h: &HistogramCell, q: f64) -> f64 {
 }
 
 /// Serializable counter reading.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CounterSnapshot {
     pub name: String,
     pub value: u64,
 }
 
 /// Serializable gauge reading.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GaugeSnapshot {
     pub name: String,
     pub value: f64,
@@ -246,7 +246,7 @@ pub struct GaugeSnapshot {
 
 /// One histogram bucket: observations `≤ le` (cumulative style is left
 /// to consumers; counts here are per-bucket).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BucketSnapshot {
     pub le: f64,
     pub count: u64,
@@ -256,7 +256,7 @@ pub struct BucketSnapshot {
 /// `mean` is count-weighted (`sum / count`), and `sum` is the exact
 /// accumulated total, so exporters can emit it without reconstructing
 /// it from the mean.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct HistogramSnapshot {
     pub name: String,
     pub count: u64,

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::event::FieldValue;
 use crate::trace::{trace_id_for_query, TraceContext};
@@ -333,7 +333,7 @@ impl Drop for SpanGuard {
 }
 
 /// One completed span: a node in the per-query timing tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SpanNode {
     pub name: String,
     /// Trace this span belongs to (deterministic per query).
@@ -380,7 +380,7 @@ impl SpanNode {
 
 /// All completed root span trees plus bookkeeping about what was
 /// dropped or still open at snapshot time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SpanForestSnapshot {
     pub roots: Vec<SpanNode>,
     /// Spans still open when the snapshot was taken (not included in

@@ -13,11 +13,9 @@
 //!
 //! [SplitMix64]: https://prng.di.unimi.it/splitmix64.c
 
-use serde::{Deserialize, Serialize};
-
 /// Identity carried across layer/node boundaries: which trace this work
 /// belongs to and which span is its parent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContext {
     /// Trace id, one per query (0 = no active trace).
     pub trace_id: u64,

@@ -23,7 +23,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 // The detector's tuning, fixed for every hub: E21's precision/recall
 // against the injected fault plans is scored at these values.
@@ -41,7 +41,7 @@ const STRAGGLER_RATIO: f64 = 1.6;
 const WARMUP: u32 = 3;
 
 /// Which rule flagged the node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum SuspicionKind {
     /// Sample far above the node's own EWMA baseline.
     Drift,
@@ -60,7 +60,7 @@ impl SuspicionKind {
 }
 
 /// A latched suspicion for one (node, kind) pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Suspicion {
     /// Storage node index.
     pub node: u64,

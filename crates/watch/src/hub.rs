@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use sea_telemetry::{FieldValue, TelemetrySink, TelemetryTap};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::anomaly::{AnomalyDetector, Suspicion};
 use crate::window::{SlidingWindow, TumblingSeries, WindowSummary};
@@ -49,7 +49,7 @@ pub const NODE_COST_EVENT: &str = "query.node_cost";
 pub const NODE_FAILOVER_EVENT: &str = "query.node_failover";
 
 /// Hub tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WatchConfig {
     /// Tumbling-window width (simulated µs) for every tracked series.
     pub window_us: f64,
@@ -83,7 +83,7 @@ struct HubState {
 }
 
 /// Serialized view of one tumbling series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SeriesSnapshot {
     /// Observation name (e.g. `bench.query_sim_us`).
     pub name: String,
@@ -98,7 +98,7 @@ pub struct SeriesSnapshot {
 }
 
 /// A (node, simulated time) pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct NodeTime {
     /// Storage node index.
     pub node: u64,
@@ -107,7 +107,7 @@ pub struct NodeTime {
 }
 
 /// Point-in-time serialized view of the whole hub.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WatchSnapshot {
     /// Hub clock at snapshot time.
     pub now_us: f64,

@@ -19,7 +19,7 @@
 use std::collections::VecDeque;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Number of trailing windows the fast (page-worthy, "burning right
 /// now") burn rate is evaluated over.
@@ -29,7 +29,7 @@ pub const FAST_WINDOWS: u64 = 5;
 pub const SLOW_WINDOWS: u64 = 60;
 
 /// What a tenant is promised, and when to alert on breaking it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloPolicy {
     /// A request answered slower than this (simulated µs) is bad.
     pub latency_objective_us: f64,
@@ -90,7 +90,7 @@ pub struct AlertTransition {
 }
 
 /// Point-in-time SLO accounting for one tenant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SloStatus {
     /// Lifetime good requests.
     pub good: u64,
@@ -230,7 +230,7 @@ impl SloTracker {
 }
 
 /// One row of the append-only alert log.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AlertRecord {
     /// Append order (0-based).
     pub seq: u64,

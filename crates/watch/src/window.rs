@@ -14,7 +14,7 @@
 //! advances it, so the same sample stream replayed in the same order
 //! yields byte-identical snapshots at any host thread count.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use sea_common::quantile_of;
 use sea_telemetry::metrics::{bucket_index, DEFAULT_BUCKET_BOUNDS};
@@ -39,7 +39,7 @@ pub const MAX_RETAINED_WINDOWS: usize = 512;
 /// differ by at most the span of the bucket(s) enclosing that pair —
 /// one bucket's width wherever samples are dense (`window_props.rs` pins
 /// this).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WindowSummary {
     /// Tumbling window index (`floor(t / width)`); 0 for sliding
     /// summaries, whose extent is `[start_us, end_us]` instead.

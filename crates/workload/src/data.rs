@@ -3,13 +3,12 @@
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use rand_distr::{Normal, Zipf};
-use serde::{Deserialize, Serialize};
 
 use sea_common::{Record, Rect, Result, SeaError};
 
 /// One component of a Gaussian mixture: a spherical-ish Gaussian with
 /// per-dimension standard deviation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GaussianComponent {
     /// Component mean.
     pub mean: Vec<f64>,
@@ -43,7 +42,7 @@ impl GaussianComponent {
 }
 
 /// Specification of a synthetic dataset's distribution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum DataSpec {
     /// Uniform over an axis-aligned domain rectangle.

@@ -6,14 +6,12 @@
 //! hotspots as a function of a logical time step, supporting both gradual
 //! linear drift and abrupt jumps.
 
-use serde::{Deserialize, Serialize};
-
 use sea_common::{AnalyticalQuery, Result};
 
 use crate::queries::{Hotspot, QueryGenerator};
 
 /// How hotspot centres move with logical time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum DriftKind {
     /// No movement (control case).

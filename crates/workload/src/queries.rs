@@ -9,13 +9,12 @@
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use rand_distr::Normal;
-use serde::{Deserialize, Serialize};
 
 use sea_common::{AggregateKind, AnalyticalQuery, Ball, Point, Rect, Region, Result, SeaError};
 
 /// An analyst interest region: query centres are drawn from
 /// `N(center, spread²)` per dimension.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Hotspot {
     /// Centre of the interest region.
     pub center: Vec<f64>,
@@ -49,7 +48,7 @@ impl Hotspot {
 }
 
 /// The shape of generated selection regions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RegionShape {
     /// Axis-aligned hyper-rectangles (range queries).
     Range,
@@ -58,7 +57,7 @@ pub enum RegionShape {
 }
 
 /// Full specification of a query workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuerySpec {
     /// Interest regions queries cluster around.
     pub hotspots: Vec<Hotspot>,

@@ -7,18 +7,57 @@
 //! enough for the snapshot/persistence paths that use it here.
 //!
 //! Data model notes:
-//! - Maps with non-string keys (`HashMap<AggKey, _>`, `BTreeMap<OrderedF64, _>`,
-//!   tuple keys…) serialize as sequences of `[key, value]` pairs.
-//! - Map entries are emitted in a canonical order so output is
-//!   deterministic even from `HashMap`s.
+//! - Maps are `BTreeMap`s only, written as sequences of `[key, value]`
+//!   pairs in key order, so non-string keys (tuples, …) work and the
+//!   output is deterministic.
 //! - Enums use serde's externally-tagged form: unit variants are strings,
 //!   data variants are single-entry maps.
 //! - Non-finite floats serialize as `null` (as `serde_json` does) and
 //!   fail loudly on deserialization rather than silently corrupting.
+//!
+//! The derives cover non-generic structs and enums of every field shape:
+//!
+//! ```
+//! use serde::{Deserialize, Serialize, Value};
+//!
+//! #[derive(Debug, PartialEq, Serialize, Deserialize)]
+//! enum Shape {
+//!     Unit,
+//!     Pair(u64, f64),
+//!     Named { label: String },
+//! }
+//!
+//! #[derive(Debug, PartialEq, Serialize, Deserialize)]
+//! struct Scene {
+//!     shapes: Vec<Shape>,
+//!     scale: Option<f64>,
+//! }
+//!
+//! let scene = Scene {
+//!     shapes: vec![Shape::Unit, Shape::Pair(2, 0.5), Shape::Named { label: "a".into() }],
+//!     scale: None,
+//! };
+//! assert_eq!(Scene::from_value(&scene.to_value()).unwrap(), scene);
+//! assert_eq!(Shape::Unit.to_value(), Value::Str("Unit".into()));
+//! ```
+//!
+//! A generic type, or any `#[serde(...)]` attribute, is a compile error
+//! that names the type:
+//!
+//! ```compile_fail
+//! #[derive(serde::Serialize)]
+//! struct Wrapper<T>(T);
+//! ```
+//!
+//! ```compile_fail
+//! #[derive(serde::Serialize)]
+//! struct Cached {
+//!     #[serde(skip)]
+//!     memo: u64,
+//! }
+//! ```
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasher, Hash};
+use std::collections::BTreeMap;
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -36,66 +75,6 @@ pub enum Value {
     /// String-keyed map (struct fields, enum tags); preserves insertion
     /// order.
     Map(Vec<(String, Value)>),
-}
-
-impl Value {
-    pub fn as_map(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Map(entries) => Some(entries),
-            _ => None,
-        }
-    }
-
-    pub fn as_seq(&self) -> Option<&[Value]> {
-        match self {
-            Value::Seq(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    fn rank(&self) -> u8 {
-        match self {
-            Value::Null => 0,
-            Value::Bool(_) => 1,
-            Value::U64(_) => 2,
-            Value::I64(_) => 3,
-            Value::F64(_) => 4,
-            Value::Str(_) => 5,
-            Value::Seq(_) => 6,
-            Value::Map(_) => 7,
-        }
-    }
-
-    /// Total order used to canonicalize map-entry output; arbitrary but
-    /// deterministic.
-    pub fn canonical_cmp(&self, other: &Value) -> Ordering {
-        match (self, other) {
-            (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
-            (Value::U64(a), Value::U64(b)) => a.cmp(b),
-            (Value::I64(a), Value::I64(b)) => a.cmp(b),
-            (Value::F64(a), Value::F64(b)) => a.total_cmp(b),
-            (Value::Str(a), Value::Str(b)) => a.cmp(b),
-            (Value::Seq(a), Value::Seq(b)) => {
-                for (x, y) in a.iter().zip(b.iter()) {
-                    let ord = x.canonical_cmp(y);
-                    if ord != Ordering::Equal {
-                        return ord;
-                    }
-                }
-                a.len().cmp(&b.len())
-            }
-            (Value::Map(a), Value::Map(b)) => {
-                for ((ka, va), (kb, vb)) in a.iter().zip(b.iter()) {
-                    let ord = ka.cmp(kb).then_with(|| va.canonical_cmp(vb));
-                    if ord != Ordering::Equal {
-                        return ord;
-                    }
-                }
-                a.len().cmp(&b.len())
-            }
-            _ => self.rank().cmp(&other.rank()),
-        }
-    }
 }
 
 /// Deserialization error: a human-readable path/expectation message.
@@ -147,42 +126,6 @@ pub fn field<T: Deserialize>(entries: &[(String, Value)], name: &str) -> Result<
     }
 }
 
-/// Like [`field`], but a *missing* field falls back to
-/// `Default::default()` instead of erroring (derive-macro helper for
-/// `#[serde(default)]`). A field that is present but has the wrong
-/// shape still errors, so typos are not silently defaulted away.
-///
-/// # Errors
-///
-/// Field-level shape mismatch on a present field.
-pub fn field_or_default<T: Deserialize + Default>(
-    entries: &[(String, Value)],
-    name: &str,
-) -> Result<T, DeError> {
-    match entries.iter().find(|(k, _)| k == name) {
-        Some((_, v)) => T::from_value(v).map_err(|e| DeError(format!("field `{name}`: {}", e.0))),
-        None => Ok(T::default()),
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        T::from_value(v).map(Box::new)
-    }
-}
-
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
@@ -222,7 +165,7 @@ macro_rules! impl_unsigned {
     )*};
 }
 
-impl_unsigned!(u8, u16, u32, u64);
+impl_unsigned!(u8, u32, u64);
 
 impl Serialize for usize {
     fn to_value(&self) -> Value {
@@ -238,47 +181,22 @@ impl Deserialize for usize {
     }
 }
 
-macro_rules! impl_signed {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::I64(i64::from(*self))
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let wide = match v {
-                    Value::I64(n) => *n,
-                    Value::U64(n) if *n <= i64::MAX as u64 => *n as i64,
-                    Value::F64(f)
-                        if f.fract() == 0.0
-                            && *f >= i64::MIN as f64
-                            && *f <= i64::MAX as f64 =>
-                    {
-                        *f as i64
-                    }
-                    other => return Err(DeError::expected("integer", other)),
-                };
-                <$t>::try_from(wide)
-                    .map_err(|_| DeError::msg(format!("integer {wide} out of range")))
-            }
-        }
-    )*};
-}
-
-impl_signed!(i8, i16, i32, i64);
-
-impl Serialize for isize {
+impl Serialize for i64 {
     fn to_value(&self) -> Value {
-        Value::I64(*self as i64)
+        Value::I64(*self)
     }
 }
 
-impl Deserialize for isize {
+impl Deserialize for i64 {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        i64::from_value(v).and_then(|n| {
-            isize::try_from(n).map_err(|_| DeError::msg(format!("integer {n} out of range")))
-        })
+        match v {
+            Value::I64(n) => Ok(*n),
+            Value::U64(n) if *n <= i64::MAX as u64 => Ok(*n as i64),
+            Value::F64(f) if f.fract() == 0.0 && *f >= i64::MIN as f64 && *f <= i64::MAX as f64 => {
+                Ok(*f as i64)
+            }
+            other => Err(DeError::expected("integer", other)),
+        }
     }
 }
 
@@ -299,42 +217,9 @@ impl Deserialize for f64 {
     }
 }
 
-impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::F64(f64::from(*self))
-    }
-}
-
-impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        f64::from_value(v).map(|f| f as f32)
-    }
-}
-
-impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Str(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            other => Err(DeError::expected("single-char string", other)),
-        }
-    }
-}
-
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
-    }
-}
-
-impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
     }
 }
 
@@ -343,21 +228,6 @@ impl Deserialize for String {
         match v {
             Value::Str(s) => Ok(s.clone()),
             other => Err(DeError::expected("string", other)),
-        }
-    }
-}
-
-impl Serialize for () {
-    fn to_value(&self) -> Value {
-        Value::Null
-    }
-}
-
-impl Deserialize for () {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(()),
-            other => Err(DeError::expected("null", other)),
         }
     }
 }
@@ -386,12 +256,6 @@ impl<T: Serialize> Serialize for Vec<T> {
     }
 }
 
-impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
 impl<T: Deserialize> Deserialize for Vec<T> {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         match v {
@@ -401,97 +265,40 @@ impl<T: Deserialize> Deserialize for Vec<T> {
     }
 }
 
-macro_rules! impl_tuple {
-    ($(($($t:ident : $idx:tt),+))*) => {$(
-        impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_value(&self) -> Value {
-                Value::Seq(vec![$(self.$idx.to_value()),+])
-            }
-        }
-        impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                const ARITY: usize = [$($idx),+].len();
-                match v {
-                    Value::Seq(items) if items.len() == ARITY => {
-                        Ok(($($t::from_value(&items[$idx])?,)+))
-                    }
-                    other => Err(DeError::expected("tuple sequence", other)),
-                }
-            }
-        }
-    )*};
-}
-
-impl_tuple! {
-    (A: 0)
-    (A: 0, B: 1)
-    (A: 0, B: 1, C: 2)
-    (A: 0, B: 1, C: 2, D: 3)
-    (A: 0, B: 1, C: 2, D: 3, E: 4)
-    (A: 0, B: 1, C: 2, D: 3, E: 4, F: 5)
-}
-
-/// Shared map codec: `[key, value]` pair sequence in canonical key order.
-fn map_to_value<'a, K, V, I>(entries: I) -> Value
-where
-    K: Serialize + 'a,
-    V: Serialize + 'a,
-    I: Iterator<Item = (&'a K, &'a V)>,
-{
-    let mut pairs: Vec<(Value, Value)> =
-        entries.map(|(k, v)| (k.to_value(), v.to_value())).collect();
-    pairs.sort_by(|a, b| a.0.canonical_cmp(&b.0));
-    Value::Seq(
-        pairs
-            .into_iter()
-            .map(|(k, v)| Value::Seq(vec![k, v]))
-            .collect(),
-    )
-}
-
-fn map_entries_from_value<K: Deserialize, V: Deserialize>(
-    v: &Value,
-) -> Result<Vec<(K, V)>, DeError> {
-    match v {
-        Value::Seq(items) => items
-            .iter()
-            .map(|pair| match pair {
-                Value::Seq(kv) if kv.len() == 2 => {
-                    Ok((K::from_value(&kv[0])?, V::from_value(&kv[1])?))
-                }
-                other => Err(DeError::expected("[key, value] pair", other)),
-            })
-            .collect(),
-        other => Err(DeError::expected("map pair sequence", other)),
-    }
-}
-
-impl<K: Serialize, V: Serialize, S: BuildHasher> Serialize for HashMap<K, V, S> {
+impl<A: Serialize, B: Serialize> Serialize for (A, B) {
     fn to_value(&self) -> Value {
-        map_to_value(self.iter())
+        Value::Seq(vec![self.0.to_value(), self.1.to_value()])
     }
 }
 
-impl<K, V, S> Deserialize for HashMap<K, V, S>
-where
-    K: Deserialize + Eq + Hash,
-    V: Deserialize,
-    S: BuildHasher + Default,
-{
+impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(map_entries_from_value::<K, V>(v)?.into_iter().collect())
+        match v {
+            Value::Seq(items) if items.len() == 2 => {
+                Ok((A::from_value(&items[0])?, B::from_value(&items[1])?))
+            }
+            other => Err(DeError::expected("tuple sequence", other)),
+        }
     }
 }
 
+/// A map is its `[key, value]` pair sequence, in key order.
 impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
     fn to_value(&self) -> Value {
-        map_to_value(self.iter())
+        Value::Seq(
+            self.iter()
+                .map(|(k, v)| Value::Seq(vec![k.to_value(), v.to_value()]))
+                .collect(),
+        )
     }
 }
 
 impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(map_entries_from_value::<K, V>(v)?.into_iter().collect())
+        match v {
+            Value::Seq(items) => items.iter().map(<(K, V)>::from_value).collect(),
+            other => Err(DeError::expected("map pair sequence", other)),
+        }
     }
 }
 
@@ -504,7 +311,10 @@ mod tests {
         assert_eq!(u64::from_value(&42u64.to_value()).unwrap(), 42);
         assert_eq!(i64::from_value(&(-5i64).to_value()).unwrap(), -5);
         assert_eq!(f64::from_value(&1.5f64.to_value()).unwrap(), 1.5);
-        assert_eq!(String::from_value(&"hi".to_value()).unwrap(), "hi");
+        assert_eq!(
+            String::from_value(&"hi".to_string().to_value()).unwrap(),
+            "hi"
+        );
         assert_eq!(Option::<u32>::from_value(&Value::Null).unwrap(), None);
         let v: Vec<f64> = Vec::from_value(&vec![1.0, 2.0].to_value()).unwrap();
         assert_eq!(v, vec![1.0, 2.0]);
@@ -512,17 +322,17 @@ mod tests {
 
     #[test]
     fn maps_round_trip_with_non_string_keys() {
-        let mut m: HashMap<(u64, u64), f64> = HashMap::new();
+        let mut m: BTreeMap<(u64, u64), f64> = BTreeMap::new();
         m.insert((1, 2), 3.5);
         m.insert((4, 5), -1.0);
-        let back: HashMap<(u64, u64), f64> = HashMap::from_value(&m.to_value()).unwrap();
+        let back: BTreeMap<(u64, u64), f64> = BTreeMap::from_value(&m.to_value()).unwrap();
         assert_eq!(m, back);
     }
 
     #[test]
     fn map_output_is_canonical() {
-        let mut a: HashMap<u64, u64> = HashMap::new();
-        let mut b: HashMap<u64, u64> = HashMap::new();
+        let mut a: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut b: BTreeMap<u64, u64> = BTreeMap::new();
         for i in 0..64 {
             a.insert(i, i * 2);
         }
@@ -530,6 +340,11 @@ mod tests {
             b.insert(i, i * 2);
         }
         assert_eq!(a.to_value(), b.to_value());
+        let pair = |k: u64, v: u64| Value::Seq(vec![Value::U64(k), Value::U64(v)]);
+        let Value::Seq(pairs) = a.to_value() else {
+            panic!("a map is a pair sequence");
+        };
+        assert_eq!(pairs[..2], [pair(0, 0), pair(1, 2)], "in key order");
     }
 
     #[test]

@@ -3,37 +3,39 @@
 //! token trees — no `syn`/`quote` — because the build environment
 //! cannot fetch crates.
 //!
-//! Supported shapes (everything this workspace derives on):
-//! named structs, tuple structs (newtype and wider), unit structs, and
-//! enums with unit / tuple / struct variants, all optionally generic.
-//! Enums use serde's externally-tagged encoding. The recognized field
-//! attributes are `#[serde(skip)]` (skipped on serialize,
-//! `Default::default()` on deserialize) and `#[serde(default)]`
-//! (serialized normally; `Default::default()` when missing on
-//! deserialize, so added fields stay backward-compatible).
+//! Supported shapes, and only these (everything this workspace
+//! derives on):
+//! - named structs, tuple structs (newtype and wider) and unit structs;
+//! - enums with unit, tuple and struct variants, in serde's
+//!   externally-tagged encoding.
+//!
+//! The type must not be generic, and no `#[serde(...)]` attribute is
+//! recognised: either one is a compile error that names the type, never
+//! a silently different encoding.
 
 use proc_macro::{Delimiter, Group, TokenStream, TokenTree};
 
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    gen_serialize(&item)
-        .parse()
-        .expect("serde_derive shim generated invalid Serialize impl")
+    expand(input, gen_serialize)
 }
 
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    gen_deserialize(&item)
-        .parse()
-        .expect("serde_derive shim generated invalid Deserialize impl")
+    expand(input, gen_deserialize)
+}
+
+fn expand(input: TokenStream, gen: fn(&Item) -> String) -> TokenStream {
+    let code = match parse_item(input) {
+        Ok(item) => gen(&item),
+        Err(message) => format!("::core::compile_error!({message:?});"),
+    };
+    code.parse()
+        .expect("serde_derive shim generated invalid tokens")
 }
 
 struct Item {
     name: String,
-    /// `(param name, original inline bounds)` pairs, e.g. `("P", "Clone")`.
-    generics: Vec<(String, String)>,
     kind: Kind,
 }
 
@@ -48,15 +50,9 @@ struct Variant {
 }
 
 enum Fields {
-    Named(Vec<Field>),
+    Named(Vec<String>),
     Tuple(usize),
     Unit,
-}
-
-struct Field {
-    name: String,
-    skip: bool,
-    default: bool,
 }
 
 fn is_ident(t: &TokenTree, word: &str) -> bool {
@@ -70,130 +66,77 @@ fn punct_char(t: &TokenTree) -> Option<char> {
     }
 }
 
-fn parse_item(input: TokenStream) -> Item {
+/// Parses the derive input, or says (naming the type) why the shim
+/// cannot derive it.
+fn parse_item(input: TokenStream) -> Result<Item, String> {
+    let has_serde_attr = has_serde_attr(input.clone());
     let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut i = 0;
 
     // Skip outer attributes and visibility to the `struct`/`enum` keyword.
     while i < tokens.len() && !is_ident(&tokens[i], "struct") && !is_ident(&tokens[i], "enum") {
         if punct_char(&tokens[i]) == Some('#') {
-            i += 2; // `#` + bracketed attribute group
+            skip_attrs(&tokens, &mut i);
         } else {
             i += 1;
         }
     }
     let is_enum = is_ident(&tokens[i], "enum");
-    i += 1;
-
-    let name = match &tokens[i] {
+    let name = match &tokens[i + 1] {
         TokenTree::Ident(id) => id.to_string(),
         other => panic!("serde_derive shim: expected type name, got {other}"),
     };
-    i += 1;
-
-    let mut generics: Vec<(String, String)> = Vec::new();
-    if i < tokens.len() && punct_char(&tokens[i]) == Some('<') {
-        i += 1;
-        let mut depth = 1u32;
-        let mut at_param_start = true;
-        let mut after_lifetime_quote = false;
-        let mut bounds_of: Option<String> = None; // Some(..) while inside `:` bounds
-        while i < tokens.len() && depth > 0 {
-            let tok = &tokens[i];
-            match punct_char(tok) {
-                Some('<') => depth += 1,
-                Some('>') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        if let Some(b) = bounds_of.take() {
-                            if let Some(last) = generics.last_mut() {
-                                last.1 = b;
-                            }
-                        }
-                        i += 1;
-                        break;
-                    }
-                }
-                Some(',') if depth == 1 => {
-                    if let Some(b) = bounds_of.take() {
-                        if let Some(last) = generics.last_mut() {
-                            last.1 = b;
-                        }
-                    }
-                    at_param_start = true;
-                    i += 1;
-                    continue;
-                }
-                Some(':') if depth == 1 && bounds_of.is_none() => {
-                    bounds_of = Some(String::new());
-                    i += 1;
-                    continue;
-                }
-                Some('\'') => after_lifetime_quote = true,
-                _ => {}
-            }
-            if let Some(b) = bounds_of.as_mut() {
-                b.push_str(&tok.to_string());
-                b.push(' ');
-            } else if let TokenTree::Ident(id) = tok {
-                if after_lifetime_quote {
-                    after_lifetime_quote = false;
-                } else if at_param_start {
-                    generics.push((id.to_string(), String::new()));
-                    at_param_start = false;
-                }
-            }
-            i += 1;
-        }
+    let unsupported = |why: &str| Err(format!("serde_derive shim: `{name}` {why}"));
+    if has_serde_attr {
+        return unsupported("has a `#[serde(...)]` attribute, and the shim supports none");
     }
 
-    // Skip a possible `where` clause; the defining body is the next
-    // brace/paren group or a bare `;` (unit struct).
-    let kind = loop {
-        match tokens.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                break if is_enum {
-                    Kind::Enum(parse_variants(g))
-                } else {
-                    Kind::Struct(Fields::Named(parse_named_fields(g)))
-                };
+    // The defining body is the next brace/paren group or a bare `;`
+    // (unit struct).
+    let kind = match tokens.get(i + 2) {
+        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
+            if is_enum {
+                Kind::Enum(parse_variants(g))
+            } else {
+                Kind::Struct(Fields::Named(parse_named_fields(g)))
             }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis && !is_enum => {
-                break Kind::Struct(Fields::Tuple(tuple_arity(g)));
-            }
-            Some(t) if punct_char(t) == Some(';') => break Kind::Struct(Fields::Unit),
-            Some(_) => i += 1,
-            None => break Kind::Struct(Fields::Unit),
         }
+        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis && !is_enum => {
+            Kind::Struct(Fields::Tuple(tuple_arity(g)))
+        }
+        Some(t) if punct_char(t) == Some(';') => Kind::Struct(Fields::Unit),
+        Some(t) if punct_char(t) == Some('<') => {
+            return unsupported("is generic, and the shim derives only non-generic types")
+        }
+        _ => return unsupported("has a shape the shim does not derive"),
     };
-
-    Item {
-        name,
-        generics,
-        kind,
-    }
+    Ok(Item { name, kind })
 }
 
-/// Consumes leading `#[...]` attributes; returns whether any was
-/// `#[serde(skip)]` / `#[serde(default)]` as `(skip, default)`.
-fn skip_attrs(tokens: &[TokenTree], i: &mut usize) -> (bool, bool) {
-    let mut skip = false;
-    let mut default = false;
-    while *i < tokens.len() && punct_char(&tokens[*i]) == Some('#') {
-        if let Some(TokenTree::Group(attr)) = tokens.get(*i + 1) {
-            let text = attr.stream().to_string();
-            if text.starts_with("serde") {
-                if text.contains("skip") {
-                    skip = true;
-                }
-                if text.contains("default") {
-                    default = true;
-                }
-            }
+/// Whether any `#[serde(...)]` attribute appears anywhere in `stream`:
+/// on the type, a field or a variant.
+fn has_serde_attr(stream: TokenStream) -> bool {
+    let tokens: Vec<TokenTree> = stream.into_iter().collect();
+    tokens.iter().enumerate().any(|(i, tok)| match tok {
+        TokenTree::Group(g) => {
+            let is_serde_attr = i > 0
+                && punct_char(&tokens[i - 1]) == Some('#')
+                && g.delimiter() == Delimiter::Bracket
+                && g.stream()
+                    .into_iter()
+                    .next()
+                    .is_some_and(|first| is_ident(&first, "serde"));
+            is_serde_attr || has_serde_attr(g.stream())
         }
-        *i += 2;
+        _ => false,
+    })
+}
+
+/// Consumes leading `#[...]` attributes.
+fn skip_attrs(tokens: &[TokenTree], i: &mut usize) {
+    while *i < tokens.len() && punct_char(&tokens[*i]) == Some('#') {
+        *i += 2; // `#` + bracketed attribute group
     }
-    (skip, default)
 }
 
 fn skip_visibility(tokens: &[TokenTree], i: &mut usize) {
@@ -225,21 +168,17 @@ fn skip_to_next_comma(tokens: &[TokenTree], i: &mut usize) {
     }
 }
 
-fn parse_named_fields(group: &Group) -> Vec<Field> {
+fn parse_named_fields(group: &Group) -> Vec<String> {
     let tokens: Vec<TokenTree> = group.stream().into_iter().collect();
     let mut fields = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        let (skip, default) = skip_attrs(&tokens, &mut i);
+        skip_attrs(&tokens, &mut i);
         skip_visibility(&tokens, &mut i);
         let Some(TokenTree::Ident(id)) = tokens.get(i) else {
             break;
         };
-        fields.push(Field {
-            name: id.to_string(),
-            skip,
-            default,
-        });
+        fields.push(id.to_string());
         i += 1; // name
         i += 1; // `:`
         skip_to_next_comma(&tokens, &mut i);
@@ -296,32 +235,7 @@ fn parse_variants(group: &Group) -> Vec<Variant> {
     variants
 }
 
-/// `impl<P: Clone + ::serde::Serialize> ::serde::Serialize for Foo<P>`
-/// header pieces: `(impl_params, type_args)`.
-fn generics_pieces(item: &Item, bound: &str) -> (String, String) {
-    if item.generics.is_empty() {
-        return (String::new(), String::new());
-    }
-    let params: Vec<String> = item
-        .generics
-        .iter()
-        .map(|(name, bounds)| {
-            if bounds.is_empty() {
-                format!("{name}: {bound}")
-            } else {
-                format!("{name}: {bounds} + {bound}")
-            }
-        })
-        .collect();
-    let args: Vec<String> = item.generics.iter().map(|(n, _)| n.clone()).collect();
-    (
-        format!("<{}>", params.join(", ")),
-        format!("<{}>", args.join(", ")),
-    )
-}
-
 fn gen_serialize(item: &Item) -> String {
-    let (impl_params, type_args) = generics_pieces(item, "::serde::Serialize");
     let body = match &item.kind {
         Kind::Struct(fields) => ser_struct_body(fields),
         Kind::Enum(variants) => {
@@ -334,7 +248,7 @@ fn gen_serialize(item: &Item) -> String {
     };
     format!(
         "#[automatically_derived]\n\
-         impl{impl_params} ::serde::Serialize for {name}{type_args} {{\n\
+         impl ::serde::Serialize for {name} {{\n\
          fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
          }}",
         name = item.name
@@ -353,10 +267,9 @@ fn ser_struct_body(fields: &Fields) -> String {
         }
         Fields::Named(fs) => {
             let mut pushes = String::new();
-            for f in fs.iter().filter(|f| !f.skip) {
+            for n in fs {
                 pushes.push_str(&format!(
-                    "entries.push((\"{n}\".to_string(), ::serde::Serialize::to_value(&self.{n})));\n",
-                    n = f.name
+                    "entries.push((\"{n}\".to_string(), ::serde::Serialize::to_value(&self.{n})));\n"
                 ));
             }
             format!(
@@ -388,30 +301,14 @@ fn ser_variant_arm(v: &Variant) -> String {
             )
         }
         Fields::Named(fs) => {
-            let binders: Vec<String> = fs
-                .iter()
-                .map(|f| {
-                    if f.skip {
-                        format!("{}: _", f.name)
-                    } else {
-                        f.name.clone()
-                    }
-                })
-                .collect();
             let items: Vec<String> = fs
                 .iter()
-                .filter(|f| !f.skip)
-                .map(|f| {
-                    format!(
-                        "(\"{n}\".to_string(), ::serde::Serialize::to_value({n}))",
-                        n = f.name
-                    )
-                })
+                .map(|n| format!("(\"{n}\".to_string(), ::serde::Serialize::to_value({n}))"))
                 .collect();
             format!(
                 "Self::{name} {{ {binds} }} => ::serde::Value::Map(vec![(\"{name}\".to_string(), \
                  ::serde::Value::Map(vec![{items}]))]),\n",
-                binds = binders.join(", "),
+                binds = fs.join(", "),
                 items = items.join(", ")
             )
         }
@@ -419,35 +316,23 @@ fn ser_variant_arm(v: &Variant) -> String {
 }
 
 fn gen_deserialize(item: &Item) -> String {
-    let (impl_params, type_args) = generics_pieces(item, "::serde::Deserialize");
     let body = match &item.kind {
         Kind::Struct(fields) => de_struct_body(&item.name, fields),
         Kind::Enum(variants) => de_enum_body(&item.name, variants),
     };
     format!(
         "#[automatically_derived]\n\
-         impl{impl_params} ::serde::Deserialize for {name}{type_args} {{\n\
+         impl ::serde::Deserialize for {name} {{\n\
          fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{ {body} }}\n\
          }}",
         name = item.name
     )
 }
 
-fn de_named_fields_init(fs: &[Field]) -> String {
+fn de_named_fields_init(fs: &[String]) -> String {
     let inits: Vec<String> = fs
         .iter()
-        .map(|f| {
-            if f.skip {
-                format!("{}: ::std::default::Default::default()", f.name)
-            } else if f.default {
-                format!(
-                    "{n}: ::serde::field_or_default(entries, \"{n}\")?",
-                    n = f.name
-                )
-            } else {
-                format!("{n}: ::serde::field(entries, \"{n}\")?", n = f.name)
-            }
-        })
+        .map(|n| format!("{n}: ::serde::field(entries, \"{n}\")?"))
         .collect();
     inits.join(", ")
 }

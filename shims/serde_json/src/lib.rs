@@ -369,7 +369,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     #[test]
     fn floats_round_trip_exactly() {
@@ -395,10 +395,10 @@ mod tests {
 
     #[test]
     fn maps_and_options() {
-        let mut m: HashMap<String, Option<f64>> = HashMap::new();
+        let mut m: BTreeMap<String, Option<f64>> = BTreeMap::new();
         m.insert("a".into(), Some(1.5));
         m.insert("b".into(), None);
-        let back: HashMap<String, Option<f64>> = from_str(&to_string(&m).unwrap()).unwrap();
+        let back: BTreeMap<String, Option<f64>> = from_str(&to_string(&m).unwrap()).unwrap();
         assert_eq!(m, back);
     }
 
