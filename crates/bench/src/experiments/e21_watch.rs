@@ -233,7 +233,7 @@ fn run_arm(
             "watch.alert",
             &[
                 ("fault_rate", rate.into()),
-                ("tenant", a.tenant.as_str().into()),
+                ("tenant", a.tenant.clone().into()),
                 ("raised", a.raised.into()),
                 ("sim_time_us", a.sim_time_us.into()),
             ],

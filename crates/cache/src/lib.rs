@@ -78,6 +78,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -240,6 +241,32 @@ impl Entry {
     }
 }
 
+/// One pass over a key's entries, in admission order. The precedence
+/// is fixed: the first entry whose rectangle equals `exact_rect`; else,
+/// among fragment-bearing entries containing `bbox`, the one with the
+/// least `(rows, seq)`; else a miss, subsumed when some entry lies
+/// inside `bbox`.
+fn classify(list: &[Entry], exact_rect: Option<&Rect>, bbox: &Rect) -> CacheDecision {
+    let mut best: Option<&Entry> = None;
+    let mut subsumed = false;
+    for e in list {
+        if exact_rect == Some(&e.rect) {
+            return CacheDecision::Exact(e.answer);
+        }
+        if e.fragments.is_some()
+            && best.is_none_or(|b| (e.rows, e.seq) < (b.rows, b.seq))
+            && e.rect.contains_rect(bbox)
+        {
+            best = Some(e);
+        }
+        subsumed = subsumed || bbox.contains_rect(&e.rect);
+    }
+    match best.and_then(|e| e.fragments.as_ref()) {
+        Some(fragments) => CacheDecision::Containment(Arc::clone(fragments)),
+        None => CacheDecision::Miss { subsumed },
+    }
+}
+
 #[derive(Debug, Default)]
 struct State {
     /// Aggregate key → entries in admission order. `BTreeMap` for
@@ -300,29 +327,15 @@ impl SemanticCache {
     /// (cheapest re-derivation) wins, ties broken by admission order.
     pub fn lookup(&self, agg: &AggregateKind, region: &Region) -> CacheDecision {
         let key = agg.key();
-        let bbox = region.bounding_rect();
-        let exact_rect = match region {
-            Region::Range(r) => Some(r),
-            _ => None,
+        // A rectangle is its own bounding box: only a ball builds one.
+        let (exact_rect, bbox) = match region {
+            Region::Range(r) => (Some(r), Cow::Borrowed(r)),
+            _ => (None, Cow::Owned(region.bounding_rect())),
         };
         let decision = {
             let mut st = self.state.lock();
             let found = match st.entries.get(&key) {
-                Some(list) => {
-                    if let Some(e) = exact_rect.and_then(|q| list.iter().find(|e| e.rect == *q)) {
-                        CacheDecision::Exact(e.answer)
-                    } else if let Some((_, fragments)) = list
-                        .iter()
-                        .filter(|e| e.rect.contains_rect(&bbox))
-                        .filter_map(|e| e.fragments.as_ref().map(|f| (e, f)))
-                        .min_by_key(|(e, _)| (e.rows, e.seq))
-                    {
-                        CacheDecision::Containment(Arc::clone(fragments))
-                    } else {
-                        let subsumed = list.iter().any(|e| bbox.contains_rect(&e.rect));
-                        CacheDecision::Miss { subsumed }
-                    }
-                }
+                Some(list) => classify(list, exact_rect, &bbox),
                 None => CacheDecision::Miss { subsumed: false },
             };
             match &found {

@@ -46,11 +46,6 @@ impl Point {
         &self.coords
     }
 
-    /// Consumes the point, returning its coordinate vector.
-    pub fn into_coords(self) -> Vec<f64> {
-        self.coords
-    }
-
     /// Coordinate in dimension `d`.
     ///
     /// # Panics
@@ -145,7 +140,7 @@ mod tests {
         assert_eq!(q.coord(1), 4.0);
         let r: &[f64] = p.as_ref();
         assert_eq!(r, &[1.0, 2.0]);
-        assert_eq!(q.into_coords(), vec![3.0, 4.0]);
+        assert_eq!(q.coords(), &[3.0, 4.0]);
     }
 
     #[test]

@@ -340,16 +340,32 @@ impl Region {
     /// SEA agent quantizes (query-space quantization, RT1). Radius queries
     /// embed with `extent_d = radius` in every dimension.
     pub fn to_query_vector(&self) -> Vec<f64> {
+        let mut v = Vec::with_capacity(2 * self.dims());
+        self.push_query_vector(&mut v);
+        v
+    }
+
+    /// The query vector followed by the volume, `[centre, extents,
+    /// volume]`: the feature embedding the agent's quantum models (and
+    /// the DBL baseline) regress on, built in one allocation. Its prefix
+    /// without the volume is [`Region::to_query_vector`].
+    pub fn to_feature_vector(&self) -> Vec<f64> {
+        let mut v = Vec::with_capacity(2 * self.dims() + 1);
+        self.push_query_vector(&mut v);
+        v.push(self.volume());
+        v
+    }
+
+    fn push_query_vector(&self, v: &mut Vec<f64>) {
         match self {
             Region::Range(r) => {
-                let mut v = r.center().into_coords();
-                v.extend(r.extents());
-                v
+                let bounds = || r.lo.iter().zip(&r.hi);
+                v.extend(bounds().map(|(l, h)| (l + h) / 2.0));
+                v.extend(bounds().map(|(l, h)| (h - l) / 2.0));
             }
             Region::Radius(b) => {
-                let mut v = b.center().coords().to_vec();
+                v.extend_from_slice(b.center().coords());
                 v.extend(std::iter::repeat_n(b.radius(), b.dims()));
-                v
             }
         }
     }

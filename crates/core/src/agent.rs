@@ -215,6 +215,13 @@ fn is_pair_answer(agg: &AggregateKind) -> bool {
     matches!(agg, AggregateKind::Regression { .. })
 }
 
+/// The query vector `[centre, extents]` inside a feature vector
+/// `[centre, extents, volume]` ([`sea_common::Region::to_feature_vector`]):
+/// what the quantizer reads, the models read all of it.
+fn query_vector(features: &[f64]) -> &[f64] {
+    &features[..features.len() - 1]
+}
+
 /// Aggregate statistics about an agent's state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AgentStats {
@@ -322,13 +329,6 @@ impl SeaAgent {
         &self.config
     }
 
-    /// Feature embedding of a query: `[centre, extents, volume]`.
-    fn features(&self, query: &AnalyticalQuery) -> Vec<f64> {
-        let mut f = query.to_query_vector();
-        f.push(query.region.volume());
-        f
-    }
-
     /// Absorbs one `(query, exact answer)` training observation.
     ///
     /// An answer with a NaN or infinite component is not learned: the
@@ -350,8 +350,8 @@ impl SeaAgent {
             return Ok(());
         }
         let key = query.aggregate.key();
-        let qvec = query.to_query_vector();
-        let features = self.features(query);
+        let features = query.region.to_feature_vector();
+        let qvec = query_vector(&features);
         let feature_dims = features.len();
         let pair = is_pair_answer(&query.aggregate);
         let forget = self.config.forget;
@@ -364,7 +364,7 @@ impl SeaAgent {
                 pair_answer: pair,
             }),
         };
-        let (idx, spawned) = pool.quantizer.absorb(&qvec)?;
+        let (idx, spawned) = pool.quantizer.absorb(qvec)?;
         if spawned {
             debug_assert_eq!(idx, pool.models.len());
             pool.models
@@ -398,13 +398,12 @@ impl SeaAgent {
             .pools
             .get(&key)
             .ok_or_else(|| SeaError::Empty("no model pool for this operator yet".into()))?;
-        let qvec = query.to_query_vector();
+        let features = query.region.to_feature_vector();
         let (idx, dist_sq) = pool
             .quantizer
-            .nearest_prototype(&qvec)
+            .nearest_prototype(query_vector(&features))
             .ok_or_else(|| SeaError::Empty("operator pool has no quanta".into()))?;
         let model = &pool.models[idx];
-        let features = self.features(query);
 
         let answer = if model.training >= self.config.min_training {
             let mut a = model.predict(&features);

@@ -110,6 +110,6 @@ fn fmt_field(v: &FieldValue) -> String {
         FieldValue::I64(x) => x.to_string(),
         FieldValue::F64(x) => format!("{x:.1}"),
         FieldValue::Bool(x) => x.to_string(),
-        FieldValue::Str(x) => x.clone(),
+        FieldValue::Str(x) => x.to_string(),
     }
 }

@@ -5,15 +5,23 @@
 //! locations. `--` starts a comment running to the end of the line
 //! (SQL convention), which is what lets workload-replay files carry
 //! annotations without a separate preprocessor.
+//!
+//! Tokens are produced on demand and borrow their text from the
+//! statement, so lexing allocates nothing. A lexical error ends the
+//! stream and waits in the [`Lexer`] until [`Lexer::finish`], which
+//! lexes whatever the parser left unread: the first lexical error of a
+//! statement is reported ahead of any parse error, as if the statement
+//! had been tokenized whole before parsing.
 
 use crate::error::ParseError;
 
 /// One token kind. Keywords are lexed as [`Tok::Ident`] and resolved
 /// case-insensitively by the parser, so error messages can echo the
-/// user's original spelling.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Tok {
-    Ident(String),
+/// user's original spelling. An identifier borrows its text from the
+/// statement.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Tok<'s> {
+    Ident(&'s str),
     Number(f64),
     LParen,
     RParen,
@@ -22,7 +30,7 @@ pub(crate) enum Tok {
     Comma,
 }
 
-impl Tok {
+impl Tok<'_> {
     /// How the token reads in an error message.
     pub(crate) fn describe(&self) -> String {
         match self {
@@ -38,84 +46,114 @@ impl Tok {
 }
 
 /// A token plus its byte span in the source statement.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Token {
-    pub kind: Tok,
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Token<'s> {
+    pub kind: Tok<'s>,
     pub start: usize,
     pub end: usize,
 }
 
-/// Tokenizes `src`, skipping whitespace and `--` comments.
-pub(crate) fn lex(src: &str) -> Result<Vec<Token>, ParseError> {
-    let bytes = src.as_bytes();
-    let mut toks = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let b = bytes[i];
-        if b.is_ascii_whitespace() {
-            i += 1;
-            continue;
+/// Tokenizes a statement on demand, skipping whitespace and `--`
+/// comments.
+pub(crate) struct Lexer<'s> {
+    src: &'s str,
+    pos: usize,
+    /// The lexical error that ended the stream, if one has.
+    error: Option<ParseError>,
+}
+
+impl<'s> Lexer<'s> {
+    pub(crate) fn new(src: &'s str) -> Self {
+        Lexer {
+            src,
+            pos: 0,
+            error: None,
         }
-        if b == b'-' && bytes.get(i + 1) == Some(&b'-') {
-            while i < bytes.len() && bytes[i] != b'\n' {
-                i += 1;
-            }
-            continue;
-        }
-        let start = i;
-        let kind = match b {
-            b'(' => {
-                i += 1;
-                Tok::LParen
-            }
-            b')' => {
-                i += 1;
-                Tok::RParen
-            }
-            b'[' => {
-                i += 1;
-                Tok::LBracket
-            }
-            b']' => {
-                i += 1;
-                Tok::RBracket
-            }
-            b',' => {
-                i += 1;
-                Tok::Comma
-            }
-            b'_' | b'a'..=b'z' | b'A'..=b'Z' => {
-                while i < bytes.len() && (bytes[i] == b'_' || bytes[i].is_ascii_alphanumeric()) {
-                    i += 1;
-                }
-                Tok::Ident(src[start..i].to_string())
-            }
-            b'0'..=b'9' | b'.' => lex_number(src, bytes, &mut i)?,
-            b'-' | b'+' if matches!(bytes.get(i + 1), Some(b'0'..=b'9' | b'.')) => {
-                lex_number(src, bytes, &mut i)?
-            }
-            _ => {
-                let ch = src[i..].chars().next().unwrap_or('?');
-                return Err(ParseError::new(
-                    src,
-                    i,
-                    i + ch.len_utf8(),
-                    format!("unexpected character `{ch}`"),
-                ));
-            }
-        };
-        toks.push(Token {
-            kind,
-            start,
-            end: i,
-        });
     }
-    Ok(toks)
+
+    /// The next token; `None` at the end of the statement or once a
+    /// lexical error has ended the stream.
+    pub(crate) fn next_token(&mut self) -> Option<Token<'s>> {
+        if self.error.is_some() {
+            return None;
+        }
+        match lex_one(self.src, &mut self.pos) {
+            Ok(tok) => tok,
+            Err(e) => {
+                self.error = Some(e);
+                None
+            }
+        }
+    }
+
+    /// Lexes the rest of the statement and returns its first lexical
+    /// error, if it has one.
+    pub(crate) fn finish(mut self) -> Result<(), ParseError> {
+        while self.next_token().is_some() {}
+        self.error.map_or(Ok(()), Err)
+    }
+}
+
+/// Lexes the token at or after `*i`, advancing `*i` past it; `None` at
+/// the end of the statement.
+fn lex_one<'s>(src: &'s str, i: &mut usize) -> Result<Option<Token<'s>>, ParseError> {
+    let bytes = src.as_bytes();
+    loop {
+        let Some(&b) = bytes.get(*i) else {
+            return Ok(None);
+        };
+        if b.is_ascii_whitespace() {
+            *i += 1;
+        } else if b == b'-' && bytes.get(*i + 1) == Some(&b'-') {
+            while *i < bytes.len() && bytes[*i] != b'\n' {
+                *i += 1;
+            }
+        } else {
+            break;
+        }
+    }
+    let b = bytes[*i];
+    let start = *i;
+    let punct = |i: &mut usize, tok| {
+        *i += 1;
+        tok
+    };
+    let kind = match b {
+        b'(' => punct(i, Tok::LParen),
+        b')' => punct(i, Tok::RParen),
+        b'[' => punct(i, Tok::LBracket),
+        b']' => punct(i, Tok::RBracket),
+        b',' => punct(i, Tok::Comma),
+        b'_' | b'a'..=b'z' | b'A'..=b'Z' => {
+            while *i < bytes.len() && (bytes[*i] == b'_' || bytes[*i].is_ascii_alphanumeric()) {
+                *i += 1;
+            }
+            Tok::Ident(&src[start..*i])
+        }
+        b'0'..=b'9' | b'.' => lex_number(src, bytes, i)?,
+        b'-' | b'+' if matches!(bytes.get(*i + 1), Some(b'0'..=b'9' | b'.')) => {
+            lex_number(src, bytes, i)?
+        }
+        _ => {
+            let ch = src[start..].chars().next().unwrap_or('?');
+            return Err(ParseError::new(
+                src,
+                start,
+                start + ch.len_utf8(),
+                format!("unexpected character `{ch}`"),
+            ));
+        }
+    };
+    Ok(Some(Token {
+        kind,
+        start,
+        end: *i,
+    }))
 }
 
 /// Lexes one numeric literal starting at `*i` (sign already vetted by
 /// the caller). Accepts `[+-]?digits[.digits][eE[+-]digits]`.
-fn lex_number(src: &str, bytes: &[u8], i: &mut usize) -> Result<Tok, ParseError> {
+fn lex_number<'s>(src: &str, bytes: &[u8], i: &mut usize) -> Result<Tok<'s>, ParseError> {
     let start = *i;
     if matches!(bytes[*i], b'-' | b'+') {
         *i += 1;
@@ -160,11 +198,18 @@ fn lex_number(src: &str, bytes: &[u8], i: &mut usize) -> Result<Tok, ParseError>
 mod tests {
     use super::*;
 
+    /// The whole statement's tokens, or its first lexical error.
+    fn lex(src: &str) -> Result<Vec<Token<'_>>, ParseError> {
+        let mut lexer = Lexer::new(src);
+        let toks = std::iter::from_fn(|| lexer.next_token()).collect();
+        lexer.finish().map(|()| toks)
+    }
+
     #[test]
     fn lexes_punctuation_idents_and_numbers() {
         let toks = lex("SELECT mean(d0), p95(d1)").unwrap();
         assert_eq!(toks.len(), 10);
-        assert_eq!(toks[0].kind, Tok::Ident("SELECT".into()));
+        assert_eq!(toks[0].kind, Tok::Ident("SELECT"));
         assert_eq!(toks[2].kind, Tok::LParen);
         assert_eq!((toks[0].start, toks[0].end), (0, 6));
     }

@@ -32,7 +32,7 @@ use sea_common::AggregateKind;
 
 use crate::ast::{BallPred, LogicalPlan, ModeHint, RangePred, Selection};
 use crate::error::ParseError;
-use crate::lexer::{lex, Tok, Token};
+use crate::lexer::{Lexer, Tok, Token};
 
 /// Parses one statement into a [`LogicalPlan`].
 ///
@@ -49,31 +49,64 @@ use crate::lexer::{lex, Tok, Token};
 /// assert_eq!(plan.aggregates, vec![AggregateKind::Mean { dim: 0 }]);
 /// ```
 pub fn parse(src: &str) -> Result<LogicalPlan, ParseError> {
-    let toks = lex(src)?;
-    let mut p = Parser { src, toks, pos: 0 };
-    let plan = p.statement()?;
-    if let Some(tok) = p.peek() {
-        return Err(p.err_at(
+    let mut lexer = Lexer::new(src);
+    let mut p = Parser {
+        src,
+        next: lexer.next_token(),
+        lexer,
+        prev_end: src.len(),
+    };
+    let plan = p.statement().and_then(|plan| match p.peek() {
+        Some(tok) => Err(p.err_at(
             tok.start,
             tok.end,
             format!(
                 "unexpected trailing input starting at {}",
                 tok.kind.describe()
             ),
-        ));
+        )),
+        None => Ok(plan),
+    });
+    // A lexical error anywhere in the statement wins over a parse error.
+    p.lexer.finish()?;
+    plan
+}
+
+/// Bytes in the longest aggregate name (`correlation`).
+const LONGEST_AGGREGATE_NAME: usize = 11;
+
+/// `name` in lower case, written into `buf`; empty when it is longer
+/// than every aggregate name, so it matches none of them.
+fn lowercase<'b>(name: &str, buf: &'b mut [u8; LONGEST_AGGREGATE_NAME]) -> &'b str {
+    let Some(out) = buf.get_mut(..name.len()) else {
+        return "";
+    };
+    for (o, b) in out.iter_mut().zip(name.bytes()) {
+        *o = b.to_ascii_lowercase();
     }
-    Ok(plan)
+    std::str::from_utf8(out).unwrap_or("")
 }
 
 struct Parser<'s> {
     src: &'s str,
-    toks: Vec<Token>,
-    pos: usize,
+    lexer: Lexer<'s>,
+    /// The token after the last one consumed (`None` at the end).
+    next: Option<Token<'s>>,
+    /// End offset of the most recently consumed token.
+    prev_end: usize,
 }
 
 impl<'s> Parser<'s> {
-    fn peek(&self) -> Option<&Token> {
-        self.toks.get(self.pos)
+    fn peek(&self) -> Option<Token<'s>> {
+        self.next
+    }
+
+    /// Consumes the next token.
+    fn bump(&mut self) {
+        if let Some(t) = self.next {
+            self.prev_end = t.end;
+        }
+        self.next = self.lexer.next_token();
     }
 
     fn err_at(&self, start: usize, end: usize, message: impl Into<String>) -> ParseError {
@@ -105,7 +138,7 @@ impl<'s> Parser<'s> {
         }) = self.peek()
         {
             if s.eq_ignore_ascii_case(kw) {
-                self.pos += 1;
+                self.bump();
                 return true;
             }
         }
@@ -120,18 +153,17 @@ impl<'s> Parser<'s> {
         }
     }
 
-    fn expect_punct(&mut self, kind: Tok, what: &str) -> Result<Token, ParseError> {
+    fn expect_punct(&mut self, kind: Tok<'_>, what: &str) -> Result<Token<'s>, ParseError> {
         match self.peek() {
             Some(t) if t.kind == kind => {
-                let t = t.clone();
-                self.pos += 1;
+                self.bump();
                 Ok(t)
             }
             _ => Err(self.err_here(what)),
         }
     }
 
-    fn expect_number(&mut self) -> Result<(f64, Token), ParseError> {
+    fn expect_number(&mut self) -> Result<(f64, Token<'s>), ParseError> {
         match self.peek() {
             Some(
                 t @ Token {
@@ -139,8 +171,7 @@ impl<'s> Parser<'s> {
                     ..
                 },
             ) => {
-                let (v, t) = (*v, t.clone());
-                self.pos += 1;
+                self.bump();
                 Ok((v, t))
             }
             _ => Err(self.err_here("a number")),
@@ -155,10 +186,9 @@ impl<'s> Parser<'s> {
                 start,
                 end,
             }) => {
-                let (start, end, s) = (*start, *end, s.clone());
                 let digits = s.strip_prefix('d').unwrap_or("");
                 if !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()) {
-                    self.pos += 1;
+                    self.bump();
                     digits.parse::<usize>().map_err(|_| {
                         self.err_at(start, end, format!("dimension index `{s}` is out of range"))
                     })
@@ -175,7 +205,7 @@ impl<'s> Parser<'s> {
     }
 
     fn statement(&mut self) -> Result<LogicalPlan, ParseError> {
-        if self.toks.is_empty() {
+        if self.next.is_none() {
             return Err(self.err_at(0, self.src.len(), "empty statement"));
         }
         self.expect_keyword("SELECT")?;
@@ -187,7 +217,7 @@ impl<'s> Parser<'s> {
                 ..
             })
         ) {
-            self.pos += 1;
+            self.bump();
             aggregates.push(self.aggregate()?);
         }
         let selection = if self.eat_keyword("WHERE") {
@@ -232,10 +262,10 @@ impl<'s> Parser<'s> {
         else {
             return Err(self.err_here("an aggregate function"));
         };
-        let (name, start, end) = (name.to_ascii_lowercase(), *start, *end);
-        self.pos += 1;
+        self.bump();
         self.expect_punct(Tok::LParen, "`(`")?;
-        let kind = match name.as_str() {
+        let mut buf = [0; LONGEST_AGGREGATE_NAME];
+        let kind = match lowercase(name, &mut buf) {
             "count" => {
                 if !matches!(
                     self.peek(),
@@ -310,11 +340,14 @@ impl<'s> Parser<'s> {
                     y: self.expect_dim()?,
                 }
             }
-            other => {
+            _ => {
                 return Err(self.err_at(
                     start,
                     end,
-                    format!("expected aggregate function, found `{other}`"),
+                    format!(
+                        "expected aggregate function, found `{}`",
+                        name.to_ascii_lowercase()
+                    ),
                 ))
             }
         };
@@ -331,7 +364,7 @@ impl<'s> Parser<'s> {
                 .map_or((self.src.len(), self.src.len()), |t| (t.start, t.end));
             if self.eat_keyword("WITHIN") {
                 let b = self.ball_pred()?;
-                let span = (pred_start.0, self.prev_end());
+                let span = (pred_start.0, self.prev_end);
                 if ball.is_some() {
                     return Err(self.err_at(
                         span.0,
@@ -360,7 +393,7 @@ impl<'s> Parser<'s> {
                 if ranges.iter().any(|r| r.dim == dim) {
                     return Err(self.err_at(
                         pred_start.0,
-                        self.prev_end(),
+                        self.prev_end,
                         format!("duplicate range predicate for `d{dim}`"),
                     ));
                 }
@@ -398,7 +431,7 @@ impl<'s> Parser<'s> {
                 ..
             })
         ) {
-            self.pos += 1;
+            self.bump();
             center.push(self.expect_number()?.0);
         }
         self.expect_punct(Tok::RParen, "`)`")?;
@@ -413,13 +446,6 @@ impl<'s> Parser<'s> {
         }
         self.expect_punct(Tok::RParen, "`)`")?;
         Ok(BallPred { center, radius })
-    }
-
-    /// End offset of the most recently consumed token.
-    fn prev_end(&self) -> usize {
-        self.toks
-            .get(self.pos.wrapping_sub(1))
-            .map_or(self.src.len(), |t| t.end)
     }
 }
 

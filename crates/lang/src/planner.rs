@@ -14,6 +14,8 @@
 //! same [`AnalyticalQuery`] values (pinned by E22 and
 //! `crates/bench/tests/lang_determinism.rs`).
 
+use std::borrow::Cow;
+
 use sea_common::{
     AggregateKind, AnalyticalQuery, AnswerValue, Ball, CostReport, Point, Rect, Region, Result,
     SeaError,
@@ -30,37 +32,42 @@ use crate::explain::render;
 use crate::parse;
 
 /// What the planner needs to know about a table: its dimensionality and
-/// the domain box that fills in unconstrained dimensions.
+/// the domain box that fills in unconstrained dimensions. An inferred
+/// schema borrows the domain from the cluster it was inferred from.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TableSchema {
+pub struct TableSchema<'a> {
     dims: usize,
-    domain: Rect,
+    domain: Cow<'a, Rect>,
 }
 
-impl TableSchema {
+impl<'a> TableSchema<'a> {
     /// A schema with an explicit domain box.
     pub fn new(domain: Rect) -> Self {
         TableSchema {
             dims: domain.dims(),
-            domain,
+            domain: Cow::Owned(domain),
         }
     }
 
     /// Infers the schema from the cluster: the domain is the table's
     /// bounding box ([`StorageCluster::table_bounds`] — the union of all
     /// block zone-map bounds, NaN-tight, so it is the actual data
-    /// bounding box as of this call).
+    /// bounding box as of this call). The schema borrows it: the
+    /// cluster cannot change while the schema lives.
     ///
     /// # Errors
     ///
     /// Missing table, or a table whose blocks expose no bounds.
-    pub fn infer(cluster: &StorageCluster, table: &str) -> Result<Self> {
+    pub fn infer(cluster: &'a StorageCluster, table: &str) -> Result<Self> {
         let domain = cluster.table_bounds(table)?.ok_or_else(|| {
             SeaError::Empty(format!(
                 "table {table} has no blocks with bounds to infer a domain from"
             ))
         })?;
-        Ok(TableSchema::new(domain.clone()))
+        Ok(TableSchema {
+            dims: domain.dims(),
+            domain: Cow::Borrowed(domain),
+        })
     }
 
     /// Number of attributes.
@@ -82,7 +89,7 @@ impl LogicalPlan {
     ///
     /// Dimension indices outside the schema, ball centers with the
     /// wrong arity, or degenerate geometry.
-    pub fn region(&self, schema: &TableSchema) -> Result<Region> {
+    pub fn region(&self, schema: &TableSchema<'_>) -> Result<Region> {
         match &self.selection {
             Selection::All => Ok(Region::Range(schema.domain().clone())),
             Selection::Ranges(ranges) => {
@@ -118,20 +125,25 @@ impl LogicalPlan {
     }
 
     /// Lowers the whole plan to one [`AnalyticalQuery`] per aggregate,
-    /// all sharing the same region.
+    /// all sharing the same region (the last query takes it, the others
+    /// a copy).
     ///
     /// # Errors
     ///
     /// As [`LogicalPlan::region`], plus aggregate/dimension validation.
-    pub fn to_queries(&self, schema: &TableSchema) -> Result<Vec<AnalyticalQuery>> {
+    pub fn to_queries(&self, schema: &TableSchema<'_>) -> Result<Vec<AnalyticalQuery>> {
         let region = self.region(schema)?;
-        self.aggregates
-            .iter()
-            .map(|&kind| {
-                kind.validate(schema.dims())?;
-                Ok(AnalyticalQuery::new(region.clone(), kind))
-            })
-            .collect()
+        let Some((&last, rest)) = self.aggregates.split_last() else {
+            return Ok(Vec::new());
+        };
+        let mut queries = Vec::with_capacity(self.aggregates.len());
+        for &kind in rest {
+            kind.validate(schema.dims())?;
+            queries.push(AnalyticalQuery::new(region.clone(), kind));
+        }
+        last.validate(schema.dims())?;
+        queries.push(AnalyticalQuery::new(region, last));
+        Ok(queries)
     }
 }
 
@@ -183,7 +195,7 @@ pub struct StatementOutcome {
 pub struct Frontend<'a> {
     executor: Executor<'a>,
     table: String,
-    schema: TableSchema,
+    schema: TableSchema<'a>,
     engines: Option<ExecutionEngines<'a>>,
     pipeline: Option<AgentPipeline>,
 }
@@ -235,7 +247,7 @@ impl<'a> Frontend<'a> {
     }
 
     /// The inferred (or provided) table schema.
-    pub fn schema(&self) -> &TableSchema {
+    pub fn schema(&self) -> &TableSchema<'a> {
         &self.schema
     }
 

@@ -73,7 +73,7 @@ impl LearnedAqp {
             return Ok(()); // nothing to scale from
         }
         let ratio = (e / a).clamp(0.0, 10.0);
-        let features = feature_vec(query);
+        let features = query.region.to_feature_vector();
         self.correction.update(&features, ratio)?;
         self.history.push((features, ratio));
         self.trained += 1;
@@ -96,19 +96,13 @@ impl LearnedAqp {
         };
         let ratio = self
             .correction
-            .predict(&feature_vec(query))
+            .predict(&query.region.to_feature_vector())
             .clamp(0.1, 10.0);
         Ok(AqpOutcome {
             answer: AnswerValue::Scalar(a * ratio),
             cost: base.cost,
         })
     }
-}
-
-fn feature_vec(query: &AnalyticalQuery) -> Vec<f64> {
-    let mut f = query.to_query_vector();
-    f.push(query.region.volume());
-    f
 }
 
 #[cfg(test)]

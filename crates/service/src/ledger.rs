@@ -7,6 +7,8 @@
 //! cannot stall admission and admission cannot shear an in-progress
 //! read.
 
+use std::sync::Arc;
+
 use parking_lot::RwLock;
 use serde::Serialize;
 
@@ -107,22 +109,24 @@ impl LedgerRow {
     }
 }
 
-/// Append-only, lock-guarded sequence of [`LedgerRow`]s.
+/// Append-only, lock-guarded sequence of [`LedgerRow`]s. A row is
+/// shared, not copied, with the [`SubmitOutcome`](crate::SubmitOutcome)
+/// that reports it.
 #[derive(Debug, Default)]
 pub struct QueryLedger {
-    rows: RwLock<Vec<LedgerRow>>,
+    rows: RwLock<Vec<Arc<LedgerRow>>>,
 }
 
 impl QueryLedger {
     /// Appends one row (serving path; short write lock).
-    pub fn append(&self, row: LedgerRow) {
-        self.rows.write().push(row);
+    pub fn append(&self, row: impl Into<Arc<LedgerRow>>) {
+        self.rows.write().push(row.into());
     }
 
     /// An owned copy of every row so far (read path). Rows are in
     /// submission order — `seq` is strictly increasing.
     pub fn snapshot(&self) -> Vec<LedgerRow> {
-        self.rows.read().clone()
+        self.rows.read().iter().map(|row| (**row).clone()).collect()
     }
 
     /// Rows recorded so far.

@@ -127,8 +127,9 @@ pub struct SubmitOutcome {
     pub disposition: Disposition,
     /// The answer, when `disposition` is [`Disposition::Answered`].
     pub answer: Option<AnswerValue>,
-    /// The ledger row recorded for this request.
-    pub row: LedgerRow,
+    /// The ledger row recorded for this request, shared with the
+    /// ledger.
+    pub row: Arc<LedgerRow>,
 }
 
 /// Multi-tenant front door over one table of a storage cluster.
@@ -323,7 +324,7 @@ impl<'a> QueryService<'a> {
                     cost.wall_us,
                     cost.answered_fraction,
                 );
-                let row = LedgerRow {
+                let row = Arc::new(LedgerRow {
                     seq,
                     tenant: tenant.to_string(),
                     aggregate: agg.to_string(),
@@ -337,8 +338,8 @@ impl<'a> QueryService<'a> {
                     retries: out.provenance.retries,
                     failovers: out.provenance.failovers,
                     cache_class: out.provenance.cache.label().to_string(),
-                };
-                self.ledger.append(row.clone());
+                });
+                self.ledger.append(Arc::clone(&row));
                 Ok(SubmitOutcome {
                     disposition: Disposition::Answered,
                     answer: Some(out.answer),
@@ -372,8 +373,8 @@ impl<'a> QueryService<'a> {
                         0.0,
                     );
                 }
-                let row = LedgerRow::unanswered(seq, tenant, agg, disposition, now);
-                self.ledger.append(row.clone());
+                let row = Arc::new(LedgerRow::unanswered(seq, tenant, agg, disposition, now));
+                self.ledger.append(Arc::clone(&row));
                 Ok(SubmitOutcome {
                     disposition,
                     answer: None,
@@ -415,7 +416,7 @@ fn feed_slo(
         sink.event(
             "watch.alert",
             &[
-                ("tenant", tenant.into()),
+                ("tenant", tenant.to_string().into()),
                 ("raised", tr.raised.into()),
                 ("fast_burn", tr.fast_burn.into()),
                 ("slow_burn", tr.slow_burn.into()),

@@ -356,16 +356,19 @@ impl StorageCluster {
             let pruned = self.n_nodes - candidates.len();
             self.telemetry
                 .incr("storage.cluster.nodes_pruned", pruned as u64);
-            self.telemetry.event(
-                "storage.partition_pruned",
-                &[
-                    ("table", name.into()),
-                    ("partitioning", meta.partitioning.kind().into()),
-                    ("candidates", candidates.len().into()),
-                    ("pruned", pruned.into()),
-                    ("total_nodes", self.n_nodes.into()),
-                ],
-            );
+            // Gated: the table name is the one field that allocates.
+            if self.telemetry.is_enabled() {
+                self.telemetry.event(
+                    "storage.partition_pruned",
+                    &[
+                        ("table", name.to_string().into()),
+                        ("partitioning", meta.partitioning.kind().into()),
+                        ("candidates", candidates.len().into()),
+                        ("pruned", pruned.into()),
+                        ("total_nodes", self.n_nodes.into()),
+                    ],
+                );
+            }
         }
         Ok(candidates)
     }
@@ -440,7 +443,7 @@ impl StorageCluster {
         &self,
         name: &str,
         node: NodeId,
-        kind: &str,
+        kind: &'static str,
         stats: &ScanStats,
         parent: &TraceContext,
     ) {
@@ -451,7 +454,7 @@ impl StorageCluster {
             return;
         }
         span.tag("node", node);
-        span.tag("table", name);
+        span.tag("table", name.to_string());
         span.tag("kind", kind);
         self.telemetry.incr("storage.node.scans", 1);
         self.telemetry
@@ -465,7 +468,7 @@ impl StorageCluster {
         self.telemetry.event(
             "storage.node.scanned",
             &[
-                ("table", name.into()),
+                ("table", name.to_string().into()),
                 ("node", node.into()),
                 ("kind", kind.into()),
                 ("blocks_read", stats.blocks_read.into()),

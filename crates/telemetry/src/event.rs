@@ -3,8 +3,10 @@
 //!
 //! The ring keeps the most recent events; per-name totals are kept
 //! separately so "did the agent ever fall back?" stays answerable after
-//! eviction.
+//! eviction. Names and field keys stay the caller's `&'static str`s
+//! until a snapshot turns the retained events into [`EventSnapshot`]s.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 
 use parking_lot::Mutex;
@@ -19,13 +21,17 @@ use crate::trace::TraceContext;
 pub const MAX_EVENTS: usize = 4096;
 
 /// A structured payload value attached to an event field.
+///
+/// A string built from a static label (`"exact".into()`) borrows it, so
+/// building the field allocates nothing whether or not the sink records;
+/// only a runtime string (`String`) is owned.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum FieldValue {
     U64(u64),
     I64(i64),
     F64(f64),
     Bool(bool),
-    Str(String),
+    Str(Cow<'static, str>),
 }
 
 impl From<u64> for FieldValue {
@@ -64,24 +70,51 @@ impl From<bool> for FieldValue {
     }
 }
 
-impl From<&str> for FieldValue {
-    fn from(v: &str) -> Self {
-        Self::Str(v.to_string())
+impl From<&'static str> for FieldValue {
+    fn from(v: &'static str) -> Self {
+        Self::Str(Cow::Borrowed(v))
     }
 }
 
 impl From<String> for FieldValue {
     fn from(v: String) -> Self {
-        Self::Str(v)
+        Self::Str(Cow::Owned(v))
+    }
+}
+
+/// One retained event, its names still the caller's literals.
+#[derive(Debug)]
+struct Event {
+    seq: u64,
+    query: Option<u64>,
+    ctx: TraceContext,
+    name: &'static str,
+    fields: Vec<(&'static str, FieldValue)>,
+}
+
+impl Event {
+    fn snapshot(&self) -> EventSnapshot {
+        EventSnapshot {
+            seq: self.seq,
+            query: self.query,
+            trace_id: self.ctx.trace_id,
+            span_id: self.ctx.span_id,
+            name: self.name.to_string(),
+            fields: self
+                .fields
+                .iter()
+                .map(|(k, v)| ((*k).to_string(), v.clone()))
+                .collect(),
+        }
     }
 }
 
 #[derive(Debug, Default)]
 struct EventState {
-    ring: VecDeque<EventSnapshot>,
+    ring: VecDeque<Event>,
     seq: u64,
     evicted: u64,
-    totals_by_name: HashMap<String, u64>,
+    totals_by_name: HashMap<&'static str, u64>,
 }
 
 /// Event backend owned by a [`crate::Recorder`].
@@ -96,30 +129,33 @@ impl EventLog {
     /// `telemetry.events_dropped` counter).
     pub(crate) fn push(
         &self,
-        name: &str,
+        name: &'static str,
         query: Option<u64>,
         ctx: TraceContext,
-        fields: &[(&str, FieldValue)],
+        fields: &[(&'static str, FieldValue)],
     ) -> bool {
         let mut state = self.state.lock();
         let seq = state.seq;
         state.seq += 1;
-        *state.totals_by_name.entry(name.to_string()).or_default() += 1;
-        let evicting = state.ring.len() == MAX_EVENTS;
-        if evicting {
-            state.ring.pop_front();
+        *state.totals_by_name.entry(name).or_default() += 1;
+        // A full ring hands the evicted event's field buffer to the new
+        // one.
+        let evicted = if state.ring.len() == MAX_EVENTS {
             state.evicted += 1;
-        }
-        state.ring.push_back(EventSnapshot {
+            state.ring.pop_front()
+        } else {
+            None
+        };
+        let evicting = evicted.is_some();
+        let mut buf = evicted.map(|e| e.fields).unwrap_or_default();
+        buf.clear();
+        buf.extend_from_slice(fields);
+        state.ring.push_back(Event {
             seq,
             query,
-            trace_id: ctx.trace_id,
-            span_id: ctx.span_id,
-            name: name.to_string(),
-            fields: fields
-                .iter()
-                .map(|(k, v)| ((*k).to_string(), v.clone()))
-                .collect(),
+            ctx,
+            name,
+            fields: buf,
         });
         evicting
     }
@@ -129,11 +165,11 @@ impl EventLog {
         let mut totals: Vec<(String, u64)> = state
             .totals_by_name
             .iter()
-            .map(|(k, v)| (k.clone(), *v))
+            .map(|(k, v)| ((*k).to_string(), *v))
             .collect();
         totals.sort_by(|a, b| a.0.cmp(&b.0));
         EventLogSnapshot {
-            events: state.ring.iter().cloned().collect(),
+            events: state.ring.iter().map(Event::snapshot).collect(),
             evicted: state.evicted,
             totals_by_name: totals,
         }

@@ -147,7 +147,7 @@ impl TelemetrySink {
     /// One-shot counter increment.
     pub fn incr(&self, name: &str, by: u64) {
         if let Some(r) = self.recorder() {
-            r.metrics.counter(name).fetch_add(by, Ordering::Relaxed);
+            r.metrics.add(name, by);
         }
     }
 
@@ -184,7 +184,7 @@ impl TelemetrySink {
     /// a root span's trace id derives deterministically from the query
     /// set by [`Self::begin_query`].
     #[must_use]
-    pub fn span(&self, name: &str) -> SpanGuard {
+    pub fn span(&self, name: &'static str) -> SpanGuard {
         self.span_child_of(&TraceContext::NONE, name)
     }
 
@@ -194,7 +194,7 @@ impl TelemetrySink {
     /// to attribute it. With an inactive `parent` this behaves exactly
     /// like [`Self::span`].
     #[must_use]
-    pub fn span_child_of(&self, parent: &TraceContext, name: &str) -> SpanGuard {
+    pub fn span_child_of(&self, parent: &TraceContext, name: &'static str) -> SpanGuard {
         match self.recorder() {
             Some(r) => r.spans.enter(Arc::clone(r), name, *parent, r.query()),
             None => SpanGuard::noop(),
@@ -204,13 +204,11 @@ impl TelemetrySink {
     /// Appends a structured event to the bounded per-query log, stamped
     /// with the innermost open span's trace context. Ring overflow bumps
     /// [`EVENTS_DROPPED_COUNTER`].
-    pub fn event(&self, name: &str, fields: &[(&str, FieldValue)]) {
+    pub fn event(&self, name: &'static str, fields: &[(&'static str, FieldValue)]) {
         if let Some(r) = self.recorder() {
             let ctx = r.spans.current_ctx();
             if r.events.push(name, r.query(), ctx, fields) {
-                r.metrics
-                    .counter(EVENTS_DROPPED_COUNTER)
-                    .fetch_add(1, Ordering::Relaxed);
+                r.metrics.add(EVENTS_DROPPED_COUNTER, 1);
             }
             let tap = r.tap.read().clone();
             if let Some(tap) = tap {

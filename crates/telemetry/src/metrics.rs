@@ -70,6 +70,21 @@ struct HistogramCell {
     max: f64,
 }
 
+impl HistogramCell {
+    fn record(&mut self, value: f64) {
+        if self.counts.is_empty() {
+            self.counts = vec![0; DEFAULT_BUCKET_BOUNDS.len() + 1];
+            self.min = f64::INFINITY;
+            self.max = f64::NEG_INFINITY;
+        }
+        self.counts[bucket_index(value)] += 1;
+        self.count += 1;
+        self.sum += value;
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+    }
+}
+
 /// Shared registry behind a recording sink.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
@@ -84,6 +99,20 @@ impl MetricsRegistry {
             return Arc::clone(cell);
         }
         Arc::clone(self.counters.write().entry(name.to_string()).or_default())
+    }
+
+    /// Adds `by` to a counter, registering it on first use. A registered
+    /// counter is bumped under the read lock, without taking a handle.
+    pub(crate) fn add(&self, name: &str, by: u64) {
+        if let Some(cell) = self.counters.read().get(name) {
+            cell.fetch_add(by, Ordering::Relaxed);
+            return;
+        }
+        self.counters
+            .write()
+            .entry(name.to_string())
+            .or_default()
+            .fetch_add(by, Ordering::Relaxed);
     }
 
     /// Reads a counter's current value *without* registering it: a name
@@ -109,22 +138,18 @@ impl MetricsRegistry {
     }
 
     pub(crate) fn observe(&self, name: &str, value: f64) {
-        let existing = self.histograms.read().get(name).map(Arc::clone);
-        let cell = match existing {
-            Some(cell) => cell,
-            None => Arc::clone(self.histograms.write().entry(name.to_string()).or_default()),
-        };
-        let mut h = cell.lock();
-        if h.counts.is_empty() {
-            h.counts = vec![0; DEFAULT_BUCKET_BOUNDS.len() + 1];
-            h.min = f64::INFINITY;
-            h.max = f64::NEG_INFINITY;
+        if let Some(cell) = self.histograms.read().get(name) {
+            cell.lock().record(value);
+            return;
         }
-        h.counts[bucket_index(value)] += 1;
-        h.count += 1;
-        h.sum += value;
-        h.min = h.min.min(value);
-        h.max = h.max.max(value);
+        // Another thread may have registered it since the read: `entry`
+        // keeps the first cell either way.
+        self.histograms
+            .write()
+            .entry(name.to_string())
+            .or_default()
+            .lock()
+            .record(value);
     }
 
     pub(crate) fn counter_snapshots(&self) -> Vec<CounterSnapshot> {

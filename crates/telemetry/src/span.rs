@@ -22,7 +22,8 @@
 //! free-form tags for per-hop attribution (which storage node, which
 //! branch the agent took). Completed root trees are kept up to a bound;
 //! beyond it only a drop counter grows, keeping memory flat over long
-//! runs.
+//! runs. Span names and tag keys stay the caller's `&'static str`s
+//! until a snapshot turns the kept trees into [`SpanNode`]s.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -42,32 +43,58 @@ const MAX_ROOT_SPANS: usize = 128;
 /// query (keeps them disjoint from real query trace ids).
 const ORPHAN_TRACE_SALT: u64 = 0x5ea0_7e1e_0000_0000;
 
+/// A span as the recorder keeps it, open on a thread's stack or
+/// completed in its parent or the root forest; [`Span::snapshot`] makes
+/// the [`SpanNode`] a reader sees.
 #[derive(Debug)]
-struct OpenSpan {
-    name: String,
+struct Span {
+    name: &'static str,
     started: Instant,
+    /// Set when the span closes.
+    wall_us: f64,
     sim_us: f64,
     trace_id: u64,
     span_id: u64,
     parent_span_id: u64,
-    tags: Vec<(String, FieldValue)>,
-    children: Vec<SpanNode>,
+    tags: Vec<(&'static str, FieldValue)>,
+    children: Vec<Span>,
 }
 
-/// The ambient open-span stack of one OS thread. Stacks are keyed by a
-/// process-unique thread id (not reused, unlike OS thread ids), created
-/// on a thread's first span and removed once its stack drains, so
-/// short-lived pool threads never accumulate state.
+impl Span {
+    fn snapshot(&self) -> SpanNode {
+        SpanNode {
+            name: self.name.to_string(),
+            trace_id: self.trace_id,
+            span_id: self.span_id,
+            parent_span_id: self.parent_span_id,
+            wall_us: self.wall_us,
+            sim_us: self.sim_us,
+            tags: self
+                .tags
+                .iter()
+                .map(|(k, v)| ((*k).to_string(), v.clone()))
+                .collect(),
+            children: self.children.iter().map(Span::snapshot).collect(),
+        }
+    }
+}
+
+/// The ambient open-span stack of one OS thread, keyed by a
+/// process-unique thread id (not reused, unlike OS thread ids). A
+/// drained stack stays in place and goes to the next thread that opens
+/// a span without one, so there are never more stacks than threads that
+/// once had spans open at the same time (short-lived pool threads do not
+/// accumulate state), and opening a root span allocates no stack.
 #[derive(Debug)]
 struct ThreadStack {
     tid: u64,
-    open: Vec<OpenSpan>,
+    open: Vec<Span>,
 }
 
 #[derive(Debug, Default)]
 struct SpanState {
     stacks: Vec<ThreadStack>,
-    roots: Vec<SpanNode>,
+    roots: Vec<Span>,
     dropped_roots: u64,
 }
 
@@ -105,15 +132,19 @@ impl SpanRecorder {
     pub(crate) fn enter(
         &self,
         recorder: Arc<Recorder>,
-        name: &str,
+        name: &'static str,
         parent: TraceContext,
         query: Option<u64>,
     ) -> SpanGuard {
         let span_id = self.next_span_id.fetch_add(1, Ordering::Relaxed);
         let tid = current_thread_id();
         let mut state = self.state.lock();
-        let k = match state.stacks.iter().position(|st| st.tid == tid) {
-            Some(k) => k,
+        let own = state.stacks.iter().position(|st| st.tid == tid);
+        let k = match own.or_else(|| state.stacks.iter().position(|st| st.open.is_empty())) {
+            Some(k) => {
+                state.stacks[k].tid = tid;
+                k
+            }
             None => {
                 state.stacks.push(ThreadStack {
                     tid,
@@ -133,9 +164,10 @@ impl SpanRecorder {
                 },
             }
         };
-        state.stacks[k].open.push(OpenSpan {
-            name: name.to_string(),
+        state.stacks[k].open.push(Span {
+            name,
             started: Instant::now(),
+            wall_us: 0.0,
             sim_us: 0.0,
             trace_id,
             span_id,
@@ -149,7 +181,7 @@ impl SpanRecorder {
         }
     }
 
-    fn find_open_mut(state: &mut SpanState, span_id: u64) -> Option<&mut OpenSpan> {
+    fn find_open_mut(state: &mut SpanState, span_id: u64) -> Option<&mut Span> {
         state
             .stacks
             .iter_mut()
@@ -164,10 +196,10 @@ impl SpanRecorder {
         }
     }
 
-    fn add_tag(&self, span_id: u64, key: &str, value: FieldValue) {
+    fn add_tag(&self, span_id: u64, key: &'static str, value: FieldValue) {
         let mut state = self.state.lock();
         if let Some(span) = Self::find_open_mut(&mut state, span_id) {
-            span.tags.push((key.to_string(), value));
+            span.tags.push((key, value));
         }
     }
 
@@ -218,21 +250,12 @@ impl SpanRecorder {
             return;
         };
         loop {
-            let open = state.stacks[k]
+            let mut node = state.stacks[k]
                 .open
                 .pop()
                 .expect("span present by check above");
-            let done = open.span_id == span_id;
-            let node = SpanNode {
-                name: open.name,
-                trace_id: open.trace_id,
-                span_id: open.span_id,
-                parent_span_id: open.parent_span_id,
-                wall_us: open.started.elapsed().as_secs_f64() * 1e6,
-                sim_us: open.sim_us,
-                tags: open.tags,
-                children: open.children,
-            };
+            let done = node.span_id == span_id;
+            node.wall_us = node.started.elapsed().as_secs_f64() * 1e6;
             let declared = state.stacks.iter().enumerate().find_map(|(j, st)| {
                 st.open
                     .iter()
@@ -256,15 +279,12 @@ impl SpanRecorder {
                 break;
             }
         }
-        if state.stacks[k].open.is_empty() {
-            state.stacks.remove(k);
-        }
     }
 
     pub(crate) fn snapshot(&self) -> SpanForestSnapshot {
         let state = self.state.lock();
         SpanForestSnapshot {
-            roots: state.roots.clone(),
+            roots: state.roots.iter().map(Span::snapshot).collect(),
             open_spans: state.stacks.iter().map(|st| st.open.len() as u64).sum(),
             dropped_roots: state.dropped_roots,
         }
@@ -317,7 +337,7 @@ impl SpanGuard {
 
     /// Attaches a key/value tag (node id, branch taken, …) to this
     /// span.
-    pub fn tag(&self, key: &str, value: impl Into<FieldValue>) {
+    pub fn tag(&self, key: &'static str, value: impl Into<FieldValue>) {
         if let Some(r) = &self.recorder {
             r.spans.add_tag(self.ctx.span_id, key, value.into());
         }

@@ -54,7 +54,7 @@ fn synthetic_snapshot() -> TelemetrySnapshot {
         wall_us: 100.0,
         sim_us: 5.0,
         tags: vec![
-            ("branch".to_string(), FieldValue::Str("exact".to_string())),
+            ("branch".to_string(), FieldValue::Str("exact".into())),
             ("cached".to_string(), FieldValue::Bool(false)),
         ],
         children: vec![scan, gather],

@@ -3,9 +3,10 @@
 //! hot paths costs nothing when telemetry is off.
 //!
 //! Verified with a counting global allocator: the delta across a tight
-//! loop of sink calls must be exactly zero. (String-bearing callers are
-//! expected to gate `FieldValue::Str` construction behind
-//! `is_enabled()`; this test exercises the non-allocating field types.)
+//! loop of sink calls must be exactly zero. That includes string fields
+//! and tags built from static labels (`"exact".into()`): they borrow
+//! the label, so the caller's argument list allocates nothing before
+//! the sink decides not to record it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,7 +54,9 @@ fn noop_sink_allocates_nothing() {
         let span = sink.span_child_of(&parent, "query.executor.node");
         span.record_sim_us(1.0);
         span.tag("node", i);
+        span.tag("branch", "predicted");
         sink.event("agent.predicted", &[("est_error", 0.01.into())]);
+        sink.event("cache.hit", &[("class", "exact".into())]);
         let counter = sink.counter("geo.wan_bytes");
         counter.add(i);
         drop(span);

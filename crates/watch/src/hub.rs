@@ -219,10 +219,14 @@ impl TelemetryTap for WatchHub {
         let mut st = self.state.lock();
         let now = st.now_us;
         let cfg = self.cfg;
-        let s = st.series.entry(name.to_string()).or_insert_with(|| Series {
-            tumbling: TumblingSeries::new(cfg.window_us),
-            sliding: SlidingWindow::new(cfg.sliding_us),
-        });
+        // Looked up before inserting: only a new series' name allocates.
+        let s = match st.series.get_mut(name) {
+            Some(s) => s,
+            None => st.series.entry(name.to_string()).or_insert_with(|| Series {
+                tumbling: TumblingSeries::new(cfg.window_us),
+                sliding: SlidingWindow::new(cfg.sliding_us),
+            }),
+        };
         s.tumbling.record(now, value);
         s.sliding.record(now, value);
     }
@@ -254,7 +258,7 @@ impl TelemetryTap for WatchHub {
                         SUSPECT_EVENT,
                         &[
                             ("node", FieldValue::U64(s.node)),
-                            ("kind", FieldValue::Str(s.kind.label().to_string())),
+                            ("kind", s.kind.label().into()),
                             ("score", FieldValue::F64(s.score)),
                             ("sim_time_us", FieldValue::F64(s.first_flagged_us)),
                         ],

@@ -57,6 +57,7 @@
 //! }
 //! ```
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 pub use serde_derive::{Deserialize, Serialize};
@@ -220,6 +221,13 @@ impl Deserialize for f64 {
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
+    }
+}
+
+/// Written as the string it holds, borrowed or owned alike.
+impl Serialize for Cow<'_, str> {
+    fn to_value(&self) -> Value {
+        Value::Str(self.to_string())
     }
 }
 
