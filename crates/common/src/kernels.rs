@@ -7,7 +7,12 @@
 //!
 //! * Predicate evaluation is a branchless compare loop over a contiguous
 //!   slice — the shape the compiler autovectorizes — instead of a
-//!   pointer-chasing walk over row structs.
+//!   pointer-chasing walk over row structs. The range predicate, which
+//!   every exact scan runs over every admitted row, has a second
+//!   instantiation compiled for AVX2 and picked at run time when the CPU
+//!   has it (the crate's one `unsafe` expression, see
+//!   `SelectionMask::retain_range`); the mask it produces is the same
+//!   set of exact comparisons either way.
 //! * The aggregate folds that follow are *serial* replays of the exact
 //!   row-order arithmetic (`sum += v`, Welford updates, `min.min(v)`),
 //!   so every answer stays bit-identical to a row-at-a-time scan. The
@@ -21,8 +26,12 @@ use crate::BivariateStats;
 /// into four packed compares back to back per group on baseline x86-64
 /// (`cmplepd`/`andpd` pairs for a range; one row per trip compiles to a
 /// single two-lane pair per trip with the bit insertion in between).
-/// There is no `movmskpd` either way: the bits are packed with shifts
-/// and ors. The ragged remainder takes the scalar loop.
+/// There is no `movmskpd` either way, nor under AVX2: the bits are
+/// packed with shifts and ors. A whole `[f64; 64]` word at a time is
+/// slower than this on baseline x86-64 and faster under AVX2 (DESIGN.md, "Why the range
+/// predicate has two bodies"), which is why [`retain_range_avx2`] walks
+/// words and this helper groups of eight. The ragged remainder takes
+/// the scalar loop.
 #[inline]
 fn pack_word(chunk: &[f64], pred: impl Fn(f64) -> bool) -> u64 {
     let mut bits = 0u64;
@@ -40,6 +49,37 @@ fn pack_word(chunk: &[f64], pred: impl Fn(f64) -> bool) -> u64 {
         bits |= u64::from(pred(v)) << (done + j);
     }
     bits
+}
+
+/// [`SelectionMask::retain_range`] on any CPU: each non-empty word of
+/// `words` keeps the rows of its 64-row chunk of `col` that lie in
+/// `[lo, hi]`, packed in groups of eight ([`pack_word`]).
+fn retain_range_portable(words: &mut [u64], col: &[f64], lo: f64, hi: f64) {
+    for (w, chunk) in words.iter_mut().zip(col.chunks(64)) {
+        if *w != 0 {
+            *w &= pack_word(chunk, |v| (lo <= v) & (v <= hi));
+        }
+    }
+}
+
+/// [`retain_range_portable`] compiled for AVX2, for CPUs that have it:
+/// each full 64-row chunk of `col` is one `[f64; 64]`, which LLVM turns
+/// into four-lane `vcmplepd`s with the bits shifted into place four
+/// lanes at a time; a ragged last chunk goes through [`pack_word`]. The comparisons, and so the bits,
+/// are those of the portable body.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn retain_range_avx2(words: &mut [u64], col: &[f64], lo: f64, hi: f64) {
+    for (w, chunk) in words.iter_mut().zip(col.chunks(64)) {
+        if *w != 0 {
+            *w &= match <&[f64; 64]>::try_from(chunk) {
+                Ok(rows) => (rows.iter().enumerate()).fold(0, |bits, (j, &v)| {
+                    bits | u64::from((lo <= v) & (v <= hi)) << j
+                }),
+                Err(_) => pack_word(chunk, |v| (lo <= v) & (v <= hi)),
+            };
+        }
+    }
 }
 
 /// A fixed-length bitmap over the rows of a block: bit `i` set means row
@@ -122,13 +162,22 @@ impl SelectionMask {
 
     /// Keeps only rows whose `col` value lies in `[lo, hi]` (inclusive).
     /// NaN values never satisfy the predicate, so missing data drops out
-    /// of the selection for free. Words already empty are skipped.
+    /// of the selection for free. Words already empty are skipped. Runs
+    /// [`retain_range_avx2`] when the CPU has AVX2 and
+    /// [`retain_range_portable`] otherwise; both clear exactly the same
+    /// bits.
     fn retain_range(&mut self, col: &[f64], lo: f64, hi: f64) {
-        for (w, chunk) in self.words.iter_mut().zip(col.chunks(64)) {
-            if *w != 0 {
-                *w &= pack_word(chunk, |v| (lo <= v) & (v <= hi));
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the only precondition of a `target_feature` function
+            // is that the CPU has the feature, checked on the line above.
+            #[allow(unsafe_code)]
+            unsafe {
+                retain_range_avx2(&mut self.words, col, lo, hi);
             }
+            return;
         }
+        retain_range_portable(&mut self.words, col, lo, hi);
     }
 
     /// Intersects with another mask of the same length.
@@ -308,6 +357,90 @@ mod tests {
         let mut m = SelectionMask::all(5);
         m.retain_range(&col, 2.0, 9.0);
         assert_eq!(m.to_indices(), vec![1, 3]);
+    }
+
+    /// Both bodies of the range predicate — [`retain_range_portable`]
+    /// called directly, and [`SelectionMask::retain_range`], which is the
+    /// AVX2 body on a CPU that has AVX2 — keep exactly the rows the scalar
+    /// filter keeps, and only among rows still selected.
+    #[test]
+    fn every_range_predicate_body_equals_the_scalar_filter() {
+        let tiny = f64::from_bits(1);
+        let values = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            tiny,
+            -tiny,
+            f64::MIN_POSITIVE / 2.0,
+            -f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            -1.0,
+            2.5,
+            f64::MAX,
+            f64::MIN,
+        ];
+        let bounds = [
+            (-0.0, 0.0),
+            (0.0, -0.0),
+            (-tiny, tiny),
+            (1.0, 1.0),
+            (2.5, -1.0),
+            (-1.0, 2.5),
+            (f64::NEG_INFINITY, f64::INFINITY),
+            (f64::MIN_POSITIVE / 2.0, f64::MAX),
+        ];
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+        let avx2 = false;
+        if !avx2 {
+            println!("no AVX2 on this CPU: the dispatched body is the portable one");
+        }
+        let mut state = 7u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            state >> 11
+        };
+        for len in [0, 1, 63, 64, 65, 511, 512, 513] {
+            let col: Vec<f64> = (0..len)
+                .map(|_| values[next() as usize % values.len()])
+                .collect();
+            for &(lo, hi) in &bounds {
+                // All set; every third word cleared; arbitrary earlier bits.
+                for start in 0..3 {
+                    let mut before = SelectionMask::all(len);
+                    for (i, w) in before.words.iter_mut().enumerate() {
+                        match start {
+                            1 if i % 3 == 1 => *w = 0,
+                            2 => *w &= next() | next() << 53,
+                            _ => {}
+                        }
+                    }
+                    let mut want = before.clone();
+                    for (i, &v) in col.iter().enumerate() {
+                        if !(lo <= v && v <= hi) {
+                            want.words[i / 64] &= !(1 << (i % 64));
+                        }
+                    }
+                    let mut portable = before.clone();
+                    retain_range_portable(&mut portable.words, &col, lo, hi);
+                    assert_eq!(portable, want, "portable, len {len}, [{lo:?}, {hi:?}]");
+                    let mut dispatched = before;
+                    dispatched.retain_range(&col, lo, hi);
+                    assert_eq!(
+                        dispatched, want,
+                        "dispatched (AVX2: {avx2}), len {len}, [{lo:?}, {hi:?}]"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

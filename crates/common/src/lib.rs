@@ -14,7 +14,7 @@
 //! approximate baselines, and the data-less SEA agent — answers exactly the
 //! same queries.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aggregate;

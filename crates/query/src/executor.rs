@@ -657,15 +657,18 @@ impl<'a> Executor<'a> {
     /// node otherwise), and each engaged node is opened in node order
     /// ([`Executor::open_node`]). Every node is opened before the first
     /// error in node order is returned, because later queries' fault
-    /// decisions depend on those counters; a dimension mismatch is
-    /// rejected before any gate is consumed.
+    /// decisions depend on those counters; a region of the wrong
+    /// dimension is rejected, in either regime, before the cache is
+    /// probed or any gate is consumed.
     fn open_query(
         &self,
         table: &str,
         query: &AnalyticalQuery,
         regime: &Regime,
     ) -> Result<Step<'a>> {
-        query.aggregate.validate(self.cluster.dims(table)?)?;
+        let dims = self.cluster.dims(table)?;
+        query.aggregate.validate(dims)?;
+        SeaError::check_dims(dims, query.region.dims())?;
         if self.cache_consult {
             if let Some(hit) = self.cache_lookup(query) {
                 return hit.map(Step::Hit);
@@ -1003,17 +1006,22 @@ fn keeps_gathered(query: &AnalyticalQuery, bbox: Option<&Rect>, rect: Option<&Re
 /// Target morsel size in records (a whole number of full blocks, at
 /// least one): the intra-node work unit the pool steals. A fixed
 /// constant independent of thread count, so the morsel decomposition —
-/// and everything downstream — never depends on the host's parallelism
-/// (whether larger morsels are faster is ROADMAP item 4's claim).
-const MORSEL_RECORDS: usize = 4096;
+/// and everything downstream — never depends on the host's parallelism.
+/// 16 384 from a sweep of 4 096 … 131 072 with the AVX2 range predicate
+/// in (ROADMAP item 3): scan_cold's median statements/s rose to 16 384
+/// and held beyond it, while drift_churn, whose range-partitioned table
+/// prunes to fewer blocks a node, read best at 16 384 and ~5 % lower
+/// from 32 768 on, where its nodes fall to one or two morsels.
+const MORSEL_RECORDS: usize = 16_384;
 
 /// Gathered rows below which a statement's per-node folds run inline: a
 /// sleeping helper is 50–125 µs from its first item ([`ExecPool::run`],
 /// reference host), and folding this many rows lasts 70–460 µs at
 /// 1–7 ns each (seabench's `common.fold_*_dense_mrec_s`), so a smaller
 /// fold — a cache fragment's column copy included — is over before the
-/// helper arrives. The sweep that set it is in ROADMAP item 4.
-const FOLD_FANOUT_ROWS: usize = 16 * MORSEL_RECORDS;
+/// helper arrives. Set by its own sweep (ROADMAP item 3), not derived
+/// from [`MORSEL_RECORDS`].
+const FOLD_FANOUT_ROWS: usize = 65_536;
 
 /// Fewest rows a gathered column reserves room for at its first block:
 /// one more `f64` than glibc's per-thread cache serves (1 032 bytes), so
@@ -1849,6 +1857,45 @@ mod tests {
         assert_eq!(out.answer, AnswerValue::Scalar(0.0));
         assert_eq!(out.cost.answered_fraction, 0.0);
         assert_eq!(out.cost.nodes_unavailable, 4);
+    }
+
+    #[test]
+    fn a_wrong_dimensional_region_is_rejected_before_any_gate() {
+        use sea_storage::FaultPlan;
+        // `t` is 3-D and unreplicated, and every node's primary crashes
+        // at its second operation: a statement that consumed a gate
+        // would leave the next healthy one a crashed partition.
+        let wrong = [
+            Region::Range(Rect::new(vec![0.0; 2], vec![100.0; 2]).unwrap()),
+            Region::Range(Rect::new(vec![0.0; 4], vec![100.0; 4]).unwrap()),
+            Region::Radius(Ball::new(Point::new(vec![50.0]), 8.0).unwrap()),
+            Region::Radius(Ball::new(Point::new(vec![50.0; 4]), 8.0).unwrap()),
+        ];
+        let healthy = count_query(vec![0.0; 3], vec![100.0, 20.0, 6.0]);
+        for region in wrong {
+            let q = AnalyticalQuery::new(region, AggregateKind::Count);
+            let mut c = cluster();
+            c.set_fault_plan((0..4).fold(FaultPlan::new(1), |p, n| p.with_crash(n, 1)));
+            let exec = Executor::new(&c);
+            let lone = [exec.execute_bdas("t", &q), exec.execute_direct("t", &q)];
+            let batches = [
+                exec.execute_batch_bdas("t", std::slice::from_ref(&q)),
+                exec.execute_batch("t", std::slice::from_ref(&q)),
+            ];
+            for out in lone.into_iter().chain(batches.into_iter().flatten()) {
+                assert!(
+                    matches!(out, Err(SeaError::DimensionMismatch { expected: 3, .. })),
+                    "{:?}: {out:?}",
+                    q.region
+                );
+            }
+            let next = exec.execute_bdas("t", &healthy).unwrap();
+            assert_eq!(
+                next.answer,
+                oracle(&c, "t", &healthy),
+                "no gate was consumed"
+            );
+        }
     }
 
     #[test]

@@ -31,6 +31,8 @@
 //! cost model, so the whole stack — admission, accounting, analytics —
 //! is deterministic at any `SEA_EXEC_THREADS` setting.
 
+#![forbid(unsafe_code)]
+
 mod ledger;
 mod service;
 mod stats;

@@ -39,6 +39,8 @@
 //! assert_eq!(snap.events.events[0].name, "storage.partition_pruned");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod event;
 pub mod export;
 pub mod metrics;

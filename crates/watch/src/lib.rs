@@ -27,6 +27,8 @@
 //! events feed the detector, and fresh suspicions are re-emitted as
 //! `node.suspect` events (filtered on re-entry, so no cycles).
 
+#![forbid(unsafe_code)]
+
 pub mod anomaly;
 pub mod hub;
 pub mod slo;

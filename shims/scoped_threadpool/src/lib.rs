@@ -17,8 +17,8 @@
 //!   ends (the real crate panics there too, with its own message).
 //!
 //! This is the one place in the workspace that erases a lifetime — as
-//! `std::thread::scope` does inside std — so that every crate under
-//! `crates/` can keep `#![forbid(unsafe_code)]`.
+//! `std::thread::scope` does inside std — so that no crate under
+//! `crates/` needs an `unsafe` for its thread pool.
 
 use std::any::Any;
 use std::cell::Cell;
