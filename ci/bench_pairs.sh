@@ -10,6 +10,15 @@
 # how many pairs the change read better (a tie counts for neither side).
 #
 #   ci/bench_pairs.sh PARENT_BIN CHANGE_BIN --workload W --seed S [--pairs 10]
+#       [--record FILE --label TEXT]
+#
+# `--record FILE` also appends the table to FILE, a JSON array (created
+# when missing; BENCH_trajectory.json at the repo root is the project's),
+# as one object: the label naming the two builds compared (required with
+# `--record`, e.g. `909df55 -> 3c1e2aa`), workload, seed,
+# pairs, UTC date, both load averages, and per end-to-end metric its
+# direction, both sides' median, q1 and q3, and the pairs the change led
+# and tied.
 #
 # Exits 1 if any run reports `failed` > 0, 2 on a usage error. The host's
 # load average is printed before and after: a pair run beside a busy
@@ -17,7 +26,7 @@
 set -euo pipefail
 
 usage() {
-    echo "usage: ci/bench_pairs.sh PARENT_BIN CHANGE_BIN --workload W --seed S [--pairs 10]" >&2
+    echo "usage: ci/bench_pairs.sh PARENT_BIN CHANGE_BIN --workload W --seed S [--pairs 10] [--record FILE --label TEXT]" >&2
     exit 2
 }
 
@@ -28,20 +37,27 @@ shift 2
 workload=
 seed=
 pairs=10
+record=
+label=
 while [ $# -gt 0 ]; do
     [ $# -ge 2 ] || usage
     case $1 in
     --workload) workload=$2 ;;
     --seed) seed=$2 ;;
     --pairs) pairs=$2 ;;
+    --record) record=$2 ;;
+    --label) label=$2 ;;
     *) usage ;;
     esac
     shift 2
 done
 [ -n "$workload" ] && [ -n "$seed" ] || usage
 [ -x "$parent" ] && [ -x "$change" ] || usage
+# A label names the two builds; only a recorded run has one.
+[ -z "$record$label" ] || { [ -n "$record" ] && [ -n "$label" ]; } || usage
 
-spec="$(cd "$(dirname "$0")/.." && pwd)/BENCHMARK.json"
+root="$(cd "$(dirname "$0")/.." && pwd)"
+spec="$root/BENCHMARK.json"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
@@ -64,6 +80,7 @@ run() {
 load() { cut -d' ' -f1-3 /proc/loadavg 2>/dev/null || echo "unknown"; }
 
 load_before=$(load)
+date=$(date -u +%Y-%m-%dT%H:%M:%SZ)
 for pair in $(seq 1 "$pairs"); do
     if [ $((pair % 2)) -eq 1 ]; then
         run parent "$parent" "$pair"
@@ -73,7 +90,8 @@ for pair in $(seq 1 "$pairs"); do
         run parent "$parent" "$pair"
     fi
 done
-echo "$workload seed $seed: $pairs alternating pairs, load average $load_before before, $(load) after"
+load_after=$(load)
+echo "$workload seed $seed: $pairs alternating pairs, load average $load_before before, $load_after after"
 
 # Metric names and directions from BENCHMARK.json's `end_to_end` array
 # (pretty-printed, one key per line), then the table.
@@ -91,6 +109,7 @@ awk '
     }
     # Median [q1, q3] and the interquartile range over the median of one
     # side of one metric.
+    # `json` gets the same three numbers as a JSON object.
     function summary(side, m,    n, i, j, t, v, med, q1, q3) {
         n = 0
         for (i = 1; i <= pairs; i++) if ((i, side, m) in val) v[++n] = val[i, side, m]
@@ -100,6 +119,7 @@ awk '
             v[j + 1] = t
         }
         med = quantile(v, n, 0.5); q1 = quantile(v, n, 0.25); q3 = quantile(v, n, 0.75)
+        json = sprintf("{\"median\": %.6g, \"q1\": %.6g, \"q3\": %.6g}", med, q1, q3)
         return sprintf("%.6g [%.6g, %.6g] %.1f%%", med, q1, q3, med == 0 ? 0 : 100 * (q3 - q1) / med)
     }
     $1 == "direction" { order[++metrics] = $2; better[$2] = $3; next }
@@ -114,8 +134,28 @@ awk '
                 if (c == p) ties++
                 else if ((better[m] == "higher") == (c > p)) ahead++
             }
-            printf "%-16s | %-40s | %-40s | %d of %d (%d tied)\n", m, summary("parent", m), summary("change", m), ahead, pairs, ties
+            p = summary("parent", m); pj = json
+            c = summary("change", m); cj = json
+            printf "%-16s | %-40s | %-40s | %d of %d (%d tied)\n", m, p, c, ahead, pairs, ties
+            if (out != "") {
+                printf("%s\"%s\": {\"better\": \"%s\", \"parent\": %s, \"change\": %s, \"change_ahead\": %d, \"tied\": %d}", \
+                    k > 1 ? ",\n    " : "", m, better[m], pj, cj, ahead, ties) > out
+            }
         }
     }
-'
+' out="${record:+$tmp/metrics}"
+
+# The object, appended to the array in $record: its closing bracket
+# goes, the last element gains a comma, and the new one closes it again.
+if [ -n "$record" ]; then
+    entry=$(printf '  {"label": "%s", "workload": "%s", "seed": %s, "pairs": %s, "date": "%s",\n   "load_before": "%s", "load_after": "%s",\n   "metrics": {\n    %s\n  }}' \
+        "$label" "$workload" "$seed" "$pairs" "$date" "$load_before" "$load_after" "$(cat "$tmp/metrics")")
+    if [ -s "$record" ]; then
+        sed '$d' "$record" | sed '$s/$/,/' >"$tmp/record"
+        printf '%s\n]\n' "$entry" >>"$tmp/record"
+        cp "$tmp/record" "$record"
+    else
+        printf '[\n%s\n]\n' "$entry" >"$record"
+    fi
+fi
 exit "$failed"

@@ -31,11 +31,15 @@ pub fn observe_query_us(sink: &TelemetrySink, wall_us: f64) {
 /// A uniform 2-D cluster over `[0, 100]²` with `n` records on `nodes`
 /// nodes (hash partitioning, 512-record blocks).
 pub fn uniform_cluster(n: usize, nodes: usize, seed: u64) -> Result<StorageCluster> {
-    let domain = Rect::new(vec![0.0, 0.0], vec![100.0, 100.0])?;
-    let gen = DataGenerator::new(DataSpec::Uniform { domain }, seed);
     let mut cluster = StorageCluster::new(nodes, 512);
-    cluster.load_table("t", gen.generate(n)?, Partitioning::Hash)?;
+    cluster.load_table("t", uniform_records(n, seed)?, Partitioning::Hash)?;
     Ok(cluster)
+}
+
+/// The `n` records of [`uniform_cluster`]'s table `t` for `seed`.
+pub fn uniform_records(n: usize, seed: u64) -> Result<Vec<Record>> {
+    let domain = Rect::new(vec![0.0, 0.0], vec![100.0, 100.0])?;
+    DataGenerator::new(DataSpec::Uniform { domain }, seed).generate(n)
 }
 
 /// A 3-D linearly-correlated cluster: attr1 = 2·attr0 + 5 + N(0, noise),

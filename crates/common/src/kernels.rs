@@ -1,9 +1,12 @@
 //! Vectorizable scan kernels over columnar data.
 //!
-//! The storage layer stores blocks column-major (one `Vec<f64>` per
-//! attribute); query engines evaluate predicates as **selection bitmaps**
-//! over those columns and only then touch the selected values. The split
-//! matters twice over:
+//! The storage layer keeps a node's rows column-major, one contiguous
+//! array per attribute that each block is a row range of; query engines
+//! evaluate predicates as **selection bitmaps** over those columns and
+//! only then touch the selected values. The kernels take any list of
+//! columns that reads as `&[f64]` (a block's ranges of its node's
+//! columns, or columns gathered into `Vec`s). The split matters twice
+//! over:
 //!
 //! * Predicate evaluation is a branchless compare loop over a contiguous
 //!   slice — the shape the compiler autovectorizes — instead of a
@@ -12,7 +15,9 @@
 //!   instantiation compiled for AVX2 and picked at run time when the CPU
 //!   has it (the crate's one `unsafe` expression, see
 //!   `SelectionMask::retain_range`); the mask it produces is the same
-//!   set of exact comparisons either way.
+//!   set of exact comparisons either way. That body also prefetches the
+//!   next admitted block's column while it masks the current one, so the
+//!   first pass over a block does not wait on memory at every page.
 //! * The aggregate folds that follow are *serial* replays of the exact
 //!   row-order arithmetic (`sum += v`, Welford updates, `min.min(v)`),
 //!   so every answer stays bit-identical to a row-at-a-time scan. The
@@ -53,7 +58,8 @@ fn pack_word(chunk: &[f64], pred: impl Fn(f64) -> bool) -> u64 {
 
 /// [`SelectionMask::retain_range`] on any CPU: each non-empty word of
 /// `words` keeps the rows of its 64-row chunk of `col` that lie in
-/// `[lo, hi]`, packed in groups of eight ([`pack_word`]).
+/// `[lo, hi]`, packed in groups of eight ([`pack_word`]). It takes no
+/// prefetch hint.
 fn retain_range_portable(words: &mut [u64], col: &[f64], lo: f64, hi: f64) {
     for (w, chunk) in words.iter_mut().zip(col.chunks(64)) {
         if *w != 0 {
@@ -66,11 +72,25 @@ fn retain_range_portable(words: &mut [u64], col: &[f64], lo: f64, hi: f64) {
 /// each full 64-row chunk of `col` is one `[f64; 64]`, which LLVM turns
 /// into four-lane `vcmplepd`s with the bits shifted into place four
 /// lanes at a time; a ragged last chunk goes through [`pack_word`]. The comparisons, and so the bits,
-/// are those of the portable body.
+/// are those of the portable body. While it masks word `i`, it asks for
+/// the cache lines of word `i` of `ahead` — the same dimension of the
+/// next block the scan will mask — which is a hint only: `ahead` may be
+/// empty or of any length, and nothing is read from it.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2")]
-fn retain_range_avx2(words: &mut [u64], col: &[f64], lo: f64, hi: f64) {
+fn retain_range_avx2(words: &mut [u64], col: &[f64], ahead: &[f64], lo: f64, hi: f64) {
+    #[cfg(target_arch = "x86")]
+    use std::arch::x86::{_mm_prefetch, _MM_HINT_T0};
+    #[cfg(target_arch = "x86_64")]
+    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+    let mut ahead = ahead.chunks(64);
     for (w, chunk) in words.iter_mut().zip(col.chunks(64)) {
+        if let Some(next) = ahead.next() {
+            // Eight `f64`s to a 64-byte line.
+            for line in 0..next.len().div_ceil(8) {
+                _mm_prefetch::<_MM_HINT_T0>(next.as_ptr().wrapping_add(8 * line).cast());
+            }
+        }
         if *w != 0 {
             *w &= match <&[f64; 64]>::try_from(chunk) {
                 Ok(rows) => (rows.iter().enumerate()).fold(0, |bits, (j, &v)| {
@@ -163,17 +183,17 @@ impl SelectionMask {
     /// Keeps only rows whose `col` value lies in `[lo, hi]` (inclusive).
     /// NaN values never satisfy the predicate, so missing data drops out
     /// of the selection for free. Words already empty are skipped. Runs
-    /// [`retain_range_avx2`] when the CPU has AVX2 and
-    /// [`retain_range_portable`] otherwise; both clear exactly the same
-    /// bits.
-    fn retain_range(&mut self, col: &[f64], lo: f64, hi: f64) {
+    /// [`retain_range_avx2`] (which prefetches `ahead`) when the CPU has
+    /// AVX2 and [`retain_range_portable`] otherwise; both clear exactly
+    /// the same bits.
+    fn retain_range(&mut self, col: &[f64], ahead: &[f64], lo: f64, hi: f64) {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: the only precondition of a `target_feature` function
             // is that the CPU has the feature, checked on the line above.
             #[allow(unsafe_code)]
             unsafe {
-                retain_range_avx2(&mut self.words, col, lo, hi);
+                retain_range_avx2(&mut self.words, col, ahead, lo, hi);
             }
             return;
         }
@@ -225,15 +245,25 @@ impl SelectionMask {
 /// box `[lo, hi]`: the selection-bitmap form of a range predicate.
 /// Callers are responsible for the dimensionality check (`cols.len() ==
 /// lo.len()`); rows with NaN in any dimension are never selected.
-pub fn range_mask(cols: &[Vec<f64>], len: usize, lo: &[f64], hi: &[f64]) -> SelectionMask {
+pub fn range_mask<C: AsRef<[f64]>>(
+    cols: &[C],
+    len: usize,
+    lo: &[f64],
+    hi: &[f64],
+) -> SelectionMask {
     let mut m = SelectionMask::none(0);
-    range_mask_into(cols, len, lo, hi, &mut m);
+    range_mask_into(cols, &[], len, lo, hi, &mut m);
     m
 }
 
 /// [`range_mask`] into a caller-owned mask (its word buffer is reused).
-pub fn range_mask_into(
-    cols: &[Vec<f64>],
+/// `ahead` is the columns of the block a scan masks next (empty when
+/// there is none): while the AVX2 body masks dimension `d`, it
+/// prefetches `ahead[d]`. A hint only — the mask is the same whatever
+/// `ahead` holds.
+pub fn range_mask_into<C: AsRef<[f64]>>(
+    cols: &[C],
+    ahead: &[C],
     len: usize,
     lo: &[f64],
     hi: &[f64],
@@ -244,7 +274,8 @@ pub fn range_mask_into(
         if out.is_none_set() {
             break;
         }
-        out.retain_range(col, lo[d], hi[d]);
+        let next = ahead.get(d).map_or(&[][..], AsRef::as_ref);
+        out.retain_range(col.as_ref(), next, lo[d], hi[d]);
     }
 }
 
@@ -254,7 +285,12 @@ pub fn range_mask_into(
 /// `values.iter().zip(center).map(|(v, c)| (v - c)²).sum::<f64>()` — so
 /// the selected set is bit-identical to the row path. NaN distances
 /// never match.
-pub fn ball_mask(cols: &[Vec<f64>], len: usize, center: &[f64], radius: f64) -> SelectionMask {
+pub fn ball_mask<C: AsRef<[f64]>>(
+    cols: &[C],
+    len: usize,
+    center: &[f64],
+    radius: f64,
+) -> SelectionMask {
     let r2 = radius * radius;
     let mut m = SelectionMask::none(len);
     for (wi, w) in m.words.iter_mut().enumerate() {
@@ -263,7 +299,7 @@ pub fn ball_mask(cols: &[Vec<f64>], len: usize, center: &[f64], radius: f64) -> 
         // One word's squared distances, on the stack.
         let mut d2 = [0.0f64; 64];
         for (col, &c) in cols.iter().zip(center) {
-            let rows = col.get(base..).unwrap_or(&[]);
+            let rows = col.as_ref().get(base..).unwrap_or(&[]);
             for (acc, &v) in d2[..n].iter_mut().zip(rows) {
                 let diff = v - c;
                 *acc += diff * diff;
@@ -355,14 +391,16 @@ mod tests {
     fn retain_range_excludes_nan_and_out_of_range() {
         let col = vec![1.0, 5.0, f64::NAN, 3.0, 10.0];
         let mut m = SelectionMask::all(5);
-        m.retain_range(&col, 2.0, 9.0);
+        m.retain_range(&col, &[], 2.0, 9.0);
         assert_eq!(m.to_indices(), vec![1, 3]);
     }
 
     /// Both bodies of the range predicate — [`retain_range_portable`]
     /// called directly, and [`SelectionMask::retain_range`], which is the
     /// AVX2 body on a CPU that has AVX2 — keep exactly the rows the scalar
-    /// filter keeps, and only among rows still selected.
+    /// filter keeps, and only among rows still selected, whatever the
+    /// next block's column handed to the AVX2 body's prefetch: empty,
+    /// shorter than, as long as or longer than the masked one.
     #[test]
     fn every_range_predicate_body_equals_the_scalar_filter() {
         let tiny = f64::from_bits(1);
@@ -412,6 +450,8 @@ mod tests {
             let col: Vec<f64> = (0..len)
                 .map(|_| values[next() as usize % values.len()])
                 .collect();
+            let spare: Vec<f64> = (0..len + 130).map(|i| i as f64).collect();
+            let aheads = [&[][..], &spare[..len / 2], &spare[..len], &spare[..]];
             for &(lo, hi) in &bounds {
                 // All set; every third word cleared; arbitrary earlier bits.
                 for start in 0..3 {
@@ -432,12 +472,16 @@ mod tests {
                     let mut portable = before.clone();
                     retain_range_portable(&mut portable.words, &col, lo, hi);
                     assert_eq!(portable, want, "portable, len {len}, [{lo:?}, {hi:?}]");
-                    let mut dispatched = before;
-                    dispatched.retain_range(&col, lo, hi);
-                    assert_eq!(
-                        dispatched, want,
-                        "dispatched (AVX2: {avx2}), len {len}, [{lo:?}, {hi:?}]"
-                    );
+                    for ahead in aheads {
+                        let mut dispatched = before.clone();
+                        dispatched.retain_range(&col, ahead, lo, hi);
+                        assert_eq!(
+                            dispatched,
+                            want,
+                            "dispatched (AVX2: {avx2}), len {len}, ahead {}, [{lo:?}, {hi:?}]",
+                            ahead.len()
+                        );
+                    }
                 }
             }
         }
@@ -463,7 +507,7 @@ mod tests {
     fn folds_match_row_loops_bitwise() {
         let col: Vec<f64> = (0..200).map(|i| (i as f64) * 0.1 + 1e9).collect();
         let mut mask = SelectionMask::all(200);
-        mask.retain_range(&col, 1e9 + 2.0, 1e9 + 15.0);
+        mask.retain_range(&col, &[], 1e9 + 2.0, 1e9 + 15.0);
         let rows: Vec<f64> = col
             .iter()
             .copied()
@@ -509,7 +553,7 @@ mod tests {
         let xs = vec![1.0, 2.0, 3.0, 4.0];
         let ys = vec![2.0, 4.0, 6.0, 8.0];
         let mut m = SelectionMask::all(4);
-        m.retain_range(&xs, 2.0, 4.0);
+        m.retain_range(&xs, &[], 2.0, 4.0);
         let mut s = BivariateStats::default();
         fold_bivariate(&xs, &ys, &m, &mut s);
         let mut want = BivariateStats::default();

@@ -299,7 +299,7 @@ impl Region {
     /// bitmap over `len` rows stored column-major in `cols`, bit-identical
     /// to filtering the materialized rows. A dimensionality mismatch
     /// selects nothing.
-    pub fn column_mask(&self, cols: &[Vec<f64>], len: usize) -> SelectionMask {
+    pub fn column_mask<C: AsRef<[f64]>>(&self, cols: &[C], len: usize) -> SelectionMask {
         if cols.len() != self.dims() {
             return SelectionMask::none(len);
         }

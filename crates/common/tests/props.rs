@@ -43,8 +43,8 @@ proptest! {
 
     /// The lane-shaped range kernel selects exactly the rows the scalar
     /// row filter selects — inclusive bounds, NaN never matching, `lo ==
-    /// hi` and `lo > hi` included — and re-filling a caller-owned mask
-    /// leaves nothing of its previous contents.
+    /// hi` and `lo > hi` included — and re-filling a caller-owned mask,
+    /// with a prefetch hint, leaves nothing of its previous contents.
     #[test]
     fn range_mask_matches_the_scalar_row_filter(
         pool in prop::collection::vec(edgy_f64(), 3 * 513..3 * 513 + 1),
@@ -63,7 +63,7 @@ proptest! {
         prop_assert_eq!(got.count(), want.len());
         prop_assert_eq!(got.to_indices(), want);
         let mut reused = SelectionMask::all(700);
-        kernels::range_mask_into(&cols, len, &lo, &hi, &mut reused);
+        kernels::range_mask_into(&cols, &cols, len, &lo, &hi, &mut reused);
         prop_assert_eq!(reused, got);
     }
 

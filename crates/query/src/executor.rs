@@ -761,11 +761,11 @@ impl<'a> Executor<'a> {
             let blocks;
             (blocks, stats) = dn.charge_scan(bbox, &mut charges);
             meter.merge_scaled(&charges, slow);
-            (blocks.into_iter())
-                .map(|block| {
+            (blocks.iter().enumerate())
+                .map(|(i, &block)| {
                     let mut mask = SelectionMask::none(0);
                     match bbox {
-                        Some(rect) => block.bbox_mask(rect, &mut mask),
+                        Some(rect) => block.bbox_mask(rect, blocks.get(i + 1).copied(), &mut mask),
                         None => mask.reset_all(block.len()),
                     }
                     stats.records_returned += mask.count();
@@ -1038,19 +1038,24 @@ struct Chunk {
     cols: Vec<Vec<f64>>,
 }
 
-/// Masks each block of a morsel by the gather box (`None`: every row)
-/// and appends the selected rows of the `need`ed columns while the block
-/// is still cache-hot. One mask buffer serves the whole morsel, and each
-/// append reserves from the mask's popcount.
+/// Masks each block of a morsel by the gather box (`None`: every row),
+/// prefetching the next block's columns meanwhile, and appends the
+/// selected rows of the `need`ed columns while the block is still
+/// cache-hot. One mask buffer serves the whole morsel, each append
+/// reserves from the mask's popcount, and a morsel that gathers no
+/// column (a lone `count()`) has no column list.
 fn gather_morsel(blocks: &[&Block], need: &[bool], rect: Option<&Rect>) -> Chunk {
     let mut chunk = Chunk {
         rows: 0,
-        cols: vec![Vec::new(); need.len()],
+        cols: Vec::new(),
     };
+    if need.contains(&true) {
+        chunk.cols.resize(need.len(), Vec::new());
+    }
     let mut mask = SelectionMask::none(0);
-    for b in blocks {
+    for (i, b) in blocks.iter().enumerate() {
         match rect {
-            Some(r) => b.bbox_mask(r, &mut mask),
+            Some(r) => b.bbox_mask(r, blocks.get(i + 1).copied(), &mut mask),
             None => mask.reset_all(b.len()),
         }
         let n = mask.count();
@@ -1148,13 +1153,22 @@ impl SharedScan<'_> {
                 cols: (0..dims).map(|_| Vec::with_capacity(rows)).collect(),
             }
         });
+        // One mask buffer serves every chunk of the node.
+        let mut refined = SelectionMask::none(0);
         for chunk in &gathered.chunks {
             // Cut the gathered rows to the query's own box, then to its
             // region; a query that `keeps_gathered` needs neither.
-            let mut refined = match bbox {
-                Some(b) if !whole => kernels::range_mask(&chunk.cols, chunk.rows, b.lo(), b.hi()),
-                _ => SelectionMask::all(chunk.rows),
-            };
+            match bbox {
+                Some(b) if !whole => kernels::range_mask_into(
+                    &chunk.cols,
+                    &[],
+                    chunk.rows,
+                    b.lo(),
+                    b.hi(),
+                    &mut refined,
+                ),
+                _ => refined.reset_all(chunk.rows),
+            }
             stats.records_returned += refined.count();
             // For a rectangular region the bounding box *is* the region.
             if !(bbox.is_some() && matches!(query.region, Region::Range(_))) {

@@ -265,17 +265,11 @@ impl StorageCluster {
         for r in &records {
             SeaError::check_dims(dims, r.dims())?;
         }
-        let mut per_node: Vec<Vec<Record>> = vec![Vec::new(); self.n_nodes];
-        for r in records {
-            let node = partitioning.node_for(&r, self.n_nodes);
-            per_node[node].push(r);
-        }
-        let mut nodes = Vec::with_capacity(self.n_nodes);
-        for batch in per_node {
-            let mut node = DataNode::new();
-            node.append(batch, self.block_size);
-            nodes.push(node);
-        }
+        let n = self.n_nodes;
+        let mut nodes: Vec<DataNode> = (0..n).map(|_| DataNode::new()).collect();
+        DataNode::append_routed(&mut nodes, records, self.block_size, |r| {
+            partitioning.node_for(r, n)
+        });
         let replicas = (self.replication >= 2).then(|| {
             (0..self.n_nodes)
                 .map(|i| nodes[(i + self.n_nodes - 1) % self.n_nodes].clone())
@@ -424,8 +418,8 @@ impl StorageCluster {
         let (blocks, mut stats) = n.charge_scan(Some(region), &mut charges);
         meter.merge_scaled(&charges, slow);
         let (mut rows, mut mask) = (Vec::new(), SelectionMask::none(0));
-        for b in blocks {
-            b.bbox_mask(region, &mut mask);
+        for (i, b) in blocks.iter().enumerate() {
+            b.bbox_mask(region, blocks.get(i + 1).copied(), &mut mask);
             mask.for_each_set(|i| rows.push(b.record(i)));
         }
         stats.records_returned = rows.len();
@@ -531,23 +525,13 @@ impl StorageCluster {
         for r in &records {
             SeaError::check_dims(dims, r.dims())?;
         }
-        let mut per_node: Vec<Vec<Record>> = vec![Vec::new(); n_nodes];
-        for r in records {
-            per_node[meta.partitioning.node_for(&r, n_nodes)].push(r);
-        }
-        for (node, batch) in meta.nodes.iter_mut().zip(per_node.clone()) {
-            if !batch.is_empty() {
-                node.append(batch, block_size);
-            }
-        }
+        let route = |r: &Record| meta.partitioning.node_for(r, n_nodes);
+        // The replica on node `k + 1` holds partition `k`.
         if let Some(replicas) = &mut meta.replicas {
-            for (i, replica) in replicas.iter_mut().enumerate() {
-                let src = (i + n_nodes - 1) % n_nodes;
-                if !per_node[src].is_empty() {
-                    replica.append(per_node[src].clone(), block_size);
-                }
-            }
+            let replica = |r: &Record| (route(r) + 1) % n_nodes;
+            DataNode::append_routed(replicas, records.clone(), block_size, replica);
         }
+        DataNode::append_routed(&mut meta.nodes, records, block_size, route);
         meta.bounds = fold_bounds(dims, &meta.nodes);
         Ok(())
     }
@@ -631,7 +615,7 @@ mod tests {
         let (mut ids, mut mask) = (Vec::new(), SelectionMask::none(0));
         for b in blocks {
             match bbox {
-                Some(rect) => b.bbox_mask(rect, &mut mask),
+                Some(rect) => b.bbox_mask(rect, None, &mut mask),
                 None => mask.reset_all(b.len()),
             }
             mask.for_each_set(|i| ids.push(b.ids()[i]));

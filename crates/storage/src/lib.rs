@@ -38,7 +38,7 @@ pub mod partition;
 
 pub use cluster::{BlockCatalogEntry, StorageCluster, TableStats};
 pub use fault::{FaultPlan, FaultState};
-pub use node::{Block, DataNode, ScanStats};
+pub use node::{Block, ColumnRange, DataNode, ScanStats};
 pub use partition::{NodeId, Partitioning};
 
 /// Software layers a MapReduce-style BDAS job crosses per engaged node:

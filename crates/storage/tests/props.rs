@@ -16,7 +16,7 @@ fn scan_ids(c: &StorageCluster, n: usize, bbox: Option<&Rect>) -> Vec<u64> {
     let (mut ids, mut mask) = (Vec::new(), SelectionMask::none(0));
     for b in blocks {
         match bbox {
-            Some(rect) => b.bbox_mask(rect, &mut mask),
+            Some(rect) => b.bbox_mask(rect, None, &mut mask),
             None => mask.reset_all(b.len()),
         }
         mask.for_each_set(|i| ids.push(b.ids()[i]));
