@@ -11,8 +11,10 @@
 //!
 //! Simulated metrics are deterministic — same code, same numbers — so
 //! the committed baseline only changes when behaviour changes. Host
-//! wall-clock is recorded per experiment too, but is informational only
-//! and never gated: it varies with the machine running the suite.
+//! wall-clock is recorded per experiment too, informational only: it
+//! varies with the machine running the suite. One wall-clock ratio is
+//! gated, E1's `batch_plain_speedup`, because both of its sides run on
+//! one thread of the same host (see `measure_batch_speedup`).
 
 use serde::{Deserialize, Serialize};
 

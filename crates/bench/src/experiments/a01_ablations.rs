@@ -6,7 +6,6 @@
 
 use sea_common::{AggregateKind, AnalyticalQuery, Point, Rect, Region, Result};
 use sea_core::{AgentConfig, AgentPipeline, ExecMode};
-use sea_ml::quantize::QuantizerParams;
 use sea_query::Executor;
 use sea_telemetry::TelemetrySink;
 use sea_workload::{DriftKind, DriftingWorkload, QueryGenerator, QuerySpec};
@@ -83,10 +82,7 @@ pub fn run_a1_with(sink: &TelemetrySink) -> Result<Report> {
             16,
             AgentConfig {
                 forget: 0.995,
-                quantizer: QuantizerParams {
-                    spawn_distance: 1e9,
-                    ..QuantizerParams::default()
-                },
+                spawn_distance: 1e9,
                 ..AgentConfig::default()
             },
         ),

@@ -6,7 +6,6 @@
 //! base-data work on confident systems.
 
 use sea_common::{AggregateKind, AnalyticalQuery, Point, Rect, Region, Result};
-use sea_core::agent::AgentConfig;
 use sea_geo::{ConstituentSystem, Polystore};
 use sea_query::Executor;
 use sea_storage::{Partitioning, StorageCluster};
@@ -56,9 +55,9 @@ pub fn run_e15_with(sink: &TelemetrySink) -> Result<Report> {
     c2.set_telemetry(sink.clone());
     c3.set_telemetry(sink.clone());
     let systems = vec![
-        ConstituentSystem::new(&Executor::new(&c1), "t", AgentConfig::default())?,
-        ConstituentSystem::new(&Executor::new(&c2), "t", AgentConfig::default())?,
-        ConstituentSystem::new(&Executor::new(&c3), "t", AgentConfig::default())?,
+        ConstituentSystem::new(&Executor::new(&c1), "t")?,
+        ConstituentSystem::new(&Executor::new(&c2), "t")?,
+        ConstituentSystem::new(&Executor::new(&c3), "t")?,
     ];
     let mut store = Polystore::new(systems, 0.15)?;
     let training: Vec<AnalyticalQuery> = (0..120)

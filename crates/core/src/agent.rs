@@ -9,27 +9,30 @@ use sea_common::{
     AggregateKey, AggregateKind, AnalyticalQuery, AnswerValue, Rect, Result, SeaError,
 };
 use sea_ml::linreg::RecursiveLeastSquares;
-use sea_ml::quantize::{OnlineQuantizer, QuantizerParams};
+use sea_ml::quantize::OnlineQuantizer;
 use sea_ml::Regressor;
 use sea_telemetry::TelemetrySink;
 
-/// Configuration of a [`SeaAgent`].
+/// Minimum training queries a quantum needs before its local model is
+/// trusted for prediction; below it the kNN fallback answers.
+const MIN_TRAINING: u64 = 8;
+/// Neighbours used by the raw-pair fallback predictor.
+const KNN_K: usize = 5;
+/// Cap on stored raw training pairs per quantum (memory bound; also the
+/// explanation sample).
+const MAX_PAIRS_PER_QUANTUM: usize = 256;
+
+/// Configuration of a [`SeaAgent`]: the three settings its ablations
+/// vary. Everything else the agent tunes is fixed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AgentConfig {
-    /// Query-space quantizer parameters. `spawn_distance` is in query-vector
-    /// units (centre ⊕ extents), so it should scale with the data domain.
-    pub quantizer: QuantizerParams,
-    /// Minimum training queries a quantum needs before its local model is
-    /// trusted for prediction.
-    pub min_training: u64,
+    /// A query farther than this from every prototype of its operator's
+    /// pool spawns a new quantum. It is in query-vector units (centre ⊕
+    /// extents), so it should scale with the data domain.
+    pub spawn_distance: f64,
     /// RLS forgetting factor in `(0, 1]`; below 1 the agent tracks drifting
     /// answer functions.
     pub forget: f64,
-    /// Neighbours used by the raw-pair fallback predictor.
-    pub knn_k: usize,
-    /// Cap on stored raw training pairs per quantum (memory bound; also
-    /// the explanation sample).
-    pub max_pairs_per_quantum: usize,
     /// Weight of the distance-to-prototype term in the error estimate.
     pub distance_penalty: f64,
 }
@@ -37,18 +40,35 @@ pub struct AgentConfig {
 impl Default for AgentConfig {
     fn default() -> Self {
         AgentConfig {
-            quantizer: QuantizerParams {
-                spawn_distance: 10.0,
-                learning_rate: 0.1,
-                decay: 0.02,
-                max_prototypes: 0,
-            },
-            min_training: 8,
+            spawn_distance: 10.0,
             forget: 1.0,
-            knn_k: 5,
-            max_pairs_per_quantum: 256,
             distance_penalty: 0.05,
         }
+    }
+}
+
+impl AgentConfig {
+    /// The one check of an agent's settings, at construction and on
+    /// every wire it reads: a zero or NaN spawn distance, or a NaN or
+    /// infinite distance penalty, would make every error estimate NaN or
+    /// infinite (so the agent silently never predicts), and a forgetting
+    /// factor outside `(0, 1]` would fail the first quantum it trains.
+    fn check(&self, dims: usize) -> Result<()> {
+        if dims == 0 {
+            return Err(SeaError::invalid("agent needs at least one data dimension"));
+        }
+        if self.spawn_distance.is_nan() || self.spawn_distance <= 0.0 {
+            return Err(SeaError::invalid("spawn_distance must be positive"));
+        }
+        if !(self.forget > 0.0 && self.forget <= 1.0) {
+            return Err(SeaError::invalid("forget must be in (0, 1]"));
+        }
+        if !(self.distance_penalty >= 0.0 && self.distance_penalty.is_finite()) {
+            return Err(SeaError::invalid(
+                "distance_penalty must be finite and non-negative",
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -128,7 +148,7 @@ impl QuantumModel {
         }
     }
 
-    fn train(&mut self, features: &[f64], answer: &AnswerValue, max_pairs: usize) -> Result<()> {
+    fn train(&mut self, features: &[f64], answer: &AnswerValue) -> Result<()> {
         // Prequential residual: evaluate before updating.
         if self.training > 0 {
             let pred = self.predict(features);
@@ -147,14 +167,14 @@ impl QuantumModel {
             }
         }
         self.training += 1;
-        if self.pairs.len() >= max_pairs {
+        if self.pairs.len() >= MAX_PAIRS_PER_QUANTUM {
             self.pairs.remove(0);
         }
         self.pairs.push((features.to_vec(), *answer));
         Ok(())
     }
 
-    fn knn_predict(&self, features: &[f64], k: usize) -> Option<AnswerValue> {
+    fn knn_predict(&self, features: &[f64]) -> Option<AnswerValue> {
         if self.pairs.is_empty() {
             return None;
         }
@@ -166,7 +186,7 @@ impl QuantumModel {
                 (d.sqrt(), a)
             })
             .collect();
-        let k = k.min(dists.len());
+        let k = KNN_K.min(dists.len());
         dists.select_nth_unstable_by(k - 1, |a, b| a.0.total_cmp(&b.0));
         let neigh = &dists[..k];
         let mut w_sum = 0.0;
@@ -292,18 +312,7 @@ impl SeaAgent {
     ///
     /// Zero dims or invalid configuration parameters.
     pub fn new(dims: usize, config: AgentConfig) -> Result<Self> {
-        if dims == 0 {
-            return Err(SeaError::invalid("agent needs at least one data dimension"));
-        }
-        if config.knn_k == 0 {
-            return Err(SeaError::invalid("knn_k must be positive"));
-        }
-        if config.max_pairs_per_quantum == 0 {
-            return Err(SeaError::invalid("max_pairs_per_quantum must be positive"));
-        }
-        // Validate quantizer params eagerly by constructing a throwaway.
-        OnlineQuantizer::new(2 * dims, config.quantizer.clone())?;
-        RecursiveLeastSquares::new(1, 100.0, config.forget)?;
+        config.check(dims)?;
         Ok(SeaAgent {
             config,
             dims,
@@ -322,11 +331,6 @@ impl SeaAgent {
     /// Data dimensionality this agent serves.
     pub fn dims(&self) -> usize {
         self.dims
-    }
-
-    /// The agent's configuration.
-    pub fn config(&self) -> &AgentConfig {
-        &self.config
     }
 
     /// Absorbs one `(query, exact answer)` training observation.
@@ -355,11 +359,10 @@ impl SeaAgent {
         let feature_dims = features.len();
         let pair = is_pair_answer(&query.aggregate);
         let forget = self.config.forget;
-        let quant_params = self.config.quantizer.clone();
         let pool = match self.pools.entry(key) {
             std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::btree_map::Entry::Vacant(e) => e.insert(Pool {
-                quantizer: OnlineQuantizer::new(qvec.len(), quant_params)?,
+                quantizer: OnlineQuantizer::new(qvec.len(), self.config.spawn_distance)?,
                 models: Vec::new(),
                 pair_answer: pair,
             }),
@@ -377,7 +380,7 @@ impl SeaAgent {
                 ],
             );
         }
-        pool.models[idx].train(&features, answer, self.config.max_pairs_per_quantum)?;
+        pool.models[idx].train(&features, answer)?;
         self.training_queries += 1;
         self.telemetry.incr("core.agent.train_total", 1);
         Ok(())
@@ -405,24 +408,22 @@ impl SeaAgent {
             .ok_or_else(|| SeaError::Empty("operator pool has no quanta".into()))?;
         let model = &pool.models[idx];
 
-        let answer = if model.training >= self.config.min_training {
+        let answer = if model.training >= MIN_TRAINING {
             let mut a = model.predict(&features);
             // Counts and spreads cannot be negative.
             a = clamp_answer(&query.aggregate, a);
             a
         } else {
             let a = model
-                .knn_predict(&features, self.config.knn_k)
+                .knn_predict(&features)
                 .ok_or_else(|| SeaError::Empty("quantum has no training pairs".into()))?;
             clamp_answer(&query.aggregate, a)
         };
 
         let dist = dist_sq.sqrt();
         let base_err = model.residuals.estimate();
-        let distance_term =
-            self.config.distance_penalty * dist / self.config.quantizer.spawn_distance;
-        let estimated_error = if model.training < self.config.min_training || !base_err.is_finite()
-        {
+        let distance_term = self.config.distance_penalty * dist / self.config.spawn_distance;
+        let estimated_error = if model.training < MIN_TRAINING || !base_err.is_finite() {
             // Undertrained quantum: be pessimistic (but finite, so callers
             // can still rank candidates) until enough exact answers have
             // been absorbed.
@@ -462,7 +463,7 @@ impl SeaAgent {
         let pool = self.pools.get(&query.aggregate.key())?;
         let (idx, _) = pool.quantizer.nearest_prototype(&query.to_query_vector())?;
         let model = &pool.models[idx];
-        if model.training < self.config.min_training {
+        if model.training < MIN_TRAINING {
             return None;
         }
         let lm = model.primary.model();
@@ -546,10 +547,13 @@ impl SeaAgent {
     ///
     /// # Errors
     ///
-    /// Malformed JSON surfaces as [`SeaError::Serde`].
+    /// Malformed JSON surfaces as [`SeaError::Serde`]; a configuration
+    /// [`SeaAgent::new`] would refuse is refused here too, as
+    /// [`SeaError::InvalidArgument`].
     pub fn from_json(json: &str) -> Result<Self> {
         let wire: AgentWire =
             serde_json::from_str(json).map_err(|e| SeaError::Serde(e.to_string()))?;
+        wire.config.check(wire.dims)?;
         Ok(SeaAgent {
             config: wire.config,
             dims: wire.dims,
@@ -632,10 +636,10 @@ mod tests {
         let mut model = QuantumModel::new(2, false, 1.0).unwrap();
         for x in [1.0, f64::NAN, 1.5] {
             let answer = AnswerValue::Scalar(2.0);
-            model.train(&[x, 1.0], &answer, 8).unwrap();
+            model.train(&[x, 1.0], &answer).unwrap();
         }
         // The NaN distance is ordered, not compared to a panic.
-        assert!(model.knn_predict(&[1.0, 1.0], 2).is_some());
+        assert!(model.knn_predict(&[1.0, 1.0]).is_some());
     }
 
     #[test]
@@ -783,46 +787,70 @@ mod tests {
 
     #[test]
     fn memory_is_bounded_by_pair_cap() {
-        let mut agent = SeaAgent::new(
-            2,
-            AgentConfig {
-                max_pairs_per_quantum: 10,
-                ..AgentConfig::default()
-            },
-        )
-        .unwrap();
-        for i in 0..1000 {
-            let q = count_query(&[0.0, 0.0], 1.0 + (i % 7) as f64 * 0.01);
-            agent.train(&q, &AnswerValue::Scalar(5.0)).unwrap();
-        }
+        let mut agent = SeaAgent::new(2, AgentConfig::default()).unwrap();
+        let train = |agent: &mut SeaAgent, n: u64| {
+            for i in 0..n {
+                let q = count_query(&[0.0, 0.0], 1.0 + (i % 7) as f64 * 0.01);
+                agent.train(&q, &AnswerValue::Scalar(5.0)).unwrap();
+            }
+        };
+        train(&mut agent, 1000);
+        let probe = count_query(&[0.0, 0.0], 1.0);
         let stats = agent.stats();
-        assert_eq!(stats.training_queries, 1000);
-        assert!(
-            stats.memory_bytes < 10_000,
-            "memory stays bounded: {}",
-            stats.memory_bytes
-        );
+        assert_eq!((stats.training_queries, stats.quanta), (1000, 1));
+        assert_eq!(agent.quantum_pairs(&probe).len(), MAX_PAIRS_PER_QUANTUM);
+        // Four times the training leaves the footprint where it was.
+        train(&mut agent, 4000);
+        assert_eq!(agent.quantum_pairs(&probe).len(), MAX_PAIRS_PER_QUANTUM);
+        assert_eq!(agent.stats().memory_bytes, stats.memory_bytes);
     }
 
     #[test]
     fn config_validation() {
         assert!(SeaAgent::new(0, AgentConfig::default()).is_err());
-        assert!(SeaAgent::new(
-            2,
-            AgentConfig {
-                knn_k: 0,
-                ..AgentConfig::default()
-            }
-        )
-        .is_err());
-        assert!(SeaAgent::new(
-            2,
+        let refused = [
             AgentConfig {
                 forget: 0.0,
                 ..AgentConfig::default()
-            }
-        )
-        .is_err());
+            },
+            AgentConfig {
+                spawn_distance: 0.0,
+                ..AgentConfig::default()
+            },
+            AgentConfig {
+                distance_penalty: f64::NAN,
+                ..AgentConfig::default()
+            },
+        ];
+        for config in refused {
+            assert!(
+                matches!(
+                    SeaAgent::new(2, config.clone()),
+                    Err(SeaError::InvalidArgument(_))
+                ),
+                "{config:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_wire_with_an_invalid_config_is_refused() {
+        let json = trained_agent().to_json().unwrap();
+        let default = r#""config":{"spawn_distance":10,"forget":1,"distance_penalty":0.05}"#;
+        assert!(json.contains(default), "{}", &json[..80]);
+        for bad in [
+            r#""config":{"spawn_distance":10,"forget":0,"distance_penalty":0.05}"#,
+            r#""config":{"spawn_distance":0,"forget":1,"distance_penalty":0.05}"#,
+        ] {
+            let tampered = json.replacen(default, bad, 1);
+            assert!(
+                matches!(
+                    SeaAgent::from_json(&tampered),
+                    Err(SeaError::InvalidArgument(_))
+                ),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

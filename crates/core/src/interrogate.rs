@@ -105,10 +105,7 @@ mod tests {
         let mut agent = SeaAgent::new(
             2,
             AgentConfig {
-                quantizer: sea_ml::quantize::QuantizerParams {
-                    spawn_distance: 15.0,
-                    ..Default::default()
-                },
+                spawn_distance: 15.0,
                 ..AgentConfig::default()
             },
         )

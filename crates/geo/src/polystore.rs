@@ -43,13 +43,13 @@ impl<'a> ConstituentSystem<'a> {
     ///
     /// # Errors
     ///
-    /// Missing table or invalid agent config.
-    pub fn new(exec: &Executor<'a>, table: &str, config: AgentConfig) -> Result<Self> {
+    /// Missing table.
+    pub fn new(exec: &Executor<'a>, table: &str) -> Result<Self> {
         let dims = exec.cluster().dims(table)?;
         Ok(ConstituentSystem {
             exec: exec.clone(),
             table: table.to_string(),
-            agent: SeaAgent::new(dims, config)?,
+            agent: SeaAgent::new(dims, AgentConfig::default())?,
         })
     }
 }
@@ -334,8 +334,8 @@ mod tests {
         let c1 = make_cluster(0);
         let c2 = make_cluster(1);
         let systems = vec![
-            ConstituentSystem::new(&Executor::new(&c1), "t", AgentConfig::default()).unwrap(),
-            ConstituentSystem::new(&Executor::new(&c2), "t", AgentConfig::default()).unwrap(),
+            ConstituentSystem::new(&Executor::new(&c1), "t").unwrap(),
+            ConstituentSystem::new(&Executor::new(&c2), "t").unwrap(),
         ];
         let store = Polystore::new(systems, 0.15).unwrap();
         let q = count_query(6.0);
@@ -355,8 +355,8 @@ mod tests {
         let c1 = make_cluster(0);
         let c2 = make_cluster(1);
         let systems = vec![
-            ConstituentSystem::new(&Executor::new(&c1), "t", AgentConfig::default()).unwrap(),
-            ConstituentSystem::new(&Executor::new(&c2), "t", AgentConfig::default()).unwrap(),
+            ConstituentSystem::new(&Executor::new(&c1), "t").unwrap(),
+            ConstituentSystem::new(&Executor::new(&c2), "t").unwrap(),
         ];
         let mut store = Polystore::new(systems, 0.15).unwrap();
         store.train_agents(&training_queries()).unwrap();
@@ -382,8 +382,7 @@ mod tests {
     #[test]
     fn untrained_agents_fall_back_to_local_execution() {
         let c1 = make_cluster(0);
-        let systems =
-            vec![ConstituentSystem::new(&Executor::new(&c1), "t", AgentConfig::default()).unwrap()];
+        let systems = vec![ConstituentSystem::new(&Executor::new(&c1), "t").unwrap()];
         let store = Polystore::new(systems, 0.15).unwrap();
         let q = count_query(6.0);
         let out = store.query_exchange_models(&q).unwrap();
@@ -400,8 +399,8 @@ mod tests {
         let mut c2 = make_cluster(1);
         c2.set_telemetry(sink.clone());
         let systems = vec![
-            ConstituentSystem::new(&Executor::new(&c1), "t", AgentConfig::default()).unwrap(),
-            ConstituentSystem::new(&Executor::new(&c2), "t", AgentConfig::default()).unwrap(),
+            ConstituentSystem::new(&Executor::new(&c1), "t").unwrap(),
+            ConstituentSystem::new(&Executor::new(&c2), "t").unwrap(),
         ];
         let store = Polystore::new(systems, 0.15).unwrap();
         let q = count_query(6.0);
@@ -443,8 +442,7 @@ mod tests {
     fn validations() {
         assert!(Polystore::new(vec![], 0.1).is_err());
         let c1 = make_cluster(0);
-        let systems =
-            vec![ConstituentSystem::new(&Executor::new(&c1), "t", AgentConfig::default()).unwrap()];
+        let systems = vec![ConstituentSystem::new(&Executor::new(&c1), "t").unwrap()];
         let store = Polystore::new(systems, 0.1).unwrap();
         let bad = AnalyticalQuery::new(count_query(5.0).region, AggregateKind::Median { dim: 0 });
         assert!(store.query_migrate_data(&bad).is_err());

@@ -10,8 +10,6 @@ use sea_telemetry::{TelemetrySink, TraceContext};
 /// Configuration of the geo-distributed deployment.
 #[derive(Debug, Clone)]
 pub struct GeoConfig {
-    /// The edge agents' configuration.
-    pub agent: AgentConfig,
     /// Predictions with estimated error above this threshold are escalated
     /// to the core.
     pub error_threshold: f64,
@@ -22,7 +20,6 @@ pub struct GeoConfig {
 impl Default for GeoConfig {
     fn default() -> Self {
         GeoConfig {
-            agent: AgentConfig::default(),
             error_threshold: 0.15,
             edges: 4,
         }
@@ -116,7 +113,7 @@ impl<'a> GeoSystem<'a> {
     ///
     /// # Errors
     ///
-    /// Missing table, zero edges, or invalid agent configuration.
+    /// Missing table or zero edges.
     pub fn new(cluster: &'a StorageCluster, table: &str, config: GeoConfig) -> Result<Self> {
         if config.edges == 0 {
             return Err(SeaError::invalid("need at least one edge node"));
@@ -124,13 +121,13 @@ impl<'a> GeoSystem<'a> {
         let dims = cluster.dims(table)?;
         let mut edges = Vec::with_capacity(config.edges);
         for _ in 0..config.edges {
-            edges.push(SeaAgent::new(dims, config.agent.clone())?);
+            edges.push(SeaAgent::new(dims, AgentConfig::default())?);
         }
         Ok(GeoSystem {
             executor: Executor::new(cluster),
             table: table.to_string(),
             edges,
-            master: SeaAgent::new(dims, config.agent.clone())?,
+            master: SeaAgent::new(dims, AgentConfig::default())?,
             config,
             stats: GeoStats::default(),
             telemetry: cluster.telemetry().clone(),

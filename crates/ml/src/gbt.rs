@@ -9,29 +9,14 @@ use sea_common::{Result, SeaError};
 
 use crate::Regressor;
 
-/// Boosting hyper-parameters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GbtParams {
-    /// Number of boosting rounds (trees).
-    pub n_trees: usize,
-    /// Maximum tree depth (1 = stumps).
-    pub max_depth: usize,
-    /// Shrinkage / learning rate in `(0, 1]`.
-    pub learning_rate: f64,
-    /// Minimum samples in a leaf.
-    pub min_leaf: usize,
-}
-
-impl Default for GbtParams {
-    fn default() -> Self {
-        GbtParams {
-            n_trees: 100,
-            max_depth: 3,
-            learning_rate: 0.1,
-            min_leaf: 2,
-        }
-    }
-}
+/// Boosting rounds (trees).
+const N_TREES: usize = 60;
+/// Maximum tree depth (1 = stumps).
+const MAX_DEPTH: usize = 3;
+/// Shrinkage applied to every tree's output.
+const LEARNING_RATE: f64 = 0.15;
+/// Minimum samples in a leaf.
+const MIN_LEAF: usize = 2;
 
 #[derive(Debug, Clone, PartialEq)]
 enum TreeNode {
@@ -69,17 +54,17 @@ impl TreeNode {
 pub struct GradientBoostedTrees {
     base: f64,
     trees: Vec<TreeNode>,
-    learning_rate: f64,
     dims: usize,
 }
 
 impl GradientBoostedTrees {
-    /// Fits an ensemble on rows `xs` with targets `ys`.
+    /// Fits an ensemble of 60 depth-3 trees, shrunk by 0.15, on rows `xs`
+    /// with targets `ys`.
     ///
     /// # Errors
     ///
-    /// Empty input, mismatched lengths/dimensions, or invalid parameters.
-    pub fn fit(xs: &[Vec<f64>], ys: &[f64], params: &GbtParams) -> Result<Self> {
+    /// Empty input or mismatched lengths/dimensions.
+    pub fn fit(xs: &[Vec<f64>], ys: &[f64]) -> Result<Self> {
         let Some(first) = xs.first() else {
             return Err(SeaError::Empty("GBT fit with no rows".into()));
         };
@@ -88,37 +73,20 @@ impl GradientBoostedTrees {
         for x in xs {
             SeaError::check_dims(dims, x.len())?;
         }
-        if params.n_trees == 0 || params.max_depth == 0 {
-            return Err(SeaError::invalid("n_trees and max_depth must be positive"));
-        }
-        if !(params.learning_rate > 0.0 && params.learning_rate <= 1.0) {
-            return Err(SeaError::invalid("learning_rate must be in (0, 1]"));
-        }
-        let min_leaf = params.min_leaf.max(1);
 
         let base = ys.iter().sum::<f64>() / ys.len() as f64;
         let mut residuals: Vec<f64> = ys.iter().map(|y| y - base).collect();
-        let mut trees = Vec::with_capacity(params.n_trees);
+        let mut trees = Vec::with_capacity(N_TREES);
         let idx: Vec<usize> = (0..xs.len()).collect();
 
-        for _ in 0..params.n_trees {
-            let tree = build_tree(xs, &residuals, &idx, params.max_depth, min_leaf);
+        for _ in 0..N_TREES {
+            let tree = build_tree(xs, &residuals, &idx, MAX_DEPTH);
             for (i, x) in xs.iter().enumerate() {
-                residuals[i] -= params.learning_rate * tree.predict(x);
+                residuals[i] -= LEARNING_RATE * tree.predict(x);
             }
             trees.push(tree);
         }
-        Ok(GradientBoostedTrees {
-            base,
-            trees,
-            learning_rate: params.learning_rate,
-            dims,
-        })
-    }
-
-    /// Number of trees.
-    pub fn n_trees(&self) -> usize {
-        self.trees.len()
+        Ok(GradientBoostedTrees { base, trees, dims })
     }
 
     /// Number of features.
@@ -131,7 +99,7 @@ impl Regressor for GradientBoostedTrees {
     fn predict(&self, x: &[f64]) -> f64 {
         let mut acc = self.base;
         for t in &self.trees {
-            acc += self.learning_rate * t.predict(x);
+            acc += LEARNING_RATE * t.predict(x);
         }
         acc
     }
@@ -140,15 +108,9 @@ impl Regressor for GradientBoostedTrees {
 /// Builds one variance-reduction regression tree over `rows` (indices into
 /// `xs`/`targets`).
 #[allow(clippy::needless_range_loop)] // dim indexes several parallel arrays
-fn build_tree(
-    xs: &[Vec<f64>],
-    targets: &[f64],
-    rows: &[usize],
-    depth: usize,
-    min_leaf: usize,
-) -> TreeNode {
+fn build_tree(xs: &[Vec<f64>], targets: &[f64], rows: &[usize], depth: usize) -> TreeNode {
     let mean = rows.iter().map(|&i| targets[i]).sum::<f64>() / rows.len().max(1) as f64;
-    if depth == 0 || rows.len() < 2 * min_leaf {
+    if depth == 0 || rows.len() < 2 * MIN_LEAF {
         return TreeNode::Leaf(mean);
     }
 
@@ -176,7 +138,7 @@ fn build_tree(
             prefix_sq += targets[i] * targets[i];
             let n_left = pos + 1;
             let n_right = sorted.len() - n_left;
-            if n_left < min_leaf || n_right < min_leaf {
+            if n_left < MIN_LEAF || n_right < MIN_LEAF {
                 continue;
             }
             // Skip ties: can't split between equal feature values.
@@ -202,8 +164,8 @@ fn build_tree(
     TreeNode::Split {
         dim,
         threshold,
-        left: Box::new(build_tree(xs, targets, &left_rows, depth - 1, min_leaf)),
-        right: Box::new(build_tree(xs, targets, &right_rows, depth - 1, min_leaf)),
+        left: Box::new(build_tree(xs, targets, &left_rows, depth - 1)),
+        right: Box::new(build_tree(xs, targets, &right_rows, depth - 1)),
     }
 }
 
@@ -224,17 +186,7 @@ mod tests {
             .iter()
             .map(|x| if x[0] < 100.0 { 1.0 } else { 9.0 })
             .collect();
-        let m = GradientBoostedTrees::fit(
-            &xs,
-            &ys,
-            &GbtParams {
-                n_trees: 20,
-                max_depth: 2,
-                learning_rate: 0.5,
-                min_leaf: 2,
-            },
-        )
-        .unwrap();
+        let m = GradientBoostedTrees::fit(&xs, &ys).unwrap();
         assert!((m.predict(&[50.0]) - 1.0).abs() < 0.2);
         assert!((m.predict(&[150.0]) - 9.0).abs() < 0.2);
     }
@@ -243,7 +195,7 @@ mod tests {
     fn fits_nonlinear_surface_better_than_mean() {
         let xs = grid_xy(400);
         let ys: Vec<f64> = xs.iter().map(|x| x[0] * x[1]).collect();
-        let m = GradientBoostedTrees::fit(&xs, &ys, &GbtParams::default()).unwrap();
+        let m = GradientBoostedTrees::fit(&xs, &ys).unwrap();
         let mean = ys.iter().sum::<f64>() / ys.len() as f64;
         let mse_model: f64 = xs
             .iter()
@@ -259,68 +211,19 @@ mod tests {
     }
 
     #[test]
-    fn more_trees_reduce_training_error() {
-        let xs: Vec<Vec<f64>> = (0..200).map(|i| vec![i as f64 / 10.0]).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| (x[0]).sin() * 10.0).collect();
-        let small = GradientBoostedTrees::fit(
-            &xs,
-            &ys,
-            &GbtParams {
-                n_trees: 5,
-                ..GbtParams::default()
-            },
-        )
-        .unwrap();
-        let large = GradientBoostedTrees::fit(
-            &xs,
-            &ys,
-            &GbtParams {
-                n_trees: 200,
-                ..GbtParams::default()
-            },
-        )
-        .unwrap();
-        let mse = |m: &GradientBoostedTrees| {
-            xs.iter()
-                .zip(&ys)
-                .map(|(x, y)| (m.predict(x) - y).powi(2))
-                .sum::<f64>()
-                / ys.len() as f64
-        };
-        assert!(mse(&large) < mse(&small) / 2.0);
-    }
-
-    #[test]
     fn constant_target_predicts_constant() {
         let xs = grid_xy(50);
         let ys = vec![42.0; 50];
-        let m = GradientBoostedTrees::fit(&xs, &ys, &GbtParams::default()).unwrap();
+        let m = GradientBoostedTrees::fit(&xs, &ys).unwrap();
         assert!((m.predict(&[3.0, 1.0]) - 42.0).abs() < 1e-9);
     }
 
     #[test]
     fn validations() {
         let xs = vec![vec![1.0]];
-        assert!(GradientBoostedTrees::fit(&[], &[], &GbtParams::default()).is_err());
-        assert!(GradientBoostedTrees::fit(&xs, &[1.0, 2.0], &GbtParams::default()).is_err());
-        assert!(GradientBoostedTrees::fit(
-            &xs,
-            &[1.0],
-            &GbtParams {
-                n_trees: 0,
-                ..GbtParams::default()
-            }
-        )
-        .is_err());
-        assert!(GradientBoostedTrees::fit(
-            &xs,
-            &[1.0],
-            &GbtParams {
-                learning_rate: 0.0,
-                ..GbtParams::default()
-            }
-        )
-        .is_err());
+        assert!(GradientBoostedTrees::fit(&[], &[]).is_err());
+        assert!(GradientBoostedTrees::fit(&xs, &[1.0, 2.0]).is_err());
+        assert!(GradientBoostedTrees::fit(&[vec![1.0], vec![1.0, 2.0]], &[1.0, 2.0]).is_err());
     }
 
     #[test]
@@ -329,14 +232,14 @@ mod tests {
         xs[7][0] = f64::NAN;
         let ys: Vec<f64> = (0..20).map(f64::from).collect();
         // Either answer is acceptable; a panic is not.
-        let _ = GradientBoostedTrees::fit(&xs, &ys, &GbtParams::default());
+        let _ = GradientBoostedTrees::fit(&xs, &ys);
     }
 
     #[test]
     fn duplicate_feature_values_do_not_split_ties() {
         let xs = vec![vec![1.0], vec![1.0], vec![1.0], vec![1.0]];
         let ys = vec![1.0, 2.0, 3.0, 4.0];
-        let m = GradientBoostedTrees::fit(&xs, &ys, &GbtParams::default()).unwrap();
+        let m = GradientBoostedTrees::fit(&xs, &ys).unwrap();
         assert!(
             (m.predict(&[1.0]) - 2.5).abs() < 1e-9,
             "no valid split; mean"

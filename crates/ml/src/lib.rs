@@ -36,12 +36,12 @@ pub mod piecewise;
 pub mod quantize;
 pub mod selection;
 
-pub use gbt::{GbtParams, GradientBoostedTrees};
+pub use gbt::GradientBoostedTrees;
 pub use knnreg::KnnRegressor;
 pub use linreg::{LinearModel, RecursiveLeastSquares};
 pub use model_select::{select_model, ModelChoice};
 pub use piecewise::PiecewiseLinear;
-pub use quantize::{KMeans, OnlineQuantizer, QuantizerParams};
+pub use quantize::{KMeans, OnlineQuantizer};
 pub use selection::{kfold_mse, train_test_split, Metrics};
 
 /// Common interface for regression models mapping feature vectors to a

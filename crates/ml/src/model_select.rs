@@ -7,7 +7,7 @@
 
 use sea_common::{Result, SeaError};
 
-use crate::{kfold_mse, GbtParams, GradientBoostedTrees, KnnRegressor, LinearModel, Regressor};
+use crate::{kfold_mse, GradientBoostedTrees, KnnRegressor, LinearModel, Regressor};
 
 /// The selected model family, with the fitted model.
 #[derive(Debug)]
@@ -56,17 +56,9 @@ pub fn select_model(
     if xs.len() < folds.max(4) {
         return Err(SeaError::invalid("too few rows for model selection"));
     }
-    let gbt_params = GbtParams {
-        n_trees: 60,
-        max_depth: 3,
-        learning_rate: 0.15,
-        min_leaf: 2,
-    };
     let lin = kfold_mse(xs, ys, folds, |tx, ty| LinearModel::fit(tx, ty, 1e-6))?;
     let knn = kfold_mse(xs, ys, folds, |tx, ty| KnnRegressor::fit(tx, ty, 5))?;
-    let gbt = kfold_mse(xs, ys, folds, |tx, ty| {
-        GradientBoostedTrees::fit(tx, ty, &gbt_params)
-    })?;
+    let gbt = kfold_mse(xs, ys, folds, GradientBoostedTrees::fit)?;
     let scores = vec![("linear", lin), ("knn", knn), ("boosted", gbt)];
     // `total_cmp`: a NaN score (a fold whose targets or predictions were
     // NaN) loses to every finite one instead of panicking.
@@ -76,7 +68,7 @@ pub fn select_model(
     let choice = match best.0 {
         "linear" => ModelChoice::Linear(LinearModel::fit(xs, ys, 1e-6)?),
         "knn" => ModelChoice::Knn(KnnRegressor::fit(xs, ys, 5)?),
-        _ => ModelChoice::Boosted(GradientBoostedTrees::fit(xs, ys, &gbt_params)?),
+        _ => ModelChoice::Boosted(GradientBoostedTrees::fit(xs, ys)?),
     };
     Ok((choice, scores))
 }

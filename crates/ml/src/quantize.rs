@@ -109,31 +109,11 @@ fn nearest_dist_sq(x: &[f64], centroids: &[Vec<f64>]) -> f64 {
     nearest(x, centroids).1
 }
 
-/// Tuning parameters of the [`OnlineQuantizer`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QuantizerParams {
-    /// A query farther than this (Euclidean) from every prototype spawns a
-    /// new prototype.
-    pub spawn_distance: f64,
-    /// Base learning rate; the effective rate for a prototype that has
-    /// absorbed `n` queries is `base / (1 + n·decay)`.
-    pub learning_rate: f64,
-    /// Learning-rate decay per absorbed query.
-    pub decay: f64,
-    /// Hard cap on the number of prototypes (0 = unlimited).
-    pub max_prototypes: usize,
-}
-
-impl Default for QuantizerParams {
-    fn default() -> Self {
-        QuantizerParams {
-            spawn_distance: 1.0,
-            learning_rate: 0.2,
-            decay: 0.05,
-            max_prototypes: 0,
-        }
-    }
-}
+/// Base learning rate: a prototype that has absorbed `n` queries moves
+/// `LEARNING_RATE / (1 + n·DECAY)` of the way toward the next one.
+const LEARNING_RATE: f64 = 0.1;
+/// Learning-rate decay per absorbed query.
+const DECAY: f64 = 0.02;
 
 /// One prototype of the online quantizer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -149,36 +129,31 @@ pub struct Prototype {
 /// Online adaptive vector quantizer over a stream of query vectors.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OnlineQuantizer {
-    params: QuantizerParams,
+    /// A query farther than this (Euclidean) from every prototype spawns
+    /// a new prototype.
+    spawn_distance: f64,
     prototypes: Vec<Prototype>,
     dims: usize,
     clock: u64,
 }
 
 impl OnlineQuantizer {
-    /// Creates an empty quantizer over `dims`-dimensional query vectors.
+    /// Creates an empty quantizer over `dims`-dimensional query vectors
+    /// that spawns a prototype for a query farther than `spawn_distance`
+    /// from every existing one.
     ///
     /// # Errors
     ///
-    /// Non-positive spawn distance or learning rate, or zero dims.
-    pub fn new(dims: usize, params: QuantizerParams) -> Result<Self> {
+    /// Non-positive (or NaN) spawn distance, or zero dims.
+    pub fn new(dims: usize, spawn_distance: f64) -> Result<Self> {
         if dims == 0 {
             return Err(SeaError::invalid("quantizer needs at least one dimension"));
         }
-        if params.spawn_distance.is_nan() || params.spawn_distance <= 0.0 {
+        if spawn_distance.is_nan() || spawn_distance <= 0.0 {
             return Err(SeaError::invalid("spawn_distance must be positive"));
         }
-        if params.learning_rate.is_nan()
-            || params.learning_rate <= 0.0
-            || params.learning_rate > 1.0
-        {
-            return Err(SeaError::invalid("learning_rate must be in (0, 1]"));
-        }
-        if params.decay.is_nan() || params.decay < 0.0 {
-            return Err(SeaError::invalid("decay must be non-negative"));
-        }
         Ok(OnlineQuantizer {
-            params,
+            spawn_distance,
             prototypes: Vec::new(),
             dims,
             clock: 0,
@@ -220,14 +195,10 @@ impl OnlineQuantizer {
     pub fn absorb(&mut self, x: &[f64]) -> Result<(usize, bool)> {
         SeaError::check_dims(self.dims, x.len())?;
         self.clock += 1;
-        let at_cap =
-            self.params.max_prototypes > 0 && self.prototypes.len() >= self.params.max_prototypes;
-
         if let Some((idx, dist_sq)) = self.nearest_prototype(x) {
-            let dist = dist_sq.sqrt();
-            if dist <= self.params.spawn_distance || at_cap {
+            if dist_sq.sqrt() <= self.spawn_distance {
                 let p = &mut self.prototypes[idx];
-                let rate = self.params.learning_rate / (1.0 + p.hits as f64 * self.params.decay);
+                let rate = LEARNING_RATE / (1.0 + p.hits as f64 * DECAY);
                 for (pv, xv) in p.position.iter_mut().zip(x) {
                     *pv += rate * (xv - *pv);
                 }
@@ -336,14 +307,7 @@ mod tests {
 
     #[test]
     fn quantizer_spawns_per_cluster() {
-        let mut q = OnlineQuantizer::new(
-            2,
-            QuantizerParams {
-                spawn_distance: 2.0,
-                ..QuantizerParams::default()
-            },
-        )
-        .unwrap();
+        let mut q = OnlineQuantizer::new(2, 2.0).unwrap();
         for p in two_clusters() {
             q.absorb(&p).unwrap();
         }
@@ -355,45 +319,29 @@ mod tests {
 
     #[test]
     fn quantizer_prototypes_drift_toward_data() {
-        let mut q = OnlineQuantizer::new(
-            1,
-            QuantizerParams {
-                spawn_distance: 100.0,
-                learning_rate: 0.5,
-                decay: 0.0,
-                max_prototypes: 0,
-            },
-        )
-        .unwrap();
+        let mut q = OnlineQuantizer::new(1, 100.0).unwrap();
         q.absorb(&[0.0]).unwrap();
-        for _ in 0..50 {
+        // One hit so far: the step is LEARNING_RATE / (1 + DECAY) of the gap.
+        q.absorb(&[10.0]).unwrap();
+        let first = q.prototypes()[0].position[0];
+        assert_eq!(first, LEARNING_RATE / (1.0 + DECAY) * 10.0);
+        let mut last = first;
+        for _ in 0..500 {
             q.absorb(&[10.0]).unwrap();
+            let pos = q.prototypes()[0].position[0];
+            assert!(
+                pos > last && pos <= 10.0,
+                "moves toward 10: {last} -> {pos}"
+            );
+            last = pos;
         }
-        let pos = q.prototypes()[0].position[0];
-        assert!((pos - 10.0).abs() < 0.01, "drifted to 10: {pos}");
-    }
-
-    #[test]
-    fn quantizer_cap_forces_absorption() {
-        let mut q = OnlineQuantizer::new(
-            1,
-            QuantizerParams {
-                spawn_distance: 0.1,
-                max_prototypes: 2,
-                ..QuantizerParams::default()
-            },
-        )
-        .unwrap();
-        q.absorb(&[0.0]).unwrap();
-        q.absorb(&[100.0]).unwrap();
-        let (_, spawned) = q.absorb(&[50.0]).unwrap();
-        assert!(!spawned, "cap reached, absorbed into nearest");
-        assert_eq!(q.len(), 2);
+        assert!((last - 10.0).abs() < 0.01, "drifted to 10: {last}");
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
     fn quantizer_purges_stale() {
-        let mut q = OnlineQuantizer::new(1, QuantizerParams::default()).unwrap();
+        let mut q = OnlineQuantizer::new(1, 1.0).unwrap();
         q.absorb(&[0.0]).unwrap();
         for _ in 0..100 {
             q.absorb(&[50.0]).unwrap();
@@ -407,7 +355,7 @@ mod tests {
 
     #[test]
     fn quantizer_hit_counts_and_clock() {
-        let mut q = OnlineQuantizer::new(1, QuantizerParams::default()).unwrap();
+        let mut q = OnlineQuantizer::new(1, 1.0).unwrap();
         for _ in 0..10 {
             q.absorb(&[0.0]).unwrap();
         }
@@ -418,24 +366,10 @@ mod tests {
 
     #[test]
     fn quantizer_validations() {
-        assert!(OnlineQuantizer::new(0, QuantizerParams::default()).is_err());
-        assert!(OnlineQuantizer::new(
-            1,
-            QuantizerParams {
-                spawn_distance: 0.0,
-                ..QuantizerParams::default()
-            }
-        )
-        .is_err());
-        assert!(OnlineQuantizer::new(
-            1,
-            QuantizerParams {
-                learning_rate: 1.5,
-                ..QuantizerParams::default()
-            }
-        )
-        .is_err());
-        let mut q = OnlineQuantizer::new(2, QuantizerParams::default()).unwrap();
+        assert!(OnlineQuantizer::new(0, 1.0).is_err());
+        assert!(OnlineQuantizer::new(1, 0.0).is_err());
+        assert!(OnlineQuantizer::new(1, f64::NAN).is_err());
+        let mut q = OnlineQuantizer::new(2, 1.0).unwrap();
         assert!(q.absorb(&[1.0]).is_err());
     }
 }

@@ -2,10 +2,10 @@
 
 use proptest::prelude::*;
 
-use sea_ml::gbt::{GbtParams, GradientBoostedTrees};
+use sea_ml::gbt::GradientBoostedTrees;
 use sea_ml::linreg::{LinearModel, RecursiveLeastSquares};
 use sea_ml::piecewise::PiecewiseLinear;
-use sea_ml::quantize::{OnlineQuantizer, QuantizerParams};
+use sea_ml::quantize::OnlineQuantizer;
 use sea_ml::Regressor;
 
 proptest! {
@@ -57,16 +57,7 @@ proptest! {
 
     #[test]
     fn quantizer_prototypes_cover_absorbed_points(points in prop::collection::vec((-5.0f64..5.0, -5.0f64..5.0), 1..80)) {
-        let mut q = OnlineQuantizer::new(
-            2,
-            QuantizerParams {
-                spawn_distance: 1.5,
-                learning_rate: 0.2,
-                decay: 0.05,
-                max_prototypes: 0,
-            },
-        )
-        .unwrap();
+        let mut q = OnlineQuantizer::new(2, 1.5).unwrap();
         for (x, y) in &points {
             q.absorb(&[*x, *y]).unwrap();
         }
@@ -98,17 +89,7 @@ proptest! {
     fn gbt_predictions_stay_in_target_hull(pts in prop::collection::vec((0.0f64..10.0, -5.0f64..5.0), 8..60)) {
         let rows: Vec<Vec<f64>> = pts.iter().map(|(x, _)| vec![*x]).collect();
         let ys: Vec<f64> = pts.iter().map(|(_, y)| *y).collect();
-        let m = GradientBoostedTrees::fit(
-            &rows,
-            &ys,
-            &GbtParams {
-                n_trees: 20,
-                max_depth: 2,
-                learning_rate: 0.3,
-                min_leaf: 2,
-            },
-        )
-        .unwrap();
+        let m = GradientBoostedTrees::fit(&rows, &ys).unwrap();
         let lo = ys.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = ys.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         // Averaging-based trees cannot extrapolate beyond the target hull

@@ -244,6 +244,15 @@ pub struct Executor<'a> {
     retry: RetryPolicy,
     partial_answers: bool,
     cache: Option<&'a SemanticCache>,
+    /// Whether a statement probes the attached cache itself before it
+    /// scatters ([`Executor::with_cache`]) or only offers its answer for
+    /// admission ([`Executor::with_cache_populate_only`]). Both arms have
+    /// callers. `sea-core`'s pipeline probes before it predicts, so a
+    /// second probe here would count its miss twice. E19,
+    /// `examples/tenant_stats.rs`, a `sea-lang` `Frontend` over a
+    /// cache-attached executor and seabench's sessions rely on
+    /// `with_cache`'s implicit probe. The flag goes once they all call
+    /// [`Executor::cache_lookup`] explicitly.
     cache_consult: bool,
 }
 
@@ -327,6 +336,11 @@ impl<'a> Executor<'a> {
     /// beats a confident prediction), so `execute` must not count a
     /// second lookup — it only offers its answer for admission, and
     /// reports the caller's miss as [`CacheClass::Miss`].
+    ///
+    /// This is the one caller-probes arm of the executor's cache flag;
+    /// [`Executor::with_cache`] keeps the implicit probe for callers that
+    /// do not look the cache up themselves (see the `cache_consult`
+    /// field for who those are and when the flag can go).
     #[must_use]
     pub fn with_cache_populate_only(mut self, cache: &'a SemanticCache) -> Self {
         self.cache = Some(cache);

@@ -404,7 +404,7 @@ fn slo_burn_rate_alert_raises_and_lands_in_log_and_telemetry() {
         svc.submit("strict", &q).unwrap();
         svc.submit("lax", &q).unwrap();
     }
-    // All-bad traffic burns at 1/error_budget = 100× — far over both
+    // All-bad traffic burns at 1 / the 1% budget = 100× — far over both
     // thresholds — so the alert raises on the first served request and
     // stays latched: exactly one transition.
     let alerts = svc.alert_log().snapshot();

@@ -2,16 +2,16 @@
 //!
 //! An [`SloPolicy`] declares what a *good* request is — answered within
 //! a simulated-latency objective, with at least the availability
-//! objective's `answered_fraction` — and how much of the traffic may be
-//! bad (the error budget). The [`SloTracker`] folds each ledgered
-//! request into per-window good/bad counts over the simulated clock and
-//! evaluates the classic fast/slow burn-rate pair: an alert raises when
-//! the budget is burning faster than threshold over BOTH the last
-//! [`FAST_WINDOWS`] windows (is it happening *now*?) and the last
-//! [`SLOW_WINDOWS`] windows (is it *sustained*?), and clears when either
-//! recovers. Transitions are returned to the caller (the `sea-service`
-//! front door records them as `watch.alert` events) and appended to the
-//! shared [`AlertLog`].
+//! objective's `answered_fraction`. Every policy allows 1% of the
+//! traffic to be bad (the error budget). The [`SloTracker`] folds each
+//! ledgered request into per-window good/bad counts over 1-second
+//! windows of the simulated clock and evaluates the classic fast/slow
+//! burn-rate pair: an alert raises when the budget is burning at least
+//! 14.4× over the last [`FAST_WINDOWS`] windows (is it happening
+//! *now*?) AND at least 6× over the last [`SLOW_WINDOWS`] windows (is it
+//! *sustained*?), and clears when either recovers. Transitions are
+//! returned to the caller (the `sea-service` front door records them as
+//! `watch.alert` events) and appended to the shared [`AlertLog`].
 //!
 //! Everything is keyed on simulated time, so the alert stream is
 //! bit-identical at any host thread count.
@@ -27,36 +27,32 @@ pub const FAST_WINDOWS: u64 = 5;
 /// Number of trailing windows the slow (sustained) burn rate is
 /// evaluated over; also the tracker's retention bound.
 pub const SLOW_WINDOWS: u64 = 60;
+/// Fraction of requests allowed to be bad: a 99% SLO.
+const ERROR_BUDGET: f64 = 0.01;
+/// Width of one SLO window, simulated µs.
+const WINDOW_US: f64 = 1_000_000.0;
+/// Burn-rate threshold over the last [`FAST_WINDOWS`] windows.
+const FAST_BURN_THRESHOLD: f64 = 14.4;
+/// Burn-rate threshold over the last [`SLOW_WINDOWS`] windows.
+const SLOW_BURN_THRESHOLD: f64 = 6.0;
 
-/// What a tenant is promised, and when to alert on breaking it.
+/// What a tenant is promised. When to alert on breaking it is fixed: a
+/// 1% error budget, 1-second windows and the 14.4×/6× burn thresholds
+/// of the standard multi-window alerting recipe.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloPolicy {
     /// A request answered slower than this (simulated µs) is bad.
     pub latency_objective_us: f64,
     /// A request answering less than this `answered_fraction` is bad.
     pub availability_objective: f64,
-    /// Fraction of requests allowed to be bad (e.g. 0.01 = 99% SLO).
-    pub error_budget: f64,
-    /// Width of one SLO window, simulated µs.
-    pub window_us: f64,
-    /// Burn-rate threshold over the last [`FAST_WINDOWS`] windows.
-    pub fast_burn_threshold: f64,
-    /// Burn-rate threshold over the last [`SLOW_WINDOWS`] windows.
-    pub slow_burn_threshold: f64,
 }
 
 impl SloPolicy {
-    /// A policy with the given objectives and conventional defaults:
-    /// 1% error budget, 1-second windows, and the 14.4×/6× burn
-    /// thresholds of the standard multi-window alerting recipe.
+    /// A policy with the given objectives.
     pub fn new(latency_objective_us: f64, availability_objective: f64) -> Self {
         SloPolicy {
             latency_objective_us,
             availability_objective,
-            error_budget: 0.01,
-            window_us: 1_000_000.0,
-            fast_burn_threshold: 14.4,
-            slow_burn_threshold: 6.0,
         }
     }
 
@@ -96,8 +92,8 @@ pub struct SloStatus {
     pub good: u64,
     /// Lifetime bad requests.
     pub bad: u64,
-    /// Lifetime fraction of the error budget consumed:
-    /// `bad / (total · error_budget)`; 1.0 = budget exactly spent.
+    /// Lifetime fraction of the 1% error budget consumed:
+    /// `bad / (total · 0.01)`; 1.0 = budget exactly spent.
     pub budget_burn: f64,
     /// Current burn rate over the last [`FAST_WINDOWS`] windows.
     pub fast_burn: f64,
@@ -152,8 +148,7 @@ impl SloTracker {
         if total == 0 {
             return 0.0;
         }
-        let bad_fraction = bad as f64 / total as f64;
-        bad_fraction / self.policy.error_budget.max(f64::MIN_POSITIVE)
+        bad as f64 / total as f64 / ERROR_BUDGET
     }
 
     /// Records one request outcome at simulated time `now_us` and
@@ -173,9 +168,7 @@ impl SloTracker {
         } else {
             self.total_bad += 1;
         }
-        let index = (now_us / self.policy.window_us.max(f64::MIN_POSITIVE))
-            .floor()
-            .max(0.0) as u64;
+        let index = (now_us / WINDOW_US).floor().max(0.0) as u64;
         match self.windows.back_mut() {
             Some(last) if last.index == index => {
                 if good {
@@ -197,8 +190,7 @@ impl SloTracker {
         }
         self.last_fast = self.burn_over(FAST_WINDOWS, index);
         self.last_slow = self.burn_over(SLOW_WINDOWS, index);
-        let firing = self.last_fast >= self.policy.fast_burn_threshold
-            && self.last_slow >= self.policy.slow_burn_threshold;
+        let firing = self.last_fast >= FAST_BURN_THRESHOLD && self.last_slow >= SLOW_BURN_THRESHOLD;
         if firing != self.alerting {
             self.alerting = firing;
             return Some(AlertTransition {
@@ -216,7 +208,7 @@ impl SloTracker {
         let budget_burn = if total == 0 {
             0.0
         } else {
-            (self.total_bad as f64 / total as f64) / self.policy.error_budget.max(f64::MIN_POSITIVE)
+            self.total_bad as f64 / total as f64 / ERROR_BUDGET
         };
         SloStatus {
             good: self.total_good,
@@ -288,14 +280,19 @@ mod tests {
     use super::*;
 
     fn policy() -> SloPolicy {
-        SloPolicy {
-            latency_objective_us: 100.0,
-            availability_objective: 1.0,
-            error_budget: 0.1,
-            window_us: 1_000.0,
-            fast_burn_threshold: 2.0,
-            slow_burn_threshold: 2.0,
-        }
+        SloPolicy::new(100.0, 1.0)
+    }
+
+    /// Feeds `n` requests into window `w`, `bad_every`-th one bad
+    /// (0 = all good, 1 = all bad), and returns the transitions.
+    fn feed(t: &mut SloTracker, w: u64, n: u64, bad_every: u64) -> Vec<AlertTransition> {
+        (1..=n)
+            .filter_map(|i| {
+                let bad = bad_every > 0 && i % bad_every == 0;
+                let now = w as f64 * WINDOW_US + i as f64;
+                t.record(now, true, if bad { 500.0 } else { 50.0 }, 1.0)
+            })
+            .collect()
     }
 
     #[test]
@@ -308,40 +305,59 @@ mod tests {
     }
 
     #[test]
+    fn a_fast_only_spike_stays_quiet() {
+        let mut t = SloTracker::new(policy());
+        for w in 0..SLOW_WINDOWS {
+            assert!(feed(&mut t, w, 100, 0).is_empty());
+        }
+        // One all-bad window: the last five windows burn at 20×, the
+        // last sixty at 1.7×.
+        assert!(feed(&mut t, SLOW_WINDOWS, 100, 1).is_empty());
+        let s = t.status();
+        assert!(s.fast_burn >= FAST_BURN_THRESHOLD, "{s:?}");
+        assert!(s.slow_burn < SLOW_BURN_THRESHOLD, "{s:?}");
+        assert!(!s.alerting);
+    }
+
+    #[test]
+    fn slow_only_residue_stays_quiet() {
+        let mut t = SloTracker::new(policy());
+        // Every tenth request bad, for longer than the slow span: a
+        // steady 10× burn, over the slow threshold and under the fast.
+        for w in 0..SLOW_WINDOWS + 10 {
+            assert!(feed(&mut t, w, 100, 10).is_empty());
+        }
+        let s = t.status();
+        assert!(s.fast_burn < FAST_BURN_THRESHOLD, "{s:?}");
+        assert!(s.slow_burn >= SLOW_BURN_THRESHOLD, "{s:?}");
+        assert!(!s.alerting);
+        assert!((s.budget_burn - 10.0).abs() < 1e-9, "{s:?}");
+    }
+
+    #[test]
     fn alert_raises_on_sustained_burn_and_clears_on_recovery() {
         let mut t = SloTracker::new(policy());
-        // Window 0: all good — no alert.
-        for i in 0..10 {
-            assert!(t.record(i as f64 * 100.0, true, 50.0, 1.0).is_none());
+        for w in 0..SLOW_WINDOWS {
+            assert!(feed(&mut t, w, 100, 10).is_empty());
         }
-        // Window 10: a burst of slow answers. The fast span (windows
-        // 6..=10) sees only bads; the slow span still remembers the
-        // goods, so the alert raises once the overall bad fraction
-        // crosses the slow threshold too.
-        let mut raised = None;
-        for i in 0..10 {
-            if let Some(tr) = t.record(10_000.0 + i as f64 * 100.0, true, 500.0, 1.0) {
-                raised = Some(tr);
-            }
-        }
-        let up = raised.expect("alert raised");
+        let raised = feed(&mut t, SLOW_WINDOWS, 50, 1);
+        assert_eq!(raised.len(), 1, "{raised:?}");
+        let up = raised[0];
         assert!(up.raised);
-        assert!(up.fast_burn >= 2.0 && up.slow_burn >= 2.0);
+        assert!(up.fast_burn >= FAST_BURN_THRESHOLD && up.slow_burn >= SLOW_BURN_THRESHOLD);
         assert!(t.status().alerting);
-        // Long healthy stretch: the fast span forgets the bad spell.
-        let mut cleared = None;
-        for i in 0..200 {
-            let now = 11_000.0 + i as f64 * 500.0;
-            if let Some(tr) = t.record(now, true, 50.0, 1.0) {
-                cleared = Some(tr);
-            }
+        // Healthy windows: the fast span forgets the spike first.
+        let mut cleared = Vec::new();
+        for w in SLOW_WINDOWS + 1..=SLOW_WINDOWS + FAST_WINDOWS {
+            cleared.extend(feed(&mut t, w, 100, 0));
         }
-        let down = cleared.expect("alert cleared");
+        assert_eq!(cleared.len(), 1, "{cleared:?}");
+        let down = cleared[0];
         assert!(!down.raised);
-        assert!(!t.status().alerting);
+        assert!(down.fast_burn < FAST_BURN_THRESHOLD);
         let s = t.status();
-        assert_eq!(s.good + s.bad, 220);
-        assert!(s.budget_burn > 0.0);
+        assert!(!s.alerting);
+        assert_eq!(s.good + s.bad, 100 * (SLOW_WINDOWS + FAST_WINDOWS) + 50);
     }
 
     #[test]
@@ -354,7 +370,7 @@ mod tests {
         // Windows 10..15: all good; by window 15 the fast span (11..=15)
         // no longer sees window 0.
         for w in 10..=15 {
-            t.record(w as f64 * 1_000.0, true, 50.0, 1.0);
+            t.record(w as f64 * WINDOW_US, true, 50.0, 1.0);
         }
         let s = t.status();
         assert_eq!(s.fast_burn, 0.0, "bad window fell out of fast span");

@@ -38,10 +38,7 @@ fn main() -> sea_common::Result<()> {
     let mut agent = SeaAgent::new(
         2,
         AgentConfig {
-            quantizer: sea_ml::quantize::QuantizerParams {
-                spawn_distance: 8.0,
-                ..Default::default()
-            },
+            spawn_distance: 8.0,
             // Penalize extrapolation hard: interrogation sweeps probe far
             // from the trained prototypes, and those guesses must be
             // flagged, not reported.

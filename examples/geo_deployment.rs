@@ -31,7 +31,6 @@ fn main() -> sea_common::Result<()> {
         GeoConfig {
             edges: 3,
             error_threshold: 0.15,
-            ..GeoConfig::default()
         },
     )?;
 

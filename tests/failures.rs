@@ -195,7 +195,7 @@ fn operators() -> [(&'static str, Fault, Run); 10] {
             ))
         }),
         ("query_migrate_data", Fault::Partial(1), |e| {
-            let system = ConstituentSystem::new(e, "t", AgentConfig::default())?;
+            let system = ConstituentSystem::new(e, "t")?;
             let o = Polystore::new(vec![system], 0.15)?.query_migrate_data(&cube(12.0))?;
             Ok((format!("{:?} {}", o.answer, o.inter_system_bytes), o.cost))
         }),
