@@ -8,7 +8,7 @@
 use sea_common::Result;
 use sea_core::{AgentConfig, AgentPipeline, ExecMode};
 use sea_query::Executor;
-use sea_telemetry::TelemetrySink;
+use sea_telemetry::{TelemetrySink, TraceContext};
 
 use crate::experiments::common::{count_workload, observe_query_us, query_span, uniform_cluster};
 use crate::Report;
@@ -48,7 +48,7 @@ pub fn run_e1_with(sink: &TelemetrySink) -> Result<Report> {
             let q = gen.next_query();
             let span = query_span(sink, qid);
             qid += 1;
-            let b = exec.execute_bdas("t", &q)?;
+            let b = exec.execute("t", &q, ExecMode::Bdas, &TraceContext::NONE)?;
             let d = exec.execute_direct("t", &q)?;
             span.record_sim_us(b.cost.wall_us + d.cost.wall_us);
             drop(span);

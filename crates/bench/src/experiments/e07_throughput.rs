@@ -9,7 +9,7 @@ use sea_common::cost::PREDICT_US;
 use sea_common::Result;
 use sea_core::{AgentConfig, AgentPipeline, ExecMode};
 use sea_query::Executor;
-use sea_telemetry::TelemetrySink;
+use sea_telemetry::{TelemetrySink, TraceContext};
 
 use crate::experiments::common::{count_workload, observe_query_us, query_span, uniform_cluster};
 use crate::Report;
@@ -36,7 +36,10 @@ pub fn run_e7_with(sink: &TelemetrySink) -> Result<Report> {
             let q = gen.next_query();
             let span = query_span(sink, qid);
             qid += 1;
-            let b = exec.execute_bdas("t", &q)?.cost.wall_us;
+            let b = exec
+                .execute("t", &q, ExecMode::Bdas, &TraceContext::NONE)?
+                .cost
+                .wall_us;
             let d = exec.execute_direct("t", &q)?.cost.wall_us;
             span.record_sim_us(b + d);
             drop(span);

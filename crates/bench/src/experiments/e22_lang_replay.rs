@@ -4,8 +4,8 @@
 //! Replays `data/e22_replay.sea` (one statement per line) through the
 //! [`sea_lang::Frontend`] against the E2 cluster, then executes
 //! hand-constructed [`AnalyticalQuery`] equivalents of every statement
-//! through the same [`Executor`] entry points (`execute_batch` for
-//! multi-aggregate statements, `execute_direct` otherwise). The
+//! through the same [`Executor`] entry point, `execute_batch` (a
+//! statement of one aggregate is a lone query). The
 //! declarative surface must add zero semantics: every answer and every
 //! simulated cost must match the hand-built path bit-for-bit, at any
 //! `SEA_EXEC_THREADS` setting (pinned across pool sizes by
@@ -155,16 +155,10 @@ pub fn run_e22_with_pool(sink: &TelemetrySink, pool: Option<ExecPool>) -> Result
 
         // The hand-built path mirrors the front end's execution shape:
         // multi-aggregate statements share one batched superset scan.
-        let hand_out: Vec<_> = if hand_queries.len() > 1 {
-            exec.execute_batch("t", hand_queries)
-                .into_iter()
-                .collect::<Result<_>>()?
-        } else {
-            hand_queries
-                .iter()
-                .map(|q| exec.execute_direct("t", q))
-                .collect::<Result<_>>()?
-        };
+        let hand_out: Vec<_> = exec
+            .execute_batch("t", hand_queries)
+            .into_iter()
+            .collect::<Result<_>>()?;
 
         let mut identical = out.results.len() == hand_out.len();
         let mut sim_us = 0.0;

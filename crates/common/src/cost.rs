@@ -47,6 +47,21 @@ const MONEY_PER_WAN_GB: f64 = 0.05;
 /// site's or the pipeline's learned model answering without data).
 pub const PREDICT_US: f64 = 100.0;
 
+/// How a query reaches its data: the paper's two processing regimes
+/// (§II-A), which differ in the software layers every engaged node
+/// crosses ([`CostMeter::touch_node`] charges them at the layer rate).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExecMode {
+    /// MapReduce-style over all nodes through the full BDAS stack: a job
+    /// crosses the distributed FS, resource manager, execution engine and
+    /// application layer on every node it touches.
+    Bdas,
+    /// Coordinator–cohort with partition/block pruning: a coordinator
+    /// that "accesses directly the storage engine" (RT3-2) crosses one
+    /// layer per engaged node.
+    Direct,
+}
+
 /// Raw resource counters accumulated while executing a query or task.
 ///
 /// Meters are cheap plain structs; engines create one per task (or per
@@ -120,10 +135,13 @@ impl CostMeter {
     }
 
     /// Records that a task engaged one more data-server node, crossing
-    /// `layers` BDAS layers on it.
-    pub fn touch_node(&mut self, layers: u64) {
+    /// the software layers `mode` crosses on it.
+    pub fn touch_node(&mut self, mode: ExecMode) {
         self.nodes_touched += 1;
-        self.layer_crossings += layers;
+        self.layer_crossings += match mode {
+            ExecMode::Bdas => 4,
+            ExecMode::Direct => 1,
+        };
     }
 
     /// Adds another meter's counters into this one (sequential composition
@@ -305,7 +323,7 @@ mod tests {
     fn merge_sums_counters() {
         let mut a = CostMeter::new();
         a.charge_lan(100);
-        a.touch_node(3);
+        a.touch_node(ExecMode::Bdas);
         let mut b = CostMeter::new();
         b.charge_lan(50);
         b.charge_cpu(10);
@@ -314,7 +332,18 @@ mod tests {
         assert_eq!(a.lan_bytes, 150);
         assert_eq!(a.records_processed, 10);
         assert_eq!(a.nodes_touched, 1);
-        assert_eq!(a.layer_crossings, 3);
+        assert_eq!(a.layer_crossings, 4);
+    }
+
+    #[test]
+    fn a_touched_node_pays_its_regimes_crossings() {
+        for (mode, layers) in [(ExecMode::Bdas, 4), (ExecMode::Direct, 1)] {
+            let mut m = CostMeter::new();
+            m.touch_node(mode);
+            m.touch_node(mode);
+            assert_eq!((m.nodes_touched, m.layer_crossings), (2, 2 * layers));
+            assert_eq!(m.sequential_us(), 2.0 * layers as f64 * LAYER_US);
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod record;
 pub mod region;
 
 pub use aggregate::{quantile_of, AggregateKey, AggregateKind, AnswerValue, BivariateStats};
-pub use cost::{CostMeter, CostReport};
+pub use cost::{CostMeter, CostReport, ExecMode};
 pub use error::SeaError;
 pub use kernels::SelectionMask;
 pub use point::Point;

@@ -228,7 +228,6 @@ impl QuantumModel {
 struct Pool {
     quantizer: OnlineQuantizer,
     models: Vec<QuantumModel>,
-    pair_answer: bool,
 }
 
 fn is_pair_answer(agg: &AggregateKind) -> bool {
@@ -362,12 +361,11 @@ impl SeaAgent {
         let pool = match self.pools.entry(key) {
             std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::btree_map::Entry::Vacant(e) => e.insert(Pool {
-                quantizer: OnlineQuantizer::new(qvec.len(), self.config.spawn_distance)?,
+                quantizer: OnlineQuantizer::new(qvec.len())?,
                 models: Vec::new(),
-                pair_answer: pair,
             }),
         };
-        let (idx, spawned) = pool.quantizer.absorb(qvec)?;
+        let (idx, spawned) = pool.quantizer.absorb(qvec, self.config.spawn_distance)?;
         if spawned {
             debug_assert_eq!(idx, pool.models.len());
             pool.models
@@ -500,7 +498,6 @@ impl SeaAgent {
         let mut reset = 0;
         let forget = self.config.forget;
         for pool in self.pools.values_mut() {
-            let pair = pool.pair_answer;
             for (proto, model) in pool
                 .quantizer
                 .prototypes()
@@ -517,6 +514,7 @@ impl SeaAgent {
                 });
                 if overlaps {
                     let feature_dims = 2 * dims + 1;
+                    let pair = model.secondary.is_some();
                     *model = QuantumModel::new(feature_dims, pair, forget)
                         .expect("validated at construction");
                     reset += 1;

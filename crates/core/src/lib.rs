@@ -51,4 +51,5 @@ pub mod pipeline;
 pub use agent::{AgentConfig, AgentStats, Prediction, SeaAgent};
 pub use explain::Explanation;
 pub use interrogate::{interesting_subspaces, SubspaceReport};
-pub use pipeline::{AgentPipeline, AnswerSource, ExecMode, ProcessOutcome};
+pub use pipeline::{AgentPipeline, AnswerSource, ProcessOutcome};
+pub use sea_common::ExecMode;

@@ -11,20 +11,11 @@
 use std::sync::Arc;
 
 use sea_cache::SemanticCache;
-use sea_common::{AnalyticalQuery, AnswerValue, CostReport, Result};
+use sea_common::{AnalyticalQuery, AnswerValue, CostReport, ExecMode, Result, SeaError};
 use sea_query::{CacheClass, Executor, Provenance, QueryOutcome};
 use sea_telemetry::TelemetrySink;
 
 use crate::agent::{AgentConfig, SeaAgent};
-
-/// Which exact-execution regime the pipeline falls back to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// MapReduce-style over all nodes through the full BDAS stack.
-    Bdas,
-    /// Coordinator–cohort with partition/block pruning.
-    Direct,
-}
 
 /// Where an answer came from.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,6 +110,7 @@ pub struct AgentPipeline {
     /// Predictions with estimated relative error above this threshold fall
     /// back to exact execution.
     error_threshold: f64,
+    /// The exact-execution regime the pipeline falls back to.
     mode: ExecMode,
     /// Every `refresh_every`-th would-be prediction is executed exactly
     /// anyway and used for training — the model-error-maintenance audit
@@ -246,6 +238,11 @@ impl AgentPipeline {
             .map(|cache| executor.clone().with_cache_populate_only(cache));
         let mut missed = Provenance::default();
         if let Some(probe) = &cached_exec {
+            // A statement the executor would refuse is refused before the
+            // probe counts its miss (the agent serves the table's dims).
+            let dims = self.agent.dims();
+            query.aggregate.validate(dims)?;
+            SeaError::check_dims(dims, query.region.dims())?;
             if let Some(Ok(outcome)) = probe.cache_lookup(query) {
                 // A cache hit is an exact answer obtained without base
                 // data: serve it *and* learn from it, exactly like a
@@ -323,11 +320,7 @@ impl AgentPipeline {
         let exec_ref = cached_exec.as_ref().unwrap_or(executor);
         // The executor's span tree (scatter → per-node scans → gather)
         // hangs under this pipeline span via the explicit trace parent.
-        let exact = match self.mode {
-            ExecMode::Bdas => exec_ref.execute_bdas_traced(&self.table, query, &ctx),
-            ExecMode::Direct => exec_ref.execute_direct_traced(&self.table, query, &ctx),
-        };
-        let outcome = match exact {
+        let outcome = match exec_ref.execute(&self.table, query, self.mode, &ctx) {
             Ok(outcome) => outcome,
             Err(err) => {
                 if let (true, Some(pred)) = (self.degraded_fallback, prediction) {
@@ -595,6 +588,33 @@ mod tests {
             ..
         } = cache.stats();
         assert_eq!((hits, containment_hits), (1, 1));
+    }
+
+    #[test]
+    fn a_statement_the_executor_refuses_is_refused_before_the_cache_probe() {
+        use sea_cache::{CacheConfig, SemanticCache};
+        use sea_telemetry::TelemetrySink;
+        let c = cluster();
+        let exec = Executor::new(&c);
+        let sink = TelemetrySink::recording();
+        let cache =
+            Arc::new(SemanticCache::new(CacheConfig::default()).with_telemetry(sink.clone()));
+        let mut pipe = AgentPipeline::new(2, AgentConfig::default(), "t", 0.15, ExecMode::Direct)
+            .unwrap()
+            .with_cache(Arc::clone(&cache));
+        let three_d = AnalyticalQuery::new(
+            Region::Range(Rect::new(vec![0.0; 3], vec![10.0; 3]).unwrap()),
+            AggregateKind::Count,
+        );
+        let out_of_range = AnalyticalQuery::new(
+            query(50.0, 50.0, 5.0).region,
+            AggregateKind::Mean { dim: 2 },
+        );
+        for refused in [three_d, out_of_range] {
+            assert!(pipe.process(&exec, &refused).is_err(), "{refused:?}");
+        }
+        assert_eq!(cache.stats().misses, 0);
+        assert_eq!(sink.snapshot().unwrap().event_count("cache.miss"), 0);
     }
 
     #[test]

@@ -82,3 +82,13 @@ fn agent_wire_matches_golden_fixture() {
     let edge = SeaAgent::from_json(&expected).unwrap();
     assert_eq!(edge.to_json().unwrap(), expected);
 }
+
+/// A setting crosses the wire once, in the agent's config: a pool's
+/// quantizer takes the spawn distance from it, and a pool answers pairs
+/// when its models carry a secondary model.
+#[test]
+fn the_wire_carries_each_setting_once() {
+    let wire = small_agent().to_json().unwrap();
+    assert_eq!(wire.matches("\"spawn_distance\"").count(), 1);
+    assert_eq!(wire.matches("\"pair_answer\"").count(), 0);
+}

@@ -22,11 +22,11 @@
 //!   rest fall back to local exact execution; only answers move.
 
 use sea_common::{
-    AggregateKind, AnalyticalQuery, AnswerValue, CostMeter, CostReport, Record, Result, SeaError,
+    AggregateKind, AnalyticalQuery, AnswerValue, CostMeter, CostReport, ExecMode, Record, Result,
+    SeaError,
 };
 use sea_core::agent::{AgentConfig, SeaAgent};
 use sea_query::Executor;
-use sea_storage::DIRECT_LAYERS;
 use sea_telemetry::TelemetrySink;
 
 /// One constituent system of the polystore.
@@ -142,9 +142,8 @@ impl<'a> Polystore<'a> {
             let bbox = query.region.bounding_rect();
             let mut matched: Vec<Record> = Vec::new();
             // Scanned under the system's span; raw rows are what moves.
-            let scatter = s
-                .exec
-                .scatter(&s.table, Some(&bbox), DIRECT_LAYERS, |_, views, _| {
+            let scatter =
+                (s.exec).scatter(&s.table, Some(&bbox), ExecMode::Direct, |_, views, _| {
                     for v in views {
                         let mut hits = v.block.region_mask(&query.region);
                         hits.intersect(&v.mask);
@@ -194,7 +193,7 @@ impl<'a> Polystore<'a> {
                 .telemetry
                 .span_child_of(&span.ctx(), "geo.polystore.system");
             sys_span.tag("system", i);
-            let out = (s.exec).execute_direct_traced(&s.table, query, &sys_span.ctx())?;
+            let out = (s.exec).execute(&s.table, query, ExecMode::Direct, &sys_span.ctx())?;
             total += out.answer.as_scalar().unwrap_or(0.0);
             cost = cost.then(&out.cost);
             if i != 0 {
@@ -254,7 +253,8 @@ impl<'a> Polystore<'a> {
                     if self.telemetry.is_enabled() {
                         sys_span.tag("source", "local_exact");
                     }
-                    let out = (s.exec).execute_direct_traced(&s.table, query, &sys_span.ctx())?;
+                    let out =
+                        (s.exec).execute(&s.table, query, ExecMode::Direct, &sys_span.ctx())?;
                     cost = cost.then(&out.cost);
                     out.answer.as_scalar().unwrap_or(0.0)
                 }

@@ -1,7 +1,7 @@
 //! The edge/core geo-distributed system.
 
 use sea_common::cost::PREDICT_US;
-use sea_common::{AnalyticalQuery, AnswerValue, CostMeter, Result, SeaError};
+use sea_common::{AnalyticalQuery, AnswerValue, CostMeter, ExecMode, Result, SeaError};
 use sea_core::agent::{AgentConfig, SeaAgent};
 use sea_query::{Executor, QueryOutcome, RetryPolicy};
 use sea_storage::StorageCluster;
@@ -173,7 +173,7 @@ impl<'a> GeoSystem<'a> {
         let core = loop {
             match self
                 .executor
-                .execute_direct_traced(&self.table, query, parent)
+                .execute(&self.table, query, ExecMode::Direct, parent)
             {
                 Ok(out) => break out,
                 Err(ref e) if e.is_transient() && retries < wan_retry.max_retries => {

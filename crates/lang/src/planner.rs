@@ -380,14 +380,7 @@ fn execute(
                 })
                 .collect(),
             None => {
-                let outcomes = if queries.len() > 1 {
-                    exec.execute_batch(table, queries)
-                } else {
-                    queries
-                        .iter()
-                        .map(|q| exec.execute_direct(table, q))
-                        .collect()
-                };
+                let outcomes = exec.execute_batch(table, queries);
                 queries
                     .iter()
                     .zip(outcomes)

@@ -9,7 +9,7 @@ use sea_core::{AgentConfig, AgentPipeline, ExecMode};
 use sea_lang::{parse, submit_statement, Frontend, ModeHint};
 use sea_query::Executor;
 use sea_service::{QueryService, TenantConfig};
-use sea_storage::{Partitioning, StorageCluster, DIRECT_LAYERS};
+use sea_storage::{Partitioning, StorageCluster};
 use sea_telemetry::{SpanNode, TelemetrySink};
 
 /// 2-D grid over [0, 100)²: d0 = i % 100, d1 = i / 100.
@@ -149,7 +149,7 @@ fn engine_scans_run_on_the_front_ends_executor() {
     let build = &roots[0];
     let nodes: Vec<_> = build.children.iter().map(|c| c.name.as_str()).collect();
     assert_eq!(nodes, vec!["query.executor.node"; cluster.num_nodes()]);
-    let pass = Executor::new(&cluster).scatter("t", None, DIRECT_LAYERS, |_, _, _| Ok(()));
+    let pass = Executor::new(&cluster).scatter("t", None, ExecMode::Direct, |_, _, _| Ok(()));
     let bill = pass.unwrap().report(&CostMeter::new());
     assert_eq!(build.sim_us.to_bits(), bill.wall_us.to_bits());
 }

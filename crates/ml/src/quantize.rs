@@ -126,34 +126,28 @@ pub struct Prototype {
     pub last_hit: u64,
 }
 
-/// Online adaptive vector quantizer over a stream of query vectors.
+/// Online adaptive vector quantizer over a stream of query vectors. The
+/// spawn distance is the caller's setting, handed to every
+/// [`OnlineQuantizer::absorb`], so a serialised quantizer carries state
+/// only.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OnlineQuantizer {
-    /// A query farther than this (Euclidean) from every prototype spawns
-    /// a new prototype.
-    spawn_distance: f64,
     prototypes: Vec<Prototype>,
     dims: usize,
     clock: u64,
 }
 
 impl OnlineQuantizer {
-    /// Creates an empty quantizer over `dims`-dimensional query vectors
-    /// that spawns a prototype for a query farther than `spawn_distance`
-    /// from every existing one.
+    /// Creates an empty quantizer over `dims`-dimensional query vectors.
     ///
     /// # Errors
     ///
-    /// Non-positive (or NaN) spawn distance, or zero dims.
-    pub fn new(dims: usize, spawn_distance: f64) -> Result<Self> {
+    /// Zero dims.
+    pub fn new(dims: usize) -> Result<Self> {
         if dims == 0 {
             return Err(SeaError::invalid("quantizer needs at least one dimension"));
         }
-        if spawn_distance.is_nan() || spawn_distance <= 0.0 {
-            return Err(SeaError::invalid("spawn_distance must be positive"));
-        }
         Ok(OnlineQuantizer {
-            spawn_distance,
             prototypes: Vec::new(),
             dims,
             clock: 0,
@@ -185,18 +179,22 @@ impl OnlineQuantizer {
         self.clock
     }
 
-    /// Absorbs a query vector. Returns `(prototype_index, spawned)`:
-    /// the index of the prototype that absorbed the query, and whether it
-    /// was newly spawned for it.
+    /// Absorbs a query vector, spawning a prototype for it when it is
+    /// farther than `spawn_distance` (Euclidean) from every existing one.
+    /// Returns `(prototype_index, spawned)`: the index of the prototype
+    /// that absorbed the query, and whether it was newly spawned for it.
     ///
     /// # Errors
     ///
-    /// Dimension mismatch.
-    pub fn absorb(&mut self, x: &[f64]) -> Result<(usize, bool)> {
+    /// Non-positive (or NaN) spawn distance, or dimension mismatch.
+    pub fn absorb(&mut self, x: &[f64], spawn_distance: f64) -> Result<(usize, bool)> {
+        if spawn_distance.is_nan() || spawn_distance <= 0.0 {
+            return Err(SeaError::invalid("spawn_distance must be positive"));
+        }
         SeaError::check_dims(self.dims, x.len())?;
         self.clock += 1;
         if let Some((idx, dist_sq)) = self.nearest_prototype(x) {
-            if dist_sq.sqrt() <= self.spawn_distance {
+            if dist_sq.sqrt() <= spawn_distance {
                 let p = &mut self.prototypes[idx];
                 let rate = LEARNING_RATE / (1.0 + p.hits as f64 * DECAY);
                 for (pv, xv) in p.position.iter_mut().zip(x) {
@@ -307,9 +305,9 @@ mod tests {
 
     #[test]
     fn quantizer_spawns_per_cluster() {
-        let mut q = OnlineQuantizer::new(2, 2.0).unwrap();
+        let mut q = OnlineQuantizer::new(2).unwrap();
         for p in two_clusters() {
-            q.absorb(&p).unwrap();
+            q.absorb(&p, 2.0).unwrap();
         }
         assert_eq!(q.len(), 2, "one prototype per cluster");
         let (idx0, _) = q.nearest_prototype(&[0.0, 0.0]).unwrap();
@@ -319,15 +317,15 @@ mod tests {
 
     #[test]
     fn quantizer_prototypes_drift_toward_data() {
-        let mut q = OnlineQuantizer::new(1, 100.0).unwrap();
-        q.absorb(&[0.0]).unwrap();
+        let mut q = OnlineQuantizer::new(1).unwrap();
+        q.absorb(&[0.0], 100.0).unwrap();
         // One hit so far: the step is LEARNING_RATE / (1 + DECAY) of the gap.
-        q.absorb(&[10.0]).unwrap();
+        q.absorb(&[10.0], 100.0).unwrap();
         let first = q.prototypes()[0].position[0];
         assert_eq!(first, LEARNING_RATE / (1.0 + DECAY) * 10.0);
         let mut last = first;
         for _ in 0..500 {
-            q.absorb(&[10.0]).unwrap();
+            q.absorb(&[10.0], 100.0).unwrap();
             let pos = q.prototypes()[0].position[0];
             assert!(
                 pos > last && pos <= 10.0,
@@ -341,10 +339,10 @@ mod tests {
 
     #[test]
     fn quantizer_purges_stale() {
-        let mut q = OnlineQuantizer::new(1, 1.0).unwrap();
-        q.absorb(&[0.0]).unwrap();
+        let mut q = OnlineQuantizer::new(1).unwrap();
+        q.absorb(&[0.0], 1.0).unwrap();
         for _ in 0..100 {
-            q.absorb(&[50.0]).unwrap();
+            q.absorb(&[50.0], 1.0).unwrap();
         }
         assert_eq!(q.len(), 2);
         let dropped = q.purge_stale(50);
@@ -355,9 +353,9 @@ mod tests {
 
     #[test]
     fn quantizer_hit_counts_and_clock() {
-        let mut q = OnlineQuantizer::new(1, 1.0).unwrap();
+        let mut q = OnlineQuantizer::new(1).unwrap();
         for _ in 0..10 {
-            q.absorb(&[0.0]).unwrap();
+            q.absorb(&[0.0], 1.0).unwrap();
         }
         assert_eq!(q.clock(), 10);
         assert_eq!(q.prototypes()[0].hits, 10);
@@ -366,10 +364,16 @@ mod tests {
 
     #[test]
     fn quantizer_validations() {
-        assert!(OnlineQuantizer::new(0, 1.0).is_err());
-        assert!(OnlineQuantizer::new(1, 0.0).is_err());
-        assert!(OnlineQuantizer::new(1, f64::NAN).is_err());
-        let mut q = OnlineQuantizer::new(2, 1.0).unwrap();
-        assert!(q.absorb(&[1.0]).is_err());
+        assert!(OnlineQuantizer::new(0).is_err());
+        let mut q = OnlineQuantizer::new(2).unwrap();
+        for refused in [0.0, -1.0, f64::NAN] {
+            assert!(q.absorb(&[1.0, 2.0], refused).is_err());
+        }
+        assert!(q.absorb(&[1.0], 1.0).is_err());
+        assert_eq!(
+            (q.len(), q.clock()),
+            (0, 0),
+            "a refused query is not absorbed"
+        );
     }
 }

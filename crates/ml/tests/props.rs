@@ -57,9 +57,9 @@ proptest! {
 
     #[test]
     fn quantizer_prototypes_cover_absorbed_points(points in prop::collection::vec((-5.0f64..5.0, -5.0f64..5.0), 1..80)) {
-        let mut q = OnlineQuantizer::new(2, 1.5).unwrap();
+        let mut q = OnlineQuantizer::new(2).unwrap();
         for (x, y) in &points {
-            q.absorb(&[*x, *y]).unwrap();
+            q.absorb(&[*x, *y], 1.5).unwrap();
         }
         // Every absorbed point is within spawn_distance + drift slack of
         // some prototype (prototypes only move toward data).

@@ -11,11 +11,10 @@
 use std::cmp::Reverse;
 use std::collections::HashMap;
 
-use sea_common::{CostMeter, CostReport, Record, Region, Result, SeaError};
+use sea_common::{CostMeter, CostReport, ExecMode, Record, Region, Result, SeaError};
 use sea_ml::linreg::LinearModel;
 use sea_ml::quantize::KMeans;
 use sea_query::Executor;
-use sea_storage::DIRECT_LAYERS;
 
 /// An ad hoc ML result plus its resource bill.
 #[derive(Debug, Clone)]
@@ -41,7 +40,7 @@ fn on_subspace<T>(
 ) -> Result<AdHocOutcome<T>> {
     let bbox = region.bounding_rect();
     let mut selected = Vec::new();
-    let scatter = exec.scatter(table, Some(&bbox), DIRECT_LAYERS, |_, views, meter| {
+    let scatter = exec.scatter(table, Some(&bbox), ExecMode::Direct, |_, views, meter| {
         let shipped = selected.len();
         for view in views {
             let mut hits = view.block.region_mask(region);

@@ -13,10 +13,10 @@
 use std::collections::HashMap;
 
 use sea_common::{
-    AggregateKind, AnalyticalQuery, AnswerValue, CostMeter, CostReport, Rect, Result, SeaError,
+    AggregateKind, AnalyticalQuery, AnswerValue, CostMeter, CostReport, ExecMode, Rect, Result,
+    SeaError,
 };
 use sea_query::Executor;
-use sea_storage::DIRECT_LAYERS;
 
 use super::sampling::AqpOutcome;
 
@@ -108,7 +108,7 @@ impl<'a> DataCanopy<'a> {
         let (exec, table) = (self.exec, &self.table);
         let top = chunk == self.chunks_per_dim - 1;
         let mut stats = ChunkStats::default();
-        let scatter = exec.scatter(table, Some(&slab), DIRECT_LAYERS, |_, views, meter| {
+        let scatter = exec.scatter(table, Some(&slab), ExecMode::Direct, |_, views, meter| {
             for view in views {
                 let (keys, xs) = (view.block.col(dim), view.block.col(value_dim));
                 view.mask.for_each_set(|i| {

@@ -1,11 +1,10 @@
 //! A BlinkDB-style stratified-sampling AQP engine.
 
 use sea_common::{
-    AggregateKind, AnalyticalQuery, AnswerValue, CostMeter, CostReport, Record, Rect, Result,
-    SeaError,
+    AggregateKind, AnalyticalQuery, AnswerValue, CostMeter, CostReport, ExecMode, Record, Rect,
+    Result, SeaError,
 };
 use sea_query::Executor;
-use sea_storage::BDAS_LAYERS;
 
 use crate::{GridIndex, StratifiedSample};
 
@@ -56,7 +55,7 @@ impl SamplingAqp {
         // Offline pass: full BDAS scan of every node. Records ship as rows
         // on purpose: the stratified sample stores rows.
         let mut all: Vec<Record> = Vec::new();
-        let scatter = exec.scatter(table, None, BDAS_LAYERS, |_, views, _| {
+        let scatter = exec.scatter(table, None, ExecMode::Bdas, |_, views, _| {
             for v in views {
                 v.mask.for_each_set(|i| all.push(v.block.record(i)));
             }
@@ -108,7 +107,7 @@ impl SamplingAqp {
         let recs_per_node = (self.sample_size() / self.sample_nodes.max(1)) as u64;
         for _ in 0..self.sample_nodes {
             let mut m = CostMeter::new();
-            m.touch_node(BDAS_LAYERS);
+            m.touch_node(ExecMode::Bdas);
             m.charge_disk_read(bytes_per_node);
             m.charge_cpu(recs_per_node);
             m.charge_lan(64);

@@ -5,9 +5,9 @@
 //! [`GridImputer`] fetches donors only from the grid cells around a
 //! probe's observed values.
 
-use sea_common::{CostMeter, CostReport, Record, Rect, Result, SeaError};
+use sea_common::{CostMeter, CostReport, ExecMode, Record, Rect, Result, SeaError};
 use sea_query::Executor;
-use sea_storage::{Block, BDAS_LAYERS, DIRECT_LAYERS};
+use sea_storage::Block;
 
 use crate::nearest_first;
 
@@ -95,7 +95,7 @@ pub fn fullscan_impute(
         SeaError::check_dims(dims, r.dims())?;
     }
     let mut donors: Vec<Donor> = Vec::new();
-    let scatter = exec.scatter(table, None, BDAS_LAYERS, |_, views, meter| {
+    let scatter = exec.scatter(table, None, ExecMode::Bdas, |_, views, meter| {
         let stored = donors.len();
         for v in views {
             v.mask.for_each_set(|i| donors.push((v.block, i)));
@@ -203,7 +203,7 @@ impl GridImputer {
             // The scan charges the block reads; only the donor shipment
             // is added here.
             let scatter =
-                exec.scatter(table, Some(&region), DIRECT_LAYERS, |_, views, meter| {
+                exec.scatter(table, Some(&region), ExecMode::Direct, |_, views, meter| {
                     let fetched = donors.len();
                     for v in views {
                         v.mask.for_each_set(|i| donors.push((v.block, i)));

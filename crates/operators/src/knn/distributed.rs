@@ -1,8 +1,10 @@
 //! MapReduce-style vs coordinator–cohort distributed kNN.
 
-use sea_common::{CostMeter, CostReport, Point, Record, RecordId, Rect, Result, SeaError};
+use sea_common::{
+    CostMeter, CostReport, ExecMode, Point, Record, RecordId, Rect, Result, SeaError,
+};
 use sea_query::Executor;
-use sea_storage::{Block, BDAS_LAYERS, DIRECT_LAYERS};
+use sea_storage::Block;
 
 use crate::index::kdtree::{KdTree, Neighbor};
 use crate::nearest_first;
@@ -34,7 +36,7 @@ pub fn mapreduce_knn(exec: &Executor, table: &str, query: &Point, k: usize) -> R
     }
     SeaError::check_dims(exec.cluster().dims(table)?, query.dims())?;
     let mut merged: Vec<Neighbor> = Vec::new();
-    let scatter = exec.scatter(table, None, BDAS_LAYERS, |_, views, meter| {
+    let scatter = exec.scatter(table, None, ExecMode::Bdas, |_, views, meter| {
         let mut local: Vec<Neighbor> = Vec::new();
         for v in views {
             v.mask.for_each_set(|i| {
@@ -97,7 +99,7 @@ impl DistributedKnnIndex {
     pub fn build(exec: &Executor, table: &str) -> Result<Self> {
         let dims = exec.cluster().dims(table)?;
         let mut parts = Vec::with_capacity(exec.cluster().num_nodes());
-        let scatter = exec.scatter(table, None, DIRECT_LAYERS, |_, views, _| {
+        let scatter = exec.scatter(table, None, ExecMode::Direct, |_, views, _| {
             // The partition's box is the union of its blocks' zone maps;
             // the tree indexes points, so it is built from rows on purpose.
             let mut bounds: Option<Rect> = None;
@@ -184,7 +186,7 @@ impl DistributedKnnIndex {
             engaged += 1;
             coord.charge_lan(48); // the query message
             let mut meter = CostMeter::new();
-            meter.touch_node(DIRECT_LAYERS);
+            meter.touch_node(ExecMode::Direct);
             let local = tree.nearest(query, k)?;
             // Index traversal: ~log2(n) node inspections per result.
             // The tree (holding the vectors) is memory-resident on its

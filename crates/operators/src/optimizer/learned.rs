@@ -2,11 +2,10 @@
 //! past task executions and build optimising modules, which, on-the-fly,
 //! adopt the best execution method."
 
-use sea_common::{AnalyticalQuery, Result, SeaError};
+use sea_common::{AnalyticalQuery, ExecMode, Result, SeaError};
 use sea_ml::linreg::RecursiveLeastSquares;
 use sea_ml::Regressor;
 use sea_query::Executor;
-use sea_storage::DIRECT_LAYERS;
 
 use crate::{EquiDepthHistogram, ExecutionEngines, QueryStrategy};
 
@@ -38,7 +37,7 @@ impl LearnedOptimizer {
         let cluster = exec.cluster();
         let stats = cluster.stats(table)?;
         let mut columns = vec![Vec::new(); stats.dims];
-        exec.scatter(table, None, DIRECT_LAYERS, |_, views, _| {
+        exec.scatter(table, None, ExecMode::Direct, |_, views, _| {
             for v in views {
                 for (d, values) in columns.iter_mut().enumerate() {
                     values.extend_from_slice(v.block.col(d));

@@ -17,9 +17,9 @@
 //! crossover moves with table size — exactly the structure a learned
 //! selector (RT3/G6) must capture.
 
-use sea_common::{AnalyticalQuery, CostMeter, CostReport, Rect, Result, SeaError};
+use sea_common::{AnalyticalQuery, CostMeter, CostReport, ExecMode, Rect, Result, SeaError};
 use sea_query::{Executor, Provenance, QueryOutcome};
-use sea_storage::{NodeId, StorageCluster, DIRECT_LAYERS};
+use sea_storage::{NodeId, StorageCluster};
 
 use crate::GridIndex;
 
@@ -74,7 +74,7 @@ impl<'a> ExecutionEngines<'a> {
         let mut grid = GridIndex::new(domain, cells_per_dim)?;
         let span = exec.telemetry().span("optimizer.engines.build");
         let (mut blocks, mut ordinal, mut row) = (Vec::new(), 0u64, vec![0.0; dims]);
-        let scatter = exec.scatter(table, None, DIRECT_LAYERS, |node, views, _| {
+        let scatter = exec.scatter(table, None, ExecMode::Direct, |node, views, _| {
             // The pass admits every block, so a view's position is the
             // block's index in the serving copy.
             for (block, v) in views.iter().enumerate() {
@@ -163,7 +163,7 @@ impl<'a> ExecutionEngines<'a> {
                         continue;
                     }
                     coord.charge_lan(64); // request fan-out
-                    m.touch_node(DIRECT_LAYERS);
+                    m.touch_node(ExecMode::Direct);
                     m.charge_lan(24); // constant-size partial
                     node_meters.push(m);
                 }
@@ -189,7 +189,7 @@ impl<'a> ExecutionEngines<'a> {
         while remaining > 0 {
             let chunk = remaining.min(per_node);
             let mut m = CostMeter::new();
-            m.touch_node(DIRECT_LAYERS);
+            m.touch_node(ExecMode::Direct);
             for _ in 0..chunk {
                 m.charge_point_read(self.record_bytes);
             }

@@ -1,8 +1,8 @@
 //! The score-sorted statistical index behind surgical rank-join access.
 
-use sea_common::{CostMeter, RecordId, Result, SeaError};
+use sea_common::{CostMeter, ExecMode, RecordId, Result, SeaError};
 use sea_query::Executor;
-use sea_storage::{NodeId, DIRECT_LAYERS};
+use sea_storage::NodeId;
 
 /// One index entry: where a tuple lives and what matters about it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,7 +48,7 @@ impl ScoreIndex {
             ));
         }
         let mut entries = Vec::new();
-        let scatter = exec.scatter(table, None, DIRECT_LAYERS, |node, views, _| {
+        let scatter = exec.scatter(table, None, ExecMode::Direct, |node, views, _| {
             for v in views {
                 let (keys, scores, ids) = (v.block.col(0), v.block.col(1), v.block.ids());
                 v.mask.for_each_set(|i| {
@@ -107,7 +107,7 @@ impl ScoreIndex {
         meter.charge_disk_read(bytes);
         meter.charge_cpu(batch.len() as u64);
         meter.charge_lan(bytes);
-        meter.touch_node(DIRECT_LAYERS);
+        meter.touch_node(ExecMode::Direct);
         batch
     }
 }

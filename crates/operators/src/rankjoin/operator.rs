@@ -2,9 +2,8 @@
 
 use std::collections::HashMap;
 
-use sea_common::{CostMeter, CostReport, RecordId, Result, SeaError};
+use sea_common::{CostMeter, CostReport, ExecMode, RecordId, Result, SeaError};
 use sea_query::Executor;
-use sea_storage::BDAS_LAYERS;
 
 use super::ScoreIndex;
 
@@ -66,7 +65,7 @@ pub fn mapreduce_rank_join(
     let mut unavailable = 0;
     for node in 0..exec.cluster().num_nodes() {
         let mut meter = CostMeter::new();
-        meter.touch_node(BDAS_LAYERS);
+        meter.touch_node(ExecMode::Bdas);
         let mut served = true;
         for (table, tuples) in [(left, &mut left_tuples), (right, &mut right_tuples)] {
             let Some(views) = exec.scan_blocks(table, node, None, &mut meter)? else {

@@ -20,9 +20,9 @@
 use sea_cache::{CacheDecision, ColumnFragment, SemanticCache};
 use sea_common::{
     kernels, quantile_of, AggregateKind, AnalyticalQuery, AnswerValue, BivariateStats, CostMeter,
-    CostReport, Rect, Region, Result, SeaError, SelectionMask,
+    CostReport, ExecMode, Rect, Region, Result, SeaError, SelectionMask,
 };
-use sea_storage::{Block, DataNode, NodeId, ScanStats, StorageCluster, BDAS_LAYERS, DIRECT_LAYERS};
+use sea_storage::{Block, DataNode, NodeId, ScanStats, StorageCluster};
 use sea_telemetry::{SpanGuard, TelemetrySink, TraceContext};
 
 use crate::pool::ExecPool;
@@ -209,31 +209,21 @@ enum Step<'c> {
     Scan(OpenedQuery<'c>),
 }
 
-/// What separates the two processing regimes at the scatter level.
-struct Regime {
-    span: &'static str,
-    counter: &'static str,
-    /// Layer crossings each engaged node pays.
-    layers: u64,
-    /// Whether the coordinator prunes: partition metadata picks the
-    /// nodes (one request message each) and zone maps pick the blocks.
-    /// Otherwise every node reads every block.
-    pruned: bool,
+/// What separates the two processing regimes at the scatter level,
+/// beside the layer crossings [`CostMeter::touch_node`] prices: a
+/// query's exec span, its counter, and whether the coordinator prunes —
+/// partition metadata picks the nodes (one request message each) and
+/// zone maps pick the blocks. Otherwise every node reads every block.
+fn regime(mode: ExecMode) -> (&'static str, &'static str, bool) {
+    match mode {
+        ExecMode::Bdas => ("query.executor.bdas", "query.executor.bdas_queries", false),
+        ExecMode::Direct => (
+            "query.executor.direct",
+            "query.executor.direct_queries",
+            true,
+        ),
+    }
 }
-
-const BDAS: Regime = Regime {
-    span: "query.executor.bdas",
-    counter: "query.executor.bdas_queries",
-    layers: BDAS_LAYERS,
-    pruned: false,
-};
-
-const DIRECT: Regime = Regime {
-    span: "query.executor.direct",
-    counter: "query.executor.direct_queries",
-    layers: DIRECT_LAYERS,
-    pruned: true,
-};
 
 /// Stateless executor over a [`StorageCluster`].
 #[derive(Debug, Clone)]
@@ -429,103 +419,98 @@ impl<'a> Executor<'a> {
         merge_partials(&query.aggregate, partials)
     }
 
-    /// Executes `query` over `table` MapReduce-style: every node is
-    /// engaged through all BDAS layers, scans all of its blocks, filters,
-    /// computes a partial aggregate, and ships it over the LAN to a
-    /// coordinator that merges.
+    /// Executes `query` over `table` in regime `mode`, its span tree
+    /// attached under `parent`: [`Executor::run`] over a statement of one.
     ///
     /// # Errors
     ///
     /// Missing table, dimension mismatch, or aggregate errors (e.g. an
     /// operator undefined on an empty selection).
-    pub fn execute_bdas(&self, table: &str, query: &AnalyticalQuery) -> Result<QueryOutcome> {
-        self.execute_bdas_traced(table, query, &TraceContext::NONE)
-    }
-
-    /// [`Executor::execute_bdas`] with an explicit trace parent: the
-    /// executor's span tree (scatter → per-node scans → gather) attaches
-    /// under `parent`, so a pipeline or geo coordinator's trace stays one
-    /// coherent tree across the hop. Each engaged node gets its own
-    /// `query.executor.node` span tagged with the node id and carrying
-    /// that node's simulated cost; the scatter span is tagged with the
-    /// parallel makespan (max over nodes).
-    ///
-    /// # Errors
-    ///
-    /// As [`Executor::execute_bdas`].
-    pub fn execute_bdas_traced(
+    pub fn execute(
         &self,
         table: &str,
         query: &AnalyticalQuery,
+        mode: ExecMode,
         parent: &TraceContext,
     ) -> Result<QueryOutcome> {
-        self.run_one(table, query, parent, &BDAS)
-    }
-
-    /// Executes `query` over `table` in the coordinator–cohort regime:
-    /// partition pruning picks the candidate nodes, block zone maps prune
-    /// within each node, only matching records are aggregated, and each
-    /// engaged node pays a single layer crossing.
-    ///
-    /// # Errors
-    ///
-    /// As [`Executor::execute_bdas`].
-    pub fn execute_direct(&self, table: &str, query: &AnalyticalQuery) -> Result<QueryOutcome> {
-        self.execute_direct_traced(table, query, &TraceContext::NONE)
-    }
-
-    /// [`Executor::execute_direct`] with an explicit trace parent (see
-    /// [`Executor::execute_bdas_traced`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Executor::execute_direct`].
-    pub fn execute_direct_traced(
-        &self,
-        table: &str,
-        query: &AnalyticalQuery,
-        parent: &TraceContext,
-    ) -> Result<QueryOutcome> {
-        self.run_one(table, query, parent, &DIRECT)
-    }
-
-    /// A lone query is [`Executor::run`] over a batch of one.
-    fn run_one(
-        &self,
-        table: &str,
-        query: &AnalyticalQuery,
-        parent: &TraceContext,
-        regime: &Regime,
-    ) -> Result<QueryOutcome> {
-        self.run(table, std::slice::from_ref(query), parent, regime)
+        self.run(table, std::slice::from_ref(query), mode, parent)
             .pop()
             .expect("one outcome per query")
     }
 
-    /// The one statement body — a lone query is a batch of one — in three
-    /// phases. **Open**, on the calling thread in query order: each
-    /// query's exec span, validation, the cache probe when the executor
-    /// consults (a hit is that query's outcome) and its nodes'
-    /// [`Executor::open_query`]. **Compute**, on the pool, pure and
-    /// telemetry-silent: one [`SharedScan`] over the queries still to
+    /// [`Executor::execute`] in the direct regime with no trace parent.
+    ///
+    /// # Errors
+    ///
+    /// As [`Executor::execute`].
+    pub fn execute_direct(&self, table: &str, query: &AnalyticalQuery) -> Result<QueryOutcome> {
+        self.execute(table, query, ExecMode::Direct, &TraceContext::NONE)
+    }
+
+    /// [`Executor::run`] in the direct regime with no trace parent.
+    pub fn execute_batch(
+        &self,
+        table: &str,
+        queries: &[AnalyticalQuery],
+    ) -> Vec<Result<QueryOutcome>> {
+        self.run(table, queries, ExecMode::Direct, &TraceContext::NONE)
+    }
+
+    /// Executes `queries` over `table` as one statement in regime
+    /// `mode`, results in query order. In the BDAS regime every node is
+    /// engaged through all the stack's layers and scans all of its
+    /// blocks; in the direct regime partition metadata picks the nodes
+    /// and zone maps the blocks. Either way each node folds a partial
+    /// aggregate and ships it over the LAN to a coordinator that merges.
+    /// The statement's blocks are read once and every query refines the
+    /// shared rows; each answer is exactly what the query run alone
+    /// returns — over an attached cache too, except that all of the
+    /// statement's probes precede all of its admissions, so no query is
+    /// served from an earlier one of the same statement.
+    ///
+    /// Each query's span tree (exec → scatter → per-node scans →
+    /// gather) attaches under `parent`, so a pipeline or geo
+    /// coordinator's trace stays one coherent tree across the hop; a
+    /// statement of more than one query first opens a
+    /// `query.executor.batch` span there, and a statement of one is a
+    /// lone query. Each engaged node gets its own `query.executor.node`
+    /// span tagged with the node id and carrying that node's simulated
+    /// cost; the scatter span is tagged with the parallel makespan.
+    ///
+    /// The body runs in three phases. **Open**, on the calling thread in
+    /// query order: each query's exec span, validation, the cache probe
+    /// when the executor consults (a hit is that query's outcome) and
+    /// its nodes' `Executor::open_query` — under an installed fault
+    /// plan the queries share per-node operation counters, and which
+    /// query meets which fault is then a function of the statement
+    /// alone, not of thread timing. **Compute**, on the pool, pure and
+    /// telemetry-silent: one `SharedScan` over the queries still to
     /// scan, then their (query, node) folds as one flat fan-out.
     /// **Replay**, on the calling thread in query order: each query's
     /// scatter telemetry, merge, cost assembly and cache admission, under
     /// its resumed exec span. Every probe therefore precedes every
     /// admission, and nothing recorded depends on the pool.
-    fn run(
+    pub fn run(
         &self,
         table: &str,
         queries: &[AnalyticalQuery],
+        mode: ExecMode,
         parent: &TraceContext,
-        regime: &Regime,
     ) -> Vec<Result<QueryOutcome>> {
+        let batch = (queries.len() > 1).then(|| {
+            let span = self.telemetry.span_child_of(parent, "query.executor.batch");
+            span.tag("queries", queries.len());
+            let ctx = span.ctx();
+            (span, ctx)
+        });
+        let parent = batch.as_ref().map_or(parent, |(_, ctx)| ctx);
+        let (span_name, counter, _) = regime(mode);
         let (spans, steps): (Vec<_>, Vec<_>) = queries
             .iter()
             .map(|q| {
-                let exec_span = self.telemetry.span_child_of(parent, regime.span);
-                self.telemetry.incr(regime.counter, 1);
-                (exec_span, self.open_query(table, q, regime))
+                let exec_span = self.telemetry.span_child_of(parent, span_name);
+                self.telemetry.incr(counter, 1);
+                (exec_span, self.open_query(table, q, mode))
             })
             .unzip();
         let stmt: Vec<(&OpenedQuery, &AnalyticalQuery)> = steps
@@ -561,7 +546,7 @@ impl<'a> Executor<'a> {
                     Step::Hit(outcome) => Ok(outcome),
                     Step::Scan(plan) => {
                         let scans = scans.by_ref().take(plan.opened.len());
-                        self.replay(table, q, &plan, scans, regime)
+                        self.replay(table, q, &plan, scans, mode)
                     }
                 }
             })
@@ -584,7 +569,7 @@ impl<'a> Executor<'a> {
         query: &AnalyticalQuery,
         plan: &OpenedQuery,
         scans: impl Iterator<Item = NodeScan>,
-        regime: &Regime,
+        mode: ExecMode,
     ) -> Result<QueryOutcome> {
         let mut coord = CostMeter::new();
         // An attached cache that did not answer — probed in the open
@@ -595,7 +580,8 @@ impl<'a> Executor<'a> {
             provenance.cache = CacheClass::Miss;
         }
         let scatter = self.telemetry.span("query.executor.scatter");
-        if regime.pruned {
+        let (.., pruned) = regime(mode);
+        if pruned {
             // One request message per engaged node. The fan-out is part
             // of the scatter phase, so its simulated time lands on the
             // scatter span (the coordinator still pays it sequentially in
@@ -674,12 +660,7 @@ impl<'a> Executor<'a> {
     /// decisions depend on those counters; a region of the wrong
     /// dimension is rejected, in either regime, before the cache is
     /// probed or any gate is consumed.
-    fn open_query(
-        &self,
-        table: &str,
-        query: &AnalyticalQuery,
-        regime: &Regime,
-    ) -> Result<Step<'a>> {
+    fn open_query(&self, table: &str, query: &AnalyticalQuery, mode: ExecMode) -> Result<Step<'a>> {
         let dims = self.cluster.dims(table)?;
         query.aggregate.validate(dims)?;
         SeaError::check_dims(dims, query.region.dims())?;
@@ -688,12 +669,13 @@ impl<'a> Executor<'a> {
                 return hit.map(Step::Hit);
             }
         }
-        let bbox = regime.pruned.then(|| query.region.bounding_rect());
+        let (.., pruned) = regime(mode);
+        let bbox = pruned.then(|| query.region.bounding_rect());
         let attempts: Vec<Result<(NodeId, Opened)>> = (self.engaged_nodes(table, bbox.as_ref())?)
             .into_iter()
             .map(|node| {
                 let mut opened = self.open_node(table, node)?;
-                opened.meter.touch_node(regime.layers);
+                opened.meter.touch_node(mode);
                 Ok((node, opened))
             })
             .collect();
@@ -794,7 +776,7 @@ impl<'a> Executor<'a> {
 
     /// The node loop of every operator and offline pass: the nodes a
     /// statement over `bbox` engages (every node without a box), each on
-    /// a fresh meter charged `touch_node(layers)` and read through
+    /// a fresh meter charged `touch_node(mode)` and read through
     /// [`Executor::scan_blocks`], its views and meter handed to `visit`
     /// in node order — with no box, every block of the serving copy in
     /// block order, each view selecting every row. A partition left
@@ -809,13 +791,13 @@ impl<'a> Executor<'a> {
         &self,
         table: &str,
         bbox: Option<&Rect>,
-        layers: u64,
+        mode: ExecMode,
         mut visit: impl FnMut(NodeId, &[BlockView<'a>], &mut CostMeter) -> Result<()>,
     ) -> Result<Scatter> {
         let mut out = Scatter::default();
         for node in self.engaged_nodes(table, bbox)? {
             let mut meter = CostMeter::new();
-            meter.touch_node(layers);
+            meter.touch_node(mode);
             match self.scan_blocks(table, node, bbox, &mut meter)? {
                 Some(views) => visit(node, &views, &mut meter)?,
                 None => out.unread.push(node),
@@ -873,52 +855,6 @@ impl<'a> Executor<'a> {
             }
         }
         span
-    }
-
-    /// Executes many queries as one statement in the direct regime — the
-    /// shape batch analytics workloads (E1/E4/E7) and multi-aggregate
-    /// statements actually have: their blocks are read once, and every
-    /// query refines the shared rows. Results come back in query order,
-    /// each exactly what [`Executor::execute_direct`] would have
-    /// returned — over an attached cache too, except that all of the
-    /// batch's probes precede all of its admissions, so no query is
-    /// served from an earlier one of the same batch.
-    ///
-    /// Every query's nodes are opened on the calling thread, in query
-    /// order then node order, before anything is read: under an
-    /// installed fault plan the queries share per-node operation
-    /// counters, and which query meets which fault — and pays its
-    /// backoff — is then a function of the batch alone, not of thread
-    /// timing. Each query's span tree, replayed on the calling thread
-    /// under one `query.executor.batch` span, is as reproducible as a
-    /// lone query's.
-    pub fn execute_batch(
-        &self,
-        table: &str,
-        queries: &[AnalyticalQuery],
-    ) -> Vec<Result<QueryOutcome>> {
-        self.run_batch(table, queries, &DIRECT)
-    }
-
-    /// [`Executor::execute_batch`] in the BDAS regime.
-    pub fn execute_batch_bdas(
-        &self,
-        table: &str,
-        queries: &[AnalyticalQuery],
-    ) -> Vec<Result<QueryOutcome>> {
-        self.run_batch(table, queries, &BDAS)
-    }
-
-    /// [`Executor::run`] under a `query.executor.batch` span.
-    fn run_batch(
-        &self,
-        table: &str,
-        queries: &[AnalyticalQuery],
-        regime: &Regime,
-    ) -> Vec<Result<QueryOutcome>> {
-        let batch_span = self.telemetry.span("query.executor.batch");
-        batch_span.tag("queries", queries.len());
-        self.run(table, queries, &batch_span.ctx(), regime)
     }
 
     /// Builds the statement's [`SharedScan`] over the opened views of
@@ -1496,6 +1432,11 @@ mod tests {
         )
     }
 
+    /// A lone BDAS query with no trace parent.
+    fn bdas(exec: &Executor, table: &str, q: &AnalyticalQuery) -> Result<QueryOutcome> {
+        exec.execute(table, q, ExecMode::Bdas, &TraceContext::NONE)
+    }
+
     fn oracle(c: &StorageCluster, table: &str, q: &AnalyticalQuery) -> AnswerValue {
         let all: Vec<Record> = c.all_records(table).unwrap();
         q.answer_exact(&all).unwrap()
@@ -1521,7 +1462,7 @@ mod tests {
         for agg in aggregates {
             let q = AnalyticalQuery::new(region.clone(), agg);
             let want = oracle(&c, "t", &q);
-            let bdas = exec.execute_bdas("t", &q).unwrap();
+            let bdas = bdas(&exec, "t", &q).unwrap();
             let direct = exec.execute_direct("t", &q).unwrap();
             assert!(
                 bdas.answer.relative_error(&want) < 1e-9,
@@ -1545,7 +1486,7 @@ mod tests {
             AggregateKind::Count,
         );
         let want = oracle(&c, "t", &q);
-        assert_eq!(exec.execute_bdas("t", &q).unwrap().answer, want);
+        assert_eq!(bdas(&exec, "t", &q).unwrap().answer, want);
         assert_eq!(exec.execute_direct("t", &q).unwrap().answer, want);
     }
 
@@ -1554,7 +1495,7 @@ mod tests {
         let c = cluster();
         let exec = Executor::new(&c);
         let q = count_query(vec![10.0, 0.0, 0.0], vec![20.0, 5.0, 6.0]);
-        let bdas = exec.execute_bdas("t", &q).unwrap();
+        let bdas = bdas(&exec, "t", &q).unwrap();
         let direct = exec.execute_direct("t", &q).unwrap();
         assert!(
             direct.cost.wall_us < bdas.cost.wall_us,
@@ -1583,9 +1524,11 @@ mod tests {
         let c = cluster();
         let exec = Executor::new(&c);
         let q = count_query(vec![0.0, 0.0, 0.0], vec![1.0, 1.0, 1.0]);
-        let out = exec.execute_bdas("t", &q).unwrap();
-        assert_eq!(out.cost.totals.nodes_touched, 4);
-        assert_eq!(out.cost.totals.layer_crossings, 4 * BDAS_LAYERS);
+        let out = bdas(&exec, "t", &q).unwrap();
+        let mut touched = CostMeter::new();
+        (0..4).for_each(|_| touched.touch_node(ExecMode::Bdas));
+        assert_eq!(out.cost.totals.nodes_touched, touched.nodes_touched);
+        assert_eq!(out.cost.totals.layer_crossings, touched.layer_crossings);
     }
 
     #[test]
@@ -1594,7 +1537,7 @@ mod tests {
         let exec = Executor::new(&c);
         let nowhere = count_query(vec![-10.0, -10.0, -10.0], vec![-5.0, -5.0, -5.0]);
         assert_eq!(
-            exec.execute_bdas("t", &nowhere).unwrap().answer,
+            bdas(&exec, "t", &nowhere).unwrap().answer,
             AnswerValue::Scalar(0.0)
         );
         let mean_nowhere =
@@ -1611,7 +1554,7 @@ mod tests {
         let exec = Executor::new(&c);
         let q = count_query(vec![0.0, 0.0, 0.0], vec![1.0, 1.0, 1.0]);
         assert!(matches!(
-            exec.execute_bdas("missing", &q),
+            bdas(&exec, "missing", &q),
             Err(SeaError::NotFound(_))
         ));
     }
@@ -1624,7 +1567,7 @@ mod tests {
             Region::Range(Rect::new(vec![0.0; 3], vec![1.0; 3]).unwrap()),
             AggregateKind::Mean { dim: 9 },
         );
-        assert!(exec.execute_bdas("t", &q).is_err());
+        assert!(bdas(&exec, "t", &q).is_err());
         assert!(exec.execute_direct("t", &q).is_err());
     }
 
@@ -1637,7 +1580,7 @@ mod tests {
         let exec = Executor::new(&c);
         sink.begin_query(9);
         let q = count_query(vec![10.0, 0.0, 0.0], vec![60.0, 15.0, 6.0]);
-        exec.execute_bdas("t", &q).unwrap();
+        bdas(&exec, "t", &q).unwrap();
         let snap = sink.snapshot().unwrap();
         assert_eq!(snap.spans.roots.len(), 1, "one query → one span tree");
         let root = &snap.spans.roots[0];
@@ -1720,7 +1663,7 @@ mod tests {
         };
         assert!(want_v > 1.9 && want_v < 2.1, "oracle sanity: {want_v}");
         for out in [
-            exec.execute_bdas("big", &q).unwrap(),
+            bdas(&exec, "big", &q).unwrap(),
             exec.execute_direct("big", &q).unwrap(),
         ] {
             let AnswerValue::Scalar(got) = out.answer else {
@@ -1818,15 +1761,12 @@ mod tests {
             .map(|i| Record::new(i, vec![(i % 100) as f64, (i / 100) as f64, (i % 7) as f64]))
             .collect();
         c.load_table("t", records, Partitioning::Hash).unwrap();
-        let baseline = Executor::new(&c)
-            .execute_bdas("t", &count_query(vec![0.0; 3], vec![100.0, 20.0, 6.0]))
-            .unwrap();
+        let q = count_query(vec![0.0; 3], vec![100.0, 20.0, 6.0]);
+        let baseline = bdas(&Executor::new(&c), "t", &q).unwrap();
         let sink = TelemetrySink::recording();
         c.set_telemetry(sink.clone());
         c.set_fault_plan(FaultPlan::new(7).with_crash(2, 0));
-        let exec = Executor::new(&c);
-        let q = count_query(vec![0.0; 3], vec![100.0, 20.0, 6.0]);
-        let out = exec.execute_bdas("t", &q).unwrap();
+        let out = bdas(&Executor::new(&c), "t", &q).unwrap();
         assert_eq!(out.answer, baseline.answer, "replica serves the partition");
         assert_eq!(out.cost.answered_fraction, 1.0);
         let snap = sink.snapshot().unwrap();
@@ -1843,10 +1783,7 @@ mod tests {
 
         // Default executor: loud, not wrong.
         let strict = Executor::new(&c);
-        assert!(matches!(
-            strict.execute_bdas("t", &q),
-            Err(SeaError::Storage(_))
-        ));
+        assert!(matches!(bdas(&strict, "t", &q), Err(SeaError::Storage(_))));
 
         // Partial-answer mode: a degraded count plus the availability
         // accounting, instead of an error.
@@ -1854,7 +1791,7 @@ mod tests {
         let degraded = Executor::new(&c)
             .with_telemetry(sink.clone())
             .with_partial_answers(true);
-        let out = degraded.execute_bdas("t", &q).unwrap();
+        let out = bdas(&degraded, "t", &q).unwrap();
         let AnswerValue::Scalar(got) = out.answer else {
             panic!("scalar answer")
         };
@@ -1874,14 +1811,14 @@ mod tests {
         let q = count_query(vec![0.0; 3], vec![100.0, 20.0, 6.0]);
         let strict = Executor::new(&c).with_retry_policy(RetryPolicy::none());
         assert!(matches!(
-            strict.execute_bdas("t", &q),
+            bdas(&strict, "t", &q),
             Err(SeaError::Transient(_))
         ));
 
         // With every scan failing, partial-answer mode reports a fully
         // degraded (but well-typed) outcome.
         let degraded = Executor::new(&c).with_partial_answers(true);
-        let out = degraded.execute_bdas("t", &q).unwrap();
+        let out = bdas(&degraded, "t", &q).unwrap();
         assert_eq!(out.answer, AnswerValue::Scalar(0.0));
         assert_eq!(out.cost.answered_fraction, 0.0);
         assert_eq!(out.cost.nodes_unavailable, 4);
@@ -1905,9 +1842,14 @@ mod tests {
             let mut c = cluster();
             c.set_fault_plan((0..4).fold(FaultPlan::new(1), |p, n| p.with_crash(n, 1)));
             let exec = Executor::new(&c);
-            let lone = [exec.execute_bdas("t", &q), exec.execute_direct("t", &q)];
+            let lone = [bdas(&exec, "t", &q), exec.execute_direct("t", &q)];
             let batches = [
-                exec.execute_batch_bdas("t", std::slice::from_ref(&q)),
+                exec.run(
+                    "t",
+                    std::slice::from_ref(&q),
+                    ExecMode::Bdas,
+                    &TraceContext::NONE,
+                ),
                 exec.execute_batch("t", std::slice::from_ref(&q)),
             ];
             for out in lone.into_iter().chain(batches.into_iter().flatten()) {
@@ -1917,7 +1859,7 @@ mod tests {
                     q.region
                 );
             }
-            let next = exec.execute_bdas("t", &healthy).unwrap();
+            let next = bdas(&exec, "t", &healthy).unwrap();
             assert_eq!(
                 next.answer,
                 oracle(&c, "t", &healthy),
@@ -1949,8 +1891,8 @@ mod tests {
             AggregateKind::Median { dim: 0 },
         );
         let small = AnalyticalQuery::new(big.region.clone(), AggregateKind::Count);
-        let big_out = exec.execute_bdas("t", &big).unwrap();
-        let small_out = exec.execute_bdas("t", &small).unwrap();
+        let big_out = bdas(&exec, "t", &big).unwrap();
+        let small_out = bdas(&exec, "t", &small).unwrap();
         assert!(
             big_out.cost.totals.lan_bytes > small_out.cost.totals.lan_bytes * 10,
             "median ships values: {} vs {}",

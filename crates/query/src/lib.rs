@@ -3,15 +3,21 @@
 //! The exact analytical-query executor over the simulated distributed
 //! storage substrate, in both of the paper's processing regimes:
 //!
-//! * [`Executor::execute_bdas`] — MapReduce-style processing "across a
-//!   (potentially) large number of data nodes" through the full BDAS layer
-//!   stack (Fig 1): every node is engaged, every block read.
-//! * [`Executor::execute_direct`] — coordinator–cohort processing (RT3-2):
-//!   a coordinator consults partition metadata and block zone maps,
-//!   engages only the nodes/blocks the selection can touch, and pays only
-//!   one layer crossing per engaged node.
+//! * [`ExecMode::Bdas`](sea_common::ExecMode::Bdas) — MapReduce-style
+//!   processing "across a (potentially) large number of data nodes"
+//!   through the full BDAS layer stack (Fig 1): every node is engaged,
+//!   every block read.
+//! * [`ExecMode::Direct`](sea_common::ExecMode::Direct) —
+//!   coordinator–cohort processing (RT3-2): a coordinator consults
+//!   partition metadata and block zone maps, engages only the
+//!   nodes/blocks the selection can touch, and pays only one layer
+//!   crossing per engaged node.
 //!
-//! Both return the identical exact answer; what differs is the
+//! [`Executor::execute`] runs one query in either regime and
+//! [`Executor::run`] a statement of several; [`Executor::execute_direct`]
+//! and [`Executor::execute_batch`] are the two in the direct regime with
+//! no trace parent. Both regimes return the identical exact answer; what
+//! differs is the
 //! [`sea_common::CostReport`]. That difference — measured, not asserted —
 //! is the substance of experiments E1, E7 and E9. An executor carries no
 //! rates: every bill, its own and an operator's

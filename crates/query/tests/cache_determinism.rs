@@ -6,10 +6,10 @@
 //! number — is independent of scheduling.
 
 use sea_cache::{CacheConfig, CacheStats, SemanticCache};
-use sea_common::{AggregateKind, AnalyticalQuery, Ball, Point, Record, Rect, Region};
+use sea_common::{AggregateKind, AnalyticalQuery, Ball, ExecMode, Point, Record, Rect, Region};
 use sea_query::{ExecPool, Executor};
 use sea_storage::{Partitioning, StorageCluster};
-use sea_telemetry::{SpanNode, TelemetrySink, TelemetrySnapshot};
+use sea_telemetry::{SpanNode, TelemetrySink, TelemetrySnapshot, TraceContext};
 
 fn build_cluster(nodes: usize) -> StorageCluster {
     let mut c = StorageCluster::new(nodes, 64);
@@ -84,10 +84,16 @@ fn cached_run(threads: usize) -> (Vec<String>, CacheStats, TelemetrySnapshot) {
                 let next = AnalyticalQuery::new(region, aggregate_by_index((agg_idx + 1) % 6));
                 let batch = [q, next];
                 outcomes.push(format!("{:?}", exec.execute_batch("t", &batch)));
-                outcomes.push(format!("{:?}", exec.execute_batch_bdas("t", &batch)));
+                outcomes.push(format!(
+                    "{:?}",
+                    exec.run("t", &batch, ExecMode::Bdas, &TraceContext::NONE)
+                ));
             } else {
                 outcomes.push(format!("{:?}", exec.execute_direct("t", &q)));
-                outcomes.push(format!("{:?}", exec.execute_bdas("t", &q)));
+                outcomes.push(format!(
+                    "{:?}",
+                    exec.execute("t", &q, ExecMode::Bdas, &TraceContext::NONE)
+                ));
             }
         }
     }

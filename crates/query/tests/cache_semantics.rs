@@ -11,11 +11,12 @@
 use proptest::prelude::*;
 use sea_cache::{CacheConfig, CacheDecision, NodeFragment, SemanticCache};
 use sea_common::{
-    AggregateKind, AnalyticalQuery, Ball, CostMeter, CostReport, Point, Record, Rect, Region,
+    AggregateKind, AnalyticalQuery, Ball, CostMeter, CostReport, ExecMode, Point, Record, Rect,
+    Region,
 };
 use sea_query::{CacheClass, ExecPool, Executor, QueryOutcome};
 use sea_storage::{Partitioning, StorageCluster};
-use sea_telemetry::TelemetrySink;
+use sea_telemetry::{TelemetrySink, TraceContext};
 
 fn clean_records() -> Vec<Record> {
     (0..2000)
@@ -171,7 +172,7 @@ proptest! {
         // admitted and the inner query simply runs cold on both sides.
         let warm = AnalyticalQuery::new(Region::Range(outer), aggregate_by_index(agg_idx));
         let _ = if warm_bdas {
-            exec.execute_bdas(table, &warm)
+            exec.execute(table, &warm, ExecMode::Bdas, &TraceContext::NONE)
         } else {
             exec.execute_direct(table, &warm)
         };

@@ -11,10 +11,10 @@
 //! so each run builds a fresh cluster with the same plan.
 
 use proptest::prelude::*;
-use sea_common::{AggregateKind, AnalyticalQuery, Ball, Point, Record, Rect, Region};
+use sea_common::{AggregateKind, AnalyticalQuery, Ball, ExecMode, Point, Record, Rect, Region};
 use sea_query::{ExecPool, Executor, RetryPolicy};
 use sea_storage::{FaultPlan, Partitioning, StorageCluster};
-use sea_telemetry::TelemetrySink;
+use sea_telemetry::{TelemetrySink, TraceContext};
 
 mod support;
 
@@ -89,7 +89,7 @@ proptest! {
                 .with_pool(pool)
                 .with_partial_answers(partial);
             (
-                outcome_key(&exec.execute_bdas("t", &query)),
+                outcome_key(&exec.execute("t", &query, ExecMode::Bdas, &TraceContext::NONE)),
                 outcome_key(&exec.execute_direct("t", &query)),
             )
         };
@@ -177,7 +177,7 @@ fn faulted_batches_are_identical_across_thread_counts() {
                         .map(outcome_key)
                         .collect();
                     let bdas: Vec<String> = exec
-                        .execute_batch_bdas("t", &queries)
+                        .run("t", &queries, ExecMode::Bdas, &TraceContext::NONE)
                         .iter()
                         .map(outcome_key)
                         .collect();
@@ -192,7 +192,9 @@ fn faulted_batches_are_identical_across_thread_counts() {
                         .collect();
                     let bdas: Vec<String> = queries
                         .iter()
-                        .map(|q| outcome_key(&exec.execute_bdas("t", q)))
+                        .map(|q| {
+                            outcome_key(&exec.execute("t", q, ExecMode::Bdas, &TraceContext::NONE))
+                        })
                         .collect();
                     (direct, bdas, totals(&cluster))
                 };
@@ -251,7 +253,7 @@ fn chaos_snapshot(threads: usize, batched: bool) -> sea_telemetry::TelemetrySnap
         for (i, (_, queries)) in batch_shapes().iter().enumerate() {
             sink.begin_query(i as u64);
             let _ = exec.execute_batch("t", queries);
-            let _ = exec.execute_batch_bdas("t", queries);
+            let _ = exec.run("t", queries, ExecMode::Bdas, &TraceContext::NONE);
         }
     } else {
         for agg_idx in 0..6usize {
@@ -260,7 +262,7 @@ fn chaos_snapshot(threads: usize, batched: bool) -> sea_telemetry::TelemetrySnap
                 Region::Range(Rect::new(vec![10.0, 0.0, 0.0], vec![70.0, 8.0, 60.0]).unwrap()),
                 aggregate_by_index(agg_idx),
             );
-            let _ = exec.execute_bdas("t", &q);
+            let _ = exec.execute("t", &q, ExecMode::Bdas, &TraceContext::NONE);
             let _ = exec.execute_direct("t", &q);
         }
     }

@@ -25,11 +25,12 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use sea_common::{
-    AggregateKind, AnalyticalQuery, AnswerValue, Ball, Point, Record, Rect, Region, Result,
+    AggregateKind, AnalyticalQuery, AnswerValue, Ball, ExecMode, Point, Record, Rect, Region,
+    Result,
 };
 use sea_query::{CacheClass, ExecPool, Executor, Provenance, QueryOutcome, RetryPolicy};
 use sea_storage::{FaultPlan, Partitioning, StorageCluster};
-use sea_telemetry::TelemetrySink;
+use sea_telemetry::{TelemetrySink, TraceContext};
 
 const NODES: usize = 8;
 const RECORDS: u64 = 4000;
@@ -209,7 +210,7 @@ fn render_all(pool: ExecPool) -> String {
                     let before = fault_counters(&sink);
                     let out = match regime {
                         "direct" => exec.execute_direct(table, &q),
-                        _ => exec.execute_bdas(table, &q),
+                        _ => exec.execute(table, &q, ExecMode::Bdas, &TraceContext::NONE),
                     };
                     let after = fault_counters(&sink);
                     let (retries, failovers) = (after.0 - before.0, after.1 - before.1);
@@ -256,7 +257,7 @@ fn check_batches(pool: ExecPool) -> (u64, u64) {
                     let before = fault_counters(&sink);
                     let outs = match regime {
                         "direct" => exec.execute_batch("r", batch),
-                        _ => exec.execute_batch_bdas("r", batch),
+                        _ => exec.run("r", batch, ExecMode::Bdas, &TraceContext::NONE),
                     };
                     let after = fault_counters(&sink);
                     let counted = (after.0 - before.0, after.1 - before.1);

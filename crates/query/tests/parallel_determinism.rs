@@ -4,10 +4,10 @@
 //! parallelism is allowed to change.
 
 use proptest::prelude::*;
-use sea_common::{AggregateKind, AnalyticalQuery, Ball, Point, Record, Rect, Region};
+use sea_common::{AggregateKind, AnalyticalQuery, Ball, ExecMode, Point, Record, Rect, Region};
 use sea_query::{ExecPool, Executor};
 use sea_storage::{Partitioning, StorageCluster};
-use sea_telemetry::TelemetrySink;
+use sea_telemetry::{TelemetrySink, TraceContext};
 
 mod support;
 
@@ -90,12 +90,12 @@ proptest! {
         );
         let query = AnalyticalQuery::new(region, aggregate_by_index(agg_idx));
         let baseline_exec = Executor::new(&cluster).with_pool(ExecPool::sequential());
-        let bdas0 = outcome_key(&baseline_exec.execute_bdas("t", &query));
+        let bdas0 = outcome_key(&baseline_exec.execute("t", &query, ExecMode::Bdas, &TraceContext::NONE));
         let direct0 = outcome_key(&baseline_exec.execute_direct("t", &query));
         for threads in THREAD_COUNTS {
             let exec = Executor::new(&cluster).with_pool(ExecPool::new(threads));
             prop_assert_eq!(
-                &outcome_key(&exec.execute_bdas("t", &query)),
+                &outcome_key(&exec.execute("t", &query, ExecMode::Bdas, &TraceContext::NONE)),
                 &bdas0,
                 "bdas with {} threads",
                 threads
@@ -131,7 +131,7 @@ fn recorded_snapshot(budgets: &[usize], batched: bool) -> sea_telemetry::Telemet
             // An aggregate undefined on an empty ball is an `Err` at
             // every pool size (`execute_batch_matches_per_query_execution`).
             let _ = exec.execute_batch("t", queries);
-            let _ = exec.execute_batch_bdas("t", queries);
+            let _ = exec.run("t", queries, ExecMode::Bdas, &TraceContext::NONE);
         }
     } else {
         for agg_idx in 0..6usize {
@@ -141,7 +141,8 @@ fn recorded_snapshot(budgets: &[usize], batched: bool) -> sea_telemetry::Telemet
                 Region::Range(Rect::new(vec![10.0, 0.0, 0.0], vec![70.0, 8.0, 60.0]).unwrap()),
                 aggregate_by_index(agg_idx),
             );
-            exec.execute_bdas("t", &q).unwrap();
+            exec.execute("t", &q, ExecMode::Bdas, &TraceContext::NONE)
+                .unwrap();
             exec.execute_direct("t", &q).unwrap();
         }
     }
@@ -234,7 +235,9 @@ fn execute_batch_matches_per_query_execution() {
                 .collect();
             let bdas: Vec<String> = queries
                 .iter()
-                .map(|q| outcome_key(&sequential.execute_bdas("t", q)))
+                .map(|q| {
+                    outcome_key(&sequential.execute("t", q, ExecMode::Bdas, &TraceContext::NONE))
+                })
                 .collect();
             for threads in THREAD_COUNTS {
                 let exec = Executor::new(cluster).with_pool(ExecPool::new(threads));
@@ -248,7 +251,7 @@ fn execute_batch_matches_per_query_execution() {
                     "{state}, {shape}, {threads} threads: direct"
                 );
                 let batch_bdas: Vec<String> = exec
-                    .execute_batch_bdas("t", &queries)
+                    .run("t", &queries, ExecMode::Bdas, &TraceContext::NONE)
                     .iter()
                     .map(outcome_key)
                     .collect();
@@ -258,6 +261,48 @@ fn execute_batch_matches_per_query_execution() {
                 );
             }
         }
+    }
+}
+
+/// A statement of one is a lone query: `execute_batch(t, &[q])` records
+/// what `execute_direct(t, &q)` records — outcome, counters, events and
+/// span tree, with no `query.executor.batch` span — at every pool size.
+#[test]
+fn a_batch_of_one_is_a_lone_query() {
+    let q = AnalyticalQuery::new(
+        Region::Range(Rect::new(vec![10.0, 0.0, 0.0], vec![70.0, 8.0, 60.0]).unwrap()),
+        AggregateKind::Median { dim: 0 },
+    );
+    for threads in THREAD_COUNTS {
+        let record = |batched: bool| {
+            let mut cluster = build_cluster(2000, 4, Partitioning::Hash, 0.0);
+            let sink = TelemetrySink::recording();
+            cluster.set_telemetry(sink.clone());
+            let exec = Executor::new(&cluster).with_pool(ExecPool::new(threads));
+            sink.begin_query(0);
+            let out = if batched {
+                let mut outs = exec.execute_batch("t", std::slice::from_ref(&q));
+                assert_eq!(outs.len(), 1);
+                outs.remove(0)
+            } else {
+                exec.execute_direct("t", &q)
+            };
+            (
+                outcome_key(&out),
+                support::scrubbed(sink.snapshot().unwrap()),
+            )
+        };
+        let (lone, lone_snap) = record(false);
+        let (batch, batch_snap) = record(true);
+        let at = format!("{threads} threads");
+        assert_eq!(batch, lone, "{at}: outcome");
+        assert_eq!(batch_snap.counters, lone_snap.counters, "{at}: counters");
+        assert_eq!(batch_snap.events, lone_snap.events, "{at}: events");
+        assert_eq!(batch_snap.spans, lone_snap.spans, "{at}: span tree");
+        let roots: Vec<_> = (batch_snap.spans.roots.iter())
+            .map(|r| r.name.as_str())
+            .collect();
+        assert_eq!(roots, ["query.executor.direct"], "{at}");
     }
 }
 

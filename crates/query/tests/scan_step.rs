@@ -6,7 +6,7 @@
 //! operators read, counted and charged alike.
 
 use proptest::prelude::*;
-use sea_common::{CostMeter, Record, Rect, SeaError};
+use sea_common::{CostMeter, ExecMode, Record, Rect, SeaError};
 use sea_query::{BlockView, Executor, RetryPolicy, Scatter};
 use sea_storage::{FaultPlan, Partitioning, ScanStats, StorageCluster};
 use sea_telemetry::{FieldValue, TelemetrySink};
@@ -119,7 +119,7 @@ fn ids_of(exec: &Executor, node: usize) -> Vec<u64> {
 
 /// A scatter engages the nodes a statement over the same box would —
 /// every node without one, the partitions metadata admits with one —
-/// each on its own meter: `touch_node(layers)`, the scan's charges and
+/// each on its own meter: `touch_node(mode)`, the scan's charges and
 /// whatever `visit` adds, the views being the scan's own.
 #[test]
 fn a_scatter_engages_a_statements_nodes_each_on_its_own_meter() {
@@ -137,7 +137,7 @@ fn a_scatter_engages_a_statements_nodes_each_on_its_own_meter() {
     for (bbox, nodes) in [(None, vec![0, 1, 2, 3]), (Some(&region), pruned)] {
         let mut visited = Vec::new();
         let scatter = exec
-            .scatter("t", bbox, 3, |node, views, meter| {
+            .scatter("t", bbox, ExecMode::Bdas, |node, views, meter| {
                 visited.push((node, selected(views)));
                 meter.charge_lan(8);
                 Ok(())
@@ -149,7 +149,7 @@ fn a_scatter_engages_a_statements_nodes_each_on_its_own_meter() {
         for ((node, meter), (seen, rows)) in scatter.meters.iter().zip(&visited) {
             assert_eq!(node, seen);
             let mut want = CostMeter::new();
-            want.touch_node(3);
+            want.touch_node(ExecMode::Bdas);
             let views = exec.scan_blocks("t", *node, bbox, &mut want).unwrap();
             want.charge_lan(8);
             assert_eq!(*meter, want, "partition {node}");
@@ -171,7 +171,7 @@ fn an_unread_partition_is_counted_not_visited_and_keeps_its_meter() {
     let exec = Executor::new(&down).with_partial_answers(true);
     let mut visited = Vec::new();
     let scatter = exec
-        .scatter("t", None, 3, |node, _, _| {
+        .scatter("t", None, ExecMode::Bdas, |node, _, _| {
             visited.push(node);
             Ok(())
         })
@@ -179,7 +179,7 @@ fn an_unread_partition_is_counted_not_visited_and_keeps_its_meter() {
     assert_eq!(visited, [0, 1, 3]);
     assert_eq!(scatter.unread, [2]);
     let mut touched = CostMeter::new();
-    touched.touch_node(3);
+    touched.touch_node(ExecMode::Bdas);
     assert_eq!(scatter.meters[2], (2, touched));
     let cost = scatter.report(&CostMeter::new());
     assert_eq!((cost.answered_fraction, cost.nodes_unavailable), (0.75, 1));
@@ -194,7 +194,9 @@ fn an_unread_partition_is_counted_not_visited_and_keeps_its_meter() {
     };
     let exec = (Executor::new(&flaky).with_retry_policy(retry)).with_partial_answers(true);
     let scatter = exec
-        .scatter("t", None, 3, |node, _, _| panic!("partition {node} read"))
+        .scatter("t", None, ExecMode::Bdas, |node, _, _| {
+            panic!("partition {node} read")
+        })
         .unwrap();
     assert_eq!(scatter.unread, [0, 1, 2, 3]);
     let mut waited = touched;
@@ -215,7 +217,7 @@ fn an_offline_pass_reads_every_partition_or_refuses() {
     let exec = Executor::new(&c);
     let mut rows = Vec::new();
     let pass = exec
-        .scatter("t", None, 3, |node, views, _| {
+        .scatter("t", None, ExecMode::Bdas, |node, views, _| {
             rows.push((node, selected(views).len()));
             Ok(())
         })
@@ -235,7 +237,7 @@ fn an_offline_pass_reads_every_partition_or_refuses() {
     let parent = sink.span("pass");
     let mut visited = Vec::new();
     let refused = partial
-        .scatter("t", None, 3, |node, _, _| {
+        .scatter("t", None, ExecMode::Bdas, |node, _, _| {
             visited.push(node);
             Ok(())
         })

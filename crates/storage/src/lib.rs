@@ -13,15 +13,10 @@
 //! baselines, the surgical-access operators) therefore expose *measurable*
 //! efficiency differences instead of hand-waved ones.
 //!
-//! Two access paths model the paper's two processing regimes:
-//!
-//! * **BDAS path** ([`BDAS_LAYERS`] crossings per engaged node): what a
-//!   MapReduce-style job pays on every node it touches.
-//! * **Direct path** ([`DIRECT_LAYERS`] crossing): what a coordinator that
-//!   "accesses directly the storage engine" (RT3-2) pays.
-//!
-//! Which blocks a scan reads on either path, and what reading them
-//! charges, is decided in exactly one place: [`DataNode::charge_scan`].
+//! Which blocks a scan reads in either of the paper's processing
+//! regimes ([`sea_common::ExecMode`], which also prices the layers each
+//! engaged node crosses), and what reading them charges, is decided in
+//! exactly one place: [`DataNode::charge_scan`].
 //! There is no row scan here: a reader opens a partition
 //! ([`StorageCluster::open_scan`]), reads the admitted blocks' columns and
 //! records the scan ([`StorageCluster::record_scan`]) — `sea_query`'s
@@ -40,10 +35,3 @@ pub use cluster::{BlockCatalogEntry, StorageCluster, TableStats};
 pub use fault::{FaultPlan, FaultState};
 pub use node::{Block, ColumnRange, DataNode, ScanStats};
 pub use partition::{NodeId, Partitioning};
-
-/// Software layers a MapReduce-style BDAS job crosses per engaged node:
-/// distributed FS, resource manager, execution engine, application layer.
-pub const BDAS_LAYERS: u64 = 4;
-
-/// Layers crossed when a coordinator addresses the storage engine directly.
-pub const DIRECT_LAYERS: u64 = 1;

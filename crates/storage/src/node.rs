@@ -548,7 +548,7 @@ impl DataNode {
     ///
     /// Either way each block read costs CPU per record it holds. Layer
     /// crossings are the caller's charge (`touch_node`: only it knows
-    /// its access path), as is any slow-node scaling. Returns the
+    /// its regime), as is any slow-node scaling. Returns the
     /// admitted blocks in block order and the scan's [`ScanStats`] with
     /// `records_returned` left at zero for the caller's filter to fill.
     pub fn charge_scan(

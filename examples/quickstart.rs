@@ -10,6 +10,7 @@ use sea_common::{AggregateKind, AnalyticalQuery, Point, Rect, Region};
 use sea_core::{AgentConfig, AgentPipeline, AnswerSource, ExecMode};
 use sea_query::Executor;
 use sea_storage::{Partitioning, StorageCluster};
+use sea_telemetry::TraceContext;
 use sea_workload::{DataGenerator, DataSpec};
 
 fn main() -> sea_common::Result<()> {
@@ -30,7 +31,7 @@ fn main() -> sea_common::Result<()> {
         AggregateKind::Count,
     );
     let exec = Executor::new(&cluster);
-    let bdas = exec.execute_bdas("sensors", &query)?;
+    let bdas = exec.execute("sensors", &query, ExecMode::Bdas, &TraceContext::NONE)?;
     let direct = exec.execute_direct("sensors", &query)?;
     println!(
         "exact count = {:?}; BDAS path {:.1} ms, direct path {:.1} ms",

@@ -5,10 +5,13 @@
 
 use proptest::prelude::*;
 
-use sea_common::{AggregateKind, AnalyticalQuery, AnswerValue, Point, Record, Rect, Region};
+use sea_common::{
+    AggregateKind, AnalyticalQuery, AnswerValue, ExecMode, Point, Record, Rect, Region,
+};
 use sea_operators::{ExecutionEngines, GridIndex, KdTree, QueryStrategy};
 use sea_query::Executor;
 use sea_storage::{Partitioning, StorageCluster};
+use sea_telemetry::TraceContext;
 
 /// A deterministic, modest dataset shared by the properties.
 fn dataset() -> Vec<Record> {
@@ -54,7 +57,7 @@ proptest! {
         let exec = Executor::new(&c);
         let q = AnalyticalQuery::new(Region::Range(rect), agg);
         let oracle = q.answer_exact(&dataset());
-        let bdas = exec.execute_bdas("t", &q);
+        let bdas = exec.execute("t", &q, ExecMode::Bdas, &TraceContext::NONE);
         let direct = exec.execute_direct("t", &q);
         match oracle {
             Ok(want) => {

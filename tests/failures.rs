@@ -3,7 +3,8 @@
 //! fail loudly (never silently wrong) when it is not.
 
 use sea_common::{
-    AggregateKind, AnalyticalQuery, CostMeter, CostReport, Point, Record, Rect, Region, SeaError,
+    AggregateKind, AnalyticalQuery, CostMeter, CostReport, ExecMode, Point, Record, Rect, Region,
+    SeaError,
 };
 use sea_core::AgentConfig;
 use sea_geo::{ConstituentSystem, Polystore};
@@ -13,6 +14,7 @@ use sea_operators::{
 };
 use sea_query::Executor;
 use sea_storage::{FaultPlan, Partitioning, StorageCluster};
+use sea_telemetry::TraceContext;
 
 fn records(n: u64) -> Vec<Record> {
     (0..n)
@@ -42,7 +44,10 @@ fn exact_queries_survive_node_failure_with_replication() {
         cluster.fail_node(victim).unwrap();
         {
             let exec = Executor::new(&cluster);
-            let bdas = exec.execute_bdas("t", &q).unwrap().answer;
+            let bdas = exec
+                .execute("t", &q, ExecMode::Bdas, &TraceContext::NONE)
+                .unwrap()
+                .answer;
             let direct = exec.execute_direct("t", &q).unwrap().answer;
             assert_eq!(bdas, before, "BDAS answer intact with node {victim} down");
             assert_eq!(
@@ -64,7 +69,9 @@ fn unreplicated_failure_is_loud_not_wrong() {
     let exec = Executor::new(&cluster);
     // The query spans all hash partitions, so execution must error rather
     // than return a partial (silently wrong) count.
-    assert!(exec.execute_bdas("t", &count_query(12.0)).is_err());
+    assert!(exec
+        .execute("t", &count_query(12.0), ExecMode::Bdas, &TraceContext::NONE)
+        .is_err());
     assert!(exec.execute_direct("t", &count_query(12.0)).is_err());
 }
 
