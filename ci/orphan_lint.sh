@@ -14,46 +14,74 @@
 # from the repo root:
 #
 #   ci/orphan_lint.sh
+#
+# It then prints, for information only (the exit status is the orphan
+# check's), the census of second paths: every `pub fn` under
+# crates/*/src whose name, outside its own file, occurs only in test
+# code — crates/*/tests, tests/, or the part of a file after its
+# `#[cfg(test)]`. Such a function has no caller in the experiments, the
+# examples, seabench or the library itself; each one is either a
+# reference kept on purpose or a candidate for deletion.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-# `<file>:<identifier>` for every identifier in a file's code: comments
-# are cut at `//`, a `pub use` statement is skipped up to its `;`.
+# `<file>:<identifier>:<T|N>` for every identifier in a file's code
+# (T: test code, N: the rest): comments are cut at `//`, a `pub use`
+# statement is skipped up to its `;`, and a file's lines from its first
+# `#[cfg(test)]` on are test code, as is every file under a `tests`
+# directory.
 identifiers() {
     find crates examples tests benchmark/src -name '*.rs' -not -path '*/target/*' -print0 |
         xargs -0 awk '
-            FNR == 1 { in_use = 0 }
+            FNR == 1 {
+                in_use = 0
+                in_test = (FILENAME ~ /^tests\// || FILENAME ~ /^crates\/[^\/]+\/tests\//)
+            }
             {
                 line = $0
                 sub(/\/\/.*/, "", line)
+                if (line ~ /#\[cfg\(test\)\]/) in_test = 1
                 if (in_use || line ~ /^[[:space:]]*pub use /) {
                     in_use = (line !~ /;/)
                     next
                 }
                 while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
-                    print FILENAME ":" substr(line, RSTART, RLENGTH)
+                    print FILENAME ":" substr(line, RSTART, RLENGTH) ":" (in_test ? "T" : "N")
                     line = substr(line, RSTART + RLENGTH)
                 }
             }'
 }
 
-# Every `<defining file>:<name>` whose name appears in no other file.
-orphans() {
+# Every `<defining file>:<name>` whose name appears in no other file
+# (`orphans`), and every one named outside its file only in test code
+# (`test_only`).
+census() {
     identifiers |
         sort -u |
-        awk -F: '
-            { files[$2]++ }
+        awk -F: -v want="$1" '
+            {
+                key = $1 ":" $2
+                if (!(key in seen)) { seen[key] = 1; files[$2]++ }
+                if ($3 == "N") { plain[key] = 1 }
+            }
             $1 ~ /^crates\/[^\/]+\/src\// { src[$1] = 1 }
             END {
+                for (key in plain) {
+                    split(key, parts, ":")
+                    plain_files[parts[2]]++
+                }
                 for (f in src) {
                     while ((getline line < f) > 0) {
                         rest = line
                         sub(/\/\/.*/, "", rest)
                         while (match(rest, /pub fn [A-Za-z_][A-Za-z0-9_]*/)) {
                             name = substr(rest, RSTART + 7, RLENGTH - 7)
-                            if (files[name] == 1) print f ":" name
                             rest = substr(rest, RSTART + RLENGTH)
+                            others = files[name] - 1
+                            if (want == "orphans" && others == 0) print f ":" name
+                            if (want == "test_only" && others > 0 &&
+                                plain_files[name] - ((f ":" name) in plain) == 0) print f ":" name
                         }
                     }
                     close(f)
@@ -62,9 +90,18 @@ orphans() {
         sort -u
 }
 
-found=$(orphans)
+status=0
+found=$(census orphans)
 if [ -n "$found" ]; then
     sed 's/^/orphan-lint: pub fn used nowhere outside its file: /' <<<"$found" >&2
-    exit 1
+    status=1
+else
+    echo "orphan-lint: every pub fn under crates/*/src is named outside its file"
 fi
-echo "orphan-lint: every pub fn under crates/*/src is named outside its file"
+
+test_only=$(census test_only)
+echo "orphan-lint (information): pub fns named outside their file only in test code: $(grep -c . <<<"$test_only" || true)"
+if [ -n "$test_only" ]; then
+    sed 's/^/  /' <<<"$test_only"
+fi
+exit "$status"

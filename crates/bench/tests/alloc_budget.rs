@@ -18,7 +18,9 @@
 //! It also pins the exact path: four statements that scan a
 //! 200 000-record table through an executor whose pool is
 //! `ExecPool::sequential()`, so the gather's morsels, the folds and the
-//! merge all allocate on the calling thread.
+//! merge all allocate on the calling thread; a ten-aggregate batch over
+//! the same table; and a containment hit that the executor answers from
+//! its attached cache's fragments.
 //!
 //! Counts are per thread (a predicted statement never leaves the calling
 //! thread) and deterministic, so each is pinned with `assert_eq!`: a
@@ -428,4 +430,64 @@ fn exact_statements_stay_within_their_budget() {
     // query refines every chunk of a node in one mask buffer (87, 175,
     // 313 and 280 before either).
     assert_eq!(counted, [63, 167, 289, 272]);
+}
+
+#[test]
+fn a_ten_aggregate_batch_stays_within_its_budget() {
+    let cluster = scan_cluster();
+    let exec = Executor::new(&cluster).with_pool(ExecPool::sequential());
+    let rect = Region::Range(Rect::new(vec![10.0, 20.0], vec![45.0, 60.0]).unwrap());
+    let batch: Vec<AnalyticalQuery> = (0..2)
+        .flat_map(|dim| {
+            [
+                AggregateKind::Sum { dim },
+                AggregateKind::Mean { dim },
+                AggregateKind::Variance { dim },
+                AggregateKind::Min { dim },
+                AggregateKind::Max { dim },
+            ]
+        })
+        .map(|aggregate| AnalyticalQuery::new(rect.clone(), aggregate))
+        .collect();
+    let run = || {
+        allocs(|| {
+            for out in exec.execute_batch("t", &batch) {
+                out.unwrap();
+            }
+        })
+        .0
+    };
+    run();
+    let n = run();
+    println!("ten-aggregate batch, sequential pool: {n} allocations");
+    // The blocks are read and gathered once for the whole batch, so ten
+    // aggregates cost well under ten lone statements (the three-aggregate
+    // batch above: 289).
+    assert_eq!(n, 405);
+}
+
+#[test]
+fn a_containment_hit_through_the_executor_stays_within_its_budget() {
+    let cluster = scan_cluster();
+    let cache = SemanticCache::default();
+    let exec = Executor::new(&cluster)
+        .with_pool(ExecPool::sequential())
+        .with_cache(&cache);
+    let query = |lo: Vec<f64>, hi: Vec<f64>| {
+        let region = Region::Range(Rect::new(lo, hi).unwrap());
+        AnalyticalQuery::new(region, AggregateKind::Mean { dim: 1 })
+    };
+    // A cold scan admits the outer box's per-node fragments.
+    let outer = query(vec![10.0, 20.0], vec![45.0, 60.0]);
+    let cold = exec.execute_direct("t", &outer).unwrap();
+    assert_eq!(cold.provenance.cache.label(), "miss");
+    let inner = query(vec![20.0, 30.0], vec![40.0, 50.0]);
+    let hit = || allocs(|| exec.execute_direct("t", &inner).unwrap());
+    hit();
+    let (n, out) = hit();
+    assert_eq!(out.provenance.cache.label(), "containment");
+    println!("containment hit through the executor, sequential pool: {n} allocations");
+    // No node is opened: the fold re-masks each node's cached fragment
+    // (shared with the cache, not copied) and merges the partials.
+    assert_eq!(n, 13);
 }

@@ -275,7 +275,7 @@ fn stale(ordinal: u64) -> SeaError {
 mod tests {
     use super::*;
     use sea_common::{AggregateKind, Point, Record, Region};
-    use sea_storage::Partitioning;
+    use sea_storage::{FaultPlan, Partitioning};
 
     /// `t` on `c`, range-partitioned on dim 0: partition 1 holds
     /// dim 0 in [25, 50).
@@ -468,7 +468,7 @@ mod tests {
         let c = cluster();
         let eng = engines(&c);
         let mut failed = c.clone();
-        failed.fail_node(1).unwrap();
+        failed.set_fault_plan(FaultPlan::new(0).with_crash(1, 0));
         let exec = Executor::new(&failed);
         // No replica holds partition 1: a fetch that needs its rows fails
         // like a scan would; one whose candidates live elsewhere answers.
@@ -491,7 +491,7 @@ mod tests {
     fn a_failover_fetch_resolves_the_same_positions() {
         let healthy = load(StorageCluster::with_replication(4, 512));
         let mut failed = healthy.clone();
-        failed.fail_node(1).unwrap();
+        failed.set_fault_plan(FaultPlan::new(0).with_crash(1, 0));
         let eng = engines(&healthy);
         let built_on_failover = engines(&failed);
         for q in partition_one_queries() {

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use sea_common::{AggregateKind, AnalyticalQuery, Ball, ExecMode, Point, Record, Rect, Region};
 use sea_query::{ExecPool, Executor};
-use sea_storage::{Partitioning, StorageCluster};
+use sea_storage::{FaultPlan, Partitioning, StorageCluster};
 use sea_telemetry::{TelemetrySink, TraceContext};
 
 mod support;
@@ -221,7 +221,7 @@ fn execute_batch_matches_per_query_execution() {
     degraded
         .load_table("t", records, Partitioning::Hash)
         .unwrap();
-    degraded.fail_node(2).unwrap();
+    degraded.set_fault_plan(FaultPlan::new(0).with_crash(2, 0));
     for (state, cluster) in [
         ("healthy", &healthy),
         ("range-partitioned", &ranged),

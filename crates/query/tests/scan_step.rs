@@ -167,7 +167,7 @@ fn a_scatter_engages_a_statements_nodes_each_on_its_own_meter() {
 fn an_unread_partition_is_counted_not_visited_and_keeps_its_meter() {
     let c = cluster((0..200).map(|i| (i as f64 % 100.0, i as f64)).collect(), 16);
     let mut down = c.clone();
-    down.fail_node(2).unwrap();
+    down.set_fault_plan(FaultPlan::new(0).with_crash(2, 0));
     let exec = Executor::new(&down).with_partial_answers(true);
     let mut visited = Vec::new();
     let scatter = exec
@@ -232,7 +232,7 @@ fn an_offline_pass_reads_every_partition_or_refuses() {
 
     let sink = TelemetrySink::recording();
     c.set_telemetry(sink.clone());
-    c.fail_node(2).unwrap();
+    c.set_fault_plan(FaultPlan::new(0).with_crash(2, 0));
     let partial = Executor::new(&c).with_partial_answers(true);
     let parent = sink.span("pass");
     let mut visited = Vec::new();
@@ -276,7 +276,7 @@ fn a_replica_serves_its_primarys_rows_after_a_delete() {
     let exec = Executor::new(&c);
     for node in 0..c.num_nodes() {
         let mut failed = c.clone();
-        failed.fail_node(node).unwrap();
+        failed.set_fault_plan(FaultPlan::new(0).with_crash(node, 0));
         let (replica, failover) = failed.serving_node("t", node).unwrap();
         assert!(failover);
         assert_eq!(

@@ -204,7 +204,7 @@ fn degraded_fallback_is_ledgered_as_a_free_answer_that_trains_nothing() {
     let mut down = StorageCluster::new(1, 64);
     down.load_table("t", healthy.all_records("t").unwrap(), Partitioning::Hash)
         .unwrap();
-    down.fail_node(0).unwrap();
+    down.set_fault_plan(FaultPlan::new(0).with_crash(0, 0));
     let mut svc = QueryService::new(Executor::new(&down), "t");
     let config = TenantConfig {
         slo: Some(SloPolicy::new(f64::INFINITY, 0.0)),

@@ -89,15 +89,13 @@ pub struct StorageCluster {
     n_nodes: usize,
     block_size: usize,
     replication: usize,
-    /// Per-node liveness; failed nodes answer no reads and their
-    /// partitions are served by the next node's replica (when present).
-    down: Vec<bool>,
     tables: HashMap<String, TableMeta>,
     /// Telemetry sink for `storage.*` spans/events; defaults to the
     /// no-op sink.
     telemetry: TelemetrySink,
     /// Installed fault-injection state (see [`crate::fault`]). Shared
-    /// across clones so one fault timeline governs an experiment.
+    /// across clones so one fault timeline governs an experiment; a
+    /// node is down only when this plan has crashed it.
     faults: Option<Arc<FaultState>>,
 }
 
@@ -114,7 +112,6 @@ impl StorageCluster {
             n_nodes,
             block_size: block_size.max(1),
             replication: 1,
-            down: vec![false; n_nodes],
             tables: HashMap::new(),
             telemetry: TelemetrySink::default(),
             faults: None,
@@ -134,7 +131,6 @@ impl StorageCluster {
             n_nodes,
             block_size: block_size.max(1),
             replication: 2,
-            down: vec![false; n_nodes],
             tables: HashMap::new(),
             telemetry: TelemetrySink::default(),
             faults: None,
@@ -161,29 +157,24 @@ impl StorageCluster {
     }
 
     /// Installs a deterministic fault-injection plan (replacing any
-    /// previous one and resetting its operation counters). See
+    /// previous one and resetting its operation counters and crash
+    /// latches). A crash at op 0 takes its node down at once. See
     /// [`crate::fault`] for the determinism contract.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.faults = Some(Arc::new(FaultState::new(plan, self.n_nodes)));
     }
 
     /// Removes the installed fault plan; the cluster becomes fault-free
-    /// again (manually failed nodes stay failed).
+    /// again, every crashed node included.
     pub fn clear_fault_plan(&mut self) {
         self.faults = None;
     }
 
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_deref().map(FaultState::plan)
-    }
-
-    /// Whether partition `node`'s primary is currently unable to serve —
-    /// manually failed or crashed by the fault plan. A successful scan of
-    /// such a partition was served by its replica (a failover).
+    /// Whether partition `node`'s primary is currently unable to serve:
+    /// the fault plan has crashed it. A successful scan of such a
+    /// partition was served by its replica (a failover).
     fn primary_down(&self, node: NodeId) -> bool {
-        self.down.get(node).copied().unwrap_or(false)
-            || self.faults.as_ref().is_some_and(|f| f.crashed(node))
+        self.faults.as_ref().is_some_and(|f| f.crashed(node))
     }
 
     /// Consults the fault layer for one scan attempt against partition
@@ -201,36 +192,6 @@ impl StorageCluster {
                 "injected fault: scan of partition {node} failed"
             ))),
         }
-    }
-
-    /// Marks node `node` as failed: reads of its partitions either fail
-    /// (replication 1) or are served by the replica on the next node.
-    ///
-    /// # Errors
-    ///
-    /// Out-of-range node id.
-    pub fn fail_node(&mut self, node: NodeId) -> Result<()> {
-        if node >= self.n_nodes {
-            return Err(SeaError::Storage(format!("node {node} out of range")));
-        }
-        self.down[node] = true;
-        Ok(())
-    }
-
-    /// Brings a failed node back (its stored state was retained).
-    ///
-    /// # Errors
-    ///
-    /// Out-of-range node id.
-    pub fn restore_node(&mut self, node: NodeId) -> Result<()> {
-        if node >= self.n_nodes {
-            return Err(SeaError::Storage(format!("node {node} out of range")));
-        }
-        self.down[node] = false;
-        if let Some(faults) = &self.faults {
-            faults.revive(node);
-        }
-        Ok(())
     }
 
     /// Number of data nodes.
@@ -862,11 +823,11 @@ mod replication_tests {
     fn replicated_reads_survive_single_failure() {
         let mut c = replicated_cluster();
         assert_eq!(total_scanned(&c), 1000);
-        c.fail_node(2).unwrap();
+        c.set_fault_plan(FaultPlan::new(0).with_crash(2, 0));
         assert!(c.primary_down(2));
         // Partition 2 is served by the replica on node 3.
         assert_eq!(total_scanned(&c), 1000, "no records lost");
-        c.restore_node(2).unwrap();
+        c.clear_fault_plan();
         assert!(!c.primary_down(2));
     }
 
@@ -877,15 +838,15 @@ mod replication_tests {
             .map(|i| Record::new(i as u64, vec![i as f64]))
             .collect();
         c.load_table("t", records, Partitioning::Hash).unwrap();
-        c.fail_node(1).unwrap();
+        c.set_fault_plan(FaultPlan::new(0).with_crash(1, 0));
         assert!(matches!(c.open_scan("t", 1), Err(SeaError::Storage(_))));
     }
 
     #[test]
     fn double_failure_of_adjacent_nodes_loses_data() {
         let mut c = replicated_cluster();
-        c.fail_node(2).unwrap();
-        c.fail_node(3).unwrap(); // node 3 held node 2's replica
+        // Node 3 held node 2's replica.
+        c.set_fault_plan(FaultPlan::new(0).with_crash(2, 0).with_crash(3, 0));
         assert!(c.open_scan("t", 2).is_err());
         // Non-adjacent partitions are still fine.
         assert!(c.open_scan("t", 0).is_ok());
@@ -904,9 +865,9 @@ mod replication_tests {
         // post-update state (insert visible, deletes applied).
         let baseline = total_scanned(&c);
         for node in 0..4 {
-            c.fail_node(node).unwrap();
+            c.set_fault_plan(FaultPlan::new(0).with_crash(node, 0));
             assert_eq!(total_scanned(&c), baseline, "node {node} failover");
-            c.restore_node(node).unwrap();
+            c.clear_fault_plan();
         }
     }
 
@@ -922,7 +883,7 @@ mod replication_tests {
                 .filter(|r| (40.0..=49.0).contains(&r.values[0]))
                 .count()
         };
-        c.fail_node(2).unwrap();
+        c.set_fault_plan(FaultPlan::new(0).with_crash(2, 0));
         // Updates land while a node is down: one record inside the
         // soon-to-be-deleted region, one outside it.
         c.insert(
@@ -943,7 +904,7 @@ mod replication_tests {
             1000 + 2 - removed,
             "reads during the failure see the updates through replicas"
         );
-        c.restore_node(2).unwrap();
+        c.clear_fault_plan();
         assert_eq!(
             total_scanned(&c),
             during,
@@ -961,7 +922,7 @@ mod replication_tests {
                 scanned(&c, "t", n, Some(&region), &mut m).unwrap().0.len()
             })
             .sum();
-        c.fail_node(0).unwrap();
+        c.set_fault_plan(FaultPlan::new(0).with_crash(0, 0));
         let count_after: usize = (0..4)
             .map(|n| {
                 let mut m = CostMeter::new();
@@ -972,11 +933,30 @@ mod replication_tests {
     }
 
     #[test]
+    fn a_crash_from_the_start_is_down_before_any_scan() {
+        // `serving_node` takes no fault gate, so it sees the crash only
+        // if installing the plan latched it.
+        let mut c = replicated_cluster();
+        c.set_fault_plan(FaultPlan::new(0).with_crash(2, 0));
+        let (_, failover) = c.serving_node("t", 2).unwrap();
+        assert!(failover, "served by node 3's replica");
+        let mut lone = StorageCluster::new(4, 50);
+        lone.load_table("t", vec![Record::new(0, vec![0.0])], Partitioning::Hash)
+            .unwrap();
+        lone.set_fault_plan(FaultPlan::new(0).with_crash(2, 0));
+        assert!(matches!(
+            lone.serving_node("t", 2),
+            Err(SeaError::Storage(_))
+        ));
+    }
+
+    #[test]
     fn fail_validation() {
         let mut c = replicated_cluster();
-        assert!(c.fail_node(99).is_err());
-        assert!(c.restore_node(99).is_err());
+        // A crash naming a node outside the cluster is ignored at install.
+        c.set_fault_plan(FaultPlan::new(0).with_crash(99, 0));
         assert!(!c.primary_down(99));
+        assert_eq!(total_scanned(&c), 1000);
         assert_eq!(c.replication(), 2);
         assert_eq!(StorageCluster::new(2, 10).replication(), 1);
     }

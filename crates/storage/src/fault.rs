@@ -12,7 +12,7 @@
 //! — on its coordinator thread in node order, retries included, so
 //! per-node op indices are schedule-independent).
 //!
-//! The runtime half, [`FaultState`], holds the per-node operation
+//! The runtime half, `FaultState`, holds the per-node operation
 //! counters and crash latches. It lives on the
 //! [`StorageCluster`](crate::StorageCluster) behind an `Arc`, so clones
 //! of a cluster share one fault timeline (mirroring how clones share no
@@ -70,9 +70,9 @@ pub struct FaultPlan {
     /// same node also fail. Retries consume ops, so a caller retrying at
     /// least `transient_recovery` times rides out any single episode.
     pub transient_recovery: u32,
-    /// `(node, op)` pairs: the node's primary crashes permanently once
-    /// its per-node operation counter reaches `op` (until
-    /// [`StorageCluster::restore_node`](crate::StorageCluster::restore_node)).
+    /// `(node, op)` pairs: the node's primary crashes once its per-node
+    /// operation counter reaches `op`, and stays down until the plan is
+    /// replaced or cleared. A crash at op 0 is down from installation.
     pub crashes: Vec<(NodeId, u64)>,
     /// `(node, multiplier)` pairs: every scan served for that partition
     /// charges its simulated cost scaled by the multiplier.
@@ -156,60 +156,46 @@ pub(crate) enum FaultDecision {
 /// Runtime fault state: the installed plan plus per-node operation
 /// counters and crash latches. Shared (`Arc`) across cluster clones.
 #[derive(Debug)]
-pub struct FaultState {
+pub(crate) struct FaultState {
     plan: FaultPlan,
     ops: Vec<AtomicU64>,
     crashed: Vec<AtomicBool>,
-    crash_spent: Vec<AtomicBool>,
 }
 
 impl FaultState {
+    /// Installs `plan` over `n_nodes` partitions. A crash scheduled at
+    /// op 0 is latched here, so the node is down on every path — gated
+    /// or not — before its first scan; a crash naming a node outside the
+    /// cluster is ignored.
     pub(crate) fn new(plan: FaultPlan, n_nodes: usize) -> Self {
+        let crashed = (0..n_nodes)
+            .map(|node| AtomicBool::new(plan.crash_op(node) == Some(0)))
+            .collect();
         FaultState {
             plan,
             ops: (0..n_nodes).map(|_| AtomicU64::new(0)).collect(),
-            crashed: (0..n_nodes).map(|_| AtomicBool::new(false)).collect(),
-            crash_spent: (0..n_nodes).map(|_| AtomicBool::new(false)).collect(),
+            crashed,
         }
     }
 
-    /// The installed plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Scans performed so far against partition `node`.
-    pub fn ops(&self, node: NodeId) -> u64 {
-        self.ops.get(node).map_or(0, |c| c.load(Ordering::Relaxed))
-    }
-
     /// Whether the plan has crashed `node`'s primary.
-    pub fn crashed(&self, node: NodeId) -> bool {
+    pub(crate) fn crashed(&self, node: NodeId) -> bool {
         self.crashed
             .get(node)
             .is_some_and(|c| c.load(Ordering::Relaxed))
     }
 
-    /// Clears a crash latch (called by `restore_node`); the crash does
-    /// not re-trigger.
-    pub(crate) fn revive(&self, node: NodeId) {
-        if let Some(c) = self.crashed.get(node) {
-            c.store(false, Ordering::Relaxed);
-        }
-    }
-
     /// Registers one scan attempt against partition `node` and decides
     /// its fate. Crash latches flip *before* the serving-copy lookup, so
-    /// the very operation that crashes a node already fails over.
+    /// the very operation that crashes a node already fails over; a
+    /// latch never clears.
     pub(crate) fn on_scan(&self, node: NodeId) -> FaultDecision {
         let Some(counter) = self.ops.get(node) else {
             return FaultDecision::Proceed(1.0);
         };
         let op = counter.fetch_add(1, Ordering::Relaxed);
-        if let Some(at) = self.plan.crash_op(node) {
-            if op >= at && !self.crash_spent[node].swap(true, Ordering::Relaxed) {
-                self.crashed[node].store(true, Ordering::Relaxed);
-            }
+        if self.plan.crash_op(node).is_some_and(|at| op >= at) {
+            self.crashed[node].store(true, Ordering::Relaxed);
         }
         if self.plan.transient_hit(node, op) {
             return FaultDecision::Transient;
@@ -261,7 +247,7 @@ mod tests {
     }
 
     #[test]
-    fn crash_latch_fires_once_and_revives() {
+    fn crash_latch_fires_at_its_op_and_stays() {
         let state = FaultState::new(FaultPlan::new(1).with_crash(2, 3), 4);
         for _ in 0..3 {
             assert_eq!(state.on_scan(2), FaultDecision::Proceed(1.0));
@@ -269,10 +255,8 @@ mod tests {
         }
         state.on_scan(2); // op 3: the crash trigger
         assert!(state.crashed(2));
-        state.revive(2);
-        assert!(!state.crashed(2));
         state.on_scan(2);
-        assert!(!state.crashed(2), "a spent crash does not re-trigger");
+        assert!(state.crashed(2));
     }
 
     #[test]

@@ -32,6 +32,6 @@ pub mod node;
 pub mod partition;
 
 pub use cluster::{BlockCatalogEntry, StorageCluster, TableStats};
-pub use fault::{FaultPlan, FaultState};
+pub use fault::FaultPlan;
 pub use node::{Block, ColumnRange, DataNode, ScanStats};
 pub use partition::{NodeId, Partitioning};

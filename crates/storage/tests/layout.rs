@@ -6,7 +6,7 @@
 //! blocks are its primary's.
 
 use sea_common::{Record, Rect};
-use sea_storage::{DataNode, Partitioning, StorageCluster};
+use sea_storage::{DataNode, FaultPlan, Partitioning, StorageCluster};
 
 const BLOCK_SIZES: [usize; 4] = [1, 7, 64, 512];
 
@@ -265,7 +265,7 @@ fn primaries_and_replicas_equal_blocks_built_one_by_one() {
                 let what = format!("blocks of {block_size}, step {step}, partition {node}");
                 assert_matches(c.serving_node("t", node).unwrap().0, model, &what);
                 let mut failed = c.clone();
-                failed.fail_node(node).unwrap();
+                failed.set_fault_plan(FaultPlan::new(0).with_crash(node, 0));
                 let (replica, failover) = failed.serving_node("t", node).unwrap();
                 assert!(failover);
                 assert_matches(replica, model, &format!("{what}, replica"));

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use sea_common::{CostMeter, Record, Rect, SelectionMask};
-use sea_storage::{Partitioning, StorageCluster};
+use sea_storage::{FaultPlan, Partitioning, StorageCluster};
 
 /// Ids of the rows a scan of partition `n` of `t` reads, by the
 /// primitives every reader uses: the copy `open_scan` resolves, the
@@ -142,7 +142,7 @@ proptest! {
     ) {
         let mut c = StorageCluster::with_replication(4, 16);
         c.load_table("t", records.clone(), Partitioning::Hash).unwrap();
-        c.fail_node(fail).unwrap();
+        c.set_fault_plan(FaultPlan::new(0).with_crash(fail, 0));
         let mut ids = Vec::new();
         for n in 0..4 {
             ids.extend(scan_ids(&c, n, None));

@@ -54,7 +54,7 @@ use parking_lot::RwLock;
 use serde::Serialize;
 
 pub use event::{EventLogSnapshot, EventSnapshot, FieldValue, MAX_EVENTS};
-pub use metrics::{BucketSnapshot, Counter, CounterSnapshot, GaugeSnapshot, HistogramSnapshot};
+pub use metrics::{BucketSnapshot, CounterSnapshot, GaugeSnapshot, HistogramSnapshot};
 pub use span::{SpanForestSnapshot, SpanGuard, SpanNode};
 pub use trace::{trace_id_for_query, TraceContext};
 
@@ -138,12 +138,6 @@ impl TelemetrySink {
             Self::Noop => None,
             Self::Recording(r) => Some(r),
         }
-    }
-
-    /// Registers (or fetches) a counter handle; increments through the
-    /// handle are lock-free.
-    pub fn counter(&self, name: &str) -> Counter {
-        Counter::new(self.recorder().map(|r| r.metrics.counter(name)))
     }
 
     /// One-shot counter increment.
@@ -341,9 +335,8 @@ mod tests {
     #[test]
     fn counters_and_histograms_summarize() {
         let sink = TelemetrySink::recording();
-        let c = sink.counter("storage.blocks_scanned");
-        c.add(3);
-        c.add(4);
+        sink.incr("storage.blocks_scanned", 3);
+        sink.incr("storage.blocks_scanned", 4);
         sink.incr("storage.blocks_scanned", 1);
         for i in 1..=100 {
             sink.observe("lat", f64::from(i));

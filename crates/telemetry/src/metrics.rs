@@ -1,10 +1,10 @@
 //! Metrics registry: named counters, gauges, and fixed-bucket
 //! histograms.
 //!
-//! Registration takes a short registry lock; recording through a
-//! [`Counter`] handle is a single relaxed atomic add, and histogram
-//! observations take only that histogram's own mutex, so the hot path
-//! never contends on the registry itself.
+//! Registration takes a short registry lock; bumping a registered
+//! counter is a relaxed atomic add under the registry's read lock, and
+//! histogram observations take only that histogram's own mutex, so the
+//! hot path never contends on a write lock.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,34 +31,6 @@ pub fn bucket_index(value: f64) -> usize {
         .iter()
         .position(|bound| value <= *bound)
         .unwrap_or(DEFAULT_BUCKET_BOUNDS.len())
-}
-
-/// Handle to a registered counter; increments are lock-free. A handle
-/// from a `Noop` sink silently discards increments.
-#[derive(Debug, Clone, Default)]
-pub struct Counter(Option<Arc<AtomicU64>>);
-
-impl Counter {
-    pub(crate) fn new(cell: Option<Arc<AtomicU64>>) -> Self {
-        Self(cell)
-    }
-
-    pub fn add(&self, by: u64) {
-        if let Some(cell) = &self.0 {
-            cell.fetch_add(by, Ordering::Relaxed);
-        }
-    }
-
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Current value (0 for a handle from a `Noop` sink).
-    pub fn value(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map_or(0, |cell| cell.load(Ordering::Relaxed))
-    }
 }
 
 #[derive(Debug, Default)]
@@ -88,21 +60,14 @@ impl HistogramCell {
 /// Shared registry behind a recording sink.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    counters: RwLock<HashMap<String, Arc<AtomicU64>>>,
+    counters: RwLock<HashMap<String, AtomicU64>>,
     gauges: RwLock<HashMap<String, Arc<AtomicU64>>>,
     histograms: RwLock<HashMap<String, Arc<Mutex<HistogramCell>>>>,
 }
 
 impl MetricsRegistry {
-    pub(crate) fn counter(&self, name: &str) -> Arc<AtomicU64> {
-        if let Some(cell) = self.counters.read().get(name) {
-            return Arc::clone(cell);
-        }
-        Arc::clone(self.counters.write().entry(name.to_string()).or_default())
-    }
-
     /// Adds `by` to a counter, registering it on first use. A registered
-    /// counter is bumped under the read lock, without taking a handle.
+    /// counter is bumped under the read lock.
     pub(crate) fn add(&self, name: &str, by: u64) {
         if let Some(cell) = self.counters.read().get(name) {
             cell.fetch_add(by, Ordering::Relaxed);
@@ -340,28 +305,6 @@ mod tests {
         let snap = &reg.histogram_snapshots()[0];
         assert_eq!(snap.buckets.last().unwrap().count, 1);
         assert_eq!(snap.p50, 1e12);
-    }
-
-    #[test]
-    fn counters_accumulate_across_handles() {
-        let reg = MetricsRegistry::default();
-        let a = reg.counter("x");
-        let b = reg.counter("x");
-        a.fetch_add(2, Ordering::Relaxed);
-        b.fetch_add(3, Ordering::Relaxed);
-        assert_eq!(reg.counter_snapshots()[0].value, 5);
-    }
-
-    #[test]
-    fn counter_handles_read_back_their_value() {
-        let reg = MetricsRegistry::default();
-        let handle = Counter::new(Some(reg.counter("x")));
-        assert_eq!(handle.value(), 0);
-        handle.add(7);
-        assert_eq!(handle.value(), 7);
-        assert_eq!(reg.counter_value("x"), 7);
-        assert_eq!(reg.counter_value("absent"), 0);
-        assert_eq!(Counter::default().value(), 0);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!      ┌─────────────────────────────┐
 //!      │          WatchHub           │ advance_to(sim_now) ◄─ harness
 //!      │  ┌────────────┐ ┌─────────┐ │
-//!      │  │ Tumbling + │ │  EWMA   │ │
-//!      │  │  Sliding   │ │ anomaly │ │──► node.suspect event
+//!      │  │            │ │  EWMA   │ │
+//!      │  │  Tumbling  │ │ anomaly │ │──► node.suspect event
 //!      │  │  windows   │ │detector │ │    watch.suspects counter
 //!      │  └────────────┘ └─────────┘ │
 //!      └─────────────────────────────┘
@@ -36,7 +36,7 @@ use sea_telemetry::{FieldValue, TelemetrySink, TelemetryTap};
 use serde::Serialize;
 
 use crate::anomaly::{AnomalyDetector, Suspicion};
-use crate::window::{SlidingWindow, TumblingSeries, WindowSummary};
+use crate::window::{TumblingSeries, WindowSummary};
 
 /// Prefix of every metric/event the hub itself derives; inputs with
 /// this prefix are ignored to break tap re-entrancy cycles.
@@ -53,30 +53,20 @@ pub const NODE_FAILOVER_EVENT: &str = "query.node_failover";
 pub struct WatchConfig {
     /// Tumbling-window width (simulated µs) for every tracked series.
     pub window_us: f64,
-    /// Sliding-window width (simulated µs) for every tracked series.
-    pub sliding_us: f64,
 }
 
 impl Default for WatchConfig {
     fn default() -> Self {
         WatchConfig {
             window_us: 1_000_000.0,
-            sliding_us: 5_000_000.0,
         }
     }
-}
-
-/// One tracked observation series: tumbling history + sliding tail.
-#[derive(Debug)]
-struct Series {
-    tumbling: TumblingSeries,
-    sliding: SlidingWindow,
 }
 
 #[derive(Debug)]
 struct HubState {
     now_us: f64,
-    series: BTreeMap<String, Series>,
+    series: BTreeMap<String, TumblingSeries>,
     detector: AnomalyDetector,
     /// Simulated time of the first observed failover per node.
     first_failover_us: BTreeMap<u64, f64>,
@@ -93,8 +83,6 @@ pub struct SeriesSnapshot {
     pub windows: Vec<WindowSummary>,
     /// Closed windows dropped by the retention bound.
     pub evicted: u64,
-    /// Summary over the sliding tail, if any samples are live.
-    pub sliding: Option<WindowSummary>,
 }
 
 /// A (node, simulated time) pair.
@@ -150,14 +138,8 @@ impl WatchHub {
         }
         st.now_us = sim_us;
         for s in st.series.values_mut() {
-            s.tumbling.advance_to(sim_us);
-            s.sliding.advance_to(sim_us);
+            s.advance_to(sim_us);
         }
-    }
-
-    /// The hub clock.
-    pub fn now_us(&self) -> f64 {
-        self.state.lock().now_us
     }
 
     /// Serializes the hub: every series, suspicion, and failover mark.
@@ -170,10 +152,9 @@ impl WatchHub {
                 .iter()
                 .map(|(name, s)| SeriesSnapshot {
                     name: name.clone(),
-                    window_us: s.tumbling.width_us(),
-                    windows: s.tumbling.snapshot(),
-                    evicted: s.tumbling.evicted(),
-                    sliding: Some(s.sliding.summary()).filter(|w| w.count > 0),
+                    window_us: s.width_us(),
+                    windows: s.snapshot(),
+                    evicted: s.evicted(),
                 })
                 .collect(),
             suspicions: st.detector.suspicions(),
@@ -186,16 +167,6 @@ impl WatchHub {
                 })
                 .collect(),
         }
-    }
-
-    /// Latched suspicions only (E21 scores these against the plan).
-    pub fn suspicions(&self) -> Vec<Suspicion> {
-        self.state.lock().detector.suspicions()
-    }
-
-    /// First failover time per node.
-    pub fn first_failovers(&self) -> Vec<NodeTime> {
-        self.snapshot().first_failovers
     }
 
     fn field_f64(fields: &[(&str, FieldValue)], key: &str) -> Option<f64> {
@@ -218,17 +189,16 @@ impl TelemetryTap for WatchHub {
         }
         let mut st = self.state.lock();
         let now = st.now_us;
-        let cfg = self.cfg;
+        let width_us = self.cfg.window_us;
         // Looked up before inserting: only a new series' name allocates.
         let s = match st.series.get_mut(name) {
             Some(s) => s,
-            None => st.series.entry(name.to_string()).or_insert_with(|| Series {
-                tumbling: TumblingSeries::new(cfg.window_us),
-                sliding: SlidingWindow::new(cfg.sliding_us),
-            }),
+            None => st
+                .series
+                .entry(name.to_string())
+                .or_insert_with(|| TumblingSeries::new(width_us)),
         };
-        s.tumbling.record(now, value);
-        s.sliding.record(now, value);
+        s.record(now, value);
     }
 
     fn on_event(&self, sink: &TelemetrySink, name: &str, fields: &[(&str, FieldValue)]) {
@@ -286,10 +256,7 @@ mod tests {
 
     #[test]
     fn observations_land_in_windows_keyed_on_hub_clock() {
-        let hub = WatchHub::new(WatchConfig {
-            window_us: 1_000.0,
-            sliding_us: 2_000.0,
-        });
+        let hub = WatchHub::new(WatchConfig { window_us: 1_000.0 });
         let sink = TelemetrySink::recording();
         hub.on_observe(&sink, "q.us", 10.0);
         hub.advance_to(1_500.0);
@@ -304,10 +271,7 @@ mod tests {
         assert_eq!(s.windows[0].count, 1);
         assert_eq!(s.windows[0].sum, 10.0);
         assert_eq!(s.windows[1].sum, 20.0);
-        // Sliding width 2000 at now=3000 keeps only the t=1500 sample.
-        let sl = s.sliding.as_ref().expect("sliding summary");
-        assert_eq!(sl.count, 1);
-        assert_eq!(sl.sum, 20.0);
+        assert_eq!(snap.now_us, 3_000.0);
     }
 
     #[test]
@@ -332,7 +296,7 @@ mod tests {
                 );
             }
         }
-        let sus = hub.suspicions();
+        let sus = hub.snapshot().suspicions;
         assert_eq!(sus.len(), 1, "{sus:?}");
         assert_eq!(sus[0].node, 1);
         // The derived event went back through the recorder without
@@ -350,7 +314,7 @@ mod tests {
         hub.on_event(&sink, NODE_FAILOVER_EVENT, &[("node", FieldValue::U64(2))]);
         hub.advance_to(900.0);
         hub.on_event(&sink, NODE_FAILOVER_EVENT, &[("node", FieldValue::U64(2))]);
-        let marks = hub.first_failovers();
+        let marks = hub.snapshot().first_failovers;
         assert_eq!(marks.len(), 1);
         assert_eq!(marks[0].node, 2);
         assert_eq!(marks[0].sim_us, 500.0, "first time wins");

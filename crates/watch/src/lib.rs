@@ -8,11 +8,11 @@
 //!
 //! Three pieces, all keyed on simulated cost-time:
 //!
-//! - [`window`] — tumbling and sliding windows over any observation
-//!   stream, with exact per-window percentiles (p50/p95/p99/p999) and
-//!   bucket counts on the same bounds as the cumulative registry, so
-//!   merging a series of tumbling windows reproduces the cumulative
-//!   histogram's counts exactly.
+//! - [`window`] — tumbling windows over any observation stream, with
+//!   exact per-window percentiles (p50/p95/p99/p999) and bucket counts
+//!   on the same bounds as the cumulative registry, so summing a series'
+//!   window bucket counts reproduces the cumulative histogram's counts
+//!   exactly.
 //! - [`slo`] — per-tenant [`SloPolicy`] objectives with the classic
 //!   multi-window burn-rate pair (fast 5-window / slow 60-window) over
 //!   the error budget, an append-only [`AlertLog`], and latched
@@ -43,6 +43,4 @@ pub use slo::{
     AlertLog, AlertRecord, AlertTransition, SloPolicy, SloStatus, SloTracker, FAST_WINDOWS,
     SLOW_WINDOWS,
 };
-pub use window::{
-    merge_windows, SlidingWindow, TumblingSeries, WindowSummary, MAX_RETAINED_WINDOWS,
-};
+pub use window::{TumblingSeries, WindowSummary, MAX_RETAINED_WINDOWS};

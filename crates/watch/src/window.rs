@@ -1,13 +1,14 @@
-//! Windowed summaries over simulated time: tumbling windows (aligned,
-//! non-overlapping) and sliding windows (the trailing `width_us`).
+//! Windowed summaries over simulated time: tumbling windows, aligned
+//! and non-overlapping.
 //!
 //! A window keeps the raw samples while it is open, so its summary is
 //! *exact* — percentiles come from the raw samples by the workspace's one
 //! quantile rule ([`quantile_of`]), not from bucket interpolation — and
 //! additionally counts samples into the same
 //! [`DEFAULT_BUCKET_BOUNDS`] ladder the cumulative telemetry registry
-//! uses, so merging adjacent windows reproduces the cumulative
-//! [`sea_telemetry::HistogramSnapshot`] bucket counts bit-for-bit.
+//! uses, so summing a series' window bucket counts reproduces the
+//! cumulative [`sea_telemetry::HistogramSnapshot`] bucket counts
+//! bit-for-bit.
 //! Once a tumbling window closes, only its summary is retained.
 //!
 //! Nothing here reads a wall clock: time only moves when the owner
@@ -41,8 +42,7 @@ pub const MAX_RETAINED_WINDOWS: usize = 512;
 /// this).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WindowSummary {
-    /// Tumbling window index (`floor(t / width)`); 0 for sliding
-    /// summaries, whose extent is `[start_us, end_us]` instead.
+    /// Tumbling window index (`floor(t / width)`).
     pub index: u64,
     /// Inclusive window start, simulated µs.
     pub start_us: f64,
@@ -101,46 +101,6 @@ fn summarize_window(index: u64, start_us: f64, end_us: f64, samples: &[f64]) -> 
         p999: percentile(0.999),
         buckets,
     }
-}
-
-/// Merges window summaries into one: counts, sums, extrema, and bucket
-/// counts are exact; percentiles are *not* recoverable from summaries
-/// and are reported as 0 — consumers wanting tail estimates over a
-/// merged range should read the bucket counts.
-pub fn merge_windows(windows: &[WindowSummary]) -> WindowSummary {
-    let mut out = WindowSummary {
-        index: windows.first().map_or(0, |w| w.index),
-        start_us: windows.first().map_or(0.0, |w| w.start_us),
-        end_us: windows.last().map_or(0.0, |w| w.end_us),
-        count: 0,
-        sum: 0.0,
-        min: f64::INFINITY,
-        max: f64::NEG_INFINITY,
-        mean: 0.0,
-        p50: 0.0,
-        p95: 0.0,
-        p99: 0.0,
-        p999: 0.0,
-        buckets: vec![0u64; BUCKET_SLOTS],
-    };
-    for w in windows {
-        out.count += w.count;
-        out.sum += w.sum;
-        if w.count > 0 {
-            out.min = out.min.min(w.min);
-            out.max = out.max.max(w.max);
-        }
-        for (slot, c) in out.buckets.iter_mut().zip(&w.buckets) {
-            *slot += c;
-        }
-    }
-    if out.count == 0 {
-        out.min = 0.0;
-        out.max = 0.0;
-    } else {
-        out.mean = out.sum / out.count as f64;
-    }
-    out
 }
 
 /// Aligned, non-overlapping windows of width `width_us` over the
@@ -235,67 +195,6 @@ impl TumblingSeries {
     }
 }
 
-/// The trailing `width_us` of samples: each [`record`](Self::record) /
-/// [`advance_to`](Self::advance_to) drops samples older than the
-/// window, and [`summary`](Self::summary) folds what remains.
-#[derive(Debug, Clone)]
-pub struct SlidingWindow {
-    width_us: f64,
-    now_us: f64,
-    samples: std::collections::VecDeque<(f64, f64)>,
-}
-
-impl SlidingWindow {
-    /// A new sliding window of width `width_us` (clamped to > 0).
-    pub fn new(width_us: f64) -> Self {
-        SlidingWindow {
-            width_us: if width_us > 0.0 { width_us } else { 1.0 },
-            now_us: 0.0,
-            samples: std::collections::VecDeque::new(),
-        }
-    }
-
-    /// The configured window width.
-    pub fn width_us(&self) -> f64 {
-        self.width_us
-    }
-
-    fn prune(&mut self) {
-        let cutoff = self.now_us - self.width_us;
-        while let Some((t, _)) = self.samples.front() {
-            if *t <= cutoff {
-                self.samples.pop_front();
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Records `value` at simulated time `now_us`.
-    pub fn record(&mut self, now_us: f64, value: f64) {
-        self.now_us = self.now_us.max(now_us);
-        self.samples.push_back((self.now_us, value));
-        self.prune();
-    }
-
-    /// Moves time forward, expiring samples that fell out of the window.
-    pub fn advance_to(&mut self, now_us: f64) {
-        self.now_us = self.now_us.max(now_us);
-        self.prune();
-    }
-
-    /// Summary over the samples currently inside the window.
-    pub fn summary(&self) -> WindowSummary {
-        let values: Vec<f64> = self.samples.iter().map(|(_, v)| *v).collect();
-        summarize_window(
-            0,
-            (self.now_us - self.width_us).max(0.0),
-            self.now_us,
-            &values,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,19 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn sliding_window_expires_old_samples() {
-        let mut s = SlidingWindow::new(100.0);
-        s.record(10.0, 1.0);
-        s.record(50.0, 2.0);
-        s.record(140.0, 3.0); // expires the t=10 sample (10 <= 140-100? no: 10 <= 40 yes)
-        let w = s.summary();
-        assert_eq!(w.count, 2);
-        assert_eq!(w.sum, 5.0);
-        s.advance_to(300.0);
-        assert_eq!(s.summary().count, 0);
-    }
-
-    #[test]
     fn retention_is_bounded() {
         let mut s = TumblingSeries::new(1.0);
         for i in 0..(MAX_RETAINED_WINDOWS + 10) {
@@ -380,18 +266,5 @@ mod tests {
         }
         assert!(s.snapshot().len() <= MAX_RETAINED_WINDOWS + 1);
         assert!(s.evicted() > 0);
-    }
-
-    #[test]
-    fn merge_is_exact_on_counts_sums_and_buckets() {
-        let a = summarize_window(0, 0.0, 100.0, &[1.0, 50.0]);
-        let b = summarize_window(1, 100.0, 200.0, &[7.0]);
-        let m = merge_windows(&[a, b]);
-        assert_eq!(m.count, 3);
-        assert_eq!(m.sum, 58.0);
-        assert_eq!(m.min, 1.0);
-        assert_eq!(m.max, 50.0);
-        assert_eq!(m.buckets.iter().sum::<u64>(), 3);
-        assert_eq!(merge_windows(&[]).count, 0);
     }
 }

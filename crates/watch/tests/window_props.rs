@@ -3,7 +3,7 @@
 //! 1. Every windowed summary equals a *manual fold* of the raw samples
 //!    that landed in that window — count, sum, min, max, mean, and the
 //!    exact sorted-rank percentiles.
-//! 2. Merging a run of tumbling windows reproduces the *cumulative*
+//! 2. Summing a run of tumbling windows reproduces the *cumulative*
 //!    histogram the telemetry registry builds from the same stream:
 //!    identical count/min/max and identical per-bucket counts (both
 //!    sides bucket on `DEFAULT_BUCKET_BOUNDS`).
@@ -12,7 +12,37 @@ use proptest::prelude::*;
 
 use sea_telemetry::metrics::{bucket_index, DEFAULT_BUCKET_BOUNDS};
 use sea_telemetry::TelemetrySink;
-use sea_watch::{merge_windows, TumblingSeries};
+use sea_watch::{TumblingSeries, WindowSummary};
+
+/// A run of windows added up: counts, sums, extrema and per-bucket
+/// counts (the fields a sum keeps exactly), over non-empty windows.
+struct Merged {
+    count: u64,
+    sum: f64,
+    min: f64,
+    max: f64,
+    buckets: Vec<u64>,
+}
+
+fn sum_windows(windows: &[WindowSummary]) -> Merged {
+    let mut out = Merged {
+        count: 0,
+        sum: 0.0,
+        min: f64::INFINITY,
+        max: f64::NEG_INFINITY,
+        buckets: vec![0; DEFAULT_BUCKET_BOUNDS.len() + 1],
+    };
+    for w in windows {
+        out.count += w.count;
+        out.sum += w.sum;
+        out.min = out.min.min(w.min);
+        out.max = out.max.max(w.max);
+        for (slot, c) in out.buckets.iter_mut().zip(&w.buckets) {
+            *slot += c;
+        }
+    }
+    out
+}
 
 /// A stream of (timestamp, value) samples with non-decreasing
 /// simulated timestamps — the only shape the hub ever feeds.
@@ -95,7 +125,7 @@ proptest! {
         }
         series.advance_to(stream.last().unwrap().0 + width * 2.0);
 
-        let merged = merge_windows(&series.snapshot());
+        let merged = sum_windows(&series.snapshot());
         let snap = sink.snapshot().unwrap();
         let h = snap.histogram("merge.check_us").expect("histogram recorded");
 

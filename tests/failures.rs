@@ -41,7 +41,7 @@ fn exact_queries_survive_node_failure_with_replication() {
         exec.execute_direct("t", &q).unwrap().answer
     };
     for victim in 0..6 {
-        cluster.fail_node(victim).unwrap();
+        cluster.set_fault_plan(FaultPlan::new(0).with_crash(victim, 0));
         {
             let exec = Executor::new(&cluster);
             let bdas = exec
@@ -55,7 +55,7 @@ fn exact_queries_survive_node_failure_with_replication() {
                 "direct answer intact with node {victim} down"
             );
         }
-        cluster.restore_node(victim).unwrap();
+        cluster.clear_fault_plan();
     }
 }
 
@@ -65,7 +65,7 @@ fn unreplicated_failure_is_loud_not_wrong() {
     cluster
         .load_table("t", records(10_000), Partitioning::Hash)
         .unwrap();
-    cluster.fail_node(2).unwrap();
+    cluster.set_fault_plan(FaultPlan::new(0).with_crash(2, 0));
     let exec = Executor::new(&cluster);
     // The query spans all hash partitions, so execution must error rather
     // than return a partial (silently wrong) count.
@@ -244,7 +244,7 @@ fn knn_operators_survive_failover() {
     // — the same blocks, so the same answer and the same bill. (A cohort
     // index *built* during the failure answers correctly too.)
     let mut failed = operator_cluster(true);
-    failed.fail_node(3).unwrap();
+    failed.set_fault_plan(FaultPlan::new(0).with_crash(3, 0));
     for ((name, _, run), want) in operators().iter().zip(&want) {
         let got = run(&Executor::new(&failed)).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(&got, want, "{name}: failover changes nothing");
@@ -313,7 +313,7 @@ fn agent_pipeline_rides_through_failover() {
     }
     // Fail a node: predictions never touch the cluster, and audits /
     // fallbacks are served by replicas — the pipeline stays correct.
-    cluster.fail_node(1).unwrap();
+    cluster.set_fault_plan(FaultPlan::new(0).with_crash(1, 0));
     let exec = Executor::new(&cluster);
     let mut checked = 0;
     for i in 0..40 {
