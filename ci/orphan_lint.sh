@@ -7,11 +7,13 @@
 # There are no exceptions and no allowlist.
 #
 # Grep-level on purpose (like ci/determinism_lint.sh): a name counts as
-# used when the identifier appears in the code of another file, so a
-# common name (`new`, `len`) never trips it. Two mentions name a function
-# without calling it and are stripped before identifiers are collected:
-# `//` comments (doc comments included) and `pub use` re-exports. Run
-# from the repo root:
+# used when another file's code calls it or names it by path — `.name(`,
+# `name(` (or `name::<` with a turbofish) and `::name` — so a common name
+# (`new`, `len`) never trips it, and a field, variable or declaration
+# (`fn name(`) that shares a function's name does not keep it alive.
+# Two more mentions name a function without calling it and are stripped
+# before names are collected: `//` comments (doc comments included) and
+# `pub use` re-exports. Run from the repo root:
 #
 #   ci/orphan_lint.sh
 #
@@ -26,11 +28,11 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-# `<file>:<identifier>:<T|N>` for every identifier in a file's code
-# (T: test code, N: the rest): comments are cut at `//`, a `pub use`
-# statement is skipped up to its `;`, and a file's lines from its first
-# `#[cfg(test)]` on are test code, as is every file under a `tests`
-# directory.
+# `<file>:<identifier>:<T|N>` for every identifier a file's code calls
+# or names by path (T: test code, N: the rest): comments are cut at
+# `//`, a `pub use` statement is skipped up to its `;`, and a file's
+# lines from its first `#[cfg(test)]` on are test code, as is every file
+# under a `tests` directory.
 identifiers() {
     find crates examples tests benchmark/src -name '*.rs' -not -path '*/target/*' -print0 |
         xargs -0 awk '
@@ -46,9 +48,16 @@ identifiers() {
                     in_use = (line !~ /;/)
                     next
                 }
-                while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
-                    print FILENAME ":" substr(line, RSTART, RLENGTH) ":" (in_test ? "T" : "N")
-                    line = substr(line, RSTART + RLENGTH)
+                pos = 1
+                while (match(substr(line, pos), /[A-Za-z_][A-Za-z0-9_]*/)) {
+                    start = pos + RSTART - 1
+                    pos = start + RLENGTH
+                    before = substr(line, 1, start - 1)
+                    path = before ~ /::$/
+                    call = substr(line, pos) ~ /^[[:space:]]*(\(|::<)/ &&
+                        before !~ /(^|[^A-Za-z0-9_])fn[[:space:]]+$/
+                    if (path || call)
+                        print FILENAME ":" substr(line, start, RLENGTH) ":" (in_test ? "T" : "N")
                 }
             }'
 }
@@ -78,7 +87,7 @@ census() {
                         while (match(rest, /pub fn [A-Za-z_][A-Za-z0-9_]*/)) {
                             name = substr(rest, RSTART + 7, RLENGTH - 7)
                             rest = substr(rest, RSTART + RLENGTH)
-                            others = files[name] - 1
+                            others = files[name] - ((f ":" name) in seen)
                             if (want == "orphans" && others == 0) print f ":" name
                             if (want == "test_only" && others > 0 &&
                                 plain_files[name] - ((f ":" name) in plain) == 0) print f ":" name

@@ -10,7 +10,7 @@
 //! With `--json-out <dir>`, each experiment runs against a recording
 //! [`TelemetrySink`] and writes `<dir>/<id>/report.json` (the result
 //! table) plus `<dir>/<id>/metrics.json` (the telemetry snapshot:
-//! counters, gauges, latency histograms, span trees, per-query events).
+//! counters, latency histograms, span trees, per-query events).
 //! With `--trace-out <dir>`, each experiment additionally writes
 //! `<dir>/<id>/trace.json` (Chrome `trace_event` JSON — load it in
 //! `about:tracing` or <https://ui.perfetto.dev>) and

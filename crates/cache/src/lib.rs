@@ -179,8 +179,10 @@ pub struct NodeFragment {
 }
 
 impl From<NodeFragment> for ColumnFragment {
-    /// Transposes the rows into columns; a row shorter than the widest
-    /// is padded with NaN (missing), as a storage block pads it.
+    /// Transposes the rows into columns. Its rows are the frozen
+    /// benchmark's admission probe's, cut from one table and all of its
+    /// arity; storage refuses a short row, but `From` cannot, so one
+    /// shorter than the widest is padded with NaN (missing).
     fn from(fragment: NodeFragment) -> Self {
         let records = fragment.records;
         let dims = records.iter().map(Record::dims).max().unwrap_or(0);
@@ -311,11 +313,6 @@ impl SemanticCache {
     pub fn with_telemetry(mut self, sink: TelemetrySink) -> Self {
         self.telemetry = sink;
         self
-    }
-
-    /// The cache's configuration.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
     }
 
     /// Classifies `(agg, region)` against the cached entries and bumps
@@ -529,11 +526,6 @@ impl SemanticCache {
             &[("epoch", epoch.into()), ("dropped", dropped.into())],
         );
         epoch
-    }
-
-    /// The current drift epoch (starts at 0).
-    pub fn epoch(&self) -> u64 {
-        self.state.lock().epoch
     }
 
     /// Counters so far.

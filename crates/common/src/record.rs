@@ -42,10 +42,16 @@ impl Record {
     }
 
     /// Approximate serialized size of this record in bytes, used by the
-    /// simulated storage layer's cost accounting (8 bytes per value plus an
-    /// 8-byte id).
+    /// simulated storage layer's cost accounting: [`Record::bytes_of`]
+    /// its arity.
     pub fn storage_bytes(&self) -> u64 {
-        8 + 8 * self.values.len() as u64
+        Record::bytes_of(self.dims())
+    }
+
+    /// Serialized size of a record of `dims` values: 8 bytes per value
+    /// plus an 8-byte id. The one row-size formula every bill uses.
+    pub fn bytes_of(dims: usize) -> u64 {
+        8 + 8 * dims as u64
     }
 }
 
@@ -74,5 +80,6 @@ mod tests {
         assert_eq!(r.storage_bytes(), 8 + 32);
         let empty = Record::new(0, vec![]);
         assert_eq!(empty.storage_bytes(), 8);
+        assert_eq!(Record::bytes_of(4), r.storage_bytes());
     }
 }

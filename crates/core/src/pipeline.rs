@@ -208,11 +208,6 @@ impl AgentPipeline {
         &mut self.agent
     }
 
-    /// The error threshold.
-    pub fn error_threshold(&self) -> f64 {
-        self.error_threshold
-    }
-
     /// Processes one query: predict if confident, otherwise execute
     /// exactly and learn from the answer.
     ///

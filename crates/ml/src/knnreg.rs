@@ -80,11 +80,6 @@ impl KnnRegressor {
         self.xs.is_empty()
     }
 
-    /// `k`.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
     /// Prediction plus the mean distance to the used neighbours — a
     /// confidence signal (far neighbours = extrapolation = less trust).
     /// Returns `None` when no pairs are stored.

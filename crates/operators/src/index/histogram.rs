@@ -55,16 +55,6 @@ impl EquiDepthHistogram {
         })
     }
 
-    /// Total observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Number of buckets.
-    pub fn buckets(&self) -> usize {
-        self.depth.len()
-    }
-
     /// Estimated number of values in `[a, b]` (intra-bucket uniformity).
     pub fn estimate_count(&self, a: f64, b: f64) -> f64 {
         if b < a {
@@ -119,8 +109,8 @@ mod tests {
     fn equi_depth_buckets_are_balanced() {
         let values: Vec<f64> = (0..1000).map(|i| (i as f64).sqrt()).collect();
         let h = EquiDepthHistogram::build(&values, 8).unwrap();
-        assert_eq!(h.buckets(), 8);
-        assert_eq!(h.total(), 1000);
+        assert_eq!(h.depth.len(), 8);
+        assert_eq!(h.total, 1000);
         // All buckets hold 125 ± 1.
         let full = h.estimate_count(f64::NEG_INFINITY, f64::INFINITY);
         assert!((full - 1000.0).abs() < 1.0, "got {full}");
@@ -144,7 +134,7 @@ mod tests {
     #[test]
     fn equi_depth_more_buckets_than_values() {
         let h = EquiDepthHistogram::build(&[1.0, 2.0, 3.0], 10).unwrap();
-        assert_eq!(h.buckets(), 3);
-        assert_eq!(h.total(), 3);
+        assert_eq!(h.depth.len(), 3);
+        assert_eq!(h.total, 3);
     }
 }

@@ -119,7 +119,7 @@ impl DistributedKnnIndex {
             build_cost: scatter.complete()?.report(&CostMeter::new()),
             parts,
             dims,
-            record_bytes: 8 + 8 * dims as u64,
+            record_bytes: Record::bytes_of(dims),
         })
     }
 

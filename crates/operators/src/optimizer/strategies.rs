@@ -17,7 +17,9 @@
 //! crossover moves with table size — exactly the structure a learned
 //! selector (RT3/G6) must capture.
 
-use sea_common::{AnalyticalQuery, CostMeter, CostReport, ExecMode, Rect, Result, SeaError};
+use sea_common::{
+    AnalyticalQuery, CostMeter, CostReport, ExecMode, Record, Rect, Result, SeaError,
+};
 use sea_query::{Executor, Provenance, QueryOutcome};
 use sea_storage::{NodeId, StorageCluster};
 
@@ -96,7 +98,7 @@ impl<'a> ExecutionEngines<'a> {
             table: table.to_string(),
             grid,
             blocks,
-            record_bytes: 8 + 8 * dims as u64,
+            record_bytes: Record::bytes_of(dims),
         })
     }
 
@@ -274,7 +276,7 @@ fn stale(ordinal: u64) -> SeaError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sea_common::{AggregateKind, Point, Record, Region};
+    use sea_common::{AggregateKind, Point, Region};
     use sea_storage::{FaultPlan, Partitioning};
 
     /// `t` on `c`, range-partitioned on dim 0: partition 1 holds

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use sea_common::{CostMeter, CostReport, ExecMode, RecordId, Result, SeaError};
+use sea_common::{CostMeter, CostReport, ExecMode, Record, RecordId, Result, SeaError};
 use sea_query::Executor;
 
 use super::ScoreIndex;
@@ -76,7 +76,7 @@ pub fn mapreduce_rank_join(
             // message carrying the whole row, read off the columns.
             for v in &views {
                 let (keys, scores, ids) = (v.block.col(0), v.block.col(1), v.block.ids());
-                let bytes = 8 + 8 * v.block.dims() as u64;
+                let bytes = Record::bytes_of(v.block.dims());
                 v.mask.for_each_set(|i| {
                     meter.charge_lan(bytes);
                     tuples.push((keys[i] as i64, ids[i], scores[i]));
@@ -238,7 +238,6 @@ fn sort_join_results(results: &mut [JoinResult]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sea_common::Record;
     use sea_storage::{Partitioning, StorageCluster};
 
     /// Two tables with `n` tuples each, `keys` distinct join keys, and

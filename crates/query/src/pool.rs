@@ -95,11 +95,6 @@ impl ExecPool {
         *GLOBAL.get_or_init(ExecPool::from_env)
     }
 
-    /// This pool's thread budget.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Runs `f(0), f(1), …, f(n-1)` across the pool's workers and
     /// returns the results in index order. Workers claim indices from a
     /// shared atomic counter (dynamic load balancing: one slow item
@@ -187,9 +182,9 @@ mod tests {
 
     #[test]
     fn thread_budget_is_clamped_to_one() {
-        assert_eq!(ExecPool::new(0).threads(), 1);
-        assert_eq!(ExecPool::sequential().threads(), 1);
-        assert!(ExecPool::from_env().threads() >= 1);
+        assert_eq!(ExecPool::new(0).threads, 1);
+        assert_eq!(ExecPool::sequential().threads, 1);
+        assert!(ExecPool::from_env().threads >= 1);
     }
 
     #[test]

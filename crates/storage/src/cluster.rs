@@ -137,11 +137,6 @@ impl StorageCluster {
         }
     }
 
-    /// The cluster's replication factor (1 = no replicas).
-    pub fn replication(&self) -> usize {
-        self.replication
-    }
-
     /// Attaches a telemetry sink; `storage.*` spans, counters, and events
     /// flow into it. Engines built on top of the cluster (e.g. the exact
     /// executor) inherit this sink, so attaching one here instruments the
@@ -227,7 +222,7 @@ impl StorageCluster {
             SeaError::check_dims(dims, r.dims())?;
         }
         let n = self.n_nodes;
-        let mut nodes: Vec<DataNode> = (0..n).map(|_| DataNode::new()).collect();
+        let mut nodes: Vec<DataNode> = (0..n).map(|_| DataNode::default()).collect();
         DataNode::append_routed(&mut nodes, records, self.block_size, |r| {
             partitioning.node_for(r, n)
         });
@@ -957,7 +952,7 @@ mod replication_tests {
         c.set_fault_plan(FaultPlan::new(0).with_crash(99, 0));
         assert!(!c.primary_down(99));
         assert_eq!(total_scanned(&c), 1000);
-        assert_eq!(c.replication(), 2);
-        assert_eq!(StorageCluster::new(2, 10).replication(), 1);
+        assert_eq!(c.replication, 2);
+        assert_eq!(StorageCluster::new(2, 10).replication, 1);
     }
 }

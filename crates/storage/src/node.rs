@@ -4,8 +4,8 @@
 //! column and one `Vec<f64>` per dimension, in node record order, for
 //! the rows a load gave it, and one more such set (a segment) for each
 //! later insert. A [`Block`] — the unit of disk I/O and of zone-map
-//! pruning — is a run of a segment's rows plus its zone map and size,
-//! and serves its columns as ranges of the segment's. A scan of
+//! pruning — is a run of a segment's rows plus its zone map, and serves
+//! its columns as ranges of the segment's. A scan of
 //! consecutive blocks therefore walks each column front to back instead
 //! of hopping between small allocations, which the hardware prefetcher
 //! follows across pages (DESIGN.md, "Why a node's columns are
@@ -64,7 +64,7 @@ impl<T: PartialEq> PartialEq for ColumnRange<T> {
 }
 
 /// A storage block: the unit of disk I/O, a run of rows of one segment
-/// of its node's columns.
+/// of its node's columns, each row of its table's arity.
 ///
 /// Scans evaluate predicates as selection bitmaps over the block's
 /// dimension slices — tight slice loops the compiler autovectorizes —
@@ -78,37 +78,14 @@ impl<T: PartialEq> PartialEq for ColumnRange<T> {
 /// can ask for, so it neither widens a zone map nor costs the block its
 /// map (bounds must be finite; a block without one is never read by a
 /// pruned scan).
-///
-/// A block's arity is the most dimensions any of its rows had; shorter
-/// rows read as NaN (missing) in the rest. Clusters enforce uniform
-/// dimensionality per table, so padding only arises for ad-hoc node use.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     ids: ColumnRange<RecordId>,
     cols: Vec<ColumnRange<f64>>,
     bounds: Option<Rect>,
-    bytes: u64,
 }
 
 impl Block {
-    /// A block of `records` alone, over columns of its own: its arity,
-    /// zone-map bounds and serialized size are those of the same rows
-    /// appended to a node in one block.
-    pub fn new(records: Vec<Record>) -> Self {
-        let mut node = DataNode::new();
-        let n = records.len();
-        node.append(records, n);
-        match node.blocks.pop() {
-            Some(block) => block,
-            None => Block {
-                ids: ColumnRange::new(&Arc::default(), 0..0),
-                cols: Vec::new(),
-                bounds: None,
-                bytes: 0,
-            },
-        }
-    }
-
     /// The id column.
     pub fn ids(&self) -> &[RecordId] {
         &self.ids
@@ -130,14 +107,16 @@ impl Block {
         &self.cols
     }
 
-    /// Bounding rectangle of the block's records (`None` for empty blocks).
+    /// Bounding rectangle of the block's records (`None` for a table of
+    /// no dimensions).
     pub fn bounds(&self) -> Option<&Rect> {
         self.bounds.as_ref()
     }
 
-    /// Serialized size in bytes (what a disk read of this block costs).
+    /// Serialized size in bytes (what a disk read of this block costs):
+    /// [`Record::bytes_of`] its arity, per row.
     pub fn bytes(&self) -> u64 {
-        self.bytes
+        self.len() as u64 * Record::bytes_of(self.dims())
     }
 
     /// Number of records.
@@ -191,21 +170,16 @@ impl Block {
     fn into_span(self) -> Span {
         Span {
             rows: self.ids.start..self.ids.end,
-            dims: self.dims(),
             bounds: self.bounds,
-            bytes: self.bytes,
         }
     }
 }
 
-/// A block apart from its columns: its rows of its segment, its
-/// arity, zone map and size.
+/// A block apart from its columns: its rows of its segment, its zone map.
 #[derive(Default)]
 struct Span {
     rows: Range<usize>,
-    dims: usize,
     bounds: Option<Rect>,
-    bytes: u64,
 }
 
 impl Span {
@@ -219,11 +193,10 @@ impl Span {
 }
 
 /// Rows of a node written together — by one append, or by a delete's
-/// compaction — as an id column and one column per dimension (the most
-/// dimensions any of its rows had; shorter rows are NaN in the rest), in
-/// record order: the owned form of what a run of consecutive blocks
-/// holds ranges of. A load writes each node one segment, so a loaded
-/// node's columns are contiguous; every later append adds one more.
+/// compaction — as an id column and one column per dimension of their
+/// table, in record order: the owned form of what a run of consecutive
+/// blocks holds ranges of. A load writes each node one segment, so a
+/// loaded node's columns are contiguous; each later append adds one.
 #[derive(Default)]
 struct Segment {
     ids: Vec<RecordId>,
@@ -238,11 +211,11 @@ impl Segment {
     /// then (unless a caller kept a [`Block`]), so they come out without
     /// a copy.
     fn take(run: Vec<Block>) -> Segment {
-        let Some(widest) = run.iter().max_by_key(|b| b.dims()) else {
+        let Some(first) = run.first() else {
             return Segment::default();
         };
-        let ids = Arc::clone(&widest.ids.column);
-        let cols: Vec<_> = widest.cols.iter().map(|c| Arc::clone(&c.column)).collect();
+        let ids = Arc::clone(&first.ids.column);
+        let cols: Vec<_> = first.cols.iter().map(|c| Arc::clone(&c.column)).collect();
         let spans = run.into_iter().map(Block::into_span).collect();
         Segment {
             ids: Arc::unwrap_or_clone(ids),
@@ -258,24 +231,23 @@ impl Segment {
         out.extend(self.spans.into_iter().map(|span| {
             Block {
                 ids: ColumnRange::new(&ids, span.rows.clone()),
-                cols: (cols[..span.dims].iter())
+                cols: (cols.iter())
                     .map(|c| ColumnRange::new(c, span.rows.clone()))
                     .collect(),
                 bounds: span.bounds,
-                bytes: span.bytes,
             }
         }));
     }
 
     /// Drops the rows `lost` selects — per span, the rows of its block
     /// (`None`: none) — moving the rest down in one pass. Only a block
-    /// that lost rows gets a new zone map and size, over the rows it
-    /// keeps; an emptied one is dropped.
+    /// that lost rows gets a new zone map, over the rows it keeps; an
+    /// emptied one is dropped.
     fn compact(&mut self, lost: &[Option<SelectionMask>]) {
         let spans = std::mem::take(&mut self.spans);
         let mut at = 0;
         for (span, lost) in spans.into_iter().zip(lost) {
-            let (from, dims) = (span.rows.clone(), span.dims);
+            let from = span.rows.clone();
             let n = match lost {
                 // An untouched block moves down whole, if at all.
                 None => {
@@ -301,12 +273,9 @@ impl Segment {
             at = rows.end;
             self.spans.push(match lost {
                 None => Span { rows, ..span },
-                // What `Record::storage_bytes` bills a row of `dims` values.
                 Some(_) => Span {
-                    bounds: bounds_of(&self.cols[..dims], rows.clone()),
-                    bytes: n as u64 * (8 + 8 * dims as u64),
+                    bounds: bounds_of(&self.cols, rows.clone()),
                     rows,
-                    dims,
                 },
             });
         }
@@ -336,18 +305,16 @@ impl Fill {
         }
     }
 
-    /// Appends `r` as the last row, closing the open block at
-    /// `block_size` rows.
+    /// Appends `r`, a row of the segment's arity, as the last row,
+    /// closing the open block at `block_size` rows.
     fn push(&mut self, r: &Record, block_size: usize) {
         let segment = &mut self.segment;
         segment.ids.push(r.id);
-        for (d, col) in segment.cols.iter_mut().enumerate() {
-            col.push(r.values.get(d).copied().unwrap_or(f64::NAN));
+        for (col, &v) in segment.cols.iter_mut().zip(&r.values) {
+            col.push(v);
         }
         let open = &mut self.open;
         open.rows.end += 1;
-        open.dims = open.dims.max(r.dims());
-        open.bytes += r.storage_bytes();
         if open.rows.len() == block_size {
             let next = Span::starting_at(open.rows.end);
             segment.spans.push(std::mem::replace(open, next));
@@ -365,7 +332,7 @@ impl Fill {
             col.shrink_to_fit();
         }
         for span in &mut segment.spans {
-            span.bounds = bounds_of(&segment.cols[..span.dims], span.rows.clone());
+            span.bounds = bounds_of(&segment.cols, span.rows.clone());
         }
         self.segment.push_blocks(&mut node.blocks);
     }
@@ -377,7 +344,7 @@ impl Fill {
 /// unrepresentable. Dimensions with no finite value at all fall back to
 /// wide ±1e300 sentinels (conservative: never prunes).
 fn bounds_of(cols: &[Vec<f64>], rows: Range<usize>) -> Option<Rect> {
-    if rows.is_empty() || cols.is_empty() {
+    if cols.is_empty() {
         return None;
     }
     let mut lo = Vec::with_capacity(cols.len());
@@ -440,7 +407,8 @@ pub struct ScanStats {
 
 /// One simulated data-server node's share of a table: its rows in
 /// record order, cut into blocks over one segment per append (a
-/// loaded node: one).
+/// loaded node: one). Only its cluster writes it, and the cluster
+/// refuses a row of the wrong arity: every segment has its table's.
 #[derive(Debug, Default)]
 pub struct DataNode {
     blocks: Vec<Block>,
@@ -459,33 +427,24 @@ impl Clone for DataNode {
 }
 
 impl DataNode {
-    /// A node with no blocks.
-    pub fn new() -> Self {
-        DataNode::default()
-    }
-
-    /// Appends records to the node as a new segment, cut into blocks of
-    /// at most `block_size` records (at least one).
-    pub fn append(&mut self, records: Vec<Record>, block_size: usize) {
-        DataNode::append_routed(std::slice::from_mut(self), records, block_size, |_| 0);
-    }
-
-    /// [`DataNode::append`] of each record to `nodes[route(record)]`, in
-    /// arrival order, in one pass over `records` — a table load. Records
-    /// are taken a block's worth at a time and dropped once their values
-    /// are in: the rows stay in cache across the columns, and the
-    /// records' memory is free before the blocks' zone maps take theirs.
-    /// Each node routed a record gets one new segment of the widest
-    /// record's arity, its columns shrunk to fit once the pass is over;
-    /// the blocks already there are not touched.
-    pub fn append_routed(
+    /// Appends each record to `nodes[route(record)]`, in arrival order,
+    /// in one pass over `records` — a table load or insert. Each node
+    /// routed a record gets one new segment, cut into blocks of at most
+    /// `block_size` records (at least one); the blocks already there are
+    /// not touched. Every record must have the first one's arity (the
+    /// cluster checks it). Records are taken a block's worth at a time
+    /// and dropped once their values are in: the rows stay in cache
+    /// across the columns, and the records' memory is free before the
+    /// blocks' zone maps take theirs. A segment's columns are shrunk to
+    /// fit once the pass is over.
+    pub(crate) fn append_routed(
         nodes: &mut [DataNode],
         records: Vec<Record>,
         block_size: usize,
         route: impl Fn(&Record) -> usize,
     ) {
         let block_size = block_size.max(1);
-        let arity = records.iter().map(Record::dims).max().unwrap_or(0);
+        let arity = records.first().map_or(0, Record::dims);
         let mut fills: Vec<Option<Fill>> = nodes.iter().map(|_| None).collect();
         let mut to = Vec::with_capacity(block_size.min(records.len()));
         let mut rest = records.into_iter().peekable();
@@ -543,7 +502,7 @@ impl DataNode {
     ///   launches a task per block/split.
     /// * `bbox = Some` (direct path): only blocks whose zone map
     ///   intersects the box are read — a pruned block is free, a block
-    ///   without bounds (empty) is skipped — in **one** sequential disk
+    ///   without bounds is skipped — in **one** sequential disk
     ///   read covering their bytes (none when nothing is admitted).
     ///
     /// Either way each block read costs CPU per record it holds. Layer
@@ -588,7 +547,7 @@ impl DataNode {
     /// blocks. A pure function of the blocks and the box, so a replica
     /// handed the same box stays a block-for-block clone of its primary.
     /// Returns the number of rows removed.
-    pub fn delete_box(&mut self, region: &Rect) -> usize {
+    pub(crate) fn delete_box(&mut self, region: &Rect) -> usize {
         let mut mask = SelectionMask::none(0);
         let lost: Vec<Option<SelectionMask>> = (self.blocks.iter())
             .map(|b| {
@@ -634,6 +593,20 @@ mod tests {
             .collect()
     }
 
+    /// A node of `records`, appended in blocks of `block_size`.
+    fn node_of(records: Vec<Record>, block_size: usize) -> DataNode {
+        let mut nodes = [DataNode::default()];
+        DataNode::append_routed(&mut nodes, records, block_size, |_| 0);
+        let [node] = nodes;
+        node
+    }
+
+    /// The one block of a node of `records`.
+    fn block_of(records: Vec<Record>) -> Block {
+        let n = records.len();
+        node_of(records, n).blocks[0].clone()
+    }
+
     /// The rows a scan of `node` for `bbox` reads: the blocks
     /// `charge_scan` admits, each masked by the box.
     fn scanned(node: &DataNode, bbox: Option<&Rect>) -> (Vec<Record>, ScanStats) {
@@ -652,8 +625,7 @@ mod tests {
 
     #[test]
     fn append_chunks_into_blocks() {
-        let mut node = DataNode::new();
-        node.append(recs(25), 10);
+        let node = node_of(recs(25), 10);
         assert_eq!(node.blocks().len(), 3);
         assert_eq!(node.len(), 25);
         assert_eq!(node.blocks()[0].len(), 10);
@@ -662,7 +634,7 @@ mod tests {
 
     #[test]
     fn an_append_leaves_the_blocks_already_there() {
-        let mut nodes = vec![DataNode::new(), DataNode::new()];
+        let mut nodes = vec![DataNode::default(), DataNode::default()];
         DataNode::append_routed(&mut nodes, recs(20), 8, |r| (r.id % 2) as usize);
         // A block held elsewhere shares its node's column: writing that
         // column would copy it first.
@@ -680,20 +652,20 @@ mod tests {
         let bs = 8;
         for n in [0, 1, bs - 1, bs, bs + 1, 3 * bs + 7] {
             for block_size in [bs, 0] {
-                let mut node = DataNode::new();
-                node.append(recs(n), block_size);
-                let want: Vec<Block> = recs(n)
-                    .chunks(block_size.max(1))
-                    .map(|c| Block::new(c.to_vec()))
-                    .collect();
-                assert_eq!(node.blocks(), want, "{n} records in blocks of {block_size}");
+                let node = node_of(recs(n), block_size);
+                let mut want = [DataNode::default()];
+                for chunk in recs(n).chunks(block_size.max(1)) {
+                    DataNode::append_routed(&mut want, chunk.to_vec(), usize::MAX, |_| 0);
+                }
+                let what = format!("{n} records in blocks of {block_size}");
+                assert_eq!(node.blocks(), want[0].blocks(), "{what}");
             }
         }
     }
 
     #[test]
     fn block_bounds_cover_records() {
-        let b = Block::new(recs(10));
+        let b = block_of(recs(10));
         let bounds = b.bounds().unwrap();
         assert_eq!(bounds.lo(), &[0.0, 0.0]);
         assert_eq!(bounds.hi(), &[9.0, 18.0]);
@@ -703,7 +675,7 @@ mod tests {
     #[test]
     fn columnar_round_trip_preserves_records() {
         let original = recs(25);
-        let b = Block::new(original.clone());
+        let b = block_of(original.clone());
         assert_eq!(b.dims(), 2);
         assert_eq!(&b.ids()[..3], &[0, 1, 2]);
         assert_eq!(b.col(0)[7], 7.0);
@@ -714,8 +686,7 @@ mod tests {
 
     #[test]
     fn infinite_values_neither_widen_nor_drop_a_zone_map() {
-        let mut node = DataNode::new();
-        node.append(
+        let node = node_of(
             vec![
                 Record::new(0, vec![f64::INFINITY, 1.0]),
                 Record::new(1, vec![2.0, f64::NEG_INFINITY]),
@@ -736,17 +707,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_block_has_no_bounds() {
-        let b = Block::new(Vec::new());
-        assert!(b.is_empty());
-        assert_eq!(b.len(), 0);
-        assert!(b.bounds().is_none());
-    }
-
-    #[test]
     fn scan_all_charges_everything() {
-        let mut node = DataNode::new();
-        node.append(recs(100), 10);
+        let node = node_of(recs(100), 10);
         let mut meter = CostMeter::new();
         let (blocks, stats) = node.charge_scan(None, &mut meter);
         assert_eq!(blocks.len(), 10);
@@ -766,22 +728,20 @@ mod tests {
 
     #[test]
     fn scan_region_prunes_blocks() {
-        let mut node = DataNode::new();
-        node.append(recs(100), 10); // block i covers dim0 in [10i, 10i+9]
-        node.blocks.push(Block::new(Vec::new()));
+        let node = node_of(recs(100), 10); // block i covers dim0 in [10i, 10i+9]
         let mut meter = CostMeter::new();
         let region = Rect::new(vec![15.0, 0.0], vec![24.0, 1e9]).unwrap();
         let (blocks, stats) = node.charge_scan(Some(&region), &mut meter);
         assert!(
             std::ptr::eq(blocks[0], &node.blocks[1]) && std::ptr::eq(blocks[1], &node.blocks[2])
         );
-        assert_eq!((stats.blocks_total, stats.blocks_read), (11, 2));
+        assert_eq!((stats.blocks_total, stats.blocks_read), (10, 2));
         assert_eq!(meter.disk_seeks, 1, "one sequential read over 2 blocks");
         assert_eq!(meter.disk_bytes, stats.bytes_read);
         assert_eq!(meter.disk_bytes, 2 * node.blocks[0].bytes());
         assert_eq!(meter.records_processed, 20, "pruned blocks are free");
 
-        // A box that covers every zone map still skips the empty block.
+        // A box that covers every zone map reads every block.
         let everything = Rect::new(vec![-1e9, -1e9], vec![1e9, 1e9]).unwrap();
         let (blocks, _) = node.charge_scan(Some(&everything), &mut CostMeter::new());
         assert_eq!(blocks.len(), 10);
@@ -797,8 +757,7 @@ mod tests {
 
     #[test]
     fn scan_region_returns_only_contained_records() {
-        let mut node = DataNode::new();
-        node.append(recs(20), 20); // one block
+        let node = node_of(recs(20), 20); // one block
         let region = Rect::new(vec![5.0, 0.0], vec![7.0, 1e9]).unwrap();
         let (hits, stats) = scanned(&node, Some(&region));
         let ids: Vec<u64> = hits.iter().map(|r| r.id).collect();
@@ -811,8 +770,7 @@ mod tests {
 
     #[test]
     fn delete_box_rebuilds_bounds() {
-        let mut node = DataNode::new();
-        node.append(recs(10), 10);
+        let mut node = node_of(recs(10), 10);
         let upper = Rect::new(vec![5.0, 0.0], vec![100.0, 100.0]).unwrap();
         assert_eq!(node.delete_box(&upper), 5);
         assert_eq!(node.len(), 5);
@@ -822,8 +780,7 @@ mod tests {
 
     #[test]
     fn delete_everything_leaves_empty_node() {
-        let mut node = DataNode::new();
-        node.append(recs(10), 3);
+        let mut node = node_of(recs(10), 3);
         let all = Rect::new(vec![0.0, 0.0], vec![9.0, 18.0]).unwrap();
         assert_eq!(node.delete_box(&all), 10);
         assert!(node.is_empty());
@@ -832,8 +789,7 @@ mod tests {
 
     #[test]
     fn delete_box_rebuilds_only_the_blocks_it_touches() {
-        let mut node = DataNode::new();
-        node.append(recs(30), 10); // block i covers dim 0 in [10i, 10i+9]
+        let mut node = node_of(recs(30), 10); // block i covers dim 0 in [10i, 10i+9]
         let before = node.clone();
         let middle = Rect::new(vec![12.0, 0.0], vec![13.0, 100.0]).unwrap();
         assert_eq!(node.delete_box(&middle), 2);
@@ -852,7 +808,7 @@ mod tests {
             Record::new(0, vec![1.0, f64::NAN]),
             Record::new(1, vec![3.0, 5.0]),
         ];
-        let b = Block::new(records);
+        let b = block_of(records);
         let bounds = b.bounds().unwrap();
         assert_eq!(bounds.lo()[0], 1.0);
         assert_eq!(bounds.hi()[0], 3.0);
@@ -870,7 +826,7 @@ mod tests {
             Record::new(1, vec![5.0, 3.0]),
             Record::new(2, vec![7.0, 1.0]),
         ];
-        let bounds = Block::new(records).bounds().unwrap().clone();
+        let bounds = block_of(records).bounds().unwrap().clone();
         assert_eq!((bounds.lo()[0], bounds.hi()[0]), (5.0, 7.0));
         // Tight bounds mean a disjoint region can actually prune the block.
         let far = Rect::new(vec![100.0, 0.0], vec![200.0, 10.0]).unwrap();
@@ -883,7 +839,7 @@ mod tests {
             Record::new(0, vec![1.0, f64::NAN]),
             Record::new(1, vec![2.0, f64::NAN]),
         ];
-        let bounds = Block::new(records).bounds().unwrap().clone();
+        let bounds = block_of(records).bounds().unwrap().clone();
         assert_eq!((bounds.lo()[0], bounds.hi()[0]), (1.0, 2.0));
         assert!(bounds.lo()[1].is_finite() && bounds.lo()[1] <= -1e300);
         assert!(bounds.hi()[1].is_finite() && bounds.hi()[1] >= 1e300);
@@ -894,7 +850,7 @@ mod tests {
         let records: Vec<Record> = (0..50)
             .map(|i| Record::new(i, vec![i as f64, (i % 7) as f64]))
             .collect();
-        let b = Block::new(records.clone());
+        let b = block_of(records.clone());
         let rect = Rect::new(vec![10.0, 1.0], vec![30.0, 4.0]).unwrap();
         let region = Region::Range(rect.clone());
         let want: Vec<usize> = (0..records.len())

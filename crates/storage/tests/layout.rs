@@ -1,9 +1,10 @@
 //! The contiguous layout against blocks built one by one. Whatever the
-//! rows (NaN, ±inf, ±0.0, rows shorter than their block), the block size
-//! and the sequence of appends, inserts and deletes, every block a node
-//! serves has the ids, columns, zone map, size and length of the block a
-//! small reference builder makes from the same rows, and a replica's
-//! blocks are its primary's.
+//! rows (NaN, ±inf, ±0.0), the block size and the sequence of loads,
+//! inserts and deletes, every block a node serves has the ids, columns,
+//! zone map, size and length of the block a small reference function
+//! makes from the same rows, and a replica's blocks are its primary's.
+//! A batch with a row of the wrong arity is refused whole and leaves
+//! every block as it was.
 
 use sea_common::{Record, Rect};
 use sea_storage::{DataNode, FaultPlan, Partitioning, StorageCluster};
@@ -36,20 +37,25 @@ impl Rng {
         }
     }
 
-    /// `n` records with ids from `*next_id`, of `dims` values each — one
-    /// in eight shorter when `short` — written the way a table arrives.
-    fn records(&mut self, n: usize, dims: usize, short: bool, next_id: &mut u64) -> Vec<Record> {
+    /// `n` records with ids from `*next_id`, of `dims` values each,
+    /// written the way a table arrives.
+    fn records(&mut self, n: usize, dims: usize, next_id: &mut u64) -> Vec<Record> {
         (0..n)
             .map(|_| {
-                let len = if short && dims > 0 && self.below(8) == 0 {
-                    self.below(dims)
-                } else {
-                    dims
-                };
                 *next_id += 1;
-                Record::new(*next_id, (0..len).map(|_| self.value()).collect())
+                Record::new(*next_id, (0..dims).map(|_| self.value()).collect())
             })
             .collect()
+    }
+
+    /// `n >= 1` records of `dims >= 1` values but one, which is shorter:
+    /// a batch the cluster must refuse whole.
+    fn short_batch(&mut self, n: usize, dims: usize, next_id: &mut u64) -> Vec<Record> {
+        let mut records = self.records(n, dims, next_id);
+        let row = self.below(n);
+        let len = self.below(dims);
+        records[row].values.truncate(len);
+        records
     }
 
     /// A box of `dims` dimensions inside `[-10, 110]`, `lo <= hi`.
@@ -67,39 +73,34 @@ impl Rng {
     }
 }
 
-/// A block built from its rows alone: ids, one NaN-padded column per
-/// dimension up to the widest row, per-dimension bounds of the finite
-/// values (seeded from the first, ±1e300 where there is none; none at
-/// all for an empty or zero-dimensional block) and the rows' bytes.
+/// A block built from its rows alone (at least one, all of one arity
+/// of at least one): ids, one column per dimension, per-dimension bounds
+/// of the finite values (seeded from the first, ±1e300 where there is
+/// none) and the rows' bytes.
 struct Reference {
     ids: Vec<u64>,
     cols: Vec<Vec<f64>>,
-    bounds: Option<(Vec<f64>, Vec<f64>)>,
+    bounds: (Vec<f64>, Vec<f64>),
     bytes: u64,
 }
 
 fn reference(rows: &[Record]) -> Reference {
-    let dims = rows.iter().map(|r| r.values.len()).max().unwrap_or(0);
+    let dims = rows[0].values.len();
     let cols: Vec<Vec<f64>> = (0..dims)
-        .map(|d| {
-            (rows.iter())
-                .map(|r| r.values.get(d).copied().unwrap_or(f64::NAN))
-                .collect()
-        })
+        .map(|d| rows.iter().map(|r| r.values[d]).collect())
         .collect();
-    let bounds = (!rows.is_empty() && dims > 0).then(|| {
-        cols.iter()
-            .map(|col| {
-                let mut finite = col.iter().copied().filter(|v| v.is_finite());
-                let Some(first) = finite.next() else {
-                    return (-1e300, 1e300);
-                };
-                finite.fold((first, first), |(lo, hi), v| {
-                    (if v < lo { v } else { lo }, if v > hi { v } else { hi })
-                })
+    let bounds = cols
+        .iter()
+        .map(|col| {
+            let mut finite = col.iter().copied().filter(|v| v.is_finite());
+            let Some(first) = finite.next() else {
+                return (-1e300, 1e300);
+            };
+            finite.fold((first, first), |(lo, hi), v| {
+                (if v < lo { v } else { lo }, if v > hi { v } else { hi })
             })
-            .unzip()
-    });
+        })
+        .unzip();
     Reference {
         ids: rows.iter().map(|r| r.id).collect(),
         cols,
@@ -115,34 +116,18 @@ fn model_append(model: &mut Model, records: &[Record], block_size: usize) {
     model.extend(records.chunks(block_size.max(1)).map(<[Record]>::to_vec));
 }
 
-/// What a box delete does to the rows: a block of the box's arity loses
-/// the rows whose every value lies in the box (a missing value lies in
-/// none) and is rebuilt from the rows it keeps, each as the block served
-/// it (NaN-padded to the block's arity); an emptied block goes.
+/// What a box delete does to the rows: a block loses the rows whose
+/// every value lies in the box (NaN lies in none) and is rebuilt from
+/// the rows it keeps; an emptied block goes.
 fn model_delete(model: &mut Model, region: &Rect) -> usize {
+    let inside = |r: &Record| {
+        (r.values.iter().enumerate()).all(|(d, &v)| region.lo()[d] <= v && v <= region.hi()[d])
+    };
     let mut removed = 0;
     for rows in model.iter_mut() {
-        let dims = rows.iter().map(|r| r.values.len()).max().unwrap_or(0);
-        if dims != region.dims() {
-            continue;
-        }
-        let padded = |r: &Record| -> Vec<f64> {
-            (0..dims)
-                .map(|d| r.values.get(d).copied().unwrap_or(f64::NAN))
-                .collect()
-        };
-        let inside = |r: &Record| {
-            let v = padded(r);
-            (0..dims).all(|d| region.lo()[d] <= v[d] && v[d] <= region.hi()[d])
-        };
-        let gone = rows.iter().filter(|r| inside(r)).count();
-        if gone > 0 {
-            removed += gone;
-            *rows = (rows.iter())
-                .filter(|r| !inside(r))
-                .map(|r| Record::new(r.id, padded(r)))
-                .collect();
-        }
+        let before = rows.len();
+        rows.retain(|r| !inside(r));
+        removed += before - rows.len();
     }
     model.retain(|rows| !rows.is_empty());
     removed
@@ -174,7 +159,7 @@ fn assert_matches(node: &DataNode, model: &Model, what: &str) {
             );
         }
         let bounds = block.bounds().map(|z| (bits(z.lo()), bits(z.hi())));
-        let want_bounds = want.bounds.map(|(lo, hi)| (bits(&lo), bits(&hi)));
+        let want_bounds = Some((bits(&want.bounds.0), bits(&want.bounds.1)));
         assert_eq!(bounds, want_bounds, "{what}, block {k}: zone map");
         assert_eq!(block.bytes(), want.bytes, "{what}, block {k}: bytes");
         for (i, row) in rows.iter().enumerate() {
@@ -197,30 +182,52 @@ fn assert_matches(node: &DataNode, model: &Model, what: &str) {
     assert_eq!(node.bytes(), bytes, "{what}: bytes");
 }
 
-/// Appends of rows of one to three dimensions (some shorter) and box
-/// deletes of one to three, in a random order on one node: after every
-/// step its blocks, and a clone's, are the reference blocks.
+/// A load, then inserts and box deletes in a random order, on a
+/// one-node cluster of a table of one to three dimensions: after every
+/// step the node's blocks, and a clone's, are the reference blocks. One
+/// insert in four carries a short row and is refused, as is a load
+/// that does.
 #[test]
 fn a_nodes_blocks_equal_blocks_built_one_by_one() {
     let mut rng = Rng(41);
     for block_size in BLOCK_SIZES {
         for trial in 0..4 {
-            let (mut node, mut model, mut next_id) = (DataNode::new(), Model::new(), 0);
+            let (mut c, mut model, mut next_id) =
+                (StorageCluster::new(1, block_size), Model::new(), 0);
+            let dims = 1 + rng.below(3);
+            let n = 1 + rng.below(3 * block_size + 9);
+            let refused = rng.short_batch(n, dims, &mut next_id);
+            assert!(c.load_table("t", refused, Partitioning::Hash).is_err());
+            assert!(c.stats("t").is_err(), "a refused load leaves no table");
+            let records = rng.records(n, dims, &mut next_id);
+            model_append(&mut model, &records, block_size);
+            c.load_table("t", records, Partitioning::Hash).unwrap();
             for step in 0..14 {
                 let what = format!("blocks of {block_size}, trial {trial}, step {step}");
-                if rng.below(3) > 0 {
-                    let n = rng.below(3 * block_size + 9);
-                    let dims = 1 + rng.below(3);
-                    let records = rng.records(n, dims, true, &mut next_id);
-                    model_append(&mut model, &records, block_size);
-                    node.append(records, block_size);
-                } else {
-                    let dims = 1 + rng.below(3);
-                    let region = rng.rect(dims);
-                    let want = model_delete(&mut model, &region);
-                    assert_eq!(node.delete_box(&region), want, "{what}: rows deleted");
+                match rng.below(4) {
+                    0 => {
+                        let region = rng.rect(dims);
+                        let want = model_delete(&mut model, &region);
+                        assert_eq!(
+                            c.delete_region("t", &region).unwrap(),
+                            want,
+                            "{what}: rows deleted"
+                        );
+                    }
+                    1 => {
+                        let n = 1 + rng.below(3 * block_size + 9);
+                        let refused = rng.short_batch(n, dims, &mut next_id);
+                        assert!(c.insert("t", refused).is_err(), "{what}: short row");
+                    }
+                    _ => {
+                        let n = rng.below(3 * block_size + 9);
+                        let records = rng.records(n, dims, &mut next_id);
+                        model_append(&mut model, &records, block_size);
+                        c.insert("t", records).unwrap();
+                    }
                 }
-                assert_matches(&node, &model, &what);
+                let node = c.serving_node("t", 0).unwrap().0;
+                assert_matches(node, &model, &what);
                 assert_matches(&node.clone(), &model, &format!("{what}, clone"));
             }
         }
@@ -229,7 +236,8 @@ fn a_nodes_blocks_equal_blocks_built_one_by_one() {
 
 /// Loads, inserts and region deletes on a replicated cluster: every
 /// partition's primary serves the reference blocks of the rows routed to
-/// it, and so does its replica.
+/// it, and so does its replica. A load or insert with a short row is
+/// refused and leaves both as they were.
 #[test]
 fn primaries_and_replicas_equal_blocks_built_one_by_one() {
     const NODES: usize = 3;
@@ -247,19 +255,30 @@ fn primaries_and_replicas_equal_blocks_built_one_by_one() {
                 model_append(model, batch, block_size);
             }
         };
-        let rows = rng.records(2 * block_size * NODES + 5, 2, false, &mut next_id);
+        let n = 2 * block_size * NODES + 5;
+        let refused = rng.short_batch(n, 2, &mut next_id);
+        assert!(c.load_table("t", refused, Partitioning::Hash).is_err());
+        let rows = rng.records(n, 2, &mut next_id);
         route(&mut models, &rows);
         c.load_table("t", rows, Partitioning::Hash).unwrap();
         for step in 0..10 {
-            if rng.below(2) == 0 {
-                let n = 1 + rng.below(2 * block_size + 3);
-                let rows = rng.records(n, 2, false, &mut next_id);
-                route(&mut models, &rows);
-                c.insert("t", rows).unwrap();
-            } else {
-                let region = rng.rect(2);
-                let want: usize = models.iter_mut().map(|m| model_delete(m, &region)).sum();
-                assert_eq!(c.delete_region("t", &region).unwrap(), want);
+            match rng.below(3) {
+                0 => {
+                    let n = 1 + rng.below(2 * block_size + 3);
+                    let rows = rng.records(n, 2, &mut next_id);
+                    route(&mut models, &rows);
+                    c.insert("t", rows).unwrap();
+                }
+                1 => {
+                    let region = rng.rect(2);
+                    let want: usize = models.iter_mut().map(|m| model_delete(m, &region)).sum();
+                    assert_eq!(c.delete_region("t", &region).unwrap(), want);
+                }
+                _ => {
+                    let n = 1 + rng.below(2 * block_size + 3);
+                    let refused = rng.short_batch(n, 2, &mut next_id);
+                    assert!(c.insert("t", refused).is_err(), "step {step}: short row");
+                }
             }
             for (node, model) in models.iter().enumerate() {
                 let what = format!("blocks of {block_size}, step {step}, partition {node}");

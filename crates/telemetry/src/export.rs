@@ -38,13 +38,6 @@ pub fn prometheus_text(snap: &TelemetrySnapshot) -> String {
         let name = sanitize(&c.name);
         out.push_str(&format!("# TYPE {name} counter\n{name} {}\n", c.value));
     }
-    for g in &snap.gauges {
-        let name = sanitize(&g.name);
-        out.push_str(&format!(
-            "# TYPE {name} gauge\n{name} {}\n",
-            fmt_f64(g.value)
-        ));
-    }
     for h in &snap.histograms {
         let name = sanitize(&h.name);
         out.push_str(&format!("# TYPE {name} histogram\n"));
@@ -286,7 +279,6 @@ mod tests {
             child.record_sim_us(40.0);
         }
         sink.incr("storage.node.scans", 3);
-        sink.gauge_set("agent.error", 0.25);
         sink.observe("bench.query_sim_us", 45.0);
         sink.snapshot().unwrap()
     }
@@ -295,7 +287,6 @@ mod tests {
     fn prometheus_text_has_types_cumulative_buckets_and_bookkeeping() {
         let text = prometheus_text(&sample_snapshot());
         assert!(text.contains("# TYPE storage_node_scans counter\nstorage_node_scans 3\n"));
-        assert!(text.contains("# TYPE agent_error gauge\nagent_error 0.25\n"));
         assert!(text.contains("# TYPE bench_query_sim_us histogram\n"));
         assert!(text.contains("bench_query_sim_us_bucket{le=\"+Inf\"} 1\n"));
         assert!(text.contains("bench_query_sim_us_sum 45\n"));

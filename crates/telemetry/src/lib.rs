@@ -9,7 +9,7 @@
 //! answers those questions, with three instruments sharing one
 //! [`TelemetrySink`]:
 //!
-//! - a **metrics registry** ([`metrics`]) of named counters, gauges, and
+//! - a **metrics registry** ([`metrics`]) of named counters and
 //!   fixed-bucket histograms with p50/p95/p99 summaries;
 //! - a **span** API ([`span`]) of RAII guards recording nested timing
 //!   trees with both wall-clock and simulated-cost attribution;
@@ -54,7 +54,7 @@ use parking_lot::RwLock;
 use serde::Serialize;
 
 pub use event::{EventLogSnapshot, EventSnapshot, FieldValue, MAX_EVENTS};
-pub use metrics::{BucketSnapshot, CounterSnapshot, GaugeSnapshot, HistogramSnapshot};
+pub use metrics::{BucketSnapshot, CounterSnapshot, HistogramSnapshot};
 pub use span::{SpanForestSnapshot, SpanGuard, SpanNode};
 pub use trace::{trace_id_for_query, TraceContext};
 
@@ -156,13 +156,6 @@ impl TelemetrySink {
         self.recorder().map_or(0, |r| r.metrics.counter_value(name))
     }
 
-    /// Sets a gauge to an absolute value.
-    pub fn gauge_set(&self, name: &str, value: f64) {
-        if let Some(r) = self.recorder() {
-            r.metrics.gauge_set(name, value);
-        }
-    }
-
     /// Records one observation into a fixed-bucket histogram, then
     /// forwards it to the attached [`TelemetryTap`], if any.
     pub fn observe(&self, name: &str, value: f64) {
@@ -235,7 +228,6 @@ impl TelemetrySink {
     pub fn snapshot(&self) -> Option<TelemetrySnapshot> {
         self.recorder().map(|r| TelemetrySnapshot {
             counters: r.metrics.counter_snapshots(),
-            gauges: r.metrics.gauge_snapshots(),
             histograms: r.metrics.histogram_snapshots(),
             spans: r.spans.snapshot(),
             events: r.events.snapshot(),
@@ -248,7 +240,6 @@ impl TelemetrySink {
 #[derive(Debug, Clone, Serialize)]
 pub struct TelemetrySnapshot {
     pub counters: Vec<CounterSnapshot>,
-    pub gauges: Vec<GaugeSnapshot>,
     pub histograms: Vec<HistogramSnapshot>,
     pub spans: SpanForestSnapshot,
     pub events: EventLogSnapshot,

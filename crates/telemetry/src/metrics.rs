@@ -1,5 +1,4 @@
-//! Metrics registry: named counters, gauges, and fixed-bucket
-//! histograms.
+//! Metrics registry: named counters and fixed-bucket histograms.
 //!
 //! Registration takes a short registry lock; bumping a registered
 //! counter is a relaxed atomic add under the registry's read lock, and
@@ -61,7 +60,6 @@ impl HistogramCell {
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: RwLock<HashMap<String, AtomicU64>>,
-    gauges: RwLock<HashMap<String, Arc<AtomicU64>>>,
     histograms: RwLock<HashMap<String, Arc<Mutex<HistogramCell>>>>,
 }
 
@@ -91,17 +89,6 @@ impl MetricsRegistry {
             .map_or(0, |cell| cell.load(Ordering::Relaxed))
     }
 
-    pub(crate) fn gauge_set(&self, name: &str, value: f64) {
-        // The read guard must drop before the write() below — holding it
-        // across the write acquisition deadlocks the (non-reentrant) lock.
-        let existing = self.gauges.read().get(name).map(Arc::clone);
-        let cell = match existing {
-            Some(cell) => cell,
-            None => Arc::clone(self.gauges.write().entry(name.to_string()).or_default()),
-        };
-        cell.store(value.to_bits(), Ordering::Relaxed);
-    }
-
     pub(crate) fn observe(&self, name: &str, value: f64) {
         if let Some(cell) = self.histograms.read().get(name) {
             cell.lock().record(value);
@@ -125,20 +112,6 @@ impl MetricsRegistry {
             .map(|(name, cell)| CounterSnapshot {
                 name: name.clone(),
                 value: cell.load(Ordering::Relaxed),
-            })
-            .collect();
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        out
-    }
-
-    pub(crate) fn gauge_snapshots(&self) -> Vec<GaugeSnapshot> {
-        let mut out: Vec<GaugeSnapshot> = self
-            .gauges
-            .read()
-            .iter()
-            .map(|(name, cell)| GaugeSnapshot {
-                name: name.clone(),
-                value: f64::from_bits(cell.load(Ordering::Relaxed)),
             })
             .collect();
         out.sort_by(|a, b| a.name.cmp(&b.name));
@@ -227,13 +200,6 @@ pub struct CounterSnapshot {
     pub value: u64,
 }
 
-/// Serializable gauge reading.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct GaugeSnapshot {
-    pub name: String,
-    pub value: f64,
-}
-
 /// One histogram bucket: observations `≤ le` (cumulative style is left
 /// to consumers; counts here are per-bucket).
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -305,13 +271,5 @@ mod tests {
         let snap = &reg.histogram_snapshots()[0];
         assert_eq!(snap.buckets.last().unwrap().count, 1);
         assert_eq!(snap.p50, 1e12);
-    }
-
-    #[test]
-    fn gauges_keep_last_write() {
-        let reg = MetricsRegistry::default();
-        reg.gauge_set("g", 1.5);
-        reg.gauge_set("g", -2.5);
-        assert_eq!(reg.gauge_snapshots()[0].value, -2.5);
     }
 }

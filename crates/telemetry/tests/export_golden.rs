@@ -14,12 +14,12 @@ use std::path::PathBuf;
 
 use sea_telemetry::export::{chrome_trace_json, prometheus_text};
 use sea_telemetry::{
-    BucketSnapshot, CounterSnapshot, EventLogSnapshot, EventSnapshot, FieldValue, GaugeSnapshot,
+    BucketSnapshot, CounterSnapshot, EventLogSnapshot, EventSnapshot, FieldValue,
     HistogramSnapshot, SpanForestSnapshot, SpanNode, TelemetrySnapshot,
 };
 
 /// A deterministic snapshot exercising every exporter feature: counters,
-/// gauges, a histogram with partially-filled buckets, a two-trace span
+/// a histogram with partially-filled buckets, a two-trace span
 /// forest with nesting, tags of several field types, and nonzero
 /// bookkeeping (dropped roots / evicted events / open spans).
 fn synthetic_snapshot() -> TelemetrySnapshot {
@@ -90,10 +90,6 @@ fn synthetic_snapshot() -> TelemetrySnapshot {
                 value: 2,
             },
         ],
-        gauges: vec![GaugeSnapshot {
-            name: "agent.error".to_string(),
-            value: 0.25,
-        }],
         histograms: vec![HistogramSnapshot {
             name: "bench.query_sim_us".to_string(),
             count: 3,

@@ -49,7 +49,6 @@ fn noop_sink_allocates_nothing() {
     for i in 0..10_000u64 {
         sink.incr("storage.node.blocks_read", i);
         sink.observe("bench.query_sim_us", i as f64);
-        sink.gauge_set("agent.quanta", i as f64);
         sink.begin_query(i);
         let span = sink.span_child_of(&parent, "query.executor.node");
         span.record_sim_us(1.0);

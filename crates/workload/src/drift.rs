@@ -52,11 +52,6 @@ impl DriftingWorkload {
         }
     }
 
-    /// Current logical time step (number of queries issued).
-    pub fn step(&self) -> u64 {
-        self.step
-    }
-
     /// Hotspot centres effective at step `t`.
     fn hotspots_at(&self, t: u64) -> Vec<Hotspot> {
         self.base_hotspots
@@ -144,7 +139,7 @@ mod tests {
             "drifted centre, got {}",
             last.coord(0)
         );
-        assert_eq!(w.step(), 100);
+        assert_eq!(w.step, 100);
     }
 
     #[test]
