@@ -422,14 +422,14 @@ fn exact_statements_stay_within_their_budget() {
         println!("  {name:<18} {n:>4}");
         n
     });
-    // Most of each count is the gather, a column list and the gathered
-    // columns per morsel, so it scales with morsels × columns read: a
-    // node's 25 000 records are 2 morsels of 16 384 records (7 of 4 096,
-    // where the counts read 216, 416, 746 and 673). A morsel that
-    // gathers no column (the lone `count()`) has no column list, and a
-    // query refines every chunk of a node in one mask buffer (87, 175,
-    // 313 and 280 before either).
-    assert_eq!(counted, [63, 167, 289, 272]);
+    // No cache is attached and each statement's queries share one box,
+    // so every one folds through the mask: per node one mask buffer, the
+    // list of its distinct folds and their partials (plus one refined
+    // mask for the ball), and no gathered column. The three-aggregate
+    // batch folds `min` and `max` of d0 as one partial. Gathering first
+    // (2 morsels of 16 384 records to a node's 25 000) read 63, 167, 289
+    // and 272; see the cold scan a cache admits below for that path.
+    assert_eq!(counted, [52, 52, 74, 77]);
 }
 
 #[test]
@@ -460,10 +460,11 @@ fn a_ten_aggregate_batch_stays_within_its_budget() {
     run();
     let n = run();
     println!("ten-aggregate batch, sequential pool: {n} allocations");
-    // The blocks are read and gathered once for the whole batch, so ten
-    // aggregates cost well under ten lone statements (the three-aggregate
-    // batch above: 289).
-    assert_eq!(n, 405);
+    // The blocks are read once for the whole batch, and each node folds
+    // six partials (`sum`/`mean` and `min`/`max` of a dimension share
+    // one), so ten aggregates cost well under ten lone statements (the
+    // three-aggregate batch above: 74). Gathering first read 405.
+    assert_eq!(n, 146);
 }
 
 #[test]
@@ -488,6 +489,32 @@ fn a_containment_hit_through_the_executor_stays_within_its_budget() {
     assert_eq!(out.provenance.cache.label(), "containment");
     println!("containment hit through the executor, sequential pool: {n} allocations");
     // No node is opened: the fold re-masks each node's cached fragment
-    // (shared with the cache, not copied) and merges the partials.
-    assert_eq!(n, 13);
+    // (shared with the cache, not copied) in one mask buffer and merges
+    // the partials (13 with a mask per fragment).
+    assert_eq!(n, 6);
+}
+
+#[test]
+fn a_cold_scan_a_cache_admits_stays_within_its_budget() {
+    let cluster = scan_cluster();
+    let region = Region::Range(Rect::new(vec![10.0, 20.0], vec![45.0, 60.0]).unwrap());
+    let query = AnalyticalQuery::new(region, AggregateKind::Mean { dim: 1 });
+    // A fresh cache each time, so the scan is cold and admitted.
+    let scan = || {
+        let cache = SemanticCache::default();
+        let exec = Executor::new(&cluster)
+            .with_pool(ExecPool::sequential())
+            .with_cache(&cache);
+        let (n, out) = allocs(|| exec.execute_direct("t", &query).unwrap());
+        assert_eq!(out.provenance.cache.label(), "miss");
+        assert_eq!(cache.len(), 1, "the answer and its fragments are admitted");
+        n
+    };
+    scan();
+    let n = scan();
+    println!("cold scan a cache admits, sequential pool: {n} allocations");
+    // The gather path: a rectangle's fragments are cut from the gathered
+    // columns, every column of both morsels of each of the 8 nodes, then
+    // copied into the node's fragment, and the cache takes them.
+    assert_eq!(n, 287);
 }

@@ -104,10 +104,27 @@ fn retain_range_avx2(words: &mut [u64], col: &[f64], ahead: &[f64], lo: f64, hi:
 
 /// A fixed-length bitmap over the rows of a block: bit `i` set means row
 /// `i` is selected.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct SelectionMask {
     words: Vec<u64>,
     len: usize,
+}
+
+/// `clone_from` keeps the destination's word buffer (the derived one
+/// allocates a fresh one), so a scan that copies one block's mask into
+/// a per-region buffer block after block allocates only at its first.
+impl Clone for SelectionMask {
+    fn clone(&self) -> Self {
+        SelectionMask {
+            words: self.words.clone(),
+            len: self.len,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+        self.len = source.len;
+    }
 }
 
 impl SelectionMask {
@@ -270,13 +287,7 @@ pub fn range_mask_into<C: AsRef<[f64]>>(
     out: &mut SelectionMask,
 ) {
     out.reset_all(len);
-    for (d, col) in cols.iter().enumerate() {
-        if out.is_none_set() {
-            break;
-        }
-        let next = ahead.get(d).map_or(&[][..], AsRef::as_ref);
-        out.retain_range(col.as_ref(), next, lo[d], hi[d]);
-    }
+    range_retain(cols, ahead, lo, hi, out);
 }
 
 /// Rows of `cols` within Euclidean distance `radius` of `center`.
@@ -291,23 +302,88 @@ pub fn ball_mask<C: AsRef<[f64]>>(
     center: &[f64],
     radius: f64,
 ) -> SelectionMask {
+    let mut m = SelectionMask::none(0);
+    ball_mask_into(cols, len, center, radius, &mut m);
+    m
+}
+
+/// [`ball_mask`] into a caller-owned mask (its word buffer is reused).
+pub fn ball_mask_into<C: AsRef<[f64]>>(
+    cols: &[C],
+    len: usize,
+    center: &[f64],
+    radius: f64,
+    out: &mut SelectionMask,
+) {
+    out.reset_all(len);
+    ball_retain(cols, center, radius, out);
+}
+
+/// Keeps only the selected rows of `cols` that lie in the inclusive box
+/// `[lo, hi]`: [`range_mask`] intersected into `mask`, evaluated only on
+/// words that still select a row, with `ahead` prefetched as
+/// [`range_mask_into`] does. Callers check the dimensionality.
+pub fn range_retain<C: AsRef<[f64]>>(
+    cols: &[C],
+    ahead: &[C],
+    lo: &[f64],
+    hi: &[f64],
+    mask: &mut SelectionMask,
+) {
+    for (d, col) in cols.iter().enumerate() {
+        if mask.is_none_set() {
+            break;
+        }
+        let next = ahead.get(d).map_or(&[][..], AsRef::as_ref);
+        mask.retain_range(col.as_ref(), next, lo[d], hi[d]);
+    }
+}
+
+/// Keeps only the selected rows of `cols` within `radius` of `center`:
+/// [`ball_mask`] intersected into `mask`, with each row's distance
+/// summed as [`ball_mask`] sums it. A word that selects every row it
+/// covers is evaluated whole, on the stack, as [`ball_mask`] does;
+/// any other word only at its selected rows, so a ball refining a box
+/// pays for the rows the box kept, not for the block.
+pub fn ball_retain<C: AsRef<[f64]>>(
+    cols: &[C],
+    center: &[f64],
+    radius: f64,
+    mask: &mut SelectionMask,
+) {
     let r2 = radius * radius;
-    let mut m = SelectionMask::none(len);
-    for (wi, w) in m.words.iter_mut().enumerate() {
+    let len = mask.len;
+    for (wi, w) in mask.words.iter_mut().enumerate() {
         let base = wi * 64;
         let n = (len - base).min(64);
-        // One word's squared distances, on the stack.
-        let mut d2 = [0.0f64; 64];
-        for (col, &c) in cols.iter().zip(center) {
-            let rows = col.as_ref().get(base..).unwrap_or(&[]);
-            for (acc, &v) in d2[..n].iter_mut().zip(rows) {
-                let diff = v - c;
-                *acc += diff * diff;
+        if *w == u64::MAX >> (64 - n) {
+            // One word's squared distances, on the stack.
+            let mut d2 = [0.0f64; 64];
+            for (col, &c) in cols.iter().zip(center) {
+                let rows = col.as_ref().get(base..).unwrap_or(&[]);
+                for (acc, &v) in d2[..n].iter_mut().zip(rows) {
+                    let diff = v - c;
+                    *acc += diff * diff;
+                }
             }
+            *w = pack_word(&d2[..n], |x| x <= r2);
+            continue;
         }
-        *w = pack_word(&d2[..n], |x| x <= r2);
+        let mut bits = *w;
+        while bits != 0 {
+            let j = bits.trailing_zeros() as usize;
+            let mut d2 = 0.0f64;
+            for (col, &c) in cols.iter().zip(center) {
+                if let Some(&v) = col.as_ref().get(base + j) {
+                    let diff = v - c;
+                    d2 += diff * diff;
+                }
+            }
+            let keep = d2 <= r2;
+            *w &= !(u64::from(!keep) << j);
+            bits &= bits - 1;
+        }
     }
-    m
 }
 
 /// Folds `sum += v; sum_sq += v * v` over the selected values of `col`
@@ -501,6 +577,84 @@ mod tests {
         // (0,0) at 0, (3,4) at exactly 5 (boundary inclusive), (1,1) at √2;
         // the NaN row never matches.
         assert_eq!(m.to_indices(), vec![0, 1, 2]);
+    }
+
+    /// Refining a mask by a ball keeps exactly the rows the dense mask
+    /// and the previous selection both keep — over full, sparse and
+    /// empty words, ragged lengths, NaN, ±inf, ±0.0 and subnormals, and a
+    /// zero radius — and `ball_mask_into` is `ball_mask`; the same for a
+    /// box and `range_mask`.
+    #[test]
+    fn retaining_equals_intersecting_the_dense_mask() {
+        let tiny = f64::from_bits(1);
+        let values = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            tiny,
+            -tiny,
+            1.0,
+            -1.0,
+            2.5,
+            3.0,
+        ];
+        let mut state = 11u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            state >> 11
+        };
+        for len in [0, 1, 63, 64, 65, 200] {
+            let cols: Vec<Vec<f64>> = (0..2)
+                .map(|_| {
+                    (0..len)
+                        .map(|_| values[next() as usize % values.len()])
+                        .collect()
+                })
+                .collect();
+            for (center, radius) in [([0.0, 0.0], 0.0), ([-0.0, 1.0], 2.0), ([1.0, tiny], 3.5)] {
+                let dense = ball_mask(&cols, len, &center, radius);
+                let mut into = SelectionMask::none(3);
+                ball_mask_into(&cols, len, &center, radius, &mut into);
+                assert_eq!(into, dense, "len {len}");
+                let (lo, hi) = ([-1.0, -tiny], [2.5, 0.0]);
+                let boxed = range_mask(&cols, len, &lo, &hi);
+                // Full words, every other word cleared, arbitrary bits.
+                for start in 0..3 {
+                    let mut before = SelectionMask::all(len);
+                    for (i, w) in before.words.iter_mut().enumerate() {
+                        match start {
+                            1 if i % 2 == 1 => *w = 0,
+                            2 => *w &= next() | next() << 53,
+                            _ => {}
+                        }
+                    }
+                    let mut want = before.clone();
+                    want.intersect(&dense);
+                    let mut got = before.clone();
+                    ball_retain(&cols, &center, radius, &mut got);
+                    assert_eq!(got, want, "ball, len {len}, start {start}");
+                    let mut want = before.clone();
+                    want.intersect(&boxed);
+                    let mut got = before.clone();
+                    range_retain(&cols, &[], &lo, &hi, &mut got);
+                    assert_eq!(got, want, "box, len {len}, start {start}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn clone_from_keeps_the_word_buffer() {
+        let source = SelectionMask::all(100);
+        let mut mask = SelectionMask::none(500);
+        let buffer = mask.words.as_ptr();
+        mask.clone_from(&source);
+        assert_eq!(mask, source);
+        assert_eq!(mask.words.as_ptr(), buffer);
     }
 
     #[test]

@@ -300,12 +300,44 @@ impl Region {
     /// to filtering the materialized rows. A dimensionality mismatch
     /// selects nothing.
     pub fn column_mask<C: AsRef<[f64]>>(&self, cols: &[C], len: usize) -> SelectionMask {
+        let mut out = SelectionMask::none(0);
+        self.column_mask_into(cols, len, &mut out);
+        out
+    }
+
+    /// [`Region::column_mask`] into a caller-owned mask (its word buffer
+    /// is reused).
+    pub fn column_mask_into<C: AsRef<[f64]>>(
+        &self,
+        cols: &[C],
+        len: usize,
+        out: &mut SelectionMask,
+    ) {
         if cols.len() != self.dims() {
-            return SelectionMask::none(len);
+            *out = SelectionMask::none(len);
+            return;
         }
         match self {
-            Region::Range(r) => kernels::range_mask(cols, len, r.lo(), r.hi()),
-            Region::Radius(b) => kernels::ball_mask(cols, len, b.center().coords(), b.radius()),
+            Region::Range(r) => kernels::range_mask_into(cols, &[], len, r.lo(), r.hi(), out),
+            Region::Radius(b) => {
+                kernels::ball_mask_into(cols, len, b.center().coords(), b.radius(), out)
+            }
+        }
+    }
+
+    /// Keeps only the rows `mask` selects that lie in the region: the
+    /// same set as intersecting `mask` with [`Region::column_mask`],
+    /// evaluated only where `mask` still selects rows (see
+    /// [`kernels::ball_retain`]). A dimensionality mismatch selects
+    /// nothing.
+    pub fn retain<C: AsRef<[f64]>>(&self, cols: &[C], mask: &mut SelectionMask) {
+        if cols.len() != self.dims() {
+            *mask = SelectionMask::none(mask.len());
+            return;
+        }
+        match self {
+            Region::Range(r) => kernels::range_retain(cols, &[], r.lo(), r.hi(), mask),
+            Region::Radius(b) => kernels::ball_retain(cols, b.center().coords(), b.radius(), mask),
         }
     }
 

@@ -5,17 +5,21 @@
 //! one body in three phases (`Executor::run`). The coordinator *opens*
 //! each query in query order: the cache probe, then each engaged node's
 //! scan (the step that consumes an installed fault plan, and owns retry,
-//! backoff, failover and partial answers). One `SharedScan` gathers the
-//! rows of the statement's box out of the opened copies across an
-//! [`ExecPool`]'s worker threads, and every (query, node) pair folds
-//! them into its partial in one flat fan-out — the paper's P1/P4 node
-//! parallelism made real on the host, not just in the cost model.
-//! Workers do pure compute (telemetry-silent, charging private
+//! backoff, failover and partial answers). The statement's blocks are
+//! then read once, on an [`ExecPool`]'s worker threads — the paper's
+//! P1/P4 node parallelism made real on the host, not just in the cost
+//! model. A statement with no cache fragment to cut whose queries share
+//! one box (every `sea-lang` statement) *folds through the mask*: one
+//! item per serving copy masks each block and folds every query's
+//! partial through that mask while the block is hot, copying no row.
+//! Any other statement gathers the box's rows in morsels and folds
+//! every (query, node) pair over the copy in one flat fan-out. Workers
+//! do pure compute (telemetry-silent, charging private
 //! [`CostMeter`]s); the coordinator then *replays* each query in query
 //! order, its nodes in node-index order, so answers, [`CostReport`]s,
 //! cache state and every recorded table are bit-identical to sequential
-//! execution regardless of the thread count, for a batch as for a lone
-//! query.
+//! execution regardless of the thread count or the path, for a batch as
+//! for a lone query.
 
 use sea_cache::{CacheDecision, ColumnFragment, SemanticCache};
 use sea_common::{
@@ -409,10 +413,13 @@ impl<'a> Executor<'a> {
         coord: &mut CostMeter,
     ) -> Result<AnswerValue> {
         let mut partials = Vec::with_capacity(fragments.len());
+        // One mask buffer serves every fragment.
+        let mut mask = SelectionMask::none(0);
         for frag in fragments {
             coord.charge_cpu(frag.rows as u64);
             let mut partial = Partial::new(&query.aggregate);
-            partial.push(&frag.cols, &query.region.column_mask(&frag.cols, frag.rows));
+            (query.region).column_mask_into(&frag.cols, frag.rows, &mut mask);
+            partial.push(&frag.cols, &mask);
             partials.push(partial);
         }
         coord.charge_cpu(partials.len() as u64);
@@ -484,8 +491,9 @@ impl<'a> Executor<'a> {
     /// plan the queries share per-node operation counters, and which
     /// query meets which fault is then a function of the statement
     /// alone, not of thread timing. **Compute**, on the pool, pure and
-    /// telemetry-silent: one `SharedScan` over the queries still to
-    /// scan, then their (query, node) folds as one flat fan-out.
+    /// telemetry-silent: one read of the blocks for the queries still
+    /// to scan (`Executor::plan_shared_scan`), which folds each query's
+    /// partial per engaged node.
     /// **Replay**, on the calling thread in query order: each query's
     /// scatter telemetry, merge, cost assembly and cache admission, under
     /// its resumed exec span. Every probe therefore precedes every
@@ -521,24 +529,7 @@ impl<'a> Executor<'a> {
                 _ => None,
             })
             .collect();
-        let shared = self.plan_shared_scan(table, &stmt);
-        let folds: Vec<(&OpenedQuery, &AnalyticalQuery, usize)> = stmt
-            .iter()
-            .flat_map(|&(plan, q)| (0..plan.opened.len()).map(move |i| (plan, q, i)))
-            .collect();
-        // Per-node refine + fold: deterministic per (query, node), so it
-        // runs on the pool too when there are rows enough to pay for it.
-        let pool = if shared.rows * stmt.len() < FOLD_FANOUT_ROWS {
-            ExecPool::sequential()
-        } else {
-            self.pool
-        };
-        let mut scans = pool
-            .run(folds.len(), |k| {
-                let (plan, q, i) = folds[k];
-                shared.node_scan(&plan.opened[i].1, plan.bbox.as_ref(), q)
-            })
-            .into_iter();
+        let mut scans = self.plan_shared_scan(table, &stmt).into_iter();
         (spans.into_iter().zip(steps).zip(queries))
             .map(|((exec_span, step), q)| {
                 exec_span.resume();
@@ -857,23 +848,28 @@ impl<'a> Executor<'a> {
         span
     }
 
-    /// Builds the statement's [`SharedScan`] over the opened views of
-    /// its queries: the gather box is the union of the queries' boxes
-    /// (every row when a query reads everything), each distinct serving
-    /// copy — a primary and its replica both, when a crash lands
+    /// Scans the statement's blocks once for all of its queries and
+    /// returns one [`NodeScan`] per (query, engaged node), in query then
+    /// node order. The gather box is the union of the queries' boxes
+    /// (every row when a query reads everything), and each distinct
+    /// serving copy — a primary and its replica both, when a crash lands
     /// mid-batch — is priced and pruned once by the storage layer's
     /// scan-cost rule ([`DataNode::charge_scan`]; the executor neither
-    /// prunes nor prices blocks itself), and the admitted blocks are
-    /// gathered in **morsels** (contiguous runs of roughly
-    /// [`MORSEL_RECORDS`] records) so the pool steals within a node, not
-    /// only across nodes: a 2-node cluster saturates an 8-way pool. Pure
-    /// compute, no telemetry, and no fault gate — the views are already
-    /// open.
+    /// prunes nor prices blocks itself). Pure compute, no telemetry, and
+    /// no fault gate — the views are already open.
+    ///
+    /// A statement with no cache fragment to cut (no cache attached, or
+    /// no rectangular region) whose queries all share the gather box —
+    /// every `sea-lang` statement, either regime — **folds through the
+    /// mask**: one pool item per serving copy masks each admitted block
+    /// and folds every query's partial through that block's mask on the
+    /// same thread, gathering nothing ([`ServingCopy::fold`]). Any other
+    /// statement takes the gather path ([`SharedScan`]).
     fn plan_shared_scan(
         &self,
         table: &str,
         stmt: &[(&OpenedQuery<'a>, &AnalyticalQuery)],
-    ) -> SharedScan<'a> {
+    ) -> Vec<NodeScan> {
         // Fragments are cut only where a cache could admit them: one is
         // attached and a region supports the containment algebra
         // (rectangles only).
@@ -886,6 +882,106 @@ impl<'a> Executor<'a> {
                 _ => None,
             };
         }
+        // The distinct serving copies in order of first use, and the one
+        // each (query, node) reads — `None` for a partition unavailable.
+        let mut copies: Vec<ServingCopy> = Vec::new();
+        let mut at = Vec::new();
+        for (_, opened) in stmt.iter().flat_map(|(p, _)| &p.opened) {
+            at.push(opened.view.map(|(dn, ..)| {
+                (copies.iter().position(|c| std::ptr::eq(c.node, dn))).unwrap_or_else(|| {
+                    copies.push(ServingCopy::charge(dn, rect.as_ref()));
+                    copies.len() - 1
+                })
+            }));
+        }
+        if !cacheable && stmt.iter().all(|(p, _)| p.bbox == rect) {
+            self.fold_through(stmt, rect.as_ref(), &copies, &at)
+        } else {
+            self.gather(table, stmt, rect, cacheable, &copies, &at)
+        }
+    }
+
+    /// The fold-through body (see [`Executor::plan_shared_scan`]): each
+    /// copy folds, once, every distinct fold the queries reading it ask
+    /// for ([`CopyFolds`]), and each (query, node) takes its fold's
+    /// partial — moved to its last reader, cloned for the others —
+    /// billed as [`SharedScan::node_scan`] bills a query whose box is
+    /// the gather box.
+    fn fold_through(
+        &self,
+        stmt: &[(&OpenedQuery<'a>, &AnalyticalQuery)],
+        rect: Option<&Rect>,
+        copies: &[ServingCopy<'a>],
+        at: &[Option<usize>],
+    ) -> Vec<NodeScan> {
+        let mut folds: Vec<CopyFolds> = copies.iter().map(|_| CopyFolds::default()).collect();
+        let pairs = stmt
+            .iter()
+            .flat_map(|&(p, q)| p.opened.iter().map(move |(_, o)| (o, q)));
+        let slots: Vec<Option<(usize, usize)>> = (pairs.clone().zip(at))
+            .map(|((_, q), c)| {
+                // A rectangle's box is its region; anything else refines
+                // the box mask by its region.
+                let refine = !(rect.is_some() && matches!(q.region, Region::Range(_)));
+                c.map(|c| (c, folds[c].add(refine.then_some(&q.region), &q.aggregate)))
+            })
+            .collect();
+        let mut folded = self
+            .pool
+            .run(copies.len(), |c| copies[c].fold(rect, &folds[c]));
+        (pairs.zip(slots))
+            .map(|((opened, _), slot)| {
+                let mut meter = opened.meter;
+                let (Some((_, _, slow)), Some((c, f))) = (opened.view, slot) else {
+                    return NodeScan {
+                        partial: None,
+                        meter,
+                        stats: ScanStats::default(),
+                        fragment: None,
+                    };
+                };
+                let readers = &mut folds[c].folds[f].2;
+                *readers -= 1;
+                let (rows, partials) = &mut folded[c];
+                let partial = if *readers == 0 {
+                    partials[f].take()
+                } else {
+                    partials[f].clone()
+                };
+                let copy = &copies[c];
+                let mut stats = copy.stats;
+                stats.records_returned += *rows;
+                // The identity at the healthy multiplier 1.0.
+                meter.merge_scaled(&copy.charges, slow);
+                meter.charge_lan(partial.as_ref().map_or(0, Partial::wire_bytes));
+                NodeScan {
+                    partial,
+                    meter,
+                    stats,
+                    fragment: None,
+                }
+            })
+            .collect()
+    }
+
+    /// The gather path (see [`Executor::plan_shared_scan`]), taken only
+    /// by a statement that cuts cache fragments or whose queries' boxes
+    /// differ (E1's batches, the operators' statements): each copy's
+    /// admitted blocks are gathered in **morsels** (contiguous runs of
+    /// roughly [`MORSEL_RECORDS`] records) so the pool steals within a
+    /// node, not only across nodes — a 2-node cluster saturates an
+    /// 8-way pool — and every (query, node) pair then refines and folds
+    /// the gathered rows ([`SharedScan::node_scan`]) in one flat
+    /// fan-out.
+    fn gather(
+        &self,
+        table: &str,
+        stmt: &[(&OpenedQuery<'a>, &AnalyticalQuery)],
+        rect: Option<Rect>,
+        cacheable: bool,
+        copies: &[ServingCopy<'a>],
+        at: &[Option<usize>],
+    ) -> Vec<NodeScan> {
         // A column is gathered only if a query reads it: its aggregate's
         // own, or every one when it refines the gathered rows or a cache
         // may admit them.
@@ -899,49 +995,43 @@ impl<'a> Executor<'a> {
                 need.fill(true);
             }
         }
-        let mut nodes: Vec<GatheredNode> = Vec::new();
-        let mut admitted = Vec::new();
-        for (dn, ..) in stmt
-            .iter()
-            .flat_map(|(p, _)| &p.opened)
-            .filter_map(|(_, o)| o.view)
-        {
-            if nodes.iter().any(|g| std::ptr::eq(g.node, dn)) {
-                continue;
-            }
-            let mut charges = CostMeter::new();
-            let (blocks, stats) = dn.charge_scan(rect.as_ref(), &mut charges);
-            admitted.push(blocks);
-            nodes.push(GatheredNode {
-                node: dn,
-                charges,
-                stats,
-                chunks: Vec::new(),
-            });
-        }
         // Morsels in node order, contiguously.
         let per_morsel = (MORSEL_RECORDS / self.cluster.block_size()).max(1);
-        let morsels: Vec<(usize, &[&Block])> = admitted
-            .iter()
-            .enumerate()
-            .flat_map(|(n, blocks)| blocks.chunks(per_morsel).map(move |m| (n, m)))
+        let morsels: Vec<(usize, &[&Block])> = (copies.iter().enumerate())
+            .flat_map(|(n, copy)| copy.blocks.chunks(per_morsel).map(move |m| (n, m)))
             .collect();
         let chunks = self.pool.run(morsels.len(), |mi| {
             gather_morsel(morsels[mi].1, &need, rect.as_ref())
         });
+        let mut gathered: Vec<Vec<Chunk>> = copies.iter().map(|_| Vec::new()).collect();
         let mut rows = 0;
         for ((n, _), chunk) in morsels.iter().zip(chunks) {
             if chunk.rows > 0 {
                 rows += chunk.rows;
-                nodes[*n].chunks.push(chunk);
+                gathered[*n].push(chunk);
             }
         }
-        SharedScan {
+        let shared = SharedScan {
             rect,
             cacheable,
-            rows,
-            nodes,
-        }
+            copies,
+            gathered,
+        };
+        let folds: Vec<(&OpenedQuery, &AnalyticalQuery, usize)> = stmt
+            .iter()
+            .flat_map(|&(plan, q)| (0..plan.opened.len()).map(move |i| (plan, q, i)))
+            .collect();
+        // Per-node refine + fold: deterministic per (query, node), so it
+        // runs on the pool too when there are rows enough to pay for it.
+        let pool = if rows * stmt.len() < FOLD_FANOUT_ROWS {
+            ExecPool::sequential()
+        } else {
+            self.pool
+        };
+        pool.run(folds.len(), |k| {
+            let (plan, q, i) = folds[k];
+            shared.node_scan(at[k], &plan.opened[i].1, plan.bbox.as_ref(), q)
+        })
     }
 }
 
@@ -964,13 +1054,17 @@ fn keeps_gathered(query: &AnalyticalQuery, bbox: Option<&Rect>, rect: Option<&Re
 /// from 32 768 on, where its nodes fall to one or two morsels.
 const MORSEL_RECORDS: usize = 16_384;
 
-/// Gathered rows below which a statement's per-node folds run inline: a
-/// sleeping helper is 50–125 µs from its first item ([`ExecPool::run`],
-/// reference host), and folding this many rows lasts 70–460 µs at
-/// 1–7 ns each (seabench's `common.fold_*_dense_mrec_s`), so a smaller
-/// fold — a cache fragment's column copy included — is over before the
-/// helper arrives. Set by its own sweep (ROADMAP item 3), not derived
-/// from [`MORSEL_RECORDS`].
+/// Gathered rows below which the gather path's per-node folds run
+/// inline. A sleeping helper reaches its first item of an
+/// [`ExecPool::run`] in a median of 8 µs back to back, 15 µs after
+/// 200 µs idle, 25 µs after 1 ms and 46 µs after 5 ms (p90 68 µs; a
+/// probe of `ExecPool::new(2)` on the 2-core reference host, 1 000 calls
+/// each), and folding this many rows lasts 70–460 µs at 1–7 ns each
+/// (seabench's `common.fold_*_dense_mrec_s`), so a much smaller fold — a
+/// cache fragment's column copy included — is over before the helper
+/// has done much of it. Set by its own sweep (ROADMAP item 3), not
+/// derived from [`MORSEL_RECORDS`]; the wake-up figures above did not
+/// re-run that sweep.
 const FOLD_FANOUT_ROWS: usize = 65_536;
 
 /// Fewest rows a gathered column reserves room for at its first block:
@@ -1023,48 +1117,146 @@ fn gather_morsel(blocks: &[&Block], need: &[bool], rect: Option<&Rect>) -> Chunk
     chunk
 }
 
-/// One serving copy's share of a [`SharedScan`]: what scanning it for
-/// the gather box costs and reads, by [`DataNode::charge_scan`], and the
-/// gathered rows in node record order.
-struct GatheredNode<'c> {
+/// One distinct serving copy a statement reads: the blocks the
+/// scan-cost rule ([`DataNode::charge_scan`]) admits for the gather box,
+/// in block order, and what that scan costs and reads.
+struct ServingCopy<'c> {
     node: &'c DataNode,
     charges: CostMeter,
     stats: ScanStats,
-    chunks: Vec<Chunk>,
+    blocks: Vec<&'c Block>,
 }
 
-/// The one scan body: the rows of a statement's box, gathered once out
-/// of every serving copy its queries opened (see
-/// [`Executor::plan_shared_scan`]) and shared by every aggregate over
-/// them. Any row a query selects lies in its box, hence in the gather
-/// box, and its block's zone map intersects both — the gather loses
-/// nothing.
-struct SharedScan<'c> {
+impl<'c> ServingCopy<'c> {
+    /// `node`'s blocks for `rect` (`None`: every block), priced.
+    fn charge(node: &'c DataNode, rect: Option<&Rect>) -> Self {
+        let mut charges = CostMeter::new();
+        let (blocks, stats) = node.charge_scan(rect, &mut charges);
+        ServingCopy {
+            node,
+            charges,
+            stats,
+            blocks,
+        }
+    }
+
+    /// One pool item of the fold-through path: masks each admitted block
+    /// by `rect` (`None`: every row), prefetching the next block's
+    /// columns meanwhile, refines that mask once per distinct region over
+    /// the rows it kept, and folds every one of `folds`' partials through
+    /// its mask straight from the block's columns, block after block —
+    /// the rows, and the float-op sequence, of folding the gathered
+    /// columns. Returns the rows inside `rect` and the partials, in
+    /// `folds` order, each for its readers to take.
+    fn fold(&self, rect: Option<&Rect>, folds: &CopyFolds) -> (usize, Vec<Option<Partial>>) {
+        let mut partials: Vec<_> = folds
+            .folds
+            .iter()
+            .map(|(_, p, _)| Some(p.clone()))
+            .collect();
+        let mut mask = SelectionMask::none(0);
+        let mut refined = vec![SelectionMask::none(0); folds.regions.len()];
+        let mut rows = 0;
+        for (i, b) in self.blocks.iter().enumerate() {
+            match rect {
+                Some(r) => b.bbox_mask(r, self.blocks.get(i + 1).copied(), &mut mask),
+                None => mask.reset_all(b.len()),
+            }
+            let n = mask.count();
+            if n == 0 {
+                continue;
+            }
+            rows += n;
+            for (out, region) in refined.iter_mut().zip(&folds.regions) {
+                out.clone_from(&mask);
+                region.retain(b.cols(), out);
+            }
+            for (partial, (region, ..)) in partials.iter_mut().flatten().zip(&folds.folds) {
+                partial.push(b.cols(), region.map_or(&mask, |r| &refined[r]));
+            }
+        }
+        (rows, partials)
+    }
+}
+
+/// The distinct folds a serving copy runs for the queries that read it:
+/// queries whose partials coincide over one region — `min` and `max` of
+/// a dimension (one `MinMax`), `sum` and `mean` (one `SumSq`), or the
+/// same aggregate twice — fold once and share the partial.
+#[derive(Default)]
+struct CopyFolds<'q> {
+    /// The distinct regions that refine the box mask.
+    regions: Vec<&'q Region>,
+    /// Each fold: its region (an index into `regions`; `None` folds the
+    /// box mask), its empty partial, and how many (query, node) pairs
+    /// read it.
+    folds: Vec<(Option<usize>, Partial, usize)>,
+}
+
+impl<'q> CopyFolds<'q> {
+    /// The fold a query over `region` (`None`: the box) with `aggregate`
+    /// reads, added if it is new.
+    fn add(&mut self, region: Option<&'q Region>, aggregate: &AggregateKind) -> usize {
+        let region = region.map(|g| {
+            (self.regions.iter().position(|&r| r == g)).unwrap_or_else(|| {
+                self.regions.push(g);
+                self.regions.len() - 1
+            })
+        });
+        let fresh = Partial::new(aggregate);
+        let f = (self
+            .folds
+            .iter()
+            .position(|(r, p, _)| *r == region && *p == fresh))
+        .unwrap_or_else(|| {
+            self.folds.push((region, fresh, 0));
+            self.folds.len() - 1
+        });
+        self.folds[f].2 += 1;
+        f
+    }
+}
+
+/// The gather path's scan body: the rows of a statement's box, gathered
+/// once out of every serving copy its queries opened (see
+/// [`Executor::gather`]) and shared by every aggregate over them. Any
+/// row a query selects lies in its box, hence in the gather box, and its
+/// block's zone map intersects both — the gather loses nothing.
+struct SharedScan<'s, 'c> {
     /// The gather box; `None` gathers every row of every block.
     rect: Option<Rect>,
     /// Whether a cache may admit one of the statement's answers: every
     /// column is gathered and each rectangle's node scan cuts its
     /// [`ColumnFragment`] from them.
     cacheable: bool,
-    /// Rows gathered, over all nodes.
-    rows: usize,
-    nodes: Vec<GatheredNode<'c>>,
+    /// The serving copies, in order of first use.
+    copies: &'s [ServingCopy<'c>],
+    /// Each copy's gathered rows, in node record order.
+    gathered: Vec<Vec<Chunk>>,
 }
 
-impl SharedScan<'_> {
-    /// One query's scan of one opened node, refined out of the gather:
-    /// a rectangle re-masks the gathered rows only when its box is not
-    /// the gather box, any other region then runs its own mask over
-    /// them, and the kernel fold visits the selected rows in node record
-    /// order — the float-op sequence of scanning the node's blocks
-    /// directly. Charges and block statistics are the scan-cost rule's
-    /// for the query's own box (`bbox`; `None` reads everything), scaled
-    /// once by the gate's slow-node multiplier (per-field rounding
-    /// happens once per scan); `touch_node`, backoff and the partial's
-    /// LAN bytes are never scaled, and [`ScanStats`] are unscaled.
-    fn node_scan(&self, opened: &Opened, bbox: Option<&Rect>, query: &AnalyticalQuery) -> NodeScan {
+impl SharedScan<'_, '_> {
+    /// One query's scan of one opened node, refined out of the rows
+    /// gathered from serving copy `at` (`None` when the partition is
+    /// unavailable): a rectangle re-masks the gathered rows only when
+    /// its box is not the gather box, any other region then keeps the
+    /// rows of those inside it, and the kernel fold visits the selected
+    /// rows in node record order — the float-op sequence of scanning the
+    /// node's blocks directly. Charges and block statistics are the
+    /// scan-cost rule's for the query's own box (`bbox`; `None` reads
+    /// everything), scaled once by the gate's slow-node multiplier
+    /// (per-field rounding happens once per scan); `touch_node`, backoff
+    /// and the partial's LAN bytes are never scaled, and [`ScanStats`]
+    /// are unscaled.
+    fn node_scan(
+        &self,
+        at: Option<usize>,
+        opened: &Opened,
+        bbox: Option<&Rect>,
+        query: &AnalyticalQuery,
+    ) -> NodeScan {
         let mut meter = opened.meter;
-        let Some((dn, _, slow)) = opened.view else {
+        let (Some((dn, _, slow)), Some(c)) = (opened.view, at) else {
             return NodeScan {
                 partial: None,
                 meter,
@@ -1072,32 +1264,28 @@ impl SharedScan<'_> {
                 fragment: None,
             };
         };
-        let gathered = self
-            .nodes
-            .iter()
-            .find(|g| std::ptr::eq(g.node, dn))
-            .expect("every opened copy was gathered");
         // The query's box is the gather box: priced with it, and every
         // gathered row is inside.
         let whole = bbox == self.rect.as_ref();
         let (charges, mut stats) = if whole {
-            (gathered.charges, gathered.stats)
+            (self.copies[c].charges, self.copies[c].stats)
         } else {
             let mut charges = CostMeter::new();
             let (_, stats) = dn.charge_scan(bbox, &mut charges);
             (charges, stats)
         };
+        let chunks = &self.gathered[c];
         let mut partial = Partial::new(&query.aggregate);
         // Columns sized once where every gathered row is the query's
         // (the refined mask below stays full).
         let cut = self.cacheable && matches!(query.region, Region::Range(_));
         let mut fragment = cut.then(|| {
             let rows = if keeps_gathered(query, bbox, self.rect.as_ref()) {
-                gathered.chunks.iter().map(|c| c.rows).sum()
+                chunks.iter().map(|c| c.rows).sum()
             } else {
                 0
             };
-            let dims = gathered.chunks.first().map_or(0, |c| c.cols.len());
+            let dims = chunks.first().map_or(0, |c| c.cols.len());
             ColumnFragment {
                 rows: 0,
                 cols: (0..dims).map(|_| Vec::with_capacity(rows)).collect(),
@@ -1105,7 +1293,7 @@ impl SharedScan<'_> {
         });
         // One mask buffer serves every chunk of the node.
         let mut refined = SelectionMask::none(0);
-        for chunk in &gathered.chunks {
+        for chunk in chunks {
             // Cut the gathered rows to the query's own box, then to its
             // region; a query that `keeps_gathered` needs neither.
             match bbox {
@@ -1122,7 +1310,7 @@ impl SharedScan<'_> {
             stats.records_returned += refined.count();
             // For a rectangular region the bounding box *is* the region.
             if !(bbox.is_some() && matches!(query.region, Region::Range(_))) {
-                refined.intersect(&query.region.column_mask(&chunk.cols, chunk.rows));
+                query.region.retain(&chunk.cols, &mut refined);
             }
             partial.push(&chunk.cols, &refined);
             if let Some(frag) = &mut fragment {
@@ -1156,8 +1344,10 @@ impl SharedScan<'_> {
 /// constant-size sufficient statistics; holistic aggregates
 /// (median/quantile) must ship the selected values themselves. The
 /// crate's only fold, so a cold scan and a containment re-derivation of
-/// the same records produce bit-identical partials.
-#[derive(Debug, Clone)]
+/// the same records produce bit-identical partials. Two empty partials
+/// are equal exactly when the aggregates that made them fold the same
+/// values the same way.
+#[derive(Debug, Clone, PartialEq)]
 enum Partial {
     Count {
         count: u64,
@@ -1231,9 +1421,10 @@ impl Partial {
         }
     }
 
-    /// Folds the rows `mask` selects from `cols` into the partial, in
-    /// row order.
-    fn push(&mut self, cols: &[Vec<f64>], mask: &SelectionMask) {
+    /// Folds the rows `mask` selects from `cols` — gathered columns, a
+    /// cached fragment's, or a block's ranges of its node's — into the
+    /// partial, in row order.
+    fn push<C: AsRef<[f64]>>(&mut self, cols: &[C], mask: &SelectionMask) {
         if mask.is_none_set() {
             return;
         }
@@ -1246,18 +1437,20 @@ impl Partial {
                 sum_sq,
             } => {
                 *count += mask.count() as u64;
-                kernels::fold_sum_sq(&cols[*dim], mask, sum, sum_sq);
+                kernels::fold_sum_sq(cols[*dim].as_ref(), mask, sum, sum_sq);
             }
             Partial::Welford {
                 dim,
                 count,
                 mean,
                 m2,
-            } => kernels::fold_welford(&cols[*dim], mask, count, mean, m2),
-            Partial::MinMax { dim, min, max } => kernels::fold_min_max(&cols[*dim], mask, min, max),
-            Partial::Values { dim, values } => kernels::gather(&cols[*dim], mask, values),
+            } => kernels::fold_welford(cols[*dim].as_ref(), mask, count, mean, m2),
+            Partial::MinMax { dim, min, max } => {
+                kernels::fold_min_max(cols[*dim].as_ref(), mask, min, max)
+            }
+            Partial::Values { dim, values } => kernels::gather(cols[*dim].as_ref(), mask, values),
             Partial::Bivariate { x, y, stats } => {
-                kernels::fold_bivariate(&cols[*x], &cols[*y], mask, stats)
+                kernels::fold_bivariate(cols[*x].as_ref(), cols[*y].as_ref(), mask, stats)
             }
         }
     }
@@ -1352,8 +1545,8 @@ fn merge_partials(agg: &AggregateKind, partials: Vec<Partial>) -> Result<AnswerV
                 Err(SeaError::Empty("max over empty subspace".into()))
             }
         }
-        AggregateKind::Median { .. } => quantile_of(values_of(partials), 0.5),
-        AggregateKind::Quantile { q, .. } => quantile_of(values_of(partials), q),
+        AggregateKind::Median { .. } => quantile_of(values_of(partials).into_iter(), 0.5),
+        AggregateKind::Quantile { q, .. } => quantile_of(values_of(partials).into_iter(), q),
         AggregateKind::Correlation { .. } => {
             let mut stats = BivariateStats::default();
             for p in &partials {
@@ -1390,12 +1583,19 @@ fn sum_of(p: &Partial) -> f64 {
     }
 }
 
-/// Every node's shipped values, in node order.
-fn values_of(partials: Vec<Partial>) -> impl Iterator<Item = f64> {
-    partials.into_iter().flat_map(|p| match p {
-        Partial::Values { values, .. } => values,
-        _ => Vec::new(),
-    })
+/// Every node's shipped values, in node order, in the first node's
+/// buffer: `quantile_of` collects the returned `Vec`'s own iterator back
+/// into that buffer, so the merge copies no value a second time.
+fn values_of(partials: Vec<Partial>) -> Vec<f64> {
+    let mut shipped = partials.into_iter().filter_map(|p| match p {
+        Partial::Values { values, .. } => Some(values),
+        _ => None,
+    });
+    let mut all = shipped.next().unwrap_or_default();
+    for mut values in shipped {
+        all.append(&mut values);
+    }
+    all
 }
 
 #[cfg(test)]
