@@ -6,8 +6,14 @@
 # the change's, each built into its own target directory (see the verify
 # skill) — and it runs them in alternating pairs, one process at a time,
 # then prints for every end-to-end metric of BENCHMARK.json both sides'
-# median with [q1, q3], the interquartile range over the median, and in
-# how many pairs the change read better (a tie counts for neither side).
+# median with [q1, q3], the interquartile range over the median, in how
+# many pairs the change read better (a tie counts for neither side), and
+# a verdict: "met" when the change led in at least nine tenths of the
+# pairs and its median is better than the parent's by more than the
+# parent's q3 - q1 (choosing-metrics, section 8: the rule a claimed gain
+# must pass), "beyond bound" when its median is worse than the parent's
+# by more than the metric's `bound` in BENCHMARK.json (a fraction of the
+# parent's median: the regression the benchmark refuses), "-" otherwise.
 #
 #   ci/bench_pairs.sh PARENT_BIN CHANGE_BIN --workload W --seed S [--pairs 10]
 #       [--record FILE --label TEXT]
@@ -93,13 +99,14 @@ done
 load_after=$(load)
 echo "$workload seed $seed: $pairs alternating pairs, load average $load_before before, $load_after after"
 
-# Metric names and directions from BENCHMARK.json's `end_to_end` array
-# (pretty-printed, one key per line), then the table.
+# Metric names, directions and bounds from BENCHMARK.json's `end_to_end`
+# array (pretty-printed, one key per line), then the table.
 awk '
     /"end_to_end"/ { inside = 1 }
     /"per_layer"/ { inside = 0 }
     inside && /"name"/ { gsub(/[",]/, ""); name = $2 }
     inside && /"better"/ { gsub(/[",]/, ""); print "direction", name, $2 }
+    inside && /"bound"/ { gsub(/[",]/, ""); print "bound", name, $2 }
 ' "$spec" | cat - "$tmp/rows" | awk '
     function quantile(v, n, q,    pos, lo, frac) {
         pos = (n - 1) * q
@@ -109,8 +116,9 @@ awk '
     }
     # Median [q1, q3] and the interquartile range over the median of one
     # side of one metric.
-    # `json` gets the same three numbers as a JSON object.
-    function summary(side, m,    n, i, j, t, v, med, q1, q3) {
+    # `json` gets the same three numbers as a JSON object, and `med`,
+    # `q1` and `q3` keep them.
+    function summary(side, m,    n, i, j, t, v) {
         n = 0
         for (i = 1; i <= pairs; i++) if ((i, side, m) in val) v[++n] = val[i, side, m]
         for (i = 2; i <= n; i++) {
@@ -123,9 +131,10 @@ awk '
         return sprintf("%.6g [%.6g, %.6g] %.1f%%", med, q1, q3, med == 0 ? 0 : 100 * (q3 - q1) / med)
     }
     $1 == "direction" { order[++metrics] = $2; better[$2] = $3; next }
+    $1 == "bound" { bound[$2] = $3 + 0; next }
     { val[$1, $2, $3] = $4 + 0; if ($1 + 0 > pairs) pairs = $1 + 0 }
     END {
-        printf "%-16s | %-40s | %-40s | %s\n", "metric", "parent: median [q1, q3] iqr/median", "change: median [q1, q3] iqr/median", "change ahead"
+        printf "%-16s | %-40s | %-40s | %-18s | %s\n", "metric", "parent: median [q1, q3] iqr/median", "change: median [q1, q3] iqr/median", "change ahead", "verdict"
         for (k = 1; k <= metrics; k++) {
             m = order[k]
             ahead = ties = 0
@@ -134,9 +143,15 @@ awk '
                 if (c == p) ties++
                 else if ((better[m] == "higher") == (c > p)) ahead++
             }
-            p = summary("parent", m); pj = json
+            p = summary("parent", m); pj = json; pmed = med; piqr = q3 - q1
             c = summary("change", m); cj = json
-            printf "%-16s | %-40s | %-40s | %d of %d (%d tied)\n", m, p, c, ahead, pairs, ties
+            # How much better the change median reads than the parent
+            # median, in the metric direction.
+            gain = better[m] == "higher" ? med - pmed : pmed - med
+            verdict = "-"
+            if (10 * ahead >= 9 * pairs && gain > piqr) verdict = "met"
+            else if (-gain > bound[m] * (pmed < 0 ? -pmed : pmed)) verdict = "beyond bound"
+            printf "%-16s | %-40s | %-40s | %-18s | %s\n", m, p, c, sprintf("%d of %d (%d tied)", ahead, pairs, ties), verdict
             if (out != "") {
                 printf("%s\"%s\": {\"better\": \"%s\", \"parent\": %s, \"change\": %s, \"change_ahead\": %d, \"tied\": %d}", \
                     k > 1 ? ",\n    " : "", m, better[m], pj, cj, ahead, ties) > out

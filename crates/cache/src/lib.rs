@@ -11,15 +11,15 @@
 //! scatter/gather bill again. [`SemanticCache`] closes the gap by
 //! remembering, per (aggregate kind, region) key, both the merged
 //! [`sea_common::AnswerValue`] and the per-partition answer *fragments*
-//! (each node's matched rows, as the columns the executor's scan
-//! gathered — see [`ColumnFragment`]), so a later query is classified as
-//! one of:
+//! (each node's matched rows: the column runs the executor's scan
+//! gathered, taken as they are — see [`ColumnFragment`]), so a later
+//! query is classified as one of:
 //!
 //! - **exact hit** — same aggregate, identical region: the stored answer
 //!   is returned as-is;
 //! - **containment hit** — same aggregate, the cached region *contains*
 //!   the queried one: the answer is re-derived by masking and folding
-//!   the cached per-node columns with the kernels a cold scan runs,
+//!   the cached per-node runs, in order, with the kernels a cold scan runs,
 //!   bit-identical to it, with every storage node skipped entirely;
 //! - **subsumption miss** — only strictly *smaller* cached regions
 //!   exist: the query must execute, but the classification is surfaced
@@ -143,26 +143,49 @@ impl CacheStats {
     }
 }
 
-/// One storage partition's contribution to a cached answer: the rows
-/// that matched the cached region on that node, as columns in node scan
-/// order — the layout the executor's scan gathers and its kernels fold,
-/// so admission copies columns, a containment hit masks and folds them
-/// in place, and an eviction frees one allocation per column. Rows carry
-/// no ids: an aggregate never reads one.
+/// A run of rows in column form: a row count and one `Vec<f64>` per
+/// dimension, `rows` values each, allocated at exactly that length.
+/// One morsel of the executor's gather is one run — the rows it selected
+/// out of a few contiguous blocks, in scan order — and a run is what a
+/// fragment is made of. A run gathered without a column no query reads
+/// leaves that `Vec` empty, and one gathered with no column at all (a
+/// lone `count`) has no column list; a fragment's runs carry every
+/// dimension.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ColumnFragment {
-    /// Matched rows.
+pub struct ColumnRun {
+    /// Rows in the run.
     pub rows: usize,
-    /// One column per dimension, `rows` values each, in scan order.
+    /// One column per dimension, in scan order.
     pub cols: Vec<Vec<f64>>,
 }
 
+/// One storage partition's contribution to a cached answer: the rows
+/// that matched the cached region on that node, as the executor's scan
+/// gathered them — a list of [`ColumnRun`]s in scan order, taken by move
+/// from the gather, not copied out of it. A containment hit masks and
+/// folds the runs in place, in order, and an eviction frees one
+/// allocation per column of each run. Rows carry no ids: an aggregate
+/// never reads one.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct ColumnFragment {
+    /// The matched rows, run after run in scan order; none when no row
+    /// matched.
+    pub runs: Vec<ColumnRun>,
+}
+
 impl ColumnFragment {
+    /// Matched rows over all runs.
+    pub fn rows(&self) -> usize {
+        self.runs.iter().map(|r| r.rows).sum()
+    }
+
     /// Simulated bytes this fragment occupies in the cache: a header
     /// plus, per row, an id-sized slot, a length and its values — what
-    /// the row it stands for is billed, whatever the host layout.
+    /// the row it stands for is billed, whatever the host layout (how
+    /// many runs, of what capacity).
     pub fn memory_bytes(&self) -> u64 {
-        24 + self.rows as u64 * (16 + 8 * self.cols.len() as u64)
+        let dims = self.runs.first().map_or(0, |r| r.cols.len());
+        24 + self.rows() as u64 * (16 + 8 * dims as u64)
     }
 }
 
@@ -179,7 +202,7 @@ pub struct NodeFragment {
 }
 
 impl From<NodeFragment> for ColumnFragment {
-    /// Transposes the rows into columns. Its rows are the frozen
+    /// Transposes the rows into columns, one run. Its rows are the frozen
     /// benchmark's admission probe's, cut from one table and all of its
     /// arity; storage refuses a short row, but `From` cannot, so one
     /// shorter than the widest is padded with NaN (missing).
@@ -194,9 +217,12 @@ impl From<NodeFragment> for ColumnFragment {
                     .collect()
             })
             .collect();
+        let rows = records.len();
         ColumnFragment {
-            rows: records.len(),
-            cols,
+            runs: (rows > 0)
+                .then_some(ColumnRun { rows, cols })
+                .into_iter()
+                .collect(),
         }
     }
 }
@@ -406,7 +432,7 @@ impl SemanticCache {
         if bytes > self.config.capacity_bytes {
             return false;
         }
-        let rows = held.iter().map(|f| f.rows as u64).sum();
+        let rows = held.iter().map(|f| f.rows() as u64).sum();
         let mut evicted = 0u64;
         {
             let mut guard = self.state.lock();

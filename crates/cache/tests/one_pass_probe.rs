@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use sea_cache::{CacheConfig, CacheDecision, CacheStats, ColumnFragment, SemanticCache};
+use sea_cache::{CacheConfig, CacheDecision, CacheStats, ColumnFragment, ColumnRun, SemanticCache};
 use sea_common::{AggregateKind, AnswerValue, Ball, Point, Rect, Region};
 
 /// Every admission clears the default 1 ms admission threshold.
@@ -83,8 +83,10 @@ impl Pair {
         // its own.
         let fragments = rows.map(|rows| {
             vec![ColumnFragment {
-                rows,
-                cols: vec![vec![answer; rows]; 2],
+                runs: vec![ColumnRun {
+                    rows,
+                    cols: vec![vec![answer; rows]; 2],
+                }],
             }]
         });
         let region = Region::Range(rect.clone());
@@ -235,7 +237,7 @@ fn the_fewest_rows_win_a_containment_and_seq_breaks_the_tie() {
     };
     // The second admission (seq 1) is the first of the two one-row
     // entries.
-    assert_eq!(frags[0].cols[0], vec![1.0]);
+    assert_eq!(frags[0].runs[0].cols[0], vec![1.0]);
     assert!(Arc::strong_count(&frags) >= 2, "shared with the entry");
 }
 

@@ -12,16 +12,17 @@
 //! one box (every `sea-lang` statement) *folds through the mask*: one
 //! item per serving copy masks each block and folds every query's
 //! partial through that mask while the block is hot, copying no row.
-//! Any other statement gathers the box's rows in morsels and folds
-//! every (query, node) pair over the copy in one flat fan-out. Workers
-//! do pure compute (telemetry-silent, charging private
-//! [`CostMeter`]s); the coordinator then *replays* each query in query
-//! order, its nodes in node-index order, so answers, [`CostReport`]s,
-//! cache state and every recorded table are bit-identical to sequential
-//! execution regardless of the thread count or the path, for a batch as
-//! for a lone query.
+//! Any other statement gathers the box's rows in morsels, each into
+//! columns of exactly its rows, and folds every (query, node) pair over
+//! the gathered runs in one flat fan-out; a cache fragment of the box
+//! then takes those runs as they are. Workers do pure compute
+//! (telemetry-silent, charging private [`CostMeter`]s); the coordinator
+//! then *replays* each query in query order, its nodes in node-index
+//! order, so answers, [`CostReport`]s, cache state and every recorded
+//! table are bit-identical to sequential execution regardless of the
+//! thread count or the path, for a batch as for a lone query.
 
-use sea_cache::{CacheDecision, ColumnFragment, SemanticCache};
+use sea_cache::{CacheDecision, ColumnFragment, ColumnRun, SemanticCache};
 use sea_common::{
     kernels, quantile_of, AggregateKind, AnalyticalQuery, AnswerValue, BivariateStats, CostMeter,
     CostReport, ExecMode, Rect, Region, Result, SeaError, SelectionMask,
@@ -402,10 +403,11 @@ impl<'a> Executor<'a> {
     }
 
     /// Re-derives a containment-hit answer from cached per-node
-    /// fragments: each fragment's columns are masked by the (smaller)
-    /// queried region and folded into a per-node [`Partial`], then
-    /// merged in node order — the kernels a cold scan runs, over the
-    /// same rows in the same order, so the answer is bit-identical.
+    /// fragments: each fragment's runs are masked by the (smaller)
+    /// queried region and folded, run after run, into a per-node
+    /// [`Partial`], then merged in node order — the kernels a cold scan
+    /// runs, over the same rows in the same order, so the answer is
+    /// bit-identical.
     /// Charges `coord` a CPU unit per cached row and per merged partial.
     fn derive_from_fragments(
         query: &AnalyticalQuery,
@@ -416,10 +418,12 @@ impl<'a> Executor<'a> {
         // One mask buffer serves every fragment.
         let mut mask = SelectionMask::none(0);
         for frag in fragments {
-            coord.charge_cpu(frag.rows as u64);
+            coord.charge_cpu(frag.rows() as u64);
             let mut partial = Partial::new(&query.aggregate);
-            (query.region).column_mask_into(&frag.cols, frag.rows, &mut mask);
-            partial.push(&frag.cols, &mask);
+            for run in &frag.runs {
+                (query.region).column_mask_into(&run.cols, run.rows, &mut mask);
+                partial.push(&run.cols, &mask);
+            }
             partials.push(partial);
         }
         coord.charge_cpu(partials.len() as u64);
@@ -970,9 +974,15 @@ impl<'a> Executor<'a> {
     /// admitted blocks are gathered in **morsels** (contiguous runs of
     /// roughly [`MORSEL_RECORDS`] records) so the pool steals within a
     /// node, not only across nodes — a 2-node cluster saturates an
-    /// 8-way pool — and every (query, node) pair then refines and folds
-    /// the gathered rows ([`SharedScan::node_scan`]) in one flat
-    /// fan-out.
+    /// 8-way pool. A morsel gathers into columns of exactly its rows
+    /// ([`gather_morsel`]), one [`ColumnRun`]. Every (query, node) pair
+    /// then refines and folds the gathered runs
+    /// ([`SharedScan::node_scan`]) in one flat fan-out. A rectangle whose
+    /// box is the gather box keeps every gathered row, so after the
+    /// fan-out its fragment *is* its serving copy's runs: moved to the
+    /// copy's last such reader, in (query, node) order, and cloned for
+    /// the others. Each value is allocated and copied once on the way
+    /// to a lone query's fragment.
     fn gather(
         &self,
         table: &str,
@@ -1000,15 +1010,15 @@ impl<'a> Executor<'a> {
         let morsels: Vec<(usize, &[&Block])> = (copies.iter().enumerate())
             .flat_map(|(n, copy)| copy.blocks.chunks(per_morsel).map(move |m| (n, m)))
             .collect();
-        let chunks = self.pool.run(morsels.len(), |mi| {
+        let runs = self.pool.run(morsels.len(), |mi| {
             gather_morsel(morsels[mi].1, &need, rect.as_ref())
         });
-        let mut gathered: Vec<Vec<Chunk>> = copies.iter().map(|_| Vec::new()).collect();
+        let mut gathered: Vec<Vec<ColumnRun>> = copies.iter().map(|_| Vec::new()).collect();
         let mut rows = 0;
-        for ((n, _), chunk) in morsels.iter().zip(chunks) {
-            if chunk.rows > 0 {
-                rows += chunk.rows;
-                gathered[*n].push(chunk);
+        for ((n, _), run) in morsels.iter().zip(runs) {
+            if run.rows > 0 {
+                rows += run.rows;
+                gathered[*n].push(run);
             }
         }
         let shared = SharedScan {
@@ -1028,10 +1038,38 @@ impl<'a> Executor<'a> {
         } else {
             self.pool
         };
-        pool.run(folds.len(), |k| {
+        let mut scans = pool.run(folds.len(), |k| {
             let (plan, q, i) = folds[k];
             shared.node_scan(at[k], &plan.opened[i].1, plan.bbox.as_ref(), q)
-        })
+        });
+        // A rectangle that keeps the gathered rows as they are has them
+        // for its fragment once every fold has read them: its serving
+        // copy's runs, moved to the copy's last such reader and cloned
+        // for the others.
+        let SharedScan {
+            rect, mut gathered, ..
+        } = shared;
+        let keeps: Vec<Option<usize>> = (folds.iter().zip(at))
+            .map(|(&(plan, q, _), &c)| {
+                c.filter(|_| cacheable && keeps_gathered(q, plan.bbox.as_ref(), rect.as_ref()))
+            })
+            .collect();
+        let mut readers = vec![0usize; copies.len()];
+        for &c in keeps.iter().flatten() {
+            readers[c] += 1;
+        }
+        for (scan, c) in scans.iter_mut().zip(keeps) {
+            if let Some(c) = c {
+                readers[c] -= 1;
+                let runs = if readers[c] == 0 {
+                    std::mem::take(&mut gathered[c])
+                } else {
+                    gathered[c].clone()
+                };
+                scan.fragment = Some(ColumnFragment { runs });
+            }
+        }
+        scans
     }
 }
 
@@ -1060,61 +1098,53 @@ const MORSEL_RECORDS: usize = 16_384;
 /// 200 µs idle, 25 µs after 1 ms and 46 µs after 5 ms (p90 68 µs; a
 /// probe of `ExecPool::new(2)` on the 2-core reference host, 1 000 calls
 /// each), and folding this many rows lasts 70–460 µs at 1–7 ns each
-/// (seabench's `common.fold_*_dense_mrec_s`), so a much smaller fold — a
-/// cache fragment's column copy included — is over before the helper
-/// has done much of it. Set by its own sweep (ROADMAP item 3), not
+/// (seabench's `common.fold_*_dense_mrec_s`), so a much smaller fold is
+/// over before the helper has done much of it. A cache fragment adds no
+/// copy to a fold whose rectangle keeps the gathered rows (it takes
+/// them after the fan-out) and one gather under the refined mask to any
+/// other rectangle's. Set by its own sweep (ROADMAP item 3), not
 /// derived from [`MORSEL_RECORDS`]; the wake-up figures above did not
 /// re-run that sweep.
 const FOLD_FANOUT_ROWS: usize = 65_536;
 
-/// Fewest rows a gathered column reserves room for at its first block:
-/// one more `f64` than glibc's per-thread cache serves (1 032 bytes), so
-/// the column comes from the gathering thread's own arena, not from a
-/// chunk the coordinator freed into its cache and whose `realloc` would
-/// take the other thread's arena lock (DESIGN.md "Concurrency model").
-/// Capacity only: the gathered values and their order are unchanged.
-const GATHER_MIN_ROWS: usize = 1032 / std::mem::size_of::<f64>() + 1;
-
-/// The rows one morsel contributes to a gather, in block then row order.
-struct Chunk {
-    rows: usize,
-    /// One per dimension; left empty where no query reads the column.
-    cols: Vec<Vec<f64>>,
-}
-
 /// Masks each block of a morsel by the gather box (`None`: every row),
-/// prefetching the next block's columns meanwhile, and appends the
-/// selected rows of the `need`ed columns while the block is still
-/// cache-hot. One mask buffer serves the whole morsel, each append
-/// reserves from the mask's popcount, and a morsel that gathers no
-/// column (a lone `count()`) has no column list.
-fn gather_morsel(blocks: &[&Block], need: &[bool], rect: Option<&Rect>) -> Chunk {
-    let mut chunk = Chunk {
-        rows: 0,
-        cols: Vec::new(),
-    };
-    if need.contains(&true) {
-        chunk.cols.resize(need.len(), Vec::new());
-    }
+/// prefetching the next block's columns meanwhile, and keeps each mask's
+/// words in one buffer for the morsel; then allocates each `need`ed
+/// column once, at exactly the rows the morsel selected, and gathers
+/// each block through its kept words ([`kernels::gather_words`]) — the
+/// rows of the blocks in block then row order, with no column grown or
+/// reallocated. A morsel that selects no row, or gathers no column (a
+/// lone `count()`), has no column list.
+fn gather_morsel(blocks: &[&Block], need: &[bool], rect: Option<&Rect>) -> ColumnRun {
+    let words_of = |b: &Block| b.len().div_ceil(64);
     let mut mask = SelectionMask::none(0);
+    let mut words = Vec::with_capacity(blocks.iter().map(|b| words_of(b)).sum());
+    let mut rows = 0;
     for (i, b) in blocks.iter().enumerate() {
         match rect {
             Some(r) => b.bbox_mask(r, blocks.get(i + 1).copied(), &mut mask),
             None => mask.reset_all(b.len()),
         }
-        let n = mask.count();
-        if n == 0 {
-            continue;
-        }
-        chunk.rows += n;
-        for ((out, col), &wanted) in chunk.cols.iter_mut().zip(b.cols()).zip(need) {
-            if wanted {
-                out.reserve(n.max(GATHER_MIN_ROWS));
-                kernels::gather(col, &mask, out);
+        rows += mask.count();
+        words.extend_from_slice(mask.words());
+    }
+    let mut cols: Vec<Vec<f64>> = Vec::new();
+    if rows > 0 && need.contains(&true) {
+        cols = (need.iter())
+            .map(|&wanted| Vec::with_capacity(if wanted { rows } else { 0 }))
+            .collect();
+        let mut kept = words.as_slice();
+        for b in blocks {
+            let (block, rest) = kept.split_at(words_of(b));
+            kept = rest;
+            for ((out, col), &wanted) in cols.iter_mut().zip(b.cols()).zip(need) {
+                if wanted {
+                    kernels::gather_words(col, block, out);
+                }
             }
         }
     }
-    chunk
+    ColumnRun { rows, cols }
 }
 
 /// One distinct serving copy a statement reads: the blocks the
@@ -1226,28 +1256,33 @@ struct SharedScan<'s, 'c> {
     /// The gather box; `None` gathers every row of every block.
     rect: Option<Rect>,
     /// Whether a cache may admit one of the statement's answers: every
-    /// column is gathered and each rectangle's node scan cuts its
-    /// [`ColumnFragment`] from them.
+    /// column is gathered and each rectangle has a [`ColumnFragment`] —
+    /// the gathered runs themselves where it keeps them whole (taken
+    /// after the fan-out, see [`Executor::gather`]), runs its node scan
+    /// cuts from them otherwise.
     cacheable: bool,
     /// The serving copies, in order of first use.
     copies: &'s [ServingCopy<'c>],
-    /// Each copy's gathered rows, in node record order.
-    gathered: Vec<Vec<Chunk>>,
+    /// Each copy's gathered rows, one run per morsel that selected any,
+    /// in node record order.
+    gathered: Vec<Vec<ColumnRun>>,
 }
 
 impl SharedScan<'_, '_> {
-    /// One query's scan of one opened node, refined out of the rows
+    /// One query's scan of one opened node, refined out of the runs
     /// gathered from serving copy `at` (`None` when the partition is
     /// unavailable): a rectangle re-masks the gathered rows only when
     /// its box is not the gather box, any other region then keeps the
     /// rows of those inside it, and the kernel fold visits the selected
-    /// rows in node record order — the float-op sequence of scanning the
-    /// node's blocks directly. Charges and block statistics are the
-    /// scan-cost rule's for the query's own box (`bbox`; `None` reads
-    /// everything), scaled once by the gate's slow-node multiplier
-    /// (per-field rounding happens once per scan); `touch_node`, backoff
-    /// and the partial's LAN bytes are never scaled, and [`ScanStats`]
-    /// are unscaled.
+    /// rows run by run in node record order — the float-op sequence of
+    /// scanning the node's blocks directly. A rectangle that does not
+    /// keep the gathered rows whole cuts its fragment here, one exact
+    /// run per gathered run that it selects rows of. Charges and block
+    /// statistics are the scan-cost rule's for the query's own box
+    /// (`bbox`; `None` reads everything), scaled once by the gate's
+    /// slow-node multiplier (per-field rounding happens once per scan);
+    /// `touch_node`, backoff and the partial's LAN bytes are never
+    /// scaled, and [`ScanStats`] are unscaled.
     fn node_scan(
         &self,
         at: Option<usize>,
@@ -1274,55 +1309,42 @@ impl SharedScan<'_, '_> {
             let (_, stats) = dn.charge_scan(bbox, &mut charges);
             (charges, stats)
         };
-        let chunks = &self.gathered[c];
         let mut partial = Partial::new(&query.aggregate);
-        // Columns sized once where every gathered row is the query's
-        // (the refined mask below stays full).
-        let cut = self.cacheable && matches!(query.region, Region::Range(_));
-        let mut fragment = cut.then(|| {
-            let rows = if keeps_gathered(query, bbox, self.rect.as_ref()) {
-                chunks.iter().map(|c| c.rows).sum()
-            } else {
-                0
-            };
-            let dims = chunks.first().map_or(0, |c| c.cols.len());
-            ColumnFragment {
-                rows: 0,
-                cols: (0..dims).map(|_| Vec::with_capacity(rows)).collect(),
-            }
-        });
-        // One mask buffer serves every chunk of the node.
+        // A rectangle that keeps the gathered rows takes them whole for
+        // its fragment after the fan-out (see `Executor::gather`); any
+        // other cuts a run out of each gathered one.
+        let cut = self.cacheable
+            && matches!(query.region, Region::Range(_))
+            && !keeps_gathered(query, bbox, self.rect.as_ref());
+        let mut fragment = cut.then(ColumnFragment::default);
+        // One mask buffer serves every run of the node.
         let mut refined = SelectionMask::none(0);
-        for chunk in chunks {
+        for run in &self.gathered[c] {
             // Cut the gathered rows to the query's own box, then to its
             // region; a query that `keeps_gathered` needs neither.
             match bbox {
-                Some(b) if !whole => kernels::range_mask_into(
-                    &chunk.cols,
-                    &[],
-                    chunk.rows,
-                    b.lo(),
-                    b.hi(),
-                    &mut refined,
-                ),
-                _ => refined.reset_all(chunk.rows),
+                Some(b) if !whole => {
+                    kernels::range_mask_into(&run.cols, &[], run.rows, b.lo(), b.hi(), &mut refined)
+                }
+                _ => refined.reset_all(run.rows),
             }
             stats.records_returned += refined.count();
             // For a rectangular region the bounding box *is* the region.
             if !(bbox.is_some() && matches!(query.region, Region::Range(_))) {
-                query.region.retain(&chunk.cols, &mut refined);
+                query.region.retain(&run.cols, &mut refined);
             }
-            partial.push(&chunk.cols, &refined);
+            partial.push(&run.cols, &refined);
             if let Some(frag) = &mut fragment {
-                let n = refined.count();
-                frag.rows += n;
-                for (out, col) in frag.cols.iter_mut().zip(&chunk.cols) {
-                    if n == chunk.rows {
-                        out.extend_from_slice(col);
-                    } else {
-                        out.reserve(n);
-                        kernels::gather(col, &refined, out);
-                    }
+                let rows = refined.count();
+                if rows > 0 {
+                    let cols = (run.cols.iter())
+                        .map(|col| {
+                            let mut out = Vec::with_capacity(rows);
+                            kernels::gather(col, &refined, &mut out);
+                            out
+                        })
+                        .collect();
+                    frag.runs.push(ColumnRun { rows, cols });
                 }
             }
         }

@@ -9,7 +9,7 @@
 //! drift-epoch bump must drop every pre-drift entry.
 
 use proptest::prelude::*;
-use sea_cache::{CacheConfig, CacheDecision, NodeFragment, SemanticCache};
+use sea_cache::{CacheConfig, CacheDecision, ColumnFragment, NodeFragment, SemanticCache};
 use sea_common::{
     AggregateKind, AnalyticalQuery, Ball, CostMeter, CostReport, ExecMode, Point, Record, Rect,
     Region,
@@ -182,7 +182,7 @@ proptest! {
             // What the executor's own consult is about to be served.
             let served = match cache.lookup(&q.aggregate, &q.region) {
                 CacheDecision::Containment(frags) => {
-                    let rows: usize = frags.iter().map(|f| f.rows).sum();
+                    let rows: usize = frags.iter().map(ColumnFragment::rows).sum();
                     Some((rows as u64, frags.len() as u64))
                 }
                 _ => None,
@@ -364,12 +364,40 @@ fn drift_epoch_bump_drops_pre_drift_entries() {
     assert_eq!(cache.stats().hits, 2);
 }
 
+/// A fragment's values as bits (signed zeros and NaN payloads apart),
+/// one list per dimension, its runs laid end to end in scan order.
+fn flattened(fragment: &ColumnFragment) -> Vec<Vec<u64>> {
+    let dims = fragment.runs.first().map_or(0, |r| r.cols.len());
+    (0..dims)
+        .map(|d| {
+            let runs = fragment.runs.iter();
+            runs.flat_map(|r| r.cols[d].iter().map(|v| v.to_bits()))
+                .collect()
+        })
+        .collect()
+}
+
+/// A lookup in comparable form: its class, the exact answer, or each
+/// containment fragment's rows and flattened values in node order —
+/// whatever runs the rows came in.
+fn decision_key(decision: CacheDecision) -> String {
+    match decision {
+        CacheDecision::Containment(frags) => {
+            let frags: Vec<_> = frags.iter().map(|f| (f.rows(), flattened(f))).collect();
+            format!("Containment({frags:?})")
+        }
+        other => format!("{other:?}"),
+    }
+}
+
 /// The representation moves no counter: the rows the benchmark's row
 /// adapter returns (`scan_node_region_stats`, what its admit probe
 /// builds fragments from), admitted through the [`NodeFragment`]
-/// adapter, make the entry the
-/// executor cuts from its gathered columns — byte for simulated byte,
-/// classification for classification, re-derived answer for answer.
+/// adapter, make the entry the executor cuts from its gathered columns —
+/// byte for simulated byte, classification for classification, value for
+/// value in scan order, and re-derived answer for answer. The adapter's
+/// fragment is one run and the executor's one run per gather morsel, so
+/// fragments compare flattened ([`decision_key`]), not as structures.
 #[test]
 fn row_adapter_and_column_admission_hold_the_same_entry() {
     let cluster = build_tables();
@@ -389,18 +417,7 @@ fn row_adapter_and_column_admission_hold_the_same_entry() {
                 .unwrap();
 
             let by_rows = open_cache();
-            let fragments = cluster
-                .nodes_for_region(table, &outer)
-                .unwrap()
-                .into_iter()
-                .map(|node| NodeFragment {
-                    node: node as u64,
-                    records: cluster
-                        .scan_node_region_stats(table, node, &outer, &mut CostMeter::new())
-                        .unwrap()
-                        .0,
-                })
-                .collect();
+            let fragments = row_fragments(&cluster, table, &outer, ExecMode::Direct);
             assert!(by_rows.admit(
                 &warm.aggregate,
                 &warm.region,
@@ -419,13 +436,13 @@ fn row_adapter_and_column_admission_hold_the_same_entry() {
                 Region::Range(beyond.clone()),
                 Region::Range(apart.clone()),
             ] {
-                // Debug renders every cached value, signed zeros apart.
                 assert_eq!(
-                    format!("{:?}", by_rows.lookup(&agg, &region)),
-                    format!("{:?}", by_columns.lookup(&agg, &region)),
+                    decision_key(by_rows.lookup(&agg, &region)),
+                    decision_key(by_columns.lookup(&agg, &region)),
                     "{table} {agg:?} {region:?}: classification"
                 );
                 let q = AnalyticalQuery::new(region, agg);
+                // Debug renders every answer value, signed zeros apart.
                 assert_eq!(
                     format!("{:?}", derive_rows.cache_lookup(&q)),
                     format!("{:?}", derive_columns.cache_lookup(&q)),
@@ -433,5 +450,125 @@ fn row_adapter_and_column_admission_hold_the_same_entry() {
                 );
             }
         }
+    }
+}
+
+/// The row adapter's fragments of `rect` over `table`: one per node the
+/// statement engages in `mode` (those metadata admits in the direct
+/// regime, every node in BDAS), from the rows `scan_node_region_stats`
+/// returns.
+fn row_fragments(
+    cluster: &StorageCluster,
+    table: &str,
+    rect: &Rect,
+    mode: ExecMode,
+) -> Vec<NodeFragment> {
+    let nodes = match mode {
+        ExecMode::Direct => cluster.nodes_for_region(table, rect).unwrap(),
+        ExecMode::Bdas => (0..cluster.num_nodes()).collect(),
+    };
+    (nodes.into_iter())
+        .map(|node| NodeFragment {
+            node: node as u64,
+            records: cluster
+                .scan_node_region_stats(table, node, rect, &mut CostMeter::new())
+                .unwrap()
+                .0,
+        })
+        .collect()
+}
+
+/// A cacheable statement's admitted fragments have one run layout and
+/// one set of values at every pool size — a run per gather morsel that
+/// selected rows, whether the fragment took the gathered runs by move
+/// (a lone direct-regime rectangle), by clone (the first of two
+/// rectangles over one box) or cut them under a mask (BDAS, whose gather
+/// box is everything; a batch whose boxes differ) — and, flattened, they
+/// are the row adapter's fragments. Two nodes of 25 000 rows each gather
+/// in two morsels apiece, so a node's fragment has more than one run.
+#[test]
+fn admitted_fragments_have_one_run_layout_at_every_pool_size() {
+    let records: Vec<Record> = (0..50_000u64)
+        .map(|i| {
+            let mut values = vec![(i % 100) as f64, (i % 7) as f64, ((i * 31) % 53) as f64];
+            match i % 17 {
+                0 => values[(i % 3) as usize] = f64::NAN,
+                1 => values[1] = -0.0,
+                2 => values[2] = f64::INFINITY,
+                _ => {}
+            }
+            Record::new(i, values)
+        })
+        .collect();
+    let mut cluster = StorageCluster::new(2, 512);
+    cluster
+        .load_table("t", records, Partitioning::Hash)
+        .unwrap();
+    let rect = |lo: f64, hi: f64| Rect::new(vec![lo, 0.0, 0.0], vec![hi, 6.0, 50.0]).unwrap();
+    let (wide, narrow) = (rect(5.0, 70.0), rect(30.0, 40.0));
+    let query = |r: &Rect, agg| AnalyticalQuery::new(Region::Range(r.clone()), agg);
+    let (count, sum) = (AggregateKind::Count, AggregateKind::Sum { dim: 1 });
+    let statements = [
+        (ExecMode::Direct, vec![query(&wide, count)]),
+        (ExecMode::Bdas, vec![query(&wide, count)]),
+        (
+            ExecMode::Direct,
+            vec![query(&wide, count), query(&wide, sum)],
+        ),
+        (
+            ExecMode::Direct,
+            vec![query(&wide, count), query(&narrow, sum)],
+        ),
+    ];
+    for (mode, stmt) in &statements {
+        let mut layouts = Vec::new();
+        for threads in [1, 2, 8] {
+            let cache = open_cache();
+            let exec = Executor::new(&cluster)
+                .with_pool(ExecPool::new(threads))
+                .with_cache(&cache);
+            for out in exec.run("t", stmt, *mode, &TraceContext::NONE) {
+                out.unwrap();
+            }
+            // Each query's own entry, through a rectangle just inside it.
+            let admitted: Vec<_> = stmt
+                .iter()
+                .map(|q| {
+                    let Region::Range(r) = &q.region else {
+                        unreachable!("every query is a rectangle")
+                    };
+                    let mut hi = r.hi().to_vec();
+                    hi[0] -= 0.5;
+                    let inside = Region::Range(Rect::new(r.lo().to_vec(), hi).unwrap());
+                    let CacheDecision::Containment(frags) = cache.lookup(&q.aggregate, &inside)
+                    else {
+                        panic!("{mode:?} {threads}: {q:?} was not admitted");
+                    };
+                    let row_adapter = row_fragments(&cluster, "t", r, *mode);
+                    let flat: Vec<_> = frags.iter().map(flattened).collect();
+                    let want: Vec<_> = (row_adapter.into_iter())
+                        .map(|f| flattened(&f.into()))
+                        .collect();
+                    assert_eq!(
+                        flat, want,
+                        "{mode:?} {threads}: {q:?} against the row adapter"
+                    );
+                    // Run lengths and every value's bits, per node.
+                    (frags.iter())
+                        .map(|f| {
+                            let runs = f.runs.iter();
+                            (runs.map(|r| r.rows).collect::<Vec<_>>(), flattened(f))
+                        })
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+            layouts.push(admitted);
+        }
+        assert!(
+            (layouts[0].iter().flatten()).any(|(runs, _)| runs.len() > 1),
+            "{mode:?}: some node's fragment spans morsels"
+        );
+        assert_eq!(layouts[1], layouts[0], "{mode:?}: 2 threads against 1");
+        assert_eq!(layouts[2], layouts[0], "{mode:?}: 8 threads against 1");
     }
 }
