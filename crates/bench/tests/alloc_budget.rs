@@ -20,8 +20,9 @@
 //! `ExecPool::sequential()`, so the gather's morsels, the folds and the
 //! merge all allocate on the calling thread; a ten-aggregate batch over
 //! the same table; a containment hit that the executor answers from
-//! its attached cache's fragments; and two cold scans a cache admits, a
-//! wide one and a narrow one whose morsels mostly select nothing.
+//! its attached cache's fragments; two cold scans a cache admits, a
+//! wide one and a narrow one whose nodes mostly select nothing; and
+//! E1's batch of 48 differing boxes, which gathers.
 //!
 //! Counts are per thread (a predicted statement never leaves the calling
 //! thread) and deterministic, so each is pinned with `assert_eq!`: a
@@ -42,7 +43,7 @@ use sea_service::{QueryService, SloPolicy, TenantConfig};
 use sea_storage::{Partitioning, StorageCluster};
 use sea_telemetry::TelemetrySink;
 use sea_watch::{WatchConfig, WatchHub};
-use sea_workload::{DataGenerator, DataSpec};
+use sea_workload::{DataGenerator, DataSpec, QueryGenerator, QuerySpec};
 
 struct CountingAlloc;
 
@@ -489,10 +490,11 @@ fn a_containment_hit_through_the_executor_stays_within_its_budget() {
     let (n, out) = hit();
     assert_eq!(out.provenance.cache.label(), "containment");
     println!("containment hit through the executor, sequential pool: {n} allocations");
-    // No node is opened: the fold re-masks each node's cached fragment
-    // (shared with the cache, not copied) in one mask buffer and merges
-    // the partials (13 with a mask per fragment).
-    assert_eq!(n, 6);
+    // No node is opened: the fold loads each node's kept mask (shared
+    // with the cache, not copied) into one mask buffer, narrows it and
+    // merges the partials (13 with a mask per fragment; 6 re-masking
+    // gathered runs, two to a node, whose buffer grew once).
+    assert_eq!(n, 5);
 }
 
 #[test]
@@ -514,16 +516,17 @@ fn a_cold_scan_a_cache_admits_stays_within_its_budget() {
     scan();
     let n = scan();
     println!("cold scan a cache admits, sequential pool: {n} allocations");
-    // The gather path: each of the 16 morsels (2 of 16 384 records to a
-    // node's 25 000) allocates its mask, the buffer that keeps the mask's
-    // words, its column list and both columns once, at exactly the rows
-    // it selected (80); each node collects its runs in one list and folds
-    // them through one mask buffer (16); the fragment then takes the
-    // node's runs by move, and the cache takes the fragments. The other
-    // 41 are the statement's open, replay, merge and admission. Growing
-    // each column block by block and copying it into the node's fragment
-    // read 287.
-    assert_eq!(n, 137);
+    // The statement folds through the mask as it does with no cache
+    // (52, see the exact statements above). Each of the 8 nodes keeps
+    // the box mask it folded through as one run over its own columns:
+    // the list of kept masks, the word buffer, the run list, and the
+    // run's column list, word indices and words, each once (48). The
+    // admission clones the rectangle and collects the fragments (3, also
+    // when the cache refuses them) and the cache takes them (3). No value
+    // is copied. Gathering each node's rows into exact columns first read
+    // 137, and growing them block by block and copying them into the
+    // fragment 287.
+    assert_eq!(n, 106);
 }
 
 #[test]
@@ -552,13 +555,44 @@ fn a_narrow_cold_scan_a_cache_admits_stays_within_its_budget() {
     scan();
     let (n, runs, rows) = scan();
     println!("narrow cold scan a cache admits, sequential pool: {n} allocations, runs {runs:?}, {rows} rows");
-    // One run per morsel that selected a row: 4 of the 16, on 4 nodes.
+    // One run on each of the 4 nodes that selected a row.
     assert_eq!((runs, rows), (vec![1, 1, 0, 0, 1, 1, 0, 0], 4));
-    // The 41 of the wide scan above beside the gather: every morsel masks
-    // and keeps its words (32); the 4 that selected a row allocate a
-    // column list and two one-row columns (12), and the 4 nodes with a
-    // run a run list and a fold mask (8). A morsel that selects nothing
-    // allocates no column. Reserving at least 129 rows a column and
-    // copying the fragments read 99.
-    assert_eq!(n, 93);
+    // The wide scan's 58 beside its kept masks, and the 6 of one kept
+    // mask on each node that selected a row (24); a node that selects
+    // nothing keeps nothing. Gathering the rows first read 93, and
+    // reserving at least 129 rows a column and copying the fragments 99.
+    assert_eq!(n, 82);
+}
+
+#[test]
+fn a_batch_whose_boxes_differ_stays_within_its_budget() {
+    let cluster = scan_cluster();
+    let exec = Executor::new(&cluster).with_pool(ExecPool::sequential());
+    // E1's batch (`baseline.rs`): 48 counts over boxes 5–15 wide around
+    // (50, 50), no two alike.
+    let spec = QuerySpec::simple_count(vec![50.0, 50.0], 3.0, (5.0, 15.0)).unwrap();
+    let mut gen = QueryGenerator::new(spec, 11).unwrap();
+    let batch: Vec<AnalyticalQuery> = (0..48).map(|_| gen.next_query()).collect();
+    let run = || {
+        allocs(|| {
+            for out in exec.execute_batch("t", &batch) {
+                out.unwrap();
+            }
+        })
+        .0
+    };
+    run();
+    let n = run();
+    println!("48 differing boxes, no cache, sequential pool: {n} allocations");
+    // The boxes differ, so the batch gathers their union's rows: 16
+    // morsels (2 of 16 384 records to a node's 25 000), each keeping its
+    // mask's words in one buffer and gathering both columns (each count
+    // re-masks the gathered rows by its own box), and 48 counts folded
+    // over every node's runs, each re-priced for its own box. Each
+    // thread masks every morsel's blocks into one buffer of its own, and
+    // a morsel keeps words only from its first block that selects a row,
+    // so a morsel allocates only what it keeps; with a mask buffer of
+    // each morsel's own, and the lists that hand gathered runs to cache
+    // fragments built with no cache attached, the batch read 1 282.
+    assert_eq!(n, 1264);
 }

@@ -11,16 +11,17 @@
 //! scatter/gather bill again. [`SemanticCache`] closes the gap by
 //! remembering, per (aggregate kind, region) key, both the merged
 //! [`sea_common::AnswerValue`] and the per-partition answer *fragments*
-//! (each node's matched rows: the column runs the executor's scan
-//! gathered, taken as they are — see [`ColumnFragment`]), so a later
-//! query is classified as one of:
+//! (each node's matched rows: the node's own columns under the mask
+//! the executor's scan folded through them, no value copied — see
+//! [`ColumnFragment`]), so a later query is classified as one of:
 //!
 //! - **exact hit** — same aggregate, identical region: the stored answer
 //!   is returned as-is;
 //! - **containment hit** — same aggregate, the cached region *contains*
-//!   the queried one: the answer is re-derived by masking and folding
-//!   the cached per-node runs, in order, with the kernels a cold scan runs,
-//!   bit-identical to it, with every storage node skipped entirely;
+//!   the queried one: the answer is re-derived by loading each cached
+//!   run's mask, narrowing it to the queried region and folding the
+//!   run's columns through it, in order, with the kernels a cold scan
+//!   runs — bit-identical to it, with every storage node skipped;
 //! - **subsumption miss** — only strictly *smaller* cached regions
 //!   exist: the query must execute, but the classification is surfaced
 //!   (the workload's interest region grew);
@@ -83,7 +84,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sea_common::{AggregateKey, AggregateKind, AnswerValue, Record, Rect, Region};
+use sea_common::{
+    AggregateKey, AggregateKind, AnswerValue, ColumnRange, Record, Rect, Region, SelectionMask,
+};
 use sea_telemetry::TelemetrySink;
 
 /// Configuration of a [`SemanticCache`].
@@ -143,46 +146,92 @@ impl CacheStats {
     }
 }
 
-/// A run of rows in column form: a row count and one `Vec<f64>` per
-/// dimension, `rows` values each, allocated at exactly that length.
-/// One morsel of the executor's gather is one run — the rows it selected
-/// out of a few contiguous blocks, in scan order — and a run is what a
-/// fragment is made of. A run gathered without a column no query reads
-/// leaves that `Vec` empty, and one gathered with no column at all (a
-/// lone `count`) has no column list; a fragment's runs carry every
-/// dimension.
+/// One stretch of rows a fragment selects from, and which of them it
+/// selects: each dimension's column over the stretch — shared with
+/// wherever it is stored, not copied — and the stretch's selection mask
+/// kept as only its words that select a row. Word `index[i]` is
+/// `words[i]` and covers rows `64 index[i] .. 64 index[i] + 63` of the
+/// columns; every other word selects nothing. So a kept word costs 12
+/// bytes and selects at least one row.
+///
+/// The executor's scan keeps one run per stretch of a serving copy's
+/// admitted blocks that are consecutive rows of one storage segment: the
+/// columns are the segment's own, cut to the words between the first
+/// and the last that select a row, and the words are the mask the
+/// statement folded through. A run with columns of its own
+/// ([`ColumnRun::dense`]) selects every row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnRun {
-    /// Rows in the run.
-    pub rows: usize,
-    /// One column per dimension, in scan order.
-    pub cols: Vec<Vec<f64>>,
+    /// One column per dimension over the rows the run spans.
+    pub cols: Vec<ColumnRange<f64>>,
+    /// The index of each kept word, ascending.
+    pub index: Vec<u32>,
+    /// The kept words, none of them zero and none selecting a row past
+    /// the columns' end.
+    pub words: Vec<u64>,
+}
+
+impl ColumnRun {
+    /// A run over columns of its own that selects every row: `rows` rows,
+    /// each column that long. Its columns are moved, not copied.
+    pub fn dense(cols: Vec<Vec<f64>>, rows: usize) -> Self {
+        // Word `i` selects the rows of its 64 that exist.
+        let words: Vec<u64> = (0..rows.div_ceil(64))
+            .map(|i| u64::MAX >> (64 - (rows - 64 * i).min(64)))
+            .collect();
+        ColumnRun {
+            cols: cols.into_iter().map(ColumnRange::from).collect(),
+            index: (0..words.len() as u32).collect(),
+            words,
+        }
+    }
+
+    /// Rows the run selects.
+    pub fn rows(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Loads the run's selection into `mask` (its word buffer is
+    /// reused): a mask over every row of the run's columns, the kept
+    /// words set. A run without columns spans no row; no region of a
+    /// dimension or more selects from it anyway.
+    pub fn mask_into(&self, mask: &mut SelectionMask) {
+        let span = self.cols.first().map_or(0, |c| c.len());
+        mask.load(span, &self.index, &self.words);
+    }
 }
 
 /// One storage partition's contribution to a cached answer: the rows
-/// that matched the cached region on that node, as the executor's scan
-/// gathered them — a list of [`ColumnRun`]s in scan order, taken by move
-/// from the gather, not copied out of it. A containment hit masks and
-/// folds the runs in place, in order, and an eviction frees one
-/// allocation per column of each run. Rows carry no ids: an aggregate
-/// never reads one.
+/// that matched the cached region on that node, as [`ColumnRun`]s in
+/// scan order — the node's own columns under the mask the scan folded
+/// through, with no value copied. A containment hit loads each run's
+/// mask, narrows it to the queried region and folds the run's columns
+/// through it, run after run. Rows carry no ids: an aggregate never
+/// reads one.
+///
+/// A fragment shares its columns with the storage segment it was cut
+/// from, so an entry keeps that segment's columns alive until it is
+/// evicted or invalidated — also after the table's rows change under
+/// it (a delete compacts a copy of the columns; a reload builds new
+/// ones): the entry still answers for the rows it was cut from.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ColumnFragment {
-    /// The matched rows, run after run in scan order; none when no row
-    /// matched.
+    /// The runs, in scan order; none when no row matched.
     pub runs: Vec<ColumnRun>,
 }
 
 impl ColumnFragment {
     /// Matched rows over all runs.
     pub fn rows(&self) -> usize {
-        self.runs.iter().map(|r| r.rows).sum()
+        self.runs.iter().map(ColumnRun::rows).sum()
     }
 
     /// Simulated bytes this fragment occupies in the cache: a header
     /// plus, per row, an id-sized slot, a length and its values — what
     /// the row it stands for is billed, whatever the host layout (how
-    /// many runs, of what capacity).
+    /// many runs, columns shared or not). A kept word costs the host 12
+    /// bytes and selects at least one row, so this bill (at least 24
+    /// bytes a row) bounds the masks a cache holds too.
     pub fn memory_bytes(&self) -> u64 {
         let dims = self.runs.first().map_or(0, |r| r.cols.len());
         24 + self.rows() as u64 * (16 + 8 * dims as u64)
@@ -202,10 +251,11 @@ pub struct NodeFragment {
 }
 
 impl From<NodeFragment> for ColumnFragment {
-    /// Transposes the rows into columns, one run. Its rows are the frozen
-    /// benchmark's admission probe's, cut from one table and all of its
-    /// arity; storage refuses a short row, but `From` cannot, so one
-    /// shorter than the widest is padded with NaN (missing).
+    /// Transposes the rows into columns of their own, one
+    /// [`ColumnRun::dense`] run. Its rows are the frozen benchmark's
+    /// admission probe's, cut from one table and all of its arity;
+    /// storage refuses a short row, but `From` cannot, so one shorter
+    /// than the widest is padded with NaN (missing).
     fn from(fragment: NodeFragment) -> Self {
         let records = fragment.records;
         let dims = records.iter().map(Record::dims).max().unwrap_or(0);
@@ -220,7 +270,7 @@ impl From<NodeFragment> for ColumnFragment {
         let rows = records.len();
         ColumnFragment {
             runs: (rows > 0)
-                .then_some(ColumnRun { rows, cols })
+                .then(|| ColumnRun::dense(cols, rows))
                 .into_iter()
                 .collect(),
         }
@@ -825,6 +875,18 @@ mod tests {
             cache.lookup(&AggregateKind::Count, &r1),
             CacheDecision::Exact(_)
         ));
+    }
+
+    #[test]
+    fn a_dense_run_selects_every_row_it_spans() {
+        for rows in [1, 63, 64, 65, 130] {
+            let col = (0..rows).map(|i| i as f64).collect();
+            let run = ColumnRun::dense(vec![col], rows);
+            assert_eq!(run.rows(), rows);
+            let mut mask = SelectionMask::none(0);
+            run.mask_into(&mut mask);
+            assert_eq!(mask, SelectionMask::all(rows), "{rows} rows");
+        }
     }
 
     #[test]

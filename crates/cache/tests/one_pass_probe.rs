@@ -83,10 +83,7 @@ impl Pair {
         // its own.
         let fragments = rows.map(|rows| {
             vec![ColumnFragment {
-                runs: vec![ColumnRun {
-                    rows,
-                    cols: vec![vec![answer; rows]; 2],
-                }],
+                runs: vec![ColumnRun::dense(vec![vec![answer; rows]; 2], rows)],
             }]
         });
         let region = Region::Range(rect.clone());
@@ -237,7 +234,7 @@ fn the_fewest_rows_win_a_containment_and_seq_breaks_the_tie() {
     };
     // The second admission (seq 1) is the first of the two one-row
     // entries.
-    assert_eq!(frags[0].runs[0].cols[0], vec![1.0]);
+    assert_eq!(*frags[0].runs[0].cols[0], [1.0]);
     assert!(Arc::strong_count(&frags) >= 2, "shared with the entry");
 }
 

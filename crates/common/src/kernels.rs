@@ -174,11 +174,34 @@ impl SelectionMask {
     }
 
     /// The bitmap, 64 rows to a word, the bits past the last row clear:
-    /// what a scan keeps of a block's mask to gather through it later
-    /// ([`gather_words`]) while the mask buffer moves on to the next
-    /// block.
+    /// what a scan keeps of a block's mask — to gather through it later
+    /// ([`gather_words`]), or as a cache fragment's selection (see
+    /// [`SelectionMask::load`]) — while the mask buffer moves on to the
+    /// next block.
     pub fn words(&self) -> &[u64] {
         &self.words
+    }
+
+    /// Makes this a mask over `len` rows whose word `index[i]` is
+    /// `words[i]` and every other word clear, keeping the word buffer:
+    /// a mask kept as only its words that select a row (a cache
+    /// fragment's), loaded back whole. A word or bit past `len` rows is
+    /// dropped.
+    pub fn load(&mut self, len: usize, index: &[u32], words: &[u64]) {
+        self.words.clear();
+        self.words.resize(len.div_ceil(64), 0);
+        for (&i, &w) in index.iter().zip(words) {
+            if let Some(slot) = self.words.get_mut(i as usize) {
+                *slot = w;
+            }
+        }
+        if let Some(last) = self.words.last_mut() {
+            let tail = len % 64;
+            if tail != 0 {
+                *last &= (1u64 << tail) - 1;
+            }
+        }
+        self.len = len;
     }
 
     /// Whether no row is selected.
@@ -310,21 +333,9 @@ pub fn ball_mask<C: AsRef<[f64]>>(
     center: &[f64],
     radius: f64,
 ) -> SelectionMask {
-    let mut m = SelectionMask::none(0);
-    ball_mask_into(cols, len, center, radius, &mut m);
+    let mut m = SelectionMask::all(len);
+    ball_retain(cols, center, radius, &mut m);
     m
-}
-
-/// [`ball_mask`] into a caller-owned mask (its word buffer is reused).
-pub fn ball_mask_into<C: AsRef<[f64]>>(
-    cols: &[C],
-    len: usize,
-    center: &[f64],
-    radius: f64,
-    out: &mut SelectionMask,
-) {
-    out.reset_all(len);
-    ball_retain(cols, center, radius, out);
 }
 
 /// Keeps only the selected rows of `cols` that lie in the inclusive box
@@ -762,8 +773,7 @@ mod tests {
     /// Refining a mask by a ball keeps exactly the rows the dense mask
     /// and the previous selection both keep — over full, sparse and
     /// empty words, ragged lengths, NaN, ±inf, ±0.0 and subnormals, and a
-    /// zero radius — and `ball_mask_into` is `ball_mask`; the same for a
-    /// box and `range_mask`.
+    /// zero radius; the same for a box and `range_mask`.
     #[test]
     fn retaining_equals_intersecting_the_dense_mask() {
         let tiny = f64::from_bits(1);
@@ -797,9 +807,6 @@ mod tests {
                 .collect();
             for (center, radius) in [([0.0, 0.0], 0.0), ([-0.0, 1.0], 2.0), ([1.0, tiny], 3.5)] {
                 let dense = ball_mask(&cols, len, &center, radius);
-                let mut into = SelectionMask::none(3);
-                ball_mask_into(&cols, len, &center, radius, &mut into);
-                assert_eq!(into, dense, "len {len}");
                 let (lo, hi) = ([-1.0, -tiny], [2.5, 0.0]);
                 let boxed = range_mask(&cols, len, &lo, &hi);
                 // Full words, every other word cleared, arbitrary bits.

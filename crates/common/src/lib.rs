@@ -18,6 +18,7 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
+pub mod column;
 pub mod cost;
 pub mod error;
 pub mod kernels;
@@ -27,6 +28,7 @@ pub mod record;
 pub mod region;
 
 pub use aggregate::{quantile_of, AggregateKey, AggregateKind, AnswerValue, BivariateStats};
+pub use column::ColumnRange;
 pub use cost::{CostMeter, CostReport, ExecMode};
 pub use error::SeaError;
 pub use kernels::SelectionMask;

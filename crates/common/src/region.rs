@@ -300,28 +300,12 @@ impl Region {
     /// to filtering the materialized rows. A dimensionality mismatch
     /// selects nothing.
     pub fn column_mask<C: AsRef<[f64]>>(&self, cols: &[C], len: usize) -> SelectionMask {
-        let mut out = SelectionMask::none(0);
-        self.column_mask_into(cols, len, &mut out);
-        out
-    }
-
-    /// [`Region::column_mask`] into a caller-owned mask (its word buffer
-    /// is reused).
-    pub fn column_mask_into<C: AsRef<[f64]>>(
-        &self,
-        cols: &[C],
-        len: usize,
-        out: &mut SelectionMask,
-    ) {
         if cols.len() != self.dims() {
-            *out = SelectionMask::none(len);
-            return;
+            return SelectionMask::none(len);
         }
         match self {
-            Region::Range(r) => kernels::range_mask_into(cols, &[], len, r.lo(), r.hi(), out),
-            Region::Radius(b) => {
-                kernels::ball_mask_into(cols, len, b.center().coords(), b.radius(), out)
-            }
+            Region::Range(r) => kernels::range_mask(cols, len, r.lo(), r.hi()),
+            Region::Radius(b) => kernels::ball_mask(cols, len, b.center().coords(), b.radius()),
         }
     }
 

@@ -8,19 +8,21 @@
 //! backoff, failover and partial answers). The statement's blocks are
 //! then read once, on an [`ExecPool`]'s worker threads — the paper's
 //! P1/P4 node parallelism made real on the host, not just in the cost
-//! model. A statement with no cache fragment to cut whose queries share
-//! one box (every `sea-lang` statement) *folds through the mask*: one
-//! item per serving copy masks each block and folds every query's
-//! partial through that mask while the block is hot, copying no row.
-//! Any other statement gathers the box's rows in morsels, each into
-//! columns of exactly its rows, and folds every (query, node) pair over
-//! the gathered runs in one flat fan-out; a cache fragment of the box
-//! then takes those runs as they are. Workers do pure compute
+//! model. A statement whose queries share one box (every `sea-lang`
+//! statement, cached or not) *folds through the mask*: one item per
+//! serving copy masks each block and folds every query's partial
+//! through that mask while the block is hot, copying no row; a cache
+//! fragment keeps that mask over the copy's own columns. A statement
+//! whose boxes differ gathers the union box's rows in morsels, each
+//! into columns of exactly its rows, and folds every (query, node) pair
+//! over the gathered runs in one flat fan-out. Workers do pure compute
 //! (telemetry-silent, charging private [`CostMeter`]s); the coordinator
 //! then *replays* each query in query order, its nodes in node-index
 //! order, so answers, [`CostReport`]s, cache state and every recorded
 //! table are bit-identical to sequential execution regardless of the
 //! thread count or the path, for a batch as for a lone query.
+
+use std::cell::RefCell;
 
 use sea_cache::{CacheDecision, ColumnFragment, ColumnRun, SemanticCache};
 use sea_common::{
@@ -134,9 +136,10 @@ struct NodeScan {
     partial: Option<Partial>,
     meter: CostMeter,
     stats: ScanStats,
-    /// The node's matched rows, cut from the gathered columns for
-    /// semantic-cache admission (`None` unless a cache is attached and
-    /// the region is cacheable).
+    /// The node's matched rows for semantic-cache admission: the mask
+    /// the fold went through over the node's columns, or runs of
+    /// gathered columns (`None` unless a cache is attached and the
+    /// region is a rectangle).
     fragment: Option<ColumnFragment>,
 }
 
@@ -403,11 +406,14 @@ impl<'a> Executor<'a> {
     }
 
     /// Re-derives a containment-hit answer from cached per-node
-    /// fragments: each fragment's runs are masked by the (smaller)
-    /// queried region and folded, run after run, into a per-node
-    /// [`Partial`], then merged in node order — the kernels a cold scan
-    /// runs, over the same rows in the same order, so the answer is
-    /// bit-identical.
+    /// fragments: each run's kept mask is loaded into one mask buffer,
+    /// narrowed to the (smaller) queried region and folded over the
+    /// run's columns, run after run, into a per-node [`Partial`], then
+    /// merged in node order — the kernels a cold scan runs, over the
+    /// same rows in the same order, so the answer is bit-identical.
+    /// The mask spans the rows between the run's first and last selected
+    /// words, not only the selected rows, so a hit walks more words than
+    /// a fold of copied rows would; no scan copies a row in exchange.
     /// Charges `coord` a CPU unit per cached row and per merged partial.
     fn derive_from_fragments(
         query: &AnalyticalQuery,
@@ -421,7 +427,8 @@ impl<'a> Executor<'a> {
             coord.charge_cpu(frag.rows() as u64);
             let mut partial = Partial::new(&query.aggregate);
             for run in &frag.runs {
-                (query.region).column_mask_into(&run.cols, run.rows, &mut mask);
+                run.mask_into(&mut mask);
+                query.region.retain(&run.cols, &mut mask);
                 partial.push(&run.cols, &mask);
             }
             partials.push(partial);
@@ -607,7 +614,7 @@ impl<'a> Executor<'a> {
             }
             node_span.record_sim_us(node_sim_us);
             if let Some(fragment) = scan.fragment {
-                fragments.get_or_insert_with(Vec::new).push(fragment);
+                (fragments.get_or_insert_with(|| Vec::with_capacity(engaged))).push(fragment);
             }
             meters.push(scan.meter);
         }
@@ -862,23 +869,20 @@ impl<'a> Executor<'a> {
     /// prunes nor prices blocks itself). Pure compute, no telemetry, and
     /// no fault gate — the views are already open.
     ///
-    /// A statement with no cache fragment to cut (no cache attached, or
-    /// no rectangular region) whose queries all share the gather box —
-    /// every `sea-lang` statement, either regime — **folds through the
-    /// mask**: one pool item per serving copy masks each admitted block
-    /// and folds every query's partial through that block's mask on the
-    /// same thread, gathering nothing ([`ServingCopy::fold`]). Any other
-    /// statement takes the gather path ([`SharedScan`]).
+    /// A statement whose queries all share the gather box — every
+    /// `sea-lang` statement, either regime, with a cache attached or
+    /// not — **folds through the mask**: one pool item per serving copy
+    /// masks each admitted block and folds every query's partial through
+    /// that block's mask on the same thread, gathering nothing
+    /// ([`ServingCopy::fold`]). A rectangle's cache fragment is then the
+    /// mask it folded through, kept over the copy's own columns. A
+    /// statement whose boxes differ (E1's batches, the operators'
+    /// statements) takes the gather path ([`SharedScan`]).
     fn plan_shared_scan(
         &self,
         table: &str,
         stmt: &[(&OpenedQuery<'a>, &AnalyticalQuery)],
     ) -> Vec<NodeScan> {
-        // Fragments are cut only where a cache could admit them: one is
-        // attached and a region supports the containment algebra
-        // (rectangles only).
-        let cacheable = self.cache.is_some()
-            && (stmt.iter()).any(|(_, q)| matches!(q.region, Region::Range(_)));
         let mut rect = stmt.first().and_then(|(p, _)| p.bbox.clone());
         for (p, _) in stmt.iter().skip(1) {
             rect = match (&rect, &p.bbox) {
@@ -898,19 +902,21 @@ impl<'a> Executor<'a> {
                 })
             }));
         }
-        if !cacheable && stmt.iter().all(|(p, _)| p.bbox == rect) {
+        if stmt.iter().all(|(p, _)| p.bbox == rect) {
             self.fold_through(stmt, rect.as_ref(), &copies, &at)
         } else {
-            self.gather(table, stmt, rect, cacheable, &copies, &at)
+            self.gather(table, stmt, rect, &copies, &at)
         }
     }
 
     /// The fold-through body (see [`Executor::plan_shared_scan`]): each
     /// copy folds, once, every distinct fold the queries reading it ask
-    /// for ([`CopyFolds`]), and each (query, node) takes its fold's
-    /// partial — moved to its last reader, cloned for the others —
-    /// billed as [`SharedScan::node_scan`] bills a query whose box is
-    /// the gather box.
+    /// for ([`CopyFolds`]) and, with a cache attached, keeps, once, every
+    /// distinct mask a rectangle folds through. Each (query, node) takes
+    /// its fold's partial and, a rectangle, its kept mask as its
+    /// [`ColumnFragment`] — each moved to its last reader and cloned for
+    /// the others — billed as [`SharedScan::node_scan`] bills a query
+    /// whose box is the gather box.
     fn fold_through(
         &self,
         stmt: &[(&OpenedQuery<'a>, &AnalyticalQuery)],
@@ -922,12 +928,19 @@ impl<'a> Executor<'a> {
         let pairs = stmt
             .iter()
             .flat_map(|&(p, q)| p.opened.iter().map(move |(_, o)| (o, q)));
-        let slots: Vec<Option<(usize, usize)>> = (pairs.clone().zip(at))
+        // Each pair's copy, fold and — a rectangle a cache could admit —
+        // kept mask.
+        let slots: Vec<Option<(usize, usize, Option<usize>)>> = (pairs.clone().zip(at))
             .map(|((_, q), c)| {
+                let rectangle = matches!(q.region, Region::Range(_));
                 // A rectangle's box is its region; anything else refines
                 // the box mask by its region.
-                let refine = !(rect.is_some() && matches!(q.region, Region::Range(_)));
-                c.map(|c| (c, folds[c].add(refine.then_some(&q.region), &q.aggregate)))
+                let refine = !(rect.is_some() && rectangle);
+                c.map(|c| {
+                    let f = folds[c].add(refine.then_some(&q.region), &q.aggregate);
+                    let kept = (self.cache.is_some() && rectangle).then(|| folds[c].keep(f));
+                    (c, f, kept)
+                })
             })
             .collect();
         let mut folded = self
@@ -936,7 +949,7 @@ impl<'a> Executor<'a> {
         (pairs.zip(slots))
             .map(|((opened, _), slot)| {
                 let mut meter = opened.meter;
-                let (Some((_, _, slow)), Some((c, f))) = (opened.view, slot) else {
+                let (Some((_, _, slow)), Some((c, f, kept))) = (opened.view, slot) else {
                     return NodeScan {
                         partial: None,
                         meter,
@@ -944,17 +957,15 @@ impl<'a> Executor<'a> {
                         fragment: None,
                     };
                 };
-                let readers = &mut folds[c].folds[f].2;
-                *readers -= 1;
-                let (rows, partials) = &mut folded[c];
-                let partial = if *readers == 0 {
-                    partials[f].take()
-                } else {
-                    partials[f].clone()
-                };
-                let copy = &copies[c];
+                let (copy, folds, folded) = (&copies[c], &mut folds[c], &mut folded[c]);
+                let partial = hand_out(&mut folded.partials[f], &mut folds.folds[f].2);
+                // A copy that selected no row kept no mask.
+                let fragment = kept.map(|k| ColumnFragment {
+                    runs: (folded.kept.get_mut(k))
+                        .map_or(Vec::new(), |m| hand_out(&mut m.runs, folds.kept_readers(k))),
+                });
                 let mut stats = copy.stats;
-                stats.records_returned += *rows;
+                stats.records_returned += folded.rows;
                 // The identity at the healthy multiplier 1.0.
                 meter.merge_scaled(&copy.charges, slow);
                 meter.charge_lan(partial.as_ref().map_or(0, Partial::wire_bytes));
@@ -962,36 +973,39 @@ impl<'a> Executor<'a> {
                     partial,
                     meter,
                     stats,
-                    fragment: None,
+                    fragment,
                 }
             })
             .collect()
     }
 
     /// The gather path (see [`Executor::plan_shared_scan`]), taken only
-    /// by a statement that cuts cache fragments or whose queries' boxes
-    /// differ (E1's batches, the operators' statements): each copy's
-    /// admitted blocks are gathered in **morsels** (contiguous runs of
-    /// roughly [`MORSEL_RECORDS`] records) so the pool steals within a
-    /// node, not only across nodes — a 2-node cluster saturates an
-    /// 8-way pool. A morsel gathers into columns of exactly its rows
-    /// ([`gather_morsel`]), one [`ColumnRun`]. Every (query, node) pair
-    /// then refines and folds the gathered runs
-    /// ([`SharedScan::node_scan`]) in one flat fan-out. A rectangle whose
-    /// box is the gather box keeps every gathered row, so after the
-    /// fan-out its fragment *is* its serving copy's runs: moved to the
-    /// copy's last such reader, in (query, node) order, and cloned for
-    /// the others. Each value is allocated and copied once on the way
-    /// to a lone query's fragment.
+    /// by a statement whose queries' boxes differ (E1's batches, the
+    /// operators' statements): each copy's admitted blocks are gathered
+    /// in **morsels** (contiguous runs of roughly [`MORSEL_RECORDS`]
+    /// records) so the pool steals within a node, not only across nodes
+    /// — a 2-node cluster saturates an 8-way pool. A morsel gathers into
+    /// columns of exactly its rows ([`gather_morsel`]). Every (query,
+    /// node) pair then refines and folds the gathered runs
+    /// ([`SharedScan::node_scan`]) in one flat fan-out. With a cache
+    /// attached, a rectangle's fragment is [`ColumnRun::dense`] runs: one
+    /// whose box is the gather box keeps every gathered row, so after the
+    /// fan-out its serving copy's runs move into it — to the copy's last
+    /// such reader, in (query, node) order, and shared with the others —
+    /// and any other gathers its rows out of them.
     fn gather(
         &self,
         table: &str,
         stmt: &[(&OpenedQuery<'a>, &AnalyticalQuery)],
         rect: Option<Rect>,
-        cacheable: bool,
         copies: &[ServingCopy<'a>],
         at: &[Option<usize>],
     ) -> Vec<NodeScan> {
+        // Fragments are cut only where a cache could admit them: one is
+        // attached and a region supports the containment algebra
+        // (rectangles only).
+        let cacheable = self.cache.is_some()
+            && (stmt.iter()).any(|(_, q)| matches!(q.region, Region::Range(_)));
         // A column is gathered only if a query reads it: its aggregate's
         // own, or every one when it refines the gathered rows or a cache
         // may admit them.
@@ -1013,7 +1027,7 @@ impl<'a> Executor<'a> {
         let runs = self.pool.run(morsels.len(), |mi| {
             gather_morsel(morsels[mi].1, &need, rect.as_ref())
         });
-        let mut gathered: Vec<Vec<ColumnRun>> = copies.iter().map(|_| Vec::new()).collect();
+        let mut gathered: Vec<Vec<Gathered>> = copies.iter().map(|_| Vec::new()).collect();
         let mut rows = 0;
         for ((n, _), run) in morsels.iter().zip(runs) {
             if run.rows > 0 {
@@ -1042,34 +1056,49 @@ impl<'a> Executor<'a> {
             let (plan, q, i) = folds[k];
             shared.node_scan(at[k], &plan.opened[i].1, plan.bbox.as_ref(), q)
         });
+        if !cacheable {
+            return scans;
+        }
         // A rectangle that keeps the gathered rows as they are has them
         // for its fragment once every fold has read them: its serving
-        // copy's runs, moved to the copy's last such reader and cloned
-        // for the others.
-        let SharedScan {
-            rect, mut gathered, ..
-        } = shared;
+        // copy's runs, moved into the fragment's columns once and handed
+        // to the copy's readers.
+        let SharedScan { rect, gathered, .. } = shared;
         let keeps: Vec<Option<usize>> = (folds.iter().zip(at))
             .map(|(&(plan, q, _), &c)| {
-                c.filter(|_| cacheable && keeps_gathered(q, plan.bbox.as_ref(), rect.as_ref()))
+                c.filter(|_| keeps_gathered(q, plan.bbox.as_ref(), rect.as_ref()))
             })
             .collect();
         let mut readers = vec![0usize; copies.len()];
         for &c in keeps.iter().flatten() {
             readers[c] += 1;
         }
+        let mut kept: Vec<Vec<ColumnRun>> = (gathered.into_iter().zip(&readers))
+            .map(|(runs, &n)| match n {
+                0 => Vec::new(),
+                _ => (runs.into_iter())
+                    .map(|r| ColumnRun::dense(r.cols, r.rows))
+                    .collect(),
+            })
+            .collect();
         for (scan, c) in scans.iter_mut().zip(keeps) {
             if let Some(c) = c {
-                readers[c] -= 1;
-                let runs = if readers[c] == 0 {
-                    std::mem::take(&mut gathered[c])
-                } else {
-                    gathered[c].clone()
-                };
+                let runs = hand_out(&mut kept[c], &mut readers[c]);
                 scan.fragment = Some(ColumnFragment { runs });
             }
         }
         scans
+    }
+}
+
+/// One reader's share of a value `readers` read: the value itself for
+/// the last of them, a clone for the others.
+fn hand_out<T: Clone + Default>(value: &mut T, readers: &mut usize) -> T {
+    *readers -= 1;
+    if *readers == 0 {
+        std::mem::take(value)
+    } else {
+        value.clone()
     }
 }
 
@@ -1089,7 +1118,10 @@ fn keeps_gathered(query: &AnalyticalQuery, bbox: Option<&Rect>, rect: Option<&Re
 /// in (ROADMAP item 3): scan_cold's median statements/s rose to 16 384
 /// and held beyond it, while drift_churn, whose range-partitioned table
 /// prunes to fewer blocks a node, read best at 16 384 and ~5 % lower
-/// from 32 768 on, where its nodes fall to one or two morsels.
+/// from 32 768 on, where its nodes fall to one or two morsels. Both
+/// workloads now fold through the mask, so no workload of that sweep
+/// gathers any more: the gather path serves only statements whose boxes
+/// differ (E1's batches, the operators), which the sweep did not cover.
 const MORSEL_RECORDS: usize = 16_384;
 
 /// Gathered rows below which the gather path's per-node folds run
@@ -1104,37 +1136,64 @@ const MORSEL_RECORDS: usize = 16_384;
 /// them after the fan-out) and one gather under the refined mask to any
 /// other rectangle's. Set by its own sweep (ROADMAP item 3), not
 /// derived from [`MORSEL_RECORDS`]; the wake-up figures above did not
-/// re-run that sweep.
+/// re-run that sweep. That sweep ran drift_churn, which now folds
+/// through the mask: the batches whose boxes differ that the gather
+/// path still serves were not part of it.
 const FOLD_FANOUT_ROWS: usize = 65_536;
 
+/// One gather morsel's rows in column form: a row count and one
+/// `Vec<f64>` per dimension, `rows` values each, allocated at exactly
+/// that length. A column no query reads is left empty, and a morsel
+/// that selects no row, or gathers no column (a lone `count()`), has no
+/// column list.
+struct Gathered {
+    rows: usize,
+    cols: Vec<Vec<f64>>,
+}
+
+thread_local! {
+    /// The buffer each gather morsel on this thread masks its blocks
+    /// into, so that a morsel allocates only what it keeps.
+    static MORSEL_MASK: RefCell<SelectionMask> = RefCell::new(SelectionMask::none(0));
+}
+
 /// Masks each block of a morsel by the gather box (`None`: every row),
-/// prefetching the next block's columns meanwhile, and keeps each mask's
-/// words in one buffer for the morsel; then allocates each `need`ed
-/// column once, at exactly the rows the morsel selected, and gathers
-/// each block through its kept words ([`kernels::gather_words`]) — the
-/// rows of the blocks in block then row order, with no column grown or
-/// reallocated. A morsel that selects no row, or gathers no column (a
-/// lone `count()`), has no column list.
-fn gather_morsel(blocks: &[&Block], need: &[bool], rect: Option<&Rect>) -> ColumnRun {
+/// prefetching the next block's columns meanwhile, and keeps the mask's
+/// words in one buffer for the morsel, from the first block that
+/// selects a row on; then allocates each `need`ed column once, at
+/// exactly the rows the morsel selected, and gathers each block through
+/// its kept words ([`kernels::gather_words`]) — the rows of the blocks
+/// in block then row order, with no column grown or reallocated. A
+/// morsel that selects no row allocates nothing.
+fn gather_morsel(blocks: &[&Block], need: &[bool], rect: Option<&Rect>) -> Gathered {
     let words_of = |b: &Block| b.len().div_ceil(64);
-    let mut mask = SelectionMask::none(0);
-    let mut words = Vec::with_capacity(blocks.iter().map(|b| words_of(b)).sum());
-    let mut rows = 0;
-    for (i, b) in blocks.iter().enumerate() {
-        match rect {
-            Some(r) => b.bbox_mask(r, blocks.get(i + 1).copied(), &mut mask),
-            None => mask.reset_all(b.len()),
+    let mut words = Vec::new();
+    let (mut first, mut rows) = (0, 0);
+    MORSEL_MASK.with_borrow_mut(|mask| {
+        for (i, b) in blocks.iter().enumerate() {
+            match rect {
+                Some(r) => b.bbox_mask(r, blocks.get(i + 1).copied(), mask),
+                None => mask.reset_all(b.len()),
+            }
+            let n = mask.count();
+            if rows == 0 {
+                if n == 0 {
+                    continue;
+                }
+                first = i;
+                words.reserve_exact(blocks[i..].iter().map(|b| words_of(b)).sum());
+            }
+            rows += n;
+            words.extend_from_slice(mask.words());
         }
-        rows += mask.count();
-        words.extend_from_slice(mask.words());
-    }
+    });
     let mut cols: Vec<Vec<f64>> = Vec::new();
     if rows > 0 && need.contains(&true) {
         cols = (need.iter())
             .map(|&wanted| Vec::with_capacity(if wanted { rows } else { 0 }))
             .collect();
         let mut kept = words.as_slice();
-        for b in blocks {
+        for b in &blocks[first..] {
             let (block, rest) = kept.split_at(words_of(b));
             kept = rest;
             for ((out, col), &wanted) in cols.iter_mut().zip(b.cols()).zip(need) {
@@ -1144,7 +1203,7 @@ fn gather_morsel(blocks: &[&Block], need: &[bool], rect: Option<&Rect>) -> Colum
             }
         }
     }
-    ColumnRun { rows, cols }
+    Gathered { rows, cols }
 }
 
 /// One distinct serving copy a statement reads: the blocks the
@@ -1176,9 +1235,12 @@ impl<'c> ServingCopy<'c> {
     /// the rows it kept, and folds every one of `folds`' partials through
     /// its mask straight from the block's columns, block after block —
     /// the rows, and the float-op sequence, of folding the gathered
-    /// columns. Returns the rows inside `rect` and the partials, in
-    /// `folds` order, each for its readers to take.
-    fn fold(&self, rect: Option<&Rect>, folds: &CopyFolds) -> (usize, Vec<Option<Partial>>) {
+    /// columns. Each mask a pair takes as a cache fragment
+    /// ([`CopyFolds::keep`]) is kept as it goes ([`KeptMask`]), one run
+    /// per stretch of blocks that are consecutive rows of one segment,
+    /// each block but the stretch's last a whole number of mask words
+    /// long.
+    fn fold(&self, rect: Option<&Rect>, folds: &CopyFolds) -> Folded {
         let mut partials: Vec<_> = folds
             .folds
             .iter()
@@ -1186,8 +1248,28 @@ impl<'c> ServingCopy<'c> {
             .collect();
         let mut mask = SelectionMask::none(0);
         let mut refined = vec![SelectionMask::none(0); folds.regions.len()];
+        let keeping = folds.kept().any(|readers| readers > 0);
+        // Filled at the first block that selects a row: the box mask's,
+        // then each region's (see `CopyFolds::keep`).
+        let mut kept: Vec<KeptMask> = Vec::new();
+        // The kept masks' current run: its first block, and its rows
+        // before the block being read.
+        let (mut first, mut before) = (0, 0);
         let mut rows = 0;
         for (i, b) in self.blocks.iter().enumerate() {
+            // A run ends where the next block is not the rows right after
+            // its last, or where its last ends inside a mask word.
+            if i > 0 && keeping {
+                let prev = self.blocks[i - 1];
+                if !(prev.precedes(b) && prev.len().is_multiple_of(64)) {
+                    for k in &mut kept {
+                        k.close(self.blocks[first], before);
+                    }
+                    (first, before) = (i, 0);
+                }
+            }
+            let at = before / 64;
+            before += b.len();
             match rect {
                 Some(r) => b.bbox_mask(r, self.blocks.get(i + 1).copied(), &mut mask),
                 None => mask.reset_all(b.len()),
@@ -1196,16 +1278,110 @@ impl<'c> ServingCopy<'c> {
             if n == 0 {
                 continue;
             }
+            if rows == 0 && keeping {
+                kept.resize_with(1 + folds.regions.len(), KeptMask::default);
+            }
             rows += n;
-            for (out, region) in refined.iter_mut().zip(&folds.regions) {
+            for (out, (region, _)) in refined.iter_mut().zip(&folds.regions) {
                 out.clone_from(&mask);
                 region.retain(b.cols(), out);
+            }
+            let masks = std::iter::once(&mask).chain(&refined);
+            for ((k, m), readers) in kept.iter_mut().zip(masks).zip(folds.kept()) {
+                if readers > 0 {
+                    let rest = || self.blocks[i..].iter().map(|b| b.len().div_ceil(64)).sum();
+                    k.keep(at, m, rest);
+                }
             }
             for (partial, (region, ..)) in partials.iter_mut().flatten().zip(&folds.folds) {
                 partial.push(b.cols(), region.map_or(&mask, |r| &refined[r]));
             }
         }
-        (rows, partials)
+        if let Some(b) = self.blocks.get(first) {
+            for k in &mut kept {
+                k.close(b, before);
+            }
+        }
+        Folded {
+            rows,
+            partials,
+            kept,
+        }
+    }
+}
+
+/// What one serving copy's fold-through item returns (see
+/// [`ServingCopy::fold`]).
+struct Folded {
+    /// The rows inside the box.
+    rows: usize,
+    /// The partials, in [`CopyFolds::folds`] order, each for its readers
+    /// to take.
+    partials: Vec<Option<Partial>>,
+    /// The kept masks, in [`CopyFolds::keep`]'s order; none when no block
+    /// selected a row or no pair keeps one.
+    kept: Vec<KeptMask>,
+}
+
+/// A mask a serving copy keeps for cache fragments while it folds
+/// through it (see [`ServingCopy::fold`]): the current run's words, from
+/// its first through those of the last block that selected a row, and
+/// the runs closed so far.
+#[derive(Default)]
+struct KeptMask {
+    /// The current run's words; empty until one of its blocks selects a
+    /// row. One buffer serves every run of the copy.
+    dense: Vec<u64>,
+    runs: Vec<ColumnRun>,
+}
+
+impl KeptMask {
+    /// Keeps a block's `mask` as the current run's words from word `at`
+    /// on, the words since the last kept block left clear. `rest` is how
+    /// many words the copy's blocks hold from this one on: the buffer is
+    /// reserved once, at the copy's first block that selects a row.
+    fn keep(&mut self, at: usize, mask: &SelectionMask, rest: impl FnOnce() -> usize) {
+        if mask.is_none_set() {
+            return;
+        }
+        if self.dense.capacity() == 0 {
+            self.dense.reserve_exact(at + rest());
+        }
+        self.dense.resize(at, 0);
+        self.dense.extend_from_slice(mask.words());
+    }
+
+    /// Closes the current run, which starts at block `first` and spans
+    /// `len` rows: its words from the first through the last that
+    /// selects a row are compacted into exact-length lists of the
+    /// non-zero words and their indices, with no branch per word, and
+    /// the run's columns are cut to those words. A run that selects no
+    /// row keeps nothing.
+    fn close(&mut self, first: &Block, len: usize) {
+        let lo = self.dense.iter().position(|&w| w != 0);
+        let hi = self.dense.iter().rposition(|&w| w != 0);
+        if let (Some(lo), Some(hi)) = (lo, hi) {
+            let span = &self.dense[lo..=hi];
+            let n = span.iter().filter(|&&w| w != 0).count();
+            let (mut index, mut words) = (vec![0u32; n], vec![0u64; n]);
+            // Every word is written to the next free slot, which only a
+            // non-zero word claims; the span ends in a non-zero word, so
+            // a zero one's slot is always overwritten and in bounds.
+            let mut k = 0;
+            for (i, &w) in span.iter().enumerate() {
+                index[k] = i as u32;
+                words[k] = w;
+                k += usize::from(w != 0);
+            }
+            let window = 64 * lo..len.min(64 * (hi + 1));
+            let cols = first.cols().iter().map(|c| c.window(window.clone()));
+            self.runs.push(ColumnRun {
+                cols: cols.collect(),
+                index,
+                words,
+            });
+        }
+        self.dense.clear();
     }
 }
 
@@ -1215,12 +1391,16 @@ impl<'c> ServingCopy<'c> {
 /// same aggregate twice — fold once and share the partial.
 #[derive(Default)]
 struct CopyFolds<'q> {
-    /// The distinct regions that refine the box mask.
-    regions: Vec<&'q Region>,
+    /// The distinct regions that refine the box mask, each with how many
+    /// (query, node) pairs take its mask, kept, as a cache fragment.
+    regions: Vec<(&'q Region, usize)>,
     /// Each fold: its region (an index into `regions`; `None` folds the
     /// box mask), its empty partial, and how many (query, node) pairs
     /// read it.
     folds: Vec<(Option<usize>, Partial, usize)>,
+    /// How many (query, node) pairs take the box mask, kept, as a cache
+    /// fragment.
+    box_kept: usize,
 }
 
 impl<'q> CopyFolds<'q> {
@@ -1228,8 +1408,8 @@ impl<'q> CopyFolds<'q> {
     /// reads, added if it is new.
     fn add(&mut self, region: Option<&'q Region>, aggregate: &AggregateKind) -> usize {
         let region = region.map(|g| {
-            (self.regions.iter().position(|&r| r == g)).unwrap_or_else(|| {
-                self.regions.push(g);
+            (self.regions.iter().position(|&(r, _)| r == g)).unwrap_or_else(|| {
+                self.regions.push((g, 0));
                 self.regions.len() - 1
             })
         });
@@ -1244,6 +1424,29 @@ impl<'q> CopyFolds<'q> {
         });
         self.folds[f].2 += 1;
         f
+    }
+
+    /// One more pair takes the mask fold `f` folds through, kept, as a
+    /// cache fragment; returns that kept mask: 0 for the box mask, `1 +
+    /// r` for region `r`'s.
+    fn keep(&mut self, f: usize) -> usize {
+        let k = self.folds[f].0.map_or(0, |r| r + 1);
+        *self.kept_readers(k) += 1;
+        k
+    }
+
+    /// How many pairs take kept mask `k` (see [`CopyFolds::keep`]).
+    fn kept_readers(&mut self, k: usize) -> &mut usize {
+        match k.checked_sub(1) {
+            None => &mut self.box_kept,
+            Some(r) => &mut self.regions[r].1,
+        }
+    }
+
+    /// Each kept mask's readers, in [`CopyFolds::keep`]'s order: the box
+    /// mask's, then each region's.
+    fn kept(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::once(self.box_kept).chain(self.regions.iter().map(|&(_, n)| n))
     }
 }
 
@@ -1265,7 +1468,7 @@ struct SharedScan<'s, 'c> {
     copies: &'s [ServingCopy<'c>],
     /// Each copy's gathered rows, one run per morsel that selected any,
     /// in node record order.
-    gathered: Vec<Vec<ColumnRun>>,
+    gathered: Vec<Vec<Gathered>>,
 }
 
 impl SharedScan<'_, '_> {
@@ -1276,13 +1479,13 @@ impl SharedScan<'_, '_> {
     /// rows of those inside it, and the kernel fold visits the selected
     /// rows run by run in node record order — the float-op sequence of
     /// scanning the node's blocks directly. A rectangle that does not
-    /// keep the gathered rows whole cuts its fragment here, one exact
-    /// run per gathered run that it selects rows of. Charges and block
-    /// statistics are the scan-cost rule's for the query's own box
-    /// (`bbox`; `None` reads everything), scaled once by the gate's
-    /// slow-node multiplier (per-field rounding happens once per scan);
-    /// `touch_node`, backoff and the partial's LAN bytes are never
-    /// scaled, and [`ScanStats`] are unscaled.
+    /// keep the gathered rows whole cuts its fragment here, one
+    /// [`ColumnRun::dense`] run of exact columns per gathered run that it
+    /// selects rows of. Charges and block statistics are the scan-cost
+    /// rule's for the query's own box (`bbox`; `None` reads everything),
+    /// scaled once by the gate's slow-node multiplier (per-field rounding
+    /// happens once per scan); `touch_node`, backoff and the partial's
+    /// LAN bytes are never scaled, and [`ScanStats`] are unscaled.
     fn node_scan(
         &self,
         at: Option<usize>,
@@ -1344,7 +1547,7 @@ impl SharedScan<'_, '_> {
                             out
                         })
                         .collect();
-                    frag.runs.push(ColumnRun { rows, cols });
+                    frag.runs.push(ColumnRun::dense(cols, rows));
                 }
             }
         }

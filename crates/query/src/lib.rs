@@ -31,10 +31,12 @@
 //! failover and [partial answers](Executor::with_partial_answers)
 //! apply), asks storage's scan-cost rule
 //! ([`sea_storage::DataNode::charge_scan`]) which blocks the scan reads
-//! and what they cost, gathers the rows of the statement's box out of
-//! those column blocks morsel-parallel — once, whatever the number of
-//! aggregates over them — and folds them into one partial aggregate per
-//! query and node in record order. Answers, cost reports and replayed
+//! and what they cost, and reads those column blocks once, whatever the
+//! number of aggregates over them: a statement whose queries share one
+//! box folds each block through its mask where it was masked, one pool
+//! item per serving copy, and one whose boxes differ gathers the rows
+//! of their union morsel-parallel first. Either way each query gets one
+//! partial aggregate per node, folded in record order. Answers, cost reports and replayed
 //! telemetry are bit-identical at every [`ExecPool`] size.
 //!
 //! Every other reader of the cluster — `sea-operators`' rank-join, kNN,
@@ -50,10 +52,10 @@
 //! Either regime can consult a [`sea_cache::SemanticCache`] before
 //! scattering ([`Executor::with_cache`]): exact hits return the stored
 //! answer, containment hits re-derive it from cached per-node column
-//! fragments — the rows a scan gathered, masked and folded again by the
-//! scan's own kernels — without touching a single node, and misses
-//! execute normally and hand the columns they gathered to the cache on
-//! the way out (experiment E19).
+//! fragments — the mask a scan folded through, kept over the node's own
+//! columns, narrowed and folded again by the scan's own kernels —
+//! without touching a single node, and misses execute normally and hand
+//! those masks to the cache on the way out (experiment E19).
 //!
 //! Every [`QueryOutcome`] says how it was answered ([`Provenance`]):
 //! the cache class where the probe decides it, retries and failovers in

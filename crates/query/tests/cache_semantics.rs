@@ -121,9 +121,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
     /// Warm the cache with a random outer rectangle — through either
-    /// regime, so the fragments are cut from a gather of the query's own
-    /// box (direct) and from a gather of everything, under a mask (BDAS)
-    /// — then query a random rectangle contained in it and the ball
+    /// regime, so the fragments keep the box mask (direct) and the
+    /// region's mask over every row (BDAS) — then query a random
+    /// rectangle contained in it and the ball
     /// inscribed in that rectangle: the (possible) containment hits must
     /// reproduce the cold answers exactly, for every aggregate, table
     /// and pool size, including empty-subspace errors, and cost what the
@@ -364,17 +364,23 @@ fn drift_epoch_bump_drops_pre_drift_entries() {
     assert_eq!(cache.stats().hits, 2);
 }
 
-/// A fragment's values as bits (signed zeros and NaN payloads apart),
-/// one list per dimension, its runs laid end to end in scan order.
+/// A fragment's selected values as bits (signed zeros and NaN payloads
+/// apart), one list per dimension, read through each run's kept words —
+/// bit `j` of word `i` selects row `64 i + j` of the run's columns — run
+/// after run in scan order.
 fn flattened(fragment: &ColumnFragment) -> Vec<Vec<u64>> {
     let dims = fragment.runs.first().map_or(0, |r| r.cols.len());
-    (0..dims)
-        .map(|d| {
-            let runs = fragment.runs.iter();
-            runs.flat_map(|r| r.cols[d].iter().map(|v| v.to_bits()))
-                .collect()
-        })
-        .collect()
+    let mut out = vec![Vec::new(); dims];
+    for run in &fragment.runs {
+        for (&i, &w) in run.index.iter().zip(&run.words) {
+            for j in (0..64).filter(|j| w >> j & 1 == 1) {
+                for (values, col) in out.iter_mut().zip(&run.cols) {
+                    values.push(col[64 * i as usize + j].to_bits());
+                }
+            }
+        }
+    }
+    out
 }
 
 /// A lookup in comparable form: its class, the exact answer, or each
@@ -393,11 +399,12 @@ fn decision_key(decision: CacheDecision) -> String {
 /// The representation moves no counter: the rows the benchmark's row
 /// adapter returns (`scan_node_region_stats`, what its admit probe
 /// builds fragments from), admitted through the [`NodeFragment`]
-/// adapter, make the entry the executor cuts from its gathered columns —
+/// adapter, make the entry the executor keeps of its scan's mask —
 /// byte for simulated byte, classification for classification, value for
 /// value in scan order, and re-derived answer for answer. The adapter's
-/// fragment is one run and the executor's one run per gather morsel, so
-/// fragments compare flattened ([`decision_key`]), not as structures.
+/// fragment is one run of columns of its own and the executor's one run
+/// per stretch of a node's blocks under the kept mask, so fragments
+/// compare flattened ([`decision_key`]), not as structures.
 #[test]
 fn row_adapter_and_column_admission_hold_the_same_entry() {
     let cluster = build_tables();
@@ -479,13 +486,16 @@ fn row_fragments(
 }
 
 /// A cacheable statement's admitted fragments have one run layout and
-/// one set of values at every pool size — a run per gather morsel that
-/// selected rows, whether the fragment took the gathered runs by move
-/// (a lone direct-regime rectangle), by clone (the first of two
-/// rectangles over one box) or cut them under a mask (BDAS, whose gather
-/// box is everything; a batch whose boxes differ) — and, flattened, they
-/// are the row adapter's fragments. Two nodes of 25 000 rows each gather
-/// in two morsels apiece, so a node's fragment has more than one run.
+/// one set of values at every pool size, and, read through their kept
+/// words, they are the row adapter's fragments. A statement over one box
+/// keeps the mask each rectangle folded through — the box mask (a lone
+/// direct-regime rectangle; two rectangles over one box, which share it)
+/// or the region's over every row (BDAS) — as one run per stretch of a
+/// node's blocks that are consecutive rows of one segment, over the
+/// node's own columns. Each node holds a loaded segment and an inserted
+/// one, so its fragment has two runs. A batch whose boxes differ
+/// gathers, and its fragments are runs of gathered columns with every
+/// word set, one per gather morsel that selected rows.
 #[test]
 fn admitted_fragments_have_one_run_layout_at_every_pool_size() {
     let records: Vec<Record> = (0..50_000u64)
@@ -501,26 +511,31 @@ fn admitted_fragments_have_one_run_layout_at_every_pool_size() {
         })
         .collect();
     let mut cluster = StorageCluster::new(2, 512);
+    let (loaded, inserted) = records.split_at(40_000);
     cluster
-        .load_table("t", records, Partitioning::Hash)
+        .load_table("t", loaded.to_vec(), Partitioning::Hash)
         .unwrap();
+    cluster.insert("t", inserted.to_vec()).unwrap();
     let rect = |lo: f64, hi: f64| Rect::new(vec![lo, 0.0, 0.0], vec![hi, 6.0, 50.0]).unwrap();
     let (wide, narrow) = (rect(5.0, 70.0), rect(30.0, 40.0));
     let query = |r: &Rect, agg| AnalyticalQuery::new(Region::Range(r.clone()), agg);
     let (count, sum) = (AggregateKind::Count, AggregateKind::Sum { dim: 1 });
+    // Each statement, and whether it folds through the mask.
     let statements = [
-        (ExecMode::Direct, vec![query(&wide, count)]),
-        (ExecMode::Bdas, vec![query(&wide, count)]),
+        (ExecMode::Direct, vec![query(&wide, count)], true),
+        (ExecMode::Bdas, vec![query(&wide, count)], true),
         (
             ExecMode::Direct,
             vec![query(&wide, count), query(&wide, sum)],
+            true,
         ),
         (
             ExecMode::Direct,
             vec![query(&wide, count), query(&narrow, sum)],
+            false,
         ),
     ];
-    for (mode, stmt) in &statements {
+    for (mode, stmt, folds) in &statements {
         let mut layouts = Vec::new();
         for threads in [1, 2, 8] {
             let cache = open_cache();
@@ -553,22 +568,169 @@ fn admitted_fragments_have_one_run_layout_at_every_pool_size() {
                         flat, want,
                         "{mode:?} {threads}: {q:?} against the row adapter"
                     );
-                    // Run lengths and every value's bits, per node.
+                    // Per node, each run's span, kept words and selected
+                    // rows, and every value's bits.
                     (frags.iter())
                         .map(|f| {
-                            let runs = f.runs.iter();
-                            (runs.map(|r| r.rows).collect::<Vec<_>>(), flattened(f))
+                            let runs = (f.runs.iter())
+                                .map(|r| {
+                                    assert!(r.words.iter().all(|&w| w != 0), "a kept word is zero");
+                                    let span = r.cols.first().map_or(0, |c| c.len());
+                                    (span, r.index.clone(), r.words.clone(), r.rows())
+                                })
+                                .collect::<Vec<_>>();
+                            (runs, flattened(f))
                         })
                         .collect::<Vec<_>>()
                 })
                 .collect();
             layouts.push(admitted);
         }
-        assert!(
-            (layouts[0].iter().flatten()).any(|(runs, _)| runs.len() > 1),
-            "{mode:?}: some node's fragment spans morsels"
-        );
+        let runs = layouts[0].iter().flatten().map(|(runs, _)| runs.len());
+        if *folds {
+            assert!(
+                runs.clone().all(|n| n == 2),
+                "{mode:?}: a kept mask is a run per segment"
+            );
+        } else {
+            assert!(
+                runs.clone().any(|n| n > 1),
+                "{mode:?}: some node's fragment spans morsels"
+            );
+        }
         assert_eq!(layouts[1], layouts[0], "{mode:?}: 2 threads against 1");
         assert_eq!(layouts[2], layouts[0], "{mode:?}: 8 threads against 1");
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Whatever the table — its size, block size (one that is not a
+    /// whole number of mask words ends a run at every block), an insert
+    /// after the load, hashed or range-partitioned — the rectangle, the
+    /// regime and the pool size: every kept word of an admitted fragment
+    /// selects a row and none past its run, so a fragment's words and
+    /// word indices take at most 12 bytes a selected row, and what the
+    /// cache bills for it (`memory_bytes`, at least 24 bytes a row)
+    /// bounds them. Read through those words, a fragment holds the row
+    /// adapter's rows.
+    #[test]
+    fn kept_masks_take_at_most_twelve_bytes_a_selected_row(
+        loaded in 1..3000usize,
+        inserted in 0..800usize,
+        block in 1..300usize,
+        hashed in 0..2usize,
+        lo in (0.0..90.0f64, 0.0..6.0f64, 0.0..50.0f64),
+        w in (0.5..60.0f64, 0.5..7.0f64, 0.5..53.0f64),
+        bdas in 0..2usize,
+        pool in 0..3usize,
+    ) {
+        let records: Vec<Record> = (0..(loaded + inserted) as u64)
+            .map(|i| Record::new(i, vec![(i % 100) as f64, (i % 7) as f64, ((i * 31) % 53) as f64]))
+            .collect();
+        let partitioning = if hashed == 1 {
+            Partitioning::Hash
+        } else {
+            Partitioning::Range {
+                dim: 0,
+                splits: Partitioning::equi_width_splits(0.0, 100.0, 4),
+            }
+        };
+        let mut cluster = StorageCluster::new(4, block);
+        let (first, rest) = records.split_at(loaded);
+        cluster.load_table("t", first.to_vec(), partitioning).unwrap();
+        if !rest.is_empty() {
+            cluster.insert("t", rest.to_vec()).unwrap();
+        }
+        let lo = [lo.0, lo.1, lo.2];
+        let hi: Vec<f64> = [w.0, w.1, w.2].iter().zip(lo).map(|(w, l)| l + w).collect();
+        let rect = Rect::new(lo.to_vec(), hi.clone()).unwrap();
+        let mode = if bdas == 1 { ExecMode::Bdas } else { ExecMode::Direct };
+        let cache = open_cache();
+        let exec = Executor::new(&cluster)
+            .with_pool(ExecPool::new([1, 2, 8][pool]))
+            .with_cache(&cache);
+        let q = AnalyticalQuery::new(Region::Range(rect.clone()), AggregateKind::Count);
+        exec.execute("t", &q, mode, &TraceContext::NONE).unwrap();
+        let mut inside = hi;
+        inside[0] -= 0.25;
+        let inside = Region::Range(Rect::new(lo.to_vec(), inside).unwrap());
+        let CacheDecision::Containment(frags) = cache.lookup(&q.aggregate, &inside) else {
+            panic!("the count and its fragments are admitted");
+        };
+        for frag in frags.iter() {
+            for run in &frag.runs {
+                prop_assert_eq!(run.index.len(), run.words.len());
+                prop_assert!(run.words.iter().all(|&w| w != 0), "a kept word selects a row");
+                prop_assert!(run.index.windows(2).all(|i| i[0] < i[1]), "indices ascend");
+                let span = run.cols[0].len();
+                let (&last, &word) = (run.index.last().unwrap(), run.words.last().unwrap());
+                prop_assert!(64 * last as usize + (63 - word.leading_zeros() as usize) < span);
+            }
+            let kept: usize = frag.runs.iter().map(|r| r.words.len()).sum();
+            prop_assert!(12 * kept <= 12 * frag.rows());
+            prop_assert!(24 * frag.rows() as u64 <= frag.memory_bytes());
+        }
+        let flat: Vec<_> = frags.iter().map(flattened).collect();
+        let want: Vec<_> = (row_fragments(&cluster, "t", &rect, mode).into_iter())
+            .map(|f| flattened(&f.into()))
+            .collect();
+        prop_assert_eq!(flat, want);
+    }
+}
+
+/// An entry keeps the columns it was cut from: cut before the table's
+/// rows change under it — the table loaded into a new cluster, a delete
+/// compacting the node's columns — a containment hit still re-derives
+/// the answer over the rows it was cut from, as an entry of copied rows
+/// did. Whether such an entry may still serve is invalidation's call
+/// (`SemanticCache::advance_epoch`), not the fragment's.
+#[test]
+fn an_entry_outlives_the_rows_it_was_cut_from() {
+    let outer = Rect::new(vec![0.0, 0.0, 0.0], vec![80.0, 7.0, 53.0]).unwrap();
+    let inner = Rect::new(vec![10.0, 1.0, 5.0], vec![60.0, 6.0, 40.0]).unwrap();
+    let warm = AnalyticalQuery::new(Region::Range(outer), AggregateKind::Sum { dim: 2 });
+    let q = AnalyticalQuery::new(Region::Range(inner), AggregateKind::Sum { dim: 2 });
+    let hit = |cluster: &StorageCluster, cache: &SemanticCache| {
+        let out = (Executor::new(cluster).with_cache(cache))
+            .execute_direct("t", &q)
+            .unwrap();
+        assert_eq!(out.provenance.cache, CacheClass::Containment);
+        out.answer
+    };
+    let cold = |cluster: &StorageCluster| Executor::new(cluster).execute_direct("t", &q).unwrap();
+
+    let cache = open_cache();
+    let old = {
+        let cluster = build_cluster(4);
+        let exec = Executor::new(&cluster).with_cache(&cache);
+        exec.execute_direct("t", &warm).unwrap();
+        cold(&cluster).answer
+    };
+    // The first cluster is gone; the table is loaded again, every value
+    // of the summed dimension one higher.
+    let mut reloaded = StorageCluster::new(4, 64);
+    let shifted = clean_records().into_iter().map(|mut r| {
+        r.values[2] += 1.0;
+        r
+    });
+    reloaded
+        .load_table("t", shifted.collect(), Partitioning::Hash)
+        .unwrap();
+    assert_eq!(hit(&reloaded, &cache), old);
+    assert_ne!(cold(&reloaded).answer, old);
+
+    // A delete compacts a node's columns: a copy of them, while the
+    // entry holds a range of them.
+    let mut cluster = build_cluster(4);
+    let cache = open_cache();
+    (Executor::new(&cluster).with_cache(&cache))
+        .execute_direct("t", &warm)
+        .unwrap();
+    let before = cold(&cluster).answer;
+    let cut = Rect::new(vec![20.0, 0.0, 0.0], vec![30.0, 7.0, 53.0]).unwrap();
+    assert!(cluster.delete_region("t", &cut).unwrap() > 0);
+    assert_eq!(hit(&cluster, &cache), before);
+    assert_ne!(cold(&cluster).answer, before);
 }

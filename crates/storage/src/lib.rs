@@ -33,5 +33,5 @@ pub mod partition;
 
 pub use cluster::{BlockCatalogEntry, StorageCluster, TableStats};
 pub use fault::FaultPlan;
-pub use node::{Block, ColumnRange, DataNode, ScanStats};
+pub use node::{Block, DataNode, ScanStats};
 pub use partition::{NodeId, Partitioning};

@@ -11,57 +11,10 @@
 //! follows across pages (DESIGN.md, "Why a node's columns are
 //! contiguous"), and an insert writes only its own rows.
 
-use std::ops::{Deref, Range};
+use std::ops::Range;
 use std::sync::Arc;
 
-use sea_common::{kernels, CostMeter, Record, RecordId, Rect, Region, SelectionMask};
-
-/// Rows `start..end` of a column of a [`DataNode`]'s segment, read as a
-/// plain slice: what a [`Block`] holds of each of its segment's columns.
-/// A clone shares the column.
-#[derive(Clone)]
-pub struct ColumnRange<T> {
-    column: Arc<Vec<T>>,
-    start: usize,
-    end: usize,
-}
-
-impl<T> ColumnRange<T> {
-    fn new(column: &Arc<Vec<T>>, rows: Range<usize>) -> Self {
-        ColumnRange {
-            column: Arc::clone(column),
-            start: rows.start,
-            end: rows.end,
-        }
-    }
-}
-
-impl<T> Deref for ColumnRange<T> {
-    type Target = [T];
-
-    fn deref(&self) -> &[T] {
-        &self.column[self.start..self.end]
-    }
-}
-
-impl<T> AsRef<[T]> for ColumnRange<T> {
-    fn as_ref(&self) -> &[T] {
-        self
-    }
-}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for ColumnRange<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        (**self).fmt(f)
-    }
-}
-
-/// Equal values, wherever they are stored.
-impl<T: PartialEq> PartialEq for ColumnRange<T> {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
-    }
-}
+use sea_common::{kernels, ColumnRange, CostMeter, Record, RecordId, Rect, Region, SelectionMask};
 
 /// A storage block: the unit of disk I/O, a run of rows of one segment
 /// of its node's columns, each row of its table's arity.
@@ -161,15 +114,22 @@ impl Block {
         region.column_mask(&self.cols, self.len())
     }
 
+    /// Whether `next` holds the rows of this block's segment that follow
+    /// this block's: each column of the two is one stretch of the
+    /// segment's, which [`ColumnRange::window`] reads past this block.
+    pub fn precedes(&self, next: &Block) -> bool {
+        self.shares_segment(next) && self.ids.rows().end == next.ids.rows().start
+    }
+
     /// Whether `other` is a row range of the same [`Segment`].
     fn shares_segment(&self, other: &Block) -> bool {
-        Arc::ptr_eq(&self.ids.column, &other.ids.column)
+        Arc::ptr_eq(self.ids.column(), other.ids.column())
     }
 
     /// What the block is apart from the columns it reads.
     fn into_span(self) -> Span {
         Span {
-            rows: self.ids.start..self.ids.end,
+            rows: self.ids.rows(),
             bounds: self.bounds,
         }
     }
@@ -208,14 +168,16 @@ impl Segment {
     /// The columns a run of blocks — every block of one segment, as
     /// [`Block::shares_segment`] groups them — holds ranges of, the
     /// blocks dropped to their spans. Nothing else holds the columns
-    /// then (unless a caller kept a [`Block`]), so they come out without
-    /// a copy.
+    /// then, so they come out without a copy — unless a caller kept a
+    /// [`Block`] or a [`ColumnRange`] of them (a semantic cache's
+    /// fragment does): then they are copied, and the holder keeps the
+    /// rows as they were.
     fn take(run: Vec<Block>) -> Segment {
         let Some(first) = run.first() else {
             return Segment::default();
         };
-        let ids = Arc::clone(&first.ids.column);
-        let cols: Vec<_> = first.cols.iter().map(|c| Arc::clone(&c.column)).collect();
+        let ids = Arc::clone(first.ids.column());
+        let cols: Vec<_> = first.cols.iter().map(|c| Arc::clone(c.column())).collect();
         let spans = run.into_iter().map(Block::into_span).collect();
         Segment {
             ids: Arc::unwrap_or_clone(ids),
