@@ -17,12 +17,13 @@
 //!
 //! It also pins the exact path: four statements that scan a
 //! 200 000-record table through an executor whose pool is
-//! `ExecPool::sequential()`, so the gather's morsels, the folds and the
-//! merge all allocate on the calling thread; a ten-aggregate batch over
-//! the same table; a containment hit that the executor answers from
-//! its attached cache's fragments; two cold scans a cache admits, a
-//! wide one and a narrow one whose nodes mostly select nothing; and
-//! E1's batch of 48 differing boxes, which gathers.
+//! `ExecPool::sequential()`, so each serving copy's pool item, its folds
+//! and the merge all allocate on the calling thread; a ten-aggregate
+//! batch over the same table; a containment hit that the executor
+//! answers from its attached cache's fragments; two cold scans a cache
+//! admits, a wide one and a narrow one whose nodes mostly select
+//! nothing, and the wide one refused; and perfbaseline's E1 batch of 48
+//! differing boxes, which gathers.
 //!
 //! Counts are per thread (a predicted statement never leaves the calling
 //! thread) and deterministic, so each is pinned with `assert_eq!`: a
@@ -34,7 +35,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use sea_cache::SemanticCache;
+use sea_cache::{CacheConfig, SemanticCache};
 use sea_common::{AggregateKind, AnalyticalQuery, AnswerValue, Ball, Point, Rect, Region};
 use sea_core::{AgentConfig, AgentPipeline, ExecMode};
 use sea_lang::{parse, submit_statement, TableSchema};
@@ -425,13 +426,16 @@ fn exact_statements_stay_within_their_budget() {
         n
     });
     // No cache is attached and each statement's queries share one box,
-    // so every one folds through the mask: per node one mask buffer, the
-    // list of its distinct folds and their partials (plus one refined
-    // mask for the ball), and no gathered column. The three-aggregate
-    // batch folds `min` and `max` of d0 as one partial. Gathering first
-    // (2 morsels of 16 384 records to a node's 25 000) read 63, 167, 289
-    // and 272; see the cold scan a cache admits below for that path.
-    assert_eq!(counted, [52, 52, 74, 77]);
+    // so every one folds through the mask: per node one pool item with
+    // one mask buffer, the list of its distinct folds, each folding its
+    // partial in place (plus one refined mask for the ball), and the
+    // list of its pairs' scans; no gathered column. The three-aggregate
+    // batch folds `min` and `max` of d0 as one partial. Laying out every
+    // (query, node) pair's fold on the calling thread and folding into a
+    // list of partials of each node's own read 52, 52, 74 and 77;
+    // gathering first (2 morsels of 16 384 records to a node's 25 000)
+    // 63, 167, 289 and 272.
+    assert_eq!(counted, [50, 50, 70, 75]);
 }
 
 #[test]
@@ -465,8 +469,11 @@ fn a_ten_aggregate_batch_stays_within_its_budget() {
     // The blocks are read once for the whole batch, and each node folds
     // six partials (`sum`/`mean` and `min`/`max` of a dimension share
     // one), so ten aggregates cost well under ten lone statements (the
-    // three-aggregate batch above: 74). Gathering first read 405.
-    assert_eq!(n, 146);
+    // three-aggregate batch above: 70). Each node's list of its pairs'
+    // scans is sized once to its ten readers. With the pairs' folds laid
+    // out on the calling thread the batch read 146, and gathering first
+    // 405.
+    assert_eq!(n, 140);
 }
 
 #[test]
@@ -517,22 +524,50 @@ fn a_cold_scan_a_cache_admits_stays_within_its_budget() {
     let n = scan();
     println!("cold scan a cache admits, sequential pool: {n} allocations");
     // The statement folds through the mask as it does with no cache
-    // (52, see the exact statements above). Each of the 8 nodes keeps
+    // (50, see the exact statements above). Each of the 8 nodes keeps
     // the box mask it folded through as one run over its own columns:
     // the list of kept masks, the word buffer, the run list, and the
     // run's column list, word indices and words, each once (48). The
-    // admission clones the rectangle and collects the fragments (3, also
-    // when the cache refuses them) and the cache takes them (3). No value
-    // is copied. Gathering each node's rows into exact columns first read
-    // 137, and growing them block by block and copying them into the
-    // fragment 287.
-    assert_eq!(n, 106);
+    // admission collects the fragments (1, also when the cache refuses
+    // them) and the cache clones the rectangle and takes them (5). No
+    // value is copied. With the pairs' folds laid out on the calling
+    // thread the scan read 106; gathering each node's rows into exact
+    // columns first 137, and growing them block by block and copying
+    // them into the fragment 287.
+    assert_eq!(n, 104);
+}
+
+#[test]
+fn a_cold_scan_a_cache_refuses_stays_within_its_budget() {
+    let cluster = scan_cluster();
+    let region = Region::Range(Rect::new(vec![10.0, 20.0], vec![45.0, 60.0]).unwrap());
+    let query = AnalyticalQuery::new(region, AggregateKind::Mean { dim: 1 });
+    // No answer is worth its admission, so the cache stays empty and
+    // every scan is cold.
+    let cache = SemanticCache::new(CacheConfig {
+        admit_min_cost_us: f64::INFINITY,
+        ..CacheConfig::default()
+    });
+    let exec = Executor::new(&cluster)
+        .with_pool(ExecPool::sequential())
+        .with_cache(&cache);
+    let scan = || allocs(|| exec.execute_direct("t", &query).unwrap());
+    scan();
+    let (n, out) = scan();
+    assert_eq!(out.provenance.cache.label(), "miss");
+    assert_eq!(cache.len(), 0, "the cache refuses the answer");
+    println!("cold scan a cache refuses, sequential pool: {n} allocations");
+    // The admitted scan's 104 less the cache's 5: the executor still
+    // keeps each node's mask and collects the fragments, and the cache
+    // refuses them by cost before it clones the rectangle. Cloning it
+    // before the refusals read 101.
+    assert_eq!(n, 99);
 }
 
 #[test]
 fn a_narrow_cold_scan_a_cache_admits_stays_within_its_budget() {
     let cluster = scan_cluster();
-    // About five of the 200 000 rows: most morsels select nothing, the
+    // About five of the 200 000 rows: most nodes select nothing, the
     // shape of explore_warm's audit scans.
     let region = Region::Range(Rect::new(vec![10.0, 10.0], vec![10.5, 10.5]).unwrap());
     let query = AnalyticalQuery::new(region, AggregateKind::Mean { dim: 1 });
@@ -557,19 +592,20 @@ fn a_narrow_cold_scan_a_cache_admits_stays_within_its_budget() {
     println!("narrow cold scan a cache admits, sequential pool: {n} allocations, runs {runs:?}, {rows} rows");
     // One run on each of the 4 nodes that selected a row.
     assert_eq!((runs, rows), (vec![1, 1, 0, 0, 1, 1, 0, 0], 4));
-    // The wide scan's 58 beside its kept masks, and the 6 of one kept
+    // The wide scan's 56 beside its kept masks, and the 6 of one kept
     // mask on each node that selected a row (24); a node that selects
-    // nothing keeps nothing. Gathering the rows first read 93, and
+    // nothing keeps nothing. With the pairs' folds laid out on the
+    // calling thread the scan read 82, gathering the rows first 93, and
     // reserving at least 129 rows a column and copying the fragments 99.
-    assert_eq!(n, 82);
+    assert_eq!(n, 80);
 }
 
 #[test]
 fn a_batch_whose_boxes_differ_stays_within_its_budget() {
     let cluster = scan_cluster();
     let exec = Executor::new(&cluster).with_pool(ExecPool::sequential());
-    // E1's batch (`baseline.rs`): 48 counts over boxes 5–15 wide around
-    // (50, 50), no two alike.
+    // perfbaseline's E1 batch (`baseline.rs`): 48 counts over boxes
+    // 5–15 wide around (50, 50), no two alike.
     let spec = QuerySpec::simple_count(vec![50.0, 50.0], 3.0, (5.0, 15.0)).unwrap();
     let mut gen = QueryGenerator::new(spec, 11).unwrap();
     let batch: Vec<AnalyticalQuery> = (0..48).map(|_| gen.next_query()).collect();
@@ -584,15 +620,14 @@ fn a_batch_whose_boxes_differ_stays_within_its_budget() {
     run();
     let n = run();
     println!("48 differing boxes, no cache, sequential pool: {n} allocations");
-    // The boxes differ, so the batch gathers their union's rows: 16
-    // morsels (2 of 16 384 records to a node's 25 000), each keeping its
-    // mask's words in one buffer and gathering both columns (each count
-    // re-masks the gathered rows by its own box), and 48 counts folded
-    // over every node's runs, each re-priced for its own box. Each
-    // thread masks every morsel's blocks into one buffer of its own, and
-    // a morsel keeps words only from its first block that selects a row,
-    // so a morsel allocates only what it keeps; with a mask buffer of
-    // each morsel's own, and the lists that hand gathered runs to cache
-    // fragments built with no cache attached, the batch read 1 282.
-    assert_eq!(n, 1264);
+    // The boxes differ, so the batch gathers their union's rows: one
+    // pool item per node keeps its mask's words in one buffer and
+    // gathers both columns into exact columns once (each count re-masks
+    // the gathered rows by its own box), then folds the 48 counts over
+    // them, each re-priced for its own box, one mask buffer serving the
+    // gather and every count. Gathering in 16 morsels (2 of 16 384
+    // records to a node's 25 000) and re-masking each (query, node) pair
+    // into a buffer of its own read 1 264; with a mask buffer of each
+    // morsel's own too, 1 282.
+    assert_eq!(n, 859);
 }

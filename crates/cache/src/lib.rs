@@ -469,9 +469,8 @@ impl SemanticCache {
         fragments: Option<Vec<ColumnFragment>>,
         recompute_cost_us: f64,
     ) -> bool {
-        let rect = match region {
-            Region::Range(r) => r.clone(),
-            _ => return false,
+        let Region::Range(rect) = region else {
+            return false;
         };
         // A NaN cost is unpriceable — reject it along with cheap entries.
         if recompute_cost_us.is_nan() || recompute_cost_us < self.config.admit_min_cost_us {
@@ -490,11 +489,11 @@ impl SemanticCache {
             let seq = st.next_seq;
             st.next_seq += 1;
             let list = st.entries.entry(agg.key()).or_default();
-            if let Some(pos) = list.iter().position(|e| e.rect == rect) {
+            if let Some(pos) = list.iter().position(|e| e.rect == *rect) {
                 st.total_bytes -= list.remove(pos).bytes;
             }
             list.push(Entry {
-                rect,
+                rect: rect.clone(),
                 answer: *answer,
                 fragments: fragments.map(Arc::from),
                 rows,

@@ -8,21 +8,20 @@
 //! backoff, failover and partial answers). The statement's blocks are
 //! then read once, on an [`ExecPool`]'s worker threads — the paper's
 //! P1/P4 node parallelism made real on the host, not just in the cost
-//! model. A statement whose queries share one box (every `sea-lang`
-//! statement, cached or not) *folds through the mask*: one item per
-//! serving copy masks each block and folds every query's partial
-//! through that mask while the block is hot, copying no row; a cache
-//! fragment keeps that mask over the copy's own columns. A statement
-//! whose boxes differ gathers the union box's rows in morsels, each
-//! into columns of exactly its rows, and folds every (query, node) pair
-//! over the gathered runs in one flat fan-out. Workers do pure compute
-//! (telemetry-silent, charging private [`CostMeter`]s); the coordinator
-//! then *replays* each query in query order, its nodes in node-index
-//! order, so answers, [`CostReport`]s, cache state and every recorded
-//! table are bit-identical to sequential execution regardless of the
-//! thread count or the path, for a batch as for a lone query.
-
-use std::cell::RefCell;
+//! model. Every statement runs one pool item per serving copy, which
+//! reads the copy's blocks for every (query, node) pair that reads it.
+//! A statement whose queries share one box (every `sea-lang` statement,
+//! cached or not) *folds through the mask*: the item masks each block
+//! and folds every query's partial through that mask while the block is
+//! hot, copying no row; a cache fragment keeps that mask over the copy's
+//! own columns. A statement whose boxes differ gathers the copy's rows
+//! of the union box once, into columns of exactly those rows, and the
+//! item refines and folds each of its pairs over them. Workers do pure
+//! compute (telemetry-silent, charging private [`CostMeter`]s); the
+//! coordinator then *replays* each query in query order, its nodes in
+//! node-index order, so answers, [`CostReport`]s, cache state and every
+//! recorded table are bit-identical to sequential execution regardless
+//! of the thread count or the path, for a batch as for a lone query.
 
 use sea_cache::{CacheDecision, ColumnFragment, ColumnRun, SemanticCache};
 use sea_common::{
@@ -312,7 +311,7 @@ impl<'a> Executor<'a> {
     /// scattering (exact and containment hits answer without touching
     /// any storage node) and offers every successful rectangular answer
     /// — with its per-node column fragments — for cost-based admission
-    /// after gathering.
+    /// once its partials are merged.
     ///
     /// A cache instance is scoped to **one logical table**: the cache
     /// key is (aggregate, region), so callers querying several tables
@@ -869,15 +868,19 @@ impl<'a> Executor<'a> {
     /// prunes nor prices blocks itself). Pure compute, no telemetry, and
     /// no fault gate — the views are already open.
     ///
+    /// Every statement makes one [`ExecPool::run`], one item per serving
+    /// copy, and each item returns the scans of the (query, node) pairs
+    /// that read its copy, billed in one place ([`NodeScan::billed`]).
     /// A statement whose queries all share the gather box — every
     /// `sea-lang` statement, either regime, with a cache attached or
-    /// not — **folds through the mask**: one pool item per serving copy
-    /// masks each admitted block and folds every query's partial through
-    /// that block's mask on the same thread, gathering nothing
-    /// ([`ServingCopy::fold`]). A rectangle's cache fragment is then the
-    /// mask it folded through, kept over the copy's own columns. A
-    /// statement whose boxes differ (E1's batches, the operators'
-    /// statements) takes the gather path ([`SharedScan`]).
+    /// not — **folds through the mask** ([`ServingCopy::fold_through`]):
+    /// each admitted block is masked and every query's partial folded
+    /// through that mask on the same thread, gathering nothing; a
+    /// rectangle's cache fragment is then the mask it folded through,
+    /// kept over the copy's own columns. A statement whose boxes differ
+    /// (perfbaseline's batch of 48 boxes, and tests) **gathers** the
+    /// copy's rows of the gather box once into exact columns and refines
+    /// and folds each pair over them ([`ServingCopy::gather_through`]).
     fn plan_shared_scan(
         &self,
         table: &str,
@@ -890,6 +893,7 @@ impl<'a> Executor<'a> {
                 _ => None,
             };
         }
+        let rect = rect.as_ref();
         // The distinct serving copies in order of first use, and the one
         // each (query, node) reads — `None` for a partition unavailable.
         let mut copies: Vec<ServingCopy> = Vec::new();
@@ -897,197 +901,59 @@ impl<'a> Executor<'a> {
         for (_, opened) in stmt.iter().flat_map(|(p, _)| &p.opened) {
             at.push(opened.view.map(|(dn, ..)| {
                 (copies.iter().position(|c| std::ptr::eq(c.node, dn))).unwrap_or_else(|| {
-                    copies.push(ServingCopy::charge(dn, rect.as_ref()));
+                    copies.push(ServingCopy::charge(dn, rect));
                     copies.len() - 1
                 })
             }));
         }
-        if stmt.iter().all(|(p, _)| p.bbox == rect) {
-            self.fold_through(stmt, rect.as_ref(), &copies, &at)
-        } else {
-            self.gather(table, stmt, rect, &copies, &at)
-        }
-    }
-
-    /// The fold-through body (see [`Executor::plan_shared_scan`]): each
-    /// copy folds, once, every distinct fold the queries reading it ask
-    /// for ([`CopyFolds`]) and, with a cache attached, keeps, once, every
-    /// distinct mask a rectangle folds through. Each (query, node) takes
-    /// its fold's partial and, a rectangle, its kept mask as its
-    /// [`ColumnFragment`] — each moved to its last reader and cloned for
-    /// the others — billed as [`SharedScan::node_scan`] bills a query
-    /// whose box is the gather box.
-    fn fold_through(
-        &self,
-        stmt: &[(&OpenedQuery<'a>, &AnalyticalQuery)],
-        rect: Option<&Rect>,
-        copies: &[ServingCopy<'a>],
-        at: &[Option<usize>],
-    ) -> Vec<NodeScan> {
-        let mut folds: Vec<CopyFolds> = copies.iter().map(|_| CopyFolds::default()).collect();
-        let pairs = stmt
-            .iter()
-            .flat_map(|&(p, q)| p.opened.iter().map(move |(_, o)| (o, q)));
-        // Each pair's copy, fold and — a rectangle a cache could admit —
-        // kept mask.
-        let slots: Vec<Option<(usize, usize, Option<usize>)>> = (pairs.clone().zip(at))
-            .map(|((_, q), c)| {
-                let rectangle = matches!(q.region, Region::Range(_));
-                // A rectangle's box is its region; anything else refines
-                // the box mask by its region.
-                let refine = !(rect.is_some() && rectangle);
-                c.map(|c| {
-                    let f = folds[c].add(refine.then_some(&q.region), &q.aggregate);
-                    let kept = (self.cache.is_some() && rectangle).then(|| folds[c].keep(f));
-                    (c, f, kept)
-                })
-            })
-            .collect();
-        let mut folded = self
-            .pool
-            .run(copies.len(), |c| copies[c].fold(rect, &folds[c]));
-        (pairs.zip(slots))
-            .map(|((opened, _), slot)| {
-                let mut meter = opened.meter;
-                let (Some((_, _, slow)), Some((c, f, kept))) = (opened.view, slot) else {
-                    return NodeScan {
-                        partial: None,
-                        meter,
-                        stats: ScanStats::default(),
-                        fragment: None,
-                    };
-                };
-                let (copy, folds, folded) = (&copies[c], &mut folds[c], &mut folded[c]);
-                let partial = hand_out(&mut folded.partials[f], &mut folds.folds[f].2);
-                // A copy that selected no row kept no mask.
-                let fragment = kept.map(|k| ColumnFragment {
-                    runs: (folded.kept.get_mut(k))
-                        .map_or(Vec::new(), |m| hand_out(&mut m.runs, folds.kept_readers(k))),
-                });
-                let mut stats = copy.stats;
-                stats.records_returned += folded.rows;
-                // The identity at the healthy multiplier 1.0.
-                meter.merge_scaled(&copy.charges, slow);
-                meter.charge_lan(partial.as_ref().map_or(0, Partial::wire_bytes));
-                NodeScan {
-                    partial,
-                    meter,
-                    stats,
-                    fragment,
-                }
-            })
-            .collect()
-    }
-
-    /// The gather path (see [`Executor::plan_shared_scan`]), taken only
-    /// by a statement whose queries' boxes differ (E1's batches, the
-    /// operators' statements): each copy's admitted blocks are gathered
-    /// in **morsels** (contiguous runs of roughly [`MORSEL_RECORDS`]
-    /// records) so the pool steals within a node, not only across nodes
-    /// — a 2-node cluster saturates an 8-way pool. A morsel gathers into
-    /// columns of exactly its rows ([`gather_morsel`]). Every (query,
-    /// node) pair then refines and folds the gathered runs
-    /// ([`SharedScan::node_scan`]) in one flat fan-out. With a cache
-    /// attached, a rectangle's fragment is [`ColumnRun::dense`] runs: one
-    /// whose box is the gather box keeps every gathered row, so after the
-    /// fan-out its serving copy's runs move into it — to the copy's last
-    /// such reader, in (query, node) order, and shared with the others —
-    /// and any other gathers its rows out of them.
-    fn gather(
-        &self,
-        table: &str,
-        stmt: &[(&OpenedQuery<'a>, &AnalyticalQuery)],
-        rect: Option<Rect>,
-        copies: &[ServingCopy<'a>],
-        at: &[Option<usize>],
-    ) -> Vec<NodeScan> {
+        let pairs = || {
+            (stmt.iter())
+                .flat_map(|&(p, q)| p.opened.iter().map(move |(_, o)| (p.bbox.as_ref(), o, q)))
+                .zip(&at)
+        };
+        let shared = stmt.iter().all(|(p, _)| p.bbox.as_ref() == rect);
         // Fragments are cut only where a cache could admit them: one is
         // attached and a region supports the containment algebra
-        // (rectangles only).
-        let cacheable = self.cache.is_some()
-            && (stmt.iter()).any(|(_, q)| matches!(q.region, Region::Range(_)));
-        // A column is gathered only if a query reads it: its aggregate's
-        // own, or every one when it refines the gathered rows or a cache
-        // may admit them.
-        let mut need = vec![cacheable; self.cluster.dims(table).unwrap_or(0)];
-        for (p, q) in stmt {
-            if keeps_gathered(q, p.bbox.as_ref(), rect.as_ref()) {
-                for d in q.aggregate.columns() {
-                    need[d] = true;
+        // (rectangles only). The gather body reads a column only if a
+        // query does: its aggregate's own, or every one when it refines
+        // the gathered rows or a cache may admit them.
+        let keeping = self.cache.is_some() && (stmt.iter()).any(|(_, q)| is_rectangle(q));
+        let mut need = Vec::new();
+        if !shared {
+            need = vec![keeping; self.cluster.dims(table).unwrap_or(0)];
+            for (p, q) in stmt {
+                if keeps_gathered(q, p.bbox.as_ref(), rect) {
+                    for d in q.aggregate.columns() {
+                        need[d] = true;
+                    }
+                } else {
+                    need.fill(true);
                 }
+            }
+        }
+        let mut items = self.pool.run(copies.len(), |c| {
+            let readers = (pairs().filter(|&(_, &a)| a == Some(c))).map(|(pair, _)| pair);
+            let mut scans = if shared {
+                copies[c].fold_through(rect, readers, keeping)
             } else {
-                need.fill(true);
-            }
-        }
-        // Morsels in node order, contiguously.
-        let per_morsel = (MORSEL_RECORDS / self.cluster.block_size()).max(1);
-        let morsels: Vec<(usize, &[&Block])> = (copies.iter().enumerate())
-            .flat_map(|(n, copy)| copy.blocks.chunks(per_morsel).map(move |m| (n, m)))
-            .collect();
-        let runs = self.pool.run(morsels.len(), |mi| {
-            gather_morsel(morsels[mi].1, &need, rect.as_ref())
+                copies[c].gather_through(rect, readers, &need, keeping)
+            };
+            // Popped in pair order below.
+            scans.reverse();
+            scans
         });
-        let mut gathered: Vec<Vec<Gathered>> = copies.iter().map(|_| Vec::new()).collect();
-        let mut rows = 0;
-        for ((n, _), run) in morsels.iter().zip(runs) {
-            if run.rows > 0 {
-                rows += run.rows;
-                gathered[*n].push(run);
-            }
-        }
-        let shared = SharedScan {
-            rect,
-            cacheable,
-            copies,
-            gathered,
-        };
-        let folds: Vec<(&OpenedQuery, &AnalyticalQuery, usize)> = stmt
-            .iter()
-            .flat_map(|&(plan, q)| (0..plan.opened.len()).map(move |i| (plan, q, i)))
-            .collect();
-        // Per-node refine + fold: deterministic per (query, node), so it
-        // runs on the pool too when there are rows enough to pay for it.
-        let pool = if rows * stmt.len() < FOLD_FANOUT_ROWS {
-            ExecPool::sequential()
-        } else {
-            self.pool
-        };
-        let mut scans = pool.run(folds.len(), |k| {
-            let (plan, q, i) = folds[k];
-            shared.node_scan(at[k], &plan.opened[i].1, plan.bbox.as_ref(), q)
-        });
-        if !cacheable {
-            return scans;
-        }
-        // A rectangle that keeps the gathered rows as they are has them
-        // for its fragment once every fold has read them: its serving
-        // copy's runs, moved into the fragment's columns once and handed
-        // to the copy's readers.
-        let SharedScan { rect, gathered, .. } = shared;
-        let keeps: Vec<Option<usize>> = (folds.iter().zip(at))
-            .map(|(&(plan, q, _), &c)| {
-                c.filter(|_| keeps_gathered(q, plan.bbox.as_ref(), rect.as_ref()))
+        (pairs())
+            .map(|((_, opened, _), &c)| {
+                // A partition left unavailable keeps its open phase's
+                // meter alone.
+                (c.and_then(|c| items[c].pop())).unwrap_or_else(|| NodeScan {
+                    partial: None,
+                    meter: opened.meter,
+                    stats: ScanStats::default(),
+                    fragment: None,
+                })
             })
-            .collect();
-        let mut readers = vec![0usize; copies.len()];
-        for &c in keeps.iter().flatten() {
-            readers[c] += 1;
-        }
-        let mut kept: Vec<Vec<ColumnRun>> = (gathered.into_iter().zip(&readers))
-            .map(|(runs, &n)| match n {
-                0 => Vec::new(),
-                _ => (runs.into_iter())
-                    .map(|r| ColumnRun::dense(r.cols, r.rows))
-                    .collect(),
-            })
-            .collect();
-        for (scan, c) in scans.iter_mut().zip(keeps) {
-            if let Some(c) = c {
-                let runs = hand_out(&mut kept[c], &mut readers[c]);
-                scan.fragment = Some(ColumnFragment { runs });
-            }
-        }
-        scans
+            .collect()
     }
 }
 
@@ -1102,109 +968,52 @@ fn hand_out<T: Clone + Default>(value: &mut T, readers: &mut usize) -> T {
     }
 }
 
+/// Whether `query`'s region is a rectangle: the one region a cache
+/// fragment is cut for, and one whose bounding box is itself.
+fn is_rectangle(query: &AnalyticalQuery) -> bool {
+    matches!(query.region, Region::Range(_))
+}
+
 /// Whether `query` keeps the rows gathered for `rect` as they are: its
 /// box is the gather box and, its region being a rectangle, that box is
 /// the region too. Any other query refines them, reading every column
-/// (see [`SharedScan::node_scan`]).
+/// (see [`Gathered::refine`]).
 fn keeps_gathered(query: &AnalyticalQuery, bbox: Option<&Rect>, rect: Option<&Rect>) -> bool {
-    bbox.is_some() && bbox == rect && matches!(query.region, Region::Range(_))
+    bbox.is_some() && bbox == rect && is_rectangle(query)
 }
 
-/// Target morsel size in records (a whole number of full blocks, at
-/// least one): the intra-node work unit the pool steals. A fixed
-/// constant independent of thread count, so the morsel decomposition —
-/// and everything downstream — never depends on the host's parallelism.
-/// 16 384 from a sweep of 4 096 … 131 072 with the AVX2 range predicate
-/// in (ROADMAP item 3): scan_cold's median statements/s rose to 16 384
-/// and held beyond it, while drift_churn, whose range-partitioned table
-/// prunes to fewer blocks a node, read best at 16 384 and ~5 % lower
-/// from 32 768 on, where its nodes fall to one or two morsels. Both
-/// workloads now fold through the mask, so no workload of that sweep
-/// gathers any more: the gather path serves only statements whose boxes
-/// differ (E1's batches, the operators), which the sweep did not cover.
-const MORSEL_RECORDS: usize = 16_384;
-
-/// Gathered rows below which the gather path's per-node folds run
-/// inline. A sleeping helper reaches its first item of an
-/// [`ExecPool::run`] in a median of 8 µs back to back, 15 µs after
-/// 200 µs idle, 25 µs after 1 ms and 46 µs after 5 ms (p90 68 µs; a
-/// probe of `ExecPool::new(2)` on the 2-core reference host, 1 000 calls
-/// each), and folding this many rows lasts 70–460 µs at 1–7 ns each
-/// (seabench's `common.fold_*_dense_mrec_s`), so a much smaller fold is
-/// over before the helper has done much of it. A cache fragment adds no
-/// copy to a fold whose rectangle keeps the gathered rows (it takes
-/// them after the fan-out) and one gather under the refined mask to any
-/// other rectangle's. Set by its own sweep (ROADMAP item 3), not
-/// derived from [`MORSEL_RECORDS`]; the wake-up figures above did not
-/// re-run that sweep. That sweep ran drift_churn, which now folds
-/// through the mask: the batches whose boxes differ that the gather
-/// path still serves were not part of it.
-const FOLD_FANOUT_ROWS: usize = 65_536;
-
-/// One gather morsel's rows in column form: a row count and one
-/// `Vec<f64>` per dimension, `rows` values each, allocated at exactly
-/// that length. A column no query reads is left empty, and a morsel
-/// that selects no row, or gathers no column (a lone `count()`), has no
-/// column list.
-struct Gathered {
-    rows: usize,
-    cols: Vec<Vec<f64>>,
-}
-
-thread_local! {
-    /// The buffer each gather morsel on this thread masks its blocks
-    /// into, so that a morsel allocates only what it keeps.
-    static MORSEL_MASK: RefCell<SelectionMask> = RefCell::new(SelectionMask::none(0));
-}
-
-/// Masks each block of a morsel by the gather box (`None`: every row),
-/// prefetching the next block's columns meanwhile, and keeps the mask's
-/// words in one buffer for the morsel, from the first block that
-/// selects a row on; then allocates each `need`ed column once, at
-/// exactly the rows the morsel selected, and gathers each block through
-/// its kept words ([`kernels::gather_words`]) — the rows of the blocks
-/// in block then row order, with no column grown or reallocated. A
-/// morsel that selects no row allocates nothing.
-fn gather_morsel(blocks: &[&Block], need: &[bool], rect: Option<&Rect>) -> Gathered {
-    let words_of = |b: &Block| b.len().div_ceil(64);
-    let mut words = Vec::new();
-    let (mut first, mut rows) = (0, 0);
-    MORSEL_MASK.with_borrow_mut(|mask| {
-        for (i, b) in blocks.iter().enumerate() {
-            match rect {
-                Some(r) => b.bbox_mask(r, blocks.get(i + 1).copied(), mask),
-                None => mask.reset_all(b.len()),
-            }
-            let n = mask.count();
-            if rows == 0 {
-                if n == 0 {
-                    continue;
-                }
-                first = i;
-                words.reserve_exact(blocks[i..].iter().map(|b| words_of(b)).sum());
-            }
-            rows += n;
-            words.extend_from_slice(mask.words());
-        }
-    });
-    let mut cols: Vec<Vec<f64>> = Vec::new();
-    if rows > 0 && need.contains(&true) {
-        cols = (need.iter())
-            .map(|&wanted| Vec::with_capacity(if wanted { rows } else { 0 }))
-            .collect();
-        let mut kept = words.as_slice();
-        for b in &blocks[first..] {
-            let (block, rest) = kept.split_at(words_of(b));
-            kept = rest;
-            for ((out, col), &wanted) in cols.iter_mut().zip(b.cols()).zip(need) {
-                if wanted {
-                    kernels::gather_words(col, block, out);
-                }
-            }
+impl NodeScan {
+    /// One (query, node) pair's scan of its serving copy, billed: the
+    /// pair's open-phase meter, plus `charges` — the scan-cost rule's
+    /// for the pair's own box — scaled once by the gate's slow-node
+    /// multiplier (per-field rounding happens once per scan), plus the
+    /// partial's LAN bytes, which are never scaled, as `touch_node` and
+    /// backoff are not. [`ScanStats`] are unscaled.
+    fn billed(
+        opened: &Opened,
+        charges: &CostMeter,
+        stats: ScanStats,
+        partial: Option<Partial>,
+        fragment: Option<ColumnFragment>,
+    ) -> Self {
+        let mut meter = opened.meter;
+        // Every pair billed here reads an open copy; the identity at the
+        // healthy multiplier 1.0.
+        let slow = opened.view.map_or(1.0, |(.., slow)| slow);
+        meter.merge_scaled(charges, slow);
+        meter.charge_lan(partial.as_ref().map_or(0, Partial::wire_bytes));
+        NodeScan {
+            partial,
+            meter,
+            stats,
+            fragment,
         }
     }
-    Gathered { rows, cols }
 }
+
+/// A (query, node) pair that reads a serving copy: the query's box
+/// (`None`: every row), the node's open phase, and the query.
+type Reader<'r> = (Option<&'r Rect>, &'r Opened<'r>, &'r AnalyticalQuery);
 
 /// One distinct serving copy a statement reads: the blocks the
 /// scan-cost rule ([`DataNode::charge_scan`]) admits for the gather box,
@@ -1229,28 +1038,72 @@ impl<'c> ServingCopy<'c> {
         }
     }
 
-    /// One pool item of the fold-through path: masks each admitted block
-    /// by `rect` (`None`: every row), prefetching the next block's
-    /// columns meanwhile, refines that mask once per distinct region over
-    /// the rows it kept, and folds every one of `folds`' partials through
-    /// its mask straight from the block's columns, block after block —
-    /// the rows, and the float-op sequence, of folding the gathered
-    /// columns. Each mask a pair takes as a cache fragment
-    /// ([`CopyFolds::keep`]) is kept as it goes ([`KeptMask`]), one run
-    /// per stretch of blocks that are consecutive rows of one segment,
-    /// each block but the stretch's last a whole number of mask words
-    /// long.
-    fn fold(&self, rect: Option<&Rect>, folds: &CopyFolds) -> Folded {
-        let mut partials: Vec<_> = folds
-            .folds
-            .iter()
-            .map(|(_, p, _)| Some(p.clone()))
-            .collect();
+    /// The fold-through body of the copy's pool item (see
+    /// [`Executor::plan_shared_scan`]), for `readers` — the (query, node)
+    /// pairs that read the copy, each with its box, in pair order — whose
+    /// boxes are all `rect`: the copy folds, once, every distinct fold
+    /// they ask for ([`CopyFolds`]) and, `keeping` (a cache attached and
+    /// a rectangle in the statement), keeps, once, every distinct mask a
+    /// rectangle folds through ([`ServingCopy::fold`]). Each reader takes
+    /// its fold's partial and, a rectangle kept, its kept mask as its
+    /// [`ColumnFragment`] — each moved to its last reader and cloned for
+    /// the others.
+    fn fold_through<'r>(
+        &self,
+        rect: Option<&Rect>,
+        readers: impl Iterator<Item = Reader<'r>> + Clone,
+        keeping: bool,
+    ) -> Vec<NodeScan> {
+        // A rectangle's box is its region; anything else refines the box
+        // mask by its region.
+        let refine =
+            |q: &'r AnalyticalQuery| (rect.is_none() || !is_rectangle(q)).then_some(&q.region);
+        let mut folds = CopyFolds::default();
+        for (_, _, q) in readers.clone() {
+            let f = folds.add(refine(q), &q.aggregate);
+            folds.folds[f].readers += 1;
+            if keeping && is_rectangle(q) {
+                *folds.kept_readers(folds.mask_of(f)) += 1;
+            }
+        }
+        let mut kept = self.fold(rect, &mut folds);
+        let mut stats = self.stats;
+        stats.records_returned += kept.rows;
+        // Sized once: a reader count is no size hint.
+        let mut scans = Vec::with_capacity(readers.clone().count());
+        scans.extend(readers.map(|(_, opened, q)| {
+            let f = folds.add(refine(q), &q.aggregate);
+            let fold = &mut folds.folds[f];
+            let partial = hand_out(&mut fold.partial, &mut fold.readers);
+            // A copy that selected no row kept no mask.
+            let fragment = (keeping && is_rectangle(q)).then(|| {
+                let k = folds.mask_of(f);
+                ColumnFragment {
+                    runs: (kept.masks.get_mut(k))
+                        .map_or(Vec::new(), |m| hand_out(&mut m.runs, folds.kept_readers(k))),
+                }
+            });
+            NodeScan::billed(opened, &self.charges, stats, partial, fragment)
+        }));
+        scans
+    }
+
+    /// The scan loop of [`ServingCopy::fold_through`]: masks each
+    /// admitted block by `rect` (`None`: every row), prefetching the next
+    /// block's columns meanwhile, refines that mask once per distinct
+    /// region over the rows it kept, and folds each of `folds`' partials
+    /// through its mask straight from the block's columns, block after
+    /// block — the rows, and the float-op sequence, of folding the
+    /// gathered columns. Each mask a pair takes as a cache fragment is
+    /// kept as it goes ([`KeptMask`]), one run per stretch of blocks that
+    /// are consecutive rows of one segment, each block but the stretch's
+    /// last a whole number of mask words long.
+    fn fold(&self, rect: Option<&Rect>, folds: &mut CopyFolds) -> Kept {
         let mut mask = SelectionMask::none(0);
         let mut refined = vec![SelectionMask::none(0); folds.regions.len()];
         let keeping = folds.kept().any(|readers| readers > 0);
         // Filled at the first block that selects a row: the box mask's,
-        // then each region's (see `CopyFolds::keep`).
+        // then each region's (see `CopyFolds::mask_of`).
         let mut kept: Vec<KeptMask> = Vec::new();
         // The kept masks' current run: its first block, and its rows
         // before the block being read.
@@ -1293,8 +1146,10 @@ impl<'c> ServingCopy<'c> {
                     k.keep(at, m, rest);
                 }
             }
-            for (partial, (region, ..)) in partials.iter_mut().flatten().zip(&folds.folds) {
-                partial.push(b.cols(), region.map_or(&mask, |r| &refined[r]));
+            for fold in &mut folds.folds {
+                if let Some(partial) = &mut fold.partial {
+                    partial.push(b.cols(), fold.region.map_or(&mask, |r| &refined[r]));
+                }
             }
         }
         if let Some(b) = self.blocks.get(first) {
@@ -1302,25 +1157,110 @@ impl<'c> ServingCopy<'c> {
                 k.close(b, before);
             }
         }
-        Folded {
-            rows,
-            partials,
-            kept,
+        Kept { rows, masks: kept }
+    }
+
+    /// The gather body of the copy's pool item (see
+    /// [`Executor::plan_shared_scan`]), for `readers` — the (query, node)
+    /// pairs that read the copy, each with its box, in pair order — whose
+    /// boxes differ: the copy's rows of the gather box `rect` are
+    /// gathered once, into the `need`ed columns ([`ServingCopy::gather`]),
+    /// and each reader refined and folded over them on the same thread
+    /// ([`Gathered::refine`]), one mask buffer serving the gather and
+    /// every reader. With `keeping` (a cache attached and a rectangle in
+    /// the statement), a rectangle whose box is the gather box takes the
+    /// gathered columns whole as its fragment's one run — moved to the
+    /// copy's last such reader and cloned for the others — and any other
+    /// rectangle cuts its rows out of them.
+    fn gather_through<'r>(
+        &self,
+        rect: Option<&Rect>,
+        readers: impl Iterator<Item = Reader<'r>> + Clone,
+        need: &[bool],
+        keeping: bool,
+    ) -> Vec<NodeScan> {
+        let mut mask = SelectionMask::none(0);
+        let gathered = self.gather(rect, need, &mut mask);
+        let keeps = |bbox, q| keeping && keeps_gathered(q, bbox, rect);
+        let mut scans = Vec::with_capacity(readers.clone().count());
+        scans.extend(readers.clone().map(|reader| {
+            let (bbox, _, q) = reader;
+            let cut = keeping && is_rectangle(q) && !keeps(bbox, q);
+            gathered.refine(self, rect, reader, cut, &mut mask)
+        }));
+        let mut keepers = (readers.clone())
+            .filter(|&(bbox, _, q)| keeps(bbox, q))
+            .count();
+        let mut runs = Vec::new();
+        if keepers > 0 && gathered.rows > 0 {
+            runs.push(ColumnRun::dense(gathered.cols, gathered.rows));
         }
+        for (scan, (bbox, _, q)) in scans.iter_mut().zip(readers) {
+            if keeps(bbox, q) {
+                let runs = hand_out(&mut runs, &mut keepers);
+                scan.fragment = Some(ColumnFragment { runs });
+            }
+        }
+        scans
+    }
+
+    /// The copy's rows of `rect` (`None`: every row) in columns of their
+    /// own: masks each admitted block into `mask`, prefetching the next
+    /// block's columns meanwhile, and keeps the mask's words in one
+    /// buffer from the first block that selects a row on; then allocates
+    /// each `need`ed column once, at exactly the rows selected, and
+    /// gathers each block through its kept words
+    /// ([`kernels::gather_words`]) — the rows of the blocks in block then
+    /// row order, with no column grown or reallocated. A copy that
+    /// selects no row allocates nothing.
+    fn gather(&self, rect: Option<&Rect>, need: &[bool], mask: &mut SelectionMask) -> Gathered {
+        let blocks = &self.blocks;
+        let words_of = |b: &Block| b.len().div_ceil(64);
+        let mut words = Vec::new();
+        let (mut first, mut rows) = (0, 0);
+        for (i, b) in blocks.iter().enumerate() {
+            match rect {
+                Some(r) => b.bbox_mask(r, blocks.get(i + 1).copied(), mask),
+                None => mask.reset_all(b.len()),
+            }
+            let n = mask.count();
+            if rows == 0 {
+                if n == 0 {
+                    continue;
+                }
+                first = i;
+                words.reserve_exact(blocks[i..].iter().map(|b| words_of(b)).sum());
+            }
+            rows += n;
+            words.extend_from_slice(mask.words());
+        }
+        let mut cols: Vec<Vec<f64>> = Vec::new();
+        if rows > 0 && need.contains(&true) {
+            cols = (need.iter())
+                .map(|&wanted| Vec::with_capacity(if wanted { rows } else { 0 }))
+                .collect();
+            let mut kept = words.as_slice();
+            for b in &blocks[first..] {
+                let (block, rest) = kept.split_at(words_of(b));
+                kept = rest;
+                for ((out, col), &wanted) in cols.iter_mut().zip(b.cols()).zip(need) {
+                    if wanted {
+                        kernels::gather_words(col, block, out);
+                    }
+                }
+            }
+        }
+        Gathered { rows, cols }
     }
 }
 
-/// What one serving copy's fold-through item returns (see
-/// [`ServingCopy::fold`]).
-struct Folded {
+/// What a serving copy's fold keeps (see [`ServingCopy::fold`]).
+struct Kept {
     /// The rows inside the box.
     rows: usize,
-    /// The partials, in [`CopyFolds::folds`] order, each for its readers
-    /// to take.
-    partials: Vec<Option<Partial>>,
-    /// The kept masks, in [`CopyFolds::keep`]'s order; none when no block
-    /// selected a row or no pair keeps one.
-    kept: Vec<KeptMask>,
+    /// The kept masks, in [`CopyFolds::mask_of`]'s order; none when no
+    /// block selected a row or no pair keeps one.
+    masks: Vec<KeptMask>,
 }
 
 /// A mask a serving copy keeps for cache fragments while it folds
@@ -1394,18 +1334,27 @@ struct CopyFolds<'q> {
     /// The distinct regions that refine the box mask, each with how many
     /// (query, node) pairs take its mask, kept, as a cache fragment.
     regions: Vec<(&'q Region, usize)>,
-    /// Each fold: its region (an index into `regions`; `None` folds the
-    /// box mask), its empty partial, and how many (query, node) pairs
-    /// read it.
-    folds: Vec<(Option<usize>, Partial, usize)>,
+    folds: Vec<Fold>,
     /// How many (query, node) pairs take the box mask, kept, as a cache
     /// fragment.
     box_kept: usize,
 }
 
+/// One of a serving copy's distinct folds (see [`CopyFolds`]).
+struct Fold {
+    /// An index into [`CopyFolds::regions`]; `None` folds the box mask.
+    region: Option<usize>,
+    /// The partial before any row: what tells two folds apart.
+    empty: Partial,
+    /// The partial folded, until its last reader takes it.
+    partial: Option<Partial>,
+    /// How many (query, node) pairs read it.
+    readers: usize,
+}
+
 impl<'q> CopyFolds<'q> {
     /// The fold a query over `region` (`None`: the box) with `aggregate`
-    /// reads, added if it is new.
+    /// reads, added with no reader if it is new.
     fn add(&mut self, region: Option<&'q Region>, aggregate: &AggregateKind) -> usize {
         let region = region.map(|g| {
             (self.regions.iter().position(|&(r, _)| r == g)).unwrap_or_else(|| {
@@ -1413,29 +1362,30 @@ impl<'q> CopyFolds<'q> {
                 self.regions.len() - 1
             })
         });
-        let fresh = Partial::new(aggregate);
-        let f = (self
+        let empty = Partial::new(aggregate);
+        (self
             .folds
             .iter()
-            .position(|(r, p, _)| *r == region && *p == fresh))
+            .position(|f| f.region == region && f.empty == empty))
         .unwrap_or_else(|| {
-            self.folds.push((region, fresh, 0));
+            self.folds.push(Fold {
+                region,
+                partial: Some(empty.clone()),
+                empty,
+                readers: 0,
+            });
             self.folds.len() - 1
-        });
-        self.folds[f].2 += 1;
-        f
+        })
     }
 
-    /// One more pair takes the mask fold `f` folds through, kept, as a
-    /// cache fragment; returns that kept mask: 0 for the box mask, `1 +
-    /// r` for region `r`'s.
-    fn keep(&mut self, f: usize) -> usize {
-        let k = self.folds[f].0.map_or(0, |r| r + 1);
-        *self.kept_readers(k) += 1;
-        k
+    /// The kept mask fold `f` folds through: 0 for the box mask, `1 + r`
+    /// for region `r`'s.
+    fn mask_of(&self, f: usize) -> usize {
+        self.folds[f].region.map_or(0, |r| r + 1)
     }
 
-    /// How many pairs take kept mask `k` (see [`CopyFolds::keep`]).
+    /// How many pairs take kept mask `k` (see [`CopyFolds::mask_of`]) as
+    /// a cache fragment.
     fn kept_readers(&mut self, k: usize) -> &mut usize {
         match k.checked_sub(1) {
             None => &mut self.box_kept,
@@ -1443,107 +1393,78 @@ impl<'q> CopyFolds<'q> {
         }
     }
 
-    /// Each kept mask's readers, in [`CopyFolds::keep`]'s order: the box
-    /// mask's, then each region's.
+    /// Each kept mask's readers, in [`CopyFolds::mask_of`]'s order: the
+    /// box mask's, then each region's.
     fn kept(&self) -> impl Iterator<Item = usize> + '_ {
         std::iter::once(self.box_kept).chain(self.regions.iter().map(|&(_, n)| n))
     }
 }
 
-/// The gather path's scan body: the rows of a statement's box, gathered
-/// once out of every serving copy its queries opened (see
-/// [`Executor::gather`]) and shared by every aggregate over them. Any
+/// A serving copy's rows of the gather box in column form (see
+/// [`ServingCopy::gather`]): a row count and one `Vec<f64>` per
+/// dimension, `rows` values each, allocated at exactly that length. Any
 /// row a query selects lies in its box, hence in the gather box, and its
-/// block's zone map intersects both — the gather loses nothing.
-struct SharedScan<'s, 'c> {
-    /// The gather box; `None` gathers every row of every block.
-    rect: Option<Rect>,
-    /// Whether a cache may admit one of the statement's answers: every
-    /// column is gathered and each rectangle has a [`ColumnFragment`] —
-    /// the gathered runs themselves where it keeps them whole (taken
-    /// after the fan-out, see [`Executor::gather`]), runs its node scan
-    /// cuts from them otherwise.
-    cacheable: bool,
-    /// The serving copies, in order of first use.
-    copies: &'s [ServingCopy<'c>],
-    /// Each copy's gathered rows, one run per morsel that selected any,
-    /// in node record order.
-    gathered: Vec<Vec<Gathered>>,
+/// block's zone map intersects both — the gather loses nothing. A column
+/// no query reads is left empty, and a copy that selects no row, or
+/// gathers no column (a lone `count()`), has no column list.
+struct Gathered {
+    rows: usize,
+    cols: Vec<Vec<f64>>,
 }
 
-impl SharedScan<'_, '_> {
-    /// One query's scan of one opened node, refined out of the runs
-    /// gathered from serving copy `at` (`None` when the partition is
-    /// unavailable): a rectangle re-masks the gathered rows only when
-    /// its box is not the gather box, any other region then keeps the
-    /// rows of those inside it, and the kernel fold visits the selected
-    /// rows run by run in node record order — the float-op sequence of
-    /// scanning the node's blocks directly. A rectangle that does not
-    /// keep the gathered rows whole cuts its fragment here, one
-    /// [`ColumnRun::dense`] run of exact columns per gathered run that it
-    /// selects rows of. Charges and block statistics are the scan-cost
-    /// rule's for the query's own box (`bbox`; `None` reads everything),
-    /// scaled once by the gate's slow-node multiplier (per-field rounding
-    /// happens once per scan); `touch_node`, backoff and the partial's
-    /// LAN bytes are never scaled, and [`ScanStats`] are unscaled.
-    fn node_scan(
+impl Gathered {
+    /// One reader's scan of `copy`, refined out of the rows gathered for
+    /// `rect`: a rectangle re-masks them, into `refined`, only when its
+    /// box (`bbox`; `None` reads everything) is not the gather box, any
+    /// other region then keeps the rows inside it, and the kernel fold
+    /// visits the selected rows in node record order — the float-op
+    /// sequence of scanning the node's blocks directly. A rectangle that
+    /// `cut`s its fragment here gets one [`ColumnRun::dense`] run of
+    /// exact columns, when it selects rows. Charges and block statistics
+    /// are the scan-cost rule's for the reader's own box, billed
+    /// ([`NodeScan::billed`]).
+    fn refine(
         &self,
-        at: Option<usize>,
-        opened: &Opened,
-        bbox: Option<&Rect>,
-        query: &AnalyticalQuery,
+        copy: &ServingCopy,
+        rect: Option<&Rect>,
+        (bbox, opened, query): Reader,
+        cut: bool,
+        refined: &mut SelectionMask,
     ) -> NodeScan {
-        let mut meter = opened.meter;
-        let (Some((dn, _, slow)), Some(c)) = (opened.view, at) else {
-            return NodeScan {
-                partial: None,
-                meter,
-                stats: ScanStats::default(),
-                fragment: None,
-            };
-        };
         // The query's box is the gather box: priced with it, and every
         // gathered row is inside.
-        let whole = bbox == self.rect.as_ref();
+        let whole = bbox == rect;
         let (charges, mut stats) = if whole {
-            (self.copies[c].charges, self.copies[c].stats)
+            (copy.charges, copy.stats)
         } else {
             let mut charges = CostMeter::new();
-            let (_, stats) = dn.charge_scan(bbox, &mut charges);
+            let (_, stats) = copy.node.charge_scan(bbox, &mut charges);
             (charges, stats)
         };
         let mut partial = Partial::new(&query.aggregate);
-        // A rectangle that keeps the gathered rows takes them whole for
-        // its fragment after the fan-out (see `Executor::gather`); any
-        // other cuts a run out of each gathered one.
-        let cut = self.cacheable
-            && matches!(query.region, Region::Range(_))
-            && !keeps_gathered(query, bbox, self.rect.as_ref());
         let mut fragment = cut.then(ColumnFragment::default);
-        // One mask buffer serves every run of the node.
-        let mut refined = SelectionMask::none(0);
-        for run in &self.gathered[c] {
+        if self.rows > 0 {
             // Cut the gathered rows to the query's own box, then to its
             // region; a query that `keeps_gathered` needs neither.
             match bbox {
                 Some(b) if !whole => {
-                    kernels::range_mask_into(&run.cols, &[], run.rows, b.lo(), b.hi(), &mut refined)
+                    kernels::range_mask_into(&self.cols, &[], self.rows, b.lo(), b.hi(), refined)
                 }
-                _ => refined.reset_all(run.rows),
+                _ => refined.reset_all(self.rows),
             }
             stats.records_returned += refined.count();
             // For a rectangular region the bounding box *is* the region.
-            if !(bbox.is_some() && matches!(query.region, Region::Range(_))) {
-                query.region.retain(&run.cols, &mut refined);
+            if !(bbox.is_some() && is_rectangle(query)) {
+                query.region.retain(&self.cols, refined);
             }
-            partial.push(&run.cols, &refined);
+            partial.push(&self.cols, refined);
             if let Some(frag) = &mut fragment {
                 let rows = refined.count();
                 if rows > 0 {
-                    let cols = (run.cols.iter())
+                    let cols = (self.cols.iter())
                         .map(|col| {
                             let mut out = Vec::with_capacity(rows);
-                            kernels::gather(col, &refined, &mut out);
+                            kernels::gather(col, refined, &mut out);
                             out
                         })
                         .collect();
@@ -1551,15 +1472,7 @@ impl SharedScan<'_, '_> {
                 }
             }
         }
-        // The identity at the healthy multiplier 1.0.
-        meter.merge_scaled(&charges, slow);
-        meter.charge_lan(partial.wire_bytes());
-        NodeScan {
-            partial: Some(partial),
-            meter,
-            stats,
-            fragment,
-        }
+        NodeScan::billed(opened, &charges, stats, Some(partial), fragment)
     }
 }
 

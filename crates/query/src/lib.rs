@@ -32,12 +32,14 @@
 //! apply), asks storage's scan-cost rule
 //! ([`sea_storage::DataNode::charge_scan`]) which blocks the scan reads
 //! and what they cost, and reads those column blocks once, whatever the
-//! number of aggregates over them: a statement whose queries share one
-//! box folds each block through its mask where it was masked, one pool
-//! item per serving copy, and one whose boxes differ gathers the rows
-//! of their union morsel-parallel first. Either way each query gets one
-//! partial aggregate per node, folded in record order. Answers, cost reports and replayed
-//! telemetry are bit-identical at every [`ExecPool`] size.
+//! number of aggregates over them, one pool item per serving copy: a
+//! statement whose queries share one box folds each block through its
+//! mask where it was masked, and one whose boxes differ (a batch of
+//! differing boxes, such as perfbaseline's E1 batch) gathers the copy's
+//! rows of their union once first. Either way each query gets one
+//! partial aggregate per node, folded in record order. Answers, cost
+//! reports and replayed telemetry are bit-identical at every
+//! [`ExecPool`] size.
 //!
 //! Every other reader of the cluster — `sea-operators`' rank-join, kNN,
 //! imputation, AQP comparators and ad hoc ML, the optimizer, the

@@ -494,8 +494,8 @@ fn row_fragments(
 /// node's blocks that are consecutive rows of one segment, over the
 /// node's own columns. Each node holds a loaded segment and an inserted
 /// one, so its fragment has two runs. A batch whose boxes differ
-/// gathers, and its fragments are runs of gathered columns with every
-/// word set, one per gather morsel that selected rows.
+/// gathers each serving copy's rows once, and its fragments are one run
+/// of gathered columns per node, with every word set.
 #[test]
 fn admitted_fragments_have_one_run_layout_at_every_pool_size() {
     let records: Vec<Record> = (0..50_000u64)
@@ -594,8 +594,8 @@ fn admitted_fragments_have_one_run_layout_at_every_pool_size() {
             );
         } else {
             assert!(
-                runs.clone().any(|n| n > 1),
-                "{mode:?}: some node's fragment spans morsels"
+                runs.clone().all(|n| n == 1),
+                "{mode:?}: each node's fragment is one run"
             );
         }
         assert_eq!(layouts[1], layouts[0], "{mode:?}: 2 threads against 1");

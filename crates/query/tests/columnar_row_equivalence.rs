@@ -257,7 +257,7 @@ proptest! {
 
     /// Answers, cost reports, and scan statistics are identical for
     /// pool sizes 1, 2, and 8 (the `SEA_EXEC_THREADS` settings), for
-    /// both single-query and batch execution — the morsel decomposition
+    /// both single-query and batch execution — the per-copy pool items
     /// and the batch's shared superset scan are invisible.
     #[test]
     fn outcomes_do_not_depend_on_pool_size(rows in rows(), r in rect(), nan_col in coin()) {

@@ -194,11 +194,6 @@ impl StorageCluster {
         self.n_nodes
     }
 
-    /// Block size in records.
-    pub fn block_size(&self) -> usize {
-        self.block_size
-    }
-
     /// Creates and loads a table, distributing records per `partitioning`.
     ///
     /// # Errors
