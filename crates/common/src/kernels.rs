@@ -11,19 +11,20 @@
 //! * Predicate evaluation is a branchless compare loop over a contiguous
 //!   slice — the shape the compiler autovectorizes — instead of a
 //!   pointer-chasing walk over row structs. The range predicate, which
-//!   every exact scan runs over every admitted row, has a second
-//!   instantiation compiled for AVX2 and picked at run time when the CPU
-//!   has it (the crate's one `unsafe` expression, see
-//!   `SelectionMask::retain_range`); the mask it produces is the same
-//!   set of exact comparisons either way. That body also prefetches the
-//!   next admitted block's column while it masks the current one, so the
-//!   first pass over a block does not wait on memory at every page.
+//!   every exact scan runs over every admitted row, has two bodies
+//!   compiled for AVX2 and picked at run time when the CPU has it (the
+//!   crate's one `unsafe` expression, the dispatch in
+//!   `SelectionMask::retain`): one over the `f64` columns, and one over
+//!   a storage block's one-byte codes ([`byte_code`]), which reads a
+//!   byte per value and compares as `f64` only the rows on a bound's
+//!   code ([`range_mask_coded`]). Either way the mask is the same set
+//!   of exact comparisons; without AVX2 the portable `f64` body runs.
 //! * The aggregate folds that follow are *serial* replays of the exact
 //!   row-order arithmetic (`sum += v`, Welford updates, `min.min(v)`),
 //!   so every answer stays bit-identical to a row-at-a-time scan. The
 //!   speedup comes from filtering cheaply, not from reordering floats.
 
-use crate::BivariateStats;
+use crate::{BivariateStats, Rect};
 
 /// Packs `pred` over up to 64 values into a bitmap word, bit `j` for
 /// `chunk[j]`. Full groups of eight go through a fixed `[f64; 8]`, and
@@ -56,10 +57,9 @@ fn pack_word(chunk: &[f64], pred: impl Fn(f64) -> bool) -> u64 {
     bits
 }
 
-/// [`SelectionMask::retain_range`] on any CPU: each non-empty word of
-/// `words` keeps the rows of its 64-row chunk of `col` that lie in
-/// `[lo, hi]`, packed in groups of eight ([`pack_word`]). It takes no
-/// prefetch hint.
+/// [`SelectionMask::retain`]'s `f64` range on any CPU: each non-empty
+/// word of `words` keeps the rows of its 64-row chunk of `col` that lie
+/// in `[lo, hi]`, packed in groups of eight ([`pack_word`]).
 fn retain_range_portable(words: &mut [u64], col: &[f64], lo: f64, hi: f64) {
     for (w, chunk) in words.iter_mut().zip(col.chunks(64)) {
         if *w != 0 {
@@ -71,26 +71,12 @@ fn retain_range_portable(words: &mut [u64], col: &[f64], lo: f64, hi: f64) {
 /// [`retain_range_portable`] compiled for AVX2, for CPUs that have it:
 /// each full 64-row chunk of `col` is one `[f64; 64]`, which LLVM turns
 /// into four-lane `vcmplepd`s with the bits shifted into place four
-/// lanes at a time; a ragged last chunk goes through [`pack_word`]. The comparisons, and so the bits,
-/// are those of the portable body. While it masks word `i`, it asks for
-/// the cache lines of word `i` of `ahead` — the same dimension of the
-/// next block the scan will mask — which is a hint only: `ahead` may be
-/// empty or of any length, and nothing is read from it.
+/// lanes at a time; a ragged last chunk goes through [`pack_word`]. The
+/// comparisons, and so the bits, are those of the portable body.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2")]
-fn retain_range_avx2(words: &mut [u64], col: &[f64], ahead: &[f64], lo: f64, hi: f64) {
-    #[cfg(target_arch = "x86")]
-    use std::arch::x86::{_mm_prefetch, _MM_HINT_T0};
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-    let mut ahead = ahead.chunks(64);
+fn retain_range_avx2(words: &mut [u64], col: &[f64], lo: f64, hi: f64) {
     for (w, chunk) in words.iter_mut().zip(col.chunks(64)) {
-        if let Some(next) = ahead.next() {
-            // Eight `f64`s to a 64-byte line.
-            for line in 0..next.len().div_ceil(8) {
-                _mm_prefetch::<_MM_HINT_T0>(next.as_ptr().wrapping_add(8 * line).cast());
-            }
-        }
         if *w != 0 {
             *w &= match <&[f64; 64]>::try_from(chunk) {
                 Ok(rows) => (rows.iter().enumerate()).fold(0, |bits, (j, &v)| {
@@ -98,6 +84,215 @@ fn retain_range_avx2(words: &mut [u64], col: &[f64], ahead: &[f64], lo: f64, hi:
                 }),
                 Err(_) => pack_word(chunk, |v| (lo <= v) & (v <= hi)),
             };
+        }
+    }
+}
+
+/// The code [`byte_code`] gives a value it cannot place: NaN, ±inf, and
+/// every value of a zone map without a finite scale. A row on it is
+/// always compared as `f64`.
+pub const EXACT_CODE: u8 = u8::MAX;
+
+/// The one-byte code of `v` in a storage block whose zone map spans
+/// `[lo, hi]` on `v`'s dimension: `⌊(v − lo) · 255 / (hi − lo)⌋`,
+/// capped at 254, for a finite `v`, and [`EXACT_CODE`] for a non-finite
+/// one — and for every value when the map's width `hi − lo` is not a
+/// normal number (a constant block, a width that overflows or is
+/// subnormal) or its scale `255 / (hi − lo)` is not (a width so small
+/// that the scale overflows). A block's byte columns hold it per value,
+/// and [`range_mask_coded`] calls it on a box's bounds, so both sides of
+/// every byte compare are this function.
+///
+/// **Monotone.** For finite `a <= b` and a finite scale `s > 0`,
+/// `code(a) <= code(b)`: each step maps a non-decreasing pair to a
+/// non-decreasing pair. `a − lo <= b − lo` exactly, and IEEE rounding
+/// is monotone, so the rounded differences keep their order (at worst
+/// both overflow to `+∞`; signed zeros meet only as a difference of
+/// zero, which every later step takes to code 0). Multiplying by the
+/// same `s > 0` and rounding keeps the order again (no NaN: a finite or
+/// infinite factor times a positive normal one). `min(254)` keeps it,
+/// and `as u8` — truncation, which is the floor on non-negative values,
+/// saturating to 0 below zero — keeps it. So `code(v) > code(b)` implies
+/// `v > b` and `code(v) < code(b)` implies `v < b`: a row whose code is
+/// strictly between a box's bound codes on a dimension lies strictly
+/// between the bounds, one strictly outside lies outside, and only a
+/// row on a bound's code, or on [`EXACT_CODE`], needs the `f64` compare.
+#[inline]
+pub fn byte_code(lo: f64, hi: f64, v: f64) -> u8 {
+    let width = hi - lo;
+    let scale = 255.0 / width;
+    if width.is_normal() && width > 0.0 && scale.is_normal() && v.is_finite() {
+        ((v - lo) * scale).min(254.0) as u8
+    } else {
+        EXACT_CODE
+    }
+}
+
+/// One dimension of a box in a block's codes: a row is possibly inside
+/// when its code is in `[ge, le]` or is [`EXACT_CODE`], and it is
+/// compared as `f64` when its code is `at_lo`, `at_hi` or
+/// [`EXACT_CODE`]. A bound at or past its side of the zone map has no
+/// code of its own: every finite row of the block lies on its inner
+/// side, so its side checks nothing (`at_*` is [`EXACT_CODE`]).
+#[derive(Debug, Clone, Copy)]
+struct CodeBox {
+    ge: u8,
+    le: u8,
+    at_lo: u8,
+    at_hi: u8,
+}
+
+/// What one dimension of a box asks of a block, given the block's zone
+/// map `[zlo, zhi]` on it.
+enum Plan {
+    /// The box misses the zone map: no row of the block is inside.
+    Miss,
+    /// The map has no finite scale: the dimension is compared as `f64`.
+    Exact,
+    /// The byte compares decide all rows but those [`CodeBox`] sends on.
+    Codes(CodeBox),
+}
+
+impl Plan {
+    fn of(zlo: f64, zhi: f64, lo: f64, hi: f64) -> Plan {
+        if lo > zhi || hi < zlo {
+            return Plan::Miss;
+        }
+        // A finite value codes to `EXACT_CODE` only under a map without a
+        // finite scale.
+        if byte_code(zlo, zhi, zlo) == EXACT_CODE {
+            return Plan::Exact;
+        }
+        let (ge, at_lo) = if lo <= zlo {
+            (0, EXACT_CODE)
+        } else {
+            let c = byte_code(zlo, zhi, lo);
+            (c, c)
+        };
+        let (le, at_hi) = if hi >= zhi {
+            (EXACT_CODE - 1, EXACT_CODE)
+        } else {
+            let c = byte_code(zlo, zhi, hi);
+            (c, c)
+        };
+        Plan::Codes(CodeBox {
+            ge,
+            le,
+            at_lo,
+            at_hi,
+        })
+    }
+}
+
+/// One dimension of a box over a block's byte codes: the rows of
+/// `col`, their `codes`, the bounds and their codes.
+#[derive(Clone, Copy)]
+struct CodedDim<'a> {
+    codes: &'a [u8],
+    col: &'a [f64],
+    lo: f64,
+    hi: f64,
+    bounds: CodeBox,
+}
+
+/// Most dimensions [`retain_codes_avx2`] decides in one pass: a box of
+/// more is masked a group of this many at a time.
+const CODED_DIMS: usize = 4;
+
+/// A range predicate for [`SelectionMask::retain`]: the bodies the AVX2
+/// dispatch picks between.
+enum Body<'a> {
+    /// Keep the rows whose `col` value lies in `[lo, hi]`.
+    Range { col: &'a [f64], lo: f64, hi: f64 },
+    /// Keep the rows inside every one of the dimensions, decided on their
+    /// byte codes where they can and on their `f64`s where they cannot.
+    Codes(&'a [CodedDim<'a>]),
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Rows a byte body has compared as `f64`, per thread: what
+    /// `the_byte_body_compares_few_rows_as_f64` pins.
+    static EXACT_ROWS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The byte body of [`SelectionMask::retain`], for CPUs with AVX2:
+/// per 64-row word still selecting a row, each dimension's 64 codes as
+/// two 32-byte vectors (built from eight little-endian `u64`s, no
+/// pointer read), compared against its bounds' codes with `vpmaxub` and
+/// `vpcmpeqb` — unsigned `c >= ge` is `max(c, ge) == c` — and packed by
+/// `vpmovmskb`. A row outside `[ge, le]` and not on [`EXACT_CODE`] on
+/// any dimension is dropped, one strictly inside on every dimension is
+/// kept ([`byte_code`] proves both), and only then is a row still kept
+/// that lies on a bound's code or on [`EXACT_CODE`] compared as `f64`,
+/// on that dimension: the other dimensions' bytes have already dropped
+/// most of the rows one dimension's would send there. A ragged last
+/// chunk is zero-padded; the word selects none of the padding.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn retain_codes_avx2(words: &mut [u64], dims: &[CodedDim]) {
+    #[cfg(target_arch = "x86")]
+    use std::arch::x86::*;
+    #[cfg(target_arch = "x86_64")]
+    use std::arch::x86_64::*;
+    let splat = |c: u8| _mm256_set1_epi8(c as i8);
+    let exact = splat(EXACT_CODE);
+    let mut bounds = [[exact; 4]; CODED_DIMS];
+    for (splats, d) in bounds.iter_mut().zip(dims) {
+        let b = d.bounds;
+        *splats = [b.ge, b.le, b.at_lo, b.at_hi].map(splat);
+    }
+    // One dimension's bits of one word: (possibly inside, compare as f64).
+    let word = |codes: &[u8], [ge, le, at_lo, at_hi]: [__m256i; 4]| {
+        let pad: [u8; 64];
+        let bytes = match <&[u8; 64]>::try_from(codes) {
+            Ok(full) => full,
+            Err(_) => {
+                let mut tail = [0u8; 64];
+                tail[..codes.len()].copy_from_slice(codes);
+                pad = tail;
+                &pad
+            }
+        };
+        let lanes = bytes.as_chunks::<8>().0;
+        let q: [i64; 8] = std::array::from_fn(|i| u64::from_le_bytes(lanes[i]) as i64);
+        let (mut keep, mut check) = (0, 0);
+        for (h, q) in q.as_chunks::<4>().0.iter().enumerate() {
+            let c = _mm256_set_epi64x(q[3], q[2], q[1], q[0]);
+            let inside = _mm256_and_si256(
+                _mm256_cmpeq_epi8(_mm256_max_epu8(c, ge), c),
+                _mm256_cmpeq_epi8(_mm256_max_epu8(c, le), le),
+            );
+            let at_exact = _mm256_cmpeq_epi8(c, exact);
+            let at_bound =
+                _mm256_or_si256(_mm256_cmpeq_epi8(c, at_lo), _mm256_cmpeq_epi8(c, at_hi));
+            let bits = |v| u64::from(_mm256_movemask_epi8(v) as u32) << (32 * h);
+            keep |= bits(_mm256_or_si256(inside, at_exact));
+            check |= bits(_mm256_or_si256(at_bound, at_exact));
+        }
+        (keep, check)
+    };
+    let mut checks = [0u64; CODED_DIMS];
+    for (wi, w) in words.iter_mut().enumerate() {
+        let base = wi * 64;
+        for ((d, &b), check) in dims.iter().zip(&bounds).zip(&mut checks) {
+            if *w == 0 {
+                break;
+            }
+            let (keep, at) = word(&d.codes[base..d.codes.len().min(base + 64)], b);
+            *w &= keep;
+            *check = at;
+        }
+        for (d, &at) in dims.iter().zip(&checks) {
+            let mut check = *w & at;
+            while check != 0 {
+                let j = check.trailing_zeros() as usize;
+                let v = d.col[base + j];
+                *w &= !(u64::from(!((d.lo <= v) & (v <= d.hi))) << j);
+                check &= check - 1;
+                #[cfg(test)]
+                EXACT_ROWS.with(|n| n.set(n.get() + 1));
+            }
         }
     }
 }
@@ -228,24 +423,40 @@ impl SelectionMask {
         self.words[i / 64] |= 1 << (i % 64);
     }
 
-    /// Keeps only rows whose `col` value lies in `[lo, hi]` (inclusive).
-    /// NaN values never satisfy the predicate, so missing data drops out
-    /// of the selection for free. Words already empty are skipped. Runs
-    /// [`retain_range_avx2`] (which prefetches `ahead`) when the CPU has
-    /// AVX2 and [`retain_range_portable`] otherwise; both clear exactly
-    /// the same bits.
-    fn retain_range(&mut self, col: &[f64], ahead: &[f64], lo: f64, hi: f64) {
+    /// Keeps only the rows `body` keeps: those whose value lies in its
+    /// `[lo, hi]` (inclusive). NaN values never satisfy the predicate, so
+    /// missing data drops out of the selection for free. Words already
+    /// empty are skipped. The dispatch: on a CPU with AVX2 it runs the
+    /// body's AVX2 form, [`retain_range_avx2`] or [`retain_codes_avx2`];
+    /// otherwise [`retain_range_portable`] over the body's `f64` column.
+    /// All clear exactly the same bits.
+    fn retain(&mut self, body: Body) {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: the only precondition of a `target_feature` function
             // is that the CPU has the feature, checked on the line above.
             #[allow(unsafe_code)]
             unsafe {
-                retain_range_avx2(&mut self.words, col, ahead, lo, hi);
+                match body {
+                    Body::Range { col, lo, hi } => retain_range_avx2(&mut self.words, col, lo, hi),
+                    Body::Codes(dims) => retain_codes_avx2(&mut self.words, dims),
+                }
             }
             return;
         }
-        retain_range_portable(&mut self.words, col, lo, hi);
+        match body {
+            Body::Range { col, lo, hi } => retain_range_portable(&mut self.words, col, lo, hi),
+            Body::Codes(dims) => {
+                for d in dims {
+                    retain_range_portable(&mut self.words, d.col, d.lo, d.hi);
+                }
+            }
+        }
+    }
+
+    /// [`SelectionMask::retain`] of the `f64` range body.
+    fn retain_range(&mut self, col: &[f64], lo: f64, hi: f64) {
+        self.retain(Body::Range { col, lo, hi });
     }
 
     /// Intersects with another mask of the same length.
@@ -300,25 +511,82 @@ pub fn range_mask<C: AsRef<[f64]>>(
     hi: &[f64],
 ) -> SelectionMask {
     let mut m = SelectionMask::none(0);
-    range_mask_into(cols, &[], len, lo, hi, &mut m);
+    range_mask_into(cols, len, lo, hi, &mut m);
     m
 }
 
 /// [`range_mask`] into a caller-owned mask (its word buffer is reused).
-/// `ahead` is the columns of the block a scan masks next (empty when
-/// there is none): while the AVX2 body masks dimension `d`, it
-/// prefetches `ahead[d]`. A hint only — the mask is the same whatever
-/// `ahead` holds.
 pub fn range_mask_into<C: AsRef<[f64]>>(
     cols: &[C],
-    ahead: &[C],
     len: usize,
     lo: &[f64],
     hi: &[f64],
     out: &mut SelectionMask,
 ) {
     out.reset_all(len);
-    range_retain(cols, ahead, lo, hi, out);
+    range_retain(cols, lo, hi, out);
+}
+
+/// [`range_mask_into`] of `region` over a storage block: `cols` with
+/// their byte codes `codes`, each value's [`byte_code`] under the
+/// block's zone map `zone` (which bounds every finite value of `cols`).
+/// The same mask, bit for bit; on a CPU with AVX2 each dimension reads
+/// a byte per row and compares as `f64` only the rows on a bound's code
+/// or on [`EXACT_CODE`] — a dimension whose zone map has no finite
+/// scale is compared as `f64` whole, and a box that misses the zone map
+/// on any dimension selects nothing without reading a row. Callers check
+/// the dimensionality.
+pub fn range_mask_coded<C: AsRef<[f64]>, K: AsRef<[u8]>>(
+    cols: &[C],
+    codes: &[K],
+    zone: &Rect,
+    region: &Rect,
+    len: usize,
+    out: &mut SelectionMask,
+) {
+    out.reset_all(len);
+    let unset = CodedDim {
+        codes: &[],
+        col: &[],
+        lo: 0.0,
+        hi: 0.0,
+        bounds: CodeBox {
+            ge: 0,
+            le: 0,
+            at_lo: 0,
+            at_hi: 0,
+        },
+    };
+    let mut group = [unset; CODED_DIMS];
+    let mut n = 0;
+    for (d, (col, codes)) in cols.iter().zip(codes).enumerate() {
+        let (col, lo, hi) = (col.as_ref(), region.lo()[d], region.hi()[d]);
+        match Plan::of(zone.lo()[d], zone.hi()[d], lo, hi) {
+            Plan::Miss => {
+                out.words.fill(0);
+                return;
+            }
+            Plan::Exact => out.retain(Body::Range { col, lo, hi }),
+            Plan::Codes(bounds) => {
+                let codes = codes.as_ref();
+                group[n] = CodedDim {
+                    codes,
+                    col,
+                    lo,
+                    hi,
+                    bounds,
+                };
+                n += 1;
+                if n == CODED_DIMS {
+                    out.retain(Body::Codes(&group));
+                    n = 0;
+                }
+            }
+        }
+    }
+    if n > 0 {
+        out.retain(Body::Codes(&group[..n]));
+    }
 }
 
 /// Rows of `cols` within Euclidean distance `radius` of `center`.
@@ -340,21 +608,13 @@ pub fn ball_mask<C: AsRef<[f64]>>(
 
 /// Keeps only the selected rows of `cols` that lie in the inclusive box
 /// `[lo, hi]`: [`range_mask`] intersected into `mask`, evaluated only on
-/// words that still select a row, with `ahead` prefetched as
-/// [`range_mask_into`] does. Callers check the dimensionality.
-pub fn range_retain<C: AsRef<[f64]>>(
-    cols: &[C],
-    ahead: &[C],
-    lo: &[f64],
-    hi: &[f64],
-    mask: &mut SelectionMask,
-) {
+/// words that still select a row. Callers check the dimensionality.
+pub fn range_retain<C: AsRef<[f64]>>(cols: &[C], lo: &[f64], hi: &[f64], mask: &mut SelectionMask) {
     for (d, col) in cols.iter().enumerate() {
         if mask.is_none_set() {
             break;
         }
-        let next = ahead.get(d).map_or(&[][..], AsRef::as_ref);
-        mask.retain_range(col.as_ref(), next, lo[d], hi[d]);
+        mask.retain_range(col.as_ref(), lo[d], hi[d]);
     }
 }
 
@@ -566,16 +826,14 @@ mod tests {
     fn retain_range_excludes_nan_and_out_of_range() {
         let col = vec![1.0, 5.0, f64::NAN, 3.0, 10.0];
         let mut m = SelectionMask::all(5);
-        m.retain_range(&col, &[], 2.0, 9.0);
+        m.retain_range(&col, 2.0, 9.0);
         assert_eq!(m.to_indices(), vec![1, 3]);
     }
 
-    /// Both bodies of the range predicate — [`retain_range_portable`]
+    /// Both `f64` bodies of the range predicate — [`retain_range_portable`]
     /// called directly, and [`SelectionMask::retain_range`], which is the
     /// AVX2 body on a CPU that has AVX2 — keep exactly the rows the scalar
-    /// filter keeps, and only among rows still selected, whatever the
-    /// next block's column handed to the AVX2 body's prefetch: empty,
-    /// shorter than, as long as or longer than the masked one.
+    /// filter keeps, and only among rows still selected.
     #[test]
     fn every_range_predicate_body_equals_the_scalar_filter() {
         let tiny = f64::from_bits(1);
@@ -625,8 +883,6 @@ mod tests {
             let col: Vec<f64> = (0..len)
                 .map(|_| values[next() as usize % values.len()])
                 .collect();
-            let spare: Vec<f64> = (0..len + 130).map(|i| i as f64).collect();
-            let aheads = [&[][..], &spare[..len / 2], &spare[..len], &spare[..]];
             for &(lo, hi) in &bounds {
                 // All set; every third word cleared; arbitrary earlier bits.
                 for start in 0..3 {
@@ -647,19 +903,271 @@ mod tests {
                     let mut portable = before.clone();
                     retain_range_portable(&mut portable.words, &col, lo, hi);
                     assert_eq!(portable, want, "portable, len {len}, [{lo:?}, {hi:?}]");
-                    for ahead in aheads {
-                        let mut dispatched = before.clone();
-                        dispatched.retain_range(&col, ahead, lo, hi);
+                    let mut dispatched = before.clone();
+                    dispatched.retain_range(&col, lo, hi);
+                    assert_eq!(
+                        dispatched, want,
+                        "dispatched (AVX2: {avx2}), len {len}, [{lo:?}, {hi:?}]"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A block's zone map on one column, as storage takes it: the min
+    /// and max of its finite values, ±1e300 when there is none.
+    fn zone_of(col: &[f64]) -> (f64, f64) {
+        let mut finite = col.iter().copied().filter(|v| v.is_finite());
+        let Some(first) = finite.next() else {
+            return (-1e300, 1e300);
+        };
+        finite.fold((first, first), |(lo, hi), v| (lo.min(v), hi.max(v)))
+    }
+
+    /// A block of `cols`: its zone map and its byte codes.
+    fn coded(cols: &[Vec<f64>]) -> (Rect, Vec<Vec<u8>>) {
+        let (lo, hi): (Vec<f64>, Vec<f64>) = cols.iter().map(|c| zone_of(c)).unzip();
+        let codes = (cols.iter().zip(lo.iter().zip(&hi)))
+            .map(|(col, (&l, &h))| col.iter().map(|&v| byte_code(l, h, v)).collect())
+            .collect();
+        (Rect::new(lo, hi).unwrap(), codes)
+    }
+
+    fn scalar_filter(cols: &[Vec<f64>], len: usize, rect: &Rect) -> Vec<usize> {
+        (0..len)
+            .filter(|&i| {
+                (cols.iter().enumerate()).all(|(d, c)| rect.lo()[d] <= c[i] && c[i] <= rect.hi()[d])
+            })
+            .collect()
+    }
+
+    /// [`byte_code`] is monotone over finite values inside a zone map —
+    /// neighbouring floats, signed zeros, the map's ends — and codes
+    /// every non-finite value, and every value of a map without a finite
+    /// scale, [`EXACT_CODE`].
+    #[test]
+    fn byte_codes_are_monotone_and_reserve_the_exact_code() {
+        let tiny = f64::from_bits(1);
+        for (lo, hi) in [
+            (0.0, 1.0),
+            (-0.0, 0.5),
+            (-3.0, 7.0),
+            (-1e300, 1e300),
+            (0.0, f64::MAX),
+            (1.0, 1.0 + f64::EPSILON),
+        ] {
+            let mut values: Vec<f64> = (0..=2000)
+                .map(|i| lo + (hi - lo) * (f64::from(i) / 2000.0))
+                .filter(|v| (lo..=hi).contains(v))
+                .collect();
+            values.extend([lo, hi, 0.0, -0.0, lo.next_up(), hi.next_down()]);
+            values.retain(|v| (lo..=hi).contains(v));
+            values.sort_by(f64::total_cmp);
+            let codes: Vec<u8> = values.iter().map(|&v| byte_code(lo, hi, v)).collect();
+            assert!(codes.windows(2).all(|w| w[0] <= w[1]), "[{lo}, {hi}]");
+            assert_eq!(byte_code(lo, hi, lo), 0);
+            assert_eq!(byte_code(lo, hi, hi), EXACT_CODE - 1, "[{lo}, {hi}]");
+            for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                assert_eq!(byte_code(lo, hi, v), EXACT_CODE);
+            }
+        }
+        // A constant map, a width that overflows, a subnormal width, a
+        // normal width whose scale overflows.
+        for (lo, hi) in [
+            (2.5, 2.5),
+            (f64::MIN, f64::MAX),
+            (0.0, tiny * 3.0),
+            (f64::MIN_POSITIVE, f64::MIN_POSITIVE * 2.0),
+        ] {
+            for v in [lo, hi, (lo + hi) / 2.0] {
+                assert_eq!(byte_code(lo, hi, v), EXACT_CODE, "[{lo:e}, {hi:e}]");
+            }
+        }
+    }
+
+    /// The byte body of the range predicate — [`range_mask_coded`], and
+    /// the dispatcher [`SelectionMask::retain`] handed one dimension's
+    /// [`Body::Codes`] over an arbitrary earlier selection — keeps exactly
+    /// the rows the scalar filter keeps: over blocks of NaN, ±inf, ±0.0,
+    /// subnormals and `f64::MAX`/`MIN`, constant blocks, zone maps whose
+    /// width overflows or is subnormal or whose scale overflows, ragged
+    /// lengths and one to three dimensions; and boxes below, above,
+    /// straddling and inside the zone map, with bounds on a stored
+    /// value's bits and on the map's ends.
+    #[test]
+    fn the_byte_body_equals_the_scalar_filter() {
+        let tiny = f64::from_bits(1);
+        let edgy = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            tiny,
+            -tiny,
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            -1.0,
+            2.5,
+            f64::MAX,
+            f64::MIN,
+        ];
+        let state = std::cell::Cell::new(23u64);
+        let next = || {
+            let s = (state.get())
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            state.set(s);
+            s >> 11
+        };
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+        let avx2 = false;
+        // One column of `len` rows of kind `kind`.
+        let column = |kind: u64, len: usize| -> Vec<f64> {
+            (0..len)
+                .map(|_| {
+                    let r = next();
+                    let special = edgy[r as usize % edgy.len()];
+                    let unit = (r % 1000) as f64 / 1000.0;
+                    match kind {
+                        0 => special,
+                        1 if r % 9 == 0 => special,
+                        1 => -3.0 + 10.0 * unit,
+                        2 if r % 5 == 0 => f64::NAN,
+                        2 => 2.5,
+                        3 => tiny * (r % 4) as f64,
+                        4 => f64::MIN_POSITIVE * (1.0 + (r % 2) as f64),
+                        5 => f64::NAN,
+                        6 => [0.0, -0.0, f64::MAX][r as usize % 3],
+                        _ => (r % 7) as f64 - 3.0,
+                    }
+                })
+                .collect()
+        };
+        for len in [0, 1, 63, 64, 65, 127, 511, 512, 513] {
+            for dims in 1..=5 {
+                for kinds in 0..8 {
+                    let cols: Vec<Vec<f64>> = (0..dims)
+                        .map(|d| column((kinds + 3 * d as u64) % 8, len))
+                        .collect();
+                    let (zone, codes) = coded(&cols);
+                    // Bound candidates per dimension: the map's ends, just
+                    // past them, stored values, points inside, far out.
+                    let bound = |d: usize| -> f64 {
+                        let (zlo, zhi) = (zone.lo()[d], zone.hi()[d]);
+                        let stored = cols[d]
+                            .get(next() as usize % len.max(1))
+                            .copied()
+                            .filter(|v| v.is_finite())
+                            .unwrap_or(zlo);
+                        let t = (next() % 1001) as f64 / 1000.0;
+                        match next() % 8 {
+                            0 => zlo,
+                            1 => zhi,
+                            2 => zlo.next_down(),
+                            3 => zhi.next_up(),
+                            4 | 5 => stored,
+                            6 => zlo + (zhi - zlo) * t,
+                            _ => [-1e300, 1e300, -5.0, 9.0][next() as usize % 4],
+                        }
+                    };
+                    for _ in 0..12 {
+                        let (lo, hi): (Vec<f64>, Vec<f64>) = (0..dims)
+                            .map(|d| {
+                                let (a, b) = (bound(d), bound(d));
+                                let (a, b) = if a.is_finite() { (a, b) } else { (0.0, b) };
+                                let b = if b.is_finite() { b } else { a };
+                                (a.min(b), a.max(b))
+                            })
+                            .unzip();
+                        let rect = Rect::new(lo, hi).unwrap();
+                        let want = scalar_filter(&cols, len, &rect);
+                        let mut got = SelectionMask::all(700);
+                        range_mask_coded(&cols, &codes, &zone, &rect, len, &mut got);
+                        assert_eq!(got.len(), len);
                         assert_eq!(
-                            dispatched,
+                            got.to_indices(),
                             want,
-                            "dispatched (AVX2: {avx2}), len {len}, ahead {}, [{lo:?}, {hi:?}]",
-                            ahead.len()
+                            "range_mask_coded (AVX2: {avx2}), len {len}, kinds {kinds}, \
+                             zone {zone:?}, box {rect:?}"
                         );
+                        // The dispatcher, one dimension, over earlier bits.
+                        let d = next() as usize % dims;
+                        let (lo, hi) = (rect.lo()[d], rect.hi()[d]);
+                        let Plan::Codes(bounds) = Plan::of(zone.lo()[d], zone.hi()[d], lo, hi)
+                        else {
+                            continue;
+                        };
+                        let mut before = SelectionMask::all(len);
+                        for w in &mut before.words {
+                            *w &= next() | next() << 53;
+                        }
+                        let mut want = before.clone();
+                        for (i, &v) in cols[d].iter().enumerate() {
+                            if !(lo <= v && v <= hi) {
+                                want.words[i / 64] &= !(1 << (i % 64));
+                            }
+                        }
+                        let mut dispatched = before.clone();
+                        dispatched.retain(Body::Codes(&[CodedDim {
+                            codes: &codes[d],
+                            col: &cols[d],
+                            lo,
+                            hi,
+                            bounds,
+                        }]));
+                        assert_eq!(dispatched, want, "dispatched, len {len}, dim {d}");
                     }
                 }
             }
         }
+    }
+
+    /// The byte body's `f64` fallback is rare: on uniform two-column
+    /// 512-row blocks and boxes of 5–40 % extent per dimension, at most
+    /// 2 % of the rows masked are compared as `f64` (counted inside the
+    /// AVX2 body, so a CPU without it has nothing to pin).
+    #[test]
+    fn the_byte_body_compares_few_rows_as_f64() {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+        let avx2 = false;
+        if !avx2 {
+            println!("no AVX2 on this CPU: the byte body does not run");
+            return;
+        }
+        let mut state = 5u64;
+        let mut unit = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let (mut rows, mut mask) = (0, SelectionMask::none(0));
+        EXACT_ROWS.with(|n| n.set(0));
+        for _ in 0..400 {
+            let cols: Vec<Vec<f64>> = (0..2).map(|_| (0..512).map(|_| unit()).collect()).collect();
+            let (zone, codes) = coded(&cols);
+            let (lo, hi): (Vec<f64>, Vec<f64>) = (0..2)
+                .map(|_| {
+                    let extent = 0.05 + 0.35 * unit();
+                    let lo = unit() * (1.0 - extent);
+                    (lo, lo + extent)
+                })
+                .unzip();
+            let rect = Rect::new(lo, hi).unwrap();
+            range_mask_coded(&cols, &codes, &zone, &rect, 512, &mut mask);
+            assert_eq!(mask.to_indices(), scalar_filter(&cols, 512, &rect));
+            rows += 512;
+        }
+        let exact = EXACT_ROWS.with(std::cell::Cell::get);
+        println!("{exact} of {rows} rows compared as f64");
+        assert!(exact > 0 && exact * 50 <= rows, "{exact} of {rows}");
     }
 
     /// Every body of the value gather — the slice copy of a full word,
@@ -827,7 +1335,7 @@ mod tests {
                     let mut want = before.clone();
                     want.intersect(&boxed);
                     let mut got = before.clone();
-                    range_retain(&cols, &[], &lo, &hi, &mut got);
+                    range_retain(&cols, &lo, &hi, &mut got);
                     assert_eq!(got, want, "box, len {len}, start {start}");
                 }
             }
@@ -848,7 +1356,7 @@ mod tests {
     fn folds_match_row_loops_bitwise() {
         let col: Vec<f64> = (0..200).map(|i| (i as f64) * 0.1 + 1e9).collect();
         let mut mask = SelectionMask::all(200);
-        mask.retain_range(&col, &[], 1e9 + 2.0, 1e9 + 15.0);
+        mask.retain_range(&col, 1e9 + 2.0, 1e9 + 15.0);
         let rows: Vec<f64> = col
             .iter()
             .copied()
@@ -894,7 +1402,7 @@ mod tests {
         let xs = vec![1.0, 2.0, 3.0, 4.0];
         let ys = vec![2.0, 4.0, 6.0, 8.0];
         let mut m = SelectionMask::all(4);
-        m.retain_range(&xs, &[], 2.0, 4.0);
+        m.retain_range(&xs, 2.0, 4.0);
         let mut s = BivariateStats::default();
         fold_bivariate(&xs, &ys, &m, &mut s);
         let mut want = BivariateStats::default();

@@ -320,7 +320,7 @@ impl Region {
             return;
         }
         match self {
-            Region::Range(r) => kernels::range_retain(cols, &[], r.lo(), r.hi(), mask),
+            Region::Range(r) => kernels::range_retain(cols, r.lo(), r.hi(), mask),
             Region::Radius(b) => kernels::ball_retain(cols, b.center().coords(), b.radius(), mask),
         }
     }

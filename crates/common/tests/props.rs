@@ -63,7 +63,7 @@ proptest! {
         prop_assert_eq!(got.count(), want.len());
         prop_assert_eq!(got.to_indices(), want);
         let mut reused = SelectionMask::all(700);
-        kernels::range_mask_into(&cols, &cols, len, &lo, &hi, &mut reused);
+        kernels::range_mask_into(&cols, len, &lo, &hi, &mut reused);
         prop_assert_eq!(reused, got);
     }
 

@@ -758,11 +758,11 @@ impl<'a> Executor<'a> {
             let blocks;
             (blocks, stats) = dn.charge_scan(bbox, &mut charges);
             meter.merge_scaled(&charges, slow);
-            (blocks.iter().enumerate())
-                .map(|(i, &block)| {
+            (blocks.into_iter())
+                .map(|block| {
                     let mut mask = SelectionMask::none(0);
                     match bbox {
-                        Some(rect) => block.bbox_mask(rect, blocks.get(i + 1).copied(), &mut mask),
+                        Some(rect) => block.bbox_mask(rect, &mut mask),
                         None => mask.reset_all(block.len()),
                     }
                     stats.records_returned += mask.count();
@@ -1089,8 +1089,8 @@ impl<'c> ServingCopy<'c> {
     }
 
     /// The scan loop of [`ServingCopy::fold_through`]: masks each
-    /// admitted block by `rect` (`None`: every row), prefetching the next
-    /// block's columns meanwhile, refines that mask once per distinct
+    /// admitted block by `rect` (`None`: every row) through its byte
+    /// codes ([`Block::bbox_mask`]), refines that mask once per distinct
     /// region over the rows it kept, and folds each of `folds`' partials
     /// through its mask straight from the block's columns, block after
     /// block — the rows, and the float-op sequence, of folding the
@@ -1124,7 +1124,7 @@ impl<'c> ServingCopy<'c> {
             let at = before / 64;
             before += b.len();
             match rect {
-                Some(r) => b.bbox_mask(r, self.blocks.get(i + 1).copied(), &mut mask),
+                Some(r) => b.bbox_mask(r, &mut mask),
                 None => mask.reset_all(b.len()),
             }
             let n = mask.count();
@@ -1205,8 +1205,7 @@ impl<'c> ServingCopy<'c> {
     }
 
     /// The copy's rows of `rect` (`None`: every row) in columns of their
-    /// own: masks each admitted block into `mask`, prefetching the next
-    /// block's columns meanwhile, and keeps the mask's words in one
+    /// own: masks each admitted block into `mask`, and keeps the mask's words in one
     /// buffer from the first block that selects a row on; then allocates
     /// each `need`ed column once, at exactly the rows selected, and
     /// gathers each block through its kept words
@@ -1220,7 +1219,7 @@ impl<'c> ServingCopy<'c> {
         let (mut first, mut rows) = (0, 0);
         for (i, b) in blocks.iter().enumerate() {
             match rect {
-                Some(r) => b.bbox_mask(r, blocks.get(i + 1).copied(), mask),
+                Some(r) => b.bbox_mask(r, mask),
                 None => mask.reset_all(b.len()),
             }
             let n = mask.count();
@@ -1448,7 +1447,7 @@ impl Gathered {
             // region; a query that `keeps_gathered` needs neither.
             match bbox {
                 Some(b) if !whole => {
-                    kernels::range_mask_into(&self.cols, &[], self.rows, b.lo(), b.hi(), refined)
+                    kernels::range_mask_into(&self.cols, self.rows, b.lo(), b.hi(), refined)
                 }
                 _ => refined.reset_all(self.rows),
             }

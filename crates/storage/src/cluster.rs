@@ -369,8 +369,8 @@ impl StorageCluster {
         let (blocks, mut stats) = n.charge_scan(Some(region), &mut charges);
         meter.merge_scaled(&charges, slow);
         let (mut rows, mut mask) = (Vec::new(), SelectionMask::none(0));
-        for (i, b) in blocks.iter().enumerate() {
-            b.bbox_mask(region, blocks.get(i + 1).copied(), &mut mask);
+        for b in blocks {
+            b.bbox_mask(region, &mut mask);
             mask.for_each_set(|i| rows.push(b.record(i)));
         }
         stats.records_returned = rows.len();
@@ -566,7 +566,7 @@ mod tests {
         let (mut ids, mut mask) = (Vec::new(), SelectionMask::none(0));
         for b in blocks {
             match bbox {
-                Some(rect) => b.bbox_mask(rect, None, &mut mask),
+                Some(rect) => b.bbox_mask(rect, &mut mask),
                 None => mask.reset_all(b.len()),
             }
             mask.for_each_set(|i| ids.push(b.ids()[i]));

@@ -10,6 +10,14 @@
 //! of hopping between small allocations, which the hardware prefetcher
 //! follows across pages (DESIGN.md, "Why a node's columns are
 //! contiguous"), and an insert writes only its own rows.
+//!
+//! Beside each dimension's column a segment keeps one byte per value:
+//! its [`kernels::byte_code`] under its block's zone map, which the
+//! range mask reads instead of the `f64`s wherever a byte decides
+//! ([`Block::bbox_mask`]). The codes are made where blocks are made,
+//! `Segment::push_blocks` — after a load, an insert, a delete's
+//! compaction and a replica's copy alike — so they always match the
+//! columns and zone maps they code.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -21,7 +29,9 @@ use sea_common::{kernels, ColumnRange, CostMeter, Record, RecordId, Rect, Region
 ///
 /// Scans evaluate predicates as selection bitmaps over the block's
 /// dimension slices — tight slice loops the compiler autovectorizes —
-/// and only then gather or materialize the selected values.
+/// and only then gather or materialize the selected values. Beside each
+/// dimension's `f64`s the block keeps their one-byte codes under its
+/// zone map, which the range mask compares first.
 ///
 /// Blocks also carry the bounding rectangle of their records so engines
 /// can prune irrelevant blocks without reading them (the zone-map style
@@ -35,6 +45,7 @@ use sea_common::{kernels, ColumnRange, CostMeter, Record, RecordId, Rect, Region
 pub struct Block {
     ids: ColumnRange<RecordId>,
     cols: Vec<ColumnRange<f64>>,
+    codes: Vec<ColumnRange<u8>>,
     bounds: Option<Rect>,
 }
 
@@ -60,6 +71,13 @@ impl Block {
         &self.cols
     }
 
+    /// The one-byte codes of dimension `d`, one per row:
+    /// [`kernels::byte_code`] of each value under the block's zone map
+    /// on `d`.
+    pub fn codes(&self, d: usize) -> &[u8] {
+        &self.codes[d]
+    }
+
     /// Bounding rectangle of the block's records (`None` for a table of
     /// no dimensions).
     pub fn bounds(&self) -> Option<&Rect> {
@@ -67,7 +85,9 @@ impl Block {
     }
 
     /// Serialized size in bytes (what a disk read of this block costs):
-    /// [`Record::bytes_of`] its arity, per row.
+    /// [`Record::bytes_of`] its arity, per row — `8 + 8 · dims`. The
+    /// simulated bill is that; the host holds `8 + 9 · dims` bytes a row,
+    /// the id, the `f64`s and their byte codes.
     pub fn bytes(&self) -> u64 {
         self.len() as u64 * Record::bytes_of(self.dims())
     }
@@ -95,23 +115,35 @@ impl Block {
     /// columnar equivalent of the row filter `r.dims() == region.dims()
     /// && ∀d: lo[d] <= v[d] <= hi[d]` — written into the caller's mask,
     /// so a scan loop re-fills one word buffer instead of allocating one
-    /// per block. `ahead` is the block the scan masks next, if any: its
-    /// columns are prefetched while this block's are masked. A
+    /// per block. It reads the block's byte codes and only the `f64`s
+    /// they leave open ([`kernels::range_mask_coded`]). A
     /// dimensionality mismatch selects nothing; NaN (missing) values
     /// never match.
-    pub fn bbox_mask(&self, region: &Rect, ahead: Option<&Block>, out: &mut SelectionMask) {
-        if self.dims() == region.dims() {
-            let ahead = ahead.map_or(&[][..], |b| &b.cols[..]);
-            kernels::range_mask_into(&self.cols, ahead, self.len(), region.lo(), region.hi(), out);
-        } else {
+    pub fn bbox_mask(&self, region: &Rect, out: &mut SelectionMask) {
+        if self.dims() != region.dims() {
             *out = SelectionMask::none(self.len());
+            return;
+        }
+        match &self.bounds {
+            Some(zone) => {
+                kernels::range_mask_coded(&self.cols, &self.codes, zone, region, self.len(), out)
+            }
+            None => kernels::range_mask_into(&self.cols, self.len(), region.lo(), region.hi(), out),
         }
     }
 
     /// Selection bitmap of rows inside `region`, bit-identical to
-    /// filtering materialized rows through `region.contains_record`.
+    /// filtering materialized rows through `region.contains_record`: a
+    /// rectangle's is [`Block::bbox_mask`], a ball's the `f64` kernel's.
     pub fn region_mask(&self, region: &Region) -> SelectionMask {
-        region.column_mask(&self.cols, self.len())
+        match region {
+            Region::Range(rect) => {
+                let mut mask = SelectionMask::none(0);
+                self.bbox_mask(rect, &mut mask);
+                mask
+            }
+            _ => region.column_mask(&self.cols, self.len()),
+        }
     }
 
     /// Whether `next` holds the rows of this block's segment that follow
@@ -186,18 +218,32 @@ impl Segment {
         }
     }
 
-    /// Pushes the segment's blocks, one per span, onto `out`.
+    /// Pushes the segment's blocks, one per span, onto `out`, with each
+    /// dimension's byte codes: every value's [`kernels::byte_code`] under
+    /// its span's zone map, in a column beside the values'.
     fn push_blocks(self, out: &mut Vec<Block>) {
+        let codes: Vec<_> = (self.cols.iter().enumerate())
+            .map(|(d, col)| {
+                let mut codes = vec![kernels::EXACT_CODE; col.len()];
+                for span in &self.spans {
+                    if let Some(zone) = &span.bounds {
+                        let (lo, hi) = (zone.lo()[d], zone.hi()[d]);
+                        let rows = span.rows.clone();
+                        for (c, &v) in codes[rows.clone()].iter_mut().zip(&col[rows]) {
+                            *c = kernels::byte_code(lo, hi, v);
+                        }
+                    }
+                }
+                Arc::new(codes)
+            })
+            .collect();
         let ids = Arc::new(self.ids);
         let cols: Vec<_> = self.cols.into_iter().map(Arc::new).collect();
-        out.extend(self.spans.into_iter().map(|span| {
-            Block {
-                ids: ColumnRange::new(&ids, span.rows.clone()),
-                cols: (cols.iter())
-                    .map(|c| ColumnRange::new(c, span.rows.clone()))
-                    .collect(),
-                bounds: span.bounds,
-            }
+        out.extend(self.spans.into_iter().map(|span| Block {
+            ids: ColumnRange::new(&ids, span.rows.clone()),
+            cols: ranges(&cols, &span.rows),
+            codes: ranges(&codes, &span.rows),
+            bounds: span.bounds,
         }));
     }
 
@@ -246,6 +292,13 @@ impl Segment {
             col.truncate(at);
         }
     }
+}
+
+/// Rows `rows` of each of `columns`.
+fn ranges<T>(columns: &[Arc<Vec<T>>], rows: &Range<usize>) -> Vec<ColumnRange<T>> {
+    (columns.iter())
+        .map(|c| ColumnRange::new(c, rows.clone()))
+        .collect()
 }
 
 /// One node's share of an [`DataNode::append_routed`]: its new segment
@@ -516,7 +569,7 @@ impl DataNode {
                 if !b.bounds().is_some_and(|zone| zone.intersects(region)) {
                     return None;
                 }
-                b.bbox_mask(region, None, &mut mask);
+                b.bbox_mask(region, &mut mask);
                 (!mask.is_none_set()).then(|| mask.clone())
             })
             .collect();
@@ -576,7 +629,7 @@ mod tests {
         let (mut rows, mut mask) = (Vec::new(), SelectionMask::none(0));
         for b in blocks {
             match bbox {
-                Some(rect) => b.bbox_mask(rect, None, &mut mask),
+                Some(rect) => b.bbox_mask(rect, &mut mask),
                 None => mask.reset_all(b.len()),
             }
             mask.for_each_set(|i| rows.push(b.record(i)));
@@ -819,12 +872,12 @@ mod tests {
             .filter(|&i| region.contains_record(&records[i]))
             .collect();
         let mut mask = SelectionMask::all(3);
-        b.bbox_mask(&rect, None, &mut mask);
+        b.bbox_mask(&rect, &mut mask);
         assert_eq!(mask.to_indices(), want);
         assert_eq!(b.region_mask(&region).to_indices(), want);
         // Dimensionality mismatch selects nothing, like the row filter.
         let skinny = Rect::new(vec![0.0], vec![100.0]).unwrap();
-        b.bbox_mask(&skinny, None, &mut mask);
+        b.bbox_mask(&skinny, &mut mask);
         assert!(mask.is_none_set() && mask.len() == b.len());
     }
 }

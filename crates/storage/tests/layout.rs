@@ -1,12 +1,13 @@
 //! The contiguous layout against blocks built one by one. Whatever the
 //! rows (NaN, ±inf, ±0.0), the block size and the sequence of loads,
 //! inserts and deletes, every block a node serves has the ids, columns,
-//! zone map, size and length of the block a small reference function
-//! makes from the same rows, and a replica's blocks are its primary's.
+//! byte codes, zone map, size and length of the block a small reference
+//! function makes from the same rows, and a replica's blocks are its
+//! primary's.
 //! A batch with a row of the wrong arity is refused whole and leaves
 //! every block as it was.
 
-use sea_common::{Record, Rect};
+use sea_common::{kernels, Record, Rect};
 use sea_storage::{DataNode, FaultPlan, Partitioning, StorageCluster};
 
 const BLOCK_SIZES: [usize; 4] = [1, 7, 64, 512];
@@ -76,11 +77,12 @@ impl Rng {
 /// A block built from its rows alone (at least one, all of one arity
 /// of at least one): ids, one column per dimension, per-dimension bounds
 /// of the finite values (seeded from the first, ±1e300 where there is
-/// none) and the rows' bytes.
+/// none), each value's byte code under those bounds and the rows' bytes.
 struct Reference {
     ids: Vec<u64>,
     cols: Vec<Vec<f64>>,
     bounds: (Vec<f64>, Vec<f64>),
+    codes: Vec<Vec<u8>>,
     bytes: u64,
 }
 
@@ -101,10 +103,19 @@ fn reference(rows: &[Record]) -> Reference {
             })
         })
         .unzip();
+    let (lo, hi): &(Vec<f64>, Vec<f64>) = &bounds;
+    let codes = (cols.iter().enumerate())
+        .map(|(d, col)| {
+            col.iter()
+                .map(|&v| kernels::byte_code(lo[d], hi[d], v))
+                .collect()
+        })
+        .collect();
     Reference {
         ids: rows.iter().map(|r| r.id).collect(),
         cols,
         bounds,
+        codes,
         bytes: rows.iter().map(|r| 8 + 8 * r.values.len() as u64).sum(),
     }
 }
@@ -156,6 +167,11 @@ fn assert_matches(node: &DataNode, model: &Model, what: &str) {
                 bits(&block.cols()[d]),
                 bits(col),
                 "{what}, block {k}: cols()[{d}]"
+            );
+            assert_eq!(
+                block.codes(d),
+                want.codes[d],
+                "{what}, block {k}: codes {d}"
             );
         }
         let bounds = block.bounds().map(|z| (bits(z.lo()), bits(z.hi())));

@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 
-use sea_common::{CostMeter, Record, Rect, SelectionMask};
-use sea_storage::{FaultPlan, Partitioning, StorageCluster};
+use sea_common::{kernels, CostMeter, Record, Rect, SelectionMask};
+use sea_storage::{DataNode, FaultPlan, Partitioning, StorageCluster};
 
 /// Ids of the rows a scan of partition `n` of `t` reads, by the
 /// primitives every reader uses: the copy `open_scan` resolves, the
@@ -16,7 +16,7 @@ fn scan_ids(c: &StorageCluster, n: usize, bbox: Option<&Rect>) -> Vec<u64> {
     let (mut ids, mut mask) = (Vec::new(), SelectionMask::none(0));
     for b in blocks {
         match bbox {
-            Some(rect) => b.bbox_mask(rect, None, &mut mask),
+            Some(rect) => b.bbox_mask(rect, &mut mask),
             None => mask.reset_all(b.len()),
         }
         mask.for_each_set(|i| ids.push(b.ids()[i]));
@@ -90,8 +90,88 @@ fn table_bounds_bits(c: &StorageCluster) -> Option<(Vec<u64>, Vec<u64>)> {
         .map(|r| (bits(r.lo()), bits(r.hi())))
 }
 
+/// Whether every block of `node` holds, per dimension, one code per row
+/// and each the [`kernels::byte_code`] of its value under the block's
+/// own zone map.
+fn codes_follow_the_columns(node: &DataNode) -> bool {
+    node.blocks().iter().all(|b| {
+        let zone = b.bounds().unwrap();
+        (0..b.dims()).all(|d| {
+            let (lo, hi) = (zone.lo()[d], zone.hi()[d]);
+            let want: Vec<u8> = b
+                .col(d)
+                .iter()
+                .map(|&v| kernels::byte_code(lo, hi, v))
+                .collect();
+            b.codes(d) == want
+        })
+    })
+}
+
+/// [`codes_follow_the_columns`] for every partition of `t`, and for its
+/// replica when the cluster keeps one (served with the primary down).
+fn every_copy_is_coded(c: &StorageCluster, nodes: usize, replicated: bool) -> bool {
+    (0..nodes).all(|n| {
+        let primary = codes_follow_the_columns(c.serving_node("t", n).unwrap().0);
+        primary
+            && (!replicated || {
+                let mut failed = c.clone();
+                failed.set_fault_plan(FaultPlan::new(0).with_crash(n, 0));
+                codes_follow_the_columns(failed.serving_node("t", n).unwrap().0)
+            })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A block's byte codes follow every write: after a load and after
+    /// each insert and box delete — replicated or not, hash or range
+    /// partitioned, with signed zeros and an all-NaN dimension — every
+    /// block's codes are those of its own columns under its own zone map.
+    #[test]
+    fn block_codes_follow_every_write(
+        records in arb_records(120),
+        mutations in arb_mutations(),
+        partitioning in arb_partitioning(),
+        block in 1usize..32,
+        replicated in 0usize..2,
+        all_nan in 0usize..2,
+    ) {
+        let y = |y: f64| if all_nan == 1 { f64::NAN } else { y };
+        let replicated = replicated == 1;
+        let mut c = if replicated {
+            StorageCluster::with_replication(3, block)
+        } else {
+            StorageCluster::new(3, block)
+        };
+        let loaded = records
+            .iter()
+            .map(|r| Record::new(r.id, vec![r.value(0), y(r.value(1))]))
+            .collect();
+        c.load_table("t", loaded, partitioning).unwrap();
+        prop_assert!(every_copy_is_coded(&c, 3, replicated));
+        let mut next_id = 10_000u64;
+        for m in mutations {
+            match m {
+                Mutation::Insert(points) => {
+                    let batch = points
+                        .into_iter()
+                        .map(|(x, v)| {
+                            next_id += 1;
+                            Record::new(next_id, vec![x, y(v)])
+                        })
+                        .collect();
+                    c.insert("t", batch).unwrap();
+                }
+                Mutation::Delete(lo, w) => {
+                    let slab = Rect::new(vec![lo, -1e300], vec![lo + w, 1e300]).unwrap();
+                    c.delete_region("t", &slab).unwrap();
+                }
+            }
+            prop_assert!(every_copy_is_coded(&c, 3, replicated));
+        }
+    }
 
     #[test]
     fn full_scans_return_every_record_exactly_once(
