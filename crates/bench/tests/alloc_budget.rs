@@ -621,13 +621,15 @@ fn a_batch_whose_boxes_differ_stays_within_its_budget() {
     let n = run();
     println!("48 differing boxes, no cache, sequential pool: {n} allocations");
     // The boxes differ, so the batch gathers their union's rows: one
-    // pool item per node keeps its mask's words in one buffer and
-    // gathers both columns into exact columns once (each count re-masks
-    // the gathered rows by its own box), then folds the 48 counts over
-    // them, each re-priced for its own box, one mask buffer serving the
-    // gather and every count. Gathering in 16 morsels (2 of 16 384
-    // records to a node's 25 000) and re-masking each (query, node) pair
-    // into a buffer of its own read 1 264; with a mask buffer of each
-    // morsel's own too, 1 282.
-    assert_eq!(n, 859);
+    // pool item per node keeps its mask's words in one buffer, gathers
+    // both columns into exact columns once and codes them under the
+    // union box (a list and a column each; each count re-masks the
+    // gathered rows by its own box on their codes), then folds the 48
+    // counts over them, each re-priced for its own box without a list
+    // of its blocks, one mask buffer serving the gather and every count.
+    // Listing each count's blocks and no codes read 859; gathering in 16
+    // morsels (2 of 16 384 records to a node's 25 000) and re-masking
+    // each (query, node) pair into a buffer of its own 1 264; with a
+    // mask buffer of each morsel's own too, 1 282.
+    assert_eq!(n, 499);
 }

@@ -13,12 +13,14 @@
 //!   pointer-chasing walk over row structs. The range predicate, which
 //!   every exact scan runs over every admitted row, has two bodies
 //!   compiled for AVX2 and picked at run time when the CPU has it (the
-//!   crate's one `unsafe` expression, the dispatch in
-//!   `SelectionMask::retain`): one over the `f64` columns, and one over
-//!   a storage block's one-byte codes ([`byte_code`]), which reads a
-//!   byte per value and compares as `f64` only the rows on a bound's
-//!   code ([`range_mask_coded`]). Either way the mask is the same set
-//!   of exact comparisons; without AVX2 the portable `f64` body runs.
+//!   crate's one `unsafe` expression, `dispatch`, over a small enum of
+//!   AVX2 kernels): one over the `f64` columns, and one over one-byte
+//!   codes ([`byte_code`]) — a storage block's under its zone map, or
+//!   rows gathered for a box under that box — which reads a byte per
+//!   value and compares as `f64` only the rows on a bound's code
+//!   ([`range_mask_coded`]). The coder of a column ([`byte_codes`]) is
+//!   the enum's third kernel. Either way the mask is the same set of
+//!   exact comparisons; without AVX2 the portable `f64` body runs.
 //! * The aggregate folds that follow are *serial* replays of the exact
 //!   row-order arithmetic (`sum += v`, Welford updates, `min.min(v)`),
 //!   so every answer stays bit-identical to a row-at-a-time scan. The
@@ -57,7 +59,7 @@ fn pack_word(chunk: &[f64], pred: impl Fn(f64) -> bool) -> u64 {
     bits
 }
 
-/// [`SelectionMask::retain`]'s `f64` range on any CPU: each non-empty
+/// The `f64` range body on any CPU: each non-empty
 /// word of `words` keeps the rows of its 64-row chunk of `col` that lie
 /// in `[lo, hi]`, packed in groups of eight ([`pack_word`]).
 fn retain_range_portable(words: &mut [u64], col: &[f64], lo: f64, hi: f64) {
@@ -119,13 +121,102 @@ pub const EXACT_CODE: u8 = u8::MAX;
 /// row on a bound's code, or on [`EXACT_CODE`], needs the `f64` compare.
 #[inline]
 pub fn byte_code(lo: f64, hi: f64, v: f64) -> u8 {
+    code_scale(lo, hi).map_or(EXACT_CODE, |scale| code_of(v, lo, scale))
+}
+
+/// The scale `255 / (hi − lo)` of a zone map `[lo, hi]` whose width and
+/// scale are both positive normal numbers; `None` for any other map,
+/// whose values [`byte_code`] all codes [`EXACT_CODE`].
+#[inline]
+fn code_scale(lo: f64, hi: f64) -> Option<f64> {
     let width = hi - lo;
     let scale = 255.0 / width;
-    if width.is_normal() && width > 0.0 && scale.is_normal() && v.is_finite() {
+    (width.is_normal() && width > 0.0 && scale.is_normal()).then_some(scale)
+}
+
+/// [`byte_code`] of `v` under a zone map from `lo` of finite scale
+/// `scale` ([`code_scale`]).
+#[inline]
+fn code_of(v: f64, lo: f64, scale: f64) -> u8 {
+    if v.is_finite() {
         ((v - lo) * scale).min(254.0) as u8
     } else {
         EXACT_CODE
     }
+}
+
+/// Writes the [`byte_code`] of each of `vals` under the zone map
+/// `[lo, hi]` into `out`, value for value: how a storage block codes a
+/// column, and rows gathered for a box are coded under it. The map's
+/// scale is decided once: a map without a finite one fills `out` with
+/// [`EXACT_CODE`]; otherwise the coder runs a vectorized AVX2 body on a
+/// CPU with AVX2 and [`byte_code`]'s own per-value step on any other,
+/// which write the same bytes.
+pub fn byte_codes(lo: f64, hi: f64, vals: &[f64], out: &mut [u8]) {
+    match code_scale(lo, hi) {
+        Some(scale) => dispatch(Body::Code {
+            vals,
+            lo,
+            scale,
+            out,
+        }),
+        None => out.fill(EXACT_CODE),
+    }
+}
+
+/// [`byte_codes`] under a finite scale on any CPU: [`code_of`] per value.
+fn code_portable(vals: &[f64], lo: f64, scale: f64, out: &mut [u8]) {
+    for (c, &v) in out.iter_mut().zip(vals) {
+        *c = code_of(v, lo, scale);
+    }
+}
+
+/// [`code_portable`] for CPUs with AVX2, sixteen values a step, four to
+/// a vector (built from the values, no pointer read): `(v − lo) ·
+/// scale` capped at 254 by `vminpd` (a finite `v` gives no NaN), a
+/// non-finite `v` (`v − v` is NaN) blended to [`EXACT_CODE`], truncated
+/// toward zero by `vcvttpd2dq`, and packed to bytes by `vpackssdw` and
+/// `vpackuswb`. The packs' saturation is [`code_of`]'s saturating
+/// `as u8` below zero: a negative code, and the `i32::MIN` that
+/// `vcvttpd2dq` gives one too large to convert, become 0; every other
+/// code is in `[0, 255]` and passes unchanged. A ragged tail takes
+/// [`code_portable`].
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn code_avx2(vals: &[f64], lo: f64, scale: f64, out: &mut [u8]) {
+    #[cfg(target_arch = "x86")]
+    use std::arch::x86::*;
+    #[cfg(target_arch = "x86_64")]
+    use std::arch::x86_64::*;
+    let (base, times) = (_mm256_set1_pd(lo), _mm256_set1_pd(scale));
+    let (zero, top) = (_mm256_setzero_pd(), _mm256_set1_pd(254.0));
+    let exact = _mm256_set1_pd(f64::from(EXACT_CODE));
+    // Four values' codes, one per 32-bit lane.
+    let four = |v: &[f64; 4]| {
+        let x = _mm256_set_pd(v[3], v[2], v[1], v[0]);
+        let code = _mm256_min_pd(_mm256_mul_pd(_mm256_sub_pd(x, base), times), top);
+        let finite = _mm256_cmp_pd::<_CMP_EQ_OQ>(_mm256_sub_pd(x, x), zero);
+        _mm256_cvttpd_epi32(_mm256_blendv_pd(exact, code, finite))
+    };
+    let mut outs = out.chunks_exact_mut(16);
+    let mut ins = vals.chunks_exact(16);
+    for (o, v) in (&mut outs).zip(&mut ins) {
+        let v = v.as_chunks::<4>().0;
+        let bytes = _mm_packus_epi16(
+            _mm_packs_epi32(four(&v[0]), four(&v[1])),
+            _mm_packs_epi32(four(&v[2]), four(&v[3])),
+        );
+        let lanes = [
+            _mm_extract_epi32::<0>(bytes),
+            _mm_extract_epi32::<1>(bytes),
+            _mm_extract_epi32::<2>(bytes),
+            _mm_extract_epi32::<3>(bytes),
+        ];
+        for (o, lane) in o.chunks_exact_mut(4).zip(lanes) {
+            o.copy_from_slice(&lane.to_le_bytes());
+        }
+    }
+    code_portable(ins.remainder(), lo, scale, outs.into_remainder());
 }
 
 /// One dimension of a box in a block's codes: a row is possibly inside
@@ -199,14 +290,72 @@ struct CodedDim<'a> {
 /// more is masked a group of this many at a time.
 const CODED_DIMS: usize = 4;
 
-/// A range predicate for [`SelectionMask::retain`]: the bodies the AVX2
-/// dispatch picks between.
+/// A kernel with an AVX2 form, and what it writes: the bodies
+/// [`dispatch`] picks between.
 enum Body<'a> {
-    /// Keep the rows whose `col` value lies in `[lo, hi]`.
-    Range { col: &'a [f64], lo: f64, hi: f64 },
-    /// Keep the rows inside every one of the dimensions, decided on their
-    /// byte codes where they can and on their `f64`s where they cannot.
-    Codes(&'a [CodedDim<'a>]),
+    /// Keep, in `words`, the rows whose `col` value lies in `[lo, hi]`.
+    Range {
+        words: &'a mut [u64],
+        col: &'a [f64],
+        lo: f64,
+        hi: f64,
+    },
+    /// Keep, in `words`, the rows inside every one of `dims`, decided on
+    /// their byte codes where they can and on their `f64`s where they
+    /// cannot.
+    Codes {
+        words: &'a mut [u64],
+        dims: &'a [CodedDim<'a>],
+    },
+    /// Write into `out` the [`byte_code`] of each of `vals` under a zone
+    /// map from `lo` of finite scale `scale`.
+    Code {
+        vals: &'a [f64],
+        lo: f64,
+        scale: f64,
+        out: &'a mut [u8],
+    },
+}
+
+/// Runs `body`: on a CPU with AVX2 its AVX2 form —
+/// [`retain_range_avx2`], [`retain_codes_avx2`] or [`code_avx2`] —
+/// otherwise its portable one: [`retain_range_portable`] (per dimension,
+/// over the `f64`s, for byte codes) or [`code_portable`]. Both forms
+/// write exactly the same bits.
+fn dispatch(body: Body) {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the only precondition of a `target_feature` function
+        // is that the CPU has the feature, checked on the line above.
+        #[allow(unsafe_code)]
+        unsafe {
+            match body {
+                Body::Range { words, col, lo, hi } => retain_range_avx2(words, col, lo, hi),
+                Body::Codes { words, dims } => retain_codes_avx2(words, dims),
+                Body::Code {
+                    vals,
+                    lo,
+                    scale,
+                    out,
+                } => code_avx2(vals, lo, scale, out),
+            }
+        }
+        return;
+    }
+    match body {
+        Body::Range { words, col, lo, hi } => retain_range_portable(words, col, lo, hi),
+        Body::Codes { words, dims } => {
+            for d in dims {
+                retain_range_portable(words, d.col, d.lo, d.hi);
+            }
+        }
+        Body::Code {
+            vals,
+            lo,
+            scale,
+            out,
+        } => code_portable(vals, lo, scale, out),
+    }
 }
 
 #[cfg(test)]
@@ -216,7 +365,7 @@ thread_local! {
     static EXACT_ROWS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// The byte body of [`SelectionMask::retain`], for CPUs with AVX2:
+/// The byte body of the range predicate, for CPUs with AVX2:
 /// per 64-row word still selecting a row, each dimension's 64 codes as
 /// two 32-byte vectors (built from eight little-endian `u64`s, no
 /// pointer read), compared against its bounds' codes with `vpmaxub` and
@@ -423,40 +572,17 @@ impl SelectionMask {
         self.words[i / 64] |= 1 << (i % 64);
     }
 
-    /// Keeps only the rows `body` keeps: those whose value lies in its
-    /// `[lo, hi]` (inclusive). NaN values never satisfy the predicate, so
-    /// missing data drops out of the selection for free. Words already
-    /// empty are skipped. The dispatch: on a CPU with AVX2 it runs the
-    /// body's AVX2 form, [`retain_range_avx2`] or [`retain_codes_avx2`];
-    /// otherwise [`retain_range_portable`] over the body's `f64` column.
-    /// All clear exactly the same bits.
-    fn retain(&mut self, body: Body) {
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the only precondition of a `target_feature` function
-            // is that the CPU has the feature, checked on the line above.
-            #[allow(unsafe_code)]
-            unsafe {
-                match body {
-                    Body::Range { col, lo, hi } => retain_range_avx2(&mut self.words, col, lo, hi),
-                    Body::Codes(dims) => retain_codes_avx2(&mut self.words, dims),
-                }
-            }
-            return;
-        }
-        match body {
-            Body::Range { col, lo, hi } => retain_range_portable(&mut self.words, col, lo, hi),
-            Body::Codes(dims) => {
-                for d in dims {
-                    retain_range_portable(&mut self.words, d.col, d.lo, d.hi);
-                }
-            }
-        }
-    }
-
-    /// [`SelectionMask::retain`] of the `f64` range body.
+    /// Keeps only the rows whose `col` value lies in `[lo, hi]`
+    /// (inclusive), through [`dispatch`]. NaN values never satisfy the
+    /// predicate, so missing data drops out of the selection for free.
+    /// Words already empty are skipped.
     fn retain_range(&mut self, col: &[f64], lo: f64, hi: f64) {
-        self.retain(Body::Range { col, lo, hi });
+        dispatch(Body::Range {
+            words: &mut self.words,
+            col,
+            lo,
+            hi,
+        });
     }
 
     /// Intersects with another mask of the same length.
@@ -527,10 +653,11 @@ pub fn range_mask_into<C: AsRef<[f64]>>(
     range_retain(cols, lo, hi, out);
 }
 
-/// [`range_mask_into`] of `region` over a storage block: `cols` with
-/// their byte codes `codes`, each value's [`byte_code`] under the
-/// block's zone map `zone` (which bounds every finite value of `cols`).
-/// The same mask, bit for bit; on a CPU with AVX2 each dimension reads
+/// [`range_mask_into`] of `region` over coded columns: `cols` with
+/// their byte codes `codes`, each value's [`byte_code`] under the zone
+/// map `zone`, which bounds every finite value of `cols` — a storage
+/// block's, or the box rows were gathered for. The same mask, bit for
+/// bit; on a CPU with AVX2 each dimension reads
 /// a byte per row and compares as `f64` only the rows on a bound's code
 /// or on [`EXACT_CODE`] — a dimension whose zone map has no finite
 /// scale is compared as `f64` whole, and a box that misses the zone map
@@ -566,7 +693,7 @@ pub fn range_mask_coded<C: AsRef<[f64]>, K: AsRef<[u8]>>(
                 out.words.fill(0);
                 return;
             }
-            Plan::Exact => out.retain(Body::Range { col, lo, hi }),
+            Plan::Exact => out.retain_range(col, lo, hi),
             Plan::Codes(bounds) => {
                 let codes = codes.as_ref();
                 group[n] = CodedDim {
@@ -578,14 +705,20 @@ pub fn range_mask_coded<C: AsRef<[f64]>, K: AsRef<[u8]>>(
                 };
                 n += 1;
                 if n == CODED_DIMS {
-                    out.retain(Body::Codes(&group));
+                    dispatch(Body::Codes {
+                        words: &mut out.words,
+                        dims: &group,
+                    });
                     n = 0;
                 }
             }
         }
     }
     if n > 0 {
-        out.retain(Body::Codes(&group[..n]));
+        dispatch(Body::Codes {
+            words: &mut out.words,
+            dims: &group[..n],
+        });
     }
 }
 
@@ -927,10 +1060,19 @@ mod tests {
     /// A block of `cols`: its zone map and its byte codes.
     fn coded(cols: &[Vec<f64>]) -> (Rect, Vec<Vec<u8>>) {
         let (lo, hi): (Vec<f64>, Vec<f64>) = cols.iter().map(|c| zone_of(c)).unzip();
-        let codes = (cols.iter().zip(lo.iter().zip(&hi)))
-            .map(|(col, (&l, &h))| col.iter().map(|&v| byte_code(l, h, v)).collect())
-            .collect();
-        (Rect::new(lo, hi).unwrap(), codes)
+        let zone = Rect::new(lo, hi).unwrap();
+        let codes = coded_under(cols, &zone);
+        (zone, codes)
+    }
+
+    /// The byte codes of `cols` under `zone`.
+    fn coded_under(cols: &[Vec<f64>], zone: &Rect) -> Vec<Vec<u8>> {
+        (cols.iter().enumerate())
+            .map(|(d, col)| {
+                let (l, h) = (zone.lo()[d], zone.hi()[d]);
+                col.iter().map(|&v| byte_code(l, h, v)).collect()
+            })
+            .collect()
     }
 
     fn scalar_filter(cols: &[Vec<f64>], len: usize, rect: &Rect) -> Vec<usize> {
@@ -985,15 +1127,85 @@ mod tests {
         }
     }
 
+    /// Both bodies of the column coder — [`code_portable`] called
+    /// directly, and [`byte_codes`], which decides the scale and
+    /// dispatches — write each value's [`byte_code`]: over NaN, ±inf,
+    /// ±0.0, subnormals, `f64::MAX`/`MIN`, values inside, on and outside
+    /// the zone map, ragged lengths, and maps without a finite scale.
+    #[test]
+    fn both_coder_bodies_equal_byte_code() {
+        let tiny = f64::from_bits(1);
+        let edgy = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            tiny,
+            -tiny,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            -1e300,
+            1e300,
+        ];
+        let mut state = 11u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            state >> 11
+        };
+        let maps = [
+            (0.0, 1.0),
+            (-3.0, 7.0),
+            (-0.0, 0.5),
+            (-1e300, 1e300),
+            (0.0, f64::MAX),
+            (1.0, 1.0 + f64::EPSILON),
+            (2.5, 2.5),
+            (f64::MIN, f64::MAX),
+            (0.0, tiny * 3.0),
+            (f64::MIN_POSITIVE, f64::MIN_POSITIVE * 2.0),
+        ];
+        for (lo, hi) in maps {
+            for len in [0, 1, 15, 16, 17, 63, 64, 513] {
+                let vals: Vec<f64> = (0..len)
+                    .map(|_| {
+                        let r = next();
+                        let t = (r % 1201) as f64 / 1000.0 - 0.1;
+                        match r % 4 {
+                            0 => edgy[r as usize % edgy.len()],
+                            1 => [lo, hi, lo.next_up(), hi.next_down()][r as usize / 4 % 4],
+                            _ => lo + (hi - lo) * t,
+                        }
+                    })
+                    .collect();
+                let want: Vec<u8> = vals.iter().map(|&v| byte_code(lo, hi, v)).collect();
+                let mut got = vec![7; len];
+                byte_codes(lo, hi, &vals, &mut got);
+                assert_eq!(got, want, "byte_codes, len {len}, [{lo:e}, {hi:e}]");
+                if let Some(scale) = code_scale(lo, hi) {
+                    let mut portable = vec![7; len];
+                    code_portable(&vals, lo, scale, &mut portable);
+                    assert_eq!(portable, want, "portable, len {len}, [{lo:e}, {hi:e}]");
+                }
+            }
+        }
+    }
+
     /// The byte body of the range predicate — [`range_mask_coded`], and
-    /// the dispatcher [`SelectionMask::retain`] handed one dimension's
-    /// [`Body::Codes`] over an arbitrary earlier selection — keeps exactly
+    /// [`dispatch`] handed one dimension's [`Body::Codes`] over an
+    /// arbitrary earlier selection — keeps exactly
     /// the rows the scalar filter keeps: over blocks of NaN, ±inf, ±0.0,
     /// subnormals and `f64::MAX`/`MIN`, constant blocks, zone maps whose
     /// width overflows or is subnormal or whose scale overflows, ragged
     /// lengths and one to three dimensions; and boxes below, above,
     /// straddling and inside the zone map, with bounds on a stored
-    /// value's bits and on the map's ends.
+    /// value's bits and on the map's ends. Half the blocks are coded
+    /// under a map wider than their values, as rows gathered for a box
+    /// are under the box.
     #[test]
     fn the_byte_body_equals_the_scalar_filter() {
         let tiny = f64::from_bits(1);
@@ -1054,7 +1266,20 @@ mod tests {
                     let cols: Vec<Vec<f64>> = (0..dims)
                         .map(|d| column((kinds + 3 * d as u64) % 8, len))
                         .collect();
-                    let (zone, codes) = coded(&cols);
+                    let (mut zone, mut codes) = coded(&cols);
+                    if next() % 2 == 0 {
+                        let (lo, hi): (Vec<f64>, Vec<f64>) = (zone.lo().iter().zip(zone.hi()))
+                            .map(|(&lo, &hi)| {
+                                let pad = [0.0, 0.5, 3.0, 1e10][next() as usize % 4];
+                                (
+                                    lo - pad * (next() % 3) as f64,
+                                    hi + pad * (next() % 3) as f64,
+                                )
+                            })
+                            .unzip();
+                        zone = Rect::new(lo, hi).unwrap();
+                        codes = coded_under(&cols, &zone);
+                    }
                     // Bound candidates per dimension: the map's ends, just
                     // past them, stored values, points inside, far out.
                     let bound = |d: usize| -> f64 {
@@ -1113,13 +1338,16 @@ mod tests {
                             }
                         }
                         let mut dispatched = before.clone();
-                        dispatched.retain(Body::Codes(&[CodedDim {
-                            codes: &codes[d],
-                            col: &cols[d],
-                            lo,
-                            hi,
-                            bounds,
-                        }]));
+                        dispatch(Body::Codes {
+                            words: &mut dispatched.words,
+                            dims: &[CodedDim {
+                                codes: &codes[d],
+                                col: &cols[d],
+                                lo,
+                                hi,
+                                bounds,
+                            }],
+                        });
                         assert_eq!(dispatched, want, "dispatched, len {len}, dim {d}");
                     }
                 }

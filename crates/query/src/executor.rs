@@ -1167,7 +1167,10 @@ impl<'c> ServingCopy<'c> {
     /// gathered once, into the `need`ed columns ([`ServingCopy::gather`]),
     /// and each reader refined and folded over them on the same thread
     /// ([`Gathered::refine`]), one mask buffer serving the gather and
-    /// every reader. With `keeping` (a cache attached and a rectangle in
+    /// every reader. When a reader's box is not the gather box, the
+    /// gathered columns are coded under the gather box first
+    /// ([`Gathered::code`]), so that each such reader re-masks them a
+    /// byte per value. With `keeping` (a cache attached and a rectangle in
     /// the statement), a rectangle whose box is the gather box takes the
     /// gathered columns whole as its fragment's one run — moved to the
     /// copy's last such reader and cloned for the others — and any other
@@ -1180,7 +1183,12 @@ impl<'c> ServingCopy<'c> {
         keeping: bool,
     ) -> Vec<NodeScan> {
         let mut mask = SelectionMask::none(0);
-        let gathered = self.gather(rect, need, &mut mask);
+        let mut gathered = self.gather(rect, need, &mut mask);
+        if let Some(r) = rect {
+            if readers.clone().any(|(bbox, ..)| bbox != rect) {
+                gathered.code(r);
+            }
+        }
         let keeps = |bbox, q| keeping && keeps_gathered(q, bbox, rect);
         let mut scans = Vec::with_capacity(readers.clone().count());
         scans.extend(readers.clone().map(|reader| {
@@ -1249,7 +1257,11 @@ impl<'c> ServingCopy<'c> {
                 }
             }
         }
-        Gathered { rows, cols }
+        Gathered {
+            rows,
+            cols,
+            codes: Vec::new(),
+        }
     }
 }
 
@@ -1405,23 +1417,47 @@ impl<'q> CopyFolds<'q> {
 /// row a query selects lies in its box, hence in the gather box, and its
 /// block's zone map intersects both — the gather loses nothing. A column
 /// no query reads is left empty, and a copy that selects no row, or
-/// gathers no column (a lone `count()`), has no column list.
+/// gathers no column (a lone `count()`), has no column list. Once
+/// [`Gathered::code`]d, `codes` holds each column's byte codes under the
+/// gather box; until then it is empty.
 struct Gathered {
     rows: usize,
     cols: Vec<Vec<f64>>,
+    codes: Vec<Vec<u8>>,
 }
 
 impl Gathered {
+    /// Codes every gathered column under `rect`, the box the rows were
+    /// gathered for ([`kernels::byte_codes`]): `rect` bounds every row,
+    /// so it serves the gathered columns as a block's zone map serves
+    /// the block's, and [`Gathered::refine`] re-masks them through the
+    /// codes. Gathered columns that are not all there (a column no query
+    /// reads) are left uncoded.
+    fn code(&mut self, rect: &Rect) {
+        if self.rows == 0 || self.cols.iter().any(|c| c.len() != self.rows) {
+            return;
+        }
+        self.codes = (self.cols.iter().enumerate())
+            .map(|(d, col)| {
+                let mut codes = vec![kernels::EXACT_CODE; self.rows];
+                kernels::byte_codes(rect.lo()[d], rect.hi()[d], col, &mut codes);
+                codes
+            })
+            .collect();
+    }
+
     /// One reader's scan of `copy`, refined out of the rows gathered for
     /// `rect`: a rectangle re-masks them, into `refined`, only when its
     /// box (`bbox`; `None` reads everything) is not the gather box, any
     /// other region then keeps the rows inside it, and the kernel fold
     /// visits the selected rows in node record order — the float-op
-    /// sequence of scanning the node's blocks directly. A rectangle that
-    /// `cut`s its fragment here gets one [`ColumnRun::dense`] run of
-    /// exact columns, when it selects rows. Charges and block statistics
-    /// are the scan-cost rule's for the reader's own box, billed
-    /// ([`NodeScan::billed`]).
+    /// sequence of scanning the node's blocks directly. The re-mask reads
+    /// the rows' codes under the gather box where they are coded
+    /// ([`kernels::range_mask_coded`]), their `f64`s otherwise. A
+    /// rectangle that `cut`s its fragment here gets one
+    /// [`ColumnRun::dense`] run of exact columns, when it selects rows.
+    /// Charges and block statistics are the scan-cost rule's for the
+    /// reader's own box, billed ([`NodeScan::billed`]).
     fn refine(
         &self,
         copy: &ServingCopy,
@@ -1437,7 +1473,7 @@ impl Gathered {
             (copy.charges, copy.stats)
         } else {
             let mut charges = CostMeter::new();
-            let (_, stats) = copy.node.charge_scan(bbox, &mut charges);
+            let stats = copy.node.charge_scan_with(bbox, &mut charges, |_| {});
             (charges, stats)
         };
         let mut partial = Partial::new(&query.aggregate);
@@ -1445,8 +1481,11 @@ impl Gathered {
         if self.rows > 0 {
             // Cut the gathered rows to the query's own box, then to its
             // region; a query that `keeps_gathered` needs neither.
-            match bbox {
-                Some(b) if !whole => {
+            match (bbox, rect) {
+                (Some(b), Some(zone)) if !whole && !self.codes.is_empty() => {
+                    kernels::range_mask_coded(&self.cols, &self.codes, zone, b, self.rows, refined)
+                }
+                (Some(b), _) if !whole => {
                     kernels::range_mask_into(&self.cols, self.rows, b.lo(), b.hi(), refined)
                 }
                 _ => refined.reset_all(self.rows),

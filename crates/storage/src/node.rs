@@ -220,18 +220,17 @@ impl Segment {
 
     /// Pushes the segment's blocks, one per span, onto `out`, with each
     /// dimension's byte codes: every value's [`kernels::byte_code`] under
-    /// its span's zone map, in a column beside the values'.
+    /// its span's zone map, in a column beside the values', written a
+    /// span at a time by [`kernels::byte_codes`].
     fn push_blocks(self, out: &mut Vec<Block>) {
         let codes: Vec<_> = (self.cols.iter().enumerate())
             .map(|(d, col)| {
                 let mut codes = vec![kernels::EXACT_CODE; col.len()];
                 for span in &self.spans {
                     if let Some(zone) = &span.bounds {
-                        let (lo, hi) = (zone.lo()[d], zone.hi()[d]);
                         let rows = span.rows.clone();
-                        for (c, &v) in codes[rows.clone()].iter_mut().zip(&col[rows]) {
-                            *c = kernels::byte_code(lo, hi, v);
-                        }
+                        let (lo, hi) = (zone.lo()[d], zone.hi()[d]);
+                        kernels::byte_codes(lo, hi, &col[rows.clone()], &mut codes[rows]);
                     }
                 }
                 Arc::new(codes)
@@ -530,11 +529,24 @@ impl DataNode {
         bbox: Option<&Rect>,
         meter: &mut CostMeter,
     ) -> (Vec<&Block>, ScanStats) {
+        let mut admitted = Vec::with_capacity(self.blocks.len());
+        let stats = self.charge_scan_with(bbox, meter, |b| admitted.push(b));
+        (admitted, stats)
+    }
+
+    /// [`DataNode::charge_scan`] handing each admitted block, in block
+    /// order, to `admit` instead of listing them: the bill of a box whose
+    /// rows the caller already holds costs no list.
+    pub fn charge_scan_with<'s>(
+        &'s self,
+        bbox: Option<&Rect>,
+        meter: &mut CostMeter,
+        mut admit: impl FnMut(&'s Block),
+    ) -> ScanStats {
         let mut stats = ScanStats {
             blocks_total: self.blocks.len(),
             ..ScanStats::default()
         };
-        let mut admitted = Vec::with_capacity(self.blocks.len());
         for b in &self.blocks {
             match bbox {
                 None => meter.charge_disk_read(b.bytes()),
@@ -547,12 +559,12 @@ impl DataNode {
             meter.charge_cpu(b.len() as u64);
             stats.blocks_read += 1;
             stats.bytes_read += b.bytes();
-            admitted.push(b);
+            admit(b);
         }
         if bbox.is_some() && stats.bytes_read > 0 {
             meter.charge_disk_read(stats.bytes_read);
         }
-        (admitted, stats)
+        stats
     }
 
     /// Deletes the rows inside the inclusive box `region` — the rows a
