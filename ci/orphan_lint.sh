@@ -23,13 +23,16 @@
 # code — crates/*/tests, tests/, or the part of a file after its
 # `#[cfg(test)]`. Such a function has no caller in the experiments, the
 # examples, seabench or the library itself; each one is either a
-# reference kept on purpose or a candidate for deletion.
+# reference kept on purpose or a candidate for deletion. A second list
+# names every `pub fn` that, outside its own file, only test code and
+# seabench (benchmark/src) name, and seabench does: what only the
+# wall-clock benchmark keeps alive, to go in a change to the benchmark.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-# `<file>:<identifier>:<T|N>` for every identifier a file's code calls
-# or names by path (T: test code, N: the rest): comments are cut at
+# `<file>:<identifier>:<T|B|N>` for every identifier a file's code calls
+# or names by path (T: test code, B: seabench's, N: the rest): comments are cut at
 # `//`, a `pub use` statement is skipped up to its `;`, and a file's
 # lines from its first `#[cfg(test)]` on are test code, as is every file
 # under a `tests` directory.
@@ -39,6 +42,7 @@ identifiers() {
             FNR == 1 {
                 in_use = 0
                 in_test = (FILENAME ~ /^tests\// || FILENAME ~ /^crates\/[^\/]+\/tests\//)
+                in_bench = (FILENAME ~ /^benchmark\//)
             }
             {
                 line = $0
@@ -57,14 +61,15 @@ identifiers() {
                     call = substr(line, pos) ~ /^[[:space:]]*(\(|::<)/ &&
                         before !~ /(^|[^A-Za-z0-9_])fn[[:space:]]+$/
                     if (path || call)
-                        print FILENAME ":" substr(line, start, RLENGTH) ":" (in_test ? "T" : "N")
+                        print FILENAME ":" substr(line, start, RLENGTH) ":" (in_test ? "T" : in_bench ? "B" : "N")
                 }
             }'
 }
 
 # Every `<defining file>:<name>` whose name appears in no other file
-# (`orphans`), and every one named outside its file only in test code
-# (`test_only`).
+# (`orphans`), every one named outside its file only in test code
+# (`test_only`), and every one named outside its file only in test code
+# and seabench's, seabench's among them (`bench_only`).
 census() {
     identifiers |
         sort -u |
@@ -72,13 +77,19 @@ census() {
             {
                 key = $1 ":" $2
                 if (!(key in seen)) { seen[key] = 1; files[$2]++ }
-                if ($3 == "N") { plain[key] = 1 }
+                if ($3 != "T") { plain[key] = 1 }
+                if ($3 == "N") { library[key] = 1 }
+                if ($3 == "B") { bench[$2] = 1 }
             }
             $1 ~ /^crates\/[^\/]+\/src\// { src[$1] = 1 }
             END {
                 for (key in plain) {
                     split(key, parts, ":")
                     plain_files[parts[2]]++
+                }
+                for (key in library) {
+                    split(key, parts, ":")
+                    library_files[parts[2]]++
                 }
                 for (f in src) {
                     while ((getline line < f) > 0) {
@@ -91,6 +102,8 @@ census() {
                             if (want == "orphans" && others == 0) print f ":" name
                             if (want == "test_only" && others > 0 &&
                                 plain_files[name] - ((f ":" name) in plain) == 0) print f ":" name
+                            if (want == "bench_only" && (name in bench) &&
+                                library_files[name] - ((f ":" name) in library) == 0) print f ":" name
                         }
                     }
                     close(f)
@@ -112,5 +125,11 @@ test_only=$(census test_only)
 echo "orphan-lint (information): pub fns named outside their file only in test code: $(grep -c . <<<"$test_only" || true)"
 if [ -n "$test_only" ]; then
     sed 's/^/  /' <<<"$test_only"
+fi
+
+bench_only=$(census bench_only)
+echo "orphan-lint (information): pub fns named outside their file only in test code and seabench's: $(grep -c . <<<"$bench_only" || true)"
+if [ -n "$bench_only" ]; then
+    sed 's/^/  /' <<<"$bench_only"
 fi
 exit "$status"

@@ -11,8 +11,8 @@
 //! scatter/gather bill again. [`SemanticCache`] closes the gap by
 //! remembering, per (aggregate kind, region) key, both the merged
 //! [`sea_common::AnswerValue`] and the per-partition answer *fragments*
-//! (each node's matched rows: the node's own columns under the mask
-//! the executor's scan folded through them, no value copied — see
+//! (each node's matched rows: columns shared with the scan that read
+//! them under the mask it selected them by, no value copied — see
 //! [`ColumnFragment`]), so a later query is classified as one of:
 //!
 //! - **exact hit** — same aggregate, identical region: the stored answer
@@ -152,14 +152,7 @@ impl CacheStats {
 /// kept as only its words that select a row. Word `index[i]` is
 /// `words[i]` and covers rows `64 index[i] .. 64 index[i] + 63` of the
 /// columns; every other word selects nothing. So a kept word costs 12
-/// bytes and selects at least one row.
-///
-/// The executor's scan keeps one run per stretch of a serving copy's
-/// admitted blocks that are consecutive rows of one storage segment: the
-/// columns are the segment's own, cut to the words between the first
-/// and the last that select a row, and the words are the mask the
-/// statement folded through. A run with columns of its own
-/// ([`ColumnRun::dense`]) selects every row.
+/// bytes and selects at least one row. [`ColumnRun::new`] cuts every run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnRun {
     /// One column per dimension over the rows the run spans.
@@ -172,18 +165,28 @@ pub struct ColumnRun {
 }
 
 impl ColumnRun {
-    /// A run over columns of its own that selects every row: `rows` rows,
-    /// each column that long. Its columns are moved, not copied.
-    pub fn dense(cols: Vec<Vec<f64>>, rows: usize) -> Self {
-        // Word `i` selects the rows of its 64 that exist.
-        let words: Vec<u64> = (0..rows.div_ceil(64))
-            .map(|i| u64::MAX >> (64 - (rows - 64 * i).min(64)))
-            .collect();
-        ColumnRun {
-            cols: cols.into_iter().map(ColumnRange::from).collect(),
-            index: (0..words.len() as u32).collect(),
-            words,
+    /// The run of the rows `mask` selects (a word per 64 rows, none
+    /// past `span`) among the first `span` rows of `cols`, whose windows
+    /// may reach past their own ends ([`ColumnRange::window`]): the
+    /// columns shared, windowed from the first to the last word that
+    /// selects a row, and only those words kept. `None` if none selects.
+    pub fn new(cols: &[ColumnRange<f64>], span: usize, mask: &[u64]) -> Option<Self> {
+        let mask = &mask[..mask.len().min(span.div_ceil(64))];
+        let lo = mask.iter().position(|&w| w != 0)?;
+        let hi = mask.iter().rposition(|&w| w != 0)?;
+        let n = mask[lo..=hi].iter().filter(|&&w| w != 0).count();
+        let (mut index, mut words) = (vec![0u32; n], vec![0u64; n]);
+        // With no branch per word: each word is written to the next free
+        // slot, which only a non-zero word claims; the window ends in a
+        // non-zero word, so a zero one's slot is overwritten and in bounds.
+        let mut k = 0;
+        for (i, &w) in mask[lo..=hi].iter().enumerate() {
+            (index[k], words[k]) = (i as u32, w);
+            k += usize::from(w != 0);
         }
+        let rows = 64 * lo..span.min(64 * (hi + 1));
+        let cols = cols.iter().map(|c| c.window(rows.clone())).collect();
+        Some(ColumnRun { cols, index, words })
     }
 
     /// Rows the run selects.
@@ -203,14 +206,14 @@ impl ColumnRun {
 
 /// One storage partition's contribution to a cached answer: the rows
 /// that matched the cached region on that node, as [`ColumnRun`]s in
-/// scan order — the node's own columns under the mask the scan folded
-/// through, with no value copied. A containment hit loads each run's
+/// scan order — shared columns under the mask the scan selected the
+/// rows by, with no value copied. A containment hit loads each run's
 /// mask, narrows it to the queried region and folds the run's columns
 /// through it, run after run. Rows carry no ids: an aggregate never
 /// reads one.
 ///
-/// A fragment shares its columns with the storage segment it was cut
-/// from, so an entry keeps that segment's columns alive until it is
+/// A fragment shares its columns with the storage segment or the
+/// gather it was cut from, so an entry keeps them alive until it is
 /// evicted or invalidated — also after the table's rows change under
 /// it (a delete compacts a copy of the columns; a reload builds new
 /// ones): the entry still answers for the rows it was cut from.
@@ -251,28 +254,21 @@ pub struct NodeFragment {
 }
 
 impl From<NodeFragment> for ColumnFragment {
-    /// Transposes the rows into columns of their own, one
-    /// [`ColumnRun::dense`] run. Its rows are the frozen benchmark's
-    /// admission probe's, cut from one table and all of its arity;
-    /// storage refuses a short row, but `From` cannot, so one shorter
-    /// than the widest is padded with NaN (missing).
+    /// Transposes the rows into columns of their own, one run that
+    /// selects every row. Its rows are the frozen benchmark's admission
+    /// probe's, cut from one table and all of its arity; storage refuses
+    /// a short row, but `From` cannot, so one shorter than the widest is
+    /// padded with NaN (missing).
     fn from(fragment: NodeFragment) -> Self {
         let records = fragment.records;
         let dims = records.iter().map(Record::dims).max().unwrap_or(0);
-        let cols = (0..dims)
-            .map(|d| {
-                records
-                    .iter()
-                    .map(|r| r.values.get(d).copied().unwrap_or(f64::NAN))
-                    .collect()
-            })
-            .collect();
-        let rows = records.len();
+        let value = |r: &Record, d: usize| r.values.get(d).copied().unwrap_or(f64::NAN);
+        let column = |d| ColumnRange::from(Vec::from_iter(records.iter().map(|r| value(r, d))));
+        let cols: Vec<_> = (0..dims).map(column).collect();
+        let every = SelectionMask::all(records.len());
+        let run = ColumnRun::new(&cols, records.len(), every.words());
         ColumnFragment {
-            runs: (rows > 0)
-                .then(|| ColumnRun::dense(cols, rows))
-                .into_iter()
-                .collect(),
+            runs: run.into_iter().collect(),
         }
     }
 }
@@ -879,13 +875,30 @@ mod tests {
     #[test]
     fn a_dense_run_selects_every_row_it_spans() {
         for rows in [1, 63, 64, 65, 130] {
-            let col = (0..rows).map(|i| i as f64).collect();
-            let run = ColumnRun::dense(vec![col], rows);
+            let col = ColumnRange::from((0..rows).map(|i| i as f64).collect::<Vec<_>>());
+            let run = ColumnRun::new(&[col], rows, SelectionMask::all(rows).words()).unwrap();
             assert_eq!(run.rows(), rows);
             let mut mask = SelectionMask::none(0);
             run.mask_into(&mut mask);
             assert_eq!(mask, SelectionMask::all(rows), "{rows} rows");
         }
+        assert_eq!(ColumnRun::new(&[], 0, &[]), None);
+    }
+
+    #[test]
+    fn a_run_shares_its_columns_windowed_to_its_selected_words() {
+        let col = ColumnRange::from((0..300).map(f64::from).collect::<Vec<_>>());
+        // Rows 70 and 200 of 300; a word past the span is dropped.
+        let mask = [0, 1 << 6, 0, 1 << 8, 0, u64::MAX];
+        let run = ColumnRun::new(std::slice::from_ref(&col), 300, &mask).unwrap();
+        assert_eq!(run.index, [0, 2]);
+        assert_eq!(run.words, [1 << 6, 1 << 8]);
+        assert_eq!(run.cols[0].rows(), 64..256);
+        assert!(std::sync::Arc::ptr_eq(run.cols[0].column(), col.column()));
+        let mut selected = SelectionMask::none(0);
+        run.mask_into(&mut selected);
+        assert_eq!(selected.to_indices(), [70 - 64, 200 - 64]);
+        assert_eq!(ColumnRun::new(&[col], 300, &[0, 0]), None);
     }
 
     #[test]

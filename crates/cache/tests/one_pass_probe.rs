@@ -21,7 +21,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use sea_cache::{CacheConfig, CacheDecision, CacheStats, ColumnFragment, ColumnRun, SemanticCache};
-use sea_common::{AggregateKind, AnswerValue, Ball, Point, Rect, Region};
+use sea_common::{
+    AggregateKind, AnswerValue, Ball, ColumnRange, Point, Rect, Region, SelectionMask,
+};
 
 /// Every admission clears the default 1 ms admission threshold.
 const COST_US: f64 = 25_000.0;
@@ -83,7 +85,13 @@ impl Pair {
         // its own.
         let fragments = rows.map(|rows| {
             vec![ColumnFragment {
-                runs: vec![ColumnRun::dense(vec![vec![answer; rows]; 2], rows)],
+                runs: ColumnRun::new(
+                    &vec![ColumnRange::from(vec![answer; rows]); 2],
+                    rows,
+                    SelectionMask::all(rows).words(),
+                )
+                .into_iter()
+                .collect(),
             }]
         });
         let region = Region::Range(rect.clone());

@@ -96,7 +96,7 @@ impl AggregateKind {
 
     /// The attributes the operator reads: none for `Count`, `x` then
     /// `y` for the dependence statistics, its one `dim` otherwise.
-    pub fn columns(&self) -> impl Iterator<Item = usize> {
+    fn columns(&self) -> impl Iterator<Item = usize> {
         let pair = match *self {
             AggregateKind::Count => [None, None],
             AggregateKind::Sum { dim }

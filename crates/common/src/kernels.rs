@@ -585,18 +585,6 @@ impl SelectionMask {
         });
     }
 
-    /// Intersects with another mask of the same length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn intersect(&mut self, other: &SelectionMask) {
-        assert_eq!(self.len, other.len, "mask length mismatch");
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w &= o;
-        }
-    }
-
     /// Calls `f` with every selected row index in ascending order. Dense
     /// words (all 64 rows selected) take a straight-line path; sparse
     /// words iterate set bits only.
@@ -1555,13 +1543,18 @@ mod tests {
                             _ => {}
                         }
                     }
-                    let mut want = before.clone();
-                    want.intersect(&dense);
+                    let and = |other: &SelectionMask| {
+                        let mut both = before.clone();
+                        for (w, o) in both.words.iter_mut().zip(&other.words) {
+                            *w &= o;
+                        }
+                        both
+                    };
+                    let want = and(&dense);
                     let mut got = before.clone();
                     ball_retain(&cols, &center, radius, &mut got);
                     assert_eq!(got, want, "ball, len {len}, start {start}");
-                    let mut want = before.clone();
-                    want.intersect(&boxed);
+                    let want = and(&boxed);
                     let mut got = before.clone();
                     range_retain(&cols, &lo, &hi, &mut got);
                     assert_eq!(got, want, "box, len {len}, start {start}");

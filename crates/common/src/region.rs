@@ -205,12 +205,16 @@ impl Ball {
     /// # Errors
     ///
     /// Returns [`SeaError::InvalidArgument`] if `radius` is negative or not
-    /// finite.
+    /// finite, or if the ball's bounding rectangle is not finite: a
+    /// centre coordinate is NaN or infinite, or `centre ± radius`
+    /// overflows.
     pub fn new(center: Point, radius: f64) -> Result<Self> {
         if !radius.is_finite() || radius < 0.0 {
             return Err(SeaError::invalid("radius must be finite and non-negative"));
         }
-        Ok(Ball { center, radius })
+        let ball = Ball { center, radius };
+        ball.try_bounding_rect()?;
+        Ok(ball)
     }
 
     /// The ball's centre.
@@ -237,8 +241,13 @@ impl Ball {
 
     /// The ball's axis-aligned bounding rectangle.
     pub fn bounding_rect(&self) -> Rect {
-        let extents = vec![self.radius; self.dims()];
-        Rect::centered(&self.center, &extents).expect("radius validated at construction")
+        self.try_bounding_rect()
+            .expect("bounding rectangle built at construction")
+    }
+
+    /// The bounding rectangle, or why it is not a rectangle.
+    fn try_bounding_rect(&self) -> Result<Rect> {
+        Rect::centered(&self.center, &vec![self.radius; self.dims()])
     }
 }
 
@@ -492,6 +501,17 @@ mod tests {
         assert_eq!(br.lo(), &[-1.0, -1.0]);
         assert_eq!(br.hi(), &[1.0, 1.0]);
         assert!(Ball::new(Point::zeros(2), -0.1).is_err());
+    }
+
+    #[test]
+    fn a_ball_without_a_finite_bounding_rect_is_refused() {
+        for centre in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(Ball::new(Point::new(vec![centre, 0.0]), 1.0).is_err());
+        }
+        // Finite centre and radius whose box overflows to +inf.
+        let overflowing = Ball::new(Point::new(vec![1e308, 0.0]), 1e308);
+        assert!(matches!(overflowing, Err(SeaError::InvalidArgument(_))));
+        assert!(Ball::new(Point::new(vec![1e308, 0.0]), 1e307).is_ok());
     }
 
     #[test]

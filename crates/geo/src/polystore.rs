@@ -145,8 +145,8 @@ impl<'a> Polystore<'a> {
             let scatter =
                 (s.exec).scatter(&s.table, Some(&bbox), ExecMode::Direct, |_, views, _| {
                     for v in views {
-                        let mut hits = v.block.region_mask(&query.region);
-                        hits.intersect(&v.mask);
+                        let mut hits = v.mask.clone();
+                        query.region.retain(v.block.cols(), &mut hits);
                         hits.for_each_set(|r| matched.push(v.block.record(r)));
                     }
                     Ok(())

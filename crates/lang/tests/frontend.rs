@@ -94,6 +94,20 @@ fn single_aggregate_statement_matches_direct_execution() {
     );
 }
 
+/// A ball the parser takes — finite centre, positive radius — whose
+/// bounding box overflows is refused as the statement's error, not a
+/// panic in the planner, the cache probe or the executor.
+#[test]
+fn a_ball_whose_box_overflows_is_an_error() {
+    let cluster = cluster();
+    let cache = SemanticCache::new(CacheConfig::default());
+    let mut front = Frontend::new(Executor::new(&cluster).with_cache(&cache), "t").unwrap();
+    let err = front
+        .run("SELECT count() WHERE WITHIN BALL((1e308, 0.0), 1e308)")
+        .unwrap_err();
+    assert!(err.to_string().contains("finite"), "{err}");
+}
+
 #[test]
 fn unconstrained_statement_spans_the_inferred_domain() {
     let cluster = cluster();

@@ -43,8 +43,8 @@ fn on_subspace<T>(
     let scatter = exec.scatter(table, Some(&bbox), ExecMode::Direct, |_, views, meter| {
         let shipped = selected.len();
         for view in views {
-            let mut hits = view.block.region_mask(region);
-            hits.intersect(&view.mask);
+            let mut hits = view.mask.clone();
+            region.retain(view.block.cols(), &mut hits);
             hits.for_each_set(|i| selected.push(view.block.record(i)));
         }
         meter.charge_lan(selected[shipped..].iter().map(Record::storage_bytes).sum());

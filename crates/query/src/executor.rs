@@ -16,7 +16,8 @@
 //! hot, copying no row; a cache fragment keeps that mask over the copy's
 //! own columns. A statement whose boxes differ gathers the copy's rows
 //! of the union box once, into columns of exactly those rows, and the
-//! item refines and folds each of its pairs over them. Workers do pure
+//! item refines and folds each of its pairs over them; a cache fragment
+//! keeps a rectangle's refined mask over those columns. Workers do pure
 //! compute (telemetry-silent, charging private [`CostMeter`]s); the
 //! coordinator then *replays* each query in query order, its nodes in
 //! node-index order, so answers, [`CostReport`]s, cache state and every
@@ -25,8 +26,8 @@
 
 use sea_cache::{CacheDecision, ColumnFragment, ColumnRun, SemanticCache};
 use sea_common::{
-    kernels, quantile_of, AggregateKind, AnalyticalQuery, AnswerValue, BivariateStats, CostMeter,
-    CostReport, ExecMode, Rect, Region, Result, SeaError, SelectionMask,
+    kernels, quantile_of, AggregateKind, AnalyticalQuery, AnswerValue, BivariateStats, ColumnRange,
+    CostMeter, CostReport, ExecMode, Rect, Region, Result, SeaError, SelectionMask,
 };
 use sea_storage::{Block, DataNode, NodeId, ScanStats, StorageCluster};
 use sea_telemetry::{SpanGuard, TelemetrySink, TraceContext};
@@ -136,9 +137,9 @@ struct NodeScan {
     meter: CostMeter,
     stats: ScanStats,
     /// The node's matched rows for semantic-cache admission: the mask
-    /// the fold went through over the node's columns, or runs of
-    /// gathered columns (`None` unless a cache is attached and the
-    /// region is a rectangle).
+    /// the fold went through over the node's columns, or the query's
+    /// refined mask over the columns the copy gathered (`None` unless a
+    /// cache is attached and the region is a rectangle).
     fragment: Option<ColumnFragment>,
 }
 
@@ -412,7 +413,8 @@ impl<'a> Executor<'a> {
     /// same rows in the same order, so the answer is bit-identical.
     /// The mask spans the rows between the run's first and last selected
     /// words, not only the selected rows, so a hit walks more words than
-    /// a fold of copied rows would; no scan copies a row in exchange.
+    /// a fold of copied rows would; no scan copies a row for a fragment
+    /// in exchange.
     /// Charges `coord` a CPU unit per cached row and per merged partial.
     fn derive_from_fragments(
         query: &AnalyticalQuery,
@@ -539,7 +541,7 @@ impl<'a> Executor<'a> {
                 _ => None,
             })
             .collect();
-        let mut scans = self.plan_shared_scan(table, &stmt).into_iter();
+        let mut scans = self.plan_shared_scan(&stmt).into_iter();
         (spans.into_iter().zip(steps).zip(queries))
             .map(|((exec_span, step), q)| {
                 exec_span.resume();
@@ -881,11 +883,7 @@ impl<'a> Executor<'a> {
     /// (perfbaseline's batch of 48 boxes, and tests) **gathers** the
     /// copy's rows of the gather box once into exact columns and refines
     /// and folds each pair over them ([`ServingCopy::gather_through`]).
-    fn plan_shared_scan(
-        &self,
-        table: &str,
-        stmt: &[(&OpenedQuery<'a>, &AnalyticalQuery)],
-    ) -> Vec<NodeScan> {
+    fn plan_shared_scan(&self, stmt: &[(&OpenedQuery<'a>, &AnalyticalQuery)]) -> Vec<NodeScan> {
         let mut rect = stmt.first().and_then(|(p, _)| p.bbox.clone());
         for (p, _) in stmt.iter().skip(1) {
             rect = match (&rect, &p.bbox) {
@@ -911,32 +909,19 @@ impl<'a> Executor<'a> {
                 .flat_map(|&(p, q)| p.opened.iter().map(move |(_, o)| (p.bbox.as_ref(), o, q)))
                 .zip(&at)
         };
-        let shared = stmt.iter().all(|(p, _)| p.bbox.as_ref() == rect);
+        // The gather box, when some query's box is not it. Every query of
+        // a statement has a box in the pruned regime and none otherwise,
+        // so a statement without one shares it.
+        let gather = rect.filter(|&r| stmt.iter().any(|(p, _)| p.bbox.as_ref() != Some(r)));
         // Fragments are cut only where a cache could admit them: one is
         // attached and a region supports the containment algebra
-        // (rectangles only). The gather body reads a column only if a
-        // query does: its aggregate's own, or every one when it refines
-        // the gathered rows or a cache may admit them.
+        // (rectangles only).
         let keeping = self.cache.is_some() && (stmt.iter()).any(|(_, q)| is_rectangle(q));
-        let mut need = Vec::new();
-        if !shared {
-            need = vec![keeping; self.cluster.dims(table).unwrap_or(0)];
-            for (p, q) in stmt {
-                if keeps_gathered(q, p.bbox.as_ref(), rect) {
-                    for d in q.aggregate.columns() {
-                        need[d] = true;
-                    }
-                } else {
-                    need.fill(true);
-                }
-            }
-        }
         let mut items = self.pool.run(copies.len(), |c| {
             let readers = (pairs().filter(|&(_, &a)| a == Some(c))).map(|(pair, _)| pair);
-            let mut scans = if shared {
-                copies[c].fold_through(rect, readers, keeping)
-            } else {
-                copies[c].gather_through(rect, readers, &need, keeping)
+            let mut scans = match gather {
+                Some(r) => copies[c].gather_through(r, readers, keeping),
+                None => copies[c].fold_through(rect, readers, keeping),
             };
             // Popped in pair order below.
             scans.reverse();
@@ -972,14 +957,6 @@ fn hand_out<T: Clone + Default>(value: &mut T, readers: &mut usize) -> T {
 /// fragment is cut for, and one whose bounding box is itself.
 fn is_rectangle(query: &AnalyticalQuery) -> bool {
     matches!(query.region, Region::Range(_))
-}
-
-/// Whether `query` keeps the rows gathered for `rect` as they are: its
-/// box is the gather box and, its region being a rectangle, that box is
-/// the region too. Any other query refines them, reading every column
-/// (see [`Gathered::refine`]).
-fn keeps_gathered(query: &AnalyticalQuery, bbox: Option<&Rect>, rect: Option<&Rect>) -> bool {
-    bbox.is_some() && bbox == rect && is_rectangle(query)
 }
 
 impl NodeScan {
@@ -1164,72 +1141,62 @@ impl<'c> ServingCopy<'c> {
     /// [`Executor::plan_shared_scan`]), for `readers` — the (query, node)
     /// pairs that read the copy, each with its box, in pair order — whose
     /// boxes differ: the copy's rows of the gather box `rect` are
-    /// gathered once, into the `need`ed columns ([`ServingCopy::gather`]),
-    /// and each reader refined and folded over them on the same thread
-    /// ([`Gathered::refine`]), one mask buffer serving the gather and
-    /// every reader. When a reader's box is not the gather box, the
-    /// gathered columns are coded under the gather box first
-    /// ([`Gathered::code`]), so that each such reader re-masks them a
-    /// byte per value. With `keeping` (a cache attached and a rectangle in
-    /// the statement), a rectangle whose box is the gather box takes the
-    /// gathered columns whole as its fragment's one run — moved to the
-    /// copy's last such reader and cloned for the others — and any other
-    /// rectangle cuts its rows out of them.
+    /// gathered once ([`ServingCopy::gather`]), and each reader refined
+    /// and folded over them on the same thread ([`Gathered::refine`]),
+    /// one mask buffer serving the gather and every reader. When a
+    /// reader's box is not the gather box, the gathered columns are coded
+    /// under the gather box first ([`Gathered::code`]), so that each such
+    /// reader re-masks them a byte per value. With `keeping` (a cache
+    /// attached and a rectangle in the statement), a reader of the copy
+    /// that is a rectangle first moves the gathered columns into shared
+    /// ranges, once, and each rectangle cuts its refined mask over them
+    /// as its fragment's one run ([`ColumnRun::new`]): no value is
+    /// copied for a fragment.
     fn gather_through<'r>(
         &self,
-        rect: Option<&Rect>,
+        rect: &Rect,
         readers: impl Iterator<Item = Reader<'r>> + Clone,
-        need: &[bool],
         keeping: bool,
     ) -> Vec<NodeScan> {
         let mut mask = SelectionMask::none(0);
-        let mut gathered = self.gather(rect, need, &mut mask);
-        if let Some(r) = rect {
-            if readers.clone().any(|(bbox, ..)| bbox != rect) {
-                gathered.code(r);
-            }
+        let mut gathered = self.gather(rect, &mut mask);
+        if readers.clone().any(|(bbox, ..)| bbox != Some(rect)) {
+            gathered.code(rect);
         }
-        let keeps = |bbox, q| keeping && keeps_gathered(q, bbox, rect);
+        let keeps = |q| keeping && is_rectangle(q);
+        // Sized once: a reader count is no size hint.
         let mut scans = Vec::with_capacity(readers.clone().count());
-        scans.extend(readers.clone().map(|reader| {
-            let (bbox, _, q) = reader;
-            let cut = keeping && is_rectangle(q) && !keeps(bbox, q);
-            gathered.refine(self, rect, reader, cut, &mut mask)
-        }));
-        let mut keepers = (readers.clone())
-            .filter(|&(bbox, _, q)| keeps(bbox, q))
-            .count();
-        let mut runs = Vec::new();
-        if keepers > 0 && gathered.rows > 0 {
-            runs.push(ColumnRun::dense(gathered.cols, gathered.rows));
-        }
-        for (scan, (bbox, _, q)) in scans.iter_mut().zip(readers) {
-            if keeps(bbox, q) {
-                let runs = hand_out(&mut runs, &mut keepers);
-                scan.fragment = Some(ColumnFragment { runs });
-            }
+        if readers.clone().any(|(.., q)| keeps(q)) {
+            let shared = gathered.share();
+            scans.extend(readers.map(|reader| {
+                let mut scan = shared.refine(self, rect, reader, &mut mask);
+                scan.fragment = keeps(reader.2).then(|| ColumnFragment {
+                    runs: (ColumnRun::new(&shared.cols, shared.rows, mask.words()))
+                        .into_iter()
+                        .collect(),
+                });
+                scan
+            }));
+        } else {
+            scans.extend(readers.map(|reader| gathered.refine(self, rect, reader, &mut mask)));
         }
         scans
     }
 
-    /// The copy's rows of `rect` (`None`: every row) in columns of their
-    /// own: masks each admitted block into `mask`, and keeps the mask's words in one
+    /// The copy's rows of `rect` in columns of their own: masks each
+    /// admitted block into `mask`, and keeps the mask's words in one
     /// buffer from the first block that selects a row on; then allocates
-    /// each `need`ed column once, at exactly the rows selected, and
-    /// gathers each block through its kept words
-    /// ([`kernels::gather_words`]) — the rows of the blocks in block then
-    /// row order, with no column grown or reallocated. A copy that
-    /// selects no row allocates nothing.
-    fn gather(&self, rect: Option<&Rect>, need: &[bool], mask: &mut SelectionMask) -> Gathered {
+    /// each column once, at exactly the rows selected, and gathers each
+    /// block through its kept words ([`kernels::gather_words`]) — the
+    /// rows of the blocks in block then row order, with no column grown
+    /// or reallocated. A copy that selects no row allocates nothing.
+    fn gather(&self, rect: &Rect, mask: &mut SelectionMask) -> Gathered<Vec<f64>> {
         let blocks = &self.blocks;
         let words_of = |b: &Block| b.len().div_ceil(64);
         let mut words = Vec::new();
         let (mut first, mut rows) = (0, 0);
         for (i, b) in blocks.iter().enumerate() {
-            match rect {
-                Some(r) => b.bbox_mask(r, mask),
-                None => mask.reset_all(b.len()),
-            }
+            b.bbox_mask(rect, mask);
             let n = mask.count();
             if rows == 0 {
                 if n == 0 {
@@ -1242,18 +1209,14 @@ impl<'c> ServingCopy<'c> {
             words.extend_from_slice(mask.words());
         }
         let mut cols: Vec<Vec<f64>> = Vec::new();
-        if rows > 0 && need.contains(&true) {
-            cols = (need.iter())
-                .map(|&wanted| Vec::with_capacity(if wanted { rows } else { 0 }))
-                .collect();
+        if rows > 0 {
+            cols = (0..rect.dims()).map(|_| Vec::with_capacity(rows)).collect();
             let mut kept = words.as_slice();
             for b in &blocks[first..] {
                 let (block, rest) = kept.split_at(words_of(b));
                 kept = rest;
-                for ((out, col), &wanted) in cols.iter_mut().zip(b.cols()).zip(need) {
-                    if wanted {
-                        kernels::gather_words(col, block, out);
-                    }
+                for (out, col) in cols.iter_mut().zip(b.cols()) {
+                    kernels::gather_words(col, block, out);
                 }
             }
         }
@@ -1303,35 +1266,12 @@ impl KeptMask {
     }
 
     /// Closes the current run, which starts at block `first` and spans
-    /// `len` rows: its words from the first through the last that
-    /// selects a row are compacted into exact-length lists of the
-    /// non-zero words and their indices, with no branch per word, and
-    /// the run's columns are cut to those words. A run that selects no
-    /// row keeps nothing.
+    /// `len` rows: its words are cut over the segment's columns from
+    /// that block on ([`ColumnRun::new`]). A run that selects no row
+    /// keeps nothing.
     fn close(&mut self, first: &Block, len: usize) {
-        let lo = self.dense.iter().position(|&w| w != 0);
-        let hi = self.dense.iter().rposition(|&w| w != 0);
-        if let (Some(lo), Some(hi)) = (lo, hi) {
-            let span = &self.dense[lo..=hi];
-            let n = span.iter().filter(|&&w| w != 0).count();
-            let (mut index, mut words) = (vec![0u32; n], vec![0u64; n]);
-            // Every word is written to the next free slot, which only a
-            // non-zero word claims; the span ends in a non-zero word, so
-            // a zero one's slot is always overwritten and in bounds.
-            let mut k = 0;
-            for (i, &w) in span.iter().enumerate() {
-                index[k] = i as u32;
-                words[k] = w;
-                k += usize::from(w != 0);
-            }
-            let window = 64 * lo..len.min(64 * (hi + 1));
-            let cols = first.cols().iter().map(|c| c.window(window.clone()));
-            self.runs.push(ColumnRun {
-                cols: cols.collect(),
-                index,
-                words,
-            });
-        }
+        self.runs
+            .extend(ColumnRun::new(first.cols(), len, &self.dense));
         self.dense.clear();
     }
 }
@@ -1412,31 +1352,27 @@ impl<'q> CopyFolds<'q> {
 }
 
 /// A serving copy's rows of the gather box in column form (see
-/// [`ServingCopy::gather`]): a row count and one `Vec<f64>` per
-/// dimension, `rows` values each, allocated at exactly that length. Any
-/// row a query selects lies in its box, hence in the gather box, and its
-/// block's zone map intersects both — the gather loses nothing. A column
-/// no query reads is left empty, and a copy that selects no row, or
-/// gathers no column (a lone `count()`), has no column list. Once
-/// [`Gathered::code`]d, `codes` holds each column's byte codes under the
-/// gather box; until then it is empty.
-struct Gathered {
+/// [`ServingCopy::gather`]): a row count and one column per dimension,
+/// `rows` values each — the gathered `Vec<f64>`s, or, once a reader
+/// keeps a fragment, the same columns moved into shared ranges
+/// ([`Gathered::share`]). Any row a query selects lies in its box, hence
+/// in the gather box, and its block's zone map intersects both — the
+/// gather loses nothing. A copy that selects no row has no column list.
+/// Once [`Gathered::code`]d, `codes` holds each column's byte codes under
+/// the gather box; until then it is empty.
+struct Gathered<C> {
     rows: usize,
-    cols: Vec<Vec<f64>>,
+    cols: Vec<C>,
     codes: Vec<Vec<u8>>,
 }
 
-impl Gathered {
+impl Gathered<Vec<f64>> {
     /// Codes every gathered column under `rect`, the box the rows were
     /// gathered for ([`kernels::byte_codes`]): `rect` bounds every row,
     /// so it serves the gathered columns as a block's zone map serves
     /// the block's, and [`Gathered::refine`] re-masks them through the
-    /// codes. Gathered columns that are not all there (a column no query
-    /// reads) are left uncoded.
+    /// codes.
     fn code(&mut self, rect: &Rect) {
-        if self.rows == 0 || self.cols.iter().any(|c| c.len() != self.rows) {
-            return;
-        }
         self.codes = (self.cols.iter().enumerate())
             .map(|(d, col)| {
                 let mut codes = vec![kernels::EXACT_CODE; self.rows];
@@ -1446,29 +1382,38 @@ impl Gathered {
             .collect();
     }
 
+    /// The gathered columns moved, not copied, into ranges that cache
+    /// fragments share.
+    fn share(self) -> Gathered<ColumnRange<f64>> {
+        Gathered {
+            rows: self.rows,
+            cols: self.cols.into_iter().map(ColumnRange::from).collect(),
+            codes: self.codes,
+        }
+    }
+}
+
+impl<C: AsRef<[f64]>> Gathered<C> {
     /// One reader's scan of `copy`, refined out of the rows gathered for
-    /// `rect`: a rectangle re-masks them, into `refined`, only when its
-    /// box (`bbox`; `None` reads everything) is not the gather box, any
-    /// other region then keeps the rows inside it, and the kernel fold
-    /// visits the selected rows in node record order — the float-op
-    /// sequence of scanning the node's blocks directly. The re-mask reads
-    /// the rows' codes under the gather box where they are coded
-    /// ([`kernels::range_mask_coded`]), their `f64`s otherwise. A
-    /// rectangle that `cut`s its fragment here gets one
-    /// [`ColumnRun::dense`] run of exact columns, when it selects rows.
-    /// Charges and block statistics are the scan-cost rule's for the
-    /// reader's own box, billed ([`NodeScan::billed`]).
+    /// `rect` into `refined`: a reader whose box is not the gather box
+    /// re-masks them by that box on their codes
+    /// ([`kernels::range_mask_coded`]), any region but a rectangle then
+    /// keeps the rows inside it, and the kernel fold visits the selected
+    /// rows in node record order — the float-op sequence of scanning the
+    /// node's blocks directly. `refined` is left holding the reader's
+    /// rows when the copy gathered any. Charges and block statistics are
+    /// the scan-cost rule's for the reader's own box, billed
+    /// ([`NodeScan::billed`]).
     fn refine(
         &self,
         copy: &ServingCopy,
-        rect: Option<&Rect>,
+        rect: &Rect,
         (bbox, opened, query): Reader,
-        cut: bool,
         refined: &mut SelectionMask,
     ) -> NodeScan {
         // The query's box is the gather box: priced with it, and every
         // gathered row is inside.
-        let whole = bbox == rect;
+        let whole = bbox == Some(rect);
         let (charges, mut stats) = if whole {
             (copy.charges, copy.stats)
         } else {
@@ -1477,40 +1422,21 @@ impl Gathered {
             (charges, stats)
         };
         let mut partial = Partial::new(&query.aggregate);
-        let mut fragment = cut.then(ColumnFragment::default);
         if self.rows > 0 {
-            // Cut the gathered rows to the query's own box, then to its
-            // region; a query that `keeps_gathered` needs neither.
-            match (bbox, rect) {
-                (Some(b), Some(zone)) if !whole && !self.codes.is_empty() => {
-                    kernels::range_mask_coded(&self.cols, &self.codes, zone, b, self.rows, refined)
-                }
-                (Some(b), _) if !whole => {
-                    kernels::range_mask_into(&self.cols, self.rows, b.lo(), b.hi(), refined)
+            match bbox {
+                Some(b) if !whole => {
+                    kernels::range_mask_coded(&self.cols, &self.codes, rect, b, self.rows, refined)
                 }
                 _ => refined.reset_all(self.rows),
             }
             stats.records_returned += refined.count();
             // For a rectangular region the bounding box *is* the region.
-            if !(bbox.is_some() && is_rectangle(query)) {
+            if !is_rectangle(query) {
                 query.region.retain(&self.cols, refined);
             }
             partial.push(&self.cols, refined);
-            if let Some(frag) = &mut fragment {
-                let rows = refined.count();
-                if rows > 0 {
-                    let cols = (self.cols.iter())
-                        .map(|col| {
-                            let mut out = Vec::with_capacity(rows);
-                            kernels::gather(col, refined, &mut out);
-                            out
-                        })
-                        .collect();
-                    frag.runs.push(ColumnRun::dense(cols, rows));
-                }
-            }
         }
-        NodeScan::billed(opened, &charges, stats, Some(partial), fragment)
+        NodeScan::billed(opened, &charges, stats, Some(partial), None)
     }
 }
 

@@ -8,6 +8,8 @@
 //! order must be a pure function of the insert sequence, and a
 //! drift-epoch bump must drop every pre-drift entry.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use sea_cache::{CacheConfig, CacheDecision, ColumnFragment, NodeFragment, SemanticCache};
 use sea_common::{
@@ -122,7 +124,9 @@ proptest! {
 
     /// Warm the cache with a random outer rectangle — through either
     /// regime, so the fragments keep the box mask (direct) and the
-    /// region's mask over every row (BDAS) — then query a random
+    /// region's mask over every row (BDAS), or in a direct-regime batch
+    /// beside a rectangle of another box, so the gather body cuts its
+    /// fragments over the columns it gathered — then query a random
     /// rectangle contained in it and the ball
     /// inscribed in that rectangle: the (possible) containment hits must
     /// reproduce the cold answers exactly, for every aggregate, table
@@ -138,9 +142,9 @@ proptest! {
         frac in (0.01..1.0f64, 0.01..1.0f64, 0.01..1.0f64),
         agg_idx in 0..10usize,
         table in 0..4usize,
-        shape in (0..2usize, 0..2usize, 0..3usize),
+        shape in (0..3usize, 0..2usize, 0..3usize),
     ) {
-        let (warm_bdas, snap, pool) = (shape.0 == 1, shape.1 == 1, [1, 2, 8][shape.2]);
+        let (warm_mode, snap, pool) = (shape.0, shape.1 == 1, [1, 2, 8][shape.2]);
         // Snapped bounds land on data values: the inclusive edges.
         let snapped = |v: f64| if snap { v.floor() } else { v };
         let lo = [snapped(lo.0), snapped(lo.1), snapped(lo.2)];
@@ -155,6 +159,12 @@ proptest! {
             .map(|d| inner_lo[d] + inner_frac[d] * (outer_hi[d] - inner_lo[d]))
             .collect();
         let outer = Rect::new(lo.to_vec(), outer_hi).unwrap();
+        // Half a width further along dimension 0: never the outer box.
+        let shift = (outer.hi()[0] - outer.lo()[0]) / 2.0 + 0.5;
+        let mut beside = (outer.lo().to_vec(), outer.hi().to_vec());
+        beside.0[0] += shift;
+        beside.1[0] += shift;
+        let beside = Rect::new(beside.0, beside.1).unwrap();
         let inner = Rect::new(inner_lo, inner_hi).unwrap();
         let radius = (0..3)
             .map(|d| (inner.hi()[d] - inner.lo()[d]) / 2.0)
@@ -170,12 +180,15 @@ proptest! {
         // Warm (and admit) the outer region; it may legitimately fail
         // (e.g. Mean over an empty subspace), in which case nothing is
         // admitted and the inner query simply runs cold on both sides.
+        // The batch's other query keys another entry, so the outer's
+        // own fragments serve the hits.
         let warm = AnalyticalQuery::new(Region::Range(outer), aggregate_by_index(agg_idx));
-        let _ = if warm_bdas {
-            exec.execute(table, &warm, ExecMode::Bdas, &TraceContext::NONE)
-        } else {
-            exec.execute_direct(table, &warm)
-        };
+        let other = AnalyticalQuery::new(Region::Range(beside), aggregate_by_index((agg_idx + 1) % 10));
+        match warm_mode {
+            0 => drop(exec.execute_direct(table, &warm)),
+            1 => drop(exec.execute(table, &warm, ExecMode::Bdas, &TraceContext::NONE)),
+            _ => drop(exec.execute_batch(table, &[warm, other])),
+        }
 
         for region in [Region::Range(inner), Region::Radius(ball)] {
             let q = AnalyticalQuery::new(region, aggregate_by_index(agg_idx));
@@ -494,8 +507,8 @@ fn row_fragments(
 /// node's blocks that are consecutive rows of one segment, over the
 /// node's own columns. Each node holds a loaded segment and an inserted
 /// one, so its fragment has two runs. A batch whose boxes differ
-/// gathers each serving copy's rows once, and its fragments are one run
-/// of gathered columns per node, with every word set.
+/// gathers each serving copy's rows once, and each rectangle keeps its
+/// own mask over those gathered columns, one run per node.
 #[test]
 fn admitted_fragments_have_one_run_layout_at_every_pool_size() {
     let records: Vec<Record> = (0..50_000u64)
@@ -600,6 +613,55 @@ fn admitted_fragments_have_one_run_layout_at_every_pool_size() {
         }
         assert_eq!(layouts[1], layouts[0], "{mode:?}: 2 threads against 1");
         assert_eq!(layouts[2], layouts[0], "{mode:?}: 8 threads against 1");
+    }
+}
+
+/// A statement whose boxes differ gathers each serving copy's rows
+/// once, and each rectangle keeps its own mask over those gathered
+/// columns as its fragment: per node, the wide and the narrow query's
+/// runs read one column allocation, and no fragment holds a copied
+/// value.
+#[test]
+fn a_differing_box_statement_shares_its_gathered_columns() {
+    let cluster = build_cluster(4);
+    let cache = open_cache();
+    let exec = Executor::new(&cluster).with_cache(&cache);
+    let rect = |lo: f64, hi: f64| Rect::new(vec![lo, 0.0, 0.0], vec![hi, 6.0, 50.0]).unwrap();
+    let (wide, narrow) = (rect(5.0, 70.0), rect(30.0, 40.0));
+    let stmt = [
+        AnalyticalQuery::new(Region::Range(wide), AggregateKind::Count),
+        AnalyticalQuery::new(Region::Range(narrow), AggregateKind::Sum { dim: 1 }),
+    ];
+    for out in exec.execute_batch("t", &stmt) {
+        out.unwrap();
+    }
+    // Each query's own entry, through a rectangle just inside it.
+    let fragments = |q: &AnalyticalQuery| {
+        let Region::Range(r) = &q.region else {
+            unreachable!("every query is a rectangle")
+        };
+        let mut hi = r.hi().to_vec();
+        hi[0] -= 0.5;
+        let inside = Region::Range(Rect::new(r.lo().to_vec(), hi).unwrap());
+        let CacheDecision::Containment(frags) = cache.lookup(&q.aggregate, &inside) else {
+            panic!("{q:?} was not admitted");
+        };
+        frags
+    };
+    let (wide, narrow) = (fragments(&stmt[0]), fragments(&stmt[1]));
+    assert_eq!((wide.len(), narrow.len()), (4, 4), "every node engaged");
+    for (node, (w, n)) in wide.iter().zip(narrow.iter()).enumerate() {
+        let ([w], [n]) = (&w.runs[..], &n.runs[..]) else {
+            panic!("node {node}: one run per fragment");
+        };
+        assert!(0 < n.rows() && n.rows() < w.rows(), "node {node}");
+        assert_eq!(w.cols.len(), 3);
+        for (a, b) in w.cols.iter().zip(&n.cols) {
+            assert!(
+                Arc::ptr_eq(a.column(), b.column()),
+                "node {node}: both runs read the columns the copy gathered"
+            );
+        }
     }
 }
 
